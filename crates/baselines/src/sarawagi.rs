@@ -56,10 +56,8 @@ pub fn sarawagi_explore(engine: &Engine, table: &Table, cfg: &SarawagiConfig) ->
         max_rules: None,
         two_sided_gain: false,
         // Comparator fidelity: keep the staged pipeline this baseline's
-        // timings were modeled on, not the fused sweep. The columnar scan
-        // is representation only (bit-identical output), so it stays on.
+        // timings were modeled on, not the fused sweep.
         gain_sweep: false,
-        columnar: true,
         // No effect with the sweep off, but keep the default for parity.
         packed_codes: true,
         seed: cfg.seed,

@@ -1,41 +1,33 @@
 //! Candidate gain evaluation: the fused partition-parallel sweep vs. the
-//! legacy sequential scoring path (ISSUE 4), and the columnar vs.
-//! boxed-row data representation under the sweep (ISSUE 5).
+//! legacy sequential scoring path (ISSUE 4).
 //!
 //! `mine/staged-sequential` is the pre-sweep pipeline — LCA emit → shuffle
 //! → ancestor stages → shuffle → adjust + gain — on one worker: the
 //! "scores candidates sequentially" baseline the sweep replaces.
 //! `mine/sweep/<N>threads` runs the same mining request with the fused
-//! sweep on an engine *requesting* N workers over the default columnar
-//! data path; `mine/sweep-rowmajor` is the identical single-worker request
-//! on the boxed per-row reference path (`columnar: false`) — the
-//! row-vs-columnar delta under equal everything else. `sweep-pass/…`
-//! isolates one sweep over the columnar dataset and
-//! `sweep-pass-rowmajor` one sweep over the row-major dataset. N is the
-//! requested concurrency (the knob a user sets);
-//! `EngineConfig::effective_workers` hardware-caps it, so on hosts with
-//! fewer cores the higher-N rows measure the capped configuration — each
-//! row logs its effective worker count. The mining output is bit-identical
-//! across every row here — see the proptests in
+//! sweep on an engine *requesting* N workers. `sweep-pass/…` isolates one
+//! sweep over the distributed dataset. N is the requested concurrency (the
+//! knob a user sets); `EngineConfig::effective_workers` hardware-caps it,
+//! so on hosts with fewer cores the higher-N rows measure the capped
+//! configuration — each row logs its effective worker count. The mining
+//! output is bit-identical across every row here — see the proptests in
 //! `crates/core/tests/properties.rs`.
 //!
-//! ISSUE 6 adds the packed-code rows: `sweep-pass/…` now runs the default
-//! packed-`u64` accumulators; `sweep-pass-rulekey` is the same single
-//! sweep with the pre-packing `Rule`-keyed maps (the hash-probe
-//! bottleneck being replaced) and `sweep-pass-hashprobe` forces the
-//! flat probe-or-insert combine (the default `sweep-pass` row lets the
+//! `sweep-pass/…` runs the default packed-`u64` accumulators;
+//! `sweep-pass-rulekey` is the same single sweep on `Rule`-keyed maps
+//! (what a layout over 128 bits runs on) and `sweep-pass-hashprobe` forces
+//! the flat probe-or-insert combine (the default `sweep-pass` row lets the
 //! cost model pick, which at this volume means radix-group), so the
 //! packed-vs-rulekey and hash-vs-radix deltas are both one compare away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirum_bench::core::candidates::SampleIndex;
-use sirum_bench::core::miner::Tup;
-use sirum_bench::core::sweep::{sweep_gains, sweep_gains_blocks, SweepOptions};
+use sirum_bench::core::sweep::{sweep_gains, SweepOptions};
 use sirum_bench::core::{
     CandidateStrategy, Miner, PreparedTable, RuleLayout, SirumConfig, TupleBlock,
 };
 use sirum_bench::dataflow::cost::CombineStrategy;
-use sirum_bench::dataflow::{Dataset, Engine, EngineConfig};
+use sirum_bench::dataflow::{sample_row_indices, Dataset, Engine, EngineConfig};
 use sirum_bench::workloads;
 
 // |s| = 128 doubles the paper-default pair volume, putting the workload
@@ -52,48 +44,22 @@ fn engine(workers: usize) -> Engine {
     )
 }
 
-fn config(gain_sweep: bool, columnar: bool) -> SirumConfig {
+fn config(gain_sweep: bool) -> SirumConfig {
     SirumConfig {
         k: 2,
         strategy: CandidateStrategy::SampleLca {
             sample_size: SAMPLE,
         },
         gain_sweep,
-        columnar,
         ..SirumConfig::default()
     }
 }
 
-/// Row-major tuples gathered from the prepared frame (what the
-/// `columnar: false` reference path distributes).
-fn row_tuples(prepared: &PreparedTable) -> Vec<Tup> {
-    let mut buf = Vec::with_capacity(prepared.num_dims());
-    (0..prepared.num_rows())
-        .map(|i| {
-            prepared.frame().gather_row(i, &mut buf);
-            (
-                buf.clone().into_boxed_slice(),
-                prepared.m_prime()[i],
-                1.0,
-                0u64,
-            )
-        })
-        .collect()
-}
-
 /// Columnar blocks over the prepared frame's shared columns (what the
-/// default path distributes — zero copies).
+/// miner distributes — zero copies).
 fn column_blocks(engine: &Engine, prepared: &PreparedTable) -> Dataset<TupleBlock> {
-    let m = prepared.m_prime_slice();
-    let blocks: Vec<TupleBlock> = prepared
-        .frame()
-        .partition_views(PARTITIONS)
-        .into_iter()
-        .map(|view| {
-            let window = m.slice(view.start(), view.len());
-            TupleBlock::seed(view, window)
-        })
-        .collect();
+    let blocks =
+        TupleBlock::seed_partitions(prepared.frame(), &prepared.m_prime_slice(), PARTITIONS);
     Dataset::from_partitioned(engine, blocks)
 }
 
@@ -107,27 +73,19 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     // The sequential path: legacy staged scoring on a single worker.
-    let staged = Miner::new(engine(1), config(false, true));
+    let staged = Miner::new(engine(1), config(false));
     group.bench_function("mine/staged-sequential", |b| {
         b.iter(|| staged.try_mine_prepared(&prepared, &[]).unwrap());
     });
 
-    // The same request on the fused sweep over the boxed-row reference
-    // representation (single worker): the row-vs-columnar baseline.
-    let rowmajor = Miner::new(engine(1), config(true, false));
-    group.bench_function("mine/sweep-rowmajor", |b| {
-        b.iter(|| rowmajor.try_mine_prepared(&prepared, &[]).unwrap());
-    });
-
-    // The same request on the fused sweep over the columnar path,
-    // requesting 1/2/4 engine workers.
+    // The same request on the fused sweep, requesting 1/2/4 engine workers.
     for workers in [1usize, 2, 4] {
         let e = engine(workers);
         eprintln!(
             "gain_sweep: {workers} requested worker(s) -> {} effective on this host",
             e.config().effective_workers()
         );
-        let miner = Miner::new(e, config(true, true));
+        let miner = Miner::new(e, config(true));
         group.bench_with_input(
             BenchmarkId::new("mine/sweep", format!("{workers}threads")),
             &workers,
@@ -135,43 +93,27 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // One isolated sweep pass over the distributed dataset, in each
-    // representation and under each accumulator keying. The sample is
-    // drawn the way the miner draws it; every row computes bit-identical
-    // candidates.
+    // One isolated sweep pass over the distributed dataset under each
+    // accumulator keying. The sample is drawn the way the miner draws it;
+    // every row computes bit-identical candidates.
     let packed = SweepOptions::packed(RuleLayout::from_cardinalities(prepared.frame().cards()));
-    let tuples = row_tuples(&prepared);
-    {
-        let e = engine(1);
-        let data = e.parallelize(tuples.clone(), PARTITIONS);
-        let sample: Vec<Box<[u32]>> = data
-            .take_sample(SAMPLE, 42)
-            .into_iter()
-            .map(|(dims, _, _, _)| dims)
-            .collect();
-        let index = SampleIndex::build(sample, d);
-        group.bench_function("sweep-pass-rowmajor", |b| {
-            b.iter(|| sweep_gains(&data, d, Some(&index), None, &packed))
-        });
-    }
+    let rows = prepared.frame().view();
+    let sample: Vec<Box<[u32]>> = sample_row_indices(prepared.num_rows(), SAMPLE, 42)
+        .into_iter()
+        .map(|i| rows.gather_row_boxed(i))
+        .collect();
+    let index = SampleIndex::build(sample, d);
     for workers in [1usize, 2, 4] {
         let e = engine(workers);
         let data = column_blocks(&e, &prepared);
-        let sample: Vec<Box<[u32]>> = e
-            .parallelize(tuples.clone(), PARTITIONS)
-            .take_sample(SAMPLE, 42)
-            .into_iter()
-            .map(|(dims, _, _, _)| dims)
-            .collect();
-        let index = SampleIndex::build(sample, d);
         group.bench_with_input(
             BenchmarkId::new("sweep-pass", format!("{workers}threads")),
             &workers,
-            |b, _| b.iter(|| sweep_gains_blocks(&data, d, Some(&index), None, &packed)),
+            |b, _| b.iter(|| sweep_gains(&data, d, Some(&index), None, &packed)),
         );
     }
-    // The pre-ISSUE-6 Rule-keyed sweep and the forced hash-probe combine,
-    // single worker. At this workload's emission volume the cost model
+    // The Rule-keyed sweep and the forced hash-probe combine, single
+    // worker. At this workload's emission volume the cost model
     // picks radix-group, so the default `sweep-pass` row measures it and
     // the packed-vs-rulekey and hash-vs-radix deltas are one compare away.
     for (id, opts) in [
@@ -183,15 +125,8 @@ fn bench(c: &mut Criterion) {
     ] {
         let e = engine(1);
         let data = column_blocks(&e, &prepared);
-        let sample: Vec<Box<[u32]>> = e
-            .parallelize(tuples.clone(), PARTITIONS)
-            .take_sample(SAMPLE, 42)
-            .into_iter()
-            .map(|(dims, _, _, _)| dims)
-            .collect();
-        let index = SampleIndex::build(sample, d);
         group.bench_with_input(BenchmarkId::new(id, "1threads"), &1usize, |b, _| {
-            b.iter(|| sweep_gains_blocks(&data, d, Some(&index), None, &opts))
+            b.iter(|| sweep_gains(&data, d, Some(&index), None, &opts))
         });
     }
     group.finish();

@@ -1,12 +1,9 @@
 //! Service-layer hot path: repeated mining with and without the catalog's
-//! one-time table preparation (`PreparedTable`), and the columnar vs.
-//! boxed-row data path on top of it. `cold` pays per-request validation,
-//! measure-transform fitting and the columnar transpose on every call —
-//! what `Miner::try_mine` does; `prepared` reuses one `PreparedTable` and
-//! scans its `Arc`-shared columns through zero-copy views, as the service
-//! catalog does for every registered table; `prepared-rowmajor` runs the
-//! identical request on the boxed per-row reference representation
-//! (`columnar: false`), isolating what the columnar zero-copy path saves.
+//! one-time table preparation (`PreparedTable`). `cold` pays per-request
+//! validation, measure-transform fitting and the columnar transpose on
+//! every call — what `Miner::try_mine` does; `prepared` reuses one
+//! `PreparedTable` and scans its `Arc`-shared columns through zero-copy
+//! views, as the service catalog does for every registered table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirum_bench::core::{CandidateStrategy, Miner, PreparedTable, SirumConfig};
@@ -29,7 +26,7 @@ fn bench(c: &mut Criterion) {
             strategy: CandidateStrategy::SampleLca { sample_size: 32 },
             ..SirumConfig::default()
         };
-        let miner = Miner::new(engine.clone(), config.clone());
+        let miner = Miner::new(engine.clone(), config);
         group.bench_with_input(BenchmarkId::new("cold", rows), &rows, |b, _| {
             b.iter(|| miner.try_mine(&table).unwrap());
         });
@@ -37,20 +34,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("prepared", rows), &rows, |b, _| {
             b.iter(|| miner.try_mine_prepared(&prepared, &[]).unwrap());
         });
-        let rowmajor = Miner::new(
-            engine.clone(),
-            SirumConfig {
-                columnar: false,
-                ..config
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("prepared-rowmajor", rows),
-            &rows,
-            |b, _| {
-                b.iter(|| rowmajor.try_mine_prepared(&prepared, &[]).unwrap());
-            },
-        );
     }
     group.finish();
 }

@@ -6,8 +6,7 @@
 //! ```
 //!
 //! Each experiment prints the series the corresponding figure plots and
-//! writes a TSV under `target/figures/`. Paper-vs-measured commentary lives
-//! in EXPERIMENTS.md.
+//! writes a TSV under `target/figures/`.
 
 use sirum_bench::baselines::{sarawagi_explore, SarawagiConfig};
 use sirum_bench::core::explore::explore;

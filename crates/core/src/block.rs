@@ -1,20 +1,16 @@
 //! [`TupleBlock`]: one partition of the columnar mining dataset.
 //!
-//! The row-major data path distributes `D` as per-row tuples
-//! `(Box<[u32]>, m′, m̂, BA)` ([`crate::miner::Tup`]) — every scaling pass
-//! that rewrites `m̂` re-boxes every row's dimension codes. The columnar
-//! path instead keeps **one record per partition**: a [`FrameView`] range
-//! over the table's shared dimension columns (immutable for the whole run,
-//! an `Arc` bump to carry forward), the partition's window of the shared
-//! `m′` column, and two per-partition arrays for the only state that
-//! actually changes between iterations — the estimates `m̂` and the
-//! rule-coverage bit arrays. A scaling rewrite allocates two fresh arrays
-//! per *partition* instead of one boxed slice per *row*.
+//! The miner distributes `D` as **one record per partition**: a
+//! [`FrameView`] range over the table's shared dimension columns
+//! (immutable for the whole run, an `Arc` bump to carry forward), the
+//! partition's window of the shared `m′` column, and two per-partition
+//! arrays for the only state that actually changes between iterations —
+//! the estimates `m̂` and the rule-coverage bit arrays. A scaling rewrite
+//! allocates two fresh arrays per *partition*, never anything per *row*.
 //!
-//! Blocks implement [`Encode`], so columnar partitions spill/round-trip
-//! through the block store (DiskMr stage materialization, memory-pressure
-//! eviction) exactly like row-major partitions do; a decoded block owns
-//! fresh columns with identical values.
+//! Blocks implement [`Encode`], so partitions spill/round-trip through the
+//! block store (DiskMr stage materialization, memory-pressure eviction); a
+//! decoded block owns fresh columns with identical values.
 
 use sirum_dataflow::Encode;
 use sirum_table::{ColSlice, Frame, FrameView};
@@ -48,9 +44,24 @@ impl TupleBlock {
         }
     }
 
+    /// Seed one block per partition of `frame` — its
+    /// [`Frame::partition_views`] ranges, each with the matching window of
+    /// the row-aligned `m′` column. Zero copies; this is the dataset the
+    /// miner distributes.
+    pub fn seed_partitions(frame: &Frame, m: &ColSlice<f64>, partitions: usize) -> Vec<TupleBlock> {
+        frame
+            .partition_views(partitions)
+            .into_iter()
+            .map(|view| {
+                let window = m.slice(view.start(), view.len());
+                TupleBlock::seed(view, window)
+            })
+            .collect()
+    }
+
     /// The same rows with replaced estimates (dims, `m′` and bit arrays
     /// shared).
-    pub(crate) fn with_mhat(&self, mhat: Vec<f64>) -> TupleBlock {
+    pub fn with_mhat(&self, mhat: Vec<f64>) -> TupleBlock {
         debug_assert_eq!(mhat.len(), self.len());
         TupleBlock {
             dims: self.dims.clone(),

@@ -226,34 +226,12 @@ impl SampleIndex {
         scratch
     }
 
-    /// As [`Self::lcas_into`], but producing *packed* LCA codes: every LCA
-    /// starts as the all-wildcards code and the matching sample rows get
-    /// their field overwritten in place — one shift-or per posting-list
-    /// hit, no `d`-wide slices anywhere. Entry `j` of the result packs
-    /// exactly the values `lcas_into` writes for sample row `j`.
-    pub fn packed_lcas_into<'a, C: PackedCode>(
-        &self,
-        masks: &PackedMasks<C>,
-        tuple: &[u32],
-        scratch: &'a mut Vec<C>,
-    ) -> &'a [C] {
-        debug_assert_eq!(tuple.len(), self.d);
-        debug_assert_eq!(masks.num_dims(), self.d);
-        scratch.clear();
-        scratch.resize(self.rows.len(), masks.all_wild());
-        for (col, &v) in tuple.iter().enumerate() {
-            if let Some(hits) = self.cols[col].get(&v) {
-                for &row in hits {
-                    let slot = &mut scratch[row as usize];
-                    *slot = masks.with_constant(*slot, col, v);
-                }
-            }
-        }
-        scratch
-    }
-
-    /// As [`Self::packed_lcas_into`], reading the tuple straight out of
-    /// columnar storage (the packed twin of [`Self::lcas_into_cols`]).
+    /// As [`Self::lcas_into_cols`], but producing *packed* LCA codes:
+    /// every LCA starts as the all-wildcards code and the matching sample
+    /// rows get their field overwritten in place — one shift-or per
+    /// posting-list hit, no `d`-wide slices anywhere. Entry `j` of the
+    /// result packs exactly the values `lcas_into` writes for sample row
+    /// `j`.
     pub fn packed_lcas_into_cols<'a, C: PackedCode>(
         &self,
         masks: &PackedMasks<C>,
@@ -524,14 +502,13 @@ mod tests {
         let masks = layout.masks::<u64>();
         let frame = sirum_table::Frame::from_table(&t);
         let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
-        let (mut plain, mut packed, mut packed_cols) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut plain, mut packed_cols) = (Vec::new(), Vec::new());
         for (i, row) in t.rows().enumerate() {
             let want: Vec<u64> = index
                 .lcas_into(row, &mut plain)
                 .chunks_exact(3)
                 .map(|lca| layout.pack(lca))
                 .collect();
-            assert_eq!(index.packed_lcas_into(&masks, row, &mut packed), want);
             assert_eq!(
                 index.packed_lcas_into_cols(&masks, &cols, i, &mut packed_cols),
                 want,

@@ -1,43 +1,32 @@
-//! The mining dataset behind the greedy driver, in one of two
-//! representations:
+//! The mining dataset behind the greedy driver: one [`TupleBlock`] per
+//! partition — a [`sirum_table::FrameView`] range over the table's shared
+//! dimension columns plus per-partition `m̂`/bit-array state. Scans walk
+//! contiguous columns (morsel by morsel when they are compressed); scaling
+//! rewrites allocate two arrays per partition; per-row codes are gathered
+//! into a reusable scratch buffer only at the LCA-probe boundary.
 //!
-//! * **Columnar** (the default): one [`TupleBlock`] per partition — a
-//!   [`sirum_table::FrameView`] range over the table's shared dimension
-//!   columns plus per-partition `m̂`/bit-array state. Scans walk
-//!   contiguous columns; scaling rewrites allocate two arrays per
-//!   partition; per-row codes are gathered into a reusable scratch buffer
-//!   only at the LCA-probe boundary.
-//! * **Row-major** (the reference): per-row [`Tup`] tuples with boxed
-//!   dimension codes — the pre-columnar data path, kept selectable
-//!   (`SirumConfig::columnar = false`) so proptests and benches can pin
-//!   the columnar path bit-identical to it and measure the difference.
-//!
-//! Every primitive here preserves, between the two arms, the exact
-//! per-partition row order, accumulator capacities and partition-ordered
-//! float-fold sequence — which is what makes the mining output (selected
-//! rules, gains, KL traces, counts) **bit-identical** across
-//! representations for every variant, partition count, worker count and
-//! cancellation point. The proptests in `crates/core/tests/properties.rs`
-//! pin this.
+//! Every primitive here visits rows in ascending order within a partition
+//! and folds partition results in partition order, so the mining output
+//! (selected rules, gains, KL traces, counts) is **bit-identical** for
+//! every worker count, engine mode and frame encoding. The proptests in
+//! `crates/core/tests/properties.rs` pin this.
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
-use crate::miner::Tup;
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, RctGroup};
 use crate::rule::Rule;
-use crate::sweep::{sweep_gains, sweep_gains_blocks, SweepOptions, SweepOutcome};
+use crate::sweep::{sweep_gains, SweepOptions, SweepOutcome};
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineMode};
 
-/// The distributed dataset a mining run scans, in either representation.
-pub(crate) enum MiningData {
-    /// Per-row boxed tuples (the row-major reference path).
-    Rows(Dataset<Tup>),
-    /// One columnar block per partition (the default path).
-    Blocks(Dataset<TupleBlock>),
-}
+/// The distributed dataset a mining run scans.
+pub(crate) struct MiningData(Dataset<TupleBlock>);
+
+/// The per-row record Naive SIRUM's reshuffle serializes: `(dimension
+/// codes, m′, m̂, rule-coverage bit array)`.
+type Tup = (Box<[u32]>, f64, f64, u64);
 
 /// Visit (in ascending row order) every row of `block` the rule covers,
 /// touching only the rule's constant columns — decoded morsel-by-morsel
@@ -62,44 +51,49 @@ fn for_rule_rows<F: FnMut(usize)>(
     }
 }
 
-impl MiningData {
-    /// Distribute `D` from its preparation: columnar blocks over the shared
-    /// frame columns (zero copies), or gathered row tuples for the
-    /// reference path. Both use the engine's default partition count and
-    /// identical row→partition placement.
-    pub(crate) fn seed(engine: &Engine, prepared: &PreparedTable, columnar: bool) -> MiningData {
-        let partitions = engine.config().partitions;
-        if columnar {
-            let m = prepared.m_prime_slice();
-            let blocks: Vec<TupleBlock> = prepared
-                .frame()
-                .partition_views(partitions)
-                .into_iter()
-                .map(|view| {
-                    let window = m.slice(view.start(), view.len());
-                    TupleBlock::seed(view, window)
-                })
-                .collect();
-            MiningData::Blocks(Dataset::from_partitioned(engine, blocks))
-        } else {
-            let frame = prepared.frame();
-            let m_prime = prepared.m_prime();
-            let mut buf = Vec::with_capacity(frame.num_dims());
-            let mut tuples: Vec<Tup> = Vec::with_capacity(frame.num_rows());
-            for (i, &mp) in m_prime.iter().enumerate() {
-                frame.gather_row(i, &mut buf);
-                tuples.push((buf.clone().into_boxed_slice(), mp, 1.0, 0u64));
+/// Visit every row of a partition in ascending order as `(codes, m′, m̂,
+/// BA)`, gathering each row's codes into one reused buffer — the boundary
+/// where the staged pipeline needs row-shaped records.
+fn for_each_row<F: FnMut(&[u32], f64, f64, u64)>(blocks: &[TupleBlock], mut f: F) {
+    let mut buf = Vec::new();
+    let mut scratch = sirum_table::ColScratch::new();
+    for block in blocks {
+        let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
+        let dims = block.dims();
+        for (ms, ml) in dims.morsel_bounds() {
+            let cols = dims.morsel_cols(ms, ml, &mut scratch);
+            for li in 0..ml {
+                let i = ms + li;
+                buf.clear();
+                buf.extend(cols.iter().map(|c| c[li]));
+                f(&buf, m[i], mh[i], mask[i]);
             }
-            MiningData::Rows(engine.parallelize(tuples, partitions))
         }
+    }
+}
+
+fn add_assign(a: &mut [f64], b: Vec<f64>) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+}
+
+impl MiningData {
+    /// Distribute `D` from its preparation: one block per partition over
+    /// the shared frame columns (zero copies), using the engine's default
+    /// partition count.
+    pub(crate) fn seed(engine: &Engine, prepared: &PreparedTable) -> MiningData {
+        let blocks = TupleBlock::seed_partitions(
+            prepared.frame(),
+            &prepared.m_prime_slice(),
+            engine.config().partitions,
+        );
+        MiningData(Dataset::from_partitioned(engine, blocks))
     }
 
     /// Number of partitions.
     pub(crate) fn num_partitions(&self) -> usize {
-        match self {
-            MiningData::Rows(d) => d.num_partitions(),
-            MiningData::Blocks(d) => d.num_partitions(),
-        }
+        self.0.num_partitions()
     }
 
     /// Persist in the block store (except in DiskMr mode, whose stage
@@ -108,242 +102,144 @@ impl MiningData {
         if mode == EngineMode::DiskMr {
             return self;
         }
-        match self {
-            MiningData::Rows(d) => MiningData::Rows(d.cache()),
-            MiningData::Blocks(d) => MiningData::Blocks(d.cache()),
-        }
+        MiningData(self.0.cache())
     }
 
     /// Release any block-store blocks.
     pub(crate) fn free(self) {
-        match self {
-            MiningData::Rows(d) => d.free(),
-            MiningData::Blocks(d) => d.free(),
-        }
+        self.0.free();
     }
 
-    /// `Σ_{t⊨r} m′` and support counts for a rule list, one pass over `D`.
-    /// Both arms accumulate each rule's sum over rows in ascending row
-    /// order per partition, merged in partition order — identical float
-    /// sequences.
+    /// `Σ_{t⊨r} m′` and support counts for a rule list, one pass over `D`:
+    /// each rule's sum accumulates over rows in ascending row order per
+    /// partition, merged in partition order.
     pub(crate) fn rule_sums(&self, rules: &[Rule]) -> (Vec<f64>, Vec<u64>) {
-        match self {
-            MiningData::Rows(data) => data.aggregate(
-                "rule-m-sums",
-                || (vec![0.0f64; rules.len()], vec![0u64; rules.len()]),
-                |(sums, counts), (dims, m, _mh, _mask)| {
+        self.0.aggregate_partitions(
+            "rule-m-sums",
+            || (vec![0.0f64; rules.len()], vec![0u64; rules.len()]),
+            |_, blocks| {
+                let mut sums = vec![0.0f64; rules.len()];
+                let mut counts = vec![0u64; rules.len()];
+                let mut scratch = sirum_table::ColScratch::new();
+                for block in blocks {
+                    let m = block.m();
                     for (j, rule) in rules.iter().enumerate() {
-                        if rule.matches(dims) {
-                            sums[j] += *m;
+                        for_rule_rows(rule, block, &mut scratch, |i| {
+                            sums[j] += m[i];
                             counts[j] += 1;
-                        }
+                        });
                     }
-                },
-                |(s1, c1), (s2, c2)| {
-                    for (a, b) in s1.iter_mut().zip(s2) {
-                        *a += b;
-                    }
-                    for (a, b) in c1.iter_mut().zip(c2) {
-                        *a += b;
-                    }
-                },
-            ),
-            MiningData::Blocks(data) => data.aggregate_partitions(
-                "rule-m-sums",
-                || (vec![0.0f64; rules.len()], vec![0u64; rules.len()]),
-                |_, blocks| {
-                    let mut sums = vec![0.0f64; rules.len()];
-                    let mut counts = vec![0u64; rules.len()];
-                    let mut scratch = sirum_table::ColScratch::new();
-                    for block in blocks {
-                        let m = block.m();
-                        for (j, rule) in rules.iter().enumerate() {
-                            for_rule_rows(rule, block, &mut scratch, |i| {
-                                sums[j] += m[i];
-                                counts[j] += 1;
-                            });
-                        }
-                    }
-                    (sums, counts)
-                },
-                |(s1, c1), (s2, c2)| {
-                    for (a, b) in s1.iter_mut().zip(s2) {
-                        *a += b;
-                    }
-                    for (a, b) in c1.iter_mut().zip(c2) {
-                        *a += b;
-                    }
-                },
-            ),
-        }
+                }
+                (sums, counts)
+            },
+            |(s1, c1), (s2, c2)| {
+                add_assign(s1, s2);
+                for (a, b) in c1.iter_mut().zip(c2) {
+                    *a += b;
+                }
+            },
+        )
     }
 
     /// One KL evaluation pass: `(Σ m·ln(m/m̂), Σ m, Σ m̂)`.
     pub(crate) fn kl_parts(&self) -> (f64, f64, f64) {
-        let comb = |a: &mut (f64, f64, f64), b: (f64, f64, f64)| {
-            a.0 += b.0;
-            a.1 += b.1;
-            a.2 += b.2;
-        };
-        match self {
-            MiningData::Rows(data) => data.aggregate(
-                "kl",
-                || (0.0f64, 0.0f64, 0.0f64),
-                |(s1, sm, smh), (_dims, m, mh, _mask)| {
-                    if *m > 0.0 {
-                        *s1 += m * (m / mh).ln();
-                    }
-                    *sm += m;
-                    *smh += mh;
-                },
-                comb,
-            ),
-            MiningData::Blocks(data) => data.aggregate_partitions(
-                "kl",
-                || (0.0f64, 0.0f64, 0.0f64),
-                |_, blocks| {
-                    let mut acc = (0.0f64, 0.0f64, 0.0f64);
-                    for block in blocks {
-                        let (m, mh) = (block.m(), block.mhat());
-                        for i in 0..block.len() {
-                            if m[i] > 0.0 {
-                                acc.0 += m[i] * (m[i] / mh[i]).ln();
-                            }
-                            acc.1 += m[i];
-                            acc.2 += mh[i];
+        self.0.aggregate_partitions(
+            "kl",
+            || (0.0f64, 0.0f64, 0.0f64),
+            |_, blocks| {
+                let mut acc = (0.0f64, 0.0f64, 0.0f64);
+                for block in blocks {
+                    let (m, mh) = (block.m(), block.mhat());
+                    for i in 0..block.len() {
+                        if m[i] > 0.0 {
+                            acc.0 += m[i] * (m[i] / mh[i]).ln();
                         }
+                        acc.1 += m[i];
+                        acc.2 += mh[i];
                     }
-                    acc
-                },
-                comb,
-            ),
-        }
+                }
+                acc
+            },
+            |a, b| {
+                a.0 += b.0;
+                a.1 += b.1;
+                a.2 += b.2;
+            },
+        )
     }
 
     /// Reset every estimate to 1 (Sarawagi's from-scratch re-derivation).
     pub(crate) fn reset_mhat(&self) -> MiningData {
-        match self {
-            MiningData::Rows(data) => {
-                MiningData::Rows(data.map("reset-mhat", |(dims, m, _mh, mask)| {
-                    (dims.clone(), *m, 1.0, *mask)
-                }))
-            }
-            MiningData::Blocks(data) => MiningData::Blocks(data.map("reset-mhat", |block| {
-                block.with_mhat(vec![1.0; block.len()])
-            })),
-        }
+        MiningData(self.0.map("reset-mhat", |block| {
+            block.with_mhat(vec![1.0; block.len()])
+        }))
     }
 
     /// Set bit `i` of every covered tuple's bit array, for each newly
     /// added `(i, rule)`.
     pub(crate) fn update_ba(&self, new_rules: Vec<(usize, Rule)>) -> MiningData {
-        match self {
-            MiningData::Rows(data) => {
-                MiningData::Rows(data.map("update-ba", move |(dims, m, mh, mask)| {
-                    let mut mask = *mask;
-                    for (i, rule) in &new_rules {
-                        if rule.matches(dims) {
-                            mask |= 1u64 << i;
-                        }
-                    }
-                    (dims.clone(), *m, *mh, mask)
-                }))
+        MiningData(self.0.map("update-ba", move |block| {
+            let mut mask = block.mask().to_vec();
+            let mut scratch = sirum_table::ColScratch::new();
+            for (i, rule) in &new_rules {
+                let bit = 1u64 << i;
+                for_rule_rows(rule, block, &mut scratch, |r| mask[r] |= bit);
             }
-            MiningData::Blocks(data) => MiningData::Blocks(data.map("update-ba", move |block| {
-                let mut mask = block.mask().to_vec();
-                let mut scratch = sirum_table::ColScratch::new();
-                for (i, rule) in &new_rules {
-                    let bit = 1u64 << i;
-                    for_rule_rows(rule, block, &mut scratch, |r| mask[r] |= bit);
-                }
-                block.with_mask(mask)
-            })),
-        }
+            block.with_mask(mask)
+        }))
     }
 
     /// Group tuples by bit array into partial RCT groups (first-occurrence
-    /// order per partition, merged in partition order — both arms
-    /// identical). Groups are located through a per-partition `mask →
-    /// slot` hash index: the old linear probe was O(rows × groups), which
-    /// on a table with hundreds of distinct bit arrays dominated the RCT
-    /// build; the index keeps the push order (and therefore the partial
-    /// stream) exactly the same.
+    /// order per partition, merged in partition order). Groups are located
+    /// through a per-partition `mask → slot` hash index: a linear probe
+    /// would be O(rows × groups), which on a table with hundreds of
+    /// distinct bit arrays dominates the RCT build; the index keeps the
+    /// push order (and therefore the partial stream) exactly the same.
     pub(crate) fn build_rct_partials(&self) -> Vec<RctGroup> {
-        fn fold(
-            groups: &mut Vec<RctGroup>,
-            slots: &mut FxHashMap<u64, usize>,
-            mask: u64,
-            m: f64,
-            mh: f64,
-        ) {
-            match slots.get(&mask) {
-                Some(&at) => {
-                    let g = &mut groups[at];
-                    g.count += 1;
-                    g.sum_m += m;
-                    g.sum_mhat += mh;
-                }
-                None => {
-                    slots.insert(mask, groups.len());
-                    groups.push(RctGroup {
-                        mask,
-                        count: 1,
-                        sum_m: m,
-                        sum_mhat: mh,
-                    });
-                }
-            }
-        }
-        match self {
-            MiningData::Rows(data) => data.aggregate_partitions(
-                "build-rct",
-                Vec::<RctGroup>::new,
-                |_, rows| {
-                    let mut groups = Vec::new();
-                    let mut slots = FxHashMap::default();
-                    for (_dims, m, mh, mask) in rows {
-                        fold(&mut groups, &mut slots, *mask, *m, *mh);
-                    }
-                    groups
-                },
-                |a, b| a.extend(b),
-            ),
-            MiningData::Blocks(data) => data.aggregate_partitions(
-                "build-rct",
-                Vec::<RctGroup>::new,
-                |_, blocks| {
-                    let mut groups = Vec::new();
-                    let mut slots = FxHashMap::default();
-                    for block in blocks {
-                        let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
-                        for i in 0..block.len() {
-                            fold(&mut groups, &mut slots, mask[i], m[i], mh[i]);
+        self.0.aggregate_partitions(
+            "build-rct",
+            Vec::<RctGroup>::new,
+            |_, blocks| {
+                let mut groups: Vec<RctGroup> = Vec::new();
+                let mut slots: FxHashMap<u64, usize> = FxHashMap::default();
+                for block in blocks {
+                    let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
+                    for i in 0..block.len() {
+                        match slots.get(&mask[i]) {
+                            Some(&at) => {
+                                let g = &mut groups[at];
+                                g.count += 1;
+                                g.sum_m += m[i];
+                                g.sum_mhat += mh[i];
+                            }
+                            None => {
+                                slots.insert(mask[i], groups.len());
+                                groups.push(RctGroup {
+                                    mask: mask[i],
+                                    count: 1,
+                                    sum_m: m[i],
+                                    sum_mhat: mh[i],
+                                });
+                            }
                         }
                     }
-                    groups
-                },
-                |a, b| a.extend(b),
-            ),
-        }
+                }
+                groups
+            },
+            |a, b| a.extend(b),
+        )
     }
 
     /// Write converged estimates back: `m̂ = ∏_{i ∈ BA} λᵢ`.
     pub(crate) fn write_mhat(&self, lambdas: Vec<f64>) -> MiningData {
-        match self {
-            MiningData::Rows(data) => {
-                MiningData::Rows(data.map("write-mhat", move |(dims, m, _mh, mask)| {
-                    (dims.clone(), *m, mhat_for_mask(*mask, &lambdas), *mask)
-                }))
-            }
-            MiningData::Blocks(data) => MiningData::Blocks(data.map("write-mhat", move |block| {
-                let mhat: Vec<f64> = block
-                    .mask()
-                    .iter()
-                    .map(|&mask| mhat_for_mask(mask, &lambdas))
-                    .collect();
-                block.with_mhat(mhat)
-            })),
-        }
+        MiningData(self.0.map("write-mhat", move |block| {
+            let mhat: Vec<f64> = block
+                .mask()
+                .iter()
+                .map(|&mask| mhat_for_mask(mask, &lambdas))
+                .collect();
+            block.with_mhat(mhat)
+        }))
     }
 
     /// `Σ_{t⊨rⱼ} m̂` per rule (one Algorithm-1 sums pass over `D`), driven
@@ -351,49 +247,33 @@ impl MiningData {
     /// against every tuple (O(rows × rules × d) value compares), each row
     /// walks the set bits of its mask word — coverage was already computed
     /// once by [`Self::update_ba`]. Per rule `j` the covered rows are
-    /// visited in the same row order as the old per-rule scan, so the
-    /// float sums are bit-identical.
+    /// visited in the same row order as a per-rule scan, so the float sums
+    /// are bit-identical to one.
     pub(crate) fn scaling_sums(&self, num_rules: usize) -> Vec<f64> {
-        let comb = |a: &mut Vec<f64>, b: Vec<f64>| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
+        let live = if num_rules >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << num_rules) - 1
         };
-        let fold = |sums: &mut [f64], mask: u64, mh: f64| {
-            let mut bits = if num_rules >= 64 {
-                mask
-            } else {
-                mask & ((1u64 << num_rules) - 1)
-            };
-            while bits != 0 {
-                let j = bits.trailing_zeros() as usize;
-                sums[j] += mh;
-                bits &= bits - 1;
-            }
-        };
-        match self {
-            MiningData::Rows(data) => data.aggregate(
-                "scaling-sums",
-                || vec![0.0f64; num_rules],
-                |sums, (_dims, _m, mh, mask)| fold(sums, *mask, *mh),
-                comb,
-            ),
-            MiningData::Blocks(data) => data.aggregate_partitions(
-                "scaling-sums",
-                || vec![0.0f64; num_rules],
-                |_, blocks| {
-                    let mut sums = vec![0.0f64; num_rules];
-                    for block in blocks {
-                        let (mh, mask) = (block.mhat(), block.mask());
-                        for i in 0..block.len() {
-                            fold(&mut sums, mask[i], mh[i]);
+        self.0.aggregate_partitions(
+            "scaling-sums",
+            || vec![0.0f64; num_rules],
+            |_, blocks| {
+                let mut sums = vec![0.0f64; num_rules];
+                for block in blocks {
+                    let (mh, mask) = (block.mhat(), block.mask());
+                    for i in 0..block.len() {
+                        let mut bits = mask[i] & live;
+                        while bits != 0 {
+                            sums[bits.trailing_zeros() as usize] += mh[i];
+                            bits &= bits - 1;
                         }
                     }
-                    sums
-                },
-                comb,
-            ),
-        }
+                }
+                sums
+            },
+            |a, b| add_assign(a, b),
+        )
     }
 
     /// Scale the estimates of every tuple covered by rule `j` (one
@@ -401,71 +281,52 @@ impl MiningData {
     /// tuple's bit array, the same word [`Self::scaling_sums`] summed.
     pub(crate) fn scale_mhat(&self, j: usize, factor: f64) -> MiningData {
         let bit = 1u64 << j;
-        match self {
-            MiningData::Rows(data) => {
-                MiningData::Rows(data.map("scale-mhat", move |(dims, m, mh, mask)| {
-                    let mh = if mask & bit != 0 { mh * factor } else { *mh };
-                    (dims.clone(), *m, mh, *mask)
-                }))
-            }
-            MiningData::Blocks(data) => MiningData::Blocks(data.map("scale-mhat", move |block| {
-                let mask = block.mask();
-                let mhat: Vec<f64> = block
-                    .mhat()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &mh)| if mask[i] & bit != 0 { mh * factor } else { mh })
-                    .collect();
-                block.with_mhat(mhat)
-            })),
-        }
+        MiningData(self.0.map("scale-mhat", move |block| {
+            let mask = block.mask();
+            let mhat: Vec<f64> = block
+                .mhat()
+                .iter()
+                .enumerate()
+                .map(|(i, &mh)| if mask[i] & bit != 0 { mh * factor } else { mh })
+                .collect();
+            block.with_mhat(mhat)
+        }))
     }
 
     /// Draw exactly `min(n, rows)` dimension-code rows uniformly without
     /// replacement, deterministically from `seed` — the candidate-pruning
-    /// sample. The blocks arm replays the row-major `take_sample` protocol
-    /// (same RNG stream over the same global row indexing), so both
-    /// representations draw the *same* sample rows.
+    /// sample: the global row indices of
+    /// [`sirum_dataflow::sample_row_indices`], gathered from the columns.
     pub(crate) fn sample_dims(&self, n: usize, seed: u64) -> Vec<Box<[u32]>> {
-        match self {
-            MiningData::Rows(data) => data
-                .take_sample(n, seed)
-                .into_iter()
-                .map(|(dims, _, _, _)| dims)
-                .collect(),
-            MiningData::Blocks(data) => {
-                let parts = data.num_partitions();
-                let lens: Vec<usize> = (0..parts)
-                    .map(|i| data.part(i).iter().map(TupleBlock::len).sum())
-                    .collect();
-                let total: usize = lens.iter().sum();
-                // One selection protocol for both arms: the row indices
-                // `take_sample` would pick, gathered from the columns.
-                let chosen = sirum_dataflow::sample_row_indices(total, n, seed);
-                let mut out = Vec::with_capacity(chosen.len());
-                let mut offset = 0usize;
-                let mut cursor = 0usize;
-                for (i, &len) in lens.iter().enumerate() {
-                    if cursor >= chosen.len() {
+        let data = &self.0;
+        let parts = data.num_partitions();
+        let lens: Vec<usize> = (0..parts)
+            .map(|i| data.part(i).iter().map(TupleBlock::len).sum())
+            .collect();
+        let total: usize = lens.iter().sum();
+        let chosen = sirum_dataflow::sample_row_indices(total, n, seed);
+        let mut out = Vec::with_capacity(chosen.len());
+        let mut offset = 0usize;
+        let mut cursor = 0usize;
+        for (i, &len) in lens.iter().enumerate() {
+            if cursor >= chosen.len() {
+                break;
+            }
+            let part = data.part(i);
+            while cursor < chosen.len() && chosen[cursor] < offset + len {
+                let mut local = chosen[cursor] - offset;
+                for block in part.iter() {
+                    if local < block.len() {
+                        out.push(block.dims().gather_row_boxed(local));
                         break;
                     }
-                    let part = data.part(i);
-                    while cursor < chosen.len() && chosen[cursor] < offset + len {
-                        let mut local = chosen[cursor] - offset;
-                        for block in part.iter() {
-                            if local < block.len() {
-                                out.push(block.dims().gather_row_boxed(local));
-                                break;
-                            }
-                            local -= block.len();
-                        }
-                        cursor += 1;
-                    }
-                    offset += len;
+                    local -= block.len();
                 }
-                out
+                cursor += 1;
             }
+            offset += len;
         }
+        out
     }
 
     /// The fused partition-parallel gain sweep over this dataset. `opts`
@@ -479,189 +340,120 @@ impl MiningData {
         cancel: Option<&CancellationToken>,
         opts: &SweepOptions,
     ) -> SweepOutcome {
-        match self {
-            MiningData::Rows(data) => sweep_gains(data, d, index, cancel, opts),
-            MiningData::Blocks(data) => sweep_gains_blocks(data, d, index, cancel, opts),
-        }
+        sweep_gains(&self.0, d, index, cancel, opts)
     }
 
     /// The legacy staged candidate-pruning join: emit one `(rule,
     /// aggregate)` pair per (sample tuple, data tuple) LCA — or per tuple
     /// under full-cube — and reduce by key. With `broadcast_join` off
-    /// (Naive SIRUM) the data is re-shuffled first; the columnar arm
-    /// materializes row records for that shuffle (that is exactly what a
-    /// real shuffle serializes), reusing the row-major join so the pair
-    /// stream — and everything downstream — is identical.
+    /// (Naive SIRUM) the data is re-shuffled first, as row records —
+    /// exactly what a real shuffle serializes.
     pub(crate) fn lca_candidates(
         &self,
         partitions: usize,
         index: Option<&SampleIndex>,
-        d: usize,
         broadcast_join: bool,
         fast_pruning: bool,
     ) -> Dataset<(Rule, Agg)> {
-        match self {
-            MiningData::Rows(data) => {
-                let base = if broadcast_join {
-                    data.clone()
-                } else {
-                    data.repartition(data.num_partitions())
-                };
-                let pairs = lca_pairs_rows(&base, index, d, fast_pruning);
-                let cand = pairs.reduce_by_key("lca-agg", partitions, merge_agg);
-                pairs.free();
-                if !broadcast_join {
-                    base.free();
-                }
-                cand
-            }
-            MiningData::Blocks(data) => {
-                if broadcast_join {
-                    let pairs = lca_pairs_blocks(data, index, d, fast_pruning);
-                    let cand = pairs.reduce_by_key("lca-agg", partitions, merge_agg);
-                    pairs.free();
-                    return cand;
-                }
-                let rows: Dataset<Tup> = data.map_partitions("materialize-rows", |_, blocks| {
-                    let n: usize = blocks.iter().map(TupleBlock::len).sum();
-                    let mut out = Vec::with_capacity(n);
-                    let mut buf = Vec::new();
-                    let mut scratch = sirum_table::ColScratch::new();
-                    for block in blocks {
-                        let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
-                        let dims = block.dims();
-                        for (ms, ml) in dims.morsel_bounds() {
-                            let cols = dims.morsel_cols(ms, ml, &mut scratch);
-                            for li in 0..ml {
-                                let i = ms + li;
-                                buf.clear();
-                                buf.extend(cols.iter().map(|c| c[li]));
-                                out.push((buf.clone().into_boxed_slice(), m[i], mh[i], mask[i]));
-                            }
-                        }
-                    }
-                    out
+        let data = &self.0;
+        let emit = LcaEmit::new(index, fast_pruning);
+        let pairs = if broadcast_join {
+            data.map_partitions(emit.label(), move |_, blocks| {
+                let n: usize = blocks.iter().map(TupleBlock::len).sum();
+                let mut out = Vec::with_capacity(n * emit.per_row());
+                let mut scratch = Vec::new();
+                for_each_row(blocks, |dims, m, mh, _mask| {
+                    emit.emit(dims, m, mh, &mut scratch, &mut out);
                 });
-                let base = rows.repartition(data.num_partitions());
-                rows.free();
-                let pairs = lca_pairs_rows(&base, index, d, fast_pruning);
-                let cand = pairs.reduce_by_key("lca-agg", partitions, merge_agg);
-                pairs.free();
-                base.free();
-                cand
-            }
-        }
+                out
+            })
+        } else {
+            let rows: Dataset<Tup> = data.map_partitions("materialize-rows", |_, blocks| {
+                let n: usize = blocks.iter().map(TupleBlock::len).sum();
+                let mut out = Vec::with_capacity(n);
+                for_each_row(blocks, |dims, m, mh, mask| {
+                    out.push((dims.into(), m, mh, mask))
+                });
+                out
+            });
+            let base = rows.repartition(data.num_partitions());
+            rows.free();
+            let pairs = base.map_partitions(emit.label(), move |_, rows| {
+                let mut out = Vec::with_capacity(rows.len() * emit.per_row());
+                let mut scratch = Vec::new();
+                for (dims, m, mh, _mask) in rows {
+                    emit.emit(dims, *m, *mh, &mut scratch, &mut out);
+                }
+                out
+            });
+            base.free();
+            pairs
+        };
+        let cand = pairs.reduce_by_key("lca-agg", partitions, merge_agg);
+        pairs.free();
+        cand
     }
 }
 
-/// The row-major LCA pair emission (§3.1.1 / §4.2): one stage, order-
-/// preserving per partition.
-fn lca_pairs_rows(
-    base: &Dataset<Tup>,
-    index: Option<&SampleIndex>,
-    d: usize,
-    fast_pruning: bool,
-) -> Dataset<(Rule, Agg)> {
-    match index {
-        Some(idx) if fast_pruning => {
-            let s = idx.len();
-            base.map_partitions("lca-fast", move |_, rows| {
-                let mut out = Vec::with_capacity(rows.len() * s);
-                let mut scratch = Vec::new();
-                for (dims, m, mh, _mask) in rows {
-                    let lcas = idx.lcas_into(dims, &mut scratch);
-                    for chunk in lcas.chunks_exact(d) {
-                        out.push((Rule::from_tuple(chunk), (*m, *mh, 1u64)));
-                    }
-                }
-                out
-            })
-        }
-        Some(idx) => {
-            let s = idx.len();
-            base.map_partitions("lca-naive", move |_, rows| {
-                let mut out = Vec::with_capacity(rows.len() * s);
-                for (dims, m, mh, _mask) in rows {
-                    for srow in idx.rows() {
-                        out.push((Rule::lca(srow, dims), (*m, *mh, 1u64)));
-                    }
-                }
-                out
-            })
-        }
-        None => base.map("tuple-rule", |(dims, m, mh, _mask)| {
-            (Rule::from_tuple(dims), (*m, *mh, 1u64))
-        }),
-    }
+/// What one data tuple emits in the LCA pair stage (§3.1.1 / §4.2), for
+/// tuples arriving as blocks or as reshuffled rows alike.
+#[derive(Clone, Copy)]
+enum LcaEmit<'a> {
+    /// One inverted-index probe yields all `|s|` LCAs (§4.2).
+    Fast(&'a SampleIndex),
+    /// One `d`-wide comparison per sample tuple (§3.1.1).
+    Naive(&'a SampleIndex),
+    /// Full cube: the tuple itself is its only "LCA".
+    Tuple,
 }
 
-/// The columnar LCA pair emission: same labels, same per-partition
-/// emission order as [`lca_pairs_rows`], gathering each row's codes only
-/// for the probe.
-fn lca_pairs_blocks(
-    data: &Dataset<TupleBlock>,
-    index: Option<&SampleIndex>,
-    d: usize,
-    fast_pruning: bool,
-) -> Dataset<(Rule, Agg)> {
-    type EmitFn<'f> = Box<dyn FnMut(&[u32], f64, f64, &mut Vec<(Rule, Agg)>) + 'f>;
-    let emit = move |blocks: &[TupleBlock], per_row: usize, mut f: EmitFn| -> Vec<(Rule, Agg)> {
-        let n: usize = blocks.iter().map(TupleBlock::len).sum();
-        let mut out = Vec::with_capacity(n * per_row);
-        let mut buf = Vec::with_capacity(d);
-        let mut scratch = sirum_table::ColScratch::new();
-        for block in blocks {
-            let (m, mh) = (block.m(), block.mhat());
-            let dims = block.dims();
-            for (ms, ml) in dims.morsel_bounds() {
-                let cols = dims.morsel_cols(ms, ml, &mut scratch);
-                for li in 0..ml {
-                    let i = ms + li;
-                    buf.clear();
-                    buf.extend(cols.iter().map(|c| c[li]));
-                    f(&buf, m[i], mh[i], &mut out);
+impl LcaEmit<'_> {
+    fn new(index: Option<&SampleIndex>, fast_pruning: bool) -> LcaEmit<'_> {
+        match index {
+            Some(idx) if fast_pruning => LcaEmit::Fast(idx),
+            Some(idx) => LcaEmit::Naive(idx),
+            None => LcaEmit::Tuple,
+        }
+    }
+
+    /// The stage label (the figures group stage records by it).
+    fn label(&self) -> &'static str {
+        match self {
+            LcaEmit::Fast(_) => "lca-fast",
+            LcaEmit::Naive(_) => "lca-naive",
+            LcaEmit::Tuple => "tuple-rule",
+        }
+    }
+
+    /// Pairs emitted per data tuple (the output capacity hint).
+    fn per_row(&self) -> usize {
+        match self {
+            LcaEmit::Fast(idx) | LcaEmit::Naive(idx) => idx.len(),
+            LcaEmit::Tuple => 1,
+        }
+    }
+
+    /// Append one tuple's pairs to `out`, in sample order.
+    fn emit(
+        &self,
+        dims: &[u32],
+        m: f64,
+        mh: f64,
+        scratch: &mut Vec<u32>,
+        out: &mut Vec<(Rule, Agg)>,
+    ) {
+        match self {
+            LcaEmit::Fast(idx) => {
+                for lca in idx.lcas_into(dims, scratch).chunks_exact(dims.len()) {
+                    out.push((Rule::from_tuple(lca), (m, mh, 1u64)));
                 }
             }
+            LcaEmit::Naive(idx) => {
+                for srow in idx.rows() {
+                    out.push((Rule::lca(srow, dims), (m, mh, 1u64)));
+                }
+            }
+            LcaEmit::Tuple => out.push((Rule::from_tuple(dims), (m, mh, 1u64))),
         }
-        out
-    };
-    match index {
-        Some(idx) if fast_pruning => {
-            let s = idx.len();
-            data.map_partitions("lca-fast", move |_, blocks| {
-                let mut scratch = Vec::new();
-                emit(
-                    blocks,
-                    s,
-                    Box::new(move |dims, m, mh, out| {
-                        let lcas = idx.lcas_into(dims, &mut scratch);
-                        for chunk in lcas.chunks_exact(d) {
-                            out.push((Rule::from_tuple(chunk), (m, mh, 1u64)));
-                        }
-                    }),
-                )
-            })
-        }
-        Some(idx) => {
-            let s = idx.len();
-            data.map_partitions("lca-naive", move |_, blocks| {
-                emit(
-                    blocks,
-                    s,
-                    Box::new(move |dims, m, mh, out| {
-                        for srow in idx.rows() {
-                            out.push((Rule::lca(srow, dims), (m, mh, 1u64)));
-                        }
-                    }),
-                )
-            })
-        }
-        None => data.map_partitions("tuple-rule", move |_, blocks| {
-            emit(
-                blocks,
-                1,
-                Box::new(|dims, m, mh, out| out.push((Rule::from_tuple(dims), (m, mh, 1u64)))),
-            )
-        }),
     }
 }

@@ -86,8 +86,5 @@ pub use rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
 pub use sample_data::{mine_on_sample, try_mine_on_sample, SampleDataResult};
 pub use scaling::ScalingConfig;
 pub use streaming::{StreamingConfig, StreamingMiner};
-pub use sweep::{
-    sweep_gains, sweep_gains_blocks, sweep_gains_blocks_reference, sweep_gains_reference,
-    SweepOptions, SweepOutcome,
-};
+pub use sweep::{sweep_gains, SweepOptions, SweepOutcome};
 pub use variants::Variant;

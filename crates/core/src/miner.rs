@@ -19,10 +19,6 @@ use sirum_table::Table;
 use std::collections::HashSet;
 use std::time::Instant;
 
-/// A tuple flowing through the engine: `(dimension codes, transformed
-/// measure m′, current estimate m̂, rule-coverage bit array)`.
-pub type Tup = (Box<[u32]>, f64, f64, u64);
-
 /// Scored candidates kept per partition for selection: the selection step
 /// needs at most the global top 1% (multi-rule rank limit), so shipping
 /// every candidate to the driver — millions for wide datasets like SUSY —
@@ -97,19 +93,6 @@ pub struct SirumConfig {
     /// stages, so [`Self::broadcast_join`], [`Self::fast_pruning`] and
     /// [`Self::column_groups`] have no effect while it is active.
     pub gain_sweep: bool,
-    /// Scan `D` in columnar form (default `true`): partitions are
-    /// [`sirum_table::FrameView`] range views over the prepared table's
-    /// `Arc`-shared dimension columns ([`crate::block::TupleBlock`]), so
-    /// scaling rewrites carry the codes forward by reference instead of
-    /// re-boxing every row, and per-row codes are gathered into a scratch
-    /// buffer only at the LCA-probe boundary.
-    ///
-    /// When `false`, `D` is distributed as per-row boxed tuples — the
-    /// pre-columnar data path, kept as a reference. The mining output is
-    /// **bit-identical** between the two representations for every
-    /// variant, partition count, worker count and cancellation point
-    /// (proptested), so this knob trades only speed, never results.
-    pub columnar: bool,
     /// Intern rules as dense packed integer codes on the gain-sweep hot
     /// path (default `true`): each dimension gets a bit-field sized by
     /// its dictionary cardinality ([`crate::rule::RuleLayout`]), so LCA
@@ -118,8 +101,9 @@ pub struct SirumConfig {
     /// Falls back to the `Rule`-keyed maps automatically when the summed
     /// widths exceed 128 bits; only meaningful while
     /// [`Self::gain_sweep`] is active. The mining output is
-    /// **bit-identical** either way (proptested), so this knob trades
-    /// only speed, never results.
+    /// **bit-identical** either way (proptested), so this is not a
+    /// request option: `false` exists for tests, which use it to force the
+    /// live `Rule`-keyed fallback on tables small enough to mine quickly.
     pub packed_codes: bool,
     /// Seed for sampling and column-group shuffling.
     pub seed: u64,
@@ -143,7 +127,6 @@ impl Default for SirumConfig {
             max_rules: None,
             two_sided_gain: false,
             gain_sweep: true,
-            columnar: true,
             packed_codes: true,
             seed: 42,
         }
@@ -524,11 +507,9 @@ impl Miner {
             SweepOptions::rule_keyed()
         };
 
-        // Distribute D and cache it: columnar blocks over the prepared
-        // table's shared columns (the default), or per-row boxed tuples on
-        // the row-major reference path.
-        let mut data =
-            self.cache_swap(None, MiningData::seed(&self.engine, prepared, cfg.columnar));
+        // Distribute D — one columnar block per partition over the
+        // prepared table's shared columns — and cache it.
+        let mut data = self.cache_swap(None, MiningData::seed(&self.engine, prepared));
 
         // Seed rule set: all-wildcards first (required by §2.2), then priors.
         let mut rules: Vec<Rule> = Vec::with_capacity(rule_budget);
@@ -852,8 +833,7 @@ impl Miner {
 
         // ---- Candidate pruning: LCA(s, D) (§3.1.1 / §4.2) ----------------
         let t0 = Instant::now();
-        let mut cand =
-            data.lca_candidates(partitions, index, d, cfg.broadcast_join, cfg.fast_pruning);
+        let mut cand = data.lca_candidates(partitions, index, cfg.broadcast_join, cfg.fast_pruning);
         timings.candidate_pruning += t0.elapsed().as_secs_f64();
 
         // ---- Ancestor generation (§3.1.1 single-stage / §4.3 grouped) ----

@@ -11,9 +11,10 @@
 //! at once — the group-by-style aggregation El Gebaly et al.'s explanation
 //! tables use to stay competitive.
 //!
-//! The sweep runs as two shuffle-free, partition-parallel stages on the
-//! existing [`sirum_dataflow::Engine`] thread pool
-//! ([`Dataset::aggregate_partitions`]):
+//! [`sweep_gains`] is the one entry point. It runs two shuffle-free,
+//! partition-parallel stages on the [`sirum_dataflow::Engine`] thread pool
+//! ([`Dataset::aggregate_partitions`]) over the columnar dataset (one
+//! [`TupleBlock`] per partition):
 //!
 //! 1. **Combine** — each data partition folds its `(sample tuple, data
 //!    tuple)` LCAs into a local `LCA → (Σm, Σm̂, pairs)` map; the maps are
@@ -31,9 +32,10 @@
 //! an LCA key is one `u64`/`u128` instead of a `&[u32]` slice — the
 //! combine probe becomes an integer hash plus an integer compare, and
 //! ancestor expansion is a couple of ORs per ancestor instead of slice
-//! rewrites. When the summed widths exceed 128 bits the sweep falls back
-//! to the original `Rule`-keyed maps; [`SweepOptions`] picks the path.
-//! Each combine partition also chooses **how** to aggregate via
+//! rewrites. When the summed widths exceed 128 bits the sweep runs on
+//! `Rule`-keyed maps instead — the only path for such layouts;
+//! [`SweepOptions`] picks the key type. Each packed combine partition also
+//! chooses **how** to aggregate via
 //! [`sirum_dataflow::cost::choose_combine`]: probe-or-insert into the
 //! hash map, or radix-scatter `(code, m, m̂)` triples into 256 hash
 //! lanes and fold each lane through its own cache-resident map (better
@@ -58,12 +60,12 @@
 //!    way — no intermediate hash map's iteration order reaches the output.
 //!
 //! Hence the sweep's per-candidate sums — and everything derived from them
-//! (gains, the selected rule sequence) — are **bit-identical to the
-//! sequential reference** ([`sweep_gains_reference`]) for any worker
-//! count, and across the packed/`Rule`-keyed, hash/radix-group and
-//! row-major/columnar variants. Proptests in
-//! `crates/core/tests/properties.rs` pin this across random tables,
-//! partition counts and thread counts.
+//! (gains, the selected rule sequence) — are **bit-identical** for any
+//! worker count and across the packed/`Rule`-keyed and hash/radix-group
+//! variants. A one-worker engine runs every task inline on the calling
+//! thread in partition order, so "N workers ≡ 1 worker" is the sequential
+//! oracle; proptests in `crates/core/tests/properties.rs` pin it across
+//! random tables, partition counts and thread counts.
 //!
 //! Cancellation is polled at every partition boundary and every
 //! [`CANCEL_POLL_ROWS`] **work units** inside both stages — a work unit is
@@ -78,11 +80,10 @@ use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{adjust_for_sample, SampleIndex};
 use crate::lattice::{packed_live_dims, MAX_EXPAND_BITS};
-use crate::miner::Tup;
 use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
 use sirum_dataflow::cost::{choose_combine, CombineStrategy};
 use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
-use sirum_dataflow::{Dataset, Engine};
+use sirum_dataflow::Dataset;
 
 /// Per-candidate aggregate carried by the sweep: `(Σm, Σm̂, pair count)` —
 /// the same triple the legacy shuffle pipeline reduces by key.
@@ -104,15 +105,14 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// The original `Rule`-keyed accumulators (also the automatic fallback
-    /// when a packed layout overflows 128 bits).
+    /// `Rule`-keyed accumulators (what a packed layout over 128 bits runs
+    /// on; tests ask for them directly to cover that path on small tables).
     pub fn rule_keyed() -> SweepOptions {
         SweepOptions::default()
     }
 
-    /// Packed integer codes laid out by `layout`; falls back to
-    /// `Rule`-keyed maps automatically when the layout does not fit 128
-    /// bits.
+    /// Packed integer codes laid out by `layout`; `Rule`-keyed maps when
+    /// the layout does not fit 128 bits.
     pub fn packed(layout: RuleLayout) -> SweepOptions {
         SweepOptions {
             layout: Some(layout),
@@ -130,7 +130,7 @@ impl SweepOptions {
     }
 
     /// The packed code width this sweep will run with (64 or 128), or
-    /// `None` when it runs `Rule`-keyed (no layout, or fallback).
+    /// `None` when it runs `Rule`-keyed (no layout, or one over 128 bits).
     pub fn packed_bits(&self) -> Option<u32> {
         let layout = self.layout.as_ref()?;
         if layout.fits::<u64>() {
@@ -140,11 +140,6 @@ impl SweepOptions {
         } else {
             None
         }
-    }
-
-    /// The forced combine strategy, if any.
-    pub fn combine_override(&self) -> Option<CombineStrategy> {
-        self.combine
     }
 }
 
@@ -350,83 +345,13 @@ fn partition_strategy(
     })
 }
 
-/// Stage 1, one row-major partition, packed keys: combine every
-/// `(sample tuple, data tuple)` LCA (or the packed tuple itself when no
-/// index is given — the full-cube strategy) into a partition-local
-/// `code → (Σm, Σm̂, pairs)` map.
-fn combine_rows_packed<C: PackedCode>(
-    rows: &[Tup],
-    layout: &RuleLayout,
-    masks: &PackedMasks<C>,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    force: Option<CombineStrategy>,
-) -> PartitionSweep<C> {
-    let mut acc = PartitionSweep::with_capacity(rows.len());
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
-    }
-    let strategy = partition_strategy(rows.len(), index, force);
-    let mut scratch: Vec<C> = Vec::new();
-    let mut buckets = if strategy == CombineStrategy::RadixGroup {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        RadixBuckets::with_capacity(rows.len() * s)
-    } else {
-        RadixBuckets { lanes: Vec::new() }
-    };
-    // All-wild fast path: a (sample, data) pair with no shared constants
-    // yields the `(*, …, *)` LCA — usually the most frequent code by far.
-    // Its contributions touch no other key, so a register accumulator adds
-    // them in exactly the emission order the map entry would have seen
-    // (bit-identical), skipping one hash probe per such pair.
-    let aw = masks.all_wild();
-    let mut wild: Agg = (0.0, 0.0, 0);
-    for (dims, m, mh, _ba) in rows {
-        match index {
-            Some(idx) => {
-                for &code in idx.packed_lcas_into(masks, dims, &mut scratch) {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    if code == aw {
-                        wild.0 += *m;
-                        wild.1 += *mh;
-                        wild.2 += 1;
-                    } else {
-                        match strategy {
-                            CombineStrategy::HashProbe => acc.fold_agg(code, (*m, *mh, 1)),
-                            CombineStrategy::RadixGroup => buckets.push(code, *m, *mh),
-                        }
-                    }
-                }
-            }
-            None => {
-                if acc.tick(cancel) {
-                    return acc;
-                }
-                let code: C = layout.pack(dims);
-                match strategy {
-                    CombineStrategy::HashProbe => acc.fold_agg(code, (*m, *mh, 1)),
-                    CombineStrategy::RadixGroup => buckets.push(code, *m, *mh),
-                }
-            }
-        }
-    }
-    if strategy == CombineStrategy::RadixGroup {
-        buckets.group_into(&mut acc);
-    }
-    if wild.2 > 0 {
-        acc.fold_agg(aw, wild);
-    }
-    acc
-}
-
-/// Stage 1 over a columnar partition ([`TupleBlock`]), packed keys:
-/// identical fold order and identical cancellation poll points as
-/// [`combine_rows_packed`] — the LCA probe reads attribute values directly
-/// from the shared columns.
-fn combine_blocks_packed<C: PackedCode>(
+/// Stage 1, one partition, packed keys: combine every `(sample tuple, data
+/// tuple)` LCA (or the packed tuple itself when no index is given — the
+/// full-cube strategy) into a partition-local `code → (Σm, Σm̂, pairs)`
+/// map. This is the **single pass over the partitioned data**, a pure
+/// function of the partition's rows; the LCA probe reads attribute values
+/// directly from the shared columns.
+fn combine_packed<C: PackedCode>(
     blocks: &[TupleBlock],
     d: usize,
     layout: &RuleLayout,
@@ -450,18 +375,21 @@ fn combine_blocks_packed<C: PackedCode>(
     } else {
         RadixBuckets { lanes: Vec::new() }
     };
-    // Same all-wild register accumulator as [`combine_rows_packed`] — see
-    // the bit-identity note there.
+    // All-wild fast path: a (sample, data) pair with no shared constants
+    // yields the `(*, …, *)` LCA — usually the most frequent code by far.
+    // Its contributions touch no other key, so a register accumulator adds
+    // them in exactly the emission order the map entry would have seen
+    // (bit-identical), skipping one hash probe per such pair.
     let aw = masks.all_wild();
     let mut wild: Agg = (0.0, 0.0, 0);
     let mut dim_scratch = sirum_table::ColScratch::new();
     for block in blocks {
         let (m_col, mhat_col) = (block.m(), block.mhat());
         let dims = block.dims();
-        // Morsel-driven: raw blocks scan as one whole-range morsel (the
-        // direct column borrows of the pre-compression path), compressed
-        // blocks decode segment-aligned morsels into reusable scratch. The
-        // row visit order — and every tick/fold position — is unchanged.
+        // Morsel-driven: raw blocks scan as one whole-range morsel (direct
+        // column borrows), compressed blocks decode segment-aligned
+        // morsels into reusable scratch. The row visit order — and every
+        // tick/fold position — is the same for both.
         for (ms, ml) in dims.morsel_bounds() {
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
@@ -566,57 +494,8 @@ fn expand_packed<C: PackedCode>(
 }
 
 // ---------------------------------------------------------------------------
-// Rule-keyed stages (the >128-bit fallback and the historical reference)
+// Rule-keyed stages (layouts over 128 bits)
 // ---------------------------------------------------------------------------
-
-/// Fold a combined aggregate into every ancestor of `values` (the cube
-/// lattice above one distinct LCA or tuple): `2^w` entries for `w`
-/// constants. A single lattice can be huge (up to `2^MAX_EXPAND_BITS`
-/// folds), so the work clock ticks every fold *inside* the subset loop
-/// too; returns `true` when the expansion was abandoned mid-lattice.
-fn accumulate_ancestors(
-    acc: &mut PartitionSweep<Rule>,
-    values: &[u32],
-    agg: Agg,
-    live: &mut Vec<usize>,
-    buf: &mut Vec<u32>,
-    cancel: Option<&CancellationToken>,
-) -> bool {
-    live.clear();
-    live.extend((0..values.len()).filter(|&i| values[i] != WILDCARD));
-    let w = live.len();
-    // Unreachable through the miner, which rejects tables with more than
-    // MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
-    // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
-    assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
-    buf.clear();
-    buf.extend_from_slice(values);
-    for subset in 0..(1u32 << w) {
-        for (bit, &pos) in live.iter().enumerate() {
-            buf[pos] = if subset & (1 << bit) != 0 {
-                WILDCARD
-            } else {
-                values[pos]
-            };
-        }
-        acc.pairs += 1;
-        if acc.tick(cancel) {
-            return true;
-        }
-        // Probe by borrowed slice first (no Rule allocation on hits).
-        match acc.map.get_mut(buf.as_slice()) {
-            Some(a) => {
-                a.0 += agg.0;
-                a.1 += agg.1;
-                a.2 += agg.2;
-            }
-            None => {
-                acc.map.insert(Rule::from_tuple(buf), agg);
-            }
-        }
-    }
-    false
-}
 
 /// Fold one data row's LCA contributions into the partition map. Probing
 /// with a borrowed `&[u32]` LCA key (see `Borrow<[u32]> for Rule`) keeps
@@ -624,66 +503,25 @@ fn accumulate_ancestors(
 /// *rules*, which stays small — one entry per distinct LCA, not per
 /// (sample row, LCA) pair.
 #[inline]
-fn fold_lca(map: &mut FxHashMap<Rule, Agg>, key: &[u32], m: f64, mh: f64) {
+fn fold_lca(map: &mut FxHashMap<Rule, Agg>, key: &[u32], agg: Agg) {
     match map.get_mut(key) {
         Some(a) => {
-            a.0 += m;
-            a.1 += mh;
-            a.2 += 1;
+            a.0 += agg.0;
+            a.1 += agg.1;
+            a.2 += agg.2;
         }
         None => {
-            map.insert(Rule::from_tuple(key), (m, mh, 1));
+            map.insert(Rule::from_tuple(key), agg);
         }
     }
 }
 
-/// Stage 1, one partition: combine every `(sample tuple, data tuple)` LCA
-/// (or the tuple itself when no index is given — the full-cube strategy)
-/// into a partition-local `LCA → (Σm, Σm̂, pairs)` map. This is the
-/// **single pass over the partitioned data**; pure function of the
-/// partition's rows.
-fn combine_partition(
-    rows: &[Tup],
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-) -> PartitionSweep<Rule> {
-    let mut acc = PartitionSweep::with_capacity(rows.len());
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
-    }
-    let mut scratch = Vec::new();
-    for (dims, m, mh, _ba) in rows {
-        match index {
-            Some(idx) => {
-                let chunks = idx.lcas_into(dims, &mut scratch);
-                for chunk in chunks.chunks_exact(d) {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    fold_lca(&mut acc.map, chunk, *m, *mh);
-                }
-            }
-            None => {
-                if acc.tick(cancel) {
-                    return acc;
-                }
-                fold_lca(&mut acc.map, dims, *m, *mh);
-            }
-        }
-    }
-    acc
-}
-
-/// Stage 1 over a columnar partition ([`TupleBlock`]): identical fold,
-/// identical accumulator capacity and identical cancellation poll points
-/// as [`combine_partition`] — the LCA probe reads attribute values
-/// directly from the shared columns, and a row-shaped key is materialized
+/// [`combine_packed`], `Rule`-keyed: the same scan, fold order, accumulator
+/// capacity and cancellation poll points. A row-shaped key is materialized
 /// into a reusable scratch buffer only where a contiguous row is
-/// unavoidable (the full-cube fold), so the per-candidate float sums are
-/// **bit-identical** to the row-major path's for the same partitioning.
-fn combine_partition_blocks(
+/// unavoidable (the full-cube fold); the sample-index probe reads
+/// attribute values straight from the morsel columns.
+fn combine_rulekey(
     blocks: &[TupleBlock],
     d: usize,
     index: Option<&SampleIndex>,
@@ -701,10 +539,6 @@ fn combine_partition_blocks(
     for block in blocks {
         let (m_col, mhat_col) = (block.m(), block.mhat());
         let dims = block.dims();
-        // Morsel-driven (see combine_blocks_packed): the sample-index probe
-        // reads attribute values straight from the morsel columns
-        // (`lcas_into_cols`); only the full-cube fold needs a contiguous
-        // row key and pays the per-row assembly.
         for (ms, ml) in dims.morsel_bounds() {
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
@@ -716,7 +550,7 @@ fn combine_partition_blocks(
                             if acc.tick(cancel) {
                                 return acc;
                             }
-                            fold_lca(&mut acc.map, chunk, m_col[i], mhat_col[i]);
+                            fold_lca(&mut acc.map, chunk, (m_col[i], mhat_col[i], 1));
                         }
                     }
                     None => {
@@ -725,7 +559,7 @@ fn combine_partition_blocks(
                         }
                         row_buf.clear();
                         row_buf.extend(cols.iter().map(|c| c[li]));
-                        fold_lca(&mut acc.map, &row_buf, m_col[i], mhat_col[i]);
+                        fold_lca(&mut acc.map, &row_buf, (m_col[i], mhat_col[i], 1));
                     }
                 }
             }
@@ -734,13 +568,10 @@ fn combine_partition_blocks(
     acc
 }
 
-/// Stage 2, one partition of the **frontier**: expand each globally
-/// distinct LCA's cube lattice once, folding its combined aggregate into
-/// every ancestor. Doing this after the global (partition-ordered) LCA
-/// merge performs the `2^w` lattice work exactly once per distinct LCA —
-/// the same complexity as the legacy pipeline's post-reduce expansion —
-/// while staying shuffle-free.
-fn expand_partition(
+/// [`expand_packed`], `Rule`-keyed: fold each frontier LCA's combined
+/// aggregate into every ancestor of its values — `2^w` entries for `w`
+/// constants, enumerated by rewriting one scratch slice.
+fn expand_rulekey(
     frontier: &[(Rule, Agg)],
     cancel: Option<&CancellationToken>,
 ) -> PartitionSweep<Rule> {
@@ -753,20 +584,48 @@ fn expand_partition(
     let mut live = Vec::with_capacity(d);
     let mut buf = Vec::with_capacity(d);
     for (lca, agg) in frontier {
-        // The fold-budget poll lives inside accumulate_ancestors: one
-        // lattice can dwarf the whole frontier, so counting entries here
-        // would not bound the time to observe a cancellation.
-        if accumulate_ancestors(&mut acc, lca.values(), *agg, &mut live, &mut buf, cancel) {
-            acc.cancelled = true;
-            return acc;
+        let values = lca.values();
+        live.clear();
+        live.extend((0..values.len()).filter(|&i| values[i] != WILDCARD));
+        let w = live.len();
+        // Unreachable through the miner, which rejects tables with more
+        // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
+        // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
+        assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
+        buf.clear();
+        buf.extend_from_slice(values);
+        for subset in 0..(1u32 << w) {
+            for (bit, &pos) in live.iter().enumerate() {
+                buf[pos] = if subset & (1 << bit) != 0 {
+                    WILDCARD
+                } else {
+                    values[pos]
+                };
+            }
+            acc.pairs += 1;
+            // As in expand_packed: the poll clock counts folds, so one huge
+            // lattice cannot stall a cancellation.
+            if acc.tick(cancel) {
+                return acc;
+            }
+            fold_lca(&mut acc.map, &buf, *agg);
         }
     }
     acc
 }
 
 // ---------------------------------------------------------------------------
-// Shared driver plumbing
+// The driver
 // ---------------------------------------------------------------------------
+
+/// A map's entries in **canonical order** — sorted by key, which for every
+/// key type is lexicographic `Rule::values` order — so nothing downstream
+/// depends on a hash map's iteration order.
+fn sorted_entries<K: Ord>(map: FxHashMap<K, Agg>) -> Vec<(K, Agg)> {
+    let mut entries: Vec<(K, Agg)> = map.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    entries
+}
 
 fn cancelled_outcome<K>(acc: &PartitionSweep<K>) -> SweepOutcome {
     SweepOutcome {
@@ -777,52 +636,53 @@ fn cancelled_outcome<K>(acc: &PartitionSweep<K>) -> SweepOutcome {
     }
 }
 
-/// Turn the merged accumulator into the final outcome, dividing by sample
+/// Both stages for one key type `K`: combine each data partition, chunk
+/// the canonically ordered frontier over as many partitions and expand
+/// it, then turn the merged accumulator into rules — dividing by sample
 /// multiplicity when an index was used (§3.1.1) so every candidate carries
-/// exact sums over its true support set. Candidates are sorted into
-/// canonical rule order first, so the output order is identical across
-/// every sweep variant.
-fn finish(acc: PartitionSweep<Rule>, index: Option<&SampleIndex>) -> SweepOutcome {
-    if acc.cancelled {
-        return cancelled_outcome(&acc);
-    }
-    let distinct = acc.map.len() as u64;
-    let pairs = acc.pairs;
-    let mut entries: Vec<(Rule, Agg)> = acc.map.into_iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.values().cmp(b.0.values()));
-    let candidates = match index {
-        Some(idx) => adjust_for_sample(entries, idx),
-        None => entries
-            .into_iter()
-            .map(|(rule, (sm, smh, cnt))| (rule, sm, smh, cnt))
-            .collect(),
-    };
-    SweepOutcome {
-        candidates,
-        distinct_candidates: distinct,
-        pairs_emitted: pairs,
-        cancelled: false,
-    }
-}
-
-/// [`finish`], packed: unpack codes back into rules after the canonical
-/// sort (packed integer order *is* canonical rule order, so sorting before
-/// unpacking is both cheaper and identical).
-fn finish_packed<C: PackedCode>(
-    acc: PartitionSweep<C>,
-    layout: &RuleLayout,
+/// exact sums over its true support set. Expanding after the global
+/// (partition-ordered) LCA merge performs the `2^w` lattice work exactly
+/// once per distinct LCA — the same complexity as the legacy pipeline's
+/// post-reduce expansion — while staying shuffle-free.
+fn run_sweep<K, FC, FE, FU>(
+    data: &Dataset<TupleBlock>,
     index: Option<&SampleIndex>,
-) -> SweepOutcome {
+    combine: FC,
+    expand: FE,
+    to_rule: FU,
+) -> SweepOutcome
+where
+    K: Ord + std::hash::Hash + Send,
+    (K, Agg): sirum_dataflow::Record,
+    FC: Fn(&[TupleBlock]) -> PartitionSweep<K> + Send + Sync,
+    FE: Fn(&[(K, Agg)]) -> PartitionSweep<K> + Send + Sync,
+    FU: Fn(K) -> Rule,
+{
+    let combined = data.aggregate_partitions(
+        "gain-sweep-combine",
+        PartitionSweep::new,
+        |_, blocks| combine(blocks),
+        PartitionSweep::merge,
+    );
+    if combined.cancelled {
+        return cancelled_outcome(&combined);
+    }
+    let frontier = data
+        .engine()
+        .parallelize(sorted_entries(combined.map), data.num_partitions());
+    let acc = frontier.aggregate_partitions(
+        "gain-sweep-expand",
+        PartitionSweep::new,
+        |_, lcas| expand(lcas),
+        PartitionSweep::merge,
+    );
     if acc.cancelled {
         return cancelled_outcome(&acc);
     }
     let distinct = acc.map.len() as u64;
-    let pairs = acc.pairs;
-    let mut entries: Vec<(C, Agg)> = acc.map.into_iter().collect();
-    entries.sort_unstable_by_key(|e| e.0);
-    let rules = entries
+    let rules = sorted_entries(acc.map)
         .into_iter()
-        .map(|(code, agg)| (layout.unpack(code), agg));
+        .map(|(key, agg)| (to_rule(key), agg));
     let candidates = match index {
         Some(idx) => adjust_for_sample(rules, idx),
         None => rules
@@ -832,131 +692,33 @@ fn finish_packed<C: PackedCode>(
     SweepOutcome {
         candidates,
         distinct_candidates: distinct,
-        pairs_emitted: pairs,
+        pairs_emitted: acc.pairs,
         cancelled: false,
     }
 }
 
-/// Distribute the globally distinct LCA frontier over the same number of
-/// partitions as the data, in **canonical order** — sorted by key, so the
-/// stage-2 chunking (and therefore its float-fold order) is independent of
-/// any hash map's iteration order and identical across sweep variants.
-fn frontier_dataset<K>(
-    engine: &Engine,
-    partitions: usize,
-    map: FxHashMap<K, Agg>,
-    sort_key: impl Fn(&K, &K) -> std::cmp::Ordering,
-) -> Dataset<(K, Agg)>
-where
-    (K, Agg): sirum_dataflow::Record,
-{
-    let mut frontier: Vec<(K, Agg)> = map.into_iter().collect();
-    frontier.sort_unstable_by(|a, b| sort_key(&a.0, &b.0));
-    engine.parallelize(frontier, partitions.max(1))
-}
-
-/// Stage 2 + finish for the `Rule`-keyed path, shared by every stage-1
-/// source: expand the canonically ordered frontier (on the engine thread
-/// pool, or inline for the sequential reference) and assemble the outcome.
-fn expand_merged(
-    engine: &Engine,
-    partitions: usize,
-    combined: PartitionSweep<Rule>,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    parallel: bool,
-) -> SweepOutcome {
-    if combined.cancelled {
-        return finish(combined, index);
-    }
-    let pairs_so_far = combined.pairs;
-    let frontier = frontier_dataset(engine, partitions, combined.map, |a, b| {
-        a.values().cmp(b.values())
-    });
-    let mut acc = if parallel {
-        frontier.aggregate_partitions(
-            "gain-sweep-expand",
-            PartitionSweep::new,
-            |_, lcas| expand_partition(lcas, cancel),
-            PartitionSweep::merge,
-        )
-    } else {
-        // Mirror aggregate_partitions' fold exactly: the first partition's
-        // accumulator *is* the fold seed (not an empty map merged with it).
-        let mut expand = (0..frontier.num_partitions()).map(|i| {
-            let part = frontier.part(i);
-            expand_partition(&part, cancel)
-        });
-        let mut acc = expand.next().unwrap_or_else(PartitionSweep::new);
-        for out in expand {
-            acc.merge(out);
-        }
-        acc
-    };
-    acc.pairs += pairs_so_far;
-    finish(acc, index)
-}
-
-/// [`expand_merged`], packed. Rebuilds the (cheap, layout-derived) field
-/// masks locally rather than threading them through as another parameter.
-fn expand_merged_packed<C: PackedCode>(
-    engine: &Engine,
-    partitions: usize,
-    combined: PartitionSweep<C>,
+/// [`run_sweep`] on packed codes of width `C`. Packed integer order *is*
+/// canonical rule order, so codes are unpacked only after the final sort.
+fn sweep_packed<C: PackedCode>(
+    data: &Dataset<TupleBlock>,
+    d: usize,
     layout: &RuleLayout,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
-    parallel: bool,
+    force: Option<CombineStrategy>,
 ) -> SweepOutcome {
-    if combined.cancelled {
-        return finish_packed(combined, layout, index);
-    }
     let masks: PackedMasks<C> = layout.masks();
-    let pairs_so_far = combined.pairs;
-    let frontier = frontier_dataset(engine, partitions, combined.map, Ord::cmp);
-    let mut acc = if parallel {
-        frontier.aggregate_partitions(
-            "gain-sweep-expand",
-            PartitionSweep::new,
-            |_, lcas| expand_packed(lcas, &masks, cancel),
-            PartitionSweep::merge,
-        )
-    } else {
-        let mut expand = (0..frontier.num_partitions()).map(|i| {
-            let part = frontier.part(i);
-            expand_packed(&part, &masks, cancel)
-        });
-        let mut acc = expand.next().unwrap_or_else(PartitionSweep::new);
-        for out in expand {
-            acc.merge(out);
-        }
-        acc
-    };
-    acc.pairs += pairs_so_far;
-    finish_packed(acc, layout, index)
+    run_sweep(
+        data,
+        index,
+        |blocks| combine_packed(blocks, d, layout, &masks, index, cancel, force),
+        |lcas| expand_packed(lcas, &masks, cancel),
+        |code| layout.unpack(code),
+    )
 }
 
-/// Which packed width (if any) a [`SweepOptions`] resolves to.
-enum Dispatch<'a> {
-    U64(&'a RuleLayout),
-    U128(&'a RuleLayout),
-    RuleKeyed,
-}
-
-fn dispatch(opts: &SweepOptions) -> Dispatch<'_> {
-    match (&opts.layout, opts.packed_bits()) {
-        (Some(layout), Some(64)) => Dispatch::U64(layout),
-        (Some(layout), Some(_)) => Dispatch::U128(layout),
-        _ => Dispatch::RuleKeyed,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points
-// ---------------------------------------------------------------------------
-
-/// Run the sweep as per-partition tasks on the dataset's engine thread
-/// pool, merged with the partition-ordered reduction of
+/// Run the sweep over the columnar dataset as per-partition tasks on its
+/// engine's thread pool, merged with the partition-ordered reduction of
 /// [`Dataset::aggregate_partitions`]: one scan over the partitioned data
 /// combines the LCA frontier, one pass over the distinct frontier expands
 /// the cube lattice — no shuffle in either stage. `d` is the table's
@@ -964,238 +726,30 @@ fn dispatch(opts: &SweepOptions) -> Dispatch<'_> {
 /// full cube); `opts` selects packed codes vs `Rule` keys (see
 /// [`SweepOptions`]).
 ///
-/// Bit-identical to [`sweep_gains_reference`] for every worker count (see
-/// the module docs for the argument), to [`sweep_gains_blocks`] over the
-/// same partitioning, and across every [`SweepOptions`] choice.
+/// Bit-identical for every worker count (see the module docs for the
+/// argument) and across every [`SweepOptions`] choice.
 pub fn sweep_gains(
-    data: &Dataset<Tup>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-) -> SweepOutcome {
-    match dispatch(opts) {
-        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, opts, true),
-        Dispatch::U128(layout) => {
-            sweep_rows_packed::<u128>(data, layout, index, cancel, opts, true)
-        }
-        Dispatch::RuleKeyed => sweep_rows_rulekey(data, d, index, cancel, true),
-    }
-}
-
-/// The sweep over the **columnar** dataset (one [`TupleBlock`] per
-/// partition): the default data path. Stage 1 scans the shared dimension
-/// columns; stage 2 is shared with the row-major sweep. Bit-identical to
-/// [`sweep_gains`] over the same partitioning — proptested in
-/// `crates/core/tests/properties.rs`.
-pub fn sweep_gains_blocks(
     data: &Dataset<TupleBlock>,
     d: usize,
     index: Option<&SampleIndex>,
     cancel: Option<&CancellationToken>,
     opts: &SweepOptions,
 ) -> SweepOutcome {
-    match dispatch(opts) {
-        Dispatch::U64(layout) => {
-            sweep_blocks_packed::<u64>(data, d, layout, index, cancel, opts, true)
+    match (&opts.layout, opts.packed_bits()) {
+        (Some(layout), Some(64)) => {
+            sweep_packed::<u64>(data, d, layout, index, cancel, opts.combine)
         }
-        Dispatch::U128(layout) => {
-            sweep_blocks_packed::<u128>(data, d, layout, index, cancel, opts, true)
+        (Some(layout), Some(_)) => {
+            sweep_packed::<u128>(data, d, layout, index, cancel, opts.combine)
         }
-        Dispatch::RuleKeyed => sweep_blocks_rulekey(data, d, index, cancel, true),
+        _ => run_sweep(
+            data,
+            index,
+            |blocks| combine_rulekey(blocks, d, index, cancel),
+            |lcas| expand_rulekey(lcas, cancel),
+            |rule| rule,
+        ),
     }
-}
-
-/// The sequential reference: identical per-partition work and identical
-/// partition-ordered merges, executed inline on the calling thread without
-/// the engine's thread pool. This is the "1-thread path" the proptests
-/// compare the parallel sweep against.
-pub fn sweep_gains_reference(
-    data: &Dataset<Tup>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-) -> SweepOutcome {
-    match dispatch(opts) {
-        Dispatch::U64(layout) => sweep_rows_packed::<u64>(data, layout, index, cancel, opts, false),
-        Dispatch::U128(layout) => {
-            sweep_rows_packed::<u128>(data, layout, index, cancel, opts, false)
-        }
-        Dispatch::RuleKeyed => sweep_rows_rulekey(data, d, index, cancel, false),
-    }
-}
-
-/// Sequential reference over the columnar dataset (see
-/// [`sweep_gains_reference`]).
-pub fn sweep_gains_blocks_reference(
-    data: &Dataset<TupleBlock>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-) -> SweepOutcome {
-    match dispatch(opts) {
-        Dispatch::U64(layout) => {
-            sweep_blocks_packed::<u64>(data, d, layout, index, cancel, opts, false)
-        }
-        Dispatch::U128(layout) => {
-            sweep_blocks_packed::<u128>(data, d, layout, index, cancel, opts, false)
-        }
-        Dispatch::RuleKeyed => sweep_blocks_rulekey(data, d, index, cancel, false),
-    }
-}
-
-fn sweep_rows_rulekey(
-    data: &Dataset<Tup>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    parallel: bool,
-) -> SweepOutcome {
-    let combined = if parallel {
-        data.aggregate_partitions(
-            "gain-sweep-combine",
-            PartitionSweep::new,
-            |_, rows| combine_partition(rows, d, index, cancel),
-            PartitionSweep::merge,
-        )
-    } else {
-        // Mirror aggregate_partitions' fold exactly: the first partition's
-        // accumulator *is* the fold seed (not an empty map merged with it),
-        // so per-key float sums match the parallel path bit for bit.
-        let mut combine = (0..data.num_partitions()).map(|i| {
-            let part = data.part(i);
-            combine_partition(&part, d, index, cancel)
-        });
-        let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
-        for acc in combine {
-            combined.merge(acc);
-        }
-        combined
-    };
-    expand_merged(
-        data.engine(),
-        data.num_partitions(),
-        combined,
-        index,
-        cancel,
-        parallel,
-    )
-}
-
-fn sweep_blocks_rulekey(
-    data: &Dataset<TupleBlock>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    parallel: bool,
-) -> SweepOutcome {
-    let combined = if parallel {
-        data.aggregate_partitions(
-            "gain-sweep-combine",
-            PartitionSweep::new,
-            |_, blocks| combine_partition_blocks(blocks, d, index, cancel),
-            PartitionSweep::merge,
-        )
-    } else {
-        let mut combine = (0..data.num_partitions()).map(|i| {
-            let part = data.part(i);
-            combine_partition_blocks(&part, d, index, cancel)
-        });
-        let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
-        for acc in combine {
-            combined.merge(acc);
-        }
-        combined
-    };
-    expand_merged(
-        data.engine(),
-        data.num_partitions(),
-        combined,
-        index,
-        cancel,
-        parallel,
-    )
-}
-
-fn sweep_rows_packed<C: PackedCode>(
-    data: &Dataset<Tup>,
-    layout: &RuleLayout,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-    parallel: bool,
-) -> SweepOutcome {
-    let masks: PackedMasks<C> = layout.masks();
-    let force = opts.combine_override();
-    let combined = if parallel {
-        data.aggregate_partitions(
-            "gain-sweep-combine",
-            PartitionSweep::new,
-            |_, rows| combine_rows_packed(rows, layout, &masks, index, cancel, force),
-            PartitionSweep::merge,
-        )
-    } else {
-        let mut combine = (0..data.num_partitions()).map(|i| {
-            let part = data.part(i);
-            combine_rows_packed(&part, layout, &masks, index, cancel, force)
-        });
-        let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
-        for acc in combine {
-            combined.merge(acc);
-        }
-        combined
-    };
-    expand_merged_packed(
-        data.engine(),
-        data.num_partitions(),
-        combined,
-        layout,
-        index,
-        cancel,
-        parallel,
-    )
-}
-
-fn sweep_blocks_packed<C: PackedCode>(
-    data: &Dataset<TupleBlock>,
-    d: usize,
-    layout: &RuleLayout,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-    parallel: bool,
-) -> SweepOutcome {
-    let masks: PackedMasks<C> = layout.masks();
-    let force = opts.combine_override();
-    let combined = if parallel {
-        data.aggregate_partitions(
-            "gain-sweep-combine",
-            PartitionSweep::new,
-            |_, blocks| combine_blocks_packed(blocks, d, layout, &masks, index, cancel, force),
-            PartitionSweep::merge,
-        )
-    } else {
-        let mut combine = (0..data.num_partitions()).map(|i| {
-            let part = data.part(i);
-            combine_blocks_packed(&part, d, layout, &masks, index, cancel, force)
-        });
-        let mut combined = combine.next().unwrap_or_else(PartitionSweep::new);
-        for acc in combine {
-            combined.merge(acc);
-        }
-        combined
-    };
-    expand_merged_packed(
-        data.engine(),
-        data.num_partitions(),
-        combined,
-        layout,
-        index,
-        cancel,
-        parallel,
-    )
 }
 
 #[cfg(test)]
@@ -1204,26 +758,33 @@ mod tests {
     use crate::candidates::exhaustive_candidates;
     use sirum_dataflow::{Engine, EngineConfig};
     use sirum_table::generators::flights;
+    use sirum_table::{Frame, Table};
 
-    fn tuples(table: &sirum_table::Table) -> Vec<Tup> {
-        (0..table.num_rows())
-            .map(|i| {
-                (
-                    table.row(i).to_vec().into_boxed_slice(),
-                    table.measure(i),
-                    1.0,
-                    0u64,
-                )
-            })
-            .collect()
+    /// `frame` as the miner distributes it: one seeded block (`m̂ = 1`)
+    /// per partition.
+    fn blocks_of(engine: &Engine, frame: &Frame, partitions: usize) -> Dataset<TupleBlock> {
+        let blocks = TupleBlock::seed_partitions(frame, &frame.measure_slice(), partitions);
+        Dataset::from_partitioned(engine, blocks)
     }
 
-    fn packed_opts(table: &sirum_table::Table) -> SweepOptions {
+    fn blocks(engine: &Engine, table: &Table, partitions: usize) -> Dataset<TupleBlock> {
+        blocks_of(engine, &Frame::from_table(table), partitions)
+    }
+
+    fn sample_index(table: &Table, rows: &[usize]) -> SampleIndex {
+        let sample = rows
+            .iter()
+            .map(|&i| table.row(i).to_vec().into_boxed_slice())
+            .collect();
+        SampleIndex::build(sample, table.num_dims())
+    }
+
+    fn packed_opts(table: &Table) -> SweepOptions {
         let cards: Vec<u32> = table.cardinalities().iter().map(|&c| c as u32).collect();
         SweepOptions::packed(RuleLayout::from_cardinalities(&cards))
     }
 
-    fn all_variants(table: &sirum_table::Table) -> Vec<SweepOptions> {
+    fn all_variants(table: &Table) -> Vec<SweepOptions> {
         let packed = packed_opts(table);
         vec![
             SweepOptions::rule_keyed(),
@@ -1237,7 +798,7 @@ mod tests {
     fn full_cube_sweep_matches_exhaustive_reference() {
         let t = flights();
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 4);
+        let data = blocks(&engine, &t, 4);
         for opts in all_variants(&t) {
             let out = sweep_gains(&data, 3, None, None, &opts);
             let exhaustive = exhaustive_candidates(&t, &[1.0; 14], None).expect("uncancelled");
@@ -1257,13 +818,9 @@ mod tests {
     #[test]
     fn sample_sweep_recovers_exact_support_sums() {
         let t = flights();
-        let sample: Vec<Box<[u32]>> = [3usize, 8, 0]
-            .iter()
-            .map(|&i| t.row(i).to_vec().into_boxed_slice())
-            .collect();
-        let index = SampleIndex::build(sample, 3);
+        let index = sample_index(&t, &[3, 8, 0]);
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 3);
+        let data = blocks(&engine, &t, 3);
         for opts in all_variants(&t) {
             let out = sweep_gains(&data, 3, Some(&index), None, &opts);
             for (rule, sm, smh, cnt) in &out.candidates {
@@ -1291,13 +848,17 @@ mod tests {
 
     #[test]
     fn parallel_and_reference_paths_are_bit_identical() {
+        // The reference is a one-worker engine: it runs every task inline
+        // on the calling thread, in partition order.
         let t = flights();
-        for workers in [1, 2, 4] {
+        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let seq_data = blocks(&sequential, &t, 5);
+        for workers in [2, 4] {
             let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
-            let data = engine.parallelize(tuples(&t), 5);
+            let data = blocks(&engine, &t, 5);
             for opts in all_variants(&t) {
                 let par = sweep_gains(&data, 3, None, None, &opts);
-                let seq = sweep_gains_reference(&data, 3, None, None, &opts);
+                let seq = sweep_gains(&seq_data, 3, None, None, &opts);
                 assert_eq!(par.pairs_emitted, seq.pairs_emitted);
                 // Canonical ordering: identical bits AND identical order.
                 assert_eq!(bits(par), bits(seq));
@@ -1309,12 +870,8 @@ mod tests {
     fn every_key_representation_is_bit_identical() {
         let t = flights();
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 4);
-        let sample: Vec<Box<[u32]>> = [3usize, 8]
-            .iter()
-            .map(|&i| t.row(i).to_vec().into_boxed_slice())
-            .collect();
-        let index = SampleIndex::build(sample, 3);
+        let data = blocks(&engine, &t, 4);
+        let index = sample_index(&t, &[3, 8]);
         for idx in [None, Some(&index)] {
             let baseline = bits(sweep_gains(
                 &data,
@@ -1339,7 +896,7 @@ mod tests {
         let opts = SweepOptions::packed(layout);
         assert_eq!(opts.packed_bits(), Some(128));
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 4);
+        let data = blocks(&engine, &t, 4);
         let wide = sweep_gains(&data, 3, None, None, &opts);
         let narrow = sweep_gains(&data, 3, None, None, &SweepOptions::rule_keyed());
         assert_eq!(bits(wide), bits(narrow));
@@ -1352,7 +909,7 @@ mod tests {
         assert_eq!(opts.packed_bits(), None);
         let t = flights();
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 2);
+        let data = blocks(&engine, &t, 2);
         // 3-dim data under a 5-dim layout would be an arity error on the
         // packed path; the fallback dispatch never touches the layout.
         let out = sweep_gains(&data, 3, None, None, &opts);
@@ -1362,45 +919,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_blocks_sweep_is_bit_identical_to_the_row_sweep() {
-        use sirum_table::Frame;
-        let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let rows = engine.parallelize(tuples(&t), 4);
-        let frame = Frame::from_table(&t);
-        let m: sirum_table::ColSlice<f64> = t.measures().to_vec().into();
-        let blocks: Vec<TupleBlock> = frame
-            .partition_views(4)
-            .into_iter()
-            .map(|v| TupleBlock::seed(v.clone(), m.slice(v.start(), v.len())))
-            .collect();
-        let block_ds = Dataset::from_partitioned(&engine, blocks);
-        let sample: Vec<Box<[u32]>> = [3usize, 8]
-            .iter()
-            .map(|&i| t.row(i).to_vec().into_boxed_slice())
-            .collect();
-        let index = SampleIndex::build(sample, 3);
-        for opts in all_variants(&t) {
-            for idx in [None, Some(&index)] {
-                let row_out = sweep_gains(&rows, 3, idx, None, &opts);
-                let blk_out = sweep_gains_blocks(&block_ds, 3, idx, None, &opts);
-                let blk_ref = sweep_gains_blocks_reference(&block_ds, 3, idx, None, &opts);
-                assert_eq!(row_out.pairs_emitted, blk_out.pairs_emitted);
-                assert_eq!(row_out.distinct_candidates, blk_out.distinct_candidates);
-                // Same partitioning ⇒ identical fold orders ⇒ identical
-                // bits, including the deterministic candidate ORDER.
-                let row_bits = bits(row_out);
-                assert_eq!(row_bits, bits(blk_out));
-                assert_eq!(row_bits, bits(blk_ref));
-            }
-        }
-    }
-
-    #[test]
     fn cancelled_token_stops_the_sweep_without_partial_candidates() {
         let t = flights();
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(tuples(&t), 2);
+        let data = blocks(&engine, &t, 2);
         for opts in all_variants(&t) {
             let token = CancellationToken::new();
             token.cancel();
@@ -1420,18 +942,13 @@ mod tests {
         // Arm a poll-budget token that self-cancels mid-combine and require
         // the sweep to notice within one CANCEL_POLL_ROWS window.
         let n = CANCEL_POLL_ROWS * 4;
-        let rows: Vec<Tup> = (0..n)
-            .map(|i| {
-                (
-                    vec![(i % 7) as u32, (i % 3) as u32].into_boxed_slice(),
-                    1.0,
-                    1.0,
-                    0u64,
-                )
-            })
-            .collect();
+        let cols = vec![
+            (0..n).map(|i| (i % 7) as u32).collect(),
+            (0..n).map(|i| (i % 3) as u32).collect(),
+        ];
+        let frame = Frame::from_columns_with_cards(cols, vec![1.0; n], vec![7, 3]);
         let engine = Engine::new(EngineConfig::single_thread());
-        let data = engine.parallelize(rows, 1);
+        let data = blocks_of(&engine, &frame, 1);
         let layout = RuleLayout::from_cardinalities(&[7, 3]);
         for opts in [
             SweepOptions::rule_keyed(),

@@ -502,11 +502,13 @@ fn prior_rules_are_respected() {
 }
 
 #[test]
-fn columnar_and_rowmajor_agree_in_every_engine_mode() {
+fn engine_modes_are_bit_identical_on_the_same_partitioning() {
     // The columnar blocks round-trip through the block store in DiskMr
-    // mode (every stage output is encoded to disk and decoded back); the
-    // mining output must still match the row-major reference bit for bit,
-    // in all three platform emulations and under full-cube enumeration.
+    // mode (every stage output is encoded to disk and decoded back), the
+    // in-memory engine runs tasks on a thread pool and the single-thread
+    // engine inline; over one partitioning all three platform emulations
+    // must produce the same mining output bit for bit, on the sweep and
+    // under staged full-cube enumeration.
     let t = generators::income_like(200, 3);
     let configs = [
         full_sample_config(3, 16),
@@ -517,28 +519,22 @@ fn columnar_and_rowmajor_agree_in_every_engine_mode() {
             ..SirumConfig::default()
         },
     ];
-    let engines: [fn() -> Engine; 3] = [
-        || Engine::new(EngineConfig::in_memory().with_workers(2).with_partitions(4)),
-        || {
-            Engine::new(
-                EngineConfig::disk_mr()
-                    .with_partitions(4)
-                    .with_stage_startup(Duration::ZERO),
-            )
-        },
-        || Engine::new(EngineConfig::single_thread().with_partitions(4)),
+    let engines = [
+        Engine::new(EngineConfig::in_memory().with_workers(2).with_partitions(4)),
+        Engine::new(
+            EngineConfig::disk_mr()
+                .with_partitions(4)
+                .with_stage_startup(Duration::ZERO),
+        ),
+        Engine::new(EngineConfig::single_thread().with_partitions(4)),
     ];
     for config in &configs {
-        for make_engine in &engines {
-            let mine = |columnar: bool| {
-                let cfg = SirumConfig {
-                    columnar,
-                    ..config.clone()
-                };
-                Miner::new(make_engine(), cfg).try_mine(&t).unwrap()
-            };
-            let a = mine(true);
-            let b = mine(false);
+        let runs: Vec<MiningResult> = engines
+            .iter()
+            .map(|e| Miner::new(e.clone(), config.clone()).try_mine(&t).unwrap())
+            .collect();
+        let a = &runs[0];
+        for b in &runs[1..] {
             assert_eq!(a.rules.len(), b.rules.len());
             for (x, y) in a.rules.iter().zip(&b.rules) {
                 assert_eq!(x.rule, y.rule);
@@ -548,7 +544,7 @@ fn columnar_and_rowmajor_agree_in_every_engine_mode() {
             }
             let bits =
                 |r: &MiningResult| -> Vec<u64> { r.kl_trace.iter().map(|k| k.to_bits()).collect() };
-            assert_eq!(bits(&a), bits(&b));
+            assert_eq!(bits(a), bits(b));
             assert_eq!(a.scaling_iterations, b.scaling_iterations);
             assert_eq!(a.ancestors_emitted, b.ancestors_emitted);
         }

@@ -8,19 +8,19 @@ use sirum_core::candidates::{
 };
 use sirum_core::gain::kl_divergence;
 use sirum_core::lattice::{ancestors, ancestors_restricted, column_groups};
-use sirum_core::miner::{CandidateStrategy, IterationDecision, Miner, SirumConfig, Tup};
+use sirum_core::miner::{CandidateStrategy, IterationDecision, Miner, SirumConfig};
 use sirum_core::rct::{iterative_scaling_rct, mhat_for_mask, Rct};
 use sirum_core::rule::{Rule, RuleLayout, WILDCARD};
 use sirum_core::scaling::{
     iterative_scaling, relative_diff, rule_measure_sums, ScalingConfig, TableBackend,
 };
-use sirum_core::sweep::{sweep_gains, sweep_gains_reference, SweepOptions};
+use sirum_core::sweep::{sweep_gains, SweepOptions};
 use sirum_core::transform::MeasureTransform;
-use sirum_core::{PreparedTable, Variant};
+use sirum_core::{PreparedTable, TupleBlock, Variant};
 use sirum_dataflow::cost::CombineStrategy;
 use sirum_dataflow::hash::FxHashMap;
-use sirum_dataflow::{Engine, EngineConfig};
-use sirum_table::{Compression, Schema, Table};
+use sirum_dataflow::{Dataset, Engine, EngineConfig};
+use sirum_table::{Compression, Frame, Schema, Table};
 
 const MAX_D: usize = 5;
 const MAX_CARD: u32 = 4;
@@ -54,19 +54,23 @@ fn small_table() -> impl Strategy<Value = Table> {
     })
 }
 
-/// Tuples as the miner distributes them: `(dims, m, m̂, bit array)` with a
-/// synthetic non-uniform estimate column.
-fn sweep_tuples(table: &Table) -> Vec<Tup> {
-    (0..table.num_rows())
-        .map(|i| {
-            (
-                table.row(i).to_vec().into_boxed_slice(),
-                table.measure(i),
-                0.5 + (i % 7) as f64,
-                0u64,
-            )
+/// The synthetic non-uniform estimate of global row `i`.
+fn synthetic_mhat(i: usize) -> f64 {
+    0.5 + (i % 7) as f64
+}
+
+/// `table` as the miner distributes it — one columnar block per partition
+/// — with the [`synthetic_mhat`] estimate column.
+fn sweep_blocks(engine: &Engine, table: &Table, partitions: usize) -> Dataset<TupleBlock> {
+    let frame = Frame::from_table(table);
+    let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
+        .into_iter()
+        .map(|block| {
+            let start = block.dims().start();
+            block.with_mhat((start..start + block.len()).map(synthetic_mhat).collect())
         })
-        .collect()
+        .collect();
+    Dataset::from_partitioned(engine, blocks)
 }
 
 /// Every way [`SweepOptions`] can key the sweep's hot-path accumulators
@@ -101,10 +105,11 @@ fn sweep_bits(out: &sirum_core::sweep::SweepOutcome) -> SweepBits {
 }
 
 /// Everything a mining run produces that must match bit for bit between
-/// the columnar and row-major representations: the selected rule sequence
-/// with selection-time gains/averages/counts, the KL trace, the λ-update
-/// counts, the emitted-pair accounting, the iteration count and the
-/// cancellation flag. (Wall-clock timings are excluded by construction.)
+/// two schedules or encodings of the same request: the selected rule
+/// sequence with selection-time gains/averages/counts, the KL trace, the
+/// λ-update counts, the emitted-pair accounting, the iteration count and
+/// the cancellation flag. (Wall-clock timings are excluded by
+/// construction.)
 type ResultBits = (
     Vec<(Vec<u32>, u64, u64, u64)>,
     Vec<u64>,
@@ -115,6 +120,18 @@ type ResultBits = (
 );
 
 fn result_bits(r: &sirum_core::MiningResult) -> ResultBits {
+    // Independent of any second run: adding a rule to the max-entropy
+    // model can only lower the divergence, so every mined trace must be
+    // non-increasing (up to the scaling tolerance's float noise).
+    for w in r.kl_trace.windows(2) {
+        assert!(
+            w[1] <= w[0] + 1e-9 * w[0].abs().max(1.0),
+            "KL rose from {} to {} in {:?}",
+            w[0],
+            w[1],
+            r.kl_trace
+        );
+    }
     (
         r.rules
             .iter()
@@ -139,43 +156,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn columnar_and_rowmajor_mining_are_bit_identical(
-        (table, variant_idx, partitions, workers) in small_table().prop_flat_map(|t| {
-            (Just(t), 0usize..Variant::ALL.len(), 1usize..5, 1usize..4)
-        })
-    ) {
-        // The tentpole refactor claim (ISSUE 5): swapping the data
-        // representation — zero-copy columnar FrameView partitions vs.
-        // boxed per-row tuples — changes NOTHING about the mining output,
-        // for every Table 4.2 variant (incl. Naive's repartition path and
-        // the staged pipelines), partition count and worker count.
-        let variant = Variant::ALL[variant_idx];
-        let n = table.num_rows();
-        let mine = |columnar: bool| {
-            let engine = Engine::new(
-                EngineConfig::in_memory()
-                    .with_workers(workers)
-                    .with_partitions(partitions),
-            );
-            let mut config = variant.config(2, n.min(4));
-            config.columnar = columnar;
-            Miner::new(engine, config).try_mine(&table).unwrap()
-        };
-        prop_assert_eq!(result_bits(&mine(true)), result_bits(&mine(false)));
-    }
-
-    #[test]
-    fn columnar_and_rowmajor_agree_under_midmine_cancellation(
+    fn packed_and_rulekey_agree_under_midmine_cancellation(
         (table, stop_after, partitions) in small_table().prop_flat_map(|t| {
             (Just(t), 1usize..3, 1usize..5)
         })
     ) {
         // Cancelling at an iteration boundary must leave the same partial
-        // result on every representation — columnar vs row-major data AND
-        // packed vs Rule-keyed sweep accumulators: same rules mined so
-        // far, same KL trace, same cancelled flag.
+        // result under packed and Rule-keyed sweep accumulators: same
+        // rules mined so far, same KL trace, same cancelled flag.
         let n = table.num_rows();
-        let mine = |columnar: bool, packed_codes: bool| {
+        let mine = |packed_codes: bool| {
             let engine = Engine::new(
                 EngineConfig::in_memory()
                     .with_workers(2)
@@ -184,7 +174,6 @@ proptest! {
             let config = SirumConfig {
                 k: 4,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
-                columnar,
                 packed_codes,
                 ..SirumConfig::default()
             };
@@ -199,12 +188,9 @@ proptest! {
                 .try_mine(&table)
                 .unwrap()
         };
-        let baseline = mine(true, true);
-        for (columnar, packed) in [(true, false), (false, true), (false, false)] {
-            let other = mine(columnar, packed);
-            prop_assert_eq!(baseline.cancelled, other.cancelled);
-            prop_assert_eq!(result_bits(&baseline), result_bits(&other));
-        }
+        let (packed, rule_keyed) = (mine(true), mine(false));
+        prop_assert_eq!(packed.cancelled, rule_keyed.cancelled);
+        prop_assert_eq!(result_bits(&packed), result_bits(&rule_keyed));
     }
 
     #[test]
@@ -243,14 +229,12 @@ proptest! {
 
     #[test]
     fn compressed_and_raw_frames_agree_under_midmine_cancellation(
-        (table, stop_after, partitions, columnar) in small_table().prop_flat_map(|t| {
-            (Just(t), 1usize..3, 1usize..5, any::<bool>())
+        (table, stop_after, partitions) in small_table().prop_flat_map(|t| {
+            (Just(t), 1usize..3, 1usize..5)
         })
     ) {
         // Cancelling at an iteration boundary must leave the same partial
-        // result on compressed and raw frames alike — for the columnar
-        // morsel scans AND the row-major gather path (which reads
-        // compressed columns value-at-a-time).
+        // result on compressed and raw frames alike.
         let n = table.num_rows();
         let mine = |compression: Compression| {
             let engine = Engine::new(
@@ -261,7 +245,6 @@ proptest! {
             let config = SirumConfig {
                 k: 4,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
-                columnar,
                 ..SirumConfig::default()
             };
             let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
@@ -284,15 +267,14 @@ proptest! {
 
     #[test]
     fn packed_and_rulekey_mining_are_bit_identical(
-        (table, partitions, workers, columnar) in small_table().prop_flat_map(|t| {
-            (Just(t), 1usize..5, 1usize..4, any::<bool>())
+        (table, partitions, workers) in small_table().prop_flat_map(|t| {
+            (Just(t), 1usize..5, 1usize..4)
         })
     ) {
         // The tentpole claim of ISSUE 6: interning rules as packed integer
         // codes on the sweep hot path changes NOTHING about the mining
         // output — selected rules, gains, KL trace, pair accounting — for
-        // either data representation, any partition count and any worker
-        // count.
+        // any partition count and any worker count.
         let n = table.num_rows();
         let mine = |packed_codes: bool| {
             let engine = Engine::new(
@@ -303,7 +285,6 @@ proptest! {
             let config = SirumConfig {
                 k: 3,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
-                columnar,
                 packed_codes,
                 ..SirumConfig::default()
             };
@@ -386,9 +367,11 @@ proptest! {
         })
     ) {
         // The tentpole determinism claim: per-candidate (Σm, Σm̂) from the
-        // engine-parallel sweep equal the sequential reference BIT FOR BIT
-        // for any table, partition count and worker count — and across
-        // every accumulator-key representation (Rule-keyed, packed u64
+        // engine-parallel sweep equal the sequential reference — the same
+        // sweep on a one-worker engine, which runs every task inline on
+        // the calling thread in partition order — BIT FOR BIT for any
+        // table, partition count and worker count, and across every
+        // accumulator-key representation (Rule-keyed, packed u64
         // hash-probe, packed radix-group).
         let d = table.num_dims();
         let sample: Vec<Box<[u32]>> = picks
@@ -397,12 +380,14 @@ proptest! {
             .collect();
         let index = SampleIndex::build(sample, d);
         let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
-        let data = engine.parallelize(sweep_tuples(&table), partitions);
+        let data = sweep_blocks(&engine, &table, partitions);
+        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let seq_data = sweep_blocks(&sequential, &table, partitions);
         for idx in [Some(&index), None] {
             let mut baseline: Option<SweepBits> = None;
             for opts in sweep_variants(&table) {
                 let par = sweep_gains(&data, d, idx, None, &opts);
-                let seq = sweep_gains_reference(&data, d, idx, None, &opts);
+                let seq = sweep_gains(&seq_data, d, idx, None, &opts);
                 prop_assert_eq!(par.pairs_emitted, seq.pairs_emitted);
                 prop_assert_eq!(par.distinct_candidates, seq.distinct_candidates);
                 let par_bits = sweep_bits(&par);
@@ -464,14 +449,14 @@ proptest! {
         // Semantic exactness: the sweep's adjusted sums equal the exact
         // support-set sums of the exhaustive reference aggregation.
         let d = table.num_dims();
-        let mhat: Vec<f64> = (0..table.num_rows()).map(|i| 0.5 + (i % 7) as f64).collect();
+        let mhat: Vec<f64> = (0..table.num_rows()).map(synthetic_mhat).collect();
         let sample: Vec<Box<[u32]>> = picks
             .iter()
             .map(|&i| table.row(i).to_vec().into_boxed_slice())
             .collect();
         let index = SampleIndex::build(sample, d);
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let data = engine.parallelize(sweep_tuples(&table), 3);
+        let data = sweep_blocks(&engine, &table, 3);
         let exhaustive = exhaustive_candidates(&table, &mhat, None).expect("uncancelled");
         for opts in sweep_variants(&table) {
             let out = sweep_gains(&data, d, Some(&index), None, &opts);
@@ -589,7 +574,7 @@ proptest! {
         // §3.1.1 multiplicity adjustment: candidate aggregates after
         // division by the sample match count equal exact support sums.
         let d = table.num_dims();
-        let mhat: Vec<f64> = (0..table.num_rows()).map(|i| 0.5 + (i % 7) as f64).collect();
+        let mhat: Vec<f64> = (0..table.num_rows()).map(synthetic_mhat).collect();
         let sample: Vec<Box<[u32]>> = picks
             .iter()
             .map(|&i| table.row(i).to_vec().into_boxed_slice())

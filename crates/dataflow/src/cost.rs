@@ -124,16 +124,6 @@ pub fn makespan(stages: &[StageRecord], spec: &ClusterSpec) -> f64 {
     stages.iter().map(|s| stage_makespan(s, spec)).sum()
 }
 
-/// Modeled per-record slowdown of a **row-materializing** scan relative to
-/// a zero-copy columnar scan. A row-major pass over `(Box<[u32]>, …)`
-/// tuples pays one heap allocation plus a pointer chase per row on every
-/// dataset rewrite; a columnar pass walks contiguous `Arc`-shared columns
-/// and allocates nothing. The factor is calibrated from the repo's
-/// `prepared`/`gain_sweep` benches (boxed-row vs columnar data path) and
-/// lets planners ([`crate::cost`]-replaying `explain()` implementations)
-/// model both representations from one per-record constant.
-pub const ROW_MATERIALIZE_FACTOR: f64 = 2.0;
-
 /// Build the modeled [`StageRecord`] of a **fused partition-parallel
 /// sweep**: `records` units of per-tuple work split evenly over
 /// `partitions` tasks at `nanos_per_record` each, with **zero shuffle

@@ -18,10 +18,8 @@ impl<T: Encode + Clone + Send + Sync + 'static> Record for T {}
 /// global row indices of a uniform without-replacement draw of
 /// `min(n, total)` rows, deterministic in `seed` (all rows when
 /// `n >= total`). Public — and the single implementation — so datasets
-/// with a different record granularity (e.g. one columnar block per
-/// partition) can draw the *same* rows a record-per-row dataset would:
-/// the miner's columnar/row-major bit-identity depends on both arms
-/// replaying this one protocol.
+/// with a different record granularity (the miner's one columnar block per
+/// partition) draw the *same* rows a record-per-row dataset would.
 pub fn sample_row_indices(total: usize, n: usize, seed: u64) -> Vec<usize> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -98,8 +96,8 @@ impl Dataset<sirum_table::FrameView> {
     /// Partition a columnar [`sirum_table::Frame`] into `partitions` range
     /// views over its shared columns — one view per partition, zero
     /// copying, using the same row chunking as [`Engine::parallelize`] so
-    /// a columnar dataset sees every row in the same partition slot as the
-    /// row-major dataset it replaces.
+    /// a columnar dataset sees every row in the same partition slot as a
+    /// record-per-row dataset over the same rows.
     pub fn from_frame_views(
         engine: &Engine,
         frame: &sirum_table::Frame,

@@ -504,8 +504,8 @@ impl Frame {
     /// using the same chunking as the dataflow engine's `parallelize`
     /// (`⌈n / partitions⌉` rows per chunk, trailing views possibly empty) —
     /// so a columnar dataset built from these views places every row in the
-    /// same partition, at the same offset, as the row-major path it
-    /// replaces. This is what keeps the two representations bit-identical.
+    /// same partition, at the same offset, as a record-per-row dataset
+    /// over the same rows would.
     pub fn partition_views(&self, partitions: usize) -> Vec<FrameView> {
         let partitions = partitions.max(1);
         let n = self.rows;
@@ -861,7 +861,7 @@ impl FrameView {
     }
 
     /// Local row `i`'s dimension codes as a fresh boxed slice (sample
-    /// extraction and the row-major reference path; not the hot loop).
+    /// extraction; not the hot loop).
     pub fn gather_row_boxed(&self, i: usize) -> Box<[u32]> {
         let mut buf = Vec::with_capacity(self.num_dims());
         self.gather_row(i, &mut buf);

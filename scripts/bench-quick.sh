@@ -70,8 +70,8 @@ if [[ "$SUB_FLOOR" -gt 0 ]]; then
 fi
 
 # Paired comparisons: each snapshot carries, at a glance, the numbers
-# needed to spot a regression of the zero-copy columnar path (ISSUE 5)
-# and of the packed-code / combine-strategy sweep accumulators (ISSUE 6).
+# needed to spot a regression of the packed-code / combine-strategy sweep
+# accumulators (ISSUE 6), the wire overhead and the compressed scans.
 # Tolerates a missing benchmark (empty output): a filtered run — e.g.
 # `bench-quick.sh out.json --bench rowscale` — leaves most pairs absent,
 # and under `set -eo pipefail` a bare failing grep would kill the script.
@@ -93,18 +93,6 @@ compare() {
     fi
 }
 echo "== paired medians (from $OUT):"
-compare "gain_sweep mine (1 worker)" \
-    row-major "gain_sweep/mine/sweep-rowmajor" \
-    columnar "gain_sweep/mine/sweep/1threads"
-compare "gain_sweep single pass (1 worker)" \
-    row-major "gain_sweep/sweep-pass-rowmajor" \
-    columnar "gain_sweep/sweep-pass/1threads"
-compare "prepared seed-fit 20k rows" \
-    row-major "prepared_catalog/prepared-rowmajor/20000" \
-    columnar "prepared_catalog/prepared/20000"
-compare "prepared seed-fit 80k rows" \
-    row-major "prepared_catalog/prepared-rowmajor/80000" \
-    columnar "prepared_catalog/prepared/80000"
 compare "sweep accumulator keying (1 worker)" \
     rule-key "gain_sweep/sweep-pass-rulekey/1threads" \
     packed "gain_sweep/sweep-pass/1threads"

@@ -51,7 +51,6 @@ struct Args {
     engine: EngineMode,
     rules_per_iter: usize,
     no_sweep: bool,
-    row_major: bool,
     epsilon: f64,
     seed: u64,
     partitions: usize,
@@ -84,8 +83,6 @@ OPTIONS:
   --two-sided        also surface unusually LOW-measure regions
   --no-sweep         score candidates with the legacy staged pipeline
                      instead of the fused partition-parallel gain sweep
-  --row-major        scan D as boxed per-row tuples instead of zero-copy
-                     columnar views (reference path; same results, slower)
   --target-kl <F>    keep mining until KL reaches this target
   --epsilon <F>      iterative-scaling tolerance         [default: 0.01]
   --seed <N>         sampling seed                       [default: 42]
@@ -148,7 +145,6 @@ fn parse_args() -> Args {
         engine: EngineMode::InMemory,
         rules_per_iter: 1,
         no_sweep: false,
-        row_major: false,
         epsilon: 0.01,
         seed: 42,
         partitions: 16,
@@ -181,7 +177,6 @@ fn parse_args() -> Args {
             "--two-rules" => args.rules_per_iter = 2,
             "--two-sided" => args.two_sided = true,
             "--no-sweep" => args.no_sweep = true,
-            "--row-major" => args.row_major = true,
             "--progress" => args.progress = true,
             "--explain" => args.explain = true,
             "--target-kl" => {
@@ -245,9 +240,6 @@ fn build_request<'s>(service: &'s SirumService, name: &str, args: &Args) -> Serv
     }
     if args.no_sweep {
         request = request.gain_sweep(false);
-    }
-    if args.row_major {
-        request = request.columnar(false);
     }
     if args.two_sided {
         request = request.two_sided();

@@ -122,7 +122,7 @@ fn field_str<'v>(body: &'v JsonValue, key: &str) -> Result<Option<&'v str>, Resp
 
 /// Every field `POST /mine` understands; anything else is a typo worth a
 /// `422` instead of a silently ignored knob.
-const MINE_FIELDS: [&str; 19] = [
+const MINE_FIELDS: [&str; 17] = [
     "table",
     "k",
     "sample_size",
@@ -137,8 +137,6 @@ const MINE_FIELDS: [&str; 19] = [
     "max_rules",
     "column_groups",
     "gain_sweep",
-    "columnar",
-    "packed",
     "prior",
     "timeout_ms",
     "wait_ms",
@@ -379,12 +377,6 @@ impl Router {
         if let Some(s) = get!(field_bool(&parsed, "gain_sweep")) {
             req = req.gain_sweep(s);
         }
-        if let Some(c) = get!(field_bool(&parsed, "columnar")) {
-            req = req.columnar(c);
-        }
-        if let Some(p) = get!(field_bool(&parsed, "packed")) {
-            req = req.packed(p);
-        }
         if let Some(prior) = parsed.get("prior") {
             match parse_prior(prior) {
                 Ok(rules) => req = req.prior(rules),
@@ -559,8 +551,6 @@ impl Router {
                 "rules_per_iter" => req = req.rules_per_iter(parse!(usize)),
                 "column_groups" => req = req.column_groups(parse!(usize)),
                 "gain_sweep" => req = req.gain_sweep(parse!(bool)),
-                "columnar" => req = req.columnar(parse!(bool)),
-                "packed" => req = req.packed(parse!(bool)),
                 "target_kl" => req = req.target_kl(parse!(f64)),
                 "max_rules" => req = req.max_rules(parse!(usize)),
                 "epsilon" => req = req.epsilon(parse!(f64)),
@@ -580,7 +570,7 @@ impl Router {
         Response::json(
             200,
             format!(
-                "{{\"table\":{},\"rows\":{},\"dims\":{},\"k\":{},\"gain_sweep\":{},\"columnar\":{},\
+                "{{\"table\":{},\"rows\":{},\"dims\":{},\"k\":{},\"gain_sweep\":{},\
                  \"packed_bits\":{},\"estimated_iterations\":{},\"estimated_stages\":{},\
                  \"estimated_lca_pairs\":{},\"estimated_secs\":{},\"cached\":{},\"rendered\":{}}}",
                 json::json_string(&plan.table),
@@ -588,7 +578,6 @@ impl Router {
                 plan.dims,
                 plan.k,
                 plan.gain_sweep,
-                plan.columnar,
                 packed_bits,
                 plan.estimated_iterations,
                 plan.estimated_stages,
@@ -853,24 +842,42 @@ mod tests {
     #[test]
     fn mine_validates_its_body() {
         let r = router();
-        for (body, status) in [
-            (&b"not json"[..], 400),
-            (br#"[1,2,3]"#, 422),
-            (br#"{"k":3}"#, 422),
-            (br#"{"table":"flights","kk":3}"#, 422),
-            (br#"{"table":"flights","k":"three"}"#, 422),
-            (br#"{"table":"nope"}"#, 404),
-            (br#"{"table":"flights","variant":"warp-speed"}"#, 422),
-            (br#"{"table":"flights","sample_size":0}"#, 400),
+        // (body, status, text the error must contain)
+        for (body, status, names) in [
+            (&b"not json"[..], 400, ""),
+            (br#"[1,2,3]"#, 422, ""),
+            (br#"{"k":3}"#, 422, "\"table\""),
+            (
+                br#"{"table":"flights","kk":3}"#,
+                422,
+                "unknown field \"kk\"",
+            ),
+            // Retired knobs are unknown fields like any other typo.
+            (
+                br#"{"table":"flights","columnar":false}"#,
+                422,
+                "unknown field \"columnar\"",
+            ),
+            (
+                br#"{"table":"flights","packed":false}"#,
+                422,
+                "unknown field \"packed\"",
+            ),
+            (br#"{"table":"flights","k":"three"}"#, 422, "\"k\""),
+            (br#"{"table":"nope"}"#, 404, ""),
+            (br#"{"table":"flights","variant":"warp-speed"}"#, 422, ""),
+            (br#"{"table":"flights","sample_size":0}"#, 400, ""),
         ] {
             let (_, resp) = r.handle(&request("POST", "/mine", body));
+            let error = body_json(&resp);
+            let text = error.get("error").and_then(|e| e.as_str()).expect("error");
             assert_eq!(
                 resp.status,
                 status,
-                "body {:?} → {}",
+                "body {:?} → {text}",
                 String::from_utf8_lossy(body),
-                String::from_utf8_lossy(&resp.body)
             );
+            assert!(text.contains(names), "{text} does not name {names}");
         }
     }
 
@@ -923,8 +930,14 @@ mod tests {
         assert_eq!(body.get("cached").and_then(|v| v.as_bool()), Some(false));
         let (_, resp) = r.handle(&request("GET", "/explain?table=flights&k=zap", b""));
         assert_eq!(resp.status, 422);
-        let (_, resp) = r.handle(&request("GET", "/explain?table=flights&warp=1", b""));
-        assert_eq!(resp.status, 422);
+        for param in ["warp", "columnar", "packed"] {
+            let target = format!("/explain?table=flights&{param}=false");
+            let (_, resp) = r.handle(&request("GET", &target, b""));
+            assert_eq!(resp.status, 422);
+            let error = body_json(&resp);
+            let text = error.get("error").and_then(|e| e.as_str()).expect("error");
+            assert_eq!(text, format!("unknown query parameter {param:?}"));
+        }
         let (_, resp) = r.handle(&request("GET", "/explain", b""));
         assert_eq!(resp.status, 422);
         let (_, resp) = r.handle(&request("GET", "/explain?table=nope", b""));

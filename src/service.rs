@@ -85,8 +85,6 @@ pub(crate) struct RequestSpec {
     pub(crate) max_rules: Option<usize>,
     pub(crate) column_groups: Option<usize>,
     pub(crate) gain_sweep: Option<bool>,
-    pub(crate) columnar: Option<bool>,
-    pub(crate) packed: Option<bool>,
     pub(crate) prior: Vec<Rule>,
 }
 
@@ -107,8 +105,6 @@ impl RequestSpec {
             max_rules: None,
             column_groups: None,
             gain_sweep: None,
-            columnar: None,
-            packed: None,
             prior: Vec::new(),
         }
     }
@@ -153,12 +149,6 @@ impl RequestSpec {
         }
         if let Some(sweep) = self.gain_sweep {
             config.gain_sweep = sweep;
-        }
-        if let Some(columnar) = self.columnar {
-            config.columnar = columnar;
-        }
-        if let Some(packed) = self.packed {
-            config.packed_codes = packed;
         }
         config.two_sided_gain |= self.two_sided;
         config.target_kl = self.target_kl.or(config.target_kl);
@@ -262,31 +252,6 @@ macro_rules! impl_request_setters {
                 self
             }
 
-            /// Choose the data representation `D` is scanned in. On by
-            /// default: partitions are zero-copy range views over the
-            /// registered table's `Arc`-shared dimension columns. Pass
-            /// `false` for the row-major boxed-tuple reference path. The
-            /// mining output is bit-identical either way (proptested), so
-            /// this knob trades only speed — and both settings share one
-            /// result-cache entry.
-            pub fn columnar(mut self, enabled: bool) -> Self {
-                self.spec.columnar = Some(enabled);
-                self
-            }
-
-            /// Choose how the gain sweep keys its accumulators. On by
-            /// default: rules are interned as dense packed integer codes
-            /// (`u64`/`u128` per the table's dictionary bit-widths,
-            /// [`sirum_core::RuleLayout`]). Pass `false` for the
-            /// `Rule`-keyed reference maps. Like [`Self::columnar`], the
-            /// mining output is bit-identical either way (proptested), so
-            /// this knob trades only speed and both settings share one
-            /// result-cache entry. No effect when the sweep is off.
-            pub fn packed(mut self, enabled: bool) -> Self {
-                self.spec.packed = Some(enabled);
-                self
-            }
-
             /// Seed the model with prior-knowledge rules (cube exploration,
             /// Table 1.3): the mined rules come *in addition to* these.
             pub fn prior(mut self, rules: Vec<Rule>) -> Self {
@@ -356,12 +321,6 @@ fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> Reques
     // staged pipeline; under the fused sweep they have no effect on the
     // result (see `SirumConfig::gain_sweep`), so they normalize to fixed
     // sentinels — requests differing only in inert knobs share one entry.
-    // `columnar` is likewise absent from the key: the two representations
-    // produce bit-identical results (proptested), so a row-major request
-    // is correctly served from a columnar run's cache entry and vice versa.
-    // `packed_codes` follows the same rule — packed and `Rule`-keyed sweep
-    // accumulators compute bit-identical candidates (proptested), so the
-    // keying choice must not split the cache either.
     let (bj, fp, cg) = if config.gain_sweep {
         (1, 1, 0)
     } else {
@@ -1856,11 +1815,6 @@ pub struct MiningPlan {
     /// gain sweep (one scan per iteration, no shuffles) or as the legacy
     /// staged pipeline.
     pub gain_sweep: bool,
-    /// Whether `D` is scanned in columnar form (zero-copy `FrameView`
-    /// partitions over the registered table's shared columns) or as
-    /// row-major boxed tuples; the model charges row-materializing scans
-    /// [`sirum_dataflow::cost::ROW_MATERIALIZE_FACTOR`]× per record.
-    pub columnar: bool,
     /// Whether the registered table's dimension columns are stored
     /// compressed (bit-packed/RLE segments, scanned morsel-by-morsel) —
     /// the [`sirum_table::Compression`] policy's decision at registration.
@@ -1878,12 +1832,14 @@ pub struct MiningPlan {
     /// Packed-code width the sweep's accumulators will use: `Some(64)` or
     /// `Some(128)` when rules intern as dense integer codes (the table's
     /// dictionary bit-widths fit; [`sirum_core::RuleLayout`]), `None` when
-    /// the sweep falls back to `Rule`-keyed maps (packing disabled or the
-    /// layout exceeds 128 bits) — or when the sweep itself is off.
+    /// the sweep runs on `Rule`-keyed maps (the layout exceeds 128 bits) —
+    /// or when the sweep itself is off.
     pub packed_bits: Option<u32>,
     /// Predicted stage-1 combine strategy for one sweep partition
     /// ([`sirum_dataflow::cost::choose_combine`] replayed on the planned
-    /// per-partition emission volume). `None` when the sweep is off.
+    /// per-partition emission volume). `None` whenever `packed_bits` is:
+    /// only packed codes are ever radix-grouped, the `Rule`-keyed sweep
+    /// always probes its one map.
     pub combine: Option<CombineStrategy>,
     /// Predicted rule-generation iterations (`⌈k / l⌉`; a KL-target run may
     /// iterate further, up to its `max_rules` bound).
@@ -1926,27 +1882,24 @@ impl MiningPlan {
         // per-partition emission volume (rows/partition × |s| emissions,
         // rows/partition as the distinct-key ceiling) — the same inputs
         // `sirum_core::sweep` uses at run time.
-        let (packed_bits, combine) = if config.gain_sweep {
-            let bits = if config.packed_codes {
-                let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
-                SweepOptions::packed(layout).packed_bits()
-            } else {
-                None
-            };
-            // Same (records, distinct-ceiling) hint the sweep's
-            // per-partition strategy pick uses: the emission count itself
-            // bounds the distinct codes a partition can produce.
-            let records = n.div_ceil(partitions as u64) * sample;
-            (bits, Some(choose_combine(records, records)))
+        let packed_bits = if config.gain_sweep {
+            let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
+            SweepOptions::packed(layout).packed_bits()
         } else {
-            (None, None)
+            None
         };
+        // Same (records, distinct-ceiling) hint the sweep's per-partition
+        // strategy pick uses: the emission count itself bounds the
+        // distinct codes a partition can produce.
+        let combine = packed_bits.map(|_| {
+            let records = n.div_ceil(partitions as u64) * sample;
+            choose_combine(records, records)
+        });
 
-        // Per-record scan cost: a base processing constant, the memory
+        // Per-record scan cost: a base processing constant plus the memory
         // traffic + decode term of the table's actual column formats
         // (compressed columns move fewer bytes but pay a per-value unpack
-        // tax), and the row-materializing factor for the boxed-tuple
-        // reference path, which re-allocates every row on every rewrite.
+        // tax).
         let frame = entry.prepared.frame();
         let compressed = frame.is_compressed();
         let column_formats: Vec<String> = frame
@@ -1961,11 +1914,7 @@ impl MiningPlan {
         };
         let scan_record =
             sirum_dataflow::cost::scan_record_nanos(frame.num_dims(), bytes_per_row, compressed);
-        let scan_nanos = if config.columnar {
-            EST_NANOS_PER_RECORD + scan_record
-        } else {
-            EST_NANOS_PER_RECORD * sirum_dataflow::cost::ROW_MATERIALIZE_FACTOR + scan_record
-        };
+        let scan_nanos = EST_NANOS_PER_RECORD + scan_record;
 
         // Predicted stage list for one iteration: the LCA join, one
         // combine+reduce per column group for ancestor generation, the
@@ -2034,7 +1983,6 @@ impl MiningPlan {
             rules_per_iter: config.multirule.rules_per_iter,
             rct: config.rct,
             gain_sweep: config.gain_sweep,
-            columnar: config.columnar,
             compressed,
             column_formats,
             scan_nanos_per_record: scan_record,
@@ -2081,29 +2029,22 @@ impl std::fmt::Display for MiningPlan {
         )?;
         writeln!(
             f,
-            "  data path: {}",
-            if self.columnar {
-                "columnar (zero-copy FrameView partitions over shared columns)"
-            } else {
-                "row-major (boxed per-row tuples — reference path)"
-            },
-        )?;
-        writeln!(
-            f,
             "  storage: {} column format(s) [{}], ~{:.1}ns/record scan",
             if self.compressed { "compressed" } else { "raw" },
             self.column_formats.join(", "),
             self.scan_nanos_per_record,
         )?;
-        if let Some(combine) = self.combine {
-            writeln!(
-                f,
-                "  sweep accumulators: {}, {combine} combine",
-                match self.packed_bits {
-                    Some(bits) => format!("packed u{bits} rule codes"),
-                    None => "Rule-keyed maps (packing disabled or layout > 128 bits)".to_string(),
-                },
-            )?;
+        if self.gain_sweep {
+            match (self.packed_bits, self.combine) {
+                (Some(bits), Some(combine)) => writeln!(
+                    f,
+                    "  sweep accumulators: packed u{bits} rule codes, {combine} combine"
+                )?,
+                _ => writeln!(
+                    f,
+                    "  sweep accumulators: Rule-keyed maps (layout > 128 bits)"
+                )?,
+            }
         }
         write!(
             f,
@@ -2338,71 +2279,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_and_rowmajor_requests_share_one_cache_entry() {
-        // The representation does not affect results (bit-identical,
-        // proptested), so it must not split the cache key: a row-major
-        // request is correctly served the columnar run's Arc.
-        let service = flights_service();
-        let a = service.mine("flights").k(2).sample_size(14).run().unwrap();
-        let b = service
-            .mine("flights")
-            .k(2)
-            .sample_size(14)
-            .columnar(false)
-            .run()
-            .unwrap();
-        assert!(b.from_cache, "representation must not split the cache key");
-        assert!(Arc::ptr_eq(&a.result, &b.result));
-        // And an executed row-major run returns the same rules anyway.
-        let c = service
-            .mine("flights")
-            .k(3)
-            .sample_size(14)
-            .columnar(false)
-            .run()
-            .unwrap();
-        let d = service.mine("flights").k(3).sample_size(14).run().unwrap();
-        assert!(d.from_cache);
-        assert!(Arc::ptr_eq(&c.result, &d.result));
-    }
-
-    #[test]
-    fn packed_and_rulekey_requests_share_one_cache_entry() {
-        // Accumulator keying is pure representation (bit-identical,
-        // proptested), so it must not split the cache key either: a
-        // Rule-keyed request is served the packed run's Arc and vice
-        // versa.
-        let service = flights_service();
-        let a = service.mine("flights").k(2).sample_size(14).run().unwrap();
-        let b = service
-            .mine("flights")
-            .k(2)
-            .sample_size(14)
-            .packed(false)
-            .run()
-            .unwrap();
-        assert!(b.from_cache, "accumulator keying must not split the key");
-        assert!(Arc::ptr_eq(&a.result, &b.result));
-        // And an executed Rule-keyed run seeds the cache for packed.
-        let c = service
-            .mine("flights")
-            .k(3)
-            .sample_size(14)
-            .packed(false)
-            .run()
-            .unwrap();
-        let d = service
-            .mine("flights")
-            .k(3)
-            .sample_size(14)
-            .packed(true)
-            .run()
-            .unwrap();
-        assert!(d.from_cache);
-        assert!(Arc::ptr_eq(&c.result, &d.result));
-    }
-
-    #[test]
     fn observers_bypass_the_cache() {
         let service = flights_service();
         let _ = service.mine("flights").k(2).sample_size(14).run().unwrap();
@@ -2600,17 +2476,7 @@ mod tests {
         assert_eq!(plan.column_formats, vec!["raw"; 3]);
         assert!(plan.scan_nanos_per_record > 0.0);
         assert!(plan.to_string().contains("raw column format(s)"));
-        // With packing off the plan reports the Rule-keyed fallback; with
-        // the sweep off there is no combine stage to report at all.
-        let plan_rulekey = service
-            .mine("flights")
-            .k(3)
-            .sample_size(14)
-            .packed(false)
-            .explain()
-            .unwrap();
-        assert_eq!(plan_rulekey.packed_bits, None);
-        assert!(plan_rulekey.combine.is_some());
+        // With the sweep off there is no combine stage to report at all.
         let plan_staged = service
             .mine("flights")
             .k(3)
@@ -2632,6 +2498,33 @@ mod tests {
             .unwrap();
         assert!(plan.cached);
         assert!(plan.to_string().contains("cached"));
+    }
+
+    #[test]
+    fn explain_reports_no_combine_strategy_for_rule_keyed_layouts() {
+        // 20 all-distinct columns over 64 rows need 7 bits each (64 values
+        // + the wildcard slot) = 140 bits: past u128, so the sweep runs
+        // Rule-keyed — and that path never radix-groups, so the plan must
+        // not advertise a combine strategy.
+        let dims: Vec<String> = (0..20).map(|j| format!("a{j}")).collect();
+        let mut b = Table::builder(sirum_table::Schema::new(dims, "m"));
+        for i in 0..64 {
+            let values: Vec<String> = (0..20).map(|j| format!("v{i}_{j}")).collect();
+            let row: Vec<&str> = values.iter().map(String::as_str).collect();
+            b.push_row(&row, 1.0 + i as f64);
+        }
+        let service = SirumService::in_memory().unwrap();
+        service.register("wide", b.build()).unwrap();
+        let plan = service.mine("wide").k(2).explain().unwrap();
+        assert!(plan.gain_sweep);
+        assert_eq!(plan.packed_bits, None);
+        assert_eq!(plan.combine, None);
+        let text = plan.to_string();
+        assert!(
+            text.contains("sweep accumulators: Rule-keyed maps (layout > 128 bits)"),
+            "{text}"
+        );
+        assert!(!text.contains("combine"), "{text}");
     }
 
     #[test]

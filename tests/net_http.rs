@@ -151,6 +151,29 @@ fn async_jobs_explain_stream_and_stats_work_over_tcp() {
         Some(false)
     );
 
+    // The retired representation knobs are rejected by name on the wire,
+    // not silently ignored.
+    for knob in ["columnar", "packed"] {
+        let response = http
+            .post_json("/mine", &format!(r#"{{"table":"flights","{knob}":false}}"#))
+            .expect("mine with a retired knob");
+        assert_eq!(response.status, 422, "{}", response.text());
+        assert!(
+            response.text().contains("unknown field") && response.text().contains(knob),
+            "{}",
+            response.text()
+        );
+        let response = http
+            .get(&format!("/explain?table=flights&{knob}=false"))
+            .expect("explain with a retired knob");
+        assert_eq!(response.status, 422, "{}", response.text());
+        assert!(
+            response.text().contains("unknown query parameter") && response.text().contains(knob),
+            "{}",
+            response.text()
+        );
+    }
+
     // Stream rows into the incremental model.
     let table_rows = {
         let response = http.get("/tables").expect("tables");
