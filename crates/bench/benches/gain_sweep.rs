@@ -13,12 +13,14 @@
 //! output is bit-identical across every row here — see the proptests in
 //! `crates/core/tests/properties.rs`.
 //!
-//! `sweep-pass/…` runs the default packed-`u64` accumulators;
+//! `sweep-pass/…` runs the default packed-`u64` accumulators with the
+//! combine the cost model picks — at 2500 rows a partition against a
+//! 2^9-entry-per-sample-row table that is the slot table.
 //! `sweep-pass-rulekey` is the same single sweep on `Rule`-keyed maps
-//! (what a layout over 128 bits runs on) and `sweep-pass-hashprobe` forces
-//! the flat probe-or-insert combine (the default `sweep-pass` row lets the
-//! cost model pick, which at this volume means radix-group), so the
-//! packed-vs-rulekey and hash-vs-radix deltas are both one compare away.
+//! (what a layout over 128 bits runs on); `sweep-pass-hashprobe` and
+//! `sweep-pass-radixgroup` force the two hashed combines a partition
+//! falls back to when the table would not amortise. So packed-vs-rulekey,
+//! hash-vs-radix and slot-table-vs-radix are each one compare away.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sirum_bench::core::candidates::SampleIndex;
@@ -112,15 +114,19 @@ fn bench(c: &mut Criterion) {
             |b, _| b.iter(|| sweep_gains(&data, d, Some(&index), None, &packed)),
         );
     }
-    // The Rule-keyed sweep and the forced hash-probe combine, single
-    // worker. At this workload's emission volume the cost model
-    // picks radix-group, so the default `sweep-pass` row measures it and
-    // the packed-vs-rulekey and hash-vs-radix deltas are one compare away.
+    // The Rule-keyed sweep and the two forced hashed combines, single
+    // worker. The default `sweep-pass` row above measures the slot table;
+    // of the fallbacks, the cost model would pick radix-group at this
+    // workload's emission volume.
     for (id, opts) in [
         ("sweep-pass-rulekey", SweepOptions::rule_keyed()),
         (
             "sweep-pass-hashprobe",
             packed.clone().with_combine(CombineStrategy::HashProbe),
+        ),
+        (
+            "sweep-pass-radixgroup",
+            packed.with_combine(CombineStrategy::RadixGroup),
         ),
     ] {
         let e = engine(1);

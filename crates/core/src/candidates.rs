@@ -1,6 +1,18 @@
 //! Candidate rule generation: exhaustive cube enumeration (the MIR
 //! reference), sample-based candidate pruning via LCAs (§3.1.1), and the
 //! inverted-index fast pruning of §4.2.
+//!
+//! [`SampleIndex`] answers "what are the `|s|` LCAs of this tuple" two
+//! ways. The posting-list probes ([`SampleIndex::lcas_into_cols`],
+//! [`SampleIndex::packed_lcas_into_cols`]) materialize the LCAs — as
+//! `d`-wide slices or packed codes — with one map lookup per attribute.
+//! [`SampleIndex::match_masks_into_cols`] stops one step earlier: it
+//! reports only *which* dimensions of each sample row the tuple matches, a
+//! `d`-bit mask per sample row computed by a branch-free compare against
+//! the transposed sample. That mask already identifies the LCA (the
+//! constants are the sample row's own values on the set bits), which is
+//! what lets the sweep's slot-table combine address accumulators by
+//! `(sample row, mask)` without building or hashing a code per pair.
 
 use crate::cancel::CancellationToken;
 use crate::lattice::ancestors;
@@ -95,6 +107,9 @@ pub fn lca_aggregates(
 /// attribute-by-attribute comparison.
 pub struct SampleIndex {
     rows: Vec<Box<[u32]>>,
+    /// The sample transposed, `sample_cols[col · |s| + j] = rows[j][col]`:
+    /// one contiguous `|s|`-wide run per dimension for the match-mask probe.
+    sample_cols: Vec<u32>,
     cols: Vec<FxHashMap<u32, Vec<u32>>>,
     /// Posting lists as bitsets over sample rows (`MASK_WORDS × 64` rows
     /// max), for O(#constants) match counting.
@@ -140,18 +155,21 @@ impl SampleIndex {
         let mut mask_cols: Vec<FxHashMap<u32, SampleMask>> =
             (0..d).map(|_| FxHashMap::default()).collect();
         let mut full_mask = [0u64; 4];
+        let mut sample_cols = vec![0u32; rows.len() * d];
         // lint:allow(SL002) — bounded scan: the index caps the sample at MAX_SAMPLE (256) rows
         for (i, row) in rows.iter().enumerate() {
             // lint:allow(SL001) — sample rows come from the table being mined; arity is fixed at encode time
             assert_eq!(row.len(), d);
             mask_set(&mut full_mask, i);
             for (col, &v) in row.iter().enumerate() {
+                sample_cols[col * rows.len() + i] = v;
                 cols[col].entry(v).or_default().push(i as u32);
                 mask_set(mask_cols[col].entry(v).or_insert([0u64; 4]), i);
             }
         }
         SampleIndex {
             rows,
+            sample_cols,
             cols,
             mask_cols,
             full_mask,
@@ -253,6 +271,45 @@ impl SampleIndex {
             }
         }
         scratch
+    }
+
+    /// The match mask of every sample row against one data tuple, read
+    /// straight out of columnar storage like [`Self::lcas_into_cols`]: bit
+    /// `col` of entry `j` is set iff sample row `j` carries the tuple's
+    /// value on dimension `col`. `lca(s_j, t)` is then `s_j` restricted to
+    /// the set bits (wildcards elsewhere) — the same LCA the posting-list
+    /// probes materialize, without materializing it.
+    ///
+    /// Each dimension is one `|s|`-wide compare against a contiguous run
+    /// of the transposed sample, branch-free so the compiler vectorises
+    /// it. Masks are `u32`s: a dimension past the 32nd has no bit to
+    /// report in, so callers must not rely on this probe beyond 32
+    /// dimensions (the sweep takes it only up to
+    /// [`crate::lattice::MAX_EXPAND_BITS`] = 24).
+    pub fn match_masks_into_cols<'a>(
+        &self,
+        cols: &[&[u32]],
+        row: usize,
+        masks: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        debug_assert_eq!(cols.len(), self.d);
+        let s = self.rows.len();
+        masks.clear();
+        masks.resize(s, 0);
+        if s == 0 {
+            return masks;
+        }
+        for ((bit, values), sample_col) in (0u32..)
+            .map(|col| 1u32.checked_shl(col).unwrap_or(0))
+            .zip(cols)
+            .zip(self.sample_cols.chunks_exact(s))
+        {
+            let v = values[row];
+            for (mask, &sv) in masks.iter_mut().zip(sample_col) {
+                *mask |= u32::from(sv == v) * bit;
+            }
+        }
+        masks
     }
 
     /// Number of sample tuples matching `rule` (the aggregate-adjustment
@@ -515,6 +572,35 @@ mod tests {
                 "row {i}"
             );
         }
+    }
+
+    #[test]
+    fn match_masks_agree_with_rule_lca_position_by_position() {
+        let t = flights();
+        // Row 3 twice: duplicate sample rows get identical masks.
+        let sample = sample_rows(&t, &[3, 8, 11, 3]);
+        let index = SampleIndex::build(sample.clone(), 3);
+        let frame = sirum_table::Frame::from_table(&t);
+        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
+        let mut masks = Vec::new();
+        for (i, row) in t.rows().enumerate() {
+            let got = index.match_masks_into_cols(&cols, i, &mut masks);
+            assert_eq!(got.len(), sample.len());
+            for (j, s) in sample.iter().enumerate() {
+                let lca = Rule::lca(s, row);
+                for (col, &v) in lca.values().iter().enumerate() {
+                    let matched = got[j] & (1 << col) != 0;
+                    assert_eq!(matched, v != WILDCARD, "row {i}, sample {j}, dim {col}");
+                    if matched {
+                        assert_eq!(v, s[col]);
+                    }
+                }
+                assert_eq!(got[j] >> 3, 0, "no bits past the last dimension");
+            }
+        }
+        // An empty sample yields no masks rather than a chunking panic.
+        let empty = SampleIndex::build(Vec::new(), 3);
+        assert!(empty.match_masks_into_cols(&cols, 0, &mut masks).is_empty());
     }
 
     #[test]

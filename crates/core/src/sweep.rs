@@ -36,12 +36,26 @@
 //! `Rule`-keyed maps instead — the only path for such layouts;
 //! [`SweepOptions`] picks the key type. Each packed combine partition also
 //! chooses **how** to aggregate via
-//! [`sirum_dataflow::cost::choose_combine`]: probe-or-insert into the
-//! hash map, or radix-scatter `(code, m, m̂)` triples into 256 hash
-//! lanes and fold each lane through its own cache-resident map (better
-//! once the distinct working set outgrows the cache). Both are
-//! bit-identical by construction — a code's emissions all land in one
-//! lane in emission order, so its float sums add in the same sequence.
+//! [`sirum_dataflow::cost::choose_combine`], from its own shape:
+//!
+//! - **slot table** — a sample-indexed partition with `2^d ≤ rows`.
+//!   `lca(s_j, t)` is determined by which dimensions of sample row `s_j`
+//!   the tuple matches, so each `(row, sample)` pair is folded into the
+//!   accumulator named by `slot_of[(j << d) | match mask]`: two table
+//!   lookups, no code built and nothing hashed after a `(j, mask)`'s first
+//!   touch ([`SampleIndex::match_masks_into_cols`] computes the masks);
+//! - **hash-probe** — probe-or-insert into the hash map as the
+//!   posting-list probe emits packed codes;
+//! - **radix-group** — scatter `(code, m, m̂)` triples into 256 hash lanes
+//!   and fold each lane through its own cache-resident map (better once
+//!   the distinct working set outgrows the cache).
+//!
+//! The last two are what a partition falls back to when the slot table
+//! cannot apply (full cube) or would not amortise (`2^d > rows`). All
+//! three are bit-identical by construction: emission order is row-major,
+//! then sample order, and each distinct code's emissions reach exactly
+//! one accumulator — a map entry, one radix lane, or one slot — in that
+//! order, so its float sums add in the same sequence.
 //!
 //! Determinism argument (see DESIGN.md "Partition-parallel gain sweep"
 //! and "Packed rule codes" for the full version):
@@ -61,11 +75,12 @@
 //!
 //! Hence the sweep's per-candidate sums — and everything derived from them
 //! (gains, the selected rule sequence) — are **bit-identical** for any
-//! worker count and across the packed/`Rule`-keyed and hash/radix-group
-//! variants. A one-worker engine runs every task inline on the calling
-//! thread in partition order, so "N workers ≡ 1 worker" is the sequential
-//! oracle; proptests in `crates/core/tests/properties.rs` pin it across
-//! random tables, partition counts and thread counts.
+//! worker count and across the packed/`Rule`-keyed and
+//! slot-table/hash-probe/radix-group variants. A one-worker engine runs
+//! every task inline on the calling thread in partition order, so "N
+//! workers ≡ 1 worker" is the sequential oracle; proptests in
+//! `crates/core/tests/properties.rs` pin it across random tables,
+//! partition counts and thread counts.
 //!
 //! Cancellation is polled at every partition boundary and every
 //! [`CANCEL_POLL_ROWS`] **work units** inside both stages — a work unit is
@@ -123,7 +138,8 @@ impl SweepOptions {
     /// Force every combine partition onto one [`CombineStrategy`] instead
     /// of the per-partition cost-model choice (benchmarks and the
     /// bit-identity tests use this; the mining output is identical either
-    /// way).
+    /// way). [`CombineStrategy::SlotTable`] forced where it cannot apply —
+    /// no sample index — probes the hash map instead.
     pub fn with_combine(mut self, strategy: CombineStrategy) -> SweepOptions {
         self.combine = Some(strategy);
         self
@@ -327,22 +343,37 @@ impl<K: Eq + std::hash::Hash + Copy> RadixBuckets<K> {
 // ---------------------------------------------------------------------------
 
 /// Pick the combine strategy for one partition: the forced override, or
-/// the cost model fed with this partition's emission volume (`rows × |s|`
-/// pairs). The same count doubles as the distinct-code ceiling hint —
-/// every pair can in principle yield a fresh LCA, and real workloads land
-/// close enough to that bound (tens of thousands of distinct codes from a
-/// few thousand rows) that hinting `rows` alone kept the model in the
+/// the cost model fed with this partition's shape — its row count, the
+/// dimension count when a sample index is present (the slot-table
+/// eligibility inputs) and its emission volume (`rows × |s|` pairs). The
+/// emission count doubles as the distinct-code ceiling hint — every pair
+/// can in principle yield a fresh LCA, and real workloads land close
+/// enough to that bound (tens of thousands of distinct codes from a few
+/// thousand rows) that hinting `rows` alone kept the model in the
 /// cache-hit regime while the actual accumulator was spilling to DRAM.
 fn partition_strategy(
     rows: usize,
+    d: usize,
     index: Option<&SampleIndex>,
     force: Option<CombineStrategy>,
 ) -> CombineStrategy {
     force.unwrap_or_else(|| {
         let s = index.map_or(1, SampleIndex::len).max(1);
         let records = rows as u64 * s as u64;
-        choose_combine(records, records)
+        choose_combine(records, records, rows as u64, index.map(|_| d))
     })
+}
+
+/// Entries of the `(sample row, match mask)` slot table for `s` sample
+/// rows over `d` dimensions, when [`combine_slot_table`] can address it:
+/// masks are `d ≤ MAX_EXPAND_BITS` bits and slot ids are `u32`s, so the
+/// whole table must count below `u32::MAX`.
+fn slot_table_len(s: usize, d: usize) -> Option<usize> {
+    if d > MAX_EXPAND_BITS {
+        return None;
+    }
+    s.checked_mul(1 << d)
+        .filter(|&len| u32::try_from(len).is_ok())
 }
 
 /// Stage 1, one partition, packed keys: combine every `(sample tuple, data
@@ -361,15 +392,24 @@ fn combine_packed<C: PackedCode>(
     force: Option<CombineStrategy>,
 ) -> PartitionSweep<C> {
     let rows: usize = blocks.iter().map(TupleBlock::len).sum();
+    let strategy = partition_strategy(rows, d, index, force);
+    if let (CombineStrategy::SlotTable, Some(idx)) = (strategy, index) {
+        if let Some(table_len) = slot_table_len(idx.len(), d) {
+            return combine_slot_table(blocks, d, masks, idx, table_len, cancel);
+        }
+    }
+    // Anything but radix-group probes — including a slot table forced
+    // where it cannot apply (no sample rows to address slots by, or a
+    // table no `u32` slot id can span).
+    let radix = strategy == CombineStrategy::RadixGroup;
     let mut acc = PartitionSweep::with_capacity(rows);
     if is_cancelled(cancel) {
         acc.cancelled = true;
         return acc;
     }
-    let strategy = partition_strategy(rows, index, force);
     let mut scratch: Vec<C> = Vec::new();
     let mut row_buf = Vec::with_capacity(d);
-    let mut buckets = if strategy == CombineStrategy::RadixGroup {
+    let mut buckets = if radix {
         let s = index.map_or(1, SampleIndex::len).max(1);
         RadixBuckets::with_capacity(rows * s)
     } else {
@@ -404,15 +444,10 @@ fn combine_packed<C: PackedCode>(
                                 wild.0 += m_col[i];
                                 wild.1 += mhat_col[i];
                                 wild.2 += 1;
+                            } else if radix {
+                                buckets.push(code, m_col[i], mhat_col[i]);
                             } else {
-                                match strategy {
-                                    CombineStrategy::HashProbe => {
-                                        acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
-                                    }
-                                    CombineStrategy::RadixGroup => {
-                                        buckets.push(code, m_col[i], mhat_col[i]);
-                                    }
-                                }
+                                acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
                             }
                         }
                     }
@@ -423,24 +458,114 @@ fn combine_packed<C: PackedCode>(
                         row_buf.clear();
                         row_buf.extend(cols.iter().map(|c| c[li]));
                         let code: C = layout.pack(&row_buf);
-                        match strategy {
-                            CombineStrategy::HashProbe => {
-                                acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
-                            }
-                            CombineStrategy::RadixGroup => {
-                                buckets.push(code, m_col[i], mhat_col[i]);
-                            }
+                        if radix {
+                            buckets.push(code, m_col[i], mhat_col[i]);
+                        } else {
+                            acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
                         }
                     }
                 }
             }
         }
     }
-    if strategy == CombineStrategy::RadixGroup {
+    if radix {
         buckets.group_into(&mut acc);
     }
     if wild.2 > 0 {
         acc.fold_agg(aw, wild);
+    }
+    acc
+}
+
+/// [`combine_packed`] for a sample-indexed partition on
+/// [`CombineStrategy::SlotTable`]: the same scan, the same pair order and
+/// the same tick positions, but no code is built and nothing is hashed
+/// per pair. `lca(s_j, t)` is determined by which dimensions of `s_j` the
+/// tuple matches, so pair `(j, mask)` is folded into
+/// `slots[slot_of[(j << d) | mask]]` — one `u32` load and three adds.
+///
+/// `slot_of` is filled lazily. Only the **first** touch of a `(j, mask)`
+/// builds its packed code (the sample row's values on the mask's set
+/// bits) and finds-or-creates the code's slot through `slot_by_code`, so
+/// two sample rows that agree on the mask's dimensions share one slot:
+/// each distinct code has exactly one accumulator, which receives its
+/// contributions in emission order (row-major, then sample order) with
+/// the first one stored rather than added to `0.0` — the float sequence
+/// of a probe-or-insert map entry, hence bit-identical sums. `mask == 0`
+/// is the all-wild LCA and keeps [`combine_packed`]'s register
+/// accumulator.
+fn combine_slot_table<C: PackedCode>(
+    blocks: &[TupleBlock],
+    d: usize,
+    masks: &PackedMasks<C>,
+    idx: &SampleIndex,
+    table_len: usize,
+    cancel: Option<&CancellationToken>,
+) -> PartitionSweep<C> {
+    let mut acc = PartitionSweep::new();
+    if is_cancelled(cancel) {
+        acc.cancelled = true;
+        return acc;
+    }
+    // 0 = not yet touched, otherwise the slot's index + 1 (which fits:
+    // slots never outnumber `table_len`, itself below `u32::MAX`).
+    let mut slot_of: Vec<u32> = vec![0; table_len];
+    let mut slots: Vec<(C, Agg)> = Vec::new();
+    let mut slot_by_code: FxHashMap<C, u32> = FxHashMap::default();
+    let aw = masks.all_wild();
+    let mut wild: Agg = (0.0, 0.0, 0);
+    let mut pair_masks: Vec<u32> = Vec::new();
+    let mut dim_scratch = sirum_table::ColScratch::new();
+    for block in blocks {
+        let (m_col, mhat_col) = (block.m(), block.mhat());
+        let dims = block.dims();
+        for (ms, ml) in dims.morsel_bounds() {
+            let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
+            for li in 0..ml {
+                let (m, mh) = (m_col[ms + li], mhat_col[ms + li]);
+                let row_masks = idx.match_masks_into_cols(&cols, li, &mut pair_masks);
+                for (j, &mask) in row_masks.iter().enumerate() {
+                    if acc.tick(cancel) {
+                        return acc;
+                    }
+                    if mask == 0 {
+                        wild.0 += m;
+                        wild.1 += mh;
+                        wild.2 += 1;
+                        continue;
+                    }
+                    let at = (j << d) | mask as usize;
+                    if slot_of[at] == 0 {
+                        let sample_row = &idx.rows()[j];
+                        let mut code = aw;
+                        let mut bits = mask;
+                        while bits != 0 {
+                            let col = bits.trailing_zeros() as usize;
+                            code = masks.with_constant(code, col, sample_row[col]);
+                            bits &= bits - 1;
+                        }
+                        let fresh = slots.len() as u32 + 1;
+                        let slot = *slot_by_code.entry(code).or_insert(fresh);
+                        slot_of[at] = slot;
+                        if slot == fresh {
+                            slots.push((code, (m, mh, 1)));
+                            continue;
+                        }
+                    }
+                    let agg = &mut slots[slot_of[at] as usize - 1].1;
+                    agg.0 += m;
+                    agg.1 += mh;
+                    agg.2 += 1;
+                }
+            }
+        }
+    }
+    // One slot per distinct code (none of them all-wild), so these
+    // inserts never collide.
+    acc.map.reserve(slots.len() + 1);
+    acc.map.extend(slots);
+    if wild.2 > 0 {
+        acc.map.insert(aw, wild);
     }
     acc
 }
@@ -790,7 +915,8 @@ mod tests {
             SweepOptions::rule_keyed(),
             packed.clone(),
             packed.clone().with_combine(CombineStrategy::HashProbe),
-            packed.with_combine(CombineStrategy::RadixGroup),
+            packed.clone().with_combine(CombineStrategy::RadixGroup),
+            packed.with_combine(CombineStrategy::SlotTable),
         ]
     }
 
@@ -887,6 +1013,122 @@ mod tests {
     }
 
     #[test]
+    fn sample_rows_sharing_values_share_one_slot() {
+        // (Fri, SF, London) twice, (Mon, SF, London) and (Sat, Frankfurt,
+        // London): `(*, SF, London)` is the LCA behind three different
+        // (sample row, mask) pairs and `(*, *, London)` behind four, so
+        // the slot table must funnel several table entries into one
+        // accumulator — in emission order — to match the hashed map.
+        let t = flights();
+        let index = sample_index(&t, &[0, 0, 10, 5]);
+        let cards: Vec<u32> = t.cardinalities().iter().map(|&c| c as u32).collect();
+        let layout = RuleLayout::from_cardinalities(&cards);
+        let masks = layout.masks::<u64>();
+        let frame = Frame::from_table(&t);
+        let block = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1);
+        let combine = |strategy| {
+            let acc = combine_packed(&block, 3, &layout, &masks, Some(&index), None, strategy);
+            sorted_entries(acc.map)
+                .into_iter()
+                .map(|(code, (m, mh, n))| (code, m.to_bits(), mh.to_bits(), n))
+                .collect::<Vec<_>>()
+        };
+        let slots = combine(Some(CombineStrategy::SlotTable));
+        assert_eq!(slots, combine(Some(CombineStrategy::HashProbe)));
+        assert_eq!(slots, combine(Some(CombineStrategy::RadixGroup)));
+        // More (sample row, nonzero mask) table entries were touched than
+        // there are distinct non-wild codes.
+        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
+        let mut touched = std::collections::BTreeSet::new();
+        let mut row_masks = Vec::new();
+        for i in 0..t.num_rows() {
+            for (j, &mask) in index
+                .match_masks_into_cols(&cols, i, &mut row_masks)
+                .iter()
+                .enumerate()
+            {
+                if mask != 0 {
+                    touched.insert((j, mask));
+                }
+            }
+        }
+        let non_wild = slots.iter().filter(|e| e.0 != masks.all_wild()).count();
+        assert!(touched.len() > non_wild, "{} vs {non_wild}", touched.len());
+        // And the whole sweep agrees with the Rule-keyed one, partitioned.
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let data = blocks(&engine, &t, 3);
+        let baseline = sweep_gains(&data, 3, Some(&index), None, &SweepOptions::rule_keyed());
+        for opts in all_variants(&t) {
+            let out = sweep_gains(&data, 3, Some(&index), None, &opts);
+            assert_eq!(out.pairs_emitted, baseline.pairs_emitted);
+            assert_eq!(bits(out), bits(baseline.clone()));
+        }
+    }
+
+    #[test]
+    fn slot_table_and_hashed_partitions_merge_in_one_sweep() {
+        // 23 rows × 3 dims over 3 partitions chunk as 8 + 8 + 7: the first
+        // two meet 2^3 ≤ rows and take the slot table, the last falls
+        // under it and probes — and their maps merge into one frontier.
+        let n = 23;
+        let cols = vec![
+            (0..n).map(|i| (i % 3) as u32).collect(),
+            (0..n).map(|i| (i % 2) as u32).collect(),
+            (0..n).map(|i| (i / 5 % 2) as u32).collect(),
+        ];
+        let measures: Vec<f64> = (0..n).map(|i| 0.25 + (i % 4) as f64).collect();
+        let frame = Frame::from_columns_with_cards(cols, measures, vec![3, 2, 2]);
+        let sample: Vec<Box<[u32]>> = [1usize, 9, 22]
+            .iter()
+            .map(|&i| (0..3).map(|j| frame.col(j)[i]).collect())
+            .collect();
+        let index = SampleIndex::build(sample, 3);
+        let chosen = |rows| partition_strategy(rows, 3, Some(&index), None);
+        assert_eq!(chosen(8), CombineStrategy::SlotTable);
+        assert_eq!(chosen(7), CombineStrategy::HashProbe);
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let data = blocks_of(&engine, &frame, 3);
+        let lens: Vec<usize> = (0..3).map(|p| data.part(p)[0].len()).collect();
+        assert_eq!(lens, [8, 8, 7]);
+        let layout = RuleLayout::from_cardinalities(&[3, 2, 2]);
+        let mixed = sweep_gains(
+            &data,
+            3,
+            Some(&index),
+            None,
+            &SweepOptions::packed(layout.clone()),
+        );
+        let rule_keyed = sweep_gains(&data, 3, Some(&index), None, &SweepOptions::rule_keyed());
+        let hashed = sweep_gains(
+            &data,
+            3,
+            Some(&index),
+            None,
+            &SweepOptions::packed(layout).with_combine(CombineStrategy::HashProbe),
+        );
+        assert_eq!(mixed.pairs_emitted, rule_keyed.pairs_emitted);
+        assert_eq!(bits(mixed.clone()), bits(rule_keyed));
+        assert_eq!(bits(mixed), bits(hashed));
+    }
+
+    #[test]
+    fn forced_slot_table_without_a_sample_index_falls_back_to_hash_probe() {
+        // No sample rows to address slots by: the forced strategy probes
+        // instead of panicking, and the full-cube output is unchanged.
+        let t = flights();
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let data = blocks(&engine, &t, 2);
+        let forced = packed_opts(&t).with_combine(CombineStrategy::SlotTable);
+        let hashed = packed_opts(&t).with_combine(CombineStrategy::HashProbe);
+        let out = sweep_gains(&data, 3, None, None, &forced);
+        assert_eq!(out.pairs_emitted, 14 * 8);
+        assert_eq!(bits(out), bits(sweep_gains(&data, 3, None, None, &hashed)));
+        // Nor is there a table for more dimensions than a mask can hold.
+        assert_eq!(slot_table_len(16, MAX_EXPAND_BITS + 1), None);
+        assert_eq!(slot_table_len(16, 9), Some(16 << 9));
+    }
+
+    #[test]
     fn u128_layouts_take_the_wide_path_and_agree() {
         // Inflated cardinalities force total_bits into (64, 128]; codes
         // still round-trip and the sweep output matches the rule-keyed one.
@@ -900,6 +1142,24 @@ mod tests {
         let wide = sweep_gains(&data, 3, None, None, &opts);
         let narrow = sweep_gains(&data, 3, None, None, &SweepOptions::rule_keyed());
         assert_eq!(bits(wide), bits(narrow));
+        // Sample-LCA over u128 codes, every combine strategy included.
+        let index = sample_index(&t, &[3, 8, 3]);
+        let narrow = sweep_gains(&data, 3, Some(&index), None, &SweepOptions::rule_keyed());
+        for strategy in [
+            CombineStrategy::SlotTable,
+            CombineStrategy::HashProbe,
+            CombineStrategy::RadixGroup,
+        ] {
+            let wide = sweep_gains(
+                &data,
+                3,
+                Some(&index),
+                None,
+                &opts.clone().with_combine(strategy),
+            );
+            assert_eq!(wide.pairs_emitted, narrow.pairs_emitted);
+            assert_eq!(bits(wide), bits(narrow.clone()), "{strategy}");
+        }
     }
 
     #[test]
@@ -964,6 +1224,30 @@ mod tests {
             assert!(out.candidates.is_empty());
             // The second poll happens one work window in — long before
             // the scan ends — so no expansion pairs were ever folded.
+            assert_eq!(out.pairs_emitted, 0);
+        }
+        // The same through a sample index, where each (row, sample) pair
+        // is one work unit: 2 pairs a row, 8 windows in the partition. The
+        // third poll is the second in-scan one; a combine that polled only
+        // at its partition boundary would reach the expand stage's
+        // boundary poll un-cancelled and finish the sweep.
+        let sample: Vec<Box<[u32]>> = vec![Box::new([1, 2]), Box::new([6, 0])];
+        let index = SampleIndex::build(sample, 2);
+        assert_eq!(
+            partition_strategy(n, 2, Some(&index), None),
+            CombineStrategy::SlotTable
+        );
+        for opts in [
+            SweepOptions::rule_keyed(),
+            SweepOptions::packed(layout.clone()),
+            SweepOptions::packed(layout.clone()).with_combine(CombineStrategy::SlotTable),
+            SweepOptions::packed(layout.clone()).with_combine(CombineStrategy::HashProbe),
+        ] {
+            let token = CancellationToken::new();
+            token.cancel_after_polls(3);
+            let out = sweep_gains(&data, 2, Some(&index), Some(&token), &opts);
+            assert!(out.cancelled, "indexed combine never polled ({opts:?})");
+            assert!(out.candidates.is_empty());
             assert_eq!(out.pairs_emitted, 0);
         }
     }

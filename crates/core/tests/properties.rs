@@ -16,7 +16,7 @@ use sirum_core::scaling::{
 };
 use sirum_core::sweep::{sweep_gains, SweepOptions};
 use sirum_core::transform::MeasureTransform;
-use sirum_core::{PreparedTable, TupleBlock, Variant};
+use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
 use sirum_dataflow::cost::CombineStrategy;
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineConfig};
@@ -62,7 +62,17 @@ fn synthetic_mhat(i: usize) -> f64 {
 /// `table` as the miner distributes it — one columnar block per partition
 /// — with the [`synthetic_mhat`] estimate column.
 fn sweep_blocks(engine: &Engine, table: &Table, partitions: usize) -> Dataset<TupleBlock> {
-    let frame = Frame::from_table(table);
+    sweep_blocks_with(engine, table, partitions, Compression::Never)
+}
+
+/// [`sweep_blocks`] over a frame stored under `compression`.
+fn sweep_blocks_with(
+    engine: &Engine,
+    table: &Table,
+    partitions: usize,
+    compression: Compression,
+) -> Dataset<TupleBlock> {
+    let frame = Frame::from_table_with(table, compression);
     let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
         .into_iter()
         .map(|block| {
@@ -84,7 +94,8 @@ fn sweep_variants(table: &Table) -> Vec<SweepOptions> {
         SweepOptions::rule_keyed(),
         packed.clone(),
         packed.clone().with_combine(CombineStrategy::HashProbe),
-        packed.with_combine(CombineStrategy::RadixGroup),
+        packed.clone().with_combine(CombineStrategy::RadixGroup),
+        packed.with_combine(CombineStrategy::SlotTable),
     ]
 }
 
@@ -395,6 +406,74 @@ proptest! {
                 match &baseline {
                     None => baseline = Some(par_bits),
                     Some(b) => prop_assert_eq!(b, &par_bits),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn combine_strategies_agree_across_frames_and_under_cancellation(
+        (table, picks, partitions, workers, compressed) in small_table().prop_flat_map(|t| {
+            let n = t.num_rows();
+            (
+                Just(t),
+                prop::collection::vec(0..n, 1..6),
+                1usize..7,
+                1usize..5,
+                any::<bool>(),
+            )
+        })
+    ) {
+        // The tentpole claim of ISSUE 15: addressing stage-1 accumulators
+        // by (sample row, match mask) instead of hashing a code per pair
+        // changes NOTHING. Forced slot-table ≡ forced hash-probe ≡ forced
+        // radix-group ≡ the per-partition choice (which mixes slot-table
+        // and hashed partitions on these sizes) ≡ Rule-keyed: candidates
+        // bit for bit AND in the same order, the same pair accounting —
+        // on raw and compressed frames, for any partitioning and worker
+        // count — and the same outcome when a token fires at any poll.
+        let d = table.num_dims();
+        // Duplicate picks stay in: they are the "two sample rows, one
+        // slot" case.
+        let sample: Vec<Box<[u32]>> = picks
+            .iter()
+            .map(|&i| table.row(i).to_vec().into_boxed_slice())
+            .collect();
+        let index = SampleIndex::build(sample, d);
+        let compression = if compressed { Compression::Always } else { Compression::Never };
+        let ordered = |out: &sirum_core::sweep::SweepOutcome| -> SweepBits {
+            out.candidates
+                .iter()
+                .map(|(r, sm, smh, c)| (r.values().to_vec(), sm.to_bits(), smh.to_bits(), *c))
+                .collect()
+        };
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+        let data = sweep_blocks_with(&engine, &table, partitions, compression);
+        let mut baseline = None;
+        for opts in sweep_variants(&table) {
+            let out = sweep_gains(&data, d, Some(&index), None, &opts);
+            prop_assert!(!out.cancelled);
+            let got = (ordered(&out), out.pairs_emitted, out.distinct_candidates);
+            match &baseline {
+                None => baseline = Some(got),
+                Some(b) => prop_assert_eq!(b, &got, "{:?}", opts),
+            }
+        }
+        // A one-worker engine polls in a fixed sequence (each combine
+        // task's boundary, then each expand task's), so a poll-budget
+        // token stops every variant at the same point.
+        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let seq_data = sweep_blocks_with(&sequential, &table, partitions, compression);
+        for polls in 1..=(2 * partitions as u64 + 1) {
+            let mut baseline = None;
+            for opts in sweep_variants(&table) {
+                let token = CancellationToken::new();
+                token.cancel_after_polls(polls);
+                let out = sweep_gains(&seq_data, d, Some(&index), Some(&token), &opts);
+                let got = (out.cancelled, out.pairs_emitted, ordered(&out));
+                match &baseline {
+                    None => baseline = Some(got),
+                    Some(b) => prop_assert_eq!(b, &got, "{:?} after {} polls", opts, polls),
                 }
             }
         }

@@ -96,9 +96,12 @@ echo "== paired medians (from $OUT):"
 compare "sweep accumulator keying (1 worker)" \
     rule-key "gain_sweep/sweep-pass-rulekey/1threads" \
     packed "gain_sweep/sweep-pass/1threads"
-compare "sweep combine strategy (1 worker)" \
+compare "sweep combine: hash vs radix-group" \
     hash "gain_sweep/sweep-pass-hashprobe/1threads" \
-    radix "gain_sweep/sweep-pass/1threads"
+    radix "gain_sweep/sweep-pass-radixgroup/1threads"
+compare "sweep combine: slot table vs radix-group" \
+    radix "gain_sweep/sweep-pass-radixgroup/1threads" \
+    slots "gain_sweep/sweep-pass/1threads"
 compare "serving cached-mine latency" \
     in-proc "serving/in-process/mine-cached" \
     wire "serving/wire/mine-cached"

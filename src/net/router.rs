@@ -5,7 +5,7 @@
 use crate::json::{self, parse_json_with, JsonLimits, JsonValue};
 use crate::net::http::{Request, Response};
 use crate::net::metrics::{Endpoint, NetMetrics};
-use crate::service::{IngestHandle, JobState, JobStatus, SirumService};
+use crate::service::{IngestHandle, JobOutput, JobState, JobStatus, SirumService};
 use parking_lot::Mutex;
 use sirum_core::{Rule, SirumError, Variant, WILDCARD};
 use std::collections::HashMap;
@@ -393,24 +393,36 @@ impl Router {
 
         // Non-blocking admission: a full queue sheds with 429 instead of
         // stalling this connection thread (and the accept loop behind it).
-        let handle = match req.try_submit() {
+        let mut handle = match req.try_submit() {
             Ok(handle) => handle,
             Err(e) => return service_error(&e),
         };
-        let id = handle.id();
-        drop(handle); // the registry keeps the job queryable by id
+        // Wait on the handle itself: the registry is bounded (and may be
+        // disabled), so the answer must not depend on re-finding the job
+        // by id once it has finished.
         if !wait.is_zero() {
-            if let Some(outcome) = self.service.wait_job(id, wait) {
+            if let Some(outcome) = handle.wait_timeout(wait) {
                 return match outcome {
-                    Ok(_) => self.job_response(id),
+                    Ok(output) => {
+                        let status = JobStatus {
+                            id: handle.id(),
+                            table: table.to_string(),
+                            state: JobState::Done {
+                                from_cache: output.from_cache,
+                                cancelled: output.result.cancelled,
+                            },
+                            cancel_requested: handle.cancellation_token().is_cancelled(),
+                        };
+                        Response::json(200, self.job_json(&status, Some(&output)))
+                    }
                     Err(e) => service_error(&e),
                 };
             }
         }
-        match self.service.job_status(id) {
-            Some(_) => Response::json(202, format!("{{\"job\":{id},\"state\":\"queued\"}}")),
-            None => Response::error(500, "job vanished from the registry"),
-        }
+        Response::json(
+            202,
+            format!("{{\"job\":{},\"state\":\"queued\"}}", handle.id()),
+        )
     }
 
     fn list_jobs(&self) -> Response {
@@ -454,10 +466,17 @@ impl Router {
                 &format!("unknown job {id} (never submitted or evicted)"),
             );
         };
-        Response::json(200, self.job_json(&status))
+        let output = match status.state {
+            JobState::Done { .. } => self.service.job_output(id).and_then(Result::ok),
+            _ => None,
+        };
+        Response::json(200, self.job_json(&status, output.as_ref()))
     }
 
-    fn job_json(&self, status: &JobStatus) -> String {
+    /// Render `status`; a finished job's `output` rides along as its full
+    /// result while the table (for dictionary decoding) is still
+    /// registered.
+    fn job_json(&self, status: &JobStatus, output: Option<&JobOutput>) -> String {
         let mut out = format!(
             "{{\"job\":{},\"table\":{},\"cancel_requested\":{}",
             status.id,
@@ -486,12 +505,7 @@ impl Router {
                         ",\"state\":\"done\",\"from_cache\":{from_cache},\"cancelled\":{cancelled}"
                     ),
                 );
-                // Attach the full result when both the outcome and the
-                // table (for dictionary decoding) are still reachable.
-                if let (Some(Ok(output)), Ok(table)) = (
-                    self.service.job_output(status.id),
-                    self.service.table(&status.table),
-                ) {
+                if let (Some(output), Ok(table)) = (output, self.service.table(&status.table)) {
                     out.push_str(",\"result\":");
                     out.push_str(&json::mining_result_to_json(&output.result, &table));
                 }
@@ -914,6 +928,117 @@ mod tests {
         assert_eq!(resp.status, 404);
         let (_, resp) = r.handle(&request("GET", "/jobs/bogus", b""));
         assert_eq!(resp.status, 400);
+    }
+
+    fn router_with_registry(capacity: usize) -> Router {
+        let service = SirumService::builder()
+            .pool_workers(1)
+            .job_registry_capacity(capacity)
+            .build()
+            .expect("service");
+        service.register_demo("flights").expect("demo");
+        Router::new(
+            service,
+            Arc::new(NetMetrics::new()),
+            RouterConfig::default(),
+        )
+    }
+
+    fn assert_full_result(resp: &Response, rules: usize) {
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let body = body_json(resp);
+        assert_eq!(body.get("state").and_then(|s| s.as_str()), Some("done"));
+        assert_eq!(body.get("table").and_then(|s| s.as_str()), Some("flights"));
+        let mined = body
+            .get("result")
+            .and_then(|r| r.get("rules"))
+            .and_then(|r| r.as_array())
+            .expect("rules");
+        assert_eq!(mined.len(), rules);
+    }
+
+    #[test]
+    fn synchronous_mine_answers_without_a_job_registry() {
+        // Regression: `POST /mine` dropped its handle and re-found the job
+        // by id, so a disabled registry turned every mine into
+        // `500 job vanished from the registry`.
+        let r = router_with_registry(0);
+        let mine = request(
+            "POST",
+            "/mine",
+            br#"{"table":"flights","k":2,"sample_size":14}"#,
+        );
+        let (_, resp) = r.handle(&mine);
+        assert_full_result(&resp, 3);
+        assert_eq!(
+            body_json(&resp).get("from_cache").and_then(|c| c.as_bool()),
+            Some(false)
+        );
+        // The cached repeat renders from its handle just the same.
+        let (_, resp) = r.handle(&mine);
+        assert_full_result(&resp, 3);
+        assert_eq!(
+            body_json(&resp).get("from_cache").and_then(|c| c.as_bool()),
+            Some(true)
+        );
+        // Nothing was registered, and an expired wait still names the job.
+        assert!(r.service().job_ids().is_empty());
+        let (_, resp) = r.handle(&request(
+            "POST",
+            "/mine",
+            br#"{"table":"flights","k":1,"sample_size":14,"wait_ms":0}"#,
+        ));
+        assert_eq!(resp.status, 202);
+        assert!(body_json(&resp)
+            .get("job")
+            .and_then(|j| j.as_u64())
+            .is_some());
+    }
+
+    #[test]
+    fn synchronous_mine_survives_eviction_from_a_full_registry() {
+        // One pool worker, one registry record. A parked job holds the
+        // worker, so the synchronous mine is still queued when a second
+        // submit takes the registry's only record away from it.
+        let r = router_with_registry(1);
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let parked = Arc::clone(&gate);
+        let blocker = r
+            .service()
+            .mine("flights")
+            .k(1)
+            .sample_size(14)
+            .on_iteration(move |_| {
+                parked.wait();
+                sirum_core::IterationDecision::Continue
+            })
+            .submit()
+            .expect("blocker");
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| {
+                r.handle(&request(
+                    "POST",
+                    "/mine",
+                    br#"{"table":"flights","k":2,"sample_size":14}"#,
+                ))
+                .1
+            });
+            // Registered once its id replaces the blocker's.
+            while r.service().job_ids() == [blocker.id()] {
+                std::thread::yield_now();
+            }
+            let (_, resp) = r.handle(&request(
+                "POST",
+                "/mine",
+                br#"{"table":"flights","k":1,"sample_size":14,"wait_ms":0}"#,
+            ));
+            assert_eq!(resp.status, 202);
+            let evictor = body_json(&resp).get("job").and_then(|j| j.as_u64());
+            assert_eq!(r.service().job_ids(), [evictor.expect("job id")]);
+            gate.wait();
+            assert_full_result(&waiting.join().expect("mine thread"), 3);
+        });
+        blocker.wait().expect("blocker finishes");
     }
 
     #[test]

@@ -1837,9 +1837,11 @@ pub struct MiningPlan {
     pub packed_bits: Option<u32>,
     /// Predicted stage-1 combine strategy for one sweep partition
     /// ([`sirum_dataflow::cost::choose_combine`] replayed on the planned
-    /// per-partition emission volume). `None` whenever `packed_bits` is:
-    /// only packed codes are ever radix-grouped, the `Rule`-keyed sweep
-    /// always probes its one map.
+    /// per-partition shape: slot-table when a sample index is in play and
+    /// `2^dims ≤ rows/partition`, else hash-probe or radix-group by
+    /// emission volume). `None` whenever `packed_bits` is: only packed
+    /// codes are ever slot-addressed or radix-grouped, the `Rule`-keyed
+    /// sweep always probes its one map.
     pub combine: Option<CombineStrategy>,
     /// Predicted rule-generation iterations (`⌈k / l⌉`; a KL-target run may
     /// iterate further, up to its `max_rules` bound).
@@ -1879,8 +1881,10 @@ impl MiningPlan {
         // Replay the sweep's own per-partition decisions: the packed-code
         // width falls out of the registered dictionaries' bit-widths, and
         // the combine strategy out of the cost model on the planned
-        // per-partition emission volume (rows/partition × |s| emissions,
-        // rows/partition as the distinct-key ceiling) — the same inputs
+        // partition shape — rows/partition, the dimension count when a
+        // sample index is in play, and rows/partition × |s| emissions
+        // (also the distinct-key ceiling: the emission count itself bounds
+        // the distinct codes a partition can produce) — the same inputs
         // `sirum_core::sweep` uses at run time.
         let packed_bits = if config.gain_sweep {
             let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
@@ -1888,12 +1892,14 @@ impl MiningPlan {
         } else {
             None
         };
-        // Same (records, distinct-ceiling) hint the sweep's per-partition
-        // strategy pick uses: the emission count itself bounds the
-        // distinct codes a partition can produce.
         let combine = packed_bits.map(|_| {
-            let records = n.div_ceil(partitions as u64) * sample;
-            choose_combine(records, records)
+            let rows = n.div_ceil(partitions as u64);
+            let records = rows * sample;
+            let sample_dims = match config.strategy {
+                CandidateStrategy::SampleLca { .. } => Some(entry.table.num_dims()),
+                CandidateStrategy::FullCube => None,
+            };
+            choose_combine(records, records, rows, sample_dims)
         });
 
         // Per-record scan cost: a base processing constant plus the memory
@@ -2465,8 +2471,9 @@ mod tests {
         );
         assert!(plan.estimated_stages > 0 && plan.estimated_secs >= 0.0);
         assert!(!plan.cached);
-        // Flights: 3 dims of tiny cardinality, well inside a u64 code; the
-        // small per-partition volume keeps stage 1 on the hash combine.
+        // Flights: 3 dims of tiny cardinality, well inside a u64 code; one
+        // row a partition is far under the slot table's 2^3 and the small
+        // emission volume keeps the fallback on the hash combine.
         assert_eq!(plan.packed_bits, Some(64));
         assert_eq!(plan.combine, Some(CombineStrategy::HashProbe));
         assert!(plan.to_string().contains("packed u64 rule codes"));
@@ -2498,6 +2505,46 @@ mod tests {
             .unwrap();
         assert!(plan.cached);
         assert!(plan.to_string().contains("cached"));
+    }
+
+    #[test]
+    fn explain_reports_the_slot_table_exactly_where_the_sweep_takes_it() {
+        // tlc-shaped: 9 dims, 20 000 rows over the default 16 partitions —
+        // 1250 rows a partition against a 2^9-entry-per-sample-row table.
+        let service = SirumService::in_memory().unwrap();
+        service
+            .register("tlc", generators::tlc_like(20_000, 5))
+            .unwrap();
+        let plan = service.mine("tlc").k(3).sample_size(16).explain().unwrap();
+        assert_eq!((plan.rows, plan.dims), (20_000, 9));
+        assert_eq!(plan.combine, Some(CombineStrategy::SlotTable));
+        let text = plan.to_string();
+        assert!(text.contains("slot-table combine"), "{text}");
+        // The full cube has no sample rows to address slots by.
+        let cube = service.mine("tlc").k(3).full_cube().explain().unwrap();
+        assert_eq!(cube.combine, Some(CombineStrategy::HashProbe));
+        // The same 9 dims over 250 rows a partition fall under 2^9: the
+        // hashed fallback runs, and the plan says which of its two arms.
+        service
+            .register("income", generators::income_like(4000, 5))
+            .unwrap();
+        let few = service
+            .mine("income")
+            .k(3)
+            .sample_size(16)
+            .explain()
+            .unwrap();
+        assert_eq!(few.combine, Some(CombineStrategy::HashProbe));
+        assert!(few.to_string().contains("hash-probe combine"));
+        let many = service
+            .mine("income")
+            .k(3)
+            .sample_size(128)
+            .explain()
+            .unwrap();
+        assert_eq!(many.combine, Some(CombineStrategy::RadixGroup));
+        assert!(many.to_string().contains("radix-group combine"));
+        assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
     }
 
     #[test]

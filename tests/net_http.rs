@@ -146,10 +146,31 @@ fn async_jobs_explain_stream_and_stats_work_over_tcp() {
         .get("/explain?table=flights&k=3&sample_size=14")
         .expect("explain");
     assert_eq!(response.status, 200);
-    assert_eq!(
-        json_body(&response).get("cached").and_then(|c| c.as_bool()),
-        Some(false)
-    );
+    let plan = json_body(&response);
+    assert_eq!(plan.get("cached").and_then(|c| c.as_bool()), Some(false));
+    // 14 rows over 16 partitions never amortise a slot table…
+    let rendered = |plan: &JsonValue| {
+        plan.get("rendered")
+            .and_then(|r| r.as_str().map(String::from))
+    };
+    let text = rendered(&plan).expect("rendered plan");
+    assert!(text.contains("hash-probe combine"), "{text}");
+    // …512 rows of 3 dimensions (32 a partition against 2^3) do, and the
+    // plan names the combine the sweep will actually run.
+    let mut csv = String::from("a,b,c,m\n");
+    for i in 0..512 {
+        csv.push_str(&format!("a{},b{},c{},{}\n", i % 4, i % 3, i % 5, 1 + i % 7));
+    }
+    let response = http
+        .post("/tables/grid", csv.as_bytes(), "text/csv")
+        .expect("upload");
+    assert_eq!(response.status, 200, "{}", response.text());
+    let response = http
+        .get("/explain?table=grid&k=2&sample_size=8")
+        .expect("explain grid");
+    assert_eq!(response.status, 200, "{}", response.text());
+    let text = rendered(&json_body(&response)).expect("rendered plan");
+    assert!(text.contains("slot-table combine"), "{text}");
 
     // The retired representation knobs are rejected by name on the wire,
     // not silently ignored.
