@@ -66,7 +66,7 @@ fn column_blocks(engine: &Engine, prepared: &PreparedTable) -> Dataset<TupleBloc
 }
 
 fn bench(c: &mut Criterion) {
-    let table = workloads::income_sized(20_000);
+    let table = workloads::income();
     let prepared = PreparedTable::try_new(&table).unwrap();
     let d = prepared.num_dims();
     let mut group = c.benchmark_group("gain_sweep");

@@ -1,8 +1,13 @@
-//! # sirum-bench
+//! # sirum_bench
 //!
-//! Shared workloads and reporting helpers for the SIRUM benchmark harness.
-//! The `figures` binary regenerates every figure of the thesis evaluation;
-//! the Criterion benches cover the per-optimization micro-comparisons.
+//! The paper-figure reproducer and one micro-bench — not the repo's perf
+//! surface, which is the end-to-end `sirum-bench/` package named by
+//! `BENCHMARK.json`. The `figures` binary regenerates every figure of the
+//! thesis evaluation (Figs 3.1–5.18); the `gain_sweep` Criterion bench is
+//! the forced-strategy micro-row (one sweep pass under each accumulator
+//! keying and each combine strategy, on a shape no `sirum-bench` workload
+//! covers). This library holds their shared workloads and reporting
+//! helpers.
 //!
 //! Dataset sizes are scaled from the paper's cluster-scale inputs to
 //! laptop-scale (see DESIGN.md, substitution 3); the shapes — who wins and
@@ -48,27 +53,6 @@ pub mod workloads {
     /// TLC sample of `n` rows, numeric measure (paper: TLC_2m…TLC_160m).
     pub fn tlc(n: usize) -> Table {
         generators::tlc_like(n, SEED)
-    }
-
-    /// Small Income variant for Criterion micro-benches.
-    pub fn income_small() -> Table {
-        generators::income_like(4_000, SEED)
-    }
-
-    /// Income variant with an explicit row count (service-layer benches
-    /// sweep input sizes).
-    pub fn income_sized(n: usize) -> Table {
-        generators::income_like(n, SEED)
-    }
-
-    /// Small GDELT variant for Criterion micro-benches.
-    pub fn gdelt_small() -> Table {
-        generators::gdelt_like(4_000, SEED)
-    }
-
-    /// Small SUSY variant for Criterion micro-benches.
-    pub fn susy_small() -> Table {
-        generators::susy_like(400, SEED)
     }
 }
 

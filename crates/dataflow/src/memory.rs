@@ -47,7 +47,7 @@ pub struct MemSample {
 
 /// Memory-pressure counters of a [`BlockStore`]: the instantaneous
 /// resident set plus cumulative spill volume and eviction count. Surfaced
-/// through the service layer (`GET /stats`, `/metrics`) so a loadgen run
+/// through the service layer (`GET /stats`, `/metrics`) so an operator
 /// can watch a capped budget working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryStats {

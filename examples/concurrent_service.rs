@@ -8,7 +8,6 @@
 //! cargo run --example concurrent_service
 //! ```
 
-use sirum::api::SirumError;
 use sirum::prelude::*;
 
 fn main() -> Result<(), SirumError> {

@@ -10,17 +10,16 @@
 //! `SIRUM_EXAMPLE_ROWS` overrides the dataset size (the smoke-test harness
 //! in `tests/examples.rs` sets it low so debug builds finish quickly).
 
-use sirum::api::{SirumError, SirumSession};
 use sirum::core::explore::prior_rules_from_groupbys;
+use sirum::prelude::*;
 
 fn main() -> Result<(), SirumError> {
     let rows = std::env::var("SIRUM_EXAMPLE_ROWS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(20_000);
-    let mut session = SirumSession::in_memory()?;
-    session.register_demo_with("tlc", Some(rows), 7)?;
-    let trips = session.table("tlc")?;
+    let service = SirumService::in_memory()?;
+    let trips = service.register_demo_with("tlc", Some(rows), 7)?;
     println!(
         "Dataset: {} taxi trips × {} dimension attributes, measure = {}\n",
         trips.num_rows(),
@@ -31,15 +30,15 @@ fn main() -> Result<(), SirumError> {
     // The prior knowledge of §5.6.2: every examined group-by cell becomes a
     // rule already in the model; recommendations are mined on top, with
     // exhaustive (full-cube) candidate generation as in Sarawagi [29].
-    let prior = prior_rules_from_groupbys(trips, 2);
-    let result = session
+    let prior = prior_rules_from_groupbys(&trips, 2);
+    let result = service
         .mine("tlc")
         .k(4)
         .full_cube()
         .prior(prior.clone())
-        .run()?;
+        .run()?
+        .result;
 
-    let trips = session.table("tlc")?;
     println!(
         "Prior knowledge: the analyst has examined {} group-by cells over the\n\
          two lowest-cardinality attributes:",
@@ -48,7 +47,7 @@ fn main() -> Result<(), SirumError> {
     for (rule, mined) in prior.iter().zip(&result.rules[1..=prior.len()]) {
         println!(
             "   {}  AVG({})={:.2} count={}",
-            rule.display(trips),
+            rule.display(&trips),
             trips.schema().measure_name(),
             mined.avg_measure,
             mined.count,
@@ -60,7 +59,7 @@ fn main() -> Result<(), SirumError> {
         println!(
             "{:>2}. {}  AVG={:.2} count={} gain={:.3}",
             i + 1,
-            rec.rule.display(trips),
+            rec.rule.display(&trips),
             rec.avg_measure,
             rec.count,
             rec.gain,

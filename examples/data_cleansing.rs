@@ -10,15 +10,13 @@
 //! cargo run --example data_cleansing
 //! ```
 
-use sirum::api::{SirumError, SirumSession};
 use sirum::prelude::*;
 
 fn main() -> Result<(), SirumError> {
     // GDELT-like event records with a planted data-quality defect:
     // media-reported US material-conflict events usually lack Actor2 Type.
-    let mut session = SirumSession::in_memory()?;
-    session.register_demo_with("dirty", Some(30_000), 42)?;
-    let events = session.table("dirty")?;
+    let service = SirumService::in_memory()?;
+    let events = service.register_demo_with("dirty", Some(30_000), 42)?;
     let base_rate = events.avg_measure();
     println!(
         "Dataset: {} events × {} dimension attributes; {:.1}% of records are dirty\n",
@@ -29,7 +27,7 @@ fn main() -> Result<(), SirumError> {
 
     // Long mines are observable (and cancellable) through the iteration
     // hook; here it just narrates progress.
-    let result = session
+    let result = service
         .mine("dirty")
         .k(4)
         .sample_size(64)
@@ -41,9 +39,9 @@ fn main() -> Result<(), SirumError> {
             );
             IterationDecision::Continue
         })
-        .run()?;
+        .run()?
+        .result;
 
-    let events = session.table("dirty")?;
     println!("Rules ranked by what they reveal about dirty records");
     println!("(AVG = fraction of covered records missing Actor2 Type, cf. Table 1.5):\n");
     for (i, rule) in result.rules.iter().enumerate() {
@@ -57,7 +55,7 @@ fn main() -> Result<(), SirumError> {
         println!(
             "{:>2}. {}  AVG={:.2} count={}{}",
             i + 1,
-            rule.rule.display(events),
+            rule.rule.display(&events),
             rule.avg_measure,
             rule.count,
             marker,
@@ -81,7 +79,7 @@ fn main() -> Result<(), SirumError> {
     {
         println!(
             "Worst offender: {} — {:.0}% of its {} records are missing Actor2 Type.",
-            worst.rule.display(events),
+            worst.rule.display(&events),
             worst.avg_measure * 100.0,
             worst.count,
         );

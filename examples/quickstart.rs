@@ -1,5 +1,5 @@
 //! Quickstart: mine informative rules from the paper's 14-row flight-delay
-//! table (Table 1.1) via the session API and print the rule set of
+//! table (Table 1.1) through a `SirumService` and print the rule set of
 //! Table 1.2.
 //!
 //! Run with:
@@ -7,15 +7,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use sirum::api::{SirumError, SirumSession};
+use sirum::prelude::*;
 
 fn main() -> Result<(), SirumError> {
-    // A session owns the engine (Spark-like, in-memory) and a catalog of
+    // A service owns the engine (Spark-like, in-memory) and a catalog of
     // named tables; both are reused across requests.
-    let mut session = SirumSession::in_memory()?;
-    session.register_demo("flights")?;
-
-    let flights = session.table("flights")?;
+    let service = SirumService::in_memory()?;
+    let flights = service.register_demo("flights")?;
     println!(
         "Dataset: {} rows × {} dimension attributes ({}), measure = {}\n",
         flights.num_rows(),
@@ -27,10 +25,9 @@ fn main() -> Result<(), SirumError> {
     // With |s| = 14 (the whole table) the sample-based candidate pruning is
     // exact. The request is validated before execution; any bad knob comes
     // back as a typed SirumError instead of a panic.
-    let result = session.mine("flights").k(3).sample_size(14).run()?;
+    let result = service.mine("flights").k(3).sample_size(14).run()?.result;
 
     // Print the informative rule set (cf. Table 1.2 of the thesis).
-    let flights = session.table("flights")?;
     println!("Informative rule set:");
     println!(
         "{:>7} | {:^30} | {:>9} | {:>5} | {:>8}",
@@ -40,7 +37,7 @@ fn main() -> Result<(), SirumError> {
         println!(
             "{:>7} | {:^30} | {:>9.1} | {:>5} | {:>8.3}",
             i + 1,
-            rule.rule.display(flights),
+            rule.rule.display(&flights),
             rule.avg_measure,
             rule.count,
             rule.gain,

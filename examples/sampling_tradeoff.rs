@@ -8,15 +8,14 @@
 //! cargo run --release --example sampling_tradeoff
 //! ```
 
-use sirum::api::{SirumError, SirumSession};
+use sirum::prelude::*;
 use std::time::Instant;
 
 fn main() -> Result<(), SirumError> {
-    // One session serves every rate: the engine and the registered table
+    // One service serves every rate: the engine and the registered table
     // are set up once and amortized across the repeated queries.
-    let mut session = SirumSession::builder().partitions(16).build()?;
-    session.register_demo_with("tlc", Some(120_000), 3)?;
-    let table = session.table("tlc")?;
+    let service = SirumService::builder().partitions(16).build()?;
+    let table = service.register_demo_with("tlc", Some(120_000), 3)?;
     println!(
         "Dataset: {} taxi trips ({} MB of column data)\n",
         table.num_rows(),
@@ -30,7 +29,7 @@ fn main() -> Result<(), SirumError> {
     let mut full_gain = None;
     for rate in [1.0, 0.5, 0.1, 0.01] {
         let start = Instant::now();
-        let out = session
+        let out = service
             .mine("tlc")
             .k(6)
             .sample_size(16)

@@ -18,7 +18,6 @@
 //! Exit codes: `0` success, `1` runtime failure (unreadable/malformed data,
 //! engine trouble), `2` usage error (unknown flags, unparsable values).
 
-use sirum::api::SirumError;
 use sirum::prelude::*;
 use std::fmt::Display;
 use std::process::exit;

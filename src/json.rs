@@ -74,16 +74,16 @@ fn rule_json(id: usize, rule: &Rule, avg: f64, count: u64, gain: f64, table: &Ta
 /// schema names and dictionary decoding) as a single JSON object.
 ///
 /// ```
-/// use sirum::api::SirumSession;
+/// use sirum::service::SirumService;
 ///
-/// let mut session = SirumSession::in_memory()?;
-/// session.register_demo("flights")?;
-/// let result = session.mine("flights").k(2).sample_size(14).run()?;
-/// let json = sirum::json::mining_result_to_json(&result, session.table("flights")?);
+/// let service = SirumService::in_memory()?;
+/// let flights = service.register_demo("flights")?;
+/// let output = service.mine("flights").k(2).sample_size(14).run()?;
+/// let json = sirum::json::mining_result_to_json(&output.result, &flights);
 /// assert!(json.starts_with('{') && json.ends_with('}'));
 /// assert!(json.contains("\"rules\":["));
 /// assert!(json.contains("\"measure\":\"Delay\""));
-/// # Ok::<(), sirum::api::SirumError>(())
+/// # Ok::<(), sirum::core::SirumError>(())
 /// ```
 pub fn mining_result_to_json(result: &MiningResult, table: &Table) -> String {
     let mut out = String::with_capacity(1024);

@@ -3,33 +3,29 @@
 //! Facade crate for the SIRUM reproduction — **S**calable **I**nformative
 //! **RU**le **M**ining (Feng, University of Waterloo, 2016).
 //!
-//! Two entry points are supported:
-//!
-//! * **Embedding** ([`api`]): a single-owner [`api::SirumSession`] owns a
-//!   configured engine plus a catalog of named tables, and each query is a
-//!   validated [`api::MiningRequest`] returning
-//!   `Result<MiningResult, SirumError>` — no panics on bad input.
-//! * **Serving** ([`service`]): a `Send + Sync`, cheaply clonable
-//!   [`service::SirumService`] shares one catalog of pre-encoded tables
-//!   across threads, schedules requests on a bounded worker pool
-//!   ([`service::JobHandle`] with `wait`/`try_poll`/`cancel`), answers
-//!   repeated identical requests from an LRU result cache, and can
-//!   [`service::ServiceRequest::explain`] a request's planned cost before
-//!   running it.
+//! One entry point serves embedding and serving alike: [`service`]. A
+//! `Send + Sync`, cheaply clonable [`service::SirumService`] owns a
+//! configured engine plus one catalog of pre-encoded tables shared across
+//! threads. Each query is a validated [`service::ServiceRequest`] — no
+//! panics on bad input — that can [`run`](service::ServiceRequest::run)
+//! synchronously, be [`submit`](service::ServiceRequest::submit)ted to a
+//! bounded worker pool ([`service::JobHandle`] with
+//! `wait`/`try_poll`/`cancel`), or
+//! [`explain`](service::ServiceRequest::explain) its planned cost before
+//! running; repeated identical requests are answered from an LRU result
+//! cache.
 //!
 //! ```
-//! use sirum::api::SirumSession;
 //! use sirum::prelude::*;
 //!
-//! let mut session = SirumSession::in_memory()?;
-//! session.register_demo("flights")?;
-//! let result = session
+//! let service = SirumService::in_memory()?;
+//! let flights = service.register_demo("flights")?;
+//! let output = service
 //!     .mine("flights")
 //!     .k(3)
 //!     .sample_size(14)
 //!     .run()?;
-//! let flights = session.table("flights")?;
-//! assert_eq!(result.rules[1].rule.display(flights), "(*, *, London)");
+//! assert_eq!(output.result.rules[1].rule.display(&flights), "(*, *, London)");
 //! # Ok::<(), SirumError>(())
 //! ```
 //!
@@ -41,14 +37,12 @@
 //! * [`dataflow`] (`sirum_dataflow`) — the Spark-like execution engine.
 //! * [`baselines`] (`sirum_baselines`) — prior-work comparators.
 //!
-//! The old panicking `Miner::mine` facade is gone; `Miner::try_mine` and
-//! the session/service builders are the entry points (see the [`api`]
-//! module docs for the migration note). See the `examples/` directory for
-//! runnable walkthroughs and `DESIGN.md` for the system inventory.
+//! `Miner::try_mine` is the direct, engine-level way in. See the
+//! `examples/` directory for runnable walkthroughs and `DESIGN.md` for the
+//! system inventory.
 
 #![warn(missing_docs)]
 
-pub mod api;
 pub mod json;
 pub mod net;
 pub mod service;
@@ -60,7 +54,6 @@ pub use sirum_table as table;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use crate::api::{MiningRequest, SessionBuilder, SirumSession};
     pub use crate::net::client::{ClientResponse, HttpClient};
     pub use crate::net::metrics::{LatencySummary, NetMetrics};
     pub use crate::net::router::{Router, RouterConfig};

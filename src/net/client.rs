@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for the wire front end: keep-alive
 //! with one transparent reconnect, `Content-Length` bodies only. Used by
-//! the integration tests and the `loadgen` harness — it speaks exactly the
-//! dialect [`crate::net::server`] serves, nothing more.
+//! the integration tests and the `sirum-bench` workloads — it speaks
+//! exactly the dialect [`crate::net::server`] serves, nothing more.
 
 use crate::json::{parse_json, JsonValue};
 use std::io::{self, BufRead, BufReader, Read, Write};

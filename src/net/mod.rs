@@ -14,7 +14,7 @@
 //!   in-process service API;
 //! - [`server`] — the accept loop, connection cap, and graceful drain;
 //! - [`client`] — a minimal blocking client used by the integration tests
-//!   and the `loadgen` harness.
+//!   and the `sirum-bench` workloads.
 
 pub mod client;
 pub mod http;

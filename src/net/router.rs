@@ -250,7 +250,10 @@ impl Router {
     fn list_tables(&self) -> Response {
         let mut out = String::from("{\"tables\":[");
         for (i, name) in self.service.table_names().iter().enumerate() {
-            let Ok(table) = self.service.table(name) else {
+            let (Ok(table), Ok(fingerprint)) = (
+                self.service.table(name),
+                self.service.table_fingerprint(name),
+            ) else {
                 continue; // unregistered between listing and lookup
             };
             if i > 0 {
@@ -263,7 +266,7 @@ impl Router {
                     json::json_string(name),
                     table.num_rows(),
                     table.num_dims(),
-                    table.fingerprint(),
+                    fingerprint,
                 ),
             );
         }
@@ -279,15 +282,19 @@ impl Router {
             Ok(csv) => csv,
             Err(_) => return Response::error(400, "CSV body must be UTF-8"),
         };
-        match self.service.register_csv(name, csv.as_bytes()) {
-            Ok(table) => Response::json(
+        let registered = self
+            .service
+            .register_csv(name, csv.as_bytes())
+            .and_then(|table| Ok((table, self.service.table_fingerprint(name)?)));
+        match registered {
+            Ok((table, fingerprint)) => Response::json(
                 200,
                 format!(
                     "{{\"table\":{},\"rows\":{},\"dims\":{},\"fingerprint\":\"{:016x}\"}}",
                     json::json_string(name),
                     table.num_rows(),
                     table.num_dims(),
-                    table.fingerprint(),
+                    fingerprint,
                 ),
             ),
             Err(e) => service_error(&e),
@@ -1097,6 +1104,38 @@ mod tests {
         assert_eq!(resp.status, 200);
         let (_, resp) = r.handle(&request("DELETE", "/tables/trips", b""));
         assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn listed_and_uploaded_fingerprints_are_the_catalog_s() {
+        let r = router();
+        let planned = |table: &str| {
+            let plan = r.service().mine(table).explain().expect("plan");
+            format!("{:016x}", plan.fingerprint)
+        };
+        let csv = b"city,color,n\nparis,red,3\nparis,blue,4\nlyon,red,5\n";
+        let (_, resp) = r.handle(&request("POST", "/tables/trips", csv));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let uploaded = body_json(&resp);
+        assert_eq!(
+            uploaded.get("fingerprint").and_then(|f| f.as_str()),
+            Some(planned("trips").as_str())
+        );
+        let (_, resp) = r.handle(&request("GET", "/tables", b""));
+        let listing = body_json(&resp);
+        let tables = listing
+            .get("tables")
+            .and_then(|t| t.as_array())
+            .expect("array");
+        assert_eq!(tables.len(), 2);
+        for table in tables {
+            let name = table.get("name").and_then(|n| n.as_str()).expect("name");
+            assert_eq!(
+                table.get("fingerprint").and_then(|f| f.as_str()),
+                Some(planned(name).as_str()),
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //! [`SirumService`] that shares one table catalog, one engine and one
 //! result cache across any number of threads.
 //!
-//! Where a [`crate::api::SirumSession`] is the single-owner, `&mut`-bound
-//! embedding API, `SirumService` is the *serving* API: registration
-//! dictionary-encodes and transposes each table once into the shared
-//! catalog ([`sirum_core::PreparedTable`] behind an `Arc`, holding the
-//! columnar `Arc`-shared [`sirum_table::Frame`]), so every concurrent job
-//! scans the same column buffers through zero-copy partition views.
-//! Requests are submitted
-//! as jobs to a bounded worker pool, and identical repeated requests are
+//! `SirumService` is the one entry point for embedding and serving alike:
+//! registration dictionary-encodes and transposes each table once into the
+//! shared catalog ([`sirum_core::PreparedTable`] behind an `Arc`, holding
+//! the columnar `Arc`-shared [`sirum_table::Frame`]), so every concurrent
+//! job scans the same column buffers through zero-copy partition views.
+//! Requests run synchronously on the calling thread or are submitted as
+//! jobs to a bounded worker pool, and identical repeated requests are
 //! answered from an LRU result cache keyed by (table content fingerprint,
 //! normalized configuration) without re-running the miner. Identical
 //! requests that are still *in flight* coalesce onto one execution, so a
@@ -31,13 +30,13 @@
 //! let again = service.mine("flights").k(3).sample_size(14).submit()?.wait()?;
 //! assert!(again.from_cache);
 //! assert_eq!(service.stats().cache_hits, 1);
-//! # Ok::<(), sirum::api::SirumError>(())
+//! # Ok::<(), sirum::core::SirumError>(())
 //! ```
 //!
 //! Cloning a `SirumService` is an `Arc` bump; all clones share catalog,
 //! pool, cache and counters, so handing a clone to each request thread is
 //! the intended usage. See `DESIGN.md` ("Concurrent service layer") for the
-//! ownership diagram and the session-vs-service migration table.
+//! ownership diagram.
 
 use crate::json;
 use crate::net::metrics::{Histogram, LatencySummary};
@@ -62,34 +61,32 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
-// Request specification (shared with the session API)
+// Request specification
 // ---------------------------------------------------------------------------
 
-/// The full, owner-independent description of a mining request: every knob
-/// the fluent builders expose, resolved against a table by name. Both the
-/// session's `MiningRequest` and the service's [`ServiceRequest`] wrap one
-/// of these.
+/// The full description of a mining request: every knob the fluent
+/// [`ServiceRequest`] builder exposes, resolved against a table by name.
 #[derive(Debug, Clone)]
-pub(crate) struct RequestSpec {
-    pub(crate) table: String,
-    pub(crate) variant: Option<Variant>,
-    pub(crate) k: usize,
-    pub(crate) sample_size: usize,
-    pub(crate) full_cube: bool,
-    pub(crate) epsilon: Option<f64>,
-    pub(crate) max_scaling_iterations: Option<usize>,
-    pub(crate) seed: Option<u64>,
-    pub(crate) rules_per_iter: Option<usize>,
-    pub(crate) two_sided: bool,
-    pub(crate) target_kl: Option<f64>,
-    pub(crate) max_rules: Option<usize>,
-    pub(crate) column_groups: Option<usize>,
-    pub(crate) gain_sweep: Option<bool>,
-    pub(crate) prior: Vec<Rule>,
+struct RequestSpec {
+    table: String,
+    variant: Option<Variant>,
+    k: usize,
+    sample_size: usize,
+    full_cube: bool,
+    epsilon: Option<f64>,
+    max_scaling_iterations: Option<usize>,
+    seed: Option<u64>,
+    rules_per_iter: Option<usize>,
+    two_sided: bool,
+    target_kl: Option<f64>,
+    max_rules: Option<usize>,
+    column_groups: Option<usize>,
+    gain_sweep: Option<bool>,
+    prior: Vec<Rule>,
 }
 
 impl RequestSpec {
-    pub(crate) fn new(table: &str) -> Self {
+    fn new(table: &str) -> Self {
         RequestSpec {
             table: table.to_string(),
             variant: None,
@@ -112,7 +109,7 @@ impl RequestSpec {
     /// Materialize the [`SirumConfig`] this spec describes (also how a
     /// request is *normalized*: two builder paths producing the same final
     /// configuration yield identical configs, hence identical cache keys).
-    pub(crate) fn build_config(&self, num_rows: usize) -> SirumConfig {
+    fn build_config(&self, num_rows: usize) -> SirumConfig {
         let sample_size = if self.sample_size == 0 {
             0 // left invalid so validation names the field
         } else {
@@ -157,126 +154,6 @@ impl RequestSpec {
     }
 }
 
-/// Generates the fluent setter methods shared by the session's
-/// `MiningRequest` and the service's [`ServiceRequest`] — both wrap a
-/// [`RequestSpec`] plus an optional iteration observer.
-macro_rules! impl_request_setters {
-    ($ty:ident) => {
-        impl<'s> $ty<'s> {
-            /// Number of rules to mine beyond `(*, …, *)` (default 10).
-            pub fn k(mut self, k: usize) -> Self {
-                self.spec.k = k;
-                self
-            }
-
-            /// Candidate-pruning sample size `|s|` (default 64; clamped to
-            /// the table's row count at run time). Zero is rejected at
-            /// validation.
-            pub fn sample_size(mut self, sample_size: usize) -> Self {
-                self.spec.sample_size = sample_size;
-                self
-            }
-
-            /// Use a named Table 4.2 variant (Naive/Baseline/RCT/…) as the
-            /// base configuration instead of Optimized-by-default.
-            pub fn variant(mut self, variant: Variant) -> Self {
-                self.spec.variant = Some(variant);
-                self
-            }
-
-            /// Exhaustive cube enumeration instead of sample-based pruning
-            /// (the data-cube-exploration setting, §5.6.2).
-            pub fn full_cube(mut self) -> Self {
-                self.spec.full_cube = true;
-                self
-            }
-
-            /// Score candidates with the symmetrized two-sided gain, also
-            /// surfacing unusually *low*-measure regions (data-cleansing
-            /// queries).
-            pub fn two_sided(mut self) -> Self {
-                self.spec.two_sided = true;
-                self
-            }
-
-            /// Iterative-scaling convergence tolerance ε.
-            pub fn epsilon(mut self, epsilon: f64) -> Self {
-                self.spec.epsilon = Some(epsilon);
-                self
-            }
-
-            /// Iterative-scaling λ-update cap.
-            pub fn max_scaling_iterations(mut self, n: usize) -> Self {
-                self.spec.max_scaling_iterations = Some(n);
-                self
-            }
-
-            /// Sampling / column-group shuffling seed.
-            pub fn seed(mut self, seed: u64) -> Self {
-                self.spec.seed = Some(seed);
-                self
-            }
-
-            /// Insert up to `l` mutually disjoint rules per iteration (§4.4).
-            pub fn rules_per_iter(mut self, l: usize) -> Self {
-                self.spec.rules_per_iter = Some(l);
-                self
-            }
-
-            /// Keep mining past `k` until the KL divergence reaches `target`
-            /// (the `l-rule*` mode of §5.5), bounded by `max_rules`.
-            pub fn target_kl(mut self, target: f64) -> Self {
-                self.spec.target_kl = Some(target);
-                self
-            }
-
-            /// Hard cap on mined rules when a KL target is set.
-            pub fn max_rules(mut self, max: usize) -> Self {
-                self.spec.max_rules = Some(max);
-                self
-            }
-
-            /// Column groups for multi-stage ancestor generation (§4.3).
-            pub fn column_groups(mut self, groups: usize) -> Self {
-                self.spec.column_groups = Some(groups);
-                self
-            }
-
-            /// Toggle the fused partition-parallel gain sweep
-            /// ([`sirum_core::sweep`]). On by default (and for the
-            /// `Optimized` variant); pass `false` to score candidates with
-            /// the legacy staged pipeline that models the paper's
-            /// per-platform jobs.
-            pub fn gain_sweep(mut self, enabled: bool) -> Self {
-                self.spec.gain_sweep = Some(enabled);
-                self
-            }
-
-            /// Seed the model with prior-knowledge rules (cube exploration,
-            /// Table 1.3): the mined rules come *in addition to* these.
-            pub fn prior(mut self, rules: Vec<Rule>) -> Self {
-                self.spec.prior = rules;
-                self
-            }
-
-            /// Observe progress: `observer` runs after every mining
-            /// iteration and can cancel the run gracefully by returning
-            /// [`IterationDecision::Stop`] (the partial result is returned
-            /// with [`MiningResult::cancelled`] set). A request carrying an
-            /// observer is never served from — nor inserted into — the
-            /// result cache, since the observer is a side effect.
-            pub fn on_iteration(
-                mut self,
-                observer: impl Fn(&IterationEvent) -> IterationDecision + Send + Sync + 'static,
-            ) -> Self {
-                self.observer = Some(Box::new(observer));
-                self
-            }
-        }
-    };
-}
-pub(crate) use impl_request_setters;
-
 // ---------------------------------------------------------------------------
 // Catalog
 // ---------------------------------------------------------------------------
@@ -287,10 +164,10 @@ pub(crate) use impl_request_setters;
 /// every concurrent job's partitions are range views over one set of
 /// column buffers.
 #[derive(Clone)]
-pub(crate) struct CatalogEntry {
-    pub(crate) table: Arc<Table>,
-    pub(crate) prepared: Arc<PreparedTable>,
-    pub(crate) fingerprint: u64,
+struct CatalogEntry {
+    table: Arc<Table>,
+    prepared: Arc<PreparedTable>,
+    fingerprint: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -736,8 +613,11 @@ impl ServiceBuilder {
         self
     }
 
-    /// Select the platform-emulation mode, preserving every other engine
-    /// setting (same contract as the session builder).
+    /// Select the platform-emulation mode. Only the mode-dependent knobs
+    /// change (`mode` itself and the stage-startup latency); every other
+    /// setting — `workers`, `partitions`, a full [`Self::engine_config`] —
+    /// is preserved, so setter order does not matter. `SingleThread`'s
+    /// one-worker constraint is applied by the engine at execution time.
     pub fn mode(mut self, mode: EngineMode) -> Self {
         let base = match mode {
             EngineMode::InMemory => EngineConfig::in_memory(),
@@ -797,17 +677,34 @@ impl ServiceBuilder {
         self
     }
 
-    /// Validate the engine configuration, stand up the engine and return
-    /// the service.
+    /// Validate the engine configuration, stand up the engine (including
+    /// its spill directory) and return the service. The setters pass values
+    /// through verbatim — unlike the clamping `EngineConfig::with_*`
+    /// helpers — so zero partitions or workers surface here as
+    /// [`SirumError::Dataflow`] rather than being silently corrected.
     pub fn build(self) -> Result<SirumService, SirumError> {
         let engine = Engine::try_new(self.config)?;
-        Ok(SirumService::with_engine_and(
-            engine,
-            self.pool_workers,
-            self.queue_capacity,
-            self.cache_capacity,
-            self.job_registry_capacity,
-        ))
+        Ok(SirumService {
+            inner: Arc::new(ServiceInner {
+                core: Arc::new(ServiceCore {
+                    engine,
+                    cache: Mutex::new(ResultCache::new(self.cache_capacity)),
+                    pending: Mutex::new(HashMap::new()),
+                    jobs: Mutex::new(JobRegistry::new(self.job_registry_capacity)),
+                    next_job_id: AtomicU64::new(0),
+                    cache_hits: AtomicU64::new(0),
+                    cache_misses: AtomicU64::new(0),
+                    jobs_executed: AtomicU64::new(0),
+                    jobs_cancelled: AtomicU64::new(0),
+                    jobs_coalesced: AtomicU64::new(0),
+                    jobs_rejected: AtomicU64::new(0),
+                    queue_depth: AtomicU64::new(0),
+                    job_latency: Histogram::new(),
+                }),
+                catalog: RwLock::new(BTreeMap::new()),
+                pool: WorkerPool::new(self.pool_workers, self.queue_capacity),
+            }),
+        })
     }
 }
 
@@ -823,51 +720,9 @@ impl SirumService {
         Self::builder().build()
     }
 
-    /// Wrap an already-constructed engine with default serving knobs.
-    pub fn with_engine(engine: Engine) -> Self {
-        let defaults = ServiceBuilder::default();
-        Self::with_engine_and(
-            engine,
-            defaults.pool_workers,
-            defaults.queue_capacity,
-            defaults.cache_capacity,
-            defaults.job_registry_capacity,
-        )
-    }
-
-    fn with_engine_and(
-        engine: Engine,
-        pool_workers: usize,
-        queue_capacity: usize,
-        cache_capacity: usize,
-        job_registry_capacity: usize,
-    ) -> Self {
-        SirumService {
-            inner: Arc::new(ServiceInner {
-                core: Arc::new(ServiceCore {
-                    engine,
-                    cache: Mutex::new(ResultCache::new(cache_capacity)),
-                    pending: Mutex::new(HashMap::new()),
-                    jobs: Mutex::new(JobRegistry::new(job_registry_capacity)),
-                    next_job_id: AtomicU64::new(0),
-                    cache_hits: AtomicU64::new(0),
-                    cache_misses: AtomicU64::new(0),
-                    jobs_executed: AtomicU64::new(0),
-                    jobs_cancelled: AtomicU64::new(0),
-                    jobs_coalesced: AtomicU64::new(0),
-                    jobs_rejected: AtomicU64::new(0),
-                    queue_depth: AtomicU64::new(0),
-                    job_latency: Histogram::new(),
-                }),
-                catalog: RwLock::new(BTreeMap::new()),
-                pool: WorkerPool::new(pool_workers, queue_capacity),
-            }),
-        }
-    }
-
     /// The shared engine (metrics, block store, configuration). Jobs run on
     /// metrics-isolated forks of it; this handle's registry records only
-    /// work driven through the session path or directly by the caller.
+    /// work the caller drives on it directly.
     pub fn engine(&self) -> &Engine {
         &self.inner.core.engine
     }
@@ -954,6 +809,13 @@ impl SirumService {
         self.entry(name).map(|e| e.table)
     }
 
+    /// The content fingerprint computed when `name` was registered — the
+    /// cache key's table half, equal to [`MiningPlan::fingerprint`]. A
+    /// catalog lookup, not a pass over the table.
+    pub fn table_fingerprint(&self, name: &str) -> Result<u64, SirumError> {
+        self.entry(name).map(|e| e.fingerprint)
+    }
+
     /// Names of all registered tables, in sorted order.
     pub fn table_names(&self) -> Vec<String> {
         self.inner.catalog.read().keys().cloned().collect()
@@ -967,15 +829,14 @@ impl SirumService {
         self.inner.catalog.write().remove(name).map(|e| e.table)
     }
 
-    pub(crate) fn entry(&self, name: &str) -> Result<CatalogEntry, SirumError> {
-        self.inner
-            .catalog
-            .read()
+    fn entry(&self, name: &str) -> Result<CatalogEntry, SirumError> {
+        let catalog = self.inner.catalog.read();
+        catalog
             .get(name)
             .cloned()
             .ok_or_else(|| SirumError::UnknownTable {
                 name: name.to_string(),
-                registered: self.table_names(),
+                registered: catalog.keys().cloned().collect(),
             })
     }
 
@@ -1248,9 +1109,117 @@ pub struct ServiceRequest<'s> {
     deadline: Option<Duration>,
 }
 
-impl_request_setters!(ServiceRequest);
-
 impl ServiceRequest<'_> {
+    /// Number of rules to mine beyond `(*, …, *)` (default 10).
+    pub fn k(mut self, k: usize) -> Self {
+        self.spec.k = k;
+        self
+    }
+
+    /// Candidate-pruning sample size `|s|` (default 64; clamped to
+    /// the table's row count at run time). Zero is rejected at
+    /// validation.
+    pub fn sample_size(mut self, sample_size: usize) -> Self {
+        self.spec.sample_size = sample_size;
+        self
+    }
+
+    /// Use a named Table 4.2 variant (Naive/Baseline/RCT/…) as the
+    /// base configuration instead of Optimized-by-default.
+    pub fn variant(mut self, variant: Variant) -> Self {
+        self.spec.variant = Some(variant);
+        self
+    }
+
+    /// Exhaustive cube enumeration instead of sample-based pruning
+    /// (the data-cube-exploration setting, §5.6.2).
+    pub fn full_cube(mut self) -> Self {
+        self.spec.full_cube = true;
+        self
+    }
+
+    /// Score candidates with the symmetrized two-sided gain, also
+    /// surfacing unusually *low*-measure regions (data-cleansing
+    /// queries).
+    pub fn two_sided(mut self) -> Self {
+        self.spec.two_sided = true;
+        self
+    }
+
+    /// Iterative-scaling convergence tolerance ε.
+    pub fn epsilon(mut self, epsilon: f64) -> Self {
+        self.spec.epsilon = Some(epsilon);
+        self
+    }
+
+    /// Iterative-scaling λ-update cap.
+    pub fn max_scaling_iterations(mut self, n: usize) -> Self {
+        self.spec.max_scaling_iterations = Some(n);
+        self
+    }
+
+    /// Sampling / column-group shuffling seed.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.spec.seed = Some(seed);
+        self
+    }
+
+    /// Insert up to `l` mutually disjoint rules per iteration (§4.4).
+    pub fn rules_per_iter(mut self, l: usize) -> Self {
+        self.spec.rules_per_iter = Some(l);
+        self
+    }
+
+    /// Keep mining past `k` until the KL divergence reaches `target`
+    /// (the `l-rule*` mode of §5.5), bounded by `max_rules`.
+    pub fn target_kl(mut self, target: f64) -> Self {
+        self.spec.target_kl = Some(target);
+        self
+    }
+
+    /// Hard cap on mined rules when a KL target is set.
+    pub fn max_rules(mut self, max: usize) -> Self {
+        self.spec.max_rules = Some(max);
+        self
+    }
+
+    /// Column groups for multi-stage ancestor generation (§4.3).
+    pub fn column_groups(mut self, groups: usize) -> Self {
+        self.spec.column_groups = Some(groups);
+        self
+    }
+
+    /// Toggle the fused partition-parallel gain sweep
+    /// ([`sirum_core::sweep`]). On by default (and for the
+    /// `Optimized` variant); pass `false` to score candidates with
+    /// the legacy staged pipeline that models the paper's
+    /// per-platform jobs.
+    pub fn gain_sweep(mut self, enabled: bool) -> Self {
+        self.spec.gain_sweep = Some(enabled);
+        self
+    }
+
+    /// Seed the model with prior-knowledge rules (cube exploration,
+    /// Table 1.3): the mined rules come *in addition to* these.
+    pub fn prior(mut self, rules: Vec<Rule>) -> Self {
+        self.spec.prior = rules;
+        self
+    }
+
+    /// Observe progress: `observer` runs after every mining
+    /// iteration and can cancel the run gracefully by returning
+    /// [`IterationDecision::Stop`] (the partial result is returned
+    /// with [`MiningResult::cancelled`] set). A request carrying an
+    /// observer is never served from — nor inserted into — the
+    /// result cache, since the observer is a side effect.
+    pub fn on_iteration(
+        mut self,
+        observer: impl Fn(&IterationEvent) -> IterationDecision + Send + Sync + 'static,
+    ) -> Self {
+        self.observer = Some(Box::new(observer));
+        self
+    }
+
     /// Resolve the table and validate the normalized configuration, the
     /// shared front half of submit/run/explain.
     fn resolve(&self) -> Result<(CatalogEntry, SirumConfig), SirumError> {
@@ -1626,7 +1595,7 @@ impl JobShared {
 ///     }
 /// };
 /// assert_eq!(output.result.rules.len(), 3);
-/// # Ok::<(), sirum::api::SirumError>(())
+/// # Ok::<(), sirum::core::SirumError>(())
 /// ```
 ///
 /// `cancel()` requests cooperative cancellation: the running miner stops at
@@ -2203,6 +2172,65 @@ mod tests {
         let service = SirumService::in_memory().unwrap();
         service.register_demo("flights").unwrap();
         service
+    }
+
+    #[test]
+    fn request_defaults_match_optimized_sirum() {
+        let service = flights_service();
+        let request = service.mine("flights").k(3).sample_size(14);
+        let config = request.spec.build_config(14);
+        assert_eq!(config.k, 3);
+        assert!(config.rct && config.fast_pruning);
+        assert_eq!(
+            config.strategy,
+            CandidateStrategy::SampleLca { sample_size: 14 }
+        );
+    }
+
+    #[test]
+    fn builder_order_does_not_matter_for_variant_and_k() {
+        let service = SirumService::in_memory().unwrap();
+        let a = service
+            .mine("t")
+            .k(5)
+            .variant(Variant::Rct)
+            .spec
+            .build_config(100);
+        let b = service
+            .mine("t")
+            .variant(Variant::Rct)
+            .k(5)
+            .spec
+            .build_config(100);
+        assert_eq!(a.k, b.k);
+        assert_eq!(a.rct, b.rct);
+    }
+
+    #[test]
+    fn builder_mode_preserves_earlier_overrides() {
+        // workers() before mode() must survive the mode switch.
+        let service = SirumService::builder()
+            .workers(3)
+            .partitions(7)
+            .mode(EngineMode::DiskMr)
+            .build()
+            .unwrap();
+        let config = service.engine().config();
+        assert_eq!(config.mode, EngineMode::DiskMr);
+        assert_eq!(config.workers, 3);
+        assert_eq!(config.partitions, 7);
+        assert!(config.stage_startup > Duration::ZERO);
+        // Switching back clears the mode-dependent latency only.
+        let service = SirumService::builder()
+            .workers(3)
+            .mode(EngineMode::DiskMr)
+            .mode(EngineMode::InMemory)
+            .build()
+            .unwrap();
+        let config = service.engine().config();
+        assert_eq!(config.mode, EngineMode::InMemory);
+        assert_eq!(config.stage_startup, Duration::ZERO);
+        assert_eq!(config.workers, 3);
     }
 
     #[test]

@@ -1,27 +1,27 @@
-//! Integration coverage for the fallible session API: every [`SirumError`]
-//! variant is exercised end to end through `SirumSession` / `MiningRequest`
-//! (plus the layer entry points that produce the wrapped variants), and the
-//! direct `Miner` facade is pinned to its fallible-only surface.
+//! Integration coverage for the fallible API: every [`SirumError`] variant
+//! is exercised end to end through `SirumService` / `ServiceBuilder` /
+//! `ServiceRequest` (plus the layer entry points that produce the wrapped
+//! variants), and the direct `Miner` facade is pinned to its fallible-only
+//! surface.
 
-use sirum::api::{SirumError, SirumSession};
 use sirum::prelude::*;
 
 fn empty_table() -> Table {
     Table::builder(Schema::new(vec!["a", "b"], "m")).build()
 }
 
-fn session_with_flights() -> SirumSession {
-    let mut session = SirumSession::in_memory().unwrap();
-    session.register_demo("flights").unwrap();
-    session
+fn service_with_flights() -> SirumService {
+    let service = SirumService::in_memory().unwrap();
+    service.register_demo("flights").unwrap();
+    service
 }
 
 // ---- SirumError::EmptyDataset --------------------------------------------
 
 #[test]
 fn registering_an_empty_table_is_rejected() {
-    let mut session = SirumSession::in_memory().unwrap();
-    let err = session.register("empty", empty_table()).unwrap_err();
+    let service = SirumService::in_memory().unwrap();
+    let err = service.register("empty", empty_table()).unwrap_err();
     assert!(matches!(err, SirumError::EmptyDataset), "{err}");
     assert!(err.to_string().contains("empty dataset"));
 }
@@ -36,10 +36,10 @@ fn mining_an_empty_table_is_a_typed_error_not_a_panic() {
 
 #[test]
 fn empty_sample_rate_is_a_typed_error() {
-    let session = session_with_flights();
-    let err = session.mine("flights").k(2).run_on_sample(0.0).unwrap_err();
+    let service = service_with_flights();
+    let err = service.mine("flights").k(2).run_on_sample(0.0).unwrap_err();
     assert!(matches!(err, SirumError::EmptyDataset));
-    let err = session.mine("flights").k(2).run_on_sample(1.5).unwrap_err();
+    let err = service.mine("flights").k(2).run_on_sample(1.5).unwrap_err();
     assert!(matches!(
         err,
         SirumError::InvalidConfig { field: "rate", .. }
@@ -50,8 +50,8 @@ fn empty_sample_rate_is_a_typed_error() {
 
 #[test]
 fn zero_sample_size_names_the_field() {
-    let session = session_with_flights();
-    let err = session.mine("flights").sample_size(0).run().unwrap_err();
+    let service = service_with_flights();
+    let err = service.mine("flights").sample_size(0).run().unwrap_err();
     assert!(
         matches!(
             err,
@@ -66,8 +66,8 @@ fn zero_sample_size_names_the_field() {
 
 #[test]
 fn zero_column_groups_names_the_field() {
-    let session = session_with_flights();
-    let err = session.mine("flights").column_groups(0).run().unwrap_err();
+    let service = service_with_flights();
+    let err = service.mine("flights").column_groups(0).run().unwrap_err();
     assert!(matches!(
         err,
         SirumError::InvalidConfig {
@@ -79,44 +79,44 @@ fn zero_column_groups_names_the_field() {
 
 #[test]
 fn invalid_multirule_scaling_and_target_fields_are_named() {
-    let session = session_with_flights();
-    let field = |result: Result<MiningResult, SirumError>| match result.unwrap_err() {
+    let service = service_with_flights();
+    let field = |result: Result<JobOutput, SirumError>| match result.unwrap_err() {
         SirumError::InvalidConfig { field, .. } => field,
         other => panic!("expected InvalidConfig, got {other}"),
     };
     assert_eq!(
-        field(session.mine("flights").rules_per_iter(0).run()),
+        field(service.mine("flights").rules_per_iter(0).run()),
         "multirule.rules_per_iter"
     );
     assert_eq!(
-        field(session.mine("flights").epsilon(0.0).run()),
+        field(service.mine("flights").epsilon(0.0).run()),
         "scaling.epsilon"
     );
     assert_eq!(
-        field(session.mine("flights").epsilon(f64::NAN).run()),
+        field(service.mine("flights").epsilon(f64::NAN).run()),
         "scaling.epsilon"
     );
     assert_eq!(
-        field(session.mine("flights").max_scaling_iterations(0).run()),
+        field(service.mine("flights").max_scaling_iterations(0).run()),
         "scaling.max_iterations"
     );
     assert_eq!(
-        field(session.mine("flights").target_kl(-0.5).run()),
+        field(service.mine("flights").target_kl(-0.5).run()),
         "target_kl"
     );
     assert_eq!(
-        field(session.mine("flights").target_kl(0.1).max_rules(0).run()),
+        field(service.mine("flights").target_kl(0.1).max_rules(0).run()),
         "max_rules"
     );
     // Rule budget beyond the 64-bit rule-coverage arrays.
-    assert_eq!(field(session.mine("flights").k(1_000).run()), "k/max_rules");
+    assert_eq!(field(service.mine("flights").k(1_000).run()), "k/max_rules");
 }
 
 #[test]
 fn wrong_arity_prior_rules_are_rejected_not_panicking() {
-    let session = session_with_flights();
+    let service = service_with_flights();
     // flights has 3 dimensions; a 1-dimension prior must be a typed error.
-    let err = session
+    let err = service
         .mine("flights")
         .k(2)
         .prior(vec![Rule::from_values(vec![WILDCARD])])
@@ -131,7 +131,7 @@ fn wrong_arity_prior_rules_are_rejected_not_panicking() {
         Rule::all_wildcards(3),
         Rule::from_values(vec![WILDCARD, WILDCARD]),
     ];
-    let err = session
+    let err = service
         .evaluate("flights", &bad, &ScalingConfig::default())
         .unwrap_err();
     assert!(matches!(
@@ -170,8 +170,8 @@ fn non_finite_measures_are_rejected_at_registration() {
     let mut table = Table::builder(Schema::new(vec!["a"], "m"));
     table.push_row(&["x"], 1.0);
     table.push_row(&["y"], f64::NAN);
-    let mut session = SirumSession::in_memory().unwrap();
-    let err = session.register("bad", table.build()).unwrap_err();
+    let service = SirumService::in_memory().unwrap();
+    let err = service.register("bad", table.build()).unwrap_err();
     match err {
         SirumError::InvalidMeasure { reason } => {
             assert!(reason.contains("row 1"), "{reason}");
@@ -184,8 +184,8 @@ fn non_finite_measures_are_rejected_at_registration() {
 
 #[test]
 fn unknown_table_lists_registered_names() {
-    let session = session_with_flights();
-    let err = session.mine("nope").run().unwrap_err();
+    let service = service_with_flights();
+    let err = service.mine("nope").run().unwrap_err();
     match &err {
         SirumError::UnknownTable { name, registered } => {
             assert_eq!(name, "nope");
@@ -200,8 +200,8 @@ fn unknown_table_lists_registered_names() {
 
 #[test]
 fn unknown_demo_name_is_rejected() {
-    let mut session = SirumSession::in_memory().unwrap();
-    let err = session.register_demo("nonesuch").unwrap_err();
+    let service = SirumService::in_memory().unwrap();
+    let err = service.register_demo("nonesuch").unwrap_err();
     assert!(matches!(err, SirumError::UnknownDemo { ref name } if name == "nonesuch"));
     assert!(err.to_string().contains("flights"), "lists valid demos");
 }
@@ -210,8 +210,8 @@ fn unknown_demo_name_is_rejected() {
 
 #[test]
 fn malformed_csv_surfaces_as_table_errors() {
-    let mut session = SirumSession::in_memory().unwrap();
-    let err = session
+    let service = SirumService::in_memory().unwrap();
+    let err = service
         .register_csv("ragged", &b"a,b,m\nx,y,1\nx,2\n"[..])
         .unwrap_err();
     assert!(matches!(
@@ -222,16 +222,16 @@ fn malformed_csv_surfaces_as_table_errors() {
             found: 2
         })
     ));
-    let err = session
+    let err = service
         .register_csv("nonnum", &b"a,m\nx,not-a-number\n"[..])
         .unwrap_err();
     assert!(matches!(
         err,
         SirumError::Table(TableError::BadMeasure { line: 2, .. })
     ));
-    let err = session.register_csv("empty", &b""[..]).unwrap_err();
+    let err = service.register_csv("empty", &b""[..]).unwrap_err();
     assert!(matches!(err, SirumError::Table(TableError::EmptyInput)));
-    let err = session
+    let err = service
         .register_csv("dup", &b"a,a,m\nx,y,1\n"[..])
         .unwrap_err();
     assert!(matches!(
@@ -244,7 +244,7 @@ fn malformed_csv_surfaces_as_table_errors() {
 
 #[test]
 fn invalid_engine_config_surfaces_from_the_session_builder() {
-    let err = SirumSession::builder().partitions(0).build().unwrap_err();
+    let err = SirumService::builder().partitions(0).build().unwrap_err();
     assert!(matches!(
         err,
         SirumError::Dataflow(DataflowError::InvalidConfig {
@@ -252,7 +252,7 @@ fn invalid_engine_config_surfaces_from_the_session_builder() {
             ..
         })
     ));
-    let err = SirumSession::builder().workers(0).build().unwrap_err();
+    let err = SirumService::builder().workers(0).build().unwrap_err();
     assert!(matches!(
         err,
         SirumError::Dataflow(DataflowError::InvalidConfig {
@@ -276,14 +276,14 @@ fn observer_sees_every_iteration_and_can_cancel() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    let mut session = SirumSession::in_memory().unwrap();
-    session
+    let service = SirumService::in_memory().unwrap();
+    service
         .register_demo_with("income", Some(1_500), 5)
         .unwrap();
 
     let events = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&events);
-    let full = session
+    let full = service
         .mine("income")
         .k(4)
         .sample_size(32)
@@ -294,26 +294,27 @@ fn observer_sees_every_iteration_and_can_cancel() {
             IterationDecision::Continue
         })
         .run()
-        .unwrap();
+        .unwrap()
+        .result;
     assert!(!full.cancelled);
     assert_eq!(events.load(Ordering::Relaxed), full.iterations);
 
     // Cancelling after the first iteration returns a partial result.
-    let partial = session
+    let partial = service
         .mine("income")
         .k(4)
         .sample_size(32)
         .on_iteration(|_| IterationDecision::Stop)
         .run()
-        .unwrap();
+        .unwrap()
+        .result;
     assert!(partial.cancelled);
     assert_eq!(partial.iterations, 1);
     assert!(partial.rules.len() < full.rules.len());
 }
 
 // ---- Fallible miner facade -------------------------------------------------
-// (The panicking `Miner::mine`/`mine_with_prior` shims from the pre-session
-// API are gone; `try_mine` is the only direct entry point.)
+// (`try_mine` is the only direct entry point; there is no panicking shim.)
 
 #[test]
 fn direct_miner_facade_is_fallible_only() {
@@ -339,12 +340,13 @@ fn direct_miner_facade_is_fallible_only() {
     ));
 }
 
-// ---- Parity: the new API reproduces the old results ----------------------
+// ---- Parity: a service request reproduces the direct miner ---------------
 
 #[test]
 fn session_request_matches_direct_miner_output() {
-    let session = session_with_flights();
-    let via_session = session.mine("flights").k(3).sample_size(14).run().unwrap();
+    let service = service_with_flights();
+    let flights = service.table("flights").unwrap();
+    let served = service.mine("flights").k(3).sample_size(14).run().unwrap();
 
     let config = SirumConfig {
         k: 3,
@@ -352,15 +354,14 @@ fn session_request_matches_direct_miner_output() {
         ..SirumConfig::default()
     };
     let direct = Miner::new(Engine::in_memory(), config)
-        .try_mine(session.table("flights").unwrap())
+        .try_mine(&flights)
         .unwrap();
 
     let names = |r: &MiningResult| -> Vec<String> {
-        let t = session.table("flights").unwrap();
-        r.rules.iter().map(|m| m.rule.display(t)).collect()
+        r.rules.iter().map(|m| m.rule.display(&flights)).collect()
     };
-    assert_eq!(names(&via_session), names(&direct));
-    assert_eq!(via_session.final_kl(), direct.final_kl());
+    assert_eq!(names(&served.result), names(&direct));
+    assert_eq!(served.result.final_kl(), direct.final_kl());
 }
 
 // ---- Service-layer errors -------------------------------------------------

@@ -397,6 +397,55 @@ fn overload_sheds_with_429_and_the_server_stays_responsive() {
 }
 
 #[test]
+fn identical_concurrent_mines_coalesce_over_the_wire() {
+    let server = spawn_server();
+    server
+        .router()
+        .service()
+        .register_demo_with("income", Some(1_500), 3)
+        .expect("income registers");
+    let addr = server.local_addr();
+    let n = 6;
+    let barrier = std::sync::Barrier::new(n);
+    let replies: Vec<ClientResponse> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..n)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut http = HttpClient::new(addr).timeout(Duration::from_secs(60));
+                    // Connect before the barrier so the posts land together.
+                    http.get("/health").expect("connect");
+                    barrier.wait();
+                    http.post_json("/mine", r#"{"table":"income","k":3,"seed":7}"#)
+                        .expect("mine")
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    // One execution answered everyone: its followers and any late cache hit
+    // share the leader's result, wall-clock timings included.
+    let first = json_body(&replies[0]).get("result").map(JsonValue::render);
+    assert!(first.is_some(), "{}", replies[0].text());
+    for reply in &replies {
+        assert_eq!(reply.status, 200, "{}", reply.text());
+        assert_eq!(json_body(reply).get("result").map(JsonValue::render), first);
+    }
+    let stats = json_body(&client(&server).get("/stats").expect("stats"));
+    let stat = |key: &str| stats.get(key).and_then(|v| v.as_u64()).expect("counter");
+    assert_eq!(
+        stat("jobs_executed") + stat("jobs_coalesced") + stat("cache_hits"),
+        n as u64,
+        "every request accounted for: {}",
+        stats.render()
+    );
+    assert!(stat("jobs_executed") < n as u64, "{}", stats.render());
+    server.shutdown();
+}
+
+#[test]
 fn graceful_drain_finishes_inflight_work_then_closes() {
     let server = spawn_server();
     let mut http = client(&server);

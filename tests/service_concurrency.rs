@@ -1,9 +1,9 @@
 //! Concurrency stress tests for the service layer: one shared
 //! [`SirumService`] under N threads × M mixed requests, asserting
-//! (1) per-request results bit-identical to the single-threaded
-//! [`SirumSession`] path, (2) cache-hit identity (the same allocation is
-//! returned, observable via `Arc::ptr_eq`), and (3) clean cooperative
-//! cancellation mid-mine.
+//! (1) per-request results bit-identical to a synchronous `run()` on an
+//! independent single-worker service, (2) cache-hit identity (the same
+//! allocation is returned, observable via `Arc::ptr_eq`), and (3) clean
+//! cooperative cancellation mid-mine.
 //!
 //! CI runs this file additionally in release mode (more real parallelism
 //! per wall-clock second).
@@ -89,18 +89,7 @@ const SPECS: [Spec; 4] = [
     },
 ];
 
-fn apply_service<'a>(request: ServiceRequest<'a>, spec: &Spec) -> ServiceRequest<'a> {
-    let mut request = request.k(spec.k).seed(spec.seed);
-    if let Some(v) = spec.variant {
-        request = request.variant(v);
-    }
-    if spec.two_sided {
-        request = request.two_sided();
-    }
-    request
-}
-
-fn apply_session<'a>(request: MiningRequest<'a>, spec: &Spec) -> MiningRequest<'a> {
+fn apply<'a>(request: ServiceRequest<'a>, spec: &Spec) -> ServiceRequest<'a> {
     let mut request = request.k(spec.k).seed(spec.seed);
     if let Some(v) = spec.variant {
         request = request.variant(v);
@@ -120,16 +109,17 @@ fn register_workload(service: &SirumService) {
 
 #[test]
 fn concurrent_mixed_requests_match_the_session_path_bit_for_bit() {
-    // Reference results through the single-threaded session path on an
-    // independent engine.
-    let mut session = SirumSession::in_memory().unwrap();
-    session.register_demo_with("gdelt", Some(1_200), 5).unwrap();
-    session
-        .register_demo_with("income", Some(1_000), 9)
-        .unwrap();
+    // Reference results from synchronous runs on an independent service
+    // whose engine has one worker, so stages execute inline in partition
+    // order.
+    let sequential = SirumService::builder().workers(1).build().unwrap();
+    register_workload(&sequential);
     let reference: Vec<String> = SPECS
         .iter()
-        .map(|spec| signature(&apply_session(session.mine(spec.table), spec).run().unwrap()))
+        .map(|spec| {
+            let output = apply(sequential.mine(spec.table), spec).run().unwrap();
+            signature(&output.result)
+        })
         .collect();
 
     // 8 threads × 4 mixed requests against ONE shared service, all jobs
@@ -146,14 +136,12 @@ fn concurrent_mixed_requests_match_the_session_path_bit_for_bit() {
                 for i in 0..SPECS.len() {
                     let idx = (i + t) % SPECS.len();
                     let spec = &SPECS[idx];
-                    let handle = apply_service(service.mine(spec.table), spec)
-                        .submit()
-                        .unwrap();
+                    let handle = apply(service.mine(spec.table), spec).submit().unwrap();
                     let output = handle.wait().unwrap();
                     assert_eq!(
                         signature(&output.result),
                         reference[idx],
-                        "thread {t} spec {idx}: service result diverged from session result"
+                        "thread {t} spec {idx}: pooled result diverged from the sequential run"
                     );
                 }
             });
