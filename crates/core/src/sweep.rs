@@ -35,27 +35,24 @@
 //! rewrites. When the summed widths exceed 128 bits the sweep runs on
 //! `Rule`-keyed maps instead — the only path for such layouts;
 //! [`SweepOptions`] picks the key type. Each packed combine partition also
-//! chooses **how** to aggregate via
-//! [`sirum_dataflow::cost::choose_combine`], from its own shape:
+//! chooses **how** to aggregate, from its own shape
+//! ([`CombineStrategy::for_partition`], the one home of the rule):
 //!
-//! - **slot table** — a sample-indexed partition with `2^d ≤ rows`.
-//!   `lca(s_j, t)` is determined by which dimensions of sample row `s_j`
-//!   the tuple matches, so each `(row, sample)` pair is folded into the
-//!   accumulator named by `slot_of[(j << d) | match mask]`: two table
-//!   lookups, no code built and nothing hashed after a `(j, mask)`'s first
-//!   touch ([`SampleIndex::match_masks_into_cols`] computes the masks);
-//! - **hash-probe** — probe-or-insert into the hash map as the
-//!   posting-list probe emits packed codes;
-//! - **radix-group** — scatter `(code, m, m̂)` triples into 256 hash lanes
-//!   and fold each lane through its own cache-resident map (better once
-//!   the distinct working set outgrows the cache).
+//! - **slot table** — a sample-indexed partition with `2^d ≤ rows` whose
+//!   `|s| · 2^d`-entry table a `u32` slot id can span. `lca(s_j, t)` is
+//!   determined by which dimensions of sample row `s_j` the tuple matches,
+//!   so each `(row, sample)` pair is folded into the accumulator named by
+//!   `slot_of[(j << d) | match mask]`: two table lookups, no code built
+//!   and nothing hashed after a `(j, mask)`'s first touch
+//!   ([`SampleIndex::match_masks_into_cols`] computes the masks);
+//! - **hash-probe** — everything else (the full cube, `2^d > rows`):
+//!   probe-or-insert into the hash map as the posting-list probe emits
+//!   packed codes.
 //!
-//! The last two are what a partition falls back to when the slot table
-//! cannot apply (full cube) or would not amortise (`2^d > rows`). All
-//! three are bit-identical by construction: emission order is row-major,
+//! The two are bit-identical by construction: emission order is row-major,
 //! then sample order, and each distinct code's emissions reach exactly
-//! one accumulator — a map entry, one radix lane, or one slot — in that
-//! order, so its float sums add in the same sequence.
+//! one accumulator — a map entry or one slot — in that order, so its
+//! float sums add in the same sequence.
 //!
 //! Determinism argument (see DESIGN.md "Partition-parallel gain sweep"
 //! and "Packed rule codes" for the full version):
@@ -76,9 +73,9 @@
 //! Hence the sweep's per-candidate sums — and everything derived from them
 //! (gains, the selected rule sequence) — are **bit-identical** for any
 //! worker count and across the packed/`Rule`-keyed and
-//! slot-table/hash-probe/radix-group variants. A one-worker engine runs
-//! every task inline on the calling thread in partition order, so "N
-//! workers ≡ 1 worker" is the sequential oracle; proptests in
+//! slot-table/hash-probe variants. A one-worker engine runs every task
+//! inline on the calling thread in partition order, so "N workers ≡ 1
+//! worker" is the sequential oracle; proptests in
 //! `crates/core/tests/properties.rs` pin it across random tables,
 //! partition counts and thread counts.
 //!
@@ -96,8 +93,7 @@ use crate::cancel::CancellationToken;
 use crate::candidates::{adjust_for_sample, SampleIndex};
 use crate::lattice::{packed_live_dims, MAX_EXPAND_BITS};
 use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
-use sirum_dataflow::cost::{choose_combine, CombineStrategy};
-use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
+use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::Dataset;
 
 /// Per-candidate aggregate carried by the sweep: `(Σm, Σm̂, pair count)` —
@@ -110,6 +106,58 @@ type Agg = (f64, f64, u64);
 /// boundary). Counting *folds* rather than emitted pairs bounds the poll
 /// latency even through long stretches that emit nothing new.
 pub const CANCEL_POLL_ROWS: usize = 4096;
+
+/// How a packed sweep partition folds its `(sample tuple, data tuple)` LCA
+/// emissions into one `(Σm, Σm̂, pairs)` entry per distinct rule code. The
+/// two strategies are bit-identical (see the module docs), so the choice
+/// is purely one of speed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CombineStrategy {
+    /// `lca(s_j, t)` is fully determined by *which* dimensions of sample
+    /// row `s_j` the tuple matches, so the pair's accumulator is addressed
+    /// by the small integer `(j, d-bit match mask)` through a memoised
+    /// `|s| · 2^d`-entry slot table — no code is built and nothing is
+    /// hashed after a `(j, mask)`'s first touch.
+    SlotTable,
+    /// Probe-or-insert into an `FxHashMap<code, agg>` as codes are emitted.
+    HashProbe,
+}
+
+impl CombineStrategy {
+    /// The strategy one combine partition of `rows` tuples over `d`
+    /// dimensions takes; `sample_rows` is `|s|` when the partition combines
+    /// sample LCAs through an inverted index, `None` for the full cube.
+    ///
+    /// Slot table exactly when there are sample rows to address slots by,
+    /// a match mask holds `d` bits (`d ≤ MAX_EXPAND_BITS`), the table
+    /// amortises — `2^d ≤ rows`, so its `|s| · 2^d` entries never
+    /// outnumber the `(row, sample)` pairs that read them — and a `u32`
+    /// slot id spans it. Otherwise hash-probe. The sweep and `explain()`
+    /// both ask here, so a plan cannot name a strategy the run does not
+    /// take.
+    pub fn for_partition(rows: usize, d: usize, sample_rows: Option<usize>) -> CombineStrategy {
+        let slot_table = sample_rows.is_some_and(|s| {
+            d <= MAX_EXPAND_BITS
+                && (1usize << d) <= rows
+                && s.checked_mul(1 << d)
+                    .is_some_and(|len| u32::try_from(len).is_ok())
+        });
+        if slot_table {
+            CombineStrategy::SlotTable
+        } else {
+            CombineStrategy::HashProbe
+        }
+    }
+}
+
+impl std::fmt::Display for CombineStrategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CombineStrategy::SlotTable => "slot-table",
+            CombineStrategy::HashProbe => "hash-probe",
+        })
+    }
+}
 
 /// How the sweep keys its hot-path accumulators, chosen once per sweep
 /// from the table's dictionary cardinalities (see the module docs).
@@ -136,10 +184,11 @@ impl SweepOptions {
     }
 
     /// Force every combine partition onto one [`CombineStrategy`] instead
-    /// of the per-partition cost-model choice (benchmarks and the
-    /// bit-identity tests use this; the mining output is identical either
-    /// way). [`CombineStrategy::SlotTable`] forced where it cannot apply —
-    /// no sample index — probes the hash map instead.
+    /// of the per-partition choice (the reference switch of the
+    /// bit-identity tests; the mining output is identical either way).
+    /// Forcing [`CombineStrategy::SlotTable`] waives only the rule's
+    /// `2^d ≤ rows` clause: where no table can exist — no sample index, or
+    /// one no mask or `u32` slot id can address — the partition probes.
     pub fn with_combine(mut self, strategy: CombineStrategy) -> SweepOptions {
         self.combine = Some(strategy);
         self
@@ -274,107 +323,9 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     }
 }
 
-/// How many scatter lanes the [`CombineStrategy::RadixGroup`] combine path
-/// uses (indexed by the top byte of the key's Fx hash).
-const RADIX_LANES: usize = 256;
-
-/// Radix-bucketed emission log for the [`CombineStrategy::RadixGroup`]
-/// combine path. Emissions scatter into [`RADIX_LANES`] lanes by the high
-/// byte of their key's Fx hash — a purely sequential append — and each
-/// lane then folds through one small reused map holding ~1/256 of the
-/// distinct keys, which stays cache-resident even when a single flat
-/// accumulator would spill every probe to DRAM.
-///
-/// Bit-identity with the probe-or-insert path: a key's emissions all hash
-/// to the same lane and the scatter is stable, so each key's float sums
-/// accumulate in the original emission order. Entries land in the output
-/// map lane by lane, an ordering the canonical frontier sort later erases
-/// anyway.
-struct RadixBuckets<K> {
-    lanes: Vec<Vec<(K, f64, f64)>>,
-}
-
-impl<K: Eq + std::hash::Hash + Copy> RadixBuckets<K> {
-    /// Lanes pre-sized for `records` total emissions split evenly.
-    fn with_capacity(records: usize) -> Self {
-        let per_lane = records / RADIX_LANES + 1;
-        RadixBuckets {
-            lanes: (0..RADIX_LANES)
-                .map(|_| Vec::with_capacity(per_lane))
-                .collect(),
-        }
-    }
-
-    /// Append one emission to its key's lane.
-    #[inline]
-    fn push(&mut self, key: K, m: f64, mh: f64) {
-        let lane = (fx_hash_one(&key) >> 56) as usize;
-        self.lanes[lane].push((key, m, mh));
-    }
-
-    /// Fold every lane into the accumulator map, one lane at a time.
-    fn group_into(self, acc: &mut PartitionSweep<K>) {
-        let mut lane_map: FxHashMap<K, Agg> = FxHashMap::default();
-        for lane in self.lanes {
-            lane_map.reserve(lane.len());
-            for (key, m, mh) in lane {
-                match lane_map.get_mut(&key) {
-                    Some(a) => {
-                        a.0 += m;
-                        a.1 += mh;
-                        a.2 += 1;
-                    }
-                    None => {
-                        lane_map.insert(key, (m, mh, 1));
-                    }
-                }
-            }
-            // Each key lives in exactly one lane, so these inserts never
-            // collide with an existing entry.
-            for (key, agg) in lane_map.drain() {
-                acc.map.insert(key, agg);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed-code stages
 // ---------------------------------------------------------------------------
-
-/// Pick the combine strategy for one partition: the forced override, or
-/// the cost model fed with this partition's shape — its row count, the
-/// dimension count when a sample index is present (the slot-table
-/// eligibility inputs) and its emission volume (`rows × |s|` pairs). The
-/// emission count doubles as the distinct-code ceiling hint — every pair
-/// can in principle yield a fresh LCA, and real workloads land close
-/// enough to that bound (tens of thousands of distinct codes from a few
-/// thousand rows) that hinting `rows` alone kept the model in the
-/// cache-hit regime while the actual accumulator was spilling to DRAM.
-fn partition_strategy(
-    rows: usize,
-    d: usize,
-    index: Option<&SampleIndex>,
-    force: Option<CombineStrategy>,
-) -> CombineStrategy {
-    force.unwrap_or_else(|| {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        let records = rows as u64 * s as u64;
-        choose_combine(records, records, rows as u64, index.map(|_| d))
-    })
-}
-
-/// Entries of the `(sample row, match mask)` slot table for `s` sample
-/// rows over `d` dimensions, when [`combine_slot_table`] can address it:
-/// masks are `d ≤ MAX_EXPAND_BITS` bits and slot ids are `u32`s, so the
-/// whole table must count below `u32::MAX`.
-fn slot_table_len(s: usize, d: usize) -> Option<usize> {
-    if d > MAX_EXPAND_BITS {
-        return None;
-    }
-    s.checked_mul(1 << d)
-        .filter(|&len| u32::try_from(len).is_ok())
-}
 
 /// Stage 1, one partition, packed keys: combine every `(sample tuple, data
 /// tuple)` LCA (or the packed tuple itself when no index is given — the
@@ -392,16 +343,19 @@ fn combine_packed<C: PackedCode>(
     force: Option<CombineStrategy>,
 ) -> PartitionSweep<C> {
     let rows: usize = blocks.iter().map(TupleBlock::len).sum();
-    let strategy = partition_strategy(rows, d, index, force);
-    if let (CombineStrategy::SlotTable, Some(idx)) = (strategy, index) {
-        if let Some(table_len) = slot_table_len(idx.len(), d) {
-            return combine_slot_table(blocks, d, masks, idx, table_len, cancel);
+    let sample_rows = index.map(SampleIndex::len);
+    let strategy = match force {
+        // A forced slot table must still exist: ask the rule with its
+        // amortisation clause waived.
+        Some(CombineStrategy::SlotTable) => {
+            CombineStrategy::for_partition(usize::MAX, d, sample_rows)
         }
+        Some(forced) => forced,
+        None => CombineStrategy::for_partition(rows, d, sample_rows),
+    };
+    if let (CombineStrategy::SlotTable, Some(idx)) = (strategy, index) {
+        return combine_slot_table(blocks, d, masks, idx, cancel);
     }
-    // Anything but radix-group probes — including a slot table forced
-    // where it cannot apply (no sample rows to address slots by, or a
-    // table no `u32` slot id can span).
-    let radix = strategy == CombineStrategy::RadixGroup;
     let mut acc = PartitionSweep::with_capacity(rows);
     if is_cancelled(cancel) {
         acc.cancelled = true;
@@ -409,12 +363,6 @@ fn combine_packed<C: PackedCode>(
     }
     let mut scratch: Vec<C> = Vec::new();
     let mut row_buf = Vec::with_capacity(d);
-    let mut buckets = if radix {
-        let s = index.map_or(1, SampleIndex::len).max(1);
-        RadixBuckets::with_capacity(rows * s)
-    } else {
-        RadixBuckets { lanes: Vec::new() }
-    };
     // All-wild fast path: a (sample, data) pair with no shared constants
     // yields the `(*, …, *)` LCA — usually the most frequent code by far.
     // Its contributions touch no other key, so a register accumulator adds
@@ -444,8 +392,6 @@ fn combine_packed<C: PackedCode>(
                                 wild.0 += m_col[i];
                                 wild.1 += mhat_col[i];
                                 wild.2 += 1;
-                            } else if radix {
-                                buckets.push(code, m_col[i], mhat_col[i]);
                             } else {
                                 acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
                             }
@@ -458,18 +404,11 @@ fn combine_packed<C: PackedCode>(
                         row_buf.clear();
                         row_buf.extend(cols.iter().map(|c| c[li]));
                         let code: C = layout.pack(&row_buf);
-                        if radix {
-                            buckets.push(code, m_col[i], mhat_col[i]);
-                        } else {
-                            acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
-                        }
+                        acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
                     }
                 }
             }
         }
-    }
-    if radix {
-        buckets.group_into(&mut acc);
     }
     if wild.2 > 0 {
         acc.fold_agg(aw, wild);
@@ -499,7 +438,6 @@ fn combine_slot_table<C: PackedCode>(
     d: usize,
     masks: &PackedMasks<C>,
     idx: &SampleIndex,
-    table_len: usize,
     cancel: Option<&CancellationToken>,
 ) -> PartitionSweep<C> {
     let mut acc = PartitionSweep::new();
@@ -508,8 +446,9 @@ fn combine_slot_table<C: PackedCode>(
         return acc;
     }
     // 0 = not yet touched, otherwise the slot's index + 1 (which fits:
-    // slots never outnumber `table_len`, itself below `u32::MAX`).
-    let mut slot_of: Vec<u32> = vec![0; table_len];
+    // slots never outnumber the table's `|s| · 2^d` entries, which
+    // `CombineStrategy::for_partition` keeps within `u32::MAX`).
+    let mut slot_of: Vec<u32> = vec![0; idx.len() << d];
     let mut slots: Vec<(C, Agg)> = Vec::new();
     let mut slot_by_code: FxHashMap<C, u32> = FxHashMap::default();
     let aw = masks.all_wild();
@@ -915,7 +854,6 @@ mod tests {
             SweepOptions::rule_keyed(),
             packed.clone(),
             packed.clone().with_combine(CombineStrategy::HashProbe),
-            packed.clone().with_combine(CombineStrategy::RadixGroup),
             packed.with_combine(CombineStrategy::SlotTable),
         ]
     }
@@ -1035,7 +973,6 @@ mod tests {
         };
         let slots = combine(Some(CombineStrategy::SlotTable));
         assert_eq!(slots, combine(Some(CombineStrategy::HashProbe)));
-        assert_eq!(slots, combine(Some(CombineStrategy::RadixGroup)));
         // More (sample row, nonzero mask) table entries were touched than
         // there are distinct non-wild codes.
         let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
@@ -1066,6 +1003,55 @@ mod tests {
     }
 
     #[test]
+    fn slot_table_is_chosen_exactly_when_it_amortises() {
+        use CombineStrategy::{HashProbe, SlotTable};
+        // |s| = 16 sample rows over `rows` tuples of `d` dimensions.
+        let indexed = |rows, d| CombineStrategy::for_partition(rows, d, Some(16));
+        // tlc-shaped: 9 dims, tens of thousands of rows per partition.
+        assert_eq!(indexed(32_000, 9), SlotTable);
+        // The boundary is 2^d ≤ rows, inclusive.
+        assert_eq!(indexed(512, 9), SlotTable);
+        assert_eq!(indexed(511, 9), HashProbe);
+        // Wide tables over few rows probe, whatever their emission volume.
+        assert_eq!(indexed(125, 12), HashProbe);
+        assert_eq!(indexed(1 << 16, 20), HashProbe);
+        // A match mask holds MAX_EXPAND_BITS bits: past that there is no
+        // table, however many rows there are.
+        assert_eq!(indexed(usize::MAX, MAX_EXPAND_BITS), SlotTable);
+        assert_eq!(indexed(usize::MAX, MAX_EXPAND_BITS + 1), HashProbe);
+        assert_eq!(indexed(usize::MAX, 64), HashProbe);
+        // Slot ids are u32s: |s| · 2^d = 2^32 entries is one too many for
+        // them even though 2^20 ≤ rows, its neighbour below fits.
+        let big = |s| CombineStrategy::for_partition(1 << 20, 20, Some(s));
+        assert_eq!(big(4096), HashProbe);
+        assert_eq!(big(4095), SlotTable);
+        // No sample index, no sample rows to address slots by.
+        assert_eq!(CombineStrategy::for_partition(1 << 20, 3, None), HashProbe);
+        // Empty partitions probe (and fold nothing).
+        assert_eq!(indexed(0, 3), HashProbe);
+    }
+
+    #[test]
+    fn the_benchmark_has_a_workload_on_each_side_of_the_rule() {
+        // The `sirum-bench` workloads (sirum-bench/src/workloads.rs) over
+        // the default 16 partitions, as (rows/partition, d, |s|). Both
+        // strategies stay only while the benchmark runs both.
+        use CombineStrategy::{HashProbe, SlotTable};
+        let shapes = [
+            ("cold_sweep", 256_000 / 16, 9, 16, SlotTable),
+            ("budget_spill", 256_000 / 16, 9, 16, SlotTable),
+            ("wide_expand", 2_000 / 16, 12, 32, HashProbe),
+            ("serve_mix", 4_000 / 16, 9, 16, HashProbe),
+            // Variant::Baseline: the staged pipeline, which never sweeps.
+            ("staged_baseline", 8_000 / 16, 9, 32, HashProbe),
+        ];
+        for (workload, rows, d, s, expected) in shapes {
+            let chosen = CombineStrategy::for_partition(rows, d, Some(s));
+            assert_eq!(chosen, expected, "{workload}");
+        }
+    }
+
+    #[test]
     fn slot_table_and_hashed_partitions_merge_in_one_sweep() {
         // 23 rows × 3 dims over 3 partitions chunk as 8 + 8 + 7: the first
         // two meet 2^3 ≤ rows and take the slot table, the last falls
@@ -1083,7 +1069,7 @@ mod tests {
             .map(|&i| (0..3).map(|j| frame.col(j)[i]).collect())
             .collect();
         let index = SampleIndex::build(sample, 3);
-        let chosen = |rows| partition_strategy(rows, 3, Some(&index), None);
+        let chosen = |rows| CombineStrategy::for_partition(rows, 3, Some(index.len()));
         assert_eq!(chosen(8), CombineStrategy::SlotTable);
         assert_eq!(chosen(7), CombineStrategy::HashProbe);
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
@@ -1123,9 +1109,6 @@ mod tests {
         let out = sweep_gains(&data, 3, None, None, &forced);
         assert_eq!(out.pairs_emitted, 14 * 8);
         assert_eq!(bits(out), bits(sweep_gains(&data, 3, None, None, &hashed)));
-        // Nor is there a table for more dimensions than a mask can hold.
-        assert_eq!(slot_table_len(16, MAX_EXPAND_BITS + 1), None);
-        assert_eq!(slot_table_len(16, 9), Some(16 << 9));
     }
 
     #[test]
@@ -1145,11 +1128,7 @@ mod tests {
         // Sample-LCA over u128 codes, every combine strategy included.
         let index = sample_index(&t, &[3, 8, 3]);
         let narrow = sweep_gains(&data, 3, Some(&index), None, &SweepOptions::rule_keyed());
-        for strategy in [
-            CombineStrategy::SlotTable,
-            CombineStrategy::HashProbe,
-            CombineStrategy::RadixGroup,
-        ] {
+        for strategy in [CombineStrategy::SlotTable, CombineStrategy::HashProbe] {
             let wide = sweep_gains(
                 &data,
                 3,
@@ -1213,7 +1192,6 @@ mod tests {
         for opts in [
             SweepOptions::rule_keyed(),
             SweepOptions::packed(layout.clone()),
-            SweepOptions::packed(layout.clone()).with_combine(CombineStrategy::RadixGroup),
         ] {
             let token = CancellationToken::new();
             // Self-cancel once the combine scan is mid-partition: after
@@ -1234,7 +1212,7 @@ mod tests {
         let sample: Vec<Box<[u32]>> = vec![Box::new([1, 2]), Box::new([6, 0])];
         let index = SampleIndex::build(sample, 2);
         assert_eq!(
-            partition_strategy(n, 2, Some(&index), None),
+            CombineStrategy::for_partition(n, 2, Some(index.len())),
             CombineStrategy::SlotTable
         );
         for opts in [

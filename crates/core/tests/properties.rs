@@ -14,10 +14,9 @@ use sirum_core::rule::{Rule, RuleLayout, WILDCARD};
 use sirum_core::scaling::{
     iterative_scaling, relative_diff, rule_measure_sums, ScalingConfig, TableBackend,
 };
-use sirum_core::sweep::{sweep_gains, SweepOptions};
+use sirum_core::sweep::{sweep_gains, CombineStrategy, SweepOptions};
 use sirum_core::transform::MeasureTransform;
 use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
-use sirum_dataflow::cost::CombineStrategy;
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineConfig};
 use sirum_table::{Compression, Frame, Schema, Table};
@@ -84,9 +83,8 @@ fn sweep_blocks_with(
 }
 
 /// Every way [`SweepOptions`] can key the sweep's hot-path accumulators
-/// for `table`: the `Rule`-keyed maps, packed codes with the
-/// cost-model-chosen combine, and packed codes with each combine strategy
-/// forced. All must produce bit-identical output.
+/// for `table`: the `Rule`-keyed maps, packed codes with the per-partition
+/// combine choice, and packed codes with each combine strategy forced. All must produce bit-identical output.
 fn sweep_variants(table: &Table) -> Vec<SweepOptions> {
     let cards: Vec<u32> = table.cardinalities().iter().map(|&c| c as u32).collect();
     let packed = SweepOptions::packed(RuleLayout::from_cardinalities(&cards));
@@ -94,7 +92,6 @@ fn sweep_variants(table: &Table) -> Vec<SweepOptions> {
         SweepOptions::rule_keyed(),
         packed.clone(),
         packed.clone().with_combine(CombineStrategy::HashProbe),
-        packed.clone().with_combine(CombineStrategy::RadixGroup),
         packed.with_combine(CombineStrategy::SlotTable),
     ]
 }
@@ -383,7 +380,7 @@ proptest! {
         // the calling thread in partition order — BIT FOR BIT for any
         // table, partition count and worker count, and across every
         // accumulator-key representation (Rule-keyed, packed u64
-        // hash-probe, packed radix-group).
+        // slot-table, packed hash-probe).
         let d = table.num_dims();
         let sample: Vec<Box<[u32]>> = picks
             .iter()
@@ -426,9 +423,9 @@ proptest! {
     ) {
         // The tentpole claim of ISSUE 15: addressing stage-1 accumulators
         // by (sample row, match mask) instead of hashing a code per pair
-        // changes NOTHING. Forced slot-table ≡ forced hash-probe ≡ forced
-        // radix-group ≡ the per-partition choice (which mixes slot-table
-        // and hashed partitions on these sizes) ≡ Rule-keyed: candidates
+        // changes NOTHING. Forced slot-table ≡ forced hash-probe ≡ the
+        // per-partition choice (which mixes slot-table and hashed
+        // partitions on these sizes) ≡ Rule-keyed: candidates
         // bit for bit AND in the same order, the same pair accounting —
         // on raw and compressed frames, for any partitioning and worker
         // count — and the same outcome when a token fires at any poll.

@@ -11,6 +11,10 @@
 //! executor. This reproduces the *shapes* of the strong/weak-scaling figures
 //! (5.16/5.17) — sub-linear scaling for small inputs, stragglers bending the
 //! weak-scaling line — without needing 16 physical nodes.
+//!
+//! Beside the replay sit the two prices a planner needs before anything
+//! has run: [`modeled_sweep_stage`] (a fused, shuffle-free sweep stage) and
+//! [`scan_record_nanos`] (one columnar scan pass, raw or compressed).
 
 use crate::metrics::StageRecord;
 use std::cmp::Reverse;
@@ -180,110 +184,6 @@ pub fn scan_record_nanos(dims: usize, bytes_per_row: f64, compressed: bool) -> f
     }
 }
 
-/// How a sweep partition aggregates its per-tuple `(code, m, m̂)` emissions
-/// into one `(Σm, Σm̂, pairs)` entry per distinct rule code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombineStrategy {
-    /// Probe-or-insert into an `FxHashMap<code, agg>` as codes are emitted.
-    /// Wins while the distinct-key working set stays cache-resident: each
-    /// emission is one integer hash plus one (usually L1/L2-hit) probe.
-    HashProbe,
-    /// Radix-scatter every emission into one of 256 hash-bucketed lanes
-    /// (a sequential append), then aggregate each lane through its own
-    /// small map. Each lane holds ~1/256 of the distinct keys, so lane
-    /// maps stay cache-resident even when one flat map would spill —
-    /// trading one extra sequential pass for DRAM-latency-free probes.
-    RadixGroup,
-    /// Sample-LCA partitions only: `lca(s_j, t)` is fully determined by
-    /// *which* dimensions of sample row `s_j` the tuple matches, so the
-    /// pair's accumulator is addressed by the small integer `(j, d-bit
-    /// match mask)` through a memoised `|s| · 2^d`-entry slot table — no
-    /// code is built and nothing is hashed after a `(j, mask)`'s first
-    /// touch. Taken whenever the table amortises (see [`choose_combine`]).
-    SlotTable,
-}
-
-impl std::fmt::Display for CombineStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CombineStrategy::HashProbe => write!(f, "hash-probe"),
-            CombineStrategy::RadixGroup => write!(f, "radix-group"),
-            CombineStrategy::SlotTable => write!(f, "slot-table"),
-        }
-    }
-}
-
-/// Approximate footprint of one hash-map entry for a packed sweep
-/// accumulator: a ≤16-byte code plus a 24-byte aggregate, rounded up for
-/// table overhead (control bytes, load factor ≈ 0.87).
-const COMBINE_ENTRY_BYTES: f64 = 56.0;
-/// Working-set size above which the hash accumulator is modeled as
-/// cache-spilled (≈ per-core L2 on the calibration container).
-const COMBINE_CACHE_BYTES: f64 = 1.0 * 1024.0 * 1024.0;
-/// Modeled cost of one probe while the accumulator fits in cache.
-const PROBE_HIT_NANOS: f64 = 4.0;
-/// Modeled cost of one probe once the accumulator has spilled out of cache
-/// (each probe is then a DRAM-latency round trip).
-const PROBE_MISS_NANOS: f64 = 40.0;
-/// Modeled per-record cost of the radix-group path: one sequential bucket
-/// append plus one probe of a cache-resident (1/256-sized) lane map, with
-/// the per-distinct lane merge amortized in.
-const RADIX_NANOS_PER_RECORD: f64 = 9.0;
-
-/// Pick the combine strategy for one sweep partition of `rows` tuples that
-/// will emit `records` rule codes with roughly `distinct_hint` distinct
-/// values. `sample_dims` is the table's dimension count `d` when the
-/// partition combines sample LCAs through an inverted index, `None` for
-/// the full cube.
-///
-/// **Slot table first.** A sample-indexed partition takes
-/// [`CombineStrategy::SlotTable`] whenever its `|s| · 2^d`-entry table has
-/// no more entries than the partition has `(row, sample)` pairs — that is,
-/// `2^d ≤ rows` — so the table's allocation and lazy fill always amortise
-/// over the pairs that read it. Full-cube partitions (no sample rows to
-/// address by) and wide tables over few rows stay on the hashed paths.
-///
-/// **Otherwise** the decision replays a two-point cost model: hashing costs
-/// one probe per emission, at a hit- or miss-dominated rate depending on
-/// whether `distinct_hint` entries fit the modeled cache; radix-grouping
-/// costs a flat per-record scatter-plus-lane-probe. Callers hint
-/// `distinct_hint` with whatever ceiling they have — the emission count
-/// itself (rows × |s| pairs) is the hard bound on how many distinct codes
-/// a partition can produce, and in practice far fewer survive.
-///
-/// All three strategies produce bit-identical aggregates — each distinct
-/// code's emissions reach one accumulator (a map entry, one radix lane, or
-/// one slot) in emission order, so per-code float summation order is
-/// preserved — which is what makes this a pure performance decision.
-pub fn choose_combine(
-    records: u64,
-    distinct_hint: u64,
-    rows: u64,
-    sample_dims: Option<usize>,
-) -> CombineStrategy {
-    if records == 0 {
-        return CombineStrategy::HashProbe;
-    }
-    // Match masks are `u32`s, one bit per dimension.
-    let slot_table_amortises =
-        sample_dims.is_some_and(|d| d < u32::BITS as usize && (1u64 << d) <= rows);
-    if slot_table_amortises {
-        return CombineStrategy::SlotTable;
-    }
-    let probe = if distinct_hint as f64 * COMBINE_ENTRY_BYTES <= COMBINE_CACHE_BYTES {
-        PROBE_HIT_NANOS
-    } else {
-        PROBE_MISS_NANOS
-    };
-    let hash_cost = records as f64 * probe;
-    let radix_cost = records as f64 * RADIX_NANOS_PER_RECORD;
-    if radix_cost < hash_cost {
-        CombineStrategy::RadixGroup
-    } else {
-        CombineStrategy::HashProbe
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,50 +279,6 @@ mod tests {
         let seq = stage_makespan(&s, &spec(1, 1));
         assert!((par - 0.1).abs() < 1e-9, "par = {par}");
         assert!((seq - 0.8).abs() < 1e-9, "seq = {seq}");
-    }
-
-    #[test]
-    fn combine_choice_tracks_the_cache_model() {
-        // Full-cube partitions (no sample index) only ever hash or group.
-        let hashed = |records, distinct| choose_combine(records, distinct, records, None);
-        // Empty partitions default to the probe path.
-        assert_eq!(hashed(0, 0), CombineStrategy::HashProbe);
-        // Small distinct sets stay cache-resident: hashing wins regardless
-        // of how many records stream through.
-        assert_eq!(hashed(1 << 20, 1 << 10), CombineStrategy::HashProbe);
-        assert_eq!(hashed(1 << 24, 1 << 14), CombineStrategy::HashProbe);
-        // A distinct working set far beyond the modeled cache makes every
-        // probe a miss; the bucketed radix path wins for realistic volumes.
-        assert_eq!(hashed(1 << 20, 1 << 20), CombineStrategy::RadixGroup);
-        assert_eq!(hashed(1 << 22, 1 << 22), CombineStrategy::RadixGroup);
-        // Tiny partitions never buffer even when fully distinct.
-        assert_eq!(hashed(64, 64), CombineStrategy::HashProbe);
-    }
-
-    #[test]
-    fn slot_table_is_chosen_exactly_when_it_amortises() {
-        // |s| = 16 sample rows over `rows` tuples of `d` dimensions.
-        let indexed = |rows: u64, d| choose_combine(rows * 16, rows * 16, rows, Some(d));
-        // tlc-shaped: 9 dims, tens of thousands of rows per partition.
-        assert_eq!(indexed(32_000, 9), CombineStrategy::SlotTable);
-        // The boundary is 2^d ≤ rows, inclusive.
-        assert_eq!(indexed(512, 9), CombineStrategy::SlotTable);
-        assert_eq!(indexed(511, 9), CombineStrategy::HashProbe);
-        // Wide tables over few rows keep today's paths: 2^12 > 125 rows
-        // probes, and a spilled working set still radix-groups.
-        assert_eq!(indexed(125, 12), CombineStrategy::HashProbe);
-        assert_eq!(indexed(1 << 16, 20), CombineStrategy::RadixGroup);
-        // Masks are u32s: a dimension count they cannot hold never picks
-        // the table, however many rows there are.
-        assert_eq!(indexed(u64::MAX / 16, 32), CombineStrategy::RadixGroup);
-        assert_eq!(indexed(u64::MAX / 16, 64), CombineStrategy::RadixGroup);
-        // No sample index, no sample rows to address slots by.
-        assert_eq!(
-            choose_combine(1 << 20, 1 << 10, 1 << 20, None),
-            CombineStrategy::HashProbe
-        );
-        // Empty partitions default to the probe path.
-        assert_eq!(choose_combine(0, 0, 0, Some(3)), CombineStrategy::HashProbe);
     }
 
     #[test]

@@ -92,21 +92,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 }
 
-impl Dataset<sirum_table::FrameView> {
-    /// Partition a columnar [`sirum_table::Frame`] into `partitions` range
-    /// views over its shared columns — one view per partition, zero
-    /// copying, using the same row chunking as [`Engine::parallelize`] so
-    /// a columnar dataset sees every row in the same partition slot as a
-    /// record-per-row dataset over the same rows.
-    pub fn from_frame_views(
-        engine: &Engine,
-        frame: &sirum_table::Frame,
-        partitions: usize,
-    ) -> Dataset<sirum_table::FrameView> {
-        Dataset::from_partitioned(engine, frame.partition_views(partitions))
-    }
-}
-
 impl<T: Record> Dataset<T> {
     /// Materialize partition `i` (decoding / reading from disk if stored).
     pub fn part(&self, i: usize) -> Arc<Vec<T>> {

@@ -45,6 +45,60 @@ pub struct MemSample {
     pub resident_bytes: usize,
 }
 
+/// Most samples a store's memory trace holds. A served process shares one
+/// store across every job for its whole life, so the trace must not grow
+/// with the work done; 4096 points (64 KiB) is more than any one `figures`
+/// run records, so those traces stay event-exact.
+const TRACE_CAP: usize = 4096;
+
+/// The memory-usage-over-time trace, bounded at [`TRACE_CAP`] samples.
+/// Each slot stands for `stride` consecutive store events and holds the one
+/// with the highest resident set, so however coarse the trace has become
+/// its timestamps stay monotone and the true peak is still in it.
+struct Trace {
+    samples: Vec<MemSample>,
+    /// Events one slot stands for; doubles each time the trace fills.
+    stride: usize,
+    /// Events folded into the last slot so far (`0` = start a new one).
+    filled: usize,
+}
+
+impl Trace {
+    fn new() -> Self {
+        Trace {
+            samples: Vec::new(),
+            stride: 1,
+            filled: 0,
+        }
+    }
+
+    fn record(&mut self, sample: MemSample) {
+        if self.filled == 0 {
+            if self.samples.len() == TRACE_CAP {
+                // Full: merge adjacent slots, keeping the higher of each
+                // pair, and let every slot from here on cover twice the
+                // events.
+                for i in 0..TRACE_CAP / 2 {
+                    let (a, b) = (self.samples[2 * i], self.samples[2 * i + 1]);
+                    self.samples[i] = if b.resident_bytes > a.resident_bytes {
+                        b
+                    } else {
+                        a
+                    };
+                }
+                self.samples.truncate(TRACE_CAP / 2);
+                self.stride *= 2;
+            }
+            self.samples.push(sample);
+        } else if let Some(last) = self.samples.last_mut() {
+            if sample.resident_bytes > last.resident_bytes {
+                *last = sample;
+            }
+        }
+        self.filled = (self.filled + 1) % self.stride;
+    }
+}
+
 /// Memory-pressure counters of a [`BlockStore`]: the instantaneous
 /// resident set plus cumulative spill volume and eviction count. Surfaced
 /// through the service layer (`GET /stats`, `/metrics`) so an operator
@@ -65,7 +119,7 @@ struct StoreInner {
     resident_bytes: usize,
     spilled_bytes: u64,
     evictions: u64,
-    trace: Vec<MemSample>,
+    trace: Trace,
     /// First spill-I/O failure observed. The store degrades gracefully
     /// (failed evictions keep blocks resident, failed disk writes fall back
     /// to memory) and the driver surfaces this at its next health check.
@@ -111,7 +165,7 @@ impl BlockStore {
                 resident_bytes: 0,
                 spilled_bytes: 0,
                 evictions: 0,
-                trace: Vec::new(),
+                trace: Trace::new(),
                 poison,
             })),
             budget,
@@ -131,7 +185,7 @@ impl BlockStore {
     }
 
     fn sample_locked(&self, inner: &mut StoreInner) {
-        inner.trace.push(MemSample {
+        inner.trace.record(MemSample {
             secs: self.epoch.elapsed().as_secs_f64(),
             resident_bytes: inner.resident_bytes,
         });
@@ -351,14 +405,12 @@ impl BlockStore {
         }
     }
 
-    /// The memory-usage-over-time trace accumulated so far.
+    /// The memory-usage-over-time trace accumulated so far: every store
+    /// event while they are few, then (past a fixed cap) the highest
+    /// resident set of each run of consecutive events — timestamps stay
+    /// increasing and the peak is always present.
     pub fn trace(&self) -> Vec<MemSample> {
-        self.inner.lock().trace.clone()
-    }
-
-    /// Clear the trace (e.g. between experiments sharing one engine).
-    pub fn reset_trace(&self) {
-        self.inner.lock().trace.clear();
+        self.inner.lock().trace.samples.clone()
     }
 
     /// Take the first spill-I/O failure recorded since the last check, if
@@ -474,6 +526,31 @@ mod tests {
         let trace = s.trace();
         assert_eq!(trace.len(), 2);
         assert!(trace[1].resident_bytes > trace[0].resident_bytes);
+        s.cleanup();
+    }
+
+    #[test]
+    fn trace_is_bounded_and_keeps_the_peak() {
+        // 100× the cap in store events (a put and a free each round). One
+        // put, made after the trace has already been halved once, is the
+        // true peak: every later merge must carry it along.
+        let s = store(None);
+        let mut peak = 0;
+        for round in 0..50 * TRACE_CAP {
+            let id = if round == TRACE_CAP {
+                let id = s.put(vec![0u64; 1 << 16]);
+                peak = s.resident_bytes();
+                id
+            } else {
+                s.put(vec![0u64; 1 + round % 7])
+            };
+            s.free(id);
+        }
+        let trace = s.trace();
+        assert!(trace.len() <= TRACE_CAP, "{}", trace.len());
+        assert!(trace.len() >= TRACE_CAP / 2, "halved, never cleared");
+        assert!(trace.windows(2).all(|w| w[0].secs <= w[1].secs));
+        assert_eq!(trace.iter().map(|s| s.resident_bytes).max(), Some(peak));
         s.cleanup();
     }
 

@@ -1,22 +1,22 @@
 //! Regenerate every figure of the thesis evaluation (Chapters 3–5).
 //!
 //! ```sh
-//! cargo run -p sirum-bench --release --bin figures            # everything
-//! cargo run -p sirum-bench --release --bin figures -- f5_3 f5_5
+//! cargo run -p sirum_figures --release --bin figures            # everything
+//! cargo run -p sirum_figures --release --bin figures -- f5_3 f5_5
 //! ```
 //!
 //! Each experiment prints the series the corresponding figure plots and
 //! writes a TSV under `target/figures/`.
 
-use sirum_bench::baselines::{sarawagi_explore, SarawagiConfig};
-use sirum_bench::core::explore::explore;
-use sirum_bench::core::{
+use sirum_figures::baselines::{sarawagi_explore, SarawagiConfig};
+use sirum_figures::core::explore::explore;
+use sirum_figures::core::{
     mine_on_sample, CandidateStrategy, Miner, MiningResult, MultiRuleConfig, SirumConfig, Variant,
 };
-use sirum_bench::dataflow::cost::{makespan, ClusterSpec};
-use sirum_bench::dataflow::{Engine, EngineConfig, StageRecord};
-use sirum_bench::table::Table;
-use sirum_bench::{secs, speedup, timed, workloads, FigureReport};
+use sirum_figures::dataflow::cost::{makespan, ClusterSpec};
+use sirum_figures::dataflow::{Engine, EngineConfig, StageRecord};
+use sirum_figures::table::Table;
+use sirum_figures::{secs, speedup, timed, workloads, FigureReport};
 
 const PARTITIONS: usize = 32;
 
@@ -142,7 +142,7 @@ fn f4_3() {
             tsv.push_str(&format!("{:.4}\t{}\n", s.secs, s.resident_bytes));
         }
         std::fs::write(
-            sirum_bench::figures_dir().join(format!("f4_3_trace_{label}.tsv")),
+            sirum_figures::figures_dir().join(format!("f4_3_trace_{label}.tsv")),
             tsv,
         )
         .unwrap();
@@ -582,7 +582,7 @@ fn f5_15() {
         ],
     );
     // FullCube enumerates 2^d ancestors per tuple; keep the table smaller.
-    let t = sirum_bench::table::generators::gdelt_like(3_000, workloads::SEED);
+    let t = sirum_figures::table::generators::gdelt_like(3_000, workloads::SEED);
     let e = engine();
     let (sar, _) = timed(|| {
         sarawagi_explore(
@@ -729,7 +729,7 @@ fn t1_2() {
         "t1_2_flight_rules",
         &["rule_id", "rule", "avg_late", "count"],
     );
-    let t = sirum_bench::table::generators::flights();
+    let t = sirum_figures::table::generators::flights();
     let r = run(
         &t,
         SirumConfig {

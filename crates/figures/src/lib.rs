@@ -1,12 +1,9 @@
-//! # sirum_bench
+//! # sirum_figures
 //!
-//! The paper-figure reproducer and one micro-bench — not the repo's perf
-//! surface, which is the end-to-end `sirum-bench/` package named by
-//! `BENCHMARK.json`. The `figures` binary regenerates every figure of the
-//! thesis evaluation (Figs 3.1–5.18); the `gain_sweep` Criterion bench is
-//! the forced-strategy micro-row (one sweep pass under each accumulator
-//! keying and each combine strategy, on a shape no `sirum-bench` workload
-//! covers). This library holds their shared workloads and reporting
+//! The paper-figure reproducer — not the repo's perf surface, which is
+//! the end-to-end `sirum-bench/` package named by `BENCHMARK.json`. The
+//! `figures` binary regenerates every figure of the thesis evaluation
+//! (Figs 3.1–5.18); this library holds its workloads and reporting
 //! helpers.
 //!
 //! Dataset sizes are scaled from the paper's cluster-scale inputs to

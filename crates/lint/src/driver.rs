@@ -759,7 +759,7 @@ mod tests {
     #[test]
     fn out_of_scope_paths_only_get_sl005() {
         let src = "fn f() { x.unwrap(); let p = unsafe { y() }; }\n";
-        let r = check_one("crates/bench/src/x.rs", src);
+        let r = check_one("crates/figures/src/x.rs", src);
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec!["SL005"]);
     }

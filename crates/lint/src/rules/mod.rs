@@ -91,7 +91,7 @@ pub fn static_code(code: &str) -> Option<&'static str> {
 }
 
 /// Library and facade paths whose non-test code must be panic-free
-/// (SL001). `crates/bench` and `crates/baselines` are harness/reference
+/// (SL001). `crates/figures` and `crates/baselines` are harness/reference
 /// code and exempt, exactly like under the retired grep gate; the lint
 /// crate holds itself to the same standard.
 pub(crate) fn is_library_path(rel_path: &str) -> bool {

@@ -57,7 +57,7 @@ fn sl001_ok_is_clean() {
 #[test]
 fn sl001_does_not_run_outside_library_paths() {
     let findings = lint(
-        "crates/bench/src/x.rs",
+        "crates/figures/src/x.rs",
         include_str!("../fixtures/sl001_bad.rs"),
     );
     assert!(findings.is_empty(), "findings: {findings:#?}");
@@ -135,7 +135,7 @@ fn sl004_ok_is_clean() {
 #[test]
 fn sl005_bad_exact_positions_and_no_test_exemption() {
     let findings = lint(
-        "crates/bench/src/x.rs",
+        "crates/figures/src/x.rs",
         include_str!("../fixtures/sl005_bad.rs"),
     );
     assert_eq!(
@@ -148,7 +148,7 @@ fn sl005_bad_exact_positions_and_no_test_exemption() {
 #[test]
 fn sl005_ok_is_clean() {
     let findings = lint(
-        "crates/bench/src/x.rs",
+        "crates/figures/src/x.rs",
         include_str!("../fixtures/sl005_ok.rs"),
     );
     assert!(findings.is_empty(), "findings: {findings:#?}");
@@ -230,7 +230,7 @@ fn sl007_ok_is_clean() {
 #[test]
 fn sl007_does_not_run_outside_deterministic_paths() {
     let findings = lint(
-        "crates/bench/src/x.rs",
+        "crates/figures/src/x.rs",
         include_str!("../fixtures/sl007_bad.rs"),
     );
     assert!(

@@ -43,15 +43,14 @@ use crate::net::metrics::{Histogram, LatencySummary};
 use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
 use sirum_core::miner::IterationObserver;
+use sirum_core::sweep::CombineStrategy;
 use sirum_core::{
     try_evaluate_rules_prepared, try_mine_on_sample, CancellationToken, CandidateStrategy,
     IterationDecision, IterationEvent, Miner, MiningResult, MultiRuleConfig, PreparedTable, Rule,
     RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
     StreamingConfig, StreamingMiner, SweepOptions, Variant,
 };
-use sirum_dataflow::cost::{
-    choose_combine, makespan, modeled_sweep_stage, ClusterSpec, CombineStrategy,
-};
+use sirum_dataflow::cost::{makespan, modeled_sweep_stage, ClusterSpec};
 use sirum_dataflow::{Engine, EngineConfig, EngineMode, StageRecord, TaskRecord};
 use sirum_table::{generators, Table, TableError};
 use std::collections::{BTreeMap, HashMap};
@@ -1804,13 +1803,11 @@ pub struct MiningPlan {
     /// the sweep runs on `Rule`-keyed maps (the layout exceeds 128 bits) —
     /// or when the sweep itself is off.
     pub packed_bits: Option<u32>,
-    /// Predicted stage-1 combine strategy for one sweep partition
-    /// ([`sirum_dataflow::cost::choose_combine`] replayed on the planned
-    /// per-partition shape: slot-table when a sample index is in play and
-    /// `2^dims ≤ rows/partition`, else hash-probe or radix-group by
-    /// emission volume). `None` whenever `packed_bits` is: only packed
-    /// codes are ever slot-addressed or radix-grouped, the `Rule`-keyed
-    /// sweep always probes its one map.
+    /// Predicted stage-1 combine strategy for one sweep partition:
+    /// [`CombineStrategy::for_partition`], the sweep's own rule, asked
+    /// about the planned per-partition shape. `None` whenever
+    /// `packed_bits` is: only packed codes are ever slot-addressed, the
+    /// `Rule`-keyed sweep always probes its one map.
     pub combine: Option<CombineStrategy>,
     /// Predicted rule-generation iterations (`⌈k / l⌉`; a KL-target run may
     /// iterate further, up to its `max_rules` bound).
@@ -1847,14 +1844,10 @@ impl MiningPlan {
         let iterations = config.k.div_ceil(config.multirule.rules_per_iter.max(1));
         let partitions = engine_config.partitions.max(1);
 
-        // Replay the sweep's own per-partition decisions: the packed-code
-        // width falls out of the registered dictionaries' bit-widths, and
-        // the combine strategy out of the cost model on the planned
-        // partition shape — rows/partition, the dimension count when a
-        // sample index is in play, and rows/partition × |s| emissions
-        // (also the distinct-key ceiling: the emission count itself bounds
-        // the distinct codes a partition can produce) — the same inputs
-        // `sirum_core::sweep` uses at run time.
+        // The sweep's own per-partition decisions: the packed-code width
+        // falls out of the registered dictionaries' bit-widths, and the
+        // combine strategy is whatever the sweep's rule says of one
+        // planned partition.
         let packed_bits = if config.gain_sweep {
             let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
             SweepOptions::packed(layout).packed_bits()
@@ -1862,13 +1855,15 @@ impl MiningPlan {
             None
         };
         let combine = packed_bits.map(|_| {
-            let rows = n.div_ceil(partitions as u64);
-            let records = rows * sample;
-            let sample_dims = match config.strategy {
-                CandidateStrategy::SampleLca { .. } => Some(entry.table.num_dims()),
+            let sample_rows = match config.strategy {
+                CandidateStrategy::SampleLca { sample_size } => Some(sample_size),
                 CandidateStrategy::FullCube => None,
             };
-            choose_combine(records, records, rows, sample_dims)
+            CombineStrategy::for_partition(
+                entry.table.num_rows().div_ceil(partitions),
+                entry.table.num_dims(),
+                sample_rows,
+            )
         });
 
         // Per-record scan cost: a base processing constant plus the memory
@@ -2500,8 +2495,7 @@ mod tests {
         assert!(plan.estimated_stages > 0 && plan.estimated_secs >= 0.0);
         assert!(!plan.cached);
         // Flights: 3 dims of tiny cardinality, well inside a u64 code; one
-        // row a partition is far under the slot table's 2^3 and the small
-        // emission volume keeps the fallback on the hash combine.
+        // row a partition is far under the slot table's 2^3, so it probes.
         assert_eq!(plan.packed_bits, Some(64));
         assert_eq!(plan.combine, Some(CombineStrategy::HashProbe));
         assert!(plan.to_string().contains("packed u64 rule codes"));
@@ -2552,7 +2546,7 @@ mod tests {
         let cube = service.mine("tlc").k(3).full_cube().explain().unwrap();
         assert_eq!(cube.combine, Some(CombineStrategy::HashProbe));
         // The same 9 dims over 250 rows a partition fall under 2^9: the
-        // hashed fallback runs, and the plan says which of its two arms.
+        // partition probes, however many pairs the sample makes it emit.
         service
             .register("income", generators::income_like(4000, 5))
             .unwrap();
@@ -2570,8 +2564,8 @@ mod tests {
             .sample_size(128)
             .explain()
             .unwrap();
-        assert_eq!(many.combine, Some(CombineStrategy::RadixGroup));
-        assert!(many.to_string().contains("radix-group combine"));
+        assert_eq!(many.combine, Some(CombineStrategy::HashProbe));
+        assert!(many.to_string().contains("hash-probe combine"));
         assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
     }
 
@@ -2579,8 +2573,8 @@ mod tests {
     fn explain_reports_no_combine_strategy_for_rule_keyed_layouts() {
         // 20 all-distinct columns over 64 rows need 7 bits each (64 values
         // + the wildcard slot) = 140 bits: past u128, so the sweep runs
-        // Rule-keyed — and that path never radix-groups, so the plan must
-        // not advertise a combine strategy.
+        // Rule-keyed — and that path only ever probes its one map, so the
+        // plan must not advertise a combine strategy.
         let dims: Vec<String> = (0..20).map(|j| format!("a{j}")).collect();
         let mut b = Table::builder(sirum_table::Schema::new(dims, "m"));
         for i in 0..64 {
