@@ -328,25 +328,36 @@ impl SampleIndex {
         }
         mask_count(&mask)
     }
+
+    /// [`Self::match_count`] of a *candidate* — the sample multiplicity its
+    /// pair-level aggregates are divided by (§3.1.1).
+    ///
+    /// # Panics
+    /// Panics if the candidate matches no sample tuple — impossible for
+    /// rules generated from LCAs (every ancestor of `lca(s, t)` covers `s`).
+    pub fn multiplicity(&self, candidate: &Rule) -> u64 {
+        let c = self.match_count(candidate);
+        // lint:allow(SL001) — documented invariant: every ancestor of lca(s, t) covers s
+        assert!(c > 0, "candidate {candidate:?} matches no sample tuple");
+        c
+    }
 }
 
 /// Adjust candidate aggregates for sample multiplicity (§3.1.1): a data
 /// tuple contributed once per matching sample tuple, so divide every
-/// aggregate by the candidate's sample match count. Returns candidates with
-/// exact `(Σ m, Σ mhat, |S_D(r)|)` over their true support sets.
+/// aggregate by the candidate's [`SampleIndex::multiplicity`]. Returns
+/// candidates with exact `(Σ m, Σ mhat, |S_D(r)|)` over their true support
+/// sets.
 ///
 /// # Panics
-/// Panics if a candidate matches no sample tuple — impossible for rules
-/// generated from LCAs (every ancestor of `lca(s, t)` covers `s`).
+/// Panics if a candidate matches no sample tuple.
 pub fn adjust_for_sample<I: IntoIterator<Item = (Rule, Agg)>>(
     candidates: I,
     index: &SampleIndex,
 ) -> Vec<(Rule, f64, f64, u64)> {
     let mut out = Vec::new();
     for (rule, (sum_m, sum_mhat, pairs)) in candidates {
-        let c = index.match_count(&rule);
-        // lint:allow(SL001) — documented invariant: every ancestor of lca(s, t) covers s
-        assert!(c > 0, "candidate {rule:?} matches no sample tuple");
+        let c = index.multiplicity(&rule);
         debug_assert_eq!(pairs % c, 0, "pair multiplicity must be uniform");
         out.push((rule, sum_m / c as f64, sum_mhat / c as f64, pairs / c));
     }

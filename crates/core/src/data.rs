@@ -17,7 +17,7 @@ use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, RctGroup};
 use crate::rule::Rule;
-use crate::sweep::{sweep_gains, SweepOptions, SweepOutcome};
+use crate::sweep::{SweepOutcome, SweepState};
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineMode};
 
@@ -329,18 +329,15 @@ impl MiningData {
         out
     }
 
-    /// The fused partition-parallel gain sweep over this dataset. `opts`
-    /// picks packed-code vs `Rule`-keyed accumulators (see
-    /// [`crate::sweep::SweepOptions`]); the output is bit-identical either
-    /// way.
+    /// One fused gain sweep over this dataset through the mine's
+    /// [`SweepState`] (see [`SweepState::sweep`]).
     pub(crate) fn sweep(
         &self,
-        d: usize,
-        index: Option<&SampleIndex>,
+        state: &mut SweepState<'_>,
         cancel: Option<&CancellationToken>,
-        opts: &SweepOptions,
+        pick: impl FnOnce(&[Agg]) -> Vec<usize>,
     ) -> SweepOutcome {
-        sweep_gains(&self.0, d, index, cancel, opts)
+        state.sweep(&self.0, cancel, pick)
     }
 
     /// The legacy staged candidate-pruning join: emit one `(rule,

@@ -5,7 +5,7 @@
 //! The multi-stage "column grouping" optimization (§4.3) restricts each
 //! stage to wildcarding positions from one attribute group only.
 
-use crate::rule::{PackedCode, PackedMasks, Rule, WILDCARD};
+use crate::rule::{Rule, WILDCARD};
 
 /// Maximum number of constants we are willing to expand in one call
 /// (2^24 ≈ 16M ancestors). Exceeding this is a configuration error —
@@ -45,42 +45,6 @@ pub fn ancestors_restricted(rule: &Rule, positions: &[usize]) -> Vec<Rule> {
         out.push(Rule::from_values(values.clone()));
     }
     out
-}
-
-/// Collect the non-wildcard dimension indices of a packed code into `live`
-/// (cleared first), in increasing dimension order — the same order
-/// [`Rule::constant_positions`] yields, so the packed subset loop below
-/// walks ancestors in exactly the order [`ancestors`] does.
-#[inline]
-pub fn packed_live_dims<C: PackedCode>(code: C, masks: &PackedMasks<C>, live: &mut Vec<usize>) {
-    live.clear();
-    for j in 0..masks.num_dims() {
-        if !masks.is_wild(code, j) {
-            live.push(j);
-        }
-    }
-}
-
-/// The ancestor of `code` obtained by wildcarding the `live` dimensions
-/// named by the set bits of `subset` (bit `b` ↔ `live[b]`): one OR per set
-/// bit, no unpacking. With `subset` running over `0..2^live.len()` this
-/// enumerates the same `2^w` ancestors as [`ancestors`], in the same subset
-/// order.
-#[inline]
-pub fn packed_ancestor<C: PackedCode>(
-    code: C,
-    masks: &PackedMasks<C>,
-    live: &[usize],
-    subset: u32,
-) -> C {
-    let mut anc = code;
-    let mut bits = subset;
-    while bits != 0 {
-        let b = bits.trailing_zeros() as usize;
-        anc = masks.widen(anc, live[b]);
-        bits &= bits - 1;
-    }
-    anc
 }
 
 /// Number of ancestors [`ancestors`] would produce, without producing them.
@@ -213,24 +177,6 @@ mod tests {
         let anc = ancestors_restricted(&base, &[0, 1]);
         // Position 0 is already a wildcard; only position 1 expands.
         assert_eq!(anc.len(), 2);
-    }
-
-    #[test]
-    fn packed_expansion_mirrors_rule_expansion() {
-        use crate::rule::RuleLayout;
-        let layout = RuleLayout::from_cardinalities(&[6, 3, 300, 2]);
-        let masks = layout.masks::<u64>();
-        for rule in [r(&[3, 1, 250, 0]), r(&[-1, 1, -1, 0]), r(&[-1, -1, -1, -1])] {
-            let code: u64 = layout.pack(rule.values());
-            let mut live = Vec::new();
-            packed_live_dims(code, &masks, &mut live);
-            assert_eq!(live, rule.constant_positions());
-            let expanded: Vec<Rule> = (0..(1u32 << live.len()))
-                .map(|subset| layout.unpack(packed_ancestor(code, &masks, &live, subset)))
-                .collect();
-            // Same ancestors in the same subset order as the Rule-keyed path.
-            assert_eq!(expanded, ancestors(&rule));
-        }
     }
 
     #[test]

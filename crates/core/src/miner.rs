@@ -8,12 +8,12 @@ use crate::data::MiningData;
 use crate::error::SirumError;
 use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
 use crate::lattice::{ancestors_restricted, column_groups, MAX_EXPAND_BITS};
-use crate::multirule::{select_rules, MultiRuleConfig, ScoredCandidate};
+use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
 use crate::rct::{iterative_scaling_rct, Rct, MAX_RULES};
 use crate::rule::{Rule, RuleLayout};
 use crate::scaling::{relative_diff, ScalingConfig};
-use crate::sweep::{SweepOptions, SweepOutcome};
+use crate::sweep::{SweepOptions, SweepState};
 use sirum_dataflow::{Dataset, Engine};
 use sirum_table::Table;
 use std::collections::HashSet;
@@ -97,7 +97,7 @@ pub struct SirumConfig {
     /// path (default `true`): each dimension gets a bit-field sized by
     /// its dictionary cardinality ([`crate::rule::RuleLayout`]), so LCA
     /// combining probes a `u64`/`u128`-keyed map (integer hash + compare
-    /// instead of slice hashing) and ancestor expansion is bit surgery.
+    /// instead of slice hashing) and widening a dimension is one OR.
     /// Falls back to the `Rule`-keyed maps automatically when the summed
     /// widths exceed 128 bits; only meaningful while
     /// [`Self::gain_sweep`] is active. The mining output is
@@ -262,11 +262,12 @@ pub struct PhaseTimings {
     /// Ancestor generation along the cube lattice. Zero when the fused
     /// gain sweep is active.
     pub ancestor_generation: f64,
-    /// Gain computation, sample adjustment and selection.
+    /// Gain computation, sample adjustment and selection (selection only
+    /// when the fused gain sweep is active).
     pub gain_computation: f64,
-    /// The fused partition-parallel gain sweep ([`crate::sweep`]), which
-    /// performs pruning, ancestor generation and aggregate computation in
-    /// one pass; zero on the legacy staged path.
+    /// The fused gain sweep ([`crate::sweep`]), which performs pruning,
+    /// ancestor generation, aggregate computation and gain scoring in one
+    /// pass; zero on the legacy staged path.
     pub gain_sweep: f64,
     /// Iterative scaling (including BA/RCT maintenance and write-out).
     pub iterative_scaling: f64,
@@ -294,7 +295,9 @@ pub struct MiningResult {
     /// Iterative-scaling λ-update counts, one entry per scaling run.
     pub scaling_iterations: Vec<usize>,
     /// Total candidate-rule key-value pairs emitted by ancestor-generation
-    /// mappers (the quantity of Fig 5.8).
+    /// mappers (the quantity of Fig 5.8) — under the fused sweep, what
+    /// single-stage generation *would* emit: `Σ 2^w` over each sweep's
+    /// distinct LCAs ([`crate::sweep::SweepOutcome::pairs_emitted`]).
     pub ancestors_emitted: u64,
     /// Number of rule-generation iterations executed.
     pub iterations: usize,
@@ -557,6 +560,10 @@ impl Miner {
             CandidateStrategy::FullCube => None,
         };
 
+        // The sweep's per-mine state: the first iteration builds what
+        // stage 2 reuses in the rest. Dropped on return, never cached.
+        let mut sweep = SweepState::new(d, index.as_deref(), &sweep_opts);
+
         // Greedy loop (Algorithm 2).
         let mut iterations = 0usize;
         let mut cancelled = false;
@@ -593,7 +600,7 @@ impl Miner {
                 &data,
                 index.as_deref(),
                 &rules,
-                &sweep_opts,
+                &mut sweep,
                 &mut timings,
                 &mut ancestors_emitted,
             );
@@ -769,7 +776,8 @@ impl Miner {
     }
 
     /// Candidate generation for one iteration. On the default path this is
-    /// one fused, partition-parallel gain sweep ([`crate::sweep`]); with
+    /// one fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
+    /// which only the candidates selection can reach become rules; with
     /// [`SirumConfig::gain_sweep`] off it is the legacy staged pipeline —
     /// LCA join (or tuple stage), staged ancestor generation, sample
     /// adjustment, gain scoring — that emulates the paper's platform jobs.
@@ -782,7 +790,7 @@ impl Miner {
         data: &MiningData,
         index: Option<&SampleIndex>,
         rules: &[Rule],
-        sweep_opts: &SweepOptions,
+        sweep: &mut SweepState<'_>,
         timings: &mut PhaseTimings,
         ancestors_emitted: &mut u64,
     ) -> (Vec<ScoredCandidate>, u64, bool) {
@@ -796,17 +804,26 @@ impl Miner {
 
         if cfg.gain_sweep {
             let t0 = Instant::now();
-            let SweepOutcome {
-                candidates,
-                distinct_candidates,
-                pairs_emitted,
-                cancelled,
-            } = data.sweep(d, index, self.cancellation.as_ref(), sweep_opts);
-            *ancestors_emitted += pairs_emitted;
+            // Same driver-memory guard as the staged path's per-partition
+            // truncation, and selection only ever reads the top rank-limit
+            // candidates: only that prefix of the (gain descending,
+            // canonical rank ascending) order becomes rules. Existing
+            // rules drop out after ranking, so rank that many more.
+            let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
+            let reach = |distinct: usize| keep.min(cfg.multirule.rank_limit(distinct));
+            let out = data.sweep(sweep, self.cancellation.as_ref(), |sums| {
+                let gain = |(rank, &(sum_m, sum_mhat, _))| (gain_fn(sum_m, sum_mhat), rank);
+                let scored = sums.iter().enumerate().map(gain).collect();
+                let top = top_by_gain(scored, reach(sums.len()) + rules.len());
+                top.into_iter().map(|(_, rank)| rank).collect()
+            });
+            *ancestors_emitted += out.pairs_emitted;
             let existing: HashSet<&Rule> = rules.iter().collect();
-            let mut result: Vec<ScoredCandidate> = candidates
+            let result: Vec<ScoredCandidate> = out
+                .candidates
                 .into_iter()
                 .filter(|(rule, _, _, _)| !existing.contains(rule))
+                .take(reach(out.distinct_candidates as usize))
                 .map(|(rule, sum_m, sum_mhat, count)| ScoredCandidate {
                     gain: gain_fn(sum_m, sum_mhat),
                     rule,
@@ -814,19 +831,8 @@ impl Miner {
                     count,
                 })
                 .collect();
-            // Same driver-memory guard as the staged path's per-partition
-            // truncation: selection only ever reads the top rank-limit
-            // candidates, so cap what reaches it (millions for wide
-            // full-cube datasets otherwise). The stable gain sort keeps
-            // tie order — and therefore the selected sequence —
-            // deterministic.
-            let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
-            if result.len() > keep {
-                result.sort_by(|a, b| b.gain.total_cmp(&a.gain));
-                result.truncate(keep);
-            }
             timings.gain_sweep += t0.elapsed().as_secs_f64();
-            return (result, distinct_candidates, cancelled);
+            return (result, out.distinct_candidates, out.cancelled);
         }
 
         let partitions = self.engine.config().partitions;

@@ -36,6 +36,28 @@ impl MultiRuleConfig {
             ..Default::default()
         }
     }
+
+    /// How many of `total` gain-ranked candidates [`select_rules`] may
+    /// read: the top [`Self::top_fraction`], and at least the best one.
+    pub fn rank_limit(&self, total: usize) -> usize {
+        ((total as f64 * self.top_fraction).ceil() as usize).max(1)
+    }
+}
+
+/// The first `reach` of `scored` — `(gain, canonical rank)` per candidate
+/// — under gain descending (`total_cmp`), rank ascending: the prefix
+/// [`select_rules`]' stable sort makes of the canonically ordered list,
+/// without sorting all of it. Selection never reads past
+/// [`MultiRuleConfig::rank_limit`], so selecting from this prefix equals
+/// selecting from the whole list whenever `reach` covers that limit.
+pub fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usize)> {
+    let best_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    if reach < scored.len() {
+        scored.select_nth_unstable_by(reach, best_first);
+        scored.truncate(reach);
+    }
+    scored.sort_unstable_by(best_first);
+    scored
 }
 
 /// A scored candidate as produced by the gain stage.
@@ -78,8 +100,7 @@ pub fn select_rules(
     if cfg.rules_per_iter <= 1 {
         return picked;
     }
-    let total = total_candidates.max(candidates.len());
-    let rank_limit = ((total as f64 * cfg.top_fraction).ceil() as usize).max(1);
+    let rank_limit = cfg.rank_limit(total_candidates.max(candidates.len()));
     let gain_floor = top.gain * cfg.min_gain_fraction;
     for cand in candidates.iter().take(rank_limit).skip(1) {
         if picked.len() >= cfg.rules_per_iter {
@@ -208,6 +229,56 @@ mod tests {
             for j in (i + 1)..picked.len() {
                 assert!(picked[i].rule.is_disjoint(&picked[j].rule));
             }
+        }
+    }
+
+    #[test]
+    fn selecting_from_the_top_prefix_equals_selecting_from_the_whole_list() {
+        // 240 candidates in canonical order over two attributes, gains
+        // drawn from three values only — ties everywhere, which only rank
+        // order may break. Each `a` opens with `(a, *)`, which overlaps the
+        // `(a, b)`s after it, so multi-rule selection has to skip.
+        let all: Vec<ScoredCandidate> = (0..240u32)
+            .map(|i| {
+                let (a, b) = (i64::from(i / 15), i64::from(i % 15));
+                let vals = [a, if b == 0 { -1 } else { b }];
+                cand(&vals, [3.0, 1.0, 2.0][(i * 7 % 3) as usize])
+            })
+            .collect();
+        for rules_per_iter in [1, 2, 3] {
+            for top_fraction in [0.01, 0.5, 1.0] {
+                let cfg = MultiRuleConfig {
+                    rules_per_iter,
+                    top_fraction,
+                    min_gain_fraction: 0.0,
+                };
+                let whole = select_rules(&mut all.clone(), &cfg, all.len());
+                let scored = all.iter().enumerate().map(|(rank, c)| (c.gain, rank));
+                let reach = cfg.rank_limit(all.len());
+                let mut prefix: Vec<ScoredCandidate> = top_by_gain(scored.collect(), reach)
+                    .into_iter()
+                    .map(|(_, rank)| all[rank].clone())
+                    .collect();
+                assert_eq!(prefix.len(), reach);
+                let picked = select_rules(&mut prefix, &cfg, all.len());
+                let rules = |c: &[ScoredCandidate]| -> Vec<Rule> {
+                    c.iter().map(|c| c.rule.clone()).collect()
+                };
+                assert_eq!(rules(&picked), rules(&whole), "{cfg:?}");
+                if top_fraction == 1.0 {
+                    // All asked for, and not simply the first ones: the
+                    // second-ranked `(0, 3)` overlaps the top `(0, *)`.
+                    assert_eq!(picked.len(), rules_per_iter, "{cfg:?}");
+                    assert!(picked.iter().all(|p| p.rule != all[3].rule));
+                }
+            }
+        }
+        // The prefix is the stable sort's, tie for tie.
+        let mut sorted = all.clone();
+        sorted.sort_by(|a, b| b.gain.total_cmp(&a.gain));
+        let top = top_by_gain(all.iter().map(|c| c.gain).zip(0..).collect(), 100);
+        for ((_, rank), want) in top.iter().zip(&sorted) {
+            assert_eq!(all[*rank].rule, want.rule);
         }
     }
 }

@@ -11,18 +11,26 @@
 //! at once — the group-by-style aggregation El Gebaly et al.'s explanation
 //! tables use to stay competitive.
 //!
-//! [`sweep_gains`] is the one entry point. It runs two shuffle-free,
-//! partition-parallel stages on the [`sirum_dataflow::Engine`] thread pool
-//! ([`Dataset::aggregate_partitions`]) over the columnar dataset (one
-//! [`TupleBlock`] per partition):
+//! [`sweep_gains`] is the one-shot entry point and [`SweepState`] the
+//! per-mine form the miner sweeps once per greedy iteration. A sweep is
+//! two shuffle-free stages over the columnar dataset (one [`TupleBlock`]
+//! per partition):
 //!
-//! 1. **Combine** — each data partition folds its `(sample tuple, data
-//!    tuple)` LCAs into a local `LCA → (Σm, Σm̂, pairs)` map; the maps are
-//!    merged in partition order into the globally distinct LCA frontier;
-//! 2. **Expand** — the frontier is split over the same number of
-//!    partitions and each task expands its LCAs' cube lattices once,
-//!    folding the combined aggregates into every ancestor; the candidate
-//!    maps are again merged in partition order.
+//! 1. **Combine** — partition-parallel on the [`sirum_dataflow::Engine`]
+//!    thread pool ([`Dataset::aggregate_partitions`]): each data partition
+//!    folds its `(sample tuple, data tuple)` LCAs into a local
+//!    `LCA → (Σm, Σm̂, pairs)` map; the maps are merged in partition order
+//!    into the globally distinct LCA frontier;
+//! 2. **Expand** — on the driver: one sparse sum-over-subsets (zeta)
+//!    transform pushes the canonically sorted frontier's sums up the cube
+//!    lattice a dimension at a time — §4.3's multi-stage ancestor
+//!    generation at its limit of one column per stage, shuffle-free: at
+//!    most `d` additions per candidate where a lattice walk probes `2^w`
+//!    times per LCA. Which slot feeds which (an `ExpandPlan`) cannot
+//!    change inside a mine — the sample, the dimension columns and `m` are
+//!    fixed, only `m̂` moves — so a [`SweepState`]'s first sweep builds it
+//!    and later ones fold only the new `Σm̂` column through it, after
+//!    checking that the frontier's keys are still the plan's.
 //!
 //! ## Packed rule codes
 //!
@@ -31,11 +39,11 @@
 //! its dictionary cardinality (wildcard = the reserved all-ones slot), so
 //! an LCA key is one `u64`/`u128` instead of a `&[u32]` slice — the
 //! combine probe becomes an integer hash plus an integer compare, and
-//! ancestor expansion is a couple of ORs per ancestor instead of slice
-//! rewrites. When the summed widths exceed 128 bits the sweep runs on
-//! `Rule`-keyed maps instead — the only path for such layouts;
-//! [`SweepOptions`] picks the key type. Each packed combine partition also
-//! chooses **how** to aggregate, from its own shape
+//! widening a dimension is one OR instead of a slice rewrite. When the
+//! summed widths exceed 128 bits the sweep runs on `Rule`-keyed maps
+//! instead — the only path for such layouts; [`SweepOptions`] picks the
+//! key type. Each packed combine partition also chooses **how** to
+//! aggregate, from its own shape
 //! ([`CombineStrategy::for_partition`], the one home of the rule):
 //!
 //! - **slot table** — a sample-indexed partition with `2^d ≤ rows` whose
@@ -62,13 +70,16 @@
 //!    order);
 //! 2. [`Dataset::aggregate_partitions`] returns task outputs in partition
 //!    order regardless of which worker ran which task, and the driver folds
-//!    them front-to-back — so each candidate's floating-point sums are
+//!    them front-to-back — so each LCA's floating-point sums are
 //!    accumulated in exactly the same order for 1 worker or N;
 //! 3. the merged stage-1 frontier is sorted into **canonical rule order**
-//!    before stage-2 chunking (packed codes are order-isomorphic to
-//!    lexicographic `Rule::values` order, so every key representation
-//!    sorts identically), and the final candidate list is sorted the same
-//!    way — no intermediate hash map's iteration order reaches the output.
+//!    (packed codes are order-isomorphic to lexicographic `Rule::values`
+//!    order, so every key representation sorts identically); stage 2 is a
+//!    pure function of that list and the dimension order — one generic
+//!    builder, hence the same links and the same float association for
+//!    every key type, worker count and partition count — and candidates
+//!    are ranked in canonical order again: no hash map's iteration order
+//!    reaches the output.
 //!
 //! Hence the sweep's per-candidate sums — and everything derived from them
 //! (gains, the selected rule sequence) — are **bit-identical** for any
@@ -79,32 +90,34 @@
 //! `crates/core/tests/properties.rs` pin it across random tables,
 //! partition counts and thread counts.
 //!
-//! Cancellation is polled at every partition boundary and every
-//! [`CANCEL_POLL_ROWS`] **work units** inside both stages — a work unit is
-//! one LCA fold (or scanned row) in the combine stage and one ancestor
-//! fold in the expand stage, so the latency to observe a cancellation is
-//! bounded even across stretches that emit nothing (a row whose LCAs all
-//! hit existing entries still counts work). A cancelled sweep returns an
-//! empty candidate list with [`SweepOutcome::cancelled`] set, and the
-//! miner abandons the iteration without selecting from partial sums.
+//! Cancellation is polled at every combine partition's boundary, where
+//! stage 2 starts, and every [`CANCEL_POLL_ROWS`] **work units** inside
+//! both — one LCA fold (or scanned row) in a combine task, one link
+//! recorded or folded (or one candidate's multiplicity counted) in stage
+//! 2 — so the latency to observe a cancellation is bounded even across
+//! stretches that emit nothing. A cancelled sweep returns an empty
+//! candidate list with [`SweepOutcome::cancelled`] set (a plan caught
+//! mid-build is not kept), and the miner abandons the iteration without
+//! selecting from partial sums.
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
-use crate::candidates::{adjust_for_sample, SampleIndex};
-use crate::lattice::{packed_live_dims, MAX_EXPAND_BITS};
-use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
+use crate::candidates::SampleIndex;
+use crate::lattice::MAX_EXPAND_BITS;
+use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout};
 use sirum_dataflow::hash::FxHashMap;
-use sirum_dataflow::Dataset;
+use sirum_dataflow::{Dataset, StageRecord, TaskRecord};
+use std::time::Instant;
 
 /// Per-candidate aggregate carried by the sweep: `(Σm, Σm̂, pair count)` —
 /// the same triple the legacy shuffle pipeline reduces by key.
 type Agg = (f64, f64, u64);
 
-/// How many units of work — LCA folds or scanned rows in the combine
-/// stage, ancestor folds in the expand stage — a partition task processes
-/// between cancellation polls (in addition to the poll at every partition
-/// boundary). Counting *folds* rather than emitted pairs bounds the poll
-/// latency even through long stretches that emit nothing new.
+/// How many units of work — LCA folds or scanned rows in a combine task,
+/// links recorded or folded in stage 2 — pass between cancellation polls
+/// (in addition to the poll at every stage and partition boundary).
+/// Counting *folds* rather than emitted pairs bounds the poll latency even
+/// through long stretches that emit nothing new.
 pub const CANCEL_POLL_ROWS: usize = 4096;
 
 /// How a packed sweep partition folds its `(sample tuple, data tuple)` LCA
@@ -215,18 +228,29 @@ pub struct SweepOutcome {
     /// `(rule, Σm, Σm̂, |support|)`, already adjusted for sample
     /// multiplicity when an index was supplied. Sorted in canonical rule
     /// order (lexicographic on values, wildcards last), which is identical
-    /// across every sweep variant. Empty when [`Self::cancelled`].
+    /// across every sweep variant — or, from [`SweepState::sweep`], as its
+    /// caller picked them. Empty when [`Self::cancelled`].
     pub candidates: Vec<(Rule, f64, f64, u64)>,
     /// Distinct candidate rules seen by the sweep (the rank-limit
     /// denominator of multi-rule selection).
     pub distinct_candidates: u64,
-    /// Total (candidate, tuple-contribution) pairs folded — the quantity
-    /// the legacy pipeline's ancestor-generation mappers would have
-    /// emitted (Fig 5.8).
+    /// The (candidate, LCA-contribution) pairs single-stage ancestor
+    /// generation *would* emit (Fig 5.8): `Σ 2^w` over the distinct LCAs,
+    /// `w` an LCA's constant count. Computed arithmetically — stage 2
+    /// folds far fewer links — and 0 when [`Self::cancelled`].
     pub pairs_emitted: u64,
-    /// True when a cancellation token stopped the sweep at a partition
-    /// boundary (or an intra-partition poll); `candidates` is empty.
+    /// True when a cancellation token stopped the sweep at a stage or
+    /// partition boundary (or an in-stage poll); `candidates` is empty.
     pub cancelled: bool,
+}
+
+fn cancelled_outcome() -> SweepOutcome {
+    SweepOutcome {
+        candidates: Vec::new(),
+        distinct_candidates: 0,
+        pairs_emitted: 0,
+        cancelled: true,
+    }
 }
 
 #[inline]
@@ -234,14 +258,10 @@ fn is_cancelled(cancel: Option<&CancellationToken>) -> bool {
     cancel.is_some_and(CancellationToken::is_cancelled)
 }
 
-/// One partition's fold state, generic over the accumulator key (a packed
-/// code or a [`Rule`]). Used for both sweep stages — LCA combining over
-/// the data and ancestor expansion over the frontier.
+/// One combine partition's fold state, generic over the accumulator key
+/// (a packed code or a [`Rule`]).
 struct PartitionSweep<K> {
     map: FxHashMap<K, Agg>,
-    /// Ancestor folds performed (the Fig 5.8 "ancestors emitted" quantity,
-    /// counted by the expansion stage only).
-    pairs: u64,
     /// Work units since the task started — the cancellation poll clock
     /// (never part of the output).
     work: u64,
@@ -252,7 +272,6 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     fn new() -> Self {
         PartitionSweep {
             map: FxHashMap::default(),
-            pairs: 0,
             work: 0,
             cancelled: false,
         }
@@ -264,7 +283,6 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     fn with_capacity(capacity: usize) -> Self {
         PartitionSweep {
             map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            pairs: 0,
             work: 0,
             cancelled: false,
         }
@@ -285,7 +303,6 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     /// Fold `other` into `self`. Callers merge partitions **in partition
     /// order**, so each candidate's float sums accumulate deterministically.
     fn merge(&mut self, other: PartitionSweep<K>) {
-        self.pairs += other.pairs;
         self.work += other.work;
         self.cancelled |= other.cancelled;
         for (key, agg) in other.map {
@@ -302,9 +319,7 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
         }
     }
 
-    /// Probe-or-insert one full aggregate (both stages' hash inner fold:
-    /// the combine stage passes `(m, m̂, 1)`, the expand stage the merged
-    /// LCA aggregate).
+    /// Probe-or-insert one aggregate (the hash-probe inner fold).
     #[inline]
     fn fold_agg(&mut self, key: K, agg: Agg)
     where
@@ -324,7 +339,7 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
 }
 
 // ---------------------------------------------------------------------------
-// Packed-code stages
+// Packed-code combine
 // ---------------------------------------------------------------------------
 
 /// Stage 1, one partition, packed keys: combine every `(sample tuple, data
@@ -509,56 +524,8 @@ fn combine_slot_table<C: PackedCode>(
     acc
 }
 
-/// Stage 2, one partition of the packed **frontier**: expand each globally
-/// distinct LCA's cube lattice once — two ORs per ancestor — folding its
-/// combined aggregate into every ancestor.
-fn expand_packed<C: PackedCode>(
-    frontier: &[(C, Agg)],
-    masks: &PackedMasks<C>,
-    cancel: Option<&CancellationToken>,
-) -> PartitionSweep<C> {
-    let mut acc = PartitionSweep::with_capacity(frontier.len() * 4);
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
-    }
-    let mut live = Vec::with_capacity(masks.num_dims());
-    let mut deltas: Vec<C> = Vec::with_capacity(masks.num_dims());
-    for &(code, agg) in frontier {
-        packed_live_dims(code, masks, &mut live);
-        let w = live.len();
-        // Unreachable through the miner, which rejects tables with more
-        // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
-        // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
-        assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
-        // Walk the lattice in binary-reflected Gray order: each step
-        // toggles one live field between its value and all-ones, so every
-        // ancestor is a single XOR from the previous one. Enumeration
-        // order within a lattice is free to differ from the rule-keyed
-        // path's 0..2^w order — subsets of distinct live dims yield
-        // distinct codes, so each ancestor key still receives exactly one
-        // fold per lattice and cross-variant sums are unchanged.
-        deltas.clear();
-        deltas.extend(live.iter().map(|&j| masks.wild(j).bitand(code.not())));
-        let mut anc = code;
-        for step in 0..(1u32 << w) {
-            if step != 0 {
-                anc = anc.bitxor(deltas[step.trailing_zeros() as usize]);
-            }
-            acc.pairs += 1;
-            // One lattice can dwarf the whole frontier, so the poll clock
-            // counts folds, not frontier entries.
-            if acc.tick(cancel) {
-                return acc;
-            }
-            acc.fold_agg(anc, agg);
-        }
-    }
-    acc
-}
-
 // ---------------------------------------------------------------------------
-// Rule-keyed stages (layouts over 128 bits)
+// Rule-keyed combine (layouts over 128 bits)
 // ---------------------------------------------------------------------------
 
 /// Fold one data row's LCA contributions into the partition map. Probing
@@ -632,50 +599,148 @@ fn combine_rulekey(
     acc
 }
 
-/// [`expand_packed`], `Rule`-keyed: fold each frontier LCA's combined
-/// aggregate into every ancestor of its values — `2^w` entries for `w`
-/// constants, enumerated by rewriting one scratch slice.
-fn expand_rulekey(
-    frontier: &[(Rule, Agg)],
-    cancel: Option<&CancellationToken>,
-) -> PartitionSweep<Rule> {
-    let mut acc = PartitionSweep::with_capacity(frontier.len() * 4);
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
+// ---------------------------------------------------------------------------
+// Stage 2: the expand plan
+// ---------------------------------------------------------------------------
+
+/// Stage 2's work-unit clock: one per call, plan build and fold alike.
+struct PollClock<'a> {
+    work: u64,
+    cancel: Option<&'a CancellationToken>,
+}
+
+impl PollClock<'_> {
+    /// [`PartitionSweep::tick`], for the driver-side stage.
+    #[inline]
+    fn tick(&mut self) -> bool {
+        self.work += 1;
+        self.work.is_multiple_of(CANCEL_POLL_ROWS as u64) && is_cancelled(self.cancel)
     }
-    let d = frontier.first().map_or(0, |(r, _)| r.arity());
-    let mut live = Vec::with_capacity(d);
-    let mut buf = Vec::with_capacity(d);
-    for (lca, agg) in frontier {
-        let values = lca.values();
-        live.clear();
-        live.extend((0..values.len()).filter(|&i| values[i] != WILDCARD));
-        let w = live.len();
-        // Unreachable through the miner, which rejects tables with more
-        // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
-        // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
-        assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
-        buf.clear();
-        buf.extend_from_slice(values);
-        for subset in 0..(1u32 << w) {
-            for (bit, &pos) in live.iter().enumerate() {
-                buf[pos] = if subset & (1 << bit) != 0 {
-                    WILDCARD
-                } else {
-                    values[pos]
-                };
-            }
-            acc.pairs += 1;
-            // As in expand_packed: the poll clock counts folds, so one huge
-            // lattice cannot stall a cancellation.
-            if acc.tick(cancel) {
-                return acc;
-            }
-            fold_lca(&mut acc.map, &buf, *agg);
+}
+
+/// Run `add(a, t)` over `links` in recorded order; `None` when cancelled.
+fn fold_links(
+    links: &[(u32, u32)],
+    clock: &mut PollClock<'_>,
+    mut add: impl FnMut(usize, usize),
+) -> Option<()> {
+    for &(a, t) in links {
+        if clock.tick() {
+            return None;
         }
+        add(a as usize, t as usize);
     }
-    acc
+    Some(())
+}
+
+/// The half of stage 2 that cannot change inside a mine. Candidates live
+/// in **slots**: the sorted frontier in `0..frontier_len`, then every
+/// further ancestor in the order the build first reached it. For each
+/// dimension `j` in turn, every slot `a` present when pass `j` starts
+/// whose dimension `j` is a constant is linked to the slot `t` of
+/// `widen(a, j)`. Folding `f[t] += f[a]` along the links in recorded
+/// order over `f = x ‖ 0…` leaves in each slot the sum of `x` over the
+/// frontier LCAs it generalises, each counted once: an LCA reaches an
+/// ancestor along exactly one path (wildcard the differing dimensions in
+/// increasing `j`), and inside a pass every read has dimension `j`
+/// constant and every write has it wild, so the two never alias.
+struct ExpandPlan<K> {
+    keys: Vec<K>,
+    frontier_len: usize,
+    links: Vec<(u32, u32)>,
+    /// Slots in canonical rule order.
+    order: Vec<u32>,
+    /// Per slot, with the sample multiplicity `c` (§3.1.1; 1 without an
+    /// index) already divided out: exact `Σm` and `|support|`.
+    sum_m: Vec<f64>,
+    count: Vec<u64>,
+    /// Per slot: `c`, the divisor each sweep's `Σm̂` still needs.
+    mult: Vec<f64>,
+    pairs_emitted: u64,
+}
+
+impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
+    /// `None` when `clock`'s token fires part-way.
+    fn build(
+        frontier: &[(K, Agg)],
+        cx: SweepCx<'_>,
+        clock: &mut PollClock<'_>,
+        is_wild: impl Fn(&K, usize) -> bool,
+        widen: impl Fn(&K, usize) -> K,
+        to_rule: impl Fn(&K) -> Rule,
+    ) -> Option<Self> {
+        let mut pairs_emitted = 0u64;
+        for (key, _) in frontier {
+            let w = (0..cx.d).filter(|&j| !is_wild(key, j)).count();
+            // Unreachable through the miner, which rejects tables with more
+            // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
+            // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
+            assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
+            pairs_emitted += 1 << w;
+        }
+        let mut keys: Vec<K> = frontier.iter().map(|(key, _)| key.clone()).collect();
+        // Sized as candidates typically outnumber the frontier: rehashing
+        // on the way up costs a measurable slice of the build.
+        let mut slot_of: FxHashMap<K, u32> =
+            FxHashMap::with_capacity_and_hasher(frontier.len() * 4, Default::default());
+        slot_of.extend(keys.iter().cloned().zip(0..));
+        let mut links = Vec::new();
+        for j in 0..cx.d {
+            for a in 0..keys.len() {
+                if is_wild(&keys[a], j) {
+                    continue;
+                }
+                if clock.tick() {
+                    return None;
+                }
+                let wide = widen(&keys[a], j);
+                let t = match slot_of.get(&wide) {
+                    Some(&t) => t,
+                    None => {
+                        // lint:allow(SL001) — internal expansion-size invariant (slot ids are u32s), not user-reachable
+                        let t = u32::try_from(keys.len()).expect("under 2^32 candidates");
+                        slot_of.insert(wide.clone(), t);
+                        keys.push(wide);
+                        t
+                    }
+                };
+                links.push((a as u32, t));
+            }
+        }
+        let (mut sum_m, mut count): (Vec<f64>, Vec<u64>) =
+            frontier.iter().map(|(_, agg)| (agg.0, agg.2)).unzip();
+        sum_m.resize(keys.len(), 0.0);
+        count.resize(keys.len(), 0);
+        fold_links(&links, clock, |a, t| {
+            sum_m[t] += sum_m[a];
+            count[t] += count[a];
+        })?;
+        let mut mult = vec![1.0; keys.len()];
+        if let Some(idx) = cx.index {
+            for (slot, key) in keys.iter().enumerate() {
+                if clock.tick() {
+                    return None;
+                }
+                let c = idx.multiplicity(&to_rule(key));
+                debug_assert_eq!(count[slot] % c, 0, "pair multiplicity must be uniform");
+                mult[slot] = c as f64;
+                sum_m[slot] /= c as f64;
+                count[slot] /= c;
+            }
+        }
+        let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        Some(ExpandPlan {
+            keys,
+            frontier_len: frontier.len(),
+            links,
+            order,
+            sum_m,
+            count,
+            mult,
+            pairs_emitted,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -691,107 +756,196 @@ fn sorted_entries<K: Ord>(map: FxHashMap<K, Agg>) -> Vec<(K, Agg)> {
     entries
 }
 
-fn cancelled_outcome<K>(acc: &PartitionSweep<K>) -> SweepOutcome {
-    SweepOutcome {
-        candidates: Vec::new(),
-        distinct_candidates: 0,
-        pairs_emitted: acc.pairs,
-        cancelled: true,
-    }
+/// What every stage of one sweep call reads.
+#[derive(Clone, Copy)]
+struct SweepCx<'a> {
+    data: &'a Dataset<TupleBlock>,
+    d: usize,
+    index: Option<&'a SampleIndex>,
+    cancel: Option<&'a CancellationToken>,
 }
 
-/// Both stages for one key type `K`: combine each data partition, chunk
-/// the canonically ordered frontier over as many partitions and expand
-/// it, then turn the merged accumulator into rules — dividing by sample
-/// multiplicity when an index was used (§3.1.1) so every candidate carries
-/// exact sums over its true support set. Expanding after the global
-/// (partition-ordered) LCA merge performs the `2^w` lattice work exactly
-/// once per distinct LCA — the same complexity as the legacy pipeline's
-/// post-reduce expansion — while staying shuffle-free.
-fn run_sweep<K, FC, FE, FU>(
-    data: &Dataset<TupleBlock>,
-    index: Option<&SampleIndex>,
+/// Both stages for one key type `K`: combine each data partition into the
+/// canonically ordered frontier, make sure `plan` is this frontier's
+/// (building it when it is missing or, which one mine cannot cause, the
+/// frontier's keys moved), fold the frontier's `Σm̂` column through it,
+/// show `pick` every candidate's sums by canonical rank and turn the
+/// ranks it returns into rules. Stage 2 runs on the driver, outside the
+/// engine's scheduler, so it pushes its own one-task [`StageRecord`]
+/// (work units in — links recorded and folded — candidates out).
+fn run_sweep<K, FC, FW, FG, FU>(
+    cx: SweepCx<'_>,
+    plan: &mut Option<ExpandPlan<K>>,
+    pick: impl FnOnce(&[Agg]) -> Vec<usize>,
     combine: FC,
-    expand: FE,
+    is_wild: FW,
+    widen: FG,
     to_rule: FU,
 ) -> SweepOutcome
 where
-    K: Ord + std::hash::Hash + Send,
-    (K, Agg): sirum_dataflow::Record,
+    K: Clone + Ord + std::hash::Hash + Send,
     FC: Fn(&[TupleBlock]) -> PartitionSweep<K> + Send + Sync,
-    FE: Fn(&[(K, Agg)]) -> PartitionSweep<K> + Send + Sync,
-    FU: Fn(K) -> Rule,
+    FW: Fn(&K, usize) -> bool,
+    FG: Fn(&K, usize) -> K,
+    FU: Fn(&K) -> Rule,
 {
-    let combined = data.aggregate_partitions(
+    let combined = cx.data.aggregate_partitions(
         "gain-sweep-combine",
         PartitionSweep::new,
         |_, blocks| combine(blocks),
         PartitionSweep::merge,
     );
     if combined.cancelled {
-        return cancelled_outcome(&combined);
+        return cancelled_outcome();
     }
-    let frontier = data
-        .engine()
-        .parallelize(sorted_entries(combined.map), data.num_partitions());
-    let acc = frontier.aggregate_partitions(
-        "gain-sweep-expand",
-        PartitionSweep::new,
-        |_, lcas| expand(lcas),
-        PartitionSweep::merge,
-    );
-    if acc.cancelled {
-        return cancelled_outcome(&acc);
-    }
-    let distinct = acc.map.len() as u64;
-    let rules = sorted_entries(acc.map)
-        .into_iter()
-        .map(|(key, agg)| (to_rule(key), agg));
-    let candidates = match index {
-        Some(idx) => adjust_for_sample(rules, idx),
-        None => rules
-            .map(|(rule, (sm, smh, cnt))| (rule, sm, smh, cnt))
-            .collect(),
+    let frontier = sorted_entries(combined.map);
+    let started = Instant::now();
+    let mut clock = PollClock {
+        work: 0,
+        cancel: cx.cancel,
     };
+    let sum_mhat = (|| {
+        if is_cancelled(cx.cancel) {
+            return None;
+        }
+        let current = plan.as_ref().is_some_and(|p| {
+            p.frontier_len == frontier.len() && p.keys.iter().zip(&frontier).all(|(k, e)| *k == e.0)
+        });
+        if !current {
+            // Assigned whole or not at all: a cancelled build leaves `None`.
+            *plan = ExpandPlan::build(&frontier, cx, &mut clock, &is_wild, &widen, &to_rule);
+        }
+        let plan = plan.as_ref()?;
+        let mut f: Vec<f64> = frontier.iter().map(|(_, agg)| agg.1).collect();
+        f.resize(plan.keys.len(), 0.0);
+        fold_links(&plan.links, &mut clock, |a, t| f[t] += f[a])?;
+        Some(f)
+    })();
+    cx.data.engine().metrics().push_stage(StageRecord {
+        label: "gain-sweep-expand".to_string(),
+        tasks: vec![TaskRecord {
+            partition: 0,
+            records_in: clock.work,
+            records_out: plan.as_ref().map_or(0, |p| p.keys.len() as u64),
+            nanos: started.elapsed().as_nanos() as u64,
+        }],
+        shuffled_records: 0,
+        shuffled_bytes: 0,
+    });
+    let (Some(sum_mhat), Some(plan)) = (sum_mhat, plan.as_ref()) else {
+        return cancelled_outcome();
+    };
+    let slots = plan.order.iter().map(|&slot| slot as usize);
+    let sums: Vec<Agg> = slots
+        .map(|s| (plan.sum_m[s], sum_mhat[s] / plan.mult[s], plan.count[s]))
+        .collect();
+    let candidates = pick(&sums).into_iter().map(|rank| {
+        let (sum_m, sum_mhat, count) = sums[rank];
+        let key = &plan.keys[plan.order[rank] as usize];
+        (to_rule(key), sum_m, sum_mhat, count)
+    });
     SweepOutcome {
-        candidates,
-        distinct_candidates: distinct,
-        pairs_emitted: acc.pairs,
+        candidates: candidates.collect(),
+        distinct_candidates: plan.keys.len() as u64,
+        pairs_emitted: plan.pairs_emitted,
         cancelled: false,
     }
 }
 
 /// [`run_sweep`] on packed codes of width `C`. Packed integer order *is*
-/// canonical rule order, so codes are unpacked only after the final sort.
+/// canonical rule order, so only the candidates `pick` names are unpacked
+/// (and, once per plan, each for its sample multiplicity).
 fn sweep_packed<C: PackedCode>(
-    data: &Dataset<TupleBlock>,
-    d: usize,
+    cx: SweepCx<'_>,
     layout: &RuleLayout,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
     force: Option<CombineStrategy>,
+    plan: &mut Option<ExpandPlan<C>>,
+    pick: impl FnOnce(&[Agg]) -> Vec<usize>,
 ) -> SweepOutcome {
     let masks: PackedMasks<C> = layout.masks();
     run_sweep(
-        data,
-        index,
-        |blocks| combine_packed(blocks, d, layout, &masks, index, cancel, force),
-        |lcas| expand_packed(lcas, &masks, cancel),
-        |code| layout.unpack(code),
+        cx,
+        plan,
+        pick,
+        |blocks| combine_packed(blocks, cx.d, layout, &masks, cx.index, cx.cancel, force),
+        |&code, j| masks.is_wild(code, j),
+        |&code, j| masks.widen(code, j),
+        |&code| layout.unpack(code),
     )
 }
 
-/// Run the sweep over the columnar dataset as per-partition tasks on its
-/// engine's thread pool, merged with the partition-ordered reduction of
-/// [`Dataset::aggregate_partitions`]: one scan over the partitioned data
-/// combines the LCA frontier, one pass over the distinct frontier expands
-/// the cube lattice — no shuffle in either stage. `d` is the table's
-/// dimension count; `index` enables the sample-LCA strategy (`None` =
-/// full cube); `opts` selects packed codes vs `Rule` keys (see
-/// [`SweepOptions`]).
-///
-/// Bit-identical for every worker count (see the module docs for the
-/// argument) and across every [`SweepOptions`] choice.
+/// The sweep state of **one mine**: the options, the sample index — held
+/// by reference, so a plan cannot meet a different sample — and the
+/// `ExpandPlan` the first [`Self::sweep`] builds and later ones reuse.
+/// Every call must scan the same rows with the same measure column; only
+/// `m̂` may move between calls. The miner creates one per request and
+/// drops it on return; it is never cached across requests.
+pub struct SweepState<'a> {
+    d: usize,
+    index: Option<&'a SampleIndex>,
+    opts: &'a SweepOptions,
+    // One per key type; only the one `opts` selects is ever filled.
+    plan64: Option<ExpandPlan<u64>>,
+    plan128: Option<ExpandPlan<u128>>,
+    plan_rule: Option<ExpandPlan<Rule>>,
+}
+
+impl<'a> SweepState<'a> {
+    /// `d` is the table's dimension count; `index` enables the sample-LCA
+    /// strategy (`None` = full cube); `opts` picks the key type.
+    pub fn new(d: usize, index: Option<&'a SampleIndex>, opts: &'a SweepOptions) -> Self {
+        SweepState {
+            d,
+            index,
+            opts,
+            plan64: None,
+            plan128: None,
+            plan_rule: None,
+        }
+    }
+
+    /// Run one sweep over the columnar dataset: combine as per-partition
+    /// tasks on its engine's thread pool, then one fold of the frontier
+    /// through the expand plan on the calling thread. `pick` sees every
+    /// candidate's exact `(Σm, Σm̂, |support|)` by **canonical rank**
+    /// (lexicographic rule order, wildcards last) and returns the ranks to
+    /// turn into [`SweepOutcome::candidates`]: a caller scores all and
+    /// pays for a [`Rule`] only where it wants one.
+    ///
+    /// Bit-identical for every worker and partition count (see the module
+    /// docs), across every [`SweepOptions`] choice, and between a reused
+    /// state and a fresh one.
+    pub fn sweep(
+        &mut self,
+        data: &Dataset<TupleBlock>,
+        cancel: Option<&CancellationToken>,
+        pick: impl FnOnce(&[Agg]) -> Vec<usize>,
+    ) -> SweepOutcome {
+        let (d, index, force) = (self.d, self.index, self.opts.combine);
+        let cx = SweepCx {
+            data,
+            d,
+            index,
+            cancel,
+        };
+        match (&self.opts.layout, self.opts.packed_bits()) {
+            (Some(layout), Some(64)) => sweep_packed(cx, layout, force, &mut self.plan64, pick),
+            (Some(layout), Some(_)) => sweep_packed(cx, layout, force, &mut self.plan128, pick),
+            _ => run_sweep(
+                cx,
+                &mut self.plan_rule,
+                pick,
+                |blocks| combine_rulekey(blocks, d, index, cancel),
+                |rule, j| rule.is_wildcard(j),
+                |rule, j| rule.generalize(j),
+                Rule::clone,
+            ),
+        }
+    }
+}
+
+/// One sweep on a fresh [`SweepState`], every candidate materialised in
+/// canonical order — the one-shot form.
 pub fn sweep_gains(
     data: &Dataset<TupleBlock>,
     d: usize,
@@ -799,21 +953,7 @@ pub fn sweep_gains(
     cancel: Option<&CancellationToken>,
     opts: &SweepOptions,
 ) -> SweepOutcome {
-    match (&opts.layout, opts.packed_bits()) {
-        (Some(layout), Some(64)) => {
-            sweep_packed::<u64>(data, d, layout, index, cancel, opts.combine)
-        }
-        (Some(layout), Some(_)) => {
-            sweep_packed::<u128>(data, d, layout, index, cancel, opts.combine)
-        }
-        _ => run_sweep(
-            data,
-            index,
-            |blocks| combine_rulekey(blocks, d, index, cancel),
-            |lcas| expand_rulekey(lcas, cancel),
-            |rule| rule,
-        ),
-    }
+    SweepState::new(d, index, opts).sweep(data, cancel, |sums| (0..sums.len()).collect())
 }
 
 #[cfg(test)]
@@ -1175,9 +1315,9 @@ mod tests {
     #[test]
     fn combine_polls_cancellation_through_zero_pair_stretches() {
         // Regression (ISSUE 6 satellite): the combine stage emits zero
-        // "pairs" by definition — pairs count ancestor folds in stage 2 —
-        // so a poll clock driven by the pair counter would never fire
-        // during a long combine scan and cancel latency would be unbounded.
+        // "pairs" by definition — pairs are a stage-2 quantity — so a poll
+        // clock driven by a pair counter would never fire during a long
+        // combine scan and cancel latency would be unbounded.
         // Arm a poll-budget token that self-cancels mid-combine and require
         // the sweep to notice within one CANCEL_POLL_ROWS window.
         let n = CANCEL_POLL_ROWS * 4;
@@ -1201,14 +1341,14 @@ mod tests {
             assert!(out.cancelled, "combine scan never polled ({opts:?})");
             assert!(out.candidates.is_empty());
             // The second poll happens one work window in — long before
-            // the scan ends — so no expansion pairs were ever folded.
+            // the scan ends — and a cancelled sweep reports no pairs.
             assert_eq!(out.pairs_emitted, 0);
         }
         // The same through a sample index, where each (row, sample) pair
         // is one work unit: 2 pairs a row, 8 windows in the partition. The
         // third poll is the second in-scan one; a combine that polled only
-        // at its partition boundary would reach the expand stage's
-        // boundary poll un-cancelled and finish the sweep.
+        // at its partition boundary would reach stage 2's boundary poll
+        // un-cancelled and finish the sweep.
         let sample: Vec<Box<[u32]>> = vec![Box::new([1, 2]), Box::new([6, 0])];
         let index = SampleIndex::build(sample, 2);
         assert_eq!(
@@ -1228,5 +1368,185 @@ mod tests {
             assert!(out.candidates.is_empty());
             assert_eq!(out.pairs_emitted, 0);
         }
+    }
+
+    /// 4 dims, 60 rows over 2·3·2·5 = 60 cells hit unevenly (so some rows
+    /// repeat), non-uniform `m` and `m̂`, in one partition.
+    fn duplicated_rows(engine: &Engine) -> (Frame, Dataset<TupleBlock>) {
+        let n = 60;
+        let cols = vec![
+            (0..n).map(|i| (i % 2) as u32).collect(),
+            (0..n).map(|i| (i / 2 % 3) as u32).collect(),
+            (0..n).map(|i| (i * i % 2) as u32).collect(),
+            (0..n).map(|i| (i * 7 % 5) as u32).collect(),
+        ];
+        let measures: Vec<f64> = (0..n).map(|i| 0.25 + (i % 4) as f64).collect();
+        let frame = Frame::from_columns_with_cards(cols, measures, vec![2, 3, 2, 5]);
+        let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1)
+            .into_iter()
+            .map(|b| b.with_mhat((0..b.len()).map(|i| 0.5 + (i % 7) as f64).collect()))
+            .collect();
+        (frame, Dataset::from_partitioned(engine, blocks))
+    }
+
+    #[test]
+    fn the_transform_sums_exactly_the_frontier_entries_a_candidate_generalises() {
+        let engine = Engine::new(EngineConfig::single_thread());
+        let (frame, data) = duplicated_rows(&engine);
+        let distinct_rows: std::collections::BTreeSet<Vec<u32>> = (0..60)
+            .map(|i| (0..4).map(|j| frame.col(j)[i]).collect())
+            .collect();
+        assert!(distinct_rows.len() < 60, "the table repeats rows");
+        // Picks 7 and 31 twice each: duplicate sample rows share LCAs.
+        let sample: Vec<Box<[u32]>> = [7usize, 31, 7, 44, 31]
+            .iter()
+            .map(|&i| (0..4).map(|j| frame.col(j)[i]).collect())
+            .collect();
+        let index = SampleIndex::build(sample, 4);
+        let layout = RuleLayout::from_cardinalities(&[2, 3, 2, 5]);
+        let masks = layout.masks::<u64>();
+        let combined = combine_packed(&data.part(0), 4, &layout, &masks, Some(&index), None, None);
+        let frontier = sorted_entries(combined.map);
+        // Built without the index, the plan's columns are the raw pair-level
+        // sums — the transform itself, before any multiplicity division.
+        let cx = SweepCx {
+            data: &data,
+            d: 4,
+            index: None,
+            cancel: None,
+        };
+        let mut clock = PollClock {
+            work: 0,
+            cancel: None,
+        };
+        let plan = ExpandPlan::build(
+            &frontier,
+            cx,
+            &mut clock,
+            |&code, j| masks.is_wild(code, j),
+            |&code, j| masks.widen(code, j),
+            |&code| layout.unpack(code),
+        )
+        .expect("uncancelled");
+        let mut sum_mhat: Vec<f64> = frontier.iter().map(|(_, agg)| agg.1).collect();
+        sum_mhat.resize(plan.keys.len(), 0.0);
+        fold_links(&plan.links, &mut clock, |a, t| sum_mhat[t] += sum_mhat[a])
+            .expect("uncancelled");
+
+        let lcas: Vec<(Rule, Agg)> = frontier
+            .iter()
+            .map(|&(code, agg)| (layout.unpack(code), agg))
+            .collect();
+        let mut pairs_by_definition = 0;
+        for (slot, &key) in plan.keys.iter().enumerate() {
+            let candidate = layout.unpack(key);
+            let mut expected: Agg = (0.0, 0.0, 0);
+            for (lca, agg) in &lcas {
+                if candidate.is_ancestor_of(lca) {
+                    expected.0 += agg.0;
+                    expected.1 += agg.1;
+                    expected.2 += agg.2;
+                    pairs_by_definition += 1;
+                }
+            }
+            assert!(
+                (plan.sum_m[slot] - expected.0).abs() < 1e-9,
+                "{candidate:?}"
+            );
+            assert!((sum_mhat[slot] - expected.1).abs() < 1e-9, "{candidate:?}");
+            assert_eq!(plan.count[slot], expected.2, "{candidate:?}");
+        }
+        // Slots are exactly the distinct ancestors of the frontier…
+        let mut ancestors: Vec<Rule> = lcas
+            .iter()
+            .flat_map(|(lca, _)| crate::lattice::ancestors(lca))
+            .collect();
+        assert_eq!(plan.pairs_emitted, ancestors.len() as u64);
+        assert_eq!(plan.pairs_emitted, pairs_by_definition);
+        ancestors.sort();
+        ancestors.dedup();
+        let in_order: Vec<Rule> = plan
+            .order
+            .iter()
+            .map(|&slot| layout.unpack(plan.keys[slot as usize]))
+            .collect();
+        assert_eq!(in_order, ancestors);
+        // …and the transform, not a lattice walk, fills them.
+        assert!(plan.links.len() <= 4 * plan.keys.len());
+        assert!((plan.links.len() as u64) < plan.pairs_emitted);
+    }
+
+    #[test]
+    fn a_plan_cancelled_mid_build_is_not_kept() {
+        // Full cube over enough distinct cells that the plan build alone
+        // outlasts a poll window.
+        let n = 3 * CANCEL_POLL_ROWS;
+        let cols = vec![
+            (0..n).map(|i| (i % 11) as u32).collect(),
+            (0..n).map(|i| (i / 11 % 13) as u32).collect(),
+            (0..n).map(|i| (i / 143 % 7) as u32).collect(),
+            (0..n).map(|i| (i % 5) as u32).collect(),
+        ];
+        let frame = Frame::from_columns_with_cards(cols, vec![1.0; n], vec![11, 13, 7, 5]);
+        let engine = Engine::new(EngineConfig::single_thread());
+        let data = blocks_of(&engine, &frame, 1);
+        let opts = SweepOptions::packed(RuleLayout::from_cardinalities(&[11, 13, 7, 5]));
+        let all = |sums: &[Agg]| (0..sums.len()).collect();
+        let fresh = sweep_gains(&data, 4, None, None, &opts);
+        assert!(fresh.distinct_candidates as usize > CANCEL_POLL_ROWS);
+        // Polls: the combine task's boundary and its 3 in-scan windows,
+        // stage 2's boundary, then one per window of links recorded — the
+        // 6th fires inside the build.
+        let mut state = SweepState::new(4, None, &opts);
+        let token = CancellationToken::new();
+        token.cancel_after_polls(6);
+        let out = state.sweep(&data, Some(&token), all);
+        assert!(out.cancelled && out.candidates.is_empty());
+        assert_eq!((out.pairs_emitted, out.distinct_candidates), (0, 0));
+        assert!(state.plan64.is_none(), "half-built plan kept");
+        // The next call builds from scratch and equals a fresh sweep; the
+        // one after reuses that plan and still does.
+        for _ in 0..2 {
+            let out = state.sweep(&data, None, all);
+            assert_eq!(out.pairs_emitted, fresh.pairs_emitted);
+            assert_eq!(bits(out), bits(fresh.clone()));
+            assert!(state.plan64.is_some());
+        }
+        // One poll earlier is stage 2's boundary: nothing was started.
+        let token = CancellationToken::new();
+        token.cancel_after_polls(5);
+        let mut state = SweepState::new(4, None, &opts);
+        assert!(state.sweep(&data, Some(&token), all).cancelled);
+        assert!(state.plan64.is_none());
+    }
+
+    #[test]
+    fn stage_two_records_one_driver_side_stage_per_sweep() {
+        let t = flights();
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let data = blocks(&engine, &t, 4);
+        let index = sample_index(&t, &[3, 8, 0]);
+        let opts = packed_opts(&t);
+        let mut state = SweepState::new(3, Some(&index), &opts);
+        let all = |sums: &[Agg]| (0..sums.len()).collect();
+        let distinct = state.sweep(&data, None, all).distinct_candidates;
+        state.sweep(&data, None, all);
+        let stages = engine.metrics().stages();
+        let labels: Vec<&str> = stages.iter().map(|s| s.label.as_str()).collect();
+        let (combine, expand) = ("gain-sweep-combine", "gain-sweep-expand");
+        assert_eq!(labels, [combine, expand, combine, expand]);
+        // One task each: work units in, candidates out. The first sweep
+        // records every link, folds Σm and the pair counts along them in
+        // one pass, counts each candidate's multiplicity and folds Σm̂; the
+        // second only folds Σm̂.
+        let (built, reused) = (&stages[1].tasks, &stages[3].tasks);
+        assert_eq!((built.len(), reused.len()), (1, 1));
+        assert_eq!(
+            (built[0].records_out, reused[0].records_out),
+            (distinct, distinct)
+        );
+        let links = reused[0].records_in;
+        assert!(links > 0 && links <= 3 * distinct);
+        assert_eq!(built[0].records_in, 3 * links + distinct);
     }
 }

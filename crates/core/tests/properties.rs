@@ -14,7 +14,7 @@ use sirum_core::rule::{Rule, RuleLayout, WILDCARD};
 use sirum_core::scaling::{
     iterative_scaling, relative_diff, rule_measure_sums, ScalingConfig, TableBackend,
 };
-use sirum_core::sweep::{sweep_gains, CombineStrategy, SweepOptions};
+use sirum_core::sweep::{sweep_gains, CombineStrategy, SweepOptions, SweepOutcome, SweepState};
 use sirum_core::transform::MeasureTransform;
 use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
 use sirum_dataflow::hash::FxHashMap;
@@ -71,12 +71,23 @@ fn sweep_blocks_with(
     partitions: usize,
     compression: Compression,
 ) -> Dataset<TupleBlock> {
+    sweep_blocks_mhat(engine, table, partitions, compression, synthetic_mhat)
+}
+
+/// [`sweep_blocks_with`] under the estimate column `mhat(global row)`.
+fn sweep_blocks_mhat(
+    engine: &Engine,
+    table: &Table,
+    partitions: usize,
+    compression: Compression,
+    mhat: fn(usize) -> f64,
+) -> Dataset<TupleBlock> {
     let frame = Frame::from_table_with(table, compression);
     let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
         .into_iter()
         .map(|block| {
             let start = block.dims().start();
-            block.with_mhat((start..start + block.len()).map(synthetic_mhat).collect())
+            block.with_mhat((start..start + block.len()).map(mhat).collect())
         })
         .collect();
     Dataset::from_partitioned(engine, blocks)
@@ -100,14 +111,19 @@ fn sweep_variants(table: &Table) -> Vec<SweepOptions> {
 /// `(rule values, Σm bits, Σm̂ bits, count)`.
 type SweepBits = Vec<(Vec<u32>, u64, u64, u64)>;
 
-/// Canonical, comparable form of a sweep's candidate list: sorted by rule
-/// with float sums taken to bits, so equality means *bit* equality.
-fn sweep_bits(out: &sirum_core::sweep::SweepOutcome) -> SweepBits {
-    let mut v: SweepBits = out
-        .candidates
+/// A sweep's candidate list **in the order it came**, float sums taken to
+/// bits, so equality means *bit* equality and the same order.
+fn ordered_sweep_bits(out: &SweepOutcome) -> SweepBits {
+    out.candidates
         .iter()
         .map(|(r, sm, smh, c)| (r.values().to_vec(), sm.to_bits(), smh.to_bits(), *c))
-        .collect();
+        .collect()
+}
+
+/// Canonical, comparable form of a sweep's candidate list: sorted by rule
+/// with float sums taken to bits, so equality means *bit* equality.
+fn sweep_bits(out: &SweepOutcome) -> SweepBits {
+    let mut v = ordered_sweep_bits(out);
     v.sort();
     v
 }
@@ -438,12 +454,7 @@ proptest! {
             .collect();
         let index = SampleIndex::build(sample, d);
         let compression = if compressed { Compression::Always } else { Compression::Never };
-        let ordered = |out: &sirum_core::sweep::SweepOutcome| -> SweepBits {
-            out.candidates
-                .iter()
-                .map(|(r, sm, smh, c)| (r.values().to_vec(), sm.to_bits(), smh.to_bits(), *c))
-                .collect()
-        };
+        let ordered = ordered_sweep_bits;
         let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
         let data = sweep_blocks_with(&engine, &table, partitions, compression);
         let mut baseline = None;
@@ -457,8 +468,9 @@ proptest! {
             }
         }
         // A one-worker engine polls in a fixed sequence (each combine
-        // task's boundary, then each expand task's), so a poll-budget
-        // token stops every variant at the same point.
+        // task's boundary, then stage 2's, then once per window of links
+        // the key-generic plan build and fold go through), so a
+        // poll-budget token stops every variant at the same point.
         let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
         let seq_data = sweep_blocks_with(&sequential, &table, partitions, compression);
         for polls in 1..=(2 * partitions as u64 + 1) {
@@ -472,6 +484,97 @@ proptest! {
                     None => baseline = Some(got),
                     Some(b) => prop_assert_eq!(b, &got, "{:?} after {} polls", opts, polls),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_sweep_plan_is_a_fresh_sweep(
+        (table, picks, partitions, workers, compressed) in small_table().prop_flat_map(|t| {
+            let n = t.num_rows();
+            (
+                Just(t),
+                prop::collection::vec(0..n, 1..6),
+                1usize..7,
+                1usize..5,
+                any::<bool>(),
+            )
+        })
+    ) {
+        // The tentpole claim of ISSUE 18: what stage 2 keeps between the
+        // iterations of a mine — links, canonical order, multiplicities,
+        // Σm, support counts — changes NOTHING. One state swept at m̂₁ and
+        // then at m̂₂ equals a one-shot sweep at m̂₂: candidates bit for bit
+        // AND in order, pair accounting, candidate count — for every key
+        // type and combine strategy, with and without a sample (duplicate
+        // picks kept), on raw and compressed frames, for any partitioning
+        // and worker count — and whenever a token stops the reused sweep
+        // it stops a fresh one with the same outcome.
+        let d = table.num_dims();
+        let sample: Vec<Box<[u32]>> = picks
+            .iter()
+            .map(|&i| table.row(i).to_vec().into_boxed_slice())
+            .collect();
+        let index = SampleIndex::build(sample, d);
+        let compression = if compressed { Compression::Always } else { Compression::Never };
+        let other_mhat: fn(usize) -> f64 = |i| 0.25 + 1.5 * (i % 5) as f64;
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let blocks = |engine, mhat| sweep_blocks_mhat(engine, &table, partitions, compression, mhat);
+        let (first, second) = (blocks(&engine, synthetic_mhat), blocks(&engine, other_mhat));
+        let (seq_first, seq_second) =
+            (blocks(&sequential, synthetic_mhat), blocks(&sequential, other_mhat));
+        let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
+        let whole = |out: &SweepOutcome| {
+            (out.cancelled, out.pairs_emitted, out.distinct_candidates, ordered_sweep_bits(out))
+        };
+        let armed = |polls: u64| {
+            let token = CancellationToken::new();
+            token.cancel_after_polls(polls);
+            token
+        };
+        // More polls than any sweep of these tables makes.
+        let poll_budgets = 1..=(partitions as u64 + 32);
+        for idx in [Some(&index), None] {
+            for opts in sweep_variants(&table) {
+                let fresh = whole(&sweep_gains(&second, d, idx, None, &opts));
+                let mut state = SweepState::new(d, idx, &opts);
+                let built = state.sweep(&first, None, all);
+                prop_assert_eq!(whole(&built), whole(&sweep_gains(&first, d, idx, None, &opts)));
+                prop_assert_ne!(&whole(&built), &fresh);
+                prop_assert_eq!(&whole(&state.sweep(&second, None, all)), &fresh, "{:?}", opts);
+
+                // A token firing at each poll of the reused sweep in turn
+                // (fixed sequence on one worker; a cancelled fold leaves
+                // the plan in place for the next budget).
+                let mut state = SweepState::new(d, idx, &opts);
+                state.sweep(&seq_first, None, all);
+                let mut completed = false;
+                for polls in poll_budgets.clone() {
+                    let reused = state.sweep(&seq_second, Some(&armed(polls)), all);
+                    if !reused.cancelled {
+                        prop_assert_eq!(&whole(&reused), &fresh, "{:?}", opts);
+                        completed = true;
+                        break;
+                    }
+                    let one_shot = sweep_gains(&seq_second, d, idx, Some(&armed(polls)), &opts);
+                    prop_assert_eq!(whole(&reused), whole(&one_shot), "{:?} after {} polls", opts, polls);
+                }
+                prop_assert!(completed);
+
+                // A state cancelled before it has a plan — in combine, at
+                // stage 2's boundary or part-way through the build — holds
+                // no half-built one: its next sweep matches a fresh one.
+                completed = false;
+                for polls in poll_budgets.clone() {
+                    let mut state = SweepState::new(d, idx, &opts);
+                    completed = !state.sweep(&seq_second, Some(&armed(polls)), all).cancelled;
+                    prop_assert_eq!(&whole(&state.sweep(&seq_second, None, all)), &fresh, "{:?}", opts);
+                    if completed {
+                        break;
+                    }
+                }
+                prop_assert!(completed);
             }
         }
     }
