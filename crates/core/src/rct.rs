@@ -124,11 +124,6 @@ impl Rct {
         }
     }
 
-    /// Total estimated mass (Σ over all groups).
-    pub fn total_mhat(&self) -> f64 {
-        self.groups.iter().map(|g| g.sum_mhat).sum()
-    }
-
     /// Total true mass.
     pub fn total_m(&self) -> f64 {
         self.groups.iter().map(|g| g.sum_m).sum()

@@ -139,11 +139,6 @@ impl<'a> TableBackend<'a> {
         &self.mhat
     }
 
-    /// Take ownership of the estimates.
-    pub fn into_mhat(self) -> Vec<f64> {
-        self.mhat
-    }
-
     /// Reset all estimates to 1 and all multipliers to 1 (the Sarawagi \[29\]
     /// strategy that re-fits from scratch whenever a rule is added).
     pub fn reset(&mut self, lambdas: &mut [f64]) {

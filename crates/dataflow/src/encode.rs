@@ -300,94 +300,6 @@ pub fn decode_segment(buf: &mut &[u8]) -> sirum_table::Segment {
     }
 }
 
-/// Per-column representation tags in the [`sirum_table::FrameView`] wire format.
-const COL_RAW: u8 = 0;
-const COL_COMPRESSED: u8 = 1;
-
-/// A [`sirum_table::FrameView`] encodes as its in-range column values (dimension codes
-/// then measures) and decodes to a view over a fresh single-partition
-/// [`sirum_table::Frame`] — this is what lets columnar partitions spill to
-/// disk in `DiskMr` mode and under block-store memory pressure while
-/// staying range views over shared columns in memory.
-///
-/// Raw columns write their codes verbatim; compressed columns write their
-/// overlapping segments (interior segments byte-for-byte as stored,
-/// boundary segments clipped to the view's range), so spilled partitions
-/// stay compressed on disk and decode back without re-encoding.
-impl Encode for sirum_table::FrameView {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.num_dims() as u64).encode(out);
-        (self.len() as u64).encode(out);
-        // Dictionary cardinalities ride along so a decoded partition derives
-        // the same packed rule-code layout as the frame it was cut from —
-        // a partition's observed max code can under-estimate the true width.
-        for &card in self.cards() {
-            card.encode(out);
-        }
-        for j in 0..self.num_dims() {
-            match self.frame().column(j) {
-                sirum_table::Column::Raw(_) => {
-                    out.push(COL_RAW);
-                    for &code in self.col(j) {
-                        code.encode(out);
-                    }
-                }
-                sirum_table::Column::Compressed(c) => {
-                    out.push(COL_COMPRESSED);
-                    let segments = c.slice_segments(self.start(), self.len());
-                    (segments.len() as u64).encode(out);
-                    for seg in &segments {
-                        encode_segment(seg, out);
-                    }
-                }
-            }
-        }
-        for &m in self.measures() {
-            m.encode(out);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        let d = u64::decode(buf) as usize;
-        let n = u64::decode(buf) as usize;
-        let cards: Vec<u32> = (0..d).map(|_| u32::decode(buf)).collect();
-        let mut raw_cols: Vec<Vec<u32>> = Vec::new();
-        let mut compressed_cols: Vec<sirum_table::CompressedCol> = Vec::new();
-        for _ in 0..d {
-            match take(buf, 1)[0] {
-                COL_RAW => raw_cols.push((0..n).map(|_| u32::decode(buf)).collect()),
-                _ => {
-                    let segs = u64::decode(buf) as usize;
-                    compressed_cols.push(sirum_table::CompressedCol::from_segments(
-                        (0..segs).map(|_| decode_segment(buf)).collect(),
-                    ));
-                }
-            }
-        }
-        let measure: Vec<f64> = (0..n).map(|_| f64::decode(buf)).collect();
-        // Frames are homogeneous (all columns raw or all compressed) — the
-        // builder flushes every column together, so a mixed stream cannot be
-        // produced by this process's encoder.
-        if raw_cols.is_empty() && !compressed_cols.is_empty() {
-            sirum_table::Frame::from_compressed_columns_with_cards(compressed_cols, measure, cards)
-                .view()
-        } else {
-            // lint:allow(SL001) — framing invariant of this process's own encoder
-            assert!(
-                compressed_cols.is_empty(),
-                "mixed raw/compressed columns in encoded frame"
-            );
-            sirum_table::Frame::from_columns_with_cards(raw_cols, measure, cards).view()
-        }
-    }
-    fn size_estimate(&self) -> usize {
-        // Compressed columns charge their encoded payload bytes, so budget
-        // accounting sees (and rewards) the compression.
-        16 + self.num_dims() * 4
-            + self.frame().dim_bytes_in_range(self.start(), self.len())
-            + self.len() * 8
-    }
-}
-
 /// Encode a whole slice of records into one buffer (length-prefixed).
 pub fn encode_records<T: Encode>(records: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + records.len() * 8);
@@ -491,36 +403,5 @@ mod tests {
         let mut buf = encode_records(&[1u32, 2]);
         buf.push(0xFF);
         let _ = decode_records::<u32>(&buf);
-    }
-
-    #[test]
-    fn compressed_frame_views_round_trip_without_reencoding() {
-        use sirum_table::{generators, ColScratch, Compression, Frame, FrameView};
-        let t = generators::income_like(500, 3);
-        let frame = Frame::from_table_with(&t, Compression::Always);
-        let raw = Frame::from_table(&t);
-        // A mid-frame view with unaligned segment boundaries.
-        let view = frame.view().slice(37, 401);
-        let mut out = Vec::new();
-        view.encode(&mut out);
-        let mut slice = out.as_slice();
-        let back = FrameView::decode(&mut slice);
-        assert!(slice.is_empty());
-        assert_eq!(back.len(), 401);
-        assert_eq!(back.cards(), view.cards());
-        assert!(
-            back.frame().is_compressed(),
-            "spill keeps columns compressed"
-        );
-        assert_eq!(back.measures(), view.measures());
-        let mut scratch = ColScratch::new();
-        for (s, n) in back.morsel_bounds() {
-            let cols = back.morsel_cols(s, n, &mut scratch);
-            for (j, col) in cols.iter().enumerate() {
-                assert_eq!(*col, &raw.col(j)[37 + s..37 + s + n], "col {j}");
-            }
-        }
-        // Budget accounting charges encoded bytes: far below the raw footprint.
-        assert!(view.size_estimate() < raw.view().slice(37, 401).size_estimate());
     }
 }

@@ -1,12 +1,11 @@
 //! The workspace layer: per-file summaries, the intra-workspace call
 //! graph, and the lock-order graph SL006 walks for cycles.
 //!
-//! A [`FileSummary`] is the *serializable* digest of one file — fn names,
-//! impl types, return shapes, call sites, lock acquisitions with held
-//! extents, and discard sites. It is everything the cross-file rules
-//! need, and nothing tied to live token indices, so the incremental cache
-//! can persist it and the workspace phase can run over a mix of freshly
-//! analyzed and cached files.
+//! A [`FileSummary`] is the digest of one file — fn names, impl types,
+//! return shapes, call sites, lock acquisitions with held extents, and
+//! discard sites. It is everything the cross-file rules need, and
+//! nothing tied to live token indices, so the workspace phase owns its
+//! input outright once the per-file phase has dropped tokens and source.
 //!
 //! Resolution is name-based: a free call resolves when exactly one
 //! workspace fn bears the name; a method call when exactly one impl
@@ -26,11 +25,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::jsonio::{self, n, obj, s, Value};
 use crate::locks;
-use crate::resolve::{self, Discard, DiscardKind, FileSymbols};
+use crate::resolve::{self, Discard, FileSymbols};
 use crate::syntax::SourceFile;
 
 /// One lock acquisition inside a fn (summary form).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LockEvent {
     /// Lock identity within the file (receiver field name).
     pub lock: String,
@@ -39,7 +38,7 @@ pub struct LockEvent {
 }
 
 /// One call site inside a fn (summary form).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CallRecord {
     /// Callee name.
     pub name: String,
@@ -75,7 +74,7 @@ pub struct FnNode {
     pub nested: Vec<(usize, usize)>,
 }
 
-/// The serializable digest of one analyzed file.
+/// The digest of one analyzed file.
 #[derive(Debug, Clone, Default)]
 pub struct FileSummary {
     /// Workspace-relative path.
@@ -148,183 +147,6 @@ impl FileSummary {
             rel_path: file.rel_path.clone(),
             fns,
             discards: resolve::discards(file),
-        }
-    }
-
-    /// Serialize for the incremental cache.
-    pub fn to_value(&self) -> Value {
-        let fns: Vec<Value> = self
-            .fns
-            .iter()
-            .map(|f| {
-                obj(vec![
-                    ("name", s(&f.name)),
-                    (
-                        "impl_type",
-                        f.impl_type.as_deref().map(s).unwrap_or(Value::Null),
-                    ),
-                    ("line", n(f.line)),
-                    ("returns_result", Value::Bool(f.returns_result)),
-                    ("is_test", Value::Bool(f.is_test)),
-                    (
-                        "acquires",
-                        Value::Arr(
-                            f.acquires
-                                .iter()
-                                .map(|a| obj(vec![("lock", s(&a.lock)), ("line", n(a.line))]))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "calls",
-                        Value::Arr(
-                            f.calls
-                                .iter()
-                                .map(|c| {
-                                    obj(vec![
-                                        ("name", s(&c.name)),
-                                        (
-                                            "qualifier",
-                                            c.qualifier.as_deref().map(s).unwrap_or(Value::Null),
-                                        ),
-                                        ("method", Value::Bool(c.method)),
-                                        ("line", n(c.line)),
-                                        (
-                                            "held",
-                                            Value::Arr(
-                                                c.held.iter().map(|&h| n(h as u64)).collect(),
-                                            ),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "nested",
-                        Value::Arr(
-                            f.nested
-                                .iter()
-                                .map(|&(a, b)| Value::Arr(vec![n(a as u64), n(b as u64)]))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        let discards: Vec<Value> = self
-            .discards
-            .iter()
-            .map(|d| {
-                obj(vec![
-                    (
-                        "kind",
-                        s(match d.kind {
-                            DiscardKind::LetUnderscore => "let_underscore",
-                            DiscardKind::OkDiscard => "ok",
-                        }),
-                    ),
-                    ("callee", d.callee.as_deref().map(s).unwrap_or(Value::Null)),
-                    (
-                        "qualifier",
-                        d.qualifier.as_deref().map(s).unwrap_or(Value::Null),
-                    ),
-                    ("fmt_exempt", Value::Bool(d.fmt_exempt)),
-                    ("is_test", Value::Bool(d.is_test)),
-                    ("line", n(d.line)),
-                    ("col", n(d.col)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("rel_path", s(&self.rel_path)),
-            ("fns", Value::Arr(fns)),
-            ("discards", Value::Arr(discards)),
-        ])
-    }
-
-    /// Rebuild from a cached value (lenient: malformed fields degrade to
-    /// empty, never error — the caller re-analyzes on hash mismatch, not
-    /// on shape drift, so version bumps must change `CACHE_VERSION`).
-    pub fn from_value(v: &Value) -> FileSummary {
-        let opt_str = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(String::from);
-        let fns = v
-            .get("fns")
-            .map(Value::items)
-            .unwrap_or(&[])
-            .iter()
-            .map(|f| FnNode {
-                name: f.str_of("name"),
-                impl_type: opt_str(f, "impl_type"),
-                line: f.u64_of("line") as u32,
-                returns_result: f.bool_of("returns_result"),
-                is_test: f.bool_of("is_test"),
-                acquires: f
-                    .get("acquires")
-                    .map(Value::items)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|a| LockEvent {
-                        lock: a.str_of("lock"),
-                        line: a.u64_of("line") as u32,
-                    })
-                    .collect(),
-                calls: f
-                    .get("calls")
-                    .map(Value::items)
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(|c| CallRecord {
-                        name: c.str_of("name"),
-                        qualifier: opt_str(c, "qualifier"),
-                        method: c.bool_of("method"),
-                        line: c.u64_of("line") as u32,
-                        held: c
-                            .get("held")
-                            .map(Value::items)
-                            .unwrap_or(&[])
-                            .iter()
-                            .filter_map(Value::as_u64)
-                            .map(|h| h as usize)
-                            .collect(),
-                    })
-                    .collect(),
-                nested: f
-                    .get("nested")
-                    .map(Value::items)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|p| {
-                        let a = p.items().first()?.as_u64()? as usize;
-                        let b = p.items().get(1)?.as_u64()? as usize;
-                        Some((a, b))
-                    })
-                    .collect(),
-            })
-            .collect();
-        let discards = v
-            .get("discards")
-            .map(Value::items)
-            .unwrap_or(&[])
-            .iter()
-            .map(|d| Discard {
-                kind: if d.str_of("kind") == "ok" {
-                    DiscardKind::OkDiscard
-                } else {
-                    DiscardKind::LetUnderscore
-                },
-                callee: opt_str(d, "callee"),
-                qualifier: opt_str(d, "qualifier"),
-                fmt_exempt: d.bool_of("fmt_exempt"),
-                is_test: d.bool_of("is_test"),
-                line: d.u64_of("line") as u32,
-                col: d.u64_of("col") as u32,
-            })
-            .collect();
-        FileSummary {
-            rel_path: v.str_of("rel_path"),
-            fns,
-            discards,
         }
     }
 }
@@ -910,23 +732,6 @@ mod tests {
             })
             .collect();
         Workspace::build(files)
-    }
-
-    #[test]
-    fn summaries_round_trip_through_json() {
-        let file = SourceFile::parse(
-            "src/a.rs",
-            "impl S { fn f(&self) -> Result<(), E> { let g = self.jobs.lock(); \
-             self.step(1); let _ = self.emit(); } }\n",
-        );
-        let sym = FileSymbols::analyze(&file);
-        let summary = FileSummary::build(&file, &sym);
-        let back = FileSummary::from_value(&jsonio::parse(&summary.to_value().to_json()).unwrap());
-        assert_eq!(back.rel_path, summary.rel_path);
-        assert_eq!(back.fns.len(), summary.fns.len());
-        assert_eq!(back.fns[0].calls, summary.fns[0].calls);
-        assert_eq!(back.fns[0].acquires, summary.fns[0].acquires);
-        assert_eq!(back.discards.len(), summary.discards.len());
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! A minimal JSON value, parser and writer. The crate has zero
-//! dependencies, and the incremental cache (`target/sirum-lint-cache.json`)
-//! must survive round-trips across runs — so this is the full loop:
-//! [`Value::to_json`] emits what [`parse`] reads back.
-//!
-//! The parser is total and strict enough for our own output: on any
-//! malformed input it returns `None` and the caller treats the cache as
-//! absent (a cold run, never an error). Numbers are kept as `f64`, which
-//! is exact for every integer we store (hashes are written as hex
-//! strings, not numbers, precisely to avoid the 2^53 cliff).
+//! A minimal JSON value and writer for the artifacts the lint emits:
+//! `callgraph.json`, `lock-order.json` and the `--pragmas` inventory.
+//! The crate has zero dependencies, and nothing here reads JSON back —
+//! the lint keeps no state between runs — so this is a tree of values
+//! and [`Value::to_json`] over the crate's one escaper,
+//! [`json_escape`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -15,15 +11,15 @@ use std::fmt::Write as _;
 use crate::diag::json_escape;
 
 /// One JSON value. Objects use a `BTreeMap` so serialization is
-/// canonical — the cache file is byte-stable for identical inputs.
-#[derive(Debug, Clone, PartialEq)]
+/// canonical — an artifact is byte-stable for identical inputs.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (integers round-trip exactly below 2^53).
-    Num(f64),
+    /// A non-negative integer (line numbers, indices, counts).
+    Num(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -33,64 +29,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as `u64` (negative / fractional → `None`).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The bool payload.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array elements, or an empty slice for non-arrays.
-    pub fn items(&self) -> &[Value] {
-        match self {
-            Value::Arr(items) => items,
-            _ => &[],
-        }
-    }
-
-    /// Object field lookup (None for non-objects and absent keys).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// Convenience: `get(key)` as a string, defaulting to `""`.
-    pub fn str_of(&self, key: &str) -> String {
-        self.get(key)
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string()
-    }
-
-    /// Convenience: `get(key)` as a `u64`, defaulting to 0.
-    pub fn u64_of(&self, key: &str) -> u64 {
-        self.get(key).and_then(Value::as_u64).unwrap_or(0)
-    }
-
-    /// Convenience: `get(key)` as a bool, defaulting to false.
-    pub fn bool_of(&self, key: &str) -> bool {
-        self.get(key).and_then(Value::as_bool).unwrap_or(false)
-    }
-
     /// Serialize (compact, canonical key order).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -104,11 +42,7 @@ impl Value {
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
             Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
+                let _ = write!(out, "{n}");
             }
             Value::Str(s) => {
                 out.push('"');
@@ -154,183 +88,7 @@ pub fn s(text: impl Into<String>) -> Value {
 
 /// Numeric shorthand (from anything that widens to u64).
 pub fn n(num: impl Into<u64>) -> Value {
-    Value::Num(num.into() as f64)
-}
-
-/// Parse a JSON document; `None` on any syntax error or trailing junk.
-pub fn parse(text: &str) -> Option<Value> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Some(value)
-    } else {
-        None
-    }
-}
-
-const MAX_DEPTH: usize = 64;
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<Value> {
-    if depth > MAX_DEPTH {
-        return None;
-    }
-    skip_ws(bytes, pos);
-    match bytes.get(*pos)? {
-        b'{' => {
-            *pos += 1;
-            let mut map = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(Value::Obj(map));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return None;
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                map.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(Value::Obj(map));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(Value::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'"' => Some(Value::Str(parse_string(bytes, pos)?)),
-        b't' => {
-            if bytes.len() >= *pos + 4 && &bytes[*pos..*pos + 4] == b"true" {
-                *pos += 4;
-                Some(Value::Bool(true))
-            } else {
-                None
-            }
-        }
-        b'f' => {
-            if bytes.len() >= *pos + 5 && &bytes[*pos..*pos + 5] == b"false" {
-                *pos += 5;
-                Some(Value::Bool(false))
-            } else {
-                None
-            }
-        }
-        b'n' => {
-            if bytes.len() >= *pos + 4 && &bytes[*pos..*pos + 4] == b"null" {
-                *pos += 4;
-                Some(Value::Null)
-            } else {
-                None
-            }
-        }
-        _ => parse_number(bytes, pos),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos)? {
-            b'"' => {
-                *pos += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = bytes.get(*pos + 1..*pos + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        // Surrogates in our own output never occur; map
-                        // unpaired ones to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return None,
-                }
-                *pos += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar (input came from a &str, so
-                // boundaries are valid).
-                let start = *pos;
-                *pos += 1;
-                while *pos < bytes.len() && bytes[*pos] & 0xC0 == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    if *pos == start {
-        return None;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .filter(|n| n.is_finite())
-        .map(Value::Num)
+    Value::Num(num.into())
 }
 
 #[cfg(test)]
@@ -346,8 +104,10 @@ mod tests {
             ("items", Value::Arr(vec![n(1u32), s("two"), Value::Null])),
             ("nested", obj(vec![("k", s("v"))])),
         ]);
-        let text = v.to_json();
-        assert_eq!(parse(&text), Some(v));
+        assert_eq!(
+            v.to_json(),
+            r#"{"count":42,"items":[1,"two",null],"name":"fn \"quoted\"\npath","nested":{"k":"v"},"ok":true}"#
+        );
     }
 
     #[test]
@@ -358,40 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn malformed_inputs_parse_to_none() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\":}",
-            "tru",
-            "\"unterminated",
-            "{\"a\":1} trailing",
-            "nan",
-            "[1 2]",
-            "{\"a\" 1}",
-        ] {
-            assert_eq!(parse(bad), None, "accepted malformed input {bad:?}");
-        }
-    }
-
-    #[test]
-    fn accessors_default_sanely() {
-        let v = parse("{\"s\":\"x\",\"n\":7,\"b\":true}").unwrap();
-        assert_eq!(v.str_of("s"), "x");
-        assert_eq!(v.u64_of("n"), 7);
-        assert!(v.bool_of("b"));
-        assert_eq!(v.str_of("missing"), "");
-        assert_eq!(v.u64_of("missing"), 0);
-        assert!(!v.bool_of("missing"));
-        assert!(v.get("s").unwrap().items().is_empty());
-    }
-
-    #[test]
     fn unicode_and_escape_round_trip() {
         let v = s("héllo → wörld \u{1}");
-        let text = v.to_json();
-        assert_eq!(parse(&text), Some(v));
-        assert_eq!(parse("\"\\u0041\\u00e9\""), Some(s("Aé")));
+        assert_eq!(v.to_json(), r#""héllo → wörld \u0001""#);
+        assert_eq!(s("tab\there\\").to_json(), r#""tab\there\\""#);
     }
 }

@@ -12,10 +12,11 @@
 //! symbol table: fns, impls, calls, aliases, hash-typed names) →
 //! per-file [`rules`] → [`callgraph`] (workspace assembly: call
 //! resolution, lock-set propagation, lock-order graph) → workspace
-//! rules → [`driver`] (discovery, incremental cache, suppression,
-//! report). [`locks`] holds the guard-liveness classifier shared by
-//! SL003 and the lock summaries; [`jsonio`] is the dependency-free JSON
-//! reader/writer behind the cache and graph artifacts.
+//! rules → [`driver`] (discovery, suppression, report). Every run walks
+//! that one path over every file and keeps no state between runs.
+//! [`locks`] holds the guard-liveness classifier shared by SL003 and the
+//! lock summaries; [`jsonio`] is the dependency-free JSON writer behind
+//! the graph artifacts and the pragma inventory.
 
 pub mod callgraph;
 pub mod diag;

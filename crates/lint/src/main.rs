@@ -2,22 +2,21 @@
 //!
 //! ```text
 //! sirum-lint --check [--format human|json] [--stats] [--root DIR]
-//!            [--budget-ms N] [--no-cache] [--emit-graphs DIR]
-//!            [--list-rules] [--pragmas] [FILE..]
+//!            [--budget-ms N] [--emit-graphs DIR] [--list-rules]
+//!            [--pragmas] [FILE..]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings (or time budget exceeded), 2 usage or
 //! IO error. `FILE..` are workspace-relative paths; without them the
 //! whole tree under `--root` (default `.`) is discovered.
 //!
-//! Runs are incremental by default: per-file analysis for files whose
-//! content hash matches `target/sirum-lint-cache.json` is reused
-//! (`--stats` shows the hit rate); `--no-cache` forces a cold run.
-//! `--pragmas` prints the suppression inventory — every reasoned
-//! `lint:allow` in the tree with its file, line, codes, and stated
-//! reason — instead of checking. `--emit-graphs DIR` additionally writes
-//! `callgraph.json` and `lock-order.json` (the SL006 evidence) for CI to
-//! archive.
+//! Every run analyses every file and writes nothing it was not asked
+//! to, so the verdict is a function of the tree (`--stats` shows where
+//! the time goes). `--pragmas` prints the suppression inventory — every
+//! reasoned `lint:allow` in the tree with its file, line, codes, and
+//! stated reason — instead of checking. `--emit-graphs DIR` additionally
+//! writes `callgraph.json` and `lock-order.json` (the SL006 evidence) for
+//! CI to archive.
 
 use std::fs;
 use std::path::PathBuf;
@@ -30,7 +29,6 @@ struct Options {
     stats: bool,
     list_rules: bool,
     pragmas: bool,
-    no_cache: bool,
     emit_graphs: Option<PathBuf>,
     root: PathBuf,
     budget_ms: Option<u128>,
@@ -43,7 +41,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         stats: false,
         list_rules: false,
         pragmas: false,
-        no_cache: false,
         emit_graphs: None,
         root: PathBuf::from("."),
         budget_ms: None,
@@ -56,7 +53,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--stats" => opts.stats = true,
             "--list-rules" => opts.list_rules = true,
             "--pragmas" => opts.pragmas = true,
-            "--no-cache" => opts.no_cache = true,
             "--emit-graphs" => match it.next() {
                 Some(dir) => opts.emit_graphs = Some(PathBuf::from(dir)),
                 None => return Err("--emit-graphs expects a directory".to_string()),
@@ -88,8 +84,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 const USAGE: &str = "usage: sirum-lint --check [--format human|json] [--stats] \
-[--root DIR] [--budget-ms N] [--no-cache] [--emit-graphs DIR] [--list-rules] \
-[--pragmas] [FILE..]";
+[--root DIR] [--budget-ms N] [--emit-graphs DIR] [--list-rules] [--pragmas] \
+[FILE..]";
 
 fn render_pragmas_human(entries: &[driver::PragmaEntry]) -> String {
     let mut out = String::new();
@@ -145,11 +141,10 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let use_cache = !opts.no_cache;
     let result = if opts.files.is_empty() {
-        driver::analyze_tree(&opts.root, use_cache)
+        driver::analyze_tree(&opts.root)
     } else {
-        driver::analyze_paths(&opts.root, &opts.files, use_cache)
+        driver::analyze_paths(&opts.root, &opts.files)
     };
     let analysis = match result {
         Ok(analysis) => analysis,
@@ -158,9 +153,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Some(note) = &analysis.cache_note {
-        eprintln!("sirum-lint: cache not updated: {note}");
-    }
     if opts.pragmas {
         if opts.format_json {
             print!("{}", render_pragmas_json(&analysis.pragmas));

@@ -33,7 +33,7 @@ pub trait Rule {
 }
 
 /// One workspace rule: runs once over the resolved workspace (built from
-/// per-file summaries, fresh or cached), not per file.
+/// per-file summaries), not per file.
 pub trait WorkspaceRule {
     /// Stable code, e.g. `"SL006"`.
     fn code(&self) -> &'static str;
@@ -71,23 +71,6 @@ pub fn known_rule(code: &str) -> bool {
         code,
         "SL001" | "SL002" | "SL003" | "SL004" | "SL005" | "SL006" | "SL007" | "SL008"
     )
-}
-
-/// The `&'static str` form of a known rule code (cached findings store
-/// codes as strings; findings carry statics).
-pub fn static_code(code: &str) -> Option<&'static str> {
-    match code {
-        "SL000" => Some(crate::driver::HYGIENE),
-        "SL001" => Some("SL001"),
-        "SL002" => Some("SL002"),
-        "SL003" => Some("SL003"),
-        "SL004" => Some("SL004"),
-        "SL005" => Some("SL005"),
-        "SL006" => Some("SL006"),
-        "SL007" => Some("SL007"),
-        "SL008" => Some("SL008"),
-        _ => None,
-    }
 }
 
 /// Library and facade paths whose non-test code must be panic-free

@@ -446,11 +446,6 @@ impl Frame {
         &self.cards
     }
 
-    /// The cardinalities as a shared buffer (an `Arc` bump).
-    pub fn cards_arc(&self) -> Arc<[u32]> {
-        Arc::clone(&self.cards)
-    }
-
     /// The measure column as a shared slice (an `Arc` bump).
     pub fn measure_slice(&self) -> ColSlice<f64> {
         ColSlice::full(Arc::clone(&self.measure))

@@ -5,7 +5,7 @@
 use crate::json::{self, parse_json_with, JsonLimits, JsonValue};
 use crate::net::http::{Request, Response};
 use crate::net::metrics::{Endpoint, NetMetrics};
-use crate::service::{IngestHandle, JobOutput, JobState, JobStatus, SirumService};
+use crate::service::{IngestHandle, JobOutput, JobState, JobStatus, ServiceRequest, SirumService};
 use parking_lot::Mutex;
 use sirum_core::{Rule, SirumError, Variant, WILDCARD};
 use std::collections::HashMap;
@@ -70,88 +70,73 @@ fn service_error(e: &SirumError) -> Response {
     }
 }
 
-// -- typed field extraction --------------------------------------------------
+// -- request fields ----------------------------------------------------------
 
-fn field_usize(body: &JsonValue, key: &str) -> Result<Option<usize>, Response> {
-    match body.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_usize().map(Some).ok_or_else(|| {
-            Response::error(422, &format!("field {key:?} must be a nonnegative integer"))
-        }),
-    }
+/// The message of a field whose value has the wrong JSON shape.
+fn wrong_shape(key: &str, shape: &str) -> String {
+    format!("field {key:?} must be {shape}")
 }
 
-fn field_u64(body: &JsonValue, key: &str) -> Result<Option<u64>, Response> {
-    match body.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            Response::error(422, &format!("field {key:?} must be a nonnegative integer"))
-        }),
-    }
+/// Why a wire field was not applied to a request.
+enum FieldError {
+    /// No mining knob bears the name: a typo worth a `422` instead of a
+    /// silently ignored knob.
+    Unknown,
+    /// A knob whose value cannot be used; the message says why.
+    Invalid(String),
 }
 
-fn field_f64(body: &JsonValue, key: &str) -> Result<Option<f64>, Response> {
-    match body.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| Response::error(422, &format!("field {key:?} must be a number"))),
-    }
+/// Apply one mining knob, by wire name, to a request. The one list of
+/// knobs on the wire: `POST /mine` feeds it body members, `GET /explain`
+/// query pairs, so the two accept the same fields.
+fn apply_field<'s>(
+    req: ServiceRequest<'s>,
+    key: &str,
+    value: &JsonValue,
+) -> Result<ServiceRequest<'s>, FieldError> {
+    let invalid = |shape: &str| FieldError::Invalid(wrong_shape(key, shape));
+    let whole = "a nonnegative integer";
+    let count = || value.as_usize().ok_or_else(|| invalid(whole));
+    let integer = || value.as_u64().ok_or_else(|| invalid(whole));
+    let number = || value.as_f64().ok_or_else(|| invalid("a number"));
+    let flag = || value.as_bool().ok_or_else(|| invalid("a boolean"));
+    Ok(match key {
+        "k" => req.k(count()?),
+        "sample_size" => req.sample_size(count()?),
+        "variant" => {
+            let name = value.as_str().ok_or_else(|| invalid("a string"))?;
+            let variant = name
+                .parse::<Variant>()
+                .map_err(|e| FieldError::Invalid(format!("invalid variant: {e}")))?;
+            req.variant(variant)
+        }
+        // One-way switches: `false` asks for the default `req` already has.
+        "full_cube" | "two_sided" if !flag()? => req,
+        "full_cube" => req.full_cube(),
+        "two_sided" => req.two_sided(),
+        "epsilon" => req.epsilon(number()?),
+        "max_scaling_iterations" => req.max_scaling_iterations(count()?),
+        "seed" => req.seed(integer()?),
+        "rules_per_iter" => req.rules_per_iter(count()?),
+        "target_kl" => req.target_kl(number()?),
+        "max_rules" => req.max_rules(count()?),
+        "column_groups" => req.column_groups(count()?),
+        "gain_sweep" => req.gain_sweep(flag()?),
+        "prior" => req.prior(parse_prior(value).map_err(FieldError::Invalid)?),
+        _ => return Err(FieldError::Unknown),
+    })
 }
-
-fn field_bool(body: &JsonValue, key: &str) -> Result<Option<bool>, Response> {
-    match body.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| Response::error(422, &format!("field {key:?} must be a boolean"))),
-    }
-}
-
-fn field_str<'v>(body: &'v JsonValue, key: &str) -> Result<Option<&'v str>, Response> {
-    match body.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| Response::error(422, &format!("field {key:?} must be a string"))),
-    }
-}
-
-/// Every field `POST /mine` understands; anything else is a typo worth a
-/// `422` instead of a silently ignored knob.
-const MINE_FIELDS: [&str; 17] = [
-    "table",
-    "k",
-    "sample_size",
-    "variant",
-    "full_cube",
-    "two_sided",
-    "epsilon",
-    "max_scaling_iterations",
-    "seed",
-    "rules_per_iter",
-    "target_kl",
-    "max_rules",
-    "column_groups",
-    "gain_sweep",
-    "prior",
-    "timeout_ms",
-    "wait_ms",
-];
 
 /// Parse `"prior": [[1, null, 3], …]` into rules (`null` = wildcard).
-fn parse_prior(value: &JsonValue) -> Result<Vec<Rule>, Response> {
+fn parse_prior(value: &JsonValue) -> Result<Vec<Rule>, String> {
     let rows = value
         .as_array()
-        .ok_or_else(|| Response::error(422, "field \"prior\" must be an array of rules"))?;
+        .ok_or("field \"prior\" must be an array of rules")?;
     let mut rules = Vec::with_capacity(rows.len());
     for row in rows {
-        let cells = row.as_array().ok_or_else(|| {
-            Response::error(422, "each prior rule must be an array of values/nulls")
-        })?;
+        let cells = row
+            .as_array()
+            .ok_or("each prior rule must be an array of values/nulls")?;
         let mut values = Vec::with_capacity(cells.len());
         for cell in cells {
             if cell.is_null() {
@@ -160,15 +145,25 @@ fn parse_prior(value: &JsonValue) -> Result<Vec<Rule>, Response> {
                 let code = cell
                     .as_u64()
                     .filter(|c| *c < u64::from(u32::MAX))
-                    .ok_or_else(|| {
-                        Response::error(422, "prior rule values must be null or dictionary codes")
-                    })?;
+                    .ok_or("prior rule values must be null or dictionary codes")?;
                 values.push(code as u32);
             }
         }
         rules.push(Rule::from_values(values));
     }
     Ok(rules)
+}
+
+/// Query text as the JSON value a `/mine` body would carry for the same
+/// field: a number in Rust's grammar (`007`, `.5`), else JSON where it
+/// parses (booleans, a `prior` array), else the bare word as a string.
+fn query_json(text: &str, limits: JsonLimits) -> JsonValue {
+    match text.parse::<f64>() {
+        Ok(n) => JsonValue::Number(n),
+        Err(_) => {
+            parse_json_with(text, limits).unwrap_or_else(|_| JsonValue::String(text.to_string()))
+        }
+    }
 }
 
 impl Router {
@@ -212,11 +207,14 @@ impl Router {
                 (Endpoint::Tables, self.register_table(name, &request.body))
             }
             ("DELETE", ["tables", name]) => (Endpoint::Tables, self.unregister_table(name)),
-            ("POST", ["mine"]) => (Endpoint::Mine, self.mine(request)),
+            ("POST", ["mine"]) => (Endpoint::Mine, self.mine(request).unwrap_or_else(|e| e)),
             ("GET", ["jobs"]) => (Endpoint::Jobs, self.list_jobs()),
             ("GET", ["jobs", id]) => (Endpoint::Jobs, self.job(id, request)),
             ("DELETE", ["jobs", id]) => (Endpoint::Jobs, self.cancel_job(id)),
-            ("GET", ["explain"]) => (Endpoint::Explain, self.explain(request)),
+            ("GET", ["explain"]) => (
+                Endpoint::Explain,
+                self.explain(request).unwrap_or_else(|e| e),
+            ),
             ("POST", ["stream", table]) => (Endpoint::Stream, self.stream(table, &request.body)),
             ("GET", ["metrics"]) => (Endpoint::Metrics, self.metrics_snapshot()),
             ("GET", ["stats"]) => (Endpoint::Stats, self.stats()),
@@ -310,126 +308,75 @@ impl Router {
         }
     }
 
-    fn mine(&self, request: &Request) -> Response {
+    /// `Err` is the response of a request that was refused.
+    fn mine(&self, request: &Request) -> Result<Response, Response> {
         let body = match std::str::from_utf8(&request.body) {
             Ok(s) if !s.trim().is_empty() => s,
-            _ => return Response::error(400, "POST /mine needs a JSON body"),
+            _ => return Err(Response::error(400, "POST /mine needs a JSON body")),
         };
-        let parsed = match parse_json_with(body, self.config.json_limits) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &format!("invalid JSON body: {e}")),
-        };
-        if let Some(entries) = parsed.entries() {
-            for (key, _) in entries {
-                if !MINE_FIELDS.contains(&key.as_str()) {
-                    return Response::error(422, &format!("unknown field {key:?}"));
-                }
-            }
-        } else {
-            return Response::error(422, "mine request body must be a JSON object");
-        }
-
-        macro_rules! get {
-            ($e:expr) => {
-                match $e {
-                    Ok(v) => v,
-                    Err(resp) => return resp,
-                }
-            };
-        }
-        let table = match get!(field_str(&parsed, "table")) {
-            Some(t) => t,
-            None => return Response::error(422, "mine request needs a string \"table\" field"),
+        let parsed = parse_json_with(body, self.config.json_limits)
+            .map_err(|e| Response::error(400, &format!("invalid JSON body: {e}")))?;
+        let entries = parsed
+            .entries()
+            .ok_or_else(|| Response::error(422, "mine request body must be a JSON object"))?;
+        let table = parsed
+            .get("table")
+            .ok_or_else(|| Response::error(422, "mine request needs a string \"table\" field"))?
+            .as_str()
+            .ok_or_else(|| Response::error(422, &wrong_shape("table", "a string")))?;
+        let millis = |key: &str, value: &JsonValue| {
+            let ms = value
+                .as_u64()
+                .ok_or_else(|| Response::error(422, &wrong_shape(key, "a nonnegative integer")))?;
+            Ok(Duration::from_millis(ms))
         };
         let mut req = self.service.mine(table);
-        if let Some(k) = get!(field_usize(&parsed, "k")) {
-            req = req.k(k);
-        }
-        if let Some(s) = get!(field_usize(&parsed, "sample_size")) {
-            req = req.sample_size(s);
-        }
-        if let Some(v) = get!(field_str(&parsed, "variant")) {
-            match v.parse::<Variant>() {
-                Ok(variant) => req = req.variant(variant),
-                Err(e) => return Response::error(422, &format!("invalid variant: {e}")),
+        let mut wait = self.config.default_wait;
+        for (i, (key, value)) in entries.iter().enumerate() {
+            // A repeated key's first value is the field, as `JsonValue::get`
+            // reads a body.
+            if entries[..i].iter().any(|(earlier, _)| earlier == key) {
+                continue;
             }
+            req = match key.as_str() {
+                "table" => req,
+                "timeout_ms" => req.deadline(millis(key, value)?),
+                "wait_ms" => {
+                    wait = millis(key, value)?;
+                    req
+                }
+                _ => apply_field(req, key, value).map_err(|e| match e {
+                    FieldError::Unknown => Response::error(422, &format!("unknown field {key:?}")),
+                    FieldError::Invalid(message) => Response::error(422, &message),
+                })?,
+            };
         }
-        if get!(field_bool(&parsed, "full_cube")).unwrap_or(false) {
-            req = req.full_cube();
-        }
-        if get!(field_bool(&parsed, "two_sided")).unwrap_or(false) {
-            req = req.two_sided();
-        }
-        if let Some(e) = get!(field_f64(&parsed, "epsilon")) {
-            req = req.epsilon(e);
-        }
-        if let Some(n) = get!(field_usize(&parsed, "max_scaling_iterations")) {
-            req = req.max_scaling_iterations(n);
-        }
-        if let Some(seed) = get!(field_u64(&parsed, "seed")) {
-            req = req.seed(seed);
-        }
-        if let Some(l) = get!(field_usize(&parsed, "rules_per_iter")) {
-            req = req.rules_per_iter(l);
-        }
-        if let Some(t) = get!(field_f64(&parsed, "target_kl")) {
-            req = req.target_kl(t);
-        }
-        if let Some(m) = get!(field_usize(&parsed, "max_rules")) {
-            req = req.max_rules(m);
-        }
-        if let Some(g) = get!(field_usize(&parsed, "column_groups")) {
-            req = req.column_groups(g);
-        }
-        if let Some(s) = get!(field_bool(&parsed, "gain_sweep")) {
-            req = req.gain_sweep(s);
-        }
-        if let Some(prior) = parsed.get("prior") {
-            match parse_prior(prior) {
-                Ok(rules) => req = req.prior(rules),
-                Err(resp) => return resp,
-            }
-        }
-        if let Some(ms) = get!(field_u64(&parsed, "timeout_ms")) {
-            req = req.deadline(Duration::from_millis(ms));
-        }
-        let wait = match get!(field_u64(&parsed, "wait_ms")) {
-            Some(ms) => Duration::from_millis(ms),
-            None => self.config.default_wait,
-        };
 
         // Non-blocking admission: a full queue sheds with 429 instead of
         // stalling this connection thread (and the accept loop behind it).
-        let mut handle = match req.try_submit() {
-            Ok(handle) => handle,
-            Err(e) => return service_error(&e),
-        };
+        let mut handle = req.try_submit().map_err(|e| service_error(&e))?;
         // Wait on the handle itself: the registry is bounded (and may be
         // disabled), so the answer must not depend on re-finding the job
         // by id once it has finished.
         if !wait.is_zero() {
             if let Some(outcome) = handle.wait_timeout(wait) {
-                return match outcome {
-                    Ok(output) => {
-                        let status = JobStatus {
-                            id: handle.id(),
-                            table: table.to_string(),
-                            state: JobState::Done {
-                                from_cache: output.from_cache,
-                                cancelled: output.result.cancelled,
-                            },
-                            cancel_requested: handle.cancellation_token().is_cancelled(),
-                        };
-                        Response::json(200, self.job_json(&status, Some(&output)))
-                    }
-                    Err(e) => service_error(&e),
+                let output = outcome.map_err(|e| service_error(&e))?;
+                let status = JobStatus {
+                    id: handle.id(),
+                    table: table.to_string(),
+                    state: JobState::Done {
+                        from_cache: output.from_cache,
+                        cancelled: output.result.cancelled,
+                    },
+                    cancel_requested: handle.cancellation_token().is_cancelled(),
                 };
+                return Ok(Response::json(200, self.job_json(&status, Some(&output))));
             }
         }
-        Response::json(
+        Ok(Response::json(
             202,
             format!("{{\"job\":{},\"state\":\"queued\"}}", handle.id()),
-        )
+        ))
     }
 
     fn list_jobs(&self) -> Response {
@@ -534,61 +481,31 @@ impl Router {
         }
     }
 
-    fn explain(&self, request: &Request) -> Response {
-        let Some(table) = request.query_value("table") else {
-            return Response::error(422, "GET /explain needs ?table=…");
-        };
+    /// `Err` is the response of a request that was refused.
+    fn explain(&self, request: &Request) -> Result<Response, Response> {
+        let table = request
+            .query_value("table")
+            .ok_or_else(|| Response::error(422, "GET /explain needs ?table=…"))?;
         let mut req = self.service.mine(table);
-        for (key, value) in &request.query {
-            macro_rules! parse {
-                ($ty:ty) => {
-                    match value.parse::<$ty>() {
-                        Ok(v) => v,
-                        Err(_) => {
-                            return Response::error(
-                                422,
-                                &format!("query parameter {key}={value:?} is invalid"),
-                            )
-                        }
-                    }
+        for (key, text) in &request.query {
+            if key == "table" {
+                continue;
+            }
+            let value = query_json(text, self.config.json_limits);
+            req = apply_field(req, key, &value).map_err(|e| {
+                let message = match e {
+                    FieldError::Unknown => format!("unknown query parameter {key:?}"),
+                    FieldError::Invalid(_) => format!("query parameter {key}={text:?} is invalid"),
                 };
-            }
-            match key.as_str() {
-                "table" => {}
-                "k" => req = req.k(parse!(usize)),
-                "sample_size" => req = req.sample_size(parse!(usize)),
-                "variant" => req = req.variant(parse!(Variant)),
-                "full_cube" => {
-                    if parse!(bool) {
-                        req = req.full_cube();
-                    }
-                }
-                "two_sided" => {
-                    if parse!(bool) {
-                        req = req.two_sided();
-                    }
-                }
-                "seed" => req = req.seed(parse!(u64)),
-                "rules_per_iter" => req = req.rules_per_iter(parse!(usize)),
-                "column_groups" => req = req.column_groups(parse!(usize)),
-                "gain_sweep" => req = req.gain_sweep(parse!(bool)),
-                "target_kl" => req = req.target_kl(parse!(f64)),
-                "max_rules" => req = req.max_rules(parse!(usize)),
-                "epsilon" => req = req.epsilon(parse!(f64)),
-                other => {
-                    return Response::error(422, &format!("unknown query parameter {other:?}"))
-                }
-            }
+                Response::error(422, &message)
+            })?;
         }
-        let plan = match req.explain() {
-            Ok(plan) => plan,
-            Err(e) => return service_error(&e),
-        };
+        let plan = req.explain().map_err(|e| service_error(&e))?;
         let packed_bits = match plan.packed_bits {
             Some(bits) => bits.to_string(),
             None => "null".to_string(),
         };
-        Response::json(
+        Ok(Response::json(
             200,
             format!(
                 "{{\"table\":{},\"rows\":{},\"dims\":{},\"k\":{},\"gain_sweep\":{},\
@@ -607,7 +524,7 @@ impl Router {
                 plan.cached,
                 json::json_string(&plan.to_string()),
             ),
-        )
+        ))
     }
 
     fn stream(&self, table: &str, body: &[u8]) -> Response {
@@ -1046,6 +963,53 @@ mod tests {
             assert_full_result(&waiting.join().expect("mine thread"), 3);
         });
         blocker.wait().expect("blocker finishes");
+    }
+
+    #[test]
+    fn mine_and_explain_accept_the_same_fields() {
+        let r = router();
+        // (field, value as a `/mine` body spells it); the query spells a
+        // string as the bare word.
+        for (field, value) in [
+            ("k", "2"),
+            ("sample_size", "14"),
+            ("variant", "\"rct\""),
+            ("full_cube", "true"),
+            ("two_sided", "true"),
+            ("epsilon", "0.001"),
+            ("max_scaling_iterations", "5"),
+            ("seed", "7"),
+            ("rules_per_iter", "2"),
+            ("target_kl", "0.5"),
+            ("max_rules", "4"),
+            ("column_groups", "2"),
+            ("gain_sweep", "false"),
+            ("prior", "[[0,null,null]]"),
+        ] {
+            let body = format!("{{\"table\":\"flights\",\"{field}\":{value}}}");
+            let (_, resp) = r.handle(&request("POST", "/mine", body.as_bytes()));
+            assert_eq!(resp.status, 200, "{body} → {:?}", body_json(&resp));
+            let target = format!("/explain?table=flights&{field}={}", value.trim_matches('"'));
+            let (_, resp) = r.handle(&request("GET", &target, b""));
+            assert_eq!(resp.status, 200, "{target} → {:?}", body_json(&resp));
+            // Same fields, same request: the mine above answers it.
+            let cached = body_json(&resp).get("cached").and_then(|v| v.as_bool());
+            assert_eq!(cached, Some(true), "{target}");
+        }
+        let (_, resp) = r.handle(&request(
+            "POST",
+            "/mine",
+            br#"{"table":"flights","k":2,"max_scaling_iterations":5,"prior":[[0,null,null]]}"#,
+        ));
+        assert_eq!(resp.status, 200);
+        let (_, resp) = r.handle(&request(
+            "GET",
+            "/explain?table=flights&prior=[[0,null,null]]&max_scaling_iterations=5&k=2",
+            b"",
+        ));
+        assert_eq!(resp.status, 200, "{:?}", body_json(&resp));
+        let cached = body_json(&resp).get("cached").and_then(|v| v.as_bool());
+        assert_eq!(cached, Some(true));
     }
 
     #[test]

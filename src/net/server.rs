@@ -99,11 +99,6 @@ impl Server {
         &self.router
     }
 
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Acquire)
-    }
-
     /// Stop accepting, wake the accept thread, and wait up to the drain
     /// timeout for in-flight connections to finish. Keep-alive clients get
     /// `Connection: close` on their next response.
