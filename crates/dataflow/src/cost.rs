@@ -11,10 +11,6 @@
 //! executor. This reproduces the *shapes* of the strong/weak-scaling figures
 //! (5.16/5.17) — sub-linear scaling for small inputs, stragglers bending the
 //! weak-scaling line — without needing 16 physical nodes.
-//!
-//! Beside the replay sit the two prices a planner needs before anything
-//! has run: [`modeled_sweep_stage`] (a fused, shuffle-free sweep stage) and
-//! [`scan_record_nanos`] (one columnar scan pass, raw or compressed).
 
 use crate::metrics::StageRecord;
 use std::cmp::Reverse;
@@ -128,62 +124,6 @@ pub fn makespan(stages: &[StageRecord], spec: &ClusterSpec) -> f64 {
     stages.iter().map(|s| stage_makespan(s, spec)).sum()
 }
 
-/// Build the modeled [`StageRecord`] of a **fused partition-parallel
-/// sweep**: `records` units of per-tuple work split evenly over
-/// `partitions` tasks at `nanos_per_record` each, with **zero shuffle
-/// volume** — the sweep's reduction is a driver-side, partition-ordered
-/// fold of per-partition accumulators, so nothing crosses a shuffle
-/// boundary. Planners (e.g. `service.explain()`) replay this record
-/// through [`stage_makespan`] alongside measured/modeled staged pipelines
-/// to predict what fusing the candidate evaluation saves.
-pub fn modeled_sweep_stage(records: u64, partitions: usize, nanos_per_record: f64) -> StageRecord {
-    use crate::metrics::TaskRecord;
-    let partitions = partitions.max(1);
-    let per_task = records.div_ceil(partitions as u64);
-    StageRecord {
-        label: "gain-sweep".to_string(),
-        tasks: (0..partitions)
-            .map(|p| TaskRecord {
-                partition: p,
-                records_in: per_task,
-                records_out: 1,
-                nanos: (per_task as f64 * nanos_per_record) as u64,
-            })
-            .collect(),
-        shuffled_records: 0,
-        shuffled_bytes: 0,
-    }
-}
-
-/// Modeled DRAM streaming bandwidth of one scan thread, in bytes per
-/// nanosecond (≈ 8 GB/s per core on the calibration container) — what a
-/// sequential columnar pass moves when the working set exceeds cache.
-pub const SCAN_BANDWIDTH_BYTES_PER_NANO: f64 = 8.0;
-
-/// Modeled per-value cost of unpacking one compressed dimension code
-/// (bit-packed word extraction or RLE run lookup) into the morsel scratch
-/// buffer during a compressed columnar scan.
-pub const DECODE_NANOS_PER_VALUE: f64 = 0.4;
-
-/// Modeled per-record nanoseconds of one columnar scan pass over `dims`
-/// dimension columns carrying `bytes_per_row` of dimension payload: memory
-/// traffic at streaming [`SCAN_BANDWIDTH_BYTES_PER_NANO`], plus a
-/// per-value decode tax when the columns are `compressed`.
-///
-/// This is the compressed-vs-raw trade `explain()` prices: compression
-/// shrinks the traffic term (a packed column moves `ceil(log2 card)` bits
-/// per value instead of 32) but pays [`DECODE_NANOS_PER_VALUE`] per value
-/// to fill the scratch buffer, so narrow dictionaries win on big tables
-/// while already-cache-resident tables gain nothing.
-pub fn scan_record_nanos(dims: usize, bytes_per_row: f64, compressed: bool) -> f64 {
-    let traffic = bytes_per_row / SCAN_BANDWIDTH_BYTES_PER_NANO;
-    if compressed {
-        traffic + dims as f64 * DECODE_NANOS_PER_VALUE
-    } else {
-        traffic
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,36 +206,6 @@ mod tests {
         let strag = stage_makespan(&s, &spec(4, 1).with_straggler(1.5));
         assert!((base - 1.0).abs() < 1e-9);
         assert!((strag - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn modeled_sweep_stage_parallelizes_and_never_shuffles() {
-        let s = modeled_sweep_stage(8_000_000, 8, 100.0);
-        assert_eq!(s.tasks.len(), 8);
-        assert_eq!(s.shuffled_records, 0);
-        assert_eq!(s.shuffled_bytes, 0);
-        // 8 × 0.1s tasks: 4 dual-core executors finish in one task's time.
-        let par = stage_makespan(&s, &spec(4, 2));
-        let seq = stage_makespan(&s, &spec(1, 1));
-        assert!((par - 0.1).abs() < 1e-9, "par = {par}");
-        assert!((seq - 0.8).abs() < 1e-9, "seq = {seq}");
-    }
-
-    #[test]
-    fn compressed_scan_pricing_trades_bandwidth_for_decode() {
-        // Raw scans are pure bandwidth: cost scales with row bytes.
-        let raw_narrow = scan_record_nanos(3, 12.0, false);
-        let raw_wide = scan_record_nanos(9, 36.0, false);
-        assert!(raw_wide > raw_narrow);
-        // The same payload compressed pays the per-value decode tax on top.
-        assert!(scan_record_nanos(9, 36.0, true) > raw_wide);
-        // A well-packed wide row (9 dims in < 4 bytes vs 36 raw) still
-        // scans cheaper than its raw representation — the tlc-shaped case.
-        assert!(scan_record_nanos(9, 3.75, true) < raw_wide);
-        // But a narrow cache-friendly table gains next to nothing: the
-        // per-value decode tax roughly cancels the bandwidth saving —
-        // which is why `Compression::Auto` leaves small tables raw.
-        assert!((scan_record_nanos(3, 2.0, true) - raw_narrow).abs() < 0.1);
     }
 
     #[test]

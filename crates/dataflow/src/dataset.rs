@@ -171,63 +171,19 @@ impl<T: Record> Dataset<T> {
         self.map_partitions(label, move |_, data| data.iter().flat_map(&f).collect())
     }
 
-    /// Keep only records satisfying the predicate.
-    pub fn filter<F>(&self, label: &str, f: F) -> Dataset<T>
-    where
-        F: Fn(&T) -> bool + Send + Sync,
-    {
-        self.map_partitions(label, move |_, data| {
-            data.iter().filter(|t| f(t)).cloned().collect()
-        })
-    }
-
-    /// Tree-aggregate all records into one accumulator.
-    pub fn aggregate<A, FI, FS, FC>(&self, label: &str, init: FI, seq: FS, comb: FC) -> A
-    where
-        A: Send,
-        FI: Fn() -> A + Send + Sync,
-        FS: Fn(&mut A, &T) + Send + Sync,
-        FC: Fn(&mut A, A) + Send + Sync,
-    {
-        let engine = self.engine.clone();
-        let accs = self
-            .engine
-            .run_stage(label, self.parts.clone(), (0, 0), |_, part: Part<T>| {
-                let data = match &part {
-                    Part::Mem(a) => Arc::clone(a),
-                    Part::Stored(id) => engine.store().get::<T>(*id),
-                };
-                let mut acc = init();
-                for t in data.iter() {
-                    seq(&mut acc, t);
-                }
-                TaskOutput {
-                    records_in: data.len() as u64,
-                    records_out: 1,
-                    value: acc,
-                }
-            });
-        let mut iter = accs.into_iter();
-        let mut total = iter.next().unwrap_or_else(&init);
-        for acc in iter {
-            comb(&mut total, acc);
-        }
-        total
-    }
-
     /// Partition-granular aggregation with a **deterministic,
     /// partition-ordered reduction**: `per_part` maps each whole partition
     /// to an accumulator (tasks run in parallel on the engine's thread
     /// pool), and `comb` folds the accumulators strictly in partition
     /// order on the driver.
     ///
-    /// Unlike [`Self::aggregate`], the task closure sees the partition
-    /// slice (and its index) at once, so it can do work that needs
-    /// partition boundaries — e.g. polling a cancellation token between
-    /// partitions, or building one hash accumulator per partition. Because
-    /// the fold order is the partition order — never the task *completion*
-    /// order — the result is bit-identical for any worker count, including
-    /// non-associative float accumulation.
+    /// The task closure sees the partition slice (and its index) at once,
+    /// so it can do work that needs partition boundaries — e.g. polling a
+    /// cancellation token between partitions, or building one hash
+    /// accumulator per partition. Because the fold order is the partition
+    /// order — never the task *completion* order — the result is
+    /// bit-identical for any worker count, including non-associative float
+    /// accumulation.
     pub fn aggregate_partitions<A, FI, FP, FC>(
         &self,
         label: &str,
@@ -265,25 +221,6 @@ impl<T: Record> Dataset<T> {
             comb(&mut total, acc);
         }
         total
-    }
-
-    /// Total record count via a counting stage.
-    pub fn count(&self) -> u64 {
-        self.aggregate("count", || 0u64, |a, _| *a += 1, |a, b| *a += b)
-    }
-
-    /// Bernoulli sample: keep each record independently with probability
-    /// `fraction`, deterministically from `seed`.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Dataset<T> {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        self.map_partitions("sample", move |idx, data| {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(idx as u64));
-            data.iter()
-                .filter(|_| rng.gen::<f64>() < fraction)
-                .cloned()
-                .collect()
-        })
     }
 
     /// Draw exactly `min(n, len)` records uniformly at random without
@@ -568,7 +505,7 @@ mod tests {
         let d = e.parallelize((0..100u32).collect(), 7);
         let out = d
             .map("x2", |&x| x * 2)
-            .filter("even-hundreds", |&x| x % 10 == 0)
+            .flat_map("even-hundreds", |&x| (x % 10 == 0).then_some(x))
             .flat_map("dup", |&x| vec![x, x])
             .collect();
         assert_eq!(out.len(), 40);
@@ -618,15 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums() {
-        let e = engine();
-        let d = e.parallelize((1..=100u64).collect(), 9);
-        let sum = d.aggregate("sum", || 0u64, |a, &x| *a += x, |a, b| *a += b);
-        assert_eq!(sum, 5050);
-        assert_eq!(d.count(), 100);
-    }
-
-    #[test]
     fn reduce_by_key_matches_sequential() {
         let e = engine();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 13, 1u64)).collect();
@@ -670,16 +598,6 @@ mod tests {
         assert!(reduce.shuffled_records >= 5);
         assert!(reduce.shuffled_records <= 20);
         assert!(reduce.shuffled_bytes > 0);
-    }
-
-    #[test]
-    fn sample_is_deterministic_and_roughly_sized() {
-        let e = engine();
-        let d = e.parallelize((0..10_000u32).collect(), 8);
-        let s1 = d.sample(0.1, 42).collect();
-        let s2 = d.sample(0.1, 42).collect();
-        assert_eq!(s1, s2);
-        assert!(s1.len() > 700 && s1.len() < 1300, "got {}", s1.len());
     }
 
     #[test]

@@ -201,40 +201,6 @@ impl Encode for String {
     }
 }
 
-impl<T: Encode> Encode for std::sync::Arc<[T]> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for item in self.iter() {
-            item.encode(out);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        Vec::<T>::decode(buf).into()
-    }
-    fn size_estimate(&self) -> usize {
-        8 + self.iter().map(Encode::size_estimate).sum::<usize>()
-    }
-}
-
-/// A [`sirum_table::ColSlice`] encodes as its *in-range* values only — the shared
-/// buffer outside the range never crosses a spill/shuffle boundary — and
-/// decodes to a fresh full-range slice over its own buffer. Zero-copy
-/// sharing is an in-memory property; a round trip preserves the values.
-impl<T: Encode> Encode for sirum_table::ColSlice<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).encode(out);
-        for item in self.iter() {
-            item.encode(out);
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        Vec::<T>::decode(buf).into()
-    }
-    fn size_estimate(&self) -> usize {
-        8 + self.iter().map(Encode::size_estimate).sum::<usize>()
-    }
-}
-
 /// Write one compressed segment: a format tag then its payload.
 pub fn encode_segment(seg: &sirum_table::Segment, out: &mut Vec<u8>) {
     match seg {

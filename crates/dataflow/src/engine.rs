@@ -3,7 +3,6 @@
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::dataset::{Dataset, Part};
-use crate::encode::Encode;
 use crate::error::DataflowError;
 use crate::memory::BlockStore;
 use crate::metrics::{MetricsRegistry, StageRecord, TaskRecord};
@@ -181,12 +180,6 @@ impl Engine {
         }
     }
 
-    /// Broadcast an encodable value, deriving its size automatically.
-    pub fn broadcast<T: Encode>(&self, value: T) -> Broadcast<T> {
-        let bytes = value.size_estimate() as u64;
-        self.broadcast_sized(value, bytes)
-    }
-
     /// Execute one stage: apply `f` to every input in parallel, recording a
     /// [`StageRecord`]. `shuffle` carries (records, bytes) that crossed a
     /// shuffle boundary into this stage, for metric purposes.
@@ -362,7 +355,7 @@ mod tests {
     #[test]
     fn broadcast_derefs_and_counts_bytes() {
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
-        let b = engine.broadcast(vec![1u32, 2, 3]);
+        let b = engine.broadcast_sized(vec![1u32, 2, 3], 12);
         assert_eq!(b.len(), 3);
         assert_eq!(b.value()[0], 1);
         assert!(engine.metrics().counters().broadcast_bytes > 0);

@@ -11,7 +11,7 @@
 //! sirum --demo tlc --target-kl 0.05 --progress
 //! sirum --demo income --repeat 8 --jobs 4 # exercise the worker pool + cache
 //! sirum --demo flights --k 3 --format json
-//! sirum --demo gdelt --explain            # plan + cost estimate, no run
+//! sirum --demo gdelt --explain            # plan, no run
 //! sirum serve --demo flights              # HTTP front end on 127.0.0.1:7878
 //! ```
 //!
@@ -90,8 +90,8 @@ OPTIONS:
   --repeat <N>       submit the request N times through the service's
                      worker pool and report cache behavior
   --format <F>       text|json result output             [default: text]
-  --explain          print the planned strategy and modeled cost estimate
-                     instead of mining
+  --explain          print the plan (normalized configuration and the
+                     decisions a run would take) instead of mining
   --progress         report each mining iteration on stderr
                      (incompatible with --repeat: observers disable caching)
   --help             print this help

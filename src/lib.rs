@@ -11,7 +11,7 @@
 //! synchronously, be [`submit`](service::ServiceRequest::submit)ted to a
 //! bounded worker pool ([`service::JobHandle`] with
 //! `wait`/`try_poll`/`cancel`), or
-//! [`explain`](service::ServiceRequest::explain) its planned cost before
+//! [`explain`](service::ServiceRequest::explain) its plan without
 //! running; repeated identical requests are answered from an LRU result
 //! cache.
 //!

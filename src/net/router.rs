@@ -509,8 +509,8 @@ impl Router {
             200,
             format!(
                 "{{\"table\":{},\"rows\":{},\"dims\":{},\"k\":{},\"gain_sweep\":{},\
-                 \"packed_bits\":{},\"estimated_iterations\":{},\"estimated_stages\":{},\
-                 \"estimated_lca_pairs\":{},\"estimated_secs\":{},\"cached\":{},\"rendered\":{}}}",
+                 \"packed_bits\":{},\"estimated_iterations\":{},\
+                 \"estimated_lca_pairs\":{},\"cached\":{},\"rendered\":{}}}",
                 json::json_string(&plan.table),
                 plan.rows,
                 plan.dims,
@@ -518,9 +518,7 @@ impl Router {
                 plan.gain_sweep,
                 packed_bits,
                 plan.estimated_iterations,
-                plan.estimated_stages,
                 plan.estimated_lca_pairs,
-                json::json_number(plan.estimated_secs),
                 plan.cached,
                 json::json_string(&plan.to_string()),
             ),
@@ -1021,9 +1019,21 @@ mod tests {
             b"",
         ));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
-        let body = body_json(&resp);
-        assert_eq!(body.get("rows").and_then(|v| v.as_u64()), Some(14));
-        assert_eq!(body.get("cached").and_then(|v| v.as_bool()), Some(false));
+        // The whole body: the plan's decisions, and no priced member.
+        let plan = r
+            .service()
+            .mine("flights")
+            .k(3)
+            .sample_size(14)
+            .explain()
+            .expect("plan");
+        let expected = format!(
+            "{{\"table\":\"flights\",\"rows\":14,\"dims\":3,\"k\":3,\"gain_sweep\":true,\
+             \"packed_bits\":64,\"estimated_iterations\":3,\"estimated_lca_pairs\":196,\
+             \"cached\":false,\"rendered\":{}}}",
+            json::json_string(&plan.to_string()),
+        );
+        assert_eq!(String::from_utf8_lossy(&resp.body), expected);
         let (_, resp) = r.handle(&request("GET", "/explain?table=flights&k=zap", b""));
         assert_eq!(resp.status, 422);
         for param in ["warp", "columnar", "packed"] {

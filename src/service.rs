@@ -50,8 +50,7 @@ use sirum_core::{
     RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
     StreamingConfig, StreamingMiner, SweepOptions, Variant,
 };
-use sirum_dataflow::cost::{makespan, modeled_sweep_stage, ClusterSpec};
-use sirum_dataflow::{Engine, EngineConfig, EngineMode, StageRecord, TaskRecord};
+use sirum_dataflow::{Engine, EngineConfig, EngineMode};
 use sirum_table::{generators, Table, TableError};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -955,11 +954,7 @@ impl SirumService {
     /// [`JobHandle::wait`]. A job whose outcome was consumed through its
     /// handle reports [`SirumError::Service`].
     pub fn job_output(&self, id: u64) -> Option<Result<JobOutput, SirumError>> {
-        let shared = {
-            let jobs = self.inner.core.jobs.lock();
-            Arc::clone(&jobs.entries.get(&id)?.shared)
-        };
-        shared.peek()
+        self.wait_job(id, Duration::ZERO)
     }
 
     /// Like [`Self::job_output`], but block up to `timeout` for the job to
@@ -969,7 +964,7 @@ impl SirumService {
             let jobs = self.inner.core.jobs.lock();
             Arc::clone(&jobs.entries.get(&id)?.shared)
         };
-        shared.peek_within(timeout)
+        shared.when_done(timeout, |slot| slot.peek())
     }
 
     /// Request cooperative cancellation of a registered job by id; returns
@@ -1306,13 +1301,9 @@ impl ServiceRequest<'_> {
                     result: hit,
                     from_cache: true,
                 }));
-                core.register_job(id, &self.spec.table, &shared, &token);
-                return Ok(JobHandle {
-                    id,
-                    shared,
-                    token,
-                    delivered: false,
-                });
+                // Nothing ran, so nothing is registered: the handle is the
+                // answer.
+                return Ok(JobHandle { id, shared, token });
             }
             // Coalesce onto an identical in-flight execution, or claim
             // leadership of this key (push/claim and the leader's drain
@@ -1323,12 +1314,7 @@ impl ServiceRequest<'_> {
                 core.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
                 drop(pending);
                 core.register_job(id, &self.spec.table, &shared, &token);
-                return Ok(JobHandle {
-                    id,
-                    shared,
-                    token,
-                    delivered: false,
-                });
+                return Ok(JobHandle { id, shared, token });
             }
             pending.insert(key.clone(), Vec::new());
         }
@@ -1406,12 +1392,7 @@ impl ServiceRequest<'_> {
             return Err(e);
         }
         leader_core.register_job(id, &self.spec.table, &shared, &token);
-        Ok(JobHandle {
-            id,
-            shared,
-            token,
-            delivered: false,
-        })
+        Ok(JobHandle { id, shared, token })
     }
 
     /// Execute the request synchronously on the calling thread (still
@@ -1452,10 +1433,10 @@ impl ServiceRequest<'_> {
         try_mine_on_sample(&self.service.engine().fork(), &entry.table, rate, config)
     }
 
-    /// Return the planned execution — strategy, normalized configuration
-    /// and a modeled cost estimate from [`sirum_dataflow::cost`] — without
-    /// running anything. The same validation as [`Self::submit`] applies,
-    /// so `explain` doubles as a dry-run check.
+    /// Return the planned execution — the normalized configuration and the
+    /// decisions a run would take — without running anything. The same
+    /// validation as [`Self::submit`] applies, so `explain` doubles as a
+    /// dry-run check.
     pub fn explain(&self) -> Result<MiningPlan, SirumError> {
         let (entry, config) = self.resolve()?;
         let cached = match self.cache_key(&entry, &config) {
@@ -1526,40 +1507,20 @@ impl JobShared {
         self.done.notify_all();
     }
 
-    /// Non-consuming read: clone a finished outcome, leaving the slot
-    /// `Done` so later peeks (and the handle's own `wait`) still see it.
-    /// Errors are not clonable, so a failed job peeks as a re-rendered
-    /// [`SirumError::Service`]; `None` while pending.
-    fn peek(&self) -> Option<Result<JobOutput, SirumError>> {
-        match &*self.lock() {
-            JobSlot::Pending => None,
-            JobSlot::Done(Ok(output)) => Some(Ok(output.clone())),
-            JobSlot::Done(Err(e)) => Some(Err(SirumError::service(format!("job failed: {e}")))),
-            JobSlot::Taken => Some(Err(SirumError::service(
-                "job result was already taken through its handle",
-            ))),
-        }
-    }
-
-    /// [`Self::peek`], blocking up to `timeout` for the job to finish;
-    /// `None` on timeout.
-    fn peek_within(&self, timeout: Duration) -> Option<Result<JobOutput, SirumError>> {
+    /// Block until `read` makes something of the slot — it answers `None`
+    /// while the job is pending — or until `timeout` has passed (`None`).
+    fn when_done<T>(
+        &self,
+        timeout: Duration,
+        read: impl Fn(&mut JobSlot) -> Option<T>,
+    ) -> Option<T> {
         // `Instant + Duration` can overflow-panic on absurd timeouts; an
         // unrepresentable deadline just re-checks in hour-long waits.
         let deadline = Instant::now().checked_add(timeout);
         let mut slot = self.lock();
         loop {
-            match &*slot {
-                JobSlot::Pending => {}
-                JobSlot::Done(Ok(output)) => return Some(Ok(output.clone())),
-                JobSlot::Done(Err(e)) => {
-                    return Some(Err(SirumError::service(format!("job failed: {e}"))))
-                }
-                JobSlot::Taken => {
-                    return Some(Err(SirumError::service(
-                        "job result was already taken through its handle",
-                    )))
-                }
+            if let Some(outcome) = read(&mut slot) {
+                return Some(outcome);
             }
             let remaining = match deadline {
                 Some(deadline) => deadline.saturating_duration_since(Instant::now()),
@@ -1574,6 +1535,38 @@ impl JobShared {
                 .wait_timeout(slot, remaining)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
+        }
+    }
+}
+
+impl JobSlot {
+    /// Non-consuming read: clone a finished outcome, leaving the slot
+    /// `Done` so later peeks (and the handle's own `wait`) still see it.
+    /// Errors are not clonable, so a failed job peeks as a re-rendered
+    /// [`SirumError::Service`]; `None` while pending.
+    fn peek(&self) -> Option<Result<JobOutput, SirumError>> {
+        match self {
+            JobSlot::Pending => None,
+            JobSlot::Done(Ok(output)) => Some(Ok(output.clone())),
+            JobSlot::Done(Err(e)) => Some(Err(SirumError::service(format!("job failed: {e}")))),
+            JobSlot::Taken => Some(Err(SirumError::service(
+                "job result was already taken through its handle",
+            ))),
+        }
+    }
+
+    /// Consuming read: move a finished outcome out exactly once, leaving
+    /// the slot `Taken`; `None` while pending.
+    fn take(&mut self) -> Option<Result<JobOutput, SirumError>> {
+        match std::mem::replace(self, JobSlot::Taken) {
+            JobSlot::Done(outcome) => Some(outcome),
+            JobSlot::Pending => {
+                *self = JobSlot::Pending;
+                None
+            }
+            JobSlot::Taken => Some(Err(SirumError::service(
+                "job result was already taken by try_poll()",
+            ))),
         }
     }
 }
@@ -1604,14 +1597,16 @@ pub struct JobHandle {
     id: u64,
     shared: Arc<JobShared>,
     token: CancellationToken,
-    delivered: bool,
 }
 
 impl JobHandle {
     /// The job's service-wide id (1-based, monotonically increasing).
     /// Usable out-of-band through [`SirumService::job_status`],
     /// [`SirumService::job_output`] and [`SirumService::cancel_job`] while
-    /// the bounded registry remembers the job.
+    /// the bounded registry remembers the job. The registry records
+    /// executions, not answers: a handle served from the result cache has
+    /// an id but was never registered, so those calls answer "unknown" for
+    /// it, as they do for an evicted job.
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -1641,16 +1636,9 @@ impl JobHandle {
     /// `None` again).
     pub fn try_poll(&mut self) -> Option<Result<JobOutput, SirumError>> {
         let mut slot = self.shared.lock();
-        match std::mem::replace(&mut *slot, JobSlot::Taken) {
-            JobSlot::Done(outcome) => {
-                self.delivered = true;
-                Some(outcome)
-            }
-            JobSlot::Pending => {
-                *slot = JobSlot::Pending;
-                None
-            }
-            JobSlot::Taken => None,
+        match &*slot {
+            JobSlot::Done(_) => slot.take(),
+            JobSlot::Pending | JobSlot::Taken => None,
         }
     }
 
@@ -1659,38 +1647,7 @@ impl JobHandle {
     /// once when it finishes within the window (like [`Self::try_poll`],
     /// a delivered outcome is not delivered again).
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<JobOutput, SirumError>> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut slot = self.shared.lock();
-        loop {
-            match std::mem::replace(&mut *slot, JobSlot::Taken) {
-                JobSlot::Done(outcome) => {
-                    self.delivered = true;
-                    return Some(outcome);
-                }
-                JobSlot::Taken => {
-                    return Some(Err(SirumError::service(
-                        "job result was already taken by try_poll()",
-                    )))
-                }
-                JobSlot::Pending => {
-                    *slot = JobSlot::Pending;
-                }
-            }
-            let remaining = match deadline {
-                Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-                None => Duration::from_secs(3600),
-            };
-            if remaining.is_zero() {
-                return None;
-            }
-            slot = self
-                .shared
-                .done
-                // lint:allow(SL003) — Condvar::wait_timeout atomically releases the guard while parked
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
+        self.shared.when_done(timeout, JobSlot::take)
     }
 
     /// Block until the job finishes and return its outcome.
@@ -1699,32 +1656,11 @@ impl JobHandle {
     /// The job's own error, or [`SirumError::Service`] if the outcome was
     /// already taken by [`Self::try_poll`].
     pub fn wait(mut self) -> Result<JobOutput, SirumError> {
-        if self.delivered {
-            return Err(SirumError::service(
-                "job result was already taken by try_poll()",
-            ));
-        }
-        let mut slot = self.shared.lock();
+        // `Duration::MAX` has no representable deadline: each pass parks
+        // until the job is done.
         loop {
-            match std::mem::replace(&mut *slot, JobSlot::Taken) {
-                JobSlot::Done(outcome) => {
-                    self.delivered = true;
-                    return outcome;
-                }
-                JobSlot::Pending => {
-                    *slot = JobSlot::Pending;
-                    slot = self
-                        .shared
-                        .done
-                        // lint:allow(SL003) — Condvar::wait atomically releases the guard while parked
-                        .wait(slot)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-                JobSlot::Taken => {
-                    return Err(SirumError::service(
-                        "job result was already taken by try_poll()",
-                    ))
-                }
+            if let Some(outcome) = self.wait_timeout(Duration::MAX) {
+                return outcome;
             }
         }
     }
@@ -1744,17 +1680,11 @@ impl std::fmt::Debug for JobHandle {
 // Explain
 // ---------------------------------------------------------------------------
 
-/// Modeled per-record processing cost used by [`MiningPlan`]. A planning
-/// heuristic, not a measurement: it only needs to rank plans sensibly and
-/// scale with input size.
-const EST_NANOS_PER_RECORD: f64 = 60.0;
-/// Modeled bytes per shuffled candidate pair.
-const EST_BYTES_PER_PAIR: u64 = 24;
-
-/// The planned execution of a mining request: the normalized strategy plus
-/// a deterministic cost estimate obtained by replaying the *predicted*
-/// stage list through the cluster cost model ([`sirum_dataflow::cost`]).
-/// Produced by [`ServiceRequest::explain`]; nothing is executed.
+/// The planned execution of a mining request: the normalized configuration
+/// and the decisions that follow from it and from the registered table by
+/// construction. It quotes no time: what mines cost is measured, in
+/// [`ServiceStats::job_latency`]. Produced by [`ServiceRequest::explain`];
+/// nothing is executed.
 #[derive(Debug, Clone)]
 pub struct MiningPlan {
     /// Requested table name.
@@ -1791,12 +1721,6 @@ pub struct MiningPlan {
     /// one entry per dimension, as chosen by the per-segment size
     /// heuristic.
     pub column_formats: Vec<String>,
-    /// Modeled per-record cost of one columnar scan pass over the table's
-    /// dimension columns ([`sirum_dataflow::cost::scan_record_nanos`]):
-    /// memory traffic at streaming bandwidth plus, when compressed, the
-    /// per-value decode tax. This is the compressed-vs-raw trade the plan
-    /// prices into `estimated_secs`.
-    pub scan_nanos_per_record: f64,
     /// Packed-code width the sweep's accumulators will use: `Some(64)` or
     /// `Some(128)` when rules intern as dense integer codes (the table's
     /// dictionary bit-widths fit; [`sirum_core::RuleLayout`]), `None` when
@@ -1809,18 +1733,16 @@ pub struct MiningPlan {
     /// `packed_bits` is: only packed codes are ever slot-addressed, the
     /// `Rule`-keyed sweep always probes its one map.
     pub combine: Option<CombineStrategy>,
-    /// Predicted rule-generation iterations (`⌈k / l⌉`; a KL-target run may
-    /// iterate further, up to its `max_rules` bound).
+    /// `⌈k / l⌉`: the rule-generation iterations of a run whose every
+    /// iteration inserts its full `l` rules, so the fewest that mine all
+    /// `k`. An iteration that finds fewer than `l` mutually disjoint
+    /// candidates adds iterations, up to `k` (each inserts at least one
+    /// rule); a run stops earlier once no candidate has positive gain, and
+    /// a KL-target run may iterate further, up to its `max_rules` bound.
     pub estimated_iterations: usize,
-    /// Predicted engine stages across the whole run.
-    pub estimated_stages: usize,
-    /// Predicted candidate pairs emitted per iteration by the LCA join
-    /// (`|s| × n`, before combining).
+    /// Candidate pairs emitted per iteration by the LCA join (`|s| × n`,
+    /// before combining).
     pub estimated_lca_pairs: u64,
-    /// Modeled wall-clock seconds on the service's engine configuration
-    /// (LPT schedule over `workers` slots, per-stage startup, shuffle
-    /// volume — see [`sirum_dataflow::cost::stage_makespan`]).
-    pub estimated_secs: f64,
     /// True when the result cache already holds this exact request (it
     /// would be answered without execution).
     pub cached: bool,
@@ -1835,12 +1757,13 @@ impl MiningPlan {
         engine_config: &EngineConfig,
         cached: bool,
     ) -> MiningPlan {
-        let n = entry.table.num_rows() as u64;
-        let sample = match config.strategy {
-            CandidateStrategy::SampleLca { sample_size } => sample_size as u64,
-            CandidateStrategy::FullCube => 1,
+        let frame = entry.prepared.frame();
+        // The full cube has no sample: each row is its own one "pair".
+        let sample_rows = match config.strategy {
+            CandidateStrategy::SampleLca { sample_size } => Some(sample_size),
+            CandidateStrategy::FullCube => None,
         };
-        let lca_pairs = n * sample;
+        let lca_pairs = entry.table.num_rows() as u64 * sample_rows.unwrap_or(1) as u64;
         let iterations = config.k.div_ceil(config.multirule.rules_per_iter.max(1));
         let partitions = engine_config.partitions.max(1);
 
@@ -1849,16 +1772,12 @@ impl MiningPlan {
         // combine strategy is whatever the sweep's rule says of one
         // planned partition.
         let packed_bits = if config.gain_sweep {
-            let layout = RuleLayout::from_cardinalities(entry.prepared.frame().cards());
+            let layout = RuleLayout::from_cardinalities(frame.cards());
             SweepOptions::packed(layout).packed_bits()
         } else {
             None
         };
         let combine = packed_bits.map(|_| {
-            let sample_rows = match config.strategy {
-                CandidateStrategy::SampleLca { sample_size } => Some(sample_size),
-                CandidateStrategy::FullCube => None,
-            };
             CombineStrategy::for_partition(
                 entry.table.num_rows().div_ceil(partitions),
                 entry.table.num_dims(),
@@ -1866,80 +1785,6 @@ impl MiningPlan {
             )
         });
 
-        // Per-record scan cost: a base processing constant plus the memory
-        // traffic + decode term of the table's actual column formats
-        // (compressed columns move fewer bytes but pay a per-value unpack
-        // tax).
-        let frame = entry.prepared.frame();
-        let compressed = frame.is_compressed();
-        let column_formats: Vec<String> = frame
-            .column_formats()
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let bytes_per_row = if n > 0 {
-            frame.dim_bytes() as f64 / n as f64
-        } else {
-            0.0
-        };
-        let scan_record =
-            sirum_dataflow::cost::scan_record_nanos(frame.num_dims(), bytes_per_row, compressed);
-        let scan_nanos = EST_NANOS_PER_RECORD + scan_record;
-
-        // Predicted stage list for one iteration: the LCA join, one
-        // combine+reduce per column group for ancestor generation, the
-        // adjust+gain pass, then scaling (3 RCT passes or a modeled 5
-        // Algorithm-1 passes over D).
-        let stage = |records: u64, shuffled: bool| -> StageRecord {
-            let per_task = records.div_ceil(partitions as u64);
-            StageRecord {
-                label: "planned".to_string(),
-                tasks: (0..partitions)
-                    .map(|p| TaskRecord {
-                        partition: p,
-                        records_in: per_task,
-                        records_out: per_task,
-                        nanos: (per_task as f64 * scan_nanos) as u64,
-                    })
-                    .collect(),
-                shuffled_records: if shuffled { records } else { 0 },
-                shuffled_bytes: if shuffled {
-                    records * EST_BYTES_PER_PAIR
-                } else {
-                    0
-                },
-            }
-        };
-        let mut stages: Vec<StageRecord> = Vec::new();
-        stages.push(stage(n, false)); // seed distribution + rule sums
-        for _ in 0..iterations {
-            if config.gain_sweep {
-                // One fused scan folds LCA combining, ancestor expansion
-                // and aggregation into per-partition accumulators; the
-                // reduction is a driver-side partition-ordered fold, so
-                // the stage carries the pair volume but zero shuffle.
-                stages.push(modeled_sweep_stage(lca_pairs, partitions, scan_nanos));
-            } else {
-                stages.push(stage(lca_pairs, false)); // LCA join emit
-                stages.push(stage(lca_pairs, true)); // lca-agg combine+reduce
-                for _ in 0..config.column_groups.max(1) {
-                    stages.push(stage(lca_pairs, false)); // ancestor expansion
-                    stages.push(stage(lca_pairs, true)); // ancestor reduce
-                }
-                stages.push(stage(lca_pairs, false)); // adjust + gain
-            }
-            let scaling_passes = if config.rct { 3 } else { 5 };
-            for _ in 0..scaling_passes {
-                stages.push(stage(n, false));
-            }
-        }
-        let spec = ClusterSpec {
-            executors: 1,
-            cores_per_executor: engine_config.effective_workers(),
-            stage_startup_secs: engine_config.stage_startup.as_secs_f64(),
-            shuffle_secs_per_mb: 0.01,
-            straggler_slowdown: 1.0,
-        };
         MiningPlan {
             table: table.to_string(),
             fingerprint: entry.fingerprint,
@@ -1953,15 +1798,16 @@ impl MiningPlan {
             rules_per_iter: config.multirule.rules_per_iter,
             rct: config.rct,
             gain_sweep: config.gain_sweep,
-            compressed,
-            column_formats,
-            scan_nanos_per_record: scan_record,
+            compressed: frame.is_compressed(),
+            column_formats: frame
+                .column_formats()
+                .iter()
+                .map(ToString::to_string)
+                .collect(),
             packed_bits,
             combine,
             estimated_iterations: iterations,
-            estimated_stages: stages.len(),
             estimated_lca_pairs: lca_pairs,
-            estimated_secs: makespan(&stages, &spec),
             cached,
         }
     }
@@ -1999,10 +1845,9 @@ impl std::fmt::Display for MiningPlan {
         )?;
         writeln!(
             f,
-            "  storage: {} column format(s) [{}], ~{:.1}ns/record scan",
+            "  storage: {} column format(s) [{}]",
             if self.compressed { "compressed" } else { "raw" },
             self.column_formats.join(", "),
-            self.scan_nanos_per_record,
         )?;
         if self.gain_sweep {
             match (self.packed_bits, self.combine) {
@@ -2018,11 +1863,10 @@ impl std::fmt::Display for MiningPlan {
         }
         write!(
             f,
-            "  estimate: {} iteration(s), {} stages, {} LCA pairs/iteration, ~{:.3}s modeled{}",
+            "  shape: {} iteration(s) at a full {} rule(s) each, {} LCA pairs/iteration{}",
             self.estimated_iterations,
-            self.estimated_stages,
+            self.rules_per_iter,
             self.estimated_lca_pairs,
-            self.estimated_secs,
             if self.cached {
                 " — cached, would be served without execution"
             } else {
@@ -2492,7 +2336,6 @@ mod tests {
             plan.strategy,
             CandidateStrategy::SampleLca { sample_size: 14 }
         );
-        assert!(plan.estimated_stages > 0 && plan.estimated_secs >= 0.0);
         assert!(!plan.cached);
         // Flights: 3 dims of tiny cardinality, well inside a u64 code; one
         // row a partition is far under the slot table's 2^3, so it probes.
@@ -2500,10 +2343,9 @@ mod tests {
         assert_eq!(plan.combine, Some(CombineStrategy::HashProbe));
         assert!(plan.to_string().contains("packed u64 rule codes"));
         // 14 rows is far below the Auto compression threshold: the plan
-        // reports raw per-column formats and a traffic-only scan cost.
+        // reports raw per-column formats.
         assert!(!plan.compressed);
         assert_eq!(plan.column_formats, vec!["raw"; 3]);
-        assert!(plan.scan_nanos_per_record > 0.0);
         assert!(plan.to_string().contains("raw column format(s)"));
         // With the sweep off there is no combine stage to report at all.
         let plan_staged = service
@@ -2527,6 +2369,38 @@ mod tests {
             .unwrap();
         assert!(plan.cached);
         assert!(plan.to_string().contains("cached"));
+    }
+
+    #[test]
+    fn a_run_stays_inside_what_its_plan_promises() {
+        type Shape = for<'s> fn(ServiceRequest<'s>) -> ServiceRequest<'s>;
+        let shapes: [(&str, Shape, u64); 4] = [
+            ("default", |r| r, 14),
+            ("baseline", |r| r.variant(Variant::Baseline), 14),
+            ("full cube", |r| r.full_cube(), 1),
+            ("two rules an iteration", |r| r.rules_per_iter(2), 14),
+        ];
+        let service = flights_service();
+        for (name, shape, pairs_per_row) in shapes {
+            let request = || shape(service.mine("flights").k(3));
+            let plan = request().explain().unwrap();
+            assert!(!plan.cached, "{name}");
+            // The default |s| = 64 is clamped to the table's 14 rows.
+            assert_eq!(plan.estimated_lca_pairs, 14 * pairs_per_row, "{name}");
+            // Every iteration inserts between one and `l` rules, so ⌈k/l⌉
+            // is a ceiling only where l = 1: flights takes 3 iterations,
+            // not 2, to place 3 rules two at a time.
+            let l = plan.rules_per_iter;
+            assert_eq!(plan.estimated_iterations, 3usize.div_ceil(l), "{name}");
+            let result = request().run().unwrap().result;
+            let mined = result.rules.len() - 1;
+            assert!(
+                (mined.div_ceil(l)..=plan.k).contains(&result.iterations),
+                "{name}: {} iterations for {mined} rules",
+                result.iterations
+            );
+            assert!(request().explain().unwrap().cached, "{name}");
+        }
     }
 
     #[test]
@@ -2845,6 +2719,19 @@ mod tests {
             service.cancel_job(id),
             "known id is cancellable (no-op: done)"
         );
+        // The registry records executions, not answers: the same request
+        // again is a cache hit — a finished handle with a fresh id the
+        // registry never saw.
+        let hit = service
+            .mine("flights")
+            .k(2)
+            .sample_size(14)
+            .submit()
+            .unwrap();
+        assert!(hit.id() > id && hit.is_finished());
+        assert!(service.job_status(hit.id()).is_none());
+        assert_eq!(service.job_ids(), [id]);
+        assert!(hit.wait().unwrap().from_cache);
     }
 
     #[test]

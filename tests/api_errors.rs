@@ -243,7 +243,7 @@ fn malformed_csv_surfaces_as_table_errors() {
 // ---- SirumError::Dataflow ------------------------------------------------
 
 #[test]
-fn invalid_engine_config_surfaces_from_the_session_builder() {
+fn invalid_engine_config_surfaces_from_the_service_builder() {
     let err = SirumService::builder().partitions(0).build().unwrap_err();
     assert!(matches!(
         err,
@@ -343,7 +343,7 @@ fn direct_miner_facade_is_fallible_only() {
 // ---- Parity: a service request reproduces the direct miner ---------------
 
 #[test]
-fn session_request_matches_direct_miner_output() {
+fn service_request_matches_direct_miner_output() {
     let service = service_with_flights();
     let flights = service.table("flights").unwrap();
     let served = service.mine("flights").k(3).sample_size(14).run().unwrap();

@@ -148,6 +148,22 @@ fn async_jobs_explain_stream_and_stats_work_over_tcp() {
     assert_eq!(response.status, 200);
     let plan = json_body(&response);
     assert_eq!(plan.get("cached").and_then(|c| c.as_bool()), Some(false));
+    // A plan of decisions: no priced member, every other member as it was.
+    let members: Vec<&str> = plan
+        .entries()
+        .expect("plan object")
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(
+        members.join(" "),
+        "table rows dims k gain_sweep packed_bits estimated_iterations estimated_lca_pairs cached rendered"
+    );
+    let number = |name: &str| plan.get(name).and_then(|v| v.as_u64());
+    assert_eq!(number("rows"), Some(14));
+    assert_eq!(number("packed_bits"), Some(64));
+    assert_eq!(number("estimated_iterations"), Some(3));
+    assert_eq!(number("estimated_lca_pairs"), Some(196));
     // 14 rows over 16 partitions never amortise a slot table…
     let rendered = |plan: &JsonValue| {
         plan.get("rendered")

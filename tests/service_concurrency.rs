@@ -108,7 +108,7 @@ fn register_workload(service: &SirumService) {
 }
 
 #[test]
-fn concurrent_mixed_requests_match_the_session_path_bit_for_bit() {
+fn concurrent_mixed_requests_match_the_synchronous_path_bit_for_bit() {
     // Reference results from synchronous runs on an independent service
     // whose engine has one worker, so stages execute inline in partition
     // order.
