@@ -357,8 +357,12 @@ impl Router {
         let mut handle = req.try_submit().map_err(|e| service_error(&e))?;
         // Wait on the handle itself: the registry is bounded (and may be
         // disabled), so the answer must not depend on re-finding the job
-        // by id once it has finished.
-        if !wait.is_zero() {
+        // by id once it has finished. A zero wait hands the id over for
+        // polling instead — unless the registry does not know it (an answer
+        // from the result cache, or no registry): what is finished is then
+        // delivered here, the only place it can be.
+        let poll_by_id = wait.is_zero() && self.service.job_status(handle.id()).is_some();
+        if !poll_by_id {
             if let Some(outcome) = handle.wait_timeout(wait) {
                 let output = outcome.map_err(|e| service_error(&e))?;
                 let status = JobStatus {
@@ -866,6 +870,25 @@ mod tests {
         )
     }
 
+    /// Submit a job that holds the one pool worker of
+    /// [`router_with_registry`] until the returned barrier is met.
+    fn park_the_worker(r: &Router) -> (crate::service::JobHandle, Arc<std::sync::Barrier>) {
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let parked = Arc::clone(&gate);
+        let blocker = r
+            .service()
+            .mine("flights")
+            .k(1)
+            .sample_size(14)
+            .on_iteration(move |_| {
+                parked.wait();
+                sirum_core::IterationDecision::Continue
+            })
+            .submit()
+            .expect("blocker");
+        (blocker, gate)
+    }
+
     fn assert_full_result(resp: &Response, rules: usize) {
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let body = body_json(resp);
@@ -903,8 +926,10 @@ mod tests {
             body_json(&resp).get("from_cache").and_then(|c| c.as_bool()),
             Some(true)
         );
-        // Nothing was registered, and an expired wait still names the job.
+        // Nothing was registered, and an expired wait still names the job:
+        // behind a parked worker it cannot have finished.
         assert!(r.service().job_ids().is_empty());
+        let (blocker, gate) = park_the_worker(&r);
         let (_, resp) = r.handle(&request(
             "POST",
             "/mine",
@@ -915,6 +940,28 @@ mod tests {
             .get("job")
             .and_then(|j| j.as_u64())
             .is_some());
+        gate.wait();
+        blocker.wait().expect("blocker finishes");
+    }
+
+    #[test]
+    fn async_mine_of_a_cached_request_answers_inline() {
+        // A cache hit leaves no job record, so `202` would name an id that
+        // `GET /jobs/{id}` can never resolve: the answer comes back here.
+        let r = router();
+        let mine = |body: &[u8]| r.handle(&request("POST", "/mine", body)).1;
+        let first = mine(br#"{"table":"flights","k":2,"sample_size":14}"#);
+        assert_full_result(&first, 3);
+        let listed = r.service().job_ids();
+        let again = mine(br#"{"table":"flights","k":2,"sample_size":14,"wait_ms":0}"#);
+        assert_full_result(&again, 3);
+        let body = body_json(&again);
+        assert_eq!(body.get("from_cache").and_then(|c| c.as_bool()), Some(true));
+        assert_eq!(body.get("result"), body_json(&first).get("result"));
+        assert_eq!(r.service().job_ids(), listed);
+        let id = body.get("job").and_then(|j| j.as_u64()).expect("job id");
+        let (_, resp) = r.handle(&request("GET", &format!("/jobs/{id}"), b""));
+        assert_eq!(resp.status, 404);
     }
 
     #[test]
@@ -923,19 +970,7 @@ mod tests {
         // worker, so the synchronous mine is still queued when a second
         // submit takes the registry's only record away from it.
         let r = router_with_registry(1);
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let parked = Arc::clone(&gate);
-        let blocker = r
-            .service()
-            .mine("flights")
-            .k(1)
-            .sample_size(14)
-            .on_iteration(move |_| {
-                parked.wait();
-                sirum_core::IterationDecision::Continue
-            })
-            .submit()
-            .expect("blocker");
+        let (blocker, gate) = park_the_worker(&r);
         std::thread::scope(|scope| {
             let waiting = scope.spawn(|| {
                 r.handle(&request(

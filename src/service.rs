@@ -964,7 +964,7 @@ impl SirumService {
             let jobs = self.inner.core.jobs.lock();
             Arc::clone(&jobs.entries.get(&id)?.shared)
         };
-        shared.when_done(timeout, |slot| slot.peek())
+        shared.when_done(Some(timeout), |slot| slot.peek())
     }
 
     /// Request cooperative cancellation of a registered job by id; returns
@@ -1509,14 +1509,16 @@ impl JobShared {
 
     /// Block until `read` makes something of the slot — it answers `None`
     /// while the job is pending — or until `timeout` has passed (`None`).
+    /// No `timeout` is no deadline: the answer is then always `Some`.
     fn when_done<T>(
         &self,
-        timeout: Duration,
+        timeout: Option<Duration>,
         read: impl Fn(&mut JobSlot) -> Option<T>,
     ) -> Option<T> {
         // `Instant + Duration` can overflow-panic on absurd timeouts; an
-        // unrepresentable deadline just re-checks in hour-long waits.
-        let deadline = Instant::now().checked_add(timeout);
+        // unrepresentable deadline is no deadline. Without one the loop
+        // re-checks in hour-long waits.
+        let deadline = timeout.and_then(|timeout| Instant::now().checked_add(timeout));
         let mut slot = self.lock();
         loop {
             if let Some(outcome) = read(&mut slot) {
@@ -1647,7 +1649,7 @@ impl JobHandle {
     /// once when it finishes within the window (like [`Self::try_poll`],
     /// a delivered outcome is not delivered again).
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<JobOutput, SirumError>> {
-        self.shared.when_done(timeout, JobSlot::take)
+        self.shared.when_done(Some(timeout), JobSlot::take)
     }
 
     /// Block until the job finishes and return its outcome.
@@ -1655,14 +1657,10 @@ impl JobHandle {
     /// # Errors
     /// The job's own error, or [`SirumError::Service`] if the outcome was
     /// already taken by [`Self::try_poll`].
-    pub fn wait(mut self) -> Result<JobOutput, SirumError> {
-        // `Duration::MAX` has no representable deadline: each pass parks
-        // until the job is done.
-        loop {
-            if let Some(outcome) = self.wait_timeout(Duration::MAX) {
-                return outcome;
-            }
-        }
+    pub fn wait(self) -> Result<JobOutput, SirumError> {
+        self.shared
+            .when_done(None, JobSlot::take)
+            .ok_or_else(|| SirumError::service("job wait ended before the job did"))?
     }
 }
 

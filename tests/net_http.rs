@@ -119,7 +119,7 @@ fn async_jobs_explain_stream_and_stats_work_over_tcp() {
     let server = spawn_server();
     let mut http = client(&server);
 
-    // Async submit: wait_ms=0 always answers 202 with a job id.
+    // Async submit: wait_ms=0 on an uncached request answers 202 with a job id.
     let response = http
         .post_json(
             "/mine",
