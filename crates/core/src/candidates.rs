@@ -148,7 +148,7 @@ impl SampleIndex {
     /// # Panics
     /// Panics if the sample exceeds [`MAX_SAMPLE`] rows.
     pub fn build(rows: Vec<Box<[u32]>>, d: usize) -> SampleIndex {
-        // lint:allow(SL001) — unreachable via Miner (typed InvalidConfig on oversized effective samples) and via StreamingMiner (reservoir capped at MAX_SAMPLE)
+        // lint:allow(SL001) — unreachable via Miner, streams included (typed InvalidConfig on oversized effective samples)
         assert!(rows.len() <= MAX_SAMPLE, "sample too large for the index");
         let mut cols: Vec<FxHashMap<u32, Vec<u32>>> =
             (0..d).map(|_| FxHashMap::default()).collect();

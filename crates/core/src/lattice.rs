@@ -52,14 +52,6 @@ pub fn ancestor_count(rule: &Rule) -> u64 {
     1u64 << rule.num_constants().min(63)
 }
 
-/// Immediate proper ancestors (parent rules): one constant wildcarded.
-pub fn parents(rule: &Rule) -> Vec<Rule> {
-    rule.constant_positions()
-        .into_iter()
-        .map(|i| rule.generalize(i))
-        .collect()
-}
-
 /// Partition the `d` dimension indices into `g` groups for the multi-stage
 /// ancestor pipeline (§4.3). The paper partitions randomly; we rotate
 /// deterministically from `seed` so experiments are reproducible.
@@ -177,17 +169,6 @@ mod tests {
         let anc = ancestors_restricted(&base, &[0, 1]);
         // Position 0 is already a wildcard; only position 1 expands.
         assert_eq!(anc.len(), 2);
-    }
-
-    #[test]
-    fn parents_are_immediate() {
-        let base = r(&[0, 1, -1]);
-        let p = parents(&base);
-        assert_eq!(p.len(), 2);
-        for parent in &p {
-            assert_eq!(parent.num_constants(), base.num_constants() - 1);
-            assert!(parent.is_ancestor_of(&base));
-        }
     }
 
     #[test]

@@ -204,9 +204,11 @@ impl SirumConfig {
     }
 
     /// The run's rule budget: wildcard + priors + mined rules (`k`, or
-    /// `max_rules` when mining to a KL target).
+    /// `max_rules` when mining to a KL target). Saturating: a budget past
+    /// `usize::MAX` must still read as "over the limit", not wrap under it.
     fn rule_budget(&self, priors: usize) -> usize {
-        1 + priors + self.max_rules.unwrap_or(4 * self.k).max(self.k)
+        let mined = self.max_rules.unwrap_or(self.k.saturating_mul(4));
+        mined.max(self.k).saturating_add(priors).saturating_add(1)
     }
 }
 

@@ -63,6 +63,21 @@ impl PreparedTable {
         })
     }
 
+    /// Prepare rows that are already columnar and never were a [`Table`]
+    /// (the streaming maintainer's history): fit the measure transform to
+    /// the frame's own measure column.
+    ///
+    /// # Errors
+    /// Same as [`Self::try_new`].
+    pub fn from_frame(frame: Frame) -> Result<Self, SirumError> {
+        let (transform, m_prime) = MeasureTransform::try_fit(frame.measures())?;
+        Ok(PreparedTable {
+            frame,
+            m_prime: Arc::from(m_prime),
+            transform,
+        })
+    }
+
     /// Number of rows `n`.
     pub fn num_rows(&self) -> usize {
         self.frame.num_rows()

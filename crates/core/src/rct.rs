@@ -123,16 +123,6 @@ impl Rct {
             }
         }
     }
-
-    /// Total true mass.
-    pub fn total_m(&self) -> f64 {
-        self.groups.iter().map(|g| g.sum_m).sum()
-    }
-
-    /// Total tuple count.
-    pub fn total_count(&self) -> u64 {
-        self.groups.iter().map(|g| g.count).sum()
-    }
 }
 
 /// Iterative scaling over the RCT (Algorithm 3, lines 7-28): identical
@@ -268,8 +258,9 @@ mod tests {
     fn groups_partition_the_dataset() {
         let (t, _rules, masks) = flight_masks();
         let rct = Rct::build(&masks, t.measures(), &[1.0; 14]);
-        assert_eq!(rct.total_count(), 14);
-        assert!((rct.total_m() - 145.0).abs() < 1e-9);
+        assert_eq!(rct.groups().iter().map(|g| g.count).sum::<u64>(), 14);
+        let total_m: f64 = rct.groups().iter().map(|g| g.sum_m).sum();
+        assert!((total_m - 145.0).abs() < 1e-9);
         // Masks are distinct (disjoint groups, Fig 4.1).
         let mut masks: Vec<u64> = rct.groups().iter().map(|g| g.mask).collect();
         masks.dedup();

@@ -137,11 +137,6 @@ impl Rule {
             .any(|(&a, &b)| a != WILDCARD && b != WILDCARD && a != b)
     }
 
-    /// Negation of [`Self::is_disjoint`].
-    pub fn overlaps(&self, other: &Rule) -> bool {
-        !self.is_disjoint(other)
-    }
-
     /// Replace position `i` with a wildcard, producing a parent rule.
     pub fn generalize(&self, i: usize) -> Rule {
         let mut values = self.values.to_vec();
@@ -550,11 +545,11 @@ mod tests {
         assert!(r(&[0, 1, 2]).is_disjoint(&r(&[-1, 3, 2])));
         // (Wed, *, *) vs (*, *, London): overlapping by definition even
         // though their support sets in Table 1.1 are disjoint.
-        assert!(r(&[6, -1, -1]).overlaps(&r(&[-1, -1, 0])));
+        assert!(!r(&[6, -1, -1]).is_disjoint(&r(&[-1, -1, 0])));
         // A rule always overlaps itself and its ancestors.
         let x = r(&[1, -1, 2]);
-        assert!(x.overlaps(&x));
-        assert!(x.overlaps(&r(&[-1, -1, 2])));
+        assert!(!x.is_disjoint(&x));
+        assert!(!x.is_disjoint(&r(&[-1, -1, 2])));
     }
 
     #[test]

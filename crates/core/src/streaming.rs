@@ -11,42 +11,67 @@
 //! 3. re-runs RCT iterative scaling from the *current* multipliers — the
 //!    warm start means a handful of λ updates instead of a full re-fit.
 //!
-//! When the model drifts (KL grows), [`StreamingMiner::mine_more`] mines
-//! additional rules over the accumulated data with the standard candidate
-//! machinery, again warm-starting from the existing multipliers.
+//! Mining is the [`Miner`]'s job. When the model drifts (KL grows),
+//! [`StreamingMiner::mine_more`] runs the batch miner over the accumulated
+//! history with the model's rules as prior knowledge (§5.6.2) and adopts
+//! each rule it returns: one coverage scan for the new bit, then the usual
+//! warm refit.
 
-use crate::candidates::{adjust_for_sample, merge_agg, Agg, SampleIndex};
-use crate::gain::{kl_from_parts, rule_gain};
-use crate::lattice::ancestors;
-use crate::multirule::{select_rules, MultiRuleConfig, ScoredCandidate};
-use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, RctGroup, MAX_RULES};
+use crate::error::SirumError;
+use crate::gain::kl_from_parts;
+use crate::miner::{CandidateStrategy, Miner, SirumConfig};
+use crate::prepared::PreparedTable;
+use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, RctGroup};
 use crate::rule::Rule;
 use crate::scaling::{ScalingConfig, ScalingOutcome};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sirum_dataflow::hash::FxHashMap;
-use sirum_table::Table;
+use sirum_dataflow::Engine;
+use sirum_table::{Frame, Table};
 use std::collections::BTreeMap;
 
 /// Configuration of the streaming maintainer.
 #[derive(Debug, Clone)]
 pub struct StreamingConfig {
-    /// Size of the reservoir sample used for candidate pruning when mining
-    /// additional rules.
-    pub reservoir: usize,
+    /// Size `|s|` of the candidate-pruning sample [`StreamingMiner::mine_more`]
+    /// hands the [`Miner`] (§3.1.1).
+    pub sample_size: usize,
     /// Iterative-scaling parameters.
     pub scaling: ScalingConfig,
-    /// Reservoir-sampling seed.
+    /// Sampling seed.
     pub seed: u64,
 }
 
 impl Default for StreamingConfig {
     fn default() -> Self {
         StreamingConfig {
-            reservoir: 64,
+            sample_size: 64,
             scaling: ScalingConfig::default(),
             seed: 42,
         }
+    }
+}
+
+/// RCT sufficient statistics keyed by bit array; the `f64` is the group's
+/// `Σ m·ln m`, which makes the exact KL computable from group stats alone.
+/// BTreeMap, not a hash map: group order feeds Rct::from_partials and must
+/// not depend on mask insertion history (SL007).
+type Groups = BTreeMap<u64, (RctGroup, f64)>;
+
+/// Fold one tuple into the group of its bit array.
+fn fold_tuple(groups: &mut Groups, mask: u64, m: f64, mhat: f64) {
+    let (group, mlnm) = groups.entry(mask).or_insert((
+        RctGroup {
+            mask,
+            count: 0,
+            sum_m: 0.0,
+            sum_mhat: 0.0,
+        },
+        0.0,
+    ));
+    group.count += 1;
+    group.sum_m += m;
+    group.sum_mhat += mhat;
+    if m > 0.0 {
+        *mlnm += m * m.ln();
     }
 }
 
@@ -67,28 +92,13 @@ pub struct StreamingMiner {
     cols: Vec<Vec<u32>>,
     measures: Vec<f64>,
     masks: Vec<u64>,
-    // RCT sufficient statistics, maintained incrementally. `sum_mlnm`
-    // additionally enables exact KL computation from group stats alone.
-    // BTreeMap, not a hash map: group order feeds Rct::from_partials and
-    // must not depend on mask insertion history (SL007).
-    groups: BTreeMap<u64, (RctGroup, f64)>,
-    reservoir: Vec<Box<[u32]>>,
-    seen: u64,
-    rng: StdRng,
+    groups: Groups,
 }
 
 impl StreamingMiner {
     /// Start a maintainer over `d` dimension attributes. The model begins
     /// with just the all-wildcards rule.
-    ///
-    /// The reservoir size is silently capped at
-    /// [`crate::candidates::MAX_SAMPLE`] — the inverted sample index
-    /// [`Self::mine_more`] builds over the reservoir cannot address more
-    /// rows, and a larger pruning sample has no quality benefit (the
-    /// paper's default is 64).
-    pub fn new(d: usize, mut cfg: StreamingConfig) -> Self {
-        cfg.reservoir = cfg.reservoir.min(crate::candidates::MAX_SAMPLE);
-        let rng = StdRng::seed_from_u64(cfg.seed);
+    pub fn new(d: usize, cfg: StreamingConfig) -> Self {
         StreamingMiner {
             d,
             cfg,
@@ -98,10 +108,7 @@ impl StreamingMiner {
             cols: (0..d).map(|_| Vec::new()).collect(),
             measures: Vec::new(),
             masks: Vec::new(),
-            groups: BTreeMap::new(),
-            reservoir: Vec::new(),
-            seen: 0,
-            rng,
+            groups: Groups::new(),
         }
     }
 
@@ -126,16 +133,35 @@ impl StreamingMiner {
     }
 
     /// Ingest one batch of rows and re-fit the model (warm start).
-    /// Returns the scaling outcome of the re-fit.
+    /// Returns the scaling outcome of the re-fit. The whole batch is
+    /// validated before any row is folded in.
     ///
-    /// # Panics
-    /// Panics on arity mismatch or negative measures.
-    pub fn ingest(&mut self, rows: &[(&[u32], f64)]) -> ScalingOutcome {
-        for (row, m) in rows {
-            // lint:allow(SL001) — documented contract; the service IngestHandle validates with typed errors first
-            assert_eq!(row.len(), self.d, "arity mismatch");
-            // lint:allow(SL001) — documented contract; the service IngestHandle validates with typed errors first
-            assert!(*m >= 0.0 && m.is_finite(), "measure must be ≥ 0");
+    /// # Errors
+    /// * [`SirumError::InvalidConfig`] — a row's arity is not `d`.
+    /// * [`SirumError::InvalidMeasure`] — a measure is negative or not
+    ///   finite.
+    pub fn ingest(&mut self, rows: &[(&[u32], f64)]) -> Result<ScalingOutcome, SirumError> {
+        for (i, (row, m)) in rows.iter().enumerate() {
+            if row.len() != self.d {
+                return Err(SirumError::invalid_config(
+                    "stream.row",
+                    format!(
+                        "row {i} has {} dimensions but the stream has {}",
+                        row.len(),
+                        self.d
+                    ),
+                ));
+            }
+            if !(m.is_finite() && *m >= 0.0) {
+                return Err(SirumError::InvalidMeasure {
+                    reason: format!(
+                        "row {i}: value {m} must be finite and ≥ 0 (streamed history \
+                         cannot be re-shifted; apply a measure transform upstream)"
+                    ),
+                });
+            }
+        }
+        for &(row, m) in rows {
             // Bit array against the current rules; estimate from current λ.
             let mut mask = 0u64;
             for (i, rule) in self.rules.iter().enumerate() {
@@ -145,47 +171,24 @@ impl StreamingMiner {
                 }
             }
             let mhat = mhat_for_mask(mask, &self.lambdas);
-            let entry = self.groups.entry(mask).or_insert((
-                RctGroup {
-                    mask,
-                    count: 0,
-                    sum_m: 0.0,
-                    sum_mhat: 0.0,
-                },
-                0.0,
-            ));
-            entry.0.count += 1;
-            entry.0.sum_m += m;
-            entry.0.sum_mhat += mhat;
-            if *m > 0.0 {
-                entry.1 += m * m.ln();
-            }
+            fold_tuple(&mut self.groups, mask, m, mhat);
             // History (columnar: one push per dimension column).
-            for (col, &v) in self.cols.iter_mut().zip(row.iter()) {
+            for (col, &v) in self.cols.iter_mut().zip(row) {
                 col.push(v);
             }
-            self.measures.push(*m);
+            self.measures.push(m);
             self.masks.push(mask);
-            // Reservoir sample for future candidate generation.
-            self.seen += 1;
-            if self.reservoir.len() < self.cfg.reservoir {
-                self.reservoir.push(row.to_vec().into_boxed_slice());
-            } else {
-                let j = self.rng.gen_range(0..self.seen);
-                if (j as usize) < self.reservoir.len() {
-                    self.reservoir[j as usize] = row.to_vec().into_boxed_slice();
-                }
-            }
         }
-        self.refit()
+        Ok(self.refit())
     }
 
     /// Ingest all rows of a table (dimension dictionaries must be
     /// compatible with previous batches — i.e. produced by the same
     /// encoding pipeline).
-    pub fn ingest_table(&mut self, table: &Table) -> ScalingOutcome {
-        // lint:allow(SL001) — documented contract; streams are seeded from the catalog table itself
-        assert_eq!(table.num_dims(), self.d);
+    ///
+    /// # Errors
+    /// As [`Self::ingest`].
+    pub fn ingest_table(&mut self, table: &Table) -> Result<ScalingOutcome, SirumError> {
         let rows: Vec<(&[u32], f64)> = (0..table.num_rows())
             .map(|i| (table.row(i), table.measure(i)))
             .collect();
@@ -195,7 +198,6 @@ impl StreamingMiner {
     /// Re-run RCT scaling from the current multipliers.
     fn refit(&mut self) -> ScalingOutcome {
         let mut rct = Rct::from_partials(self.groups.values().map(|(g, _)| *g));
-        let before = self.lambdas.clone();
         let outcome = iterative_scaling_rct(
             &mut rct,
             self.rules.len(),
@@ -209,7 +211,6 @@ impl StreamingMiner {
                 entry.sum_mhat = g.sum_mhat;
             }
         }
-        let _ = before;
         outcome
     }
 
@@ -237,110 +238,68 @@ impl StreamingMiner {
         mhat_for_mask(self.masks[i], &self.lambdas)
     }
 
-    /// Mine up to `k` additional rules over the accumulated data, using the
-    /// reservoir for candidate pruning and warm-starting the scaling.
-    /// Returns the newly added rules with their gains at selection time.
-    pub fn mine_more(&mut self, k: usize) -> Vec<(Rule, f64)> {
-        // lint:allow(SL001) — documented contract; the service IngestHandle checks the budget with a typed error first
-        assert!(
-            self.rules.len() + k <= MAX_RULES,
-            "rule budget exceeds bit-array capacity"
-        );
-        let mut added = Vec::new();
-        for _ in 0..k {
-            if self.reservoir.is_empty() || self.measures.is_empty() {
-                break;
-            }
-            // Estimates for every historical tuple under the current model.
-            let mhat: Vec<f64> = self.masks.iter().map(|&m| self.estimate_of(m)).collect();
-            let index = SampleIndex::build(self.reservoir.clone(), self.d);
-            // LCA(s, D) + ancestors, in memory (same path as the
-            // centralized miner): scan the code columns, gathering each
-            // row into a reusable scratch buffer only at the LCA probe.
-            let mut lcas: FxHashMap<Rule, Agg> = FxHashMap::default();
-            let mut row = Vec::with_capacity(self.d);
-            for (i, (&m, &mh)) in self.measures.iter().zip(&mhat).enumerate() {
-                self.gather_row(i, &mut row);
-                for s in &self.reservoir {
-                    let lca = Rule::lca(s, &row);
-                    merge_agg(lcas.entry(lca).or_insert((0.0, 0.0, 0)), (m, mh, 1));
-                }
-            }
-            let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
-            for (rule, agg) in &lcas {
-                for anc in ancestors(rule) {
-                    merge_agg(cands.entry(anc).or_insert((0.0, 0.0, 0)), *agg);
-                }
-            }
-            let mut scored: Vec<ScoredCandidate> = adjust_for_sample(cands, &index)
-                .into_iter()
-                .filter(|(rule, _, _, _)| !self.rules.contains(rule))
-                .map(|(rule, sum_m, sum_mhat, count)| ScoredCandidate {
-                    gain: rule_gain(sum_m, sum_mhat),
-                    rule,
-                    sum_m,
-                    count,
-                })
-                .collect();
-            let n = scored.len();
-            let picked = select_rules(&mut scored, &MultiRuleConfig::default(), n);
-            let Some(best) = picked.into_iter().next() else {
-                break;
-            };
-            self.add_rule(best.rule.clone(), best.sum_m);
-            added.push((best.rule, best.gain));
+    /// Mine up to `k` additional rules over the accumulated history: one
+    /// [`Miner`] run on a fork of `engine` with the model's rules as prior
+    /// knowledge, exactly [`Miner::try_mine_with_prior`] on the same rows.
+    /// Returns the newly adopted rules with their gains at selection time
+    /// (none for `k = 0` or an empty history).
+    ///
+    /// # Errors
+    /// As [`Miner::try_mine_prepared`] — notably
+    /// [`SirumError::InvalidConfig`] when `k` more rules would exceed the
+    /// bit-array capacity or the sample size exceeds the index limit.
+    pub fn mine_more(&mut self, engine: &Engine, k: usize) -> Result<Vec<(Rule, f64)>, SirumError> {
+        if k == 0 || self.is_empty() {
+            return Ok(Vec::new());
         }
-        added
-    }
-
-    fn estimate_of(&self, mask: u64) -> f64 {
-        mhat_for_mask(mask, &self.lambdas)
+        let config = SirumConfig {
+            k,
+            max_rules: Some(k),
+            strategy: CandidateStrategy::SampleLca {
+                sample_size: self.cfg.sample_size,
+            },
+            scaling: self.cfg.scaling,
+            seed: self.cfg.seed,
+            ..SirumConfig::default()
+        };
+        let history = Frame::from_columns(self.cols.clone(), self.measures.clone());
+        let prepared = PreparedTable::from_frame(history)?;
+        let result =
+            Miner::new(engine.fork(), config).try_mine_prepared(&prepared, &self.rules[1..])?;
+        let added: Vec<(Rule, f64)> = result
+            .rules
+            .into_iter()
+            .skip(self.rules.len())
+            .map(|mined| (mined.rule, mined.gain))
+            .collect();
+        for (rule, _) in &added {
+            self.add_rule(rule.clone());
+        }
+        Ok(added)
     }
 
     /// Append a rule to the model: update every historical tuple's bit
-    /// array (one scan — unavoidable, the rule is new), rebuild the group
-    /// statistics, and re-fit with warm multipliers.
-    fn add_rule(&mut self, rule: Rule, sum_m: f64) {
-        let w = self.rules.len();
-        let bit = 1u64 << w;
-        self.rules.push(rule);
-        self.lambdas.push(1.0);
-        self.m_sums.push(sum_m);
-        let mut groups: BTreeMap<u64, (RctGroup, f64)> = BTreeMap::new();
-        let rule = self.rules[w].clone();
+    /// array and sum the rule's `Σm` (one scan — unavoidable, the rule is
+    /// new), rebuild the group statistics, and re-fit with warm multipliers.
+    fn add_rule(&mut self, rule: Rule) {
+        let bit = 1u64 << self.rules.len();
         // Columnar coverage test: only the rule's constant columns are read.
         let consts: Vec<(usize, u32)> = rule.constants().collect();
-        for i in 0..self.measures.len() {
+        self.rules.push(rule);
+        self.lambdas.push(1.0);
+        let mut sum_m = 0.0;
+        let mut groups = Groups::new();
+        for (i, &m) in self.measures.iter().enumerate() {
             if consts.iter().all(|&(j, v)| self.cols[j][i] == v) {
                 self.masks[i] |= bit;
+                sum_m += m;
             }
             let mask = self.masks[i];
-            let m = self.measures[i];
-            let mhat = mhat_for_mask(mask, &self.lambdas);
-            let entry = groups.entry(mask).or_insert((
-                RctGroup {
-                    mask,
-                    count: 0,
-                    sum_m: 0.0,
-                    sum_mhat: 0.0,
-                },
-                0.0,
-            ));
-            entry.0.count += 1;
-            entry.0.sum_m += m;
-            entry.0.sum_mhat += mhat;
-            if m > 0.0 {
-                entry.1 += m * m.ln();
-            }
+            fold_tuple(&mut groups, mask, m, mhat_for_mask(mask, &self.lambdas));
         }
+        self.m_sums.push(sum_m);
         self.groups = groups;
         self.refit();
-    }
-
-    /// Copy historical row `i`'s codes out of the columns (cleared first).
-    fn gather_row(&self, i: usize, buf: &mut Vec<u32>) {
-        buf.clear();
-        buf.extend(self.cols.iter().map(|col| col[i]));
     }
 }
 
@@ -360,36 +319,88 @@ mod tests {
     }
 
     #[test]
-    fn oversized_reservoir_is_capped_not_panicking() {
-        // Regression (ISSUE 4 assert audit): a reservoir beyond the sample
-        // index's capacity used to panic inside SampleIndex::build once
-        // mine_more ran over a full reservoir; it is now capped at
-        // MAX_SAMPLE up front.
+    fn oversized_sample_is_a_typed_error() {
+        // Regression (ISSUE 4 assert audit): a pruning sample beyond the
+        // sample index's capacity must not reach the assert inside
+        // SampleIndex::build; the Miner answers with its typed error, as
+        // on POST /mine, and the model is left as it was.
         let t = generators::income_like(600, 11);
         let mut miner = StreamingMiner::new(
             t.num_dims(),
             StreamingConfig {
-                reservoir: 10_000,
+                sample_size: 10_000,
                 ..tight()
             },
         );
-        miner.ingest_table(&t);
-        assert!(miner.reservoir.len() <= crate::candidates::MAX_SAMPLE);
-        let added = miner.mine_more(1);
-        assert!(added.len() <= 1);
+        miner.ingest_table(&t).unwrap();
+        assert!(matches!(
+            miner.mine_more(&Engine::in_memory(), 1),
+            Err(SirumError::InvalidConfig { field, .. }) if field == "strategy.sample_size"
+        ));
+        assert_eq!(miner.rules().len(), 1);
+    }
+
+    #[test]
+    fn mine_more_is_a_miner_run_with_the_model_as_priors() {
+        let t = generators::income_like(3_000, 7);
+        let engine = Engine::in_memory();
+        let cfg = tight();
+        let miner = |k: usize| {
+            Miner::new(
+                engine.fork(),
+                SirumConfig {
+                    k,
+                    max_rules: Some(k),
+                    strategy: CandidateStrategy::SampleLca {
+                        sample_size: cfg.sample_size,
+                    },
+                    scaling: cfg.scaling,
+                    seed: cfg.seed,
+                    ..SirumConfig::default()
+                },
+            )
+        };
+        let bits = |added: &[(Rule, f64)]| -> Vec<(Rule, u64)> {
+            added
+                .iter()
+                .map(|(r, g)| (r.clone(), g.to_bits()))
+                .collect()
+        };
+        let mined_bits = |mined: &[crate::miner::MinedRule]| -> Vec<(Rule, u64)> {
+            mined
+                .iter()
+                .map(|m| (m.rule.clone(), m.gain.to_bits()))
+                .collect()
+        };
+        let mut sm = StreamingMiner::new(t.num_dims(), cfg.clone());
+        sm.ingest_table(&t).unwrap();
+
+        // A fresh stream's first call is a plain mine …
+        let first = sm.mine_more(&engine, 2).unwrap();
+        let batch = miner(2).try_mine(&t).unwrap();
+        assert_eq!(first.len(), 2);
+        assert_eq!(bits(&first), mined_bits(&batch.rules[1..]));
+
+        // … and the next one a mine with those rules as prior knowledge.
+        let priors: Vec<Rule> = first.iter().map(|(r, _)| r.clone()).collect();
+        let second = sm.mine_more(&engine, 1).unwrap();
+        let batch = miner(1).try_mine_with_prior(&t, &priors).unwrap();
+        assert_eq!(second.len(), 1);
+        assert_eq!(bits(&second), mined_bits(&batch.rules[3..]));
+        assert_eq!(sm.rules().len(), 4);
     }
 
     #[test]
     fn batched_ingest_matches_bulk_ingest() {
         let t = generators::income_like(2_000, 3);
         let mut bulk = StreamingMiner::new(t.num_dims(), tight());
-        bulk.ingest_table(&t);
+        bulk.ingest_table(&t).unwrap();
         let mut batched = StreamingMiner::new(t.num_dims(), tight());
         for chunk_start in (0..t.num_rows()).step_by(300) {
             let rows: Vec<(&[u32], f64)> = (chunk_start..(chunk_start + 300).min(t.num_rows()))
                 .map(|i| (t.row(i), t.measure(i)))
                 .collect();
-            batched.ingest(&rows);
+            batched.ingest(&rows).unwrap();
         }
         assert_eq!(bulk.len(), batched.len());
         // Same model (single rule → λ is the global average).
@@ -411,12 +422,13 @@ mod tests {
         let forward: Vec<(&[u32], f64)> = rows.iter().map(|(r, m)| (r.as_slice(), *m)).collect();
         let mut reversed = forward.clone();
         reversed.reverse();
+        let engine = Engine::in_memory();
         let mut a = StreamingMiner::new(3, tight());
-        a.ingest(&forward);
-        a.mine_more(2);
+        a.ingest(&forward).unwrap();
+        a.mine_more(&engine, 2).unwrap();
         let mut b = StreamingMiner::new(3, tight());
-        b.ingest(&reversed);
-        b.mine_more(2);
+        b.ingest(&reversed).unwrap();
+        b.mine_more(&engine, 2).unwrap();
         assert_eq!(a.rules(), b.rules());
         for (la, lb) in a.lambdas().iter().zip(b.lambdas()) {
             assert!((la - lb).abs() < 1e-9, "{la} vs {lb}");
@@ -428,8 +440,8 @@ mod tests {
     fn kl_matches_direct_computation() {
         let t = generators::gdelt_like(800, 5);
         let mut sm = StreamingMiner::new(t.num_dims(), tight());
-        sm.ingest_table(&t);
-        sm.mine_more(2);
+        sm.ingest_table(&t).unwrap();
+        sm.mine_more(&Engine::in_memory(), 2).unwrap();
         // Direct KL from per-tuple estimates.
         let mhat: Vec<f64> = (0..t.num_rows()).map(|i| sm.estimate(i)).collect();
         let direct = crate::gain::kl_divergence(t.measures(), &mhat);
@@ -440,9 +452,9 @@ mod tests {
     fn mine_more_reduces_kl() {
         let t = generators::income_like(2_000, 11);
         let mut sm = StreamingMiner::new(t.num_dims(), tight());
-        sm.ingest_table(&t);
+        sm.ingest_table(&t).unwrap();
         let before = sm.kl();
-        let added = sm.mine_more(3);
+        let added = sm.mine_more(&Engine::in_memory(), 3).unwrap();
         assert!(!added.is_empty());
         assert!(sm.kl() < before);
         for (_, gain) in &added {
@@ -456,30 +468,28 @@ mod tests {
         let mut sm = StreamingMiner::new(t.num_dims(), StreamingConfig::default());
         let half = t.num_rows() / 2;
         let rows: Vec<(&[u32], f64)> = (0..half).map(|i| (t.row(i), t.measure(i))).collect();
-        sm.ingest(&rows);
-        sm.mine_more(3);
+        sm.ingest(&rows).unwrap();
+        sm.mine_more(&Engine::in_memory(), 3).unwrap();
         // Second half is statistically identical: the warm re-fit should
         // need very few λ updates.
         let rows2: Vec<(&[u32], f64)> = (half..t.num_rows())
             .map(|i| (t.row(i), t.measure(i)))
             .collect();
-        let outcome = sm.ingest(&rows2);
+        let outcome = sm.ingest(&rows2).unwrap();
         assert!(outcome.converged);
-        // A cold re-fit of the same model from λ = 1 needs strictly more
-        // λ updates than the warm continuation.
-        let rules: Vec<Rule> = sm.rules().to_vec();
+        // Adopting the same rules over the whole table from λ = 1 reaches
+        // the same model the warm continuation did.
         let mut cold = StreamingMiner::new(t.num_dims(), StreamingConfig::default());
-        cold.ingest_table(&t);
-        let mut cold_iters = 0usize;
-        for r in rules.iter().skip(1) {
-            let sum: f64 = (0..t.num_rows())
-                .filter(|&i| r.matches(t.row(i)))
-                .map(|i| t.measure(i))
-                .sum();
-            cold.add_rule(r.clone(), sum);
-            cold_iters += 1; // at least one refit per insertion
+        cold.ingest_table(&t).unwrap();
+        for r in sm.rules().iter().skip(1) {
+            cold.add_rule(r.clone());
         }
-        let _ = cold_iters;
+        assert!(
+            (cold.kl() - sm.kl()).abs() < 1e-3,
+            "{} vs {}",
+            cold.kl(),
+            sm.kl()
+        );
         assert!(
             outcome.iterations <= 30,
             "warm start took {} iterations",
@@ -490,11 +500,15 @@ mod tests {
     #[test]
     fn detects_concept_drift() {
         // First phase: uniform measure. Second phase: a planted pattern.
+        let engine = Engine::in_memory();
         let mut sm = StreamingMiner::new(2, tight());
         let phase1: Vec<(Vec<u32>, f64)> = (0..500u32).map(|i| (vec![i % 4, i % 3], 1.0)).collect();
         let rows1: Vec<(&[u32], f64)> = phase1.iter().map(|(r, m)| (r.as_slice(), *m)).collect();
-        sm.ingest(&rows1);
-        assert!(sm.mine_more(2).is_empty(), "uniform data needs no rules");
+        sm.ingest(&rows1).unwrap();
+        assert!(
+            sm.mine_more(&engine, 2).unwrap().is_empty(),
+            "uniform data needs no rules"
+        );
         let kl_flat = sm.kl();
         assert!(kl_flat < 1e-9);
         // Drift: value 0 of attribute 0 now carries 5× the measure.
@@ -505,10 +519,10 @@ mod tests {
             })
             .collect();
         let rows2: Vec<(&[u32], f64)> = phase2.iter().map(|(r, m)| (r.as_slice(), *m)).collect();
-        sm.ingest(&rows2);
+        sm.ingest(&rows2).unwrap();
         assert!(sm.kl() > kl_flat, "drift must raise KL");
         let kl_drifted = sm.kl();
-        let added = sm.mine_more(1);
+        let added = sm.mine_more(&engine, 1).unwrap();
         assert_eq!(added.len(), 1);
         let rule = &added[0].0;
         assert_eq!(rule.get(0), 0, "must localize the drifted value: {rule:?}");
@@ -524,9 +538,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "measure must be")]
     fn rejects_negative_measures() {
         let mut sm = StreamingMiner::new(2, StreamingConfig::default());
-        sm.ingest(&[(&[0u32, 0][..], -1.0)]);
+        // One bad row refuses the whole batch: nothing is folded in.
+        let batch = [(&[0u32, 0][..], 1.0), (&[0u32, 0][..], -1.0)];
+        assert!(matches!(
+            sm.ingest(&batch),
+            Err(SirumError::InvalidMeasure { reason }) if reason.contains("row 1")
+        ));
+        assert!(matches!(
+            sm.ingest(&[(&[0u32][..], 1.0)]),
+            Err(SirumError::InvalidConfig { field, .. }) if field == "stream.row"
+        ));
+        assert!(sm.is_empty());
     }
 }

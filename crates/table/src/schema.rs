@@ -55,19 +55,9 @@ impl Schema {
         &self.dims
     }
 
-    /// Name of dimension attribute `i`.
-    pub fn dim_name(&self, i: usize) -> &str {
-        &self.dims[i]
-    }
-
     /// Name of the measure attribute.
     pub fn measure_name(&self) -> &str {
         &self.measure
-    }
-
-    /// Index of the dimension attribute named `name`, if present.
-    pub fn dim_index(&self, name: &str) -> Option<usize> {
-        self.dims.iter().position(|d| d == name)
     }
 
     /// Schema restricted to the first `d` dimension attributes (used for the
@@ -90,10 +80,7 @@ mod tests {
     fn basic_accessors() {
         let s = Schema::new(vec!["Day", "Origin", "Destination"], "Delay");
         assert_eq!(s.num_dims(), 3);
-        assert_eq!(s.dim_name(1), "Origin");
         assert_eq!(s.measure_name(), "Delay");
-        assert_eq!(s.dim_index("Destination"), Some(2));
-        assert_eq!(s.dim_index("nope"), None);
     }
 
     #[test]

@@ -77,7 +77,8 @@ fn main() -> Result<(), SirumError> {
         partial.result.rules.len() - 1
     );
 
-    // Incremental maintenance: stream new batches into the model.
+    // Incremental maintenance: stream new batches into the model, then
+    // let the miner extend it with the stream's rules as prior knowledge.
     let mut stream = service.stream("gdelt")?;
     let kl_before = stream.kl();
     let batch: Vec<(Vec<u32>, f64)> = (0..200)

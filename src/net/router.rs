@@ -285,16 +285,22 @@ impl Router {
             .register_csv(name, csv.as_bytes())
             .and_then(|table| Ok((table, self.service.table_fingerprint(name)?)));
         match registered {
-            Ok((table, fingerprint)) => Response::json(
-                200,
-                format!(
-                    "{{\"table\":{},\"rows\":{},\"dims\":{},\"fingerprint\":\"{:016x}\"}}",
-                    json::json_string(name),
-                    table.num_rows(),
-                    table.num_dims(),
-                    fingerprint,
-                ),
-            ),
+            Ok((table, fingerprint)) => {
+                // A replaced table takes its server-held ingest stream with
+                // it, as a deleted one does: the next POST /stream/{name}
+                // re-seeds from the new rows and dictionaries.
+                self.streams.lock().remove(name);
+                Response::json(
+                    200,
+                    format!(
+                        "{{\"table\":{},\"rows\":{},\"dims\":{},\"fingerprint\":\"{:016x}\"}}",
+                        json::json_string(name),
+                        table.num_rows(),
+                        table.num_dims(),
+                        fingerprint,
+                    ),
+                )
+            }
             Err(e) => service_error(&e),
         }
     }
@@ -1166,6 +1172,28 @@ mod tests {
         assert_eq!(resp.status, 422);
         let (_, resp) = r.handle(&request("POST", "/stream/nope", b"{}"));
         assert_eq!(resp.status, 404);
+    }
+
+    #[test]
+    fn replacing_a_table_reseeds_its_stream() {
+        // Regression: only DELETE dropped the server-held stream, so a
+        // re-uploaded table kept streaming into the old rows and refused
+        // codes the new dictionaries had interned.
+        let r = router();
+        let rows = |resp: &Response| body_json(resp).get("rows").and_then(|v| v.as_u64());
+        let (_, resp) = r.handle(&request("POST", "/tables/t", b"city,m\nA,1\nB,2\n"));
+        assert_eq!(resp.status, 200);
+        let (_, resp) = r.handle(&request("POST", "/stream/t", b"{\"rows\":[]}"));
+        assert_eq!((resp.status, rows(&resp)), (200, Some(2)));
+        let csv = b"city,m\nA,1\nB,2\nC,3\nC,4\n";
+        let (_, resp) = r.handle(&request("POST", "/tables/t", csv));
+        assert_eq!(resp.status, 200);
+        let (_, resp) = r.handle(&request("POST", "/stream/t", b"{\"rows\":[]}"));
+        assert_eq!((resp.status, rows(&resp)), (200, Some(4)));
+        // Code 2 ("C") exists only in the new table's dictionary.
+        let body = b"{\"rows\":[{\"codes\":[2],\"measure\":2.0}]}";
+        let (_, resp) = r.handle(&request("POST", "/stream/t", body));
+        assert_eq!((resp.status, rows(&resp)), (200, Some(5)));
     }
 
     #[test]

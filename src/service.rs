@@ -875,9 +875,8 @@ impl SirumService {
     /// be re-shifted retroactively); a table with negative measures is
     /// rejected with [`SirumError::InvalidMeasure`]. A table wider than
     /// the cube-lattice expansion limit is rejected with
-    /// [`SirumError::InvalidConfig`], mirroring [`Self::mine`] — the
-    /// stream's [`IngestHandle::mine_more`] expands sample-tuple lattices
-    /// just like the miner does.
+    /// [`SirumError::InvalidConfig`] up front, rather than by the first
+    /// [`IngestHandle::mine_more`].
     pub fn stream(&self, table: &str) -> Result<IngestHandle, SirumError> {
         let entry = self.entry(table)?;
         let d = entry.table.num_dims();
@@ -892,20 +891,12 @@ impl SirumService {
                 ),
             ));
         }
-        if let Some(i) = entry.table.measures().iter().position(|m| *m < 0.0) {
-            return Err(SirumError::InvalidMeasure {
-                reason: format!(
-                    "row {i}: value {} is negative; streaming maintenance requires \
-                     nonnegative measures (apply a measure transform upstream)",
-                    entry.table.measures()[i]
-                ),
-            });
-        }
-        let mut miner = StreamingMiner::new(entry.table.num_dims(), StreamingConfig::default());
-        miner.ingest_table(&entry.table);
+        let mut miner = StreamingMiner::new(d, StreamingConfig::default());
+        miner.ingest_table(&entry.table)?;
         Ok(IngestHandle {
             miner,
             table: entry.table,
+            engine: self.inner.core.engine.clone(),
         })
     }
 
@@ -1883,12 +1874,15 @@ impl std::fmt::Display for MiningPlan {
 /// model with warm-started refits ([`StreamingMiner`], §7), and
 /// [`Self::mine_more`] mines additional rules when the model drifts.
 ///
-/// The handle owns its miner (single-owner, `&mut` ingestion) but shares
-/// the catalog's table `Arc` for dictionaries, so codes can be decoded and
-/// validated without copying the table.
+/// The handle owns its maintainer (single-owner, `&mut` ingestion) but
+/// shares the catalog's table `Arc` for dictionaries, so codes can be
+/// decoded and validated without copying the table, and the service's
+/// engine, so a stream's mine spills through the same block store and
+/// memory budget as every other mine.
 pub struct IngestHandle {
     miner: StreamingMiner,
     table: Arc<Table>,
+    engine: Engine,
 }
 
 impl IngestHandle {
@@ -1921,70 +1915,44 @@ impl IngestHandle {
     /// Ingest one batch of dictionary-coded rows and re-fit the model from
     /// the current multipliers (warm start). Codes must come from the
     /// seeding table's dictionaries (e.g. via [`sirum_table::Dictionary::code`]).
+    /// A refused batch leaves the model untouched.
     ///
     /// # Errors
+    /// * [`SirumError::Table`] — a code was never interned in the seeding
+    ///   table's dictionary.
     /// * [`SirumError::InvalidConfig`] — a row's arity does not match the
     ///   table.
     /// * [`SirumError::InvalidMeasure`] — a measure is negative or not
     ///   finite.
-    /// * [`SirumError::Table`] — a code was never interned in the seeding
-    ///   table's dictionary.
     pub fn ingest(&mut self, rows: &[(&[u32], f64)]) -> Result<(), SirumError> {
-        let d = self.table.num_dims();
-        for (row, m) in rows {
-            if row.len() != d {
-                return Err(SirumError::invalid_config(
-                    "stream.row",
-                    format!("row has {} dimensions but the table has {d}", row.len()),
-                ));
-            }
-            if !(m.is_finite() && *m >= 0.0) {
-                return Err(SirumError::InvalidMeasure {
-                    reason: format!("streamed value {m} must be finite and ≥ 0"),
-                });
-            }
-            for (col, &code) in row.iter().enumerate() {
-                if code as usize >= self.table.dict(col).cardinality() {
+        // Only the dictionaries need the table; arity (hence the `take`)
+        // and measures are the maintainer's checks.
+        for (row, _) in rows {
+            for (column, &code) in row.iter().enumerate().take(self.table.num_dims()) {
+                if code as usize >= self.table.dict(column).cardinality() {
                     return Err(SirumError::Table(TableError::UninternedCode {
-                        column: col,
+                        column,
                         code,
                     }));
                 }
             }
         }
-        self.miner.ingest(rows);
-        Ok(())
+        self.miner.ingest(rows).map(|_| ())
     }
 
-    /// Mine up to `k` additional rules over the accumulated history,
-    /// warm-starting the scaling (typically after [`Self::kl`] reveals
-    /// drift). Returns the new rules with their selection-time gains.
+    /// Mine up to `k` additional rules over the accumulated history
+    /// (typically after [`Self::kl`] reveals drift): a [`Miner`] run on a
+    /// fresh fork of the service engine with the stream's rules as prior
+    /// knowledge — the `Miner` fits that seed model from λ = 1 on the RCT,
+    /// and the maintainer then adopts each new rule with its usual warm
+    /// refit. Returns the new rules with their selection-time gains.
     ///
     /// # Errors
-    /// [`SirumError::InvalidConfig`] when `k` would exceed the
-    /// rule-coverage bit-array capacity.
+    /// As [`Miner::try_mine_prepared`]: [`SirumError::InvalidConfig`] when
+    /// `k` more rules would exceed the rule-coverage bit-array capacity,
+    /// [`SirumError::Dataflow`] on a spill-I/O failure.
     pub fn mine_more(&mut self, k: usize) -> Result<Vec<(Rule, f64)>, SirumError> {
-        if self.miner.rules().len() + k > sirum_core::rct::MAX_RULES {
-            return Err(SirumError::invalid_config(
-                "k",
-                format!(
-                    "{} existing + {k} requested rules exceeds the {}-rule bit-array limit",
-                    self.miner.rules().len(),
-                    sirum_core::rct::MAX_RULES
-                ),
-            ));
-        }
-        Ok(self.miner.mine_more(k))
-    }
-
-    /// Render the current rule list like Table 1.2 (decoded through the
-    /// seeding table's dictionaries).
-    pub fn render_rules(&self) -> String {
-        let mut out = String::new();
-        for (i, rule) in self.miner.rules().iter().enumerate() {
-            let _ = writeln!(out, "{} | {}", i + 1, rule.display(&self.table));
-        }
-        out
+        self.miner.mine_more(&self.engine, k)
     }
 }
 
@@ -2545,7 +2513,41 @@ mod tests {
         let added = stream.mine_more(2).unwrap();
         assert!(added.len() <= 2);
         assert!(stream.kl().is_finite());
-        assert!(!stream.render_rules().is_empty());
+    }
+
+    #[test]
+    fn stream_mines_through_the_service_memory_budget() {
+        // mine_more runs on a fork of the service engine, so a budget far
+        // below the history's working set makes its blocks spill and
+        // reload mid-mine — and the rules must not notice.
+        let mine = |budget: Option<usize>| {
+            let mut builder = SirumService::builder().partitions(4).workers(2);
+            if let Some(bytes) = budget {
+                builder = builder.memory_budget(bytes);
+            }
+            let service = builder.build().unwrap();
+            service
+                .register("income", generators::income_like(6_000, 23))
+                .unwrap();
+            let mut stream = service.stream("income").unwrap();
+            let added: Vec<(Rule, u64)> = stream
+                .mine_more(2)
+                .unwrap()
+                .into_iter()
+                .map(|(rule, gain)| (rule, gain.to_bits()))
+                .collect();
+            (added, service.stats().memory)
+        };
+        let (reference, roomy) = mine(None);
+        let (starved, tight) = mine(Some(48 << 10));
+        assert_eq!(reference.len(), 2);
+        assert_eq!(reference, starved);
+        assert_eq!(roomy.evictions, 0);
+        assert!(tight.evictions > 0, "budget never forced an eviction");
+        assert!(
+            tight.spilled_bytes > 0,
+            "nothing round-tripped through disk"
+        );
     }
 
     /// An observer that parks its job until `release` flips — used to hold

@@ -113,6 +113,32 @@ fn invalid_multirule_scaling_and_target_fields_are_named() {
 }
 
 #[test]
+fn rule_budget_arithmetic_saturates_instead_of_wrapping() {
+    // Regression: `1 + priors + max(4·k, k)` was unchecked, so k = usize::MAX
+    // wrapped to a budget of 0, passed the 64-rule check and mined (release)
+    // or panicked on the multiply (debug).
+    let service = service_with_flights();
+    for k in [usize::MAX, usize::MAX / 4 + 1] {
+        let err = service.mine("flights").k(k).run().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SirumError::InvalidConfig {
+                    field: "k/max_rules",
+                    ..
+                }
+            ),
+            "k = {k}: {err}"
+        );
+    }
+    // The same check is what bounds a stream's mine_more.
+    let mut stream = service.stream("flights").unwrap();
+    let err = stream.mine_more(usize::MAX).unwrap_err();
+    assert!(matches!(err, SirumError::InvalidConfig { .. }), "{err}");
+    assert_eq!(stream.rules().len(), 1);
+}
+
+#[test]
 fn wrong_arity_prior_rules_are_rejected_not_panicking() {
     let service = service_with_flights();
     // flights has 3 dimensions; a 1-dimension prior must be a typed error.
