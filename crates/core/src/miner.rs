@@ -10,7 +10,7 @@ use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
 use crate::lattice::{ancestors_restricted, column_groups, MAX_EXPAND_BITS};
 use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
-use crate::rct::{iterative_scaling_rct, Rct, MAX_RULES};
+use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::{Rule, RuleLayout};
 use crate::scaling::{relative_diff, ScalingConfig};
 use crate::sweep::{SweepOptions, SweepState};
@@ -84,6 +84,9 @@ pub struct SirumConfig {
     /// partitioned data folds every tuple into per-partition
     /// `(Σm, Σm̂)` accumulators for all live candidates at once, merged
     /// with a deterministic partition-ordered reduction (default `true`).
+    /// With [`Self::rct`], the scans after a mine's first fold only the
+    /// tuples whose estimate differs from the RCT's largest group's and
+    /// count the rest ([`SweepState::set_shared_estimate`]).
     ///
     /// When `false`, candidates are scored by the legacy staged pipeline
     /// that emulates the paper's per-platform jobs (LCA emit → shuffle →
@@ -535,7 +538,8 @@ impl Miner {
 
         // Fit the seed model.
         let new_range = 0..rules.len();
-        data = self.run_scaling(
+        // The first sweep scans every row, whatever the seed fit shares.
+        (data, _) = self.run_scaling(
             data,
             &rules,
             &m_sums,
@@ -636,7 +640,8 @@ impl Miner {
                     gain: c.gain,
                 });
             }
-            data = self.run_scaling(
+            let shared;
+            (data, shared) = self.run_scaling(
                 data,
                 &rules,
                 &m_sums,
@@ -645,6 +650,7 @@ impl Miner {
                 &mut timings,
                 &mut scaling_iterations,
             );
+            sweep.set_shared_estimate(shared);
             kl_trace.push(self.compute_kl(&data));
             iterations += 1;
             if let Err(e) = self.engine.health() {
@@ -697,8 +703,11 @@ impl Miner {
     }
 
     /// Run iterative scaling after appending rules `new` to the model,
-    /// returning the dataset with updated estimates (and bit arrays when
-    /// the RCT path is active).
+    /// returning the dataset with updated estimates and bit arrays — and,
+    /// on the RCT path, the estimate most tuples now carry: that of the
+    /// RCT's largest group (first by mask among equals), as
+    /// [`mhat_for_mask`] wrote it, for the next sweeps to count instead of
+    /// scan ([`SweepState::set_shared_estimate`]).
     #[allow(clippy::too_many_arguments)]
     fn run_scaling(
         &self,
@@ -709,9 +718,10 @@ impl Miner {
         new: std::ops::Range<usize>,
         timings: &mut PhaseTimings,
         scaling_iterations: &mut Vec<usize>,
-    ) -> MiningData {
+    ) -> (MiningData, Option<f64>) {
         let start = Instant::now();
         let cfg = &self.config;
+        let mut shared = None;
 
         if cfg.reset_lambdas_on_insert {
             // Sarawagi [29]: re-derive the whole model from scratch.
@@ -743,6 +753,10 @@ impl Miner {
             // Pass 3: write the converged estimates back to D.
             let written = data.write_mhat(lambdas.to_vec());
             data = self.cache_swap(Some(data), written);
+            // `max_by_key` keeps the last of equal maxima: walk the
+            // mask-sorted groups backwards for the first.
+            let largest = rct.groups().iter().rev().max_by_key(|g| g.count);
+            shared = largest.map(|g| mhat_for_mask(g.mask, lambdas));
         } else {
             // Algorithm 1 against the distributed dataset: every loop pays
             // one sums pass and (if not converged) one update pass over D.
@@ -774,7 +788,7 @@ impl Miner {
         }
 
         timings.iterative_scaling += start.elapsed().as_secs_f64();
-        data
+        (data, shared)
     }
 
     /// Candidate generation for one iteration. On the default path this is

@@ -30,7 +30,46 @@
 //!    change inside a mine — the sample, the dimension columns and `m` are
 //!    fixed, only `m̂` moves — so a [`SweepState`]'s first sweep builds it
 //!    and later ones fold only the new `Σm̂` column through it, after
-//!    checking that the frontier's keys are still the plan's.
+//!    checking that the frontier's keys and per-key pair counts are still
+//!    the plan's.
+//!
+//! ## Counting the rows that share an estimate
+//!
+//! Tuples with the same rule-coverage bit array share one estimate
+//! `m̂ = ∏ λᵢ` (§4.1 — the observation the RCT is built on), and after a
+//! few rules most of `D` still sits in one RCT group. So the first sweep of
+//! a mine scans every row, and a later one — once the miner has named the
+//! largest group's estimate ([`SweepState::set_shared_estimate`]) — passes
+//! over every row whose `m̂` has exactly those bits: one tick, no mask
+//! probe, no fold. The plan keeps each frontier slot's raw pair count from
+//! the full scan, so the driver restores the column in closed form,
+//! `Σm̂[slot] = est · (pairs[slot] − pairs scanned) + Σm̂ scanned`, by one
+//! merge-walk of the scanned frontier against the plan's sorted keys, and
+//! folds it through the links as usual. `Σm` and the counts are the plan's
+//! already.
+//!
+//! The test is per row and on `m̂` alone. It is therefore correct for any
+//! value handed in (no row equal → nothing passed over, and a slot with
+//! nothing counted keeps its scanned sum bit for bit), it passes over the
+//! same rows whatever the key type, combine strategy, frame encoding or
+//! worker count, and it needs no bit-array column. A sweep scans `1 − (the
+//! share of rows carrying the estimate)` of the data, never more than a
+//! full scan; where that stops paying is a property of the data. On the
+//! benchmark's tables (generator seeds 2016–2018, the default miner) the
+//! largest RCT group holds 85 % of `tlc_like(256k)` before sweep 2 and
+//! 73 % before sweep 3 (54 % falling to 47 % before sweeps 4 to 8 at
+//! k = 8), 74–75 % of `income_like(4k)` before sweep 2, and 63–64 /
+//! 43–45 / 31–34 % of `susy_like(2k)` over 12 dimensions before sweeps
+//! 2 / 3 / 4.
+//!
+//! What it moves: `est · n + Σ_scanned` associates differently from
+//! `Σ_t m̂(t)`, so `Σm̂` — and a gain computed from it — can differ from
+//! the full scan's in the last ulp (the product is the better-rounded of
+//! the two). Candidates, their order, `Σm`, counts and the pair accounting
+//! do not move. A scanned key the plan does not hold, or more scanned
+//! pairs in a slot than the plan gives it, means the rows are not the ones
+//! the plan was built from: nothing is served from such a scan —
+//! everything is rescanned and the plan rebuilt.
 //!
 //! ## Packed rule codes
 //!
@@ -84,18 +123,20 @@
 //! Hence the sweep's per-candidate sums — and everything derived from them
 //! (gains, the selected rule sequence) — are **bit-identical** for any
 //! worker count and across the packed/`Rule`-keyed and
-//! slot-table/hash-probe variants. A one-worker engine runs every task
-//! inline on the calling thread in partition order, so "N workers ≡ 1
-//! worker" is the sequential oracle; proptests in
-//! `crates/core/tests/properties.rs` pin it across random tables,
-//! partition counts and thread counts.
+//! slot-table/hash-probe variants, under one shared estimate (or none) and
+//! one partitioning: the rows passed over are chosen by their `m̂` alone,
+//! and the closed form is driver-side arithmetic on the merged frontier.
+//! A one-worker engine runs every task inline on the calling thread in
+//! partition order, so "N workers ≡ 1 worker" is the sequential oracle;
+//! proptests in `crates/core/tests/properties.rs` pin it across random
+//! tables, partition counts and thread counts.
 //!
 //! Cancellation is polled at every combine partition's boundary, where
 //! stage 2 starts, and every [`CANCEL_POLL_ROWS`] **work units** inside
-//! both — one LCA fold (or scanned row) in a combine task, one link
-//! recorded or folded (or one candidate's multiplicity counted) in stage
-//! 2 — so the latency to observe a cancellation is bounded even across
-//! stretches that emit nothing. A cancelled sweep returns an empty
+//! both — one LCA fold (or scanned or passed-over row) in a combine task,
+//! one link recorded or folded (or one candidate's multiplicity counted)
+//! in stage 2 — so the latency to observe a cancellation is bounded even
+//! across stretches that emit nothing. A cancelled sweep returns an empty
 //! candidate list with [`SweepOutcome::cancelled`] set (a plan caught
 //! mid-build is not kept), and the miner abandons the iteration without
 //! selecting from partial sums.
@@ -258,6 +299,33 @@ fn is_cancelled(cancel: Option<&CancellationToken>) -> bool {
     cancel.is_some_and(CancellationToken::is_cancelled)
 }
 
+/// What one combine task is told besides its partition's rows and keys.
+#[derive(Clone, Copy, Default)]
+struct CombineArgs<'a> {
+    cancel: Option<&'a CancellationToken>,
+    force: Option<CombineStrategy>,
+    /// `m̂.to_bits()` of the rows to pass over — one tick each, no probe, no
+    /// fold; the driver accounts for them in closed form
+    /// ([`ExpandPlan::closed_form`]). `None` scans every row.
+    skip: Option<u64>,
+}
+
+impl CombineArgs<'_> {
+    /// How many of `blocks`' rows a scan folds: all of them, or those whose
+    /// estimate is not the skipped one — the accumulators' capacity hint.
+    fn scanned_rows(&self, blocks: &[TupleBlock]) -> usize {
+        let folded = |block: &TupleBlock| match self.skip {
+            None => block.len(),
+            Some(bits) => block
+                .mhat()
+                .iter()
+                .filter(|mh| mh.to_bits() != bits)
+                .count(),
+        };
+        blocks.iter().map(folded).sum()
+    }
+}
+
 /// One combine partition's fold state, generic over the accumulator key
 /// (a packed code or a [`Rule`]).
 struct PartitionSweep<K> {
@@ -354,12 +422,12 @@ fn combine_packed<C: PackedCode>(
     layout: &RuleLayout,
     masks: &PackedMasks<C>,
     index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    force: Option<CombineStrategy>,
+    args: CombineArgs<'_>,
 ) -> PartitionSweep<C> {
+    let CombineArgs { cancel, skip, .. } = args;
     let rows: usize = blocks.iter().map(TupleBlock::len).sum();
     let sample_rows = index.map(SampleIndex::len);
-    let strategy = match force {
+    let strategy = match args.force {
         // A forced slot table must still exist: ask the rule with its
         // amortisation clause waived.
         Some(CombineStrategy::SlotTable) => {
@@ -369,9 +437,9 @@ fn combine_packed<C: PackedCode>(
         None => CombineStrategy::for_partition(rows, d, sample_rows),
     };
     if let (CombineStrategy::SlotTable, Some(idx)) = (strategy, index) {
-        return combine_slot_table(blocks, d, masks, idx, cancel);
+        return combine_slot_table(blocks, d, masks, idx, args);
     }
-    let mut acc = PartitionSweep::with_capacity(rows);
+    let mut acc = PartitionSweep::with_capacity(args.scanned_rows(blocks));
     if is_cancelled(cancel) {
         acc.cancelled = true;
         return acc;
@@ -397,6 +465,12 @@ fn combine_packed<C: PackedCode>(
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
                 let i = ms + li;
+                if skip == Some(mhat_col[i].to_bits()) {
+                    if acc.tick(cancel) {
+                        return acc;
+                    }
+                    continue;
+                }
                 match index {
                     Some(idx) => {
                         for &code in idx.packed_lcas_into_cols(masks, &cols, li, &mut scratch) {
@@ -453,8 +527,9 @@ fn combine_slot_table<C: PackedCode>(
     d: usize,
     masks: &PackedMasks<C>,
     idx: &SampleIndex,
-    cancel: Option<&CancellationToken>,
+    args: CombineArgs<'_>,
 ) -> PartitionSweep<C> {
+    let CombineArgs { cancel, skip, .. } = args;
     let mut acc = PartitionSweep::new();
     if is_cancelled(cancel) {
         acc.cancelled = true;
@@ -477,6 +552,12 @@ fn combine_slot_table<C: PackedCode>(
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
                 let (m, mh) = (m_col[ms + li], mhat_col[ms + li]);
+                if skip == Some(mh.to_bits()) {
+                    if acc.tick(cancel) {
+                        return acc;
+                    }
+                    continue;
+                }
                 let row_masks = idx.match_masks_into_cols(&cols, li, &mut pair_masks);
                 for (j, &mask) in row_masks.iter().enumerate() {
                     if acc.tick(cancel) {
@@ -556,10 +637,10 @@ fn combine_rulekey(
     blocks: &[TupleBlock],
     d: usize,
     index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
+    args: CombineArgs<'_>,
 ) -> PartitionSweep<Rule> {
-    let rows: usize = blocks.iter().map(TupleBlock::len).sum();
-    let mut acc = PartitionSweep::with_capacity(rows);
+    let CombineArgs { cancel, skip, .. } = args;
+    let mut acc = PartitionSweep::with_capacity(args.scanned_rows(blocks));
     if is_cancelled(cancel) {
         acc.cancelled = true;
         return acc;
@@ -574,6 +655,12 @@ fn combine_rulekey(
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
                 let i = ms + li;
+                if skip == Some(mhat_col[i].to_bits()) {
+                    if acc.tick(cancel) {
+                        return acc;
+                    }
+                    continue;
+                }
                 match index {
                     Some(idx) => {
                         let chunks = idx.lcas_into_cols(&cols, li, &mut scratch);
@@ -634,7 +721,7 @@ fn fold_links(
 }
 
 /// The half of stage 2 that cannot change inside a mine. Candidates live
-/// in **slots**: the sorted frontier in `0..frontier_len`, then every
+/// in **slots**: the sorted frontier in `0..pairs.len()`, then every
 /// further ancestor in the order the build first reached it. For each
 /// dimension `j` in turn, every slot `a` present when pass `j` starts
 /// whose dimension `j` is a constant is linked to the slot `t` of
@@ -646,7 +733,10 @@ fn fold_links(
 /// constant and every write has it wild, so the two never alias.
 struct ExpandPlan<K> {
     keys: Vec<K>,
-    frontier_len: usize,
+    /// Per frontier slot: the raw `(row, sample)` pair count a full scan
+    /// folds into it — what a later scan is checked against, and what a
+    /// skipping one counts its passed-over rows from.
+    pairs: Vec<u64>,
     links: Vec<(u32, u32)>,
     /// Slots in canonical rule order.
     order: Vec<u32>,
@@ -732,7 +822,7 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
         order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
         Some(ExpandPlan {
             keys,
-            frontier_len: frontier.len(),
+            pairs: frontier.iter().map(|(_, agg)| agg.2).collect(),
             links,
             order,
             sum_m,
@@ -740,6 +830,48 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
             mult,
             pairs_emitted,
         })
+    }
+
+    /// Whether a full scan's `frontier` is the one this plan was built
+    /// from, as far as a sweep can tell: the same keys fed by the same pair
+    /// counts. (The same rows under another measure column would pass — that
+    /// much stays the caller's promise.)
+    fn holds(&self, frontier: &[(K, Agg)]) -> bool {
+        self.pairs.len() == frontier.len()
+            && (self.keys.iter().zip(&self.pairs).zip(frontier))
+                .all(|((key, &pairs), entry)| *key == entry.0 && pairs == entry.1 .2)
+    }
+
+    /// The frontier's `Σm̂` column from a scan that passed over every row
+    /// whose estimate is `est`: per slot, `est` times the pairs the scan did
+    /// not fold plus the `Σm̂` of those it did — one merge-walk of the
+    /// sorted `scanned` entries against the plan's sorted frontier keys. A
+    /// slot whose pairs were all scanned keeps its scanned sum untouched, so
+    /// an estimate no row carries reproduces the full scan's bits whatever
+    /// its value.
+    ///
+    /// `None` when `scanned` cannot be a part of this plan's frontier — a
+    /// key the plan does not hold, or more pairs in a slot than it has:
+    /// the caller rescans everything.
+    fn closed_form(&self, scanned: &[(K, Agg)], est: f64) -> Option<Vec<f64>> {
+        let mut rest = scanned;
+        let mut column = Vec::with_capacity(self.keys.len());
+        for (key, &pairs) in self.keys.iter().zip(&self.pairs) {
+            let (sum, seen) = match rest.split_first() {
+                Some(((k, agg), tail)) if k == key => {
+                    rest = tail;
+                    (agg.1, agg.2)
+                }
+                _ => (0.0, 0),
+            };
+            let counted = pairs.checked_sub(seen)?;
+            column.push(if counted == 0 {
+                sum
+            } else {
+                est * counted as f64 + sum
+            });
+        }
+        rest.is_empty().then_some(column)
     }
 }
 
@@ -763,16 +895,24 @@ struct SweepCx<'a> {
     d: usize,
     index: Option<&'a SampleIndex>,
     cancel: Option<&'a CancellationToken>,
+    /// [`SweepState::set_shared_estimate`]'s value.
+    shared: Option<f64>,
 }
 
 /// Both stages for one key type `K`: combine each data partition into the
 /// canonically ordered frontier, make sure `plan` is this frontier's
 /// (building it when it is missing or, which one mine cannot cause, the
-/// frontier's keys moved), fold the frontier's `Σm̂` column through it,
-/// show `pick` every candidate's sums by canonical rank and turn the
-/// ranks it returns into rules. Stage 2 runs on the driver, outside the
-/// engine's scheduler, so it pushes its own one-task [`StageRecord`]
-/// (work units in — links recorded and folded — candidates out).
+/// frontier's keys or pair counts moved), fold the frontier's `Σm̂` column
+/// through it, show `pick` every candidate's sums by canonical rank and
+/// turn the ranks it returns into rules.
+///
+/// With a plan in hand and a `shared` estimate, the combine passes over
+/// the rows carrying it and the column comes from
+/// [`ExpandPlan::closed_form`]; a scan the plan cannot account for is
+/// thrown away and everything rescanned. Stage 2 runs on the driver,
+/// outside the engine's scheduler, so it pushes its own one-task
+/// [`StageRecord`] (work units in — links recorded and folded — candidates
+/// out).
 fn run_sweep<K, FC, FW, FG, FU>(
     cx: SweepCx<'_>,
     plan: &mut Option<ExpandPlan<K>>,
@@ -784,21 +924,32 @@ fn run_sweep<K, FC, FW, FG, FU>(
 ) -> SweepOutcome
 where
     K: Clone + Ord + std::hash::Hash + Send,
-    FC: Fn(&[TupleBlock]) -> PartitionSweep<K> + Send + Sync,
+    FC: Fn(&[TupleBlock], Option<u64>) -> PartitionSweep<K> + Send + Sync,
     FW: Fn(&K, usize) -> bool,
     FG: Fn(&K, usize) -> K,
     FU: Fn(&K) -> Rule,
 {
-    let combined = cx.data.aggregate_partitions(
-        "gain-sweep-combine",
-        PartitionSweep::new,
-        |_, blocks| combine(blocks),
-        PartitionSweep::merge,
-    );
-    if combined.cancelled {
-        return cancelled_outcome();
-    }
-    let frontier = sorted_entries(combined.map);
+    let mut skip = cx.shared.filter(|_| plan.is_some());
+    let (frontier, counted) = loop {
+        let bits = skip.map(f64::to_bits);
+        let combined = cx.data.aggregate_partitions(
+            "gain-sweep-combine",
+            PartitionSweep::new,
+            |_, blocks| combine(blocks, bits),
+            PartitionSweep::merge,
+        );
+        if combined.cancelled {
+            return cancelled_outcome();
+        }
+        let frontier = sorted_entries(combined.map);
+        let Some(est) = skip else {
+            break (frontier, None);
+        };
+        match plan.as_ref().and_then(|p| p.closed_form(&frontier, est)) {
+            Some(column) => break (frontier, Some(column)),
+            None => skip = None,
+        }
+    };
     let started = Instant::now();
     let mut clock = PollClock {
         work: 0,
@@ -808,15 +959,18 @@ where
         if is_cancelled(cx.cancel) {
             return None;
         }
-        let current = plan.as_ref().is_some_and(|p| {
-            p.frontier_len == frontier.len() && p.keys.iter().zip(&frontier).all(|(k, e)| *k == e.0)
-        });
-        if !current {
-            // Assigned whole or not at all: a cancelled build leaves `None`.
-            *plan = ExpandPlan::build(&frontier, cx, &mut clock, &is_wild, &widen, &to_rule);
-        }
+        let mut f = match counted {
+            Some(column) => column,
+            None => {
+                if !plan.as_ref().is_some_and(|p| p.holds(&frontier)) {
+                    // Assigned whole or not at all: a cancelled build leaves `None`.
+                    *plan =
+                        ExpandPlan::build(&frontier, cx, &mut clock, &is_wild, &widen, &to_rule);
+                }
+                frontier.iter().map(|(_, agg)| agg.1).collect()
+            }
+        };
         let plan = plan.as_ref()?;
-        let mut f: Vec<f64> = frontier.iter().map(|(_, agg)| agg.1).collect();
         f.resize(plan.keys.len(), 0.0);
         fold_links(&plan.links, &mut clock, |a, t| f[t] += f[a])?;
         Some(f)
@@ -867,7 +1021,14 @@ fn sweep_packed<C: PackedCode>(
         cx,
         plan,
         pick,
-        |blocks| combine_packed(blocks, cx.d, layout, &masks, cx.index, cx.cancel, force),
+        |blocks, skip| {
+            let args = CombineArgs {
+                cancel: cx.cancel,
+                force,
+                skip,
+            };
+            combine_packed(blocks, cx.d, layout, &masks, cx.index, args)
+        },
         |&code, j| masks.is_wild(code, j),
         |&code, j| masks.widen(code, j),
         |&code| layout.unpack(code),
@@ -878,12 +1039,20 @@ fn sweep_packed<C: PackedCode>(
 /// by reference, so a plan cannot meet a different sample — and the
 /// `ExpandPlan` the first [`Self::sweep`] builds and later ones reuse.
 /// Every call must scan the same rows with the same measure column; only
-/// `m̂` may move between calls. The miner creates one per request and
-/// drops it on return; it is never cached across requests.
+/// `m̂` may move between calls. (A scan whose LCA keys or per-key pair
+/// counts are not the plan's rebuilds it; the same rows under another
+/// measure column would not be noticed.) The miner creates one per request
+/// and drops it on return; it is never cached across requests.
+///
+/// The first sweep scans every row. A later one scans every row too,
+/// unless the caller has named the estimate most rows carry
+/// ([`Self::set_shared_estimate`]): then it folds only the rows whose `m̂`
+/// differs and counts the rest.
 pub struct SweepState<'a> {
     d: usize,
     index: Option<&'a SampleIndex>,
     opts: &'a SweepOptions,
+    shared: Option<f64>,
     // One per key type; only the one `opts` selects is ever filled.
     plan64: Option<ExpandPlan<u64>>,
     plan128: Option<ExpandPlan<u128>>,
@@ -898,10 +1067,35 @@ impl<'a> SweepState<'a> {
             d,
             index,
             opts,
+            shared: None,
             plan64: None,
             plan128: None,
             plan_rule: None,
         }
+    }
+
+    /// Name the estimate the next sweeps should count instead of scan —
+    /// the one thing a caller may tell a state — or `None` to scan every
+    /// row again. Tuples with the same rule-coverage bit array share one
+    /// `m̂ = ∏ λᵢ` (§4.1), so after a few rules most rows carry the same
+    /// number: the miner hands over the estimate of the RCT's largest
+    /// group after each scaling pass.
+    ///
+    /// Once the state holds a plan, a sweep passes over every row whose
+    /// `m̂` has exactly `estimate`'s bits and gives each LCA slot
+    /// `estimate · (the slot's pair count − the pairs scanned) +
+    /// Σm̂(scanned)` — the plan knows every slot's pair count from the
+    /// first, full scan. The test is per row and on `m̂` alone, so **any**
+    /// value is safe: one no row carries skips nothing and returns the full
+    /// scan's bits; one many rows carry only has to be *their* `m̂`, which
+    /// it is by the test itself. A sweep therefore scans `1 − (the share of
+    /// rows carrying the estimate)` of the data, never more than a full
+    /// scan. Against the full scan, `Σm̂` differs in association —
+    /// `est · n + Σ` for `Σ_t m̂(t)` — hence in the last ulp (the product is
+    /// the better-rounded of the two); candidates, their order, `Σm` and
+    /// counts are the plan's and do not move.
+    pub fn set_shared_estimate(&mut self, estimate: Option<f64>) {
+        self.shared = estimate;
     }
 
     /// Run one sweep over the columnar dataset: combine as per-partition
@@ -912,9 +1106,11 @@ impl<'a> SweepState<'a> {
     /// turn into [`SweepOutcome::candidates`]: a caller scores all and
     /// pays for a [`Rule`] only where it wants one.
     ///
-    /// Bit-identical for every worker and partition count (see the module
-    /// docs), across every [`SweepOptions`] choice, and between a reused
-    /// state and a fresh one.
+    /// Under one shared estimate (or none) and one partitioning,
+    /// bit-identical for every worker count (see the module docs), across
+    /// every [`SweepOptions`] choice and frame encoding, and between a
+    /// reused state and a fresh one; [`Self::set_shared_estimate`] says
+    /// what an estimate moves.
     pub fn sweep(
         &mut self,
         data: &Dataset<TupleBlock>,
@@ -927,6 +1123,7 @@ impl<'a> SweepState<'a> {
             d,
             index,
             cancel,
+            shared: self.shared,
         };
         match (&self.opts.layout, self.opts.packed_bits()) {
             (Some(layout), Some(64)) => sweep_packed(cx, layout, force, &mut self.plan64, pick),
@@ -935,7 +1132,14 @@ impl<'a> SweepState<'a> {
                 cx,
                 &mut self.plan_rule,
                 pick,
-                |blocks| combine_rulekey(blocks, d, index, cancel),
+                |blocks, skip| {
+                    let args = CombineArgs {
+                        cancel,
+                        force: None,
+                        skip,
+                    };
+                    combine_rulekey(blocks, d, index, args)
+                },
                 |rule, j| rule.is_wildcard(j),
                 |rule, j| rule.generalize(j),
                 Rule::clone,
@@ -1105,7 +1309,11 @@ mod tests {
         let frame = Frame::from_table(&t);
         let block = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1);
         let combine = |strategy| {
-            let acc = combine_packed(&block, 3, &layout, &masks, Some(&index), None, strategy);
+            let args = CombineArgs {
+                force: strategy,
+                ..CombineArgs::default()
+            };
+            let acc = combine_packed(&block, 3, &layout, &masks, Some(&index), args);
             sorted_entries(acc.map)
                 .into_iter()
                 .map(|(code, (m, mh, n))| (code, m.to_bits(), mh.to_bits(), n))
@@ -1405,7 +1613,8 @@ mod tests {
         let index = SampleIndex::build(sample, 4);
         let layout = RuleLayout::from_cardinalities(&[2, 3, 2, 5]);
         let masks = layout.masks::<u64>();
-        let combined = combine_packed(&data.part(0), 4, &layout, &masks, Some(&index), None, None);
+        let args = CombineArgs::default();
+        let combined = combine_packed(&data.part(0), 4, &layout, &masks, Some(&index), args);
         let frontier = sorted_entries(combined.map);
         // Built without the index, the plan's columns are the raw pair-level
         // sums — the transform itself, before any multiplicity division.
@@ -1414,6 +1623,7 @@ mod tests {
             d: 4,
             index: None,
             cancel: None,
+            shared: None,
         };
         let mut clock = PollClock {
             work: 0,
@@ -1518,6 +1728,94 @@ mod tests {
         let mut state = SweepState::new(4, None, &opts);
         assert!(state.sweep(&data, Some(&token), all).cancelled);
         assert!(state.plan64.is_none());
+    }
+
+    #[test]
+    fn a_plan_meeting_other_rows_is_rebuilt_not_served() {
+        // One state swept over table A, then over a table B of the same
+        // five distinct rows in other multiplicities — the same LCA keys
+        // under one sample, other pair counts — must answer for B. In the
+        // second case A lacks the last row altogether, so B also brings
+        // keys the plan does not hold.
+        let rows: [[u32; 3]; 5] = [[0, 0, 0], [0, 1, 1], [1, 1, 0], [2, 0, 1], [2, 1, 1]];
+        // B's estimates: `EST` on all but the copies of row `odd`.
+        const EST: f64 = 2.0;
+        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let table = |copies: [usize; 5], odd: Option<usize>| {
+            let kinds: Vec<usize> = (0..5).flat_map(|r| vec![r; copies[r]]).collect();
+            let cols = (0..3)
+                .map(|j| kinds.iter().map(|&r| rows[r][j]).collect())
+                .collect();
+            let measures = (0..kinds.len()).map(|i| 0.5 + (i % 3) as f64).collect();
+            let frame = Frame::from_columns_with_cards(cols, measures, vec![3, 2, 2]);
+            let mhat = |i: usize| match odd {
+                Some(r) if kinds[i] != r => EST,
+                _ => 0.75 + i as f64,
+            };
+            let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 2)
+                .into_iter()
+                .map(|b| {
+                    let start = b.dims().start();
+                    b.with_mhat((start..start + b.len()).map(mhat).collect())
+                })
+                .collect();
+            Dataset::from_partitioned(&engine, blocks)
+        };
+        let sample = vec![rows[0].into(), rows[3].into()];
+        let index = SampleIndex::build(sample, 3);
+        let packed = SweepOptions::packed(RuleLayout::from_cardinalities(&[3, 2, 2]));
+        let variants = [
+            SweepOptions::rule_keyed(),
+            packed.clone(),
+            packed.clone().with_combine(CombineStrategy::HashProbe),
+            packed.with_combine(CombineStrategy::SlotTable),
+        ];
+        let all = |sums: &[Agg]| (0..sums.len()).collect();
+        let combines_run = || {
+            let stages = engine.metrics().stages();
+            let combine = |s: &&StageRecord| s.label == "gain-sweep-combine";
+            stages.iter().filter(combine).count()
+        };
+        for (a_copies, b_copies, odd) in [
+            ([1, 2, 1, 3, 1], [4, 1, 2, 1, 3], 0),
+            ([1, 2, 1, 3, 0], [1, 2, 1, 3, 2], 4),
+        ] {
+            let a = table(a_copies, None);
+            let b = table(b_copies, Some(odd));
+            for idx in [Some(&index), None] {
+                for opts in &variants {
+                    let fresh = sweep_gains(&b, 3, idx, None, opts);
+                    let whole =
+                        |out: SweepOutcome| (out.pairs_emitted, out.distinct_candidates, bits(out));
+                    // Told nothing, the full scan of B finds pair counts (or
+                    // keys) that are not the plan's and rebuilds it.
+                    let mut state = SweepState::new(3, idx, opts);
+                    state.sweep(&a, None, all);
+                    assert_eq!(whole(state.sweep(&b, None, all)), whole(fresh.clone()));
+                    // Told B's shared estimate, the scan that passes over
+                    // those rows folds more pairs into row `odd`'s slots than
+                    // the plan gives them (or meets keys it lacks): nothing
+                    // is served from it — everything is scanned again.
+                    let mut state = SweepState::new(3, idx, opts);
+                    state.sweep(&a, None, all);
+                    state.set_shared_estimate(Some(EST));
+                    let before = combines_run();
+                    assert_eq!(whole(state.sweep(&b, None, all)), whole(fresh.clone()));
+                    assert_eq!(combines_run() - before, 2, "one skipping scan, one full");
+                    // The rebuilt plan is B's: the next skipping scan is
+                    // accepted, and differs from the full one in Σm̂'s
+                    // rounding alone.
+                    let before = combines_run();
+                    let counted = state.sweep(&b, None, all);
+                    assert_eq!(combines_run() - before, 1);
+                    assert_eq!(counted.candidates.len(), fresh.candidates.len());
+                    for (c, f) in counted.candidates.iter().zip(&fresh.candidates) {
+                        assert_eq!((&c.0, c.1.to_bits(), c.3), (&f.0, f.1.to_bits(), f.3));
+                        assert!((c.2 - f.2).abs() <= 1e-12 * f.2.abs(), "{:?}", c.0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -82,12 +82,24 @@ fn sweep_blocks_mhat(
     compression: Compression,
     mhat: fn(usize) -> f64,
 ) -> Dataset<TupleBlock> {
+    let column: Vec<f64> = (0..table.num_rows()).map(mhat).collect();
+    sweep_blocks_column(engine, table, partitions, compression, &column)
+}
+
+/// [`sweep_blocks_with`] under the estimate column `mhat`, one per row.
+fn sweep_blocks_column(
+    engine: &Engine,
+    table: &Table,
+    partitions: usize,
+    compression: Compression,
+    mhat: &[f64],
+) -> Dataset<TupleBlock> {
     let frame = Frame::from_table_with(table, compression);
     let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
         .into_iter()
         .map(|block| {
             let start = block.dims().start();
-            block.with_mhat((start..start + block.len()).map(mhat).collect())
+            block.with_mhat(mhat[start..start + block.len()].to_vec())
         })
         .collect();
     Dataset::from_partitioned(engine, blocks)
@@ -573,6 +585,132 @@ proptest! {
                     if completed {
                         break;
                     }
+                }
+                prop_assert!(completed);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_sharing_an_estimate_are_counted_not_scanned(
+        (table, picks, masks, lambdas, partitions, workers) in small_table().prop_flat_map(|t| {
+            let n = t.num_rows();
+            (
+                Just(t),
+                prop::collection::vec(0..n, 1..6),
+                prop::collection::vec(0u64..8, n),
+                prop::collection::vec(0.25f64..4.0, 3),
+                1usize..7,
+                1usize..5,
+            )
+        })
+    ) {
+        // The tentpole claim of ISSUE 24: a sweep told the estimate most
+        // rows carry passes over those rows and accounts for them as
+        // `est · pairs`, and that changes nothing but Σm̂'s rounding. Rows
+        // get random rule-coverage bit arrays and the estimate the RCT
+        // write-out gives them, m̂ = ∏ λᵢ over the set bits; the state is
+        // built at another m̂ and then told the largest group's estimate.
+        let d = table.num_dims();
+        let sample: Vec<Box<[u32]>> = picks
+            .iter()
+            .map(|&i| table.row(i).to_vec().into_boxed_slice())
+            .collect();
+        let index = SampleIndex::build(sample, d);
+        let mhat: Vec<f64> = masks.iter().map(|&mask| mhat_for_mask(mask, &lambdas)).collect();
+        let mut group_sizes = [0usize; 8];
+        masks.iter().for_each(|&mask| group_sizes[mask as usize] += 1);
+        let largest = (0..8).rev().max_by_key(|&mask| group_sizes[mask]).unwrap();
+        let shared = mhat_for_mask(largest as u64, &lambdas);
+        let carried = mhat.iter().filter(|mh| mh.to_bits() == shared.to_bits()).count();
+        prop_assert!(carried >= group_sizes[largest] && carried > 0);
+
+        let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
+        let whole = |out: &SweepOutcome| {
+            (out.cancelled, out.pairs_emitted, out.distinct_candidates, ordered_sweep_bits(out))
+        };
+        // Every frame encoding and worker count, as (blocks at the synthetic
+        // m̂, blocks at `mhat`); the first pair is raw on one worker.
+        let mut datasets = Vec::new();
+        for compression in [Compression::Never, Compression::Always] {
+            for workers in [1, workers] {
+                let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+                datasets.push((
+                    sweep_blocks_with(&engine, &table, partitions, compression),
+                    sweep_blocks_column(&engine, &table, partitions, compression, &mhat),
+                ));
+            }
+        }
+        for idx in [Some(&index), None] {
+            // Under the same estimate every key type, combine strategy,
+            // frame encoding and worker count gives the same bits.
+            let mut counted: Option<SweepOutcome> = None;
+            for opts in sweep_variants(&table) {
+                for (first, second) in &datasets {
+                    // One state per sweep: built at the synthetic m̂, told
+                    // `estimate`, swept at `mhat`.
+                    let told = |estimate| {
+                        let mut state = SweepState::new(d, idx, &opts);
+                        state.sweep(first, None, all);
+                        state.set_shared_estimate(Some(estimate));
+                        state.sweep(second, None, all)
+                    };
+                    let fresh = sweep_gains(second, d, idx, None, &opts);
+                    // An estimate no row carries — whatever it is —
+                    // skips nothing: the full scan's bits.
+                    for nobodys in [f64::NAN, -1.0, f64::INFINITY] {
+                        let out = told(nobodys);
+                        prop_assert_eq!(whole(&out), whole(&fresh), "{:?} {}", opts, nobodys);
+                    }
+                    // The largest group's: exact in everything but Σm̂,
+                    // which moves in its last places only.
+                    let out = told(shared);
+                    prop_assert_eq!(
+                        (out.cancelled, out.pairs_emitted, out.distinct_candidates),
+                        (false, fresh.pairs_emitted, fresh.distinct_candidates)
+                    );
+                    prop_assert_eq!(out.candidates.len(), fresh.candidates.len());
+                    for (c, f) in out.candidates.iter().zip(&fresh.candidates) {
+                        prop_assert_eq!((&c.0, c.1.to_bits(), c.3), (&f.0, f.1.to_bits(), f.3));
+                        prop_assert!(
+                            (c.2 - f.2).abs() <= 1e-12 * f.2.abs(),
+                            "{:?}: {} vs {} ({:?})", c.0, c.2, f.2, opts
+                        );
+                    }
+                    match &counted {
+                        None => counted = Some(out),
+                        Some(b) => prop_assert_eq!(whole(b), whole(&out), "{:?}", opts),
+                    }
+                }
+            }
+            let counted = whole(&counted.expect("at least one variant"));
+
+            // A token firing at each poll of the skipping sweep in turn
+            // (fixed sequence on one worker): cancelled and empty, or the
+            // un-cancelled outcome — and the plan still serves the next.
+            let (first, second) = &datasets[0];
+            for opts in sweep_variants(&table) {
+                let mut state = SweepState::new(d, idx, &opts);
+                state.sweep(first, None, all);
+                state.set_shared_estimate(Some(shared));
+                let mut completed = false;
+                for polls in 1..=(partitions as u64 + 32) {
+                    let token = CancellationToken::new();
+                    token.cancel_after_polls(polls);
+                    let out = state.sweep(second, Some(&token), all);
+                    if !out.cancelled {
+                        prop_assert_eq!(&whole(&out), &counted, "{:?}", opts);
+                        completed = true;
+                        break;
+                    }
+                    prop_assert_eq!(
+                        (out.candidates.len(), out.pairs_emitted, out.distinct_candidates),
+                        (0, 0, 0)
+                    );
+                    prop_assert_eq!(
+                        &whole(&state.sweep(second, None, all)), &counted,
+                        "{:?} after {} polls", opts, polls
+                    );
                 }
                 prop_assert!(completed);
             }

@@ -5,7 +5,10 @@
 # end-to-end metric each side's median and quartiles, how many pairs the
 # change won, and failed/attempted on each side.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> [pairs=10] [seconds=15]
+#   scripts/bench-pairs.sh <parent-rev> <workload>|all [pairs=10] [seconds=15]
+#
+# `all` runs the workloads BENCHMARK.json names, one after another, and
+# prints one table per workload.
 #
 # "change" is the working tree as it stands (committed or not); "parent" is
 # <parent-rev>, exported with `git archive` (nothing is registered in .git)
@@ -19,12 +22,16 @@
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,21p' "$0" >&2
     exit 2
 fi
 cd "$(dirname "$0")/.."
 rev=$(git rev-parse --verify --short=12 "$1^{commit}")
-workload=$2
+if [ "$2" = all ]; then
+    workloads=$(sed -n '/"workloads"/,/^  \]/ s/.*"name": *"\([a-z_]*\)".*/\1/p' BENCHMARK.json)
+else
+    workloads=$2
+fi
 pairs=${3:-10}
 seconds=${4:-15}
 
@@ -47,7 +54,6 @@ cp "$parent/target/release/sirum-bench" "$work/parent/sirum-bench"
 cp "${CARGO_TARGET_DIR:-sirum-bench/target}/release/sirum-bench" "$work/change/sirum-bench"
 
 samples=$work/samples.tsv
-: >"$samples"
 
 # One run of one side: its metric lines and its failed/attempted go to
 # $samples as `side pair name value unit`.
@@ -77,69 +83,72 @@ run_side() {
     }' >>"$samples"
 }
 
-pair=1
-while [ "$pair" -le "$pairs" ]; do
-    seed=$((2016 + pair))
-    if [ $((pair % 2)) -eq 1 ]; then
-        order="parent change"
-    else
-        order="change parent"
-    fi
-    for side in $order; do
-        echo "== pair $pair/$pairs seed $seed: $side" >&2
-        run_side "$side" "$pair" "$seed"
+for workload in $workloads; do
+    : >"$samples"
+    pair=1
+    while [ "$pair" -le "$pairs" ]; do
+        seed=$((2016 + pair))
+        if [ $((pair % 2)) -eq 1 ]; then
+            order="parent change"
+        else
+            order="change parent"
+        fi
+        for side in $order; do
+            echo "== pair $pair/$pairs seed $seed: $side" >&2
+            run_side "$side" "$pair" "$seed"
+        done
+        pair=$((pair + 1))
     done
-    pair=$((pair + 1))
-done
 
-echo "$workload: $pairs pair(s) of ${seconds}s, parent $rev vs working tree, seeds 2017..$((2016 + pairs))"
-awk '
-function sorted(side, name,    i, j, n, t) {
-    n = 0
-    for (i = 1; i <= pairs; i++) v[++n] = val[side, name, i]
-    for (i = 2; i <= n; i++)
-        for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
-    return n
-}
-function quantile(n, p,    pos, lo) {
-    pos = 1 + (n - 1) * p
-    lo = int(pos)
-    return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
-}
-function summary(side, name,    n) {
-    n = sorted(side, name)
-    med[side] = quantile(n, 0.5); q1[side] = quantile(n, 0.25); q3[side] = quantile(n, 0.75)
-    return sprintf("%10.4g [%.4g, %.4g]", med[side], q1[side], q3[side])
-}
-FILENAME == ARGV[1] {
-    if (/"end_to_end"/) on = 1
-    if (/"per_layer"/) on = 0
-    if (on && /"name"/) { gsub(/[",]/, ""); name = $2; names[++count] = name }
-    if (on && /"better"/) { gsub(/[",]/, ""); better[name] = $2 }
-    next
-}
-{ val[$1, $3, $2] = $4 + 0; unit[$3] = $5; if ($2 > pairs) pairs = $2 + 0 }
-END {
-    printf "%-12s %-7s %-34s %-34s %8s %6s  %s\n", "metric", "unit", "parent median [q1, q3]", \
-        "change median [q1, q3]", "chg/par", "wins", "medians apart > parent IQR"
-    for (k = 1; k <= count; k++) {
-        name = names[k]
-        if (!(("parent", name, 1) in val)) continue
-        p = summary("parent", name); c = summary("change", name)
-        wins = 0; ties = 0
-        for (i = 1; i <= pairs; i++) {
-            d = val["change", name, i] - val["parent", name, i]
-            if (better[name] == "lower") d = -d
-            if (d > 0) wins++; else if (d == 0) ties++
+    echo "$workload: $pairs pair(s) of ${seconds}s, parent $rev vs working tree, seeds 2017..$((2016 + pairs))"
+    awk '
+    function sorted(side, name,    i, j, n, t) {
+        n = 0
+        for (i = 1; i <= pairs; i++) v[++n] = val[side, name, i]
+        for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        return n
+    }
+    function quantile(n, p,    pos, lo) {
+        pos = 1 + (n - 1) * p
+        lo = int(pos)
+        return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+    }
+    function summary(side, name,    n) {
+        n = sorted(side, name)
+        med[side] = quantile(n, 0.5); q1[side] = quantile(n, 0.25); q3[side] = quantile(n, 0.75)
+        return sprintf("%10.4g [%.4g, %.4g]", med[side], q1[side], q3[side])
+    }
+    FILENAME == ARGV[1] {
+        if (/"end_to_end"/) on = 1
+        if (/"per_layer"/) on = 0
+        if (on && /"name"/) { gsub(/[",]/, ""); name = $2; names[++count] = name }
+        if (on && /"better"/) { gsub(/[",]/, ""); better[name] = $2 }
+        next
+    }
+    { val[$1, $3, $2] = $4 + 0; unit[$3] = $5; if ($2 > pairs) pairs = $2 + 0 }
+    END {
+        printf "%-12s %-7s %-34s %-34s %8s %6s  %s\n", "metric", "unit", "parent median [q1, q3]", \
+            "change median [q1, q3]", "chg/par", "wins", "medians apart > parent IQR"
+        for (k = 1; k <= count; k++) {
+            name = names[k]
+            if (!(("parent", name, 1) in val)) continue
+            p = summary("parent", name); c = summary("change", name)
+            wins = 0; ties = 0
+            for (i = 1; i <= pairs; i++) {
+                d = val["change", name, i] - val["parent", name, i]
+                if (better[name] == "lower") d = -d
+                if (d > 0) wins++; else if (d == 0) ties++
+            }
+            gap = med["change"] - med["parent"]; if (gap < 0) gap = -gap
+            printf "%-12s %-7s %-34s %-34s %8.3f %3d/%-2d  %s%s\n", name, unit[name], p, c, \
+                (med["parent"] ? med["change"] / med["parent"] : 0), wins, pairs, \
+                (gap > q3["parent"] - q1["parent"] ? "yes" : "no"), (ties ? " (" ties " tie(s))" : "")
         }
-        gap = med["change"] - med["parent"]; if (gap < 0) gap = -gap
-        printf "%-12s %-7s %-34s %-34s %8.3f %3d/%-2d  %s%s\n", name, unit[name], p, c, \
-            (med["parent"] ? med["change"] / med["parent"] : 0), wins, pairs, \
-            (gap > q3["parent"] - q1["parent"] ? "yes" : "no"), (ties ? " (" ties " tie(s))" : "")
-    }
-    for (s = 1; s <= 2; s++) {
-        side = s == 1 ? "parent" : "change"; failed = 0; attempted = 0
-        for (i = 1; i <= pairs; i++) { failed += val[side, "failed", i]; attempted += val[side, "attempted", i] }
-        printf "%s failed/attempted: %d/%d\n", side, failed, attempted
-    }
-}' BENCHMARK.json "$samples"
+        for (s = 1; s <= 2; s++) {
+            side = s == 1 ? "parent" : "change"; failed = 0; attempted = 0
+            for (i = 1; i <= pairs; i++) { failed += val[side, "failed", i]; attempted += val[side, "attempted", i] }
+            printf "%s failed/attempted: %d/%d\n", side, failed, attempted
+        }
+    }' BENCHMARK.json "$samples"
+done

@@ -1699,8 +1699,9 @@ pub struct MiningPlan {
     /// Whether the RCT scaling path is active.
     pub rct: bool,
     /// Whether candidate evaluation runs as the fused partition-parallel
-    /// gain sweep (one scan per iteration, no shuffles) or as the legacy
-    /// staged pipeline.
+    /// gain sweep (no shuffles; one full scan, then — with [`Self::rct`] —
+    /// only the rows off the largest RCT group each iteration) or as the
+    /// legacy staged pipeline.
     pub gain_sweep: bool,
     /// Whether the registered table's dimension columns are stored
     /// compressed (bit-packed/RLE segments, scanned morsel-by-morsel) —
@@ -1730,7 +1731,8 @@ pub struct MiningPlan {
     /// a KL-target run may iterate further, up to its `max_rules` bound.
     pub estimated_iterations: usize,
     /// Candidate pairs emitted per iteration by the LCA join (`|s| × n`,
-    /// before combining).
+    /// before combining) — what a full scan folds; a sweep that counts the
+    /// largest RCT group folds only the other rows' share of them.
     pub estimated_lca_pairs: u64,
     /// True when the result cache already holds this exact request (it
     /// would be answered without execution).
@@ -1826,10 +1828,17 @@ impl std::fmt::Display for MiningPlan {
         writeln!(
             f,
             "  candidate evaluation: {}",
-            if self.gain_sweep {
-                "fused partition-parallel gain sweep (one scan/iteration, no shuffles)"
-            } else {
-                "legacy staged pipeline (LCA join → ancestor stages → adjust + gain)"
+            // The RCT is what tells the sweep which estimate most rows
+            // share; Algorithm 1 scaling leaves every sweep a full scan.
+            match (self.gain_sweep, self.rct) {
+                (true, true) => {
+                    "fused partition-parallel gain sweep (one full scan, then the rows \
+                     off the largest RCT group, per iteration; no shuffles)"
+                }
+                (true, false) => {
+                    "fused partition-parallel gain sweep (one scan/iteration, no shuffles)"
+                }
+                (false, _) => "legacy staged pipeline (LCA join → ancestor stages → adjust + gain)",
             },
         )?;
         writeln!(
@@ -2308,6 +2317,8 @@ mod tests {
         assert_eq!(plan.packed_bits, Some(64));
         assert_eq!(plan.combine, Some(CombineStrategy::HashProbe));
         assert!(plan.to_string().contains("packed u64 rule codes"));
+        let later_sweeps = "one full scan, then the rows off the largest RCT group, per iteration";
+        assert!(plan.to_string().contains(later_sweeps), "{plan}");
         // 14 rows is far below the Auto compression threshold: the plan
         // reports raw per-column formats.
         assert!(!plan.compressed);
@@ -2324,6 +2335,15 @@ mod tests {
         assert_eq!(plan_staged.packed_bits, None);
         assert_eq!(plan_staged.combine, None);
         assert!(!plan_staged.to_string().contains("sweep accumulators"));
+        // Without the RCT nothing names a shared estimate: every sweep is
+        // a full scan, and the plan says so.
+        let plan_alg1 = service
+            .mine("flights")
+            .variant(Variant::Baseline)
+            .gain_sweep(true)
+            .explain()
+            .unwrap();
+        assert!(plan_alg1.to_string().contains("one scan/iteration"));
         assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
         // After executing, the same plan reports a cache hit ahead.
         let _ = service.mine("flights").k(3).sample_size(14).run().unwrap();
