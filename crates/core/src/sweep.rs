@@ -146,7 +146,7 @@ use crate::cancel::CancellationToken;
 use crate::candidates::SampleIndex;
 use crate::lattice::MAX_EXPAND_BITS;
 use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout};
-use sirum_dataflow::hash::FxHashMap;
+use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
 use sirum_dataflow::{Dataset, StageRecord, TaskRecord};
 use std::time::Instant;
 
@@ -720,6 +720,75 @@ fn fold_links(
     Some(())
 }
 
+/// The plan build's `key → slot` lookup: an open-addressing table of slot
+/// ids into the build's own `keys` column, at most half full — four bytes a
+/// bucket. A `HashMap<K, u32>` keeps a second copy of every key (17 bytes a
+/// bucket for `u64` codes): on `wide_expand`'s ~121k slots 4.25 MiB against
+/// 1 MiB, the largest single allocation of a mine. glibc takes its trim
+/// threshold from the largest block it has unmapped (twice that), and that
+/// one puts it within a few per cent of what a mine leaves free, so whether
+/// a process gives ~8 MiB back or keeps it changes from run to run.
+struct SlotIndex {
+    /// `slot + 1` of the key that hashed here, 0 while empty; a power of
+    /// two long.
+    buckets: Vec<u32>,
+    /// `64 − log2(buckets.len())`: a bucket is the hash's top bits, the
+    /// best-mixed ones of a multiplicative hash.
+    shift: u32,
+}
+
+impl SlotIndex {
+    fn with_capacity(slots: usize) -> Self {
+        let len = (slots * 2).next_power_of_two().max(8);
+        SlotIndex {
+            buckets: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    #[inline]
+    fn home<K: std::hash::Hash>(&self, key: &K) -> usize {
+        (fx_hash_one(key) >> self.shift) as usize
+    }
+
+    /// The slot of `key` in `keys`, pushing it as a new last slot when it
+    /// has none. Every key of `keys` must have come in through this call.
+    #[inline]
+    fn get_or_push<K: Eq + std::hash::Hash>(&mut self, keys: &mut Vec<K>, key: K) -> u32 {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(&key);
+        loop {
+            match self.buckets[b] {
+                0 => break,
+                s if keys[s as usize - 1] == key => return s - 1,
+                _ => b = (b + 1) & mask,
+            }
+        }
+        // lint:allow(SL001) — internal expansion-size invariant (slot ids are u32s), not user-reachable
+        let next = u32::try_from(keys.len() + 1).expect("under 2^32 candidates");
+        keys.push(key);
+        self.buckets[b] = next;
+        if keys.len() * 2 > self.buckets.len() {
+            self.grow(keys);
+        }
+        next - 1
+    }
+
+    /// Twice the buckets, every key placed again.
+    fn grow<K: std::hash::Hash>(&mut self, keys: &[K]) {
+        let len = self.buckets.len() * 2;
+        self.buckets = vec![0; len];
+        self.shift -= 1;
+        for (key, next) in keys.iter().zip(1..) {
+            let mut b = self.home(key);
+            while self.buckets[b] != 0 {
+                b = (b + 1) & (len - 1);
+            }
+            self.buckets[b] = next;
+        }
+    }
+}
+
 /// The half of stage 2 that cannot change inside a mine. Candidates live
 /// in **slots**: the sorted frontier in `0..pairs.len()`, then every
 /// further ancestor in the order the build first reached it. For each
@@ -768,12 +837,13 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
             assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
             pairs_emitted += 1 << w;
         }
-        let mut keys: Vec<K> = frontier.iter().map(|(key, _)| key.clone()).collect();
+        let mut keys: Vec<K> = Vec::with_capacity(frontier.len());
         // Sized as candidates typically outnumber the frontier: rehashing
         // on the way up costs a measurable slice of the build.
-        let mut slot_of: FxHashMap<K, u32> =
-            FxHashMap::with_capacity_and_hasher(frontier.len() * 4, Default::default());
-        slot_of.extend(keys.iter().cloned().zip(0..));
+        let mut slot_of = SlotIndex::with_capacity(frontier.len() * 4);
+        for (key, _) in frontier {
+            slot_of.get_or_push(&mut keys, key.clone());
+        }
         let mut links = Vec::new();
         for j in 0..cx.d {
             for a in 0..keys.len() {
@@ -784,19 +854,17 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
                     return None;
                 }
                 let wide = widen(&keys[a], j);
-                let t = match slot_of.get(&wide) {
-                    Some(&t) => t,
-                    None => {
-                        // lint:allow(SL001) — internal expansion-size invariant (slot ids are u32s), not user-reachable
-                        let t = u32::try_from(keys.len()).expect("under 2^32 candidates");
-                        slot_of.insert(wide.clone(), t);
-                        keys.push(wide);
-                        t
-                    }
-                };
+                let t = slot_of.get_or_push(&mut keys, wide);
                 links.push((a as u32, t));
             }
         }
+        drop(slot_of);
+        // The plan outlives its build by the whole mine: hand back the
+        // slack `push` doubled into — a quarter of the plan's largest column
+        // on `wide_expand`, where the unshrunk 4 MiB block is the next one
+        // the trim threshold would come from (`SlotIndex`): peak RSS reads
+        // 42–49 MB with it, 30–35 without.
+        links.shrink_to_fit();
         let (mut sum_m, mut count): (Vec<f64>, Vec<u64>) =
             frontier.iter().map(|(_, agg)| (agg.0, agg.2)).unzip();
         sum_m.resize(keys.len(), 0.0);
@@ -1728,6 +1796,32 @@ mod tests {
         let mut state = SweepState::new(4, None, &opts);
         assert!(state.sweep(&data, Some(&token), all).cancelled);
         assert!(state.plan64.is_none());
+    }
+
+    #[test]
+    fn slot_index_numbers_keys_in_arrival_order_through_growth() {
+        // From the smallest table (8 buckets) to 2 000 keys: eight
+        // doublings. Multiples of 2^40 share their low bits, keys a
+        // bucket-from-low-bits table would pile into one run.
+        let key = |i: u64| if i.is_multiple_of(2) { i << 40 } else { i };
+        let mut keys: Vec<u64> = Vec::new();
+        let mut index = SlotIndex::with_capacity(0);
+        for i in 0..2_000u64 {
+            assert_eq!(index.get_or_push(&mut keys, key(i)), i as u32);
+            // A key already in keeps its slot and adds none.
+            assert_eq!(index.get_or_push(&mut keys, key(i / 2)), (i / 2) as u32);
+        }
+        assert_eq!(keys, (0..2_000).map(key).collect::<Vec<_>>());
+        assert!(index.buckets.len() >= 2 * keys.len());
+        // Rule keys go through the same table.
+        let mut rules: Vec<Rule> = Vec::new();
+        let mut index = SlotIndex::with_capacity(1);
+        let rule = |i: u32| Rule::from_values(vec![i % 7, i / 7, crate::rule::WILDCARD]);
+        for i in 0..100 {
+            assert_eq!(index.get_or_push(&mut rules, rule(i)), i);
+        }
+        assert_eq!(index.get_or_push(&mut rules, rule(42)), 42);
+        assert_eq!(rules.len(), 100);
     }
 
     #[test]
