@@ -686,14 +686,22 @@ impl Miner {
         })
     }
 
-    /// Cache a freshly produced dataset (except in DiskMr mode, whose stage
-    /// outputs are already disk-materialized) and free its predecessor.
+    /// Free the generation `new` replaces, then cache `new` (except in
+    /// DiskMr mode, whose stage outputs are already disk-materialized).
+    ///
+    /// Freeing first is what keeps one generation in the block store at a
+    /// time: caching first would make the budget evict blocks of `old`,
+    /// already read and about to be freed, to disk. It is safe only because
+    /// every producer of `new` — `MiningData::seed`, `update_ba`,
+    /// `write_mhat`, `scale_mhat` and `reset_mhat` — is an eager `map`: by
+    /// the time it returns, every partition of `new` is built (in memory,
+    /// or `put_disk`'d under DiskMr) and nothing reads `old` again. A lazy
+    /// producer would have to cache before this free.
     fn cache_swap(&self, old: Option<MiningData>, new: MiningData) -> MiningData {
-        let cached = new.cached(self.engine.mode());
         if let Some(old) = old {
             old.free();
         }
-        cached
+        new.cached(self.engine.mode())
     }
 
     /// One KL evaluation pass (Eq in §2.3, assembled from aggregates).

@@ -1,10 +1,11 @@
-//! Release-mode memory-budget smoke test: the ISSUE 10 acceptance run.
+//! Release-mode memory-budget smoke test.
 //!
 //! A 2M-row TLC-shaped table is mined end-to-end under a block-store
 //! budget the raw working set (dimension columns + 24 B/row of float
-//! payload ≈ 120 MB) cannot satisfy. The compressed frame's working set
-//! must fit under the cap, the raw frame must pay multiples of the
-//! compressed spill traffic to get through, and both must produce output
+//! payload ≈ 120 MB) cannot satisfy. The store holds one generation of
+//! the mining dataset at a time, so the compressed frame, whose
+//! generation fits under the cap, never evicts or spills; the raw frame
+//! must spill and reload to get through. Both must produce output
 //! bit-identical to an unbudgeted raw-frame reference.
 //!
 //! Ignored by default: debug-mode scans of 2M rows take minutes. CI runs
@@ -92,20 +93,28 @@ fn two_million_rows_mine_inside_a_budget_raw_columns_cannot_satisfy() {
     assert!(!reference.rules.is_empty());
 
     // Compressed under the cap: bit-identical to the unbudgeted raw
-    // reference, with the budget enforced throughout.
+    // reference, and never out of core. A rewrite frees the generation it
+    // replaces before caching the next, so one generation is all the
+    // store ever holds, and it fits.
     let miner = Miner::new(engine(Some(BUDGET), "sirum-budget-c"), config());
     let under_budget = miner.try_mine_prepared(&compressed, &[]).unwrap();
     assert_eq!(bits(&reference), bits(&under_budget));
     let compressed_stats = miner.engine().store().memory_stats();
     eprintln!("compressed under budget: {compressed_stats:?}");
     assert!(compressed_stats.resident_bytes <= BUDGET);
+    assert_eq!(
+        compressed_stats.evictions, 0,
+        "a fitting generation evicted"
+    );
+    assert_eq!(
+        compressed_stats.spilled_bytes, 0,
+        "a fitting generation spilled"
+    );
 
     // Raw under the same cap: still correct (spill/reload is lossless),
-    // but only by churning the store — the out-of-core path the
-    // compressed layout mostly avoids. Each mining iteration re-caches a
-    // generation of blocks, so some compressed spill traffic is expected;
-    // the raw format must pay for its 8×-wider dimension payload on every
-    // one of those round-trips.
+    // but only by churning the store — one raw generation does not fit,
+    // so each rewrite spills the live generation's least recently used
+    // blocks and the next scan reads them back.
     let miner = Miner::new(engine(Some(BUDGET), "sirum-budget-r"), config());
     let thrashing = miner.try_mine_prepared(&raw, &[]).unwrap();
     assert_eq!(bits(&reference), bits(&thrashing));

@@ -18,7 +18,7 @@ use sirum_core::sweep::{sweep_gains, CombineStrategy, SweepOptions, SweepOutcome
 use sirum_core::transform::MeasureTransform;
 use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
 use sirum_dataflow::hash::FxHashMap;
-use sirum_dataflow::{Dataset, Engine, EngineConfig};
+use sirum_dataflow::{Dataset, Encode, Engine, EngineConfig};
 use sirum_table::{Compression, Frame, Schema, Table};
 
 const MAX_D: usize = 5;
@@ -1114,6 +1114,118 @@ fn eviction_pressure_reloads_compressed_segments_bit_identically() {
         stats.spilled_bytes > 0,
         "nothing round-tripped through disk"
     );
+}
+
+/// An in-memory engine with a fixed partition/worker shape under `budget`,
+/// spilling below a directory of its own named `dir`.
+fn budget_engine(budget: Option<usize>, partitions: usize, dir: &str) -> Engine {
+    let mut config = EngineConfig::in_memory()
+        .with_partitions(partitions)
+        .with_workers(2)
+        .with_spill_dir(std::env::temp_dir().join(format!("{dir}-{}", std::process::id())));
+    config.memory_budget = budget;
+    Engine::new(config)
+}
+
+#[test]
+fn a_budget_that_holds_one_generation_spills_nothing() {
+    // A scaling rewrite frees the generation it replaces before it caches
+    // the new one, so the block store holds one generation at a time and
+    // a budget of 1.5 generations never evicts. Both rewrite paths: the
+    // RCT's `update_ba` + `write_mhat` swaps (Optimized) and Algorithm 1's
+    // `scale_mhat` swap per λ update (Baseline), on raw and compressed
+    // frames — a compressed block is charged its overlapping segments.
+    const PARTITIONS: usize = 4;
+    let table = sirum_table::generators::income_like(1_500, 29);
+    for compression in [Compression::Never, Compression::Always] {
+        let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
+        let generation: usize =
+            TupleBlock::seed_partitions(prepared.frame(), &prepared.m_prime_slice(), PARTITIONS)
+                .iter()
+                .map(Encode::size_estimate)
+                .sum();
+        let budget = generation * 3 / 2;
+        for variant in [Variant::Optimized, Variant::Baseline] {
+            let mine = |budget: Option<usize>, dir: &str| {
+                let miner = Miner::new(
+                    budget_engine(budget, PARTITIONS, dir),
+                    variant.config(3, 16),
+                );
+                let result = miner.try_mine_prepared(&prepared, &[]).unwrap();
+                (result, miner)
+            };
+            let (reference, _) = mine(None, "sirum-one-gen-ref");
+            let (budgeted, miner) = mine(Some(budget), "sirum-one-gen");
+            let case = format!("{variant:?} {compression:?}");
+            assert!(
+                reference.scaling_iterations.iter().sum::<usize>() > 0,
+                "{case}"
+            );
+            assert_eq!(result_bits(&reference), result_bits(&budgeted), "{case}");
+            let store = miner.engine().store();
+            let stats = store.memory_stats();
+            assert_eq!(stats.evictions, 0, "{case}: {stats:?} under {budget} B");
+            assert_eq!(stats.spilled_bytes, 0, "{case}: {stats:?} under {budget} B");
+            let peak = store.trace().iter().map(|s| s.resident_bytes).max();
+            assert!(
+                peak.is_some_and(|p| p <= budget),
+                "{case}: peak {peak:?} over {budget} B"
+            );
+            store.cleanup();
+        }
+    }
+}
+
+/// A named way to damage the bytes of a file.
+type Corruption = (&'static str, fn(&mut Vec<u8>));
+
+#[test]
+fn corrupt_spill_files_fail_a_mine_with_a_typed_error() {
+    // A spilled block whose file is altered between iterations — cut short
+    // or with one byte flipped — must end the mine with a dataflow error:
+    // not a panic out of the decoder, and not a result mined on the
+    // altered bytes.
+    let corruptions: [Corruption; 2] = [
+        ("truncate", |b| b.truncate(b.len() / 2)),
+        ("flip", |b| {
+            let mid = b.len() / 2;
+            b[mid] ^= 0x40;
+        }),
+    ];
+    let table = sirum_table::generators::income_like(4_000, 23);
+    let prepared = PreparedTable::try_new_with(&table, Compression::Always).unwrap();
+    for (what, corrupt) in corruptions {
+        let dir = format!("sirum-corrupt-spill-{what}");
+        let engine = budget_engine(Some(48 << 10), 4, &dir);
+        let root = engine.config().spill_dir.clone();
+        let config = SirumConfig {
+            k: 3,
+            strategy: CandidateStrategy::SampleLca { sample_size: 16 },
+            ..SirumConfig::default()
+        };
+        let miner = Miner::new(engine, config).with_observer(move |event| {
+            if event.iteration == 1 {
+                let mut files = 0;
+                for store in std::fs::read_dir(&root).unwrap() {
+                    for file in std::fs::read_dir(store.unwrap().path()).unwrap() {
+                        let path = file.unwrap().path();
+                        let mut bytes = std::fs::read(&path).unwrap();
+                        corrupt(&mut bytes);
+                        std::fs::write(&path, bytes).unwrap();
+                        files += 1;
+                    }
+                }
+                assert!(files > 0, "nothing spilled under the budget");
+            }
+            IterationDecision::Continue
+        });
+        let result = miner.try_mine_prepared(&prepared, &[]);
+        assert!(
+            matches!(result, Err(sirum_core::SirumError::Dataflow(_))),
+            "{what}: {result:?}"
+        );
+        miner.engine().store().cleanup();
+    }
 }
 
 #[test]

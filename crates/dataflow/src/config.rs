@@ -71,6 +71,13 @@ pub struct EngineConfig {
     pub partitions: usize,
     /// Memory budget in bytes for cached blocks. `None` = unbounded.
     /// Mirrors Spark's executor storage memory (Figs 4.3/4.4).
+    ///
+    /// For a mine this bounds the cached blocks of the live generation of
+    /// the mining dataset: the miner frees each generation before caching
+    /// its successor, so the store holds one at a time, and a budget that
+    /// holds one generation never spills. A block of a compressed frame is
+    /// charged its overlapping segments whole. Nothing else a mine
+    /// allocates is charged.
     pub memory_budget: Option<usize>,
     /// Latency charged (slept) at the start of every stage. Zero for Spark
     /// mode; tens of milliseconds for Hive mode to emulate MapReduce job

@@ -16,8 +16,9 @@ pub trait Encode: Sized {
     fn encode(&self, out: &mut Vec<u8>);
 
     /// Read one value from the front of `buf`, advancing it past the bytes
-    /// consumed. Panics on malformed input (spill files are produced by this
-    /// same process; corruption is a logic error, not an expected condition).
+    /// consumed. Panics on malformed input: the block store verifies each
+    /// file's length and checksum before it decodes, so bytes that reach a
+    /// decoder are ones this process encoded.
     fn decode(buf: &mut &[u8]) -> Self;
 
     /// Approximate in-memory footprint in bytes, used by the block manager

@@ -4,14 +4,22 @@
 //! The memory-usage-over-time traces this module records reproduce
 //! Figures 4.3 and 4.4 of the thesis (RDD block memory vs elapsed time under
 //! different executor memory budgets).
+//!
+//! Every file the store writes — an evicted block's spill file or a DiskMr
+//! stage file — starts with a frame header: the payload's length and its
+//! FNV-1a checksum. A read verifies both before it decodes, so a short,
+//! long or altered file poisons the store like a failed read instead of
+//! reaching a decoder that would panic on it (or, worse, decode it).
 
 use crate::encode::{decode_records, encode_records, Encode};
 use crate::error::DataflowError;
 use crate::hash::FxHashMap;
 use crate::metrics::MetricsRegistry;
 use parking_lot::Mutex;
+use sirum_table::fingerprint::Fnv64;
 use std::any::Any;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -144,6 +152,53 @@ fn encode_any<T: Encode + Send + Sync + 'static>(any: &AnyArc) -> Vec<u8> {
     }
 }
 
+/// Bytes ahead of the payload in every file the store writes: the
+/// payload's length, then its [`checksum`], as little-endian `u64`s.
+const FRAME_HEADER: usize = 16;
+
+/// FNV-1a over the length-framed payload.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(payload);
+    h.finish()
+}
+
+/// Write `payload` to `file` behind its frame header; returns the bytes
+/// written.
+fn write_framed(file: &Path, payload: &[u8]) -> std::io::Result<u64> {
+    let mut header = Vec::with_capacity(FRAME_HEADER);
+    (payload.len() as u64).encode(&mut header);
+    checksum(payload).encode(&mut header);
+    let mut out = std::fs::File::create(file)?;
+    out.write_all(&header)?;
+    out.write_all(payload)?;
+    Ok((FRAME_HEADER + payload.len()) as u64)
+}
+
+/// The payload of a file [`write_framed`] wrote, or why `bytes` are not
+/// one: too short for the header, a length other than the header's, or a
+/// checksum that does not match.
+fn unframe(bytes: &[u8]) -> Result<&[u8], String> {
+    if bytes.len() < FRAME_HEADER {
+        return Err(format!(
+            "{} bytes, shorter than the {FRAME_HEADER}-byte frame header",
+            bytes.len()
+        ));
+    }
+    let (mut header, payload) = bytes.split_at(FRAME_HEADER);
+    let (len, sum) = (u64::decode(&mut header), u64::decode(&mut header));
+    if len != payload.len() as u64 {
+        return Err(format!(
+            "{} payload bytes where the header says {len}",
+            payload.len()
+        ));
+    }
+    if sum != checksum(payload) {
+        return Err("payload does not match its checksum".into());
+    }
+    Ok(payload)
+}
+
 impl BlockStore {
     /// Create a store with the given budget (`None` = unbounded) spilling
     /// into a unique subdirectory of `dir`.
@@ -222,15 +277,17 @@ impl BlockStore {
             return false;
         };
         if block.file.is_none() {
-            let bytes = (block.encode)(&data);
-            if let Err(e) = std::fs::write(&file, &bytes) {
-                inner
-                    .poison
-                    .get_or_insert_with(|| DataflowError::spill("write spill file", &file, &e));
-                return false;
-            }
-            self.metrics.add_disk_write(bytes.len() as u64);
-            inner.spilled_bytes += bytes.len() as u64;
+            let written = match write_framed(&file, &(block.encode)(&data)) {
+                Ok(written) => written,
+                Err(e) => {
+                    inner
+                        .poison
+                        .get_or_insert_with(|| DataflowError::spill("write spill file", &file, &e));
+                    return false;
+                }
+            };
+            self.metrics.add_disk_write(written);
+            inner.spilled_bytes += written;
             block.file = Some(file);
         }
         block.data = None;
@@ -274,17 +331,16 @@ impl BlockStore {
     /// falls back to memory so no data is lost before the driver notices.
     pub fn put_disk<T: Encode + Send + Sync + Clone + 'static>(&self, data: &[T]) -> BlockId {
         let id = self.alloc_id();
-        let bytes = encode_records(data);
         let file = self.file_for(id);
         let size = partition_size(data);
-        let written = std::fs::write(&file, &bytes);
+        let written = write_framed(&file, &encode_records(data));
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match written {
-            Ok(()) => {
-                self.metrics.add_disk_write(bytes.len() as u64);
-                inner.spilled_bytes += bytes.len() as u64;
+            Ok(written) => {
+                self.metrics.add_disk_write(written);
+                inner.spilled_bytes += written;
                 inner.blocks.insert(
                     id,
                     Block {
@@ -317,9 +373,12 @@ impl BlockStore {
         id
     }
 
-    /// Fetch a partition. Spilled blocks are read back from disk, decoded and
-    /// re-admitted to memory (possibly evicting others) — the "continuous
-    /// re-read" behaviour Figure 4.3 shows for undersized budgets.
+    /// Fetch a partition. Spilled blocks are read back from disk, verified
+    /// against their frame header, decoded and re-admitted to memory
+    /// (possibly evicting others) — the "continuous re-read" behaviour
+    /// Figure 4.3 shows for undersized budgets. A file that cannot be read
+    /// or fails verification poisons the store and yields an empty
+    /// partition; the driver's next health check turns that into an error.
     pub fn get<T: Encode + Send + Sync + 'static>(&self, id: BlockId) -> Arc<Vec<T>> {
         let file = {
             let mut inner = self.inner.lock();
@@ -360,7 +419,19 @@ impl BlockStore {
             }
         };
         self.metrics.add_disk_read(bytes.len() as u64);
-        let decoded: Arc<Vec<T>> = Arc::new(decode_records(&bytes));
+        let payload = match unframe(&bytes) {
+            Ok(payload) => payload,
+            Err(detail) => {
+                let mut inner = self.inner.lock();
+                inner.poison.get_or_insert_with(|| DataflowError::Spill {
+                    op: "verify spill file",
+                    path: file.display().to_string(),
+                    detail,
+                });
+                return Arc::new(Vec::new());
+            }
+        };
+        let decoded: Arc<Vec<T>> = Arc::new(decode_records(payload));
         let mut inner = self.inner.lock();
         if let Some(block) = inner.blocks.get_mut(&id) {
             if block.data.is_none() {
@@ -617,6 +688,61 @@ mod tests {
         assert!(s.memory_stats().spilled_bytes > disk_only.spilled_bytes);
         assert_eq!(s.memory_stats().evictions, disk_only.evictions);
         let _ = s.get::<u64>(id);
+        s.cleanup();
+    }
+
+    /// A named way to damage the bytes of a file.
+    type Corruption = (&'static str, fn(&mut Vec<u8>));
+
+    #[test]
+    fn corrupt_spill_files_poison_the_store_without_panicking() {
+        let corruptions: [Corruption; 5] = [
+            ("flip a payload byte", |b| {
+                let mid = b.len() / 2;
+                b[mid] ^= 0x01;
+            }),
+            ("flip a length byte", |b| b[0] ^= 0x01),
+            ("truncate", |b| b.truncate(b.len() - 3)),
+            ("truncate into the header", |b| b.truncate(FRAME_HEADER - 1)),
+            ("extend", |b| b.extend_from_slice(&[0; 5])),
+        ];
+        for (what, corrupt) in corruptions {
+            // Over the budget at once, so the block lives only on disk.
+            let s = store(Some(100));
+            let id = s.put(vec![7u64; 1000]);
+            let file = s.file_for(id);
+            let mut bytes = std::fs::read(&file).unwrap();
+            corrupt(&mut bytes);
+            std::fs::write(&file, &bytes).unwrap();
+            assert!(s.get::<u64>(id).is_empty(), "{what}");
+            assert!(
+                matches!(
+                    s.take_poison(),
+                    Some(DataflowError::Spill {
+                        op: "verify spill file",
+                        ..
+                    })
+                ),
+                "{what}"
+            );
+            s.cleanup();
+        }
+    }
+
+    #[test]
+    fn disk_only_blocks_are_verified_too() {
+        let s = store(None);
+        let id = s.put_disk(&[3u32; 100]);
+        let file = s.file_for(id);
+        let mut bytes = std::fs::read(&file).unwrap();
+        assert_eq!(
+            bytes.len(),
+            FRAME_HEADER + encode_records(&[3u32; 100]).len()
+        );
+        bytes.truncate(bytes.len() / 2);
+        std::fs::write(&file, &bytes).unwrap();
+        assert!(s.get::<u32>(id).is_empty());
+        assert!(s.is_poisoned());
         s.cleanup();
     }
 
