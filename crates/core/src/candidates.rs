@@ -3,20 +3,20 @@
 //! inverted-index fast pruning of §4.2.
 //!
 //! [`SampleIndex`] answers "what are the `|s|` LCAs of this tuple" two
-//! ways. The posting-list probes ([`SampleIndex::lcas_into_cols`],
-//! [`SampleIndex::packed_lcas_into_cols`]) materialize the LCAs — as
-//! `d`-wide slices or packed codes — with one map lookup per attribute.
-//! [`SampleIndex::match_masks_into_cols`] stops one step earlier: it
+//! ways, one per pipeline. The staged pipeline's probe,
+//! [`SampleIndex::lcas_into`], writes the LCAs out as `d`-wide slices with
+//! one posting-list lookup per attribute. The sweep's one probe,
+//! [`SampleIndex::match_masks_into_cols`], stops a step earlier: it
 //! reports only *which* dimensions of each sample row the tuple matches, a
 //! `d`-bit mask per sample row computed by a branch-free compare against
-//! the transposed sample. That mask already identifies the LCA (the
-//! constants are the sample row's own values on the set bits), which is
-//! what lets the sweep's slot-table combine address accumulators by
-//! `(sample row, mask)` without building or hashing a code per pair.
+//! the transposed sample. That mask already names the LCA (the constants
+//! are the sample row's own values on the set bits), so every sweep sink
+//! keys its accumulator from `(sample row, mask)` — the slot table without
+//! building or hashing a code per pair.
 
 use crate::cancel::CancellationToken;
 use crate::lattice::ancestors;
-use crate::rule::{PackedCode, PackedMasks, Rule, WILDCARD};
+use crate::rule::{Rule, WILDCARD};
 use crate::sweep::CANCEL_POLL_ROWS;
 use sirum_dataflow::hash::FxHashMap;
 use sirum_table::Table;
@@ -62,9 +62,7 @@ pub fn exhaustive_candidates(
         let base = Rule::from_tuple(row);
         for anc in ancestors(&base) {
             let agg = out.entry(anc).or_insert((0.0, 0.0, 0));
-            agg.0 += table.measure(i);
-            agg.1 += mhat[i];
-            agg.2 += 1;
+            merge_agg(agg, (table.measure(i), mhat[i], 1));
         }
     }
     Some(out)
@@ -91,11 +89,8 @@ pub fn lca_aggregates(
             return None;
         }
         for s in sample {
-            let lca = Rule::lca(s, row);
-            let agg = out.entry(lca).or_insert((0.0, 0.0, 0));
-            agg.0 += measures[i];
-            agg.1 += mhat[i];
-            agg.2 += 1;
+            let agg = out.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
+            merge_agg(agg, (measures[i], mhat[i], 1));
         }
     }
     Some(out)
@@ -220,71 +215,18 @@ impl SampleIndex {
         scratch
     }
 
-    /// As [`Self::lcas_into`], but reading the tuple's attribute values
-    /// straight out of columnar storage (`cols[j][row]`) instead of a
-    /// gathered row slice — the zero-copy data path's probe. Produces
-    /// byte-identical scratch content to `lcas_into` over the gathered row.
-    pub fn lcas_into_cols<'a>(
-        &self,
-        cols: &[&[u32]],
-        row: usize,
-        scratch: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        debug_assert_eq!(cols.len(), self.d);
-        scratch.clear();
-        scratch.resize(self.rows.len() * self.d, WILDCARD);
-        for (col, values) in cols.iter().enumerate() {
-            let v = values[row];
-            if let Some(hits) = self.cols[col].get(&v) {
-                for &r in hits {
-                    scratch[r as usize * self.d + col] = v;
-                }
-            }
-        }
-        scratch
-    }
-
-    /// As [`Self::lcas_into_cols`], but producing *packed* LCA codes:
-    /// every LCA starts as the all-wildcards code and the matching sample
-    /// rows get their field overwritten in place — one shift-or per
-    /// posting-list hit, no `d`-wide slices anywhere. Entry `j` of the
-    /// result packs exactly the values `lcas_into` writes for sample row
-    /// `j`.
-    pub fn packed_lcas_into_cols<'a, C: PackedCode>(
-        &self,
-        masks: &PackedMasks<C>,
-        cols: &[&[u32]],
-        row: usize,
-        scratch: &'a mut Vec<C>,
-    ) -> &'a [C] {
-        debug_assert_eq!(cols.len(), self.d);
-        debug_assert_eq!(masks.num_dims(), self.d);
-        scratch.clear();
-        scratch.resize(self.rows.len(), masks.all_wild());
-        for (col, values) in cols.iter().enumerate() {
-            let v = values[row];
-            if let Some(hits) = self.cols[col].get(&v) {
-                for &r in hits {
-                    let slot = &mut scratch[r as usize];
-                    *slot = masks.with_constant(*slot, col, v);
-                }
-            }
-        }
-        scratch
-    }
-
     /// The match mask of every sample row against one data tuple, read
-    /// straight out of columnar storage like [`Self::lcas_into_cols`]: bit
-    /// `col` of entry `j` is set iff sample row `j` carries the tuple's
-    /// value on dimension `col`. `lca(s_j, t)` is then `s_j` restricted to
-    /// the set bits (wildcards elsewhere) — the same LCA the posting-list
-    /// probes materialize, without materializing it.
+    /// straight out of columnar storage (`cols[col][row]`): bit `col` of
+    /// entry `j` is set iff sample row `j` carries the tuple's value on
+    /// dimension `col`. `lca(s_j, t)` is then `s_j` restricted to the set
+    /// bits (wildcards elsewhere) — the LCA [`Self::lcas_into`] writes out,
+    /// named without being written.
     ///
     /// Each dimension is one `|s|`-wide compare against a contiguous run
     /// of the transposed sample, branch-free so the compiler vectorises
     /// it. Masks are `u32`s: a dimension past the 32nd has no bit to
     /// report in, so callers must not rely on this probe beyond 32
-    /// dimensions (the sweep takes it only up to
+    /// dimensions (a sweep refuses more than
     /// [`crate::lattice::MAX_EXPAND_BITS`] = 24).
     pub fn match_masks_into_cols<'a>(
         &self,
@@ -541,47 +483,6 @@ mod tests {
                 let via_index = &fast[j * 3..(j + 1) * 3];
                 assert_eq!(naive.values(), via_index);
             }
-        }
-    }
-
-    #[test]
-    fn columnar_lcas_match_row_lcas() {
-        let t = flights();
-        let sample = sample_rows(&t, &[3, 8, 11]);
-        let index = SampleIndex::build(sample, 3);
-        let frame = sirum_table::Frame::from_table(&t);
-        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for (i, row) in t.rows().enumerate() {
-            let via_row = index.lcas_into(row, &mut a).to_vec();
-            let via_cols = index.lcas_into_cols(&cols, i, &mut b);
-            assert_eq!(via_row, via_cols, "row {i}");
-        }
-    }
-
-    #[test]
-    fn packed_lcas_match_unpacked_lcas() {
-        use crate::rule::RuleLayout;
-        let t = flights();
-        let sample = sample_rows(&t, &[3, 8, 11]);
-        let index = SampleIndex::build(sample, 3);
-        let cards: Vec<u32> = t.cardinalities().iter().map(|&c| c as u32).collect();
-        let layout = RuleLayout::from_cardinalities(&cards);
-        let masks = layout.masks::<u64>();
-        let frame = sirum_table::Frame::from_table(&t);
-        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
-        let (mut plain, mut packed_cols) = (Vec::new(), Vec::new());
-        for (i, row) in t.rows().enumerate() {
-            let want: Vec<u64> = index
-                .lcas_into(row, &mut plain)
-                .chunks_exact(3)
-                .map(|lca| layout.pack(lca))
-                .collect();
-            assert_eq!(
-                index.packed_lcas_into_cols(&masks, &cols, i, &mut packed_cols),
-                want,
-                "row {i}"
-            );
         }
     }
 

@@ -19,8 +19,9 @@
 //! 1. **Combine** — partition-parallel on the [`sirum_dataflow::Engine`]
 //!    thread pool ([`Dataset::aggregate_partitions`]): each data partition
 //!    folds its `(sample tuple, data tuple)` LCAs into a local
-//!    `LCA → (Σm, Σm̂, pairs)` map; the maps are merged in partition order
-//!    into the globally distinct LCA frontier;
+//!    `LCA → (Σm, Σm̂, pairs)` map (one scan, three sinks — below); the
+//!    maps are merged in partition order into the globally distinct LCA
+//!    frontier;
 //! 2. **Expand** — on the driver: one sparse sum-over-subsets (zeta)
 //!    transform pushes the canonically sorted frontier's sums up the cube
 //!    lattice a dimension at a time — §4.3's multi-stage ancestor
@@ -71,35 +72,36 @@
 //! the plan was built from: nothing is served from such a scan —
 //! everything is rescanned and the plan rebuilt.
 //!
-//! ## Packed rule codes
+//! ## One scan, three sinks
 //!
-//! On the hot path rules are interned as dense integer codes
-//! ([`crate::rule::RuleLayout`]): each dimension gets a bit-field sized by
-//! its dictionary cardinality (wildcard = the reserved all-ones slot), so
-//! an LCA key is one `u64`/`u128` instead of a `&[u32]` slice — the
-//! combine probe becomes an integer hash plus an integer compare, and
-//! widening a dimension is one OR instead of a slice rewrite. When the
-//! summed widths exceed 128 bits the sweep runs on `Rule`-keyed maps
-//! instead — the only path for such layouts; [`SweepOptions`] picks the
-//! key type. Each packed combine partition also chooses **how** to
-//! aggregate, from its own shape
-//! ([`CombineStrategy::for_partition`], the one home of the rule):
+//! Stage 1 is one scan driver, `combine`, over one per-row probe:
+//! [`SampleIndex::match_masks_into_cols`] gives, per sample row `s_j`, the
+//! mask of dimensions the tuple matches, and `lca(s_j, t)` is `s_j`'s
+//! values on the set bits. The driver owns the morsel loop, the
+//! cancellation ticks, the shared-estimate test above and the all-wild
+//! LCA (`mask == 0`), which it adds in a register. Every other pair goes
+//! to a *sink* that turns `(j, mask)` — or, under the full cube, the tuple
+//! itself — into an accumulator:
 //!
-//! - **slot table** — a sample-indexed partition with `2^d ≤ rows` whose
-//!   `|s| · 2^d`-entry table a `u32` slot id can span. `lca(s_j, t)` is
-//!   determined by which dimensions of sample row `s_j` the tuple matches,
-//!   so each `(row, sample)` pair is folded into the accumulator named by
-//!   `slot_of[(j << d) | match mask]`: two table lookups, no code built
-//!   and nothing hashed after a `(j, mask)`'s first touch
-//!   ([`SampleIndex::match_masks_into_cols`] computes the masks);
-//! - **hash-probe** — everything else (the full cube, `2^d > rows`):
-//!   probe-or-insert into the hash map as the posting-list probe emits
-//!   packed codes.
+//! - **slot table** — `slot_of[(j << d) | mask]` names the accumulator.
+//!   Only a `(j, mask)`'s first touch reads `s_j`, builds the packed code
+//!   and finds-or-creates the code's slot, so sample rows that agree on
+//!   the mask's dimensions share one. A hit touches nothing but `slot_of`
+//!   and its slot;
+//! - **hash-probe** — the packed code is built from the mask's set bits
+//!   (or the whole tuple) and probed-or-inserted into a hash map;
+//! - **`Rule` keys** — the LCA is spelled into a `d`-wide buffer and
+//!   probed by slice: the only path for layouts over 128 bits.
 //!
-//! The two are bit-identical by construction: emission order is row-major,
-//! then sample order, and each distinct code's emissions reach exactly
-//! one accumulator — a map entry or one slot — in that order, so its
-//! float sums add in the same sequence.
+//! Packed codes ([`crate::rule::RuleLayout`]) give each dimension a
+//! bit-field sized by its dictionary cardinality, the all-ones value being
+//! the wildcard, so an LCA key is one `u64`/`u128`. [`SweepOptions`] picks
+//! the key type; on packed codes [`CombineStrategy::for_partition`] picks
+//! slot table or hash-probe from each partition's shape. The sinks are
+//! bit-identical by construction: the driver hands each the same pairs in
+//! the same order — row-major, then sample order — and each distinct LCA's
+//! pairs reach exactly one accumulator, which stores the first and adds
+//! the rest, so its float sums add in one sequence.
 //!
 //! Determinism argument (see DESIGN.md "Partition-parallel gain sweep"
 //! and "Packed rule codes" for the full version):
@@ -133,7 +135,8 @@
 //!
 //! Cancellation is polled at every combine partition's boundary, where
 //! stage 2 starts, and every [`CANCEL_POLL_ROWS`] **work units** inside
-//! both — one LCA fold (or scanned or passed-over row) in a combine task,
+//! both — one pair (or, under the full cube or passed over, one row) in a
+//! combine task,
 //! one link recorded or folded (or one candidate's multiplicity counted)
 //! in stage 2 — so the latency to observe a cancellation is bounded even
 //! across stretches that emit nothing. A cancelled sweep returns an empty
@@ -143,22 +146,18 @@
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
-use crate::candidates::SampleIndex;
+use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::lattice::MAX_EXPAND_BITS;
-use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout};
+use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
 use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
 use sirum_dataflow::{Dataset, StageRecord, TaskRecord};
 use std::time::Instant;
 
-/// Per-candidate aggregate carried by the sweep: `(Σm, Σm̂, pair count)` —
-/// the same triple the legacy shuffle pipeline reduces by key.
-type Agg = (f64, f64, u64);
-
-/// How many units of work — LCA folds or scanned rows in a combine task,
-/// links recorded or folded in stage 2 — pass between cancellation polls
-/// (in addition to the poll at every stage and partition boundary).
-/// Counting *folds* rather than emitted pairs bounds the poll latency even
-/// through long stretches that emit nothing new.
+/// How many units of work — pairs (or rows, under the full cube or passed
+/// over) in a combine task, links recorded or folded in stage 2 — pass
+/// between cancellation polls (in addition to the poll at every stage and
+/// partition boundary). Counting work rather than new candidates bounds the
+/// poll latency even through long stretches that find none.
 pub const CANCEL_POLL_ROWS: usize = 4096;
 
 /// How a packed sweep partition folds its `(sample tuple, data tuple)` LCA
@@ -173,7 +172,9 @@ pub enum CombineStrategy {
     /// `|s| · 2^d`-entry slot table — no code is built and nothing is
     /// hashed after a `(j, mask)`'s first touch.
     SlotTable,
-    /// Probe-or-insert into an `FxHashMap<code, agg>` as codes are emitted.
+    /// Build each pair's packed code from its match mask (or the tuple's,
+    /// under the full cube) and probe-or-insert it into an
+    /// `FxHashMap<code, agg>`.
     HashProbe,
 }
 
@@ -302,28 +303,15 @@ fn is_cancelled(cancel: Option<&CancellationToken>) -> bool {
 /// What one combine task is told besides its partition's rows and keys.
 #[derive(Clone, Copy, Default)]
 struct CombineArgs<'a> {
+    /// The sample the pairs are formed with; `None` folds every tuple
+    /// itself (the full cube).
+    index: Option<&'a SampleIndex>,
     cancel: Option<&'a CancellationToken>,
     force: Option<CombineStrategy>,
     /// `m̂.to_bits()` of the rows to pass over — one tick each, no probe, no
     /// fold; the driver accounts for them in closed form
     /// ([`ExpandPlan::closed_form`]). `None` scans every row.
     skip: Option<u64>,
-}
-
-impl CombineArgs<'_> {
-    /// How many of `blocks`' rows a scan folds: all of them, or those whose
-    /// estimate is not the skipped one — the accumulators' capacity hint.
-    fn scanned_rows(&self, blocks: &[TupleBlock]) -> usize {
-        let folded = |block: &TupleBlock| match self.skip {
-            None => block.len(),
-            Some(bits) => block
-                .mhat()
-                .iter()
-                .filter(|mh| mh.to_bits() != bits)
-                .count(),
-        };
-        blocks.iter().map(folded).sum()
-    }
 }
 
 /// One combine partition's fold state, generic over the accumulator key
@@ -340,17 +328,6 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
     fn new() -> Self {
         PartitionSweep {
             map: FxHashMap::default(),
-            work: 0,
-            cancelled: false,
-        }
-    }
-
-    /// Pre-sized accumulator: rehashing a tens-of-thousands-entry map
-    /// several times while it grows costs a measurable slice of the hot
-    /// loop, so tasks seed their maps from a workload-derived hint.
-    fn with_capacity(capacity: usize) -> Self {
-        PartitionSweep {
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
             work: 0,
             cancelled: false,
         }
@@ -374,85 +351,76 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
         self.work += other.work;
         self.cancelled |= other.cancelled;
         for (key, agg) in other.map {
-            match self.map.get_mut(&key) {
-                Some(a) => {
-                    a.0 += agg.0;
-                    a.1 += agg.1;
-                    a.2 += agg.2;
-                }
-                None => {
-                    self.map.insert(key, agg);
-                }
-            }
-        }
-    }
-
-    /// Probe-or-insert one aggregate (the hash-probe inner fold).
-    #[inline]
-    fn fold_agg(&mut self, key: K, agg: Agg)
-    where
-        K: Copy,
-    {
-        match self.map.get_mut(&key) {
-            Some(a) => {
-                a.0 += agg.0;
-                a.1 += agg.1;
-                a.2 += agg.2;
-            }
-            None => {
-                self.map.insert(key, agg);
-            }
+            fold_into(&mut self.map, key, agg);
         }
     }
 }
 
+/// Probe-or-insert: the first aggregate a key meets is stored, not added
+/// to `0.0`, and later ones are added in arrival order.
+#[inline]
+fn fold_into<K: Eq + std::hash::Hash>(map: &mut FxHashMap<K, Agg>, key: K, agg: Agg) {
+    map.entry(key)
+        .and_modify(|a| merge_agg(a, agg))
+        .or_insert(agg);
+}
+
 // ---------------------------------------------------------------------------
-// Packed-code combine
+// Stage 1: one scan, three sinks
 // ---------------------------------------------------------------------------
 
-/// Stage 1, one partition, packed keys: combine every `(sample tuple, data
-/// tuple)` LCA (or the packed tuple itself when no index is given — the
-/// full-cube strategy) into a partition-local `code → (Σm, Σm̂, pairs)`
-/// map. This is the **single pass over the partitioned data**, a pure
-/// function of the partition's rows; the LCA probe reads attribute values
-/// directly from the shared columns.
-fn combine_packed<C: PackedCode>(
+/// Where [`combine`] folds the LCAs it meets: one accumulator per distinct
+/// LCA, keyed by `Key`. The scan hands over each `(sample row j, match
+/// mask)` pair with a non-zero mask — the LCA is sample row `j`'s values on
+/// the set bits, wildcards elsewhere — or, under the full cube, the tuple
+/// itself. The all-wild LCA (`mask == 0`) is the driver's and never
+/// reaches a sink.
+trait Sink {
+    type Key: Eq + std::hash::Hash;
+
+    /// Fold `agg` into `lca(s_j, t)`, named by its non-zero `mask`.
+    fn pair(&mut self, j: usize, mask: u32, agg: Agg);
+
+    /// Fold `agg` into the tuple at `li` of `cols` (the full cube).
+    fn row(&mut self, cols: &[&[u32]], li: usize, agg: Agg);
+
+    /// The key of the all-wildcards rule `(*, …, *)`.
+    fn all_wild(&self) -> Self::Key;
+
+    /// Every accumulator, by key.
+    fn into_map(self) -> FxHashMap<Self::Key, Agg>;
+}
+
+/// Stage 1, one partition: the **single pass over the partitioned data**,
+/// a pure function of the partition's rows. Every `(sample tuple, data
+/// tuple)` pair — or, without an index, every tuple — reaches `sink` in
+/// emission order: row-major, then sample order. One work unit is ticked
+/// per pair before its fold, or per row under the full cube or for a row
+/// passed over.
+///
+/// The one per-row probe is [`SampleIndex::match_masks_into_cols`]. A pair
+/// with no shared constants (`mask == 0`) yields the all-wild LCA, usually
+/// the most frequent by far; it touches no other key, so a register adds
+/// its contributions in the order a map entry would see them and no sink
+/// is asked.
+fn combine<S: Sink>(
     blocks: &[TupleBlock],
-    d: usize,
-    layout: &RuleLayout,
-    masks: &PackedMasks<C>,
-    index: Option<&SampleIndex>,
     args: CombineArgs<'_>,
-) -> PartitionSweep<C> {
-    let CombineArgs { cancel, skip, .. } = args;
-    let rows: usize = blocks.iter().map(TupleBlock::len).sum();
-    let sample_rows = index.map(SampleIndex::len);
-    let strategy = match args.force {
-        // A forced slot table must still exist: ask the rule with its
-        // amortisation clause waived.
-        Some(CombineStrategy::SlotTable) => {
-            CombineStrategy::for_partition(usize::MAX, d, sample_rows)
-        }
-        Some(forced) => forced,
-        None => CombineStrategy::for_partition(rows, d, sample_rows),
-    };
-    if let (CombineStrategy::SlotTable, Some(idx)) = (strategy, index) {
-        return combine_slot_table(blocks, d, masks, idx, args);
-    }
-    let mut acc = PartitionSweep::with_capacity(args.scanned_rows(blocks));
+    mut sink: S,
+) -> PartitionSweep<S::Key> {
+    let CombineArgs {
+        index,
+        cancel,
+        skip,
+        ..
+    } = args;
+    let mut acc = PartitionSweep::new();
     if is_cancelled(cancel) {
         acc.cancelled = true;
         return acc;
     }
-    let mut scratch: Vec<C> = Vec::new();
-    let mut row_buf = Vec::with_capacity(d);
-    // All-wild fast path: a (sample, data) pair with no shared constants
-    // yields the `(*, …, *)` LCA — usually the most frequent code by far.
-    // Its contributions touch no other key, so a register accumulator adds
-    // them in exactly the emission order the map entry would have seen
-    // (bit-identical), skipping one hash probe per such pair.
-    let aw = masks.all_wild();
     let mut wild: Agg = (0.0, 0.0, 0);
+    let mut pair_masks: Vec<u32> = Vec::new();
     let mut dim_scratch = sirum_table::ColScratch::new();
     for block in blocks {
         let (m_col, mhat_col) = (block.m(), block.mhat());
@@ -464,226 +432,255 @@ fn combine_packed<C: PackedCode>(
         for (ms, ml) in dims.morsel_bounds() {
             let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
             for li in 0..ml {
-                let i = ms + li;
-                if skip == Some(mhat_col[i].to_bits()) {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    continue;
-                }
+                let agg = (m_col[ms + li], mhat_col[ms + li], 1);
+                let passed_over = skip == Some(agg.1.to_bits());
                 match index {
-                    Some(idx) => {
-                        for &code in idx.packed_lcas_into_cols(masks, &cols, li, &mut scratch) {
+                    Some(idx) if !passed_over => {
+                        let row_masks = idx.match_masks_into_cols(&cols, li, &mut pair_masks);
+                        for (j, &mask) in row_masks.iter().enumerate() {
                             if acc.tick(cancel) {
                                 return acc;
                             }
-                            if code == aw {
-                                wild.0 += m_col[i];
-                                wild.1 += mhat_col[i];
-                                wild.2 += 1;
+                            if mask == 0 {
+                                merge_agg(&mut wild, agg);
                             } else {
-                                acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
+                                sink.pair(j, mask, agg);
                             }
                         }
                     }
-                    None => {
+                    _ => {
                         if acc.tick(cancel) {
                             return acc;
                         }
-                        row_buf.clear();
-                        row_buf.extend(cols.iter().map(|c| c[li]));
-                        let code: C = layout.pack(&row_buf);
-                        acc.fold_agg(code, (m_col[i], mhat_col[i], 1));
+                        if !passed_over {
+                            sink.row(&cols, li, agg);
+                        }
                     }
                 }
             }
         }
     }
+    let all_wild = sink.all_wild();
+    acc.map = sink.into_map();
+    // No sink ever holds the all-wild key, so this insert never collides.
     if wild.2 > 0 {
-        acc.fold_agg(aw, wild);
+        acc.map.insert(all_wild, wild);
     }
     acc
 }
 
-/// [`combine_packed`] for a sample-indexed partition on
-/// [`CombineStrategy::SlotTable`]: the same scan, the same pair order and
-/// the same tick positions, but no code is built and nothing is hashed
-/// per pair. `lca(s_j, t)` is determined by which dimensions of `s_j` the
-/// tuple matches, so pair `(j, mask)` is folded into
-/// `slots[slot_of[(j << d) | mask]]` — one `u32` load and three adds.
+/// The packed LCA of `sample` with a tuple that matches it on `mask`'s
+/// dimensions: `sample`'s values on the set bits, wildcards elsewhere.
+#[inline]
+fn lca_code<C: PackedCode>(masks: &PackedMasks<C>, sample: &[u32], mask: u32) -> C {
+    let mut code = masks.all_wild();
+    let mut bits = mask;
+    while bits != 0 {
+        let col = bits.trailing_zeros() as usize;
+        code = masks.with_constant(code, col, sample[col]);
+        bits &= bits - 1;
+    }
+    code
+}
+
+/// [`CombineStrategy::SlotTable`]: pair `(j, mask)` folds into
+/// `slots[slot_of[(j << d) | mask]]` — one `u32` load and three adds, no
+/// code built and nothing hashed.
 ///
 /// `slot_of` is filled lazily. Only the **first** touch of a `(j, mask)`
-/// builds its packed code (the sample row's values on the mask's set
-/// bits) and finds-or-creates the code's slot through `slot_by_code`, so
-/// two sample rows that agree on the mask's dimensions share one slot:
-/// each distinct code has exactly one accumulator, which receives its
-/// contributions in emission order (row-major, then sample order) with
-/// the first one stored rather than added to `0.0` — the float sequence
-/// of a probe-or-insert map entry, hence bit-identical sums. `mask == 0`
-/// is the all-wild LCA and keeps [`combine_packed`]'s register
-/// accumulator.
-fn combine_slot_table<C: PackedCode>(
-    blocks: &[TupleBlock],
+/// reads sample row `j`, builds the packed code and finds-or-creates the
+/// code's slot through `slot_by_code`, so two sample rows that agree on the
+/// mask's dimensions share one slot: each distinct code has exactly one
+/// accumulator, which stores its first contribution and adds the rest in
+/// emission order — the float sequence of a probe-or-insert map entry.
+struct SlotSink<'a, C> {
+    masks: &'a PackedMasks<C>,
+    sample: &'a [Box<[u32]>],
     d: usize,
+    /// 0 = not yet touched, otherwise the slot's index + 1 (which fits:
+    /// slots never outnumber the table's `|s| · 2^d` entries, which
+    /// [`CombineStrategy::for_partition`] keeps within `u32::MAX`).
+    slot_of: Vec<u32>,
+    slots: Vec<(C, Agg)>,
+    slot_by_code: FxHashMap<C, u32>,
+}
+
+impl<C: PackedCode> Sink for SlotSink<'_, C> {
+    type Key = C;
+
+    #[inline]
+    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
+        let at = (j << self.d) | mask as usize;
+        match self.slot_of[at] {
+            0 => self.first_touch(at, j, mask, agg),
+            slot => merge_agg(&mut self.slots[slot as usize - 1].1, agg),
+        }
+    }
+
+    fn row(&mut self, _: &[&[u32]], _: usize, _: Agg) {
+        unreachable!("CombineStrategy::for_partition names no slot table without a sample index")
+    }
+
+    fn all_wild(&self) -> C {
+        self.masks.all_wild()
+    }
+
+    fn into_map(self) -> FxHashMap<C, Agg> {
+        // One slot per distinct code, so nothing collides; room for the
+        // all-wild entry the driver adds.
+        let mut map = FxHashMap::with_capacity_and_hasher(self.slots.len() + 1, Default::default());
+        map.extend(self.slots);
+        map
+    }
+}
+
+impl<C: PackedCode> SlotSink<'_, C> {
+    /// Table entry `at = (j, mask)`'s first pair: name its slot.
+    #[cold]
+    fn first_touch(&mut self, at: usize, j: usize, mask: u32, agg: Agg) {
+        let code = lca_code(self.masks, &self.sample[j], mask);
+        let fresh = self.slots.len() as u32 + 1;
+        let slot = *self.slot_by_code.entry(code).or_insert(fresh);
+        self.slot_of[at] = slot;
+        if slot == fresh {
+            self.slots.push((code, agg));
+        } else {
+            merge_agg(&mut self.slots[slot as usize - 1].1, agg);
+        }
+    }
+}
+
+/// [`CombineStrategy::HashProbe`]: each LCA's packed code — the sample
+/// row's values on the mask's set bits, or the whole tuple under the full
+/// cube — is probed-or-inserted into a hash map.
+struct ProbeSink<'a, C> {
+    masks: &'a PackedMasks<C>,
+    sample: &'a [Box<[u32]>],
+    map: FxHashMap<C, Agg>,
+}
+
+impl<C: PackedCode> Sink for ProbeSink<'_, C> {
+    type Key = C;
+
+    #[inline]
+    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
+        let code = lca_code(self.masks, &self.sample[j], mask);
+        fold_into(&mut self.map, code, agg);
+    }
+
+    #[inline]
+    fn row(&mut self, cols: &[&[u32]], li: usize, agg: Agg) {
+        let code = (cols.iter().enumerate()).fold(self.masks.all_wild(), |code, (col, values)| {
+            self.masks.with_constant(code, col, values[li])
+        });
+        fold_into(&mut self.map, code, agg);
+    }
+
+    fn all_wild(&self) -> C {
+        self.masks.all_wild()
+    }
+
+    fn into_map(self) -> FxHashMap<C, Agg> {
+        self.map
+    }
+}
+
+/// `Rule` keys, the only path for layouts over 128 bits: each LCA is
+/// spelled into a reusable `d`-wide buffer and probed by slice (see
+/// `Borrow<[u32]> for Rule`), so a hit allocates nothing and the map holds
+/// one `Rule` per distinct LCA.
+struct RuleSink<'a> {
+    sample: &'a [Box<[u32]>],
+    key: Vec<u32>,
+    map: FxHashMap<Rule, Agg>,
+}
+
+impl RuleSink<'_> {
+    #[inline]
+    fn fold(&mut self, agg: Agg) {
+        match self.map.get_mut(self.key.as_slice()) {
+            Some(a) => merge_agg(a, agg),
+            None => {
+                self.map.insert(Rule::from_tuple(&self.key), agg);
+            }
+        }
+    }
+}
+
+impl Sink for RuleSink<'_> {
+    type Key = Rule;
+
+    #[inline]
+    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
+        let sample = &self.sample[j];
+        for (col, k) in self.key.iter_mut().enumerate() {
+            *k = if mask >> col & 1 == 1 {
+                sample[col]
+            } else {
+                WILDCARD
+            };
+        }
+        self.fold(agg);
+    }
+
+    #[inline]
+    fn row(&mut self, cols: &[&[u32]], li: usize, agg: Agg) {
+        for (k, values) in self.key.iter_mut().zip(cols) {
+            *k = values[li];
+        }
+        self.fold(agg);
+    }
+
+    fn all_wild(&self) -> Rule {
+        Rule::all_wildcards(self.key.len())
+    }
+
+    fn into_map(self) -> FxHashMap<Rule, Agg> {
+        self.map
+    }
+}
+
+/// [`combine`] on packed codes into the sink of the [`CombineStrategy`]
+/// the partition's shape picks — or `args.force`, where a table can exist.
+fn combine_packed<C: PackedCode>(
+    blocks: &[TupleBlock],
     masks: &PackedMasks<C>,
-    idx: &SampleIndex,
     args: CombineArgs<'_>,
 ) -> PartitionSweep<C> {
-    let CombineArgs { cancel, skip, .. } = args;
-    let mut acc = PartitionSweep::new();
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
-    }
-    // 0 = not yet touched, otherwise the slot's index + 1 (which fits:
-    // slots never outnumber the table's `|s| · 2^d` entries, which
-    // `CombineStrategy::for_partition` keeps within `u32::MAX`).
-    let mut slot_of: Vec<u32> = vec![0; idx.len() << d];
-    let mut slots: Vec<(C, Agg)> = Vec::new();
-    let mut slot_by_code: FxHashMap<C, u32> = FxHashMap::default();
-    let aw = masks.all_wild();
-    let mut wild: Agg = (0.0, 0.0, 0);
-    let mut pair_masks: Vec<u32> = Vec::new();
-    let mut dim_scratch = sirum_table::ColScratch::new();
-    for block in blocks {
-        let (m_col, mhat_col) = (block.m(), block.mhat());
-        let dims = block.dims();
-        for (ms, ml) in dims.morsel_bounds() {
-            let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
-            for li in 0..ml {
-                let (m, mh) = (m_col[ms + li], mhat_col[ms + li]);
-                if skip == Some(mh.to_bits()) {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    continue;
-                }
-                let row_masks = idx.match_masks_into_cols(&cols, li, &mut pair_masks);
-                for (j, &mask) in row_masks.iter().enumerate() {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    if mask == 0 {
-                        wild.0 += m;
-                        wild.1 += mh;
-                        wild.2 += 1;
-                        continue;
-                    }
-                    let at = (j << d) | mask as usize;
-                    if slot_of[at] == 0 {
-                        let sample_row = &idx.rows()[j];
-                        let mut code = aw;
-                        let mut bits = mask;
-                        while bits != 0 {
-                            let col = bits.trailing_zeros() as usize;
-                            code = masks.with_constant(code, col, sample_row[col]);
-                            bits &= bits - 1;
-                        }
-                        let fresh = slots.len() as u32 + 1;
-                        let slot = *slot_by_code.entry(code).or_insert(fresh);
-                        slot_of[at] = slot;
-                        if slot == fresh {
-                            slots.push((code, (m, mh, 1)));
-                            continue;
-                        }
-                    }
-                    let agg = &mut slots[slot_of[at] as usize - 1].1;
-                    agg.0 += m;
-                    agg.1 += mh;
-                    agg.2 += 1;
-                }
-            }
+    let d = masks.num_dims();
+    let rows: usize = blocks.iter().map(TupleBlock::len).sum();
+    let sample_rows = args.index.map(SampleIndex::len);
+    let strategy = match args.force {
+        // A forced slot table must still exist: ask the rule with its
+        // amortisation clause waived.
+        Some(CombineStrategy::SlotTable) => {
+            CombineStrategy::for_partition(usize::MAX, d, sample_rows)
+        }
+        Some(forced) => forced,
+        None => CombineStrategy::for_partition(rows, d, sample_rows),
+    };
+    let sample: &[Box<[u32]>] = args.index.map_or(&[], SampleIndex::rows);
+    match strategy {
+        CombineStrategy::SlotTable => {
+            let sink = SlotSink {
+                masks,
+                sample,
+                d,
+                slot_of: vec![0; sample.len() << d],
+                slots: Vec::new(),
+                slot_by_code: FxHashMap::default(),
+            };
+            combine(blocks, args, sink)
+        }
+        CombineStrategy::HashProbe => {
+            let sink = ProbeSink {
+                masks,
+                sample,
+                map: FxHashMap::default(),
+            };
+            combine(blocks, args, sink)
         }
     }
-    // One slot per distinct code (none of them all-wild), so these
-    // inserts never collide.
-    acc.map.reserve(slots.len() + 1);
-    acc.map.extend(slots);
-    if wild.2 > 0 {
-        acc.map.insert(aw, wild);
-    }
-    acc
-}
-
-// ---------------------------------------------------------------------------
-// Rule-keyed combine (layouts over 128 bits)
-// ---------------------------------------------------------------------------
-
-/// Fold one data row's LCA contributions into the partition map. Probing
-/// with a borrowed `&[u32]` LCA key (see `Borrow<[u32]> for Rule`) keeps
-/// the hot loop allocation-free on hits and lets the map stay keyed by
-/// *rules*, which stays small — one entry per distinct LCA, not per
-/// (sample row, LCA) pair.
-#[inline]
-fn fold_lca(map: &mut FxHashMap<Rule, Agg>, key: &[u32], agg: Agg) {
-    match map.get_mut(key) {
-        Some(a) => {
-            a.0 += agg.0;
-            a.1 += agg.1;
-            a.2 += agg.2;
-        }
-        None => {
-            map.insert(Rule::from_tuple(key), agg);
-        }
-    }
-}
-
-/// [`combine_packed`], `Rule`-keyed: the same scan, fold order, accumulator
-/// capacity and cancellation poll points. A row-shaped key is materialized
-/// into a reusable scratch buffer only where a contiguous row is
-/// unavoidable (the full-cube fold); the sample-index probe reads
-/// attribute values straight from the morsel columns.
-fn combine_rulekey(
-    blocks: &[TupleBlock],
-    d: usize,
-    index: Option<&SampleIndex>,
-    args: CombineArgs<'_>,
-) -> PartitionSweep<Rule> {
-    let CombineArgs { cancel, skip, .. } = args;
-    let mut acc = PartitionSweep::with_capacity(args.scanned_rows(blocks));
-    if is_cancelled(cancel) {
-        acc.cancelled = true;
-        return acc;
-    }
-    let mut scratch = Vec::new();
-    let mut row_buf = Vec::with_capacity(d);
-    let mut dim_scratch = sirum_table::ColScratch::new();
-    for block in blocks {
-        let (m_col, mhat_col) = (block.m(), block.mhat());
-        let dims = block.dims();
-        for (ms, ml) in dims.morsel_bounds() {
-            let cols = dims.morsel_cols(ms, ml, &mut dim_scratch);
-            for li in 0..ml {
-                let i = ms + li;
-                if skip == Some(mhat_col[i].to_bits()) {
-                    if acc.tick(cancel) {
-                        return acc;
-                    }
-                    continue;
-                }
-                match index {
-                    Some(idx) => {
-                        let chunks = idx.lcas_into_cols(&cols, li, &mut scratch);
-                        for chunk in chunks.chunks_exact(d) {
-                            if acc.tick(cancel) {
-                                return acc;
-                            }
-                            fold_lca(&mut acc.map, chunk, (m_col[i], mhat_col[i], 1));
-                        }
-                    }
-                    None => {
-                        if acc.tick(cancel) {
-                            return acc;
-                        }
-                        row_buf.clear();
-                        row_buf.extend(cols.iter().map(|c| c[li]));
-                        fold_lca(&mut acc.map, &row_buf, (m_col[i], mhat_col[i], 1));
-                    }
-                }
-            }
-        }
-    }
-    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -828,15 +825,10 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
         widen: impl Fn(&K, usize) -> K,
         to_rule: impl Fn(&K) -> Rule,
     ) -> Option<Self> {
-        let mut pairs_emitted = 0u64;
-        for (key, _) in frontier {
-            let w = (0..cx.d).filter(|&j| !is_wild(key, j)).count();
-            // Unreachable through the miner, which rejects tables with more
-            // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
-            // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
-            assert!(w <= MAX_EXPAND_BITS, "refusing to expand 2^{w} ancestors");
-            pairs_emitted += 1 << w;
-        }
+        // `w ≤ d ≤ MAX_EXPAND_BITS` ([`SweepState::new`]).
+        let pairs_emitted = (frontier.iter())
+            .map(|(key, _)| 1u64 << (0..cx.d).filter(|&j| !is_wild(key, j)).count())
+            .sum();
         let mut keys: Vec<K> = Vec::with_capacity(frontier.len());
         // Sized as candidates typically outnumber the frontier: rehashing
         // on the way up costs a measurable slice of the build.
@@ -1080,7 +1072,7 @@ where
 fn sweep_packed<C: PackedCode>(
     cx: SweepCx<'_>,
     layout: &RuleLayout,
-    force: Option<CombineStrategy>,
+    args: CombineArgs<'_>,
     plan: &mut Option<ExpandPlan<C>>,
     pick: impl FnOnce(&[Agg]) -> Vec<usize>,
 ) -> SweepOutcome {
@@ -1089,14 +1081,7 @@ fn sweep_packed<C: PackedCode>(
         cx,
         plan,
         pick,
-        |blocks, skip| {
-            let args = CombineArgs {
-                cancel: cx.cancel,
-                force,
-                skip,
-            };
-            combine_packed(blocks, cx.d, layout, &masks, cx.index, args)
-        },
+        |blocks, skip| combine_packed(blocks, &masks, CombineArgs { skip, ..args }),
         |&code, j| masks.is_wild(code, j),
         |&code, j| masks.widen(code, j),
         |&code| layout.unpack(code),
@@ -1130,7 +1115,15 @@ pub struct SweepState<'a> {
 impl<'a> SweepState<'a> {
     /// `d` is the table's dimension count; `index` enables the sample-LCA
     /// strategy (`None` = full cube); `opts` picks the key type.
+    ///
+    /// # Panics
+    /// Panics if `d > MAX_EXPAND_BITS`: a match mask holds one bit per
+    /// dimension, and an LCA with `w` constants has `2^w` ancestors.
     pub fn new(d: usize, index: Option<&'a SampleIndex>, opts: &'a SweepOptions) -> Self {
+        // Unreachable through the miner, which rejects tables with more
+        // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
+        // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
+        assert!(d <= MAX_EXPAND_BITS, "refusing to sweep {d} dimensions");
         SweepState {
             d,
             index,
@@ -1185,7 +1178,7 @@ impl<'a> SweepState<'a> {
         cancel: Option<&CancellationToken>,
         pick: impl FnOnce(&[Agg]) -> Vec<usize>,
     ) -> SweepOutcome {
-        let (d, index, force) = (self.d, self.index, self.opts.combine);
+        let (d, index) = (self.d, self.index);
         let cx = SweepCx {
             data,
             d,
@@ -1193,20 +1186,26 @@ impl<'a> SweepState<'a> {
             cancel,
             shared: self.shared,
         };
+        let args = CombineArgs {
+            index,
+            cancel,
+            force: self.opts.combine,
+            skip: None,
+        };
         match (&self.opts.layout, self.opts.packed_bits()) {
-            (Some(layout), Some(64)) => sweep_packed(cx, layout, force, &mut self.plan64, pick),
-            (Some(layout), Some(_)) => sweep_packed(cx, layout, force, &mut self.plan128, pick),
+            (Some(layout), Some(64)) => sweep_packed(cx, layout, args, &mut self.plan64, pick),
+            (Some(layout), Some(_)) => sweep_packed(cx, layout, args, &mut self.plan128, pick),
             _ => run_sweep(
                 cx,
                 &mut self.plan_rule,
                 pick,
                 |blocks, skip| {
-                    let args = CombineArgs {
-                        cancel,
-                        force: None,
-                        skip,
+                    let sink = RuleSink {
+                        sample: index.map_or(&[], SampleIndex::rows),
+                        key: vec![WILDCARD; d],
+                        map: FxHashMap::default(),
                     };
-                    combine_rulekey(blocks, d, index, args)
+                    combine(blocks, CombineArgs { skip, ..args }, sink)
                 },
                 |rule, j| rule.is_wildcard(j),
                 |rule, j| rule.generalize(j),
@@ -1378,10 +1377,11 @@ mod tests {
         let block = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1);
         let combine = |strategy| {
             let args = CombineArgs {
+                index: Some(&index),
                 force: strategy,
                 ..CombineArgs::default()
             };
-            let acc = combine_packed(&block, 3, &layout, &masks, Some(&index), args);
+            let acc = combine_packed(&block, &masks, args);
             sorted_entries(acc.map)
                 .into_iter()
                 .map(|(code, (m, mh, n))| (code, m.to_bits(), mh.to_bits(), n))
@@ -1445,6 +1445,19 @@ mod tests {
         assert_eq!(CombineStrategy::for_partition(1 << 20, 3, None), HashProbe);
         // Empty partitions probe (and fold nothing).
         assert_eq!(indexed(0, 3), HashProbe);
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to sweep")]
+    fn a_state_wider_than_a_match_mask_is_refused() {
+        // A match mask holds MAX_EXPAND_BITS dimensions; past that an
+        // indexed scan would fold wrong LCAs, so no state is made at all.
+        let index = SampleIndex::build(
+            vec![vec![0; MAX_EXPAND_BITS + 1].into()],
+            MAX_EXPAND_BITS + 1,
+        );
+        let opts = SweepOptions::rule_keyed();
+        let _state = SweepState::new(MAX_EXPAND_BITS + 1, Some(&index), &opts);
     }
 
     #[test]
@@ -1681,8 +1694,11 @@ mod tests {
         let index = SampleIndex::build(sample, 4);
         let layout = RuleLayout::from_cardinalities(&[2, 3, 2, 5]);
         let masks = layout.masks::<u64>();
-        let args = CombineArgs::default();
-        let combined = combine_packed(&data.part(0), 4, &layout, &masks, Some(&index), args);
+        let args = CombineArgs {
+            index: Some(&index),
+            ..CombineArgs::default()
+        };
+        let combined = combine_packed(&data.part(0), &masks, args);
         let frontier = sorted_entries(combined.map);
         // Built without the index, the plan's columns are the raw pair-level
         // sums — the transform itself, before any multiplicity division.

@@ -1228,6 +1228,73 @@ fn corrupt_spill_files_fail_a_mine_with_a_typed_error() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn a_randomly_corrupted_spill_file_fails_typed_or_changes_nothing(
+        (rows, seed, compressed) in (800usize..2_000, any::<u64>(), any::<bool>()),
+        (eighths, iteration) in (1usize..4, 1usize..4),
+        (which, how, offset) in (any::<u64>(), 0u8..3, any::<u64>()),
+        noise in prop::collection::vec(any::<u8>(), 1..16),
+    ) {
+        // A random table mined under a budget of 1/8 to 3/8 of one
+        // generation, so most blocks live on disk. After a random
+        // iteration one random spill file gets one random corruption: a
+        // byte flipped, the file cut short, or bytes appended. The mine
+        // must end with a dataflow error, or — where the damaged bytes are
+        // never read, or are read and still verify — with the unbudgeted
+        // result; never with a panic or another rule set.
+        const PARTITIONS: usize = 4;
+        let table = sirum_table::generators::income_like(rows, seed);
+        let compression = if compressed { Compression::Always } else { Compression::Never };
+        let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
+        let generation: usize =
+            TupleBlock::seed_partitions(prepared.frame(), &prepared.m_prime_slice(), PARTITIONS)
+                .iter()
+                .map(Encode::size_estimate)
+                .sum();
+        let config = || SirumConfig {
+            k: 3,
+            strategy: CandidateStrategy::SampleLca { sample_size: 16 },
+            ..SirumConfig::default()
+        };
+        let reference = Miner::new(budget_engine(None, PARTITIONS, "sirum-random-spill-ref"), config())
+            .try_mine_prepared(&prepared, &[])
+            .unwrap();
+        let engine = budget_engine(Some(generation * eighths / 8), PARTITIONS, "sirum-random-spill");
+        let root = engine.config().spill_dir.clone();
+        let miner = Miner::new(engine, config()).with_observer(move |event| {
+            if event.iteration == iteration {
+                let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&root)
+                    .unwrap()
+                    .flat_map(|store| std::fs::read_dir(store.unwrap().path()).unwrap())
+                    .map(|file| file.unwrap().path())
+                    .collect();
+                files.sort();
+                assert!(!files.is_empty(), "nothing spilled under the budget");
+                let path = &files[(which % files.len() as u64) as usize];
+                let mut bytes = std::fs::read(path).unwrap();
+                let at = (offset % bytes.len().max(1) as u64) as usize;
+                match how {
+                    0 if !bytes.is_empty() => bytes[at] ^= noise[0] | 1,
+                    1 => bytes.truncate(at),
+                    _ => bytes.extend_from_slice(&noise),
+                }
+                std::fs::write(path, bytes).unwrap();
+            }
+            IterationDecision::Continue
+        });
+        let result = miner.try_mine_prepared(&prepared, &[]);
+        miner.engine().store().cleanup();
+        match result {
+            Err(sirum_core::SirumError::Dataflow(_)) => {}
+            Ok(budgeted) => prop_assert_eq!(result_bits(&budgeted), result_bits(&reference)),
+            Err(other) => panic!("expected a dataflow error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn spill_io_failure_under_pressure_is_a_typed_error() {
     // Break the store's spill directory after the engine comes up: the

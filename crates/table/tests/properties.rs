@@ -156,3 +156,63 @@ proptest! {
         prop_assert_eq!(buf, buf2);
     }
 }
+
+/// Pieces of CSV, well- and ill-formed, for the reader's totality property
+/// to splice: quotes open and doubled, every line ending, measures that do
+/// and do not parse, bytes that are not UTF-8.
+const CSV_FRAGMENTS: &[&[u8]] = &[
+    b"a",
+    b"m",
+    b"a,m",
+    b",",
+    b"\"",
+    b"\"\"",
+    b"\n",
+    b"\r\n",
+    b"\r",
+    b"1.5",
+    b"-0",
+    b"NaN",
+    b"inf",
+    b"1e999",
+    b"x",
+    b" ",
+    "東京".as_bytes(),
+    b"\xef\xbb\xbf",
+    b"\xff",
+    b"\xe6\x9d",
+];
+
+/// Read `bytes` through a `capacity`-byte buffer: whatever the bytes, the
+/// reader returns a table whose every code decodes, or a typed error.
+fn read_csv_is_total(bytes: &[u8], capacity: usize) {
+    if let Ok(table) = read_csv(std::io::BufReader::with_capacity(capacity, bytes)) {
+        assert!(table.num_dims() >= 1);
+        for i in 0..table.num_rows() {
+            for (col, &code) in table.row(i).iter().enumerate() {
+                table.decode(col, code);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn read_csv_is_total_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        capacity in 1usize..9,
+    ) {
+        read_csv_is_total(&bytes, capacity);
+    }
+
+    #[test]
+    fn read_csv_is_total_on_spliced_fragments(
+        picks in prop::collection::vec(0..CSV_FRAGMENTS.len(), 0..48),
+        capacity in 1usize..9,
+    ) {
+        let bytes: Vec<u8> = picks.iter().flat_map(|&i| CSV_FRAGMENTS[i].iter().copied()).collect();
+        read_csv_is_total(&bytes, capacity);
+    }
+}

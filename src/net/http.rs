@@ -428,6 +428,7 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(input: &[u8]) -> Result<Request, HttpError> {
@@ -567,5 +568,81 @@ mod tests {
         assert_eq!(percent_decode("a+b", false), "a+b");
         assert_eq!(percent_decode("100%", false), "100%");
         assert_eq!(percent_decode("%zz", false), "%zz");
+    }
+
+    /// Pieces of requests, well- and ill-formed, for the totality property
+    /// to splice: methods, targets with bad escapes, both versions, every
+    /// line ending, lengths that do and do not parse, chunked bodies,
+    /// control and non-UTF-8 bytes.
+    const FRAGMENTS: &[&[u8]] = &[
+        b"GET ",
+        b"POST ",
+        b"/mine",
+        b"/x?a=1&b=%2&c",
+        b"http://evil/",
+        b" HTTP/1.1",
+        b" HTTP/1.0",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b"Content-Length: ",
+        b"3",
+        b"-1",
+        b"99999999999999999999999",
+        b"Transfer-Encoding: chunked",
+        b"Connection: close",
+        b"Host:",
+        b": ",
+        b"abc",
+        b"\t",
+        b"\0",
+        b"\xff\xfe",
+    ];
+
+    /// Read requests off `bytes` the way a connection does — until one
+    /// fails or the input ends — through a `capacity`-byte buffer under
+    /// tiny limits: every read is a request within the limits or a typed
+    /// error that maps to a status, and each request consumes input.
+    fn read_request_is_total(bytes: &[u8], head: usize, body: usize, capacity: usize) {
+        let limits = HttpLimits {
+            max_head_bytes: head,
+            max_body_bytes: body,
+        };
+        let mut reader = BufReader::with_capacity(capacity, bytes);
+        for _ in 0..=bytes.len() {
+            match read_request(&mut reader, &limits) {
+                Ok(request) => {
+                    assert!(request.path.starts_with('/'), "{request:?}");
+                    assert!(request.body.len() <= body, "{request:?}");
+                }
+                Err(HttpError::Closed) => return,
+                Err(e) => {
+                    assert!(e.status().is_some(), "{e}");
+                    return;
+                }
+            }
+        }
+        panic!("{} bytes read as more than {0} requests", bytes.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn read_request_is_total_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            (head, body, capacity) in (0usize..64, 0usize..16, 1usize..9),
+        ) {
+            read_request_is_total(&bytes, head, body, capacity);
+        }
+
+        #[test]
+        fn read_request_is_total_on_spliced_fragments(
+            picks in prop::collection::vec(0..FRAGMENTS.len(), 0..32),
+            (head, body, capacity) in (0usize..64, 0usize..16, 1usize..9),
+        ) {
+            let bytes: Vec<u8> = picks.iter().flat_map(|&i| FRAGMENTS[i].iter().copied()).collect();
+            read_request_is_total(&bytes, head, body, capacity);
+        }
     }
 }

@@ -3,11 +3,14 @@
 //! by a per-row match loop, Eq 2.2 and a textbook iterative-scaling refit
 //! written out here, and the default miner — whose sweeps after the first
 //! count the RCT's largest group instead of scanning it — must pick the
-//! same rule each iteration.
+//! same rule each iteration, through every sink of the sweep's combine
+//! scan.
 //!
 //! Nothing below calls into `sirum` except to build the [`Table`], run the
-//! [`Miner`] and read its result.
+//! [`Miner`], read its result, and ask `CombineStrategy::for_partition`
+//! which sink a configuration's partitions take.
 
+use sirum::core::sweep::CombineStrategy;
 use sirum::prelude::*;
 
 /// A cube rule: per dimension a constant or `None` for the wildcard.
@@ -143,15 +146,37 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn the_default_miner_picks_the_brute_force_rule_each_iteration() {
+    // Every sink: 16 partitions of 3–4 rows (fewer than 2^d) hash-probe
+    // packed codes, one partition of every row takes the slot table, and
+    // `packed_codes: false` keys the scan by `Rule`.
+    for (partitions, packed_codes) in [(16, true), (1, true), (16, false), (1, false)] {
+        let case = format!("{partitions} partition(s), packed codes {packed_codes}");
+        let asserted = mine_against_brute_force(partitions, packed_codes);
+        // Ties in gain (two rules, one support set) are skipped, not
+        // asserted: on these seeds there is none.
+        assert_eq!(asserted, 12, "{case}");
+    }
+}
+
+/// Mine the three tables on `partitions` partitions and check every
+/// iteration against the brute force; returns how many were asserted.
+fn mine_against_brute_force(partitions: usize, packed_codes: bool) -> usize {
     let mut asserted = 0;
     for (seed, rows, cards) in [
         (11, 64, vec![3, 3, 2, 3]),
         (12, 48, vec![4, 3, 4]),
         (13, 64, vec![4, 2, 3, 4]),
     ] {
+        let case = format!("{partitions} partition(s), packed codes {packed_codes}, seed {seed}");
         let small = small_table(seed, rows, &cards);
         let d = cards.len();
         // |s| = the whole table: every supported cube rule is a candidate.
+        let sink = CombineStrategy::for_partition(rows / partitions, d, Some(rows));
+        let expected = match partitions {
+            1 => CombineStrategy::SlotTable,
+            _ => CombineStrategy::HashProbe,
+        };
+        assert_eq!(sink, expected, "{case}");
         let config = SirumConfig {
             k: 4,
             strategy: CandidateStrategy::SampleLca { sample_size: rows },
@@ -159,17 +184,15 @@ fn the_default_miner_picks_the_brute_force_rule_each_iteration() {
                 epsilon: TIGHT,
                 max_iterations: 1_000_000,
             },
+            packed_codes,
             ..SirumConfig::default()
         };
-        let result = Miner::new(Engine::in_memory(), config)
+        let engine = Engine::new(EngineConfig::in_memory().with_partitions(partitions));
+        let result = Miner::new(engine, config)
             .try_mine(&small.to_table())
             .unwrap();
         // One full sweep, then three that count the largest RCT group.
-        assert_eq!(
-            (result.iterations, result.rules.len()),
-            (4, 5),
-            "seed {seed}"
-        );
+        assert_eq!((result.iterations, result.rules.len()), (4, 5), "{case}");
         assert_eq!(result.transform_shift, 0.0);
 
         let cube = small.cube();
@@ -198,7 +221,7 @@ fn the_default_miner_picks_the_brute_force_rule_each_iteration() {
                 .map(|j| (!mined.rule.is_wildcard(j)).then(|| mined.rule.values()[j]))
                 .collect();
             if !close(best.0, runner_up.0) {
-                let at = format!("seed {seed} iteration {i}");
+                let at = format!("{case}, iteration {i}");
                 assert_eq!(&picked, best.1, "{at}");
                 assert_eq!(mined.count, best.3, "{at}");
                 assert!(
@@ -216,7 +239,5 @@ fn the_default_miner_picks_the_brute_force_rule_each_iteration() {
             model.push(picked);
         }
     }
-    // Ties in gain (two rules, one support set) are skipped, not asserted:
-    // on these seeds there is none.
-    assert_eq!(asserted, 12);
+    asserted
 }
