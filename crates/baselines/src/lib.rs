@@ -2,17 +2,15 @@
 //!
 //! Prior-work comparators for the SIRUM evaluation (§5.6):
 //!
-//! * [`elgebaly`] — centralized informative rule mining over sampled
-//!   candidates (El Gebaly et al., VLDB 2014; the thesis's reference \[16\]).
-//!   Its distributed counterpart is SIRUM's `Naive` variant.
 //! * [`sarawagi`] — data-cube exploration with exhaustive candidates and
 //!   from-scratch iterative scaling (Sarawagi, VLDBJ 2001; reference \[29\]).
+//!
+//! El Gebaly et al. (VLDB 2014; reference \[16\]) has no centralized copy
+//! here: its distributed form is SIRUM's `Variant::Naive` (§5.6.1).
 
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 
-pub mod elgebaly;
 pub mod sarawagi;
 
-pub use elgebaly::{mine_centralized, CentralizedConfig, CentralizedResult, SampleSource};
 pub use sarawagi::{sarawagi_explore, SarawagiConfig};

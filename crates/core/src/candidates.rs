@@ -39,9 +39,10 @@ pub fn merge_agg(a: &mut Agg, b: Agg) {
 /// (Eq 2.2) and can never be selected, so this is equivalent to exhaustive
 /// candidate exploration for selection purposes.
 ///
-/// Used as the ground truth against which sample-based pruning is tested,
-/// and as the candidate strategy for data-cube exploration (§5.6.2, which
-/// does not use pruning).
+/// It is the ground truth against which sample-based pruning and the
+/// sweep are tested. It is not the miner's `FullCube` path: the miner
+/// runs that strategy through the sweep's full-cube sink, or through the
+/// staged pipeline's tuple-rule stage.
 ///
 /// Polls `cancel` every [`CANCEL_POLL_ROWS`] rows and returns `None` when
 /// it fires — the scan is `O(2^d · n)` and must not pin a worker past its
@@ -63,34 +64,6 @@ pub fn exhaustive_candidates(
         for anc in ancestors(&base) {
             let agg = out.entry(anc).or_insert((0.0, 0.0, 0));
             merge_agg(agg, (table.measure(i), mhat[i], 1));
-        }
-    }
-    Some(out)
-}
-
-/// The set of LCAs of every (sample tuple, data tuple) pair, with their
-/// pair-level aggregates (the first stage of sample-based pruning).
-/// `measures` must be the transformed measure column.
-///
-/// Polls `cancel` every [`CANCEL_POLL_ROWS`] rows (`None` when it fires),
-/// like [`exhaustive_candidates`] — the `|s| · n` pair scan dominates the
-/// centralized baseline's iteration time.
-pub fn lca_aggregates(
-    table: &Table,
-    measures: &[f64],
-    mhat: &[f64],
-    sample: &[Box<[u32]>],
-    cancel: Option<&CancellationToken>,
-) -> Option<FxHashMap<Rule, Agg>> {
-    let mut out: FxHashMap<Rule, Agg> = FxHashMap::default();
-    for (i, row) in table.rows().enumerate() {
-        if i.is_multiple_of(CANCEL_POLL_ROWS) && cancel.is_some_and(CancellationToken::is_cancelled)
-        {
-            return None;
-        }
-        for s in sample {
-            let agg = out.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
-            merge_agg(agg, (measures[i], mhat[i], 1));
         }
     }
     Some(out)
@@ -318,14 +291,26 @@ mod tests {
             .collect()
     }
 
+    /// `LCA(s, D)` with pair-level aggregates: every (data tuple, sample
+    /// tuple) pair, in that order.
+    fn lca_aggregates(t: &Table, mhat: &[f64], sample: &[Box<[u32]>]) -> FxHashMap<Rule, Agg> {
+        let mut out: FxHashMap<Rule, Agg> = FxHashMap::default();
+        for (i, row) in t.rows().enumerate() {
+            for s in sample {
+                let agg = out.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
+                merge_agg(agg, (t.measure(i), mhat[i], 1));
+            }
+        }
+        out
+    }
+
     #[test]
     fn paper_example_candidate_set() {
         // §3.1.1: sampling t4=(Sun,Chicago,London) and t9=(Thu,SF,Frankfurt)
         // yields 15 candidate rules vs 73 possible rules.
         let t = flights();
         let sample = sample_rows(&t, &[3, 8]);
-        let lcas =
-            lca_aggregates(&t, t.measures(), &[1.0; 14], &sample, None).expect("uncancelled");
+        let lcas = lca_aggregates(&t, &[1.0; 14], &sample);
         let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (rule, agg) in &lcas {
             for anc in all_ancestors(rule) {
@@ -361,25 +346,17 @@ mod tests {
 
     #[test]
     fn candidate_scans_poll_cancellation() {
-        // Regression for the SL002 findings this PR fixed: both candidate
-        // scans used to run to completion no matter what, pinning a worker
-        // for the whole O(2^d·n) (or |s|·n) pass after its job was
-        // cancelled.
+        // The exhaustive scan must not run to completion after its job was
+        // cancelled, pinning a worker for the whole O(2^d·n) pass.
         let t = flights();
-        let sample = sample_rows(&t, &[3, 8]);
         let token = CancellationToken::new();
         token.cancel();
         assert!(exhaustive_candidates(&t, &[1.0; 14], Some(&token)).is_none());
-        assert!(lca_aggregates(&t, t.measures(), &[1.0; 14], &sample, Some(&token)).is_none());
         // An armed-but-unfired token does not perturb the result.
         let fresh = CancellationToken::new();
         assert_eq!(
             exhaustive_candidates(&t, &[1.0; 14], Some(&fresh)),
             exhaustive_candidates(&t, &[1.0; 14], None)
-        );
-        assert_eq!(
-            lca_aggregates(&t, t.measures(), &[1.0; 14], &sample, Some(&fresh)),
-            lca_aggregates(&t, t.measures(), &[1.0; 14], &sample, None)
         );
     }
 
@@ -387,18 +364,14 @@ mod tests {
     fn candidate_scans_notice_mid_scan_cancellation_within_one_window() {
         // Deterministic mid-scan latency bound: arm a poll-budget token so
         // the second poll — one CANCEL_POLL_ROWS window into the scan —
-        // self-cancels, and require both scans to abandon there rather
-        // than finish the remaining rows.
+        // self-cancels, and require the scan to abandon there rather than
+        // finish the remaining rows.
         use sirum_table::generators::income_like;
         let t = income_like(CANCEL_POLL_ROWS * 2 + 7, 42);
         let mhat = vec![1.0; t.num_rows()];
         let token = CancellationToken::new();
         token.cancel_after_polls(2);
         assert!(exhaustive_candidates(&t, &mhat, Some(&token)).is_none());
-        let sample = sample_rows(&t, &[0]);
-        let token = CancellationToken::new();
-        token.cancel_after_polls(2);
-        assert!(lca_aggregates(&t, t.measures(), &mhat, &sample, Some(&token)).is_none());
     }
 
     #[test]
@@ -409,7 +382,7 @@ mod tests {
         let sample = sample_rows(&t, &[3, 8, 0]);
         let index = SampleIndex::build(sample.clone(), 3);
         let mhat = vec![1.5; 14];
-        let lcas = lca_aggregates(&t, t.measures(), &mhat, &sample, None).expect("uncancelled");
+        let lcas = lca_aggregates(&t, &mhat, &sample);
         let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (rule, agg) in &lcas {
             for anc in all_ancestors(rule) {
@@ -439,7 +412,7 @@ mod tests {
         let exhaustive = exhaustive_candidates(&t, &mhat, None).expect("uncancelled");
         let sample = sample_rows(&t, &[0, 5]);
         let index = SampleIndex::build(sample.clone(), 3);
-        let lcas = lca_aggregates(&t, t.measures(), &mhat, &sample, None).expect("uncancelled");
+        let lcas = lca_aggregates(&t, &mhat, &sample);
         let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (rule, agg) in &lcas {
             for anc in all_ancestors(rule) {

@@ -15,7 +15,7 @@ use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::prepared::PreparedTable;
-use crate::rct::{mhat_for_mask, RctGroup};
+use crate::rct::{mhat_for_mask, rule_bits, RctGroup};
 use crate::rule::Rule;
 use crate::sweep::{SweepOutcome, SweepState};
 use sirum_dataflow::hash::FxHashMap;
@@ -98,11 +98,10 @@ impl MiningData {
 
     /// Persist in the block store (except in DiskMr mode, whose stage
     /// outputs are already disk-materialized).
-    pub(crate) fn cached(self, mode: EngineMode) -> MiningData {
-        if mode == EngineMode::DiskMr {
-            return self;
+    pub(crate) fn cache(&mut self, mode: EngineMode) {
+        if mode != EngineMode::DiskMr {
+            self.0 = self.0.cache();
         }
-        MiningData(self.0.cache())
     }
 
     /// Release any block-store blocks.
@@ -250,11 +249,7 @@ impl MiningData {
     /// visited in the same row order as a per-rule scan, so the float sums
     /// are bit-identical to one.
     pub(crate) fn scaling_sums(&self, num_rules: usize) -> Vec<f64> {
-        let live = if num_rules >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << num_rules) - 1
-        };
+        let live = rule_bits(num_rules);
         self.0.aggregate_partitions(
             "scaling-sums",
             || vec![0.0f64; num_rules],

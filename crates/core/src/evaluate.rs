@@ -7,9 +7,9 @@
 use crate::error::SirumError;
 use crate::gain::{binary_kl, kl_divergence};
 use crate::prepared::PreparedTable;
-use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, MAX_RULES};
+use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::Rule;
-use crate::scaling::ScalingConfig;
+use crate::scaling::{iterative_scaling, ScalingConfig};
 use sirum_table::Table;
 
 /// Quality scores of a rule set on a dataset.
@@ -134,7 +134,7 @@ fn evaluate_prepared(
     // Fit via the RCT (fast, exact same fixed point as Algorithm 1).
     let mut rct = Rct::build(&masks, m_prime, &vec![1.0; n]);
     let mut lambdas = vec![1.0; rules.len()];
-    let outcome = iterative_scaling_rct(&mut rct, rules.len(), &m_sums, &mut lambdas, cfg);
+    let outcome = iterative_scaling(&mut rct, &m_sums, &mut lambdas, cfg, None);
     let mhat: Vec<f64> = masks.iter().map(|&m| mhat_for_mask(m, &lambdas)).collect();
     let kl = kl_divergence(m_prime, &mhat);
 

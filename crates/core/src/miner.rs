@@ -10,9 +10,9 @@ use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
 use crate::lattice::{ancestors_restricted, column_groups, MAX_EXPAND_BITS};
 use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
-use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, MAX_RULES};
+use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::{Rule, RuleLayout};
-use crate::scaling::{relative_diff, ScalingConfig};
+use crate::scaling::{iterative_scaling, ScalingBackend, ScalingConfig};
 use crate::sweep::{SweepOptions, SweepState};
 use sirum_dataflow::{Dataset, Engine};
 use sirum_table::Table;
@@ -517,7 +517,8 @@ impl Miner {
 
         // Distribute D — one columnar block per partition over the
         // prepared table's shared columns — and cache it.
-        let mut data = self.cache_swap(None, MiningData::seed(&self.engine, prepared));
+        let mut data = MiningData::seed(&self.engine, prepared);
+        data.cache(self.engine.mode());
 
         // Seed rule set: all-wildcards first (required by §2.2), then priors.
         let mut rules: Vec<Rule> = Vec::with_capacity(rule_budget);
@@ -539,8 +540,8 @@ impl Miner {
         // Fit the seed model.
         let new_range = 0..rules.len();
         // The first sweep scans every row, whatever the seed fit shares.
-        (data, _) = self.run_scaling(
-            data,
+        self.run_scaling(
+            &mut data,
             &rules,
             &m_sums,
             &mut lambdas,
@@ -640,9 +641,8 @@ impl Miner {
                     gain: c.gain,
                 });
             }
-            let shared;
-            (data, shared) = self.run_scaling(
-                data,
+            let shared = self.run_scaling(
+                &mut data,
                 &rules,
                 &m_sums,
                 &mut lambdas,
@@ -686,22 +686,21 @@ impl Miner {
         })
     }
 
-    /// Free the generation `new` replaces, then cache `new` (except in
-    /// DiskMr mode, whose stage outputs are already disk-materialized).
+    /// Free the generation in `data` that `new` replaces, then cache `new`
+    /// in its place (except in DiskMr mode, whose stage outputs are already
+    /// disk-materialized).
     ///
     /// Freeing first is what keeps one generation in the block store at a
-    /// time: caching first would make the budget evict blocks of `old`,
-    /// already read and about to be freed, to disk. It is safe only because
-    /// every producer of `new` — `MiningData::seed`, `update_ba`,
-    /// `write_mhat`, `scale_mhat` and `reset_mhat` — is an eager `map`: by
-    /// the time it returns, every partition of `new` is built (in memory,
-    /// or `put_disk`'d under DiskMr) and nothing reads `old` again. A lazy
-    /// producer would have to cache before this free.
-    fn cache_swap(&self, old: Option<MiningData>, new: MiningData) -> MiningData {
-        if let Some(old) = old {
-            old.free();
-        }
-        new.cached(self.engine.mode())
+    /// time: caching first would make the budget evict blocks of the old
+    /// generation, already read and about to be freed, to disk. It is safe
+    /// only because every producer of `new` — `update_ba`, `write_mhat`,
+    /// `scale_mhat` and `reset_mhat` — is an eager `map`: by the time it
+    /// returns, every partition of `new` is built (in memory, or
+    /// `put_disk`'d under DiskMr) and nothing reads the old generation
+    /// again. A lazy producer would have to cache before this free.
+    fn cache_swap(&self, data: &mut MiningData, new: MiningData) {
+        std::mem::replace(data, new).free();
+        data.cache(self.engine.mode());
     }
 
     /// One KL evaluation pass (Eq in §2.3, assembled from aggregates).
@@ -711,31 +710,34 @@ impl Miner {
     }
 
     /// Run iterative scaling after appending rules `new` to the model,
-    /// returning the dataset with updated estimates and bit arrays — and,
-    /// on the RCT path, the estimate most tuples now carry: that of the
-    /// RCT's largest group (first by mask among equals), as
-    /// [`mhat_for_mask`] wrote it, for the next sweeps to count instead of
-    /// scan ([`SweepState::set_shared_estimate`]).
+    /// leaving updated estimates and bit arrays in `data`. Returns, on the
+    /// RCT path, the estimate most tuples now carry: that of the RCT's
+    /// largest group (first by mask among equals), as [`mhat_for_mask`]
+    /// wrote it, for the next sweeps to count instead of scan
+    /// ([`SweepState::set_shared_estimate`]).
+    ///
+    /// A cancellation token stops the fit between two λ updates; the next
+    /// boundary poll of the mining loop then ends the run.
     #[allow(clippy::too_many_arguments)]
     fn run_scaling(
         &self,
-        mut data: MiningData,
+        data: &mut MiningData,
         rules: &[Rule],
         m_sums: &[f64],
         lambdas: &mut [f64],
         new: std::ops::Range<usize>,
         timings: &mut PhaseTimings,
         scaling_iterations: &mut Vec<usize>,
-    ) -> (MiningData, Option<f64>) {
+    ) -> Option<f64> {
         let start = Instant::now();
         let cfg = &self.config;
-        let mut shared = None;
+        let cancel = self.cancellation.as_ref();
 
         if cfg.reset_lambdas_on_insert {
             // Sarawagi [29]: re-derive the whole model from scratch.
             lambdas.iter_mut().for_each(|l| *l = 1.0);
             let reset = data.reset_mhat();
-            data = self.cache_swap(Some(data), reset);
+            self.cache_swap(data, reset);
         }
 
         // Pass 1 (both scaling paths): update bit arrays for the newly
@@ -747,56 +749,33 @@ impl Miner {
         // `try_mine_prepared`), so indices always fit the mask word.
         let new_rules: Vec<(usize, Rule)> = new.clone().map(|i| (i, rules[i].clone())).collect();
         let updated = data.update_ba(new_rules);
-        data = self.cache_swap(Some(data), updated);
+        self.cache_swap(data, updated);
 
-        if cfg.rct {
+        let (outcome, shared) = if cfg.rct {
             // Pass 2: group by BA to build the RCT (small, driver-resident).
             let mut rct = Rct::from_partials(data.build_rct_partials());
 
             // Scaling runs entirely on the RCT.
-            let outcome =
-                iterative_scaling_rct(&mut rct, rules.len(), m_sums, lambdas, &cfg.scaling);
-            scaling_iterations.push(outcome.iterations);
+            let outcome = iterative_scaling(&mut rct, m_sums, lambdas, &cfg.scaling, cancel);
 
             // Pass 3: write the converged estimates back to D.
             let written = data.write_mhat(lambdas.to_vec());
-            data = self.cache_swap(Some(data), written);
+            self.cache_swap(data, written);
             // `max_by_key` keeps the last of equal maxima: walk the
             // mask-sorted groups backwards for the first.
             let largest = rct.groups().iter().rev().max_by_key(|g| g.count);
-            shared = largest.map(|g| mhat_for_mask(g.mask, lambdas));
+            (outcome, largest.map(|g| mhat_for_mask(g.mask, lambdas)))
         } else {
-            // Algorithm 1 against the distributed dataset: every loop pays
-            // one sums pass and (if not converged) one update pass over D.
-            let mut iterations = 0usize;
-            loop {
-                let mhat_sums = data.scaling_sums(rules.len());
-                let mut next = usize::MAX;
-                let mut worst = 0.0f64;
-                for i in 0..rules.len() {
-                    let diff = relative_diff(m_sums[i], mhat_sums[i]);
-                    if diff > worst {
-                        worst = diff;
-                        next = i;
-                    }
-                }
-                if next == usize::MAX
-                    || worst <= cfg.scaling.epsilon
-                    || iterations >= cfg.scaling.max_iterations
-                {
-                    break;
-                }
-                iterations += 1;
-                let factor = m_sums[next] / mhat_sums[next];
-                lambdas[next] *= factor;
-                let updated = data.scale_mhat(next, factor);
-                data = self.cache_swap(Some(data), updated);
-            }
-            scaling_iterations.push(iterations);
-        }
+            // Algorithm 1 against the distributed dataset: every λ update
+            // pays one sums pass and one update pass over D.
+            let mut backend = DataScaling { miner: self, data };
+            let outcome = iterative_scaling(&mut backend, m_sums, lambdas, &cfg.scaling, cancel);
+            (outcome, None)
+        };
+        scaling_iterations.push(outcome.iterations);
 
         timings.iterative_scaling += start.elapsed().as_secs_f64();
-        (data, shared)
+        shared
     }
 
     /// Candidate generation for one iteration. On the default path this is
@@ -944,5 +923,23 @@ impl Miner {
             .collect();
         timings.gain_computation += t2.elapsed().as_secs_f64();
         (result, candidate_total, false)
+    }
+}
+
+/// The mining dataset as Algorithm 1's backend: coverage is read from the
+/// tuples' bit arrays, and every λ update writes a new generation of `D`.
+struct DataScaling<'a> {
+    miner: &'a Miner,
+    data: &'a mut MiningData,
+}
+
+impl ScalingBackend for DataScaling<'_> {
+    fn mhat_sums(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.data.scaling_sums(out.len()));
+    }
+
+    fn scale(&mut self, i: usize, factor: f64) {
+        let scaled = self.data.scale_mhat(i, factor);
+        self.miner.cache_swap(self.data, scaled);
     }
 }

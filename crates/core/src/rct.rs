@@ -3,8 +3,9 @@
 //! Every tuple carries a bit array `BA` whose `i`-th bit records `t ⊨ rᵢ`.
 //! Tuples with identical bit arrays match exactly the same rules and hence
 //! share the same maximum-entropy estimate `∏ λ(rᵢ)`; grouping by `BA`
-//! yields a tiny table (the RCT) over which iterative scaling can run
-//! without touching `D`. `D` is accessed only twice per mining iteration:
+//! yields a tiny table (the RCT). [`Rct`] is a [`ScalingBackend`], so
+//! Algorithm 3 is [`crate::scaling::iterative_scaling`] run over the
+//! groups instead of `D`. `D` is accessed only twice per mining iteration:
 //! once to update the bit arrays / build the RCT, and once to write the
 //! converged estimates back.
 //!
@@ -12,7 +13,7 @@
 //! ("interpretable by human beings"), comfortably below the 64-bit limit,
 //! which [`MAX_RULES`] enforces.
 
-use crate::scaling::{relative_diff, ScalingConfig, ScalingOutcome};
+use crate::scaling::ScalingBackend;
 use sirum_dataflow::hash::FxHashMap;
 
 /// Maximum number of rules a `u64` bit array can track.
@@ -99,23 +100,28 @@ impl Rct {
     pub fn is_empty(&self) -> bool {
         self.groups.is_empty()
     }
+}
 
-    /// `(Σ m, Σ mhat, Σ count)` over groups covering rule `i` (line 10).
-    pub fn rule_sums(&self, i: usize) -> (f64, f64, u64) {
-        let bit = 1u64 << i;
-        let mut sums = (0.0, 0.0, 0u64);
+/// Iterative scaling over the RCT (Algorithm 3, lines 7-28): the fixed
+/// point of Algorithm 1, touching only the groups and allocating nothing.
+impl ScalingBackend for Rct {
+    /// `Σ mhat` over the groups covering each rule (line 10), in one pass:
+    /// every group adds its `SUM(t[mhat])` to each rule its bit array names,
+    /// so each rule's sum still accumulates in group order.
+    fn mhat_sums(&self, out: &mut [f64]) {
+        out.fill(0.0);
+        let live = rule_bits(out.len());
         for g in &self.groups {
-            if g.mask & bit != 0 {
-                sums.0 += g.sum_m;
-                sums.1 += g.sum_mhat;
-                sums.2 += g.count;
+            let mut bits = g.mask & live;
+            while bits != 0 {
+                out[bits.trailing_zeros() as usize] += g.sum_mhat;
+                bits &= bits - 1;
             }
         }
-        sums
     }
 
     /// Scale `SUM(t[mhat])` of every group covering rule `i` (lines 17-21).
-    pub fn scale(&mut self, i: usize, factor: f64) {
+    fn scale(&mut self, i: usize, factor: f64) {
         let bit = 1u64 << i;
         for g in &mut self.groups {
             if g.mask & bit != 0 {
@@ -125,52 +131,13 @@ impl Rct {
     }
 }
 
-/// Iterative scaling over the RCT (Algorithm 3, lines 7-28): identical
-/// fixed point to Algorithm 1 but touching only the RCT's groups.
-/// `m_sums[i] = Σ_{t⊨rᵢ} t[m]` as usual; `lambdas` are updated in place.
-pub fn iterative_scaling_rct(
-    rct: &mut Rct,
-    num_rules: usize,
-    m_sums: &[f64],
-    lambdas: &mut [f64],
-    cfg: &ScalingConfig,
-) -> ScalingOutcome {
-    // lint:allow(SL001) — miner enforces the rule budget before any scaling run
-    assert!(num_rules <= MAX_RULES);
-    // lint:allow(SL001) — driver-built parallel arrays
-    assert_eq!(m_sums.len(), num_rules);
-    // lint:allow(SL001) — driver-built parallel arrays
-    assert_eq!(lambdas.len(), num_rules);
-    let mut iterations = 0;
-    loop {
-        let mut next = usize::MAX;
-        let mut worst = 0.0f64;
-        for (i, &target) in m_sums.iter().enumerate() {
-            let (_m, mhat, _c) = rct.rule_sums(i);
-            let diff = relative_diff(target, mhat);
-            if diff > worst {
-                worst = diff;
-                next = i;
-            }
-        }
-        if next == usize::MAX || worst <= cfg.epsilon {
-            return ScalingOutcome {
-                iterations,
-                converged: true,
-            };
-        }
-        if iterations >= cfg.max_iterations {
-            return ScalingOutcome {
-                iterations,
-                converged: false,
-            };
-        }
-        iterations += 1;
-        let (_m, mhat, _c) = rct.rule_sums(next);
-        let factor = m_sums[next] / mhat;
-        debug_assert!(factor.is_finite() && factor > 0.0);
-        lambdas[next] *= factor;
-        rct.scale(next, factor);
+/// The bit-array bits of the first `num_rules` rules.
+#[inline]
+pub(crate) fn rule_bits(num_rules: usize) -> u64 {
+    if num_rules >= MAX_RULES {
+        u64::MAX
+    } else {
+        (1u64 << num_rules) - 1
     }
 }
 
@@ -192,7 +159,8 @@ pub fn mhat_for_mask(mask: u64, lambdas: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::rule::{Rule, WILDCARD};
-    use crate::scaling::{iterative_scaling, rule_measure_sums, TableBackend};
+    use crate::scaling::tests::{measure_sums, RowBackend};
+    use crate::scaling::{iterative_scaling, relative_diff, ScalingConfig};
     use sirum_table::generators::flights;
 
     /// Bit arrays for the flight table against rules r1..r3 of Table 1.2.
@@ -271,23 +239,22 @@ mod tests {
     fn rct_scaling_matches_naive_scaling() {
         // Algorithm 3 must reach the same fixed point as Algorithm 1.
         let (t, rules, masks) = flight_masks();
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums: Vec<f64> = measure_sums(&t, &rules).iter().map(|s| s.0).collect();
         let cfg = ScalingConfig {
             epsilon: 1e-10,
             max_iterations: 100_000,
         };
 
-        // Naive (Algorithm 1).
+        // Naive (Algorithm 1): per-row estimates, rules re-matched per pass.
         let mut naive_lambdas = vec![1.0; rules.len()];
-        let mut backend = TableBackend::new(&t);
-        let naive_out = iterative_scaling(&mut backend, &rules, &m_sums, &mut naive_lambdas, &cfg);
+        let mut backend = RowBackend::new(&t, &rules);
+        let naive_out = iterative_scaling(&mut backend, &m_sums, &mut naive_lambdas, &cfg, None);
         assert!(naive_out.converged);
 
         // RCT (Algorithm 3), starting from mhat = 1.
         let mut rct = Rct::build(&masks, t.measures(), &[1.0; 14]);
         let mut rct_lambdas = vec![1.0; rules.len()];
-        let rct_out = iterative_scaling_rct(&mut rct, rules.len(), &m_sums, &mut rct_lambdas, &cfg);
+        let rct_out = iterative_scaling(&mut rct, &m_sums, &mut rct_lambdas, &cfg, None);
         assert!(rct_out.converged);
 
         for (a, b) in naive_lambdas.iter().zip(&rct_lambdas) {
@@ -296,7 +263,7 @@ mod tests {
         // Same per-tuple estimates after write-out.
         for (i, &mask) in masks.iter().enumerate() {
             let via_rct = mhat_for_mask(mask, &rct_lambdas);
-            assert!((via_rct - backend.mhat()[i]).abs() < 1e-6);
+            assert!((via_rct - backend.mhat[i]).abs() < 1e-6);
         }
         // Same number of λ updates (the algorithms pick the same sequence).
         assert_eq!(naive_out.iterations, rct_out.iterations);
@@ -305,18 +272,18 @@ mod tests {
     #[test]
     fn rct_satisfies_constraints_at_convergence() {
         let (t, rules, masks) = flight_masks();
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums: Vec<f64> = measure_sums(&t, &rules).iter().map(|s| s.0).collect();
         let mut rct = Rct::build(&masks, t.measures(), &[1.0; 14]);
         let mut lambdas = vec![1.0; rules.len()];
         let cfg = ScalingConfig {
             epsilon: 1e-9,
             max_iterations: 100_000,
         };
-        let out = iterative_scaling_rct(&mut rct, rules.len(), &m_sums, &mut lambdas, &cfg);
+        let out = iterative_scaling(&mut rct, &m_sums, &mut lambdas, &cfg, None);
         assert!(out.converged);
-        for (i, &target) in m_sums.iter().enumerate() {
-            let (_m, mhat, _c) = rct.rule_sums(i);
+        let mut mhat_sums = vec![0.0; rules.len()];
+        rct.mhat_sums(&mut mhat_sums);
+        for (i, (&target, &mhat)) in m_sums.iter().zip(&mhat_sums).enumerate() {
             assert!(relative_diff(target, mhat) <= 1e-9, "rule {i}");
         }
     }

@@ -1,13 +1,14 @@
 //! Iterative scaling (Algorithm 1): fit the maximum-entropy multipliers
 //! `λ(r)` so that `Σ_{t⊨r} t[mhat] = Σ_{t⊨r} t[m]` for every rule in `R`.
 //!
-//! The algorithm is written against a [`ScalingBackend`] so the same control
-//! loop drives the in-memory reference implementation (used for tests,
-//! evaluation, and the centralized prior-work comparator) and the
-//! dataset-based distributed implementation in the miner.
+//! [`iterative_scaling`] is the one copy of the loop. It reads and scales
+//! the estimates through a [`ScalingBackend`], addressed by rule index:
+//! the Rule Coverage Table ([`crate::rct::Rct`] — Algorithm 3 is this loop
+//! over the RCT's groups instead of `D`), and the miner's distributed
+//! dataset, where every λ update costs one sums pass and one update pass
+//! over `D`.
 
-use crate::rule::Rule;
-use sirum_table::Table;
+use crate::cancel::CancellationToken;
 
 /// Convergence parameters for iterative scaling.
 #[derive(Debug, Clone, Copy)]
@@ -37,42 +38,43 @@ pub struct ScalingOutcome {
     pub converged: bool,
 }
 
-/// Storage abstraction over "the tuples and their current estimates".
+/// The tuples and their current estimates, with rule coverage addressed
+/// by rule index (bit `i` of a tuple's bit array).
 pub trait ScalingBackend {
-    /// Current `Σ_{t⊨rᵢ} t[mhat]` for every rule (one full pass over `D` —
-    /// the access the RCT optimization eliminates).
-    fn mhat_sums(&self, rules: &[Rule]) -> Vec<f64>;
+    /// Write the current `Σ_{t⊨rᵢ} t[mhat]` into `out[i]` for every rule
+    /// `i < out.len()`.
+    fn mhat_sums(&self, out: &mut [f64]);
 
-    /// Multiply `t[mhat]` by `factor` for every tuple matching `rule`
-    /// (the second per-iteration access to `D` in Algorithm 1).
-    fn scale_matching(&mut self, rule: &Rule, factor: f64);
+    /// Multiply `t[mhat]` by `factor` for every tuple rule `i` covers.
+    fn scale(&mut self, i: usize, factor: f64);
 }
 
 /// Algorithm 1. `m_sums[i]` is the constraint target `Σ_{t⊨rᵢ} t[m]`;
 /// `lambdas` are updated in place (λ accumulates across calls as rules are
 /// added, per the carry-over strategy §5.6.2 credits for SIRUM's speed).
 ///
+/// Each λ update first polls `cancel`; once it fires, the run stops
+/// unconverged with the multipliers fitted so far.
+///
 /// Note the convergence test on averages `|m(r)−mhat(r)|/|m(r)|` equals the
 /// same ratio on sums (the support counts cancel), so backends only report
 /// sums.
 pub fn iterative_scaling<B: ScalingBackend>(
     backend: &mut B,
-    rules: &[Rule],
     m_sums: &[f64],
     lambdas: &mut [f64],
     cfg: &ScalingConfig,
+    cancel: Option<&CancellationToken>,
 ) -> ScalingOutcome {
-    // lint:allow(SL001) — driver-built parallel arrays
-    assert_eq!(rules.len(), m_sums.len());
-    // lint:allow(SL001) — driver-built parallel arrays
-    assert_eq!(rules.len(), lambdas.len());
+    debug_assert_eq!(m_sums.len(), lambdas.len());
+    let mut mhat_sums = vec![0.0; m_sums.len()];
     let mut iterations = 0;
     loop {
-        let mhat_sums = backend.mhat_sums(rules);
+        backend.mhat_sums(&mut mhat_sums);
         let mut next = usize::MAX;
         let mut worst = 0.0f64;
-        for i in 0..rules.len() {
-            let diff = relative_diff(m_sums[i], mhat_sums[i]);
+        for (i, (&m_sum, &mhat_sum)) in m_sums.iter().zip(&mhat_sums).enumerate() {
+            let diff = relative_diff(m_sum, mhat_sum);
             if diff > worst {
                 worst = diff;
                 next = i;
@@ -84,7 +86,7 @@ pub fn iterative_scaling<B: ScalingBackend>(
                 converged: true,
             };
         }
-        if iterations >= cfg.max_iterations {
+        if iterations >= cfg.max_iterations || cancel.is_some_and(CancellationToken::is_cancelled) {
             return ScalingOutcome {
                 iterations,
                 converged: false,
@@ -94,7 +96,7 @@ pub fn iterative_scaling<B: ScalingBackend>(
         let factor = m_sums[next] / mhat_sums[next];
         debug_assert!(factor.is_finite() && factor > 0.0, "factor {factor}");
         lambdas[next] *= factor;
-        backend.scale_matching(&rules[next], factor);
+        backend.scale(next, factor);
     }
 }
 
@@ -109,91 +111,67 @@ pub fn relative_diff(m_sum: f64, mhat_sum: f64) -> f64 {
     }
 }
 
-/// In-memory reference backend: a table plus a dense `mhat` column. This is
-/// the centralized implementation the paper's prior work [16, 29] runs; it
-/// re-tests `t ⊨ r` attribute-by-attribute on every pass, exactly the cost
-/// Algorithm 3 (RCT) removes.
-pub struct TableBackend<'a> {
-    table: &'a Table,
-    mhat: Vec<f64>,
-}
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::rule::{Rule, WILDCARD};
+    use sirum_table::generators::flights;
+    use sirum_table::Table;
 
-impl<'a> TableBackend<'a> {
-    /// Start with all estimates at 1 (the state before any rule is added).
-    pub fn new(table: &'a Table) -> Self {
-        TableBackend {
-            table,
-            mhat: vec![1.0; table.num_rows()],
+    /// Algorithm 1 as written, the per-row reference: a table plus a dense
+    /// `mhat` column, re-testing `t ⊨ r` attribute by attribute on every
+    /// pass — exactly the cost Algorithm 3 (RCT) removes.
+    pub(crate) struct RowBackend<'a> {
+        table: &'a Table,
+        rules: Vec<Rule>,
+        pub(crate) mhat: Vec<f64>,
+    }
+
+    impl<'a> RowBackend<'a> {
+        /// All estimates at 1 (the state before any rule is fitted).
+        pub(crate) fn new(table: &'a Table, rules: &[Rule]) -> Self {
+            RowBackend {
+                table,
+                rules: rules.to_vec(),
+                mhat: vec![1.0; table.num_rows()],
+            }
         }
     }
 
-    /// Resume from existing estimates.
-    pub fn with_mhat(table: &'a Table, mhat: Vec<f64>) -> Self {
-        // lint:allow(SL001) — driver-built parallel arrays
-        assert_eq!(mhat.len(), table.num_rows());
-        TableBackend { table, mhat }
-    }
-
-    /// Current estimates.
-    pub fn mhat(&self) -> &[f64] {
-        &self.mhat
-    }
-
-    /// Reset all estimates to 1 and all multipliers to 1 (the Sarawagi \[29\]
-    /// strategy that re-fits from scratch whenever a rule is added).
-    pub fn reset(&mut self, lambdas: &mut [f64]) {
-        self.mhat.iter_mut().for_each(|v| *v = 1.0);
-        lambdas.iter_mut().for_each(|v| *v = 1.0);
-    }
-}
-
-impl ScalingBackend for TableBackend<'_> {
-    fn mhat_sums(&self, rules: &[Rule]) -> Vec<f64> {
-        let mut sums = vec![0.0; rules.len()];
-        // lint:allow(SL002) — reference backend for tests/baselines; production scaling runs on ScalingVectors, which polls
-        for (i, row) in self.table.rows().enumerate() {
-            let mh = self.mhat[i];
-            for (j, rule) in rules.iter().enumerate() {
-                if rule.matches(row) {
-                    sums[j] += mh;
+    impl ScalingBackend for RowBackend<'_> {
+        fn mhat_sums(&self, out: &mut [f64]) {
+            out.fill(0.0);
+            for (row, mh) in self.table.rows().zip(&self.mhat) {
+                for (sum, rule) in out.iter_mut().zip(&self.rules) {
+                    if rule.matches(row) {
+                        *sum += mh;
+                    }
                 }
             }
         }
-        sums
-    }
 
-    fn scale_matching(&mut self, rule: &Rule, factor: f64) {
-        // lint:allow(SL002) — reference backend for tests/baselines; production scaling runs on ScalingVectors, which polls
-        for (i, row) in self.table.rows().enumerate() {
-            if rule.matches(row) {
-                self.mhat[i] *= factor;
+        fn scale(&mut self, i: usize, factor: f64) {
+            for (row, mh) in self.table.rows().zip(&mut self.mhat) {
+                if self.rules[i].matches(row) {
+                    *mh *= factor;
+                }
             }
         }
     }
-}
 
-/// Compute the constraint targets `Σ_{t⊨r} t[m]` and support counts for a
-/// rule list by one scan of the table (with an already-transformed measure
-/// column `m_prime`).
-pub fn rule_measure_sums(table: &Table, m_prime: &[f64], rules: &[Rule]) -> Vec<(f64, u64)> {
-    let mut out = vec![(0.0, 0u64); rules.len()];
-    // lint:allow(SL002) — one bounded scan per mined rule (k ≤ rule budget), used by the centralized baseline only
-    for (i, row) in table.rows().enumerate() {
-        for (j, rule) in rules.iter().enumerate() {
-            if rule.matches(row) {
-                out[j].0 += m_prime[i];
-                out[j].1 += 1;
+    /// `(Σ_{t⊨r} t[m], |S(r)|)` per rule, by one scan of the table.
+    pub(crate) fn measure_sums(table: &Table, rules: &[Rule]) -> Vec<(f64, u64)> {
+        let mut out = vec![(0.0, 0u64); rules.len()];
+        for (row, &m) in table.rows().zip(table.measures()) {
+            for (sums, rule) in out.iter_mut().zip(rules) {
+                if rule.matches(row) {
+                    sums.0 += m;
+                    sums.1 += 1;
+                }
             }
         }
+        out
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::rule::WILDCARD;
-    use sirum_table::generators::flights;
 
     fn rules_r1_r2(table: &Table) -> Vec<Rule> {
         let london = table.dict(2).code("London").unwrap();
@@ -201,6 +179,10 @@ mod tests {
             Rule::all_wildcards(3),
             Rule::from_values(vec![WILDCARD, WILDCARD, london]),
         ]
+    }
+
+    fn targets(table: &Table, rules: &[Rule]) -> Vec<f64> {
+        measure_sums(table, rules).iter().map(|s| s.0).collect()
     }
 
     #[test]
@@ -211,16 +193,16 @@ mod tests {
         let rules = vec![Rule::all_wildcards(3)];
         let m_sums = vec![t.sum_measure()];
         let mut lambdas = vec![1.0];
-        let mut backend = TableBackend::new(&t);
+        let mut backend = RowBackend::new(&t, &rules);
         let cfg = ScalingConfig {
             epsilon: 1e-9,
             ..Default::default()
         };
-        let out = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         assert!(out.converged);
         assert_eq!(out.iterations, 1);
         let expect = 145.0 / 14.0;
-        for &mh in backend.mhat() {
+        for &mh in &backend.mhat {
             assert!((mh - expect).abs() < 1e-6);
         }
     }
@@ -232,25 +214,25 @@ mod tests {
         // Table 1.1, which rounds to 15.3/8.4).
         let t = flights();
         let rules = rules_r1_r2(&t);
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let sums = measure_sums(&t, &rules);
+        let m_sums = targets(&t, &rules);
         assert_eq!(sums[1].1, 4, "four London-bound flights");
         assert!((m_sums[1] - 61.0).abs() < 1e-9); // 20+15+19+7
         let mut lambdas = vec![1.0; 2];
-        let mut backend = TableBackend::new(&t);
+        let mut backend = RowBackend::new(&t, &rules);
         let cfg = ScalingConfig {
             epsilon: 1e-10,
             max_iterations: 100_000,
         };
-        let out = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         assert!(out.converged);
         let london = t.dict(2).code("London").unwrap();
         for (i, row) in t.rows().enumerate() {
             let expect = if row[2] == london { 61.0 / 4.0 } else { 8.4 };
             assert!(
-                (backend.mhat()[i] - expect).abs() < 1e-3,
+                (backend.mhat[i] - expect).abs() < 1e-3,
                 "row {i}: {} vs {expect}",
-                backend.mhat()[i]
+                backend.mhat[i]
             );
         }
         // λ(r1) ≈ 8.4, λ(r2) ≈ 15.25/8.4 ≈ 1.815 (paper quotes 8.4, 1.8).
@@ -266,15 +248,14 @@ mod tests {
     fn estimates_are_products_of_lambdas() {
         let t = flights();
         let rules = rules_r1_r2(&t);
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums = targets(&t, &rules);
         let mut lambdas = vec![1.0; 2];
-        let mut backend = TableBackend::new(&t);
+        let mut backend = RowBackend::new(&t, &rules);
         let cfg = ScalingConfig {
             epsilon: 1e-12,
             max_iterations: 100_000,
         };
-        iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         for (i, row) in t.rows().enumerate() {
             let product: f64 = rules
                 .iter()
@@ -282,7 +263,7 @@ mod tests {
                 .filter(|(r, _)| r.matches(row))
                 .map(|(_, &l)| l)
                 .product();
-            assert!((backend.mhat()[i] - product).abs() < 1e-9);
+            assert!((backend.mhat[i] - product).abs() < 1e-9);
         }
     }
 
@@ -295,17 +276,17 @@ mod tests {
             r.push(Rule::from_values(vec![fri, WILDCARD, WILDCARD]));
             r
         };
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums = targets(&t, &rules);
         let mut lambdas = vec![1.0; rules.len()];
-        let mut backend = TableBackend::new(&t);
+        let mut backend = RowBackend::new(&t, &rules);
         let cfg = ScalingConfig {
             epsilon: 1e-8,
             max_iterations: 100_000,
         };
-        let out = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         assert!(out.converged);
-        let mhat_sums = backend.mhat_sums(&rules);
+        let mut mhat_sums = vec![0.0; rules.len()];
+        backend.mhat_sums(&mut mhat_sums);
         for (i, (&ms, &mhs)) in m_sums.iter().zip(&mhat_sums).enumerate() {
             assert!(
                 relative_diff(ms, mhs) <= 1e-8,
@@ -320,22 +301,20 @@ mod tests {
         // every insertion; carrying λ forward needs fewer iterations.
         let t = flights();
         let rules = rules_r1_r2(&t);
-        let sums = rule_measure_sums(&t, t.measures(), &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums = targets(&t, &rules);
         let cfg = ScalingConfig::default();
 
         // Carry-over: fit r1, then add r2 keeping λ.
         let mut lambdas = vec![1.0];
-        let mut backend = TableBackend::new(&t);
-        iterative_scaling(&mut backend, &rules[..1], &m_sums[..1], &mut lambdas, &cfg);
+        let mut backend = RowBackend::new(&t, &rules);
+        iterative_scaling(&mut backend, &m_sums[..1], &mut lambdas, &cfg, None);
         lambdas.push(1.0);
-        let carry = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg).iterations;
+        let carry = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None).iterations;
 
         // Reset: start over from scratch on both rules.
         let mut lambdas2 = vec![1.0; 2];
-        let mut backend2 = TableBackend::new(&t);
-        let reset =
-            iterative_scaling(&mut backend2, &rules, &m_sums, &mut lambdas2, &cfg).iterations;
+        let mut backend2 = RowBackend::new(&t, &rules);
+        let reset = iterative_scaling(&mut backend2, &m_sums, &mut lambdas2, &cfg, None).iterations;
         assert!(carry <= reset, "carry {carry} vs reset {reset}");
     }
 
@@ -345,14 +324,37 @@ mod tests {
         let rules = rules_r1_r2(&t);
         let m_sums = vec![145.0, 61.0];
         let mut lambdas = vec![1.0; 2];
-        let mut backend = TableBackend::new(&t);
+        let mut backend = RowBackend::new(&t, &rules);
         let cfg = ScalingConfig {
             epsilon: 0.0, // unreachable tolerance
             max_iterations: 3,
         };
-        let out = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         assert!(!out.converged);
         assert_eq!(out.iterations, 3);
+    }
+
+    #[test]
+    fn cancellation_stops_the_loop_before_the_next_update() {
+        // An unreachable tolerance and a cap no run reaches here: only the
+        // token ends the loop, at its third poll — after two updates.
+        let t = flights();
+        let rules = rules_r1_r2(&t);
+        let m_sums = targets(&t, &rules);
+        let mut lambdas = vec![1.0; 2];
+        let mut backend = RowBackend::new(&t, &rules);
+        let cfg = ScalingConfig {
+            epsilon: 0.0,
+            max_iterations: 1_000_000,
+        };
+        let token = CancellationToken::new();
+        token.cancel_after_polls(3);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, Some(&token));
+        let stopped = ScalingOutcome {
+            iterations: 2,
+            converged: false,
+        };
+        assert_eq!(out, stopped);
     }
 
     #[test]

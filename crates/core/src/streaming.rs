@@ -21,9 +21,9 @@ use crate::error::SirumError;
 use crate::gain::kl_from_parts;
 use crate::miner::{CandidateStrategy, Miner, SirumConfig};
 use crate::prepared::PreparedTable;
-use crate::rct::{iterative_scaling_rct, mhat_for_mask, Rct, RctGroup};
+use crate::rct::{mhat_for_mask, Rct, RctGroup};
 use crate::rule::Rule;
-use crate::scaling::{ScalingConfig, ScalingOutcome};
+use crate::scaling::{iterative_scaling, ScalingConfig, ScalingOutcome};
 use sirum_dataflow::Engine;
 use sirum_table::{Frame, Table};
 use std::collections::BTreeMap;
@@ -198,12 +198,12 @@ impl StreamingMiner {
     /// Re-run RCT scaling from the current multipliers.
     fn refit(&mut self) -> ScalingOutcome {
         let mut rct = Rct::from_partials(self.groups.values().map(|(g, _)| *g));
-        let outcome = iterative_scaling_rct(
+        let outcome = iterative_scaling(
             &mut rct,
-            self.rules.len(),
             &self.m_sums,
             &mut self.lambdas,
             &self.cfg.scaling,
+            None,
         );
         // Push the converged group estimates back into our statistics.
         for g in rct.groups() {

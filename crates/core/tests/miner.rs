@@ -254,6 +254,42 @@ fn cancellation_token_stops_the_sweep_mid_pass() {
 }
 
 #[test]
+fn cancellation_stops_iterative_scaling_between_lambda_updates() {
+    // ε = 1e-300 is a valid request that no fit meets, so without a poll
+    // inside the scaling loop a fit ends only at its cap, whatever the
+    // token says: the seed fit of the dataset loop (Baseline), or a fit
+    // over the RCT after the first sweep's polls (Optimized, from 100
+    // polls on). Wherever the token's n-th poll falls — in a fit, a sweep
+    // or at an iteration boundary — the mine must come back cancelled
+    // without any fit having run to its cap.
+    use sirum_core::{CancellationToken, ScalingConfig};
+    let t = generators::income_like(300, 7);
+    for (variant, cap) in [(Variant::Optimized, 200_000), (Variant::Baseline, 2_000)] {
+        for polls in [1, 2, 3, 5, 8, 13, 40, 100, 300, 1_000] {
+            let config = SirumConfig {
+                scaling: ScalingConfig {
+                    epsilon: 1e-300,
+                    max_iterations: cap,
+                },
+                ..variant.config(4, 32)
+            };
+            let token = CancellationToken::new();
+            token.cancel_after_polls(polls);
+            let result = Miner::new(engine(), config)
+                .with_cancellation(token)
+                .try_mine(&t)
+                .unwrap();
+            let case = format!(
+                "{variant} after {polls} polls: {:?}",
+                result.scaling_iterations
+            );
+            assert!(result.cancelled, "{case}");
+            assert!(result.scaling_iterations.iter().all(|&n| n < cap), "{case}");
+        }
+    }
+}
+
+#[test]
 fn engine_modes_agree_on_results() {
     let t = generators::income_like(800, 17);
     let cfg = || full_sample_config(3, 16);

@@ -4,16 +4,14 @@
 
 use proptest::prelude::*;
 use sirum_core::candidates::{
-    adjust_for_sample, exhaustive_candidates, lca_aggregates, merge_agg, Agg, SampleIndex,
+    adjust_for_sample, exhaustive_candidates, merge_agg, Agg, SampleIndex,
 };
 use sirum_core::gain::kl_divergence;
 use sirum_core::lattice::{ancestors, ancestors_restricted, column_groups};
 use sirum_core::miner::{CandidateStrategy, IterationDecision, Miner, SirumConfig};
-use sirum_core::rct::{iterative_scaling_rct, mhat_for_mask, Rct};
+use sirum_core::rct::{mhat_for_mask, Rct};
 use sirum_core::rule::{Rule, RuleLayout, WILDCARD};
-use sirum_core::scaling::{
-    iterative_scaling, relative_diff, rule_measure_sums, ScalingConfig, TableBackend,
-};
+use sirum_core::scaling::{iterative_scaling, relative_diff, ScalingBackend, ScalingConfig};
 use sirum_core::sweep::{sweep_gains, CombineStrategy, SweepOptions, SweepOutcome, SweepState};
 use sirum_core::transform::MeasureTransform;
 use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
@@ -56,6 +54,56 @@ fn small_table() -> impl Strategy<Value = Table> {
 /// The synthetic non-uniform estimate of global row `i`.
 fn synthetic_mhat(i: usize) -> f64 {
     0.5 + (i % 7) as f64
+}
+
+/// Algorithm 1 as written, the per-row reference Algorithm 3 is checked
+/// against: a dense estimate per row, every rule re-matched against every
+/// row on every pass.
+struct RowBackend<'a> {
+    table: &'a Table,
+    rules: &'a [Rule],
+    mhat: Vec<f64>,
+}
+
+impl<'a> RowBackend<'a> {
+    fn new(table: &'a Table, rules: &'a [Rule]) -> Self {
+        let mhat = vec![1.0; table.num_rows()];
+        RowBackend { table, rules, mhat }
+    }
+}
+
+impl ScalingBackend for RowBackend<'_> {
+    fn mhat_sums(&self, out: &mut [f64]) {
+        out.fill(0.0);
+        for (row, mh) in self.table.rows().zip(&self.mhat) {
+            for (sum, rule) in out.iter_mut().zip(self.rules) {
+                if rule.matches(row) {
+                    *sum += mh;
+                }
+            }
+        }
+    }
+
+    fn scale(&mut self, i: usize, factor: f64) {
+        for (row, mh) in self.table.rows().zip(&mut self.mhat) {
+            if self.rules[i].matches(row) {
+                *mh *= factor;
+            }
+        }
+    }
+}
+
+/// `Σ_{t⊨r} m′` per rule, by one scan of the table.
+fn measure_sums(table: &Table, m_prime: &[f64], rules: &[Rule]) -> Vec<f64> {
+    let mut out = vec![0.0; rules.len()];
+    for (row, m) in table.rows().zip(m_prime) {
+        for (sum, rule) in out.iter_mut().zip(rules) {
+            if rule.matches(row) {
+                *sum += m;
+            }
+        }
+    }
+    out
 }
 
 /// `table` as the miner distributes it — one columnar block per partition
@@ -897,7 +945,14 @@ proptest! {
             .map(|&i| table.row(i).to_vec().into_boxed_slice())
             .collect();
         let index = SampleIndex::build(sample.clone(), d);
-        let lcas = lca_aggregates(&table, table.measures(), &mhat, &sample, None).expect("uncancelled");
+        // LCA(s, D) with pair-level aggregates, then every ancestor.
+        let mut lcas: FxHashMap<Rule, Agg> = FxHashMap::default();
+        for (i, row) in table.rows().enumerate() {
+            for s in &sample {
+                let agg = lcas.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
+                merge_agg(agg, (table.measure(i), mhat[i], 1));
+            }
+        }
         let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (rule, agg) in &lcas {
             for anc in ancestors(rule) {
@@ -967,13 +1022,12 @@ proptest! {
                 }
             }
         }
-        let sums = rule_measure_sums(&table, &m_prime, &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums = measure_sums(&table, &m_prime, &rules);
         let cfg = ScalingConfig { epsilon: 1e-9, max_iterations: 200_000 };
 
         let mut naive_lambdas = vec![1.0; rules.len()];
-        let mut backend = TableBackend::new(&table);
-        let naive_out = iterative_scaling(&mut backend, &rules, &m_sums, &mut naive_lambdas, &cfg);
+        let mut backend = RowBackend::new(&table, &rules);
+        let naive_out = iterative_scaling(&mut backend, &m_sums, &mut naive_lambdas, &cfg, None);
 
         let masks: Vec<u64> = table
             .rows()
@@ -985,15 +1039,15 @@ proptest! {
             .collect();
         let mut rct = Rct::build(&masks, &m_prime, &vec![1.0; table.num_rows()]);
         let mut rct_lambdas = vec![1.0; rules.len()];
-        let rct_out = iterative_scaling_rct(&mut rct, rules.len(), &m_sums, &mut rct_lambdas, &cfg);
+        let rct_out = iterative_scaling(&mut rct, &m_sums, &mut rct_lambdas, &cfg, None);
 
         prop_assert_eq!(naive_out.converged, rct_out.converged);
         if naive_out.converged {
             for (i, &mask) in masks.iter().enumerate() {
                 let via_rct = mhat_for_mask(mask, &rct_lambdas);
                 prop_assert!(
-                    (via_rct - backend.mhat()[i]).abs() < 1e-5,
-                    "tuple {}: {} vs {}", i, via_rct, backend.mhat()[i]
+                    (via_rct - backend.mhat[i]).abs() < 1e-5,
+                    "tuple {}: {} vs {}", i, via_rct, backend.mhat[i]
                 );
             }
         }
@@ -1004,22 +1058,17 @@ proptest! {
         let d = table.num_dims();
         let (_tr, m_prime) = MeasureTransform::fit(table.measures());
         let rules = vec![Rule::all_wildcards(d)];
-        let sums = rule_measure_sums(&table, &m_prime, &rules);
-        let m_sums: Vec<f64> = sums.iter().map(|s| s.0).collect();
+        let m_sums = measure_sums(&table, &m_prime, &rules);
         let cfg = ScalingConfig { epsilon: 1e-9, max_iterations: 100_000 };
         let mut lambdas = vec![1.0];
-        let mut backend = TableBackend::new(&table);
-        let out = iterative_scaling(&mut backend, &rules, &m_sums, &mut lambdas, &cfg);
+        let mut backend = RowBackend::new(&table, &rules);
+        let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
         prop_assert!(out.converged);
-        let mhat_sums = {
-            let mut s = 0.0;
-            for i in 0..table.num_rows() { s += backend.mhat()[i]; }
-            s
-        };
+        let mhat_sums: f64 = backend.mhat.iter().sum();
         prop_assert!(relative_diff(m_sums[0], mhat_sums) <= 1e-9);
         // KL of the fitted model never exceeds KL of the uniform model.
         let uniform = vec![1.0; table.num_rows()];
-        let kl_fit = kl_divergence(&m_prime, backend.mhat());
+        let kl_fit = kl_divergence(&m_prime, &backend.mhat);
         let kl_uniform = kl_divergence(&m_prime, &uniform);
         prop_assert!(kl_fit <= kl_uniform + 1e-9);
     }

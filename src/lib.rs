@@ -35,7 +35,8 @@
 //! * [`table`] (`sirum_table`) — the multidimensional table substrate and
 //!   dataset generators.
 //! * [`dataflow`] (`sirum_dataflow`) — the Spark-like execution engine.
-//! * [`baselines`] (`sirum_baselines`) — prior-work comparators.
+//! * [`baselines`] (`sirum_baselines`) — Sarawagi's cube-exploration
+//!   comparator.
 //!
 //! `Miner::try_mine` is the direct, engine-level way in. See the
 //! `examples/` directory for runnable walkthroughs and `DESIGN.md` for the

@@ -1,84 +1,10 @@
-//! Cross-crate integration tests: the distributed miner against the
-//! centralized prior-work oracle, the worked examples of the thesis, and
-//! whole-pipeline invariants.
+//! Cross-crate integration tests through the facade crate: the worked
+//! examples of the thesis and whole-pipeline invariants. The miner's rule
+//! choices are checked against an independent brute force in
+//! `tests/brute_force_oracle.rs`.
 
-use sirum::baselines::{mine_centralized, CentralizedConfig, SampleSource};
 use sirum::core::evaluate_rules;
 use sirum::prelude::*;
-
-fn shared_sample(table: &Table, engine: &Engine, size: usize, seed: u64) -> Vec<Box<[u32]>> {
-    // Draw the sample exactly the way the distributed miner does, so the
-    // centralized oracle sees the same candidate space.
-    let tuples: Vec<(Box<[u32]>, f64, f64, u64)> = (0..table.num_rows())
-        .map(|i| {
-            (
-                table.row(i).to_vec().into_boxed_slice(),
-                table.measure(i),
-                1.0,
-                0u64,
-            )
-        })
-        .collect();
-    let data = engine.parallelize_default(tuples);
-    data.take_sample(size, seed)
-        .into_iter()
-        .map(|(dims, _, _, _)| dims)
-        .collect()
-}
-
-#[test]
-fn distributed_miner_matches_centralized_oracle() {
-    // Rule-for-rule agreement between the dataflow implementation and the
-    // independent single-machine implementation of El Gebaly et al.,
-    // which scans every (sample, tuple) pair every iteration — where the
-    // miner's sweeps after the first count the RCT's largest group
-    // instead: five of them at k = 6.
-    for (name, table, k) in [
-        ("income", generators::income_like(1_200, 5), 4),
-        ("gdelt", generators::gdelt_like(1_200, 5), 4),
-        ("tlc", generators::tlc_like(3_000, 5), 6),
-    ] {
-        let engine = Engine::in_memory();
-        let seed = 42;
-        let sample = shared_sample(&table, &engine, 32, seed);
-
-        let distributed = {
-            let config = SirumConfig {
-                k,
-                strategy: CandidateStrategy::SampleLca { sample_size: 32 },
-                seed,
-                ..SirumConfig::default()
-            };
-            Miner::new(engine.clone(), config).try_mine(&table).unwrap()
-        };
-        let centralized = mine_centralized(
-            &table,
-            &CentralizedConfig {
-                k,
-                sample: SampleSource::Explicit(sample),
-                ..Default::default()
-            },
-        );
-
-        let d_rules: Vec<&Rule> = distributed.rules.iter().map(|r| &r.rule).collect();
-        let c_rules: Vec<&Rule> = centralized.rules.iter().map(|r| &r.rule).collect();
-        assert_eq!(d_rules, c_rules, "dataset {name}");
-        for (d, c) in distributed.rules.iter().zip(&centralized.rules) {
-            assert_eq!(d.count, c.count, "dataset {name} rule {:?}", d.rule);
-            assert!(
-                (d.avg_measure - c.avg_measure).abs() < 1e-6,
-                "dataset {name} rule {:?}",
-                d.rule
-            );
-        }
-        assert!(
-            (distributed.final_kl() - centralized.final_kl()).abs() < 1e-3,
-            "dataset {name}: {} vs {}",
-            distributed.final_kl(),
-            centralized.final_kl()
-        );
-    }
-}
 
 #[test]
 fn flight_walkthrough_matches_the_thesis() {
