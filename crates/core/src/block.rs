@@ -231,7 +231,7 @@ mod tests {
 
     fn block() -> TupleBlock {
         let t = generators::flights();
-        let frame = Frame::from_table(&t);
+        let frame = t.frame();
         let m: ColSlice<f64> = t.measures().to_vec().into();
         TupleBlock::seed(frame.partition_views(3)[1].clone(), m.slice(5, 5))
     }
@@ -292,8 +292,8 @@ mod tests {
     fn compressed_blocks_spill_compressed_and_round_trip() {
         use sirum_table::Compression;
         let t = generators::income_like(700, 5);
-        let raw = Frame::from_table(&t);
-        let comp = Frame::from_table_with(&t, Compression::Always);
+        let raw = t.frame().clone();
+        let comp = raw.with_compression(Compression::Always);
         let m: ColSlice<f64> = t.measures().to_vec().into();
         // A mid-frame partition whose range does not align with segments.
         let view = comp.view().slice(123, 457);

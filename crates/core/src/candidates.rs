@@ -60,7 +60,7 @@ pub fn exhaustive_candidates(
         {
             return None;
         }
-        let base = Rule::from_tuple(row);
+        let base = Rule::from_tuple(&row);
         for anc in ancestors(&base) {
             let agg = out.entry(anc).or_insert((0.0, 0.0, 0));
             merge_agg(agg, (table.measure(i), mhat[i], 1));
@@ -297,7 +297,7 @@ mod tests {
         let mut out: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (i, row) in t.rows().enumerate() {
             for s in sample {
-                let agg = out.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
+                let agg = out.entry(Rule::lca(s, &row)).or_insert((0.0, 0.0, 0));
                 merge_agg(agg, (t.measure(i), mhat[i], 1));
             }
         }
@@ -393,7 +393,7 @@ mod tests {
         for (rule, sum_m, sum_mhat, count) in adjusted {
             let mut exp = (0.0, 0.0, 0u64);
             for (i, row) in t.rows().enumerate() {
-                if rule.matches(row) {
+                if rule.matches(&row) {
                     exp.0 += t.measure(i);
                     exp.1 += mhat[i];
                     exp.2 += 1;
@@ -450,9 +450,9 @@ mod tests {
         let index = SampleIndex::build(sample.clone(), 3);
         let mut scratch = Vec::new();
         for row in t.rows() {
-            let fast = index.lcas_into(row, &mut scratch).to_vec();
+            let fast = index.lcas_into(&row, &mut scratch).to_vec();
             for (j, s) in sample.iter().enumerate() {
-                let naive = Rule::lca(s, row);
+                let naive = Rule::lca(s, &row);
                 let via_index = &fast[j * 3..(j + 1) * 3];
                 assert_eq!(naive.values(), via_index);
             }
@@ -465,14 +465,14 @@ mod tests {
         // Row 3 twice: duplicate sample rows get identical masks.
         let sample = sample_rows(&t, &[3, 8, 11, 3]);
         let index = SampleIndex::build(sample.clone(), 3);
-        let frame = sirum_table::Frame::from_table(&t);
+        let frame = t.frame();
         let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
         let mut masks = Vec::new();
         for (i, row) in t.rows().enumerate() {
             let got = index.match_masks_into_cols(&cols, i, &mut masks);
             assert_eq!(got.len(), sample.len());
             for (j, s) in sample.iter().enumerate() {
-                let lca = Rule::lca(s, row);
+                let lca = Rule::lca(s, &row);
                 for (col, &v) in lca.values().iter().enumerate() {
                     let matched = got[j] & (1 << col) != 0;
                     assert_eq!(matched, v != WILDCARD, "row {i}, sample {j}, dim {col}");

@@ -41,9 +41,9 @@ pub fn evaluate_rules(table: &Table, rules: &[Rule], cfg: &ScalingConfig) -> Rul
 }
 
 /// Fallible form of [`evaluate_rules`], naming the violated invariant.
-/// Transposes the table on the way in; callers that already hold a
-/// [`PreparedTable`] (e.g. a service catalog entry) should use
-/// [`try_evaluate_rules_prepared`] and skip the per-call transpose.
+/// Validates the table and fits its measure transform on the way in;
+/// callers that already hold a [`PreparedTable`] (e.g. a service catalog
+/// entry) should use [`try_evaluate_rules_prepared`] and skip that work.
 pub fn try_evaluate_rules(
     table: &Table,
     rules: &[Rule],
@@ -55,7 +55,7 @@ pub fn try_evaluate_rules(
 }
 
 /// As [`try_evaluate_rules`], but scanning an existing preparation's
-/// shared columns — no transpose, no re-validation of the data.
+/// shared columns — no re-validation of the data.
 pub fn try_evaluate_rules_prepared(
     prepared: &PreparedTable,
     rules: &[Rule],
@@ -110,7 +110,7 @@ fn evaluate_prepared(
     // Bit arrays + constraint targets, scanned column-wise: one columnar
     // pass per rule touching only its constant columns (each `m_sums[j]`
     // still accumulates rows in ascending order, so the sums are
-    // bit-identical to the old row-major scan).
+    // bit-identical to a row-by-row scan).
     let mut masks = vec![0u64; n];
     let mut m_sums = vec![0.0f64; rules.len()];
     let view = frame.view();

@@ -83,7 +83,7 @@ mod tests {
         }
         // Each prior rule covers at least one tuple (active domain).
         for r in &prior {
-            assert!(t.rows().any(|row| r.matches(row)), "{r:?} has no support");
+            assert!(t.rows().any(|row| r.matches(&row)), "{r:?} has no support");
         }
     }
 

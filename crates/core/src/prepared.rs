@@ -1,17 +1,16 @@
 //! Pre-encoded mining input: the per-request table preparation — the
-//! columnar [`Frame`] (one `Arc`-shared code column per dimension), the
-//! fitted [`MeasureTransform`] and the transformed measure column — built
-//! once and scanned by every request.
+//! table's columnar [`Frame`] (shared, not copied), the fitted
+//! [`MeasureTransform`] and the transformed measure column — built once and
+//! scanned by every request.
 //!
 //! [`crate::Miner::try_mine_with_prior`] performs this preparation on every
 //! call; an interactive workload that re-mines the same table with varied
 //! `k`/variant/two-sided settings pays it repeatedly. The service layer's
 //! catalog instead builds one [`PreparedTable`] per registered table and
 //! feeds it to [`crate::Miner::try_mine_prepared`], so repeated requests
-//! skip re-validation, transform fitting and the row-major → columnar
-//! transpose — and every concurrent job scans the *same* shared buffers
-//! (partitioning hands out [`sirum_table::FrameView`] ranges, never
-//! copies).
+//! skip re-validation and transform fitting — and the catalog's table and
+//! every concurrent job scan the *same* buffers (partitioning hands out
+//! [`sirum_table::FrameView`] ranges, never copies).
 
 use crate::error::SirumError;
 use crate::transform::MeasureTransform;
@@ -34,20 +33,21 @@ pub struct PreparedTable {
 }
 
 impl PreparedTable {
-    /// Validate and encode `table` for repeated mining, under the default
-    /// [`Compression::Auto`] policy: small tables keep raw columns,
-    /// multi-million-row tables compress so they fit (and mine) inside a
-    /// capped block-store budget.
+    /// Validate `table` for repeated mining and fit its measure transform.
+    /// The frame is the table's own (its column buffers are shared): raw
+    /// for small tables, compressed for tables large enough that
+    /// [`Compression::Auto`] compressed them at build.
     ///
     /// # Errors
     /// * [`SirumError::EmptyDataset`] — the table has no rows.
     /// * [`SirumError::InvalidMeasure`] — a measure value is not finite.
     pub fn try_new(table: &Table) -> Result<Self, SirumError> {
-        Self::try_new_with(table, Compression::default())
+        Self::try_new_with(table, Compression::Auto)
     }
 
-    /// [`Self::try_new`] with an explicit columnar [`Compression`] policy
-    /// (benches and bit-identity tests force `Always`/`Never`).
+    /// [`Self::try_new`] under an explicit columnar [`Compression`] policy
+    /// (benches and bit-identity tests force `Always`/`Never`): re-encodes
+    /// the columns only when the table is not already in that layout.
     ///
     /// # Errors
     /// Same as [`Self::try_new`].
@@ -55,17 +55,12 @@ impl PreparedTable {
         if table.num_rows() == 0 {
             return Err(SirumError::EmptyDataset);
         }
-        let (transform, m_prime) = MeasureTransform::try_fit(table.measures())?;
-        Ok(PreparedTable {
-            frame: Frame::from_table_with(table, compression),
-            m_prime: Arc::from(m_prime),
-            transform,
-        })
+        Self::from_frame(table.frame().with_compression(compression))
     }
 
-    /// Prepare rows that are already columnar and never were a [`Table`]
-    /// (the streaming maintainer's history): fit the measure transform to
-    /// the frame's own measure column.
+    /// Prepare `frame` as it is: fit the measure transform to the frame's
+    /// own measure column. Tables come through here, and so does the
+    /// streaming maintainer's history, which never was a [`Table`].
     ///
     /// # Errors
     /// Same as [`Self::try_new`].
@@ -125,7 +120,7 @@ mod tests {
         let mut buf = Vec::new();
         for i in 0..t.num_rows() {
             p.frame().gather_row(i, &mut buf);
-            assert_eq!(buf.as_slice(), t.row(i));
+            assert_eq!(buf, t.row(i));
             assert_eq!(p.m_prime()[i], p.transform().apply(t.measure(i)));
         }
         assert_eq!(p.frame().fingerprint(), t.fingerprint());

@@ -178,7 +178,7 @@ mod tests {
             .map(|row| {
                 let mut mask = 0u64;
                 for (i, r) in rules.iter().enumerate() {
-                    if r.matches(row) {
+                    if r.matches(&row) {
                         mask |= 1 << i;
                     }
                 }

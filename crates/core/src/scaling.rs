@@ -143,7 +143,7 @@ pub(crate) mod tests {
             out.fill(0.0);
             for (row, mh) in self.table.rows().zip(&self.mhat) {
                 for (sum, rule) in out.iter_mut().zip(&self.rules) {
-                    if rule.matches(row) {
+                    if rule.matches(&row) {
                         *sum += mh;
                     }
                 }
@@ -152,7 +152,7 @@ pub(crate) mod tests {
 
         fn scale(&mut self, i: usize, factor: f64) {
             for (row, mh) in self.table.rows().zip(&mut self.mhat) {
-                if self.rules[i].matches(row) {
+                if self.rules[i].matches(&row) {
                     *mh *= factor;
                 }
             }
@@ -164,7 +164,7 @@ pub(crate) mod tests {
         let mut out = vec![(0.0, 0u64); rules.len()];
         for (row, &m) in table.rows().zip(table.measures()) {
             for (sums, rule) in out.iter_mut().zip(rules) {
-                if rule.matches(row) {
+                if rule.matches(&row) {
                     sums.0 += m;
                     sums.1 += 1;
                 }
@@ -260,7 +260,7 @@ pub(crate) mod tests {
             let product: f64 = rules
                 .iter()
                 .zip(&lambdas)
-                .filter(|(r, _)| r.matches(row))
+                .filter(|(r, _)| r.matches(&row))
                 .map(|(_, &l)| l)
                 .product();
             assert!((backend.mhat[i] - product).abs() < 1e-9);

@@ -141,58 +141,74 @@ impl StreamingMiner {
     /// * [`SirumError::InvalidMeasure`] — a measure is negative or not
     ///   finite.
     pub fn ingest(&mut self, rows: &[(&[u32], f64)]) -> Result<ScalingOutcome, SirumError> {
-        for (i, (row, m)) in rows.iter().enumerate() {
-            if row.len() != self.d {
-                return Err(SirumError::invalid_config(
-                    "stream.row",
-                    format!(
-                        "row {i} has {} dimensions but the stream has {}",
-                        row.len(),
-                        self.d
-                    ),
-                ));
-            }
-            if !(m.is_finite() && *m >= 0.0) {
-                return Err(SirumError::InvalidMeasure {
-                    reason: format!(
-                        "row {i}: value {m} must be finite and ≥ 0 (streamed history \
-                         cannot be re-shifted; apply a measure transform upstream)"
-                    ),
-                });
-            }
+        for (i, &(row, m)) in rows.iter().enumerate() {
+            self.check_row(i, row.len(), m)?;
         }
         for &(row, m) in rows {
-            // Bit array against the current rules; estimate from current λ.
-            let mut mask = 0u64;
-            for (i, rule) in self.rules.iter().enumerate() {
-                if rule.matches(row) {
-                    mask |= 1 << i;
-                    self.m_sums[i] += m;
-                }
-            }
-            let mhat = mhat_for_mask(mask, &self.lambdas);
-            fold_tuple(&mut self.groups, mask, m, mhat);
-            // History (columnar: one push per dimension column).
-            for (col, &v) in self.cols.iter_mut().zip(row) {
-                col.push(v);
-            }
-            self.measures.push(m);
-            self.masks.push(mask);
+            self.push_row(row, m);
         }
         Ok(self.refit())
     }
 
     /// Ingest all rows of a table (dimension dictionaries must be
     /// compatible with previous batches — i.e. produced by the same
-    /// encoding pipeline).
+    /// encoding pipeline), gathered from its frame one row at a time.
     ///
     /// # Errors
     /// As [`Self::ingest`].
     pub fn ingest_table(&mut self, table: &Table) -> Result<ScalingOutcome, SirumError> {
-        let rows: Vec<(&[u32], f64)> = (0..table.num_rows())
-            .map(|i| (table.row(i), table.measure(i)))
-            .collect();
-        self.ingest(&rows)
+        let measures = table.measures();
+        for (i, &m) in measures.iter().enumerate() {
+            self.check_row(i, table.num_dims(), m)?;
+        }
+        let mut row = Vec::with_capacity(self.d);
+        for (i, &m) in measures.iter().enumerate() {
+            table.frame().gather_row(i, &mut row);
+            self.push_row(&row, m);
+        }
+        Ok(self.refit())
+    }
+
+    /// Reject row `i` of a batch — before any row is applied — when its
+    /// arity is not `d` or its measure is negative or not finite.
+    fn check_row(&self, i: usize, arity: usize, m: f64) -> Result<(), SirumError> {
+        if arity != self.d {
+            return Err(SirumError::invalid_config(
+                "stream.row",
+                format!(
+                    "row {i} has {arity} dimensions but the stream has {}",
+                    self.d
+                ),
+            ));
+        }
+        if !(m.is_finite() && m >= 0.0) {
+            return Err(SirumError::InvalidMeasure {
+                reason: format!(
+                    "row {i}: value {m} must be finite and ≥ 0 (streamed history \
+                     cannot be re-shifted; apply a measure transform upstream)"
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// Append one checked row: fold it into the group statistics under the
+    /// current rules and λ, and into the columnar history.
+    fn push_row(&mut self, row: &[u32], m: f64) {
+        let mut mask = 0u64;
+        for (i, rule) in self.rules.iter().enumerate() {
+            if rule.matches(row) {
+                mask |= 1 << i;
+                self.m_sums[i] += m;
+            }
+        }
+        let mhat = mhat_for_mask(mask, &self.lambdas);
+        fold_tuple(&mut self.groups, mask, m, mhat);
+        for (col, &v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
+        self.measures.push(m);
+        self.masks.push(mask);
     }
 
     /// Re-run RCT scaling from the current multipliers.
@@ -396,9 +412,10 @@ mod tests {
         let mut bulk = StreamingMiner::new(t.num_dims(), tight());
         bulk.ingest_table(&t).unwrap();
         let mut batched = StreamingMiner::new(t.num_dims(), tight());
+        let owned: Vec<Vec<u32>> = t.rows().collect();
         for chunk_start in (0..t.num_rows()).step_by(300) {
             let rows: Vec<(&[u32], f64)> = (chunk_start..(chunk_start + 300).min(t.num_rows()))
-                .map(|i| (t.row(i), t.measure(i)))
+                .map(|i| (owned[i].as_slice(), t.measure(i)))
                 .collect();
             batched.ingest(&rows).unwrap();
         }
@@ -467,14 +484,14 @@ mod tests {
         let t = generators::income_like(4_000, 13);
         let mut sm = StreamingMiner::new(t.num_dims(), StreamingConfig::default());
         let half = t.num_rows() / 2;
-        let rows: Vec<(&[u32], f64)> = (0..half).map(|i| (t.row(i), t.measure(i))).collect();
+        let owned: Vec<Vec<u32>> = t.rows().collect();
+        let row = |i: usize| (owned[i].as_slice(), t.measure(i));
+        let rows: Vec<(&[u32], f64)> = (0..half).map(row).collect();
         sm.ingest(&rows).unwrap();
         sm.mine_more(&Engine::in_memory(), 3).unwrap();
         // Second half is statistically identical: the warm re-fit should
         // need very few λ updates.
-        let rows2: Vec<(&[u32], f64)> = (half..t.num_rows())
-            .map(|i| (t.row(i), t.measure(i)))
-            .collect();
+        let rows2: Vec<(&[u32], f64)> = (half..t.num_rows()).map(row).collect();
         let outcome = sm.ingest(&rows2).unwrap();
         assert!(outcome.converged);
         // Adopting the same rules over the whole table from λ = 1 reaches

@@ -1243,7 +1243,7 @@ mod tests {
     }
 
     fn blocks(engine: &Engine, table: &Table, partitions: usize) -> Dataset<TupleBlock> {
-        blocks_of(engine, &Frame::from_table(table), partitions)
+        blocks_of(engine, table.frame(), partitions)
     }
 
     fn sample_index(table: &Table, rows: &[usize]) -> SampleIndex {
@@ -1301,7 +1301,7 @@ mod tests {
             for (rule, sm, smh, cnt) in &out.candidates {
                 let mut exp = (0.0, 0.0, 0u64);
                 for (i, row) in t.rows().enumerate() {
-                    if rule.matches(row) {
+                    if rule.matches(&row) {
                         exp.0 += t.measure(i);
                         exp.1 += 1.0;
                         exp.2 += 1;
@@ -1373,8 +1373,8 @@ mod tests {
         let cards: Vec<u32> = t.cardinalities().iter().map(|&c| c as u32).collect();
         let layout = RuleLayout::from_cardinalities(&cards);
         let masks = layout.masks::<u64>();
-        let frame = Frame::from_table(&t);
-        let block = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1);
+        let frame = t.frame();
+        let block = TupleBlock::seed_partitions(frame, &frame.measure_slice(), 1);
         let combine = |strategy| {
             let args = CombineArgs {
                 index: Some(&index),

@@ -66,15 +66,18 @@ fn bits(r: &sirum_core::MiningResult) -> (Vec<RuleBits>, Vec<u64>, usize) {
 #[test]
 #[ignore = "release-mode smoke: 2M-row scans; run via the CI memory-budget job"]
 fn two_million_rows_mine_inside_a_budget_raw_columns_cannot_satisfy() {
-    let table = generators::tlc_like(ROWS, 2016);
-    let raw = PreparedTable::try_new_with(&table, Compression::Never).unwrap();
-    let compressed = PreparedTable::try_new_with(&table, Compression::Auto).unwrap();
+    // The reference is built raw from the generator's codes, so its columns
+    // never passed through the segment encoder the compressed table did.
+    let raw_table = generators::tlc_like_with(ROWS, 2016, Compression::Never);
+    let raw = PreparedTable::try_new(&raw_table).unwrap();
+    let compressed = PreparedTable::try_new(&generators::tlc_like(ROWS, 2016)).unwrap();
+    assert!(!raw.frame().is_compressed());
 
     // The premise of the cap: the raw working set (dimension columns plus
     // the 24 B/row of m/m̂/mask float payload every block carries)
     // overflows it; compression shrinks the dimension share ~8× and pulls
-    // the total under. (Auto must compress at this size — that's the
-    // policy the service relies on.)
+    // the total under. (Auto must compress at this size at build — that's
+    // the policy the service relies on.)
     assert!(compressed.frame().is_compressed());
     let float_payload = 24 * ROWS;
     assert!(

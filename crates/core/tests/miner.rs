@@ -398,7 +398,7 @@ fn mined_rule_counts_and_averages_are_exact() {
         let mut sum = 0.0;
         let mut count = 0u64;
         for (i, row) in t.rows().enumerate() {
-            if mined.rule.matches(row) {
+            if mined.rule.matches(&row) {
                 sum += t.measure(i);
                 count += 1;
             }

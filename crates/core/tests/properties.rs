@@ -17,7 +17,7 @@ use sirum_core::transform::MeasureTransform;
 use sirum_core::{CancellationToken, PreparedTable, TupleBlock, Variant};
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Encode, Engine, EngineConfig};
-use sirum_table::{Compression, Frame, Schema, Table};
+use sirum_table::{Compression, Schema, Table};
 
 const MAX_D: usize = 5;
 const MAX_CARD: u32 = 4;
@@ -77,7 +77,7 @@ impl ScalingBackend for RowBackend<'_> {
         out.fill(0.0);
         for (row, mh) in self.table.rows().zip(&self.mhat) {
             for (sum, rule) in out.iter_mut().zip(self.rules) {
-                if rule.matches(row) {
+                if rule.matches(&row) {
                     *sum += mh;
                 }
             }
@@ -86,7 +86,7 @@ impl ScalingBackend for RowBackend<'_> {
 
     fn scale(&mut self, i: usize, factor: f64) {
         for (row, mh) in self.table.rows().zip(&mut self.mhat) {
-            if self.rules[i].matches(row) {
+            if self.rules[i].matches(&row) {
                 *mh *= factor;
             }
         }
@@ -98,7 +98,7 @@ fn measure_sums(table: &Table, m_prime: &[f64], rules: &[Rule]) -> Vec<f64> {
     let mut out = vec![0.0; rules.len()];
     for (row, m) in table.rows().zip(m_prime) {
         for (sum, rule) in out.iter_mut().zip(rules) {
-            if rule.matches(row) {
+            if rule.matches(&row) {
                 *sum += m;
             }
         }
@@ -142,7 +142,7 @@ fn sweep_blocks_column(
     compression: Compression,
     mhat: &[f64],
 ) -> Dataset<TupleBlock> {
-    let frame = Frame::from_table_with(table, compression);
+    let frame = table.frame().with_compression(compression);
     let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
         .into_iter()
         .map(|block| {
@@ -949,7 +949,7 @@ proptest! {
         let mut lcas: FxHashMap<Rule, Agg> = FxHashMap::default();
         for (i, row) in table.rows().enumerate() {
             for s in &sample {
-                let agg = lcas.entry(Rule::lca(s, row)).or_insert((0.0, 0.0, 0));
+                let agg = lcas.entry(Rule::lca(s, &row)).or_insert((0.0, 0.0, 0));
                 merge_agg(agg, (table.measure(i), mhat[i], 1));
             }
         }
@@ -986,9 +986,9 @@ proptest! {
         let index = SampleIndex::build(sample.clone(), d);
         let mut scratch = Vec::new();
         for row in table.rows() {
-            let fast = index.lcas_into(row, &mut scratch);
+            let fast = index.lcas_into(&row, &mut scratch);
             for (j, srow) in sample.iter().enumerate() {
-                let naive = Rule::lca(srow, row);
+                let naive = Rule::lca(srow, &row);
                 prop_assert_eq!(naive.values(), &fast[j * d..(j + 1) * d]);
             }
         }
@@ -1033,7 +1033,7 @@ proptest! {
             .rows()
             .map(|row| {
                 rules.iter().enumerate().fold(0u64, |mask, (i, r)| {
-                    if r.matches(row) { mask | (1 << i) } else { mask }
+                    if r.matches(&row) { mask | (1 << i) } else { mask }
                 })
             })
             .collect();

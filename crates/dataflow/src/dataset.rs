@@ -14,12 +14,12 @@ use std::sync::Arc;
 pub trait Record: Encode + Clone + Send + Sync + 'static {}
 impl<T: Encode + Clone + Send + Sync + 'static> Record for T {}
 
-/// The selection protocol behind [`Dataset::take_sample`]: the sorted
-/// global row indices of a uniform without-replacement draw of
-/// `min(n, total)` rows, deterministic in `seed` (all rows when
-/// `n >= total`). Public — and the single implementation — so datasets
-/// with a different record granularity (the miner's one columnar block per
-/// partition) draw the *same* rows a record-per-row dataset would.
+/// The sample-selection protocol: the sorted global row indices of a
+/// uniform without-replacement draw of `min(n, total)` rows, deterministic
+/// in `seed` (all rows when `n >= total`). Rows are numbered across
+/// partitions in order, so a dataset of any record granularity (the
+/// miner's one columnar block per partition) maps the indices to the same
+/// rows.
 pub fn sample_row_indices(total: usize, n: usize, seed: u64) -> Vec<usize> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -221,33 +221,6 @@ impl<T: Record> Dataset<T> {
             comb(&mut total, acc);
         }
         total
-    }
-
-    /// Draw exactly `min(n, len)` records uniformly at random without
-    /// replacement, deterministically from `seed` (the
-    /// [`sample_row_indices`] protocol).
-    pub fn take_sample(&self, n: usize, seed: u64) -> Vec<T> {
-        let lens: Vec<usize> = (0..self.parts.len()).map(|i| self.part(i).len()).collect();
-        let total: usize = lens.iter().sum();
-        if n >= total {
-            return self.collect();
-        }
-        let chosen = sample_row_indices(total, n, seed);
-        let mut out = Vec::with_capacity(n);
-        let mut offset = 0usize;
-        let mut cursor = 0usize;
-        for (i, &len) in lens.iter().enumerate() {
-            if cursor >= chosen.len() {
-                break;
-            }
-            let data = self.part(i);
-            while cursor < chosen.len() && chosen[cursor] < offset + len {
-                out.push(data[chosen[cursor] - offset].clone());
-                cursor += 1;
-            }
-            offset += len;
-        }
-        out
     }
 
     /// Persist every partition in the block store (subject to the memory
@@ -601,19 +574,18 @@ mod tests {
     }
 
     #[test]
-    fn take_sample_exact_size_without_replacement() {
-        let e = engine();
-        let d = e.parallelize((0..1000u32).collect(), 7);
-        let s = d.take_sample(64, 7);
+    fn sample_row_indices_exact_size_without_replacement() {
+        let s = sample_row_indices(1000, 64, 7);
         assert_eq!(s.len(), 64);
-        let mut dedup = s.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 64, "sample must be without replacement");
+        assert!(s.windows(2).all(|w| w[0] < w[1]), "sorted, no repeats");
+        assert!(s.iter().all(|&i| i < 1000));
         // Deterministic
-        assert_eq!(d.take_sample(64, 7), s);
+        assert_eq!(sample_row_indices(1000, 64, 7), s);
         // Oversized request returns everything.
-        assert_eq!(d.take_sample(5000, 7).len(), 1000);
+        assert_eq!(
+            sample_row_indices(1000, 5000, 7),
+            (0..1000).collect::<Vec<_>>()
+        );
     }
 
     #[test]

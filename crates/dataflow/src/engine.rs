@@ -162,12 +162,6 @@ impl Engine {
         Dataset::from_parts(self.clone(), parts)
     }
 
-    /// Distribute `data` using the engine's default partition count.
-    pub fn parallelize_default<T: Send + Sync + 'static>(&self, data: Vec<T>) -> Dataset<T> {
-        let p = self.inner.config.partitions;
-        self.parallelize(data, p)
-    }
-
     /// Replicate a value to every worker (map-side / broadcast join input).
     /// The reported broadcast volume is `bytes_hint × workers`, mirroring the
     /// cost of shipping the variable to each executor.

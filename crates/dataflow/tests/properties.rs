@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use sirum_dataflow::hash::FxHashMap;
-use sirum_dataflow::{decode_records, encode_records, Encode, Engine, EngineConfig};
+use sirum_dataflow::{
+    decode_records, encode_records, sample_row_indices, Encode, Engine, EngineConfig,
+};
 
 fn engine(workers: usize, partitions: usize) -> Engine {
     Engine::new(
@@ -120,19 +122,17 @@ proptest! {
     }
 
     #[test]
-    fn take_sample_is_uniformly_without_replacement(
+    fn sample_row_indices_is_uniformly_without_replacement(
         n in 1usize..300,
         k in 0usize..50,
         seed in any::<u64>(),
     ) {
-        let e = engine(1, 5);
-        let ds = e.parallelize((0..n as u32).collect(), 5);
-        let sample = ds.take_sample(k, seed);
+        let sample = sample_row_indices(n, k, seed);
         prop_assert_eq!(sample.len(), k.min(n));
         let mut dedup = sample.clone();
         dedup.sort_unstable();
         dedup.dedup();
         prop_assert_eq!(dedup.len(), sample.len());
-        prop_assert!(sample.iter().all(|&x| (x as usize) < n));
+        prop_assert!(sample.iter().all(|&x| x < n));
     }
 }

@@ -25,11 +25,11 @@
 //! decode a single value in O(1) for packed segments and O(log runs) for
 //! RLE ones.
 
-/// Rows per build morsel: the segment granularity of compressed columns
-/// and the chunk size of the streaming [`crate::frame::FrameBuilder`]. At
-/// 64Ki rows a 9-dimension pending buffer is ~2.3 MB — small enough to
-/// keep ingest memory flat, large enough that per-segment overhead
-/// (offsets, format tags) is noise.
+/// Rows per morsel: the segment granularity of compressed columns, and so
+/// the decode unit of morsel-driven scans. At 64Ki rows one morsel of a
+/// 9-dimension table decodes into ~2.3 MB of scratch — small enough to
+/// stay cache-adjacent, large enough that per-segment overhead (offsets,
+/// format tags) is noise.
 pub const MORSEL_ROWS: usize = 65_536;
 
 /// One encoded run of a column: `MORSEL_ROWS` values (the last segment of
@@ -244,8 +244,7 @@ pub struct CompressedCol {
 }
 
 impl CompressedCol {
-    /// Assemble a column from encoded segments (the spill-decode path and
-    /// the [`crate::frame::FrameBuilder`] flush path).
+    /// Assemble a column from encoded segments (the spill-decode path).
     pub fn from_segments(segments: Vec<Segment>) -> CompressedCol {
         let mut offsets = Vec::with_capacity(segments.len() + 1);
         let mut total = 0usize;

@@ -9,6 +9,7 @@
 //! the reader accepts quoted fields back, including multi-line ones.
 
 use crate::error::TableError;
+use crate::frame::ColScratch;
 use crate::schema::Schema;
 use crate::table::Table;
 use std::io::{BufRead, Write};
@@ -46,14 +47,20 @@ pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<(), TableError>
     out.write_all(b",")?;
     write_field(out, schema.measure_name())?;
     out.write_all(b"\n")?;
-    for i in 0..table.num_rows() {
-        for (col, &code) in table.row(i).iter().enumerate() {
-            if col > 0 {
-                out.write_all(b",")?;
+    // One morsel of every column decoded at a time (borrowed when raw).
+    let view = table.frame().view();
+    let mut scratch = ColScratch::new();
+    for (start, len) in view.morsel_bounds() {
+        let cols = view.morsel_cols(start, len, &mut scratch);
+        for (r, m) in table.measures()[start..start + len].iter().enumerate() {
+            for (col, codes) in cols.iter().enumerate() {
+                if col > 0 {
+                    out.write_all(b",")?;
+                }
+                write_field(out, table.decode(col, codes[r]))?;
             }
-            write_field(out, table.decode(col, code))?;
+            writeln!(out, ",{m}")?;
         }
-        writeln!(out, ",{}", table.measure(i))?;
     }
     Ok(())
 }
@@ -192,11 +199,11 @@ impl<R: BufRead> Records<R> {
 /// ([`TableError::BadMeasure`]) or a quote left open at end of input
 /// ([`TableError::UnclosedQuote`]).
 pub fn read_csv<R: BufRead>(input: R) -> Result<Table, TableError> {
-    // Stream: records are parsed straight out of the reader's buffer and
-    // dictionary-encoded into the builder one at a time, so peak memory is
-    // the encoded table plus one record — never input-text-sized. (The
-    // frame built at registration streams the same way, one morsel at a
-    // time, through `FrameBuilder`.)
+    // Records are parsed straight out of the reader's buffer and
+    // dictionary-encoded into the builder one at a time, so the input text
+    // is never held whole. The builder does hold every code, as raw
+    // columns, until `build` stores them (compressed when large) — peak
+    // memory is the raw table, not one morsel.
     let mut records = Records::new(input);
 
     let Some((mut cols, _)) = records.next_record()? else {

@@ -1,39 +1,33 @@
-//! The columnar, `Arc`-shared mining frame: the one in-memory
-//! representation the whole stack scans.
+//! The columnar, `Arc`-shared frame: the one in-memory copy of a table's
+//! data, and the representation the whole stack scans.
 //!
-//! A [`Table`] stores its dimension codes row-major, which is the right
-//! layout for building and CSV I/O but the wrong one for the scan-dominated
-//! mining workload: every greedy iteration re-aggregates all rows, and the
-//! repeated-query setting means the same table is scanned across many
-//! requests. A [`Frame`] transposes the table once into struct-of-arrays
-//! form — one `u32` column per dimension attribute plus the `f64` measure
-//! column, each behind an `Arc` — so that
+//! A [`crate::Table`] stores its rows here and nowhere else, in
+//! struct-of-arrays form — one `u32` column per dimension attribute plus
+//! the `f64` measure column, each behind an `Arc` — so that
 //!
 //! * every scan walks contiguous, type-homogeneous memory,
 //! * partitions are [`FrameView`] *range views* over the shared columns
 //!   (an `Arc` bump and two offsets — no per-row boxing, no copying), and
-//! * concurrent jobs mining the same registered table share one set of
-//!   buffers.
+//! * the catalog's table, its mining preparation and every concurrent job
+//!   mining it share one set of buffers.
 //!
 //! A dimension column comes in two physical representations behind the
 //! same view API: **raw** (one contiguous `Arc<[u32]>`, the layout small
 //! tables keep) or **compressed** (a [`CompressedCol`] sequence of
 //! bit-packed/RLE/raw [`crate::compress::Segment`]s, chosen per segment by
-//! a size heuristic — see [`crate::compress`]). Compressed frames are
-//! scanned **morsel-driven**: [`FrameView::morsel_bounds`] yields
-//! segment-aligned row ranges and [`FrameView::morsel_cols`] decodes one
-//! morsel of every column into a reusable [`ColScratch`], so a scan over a
-//! raw frame degenerates to exactly the old single-range column borrow
-//! (zero overhead) while a compressed frame is decoded 64Ki rows at a
-//! time. [`FrameBuilder`] builds compressed frames incrementally, encoding
-//! each morsel as rows arrive instead of materializing whole `Vec<u32>`
-//! columns first.
+//! a size heuristic — see [`crate::compress`]). Which one a table gets is
+//! decided here, once, when it is built ([`Compression`]). Compressed
+//! frames are scanned **morsel-driven**: [`FrameView::morsel_bounds`]
+//! yields segment-aligned row ranges and [`FrameView::morsel_cols`] decodes
+//! one morsel of every column into a reusable [`ColScratch`], so a scan
+//! over a raw frame is a single-range column borrow (zero overhead) while a
+//! compressed frame is decoded 64Ki rows at a time.
 //!
-//! The frame carries the source table's content fingerprint so downstream
+//! A table's frame carries the table's content fingerprint so downstream
 //! caches stay content-addressed without re-hashing.
 
-use crate::compress::{CompressedCol, Segment, MORSEL_ROWS};
-use crate::table::Table;
+use crate::compress::{CompressedCol, MORSEL_ROWS};
+use crate::fingerprint::Fnv64;
 use std::sync::{Arc, OnceLock};
 
 /// A shared, immutable slice of one column: an `Arc`'d buffer plus a range.
@@ -110,8 +104,24 @@ pub enum Column {
 }
 
 impl Column {
+    /// Store `codes` raw, or as `morsel_rows`-row segments.
+    fn encode(codes: Vec<u32>, compress: bool, morsel_rows: usize) -> Column {
+        if compress {
+            Column::Compressed(Arc::new(CompressedCol::from_values(&codes, morsel_rows)))
+        } else {
+            Column::Raw(Arc::from(codes))
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Column::Raw(a) => a.len(),
+            Column::Compressed(c) => c.len(),
+        }
+    }
+
     #[inline]
-    fn value_at(&self, i: usize) -> u32 {
+    pub(crate) fn value_at(&self, i: usize) -> u32 {
         match self {
             Column::Raw(a) => a[i],
             Column::Compressed(c) => c.value_at(i),
@@ -119,18 +129,31 @@ impl Column {
     }
 }
 
-/// When a frame built from a [`Table`] compresses its dimension columns.
+/// Whether a frame stores its dimension columns compressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// Compress when the raw dimension columns would exceed
-    /// [`COMPRESS_MIN_BYTES`] — small interactive tables keep the
-    /// zero-decode raw layout, multi-million-row tables compress.
+    /// The size rule: compress when the raw dimension columns (`4·n·d`
+    /// bytes) reach [`COMPRESS_MIN_BYTES`] — small interactive tables keep
+    /// the zero-decode raw layout, multi-million-row tables compress.
+    /// [`crate::TableBuilder::build`] applies it; a frame that already
+    /// exists keeps its layout ([`Frame::with_compression`]).
     #[default]
     Auto,
     /// Always compress (tests and memory-budget runs).
     Always,
     /// Never compress (the raw reference representation).
     Never,
+}
+
+impl Compression {
+    /// Whether `rows × dims` codes are stored compressed under this policy.
+    fn compresses(self, rows: usize, dims: usize) -> bool {
+        match self {
+            Compression::Never => false,
+            Compression::Always => true,
+            Compression::Auto => rows.saturating_mul(dims).saturating_mul(4) >= COMPRESS_MIN_BYTES,
+        }
+    }
 }
 
 /// The [`Compression::Auto`] threshold on raw dimension-column bytes
@@ -186,8 +209,8 @@ impl std::fmt::Display for ColumnFormat {
 }
 
 /// The columnar frame: one dimension-code column per attribute plus the
-/// measure column, all `Arc`-shared. Built once per table (at registration
-/// / preparation time) and scanned by every request.
+/// measure column, all `Arc`-shared. Built once per table (by
+/// [`crate::TableBuilder::build`]) and scanned by every request.
 ///
 /// Cloning a `Frame` bumps `d + 1` `Arc`s; no data moves.
 #[derive(Debug, Clone)]
@@ -196,65 +219,135 @@ pub struct Frame {
     measure: Arc<[f64]>,
     rows: usize,
     /// Per-dimension dictionary cardinalities `|dom(Aⱼ)|` — the bit-width
-    /// metadata packed rule codes are derived from. Stamped from the source
-    /// table's dictionaries by [`Frame::from_table`]; carried through spill
-    /// round-trips by [`Frame::from_columns_with_cards`] so a decoded block
-    /// reproduces the exact packed layout of the frame it was encoded from.
+    /// metadata packed rule codes are derived from. A table's frame takes
+    /// them from its dictionaries; spill round-trips carry them through
+    /// [`Frame::from_columns_with_cards`] so a decoded block reproduces the
+    /// exact packed layout of the frame it was encoded from.
     cards: Arc<[u32]>,
-    /// Content fingerprint: stamped from the source table by
-    /// [`Frame::from_table`]; computed lazily (first [`Self::fingerprint`]
-    /// call) for frames assembled from raw columns, so the spill-decode
-    /// path never pays a hash pass nobody reads.
+    /// Content fingerprint: a table's frame is stamped with the table's at
+    /// build; frames assembled from raw columns compute it lazily (first
+    /// [`Self::fingerprint`] call), so the spill-decode path never pays a
+    /// hash pass nobody reads.
     fingerprint: OnceLock<u64>,
 }
 
 impl Frame {
-    /// Transpose `table` into raw columnar form (one pass per column) and
-    /// stamp it with the table's content fingerprint. Equivalent to
-    /// [`Frame::from_table_with`] under [`Compression::Never`].
-    pub fn from_table(table: &Table) -> Frame {
-        let d = table.num_dims();
-        let n = table.num_rows();
-        let cols: Vec<Column> = (0..d)
-            .map(|j| {
-                let mut col = Vec::with_capacity(n);
-                col.extend(table.rows().map(|row| row[j]));
-                Column::Raw(Arc::from(col))
-            })
-            .collect();
-        let fingerprint = OnceLock::new();
-        let _ = fingerprint.set(table.fingerprint());
+    /// Assemble a frame from finished columns, fingerprint unset.
+    ///
+    /// # Panics
+    /// Panics on ragged columns or a cardinality count mismatch.
+    fn assemble(cols: Vec<Column>, measure: Arc<[f64]>, cards: Arc<[u32]>) -> Frame {
+        let rows = measure.len();
+        // lint:allow(SL001) — constructor contract; ragged columns are a logic error
+        assert!(
+            cols.iter().all(|c| c.len() == rows),
+            "every dimension column must have one code per row"
+        );
+        // lint:allow(SL001) — constructor contract, same class as the ragged check
+        assert!(
+            cards.len() == cols.len(),
+            "one cardinality per dimension column"
+        );
         Frame {
             cols: Arc::from(cols),
-            measure: Arc::from(table.measures().to_vec()),
-            rows: n,
-            cards: Arc::from(table_cards(table)),
-            fingerprint,
+            measure,
+            rows,
+            cards,
+            fingerprint: OnceLock::new(),
         }
     }
 
-    /// Transpose `table` under an explicit [`Compression`] policy. The
-    /// compressed path streams rows through a [`FrameBuilder`], encoding
-    /// one morsel at a time — peak transient memory is one pending morsel
-    /// (`d · MORSEL_ROWS · 4` bytes), not the full raw columns.
-    pub fn from_table_with(table: &Table, compression: Compression) -> Frame {
-        let d = table.num_dims();
-        let n = table.num_rows();
+    /// Store code columns under `compression` — the one place a table's
+    /// layout is decided. Compressed columns are cut into [`MORSEL_ROWS`]-row
+    /// segments at the same rows, the shared segmentation morsel-driven
+    /// scans rely on.
+    pub(crate) fn encode(
+        cols: Vec<Vec<u32>>,
+        measure: Vec<f64>,
+        cards: Vec<u32>,
+        compression: Compression,
+    ) -> Frame {
+        let compress = compression.compresses(measure.len(), cols.len());
+        Frame::encode_in(cols, measure.into(), cards.into(), compress, MORSEL_ROWS)
+    }
+
+    /// [`Self::encode`] with the layout and segment size given explicitly
+    /// (tests use small morsels to exercise multi-segment frames cheaply).
+    pub(crate) fn encode_in(
+        cols: Vec<Vec<u32>>,
+        measure: Arc<[f64]>,
+        cards: Arc<[u32]>,
+        compress: bool,
+        morsel_rows: usize,
+    ) -> Frame {
+        let cols = cols
+            .into_iter()
+            .map(|codes| Column::encode(codes, compress, morsel_rows))
+            .collect();
+        Frame::assemble(cols, measure, cards)
+    }
+
+    /// This frame stamped with a known content fingerprint.
+    pub(crate) fn stamped(self, fingerprint: u64) -> Frame {
+        Frame {
+            fingerprint: OnceLock::from(fingerprint),
+            ..self
+        }
+    }
+
+    /// The first `d` dimension columns (shared) beside `measure`, or beside
+    /// this frame's measure column when `None`. Fingerprint unset.
+    pub(crate) fn share(&self, d: usize, measure: Option<Vec<f64>>) -> Frame {
+        let measure = measure.map_or_else(|| Arc::clone(&self.measure), Arc::from);
+        Frame::assemble(
+            self.cols[..d].to_vec(),
+            measure,
+            Arc::from(&self.cards[..d]),
+        )
+    }
+
+    /// This frame's content under `compression`. [`Compression::Auto`]
+    /// keeps the layout the frame was built with, and a frame already in
+    /// the asked-for layout is returned as is (`Arc` bumps); otherwise the
+    /// dimension columns are re-encoded. The measure column is shared and
+    /// the fingerprint carried over either way.
+    pub fn with_compression(&self, compression: Compression) -> Frame {
         let compress = match compression {
-            Compression::Never => false,
+            Compression::Auto => return self.clone(),
             Compression::Always => true,
-            Compression::Auto => n.saturating_mul(d).saturating_mul(4) >= COMPRESS_MIN_BYTES,
+            Compression::Never => false,
         };
-        if !compress {
-            return Frame::from_table(table);
+        if self
+            .cols
+            .iter()
+            .all(|c| matches!(c, Column::Compressed(_)) == compress)
+        {
+            return self.clone();
         }
-        let mut builder = FrameBuilder::new(d);
-        for (i, row) in table.rows().enumerate() {
-            builder.push_row(row, table.measure(i));
+        let cols = self.cols.iter().map(|c| self.decode_col(c)).collect();
+        let frame = Frame::encode_in(
+            cols,
+            Arc::clone(&self.measure),
+            Arc::clone(&self.cards),
+            compress,
+            MORSEL_ROWS,
+        );
+        Frame {
+            fingerprint: self.fingerprint.clone(),
+            ..frame
         }
-        let frame = builder.finish_with_cards(table_cards(table));
-        let _ = frame.fingerprint.set(table.fingerprint());
-        frame
+    }
+
+    /// All of `col`'s codes as one owned vector.
+    fn decode_col(&self, col: &Column) -> Vec<u32> {
+        match col {
+            Column::Raw(a) => a.to_vec(),
+            Column::Compressed(c) => {
+                let mut codes = Vec::with_capacity(self.rows);
+                c.decode_range_into(0, self.rows, &mut codes);
+                codes
+            }
+        }
     }
 
     /// Assemble a frame from raw columns (the spill-decode path). Every
@@ -289,28 +382,7 @@ impl Frame {
         measure: Vec<f64>,
         cards: Vec<u32>,
     ) -> Frame {
-        let n = measure.len();
-        // lint:allow(SL001) — constructor contract; ragged columns are a logic error
-        assert!(
-            cols.iter().all(|c| c.len() == n),
-            "every dimension column must have one code per row"
-        );
-        // lint:allow(SL001) — constructor contract, same class as the ragged check
-        assert!(
-            cards.len() == cols.len(),
-            "one cardinality per dimension column"
-        );
-        Frame {
-            cols: Arc::from(
-                cols.into_iter()
-                    .map(|c| Column::Raw(Arc::from(c)))
-                    .collect::<Vec<_>>(),
-            ),
-            measure: Arc::from(measure),
-            rows: n,
-            cards: Arc::from(cards),
-            fingerprint: OnceLock::new(),
-        }
+        Frame::encode_in(cols, measure.into(), cards.into(), false, MORSEL_ROWS)
     }
 
     /// Assemble a frame from already-encoded compressed columns (the
@@ -324,28 +396,11 @@ impl Frame {
         measure: Vec<f64>,
         cards: Vec<u32>,
     ) -> Frame {
-        let n = measure.len();
-        // lint:allow(SL001) — constructor contract; ragged columns are a logic error
-        assert!(
-            cols.iter().all(|c| c.len() == n),
-            "every dimension column must have one code per row"
-        );
-        // lint:allow(SL001) — constructor contract, same class as the ragged check
-        assert!(
-            cards.len() == cols.len(),
-            "one cardinality per dimension column"
-        );
-        Frame {
-            cols: Arc::from(
-                cols.into_iter()
-                    .map(|c| Column::Compressed(Arc::new(c)))
-                    .collect::<Vec<_>>(),
-            ),
-            measure: Arc::from(measure),
-            rows: n,
-            cards: Arc::from(cards),
-            fingerprint: OnceLock::new(),
-        }
+        let cols = cols
+            .into_iter()
+            .map(|c| Column::Compressed(Arc::new(c)))
+            .collect();
+        Frame::assemble(cols, measure.into(), cards.into())
     }
 
     /// Number of rows `n`.
@@ -451,39 +506,39 @@ impl Frame {
         ColSlice::full(Arc::clone(&self.measure))
     }
 
-    /// Content fingerprint: carried from the source table, or computed on
-    /// first call (and cached) for column-assembled frames. Covers the
+    /// Content fingerprint: the table's, for a table's frame, or computed
+    /// on first call (and cached) for column-assembled frames. Covers the
     /// decoded codes, so raw and compressed frames over the same data
     /// fingerprint identically.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
-            let mut h = crate::fingerprint::Fnv64::new();
+            let mut h = Fnv64::new();
             h.write_u64(self.cols.len() as u64);
             h.write_u64(self.rows as u64);
-            let mut buf = Vec::new();
-            for col in self.cols.iter() {
-                match col {
-                    Column::Raw(a) => {
-                        for &code in a.iter() {
-                            h.write_u32(code);
-                        }
-                    }
-                    Column::Compressed(c) => {
-                        for seg in c.segments() {
-                            buf.clear();
-                            seg.decode_range_into(0, seg.len(), &mut buf);
-                            for &code in &buf {
-                                h.write_u32(code);
-                            }
-                        }
-                    }
-                }
-            }
+            self.hash_codes(&mut h);
             for &m in self.measure.iter() {
                 h.write_f64(m);
             }
             h.finish()
         })
+    }
+
+    /// Fold every dimension code into `h`, column by column: the same
+    /// stream whether a column is stored raw or compressed.
+    pub(crate) fn hash_codes(&self, h: &mut Fnv64) {
+        let mut buf = Vec::new();
+        for col in self.cols.iter() {
+            match col {
+                Column::Raw(a) => hash_column(h, a),
+                Column::Compressed(c) => {
+                    for seg in c.segments() {
+                        buf.clear();
+                        seg.decode_range_into(0, seg.len(), &mut buf);
+                        hash_column(h, &buf);
+                    }
+                }
+            }
+        }
     }
 
     /// A view over the whole frame.
@@ -530,139 +585,10 @@ impl Frame {
     }
 }
 
-fn table_cards(table: &Table) -> Vec<u32> {
-    table
-        .cardinalities()
-        .into_iter()
-        .map(|c| u32::try_from(c).unwrap_or(u32::MAX))
-        .collect()
-}
-
-/// Streaming constructor for compressed [`Frame`]s: buffer rows into
-/// per-column pending morsels and encode each morsel as it fills, so
-/// building a multi-million-row frame never materializes whole raw
-/// columns. All columns flush together — the resulting frame's columns
-/// share one segmentation, which is what morsel-driven scans rely on.
-#[derive(Debug)]
-pub struct FrameBuilder {
-    /// Per-column buffer of the current (unencoded) morsel.
-    pending: Vec<Vec<u32>>,
-    /// Per-column encoded segments.
-    segments: Vec<Vec<Segment>>,
-    /// Per-column observed maximum code (the cardinality bound when no
-    /// dictionary is supplied at finish).
-    max_code: Vec<u32>,
-    measure: Vec<f64>,
-    morsel_rows: usize,
-    rows: usize,
-}
-
-impl FrameBuilder {
-    /// A builder for `dims` dimension columns with the default
-    /// [`MORSEL_ROWS`] segment size.
-    pub fn new(dims: usize) -> FrameBuilder {
-        FrameBuilder::with_morsel_rows(dims, MORSEL_ROWS)
-    }
-
-    /// A builder with an explicit morsel size (tests use small morsels to
-    /// exercise multi-segment frames cheaply).
-    pub fn with_morsel_rows(dims: usize, morsel_rows: usize) -> FrameBuilder {
-        let morsel_rows = morsel_rows.max(1);
-        FrameBuilder {
-            pending: (0..dims).map(|_| Vec::with_capacity(morsel_rows)).collect(),
-            segments: (0..dims).map(|_| Vec::new()).collect(),
-            max_code: vec![0; dims],
-            measure: Vec::new(),
-            morsel_rows,
-            rows: 0,
-        }
-    }
-
-    /// Rows pushed so far.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Append one row of dimension codes plus its measure value.
-    ///
-    /// # Panics
-    /// Panics when `codes` does not have one code per dimension column.
-    pub fn push_row(&mut self, codes: &[u32], m: f64) {
-        // lint:allow(SL001) — constructor contract; a ragged row is a logic error
-        assert_eq!(
-            codes.len(),
-            self.pending.len(),
-            "one code per dimension column"
-        );
-        for (j, &v) in codes.iter().enumerate() {
-            self.pending[j].push(v);
-            if v > self.max_code[j] {
-                self.max_code[j] = v;
-            }
-        }
-        self.measure.push(m);
-        self.rows += 1;
-        if self.rows.is_multiple_of(self.morsel_rows) {
-            self.flush();
-        }
-    }
-
-    /// Encode the pending morsel of every column.
-    fn flush(&mut self) {
-        for (buf, segs) in self.pending.iter_mut().zip(self.segments.iter_mut()) {
-            if !buf.is_empty() {
-                segs.push(Segment::encode(buf));
-                buf.clear();
-            }
-        }
-    }
-
-    /// Finish into a compressed frame, bounding each cardinality by the
-    /// observed maximum code + 1 (saturating — same convention as
-    /// [`Frame::from_columns`]).
-    pub fn finish(mut self) -> Frame {
-        let cards: Vec<u32> = self
-            .max_code
-            .iter()
-            .map(|&m| {
-                if self.rows == 0 {
-                    0
-                } else {
-                    m.saturating_add(1)
-                }
-            })
-            .collect();
-        self.flush();
-        self.into_frame(cards)
-    }
-
-    /// Finish with explicit per-dimension dictionary cardinalities.
-    ///
-    /// # Panics
-    /// Panics on a cardinality count mismatch.
-    pub fn finish_with_cards(mut self, cards: Vec<u32>) -> Frame {
-        // lint:allow(SL001) — constructor contract, mirrors from_columns_with_cards
-        assert!(
-            cards.len() == self.pending.len(),
-            "one cardinality per dimension column"
-        );
-        self.flush();
-        self.into_frame(cards)
-    }
-
-    fn into_frame(self, cards: Vec<u32>) -> Frame {
-        let cols: Vec<Column> = self
-            .segments
-            .into_iter()
-            .map(|segs| Column::Compressed(Arc::new(CompressedCol::from_segments(segs))))
-            .collect();
-        Frame {
-            cols: Arc::from(cols),
-            measure: Arc::from(self.measure),
-            rows: self.rows,
-            cards: Arc::from(cards),
-            fingerprint: OnceLock::new(),
-        }
+/// Fold `codes` into `h` (one column's share of a content fingerprint).
+pub(crate) fn hash_column(h: &mut Fnv64, codes: &[u32]) {
+    for &code in codes {
+        h.write_u32(code);
     }
 }
 
@@ -867,20 +793,32 @@ impl FrameView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Schema, Table};
 
     #[test]
     fn frame_transposes_the_table() {
-        let t = generators::flights();
-        let f = Frame::from_table(&t);
-        assert_eq!(f.num_rows(), t.num_rows());
-        assert_eq!(f.num_dims(), t.num_dims());
-        assert_eq!(f.measures(), t.measures());
+        // The builder's rows come out as columns: row i's j-th code is
+        // column j's i-th.
+        let rows = [[0u32, 2, 1], [1, 0, 1], [2, 2, 0], [0, 1, 2]];
+        let mut b = Table::builder(Schema::new(vec!["a", "b", "c"], "m"));
+        for j in 0..3 {
+            for v in ["x", "y", "z"] {
+                b.intern(j, v);
+            }
+        }
+        for (i, row) in rows.iter().enumerate() {
+            b.push_coded_row(row, i as f64);
+        }
+        let t = b.build();
+        let f = t.frame();
+        assert_eq!(f.num_rows(), 4);
+        assert_eq!(f.measures(), &[0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(f.cards(), &[3, 3, 3]);
         assert_eq!(f.fingerprint(), t.fingerprint());
         let mut buf = Vec::new();
-        for (i, row) in t.rows().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             f.gather_row(i, &mut buf);
-            assert_eq!(buf.as_slice(), row);
+            assert_eq!(&buf, row);
             for (j, &v) in row.iter().enumerate() {
                 assert_eq!(f.col(j)[i], v);
             }
@@ -890,7 +828,7 @@ mod tests {
     #[test]
     fn partition_views_match_parallelize_chunking() {
         let t = generators::flights(); // 14 rows
-        let f = Frame::from_table(&t);
+        let f = t.frame();
         let views = f.partition_views(4); // ceil(14/4) = 4 → 4,4,4,2
         assert_eq!(views.len(), 4);
         let lens: Vec<usize> = views.iter().map(FrameView::len).collect();
@@ -908,12 +846,12 @@ mod tests {
     #[test]
     fn views_and_slices_are_zero_copy_windows() {
         let t = generators::flights();
-        let f = Frame::from_table(&t);
+        let f = t.frame();
         let v = f.view().slice(3, 5);
         assert_eq!(v.len(), 5);
         assert_eq!(v.col(0), &f.col(0)[3..8]);
         assert_eq!(v.measures(), &t.measures()[3..8]);
-        assert_eq!(&*v.gather_row_boxed(0), t.row(3));
+        assert_eq!(&*v.gather_row_boxed(0), t.row(3).as_slice());
         let inner = v.slice(1, 2);
         assert_eq!(inner.col(1), &f.col(1)[4..6]);
     }
@@ -935,7 +873,7 @@ mod tests {
     #[test]
     fn cards_come_from_the_dictionary_or_the_observed_codes() {
         let t = generators::flights();
-        let f = Frame::from_table(&t);
+        let f = t.frame();
         let expect: Vec<u32> = t.cardinalities().iter().map(|&c| c as u32).collect();
         assert_eq!(f.cards(), &expect[..]);
         // Column-assembled frames bound cardinality by max code + 1 …
@@ -970,20 +908,17 @@ mod tests {
 
     // --- compressed representation ---------------------------------------
 
-    /// Build the same table raw and compressed (small morsels so even tiny
-    /// tables span several segments).
+    /// The same table raw and compressed (small morsels so even tiny
+    /// tables span several segments), both encoded from the raw codes.
     fn both_frames(rows: usize) -> (Frame, Frame) {
-        let t = generators::income_like(rows, 7);
-        let raw = Frame::from_table(&t);
-        let mut b = FrameBuilder::with_morsel_rows(t.num_dims(), 64);
-        for (i, row) in t.rows().enumerate() {
-            b.push_row(row, t.measure(i));
-        }
-        let compressed = b.finish_with_cards(
-            t.cardinalities()
-                .into_iter()
-                .map(|c| u32::try_from(c).unwrap_or(u32::MAX))
-                .collect(),
+        let raw = generators::income_like(rows, 7).frame().clone();
+        let cols = (0..raw.num_dims()).map(|j| raw.col(j).to_vec()).collect();
+        let compressed = Frame::encode_in(
+            cols,
+            Arc::clone(&raw.measure),
+            Arc::clone(&raw.cards),
+            true,
+            64,
         );
         (raw, compressed)
     }
@@ -1060,23 +995,40 @@ mod tests {
     }
 
     #[test]
-    fn from_table_with_honors_the_policy() {
+    fn with_compression_honors_the_policy() {
         let t = generators::income_like(500, 11);
-        let never = Frame::from_table_with(&t, Compression::Never);
-        let auto = Frame::from_table_with(&t, Compression::Auto);
-        let always = Frame::from_table_with(&t, Compression::Always);
-        assert!(!never.is_compressed());
         // 500 × 9 × 4 B is far below the Auto threshold.
+        let auto = t.frame();
         assert!(!auto.is_compressed());
+        let never = auto.with_compression(Compression::Never);
+        let always = auto.with_compression(Compression::Always);
+        assert!(!never.is_compressed());
         assert!(always.is_compressed());
-        assert_eq!(always.fingerprint(), t.fingerprint());
-        assert_eq!(always.cards(), never.cards());
+        // A layout the frame already has is shared, not re-encoded.
+        assert!(Arc::ptr_eq(&never.cols, &auto.cols));
+        assert!(Arc::ptr_eq(
+            &always.with_compression(Compression::Auto).cols,
+            &always.cols
+        ));
+        let back = always.with_compression(Compression::Never);
+        assert!(!back.is_compressed());
+        for f in [&never, &always, &back] {
+            assert_eq!(f.fingerprint(), t.fingerprint());
+            assert_eq!(f.cards(), auto.cards());
+            assert!(Arc::ptr_eq(&f.measure, &auto.measure));
+        }
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for i in 0..t.num_rows() {
             never.gather_row(i, &mut a);
             always.gather_row(i, &mut b);
             assert_eq!(a, b);
+            back.gather_row(i, &mut b);
+            assert_eq!(a, b);
         }
+        // The size rule compresses from the threshold on.
+        let rows = COMPRESS_MIN_BYTES / 4 / 9;
+        assert!(Compression::Auto.compresses(rows + 1, 9));
+        assert!(!Compression::Auto.compresses(rows - 1, 9));
     }
 
     #[test]
@@ -1102,7 +1054,10 @@ mod tests {
 
     #[test]
     fn empty_builder_finishes_cleanly() {
-        let f = FrameBuilder::new(3).finish();
+        let t =
+            Table::builder(Schema::new(vec!["a", "b", "c"], "m")).build_with(Compression::Always);
+        let f = t.frame();
+        assert!(f.is_compressed());
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.num_dims(), 3);
         assert_eq!(f.cards(), &[0, 0, 0]);

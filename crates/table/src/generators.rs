@@ -13,6 +13,7 @@
 //!
 //! All generators are deterministic in their seed.
 
+use crate::frame::Compression;
 use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
 use rand::rngs::StdRng;
@@ -297,6 +298,13 @@ pub fn susy_like(n: usize, seed: u64) -> Table {
 /// TLC-like dataset: NYC yellow-taxi trips with a numeric measure (total
 /// payment). Paper shape: 1.08B rows × 9 dims; `TLC_160m`…`TLC_2m` samples.
 pub fn tlc_like(n: usize, seed: u64) -> Table {
+    tlc_like_with(n, seed, Compression::Auto)
+}
+
+/// [`tlc_like`] built under an explicit [`Compression`] policy: a raw
+/// reference table at a size [`Compression::Auto`] compresses, whose codes
+/// never passed through a segment encoder.
+pub fn tlc_like_with(n: usize, seed: u64, compression: Compression) -> Table {
     let cards = [12usize, 6, 4, 16, 16, 16, 16, 5, 3];
     let names = vec![
         "Month",
@@ -332,7 +340,7 @@ pub fn tlc_like(n: usize, seed: u64) -> Table {
         }
         b.push_coded_row(&codes, (fare * 100.0).round() / 100.0);
     }
-    b.build()
+    b.build_with(compression)
 }
 
 #[cfg(test)]

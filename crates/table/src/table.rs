@@ -1,21 +1,25 @@
 //! The `Table` type: a dictionary-encoded multidimensional dataset with a
-//! numeric measure column, stored flat (no per-row allocation).
+//! numeric measure column. Its rows live in one columnar [`Frame`] — the
+//! frame the miner scans — so a table is held in memory exactly once.
 
 use crate::dict::Dictionary;
 use crate::error::TableError;
+use crate::fingerprint::Fnv64;
+use crate::frame::{hash_column, Compression, Frame};
 use crate::schema::Schema;
 
 /// A multidimensional dataset `D`: `n` rows × `d` categorical dimension
 /// attributes (dictionary-encoded `u32`) plus one numeric measure column.
 ///
-/// Dimension codes are stored row-major in one flat buffer, so `row(i)`
-/// is a zero-copy slice.
+/// The codes and measures are stored in [`Self::frame`], column by column,
+/// raw or compressed by the [`Compression::Auto`] size rule. Row access
+/// gathers from the columns.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     dicts: Vec<Dictionary>,
-    dims: Vec<u32>,
-    measure: Vec<f64>,
+    /// The data, stamped with the table's content fingerprint.
+    frame: Frame,
 }
 
 impl Table {
@@ -25,7 +29,7 @@ impl Table {
         TableBuilder {
             schema,
             dicts: (0..d).map(|_| Dictionary::new()).collect(),
-            dims: Vec::new(),
+            cols: vec![Vec::new(); d],
             measure: Vec::new(),
         }
     }
@@ -37,7 +41,7 @@ impl Table {
 
     /// Number of rows `n`.
     pub fn num_rows(&self) -> usize {
-        self.measure.len()
+        self.frame.num_rows()
     }
 
     /// Number of dimension attributes `d`.
@@ -45,20 +49,27 @@ impl Table {
         self.schema.num_dims()
     }
 
-    /// Dimension codes of row `i`.
-    pub fn row(&self, i: usize) -> &[u32] {
-        let d = self.num_dims();
-        &self.dims[i * d..(i + 1) * d]
+    /// The columnar frame holding the table's codes and measures — the
+    /// buffers mining scans share.
+    pub fn frame(&self) -> &Frame {
+        &self.frame
+    }
+
+    /// Dimension codes of row `i`, gathered from the columns.
+    pub fn row(&self, i: usize) -> Vec<u32> {
+        let mut row = Vec::with_capacity(self.num_dims());
+        self.frame.gather_row(i, &mut row);
+        row
     }
 
     /// Measure value of row `i`.
     pub fn measure(&self, i: usize) -> f64 {
-        self.measure[i]
+        self.measures()[i]
     }
 
     /// The whole measure column.
     pub fn measures(&self) -> &[f64] {
-        &self.measure
+        self.frame.measures()
     }
 
     /// The dictionary of dimension attribute `col`.
@@ -71,22 +82,22 @@ impl Table {
         self.dicts[col].value(code)
     }
 
-    /// Iterate over rows as dimension-code slices.
-    pub fn rows(&self) -> impl Iterator<Item = &[u32]> {
-        self.dims.chunks_exact(self.num_dims().max(1))
+    /// Iterate over rows, each gathered as its dimension codes.
+    pub fn rows(&self) -> impl Iterator<Item = Vec<u32>> + '_ {
+        (0..self.num_rows()).map(|i| self.row(i))
     }
 
     /// Average of the measure column (`m(r)` for the all-wildcards rule).
     pub fn avg_measure(&self) -> f64 {
-        if self.measure.is_empty() {
+        if self.num_rows() == 0 {
             return 0.0;
         }
-        self.measure.iter().sum::<f64>() / self.measure.len() as f64
+        self.sum_measure() / self.num_rows() as f64
     }
 
     /// Sum of the measure column.
     pub fn sum_measure(&self) -> f64 {
-        self.measure.iter().sum()
+        self.measures().iter().sum()
     }
 
     /// Active-domain cardinalities per dimension attribute.
@@ -104,95 +115,112 @@ impl Table {
     }
 
     /// Restrict the table to its first `d` dimension attributes (the paper's
-    /// SUSY projections, Fig 3.2 / 5.7).
+    /// SUSY projections, Fig 3.2 / 5.7). Shares the kept columns and the
+    /// measure column.
     pub fn project(&self, d: usize) -> Table {
         // lint:allow(SL001) — documented projection contract; miner validates dimension counts first
         assert!(d >= 1 && d <= self.num_dims());
-        let full_d = self.num_dims();
-        let mut dims = Vec::with_capacity(self.num_rows() * d);
-        for row in self.dims.chunks_exact(full_d) {
-            dims.extend_from_slice(&row[..d]);
-        }
-        Table {
-            schema: self.schema.project(d),
-            dicts: self.dicts[..d].to_vec(),
-            dims,
-            measure: self.measure.clone(),
-        }
+        Table::over(
+            self.schema.project(d),
+            self.dicts[..d].to_vec(),
+            self.frame.share(d, None),
+        )
     }
 
-    /// Keep only the rows at the given indices (in the given order).
+    /// Keep only the rows at the given indices (in the given order), built
+    /// like any table under the [`Compression::Auto`] size rule.
     pub fn select_rows(&self, indices: &[usize]) -> Table {
-        let d = self.num_dims();
-        let mut dims = Vec::with_capacity(indices.len() * d);
-        let mut measure = Vec::with_capacity(indices.len());
-        for &i in indices {
-            dims.extend_from_slice(self.row(i));
-            measure.push(self.measure[i]);
-        }
-        Table {
+        let cols = (0..self.num_dims())
+            .map(|j| {
+                let col = self.frame.column(j);
+                indices.iter().map(|&i| col.value_at(i)).collect()
+            })
+            .collect();
+        TableBuilder {
             schema: self.schema.clone(),
             dicts: self.dicts.clone(),
-            dims,
-            measure,
+            cols,
+            measure: indices.iter().map(|&i| self.measure(i)).collect(),
         }
+        .build()
     }
 
     /// Replace the measure column (used by measure transforms). The new
-    /// column must have one value per row.
+    /// column must have one value per row; the dimension columns are
+    /// shared.
     pub fn with_measure(&self, measure: Vec<f64>) -> Table {
         // lint:allow(SL001) — documented with_measure contract; test/bench helper for swapping columns
         assert_eq!(measure.len(), self.num_rows());
-        Table {
-            schema: self.schema.clone(),
-            dicts: self.dicts.clone(),
-            dims: self.dims.clone(),
-            measure,
-        }
+        let frame = self.frame.share(self.num_dims(), Some(measure));
+        Table::over(self.schema.clone(), self.dicts.clone(), frame)
     }
 
-    /// Approximate in-memory footprint in bytes (dimension + measure data).
+    /// Logical in-memory size in bytes of the data as raw columns
+    /// (`4·n·d + 8·n`), whatever the frame's physical layout.
     pub fn data_bytes(&self) -> usize {
-        self.dims.len() * 4 + self.measure.len() * 8
+        self.num_rows() * (4 * self.num_dims() + 8)
     }
 
     /// Deterministic 64-bit content fingerprint over schema, dictionaries,
-    /// dimension codes and measure bits (see [`crate::fingerprint`]).
+    /// dimension codes and measure bits (see [`crate::fingerprint`]),
+    /// computed once when the table is built.
     ///
     /// Tables with identical contents fingerprint identically regardless of
-    /// how they were constructed; any changed value, column name or code
-    /// assignment changes the fingerprint with overwhelming probability.
-    /// The service layer keys its result cache on this, so a re-registered
-    /// but unchanged table keeps serving cached results.
+    /// how they were constructed or whether their columns are compressed;
+    /// any changed value, column name or code assignment changes the
+    /// fingerprint with overwhelming probability. The service layer keys
+    /// its result cache on this, so a re-registered but unchanged table
+    /// keeps serving cached results.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::fingerprint::Fnv64::new();
-        for name in self.schema.dim_names() {
-            h.write_str(name);
+        self.frame.fingerprint()
+    }
+
+    /// A table over `frame`, fingerprinted from the frame's codes.
+    fn over(schema: Schema, dicts: Vec<Dictionary>, frame: Frame) -> Table {
+        let fingerprint = content_fingerprint(&schema, &dicts, frame.measures(), |h| {
+            frame.hash_codes(h);
+        });
+        Table {
+            schema,
+            dicts,
+            frame: frame.stamped(fingerprint),
         }
-        h.write_str(self.schema.measure_name());
-        for dict in &self.dicts {
-            h.write_u64(dict.cardinality() as u64);
-            for (_, value) in dict.iter() {
-                h.write_str(value);
-            }
-        }
-        h.write_u64(self.measure.len() as u64);
-        for &code in &self.dims {
-            h.write_u32(code);
-        }
-        for &m in &self.measure {
-            h.write_f64(m);
-        }
-        h.finish()
     }
 }
 
-/// Incremental [`Table`] constructor.
+/// The content fingerprint: schema, dictionaries, row count, the codes
+/// `hash_codes` folds in column by column, then the measure bits.
+fn content_fingerprint(
+    schema: &Schema,
+    dicts: &[Dictionary],
+    measure: &[f64],
+    hash_codes: impl FnOnce(&mut Fnv64),
+) -> u64 {
+    let mut h = Fnv64::new();
+    for name in schema.dim_names() {
+        h.write_str(name);
+    }
+    h.write_str(schema.measure_name());
+    for dict in dicts {
+        h.write_u64(dict.cardinality() as u64);
+        for (_, value) in dict.iter() {
+            h.write_str(value);
+        }
+    }
+    h.write_u64(measure.len() as u64);
+    hash_codes(&mut h);
+    for &m in measure {
+        h.write_f64(m);
+    }
+    h.finish()
+}
+
+/// Incremental [`Table`] constructor: collects codes column by column.
 #[derive(Debug)]
 pub struct TableBuilder {
     schema: Schema,
     dicts: Vec<Dictionary>,
-    dims: Vec<u32>,
+    cols: Vec<Vec<u32>>,
     measure: Vec<f64>,
 }
 
@@ -219,12 +247,13 @@ impl TableBuilder {
                 found: values.len(),
             });
         }
-        let before = self.dims.len();
         for (col, v) in values.iter().enumerate() {
             match self.dicts[col].try_intern(v) {
-                Ok(code) => self.dims.push(code),
+                Ok(code) => self.cols[col].push(code),
                 Err(e) => {
-                    self.dims.truncate(before);
+                    for pushed in &mut self.cols[..col] {
+                        pushed.pop();
+                    }
                     return Err(e);
                 }
             }
@@ -263,7 +292,9 @@ impl TableBuilder {
                 });
             }
         }
-        self.dims.extend_from_slice(codes);
+        for (col, &c) in self.cols.iter_mut().zip(codes) {
+            col.push(c);
+        }
         self.measure.push(m);
         Ok(self)
     }
@@ -284,13 +315,36 @@ impl TableBuilder {
         self.measure.is_empty()
     }
 
-    /// Finish and return the table.
+    /// Finish and return the table, its columns stored under the
+    /// [`Compression::Auto`] size rule.
     pub fn build(self) -> Table {
+        self.build_with(Compression::Auto)
+    }
+
+    /// Finish under an explicit [`Compression`] policy (reference tables
+    /// are built raw with `Never`). The fingerprint is computed here, once,
+    /// from the codes the builder holds.
+    pub(crate) fn build_with(self, compression: Compression) -> Table {
+        let TableBuilder {
+            schema,
+            dicts,
+            cols,
+            measure,
+        } = self;
+        let fingerprint = content_fingerprint(&schema, &dicts, &measure, |h| {
+            for col in &cols {
+                hash_column(h, col);
+            }
+        });
+        let cards = dicts
+            .iter()
+            .map(|d| u32::try_from(d.cardinality()).unwrap_or(u32::MAX))
+            .collect();
+        let frame = Frame::encode(cols, measure, cards, compression).stamped(fingerprint);
         Table {
-            schema: self.schema,
-            dicts: self.dicts,
-            dims: self.dims,
-            measure: self.measure,
+            schema,
+            dicts,
+            frame,
         }
     }
 }
@@ -298,6 +352,9 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Column;
+    use crate::generators;
+    use std::sync::Arc;
 
     fn flight_schema() -> Schema {
         Schema::new(vec!["Day", "Origin", "Destination"], "Delay")
@@ -427,5 +484,72 @@ mod tests {
         ));
         b.try_push_row(&["Fri", "SF", "London"], 2.0).unwrap();
         assert_eq!(b.len(), 1);
+    }
+
+    /// The same rows as a raw table and as a compressed one cut into
+    /// 16-row segments, both encoded from codes no segment encoder touched.
+    fn raw_and_compressed() -> (Table, Table) {
+        let raw = generators::income_like(200, 5);
+        let f = raw.frame();
+        assert!(!f.is_compressed());
+        let cols = (0..raw.num_dims()).map(|j| f.col(j).to_vec()).collect();
+        let frame = Frame::encode_in(cols, f.measures().into(), f.cards().into(), true, 16);
+        let compressed = Table::over(raw.schema.clone(), raw.dicts.clone(), frame);
+        (raw, compressed)
+    }
+
+    fn same_buffer(a: &Column, b: &Column) -> bool {
+        match (a, b) {
+            (Column::Raw(a), Column::Raw(b)) => Arc::ptr_eq(a, b),
+            (Column::Compressed(a), Column::Compressed(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn reshaping_agrees_across_raw_and_compressed_frames() {
+        let (raw, comp) = raw_and_compressed();
+        let (n, d) = (raw.num_rows(), raw.num_dims());
+        assert!(comp.frame().is_compressed());
+        assert!(
+            comp.frame().view().morsel_bounds().len() > 1,
+            "multi-segment"
+        );
+        let m2: Vec<f64> = raw.measures().iter().map(|m| m * 2.0 + 1.0).collect();
+        let picks = [199, 3, 3, 57, 120, 0];
+        let pairs = [
+            (raw.clone(), comp.clone()),
+            (raw.project(4), comp.project(4)),
+            (raw.select_rows(&picks), comp.select_rows(&picks)),
+            (raw.with_measure(m2.clone()), comp.with_measure(m2)),
+        ];
+        for (a, b) in &pairs {
+            assert_eq!(a.num_rows(), b.num_rows());
+            assert!(a.rows().eq(b.rows()));
+            for i in 0..a.num_rows() {
+                assert_eq!(a.row(i), b.row(i), "row {i}");
+            }
+            assert_eq!(a.measures(), b.measures());
+            assert_eq!(a.fingerprint(), b.fingerprint());
+            assert_eq!(a.data_bytes(), a.num_rows() * (4 * a.num_dims() + 8));
+            assert_eq!(b.data_bytes(), a.data_bytes());
+        }
+        assert_eq!(raw.data_bytes(), 4 * n * d + 8 * n);
+        // A projection shares its columns' buffers and the measure column.
+        for t in [&raw, &comp] {
+            let p = t.project(4);
+            for j in 0..4 {
+                assert!(
+                    same_buffer(p.frame().column(j), t.frame().column(j)),
+                    "column {j}"
+                );
+            }
+            assert!(std::ptr::eq(p.measures(), t.measures()));
+        }
+        // Each reshaping is a different table.
+        let prints: Vec<u64> = pairs.iter().map(|(a, _)| a.fingerprint()).collect();
+        for (i, p) in prints.iter().enumerate() {
+            assert!(!prints[..i].contains(p));
+        }
     }
 }

@@ -46,10 +46,9 @@ struct Args {
     demo: Option<String>,
     k: usize,
     sample: usize,
-    variant: Variant,
+    variant: Option<Variant>,
     engine: EngineMode,
     rules_per_iter: usize,
-    no_sweep: bool,
     epsilon: f64,
     seed: u64,
     partitions: usize,
@@ -76,12 +75,12 @@ OPTIONS:
   --k <N>            rules to mine beyond (*, …, *)      [default: 10]
   --sample <N>       candidate-pruning sample size |s|   [default: 64]
   --variant <V>      naive|baseline|rct|fast-pruning|fast-ancestor|
-                     multi-rule|optimized                [default: optimized]
+                     multi-rule|optimized; without it, the request
+                     POST /mine makes when it names no variant (the
+                     fused gain sweep, one rule per iteration)
   --engine <E>       in-memory|disk-mr|single-thread     [default: in-memory]
-  --two-rules        insert 2 disjoint rules per iteration
+  --two-rules        insert 2 disjoint rules per iteration (on any variant)
   --two-sided        also surface unusually LOW-measure regions
-  --no-sweep         score candidates with the legacy staged pipeline
-                     instead of the fused partition-parallel gain sweep
   --target-kl <F>    keep mining until KL reaches this target
   --epsilon <F>      iterative-scaling tolerance         [default: 0.01]
   --seed <N>         sampling seed                       [default: 42]
@@ -140,10 +139,9 @@ fn parse_args() -> Args {
         demo: None,
         k: 10,
         sample: 64,
-        variant: Variant::Optimized,
+        variant: None,
         engine: EngineMode::InMemory,
         rules_per_iter: 1,
-        no_sweep: false,
         epsilon: 0.01,
         seed: 42,
         partitions: 16,
@@ -171,11 +169,10 @@ fn parse_args() -> Args {
             "--demo" => args.demo = Some(value("--demo")),
             "--k" => args.k = parse_value("--k", &value("--k")),
             "--sample" => args.sample = parse_value("--sample", &value("--sample")),
-            "--variant" => args.variant = parse_value("--variant", &value("--variant")),
+            "--variant" => args.variant = Some(parse_value("--variant", &value("--variant"))),
             "--engine" => args.engine = parse_value("--engine", &value("--engine")),
             "--two-rules" => args.rules_per_iter = 2,
             "--two-sided" => args.two_sided = true,
-            "--no-sweep" => args.no_sweep = true,
             "--progress" => args.progress = true,
             "--explain" => args.explain = true,
             "--target-kl" => {
@@ -231,14 +228,13 @@ fn build_request<'s>(service: &'s SirumService, name: &str, args: &Args) -> Serv
         .mine(name)
         .k(args.k)
         .sample_size(args.sample)
-        .variant(args.variant)
         .epsilon(args.epsilon)
         .seed(args.seed);
+    if let Some(variant) = args.variant {
+        request = request.variant(variant);
+    }
     if args.rules_per_iter > 1 {
         request = request.rules_per_iter(args.rules_per_iter);
-    }
-    if args.no_sweep {
-        request = request.gain_sweep(false);
     }
     if args.two_sided {
         request = request.two_sided();

@@ -121,7 +121,6 @@ fn apply_field<'s>(
         "target_kl" => req.target_kl(number()?),
         "max_rules" => req.max_rules(count()?),
         "column_groups" => req.column_groups(count()?),
-        "gain_sweep" => req.gain_sweep(flag()?),
         "prior" => req.prior(parse_prior(value).map_err(FieldError::Invalid)?),
         _ => return Err(FieldError::Unknown),
     })
@@ -809,6 +808,13 @@ mod tests {
                 422,
                 "unknown field \"packed\"",
             ),
+            // How candidates are scored cannot change the answer, so it is
+            // not a request field; a variant picks the pipeline.
+            (
+                br#"{"table":"flights","gain_sweep":false}"#,
+                422,
+                "unknown field \"gain_sweep\"",
+            ),
             (br#"{"table":"flights","k":"three"}"#, 422, "\"k\""),
             (br#"{"table":"nope"}"#, 404, ""),
             (br#"{"table":"flights","variant":"warp-speed"}"#, 422, ""),
@@ -1022,7 +1028,6 @@ mod tests {
             ("target_kl", "0.5"),
             ("max_rules", "4"),
             ("column_groups", "2"),
-            ("gain_sweep", "false"),
             ("prior", "[[0,null,null]]"),
         ] {
             let body = format!("{{\"table\":\"flights\",\"{field}\":{value}}}");
@@ -1056,7 +1061,7 @@ mod tests {
         let r = router();
         let (_, resp) = r.handle(&request(
             "GET",
-            "/explain?table=flights&k=3&sample_size=14&gain_sweep=true",
+            "/explain?table=flights&k=3&sample_size=14",
             b"",
         ));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
@@ -1077,7 +1082,7 @@ mod tests {
         assert_eq!(String::from_utf8_lossy(&resp.body), expected);
         let (_, resp) = r.handle(&request("GET", "/explain?table=flights&k=zap", b""));
         assert_eq!(resp.status, 422);
-        for param in ["warp", "columnar", "packed"] {
+        for param in ["warp", "columnar", "packed", "gain_sweep"] {
             let target = format!("/explain?table=flights&{param}=false");
             let (_, resp) = r.handle(&request("GET", &target, b""));
             assert_eq!(resp.status, 422);

@@ -3,10 +3,11 @@
 //! result cache across any number of threads.
 //!
 //! `SirumService` is the one entry point for embedding and serving alike:
-//! registration dictionary-encodes and transposes each table once into the
-//! shared catalog ([`sirum_core::PreparedTable`] behind an `Arc`, holding
-//! the columnar `Arc`-shared [`sirum_table::Frame`]), so every concurrent
-//! job scans the same column buffers through zero-copy partition views.
+//! registration validates each table and fits its measure transform once
+//! into the shared catalog ([`sirum_core::PreparedTable`] behind an `Arc`,
+//! sharing the table's columnar [`sirum_table::Frame`]), so every
+//! concurrent job scans the same column buffers through zero-copy
+//! partition views.
 //! Requests run synchronously on the calling thread or are submitted as
 //! jobs to a bounded worker pool, and identical repeated requests are
 //! answered from an LRU result cache keyed by (table content fingerprint,
@@ -79,7 +80,6 @@ struct RequestSpec {
     target_kl: Option<f64>,
     max_rules: Option<usize>,
     column_groups: Option<usize>,
-    gain_sweep: Option<bool>,
     prior: Vec<Rule>,
 }
 
@@ -99,7 +99,6 @@ impl RequestSpec {
             target_kl: None,
             max_rules: None,
             column_groups: None,
-            gain_sweep: None,
             prior: Vec::new(),
         }
     }
@@ -142,9 +141,6 @@ impl RequestSpec {
         if let Some(groups) = self.column_groups {
             config.column_groups = groups;
         }
-        if let Some(sweep) = self.gain_sweep {
-            config.gain_sweep = sweep;
-        }
         config.two_sided_gain |= self.two_sided;
         config.target_kl = self.target_kl.or(config.target_kl);
         config.max_rules = self.max_rules.or(config.max_rules);
@@ -156,16 +152,14 @@ impl RequestSpec {
 // Catalog
 // ---------------------------------------------------------------------------
 
-/// A registered table: the immutable table, its one-time mining
-/// preparation (the columnar `Arc`-shared frame + fitted measure
-/// transform) and its content fingerprint. Cloning shares everything —
-/// every concurrent job's partitions are range views over one set of
-/// column buffers.
+/// A registered table and its one-time mining preparation (the fitted
+/// measure transform over the table's own frame). Cloning shares
+/// everything — the table, its preparation and every concurrent job's
+/// partitions are views of one set of column buffers.
 #[derive(Clone)]
 struct CatalogEntry {
     table: Arc<Table>,
     prepared: Arc<PreparedTable>,
-    fingerprint: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -729,9 +723,9 @@ impl SirumService {
 
     /// Register a table under `name`, replacing any previous table of that
     /// name; returns the shared handle. Registration validates the data
-    /// (non-empty, finite measures) and pays the dictionary-encoding and
-    /// measure-transform work **once**, so every subsequent request on the
-    /// table skips it.
+    /// (non-empty, finite measures) and fits the measure transform
+    /// **once**, so every subsequent request on the table skips it; the
+    /// table's columns are shared, not copied.
     pub fn register(
         &self,
         name: impl Into<String>,
@@ -751,7 +745,6 @@ impl SirumService {
         }
         let table = Arc::new(table);
         let entry = CatalogEntry {
-            fingerprint: table.fingerprint(),
             prepared: Arc::new(PreparedTable::try_new(&table)?),
             table: Arc::clone(&table),
         };
@@ -807,11 +800,11 @@ impl SirumService {
         self.entry(name).map(|e| e.table)
     }
 
-    /// The content fingerprint computed when `name` was registered — the
-    /// cache key's table half, equal to [`MiningPlan::fingerprint`]. A
+    /// The content fingerprint computed when `name`'s table was built —
+    /// the cache key's table half, equal to [`MiningPlan::fingerprint`]. A
     /// catalog lookup, not a pass over the table.
     pub fn table_fingerprint(&self, name: &str) -> Result<u64, SirumError> {
-        self.entry(name).map(|e| e.fingerprint)
+        self.entry(name).map(|e| e.table.fingerprint())
     }
 
     /// Names of all registered tables, in sorted order.
@@ -855,7 +848,8 @@ impl SirumService {
 
     /// Score an externally supplied rule set against a registered table
     /// (offline evaluation, §4.5/§5.7.3), scanning the catalog entry's
-    /// shared columnar preparation — no per-call transpose.
+    /// shared columnar preparation — no per-call validation or transform
+    /// fit.
     pub fn evaluate(
         &self,
         table: &str,
@@ -1174,16 +1168,6 @@ impl ServiceRequest<'_> {
         self
     }
 
-    /// Toggle the fused partition-parallel gain sweep
-    /// ([`sirum_core::sweep`]). On by default (and for the
-    /// `Optimized` variant); pass `false` to score candidates with
-    /// the legacy staged pipeline that models the paper's
-    /// per-platform jobs.
-    pub fn gain_sweep(mut self, enabled: bool) -> Self {
-        self.spec.gain_sweep = Some(enabled);
-        self
-    }
-
     /// Seed the model with prior-knowledge rules (cube exploration,
     /// Table 1.3): the mined rules come *in addition to* these.
     pub fn prior(mut self, rules: Vec<Rule>) -> Self {
@@ -1220,7 +1204,11 @@ impl ServiceRequest<'_> {
         if self.observer.is_some() {
             None
         } else {
-            Some(request_key(entry.fingerprint, config, &self.spec.prior))
+            Some(request_key(
+                entry.table.fingerprint(),
+                config,
+                &self.spec.prior,
+            ))
         }
     }
 
@@ -1778,7 +1766,7 @@ impl MiningPlan {
 
         MiningPlan {
             table: table.to_string(),
-            fingerprint: entry.fingerprint,
+            fingerprint: entry.table.fingerprint(),
             rows: entry.table.num_rows(),
             dims: entry.table.num_dims(),
             possible_rules: entry.table.possible_rule_count(),
@@ -1989,6 +1977,39 @@ mod tests {
     }
 
     #[test]
+    fn catalog_table_and_preparation_share_one_copy() {
+        use sirum_table::{Column, Compression};
+        // Raw or compressed, the catalog's table and its mining preparation
+        // hold the same column buffers: registration copies nothing.
+        let service = SirumService::in_memory().unwrap();
+        let tables = [
+            ("raw", generators::income_like(500, 3)),
+            (
+                "compressed",
+                generators::tlc_like_with(500, 3, Compression::Always),
+            ),
+        ];
+        for (name, table) in tables {
+            service.register(name, table).unwrap();
+            let entry = service.entry(name).unwrap();
+            let (t, p) = (entry.table.frame(), entry.prepared.frame());
+            assert_eq!(t.is_compressed(), name == "compressed");
+            for j in 0..t.num_dims() {
+                let shared = match (t.column(j), p.column(j)) {
+                    (Column::Raw(a), Column::Raw(b)) => Arc::ptr_eq(a, b),
+                    (Column::Compressed(a), Column::Compressed(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                };
+                assert!(shared, "{name}: column {j} copied");
+            }
+            assert!(
+                std::ptr::eq(t.measures(), p.measures()),
+                "{name}: measure copied"
+            );
+        }
+    }
+
+    #[test]
     fn request_defaults_match_optimized_sirum() {
         let service = flights_service();
         let request = service.mine("flights").k(3).sample_size(14);
@@ -2114,16 +2135,19 @@ mod tests {
             .unwrap();
         assert!(b.from_cache, "inert knob must hit the same entry");
         assert!(Arc::ptr_eq(&a.result, &b.result));
-        // With the sweep off the knob steers execution again → own key.
-        let c = service
-            .mine("flights")
-            .k(2)
-            .sample_size(14)
-            .gain_sweep(false)
-            .column_groups(3)
-            .run()
-            .unwrap();
-        assert!(!c.from_cache);
+        // A staged variant's pipeline is steered by the knob again → own key.
+        let staged = |groups| {
+            service
+                .mine("flights")
+                .k(2)
+                .sample_size(14)
+                .variant(Variant::Rct)
+                .column_groups(groups)
+                .run()
+                .unwrap()
+        };
+        assert!(!staged(1).from_cache);
+        assert!(!staged(3).from_cache);
     }
 
     #[test]
@@ -2324,12 +2348,12 @@ mod tests {
         assert!(!plan.compressed);
         assert_eq!(plan.column_formats, vec!["raw"; 3]);
         assert!(plan.to_string().contains("raw column format(s)"));
-        // With the sweep off there is no combine stage to report at all.
+        // A staged variant has no combine stage to report at all.
         let plan_staged = service
             .mine("flights")
             .k(3)
             .sample_size(14)
-            .gain_sweep(false)
+            .variant(Variant::Rct)
             .explain()
             .unwrap();
         assert_eq!(plan_staged.packed_bits, None);
@@ -2337,12 +2361,10 @@ mod tests {
         assert!(!plan_staged.to_string().contains("sweep accumulators"));
         // Without the RCT nothing names a shared estimate: every sweep is
         // a full scan, and the plan says so.
-        let plan_alg1 = service
-            .mine("flights")
-            .variant(Variant::Baseline)
-            .gain_sweep(true)
-            .explain()
-            .unwrap();
+        let plan_alg1 = MiningPlan {
+            rct: false,
+            ..plan.clone()
+        };
         assert!(plan_alg1.to_string().contains("one scan/iteration"));
         assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
         // After executing, the same plan reports a cache hit ahead.
