@@ -8,6 +8,7 @@
 //! El Gebaly et al. (VLDB 2014; reference \[16\]) has no centralized copy
 //! here: its distributed form is SIRUM's `Variant::Naive` (§5.6.1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 

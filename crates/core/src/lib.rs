@@ -45,6 +45,7 @@
 //! # Ok::<(), SirumError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 

@@ -17,6 +17,7 @@ use crate::sweep::{SweepOptions, SweepState};
 use sirum_dataflow::{Dataset, Engine};
 use sirum_table::Table;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Scored candidates kept per partition for selection: the selection step
@@ -846,43 +847,45 @@ impl Miner {
         timings.candidate_pruning += t0.elapsed().as_secs_f64();
 
         // ---- Ancestor generation (§3.1.1 single-stage / §4.3 grouped) ----
+        // The counts below are this mine's own: the engine's stage records
+        // are shared by every clone of it, so a concurrent mine's stages
+        // would land there too.
         let t1 = Instant::now();
-        let stages_before = self.engine.metrics().stage_count();
+        let emitted = AtomicU64::new(0);
         let groups = column_groups(d, cfg.column_groups.max(1), cfg.seed);
         for (gi, group) in groups.iter().enumerate() {
-            let group = group.clone();
             let label = format!("ancestors-g{gi}");
             let expanded: Dataset<(Rule, Agg)> =
-                cand.flat_map(&label, move |(rule, agg): &(Rule, Agg)| {
-                    let agg = *agg;
-                    ancestors_restricted(rule, &group)
-                        .into_iter()
-                        .map(move |a| (a, agg))
+                cand.map_partitions(&label, |_, items: &[(Rule, Agg)]| {
+                    let out: Vec<(Rule, Agg)> = items
+                        .iter()
+                        .flat_map(|(rule, agg)| {
+                            ancestors_restricted(rule, group)
+                                .into_iter()
+                                .map(move |a| (a, *agg))
+                        })
+                        .collect();
+                    // Emitted ancestor pairs (Fig 5.8).
+                    emitted.fetch_add(out.len() as u64, Ordering::Relaxed);
+                    out
                 });
             let reduced = expanded.reduce_by_key(&format!("anc-agg-g{gi}"), partitions, merge_agg);
             expanded.free();
             cand.free();
             cand = reduced;
         }
-        // Count emitted ancestor pairs (Fig 5.8) from the stage records.
-        for stage in self
-            .engine
-            .metrics()
-            .stages()
-            .iter()
-            .skip(stages_before)
-            .filter(|s| s.label.starts_with("ancestors-g"))
-        {
-            *ancestors_emitted += stage.records_out();
-        }
+        *ancestors_emitted += emitted.into_inner();
         timings.ancestor_generation += t1.elapsed().as_secs_f64();
 
         // ---- Sample adjustment + gain computation (§3.1.1, Eq 2.2) -------
         // Each reducer keeps only its top candidates by gain, honoring the
         // TOP_PER_PARTITION driver budget (see the constant's docs).
         let t2 = Instant::now();
+        // Candidates entering adjust+gain: the rank-limit denominator.
+        let candidate_total = AtomicU64::new(0);
         let scored_ds: Dataset<(Rule, f64, f64, u64)> =
-            cand.map_partitions("adjust+gain", move |_, items: &[(Rule, Agg)]| {
+            cand.map_partitions("adjust+gain", |_, items: &[(Rule, Agg)]| {
+                candidate_total.fetch_add(items.len() as u64, Ordering::Relaxed);
                 let mut scored: Vec<(Rule, f64, f64, u64)> = match index {
                     Some(idx) => adjust_for_sample(items.iter().cloned(), idx)
                         .into_iter()
@@ -899,14 +902,6 @@ impl Miner {
                 }
                 scored
             });
-        // Total candidates = records entering the adjust+gain stage.
-        let candidate_total: u64 = self
-            .engine
-            .metrics()
-            .stages()
-            .last()
-            .map(|s| s.tasks.iter().map(|t| t.records_in).sum())
-            .unwrap_or(0);
         let scored = scored_ds.collect();
         scored_ds.free();
         cand.free();
@@ -922,7 +917,7 @@ impl Miner {
             })
             .collect();
         timings.gain_computation += t2.elapsed().as_secs_f64();
-        (result, candidate_total, false)
+        (result, candidate_total.into_inner(), false)
     }
 }
 

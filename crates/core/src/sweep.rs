@@ -1038,7 +1038,6 @@ where
     cx.data.engine().metrics().push_stage(StageRecord {
         label: "gain-sweep-expand".to_string(),
         tasks: vec![TaskRecord {
-            partition: 0,
             records_in: clock.work,
             records_out: plan.as_ref().map_or(0, |p| p.keys.len() as u64),
             nanos: started.elapsed().as_nanos() as u64,

@@ -586,3 +586,45 @@ fn engine_modes_are_bit_identical_on_the_same_partitioning() {
         }
     }
 }
+
+#[test]
+fn concurrent_staged_mines_on_one_engine_count_only_their_own_stages() {
+    // Clones of one engine share its stage records. Each staged mine's
+    // ancestor count and rank-limit denominator must come from its own
+    // stages, so two mines racing on clones of one engine each match a
+    // lone mine: same rules, iterations and emitted ancestors.
+    let t = generators::income_like(300, 7);
+    let config = Variant::MultiRule.config(4, 16);
+    let engines = [
+        EngineConfig::in_memory().with_workers(2).with_partitions(8),
+        EngineConfig::disk_mr()
+            .with_partitions(8)
+            .with_stage_startup(Duration::ZERO),
+    ];
+    for engine in engines {
+        let lone = Miner::new(Engine::new(engine.clone()), config.clone())
+            .try_mine(&t)
+            .unwrap();
+        let shared = Engine::new(engine);
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<MiningResult> = std::thread::scope(|s| {
+            let mines: Vec<_> = (0..2)
+                .map(|_| {
+                    let (e, config, start, t) = (shared.clone(), config.clone(), &start, &t);
+                    s.spawn(move || {
+                        start.wait();
+                        Miner::new(e, config).try_mine(t).unwrap()
+                    })
+                })
+                .collect();
+            mines.into_iter().map(|m| m.join().unwrap()).collect()
+        });
+        for r in &results {
+            let rules: Vec<&Rule> = r.rules.iter().map(|x| &x.rule).collect();
+            let lone_rules: Vec<&Rule> = lone.rules.iter().map(|x| &x.rule).collect();
+            assert_eq!(rules, lone_rules);
+            assert_eq!(r.iterations, lone.iterations);
+            assert_eq!(r.ancestors_emitted, lone.ancestors_emitted);
+        }
+    }
+}

@@ -252,7 +252,7 @@ impl<T: Record> Dataset<T> {
     pub fn repartition(&self, partitions: usize) -> Dataset<T> {
         let partitions = partitions.max(1);
         let engine = self.engine.clone();
-        let buckets: Vec<Vec<Vec<u8>>> = self.engine.run_stage(
+        let buckets: Vec<(u64, Vec<Vec<u8>>)> = self.engine.run_stage(
             "repartition.map",
             self.parts.clone(),
             (0, 0),
@@ -279,13 +279,15 @@ impl<T: Record> Dataset<T> {
                 TaskOutput {
                     records_in: data.len() as u64,
                     records_out: data.len() as u64,
-                    value: encoded,
+                    value: (data.len() as u64, encoded),
                 }
             },
         );
+        let mut shuffled_records = 0u64;
         let mut shuffled_bytes = 0u64;
         let mut receiver_inputs: Vec<Vec<Vec<u8>>> = (0..partitions).map(|_| Vec::new()).collect();
-        for task_buckets in buckets {
+        for (records, task_buckets) in buckets {
+            shuffled_records += records;
             for (j, bucket) in task_buckets.into_iter().enumerate() {
                 shuffled_bytes += bucket.len() as u64;
                 receiver_inputs[j].push(bucket);
@@ -294,7 +296,7 @@ impl<T: Record> Dataset<T> {
         let parts = self.engine.run_stage(
             "repartition.reduce",
             receiver_inputs,
-            (0, 0),
+            (shuffled_records, shuffled_bytes),
             |_, incoming: Vec<Vec<u8>>| {
                 let mut out = Vec::new();
                 for bucket in incoming {
@@ -308,16 +310,6 @@ impl<T: Record> Dataset<T> {
                 }
             },
         );
-        let total: u64 = self
-            .engine
-            .metrics()
-            .stages()
-            .last()
-            .map(|s| s.tasks.iter().map(|t| t.records_in).sum())
-            .unwrap_or(0);
-        self.engine
-            .metrics()
-            .set_last_stage_shuffle(total, shuffled_bytes);
         Dataset::from_parts(self.engine.clone(), parts)
     }
 
@@ -427,7 +419,7 @@ where
         let parts = self.engine.run_stage(
             &reduce_label,
             reducer_inputs,
-            (0, 0),
+            (shuffled_records, shuffled_bytes),
             |_, incoming: Vec<Vec<(K, V)>>| {
                 let mut merged: FxHashMap<K, V> = FxHashMap::default();
                 let mut records_in = 0u64;
@@ -453,11 +445,6 @@ where
                 }
             },
         );
-
-        // Attach shuffle volume to the reduce stage record.
-        self.engine
-            .metrics()
-            .set_last_stage_shuffle(shuffled_records, shuffled_bytes);
 
         Dataset::from_parts(self.engine.clone(), parts)
     }

@@ -214,7 +214,6 @@ impl Engine {
             *outputs[idx].lock() = Some((
                 out.value,
                 TaskRecord {
-                    partition: idx,
                     records_in: out.records_in,
                     records_out: out.records_out,
                     nanos,

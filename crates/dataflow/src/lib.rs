@@ -12,10 +12,7 @@
 //! * **PostgreSQL** ([`EngineMode::SingleThread`]): one worker, no
 //!   intra-query parallelism.
 //!
-//! The engine records per-task timings, shuffle volumes and disk I/O; the
-//! [`cost`] module replays them through a deterministic model of an
-//! `E × C`-slot cluster to reproduce the paper's scalability figures on a
-//! single machine.
+//! The engine records per-task timings, shuffle volumes and disk I/O.
 //!
 //! ## Example
 //!
@@ -32,11 +29,11 @@
 //! assert!(result.iter().all(|&(_, c)| c == 100));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 
 mod config;
-pub mod cost;
 mod dataset;
 mod encode;
 mod engine;

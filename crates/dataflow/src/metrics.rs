@@ -1,17 +1,16 @@
 //! Execution metrics: per-stage task records, shuffle volumes, disk I/O.
 //!
-//! These are the raw inputs to the cluster cost model (`crate::cost`) and to
-//! the profiling figures (Figs 3.1, 3.2, 4.3, 4.4).
+//! The profiling figures (Figs 3.1, 3.2, 4.3, 4.4) and the benchmark's
+//! per-layer counters read them.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Measurement of a single task (one partition of one stage).
+/// Measurement of a single task (one partition of one stage; the
+/// partition's index is the task's position in [`StageRecord::tasks`]).
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
-    /// Index of the partition this task processed.
-    pub partition: usize,
     /// Records consumed by the task.
     pub records_in: u64,
     /// Records produced by the task.
@@ -34,11 +33,6 @@ pub struct StageRecord {
 }
 
 impl StageRecord {
-    /// Total task time in seconds (sum over tasks — i.e. sequential work).
-    pub fn total_task_secs(&self) -> f64 {
-        self.tasks.iter().map(|t| t.nanos as f64).sum::<f64>() / 1e9
-    }
-
     /// Total records produced by the stage.
     pub fn records_out(&self) -> u64 {
         self.tasks.iter().map(|t| t.records_out).sum()
@@ -88,28 +82,14 @@ impl MetricsRegistry {
         self.stages.lock().push(record);
     }
 
-    /// All stages recorded since construction or the last [`Self::drain`].
+    /// All stages recorded since construction.
     pub fn stages(&self) -> Vec<StageRecord> {
         self.stages.lock().clone()
-    }
-
-    /// Remove and return all recorded stages (counters are left untouched).
-    pub fn drain(&self) -> Vec<StageRecord> {
-        std::mem::take(&mut *self.stages.lock())
     }
 
     /// Number of stages executed so far.
     pub fn stage_count(&self) -> usize {
         self.stages.lock().len()
-    }
-
-    /// Attach shuffle volume to the most recently recorded stage (used by
-    /// shuffle operators, which only know the volume after the map side ran).
-    pub fn set_last_stage_shuffle(&self, records: u64, bytes: u64) {
-        if let Some(last) = self.stages.lock().last_mut() {
-            last.shuffled_records = records;
-            last.shuffled_bytes = bytes;
-        }
     }
 
     /// Record one file write of `bytes` bytes.
@@ -145,15 +125,6 @@ impl MetricsRegistry {
             broadcast_bytes: self.counters.broadcast_bytes.load(Ordering::Relaxed),
         }
     }
-
-    /// Sum of all task seconds across all recorded stages.
-    pub fn total_task_secs(&self) -> f64 {
-        self.stages
-            .lock()
-            .iter()
-            .map(StageRecord::total_task_secs)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +136,7 @@ mod tests {
             label: label.to_string(),
             tasks: nanos
                 .iter()
-                .enumerate()
-                .map(|(i, &n)| TaskRecord {
-                    partition: i,
+                .map(|&n| TaskRecord {
                     records_in: 10,
                     records_out: 5,
                     nanos: n,
@@ -179,15 +148,15 @@ mod tests {
     }
 
     #[test]
-    fn push_and_drain() {
+    fn push_records_stages_in_order() {
         let m = MetricsRegistry::new();
         m.push_stage(stage("a", &[1_000_000_000]));
         m.push_stage(stage("b", &[500_000_000, 500_000_000]));
         assert_eq!(m.stage_count(), 2);
-        assert!((m.total_task_secs() - 2.0).abs() < 1e-9);
-        let drained = m.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(m.stage_count(), 0);
+        let stages = m.stages();
+        assert_eq!(stages[0].label, "a");
+        assert_eq!(stages[1].label, "b");
+        assert_eq!(stages[1].tasks.len(), 2);
     }
 
     #[test]
@@ -217,6 +186,5 @@ mod tests {
     fn stage_record_aggregates() {
         let s = stage("s", &[100, 200, 300]);
         assert_eq!(s.records_out(), 15);
-        assert!((s.total_task_secs() - 600e-9).abs() < 1e-15);
     }
 }

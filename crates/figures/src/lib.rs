@@ -10,6 +10,7 @@
 //! laptop-scale (see DESIGN.md, substitution 3); the shapes — who wins and
 //! by roughly what factor — are what the harness reproduces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 

@@ -84,7 +84,7 @@ mod tests {
             "a\\\"b\\\\c\\nd\\te\\u0001"
         );
         let f = Finding {
-            rule: "SL005",
+            rule: "SL007",
             file: "a\"b.rs".into(),
             line: 1,
             col: 1,

@@ -2,10 +2,12 @@
 //! enforces the workspace's own invariants — panic-freedom in library
 //! code (SL001), cancellation polling in data-scale loops (SL002), no
 //! lock guard live across blocking calls (SL003), accept-loop purity
-//! (SL004), no `unsafe` (SL005), no lock-order inversion across the
-//! call graph (SL006), no nondeterministic hash-order leaking into
-//! output (SL007), and no silently discarded `Result` (SL008). See
-//! DESIGN.md "Enforced invariants" for the rule-by-rule rationale.
+//! (SL004), no lock-order inversion across the call graph (SL006), no
+//! nondeterministic hash-order leaking into output (SL007), and no
+//! silently discarded `Result` (SL008). No `unsafe` is rustc's job:
+//! every crate root under `src/` and `crates/*/src/` carries
+//! `#![forbid(unsafe_code)]`.
+//! See DESIGN.md "Enforced invariants" for the rule-by-rule rationale.
 //!
 //! Pipeline: [`lexer`] (total, tiling Rust lexer) → [`syntax`]
 //! (brackets, test spans, fns, loops, pragmas) → [`resolve`] (per-file
@@ -17,6 +19,8 @@
 //! [`locks`] holds the guard-liveness classifier shared by SL003 and the
 //! lock summaries; [`jsonio`] is the dependency-free JSON writer behind
 //! the graph artifacts and the pragma inventory.
+
+#![forbid(unsafe_code)]
 
 pub mod callgraph;
 pub mod diag;

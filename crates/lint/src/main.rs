@@ -18,6 +18,8 @@
 //! writes `callgraph.json` and `lock-order.json` (the SL006 evidence) for
 //! CI to archive.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;

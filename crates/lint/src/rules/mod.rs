@@ -15,7 +15,6 @@ mod sl001;
 mod sl002;
 mod sl003;
 mod sl004;
-mod sl005;
 mod sl006;
 mod sl007;
 mod sl008;
@@ -50,7 +49,6 @@ pub fn all() -> Vec<Box<dyn Rule>> {
         Box::new(sl002::CancellationPoll),
         Box::new(sl003::LockAcrossBlocking),
         Box::new(sl004::AcceptLoopPurity),
-        Box::new(sl005::UnsafeForbidden),
         Box::new(sl007::NondeterministicIteration),
     ]
 }
@@ -69,7 +67,7 @@ pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
 pub fn known_rule(code: &str) -> bool {
     matches!(
         code,
-        "SL001" | "SL002" | "SL003" | "SL004" | "SL005" | "SL006" | "SL007" | "SL008"
+        "SL001" | "SL002" | "SL003" | "SL004" | "SL006" | "SL007" | "SL008"
     )
 }
 

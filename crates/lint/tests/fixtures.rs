@@ -133,28 +133,6 @@ fn sl004_ok_is_clean() {
 }
 
 #[test]
-fn sl005_bad_exact_positions_and_no_test_exemption() {
-    let findings = lint(
-        "crates/figures/src/x.rs",
-        include_str!("../fixtures/sl005_bad.rs"),
-    );
-    assert_eq!(
-        positions(&findings, "SL005"),
-        vec![(4, 5), (7, 5), (15, 17)],
-        "findings: {findings:#?}"
-    );
-}
-
-#[test]
-fn sl005_ok_is_clean() {
-    let findings = lint(
-        "crates/figures/src/x.rs",
-        include_str!("../fixtures/sl005_ok.rs"),
-    );
-    assert!(findings.is_empty(), "findings: {findings:#?}");
-}
-
-#[test]
 fn sl006_bad_reports_the_seeded_inversion_with_both_witness_paths() {
     let findings = lint("src/state.rs", include_str!("../fixtures/sl006_bad.rs"));
     assert_eq!(

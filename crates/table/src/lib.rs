@@ -14,6 +14,7 @@
 //! assert_eq!(flights.schema().dim_names(), &["Day", "Origin", "Destination"]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![allow(clippy::must_use_candidate)]
 

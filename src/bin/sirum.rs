@@ -18,6 +18,8 @@
 //! Exit codes: `0` success, `1` runtime failure (unreadable/malformed data,
 //! engine trouble), `2` usage error (unknown flags, unparsable values).
 
+#![forbid(unsafe_code)]
+
 use sirum::prelude::*;
 use std::fmt::Display;
 use std::process::exit;

@@ -42,6 +42,7 @@
 //! `examples/` directory for runnable walkthroughs and `DESIGN.md` for the
 //! system inventory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;

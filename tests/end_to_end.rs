@@ -94,12 +94,9 @@ fn csv_round_trip_preserves_mining_results() {
 }
 
 #[test]
-fn cluster_cost_model_scales_plausibly() {
-    use sirum::dataflow::cost::{makespan, ClusterSpec};
+fn sweep_records_fewer_stages_and_shuffles_than_the_staged_pipeline() {
     let table = generators::income_like(4_000, 21);
     let engine = Engine::new(EngineConfig::in_memory().with_partitions(32));
-    // The staged pipeline: the cost model's executor scaling shows up in
-    // its shuffle stages (the fused sweep has none — see below).
     let config = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::SampleLca { sample_size: 32 },
@@ -108,17 +105,7 @@ fn cluster_cost_model_scales_plausibly() {
     };
     let _ = Miner::new(engine.clone(), config).try_mine(&table).unwrap();
     let stages = engine.metrics().stages();
-    assert!(stages.len() > 10, "a mining run spans many stages");
-    let spec = ClusterSpec::paper_cluster();
-    let t16 = makespan(&stages, &spec.with_executors(16));
-    let t2 = makespan(&stages, &spec.with_executors(2));
-    assert!(t16 < t2, "more executors must not be slower");
-    assert!(
-        t2 / t16 < 8.0 + 1e-9,
-        "speedup is bounded by the executor ratio"
-    );
-    // The sweep run replays through the same model with fewer stages and
-    // zero candidate-pipeline shuffle volume, so it never models slower.
+    assert!(stages.len() > 10, "a staged mine spans many stages");
     let sweep_engine = Engine::new(EngineConfig::in_memory().with_partitions(32));
     let sweep_config = SirumConfig {
         k: 3,
