@@ -13,7 +13,7 @@
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
-use crate::candidates::{merge_agg, Agg, SampleIndex};
+use crate::candidates::{merge_agg, Agg, SampleIndex, StagedKey};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, rule_bits, RctGroup};
 use crate::rule::Rule;
@@ -335,27 +335,27 @@ impl MiningData {
         state.sweep(&self.0, cancel, pick)
     }
 
-    /// The legacy staged candidate-pruning join: emit one `(rule,
-    /// aggregate)` pair per (sample tuple, data tuple) LCA — or per tuple
-    /// under full-cube — and reduce by key. With `broadcast_join` off
-    /// (Naive SIRUM) the data is re-shuffled first, as row records —
-    /// exactly what a real shuffle serializes.
-    pub(crate) fn lca_candidates(
+    /// The staged candidate-pruning join: emit one `(key, aggregate)` pair
+    /// per (sample tuple, data tuple) LCA — or per tuple under full-cube —
+    /// and reduce by key, routed by [`StagedKey::route`]. With
+    /// `broadcast_join` off (Naive SIRUM) the data is re-shuffled first, as
+    /// row records — exactly what a real shuffle serializes.
+    pub(crate) fn lca_candidates<K: StagedKey>(
         &self,
+        cx: &K::Codec,
         partitions: usize,
         index: Option<&SampleIndex>,
         broadcast_join: bool,
         fast_pruning: bool,
-    ) -> Dataset<(Rule, Agg)> {
+    ) -> Dataset<(K, Agg)> {
         let data = &self.0;
         let emit = LcaEmit::new(index, fast_pruning);
         let pairs = if broadcast_join {
             data.map_partitions(emit.label(), move |_, blocks| {
                 let n: usize = blocks.iter().map(TupleBlock::len).sum();
                 let mut out = Vec::with_capacity(n * emit.per_row());
-                let mut scratch = Vec::new();
                 for_each_row(blocks, |dims, m, mh, _mask| {
-                    emit.emit(dims, m, mh, &mut scratch, &mut out);
+                    emit.emit::<K>(cx, dims, (m, mh, 1), &mut out);
                 });
                 out
             })
@@ -372,16 +372,15 @@ impl MiningData {
             rows.free();
             let pairs = base.map_partitions(emit.label(), move |_, rows| {
                 let mut out = Vec::with_capacity(rows.len() * emit.per_row());
-                let mut scratch = Vec::new();
                 for (dims, m, mh, _mask) in rows {
-                    emit.emit(dims, *m, *mh, &mut scratch, &mut out);
+                    emit.emit::<K>(cx, dims, (*m, *mh, 1), &mut out);
                 }
                 out
             });
             base.free();
             pairs
         };
-        let cand = pairs.reduce_by_key("lca-agg", partitions, merge_agg);
+        let cand = pairs.reduce_by_key("lca-agg", partitions, |k| k.route(cx), merge_agg);
         pairs.free();
         cand
     }
@@ -426,26 +425,15 @@ impl LcaEmit<'_> {
     }
 
     /// Append one tuple's pairs to `out`, in sample order.
-    fn emit(
-        &self,
-        dims: &[u32],
-        m: f64,
-        mh: f64,
-        scratch: &mut Vec<u32>,
-        out: &mut Vec<(Rule, Agg)>,
-    ) {
+    fn emit<K: StagedKey>(&self, cx: &K::Codec, dims: &[u32], agg: Agg, out: &mut Vec<(K, Agg)>) {
         match self {
-            LcaEmit::Fast(idx) => {
-                for lca in idx.lcas_into(dims, scratch).chunks_exact(dims.len()) {
-                    out.push((Rule::from_tuple(lca), (m, mh, 1u64)));
-                }
-            }
+            LcaEmit::Fast(idx) => K::lcas_into(cx, idx, dims, agg, out),
             LcaEmit::Naive(idx) => {
                 for srow in idx.rows() {
-                    out.push((Rule::lca(srow, dims), (m, mh, 1u64)));
+                    out.push((K::lca(cx, srow, dims), agg));
                 }
             }
-            LcaEmit::Tuple => out.push((Rule::from_tuple(dims), (m, mh, 1u64))),
+            LcaEmit::Tuple => out.push((K::tuple(cx, dims), agg)),
         }
     }
 }

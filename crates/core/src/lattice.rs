@@ -5,7 +5,7 @@
 //! The multi-stage "column grouping" optimization (§4.3) restricts each
 //! stage to wildcarding positions from one attribute group only.
 
-use crate::rule::{Rule, WILDCARD};
+use crate::rule::Rule;
 
 /// Maximum number of constants we are willing to expand in one call
 /// (2^24 ≈ 16M ancestors). Exceeding this is a configuration error —
@@ -21,30 +21,50 @@ pub fn ancestors(rule: &Rule) -> Vec<Rule> {
 /// the empty subset, i.e. `rule` itself). `positions` must name non-wildcard
 /// positions of `rule`; wildcard positions are skipped harmlessly.
 pub fn ancestors_restricted(rule: &Rule, positions: &[usize]) -> Vec<Rule> {
-    let live: Vec<usize> = positions
-        .iter()
-        .copied()
-        .filter(|&i| !rule.is_wildcard(i))
-        .collect();
-    let w = live.len();
+    let mut out = Vec::new();
+    expand_into(
+        rule,
+        positions,
+        Rule::is_wildcard,
+        Rule::generalize,
+        &mut out,
+    );
+    out
+}
+
+/// [`ancestors_restricted`] over any key representation: append to `out`
+/// the ancestors of `key` that widen a subset of its constants among
+/// `positions`, in subset order — subset `s` widens `live[b]` for every
+/// set bit `b`, `live` being the constant positions in `positions`' order.
+/// Each is one `widen` of an earlier one (`s` without its lowest bit).
+pub(crate) fn expand_into<K: Clone>(
+    key: &K,
+    positions: &[usize],
+    is_wild: impl Fn(&K, usize) -> bool,
+    widen: impl Fn(&K, usize) -> K,
+    out: &mut Vec<K>,
+) {
+    let is_live = |&&i: &&usize| !is_wild(key, i);
+    let w = positions.iter().filter(is_live).count();
     // lint:allow(SL001) — expansion-size cap; the miner and the service's stream() reject >MAX_EXPAND_BITS-dim tables with typed errors
     assert!(
         w <= MAX_EXPAND_BITS,
         "refusing to expand 2^{w} ancestors; use column grouping or sampling"
     );
-    let mut out = Vec::with_capacity(1usize << w);
-    let mut values = rule.values().to_vec();
-    for subset in 0..(1u32 << w) {
-        for (bit, &pos) in live.iter().enumerate() {
-            values[pos] = if subset & (1 << bit) != 0 {
-                WILDCARD
-            } else {
-                rule.get(pos)
-            };
-        }
-        out.push(Rule::from_values(values.clone()));
+    let mut live = [0usize; MAX_EXPAND_BITS];
+    for (slot, &i) in live.iter_mut().zip(positions.iter().filter(is_live)) {
+        *slot = i;
     }
-    out
+    let base = out.len();
+    out.reserve(1 << w);
+    out.push(key.clone());
+    for subset in 1..1usize << w {
+        let wider = widen(
+            &out[base + (subset & (subset - 1))],
+            live[subset.trailing_zeros() as usize],
+        );
+        out.push(wider);
+    }
 }
 
 /// Number of ancestors [`ancestors`] would produce, without producing them.
@@ -78,6 +98,7 @@ pub fn column_groups(d: usize, g: usize, seed: u64) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::WILDCARD;
 
     fn r(vals: &[i64]) -> Rule {
         Rule::from_values(

@@ -3,11 +3,11 @@
 //! configuration switch so each variant of Table 4.2 can be instantiated.
 
 use crate::cancel::CancellationToken;
-use crate::candidates::{adjust_for_sample, merge_agg, Agg, SampleIndex, MAX_SAMPLE};
+use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, StagedKey, MAX_SAMPLE};
 use crate::data::MiningData;
 use crate::error::SirumError;
 use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
-use crate::lattice::{ancestors_restricted, column_groups, MAX_EXPAND_BITS};
+use crate::lattice::{column_groups, MAX_EXPAND_BITS};
 use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// every candidate to the driver — millions for wide datasets like SUSY —
 /// would only burn memory. The true candidate count still reaches the
 /// driver for the rank-limit denominator. Both candidate-evaluation paths
-/// (the fused sweep and the legacy staged pipeline) honor the same
+/// (the fused sweep and the staged pipeline) honor the same
 /// `TOP_PER_PARTITION × partitions` driver budget.
 const TOP_PER_PARTITION: usize = 4096;
 
@@ -89,7 +89,7 @@ pub struct SirumConfig {
     /// tuples whose estimate differs from the RCT's largest group's and
     /// count the rest ([`SweepState::set_shared_estimate`]).
     ///
-    /// When `false`, candidates are scored by the legacy staged pipeline
+    /// When `false`, candidates are scored by the staged pipeline
     /// that emulates the paper's per-platform jobs (LCA emit → shuffle →
     /// per-column-group ancestor stages → shuffle → adjust + gain); the
     /// Table 4.2 [`crate::Variant`]s use that path so their relative
@@ -97,17 +97,17 @@ pub struct SirumConfig {
     /// stages, so [`Self::broadcast_join`], [`Self::fast_pruning`] and
     /// [`Self::column_groups`] have no effect while it is active.
     pub gain_sweep: bool,
-    /// Intern rules as dense packed integer codes on the gain-sweep hot
-    /// path (default `true`): each dimension gets a bit-field sized by
-    /// its dictionary cardinality ([`crate::rule::RuleLayout`]), so LCA
-    /// combining probes a `u64`/`u128`-keyed map (integer hash + compare
-    /// instead of slice hashing) and widening a dimension is one OR.
-    /// Falls back to the `Rule`-keyed maps automatically when the summed
-    /// widths exceed 128 bits; only meaningful while
-    /// [`Self::gain_sweep`] is active. The mining output is
-    /// **bit-identical** either way (proptested), so this is not a
-    /// request option: `false` exists for tests, which use it to force the
-    /// live `Rule`-keyed fallback on tables small enough to mine quickly.
+    /// Intern rules as dense packed integer codes during candidate
+    /// evaluation (default `true`): each dimension gets a bit-field sized
+    /// by its dictionary cardinality ([`crate::rule::RuleLayout`]), so the
+    /// sweep's accumulators and the staged pipeline's records key by a
+    /// `u64`/`u128` (integer hash + compare instead of slice hashing, no
+    /// allocation per key) and widening a dimension is one OR. Falls back
+    /// to `Rule` keys automatically when the summed widths exceed 128
+    /// bits. The mining output is **bit-identical** either way
+    /// (proptested), so this is not a request option: `false` exists for
+    /// tests, which use it to force the live `Rule`-keyed fallback on
+    /// tables small enough to mine quickly.
     pub packed_codes: bool,
     /// Seed for sampling and column-group shuffling.
     pub seed: u64,
@@ -506,10 +506,10 @@ impl Miner {
         let mut scaling_iterations = Vec::new();
         let mut ancestors_emitted = 0u64;
 
-        // Packed-code layout for the sweep hot path, derived once from the
-        // dictionary cardinalities the prepared frame carries. Oversized
-        // layouts (> 128 bits) fall back to Rule-keyed maps inside the
-        // sweep dispatch, so this is always safe to hand over.
+        // Packed-code layout for candidate evaluation (sweep or staged),
+        // derived once from the dictionary cardinalities the prepared frame
+        // carries. Oversized layouts (> 128 bits) fall back to Rule keys
+        // inside either dispatch, so this is always safe to hand over.
         let sweep_opts = if cfg.packed_codes {
             SweepOptions::packed(RuleLayout::from_cardinalities(prepared.frame().cards()))
         } else {
@@ -782,9 +782,9 @@ impl Miner {
     /// Candidate generation for one iteration. On the default path this is
     /// one fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
     /// which only the candidates selection can reach become rules; with
-    /// [`SirumConfig::gain_sweep`] off it is the legacy staged pipeline —
-    /// LCA join (or tuple stage), staged ancestor generation, sample
-    /// adjustment, gain scoring — that emulates the paper's platform jobs.
+    /// [`SirumConfig::gain_sweep`] off it is the staged pipeline
+    /// ([`Self::staged`]) on records keyed as the sweep keys its
+    /// accumulators: packed codes, or `Rule`s past 128 bits.
     ///
     /// Returns the scored candidates, the true candidate count (for the
     /// multi-rule rank limit) and whether a cancellation token stopped the
@@ -799,13 +799,7 @@ impl Miner {
         ancestors_emitted: &mut u64,
     ) -> (Vec<ScoredCandidate>, u64, bool) {
         let cfg = &self.config;
-        let d = rules[0].arity();
-        let gain_fn: fn(f64, f64) -> f64 = if cfg.two_sided_gain {
-            rule_gain_two_sided
-        } else {
-            rule_gain
-        };
-
+        let gain_fn = self.gain_fn();
         if cfg.gain_sweep {
             let t0 = Instant::now();
             // Same driver-memory guard as the staged path's per-partition
@@ -839,11 +833,52 @@ impl Miner {
             return (result, out.distinct_candidates, out.cancelled);
         }
 
+        // The staged pipeline keys its records as the sweep keys its
+        // accumulators: packed codes where the layout fits 128 bits.
+        let opts = sweep.options();
+        match (opts.layout(), opts.packed_bits()) {
+            (Some(layout), Some(64)) => self.staged::<u64>(
+                &layout.masks(),
+                data,
+                index,
+                rules,
+                timings,
+                ancestors_emitted,
+            ),
+            (Some(layout), Some(_)) => self.staged::<u128>(
+                &layout.masks(),
+                data,
+                index,
+                rules,
+                timings,
+                ancestors_emitted,
+            ),
+            _ => self.staged::<Rule>(&(), data, index, rules, timings, ancestors_emitted),
+        }
+    }
+
+    /// The staged pipeline on records keyed by `K` — LCA join (or tuple
+    /// stage), one ancestor stage per column group, sample adjustment and
+    /// gain scoring — emulating the paper's platform jobs. Each reducer
+    /// keeps its top [`TOP_PER_PARTITION`] candidates by gain, and only
+    /// those become [`Rule`]s.
+    fn staged<K: StagedKey>(
+        &self,
+        cx: &K::Codec,
+        data: &MiningData,
+        index: Option<&SampleIndex>,
+        rules: &[Rule],
+        timings: &mut PhaseTimings,
+        ancestors_emitted: &mut u64,
+    ) -> (Vec<ScoredCandidate>, u64, bool) {
+        let cfg = &self.config;
+        let gain_fn = self.gain_fn();
         let partitions = self.engine.config().partitions;
 
         // ---- Candidate pruning: LCA(s, D) (§3.1.1 / §4.2) ----------------
         let t0 = Instant::now();
-        let mut cand = data.lca_candidates(partitions, index, cfg.broadcast_join, cfg.fast_pruning);
+        let mut cand: Dataset<(K, Agg)> =
+            data.lca_candidates(cx, partitions, index, cfg.broadcast_join, cfg.fast_pruning);
         timings.candidate_pruning += t0.elapsed().as_secs_f64();
 
         // ---- Ancestor generation (§3.1.1 single-stage / §4.3 grouped) ----
@@ -852,24 +887,22 @@ impl Miner {
         // would land there too.
         let t1 = Instant::now();
         let emitted = AtomicU64::new(0);
-        let groups = column_groups(d, cfg.column_groups.max(1), cfg.seed);
+        let groups = column_groups(rules[0].arity(), cfg.column_groups.max(1), cfg.seed);
         for (gi, group) in groups.iter().enumerate() {
             let label = format!("ancestors-g{gi}");
-            let expanded: Dataset<(Rule, Agg)> =
-                cand.map_partitions(&label, |_, items: &[(Rule, Agg)]| {
-                    let out: Vec<(Rule, Agg)> = items
-                        .iter()
-                        .flat_map(|(rule, agg)| {
-                            ancestors_restricted(rule, group)
-                                .into_iter()
-                                .map(move |a| (a, *agg))
-                        })
-                        .collect();
-                    // Emitted ancestor pairs (Fig 5.8).
-                    emitted.fetch_add(out.len() as u64, Ordering::Relaxed);
-                    out
-                });
-            let reduced = expanded.reduce_by_key(&format!("anc-agg-g{gi}"), partitions, merge_agg);
+            let expanded = cand.map_partitions(&label, |_, items: &[(K, Agg)]| {
+                let mut out = Vec::with_capacity(items.len());
+                let mut ancestors = Vec::new();
+                for (key, agg) in items {
+                    key.expand_into(cx, group, &mut ancestors);
+                    out.extend(ancestors.drain(..).map(|a| (a, *agg)));
+                }
+                // Emitted ancestor pairs (Fig 5.8).
+                emitted.fetch_add(out.len() as u64, Ordering::Relaxed);
+                out
+            });
+            let label = format!("anc-agg-g{gi}");
+            let reduced = expanded.reduce_by_key(&label, partitions, |k| k.route(cx), merge_agg);
             expanded.free();
             cand.free();
             cand = reduced;
@@ -878,29 +911,29 @@ impl Miner {
         timings.ancestor_generation += t1.elapsed().as_secs_f64();
 
         // ---- Sample adjustment + gain computation (§3.1.1, Eq 2.2) -------
-        // Each reducer keeps only its top candidates by gain, honoring the
-        // TOP_PER_PARTITION driver budget (see the constant's docs).
         let t2 = Instant::now();
         // Candidates entering adjust+gain: the rank-limit denominator.
         let candidate_total = AtomicU64::new(0);
         let scored_ds: Dataset<(Rule, f64, f64, u64)> =
-            cand.map_partitions("adjust+gain", |_, items: &[(Rule, Agg)]| {
+            cand.map_partitions("adjust+gain", |_, items: &[(K, Agg)]| {
                 candidate_total.fetch_add(items.len() as u64, Ordering::Relaxed);
-                let mut scored: Vec<(Rule, f64, f64, u64)> = match index {
-                    Some(idx) => adjust_for_sample(items.iter().cloned(), idx)
-                        .into_iter()
-                        .map(|(rule, sm, smh, cnt)| (rule, gain_fn(sm, smh), sm, cnt))
-                        .collect(),
-                    None => items
-                        .iter()
-                        .map(|(rule, (sm, smh, cnt))| (rule.clone(), gain_fn(*sm, *smh), *sm, *cnt))
-                        .collect(),
-                };
+                let mut scored: Vec<(K, f64, f64, u64)> = items
+                    .iter()
+                    .map(|(key, agg)| {
+                        let (sm, smh, cnt) = match index {
+                            Some(idx) => adjust(*agg, idx.multiplicity(key.constants(cx))),
+                            None => *agg,
+                        };
+                        (key.clone(), gain_fn(sm, smh), sm, cnt)
+                    })
+                    .collect();
                 if scored.len() > TOP_PER_PARTITION {
                     scored.sort_by(|a, b| b.1.total_cmp(&a.1));
                     scored.truncate(TOP_PER_PARTITION);
                 }
-                scored
+                (scored.into_iter())
+                    .map(|(key, gain, sm, cnt)| (key.into_rule(cx), gain, sm, cnt))
+                    .collect()
             });
         let scored = scored_ds.collect();
         scored_ds.free();
@@ -918,6 +951,15 @@ impl Miner {
             .collect();
         timings.gain_computation += t2.elapsed().as_secs_f64();
         (result, candidate_total.into_inner(), false)
+    }
+
+    /// The candidate score: Eq 2.2's gain, or its two-sided form.
+    fn gain_fn(&self) -> fn(f64, f64) -> f64 {
+        if self.config.two_sided_gain {
+            rule_gain_two_sided
+        } else {
+            rule_gain
+        }
     }
 }
 

@@ -473,6 +473,14 @@ impl<C: PackedCode> PackedMasks<C> {
         code.bitand(self.wild[j]) == self.wild[j]
     }
 
+    /// Dimension `j`'s constant in `code`, or `None` where it is the
+    /// wildcard.
+    #[inline]
+    pub fn constant(&self, code: C, j: usize) -> Option<u32> {
+        let field = code.bitand(self.wild[j]);
+        (field != self.wild[j]).then(|| field.shr(self.shifts[j]).low_u32())
+    }
+
     /// `code` with dimension `j` set to the constant `v`.
     #[inline]
     pub fn with_constant(&self, code: C, j: usize, v: u32) -> C {
@@ -673,6 +681,8 @@ mod tests {
         let c = m.with_constant(c, 0, 5);
         assert_eq!(l.unpack(c), r(&[5, 2, -1]));
         assert_eq!(l.unpack(m.widen(c, 1)), r(&[5, -1, -1]));
+        assert_eq!((m.constant(c, 0), m.constant(c, 1)), (Some(5), Some(2)));
+        assert_eq!(m.constant(c, 2), None);
         // Masks agree with pack on a fully-constant tuple.
         let t = [4u32, 1, 123];
         let mut built = m.all_wild();

@@ -249,6 +249,12 @@ impl SweepOptions {
         self
     }
 
+    /// The packed-code layout, if any (it may not fit 128 bits; see
+    /// [`Self::packed_bits`]).
+    pub(crate) fn layout(&self) -> Option<&RuleLayout> {
+        self.layout.as_ref()
+    }
+
     /// The packed code width this sweep will run with (64 or 128), or
     /// `None` when it runs `Rule`-keyed (no layout, or one over 128 bits).
     pub fn packed_bits(&self) -> Option<u32> {
@@ -871,7 +877,7 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
                 if clock.tick() {
                     return None;
                 }
-                let c = idx.multiplicity(&to_rule(key));
+                let c = idx.multiplicity(to_rule(key).constants());
                 debug_assert_eq!(count[slot] % c, 0, "pair multiplicity must be uniform");
                 mult[slot] = c as f64;
                 sum_m[slot] /= c as f64;
@@ -1132,6 +1138,12 @@ impl<'a> SweepState<'a> {
             plan128: None,
             plan_rule: None,
         }
+    }
+
+    /// The options this state keys by — which the miner's staged pipeline
+    /// keys its records by too.
+    pub(crate) fn options(&self) -> &'a SweepOptions {
+        self.opts
     }
 
     /// Name the estimate the next sweeps should count instead of scan —

@@ -628,3 +628,82 @@ fn concurrent_staged_mines_on_one_engine_count_only_their_own_stages() {
         }
     }
 }
+
+/// FNV-1a over everything a staged mine reports, float bits included.
+fn staged_fingerprint(r: &MiningResult) -> u64 {
+    let mut words: Vec<u64> = Vec::new();
+    for m in &r.rules {
+        words.extend(m.rule.values().iter().map(|&v| u64::from(v)));
+        words.extend([m.gain.to_bits(), m.avg_measure.to_bits(), m.count]);
+    }
+    words.extend(r.kl_trace.iter().map(|k| k.to_bits()));
+    words.extend(r.scaling_iterations.iter().map(|&i| i as u64));
+    words.extend([
+        r.ancestors_emitted,
+        r.iterations as u64,
+        u64::from(r.cancelled),
+    ]);
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn staged_output_is_pinned_bit_for_bit() {
+    // The staged pipeline's output on one fixed table, fingerprinted down
+    // to the float bits: a change to how its records are keyed, routed or
+    // merged must leave every value here alone. A change that alters float
+    // association on purpose re-takes these values and says why in
+    // CHANGES.md.
+    let t = generators::income_like(1_000, 2016);
+    let engine = || {
+        Engine::new(
+            EngineConfig::in_memory()
+                .with_workers(2)
+                .with_partitions(16),
+        )
+    };
+    let full_cube = SirumConfig {
+        k: 3,
+        strategy: CandidateStrategy::FullCube,
+        gain_sweep: false,
+        ..SirumConfig::default()
+    };
+    let cases = [
+        ("Naive", Variant::Naive.config(4, 16), 0xfa67_64f9_e4b6_91ea),
+        (
+            "Baseline",
+            Variant::Baseline.config(4, 16),
+            0x4fd6_7287_fcab_348d,
+        ),
+        ("RCT", Variant::Rct.config(4, 16), 0xfa22_79f1_d39a_9b73),
+        (
+            "FastPruning",
+            Variant::FastPruning.config(4, 16),
+            0x4fd6_7287_fcab_348d,
+        ),
+        (
+            "FastAncestor",
+            Variant::FastAncestor.config(4, 16),
+            0xe154_7b53_1387_fdfb,
+        ),
+        (
+            "MultiRule",
+            Variant::MultiRule.config(4, 16),
+            0x635c_b44d_080d_2bd9,
+        ),
+        ("FullCube", full_cube, 0x9f70_6642_14de_0c0f),
+    ];
+    for (name, config, pinned) in cases {
+        let r = Miner::new(engine(), config).try_mine(&t).unwrap();
+        assert_eq!(
+            staged_fingerprint(&r),
+            pinned,
+            "{name}: {:#018x}",
+            staged_fingerprint(&r)
+        );
+    }
+}

@@ -236,6 +236,80 @@ fn result_bits(r: &sirum_core::MiningResult) -> ResultBits {
     )
 }
 
+/// How many staged configurations [`staged_config`] names.
+const STAGED_CONFIGS: usize = 7;
+
+/// Staged configuration `i` over an `n`-row table: the six staged Table
+/// 4.2 variants, then staged full-cube enumeration.
+fn staged_config(i: usize, n: usize) -> SirumConfig {
+    let variants = [
+        Variant::Naive,
+        Variant::Baseline,
+        Variant::Rct,
+        Variant::FastPruning,
+        Variant::FastAncestor,
+        Variant::MultiRule,
+    ];
+    match variants.get(i) {
+        Some(v) => v.config(3, n.min(5)),
+        None => SirumConfig {
+            k: 3,
+            strategy: CandidateStrategy::FullCube,
+            gain_sweep: false,
+            ..SirumConfig::default()
+        },
+    }
+}
+
+#[test]
+fn staged_mining_on_u128_codes_matches_rule_keys() {
+    // Five dimensions whose dictionaries hold 5 000 values each need
+    // 13 bits apiece: 65 bits, one past a u64, so the staged pipeline
+    // keys its records by u128 codes. Rows use low and high codes alike.
+    let d = 5;
+    let names: Vec<String> = (0..d).map(|j| format!("a{j}")).collect();
+    let mut b = Table::builder(Schema::new(names, "m"));
+    for col in 0..d {
+        for v in 0..5_000 {
+            b.intern(col, &format!("v{v}"));
+        }
+    }
+    for i in 0..120u32 {
+        let codes: Vec<u32> = (0..d as u32)
+            .map(|j| [0, 1, 2, 4_096, 4_999][((i * (j + 3) + i / 7) % 5) as usize])
+            .collect();
+        b.push_coded_row(&codes, f64::from(i % 11) + 0.5);
+    }
+    let table = b.build();
+    let layout = RuleLayout::from_cardinalities(table.frame().cards());
+    assert!(!layout.fits::<u64>() && layout.fits::<u128>());
+    for i in 0..STAGED_CONFIGS {
+        for engine in [
+            EngineConfig::in_memory().with_workers(2).with_partitions(3),
+            EngineConfig::disk_mr()
+                .with_stage_startup(std::time::Duration::ZERO)
+                .with_partitions(2),
+        ] {
+            let mine = |packed_codes: bool| {
+                let config = SirumConfig {
+                    packed_codes,
+                    ..staged_config(i, table.num_rows())
+                };
+                Miner::new(Engine::new(engine.clone()), config)
+                    .try_mine(&table)
+                    .unwrap()
+            };
+            let packed = mine(true);
+            assert!(packed.rules.len() > 1, "config {i} mined nothing");
+            assert_eq!(
+                result_bits(&packed),
+                result_bits(&mine(false)),
+                "config {i}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -372,6 +446,31 @@ proptest! {
                 packed_codes,
                 ..SirumConfig::default()
             };
+            Miner::new(engine, config).try_mine(&table).unwrap()
+        };
+        prop_assert_eq!(result_bits(&mine(true)), result_bits(&mine(false)));
+    }
+
+    #[test]
+    fn packed_and_rulekey_staged_mining_are_bit_identical(
+        (table, config_idx, disk_mr, partitions, workers) in small_table().prop_flat_map(|t| {
+            (Just(t), 0usize..STAGED_CONFIGS, any::<bool>(), 1usize..5, 1usize..5)
+        })
+    ) {
+        // The staged pipeline carries packed codes through the LCA join,
+        // every ancestor stage and adjust + gain; keyed by `Rule` instead,
+        // every record must reach the same reducer at the same position,
+        // so the output is the same to the last bit — for every staged
+        // configuration, both engine modes and any partitioning.
+        let config = staged_config(config_idx, table.num_rows());
+        let mine = |packed_codes: bool| {
+            let engine = if disk_mr {
+                EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO)
+            } else {
+                EngineConfig::in_memory()
+            };
+            let engine = Engine::new(engine.with_workers(workers).with_partitions(partitions));
+            let config = SirumConfig { packed_codes, ..config.clone() };
             Miner::new(engine, config).try_mine(&table).unwrap()
         };
         prop_assert_eq!(result_bits(&mine(true)), result_bits(&mine(false)));

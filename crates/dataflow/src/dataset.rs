@@ -4,7 +4,7 @@
 
 use crate::encode::{decode_records, encode_records, Encode};
 use crate::engine::{Engine, TaskOutput};
-use crate::hash::{fx_hash_one, FxHashMap};
+use crate::hash::FxHashMap;
 use crate::memory::BlockId;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -329,8 +329,10 @@ where
     V: Record,
 {
     /// Hash-shuffle aggregation with map-side combine (the workhorse of the
-    /// paper's data-cube rule generation). `merge` folds a new value into an
-    /// existing one for the same key.
+    /// paper's data-cube rule generation). `route` hashes a key to its
+    /// reducer (`route(k) % partitions`; [`crate::hash::fx_hash_one`] unless keys of
+    /// another representation must land where their twins do), and
+    /// `merge` folds a new value into an existing one for the same key.
     ///
     /// In `DiskMr` mode every map-side bucket is serialized and round-trips
     /// through disk, as MapReduce map outputs do. The in-memory modes move
@@ -338,13 +340,20 @@ where
     /// narrow; charging a full serialize/deserialize per in-process record
     /// would only rescale every variant equally) while still recording the
     /// shuffled record and estimated byte volume.
-    pub fn reduce_by_key<F>(&self, label: &str, partitions: usize, merge: F) -> Dataset<(K, V)>
+    pub fn reduce_by_key<R, F>(
+        &self,
+        label: &str,
+        partitions: usize,
+        route: R,
+        merge: F,
+    ) -> Dataset<(K, V)>
     where
+        R: Fn(&K) -> u64 + Send + Sync,
         F: Fn(&mut V, V) + Send + Sync,
     {
         let partitions = partitions.max(1);
         let engine = self.engine.clone();
-        let merge = &merge;
+        let (route, merge) = (&route, &merge);
         let disk_mr = matches!(engine.mode(), crate::config::EngineMode::DiskMr);
 
         // Map side: combine within each partition, then split by key hash
@@ -376,7 +385,7 @@ where
                 drained.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 let mut split: Vec<Vec<(K, V)>> = (0..partitions).map(|_| Vec::new()).collect();
                 for (k, v) in drained {
-                    let p = (fx_hash_one(&k) % partitions as u64) as usize;
+                    let p = (route(&k) % partitions as u64) as usize;
                     split[p].push((k, v));
                 }
                 TaskOutput {
@@ -454,6 +463,7 @@ where
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::hash::fx_hash_one;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig::in_memory().with_workers(2))
@@ -519,7 +529,9 @@ mod tests {
         let e = engine();
         let pairs: Vec<(u32, u64)> = (0..1000).map(|i| (i % 13, 1u64)).collect();
         let d = e.parallelize(pairs, 8);
-        let mut out = d.reduce_by_key("count", 4, |a, b| *a += b).collect();
+        let mut out = d
+            .reduce_by_key("count", 4, fx_hash_one, |a, b| *a += b)
+            .collect();
         out.sort_unstable();
         let expect: Vec<(u32, u64)> = (0..13)
             .map(|k| (k, (0..1000).filter(|i| i % 13 == k).count() as u64))
@@ -537,7 +549,7 @@ mod tests {
         let run = |pairs: Vec<(u32, u64)>| -> Vec<(u32, u64)> {
             let e = engine();
             e.parallelize(pairs, 1)
-                .reduce_by_key("count", 3, |a, b| *a += b)
+                .reduce_by_key("count", 3, fx_hash_one, |a, b| *a += b)
                 .collect()
         };
         let forward: Vec<(u32, u64)> = (0..400).map(|i| (i % 17, u64::from(i))).collect();
@@ -551,7 +563,7 @@ mod tests {
         let e = engine();
         let pairs: Vec<(u32, u64)> = (0..100).map(|i| (i % 5, 1u64)).collect();
         let d = e.parallelize(pairs, 4);
-        let _ = d.reduce_by_key("count", 3, |a, b| *a += b);
+        let _ = d.reduce_by_key("count", 3, fx_hash_one, |a, b| *a += b);
         let stages = e.metrics().stages();
         let reduce = stages.iter().find(|s| s.label == "count.reduce").unwrap();
         // 4 map partitions × up to 5 keys each, combined map-side.
@@ -602,7 +614,7 @@ mod tests {
         let run = |e: Engine| {
             let mut out = e
                 .parallelize(pairs.clone(), 5)
-                .reduce_by_key("sum", 3, |a, b| *a += b)
+                .reduce_by_key("sum", 3, fx_hash_one, |a, b| *a += b)
                 .collect();
             out.sort_unstable();
             out
@@ -619,11 +631,11 @@ mod tests {
         let pairs: Vec<(u32, u64)> = (0..300).map(|i| (i % 11, 1u64)).collect();
         let mut a = Engine::single_thread()
             .parallelize(pairs.clone(), 6)
-            .reduce_by_key("c", 2, |x, y| *x += y)
+            .reduce_by_key("c", 2, fx_hash_one, |x, y| *x += y)
             .collect();
         let mut b = engine()
             .parallelize(pairs, 6)
-            .reduce_by_key("c", 2, |x, y| *x += y)
+            .reduce_by_key("c", 2, fx_hash_one, |x, y| *x += y)
             .collect();
         a.sort_unstable();
         b.sort_unstable();

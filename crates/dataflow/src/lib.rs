@@ -17,12 +17,13 @@
 //! ## Example
 //!
 //! ```
+//! use sirum_dataflow::hash::fx_hash_one;
 //! use sirum_dataflow::Engine;
 //!
 //! let engine = Engine::in_memory();
 //! let data = engine.parallelize((0..1000u32).collect(), 8);
 //! let pairs = data.map("key-by-mod", |&x| (x % 10, 1u64));
-//! let counts = pairs.reduce_by_key("count", 4, |a, b| *a += b);
+//! let counts = pairs.reduce_by_key("count", 4, fx_hash_one, |a, b| *a += b);
 //! let mut result = counts.collect();
 //! result.sort_unstable();
 //! assert_eq!(result.len(), 10);

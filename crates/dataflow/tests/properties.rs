@@ -2,7 +2,7 @@
 //! operator equivalence with sequential reference computations.
 
 use proptest::prelude::*;
-use sirum_dataflow::hash::FxHashMap;
+use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
 use sirum_dataflow::{
     decode_records, encode_records, sample_row_indices, Encode, Engine, EngineConfig,
 };
@@ -78,7 +78,7 @@ proptest! {
     ) {
         let e = engine(2, partitions);
         let ds = e.parallelize(pairs.clone(), partitions);
-        let mut out = ds.reduce_by_key("sum", partitions, |a, b| *a += b).collect();
+        let mut out = ds.reduce_by_key("sum", partitions, fx_hash_one, |a, b| *a += b).collect();
         out.sort_unstable();
         let mut expect_map: FxHashMap<u32, u64> = FxHashMap::default();
         for (k, v) in pairs {

@@ -298,16 +298,40 @@ fn f5_3() {
 }
 
 /// Fig 5.5: rule-generation time, Baseline vs FastPruning, vs |s| (GDELT,
-/// k = 20).
+/// k = 20), with each variant's candidate pruning split into its two
+/// stages: the LCA emit (`lca-naive` / `lca-fast`, where the index acts)
+/// and the `lca-agg` shuffle, as task-busy seconds summed over partitions.
 fn f5_5() {
     let mut rep = FigureReport::new(
         "f5_5_fast_pruning",
-        &["|s|", "baseline_s", "fastpruning_s", "speedup"],
+        &[
+            "|s|",
+            "baseline_s",
+            "fastpruning_s",
+            "speedup",
+            "baseline_emit_busy_s",
+            "baseline_agg_busy_s",
+            "fastpruning_emit_busy_s",
+            "fastpruning_agg_busy_s",
+        ],
     );
     let t = workloads::gdelt();
+    // Task-busy seconds of the emit stage and of the `lca-agg` shuffle.
+    let split = |e: &Engine| {
+        let busy = |stage: &dyn Fn(&str) -> bool| {
+            let stages = e.metrics().stages();
+            let tasks = stages.iter().filter(|s| stage(&s.label));
+            tasks.flat_map(|s| &s.tasks).map(|t| t.nanos).sum::<u64>() as f64 * 1e-9
+        };
+        let emit = busy(&|l| l == "lca-naive" || l == "lca-fast");
+        (emit, busy(&|l| l.starts_with("lca-agg")))
+    };
     for s in [64usize, 128, 256] {
-        let base = run(&t, Variant::Baseline.config(5, s));
-        let fast = run(&t, Variant::FastPruning.config(5, s));
+        let (base_engine, fast_engine) = (engine(), engine());
+        let base = run_on(base_engine.clone(), &t, Variant::Baseline.config(5, s));
+        let fast = run_on(fast_engine.clone(), &t, Variant::FastPruning.config(5, s));
+        let (base_emit, base_agg) = split(&base_engine);
+        let (fast_emit, fast_agg) = split(&fast_engine);
         rep.row(vec![
             s.to_string(),
             secs(base.timings.rule_generation()),
@@ -316,6 +340,10 @@ fn f5_5() {
                 base.timings.rule_generation(),
                 fast.timings.rule_generation(),
             ),
+            secs(base_emit),
+            secs(base_agg),
+            secs(fast_emit),
+            secs(fast_agg),
         ]);
     }
     rep.finish();

@@ -1699,17 +1699,17 @@ pub struct MiningPlan {
     /// one entry per dimension, as chosen by the per-segment size
     /// heuristic.
     pub column_formats: Vec<String>,
-    /// Packed-code width the sweep's accumulators will use: `Some(64)` or
+    /// Packed-code width candidate evaluation keys by — the sweep's
+    /// accumulators or the staged pipeline's records: `Some(64)` or
     /// `Some(128)` when rules intern as dense integer codes (the table's
     /// dictionary bit-widths fit; [`sirum_core::RuleLayout`]), `None` when
-    /// the sweep runs on `Rule`-keyed maps (the layout exceeds 128 bits) —
-    /// or when the sweep itself is off.
+    /// it keys by `Rule` (the layout exceeds 128 bits).
     pub packed_bits: Option<u32>,
     /// Predicted stage-1 combine strategy for one sweep partition:
     /// [`CombineStrategy::for_partition`], the sweep's own rule, asked
-    /// about the planned per-partition shape. `None` whenever
-    /// `packed_bits` is: only packed codes are ever slot-addressed, the
-    /// `Rule`-keyed sweep always probes its one map.
+    /// about the planned per-partition shape. `None` for a staged plan,
+    /// and whenever `packed_bits` is: only packed codes are ever
+    /// slot-addressed, the `Rule`-keyed sweep always probes its one map.
     pub combine: Option<CombineStrategy>,
     /// `⌈k / l⌉`: the rule-generation iterations of a run whose every
     /// iteration inserts its full `l` rules, so the fewest that mine all
@@ -1746,17 +1746,14 @@ impl MiningPlan {
         let iterations = config.k.div_ceil(config.multirule.rules_per_iter.max(1));
         let partitions = engine_config.partitions.max(1);
 
-        // The sweep's own per-partition decisions: the packed-code width
-        // falls out of the registered dictionaries' bit-widths, and the
-        // combine strategy is whatever the sweep's rule says of one
-        // planned partition.
-        let packed_bits = if config.gain_sweep {
-            let layout = RuleLayout::from_cardinalities(frame.cards());
-            SweepOptions::packed(layout).packed_bits()
-        } else {
-            None
-        };
-        let combine = packed_bits.map(|_| {
+        // The miner's own decisions: the packed-code width falls out of
+        // the registered dictionaries' bit-widths, and the sweep's combine
+        // strategy is whatever its rule says of one planned partition.
+        let packed_bits = config
+            .packed_codes
+            .then(|| SweepOptions::packed(RuleLayout::from_cardinalities(frame.cards())))
+            .and_then(|opts| opts.packed_bits());
+        let combine = packed_bits.filter(|_| config.gain_sweep).map(|_| {
             CombineStrategy::for_partition(
                 entry.table.num_rows().div_ceil(partitions),
                 entry.table.num_dims(),
@@ -1835,17 +1832,17 @@ impl std::fmt::Display for MiningPlan {
             if self.compressed { "compressed" } else { "raw" },
             self.column_formats.join(", "),
         )?;
-        if self.gain_sweep {
-            match (self.packed_bits, self.combine) {
-                (Some(bits), Some(combine)) => writeln!(
-                    f,
-                    "  sweep accumulators: packed u{bits} rule codes, {combine} combine"
-                )?,
-                _ => writeln!(
-                    f,
-                    "  sweep accumulators: Rule-keyed maps (layout > 128 bits)"
-                )?,
-            }
+        match (self.gain_sweep, self.packed_bits, self.combine) {
+            (true, Some(bits), Some(combine)) => writeln!(
+                f,
+                "  sweep accumulators: packed u{bits} rule codes, {combine} combine"
+            )?,
+            (true, ..) => writeln!(
+                f,
+                "  sweep accumulators: Rule-keyed maps (layout > 128 bits)"
+            )?,
+            (false, Some(bits), _) => writeln!(f, "  staged records: packed u{bits} rule codes")?,
+            (false, None, _) => writeln!(f, "  staged records: Rule records (layout > 128 bits)")?,
         }
         write!(
             f,
@@ -2348,7 +2345,8 @@ mod tests {
         assert!(!plan.compressed);
         assert_eq!(plan.column_formats, vec!["raw"; 3]);
         assert!(plan.to_string().contains("raw column format(s)"));
-        // A staged variant has no combine stage to report at all.
+        // A staged variant keys its records by the same codes, and has no
+        // combine stage to report at all.
         let plan_staged = service
             .mine("flights")
             .k(3)
@@ -2356,7 +2354,7 @@ mod tests {
             .variant(Variant::Rct)
             .explain()
             .unwrap();
-        assert_eq!(plan_staged.packed_bits, None);
+        assert_eq!(plan_staged.packed_bits, Some(64));
         assert_eq!(plan_staged.combine, None);
         assert!(!plan_staged.to_string().contains("sweep accumulators"));
         // Without the RCT nothing names a shared estimate: every sweep is
@@ -2451,12 +2449,9 @@ mod tests {
         assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
     }
 
-    #[test]
-    fn explain_reports_no_combine_strategy_for_rule_keyed_layouts() {
-        // 20 all-distinct columns over 64 rows need 7 bits each (64 values
-        // + the wildcard slot) = 140 bits: past u128, so the sweep runs
-        // Rule-keyed — and that path only ever probes its one map, so the
-        // plan must not advertise a combine strategy.
+    /// 20 all-distinct columns over 64 rows need 7 bits each (64 values +
+    /// the wildcard slot) = 140 bits: past u128, so rules key as `Rule`s.
+    fn wide_layout_table() -> Table {
         let dims: Vec<String> = (0..20).map(|j| format!("a{j}")).collect();
         let mut b = Table::builder(sirum_table::Schema::new(dims, "m"));
         for i in 0..64 {
@@ -2464,8 +2459,51 @@ mod tests {
             let row: Vec<&str> = values.iter().map(String::as_str).collect();
             b.push_row(&row, 1.0 + i as f64);
         }
+        b.build()
+    }
+
+    #[test]
+    fn explain_names_the_staged_record_keys() {
         let service = SirumService::in_memory().unwrap();
-        service.register("wide", b.build()).unwrap();
+        service
+            .register("income", generators::income_like(4000, 5))
+            .unwrap();
+        service.register("wide", wide_layout_table()).unwrap();
+        let packed = service
+            .mine("income")
+            .k(3)
+            .variant(Variant::Baseline)
+            .explain()
+            .unwrap();
+        assert_eq!((packed.gain_sweep, packed.packed_bits), (false, Some(64)));
+        let text = packed.to_string();
+        assert!(
+            text.contains("staged records: packed u64 rule codes"),
+            "{text}"
+        );
+        assert!(!text.contains("sweep accumulators"), "{text}");
+        let wide = service
+            .mine("wide")
+            .k(2)
+            .variant(Variant::Baseline)
+            .explain()
+            .unwrap();
+        assert_eq!(wide.packed_bits, None);
+        let text = wide.to_string();
+        assert!(
+            text.contains("staged records: Rule records (layout > 128 bits)"),
+            "{text}"
+        );
+        assert_eq!(service.stats().jobs_executed, 0, "explain ran nothing");
+    }
+
+    #[test]
+    fn explain_reports_no_combine_strategy_for_rule_keyed_layouts() {
+        // Past u128 the sweep runs Rule-keyed — and that path only ever
+        // probes its one map, so the plan must not advertise a combine
+        // strategy.
+        let service = SirumService::in_memory().unwrap();
+        service.register("wide", wide_layout_table()).unwrap();
         let plan = service.mine("wide").k(2).explain().unwrap();
         assert!(plan.gain_sweep);
         assert_eq!(plan.packed_bits, None);
