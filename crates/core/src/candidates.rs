@@ -4,10 +4,10 @@
 //!
 //! [`SampleIndex`] answers "what are the `|s|` LCAs of this tuple" two
 //! ways, one per pipeline. The staged pipeline's probe writes the LCAs
-//! out with one posting-list lookup per attribute, in whichever key its
-//! records carry (`StagedKey`): packed codes, each starting all-wild and
-//! taking one constant per hit, or, past 128 bits, `d`-wide slices
-//! ([`SampleIndex::lcas_into`]). The sweep's one probe,
+//! out with one posting-list lookup per attribute, in whichever rule key
+//! its records carry (`RuleKey`) — a packed code or a `Rule`, each
+//! starting all-wild and taking one constant per hit
+//! (`SampleIndex::lca_keys_into`). The sweep's one probe,
 //! [`SampleIndex::match_masks_into_cols`], stops a step earlier: it
 //! reports only *which* dimensions of each sample row the tuple matches, a
 //! `d`-bit mask per sample row computed by a branch-free compare against
@@ -17,13 +17,11 @@
 //! building or hashing a code per pair.
 
 use crate::cancel::CancellationToken;
-use crate::lattice::{ancestors, expand_into};
-use crate::rule::{PackedCode, PackedMasks, Rule, WILDCARD};
+use crate::lattice::ancestors;
+use crate::rule::{Rule, RuleKey, WILDCARD};
 use crate::sweep::CANCEL_POLL_ROWS;
-use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
-use sirum_dataflow::Record;
+use sirum_dataflow::hash::FxHashMap;
 use sirum_table::Table;
-use std::hash::Hash;
 
 /// Aggregates carried per candidate rule through the data-cube pipeline:
 /// `(Σ t[m], Σ t[mhat], contributing pair count)`.
@@ -192,6 +190,29 @@ impl SampleIndex {
         scratch
     }
 
+    /// [`Self::lcas_into`] in any [`RuleKey`]: append `(lca(s_j, tuple),
+    /// agg)` for every sample row `s_j`, in sample order. Every LCA starts
+    /// all-wild in `out`, and each posting-list hit sets its constant in
+    /// place.
+    pub(crate) fn lca_keys_into<K: RuleKey>(
+        &self,
+        cx: &K::Codec,
+        tuple: &[u32],
+        agg: Agg,
+        out: &mut Vec<(K, Agg)>,
+    ) {
+        let base = out.len();
+        out.resize(base + self.rows.len(), (K::all_wild(cx, self.d), agg));
+        let lcas = &mut out[base..];
+        for (col, &v) in tuple.iter().enumerate() {
+            if let Some(hits) = self.cols[col].get(&v) {
+                for &row in hits {
+                    lcas[row as usize].0.set_constant(cx, col, v);
+                }
+            }
+        }
+    }
+
     /// The match mask of every sample row against one data tuple, read
     /// straight out of columnar storage (`cols[col][row]`): bit `col` of
     /// entry `j` is set iff sample row `j` carries the tuple's value on
@@ -294,189 +315,10 @@ pub fn adjust_for_sample<I: IntoIterator<Item = (Rule, Agg)>>(
     out
 }
 
-/// The key of a staged-pipeline record ([`crate::miner`]'s LCA join,
-/// ancestor stages and adjust + gain): a [`Rule`], or the rule as one
-/// packed `u64`/`u128` code ([`crate::rule::RuleLayout`]). The pipeline is
-/// written once over this trait; a key type supplies how its keys are
-/// built from a tuple, widened and read back.
-///
-/// Both representations order, group and route alike: packed integer
-/// order is lexicographic rule order, and [`Self::route`] is the `Rule`'s
-/// own hash, so a record reaches the same reducer at the same position in
-/// either form and every float sum adds in the same sequence.
-pub(crate) trait StagedKey: Record + Eq + Hash + Ord {
-    /// What building and reading keys takes: nothing for `Rule`, the
-    /// layout's field masks for a code.
-    type Codec: Sync;
-
-    /// `lca(sample, tuple)`, compared one dimension at a time (§3.1.1).
-    fn lca(cx: &Self::Codec, sample: &[u32], tuple: &[u32]) -> Self;
-
-    /// The tuple itself as a rule (the full cube's one "LCA").
-    fn tuple(cx: &Self::Codec, tuple: &[u32]) -> Self;
-
-    /// Append `(lca(s_j, tuple), agg)` for every sample row `s_j`, in
-    /// sample order, written through the index's posting lists (§4.2).
-    fn lcas_into(
-        cx: &Self::Codec,
-        index: &SampleIndex,
-        tuple: &[u32],
-        agg: Agg,
-        out: &mut Vec<(Self, Agg)>,
-    );
-
-    /// Whether dimension `j` is the wildcard.
-    fn is_wild(&self, cx: &Self::Codec, j: usize) -> bool;
-
-    /// The parent with dimension `j` generalized to the wildcard.
-    fn widen(&self, cx: &Self::Codec, j: usize) -> Self;
-
-    /// The constant positions with their codes, as [`Rule::constants`].
-    fn constants<'a>(&'a self, cx: &'a Self::Codec) -> impl Iterator<Item = (usize, u32)> + 'a;
-
-    /// The shuffle route: [`fx_hash_one`] of the equivalent [`Rule`].
-    fn route(&self, cx: &Self::Codec) -> u64;
-
-    /// The key as a [`Rule`].
-    fn into_rule(self, cx: &Self::Codec) -> Rule;
-
-    /// Append the ancestors that widen a subset of this key's constants
-    /// among `positions` to `out`, in
-    /// [`crate::lattice::ancestors_restricted`]'s subset order.
-    fn expand_into(&self, cx: &Self::Codec, positions: &[usize], out: &mut Vec<Self>) {
-        expand_into(
-            self,
-            positions,
-            |k, j| k.is_wild(cx, j),
-            |k, j| k.widen(cx, j),
-            out,
-        );
-    }
-}
-
-impl StagedKey for Rule {
-    type Codec = ();
-
-    fn lca(_: &(), sample: &[u32], tuple: &[u32]) -> Rule {
-        Rule::lca(sample, tuple)
-    }
-
-    fn tuple(_: &(), tuple: &[u32]) -> Rule {
-        Rule::from_tuple(tuple)
-    }
-
-    fn lcas_into(_: &(), index: &SampleIndex, tuple: &[u32], agg: Agg, out: &mut Vec<(Rule, Agg)>) {
-        let mut scratch = Vec::new();
-        for lca in index
-            .lcas_into(tuple, &mut scratch)
-            .chunks_exact(tuple.len())
-        {
-            out.push((Rule::from_tuple(lca), agg));
-        }
-    }
-
-    fn is_wild(&self, _: &(), j: usize) -> bool {
-        self.is_wildcard(j)
-    }
-
-    fn widen(&self, _: &(), j: usize) -> Rule {
-        self.generalize(j)
-    }
-
-    fn constants<'a>(&'a self, _: &'a ()) -> impl Iterator<Item = (usize, u32)> + 'a {
-        Rule::constants(self)
-    }
-
-    fn route(&self, _: &()) -> u64 {
-        fx_hash_one(self)
-    }
-
-    fn into_rule(self, _: &()) -> Rule {
-        self
-    }
-}
-
-impl<C: PackedCode> StagedKey for C {
-    type Codec = PackedMasks<C>;
-
-    fn lca(masks: &PackedMasks<C>, sample: &[u32], tuple: &[u32]) -> C {
-        let mut code = masks.all_wild();
-        for (j, (&s, &t)) in sample.iter().zip(tuple).enumerate() {
-            if s == t {
-                code = masks.with_constant(code, j, t);
-            }
-        }
-        code
-    }
-
-    fn tuple(masks: &PackedMasks<C>, tuple: &[u32]) -> C {
-        (tuple.iter().enumerate()).fold(masks.all_wild(), |code, (j, &v)| {
-            masks.with_constant(code, j, v)
-        })
-    }
-
-    /// [`SampleIndex::lcas_into`] on codes: every LCA starts all-wild in
-    /// `out`, and each posting-list hit writes its constant in place.
-    fn lcas_into(
-        masks: &PackedMasks<C>,
-        index: &SampleIndex,
-        tuple: &[u32],
-        agg: Agg,
-        out: &mut Vec<(C, Agg)>,
-    ) {
-        let base = out.len();
-        out.resize(base + index.len(), (masks.all_wild(), agg));
-        let lcas = &mut out[base..];
-        for (col, &v) in tuple.iter().enumerate() {
-            if let Some(hits) = index.cols[col].get(&v) {
-                for &row in hits {
-                    let code = &mut lcas[row as usize].0;
-                    *code = masks.with_constant(*code, col, v);
-                }
-            }
-        }
-    }
-
-    fn is_wild(&self, masks: &PackedMasks<C>, j: usize) -> bool {
-        masks.is_wild(*self, j)
-    }
-
-    fn widen(&self, masks: &PackedMasks<C>, j: usize) -> C {
-        masks.widen(*self, j)
-    }
-
-    fn constants<'a>(
-        &'a self,
-        masks: &'a PackedMasks<C>,
-    ) -> impl Iterator<Item = (usize, u32)> + 'a {
-        (0..masks.num_dims()).filter_map(|j| Some((j, masks.constant(*self, j)?)))
-    }
-
-    /// The `Rule`'s values spelled into a stack buffer and hashed as the
-    /// slice the `Rule` hashes as, with no allocation.
-    fn route(&self, masks: &PackedMasks<C>) -> u64 {
-        fx_hash_one(&spell(*self, masks, &mut [WILDCARD; 128]))
-    }
-
-    fn into_rule(self, masks: &PackedMasks<C>) -> Rule {
-        Rule::from_values(spell(self, masks, &mut [WILDCARD; 128]).to_vec())
-    }
-}
-
-/// `code`'s rule values, spelled into the front of `buf` (wildcards
-/// preset; a code holds at most 128 one-bit fields).
-fn spell<'a, C: PackedCode>(code: C, masks: &PackedMasks<C>, buf: &'a mut [u32; 128]) -> &'a [u32] {
-    for (j, v) in code.constants(masks) {
-        buf[j] = v;
-    }
-    &buf[..masks.num_dims()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lattice::ancestors as all_ancestors;
-    use crate::rule::RuleLayout;
     use sirum_table::generators::flights;
 
     fn sample_rows(table: &Table, idx: &[usize]) -> Vec<Box<[u32]>> {
@@ -691,65 +533,6 @@ mod tests {
         let fri = t.dict(0).code("Fri").unwrap();
         let rule = Rule::from_values(vec![fri, WILDCARD, WILDCARD]);
         assert_eq!(index.match_count(&rule), 2); // t1, t2 are Friday flights
-    }
-
-    /// Every staged-key operation on codes of width `C`, against the same
-    /// operation on `Rule`s.
-    fn staged_codes_agree_with_rules<C: PackedCode>(layout: &RuleLayout, sample: &[Box<[u32]>]) {
-        let masks = layout.masks::<C>();
-        let d = layout.num_dims();
-        let index = SampleIndex::build(sample.to_vec(), d);
-        let agg = (1.5, 2.5, 1);
-        let rule_of = |code: C| code.into_rule(&masks);
-        for tuple in sample {
-            let (mut codes, mut rules) = (Vec::new(), Vec::new());
-            C::lcas_into(&masks, &index, tuple, agg, &mut codes);
-            Rule::lcas_into(&(), &index, tuple, agg, &mut rules);
-            let lcas: Vec<Rule> = codes.iter().map(|&(c, _)| rule_of(c)).collect();
-            let expected: Vec<Rule> = rules.into_iter().map(|(r, _)| r).collect();
-            assert_eq!(lcas, expected);
-            assert_eq!(rule_of(C::tuple(&masks, tuple)), Rule::tuple(&(), tuple));
-            for (s, (code, _)) in sample.iter().zip(&codes) {
-                assert_eq!(C::lca(&masks, s, tuple), *code);
-                let rule = rule_of(*code);
-                assert_eq!(*code, layout.pack::<C>(rule.values()));
-                assert_eq!(code.route(&masks), fx_hash_one(&rule));
-                assert!(code.constants(&masks).eq(rule.constants()));
-                assert_eq!(
-                    index.multiplicity(code.constants(&masks)),
-                    index.match_count(&rule)
-                );
-                for group in [vec![0, 2], vec![1], (0..d).collect()] {
-                    let (mut wider, mut parents) = (Vec::new(), Vec::new());
-                    code.expand_into(&masks, &group, &mut wider);
-                    rule.expand_into(&(), &group, &mut parents);
-                    assert_eq!(wider.into_iter().map(rule_of).collect::<Vec<_>>(), parents);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn staged_keys_agree_across_representations() {
-        // Codes near the top of their fields included, so the u128 case
-        // ([1 << 30; 3] needs 93 bits) exercises its upper word.
-        let sample: Vec<Box<[u32]>> = [
-            [0, 5, 1 << 29],
-            [0, 5, 7],
-            [(1 << 30) - 1, 5, 7],
-            [3, (1 << 30) - 2, 1 << 29],
-        ]
-        .iter()
-        .map(|row| row.to_vec().into_boxed_slice())
-        .collect();
-        let wide = RuleLayout::from_cardinalities(&[1 << 30; 3]);
-        assert!(!wide.fits::<u64>() && wide.fits::<u128>());
-        staged_codes_agree_with_rules::<u128>(&wide, &sample);
-        let narrow: Vec<Box<[u32]>> = sample
-            .iter()
-            .map(|row| row.iter().map(|&v| v % 9).collect())
-            .collect();
-        staged_codes_agree_with_rules::<u64>(&RuleLayout::from_cardinalities(&[9; 3]), &narrow);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
-use crate::candidates::{merge_agg, Agg, SampleIndex, StagedKey};
+use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, rule_bits, RctGroup};
-use crate::rule::Rule;
+use crate::rule::{Rule, RuleKey};
 use crate::sweep::{SweepOutcome, SweepState};
 use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineMode};
@@ -337,10 +337,10 @@ impl MiningData {
 
     /// The staged candidate-pruning join: emit one `(key, aggregate)` pair
     /// per (sample tuple, data tuple) LCA — or per tuple under full-cube —
-    /// and reduce by key, routed by [`StagedKey::route`]. With
+    /// and reduce by key, routed by [`RuleKey::route`]. With
     /// `broadcast_join` off (Naive SIRUM) the data is re-shuffled first, as
     /// row records — exactly what a real shuffle serializes.
-    pub(crate) fn lca_candidates<K: StagedKey>(
+    pub(crate) fn lca_candidates<K: RuleKey>(
         &self,
         cx: &K::Codec,
         partitions: usize,
@@ -425,15 +425,15 @@ impl LcaEmit<'_> {
     }
 
     /// Append one tuple's pairs to `out`, in sample order.
-    fn emit<K: StagedKey>(&self, cx: &K::Codec, dims: &[u32], agg: Agg, out: &mut Vec<(K, Agg)>) {
+    fn emit<K: RuleKey>(&self, cx: &K::Codec, dims: &[u32], agg: Agg, out: &mut Vec<(K, Agg)>) {
         match self {
-            LcaEmit::Fast(idx) => K::lcas_into(cx, idx, dims, agg, out),
+            LcaEmit::Fast(idx) => idx.lca_keys_into(cx, dims, agg, out),
             LcaEmit::Naive(idx) => {
                 for srow in idx.rows() {
                     out.push((K::lca(cx, srow, dims), agg));
                 }
             }
-            LcaEmit::Tuple => out.push((K::tuple(cx, dims), agg)),
+            LcaEmit::Tuple => out.push((K::lca(cx, dims, dims), agg)),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! The multi-stage "column grouping" optimization (§4.3) restricts each
 //! stage to wildcarding positions from one attribute group only.
 
-use crate::rule::Rule;
+use crate::rule::{Rule, RuleKey};
 
 /// Maximum number of constants we are willing to expand in one call
 /// (2^24 ≈ 16M ancestors). Exceeding this is a configuration error —
@@ -22,49 +22,8 @@ pub fn ancestors(rule: &Rule) -> Vec<Rule> {
 /// positions of `rule`; wildcard positions are skipped harmlessly.
 pub fn ancestors_restricted(rule: &Rule, positions: &[usize]) -> Vec<Rule> {
     let mut out = Vec::new();
-    expand_into(
-        rule,
-        positions,
-        Rule::is_wildcard,
-        Rule::generalize,
-        &mut out,
-    );
+    rule.expand_into(&(), positions, &mut out);
     out
-}
-
-/// [`ancestors_restricted`] over any key representation: append to `out`
-/// the ancestors of `key` that widen a subset of its constants among
-/// `positions`, in subset order — subset `s` widens `live[b]` for every
-/// set bit `b`, `live` being the constant positions in `positions`' order.
-/// Each is one `widen` of an earlier one (`s` without its lowest bit).
-pub(crate) fn expand_into<K: Clone>(
-    key: &K,
-    positions: &[usize],
-    is_wild: impl Fn(&K, usize) -> bool,
-    widen: impl Fn(&K, usize) -> K,
-    out: &mut Vec<K>,
-) {
-    let is_live = |&&i: &&usize| !is_wild(key, i);
-    let w = positions.iter().filter(is_live).count();
-    // lint:allow(SL001) — expansion-size cap; the miner and the service's stream() reject >MAX_EXPAND_BITS-dim tables with typed errors
-    assert!(
-        w <= MAX_EXPAND_BITS,
-        "refusing to expand 2^{w} ancestors; use column grouping or sampling"
-    );
-    let mut live = [0usize; MAX_EXPAND_BITS];
-    for (slot, &i) in live.iter_mut().zip(positions.iter().filter(is_live)) {
-        *slot = i;
-    }
-    let base = out.len();
-    out.reserve(1 << w);
-    out.push(key.clone());
-    for subset in 1..1usize << w {
-        let wider = widen(
-            &out[base + (subset & (subset - 1))],
-            live[subset.trailing_zeros() as usize],
-        );
-        out.push(wider);
-    }
 }
 
 /// Number of ancestors [`ancestors`] would produce, without producing them.

@@ -3,7 +3,7 @@
 //! configuration switch so each variant of Table 4.2 can be instantiated.
 
 use crate::cancel::CancellationToken;
-use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, StagedKey, MAX_SAMPLE};
+use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, MAX_SAMPLE};
 use crate::data::MiningData;
 use crate::error::SirumError;
 use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
@@ -11,7 +11,7 @@ use crate::lattice::{column_groups, MAX_EXPAND_BITS};
 use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
-use crate::rule::{Rule, RuleLayout};
+use crate::rule::{Rule, RuleKey, RuleLayout};
 use crate::scaling::{iterative_scaling, ScalingBackend, ScalingConfig};
 use crate::sweep::{SweepOptions, SweepState};
 use sirum_dataflow::{Dataset, Engine};
@@ -100,14 +100,15 @@ pub struct SirumConfig {
     /// Intern rules as dense packed integer codes during candidate
     /// evaluation (default `true`): each dimension gets a bit-field sized
     /// by its dictionary cardinality ([`crate::rule::RuleLayout`]), so the
-    /// sweep's accumulators and the staged pipeline's records key by a
+    /// sweep's accumulators and the staged pipeline's records — both
+    /// written over one crate-private rule-key trait — key by a
     /// `u64`/`u128` (integer hash + compare instead of slice hashing, no
-    /// allocation per key) and widening a dimension is one OR. Falls back
-    /// to `Rule` keys automatically when the summed widths exceed 128
-    /// bits. The mining output is **bit-identical** either way
-    /// (proptested), so this is not a request option: `false` exists for
-    /// tests, which use it to force the live `Rule`-keyed fallback on
-    /// tables small enough to mine quickly.
+    /// allocation per key) and widening a dimension is one OR.
+    /// [`RuleLayout::packed_bits`] picks the width, or `Rule` keys when the
+    /// summed widths exceed 128 bits. The mining output is
+    /// **bit-identical** either way (proptested), so this is not a request
+    /// option: `false` exists for tests, which use it to force the live
+    /// `Rule`-keyed fallback on tables small enough to mine quickly.
     pub packed_codes: bool,
     /// Seed for sampling and column-group shuffling.
     pub seed: u64,
@@ -273,7 +274,7 @@ pub struct PhaseTimings {
     pub gain_computation: f64,
     /// The fused gain sweep ([`crate::sweep`]), which performs pruning,
     /// ancestor generation, aggregate computation and gain scoring in one
-    /// pass; zero on the legacy staged path.
+    /// pass; zero on the staged path.
     pub gain_sweep: f64,
     /// Iterative scaling (including BA/RCT maintenance and write-out).
     pub iterative_scaling: f64,
@@ -510,11 +511,12 @@ impl Miner {
         // derived once from the dictionary cardinalities the prepared frame
         // carries. Oversized layouts (> 128 bits) fall back to Rule keys
         // inside either dispatch, so this is always safe to hand over.
-        let sweep_opts = if cfg.packed_codes {
-            SweepOptions::packed(RuleLayout::from_cardinalities(prepared.frame().cards()))
-        } else {
-            SweepOptions::rule_keyed()
-        };
+        let layout = cfg
+            .packed_codes
+            .then(|| RuleLayout::from_cardinalities(prepared.frame().cards()));
+        let sweep_opts = layout
+            .clone()
+            .map_or_else(SweepOptions::rule_keyed, SweepOptions::packed);
 
         // Distribute D — one columnar block per partition over the
         // prepared table's shared columns — and cache it.
@@ -604,14 +606,24 @@ impl Miner {
                 None => cfg.k - mined_so_far,
                 Some(_) => cfg.max_rules.unwrap_or(4 * cfg.k).max(cfg.k) - mined_so_far,
             };
-            let (mut candidates, candidate_total, sweep_cancelled) = self.generate_candidates(
-                &data,
-                index.as_deref(),
-                &rules,
-                &mut sweep,
-                &mut timings,
-                &mut ancestors_emitted,
-            );
+            let (mut candidates, candidate_total, sweep_cancelled) = if cfg.gain_sweep {
+                self.sweep_candidates(
+                    &data,
+                    &rules,
+                    &mut sweep,
+                    &mut timings,
+                    &mut ancestors_emitted,
+                )
+            } else {
+                self.staged_candidates(
+                    layout.as_ref(),
+                    &data,
+                    index.as_deref(),
+                    &rules,
+                    &mut timings,
+                    &mut ancestors_emitted,
+                )
+            };
             if sweep_cancelled {
                 // The cancellation token flipped mid-sweep (polled at
                 // partition boundaries): abandon the iteration without
@@ -779,20 +791,16 @@ impl Miner {
         shared
     }
 
-    /// Candidate generation for one iteration. On the default path this is
-    /// one fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
-    /// which only the candidates selection can reach become rules; with
-    /// [`SirumConfig::gain_sweep`] off it is the staged pipeline
-    /// ([`Self::staged`]) on records keyed as the sweep keys its
-    /// accumulators: packed codes, or `Rule`s past 128 bits.
+    /// Candidate generation for one iteration on the default path: one
+    /// fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
+    /// which only the candidates selection can reach become rules.
     ///
     /// Returns the scored candidates, the true candidate count (for the
     /// multi-rule rank limit) and whether a cancellation token stopped the
     /// pass mid-sweep.
-    fn generate_candidates(
+    fn sweep_candidates(
         &self,
         data: &MiningData,
-        index: Option<&SampleIndex>,
         rules: &[Rule],
         sweep: &mut SweepState<'_>,
         timings: &mut PhaseTimings,
@@ -800,43 +808,54 @@ impl Miner {
     ) -> (Vec<ScoredCandidate>, u64, bool) {
         let cfg = &self.config;
         let gain_fn = self.gain_fn();
-        if cfg.gain_sweep {
-            let t0 = Instant::now();
-            // Same driver-memory guard as the staged path's per-partition
-            // truncation, and selection only ever reads the top rank-limit
-            // candidates: only that prefix of the (gain descending,
-            // canonical rank ascending) order becomes rules. Existing
-            // rules drop out after ranking, so rank that many more.
-            let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
-            let reach = |distinct: usize| keep.min(cfg.multirule.rank_limit(distinct));
-            let out = data.sweep(sweep, self.cancellation.as_ref(), |sums| {
-                let gain = |(rank, &(sum_m, sum_mhat, _))| (gain_fn(sum_m, sum_mhat), rank);
-                let scored = sums.iter().enumerate().map(gain).collect();
-                let top = top_by_gain(scored, reach(sums.len()) + rules.len());
-                top.into_iter().map(|(_, rank)| rank).collect()
-            });
-            *ancestors_emitted += out.pairs_emitted;
-            let existing: HashSet<&Rule> = rules.iter().collect();
-            let result: Vec<ScoredCandidate> = out
-                .candidates
-                .into_iter()
-                .filter(|(rule, _, _, _)| !existing.contains(rule))
-                .take(reach(out.distinct_candidates as usize))
-                .map(|(rule, sum_m, sum_mhat, count)| ScoredCandidate {
-                    gain: gain_fn(sum_m, sum_mhat),
-                    rule,
-                    sum_m,
-                    count,
-                })
-                .collect();
-            timings.gain_sweep += t0.elapsed().as_secs_f64();
-            return (result, out.distinct_candidates, out.cancelled);
-        }
+        let t0 = Instant::now();
+        // Same driver-memory guard as the staged path's per-partition
+        // truncation, and selection only ever reads the top rank-limit
+        // candidates: only that prefix of the (gain descending, canonical
+        // rank ascending) order becomes rules. Existing rules drop out
+        // after ranking, so rank that many more.
+        let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
+        let reach = |distinct: usize| keep.min(cfg.multirule.rank_limit(distinct));
+        let out = data.sweep(sweep, self.cancellation.as_ref(), |sums| {
+            let gain = |(rank, &(sum_m, sum_mhat, _))| (gain_fn(sum_m, sum_mhat), rank);
+            let scored = sums.iter().enumerate().map(gain).collect();
+            let top = top_by_gain(scored, reach(sums.len()) + rules.len());
+            top.into_iter().map(|(_, rank)| rank).collect()
+        });
+        *ancestors_emitted += out.pairs_emitted;
+        let existing: HashSet<&Rule> = rules.iter().collect();
+        let result: Vec<ScoredCandidate> = out
+            .candidates
+            .into_iter()
+            .filter(|(rule, _, _, _)| !existing.contains(rule))
+            .take(reach(out.distinct_candidates as usize))
+            .map(|(rule, sum_m, sum_mhat, count)| ScoredCandidate {
+                gain: gain_fn(sum_m, sum_mhat),
+                rule,
+                sum_m,
+                count,
+            })
+            .collect();
+        timings.gain_sweep += t0.elapsed().as_secs_f64();
+        (result, out.distinct_candidates, out.cancelled)
+    }
 
-        // The staged pipeline keys its records as the sweep keys its
-        // accumulators: packed codes where the layout fits 128 bits.
-        let opts = sweep.options();
-        match (opts.layout(), opts.packed_bits()) {
+    /// Candidate generation for one iteration with [`SirumConfig::gain_sweep`]
+    /// off: the staged pipeline ([`Self::staged`]) on records keyed as the
+    /// sweep keys its accumulators — packed codes of the width `layout`
+    /// fits ([`RuleLayout::packed_bits`]), or `Rule`s. Returns what
+    /// [`Self::sweep_candidates`] does; the staged pipeline is never
+    /// cancelled mid-pass.
+    fn staged_candidates(
+        &self,
+        layout: Option<&RuleLayout>,
+        data: &MiningData,
+        index: Option<&SampleIndex>,
+        rules: &[Rule],
+        timings: &mut PhaseTimings,
+        ancestors_emitted: &mut u64,
+    ) -> (Vec<ScoredCandidate>, u64, bool) {
+        match (layout, layout.and_then(RuleLayout::packed_bits)) {
             (Some(layout), Some(64)) => self.staged::<u64>(
                 &layout.masks(),
                 data,
@@ -862,7 +881,7 @@ impl Miner {
     /// gain scoring — emulating the paper's platform jobs. Each reducer
     /// keeps its top [`TOP_PER_PARTITION`] candidates by gain, and only
     /// those become [`Rule`]s.
-    fn staged<K: StagedKey>(
+    fn staged<K: RuleKey>(
         &self,
         cx: &K::Codec,
         data: &MiningData,

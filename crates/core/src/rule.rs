@@ -2,9 +2,12 @@
 //! `(dom(A₁) ∪ {*}) × ⋯ × (dom(A_d) ∪ {*})` (§2.1 of the thesis), with the
 //! match / least-common-ancestor / disjointness relations SIRUM is built on.
 
-use sirum_dataflow::Encode;
+use crate::lattice::MAX_EXPAND_BITS;
+use sirum_dataflow::hash::fx_hash_one;
+use sirum_dataflow::{Encode, Record};
 use sirum_table::Table;
 use std::fmt;
+use std::hash::Hash;
 
 /// Sentinel dimension code meaning "matches every value" (the paper's `*`).
 pub const WILDCARD: u32 = u32::MAX;
@@ -304,9 +307,8 @@ fn field_mask<C: PackedCode>(w: u32) -> C {
 /// `WILDCARD` sorting last in each position — so the canonical frontier
 /// sort on codes equals the canonical sort on the rules they decode to.
 ///
-/// A layout always constructs; callers check [`RuleLayout::fits`] to pick
-/// `u64`, `u128`, or the `Rule`-keyed fallback when `total_bits` exceeds
-/// even 128.
+/// A layout always constructs; [`RuleLayout::packed_bits`] picks `u64`,
+/// `u128`, or the `Rule`-keyed fallback when `total_bits` exceeds even 128.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleLayout {
     widths: Box<[u32]>,
@@ -355,6 +357,20 @@ impl RuleLayout {
     /// Whether the layout fits in code type `C`.
     pub fn fits<C: PackedCode>(&self) -> bool {
         self.total_bits <= C::BITS
+    }
+
+    /// The code width candidate rules key by under this layout — the
+    /// narrowest that holds it: `Some(64)` for `u64`, `Some(128)` for
+    /// `u128`, `None` for [`Rule`] keys when it exceeds 128 bits. The
+    /// sweep, the staged pipeline and the service's plan all ask here.
+    pub fn packed_bits(&self) -> Option<u32> {
+        if self.fits::<u64>() {
+            Some(64)
+        } else if self.fits::<u128>() {
+            Some(128)
+        } else {
+            None
+        }
     }
 
     /// Pack a rule's value slice (codes and [`WILDCARD`]s) into one code.
@@ -410,30 +426,6 @@ impl RuleLayout {
             shifts: self.shifts.clone(),
             all_wild,
         }
-    }
-}
-
-impl Encode for RuleLayout {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.widths.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Self {
-        let widths = Box::<[u32]>::decode(buf);
-        let total_bits = widths.iter().sum();
-        let mut shifts = vec![0u32; widths.len()].into_boxed_slice();
-        let mut acc = 0u32;
-        for j in (0..widths.len()).rev() {
-            shifts[j] = acc;
-            acc += widths[j];
-        }
-        RuleLayout {
-            widths,
-            shifts,
-            total_bits,
-        }
-    }
-    fn size_estimate(&self) -> usize {
-        8 + self.widths.len() * 4
     }
 }
 
@@ -495,9 +487,170 @@ impl<C: PackedCode> PackedMasks<C> {
     }
 }
 
+/// A candidate rule key: a [`Rule`], or the rule as one packed `u64`/`u128`
+/// code ([`RuleLayout`]). Both candidate paths — the fused sweep
+/// ([`crate::sweep`]) and the staged pipeline ([`crate::miner`]'s LCA join,
+/// ancestor stages and adjust + gain) — are written once over this trait;
+/// [`RuleLayout::packed_bits`] picks the implementation.
+///
+/// Both representations order, group and route alike: packed integer
+/// order is lexicographic rule order, and [`Self::route`] is the `Rule`'s
+/// own hash, so a key reaches the same reducer at the same position in
+/// either form and every float sum adds in the same sequence.
+pub(crate) trait RuleKey: Record + Eq + Hash + Ord {
+    /// What building and reading keys takes: nothing for `Rule`, the
+    /// layout's field masks for a code.
+    type Codec: Sync;
+
+    /// The all-wildcards rule `(*, …, *)` over `d` dimensions.
+    fn all_wild(cx: &Self::Codec, d: usize) -> Self;
+
+    /// Set dimension `j` to the constant `v`.
+    fn set_constant(&mut self, cx: &Self::Codec, j: usize, v: u32);
+
+    /// Whether dimension `j` is the wildcard.
+    fn is_wild(&self, cx: &Self::Codec, j: usize) -> bool;
+
+    /// The parent with dimension `j` generalized to the wildcard.
+    fn widen(&self, cx: &Self::Codec, j: usize) -> Self;
+
+    /// The constant positions with their codes, as [`Rule::constants`].
+    fn constants<'a>(&'a self, cx: &'a Self::Codec) -> impl Iterator<Item = (usize, u32)> + 'a;
+
+    /// The shuffle route: [`fx_hash_one`] of the equivalent [`Rule`].
+    fn route(&self, cx: &Self::Codec) -> u64;
+
+    /// The key as a [`Rule`].
+    fn into_rule(self, cx: &Self::Codec) -> Rule;
+
+    /// `lca(a, b)`, compared one dimension at a time (§3.1.1); `lca(t, t)`
+    /// is the tuple `t` itself.
+    #[inline]
+    fn lca(cx: &Self::Codec, a: &[u32], b: &[u32]) -> Self {
+        let mut key = Self::all_wild(cx, a.len());
+        for (j, (&x, &y)) in a.iter().zip(b).enumerate() {
+            if x == y {
+                key.set_constant(cx, j, x);
+            }
+        }
+        key
+    }
+
+    /// Append to `out` the ancestors of this key that widen a subset of
+    /// its constants among `positions`, in subset order — subset `s`
+    /// widens `live[b]` for every set bit `b`, `live` being the constant
+    /// positions in `positions`' order. Each is one [`Self::widen`] of an
+    /// earlier one (`s` without its lowest bit).
+    fn expand_into(&self, cx: &Self::Codec, positions: &[usize], out: &mut Vec<Self>) {
+        let is_live = |&&i: &&usize| !self.is_wild(cx, i);
+        let w = positions.iter().filter(is_live).count();
+        // lint:allow(SL001) — expansion-size cap; the miner and the service's stream() reject >MAX_EXPAND_BITS-dim tables with typed errors
+        assert!(
+            w <= MAX_EXPAND_BITS,
+            "refusing to expand 2^{w} ancestors; use column grouping or sampling"
+        );
+        let mut live = [0usize; MAX_EXPAND_BITS];
+        for (slot, &i) in live.iter_mut().zip(positions.iter().filter(is_live)) {
+            *slot = i;
+        }
+        let base = out.len();
+        out.reserve(1 << w);
+        out.push(self.clone());
+        for subset in 1..1usize << w {
+            let wider = out[base + (subset & (subset - 1))]
+                .widen(cx, live[subset.trailing_zeros() as usize]);
+            out.push(wider);
+        }
+    }
+}
+
+impl RuleKey for Rule {
+    type Codec = ();
+
+    fn all_wild(_: &(), d: usize) -> Rule {
+        Rule::all_wildcards(d)
+    }
+
+    fn set_constant(&mut self, _: &(), j: usize, v: u32) {
+        self.values[j] = v;
+    }
+
+    fn is_wild(&self, _: &(), j: usize) -> bool {
+        self.is_wildcard(j)
+    }
+
+    fn widen(&self, _: &(), j: usize) -> Rule {
+        self.generalize(j)
+    }
+
+    fn constants<'a>(&'a self, _: &'a ()) -> impl Iterator<Item = (usize, u32)> + 'a {
+        Rule::constants(self)
+    }
+
+    fn route(&self, _: &()) -> u64 {
+        fx_hash_one(self)
+    }
+
+    fn into_rule(self, _: &()) -> Rule {
+        self
+    }
+}
+
+impl<C: PackedCode> RuleKey for C {
+    type Codec = PackedMasks<C>;
+
+    #[inline]
+    fn all_wild(masks: &PackedMasks<C>, _: usize) -> C {
+        masks.all_wild()
+    }
+
+    #[inline]
+    fn set_constant(&mut self, masks: &PackedMasks<C>, j: usize, v: u32) {
+        *self = masks.with_constant(*self, j, v);
+    }
+
+    #[inline]
+    fn is_wild(&self, masks: &PackedMasks<C>, j: usize) -> bool {
+        masks.is_wild(*self, j)
+    }
+
+    #[inline]
+    fn widen(&self, masks: &PackedMasks<C>, j: usize) -> C {
+        masks.widen(*self, j)
+    }
+
+    fn constants<'a>(
+        &'a self,
+        masks: &'a PackedMasks<C>,
+    ) -> impl Iterator<Item = (usize, u32)> + 'a {
+        (0..masks.num_dims()).filter_map(|j| Some((j, masks.constant(*self, j)?)))
+    }
+
+    /// The `Rule`'s values spelled into a stack buffer and hashed as the
+    /// slice the `Rule` hashes as, with no allocation.
+    fn route(&self, masks: &PackedMasks<C>) -> u64 {
+        fx_hash_one(&spell(*self, masks, &mut [WILDCARD; 128]))
+    }
+
+    fn into_rule(self, masks: &PackedMasks<C>) -> Rule {
+        Rule::from_values(spell(self, masks, &mut [WILDCARD; 128]).to_vec())
+    }
+}
+
+/// `code`'s rule values, spelled into the front of `buf` (wildcards
+/// preset; a code holds at most 128 one-bit fields).
+fn spell<'a, C: PackedCode>(code: C, masks: &PackedMasks<C>, buf: &'a mut [u32; 128]) -> &'a [u32] {
+    for (j, v) in code.constants(masks) {
+        buf[j] = v;
+    }
+    &buf[..masks.num_dims()]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Strategy};
+    use proptest::prop::collection::vec;
 
     fn r(vals: &[i64]) -> Rule {
         // -1 denotes a wildcard in test shorthand.
@@ -692,20 +845,150 @@ mod tests {
         assert_eq!(built, l.pack::<u64>(&t));
     }
 
+    /// Every key operation the sample index drives on codes of width `C`,
+    /// against the same operation on `Rule`s.
+    fn indexed_codes_agree_with_rules<C: PackedCode>(layout: &RuleLayout, sample: &[Box<[u32]>]) {
+        use crate::candidates::SampleIndex;
+        let masks = layout.masks::<C>();
+        let d = layout.num_dims();
+        let index = SampleIndex::build(sample.to_vec(), d);
+        let agg = (1.5, 2.5, 1);
+        let rule_of = |code: C| code.into_rule(&masks);
+        for tuple in sample {
+            let (mut codes, mut rules) = (Vec::<(C, _)>::new(), Vec::<(Rule, _)>::new());
+            index.lca_keys_into(&masks, tuple, agg, &mut codes);
+            index.lca_keys_into(&(), tuple, agg, &mut rules);
+            let lcas: Vec<Rule> = codes.iter().map(|&(c, _)| rule_of(c)).collect();
+            let expected: Vec<Rule> = rules.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(lcas, expected);
+            assert_eq!(
+                rule_of(C::lca(&masks, tuple, tuple)),
+                Rule::from_tuple(tuple)
+            );
+            for (s, (code, _)) in sample.iter().zip(&codes) {
+                assert_eq!(C::lca(&masks, s, tuple), *code);
+                let rule = rule_of(*code);
+                assert_eq!(rule, Rule::lca(s, tuple));
+                assert_eq!(*code, layout.pack::<C>(rule.values()));
+                assert_eq!(code.route(&masks), fx_hash_one(&rule));
+                assert!(code.constants(&masks).eq(rule.constants()));
+                assert_eq!(
+                    index.multiplicity(code.constants(&masks)),
+                    index.match_count(&rule)
+                );
+                for group in [vec![0, 2], vec![1], (0..d).collect()] {
+                    let (mut wider, mut parents) = (Vec::new(), Vec::new());
+                    code.expand_into(&masks, &group, &mut wider);
+                    rule.expand_into(&(), &group, &mut parents);
+                    assert_eq!(wider.into_iter().map(rule_of).collect::<Vec<_>>(), parents);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn layout_encode_round_trip() {
-        let l = RuleLayout::from_cardinalities(&[6, 0, 300, u32::MAX]);
-        let mut buf = Vec::new();
-        l.encode(&mut buf);
-        let mut s = buf.as_slice();
-        let back = RuleLayout::decode(&mut s);
-        assert!(s.is_empty());
-        assert_eq!(back, l);
-        let rule = r(&[5, -1, 17, 9]);
-        assert_eq!(
-            back.pack::<u128>(rule.values()),
-            l.pack::<u128>(rule.values())
-        );
+    fn rule_keys_agree_across_representations() {
+        // Codes near the top of their fields included, so the u128 case
+        // ([1 << 30; 3] needs 93 bits) exercises its upper word.
+        let sample: Vec<Box<[u32]>> = [
+            [0, 5, 1 << 29],
+            [0, 5, 7],
+            [(1 << 30) - 1, 5, 7],
+            [3, (1 << 30) - 2, 1 << 29],
+        ]
+        .iter()
+        .map(|row| row.to_vec().into_boxed_slice())
+        .collect();
+        let wide = RuleLayout::from_cardinalities(&[1 << 30; 3]);
+        assert_eq!(wide.packed_bits(), Some(128));
+        indexed_codes_agree_with_rules::<u128>(&wide, &sample);
+        let narrow: Vec<Box<[u32]>> = sample
+            .iter()
+            .map(|row| row.iter().map(|&v| v % 9).collect())
+            .collect();
+        let layout = RuleLayout::from_cardinalities(&[9; 3]);
+        assert_eq!(layout.packed_bits(), Some(64));
+        indexed_codes_agree_with_rules::<u64>(&layout, &narrow);
+    }
+
+    /// The [`RuleKey`] laws on codes of width `C` against their `Rule`s:
+    /// every `(tuple, rule)` pair's rule is its tuple with some positions
+    /// wild.
+    fn key_laws_hold<C: PackedCode>(
+        layout: &RuleLayout,
+        pairs: &[(Vec<u32>, Rule)],
+        groups: &[Vec<usize>],
+    ) {
+        let masks = layout.masks::<C>();
+        let codes: Vec<C> = pairs.iter().map(|(_, r)| layout.pack(r.values())).collect();
+        for (&code, (tuple, rule)) in codes.iter().zip(pairs) {
+            assert_eq!(code.into_rule(&masks), *rule);
+            assert_eq!(code.route(&masks), fx_hash_one(rule));
+            assert!(code.constants(&masks).eq(rule.constants()));
+            for j in 0..layout.num_dims() {
+                assert_eq!(code.is_wild(&masks, j), rule.is_wild(&(), j));
+                assert_eq!(code.widen(&masks, j).into_rule(&masks), rule.widen(&(), j));
+            }
+            for group in groups {
+                let (mut wider, mut parents) = (Vec::new(), Vec::new());
+                code.expand_into(&masks, group, &mut wider);
+                rule.expand_into(&(), group, &mut parents);
+                let wider: Vec<Rule> = wider.into_iter().map(|c| c.into_rule(&masks)).collect();
+                assert_eq!(wider, parents, "{rule:?} over {group:?}");
+            }
+            for (&other_code, (other_tuple, other)) in codes.iter().zip(pairs) {
+                assert_eq!(code.cmp(&other_code), rule.cmp(other));
+                let lca = C::lca(&masks, tuple, other_tuple);
+                assert_eq!(lca.into_rule(&masks), Rule::lca(tuple, other_tuple));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn rule_key_laws_hold_over_random_layouts(
+            (fields, rows, (g, seed)) in (1usize..=5).prop_flat_map(|d| (
+                vec((1u32..=32, any::<u64>()), d),
+                vec(vec(any::<u64>(), d), 1..6),
+                (1usize..=d, any::<u64>()),
+            ))
+        ) {
+            // Field widths of 1 to 32 bits over up to five dimensions: u64
+            // layouts, u128 ones and ones only `Rule` keys hold.
+            let cards: Vec<u32> = (fields.iter())
+                .map(|&(w, r)| ((1u64 << (w - 1)) | (r & ((1u64 << (w - 1)) - 1))) as u32)
+                .collect();
+            let layout = RuleLayout::from_cardinalities(&cards);
+            let widths: Vec<u32> = (0..cards.len()).map(|j| layout.width(j)).collect();
+            let drawn: Vec<u32> = fields.iter().map(|&(w, _)| w).collect();
+            proptest::prop_assert_eq!(widths, drawn);
+            // A third of the positions wild, the rest a random code.
+            let pairs: Vec<(Vec<u32>, Rule)> = (rows.iter())
+                .map(|row| {
+                    let tuple: Vec<u32> = (row.iter().zip(&cards))
+                        .map(|(&r, &c)| ((r >> 2) % u64::from(c)) as u32)
+                        .collect();
+                    let values = (tuple.iter().zip(row))
+                        .map(|(&v, &r)| if r % 3 == 0 { WILDCARD } else { v })
+                        .collect();
+                    (tuple, Rule::from_values(values))
+                })
+                .collect();
+            let groups = crate::lattice::column_groups(cards.len(), g, seed);
+            match layout.packed_bits() {
+                Some(64) => {
+                    key_laws_hold::<u64>(&layout, &pairs, &groups);
+                    key_laws_hold::<u128>(&layout, &pairs, &groups);
+                }
+                Some(bits) => {
+                    proptest::prop_assert_eq!(bits, 128);
+                    key_laws_hold::<u128>(&layout, &pairs, &groups);
+                }
+                None => proptest::prop_assert!(layout.total_bits() > 128),
+            }
+        }
     }
 
     #[test]

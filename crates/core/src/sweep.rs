@@ -1,6 +1,6 @@
 //! Partition-parallel candidate gain sweep.
 //!
-//! The legacy candidate pipeline of [`crate::miner`] stages the work the
+//! The staged candidate pipeline of [`crate::miner`] stages the work the
 //! way the paper's MapReduce/Spark jobs do: emit one `(rule, aggregate)`
 //! pair per (sample tuple, data tuple) LCA, shuffle, expand ancestors in
 //! one stage per column group, shuffle again, then adjust and score. That
@@ -95,9 +95,12 @@
 //!
 //! Packed codes ([`crate::rule::RuleLayout`]) give each dimension a
 //! bit-field sized by its dictionary cardinality, the all-ones value being
-//! the wildcard, so an LCA key is one `u64`/`u128`. [`SweepOptions`] picks
-//! the key type; on packed codes [`CombineStrategy::for_partition`] picks
-//! slot table or hash-probe from each partition's shape. The sinks are
+//! the wildcard, so an LCA key is one `u64`/`u128`.
+//! [`RuleLayout::packed_bits`] picks the key type — the crate's one
+//! rule-key trait, which both stages are written over and whose sweep
+//! extension picks the sink; on packed codes
+//! [`CombineStrategy::for_partition`] picks slot table or hash-probe from
+//! each partition's shape. The sinks are
 //! bit-identical by construction: the driver hands each the same pairs in
 //! the same order — row-major, then sample order — and each distinct LCA's
 //! pairs reach exactly one accumulator, which stores the first and adds
@@ -148,7 +151,7 @@ use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::lattice::MAX_EXPAND_BITS;
-use crate::rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
+use crate::rule::{PackedCode, PackedMasks, Rule, RuleKey, RuleLayout, WILDCARD};
 use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
 use sirum_dataflow::{Dataset, StageRecord, TaskRecord};
 use std::time::Instant;
@@ -248,25 +251,6 @@ impl SweepOptions {
         self.combine = Some(strategy);
         self
     }
-
-    /// The packed-code layout, if any (it may not fit 128 bits; see
-    /// [`Self::packed_bits`]).
-    pub(crate) fn layout(&self) -> Option<&RuleLayout> {
-        self.layout.as_ref()
-    }
-
-    /// The packed code width this sweep will run with (64 or 128), or
-    /// `None` when it runs `Rule`-keyed (no layout, or one over 128 bits).
-    pub fn packed_bits(&self) -> Option<u32> {
-        let layout = self.layout.as_ref()?;
-        if layout.fits::<u64>() {
-            Some(64)
-        } else if layout.fits::<u128>() {
-            Some(128)
-        } else {
-            None
-        }
-    }
 }
 
 /// What one full sweep over the data produces.
@@ -318,6 +302,9 @@ struct CombineArgs<'a> {
     /// fold; the driver accounts for them in closed form
     /// ([`ExpandPlan::closed_form`]). `None` scans every row.
     skip: Option<u64>,
+    /// Dimensions per tuple: how wide a `Rule` key is (a code's masks
+    /// carry their own width).
+    d: usize,
 }
 
 /// One combine partition's fold state, generic over the accumulator key
@@ -646,46 +633,70 @@ impl Sink for RuleSink<'_> {
     }
 }
 
-/// [`combine`] on packed codes into the sink of the [`CombineStrategy`]
-/// the partition's shape picks — or `args.force`, where a table can exist.
-fn combine_packed<C: PackedCode>(
-    blocks: &[TupleBlock],
-    masks: &PackedMasks<C>,
-    args: CombineArgs<'_>,
-) -> PartitionSweep<C> {
-    let d = masks.num_dims();
-    let rows: usize = blocks.iter().map(TupleBlock::len).sum();
-    let sample_rows = args.index.map(SampleIndex::len);
-    let strategy = match args.force {
-        // A forced slot table must still exist: ask the rule with its
-        // amortisation clause waived.
-        Some(CombineStrategy::SlotTable) => {
-            CombineStrategy::for_partition(usize::MAX, d, sample_rows)
+/// A [`RuleKey`] the sweep can fold stage 1 into: the one place the sink
+/// is picked per key type.
+trait SweepKey: RuleKey {
+    /// [`combine`] one partition into this key type's sink.
+    fn combine(
+        blocks: &[TupleBlock],
+        cx: &Self::Codec,
+        args: CombineArgs<'_>,
+    ) -> PartitionSweep<Self>;
+}
+
+impl<C: PackedCode> SweepKey for C {
+    /// The sink of the [`CombineStrategy`] the partition's shape picks —
+    /// or `args.force`, where a table can exist.
+    fn combine(
+        blocks: &[TupleBlock],
+        masks: &PackedMasks<C>,
+        args: CombineArgs<'_>,
+    ) -> PartitionSweep<C> {
+        let d = masks.num_dims();
+        let rows: usize = blocks.iter().map(TupleBlock::len).sum();
+        let sample_rows = args.index.map(SampleIndex::len);
+        let strategy = match args.force {
+            // A forced slot table must still exist: ask the rule with its
+            // amortisation clause waived.
+            Some(CombineStrategy::SlotTable) => {
+                CombineStrategy::for_partition(usize::MAX, d, sample_rows)
+            }
+            Some(forced) => forced,
+            None => CombineStrategy::for_partition(rows, d, sample_rows),
+        };
+        let sample: &[Box<[u32]>] = args.index.map_or(&[], SampleIndex::rows);
+        match strategy {
+            CombineStrategy::SlotTable => {
+                let sink = SlotSink {
+                    masks,
+                    sample,
+                    d,
+                    slot_of: vec![0; sample.len() << d],
+                    slots: Vec::new(),
+                    slot_by_code: FxHashMap::default(),
+                };
+                combine(blocks, args, sink)
+            }
+            CombineStrategy::HashProbe => {
+                let sink = ProbeSink {
+                    masks,
+                    sample,
+                    map: FxHashMap::default(),
+                };
+                combine(blocks, args, sink)
+            }
         }
-        Some(forced) => forced,
-        None => CombineStrategy::for_partition(rows, d, sample_rows),
-    };
-    let sample: &[Box<[u32]>] = args.index.map_or(&[], SampleIndex::rows);
-    match strategy {
-        CombineStrategy::SlotTable => {
-            let sink = SlotSink {
-                masks,
-                sample,
-                d,
-                slot_of: vec![0; sample.len() << d],
-                slots: Vec::new(),
-                slot_by_code: FxHashMap::default(),
-            };
-            combine(blocks, args, sink)
-        }
-        CombineStrategy::HashProbe => {
-            let sink = ProbeSink {
-                masks,
-                sample,
-                map: FxHashMap::default(),
-            };
-            combine(blocks, args, sink)
-        }
+    }
+}
+
+impl SweepKey for Rule {
+    fn combine(blocks: &[TupleBlock], _: &(), args: CombineArgs<'_>) -> PartitionSweep<Rule> {
+        let sink = RuleSink {
+            sample: args.index.map_or(&[], SampleIndex::rows),
+            key: vec![WILDCARD; args.d],
+            map: FxHashMap::default(),
+        };
+        combine(blocks, args, sink)
     }
 }
 
@@ -821,19 +832,17 @@ struct ExpandPlan<K> {
     pairs_emitted: u64,
 }
 
-impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
+impl<K: RuleKey> ExpandPlan<K> {
     /// `None` when `clock`'s token fires part-way.
     fn build(
         frontier: &[(K, Agg)],
         cx: SweepCx<'_>,
+        codec: &K::Codec,
         clock: &mut PollClock<'_>,
-        is_wild: impl Fn(&K, usize) -> bool,
-        widen: impl Fn(&K, usize) -> K,
-        to_rule: impl Fn(&K) -> Rule,
     ) -> Option<Self> {
         // `w ≤ d ≤ MAX_EXPAND_BITS` ([`SweepState::new`]).
         let pairs_emitted = (frontier.iter())
-            .map(|(key, _)| 1u64 << (0..cx.d).filter(|&j| !is_wild(key, j)).count())
+            .map(|(key, _)| 1u64 << (0..cx.d).filter(|&j| !key.is_wild(codec, j)).count())
             .sum();
         let mut keys: Vec<K> = Vec::with_capacity(frontier.len());
         // Sized as candidates typically outnumber the frontier: rehashing
@@ -845,13 +854,13 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
         let mut links = Vec::new();
         for j in 0..cx.d {
             for a in 0..keys.len() {
-                if is_wild(&keys[a], j) {
+                if keys[a].is_wild(codec, j) {
                     continue;
                 }
                 if clock.tick() {
                     return None;
                 }
-                let wide = widen(&keys[a], j);
+                let wide = keys[a].widen(codec, j);
                 let t = slot_of.get_or_push(&mut keys, wide);
                 links.push((a as u32, t));
             }
@@ -877,7 +886,7 @@ impl<K: Clone + Ord + std::hash::Hash> ExpandPlan<K> {
                 if clock.tick() {
                     return None;
                 }
-                let c = idx.multiplicity(to_rule(key).constants());
+                let c = idx.multiplicity(key.constants(codec));
                 debug_assert_eq!(count[slot] % c, 0, "pair multiplicity must be uniform");
                 mult[slot] = c as f64;
                 sum_m[slot] /= c as f64;
@@ -979,29 +988,20 @@ struct SweepCx<'a> {
 /// outside the engine's scheduler, so it pushes its own one-task
 /// [`StageRecord`] (work units in — links recorded and folded — candidates
 /// out).
-fn run_sweep<K, FC, FW, FG, FU>(
+fn run_sweep<K: SweepKey>(
     cx: SweepCx<'_>,
+    codec: &K::Codec,
+    args: CombineArgs<'_>,
     plan: &mut Option<ExpandPlan<K>>,
     pick: impl FnOnce(&[Agg]) -> Vec<usize>,
-    combine: FC,
-    is_wild: FW,
-    widen: FG,
-    to_rule: FU,
-) -> SweepOutcome
-where
-    K: Clone + Ord + std::hash::Hash + Send,
-    FC: Fn(&[TupleBlock], Option<u64>) -> PartitionSweep<K> + Send + Sync,
-    FW: Fn(&K, usize) -> bool,
-    FG: Fn(&K, usize) -> K,
-    FU: Fn(&K) -> Rule,
-{
+) -> SweepOutcome {
     let mut skip = cx.shared.filter(|_| plan.is_some());
     let (frontier, counted) = loop {
         let bits = skip.map(f64::to_bits);
         let combined = cx.data.aggregate_partitions(
             "gain-sweep-combine",
             PartitionSweep::new,
-            |_, blocks| combine(blocks, bits),
+            |_, blocks| K::combine(blocks, codec, CombineArgs { skip: bits, ..args }),
             PartitionSweep::merge,
         );
         if combined.cancelled {
@@ -1030,8 +1030,7 @@ where
             None => {
                 if !plan.as_ref().is_some_and(|p| p.holds(&frontier)) {
                     // Assigned whole or not at all: a cancelled build leaves `None`.
-                    *plan =
-                        ExpandPlan::build(&frontier, cx, &mut clock, &is_wild, &widen, &to_rule);
+                    *plan = ExpandPlan::build(&frontier, cx, codec, &mut clock);
                 }
                 frontier.iter().map(|(_, agg)| agg.1).collect()
             }
@@ -1060,8 +1059,8 @@ where
         .collect();
     let candidates = pick(&sums).into_iter().map(|rank| {
         let (sum_m, sum_mhat, count) = sums[rank];
-        let key = &plan.keys[plan.order[rank] as usize];
-        (to_rule(key), sum_m, sum_mhat, count)
+        let key = plan.keys[plan.order[rank] as usize].clone();
+        (key.into_rule(codec), sum_m, sum_mhat, count)
     });
     SweepOutcome {
         candidates: candidates.collect(),
@@ -1069,28 +1068,6 @@ where
         pairs_emitted: plan.pairs_emitted,
         cancelled: false,
     }
-}
-
-/// [`run_sweep`] on packed codes of width `C`. Packed integer order *is*
-/// canonical rule order, so only the candidates `pick` names are unpacked
-/// (and, once per plan, each for its sample multiplicity).
-fn sweep_packed<C: PackedCode>(
-    cx: SweepCx<'_>,
-    layout: &RuleLayout,
-    args: CombineArgs<'_>,
-    plan: &mut Option<ExpandPlan<C>>,
-    pick: impl FnOnce(&[Agg]) -> Vec<usize>,
-) -> SweepOutcome {
-    let masks: PackedMasks<C> = layout.masks();
-    run_sweep(
-        cx,
-        plan,
-        pick,
-        |blocks, skip| combine_packed(blocks, &masks, CombineArgs { skip, ..args }),
-        |&code, j| masks.is_wild(code, j),
-        |&code, j| masks.widen(code, j),
-        |&code| layout.unpack(code),
-    )
 }
 
 /// The sweep state of **one mine**: the options, the sample index — held
@@ -1138,12 +1115,6 @@ impl<'a> SweepState<'a> {
             plan128: None,
             plan_rule: None,
         }
-    }
-
-    /// The options this state keys by — which the miner's staged pipeline
-    /// keys its records by too.
-    pub(crate) fn options(&self) -> &'a SweepOptions {
-        self.opts
     }
 
     /// Name the estimate the next sweeps should count instead of scan —
@@ -1202,26 +1173,17 @@ impl<'a> SweepState<'a> {
             cancel,
             force: self.opts.combine,
             skip: None,
+            d,
         };
-        match (&self.opts.layout, self.opts.packed_bits()) {
-            (Some(layout), Some(64)) => sweep_packed(cx, layout, args, &mut self.plan64, pick),
-            (Some(layout), Some(_)) => sweep_packed(cx, layout, args, &mut self.plan128, pick),
-            _ => run_sweep(
-                cx,
-                &mut self.plan_rule,
-                pick,
-                |blocks, skip| {
-                    let sink = RuleSink {
-                        sample: index.map_or(&[], SampleIndex::rows),
-                        key: vec![WILDCARD; d],
-                        map: FxHashMap::default(),
-                    };
-                    combine(blocks, CombineArgs { skip, ..args }, sink)
-                },
-                |rule, j| rule.is_wildcard(j),
-                |rule, j| rule.generalize(j),
-                Rule::clone,
-            ),
+        let layout = self.opts.layout.as_ref();
+        match (layout, layout.and_then(RuleLayout::packed_bits)) {
+            (Some(layout), Some(64)) => {
+                run_sweep(cx, &layout.masks::<u64>(), args, &mut self.plan64, pick)
+            }
+            (Some(layout), Some(_)) => {
+                run_sweep(cx, &layout.masks::<u128>(), args, &mut self.plan128, pick)
+            }
+            _ => run_sweep(cx, &(), args, &mut self.plan_rule, pick),
         }
     }
 }
@@ -1392,7 +1354,7 @@ mod tests {
                 force: strategy,
                 ..CombineArgs::default()
             };
-            let acc = combine_packed(&block, &masks, args);
+            let acc = u64::combine(&block, &masks, args);
             sorted_entries(acc.map)
                 .into_iter()
                 .map(|(code, (m, mh, n))| (code, m.to_bits(), mh.to_bits(), n))
@@ -1557,9 +1519,8 @@ mod tests {
         // still round-trip and the sweep output matches the rule-keyed one.
         let t = flights();
         let layout = RuleLayout::from_cardinalities(&[1 << 30, 1 << 30, 1 << 30]);
-        assert!(!layout.fits::<u64>() && layout.fits::<u128>());
+        assert_eq!(layout.packed_bits(), Some(128));
         let opts = SweepOptions::packed(layout);
-        assert_eq!(opts.packed_bits(), Some(128));
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
         let data = blocks(&engine, &t, 4);
         let wide = sweep_gains(&data, 3, None, None, &opts);
@@ -1584,8 +1545,8 @@ mod tests {
     #[test]
     fn oversized_layouts_fall_back_to_rule_keys() {
         let layout = RuleLayout::from_cardinalities(&[u32::MAX; 5]);
+        assert_eq!(layout.packed_bits(), None);
         let opts = SweepOptions::packed(layout);
-        assert_eq!(opts.packed_bits(), None);
         let t = flights();
         let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
         let data = blocks(&engine, &t, 2);
@@ -1709,7 +1670,7 @@ mod tests {
             index: Some(&index),
             ..CombineArgs::default()
         };
-        let combined = combine_packed(&data.part(0), &masks, args);
+        let combined = u64::combine(&data.part(0), &masks, args);
         let frontier = sorted_entries(combined.map);
         // Built without the index, the plan's columns are the raw pair-level
         // sums — the transform itself, before any multiplicity division.
@@ -1724,15 +1685,7 @@ mod tests {
             work: 0,
             cancel: None,
         };
-        let plan = ExpandPlan::build(
-            &frontier,
-            cx,
-            &mut clock,
-            |&code, j| masks.is_wild(code, j),
-            |&code, j| masks.widen(code, j),
-            |&code| layout.unpack(code),
-        )
-        .expect("uncancelled");
+        let plan = ExpandPlan::build(&frontier, cx, &masks, &mut clock).expect("uncancelled");
         let mut sum_mhat: Vec<f64> = frontier.iter().map(|(_, agg)| agg.1).collect();
         sum_mhat.resize(plan.keys.len(), 0.0);
         fold_links(&plan.links, &mut clock, |a, t| sum_mhat[t] += sum_mhat[a])

@@ -49,7 +49,7 @@ use sirum_core::{
     try_evaluate_rules_prepared, try_mine_on_sample, CancellationToken, CandidateStrategy,
     IterationDecision, IterationEvent, Miner, MiningResult, MultiRuleConfig, PreparedTable, Rule,
     RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
-    StreamingConfig, StreamingMiner, SweepOptions, Variant,
+    StreamingConfig, StreamingMiner, Variant,
 };
 use sirum_dataflow::{Engine, EngineConfig, EngineMode};
 use sirum_table::{generators, Table, TableError};
@@ -186,8 +186,8 @@ fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> Reques
         CandidateStrategy::SampleLca { sample_size } => format!("lca{sample_size}"),
         CandidateStrategy::FullCube => "cube".to_string(),
     };
-    // broadcast_join / fast_pruning / column_groups only steer the legacy
-    // staged pipeline; under the fused sweep they have no effect on the
+    // broadcast_join / fast_pruning / column_groups only steer the staged
+    // pipeline; under the fused sweep they have no effect on the
     // result (see `SirumConfig::gain_sweep`), so they normalize to fixed
     // sentinels — requests differing only in inert knobs share one entry.
     let (bj, fp, cg) = if config.gain_sweep {
@@ -1689,7 +1689,7 @@ pub struct MiningPlan {
     /// Whether candidate evaluation runs as the fused partition-parallel
     /// gain sweep (no shuffles; one full scan, then — with [`Self::rct`] —
     /// only the rows off the largest RCT group each iteration) or as the
-    /// legacy staged pipeline.
+    /// staged pipeline the Table 4.2 variants run.
     pub gain_sweep: bool,
     /// Whether the registered table's dimension columns are stored
     /// compressed (bit-packed/RLE segments, scanned morsel-by-morsel) —
@@ -1751,8 +1751,8 @@ impl MiningPlan {
         // strategy is whatever its rule says of one planned partition.
         let packed_bits = config
             .packed_codes
-            .then(|| SweepOptions::packed(RuleLayout::from_cardinalities(frame.cards())))
-            .and_then(|opts| opts.packed_bits());
+            .then(|| RuleLayout::from_cardinalities(frame.cards()))
+            .and_then(|layout| layout.packed_bits());
         let combine = packed_bits.filter(|_| config.gain_sweep).map(|_| {
             CombineStrategy::for_partition(
                 entry.table.num_rows().div_ceil(partitions),
@@ -1823,7 +1823,7 @@ impl std::fmt::Display for MiningPlan {
                 (true, false) => {
                     "fused partition-parallel gain sweep (one scan/iteration, no shuffles)"
                 }
-                (false, _) => "legacy staged pipeline (LCA join → ancestor stages → adjust + gain)",
+                (false, _) => "staged pipeline (LCA join → ancestor stages → adjust + gain)",
             },
         )?;
         writeln!(
