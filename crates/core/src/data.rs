@@ -15,11 +15,11 @@ use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::prepared::PreparedTable;
-use crate::rct::{mhat_for_mask, rule_bits, RctGroup};
+use crate::rct::{mhat_for_mask, rule_bits, Rct, RctGroup};
 use crate::rule::{Rule, RuleKey};
 use crate::sweep::{SweepOutcome, SweepState};
-use sirum_dataflow::hash::FxHashMap;
 use sirum_dataflow::{Dataset, Engine, EngineMode};
+use sirum_table::{ColScratch, FrameView};
 
 /// The distributed dataset a mining run scans.
 pub(crate) struct MiningData(Dataset<TupleBlock>);
@@ -28,21 +28,21 @@ pub(crate) struct MiningData(Dataset<TupleBlock>);
 /// codes, m′, m̂, rule-coverage bit array)`.
 type Tup = (Box<[u32]>, f64, f64, u64);
 
-/// Visit (in ascending row order) every row of `block` the rule covers,
+/// Visit (in ascending row order) every row of `view` the rule covers,
 /// touching only the rule's constant columns — decoded morsel-by-morsel
-/// into `scratch` when the block's columns are compressed, borrowed
-/// directly when raw (a raw block scans as one whole-range morsel).
-fn for_rule_rows<F: FnMut(usize)>(
+/// into `scratch` when the columns are compressed, borrowed directly when
+/// raw (a raw view scans as one whole-range morsel). The one coverage scan:
+/// the miner's blocks and [`crate::evaluate`] both go through it.
+pub(crate) fn for_rule_rows<F: FnMut(usize)>(
     rule: &Rule,
-    block: &TupleBlock,
-    scratch: &mut sirum_table::ColScratch,
+    view: &FrameView,
+    scratch: &mut ColScratch,
     mut f: F,
 ) {
     let idxs: Vec<usize> = rule.constants().map(|(j, _)| j).collect();
     let vals: Vec<u32> = rule.constants().map(|(_, v)| v).collect();
-    let dims = block.dims();
-    for (ms, ml) in dims.morsel_bounds() {
-        let cols = dims.morsel_cols_indexed(&idxs, ms, ml, scratch);
+    for (ms, ml) in view.morsel_bounds() {
+        let cols = view.morsel_cols_indexed(&idxs, ms, ml, scratch);
         for li in 0..ml {
             if cols.iter().zip(&vals).all(|(c, &v)| c[li] == v) {
                 f(ms + li);
@@ -56,7 +56,7 @@ fn for_rule_rows<F: FnMut(usize)>(
 /// where the staged pipeline needs row-shaped records.
 fn for_each_row<F: FnMut(&[u32], f64, f64, u64)>(blocks: &[TupleBlock], mut f: F) {
     let mut buf = Vec::new();
-    let mut scratch = sirum_table::ColScratch::new();
+    let mut scratch = ColScratch::new();
     for block in blocks {
         let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
         let dims = block.dims();
@@ -119,11 +119,11 @@ impl MiningData {
             |_, blocks| {
                 let mut sums = vec![0.0f64; rules.len()];
                 let mut counts = vec![0u64; rules.len()];
-                let mut scratch = sirum_table::ColScratch::new();
+                let mut scratch = ColScratch::new();
                 for block in blocks {
                     let m = block.m();
                     for (j, rule) in rules.iter().enumerate() {
-                        for_rule_rows(rule, block, &mut scratch, |i| {
+                        for_rule_rows(rule, block.dims(), &mut scratch, |i| {
                             sums[j] += m[i];
                             counts[j] += 1;
                         });
@@ -179,53 +179,34 @@ impl MiningData {
     pub(crate) fn update_ba(&self, new_rules: Vec<(usize, Rule)>) -> MiningData {
         MiningData(self.0.map("update-ba", move |block| {
             let mut mask = block.mask().to_vec();
-            let mut scratch = sirum_table::ColScratch::new();
+            let mut scratch = ColScratch::new();
             for (i, rule) in &new_rules {
                 let bit = 1u64 << i;
-                for_rule_rows(rule, block, &mut scratch, |r| mask[r] |= bit);
+                for_rule_rows(rule, block.dims(), &mut scratch, |r| mask[r] |= bit);
             }
             block.with_mask(mask)
         }))
     }
 
-    /// Group tuples by bit array into partial RCT groups (first-occurrence
-    /// order per partition, merged in partition order). Groups are located
-    /// through a per-partition `mask → slot` hash index: a linear probe
-    /// would be O(rows × groups), which on a table with hundreds of
-    /// distinct bit arrays dominates the RCT build; the index keeps the
-    /// push order (and therefore the partial stream) exactly the same.
-    pub(crate) fn build_rct_partials(&self) -> Vec<RctGroup> {
+    /// Group tuples by bit array into the RCT: each partition folds its
+    /// rows in ascending order, and the partitions merge in partition
+    /// order.
+    pub(crate) fn build_rct(&self) -> Rct {
         self.0.aggregate_partitions(
             "build-rct",
-            Vec::<RctGroup>::new,
+            Rct::default,
             |_, blocks| {
-                let mut groups: Vec<RctGroup> = Vec::new();
-                let mut slots: FxHashMap<u64, usize> = FxHashMap::default();
-                for block in blocks {
-                    let (m, mh, mask) = (block.m(), block.mhat(), block.mask());
-                    for i in 0..block.len() {
-                        match slots.get(&mask[i]) {
-                            Some(&at) => {
-                                let g = &mut groups[at];
-                                g.count += 1;
-                                g.sum_m += m[i];
-                                g.sum_mhat += mh[i];
-                            }
-                            None => {
-                                slots.insert(mask[i], groups.len());
-                                groups.push(RctGroup {
-                                    mask: mask[i],
-                                    count: 1,
-                                    sum_m: m[i],
-                                    sum_mhat: mh[i],
-                                });
-                            }
-                        }
-                    }
-                }
-                groups
+                Rct::from_partials(blocks.iter().flat_map(|block| {
+                    let rows = block.mask().iter().zip(block.m()).zip(block.mhat());
+                    rows.map(|((&mask, &m), &mhat)| RctGroup {
+                        mask,
+                        count: 1,
+                        sum_m: m,
+                        sum_mhat: mhat,
+                    })
+                }))
             },
-            |a, b| a.extend(b),
+            |a, b| a.add(b.groups().iter().copied()),
         )
     }
 

@@ -4,13 +4,14 @@
 //! from samples against the full data (§4.5 / §5.7.3) and to compare
 //! variants at equal quality (the `Optimized*` runs of §5.6).
 
+use crate::data::for_rule_rows;
 use crate::error::SirumError;
 use crate::gain::{binary_kl, kl_divergence};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::Rule;
 use crate::scaling::{iterative_scaling, ScalingConfig};
-use sirum_table::Table;
+use sirum_table::{ColScratch, Table};
 
 /// Quality scores of a rule set on a dataset.
 #[derive(Debug, Clone, Copy)]
@@ -107,28 +108,18 @@ fn evaluate_prepared(
     let m_prime = prepared.m_prime();
     let n = frame.num_rows();
 
-    // Bit arrays + constraint targets, scanned column-wise: one columnar
-    // pass per rule touching only its constant columns (each `m_sums[j]`
-    // still accumulates rows in ascending order, so the sums are
-    // bit-identical to a row-by-row scan).
+    // Bit arrays + constraint targets: one coverage scan per rule, so each
+    // `m_sums[j]` accumulates its rows in ascending order.
     let mut masks = vec![0u64; n];
     let mut m_sums = vec![0.0f64; rules.len()];
     let view = frame.view();
-    let mut scratch = sirum_table::ColScratch::new();
+    let mut scratch = ColScratch::new();
     for (j, rule) in rules.iter().enumerate() {
         let bit = 1u64 << j;
-        let idxs: Vec<usize> = rule.constants().map(|(c, _)| c).collect();
-        let vals: Vec<u32> = rule.constants().map(|(_, v)| v).collect();
-        for (ms, ml) in view.morsel_bounds() {
-            let cols = view.morsel_cols_indexed(&idxs, ms, ml, &mut scratch);
-            for li in 0..ml {
-                if cols.iter().zip(&vals).all(|(col, &v)| col[li] == v) {
-                    let i = ms + li;
-                    masks[i] |= bit;
-                    m_sums[j] += m_prime[i];
-                }
-            }
-        }
+        for_rule_rows(rule, &view, &mut scratch, |i| {
+            masks[i] |= bit;
+            m_sums[j] += m_prime[i];
+        });
     }
 
     // Fit via the RCT (fast, exact same fixed point as Algorithm 1).
@@ -165,8 +156,11 @@ fn evaluate_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::miner::{Miner, SirumConfig};
     use crate::rule::WILDCARD;
-    use sirum_table::generators::{flights, income_like};
+    use sirum_dataflow::Engine;
+    use sirum_table::fingerprint::Fnv64;
+    use sirum_table::generators::{flights, gdelt_dirty, income_like, tlc_like};
 
     #[test]
     fn wildcard_only_has_zero_information_gain() {
@@ -246,5 +240,61 @@ mod tests {
         let fri = t.dict(0).code("Fri").unwrap();
         let bad = Rule::from_values(vec![fri, WILDCARD, WILDCARD]);
         let _ = evaluate_rules(&t, &[bad], &ScalingConfig::default());
+    }
+
+    /// FNV-1a over a rule list and every field of its evaluation, float
+    /// bits included.
+    fn evaluation_fingerprint(rules: &[Rule], eval: &RuleSetEvaluation) -> u64 {
+        let mut h = Fnv64::new();
+        for rule in rules {
+            rule.values().iter().for_each(|&v| h.write_u32(v));
+        }
+        h.write_f64(eval.kl);
+        h.write_f64(eval.baseline_kl);
+        h.write_f64(eval.information_gain);
+        match eval.binary_kl {
+            Some(b) => {
+                h.write_u64(1);
+                h.write_f64(b);
+            }
+            None => h.write_u64(0),
+        }
+        h.write_u64(u64::from(eval.converged));
+        h.finish()
+    }
+
+    #[test]
+    fn evaluation_is_pinned_bit_for_bit() {
+        // Each table's mined rule list, scored offline and fingerprinted
+        // down to the float bits: how the coverage scan and the RCT build
+        // are organised must leave every value here alone.
+        let cases = [
+            (
+                "income_like",
+                income_like(2_000, 2016),
+                0xea45_e834_7ba4_98b5,
+            ),
+            ("tlc_like", tlc_like(2_000, 2016), 0x1c14_f762_4a40_f49a),
+            (
+                "gdelt_dirty",
+                gdelt_dirty(2_000, 2016),
+                0x0dae_bd4d_00c1_7467,
+            ),
+        ];
+        for (name, table, pinned) in cases {
+            let prepared = PreparedTable::try_new(&table).unwrap();
+            let config = SirumConfig {
+                k: 4,
+                ..SirumConfig::default()
+            };
+            let mined = Miner::new(Engine::in_memory(), config)
+                .try_mine_prepared(&prepared, &[])
+                .unwrap();
+            let rules: Vec<Rule> = mined.rules.into_iter().map(|m| m.rule).collect();
+            let eval =
+                try_evaluate_rules_prepared(&prepared, &rules, &ScalingConfig::default()).unwrap();
+            let got = evaluation_fingerprint(&rules, &eval);
+            assert_eq!(got, pinned, "{name}: {got:#018x}");
+        }
     }
 }

@@ -5,12 +5,34 @@
 //! The multi-stage "column grouping" optimization (§4.3) restricts each
 //! stage to wildcarding positions from one attribute group only.
 
+use crate::error::SirumError;
 use crate::rule::{Rule, RuleKey};
 
 /// Maximum number of constants we are willing to expand in one call
 /// (2^24 ≈ 16M ancestors). Exceeding this is a configuration error —
 /// sample-based pruning keeps real workloads far below it.
 pub const MAX_EXPAND_BITS: usize = 24;
+
+/// Refuse a table of `d` dimension attributes whose tuple lattice exceeds
+/// [`MAX_EXPAND_BITS`]: mining it would materialize `2^d` candidate rules
+/// per LCA. The miner and the service's `stream()` both refuse through it.
+///
+/// # Errors
+/// [`SirumError::InvalidConfig`] on field `table.dims` when
+/// `d > MAX_EXPAND_BITS`.
+pub fn check_expandable(d: usize) -> Result<(), SirumError> {
+    if d > MAX_EXPAND_BITS {
+        return Err(SirumError::invalid_config(
+            "table.dims",
+            format!(
+                "{d} dimension attributes imply 2^{d} candidate rules per \
+                 tuple lattice, beyond the 2^{MAX_EXPAND_BITS} expansion \
+                 limit; project the table first"
+            ),
+        ));
+    }
+    Ok(())
+}
 
 /// All `2^w` ancestors of `rule` (including `rule` itself), in subset order.
 pub fn ancestors(rule: &Rule) -> Vec<Rule> {

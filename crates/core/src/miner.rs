@@ -7,10 +7,10 @@ use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, MAX_SAMPLE};
 use crate::data::MiningData;
 use crate::error::SirumError;
 use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
-use crate::lattice::{column_groups, MAX_EXPAND_BITS};
+use crate::lattice::{check_expandable, column_groups};
 use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
 use crate::prepared::PreparedTable;
-use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
+use crate::rct::{mhat_for_mask, MAX_RULES};
 use crate::rule::{Rule, RuleKey, RuleLayout};
 use crate::scaling::{iterative_scaling, ScalingBackend, ScalingConfig};
 use crate::sweep::{SweepOptions, SweepState};
@@ -212,8 +212,15 @@ impl SirumConfig {
     /// `max_rules` when mining to a KL target). Saturating: a budget past
     /// `usize::MAX` must still read as "over the limit", not wrap under it.
     fn rule_budget(&self, priors: usize) -> usize {
-        let mined = self.max_rules.unwrap_or(self.k.saturating_mul(4));
-        mined.max(self.k).saturating_add(priors).saturating_add(1)
+        self.mined_cap().saturating_add(priors).saturating_add(1)
+    }
+
+    /// The most rules a run mining to a KL target may add: `max_rules`
+    /// (default `4k`), never below `k`. Saturating, as [`Self::rule_budget`].
+    fn mined_cap(&self) -> usize {
+        self.max_rules
+            .unwrap_or(self.k.saturating_mul(4))
+            .max(self.k)
     }
 }
 
@@ -475,16 +482,7 @@ impl Miner {
         // the candidate set. Past MAX_EXPAND_BITS the run is unaffordable
         // on either evaluation path, so reject up front instead of
         // asserting (sweep) or grinding unboundedly (staged).
-        if d > MAX_EXPAND_BITS {
-            return Err(SirumError::invalid_config(
-                "table.dims",
-                format!(
-                    "{d} dimension attributes imply 2^{d} candidate rules per \
-                     tuple lattice, beyond the 2^{MAX_EXPAND_BITS} expansion \
-                     limit; project the table first"
-                ),
-            ));
-        }
+        check_expandable(d)?;
         // The inverted sample index is a fixed-width bitset over sample
         // rows; an effective sample beyond its capacity would panic inside
         // the build. (The sample is clamped to the row count, so only the
@@ -593,9 +591,8 @@ impl Miner {
             let done = match cfg.target_kl {
                 None => done_k,
                 Some(target) => {
-                    let cap = cfg.max_rules.unwrap_or(4 * cfg.k).max(cfg.k);
                     (done_k && kl_trace.last().copied().unwrap_or(f64::MAX) <= target)
-                        || mined_so_far >= cap
+                        || mined_so_far >= cfg.mined_cap()
                 }
             };
             if done {
@@ -604,7 +601,7 @@ impl Miner {
 
             let remaining = match cfg.target_kl {
                 None => cfg.k - mined_so_far,
-                Some(_) => cfg.max_rules.unwrap_or(4 * cfg.k).max(cfg.k) - mined_so_far,
+                Some(_) => cfg.mined_cap() - mined_so_far,
             };
             let (mut candidates, candidate_total, sweep_cancelled) = if cfg.gain_sweep {
                 self.sweep_candidates(
@@ -766,7 +763,7 @@ impl Miner {
 
         let (outcome, shared) = if cfg.rct {
             // Pass 2: group by BA to build the RCT (small, driver-resident).
-            let mut rct = Rct::from_partials(data.build_rct_partials());
+            let mut rct = data.build_rct();
 
             // Scaling runs entirely on the RCT.
             let outcome = iterative_scaling(&mut rct, m_sums, lambdas, &cfg.scaling, cancel);

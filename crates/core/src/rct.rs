@@ -5,9 +5,16 @@
 //! share the same maximum-entropy estimate `∏ λ(rᵢ)`; grouping by `BA`
 //! yields a tiny table (the RCT). [`Rct`] is a [`ScalingBackend`], so
 //! Algorithm 3 is [`crate::scaling::iterative_scaling`] run over the
-//! groups instead of `D`. `D` is accessed only twice per mining iteration:
-//! once to update the bit arrays / build the RCT, and once to write the
-//! converged estimates back.
+//! groups instead of `D`. Per mining iteration the miner's scaling step
+//! passes over `D` three times — `update-ba` sets the new rules' bits,
+//! `build-rct` groups the rows by bit array, `write-mhat` writes the
+//! converged estimates back — and the `kl` stage reads it once more to
+//! score the new model.
+//!
+//! Every RCT is filled through one fold, `Rct::add`: rows (groups of one)
+//! and partial groups alike, in arrival order, located through a
+//! `mask → position` hash index. The miner's per-partition build, the
+//! offline [`crate::evaluate`] fit and the streaming maintainer all use it.
 //!
 //! Bit arrays are `u64` masks; the paper caps `|R|` at 50 rules
 //! ("interpretable by human beings"), comfortably below the 64-bit limit,
@@ -37,7 +44,10 @@ pub struct RctGroup {
 /// array (Fig 4.1), small enough to replicate to every worker.
 #[derive(Debug, Clone, Default)]
 pub struct Rct {
+    /// Sorted by mask.
     groups: Vec<RctGroup>,
+    /// `mask → position in groups`: one hash probe per folded row.
+    index: FxHashMap<u64, usize>,
 }
 
 impl Rct {
@@ -48,41 +58,48 @@ impl Rct {
         assert_eq!(masks.len(), m.len());
         // lint:allow(SL001) — driver-built parallel arrays
         assert_eq!(masks.len(), mhat.len());
-        let mut map: FxHashMap<u64, RctGroup> = FxHashMap::default();
-        for i in 0..masks.len() {
-            let g = map.entry(masks[i]).or_insert(RctGroup {
-                mask: masks[i],
-                count: 0,
-                sum_m: 0.0,
-                sum_mhat: 0.0,
-            });
-            g.count += 1;
-            g.sum_m += m[i];
-            g.sum_mhat += mhat[i];
-        }
-        let mut groups: Vec<RctGroup> = map.into_values().collect();
-        groups.sort_by_key(|g| g.mask);
-        Rct { groups }
+        Rct::from_partials((0..masks.len()).map(|i| RctGroup {
+            mask: masks[i],
+            count: 1,
+            sum_m: m[i],
+            sum_mhat: mhat[i],
+        }))
     }
 
     /// Assemble from pre-aggregated groups (the distributed build path:
     /// each partition aggregates locally, then partial groups are merged).
     pub fn from_partials<I: IntoIterator<Item = RctGroup>>(partials: I) -> Rct {
-        let mut map: FxHashMap<u64, RctGroup> = FxHashMap::default();
-        for p in partials {
-            let g = map.entry(p.mask).or_insert(RctGroup {
-                mask: p.mask,
-                count: 0,
-                sum_m: 0.0,
-                sum_mhat: 0.0,
-            });
-            g.count += p.count;
-            g.sum_m += p.sum_m;
-            g.sum_mhat += p.sum_mhat;
+        let mut rct = Rct::default();
+        rct.add(partials);
+        rct
+    }
+
+    /// Fold rows (groups of one) or partial groups in, in iteration order:
+    /// each adds its count and sums to the group of its mask, or starts
+    /// that group. Groups that arrive in the same order therefore always
+    /// carry the same bits. The new groups are sorted in once, at the end.
+    pub(crate) fn add<I: IntoIterator<Item = RctGroup>>(&mut self, parts: I) {
+        let before = self.groups.len();
+        for part in parts {
+            match self.index.get(&part.mask) {
+                Some(&at) => {
+                    let g = &mut self.groups[at];
+                    g.count += part.count;
+                    g.sum_m += part.sum_m;
+                    g.sum_mhat += part.sum_mhat;
+                }
+                None => {
+                    self.index.insert(part.mask, self.groups.len());
+                    self.groups.push(part);
+                }
+            }
         }
-        let mut groups: Vec<RctGroup> = map.into_values().collect();
-        groups.sort_by_key(|g| g.mask);
-        Rct { groups }
+        if self.groups.len() > before {
+            self.groups.sort_unstable_by_key(|g| g.mask);
+            for (at, g) in self.groups.iter().enumerate() {
+                self.index.insert(g.mask, at);
+            }
+        }
     }
 
     /// The groups, sorted by mask.

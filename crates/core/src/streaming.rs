@@ -2,20 +2,23 @@
 //! informative rule set as new data arrives.
 //!
 //! The maintainer keeps the dataset in compact columnar form together with
-//! per-tuple rule-coverage bit arrays and the sufficient statistics of the
-//! Rule Coverage Table. Ingesting a batch:
+//! per-tuple rule-coverage bit arrays, and holds the Rule Coverage Table
+//! itself plus one scalar, `Σ m·ln m` over the history, which with the
+//! RCT's `Σm` per group makes the exact KL computable from the groups
+//! alone. Ingesting a batch:
 //!
 //! 1. computes the new tuples' bit arrays against the current rules and
-//!    folds them into the RCT groups (no rescan of old data),
+//!    folds each row straight into its RCT group (no rescan of old data),
 //! 2. updates the constraint targets `Σ_{t⊨r} m`, and
-//! 3. re-runs RCT iterative scaling from the *current* multipliers — the
-//!    warm start means a handful of λ updates instead of a full re-fit.
+//! 3. re-runs RCT iterative scaling in place from the *current*
+//!    multipliers — the warm start means a handful of λ updates instead of
+//!    a full re-fit.
 //!
 //! Mining is the [`Miner`]'s job. When the model drifts (KL grows),
 //! [`StreamingMiner::mine_more`] runs the batch miner over the accumulated
 //! history with the model's rules as prior knowledge (§5.6.2) and adopts
-//! each rule it returns: one coverage scan for the new bit, then the usual
-//! warm refit.
+//! each rule it returns: one coverage scan for the new bit, an RCT rebuilt
+//! from the history, then the usual warm refit.
 
 use crate::error::SirumError;
 use crate::gain::kl_from_parts;
@@ -26,7 +29,6 @@ use crate::rule::Rule;
 use crate::scaling::{iterative_scaling, ScalingConfig, ScalingOutcome};
 use sirum_dataflow::Engine;
 use sirum_table::{Frame, Table};
-use std::collections::BTreeMap;
 
 /// Configuration of the streaming maintainer.
 #[derive(Debug, Clone)]
@@ -50,31 +52,6 @@ impl Default for StreamingConfig {
     }
 }
 
-/// RCT sufficient statistics keyed by bit array; the `f64` is the group's
-/// `Σ m·ln m`, which makes the exact KL computable from group stats alone.
-/// BTreeMap, not a hash map: group order feeds Rct::from_partials and must
-/// not depend on mask insertion history (SL007).
-type Groups = BTreeMap<u64, (RctGroup, f64)>;
-
-/// Fold one tuple into the group of its bit array.
-fn fold_tuple(groups: &mut Groups, mask: u64, m: f64, mhat: f64) {
-    let (group, mlnm) = groups.entry(mask).or_insert((
-        RctGroup {
-            mask,
-            count: 0,
-            sum_m: 0.0,
-            sum_mhat: 0.0,
-        },
-        0.0,
-    ));
-    group.count += 1;
-    group.sum_m += m;
-    group.sum_mhat += mhat;
-    if m > 0.0 {
-        *mlnm += m * m.ln();
-    }
-}
-
 /// Incremental informative-rule maintainer.
 ///
 /// Measures must be nonnegative (the streaming setting cannot retroactively
@@ -92,7 +69,10 @@ pub struct StreamingMiner {
     cols: Vec<Vec<u32>>,
     measures: Vec<f64>,
     masks: Vec<u64>,
-    groups: Groups,
+    /// The RCT over the history, scaled in place by every refit.
+    rct: Rct,
+    /// `Σ m·ln m` over the history (rows with `m > 0`).
+    m_ln_m: f64,
 }
 
 impl StreamingMiner {
@@ -108,7 +88,8 @@ impl StreamingMiner {
             cols: (0..d).map(|_| Vec::new()).collect(),
             measures: Vec::new(),
             masks: Vec::new(),
-            groups: Groups::new(),
+            rct: Rct::default(),
+            m_ln_m: 0.0,
         }
     }
 
@@ -192,8 +173,8 @@ impl StreamingMiner {
         Ok(())
     }
 
-    /// Append one checked row: fold it into the group statistics under the
-    /// current rules and λ, and into the columnar history.
+    /// Append one checked row: fold it into its RCT group under the current
+    /// rules and λ, and into the columnar history.
     fn push_row(&mut self, row: &[u32], m: f64) {
         let mut mask = 0u64;
         for (i, rule) in self.rules.iter().enumerate() {
@@ -202,8 +183,10 @@ impl StreamingMiner {
                 self.m_sums[i] += m;
             }
         }
-        let mhat = mhat_for_mask(mask, &self.lambdas);
-        fold_tuple(&mut self.groups, mask, m, mhat);
+        self.rct.add([self.group_of_one(mask, m)]);
+        if m > 0.0 {
+            self.m_ln_m += m * m.ln();
+        }
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
         }
@@ -211,35 +194,47 @@ impl StreamingMiner {
         self.masks.push(mask);
     }
 
-    /// Re-run RCT scaling from the current multipliers.
+    /// One row as an RCT group, estimated under the current λ.
+    fn group_of_one(&self, mask: u64, m: f64) -> RctGroup {
+        RctGroup {
+            mask,
+            count: 1,
+            sum_m: m,
+            sum_mhat: mhat_for_mask(mask, &self.lambdas),
+        }
+    }
+
+    /// Re-run RCT scaling in place from the current multipliers. While
+    /// the history carries no mass (every measure 0) there is nothing to
+    /// fit: scaling toward a zero target would set `λ₀ = 0`, and no later
+    /// row could scale it back up. The model then waits, unconverged, for
+    /// the first positive measure.
     fn refit(&mut self) -> ScalingOutcome {
-        let mut rct = Rct::from_partials(self.groups.values().map(|(g, _)| *g));
-        let outcome = iterative_scaling(
-            &mut rct,
+        if self.m_sums[0] == 0.0 {
+            return ScalingOutcome {
+                iterations: 0,
+                converged: false,
+            };
+        }
+        iterative_scaling(
+            &mut self.rct,
             &self.m_sums,
             &mut self.lambdas,
             &self.cfg.scaling,
             None,
-        );
-        // Push the converged group estimates back into our statistics.
-        for g in rct.groups() {
-            if let Some((entry, _)) = self.groups.get_mut(&g.mask) {
-                entry.sum_mhat = g.sum_mhat;
-            }
-        }
-        outcome
+        )
     }
 
     /// Exact KL divergence of the current model, computed purely from the
-    /// maintained group statistics (tuples in one group share an estimate).
+    /// RCT and `Σ m·ln m` (tuples in one group share an estimate).
     pub fn kl(&self) -> f64 {
-        let mut s1 = 0.0;
+        let mut s1 = self.m_ln_m;
         let mut sum_m = 0.0;
         let mut sum_mhat = 0.0;
-        for (g, mlnm) in self.groups.values() {
+        for g in self.rct.groups() {
             let q = mhat_for_mask(g.mask, &self.lambdas);
             debug_assert!(q > 0.0);
-            s1 += mlnm - g.sum_m * q.ln();
+            s1 -= g.sum_m * q.ln();
             sum_m += g.sum_m;
             sum_mhat += g.sum_mhat;
         }
@@ -296,7 +291,8 @@ impl StreamingMiner {
 
     /// Append a rule to the model: update every historical tuple's bit
     /// array and sum the rule's `Σm` (one scan — unavoidable, the rule is
-    /// new), rebuild the group statistics, and re-fit with warm multipliers.
+    /// new), rebuild the RCT from the history, and re-fit with warm
+    /// multipliers.
     fn add_rule(&mut self, rule: Rule) {
         let bit = 1u64 << self.rules.len();
         // Columnar coverage test: only the rule's constant columns are read.
@@ -304,17 +300,16 @@ impl StreamingMiner {
         self.rules.push(rule);
         self.lambdas.push(1.0);
         let mut sum_m = 0.0;
-        let mut groups = Groups::new();
         for (i, &m) in self.measures.iter().enumerate() {
             if consts.iter().all(|&(j, v)| self.cols[j][i] == v) {
                 self.masks[i] |= bit;
                 sum_m += m;
             }
-            let mask = self.masks[i];
-            fold_tuple(&mut groups, mask, m, mhat_for_mask(mask, &self.lambdas));
         }
         self.m_sums.push(sum_m);
-        self.groups = groups;
+        self.rct = Rct::from_partials(
+            (self.masks.iter().zip(&self.measures)).map(|(&mask, &m)| self.group_of_one(mask, m)),
+        );
         self.refit();
     }
 }
@@ -322,6 +317,7 @@ impl StreamingMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sirum_table::generators;
 
     fn tight() -> StreamingConfig {
@@ -427,11 +423,11 @@ mod tests {
 
     #[test]
     fn row_order_does_not_change_the_model() {
-        // Regression (SL007): `groups` was a hash map, so the RCT group
-        // order Rct::from_partials saw depended on mask insertion
+        // Regression (SL007): the group statistics were once a hash map,
+        // so the RCT group order scaling saw depended on mask insertion
         // history — reordered rows could converge through a different
-        // group ordering and even break mining ties differently. The
-        // group order is now sorted by mask; only the ulp-level noise of
+        // group ordering and even break mining ties differently. The RCT
+        // keeps its groups sorted by mask; only the ulp-level noise of
         // within-group accumulation order may remain.
         let rows: Vec<(Vec<u32>, f64)> = (0..240)
             .map(|i| (vec![i % 4, i % 3, i % 5], f64::from(1 + i % 7)))
@@ -568,5 +564,106 @@ mod tests {
             Err(SirumError::InvalidConfig { field, .. }) if field == "stream.row"
         ));
         assert!(sm.is_empty());
+    }
+
+    #[test]
+    fn scripted_stream_is_pinned_bit_for_bit() {
+        // A seed table, batches of 1, 7 and 300 rows, two mined rules and
+        // one more batch: rules, λ and every estimate keep their bits;
+        // `kl()` sums terms that mostly cancel, so a change to its
+        // summation order may move it, within 1e-12 relative.
+        let engine = Engine::in_memory();
+        let seed = generators::income_like(1_000, 2016);
+        let more = generators::income_like(400, 7);
+        let owned: Vec<Vec<u32>> = more.rows().collect();
+        let batch = |from: usize, to: usize| -> Vec<(&[u32], f64)> {
+            (from..to)
+                .map(|i| (owned[i].as_slice(), more.measure(i)))
+                .collect()
+        };
+        let mut sm = StreamingMiner::new(seed.num_dims(), tight());
+        sm.ingest_table(&seed).unwrap();
+        for (from, to) in [(0, 1), (1, 8), (8, 308)] {
+            sm.ingest(&batch(from, to)).unwrap();
+        }
+        assert_eq!(sm.mine_more(&engine, 2).unwrap().len(), 2);
+        sm.ingest(&batch(308, 400)).unwrap();
+
+        let mut h = sirum_table::fingerprint::Fnv64::new();
+        for rule in sm.rules() {
+            rule.values().iter().for_each(|&v| h.write_u32(v));
+        }
+        sm.lambdas().iter().for_each(|&l| h.write_f64(l));
+        (0..sm.len()).for_each(|i| h.write_f64(sm.estimate(i)));
+        let got = h.finish();
+        assert_eq!(got, 0x2b78_0852_7573_c1c3, "{got:#018x}");
+        let pinned_kl = f64::from_bits(0x3ff6_047e_4637_9af8);
+        let kl = sm.kl();
+        assert!(
+            (kl - pinned_kl).abs() <= 1e-12 * pinned_kl.abs(),
+            "{kl:e} ({:#018x}) vs {pinned_kl:e}",
+            kl.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_massless_prefix_does_not_poison_the_model() {
+        // Regression: a first batch of zero measures scaled λ₀ to 0 (a
+        // debug-assert panic; NaN multipliers in release once mass came).
+        let mut sm = StreamingMiner::new(2, tight());
+        let zeros = [(&[0u32, 1][..], 0.0), (&[1u32, 0][..], 0.0)];
+        assert!(!sm.ingest(&zeros).unwrap().converged);
+        assert_eq!(sm.kl(), 0.0);
+        let rows = [(&[0u32, 1][..], 3.0), (&[1u32, 1][..], 1.0)];
+        assert!(sm.ingest(&rows).unwrap().converged);
+        assert!((sm.lambdas()[0] - 1.0).abs() < 1e-8, "{:?}", sm.lambdas());
+        let mhat: Vec<f64> = (0..sm.len()).map(|i| sm.estimate(i)).collect();
+        let direct = crate::gain::kl_divergence(&[0.0, 0.0, 3.0, 1.0], &mhat);
+        assert!((sm.kl() - direct).abs() < 1e-9, "{} vs {direct}", sm.kl());
+    }
+
+    /// Every group of the stream's RCT as `(mask, count, Σm bits)`.
+    fn group_bits(rct: &Rct) -> Vec<(u64, u64, u64)> {
+        (rct.groups().iter())
+            .map(|g| (g.mask, g.count, g.sum_m.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stream_rct_matches_a_fresh_build_over_its_history(
+            (rows, steps) in (1usize..=4).prop_flat_map(|d| (
+                prop::collection::vec(
+                    (prop::collection::vec(0u32..3, d), prop_oneof![Just(0.0), 0.0f64..10.0]),
+                    1..120,
+                ),
+                prop::collection::vec((1usize..40, any::<bool>()), 1..8),
+            ))
+        ) {
+            // Random batch splits, each batch optionally followed by one
+            // mined rule: after every step the RCT the stream folded row by
+            // row (and scaled in place) groups its history exactly as
+            // `Rct::build` over the history does.
+            let engine = Engine::in_memory();
+            let d = rows[0].0.len();
+            let mut sm = StreamingMiner::new(d, tight());
+            let mut at = 0;
+            for (len, mine) in steps {
+                let batch: Vec<(&[u32], f64)> = (rows[at..(at + len).min(rows.len())].iter())
+                    .map(|(r, m)| (r.as_slice(), *m))
+                    .collect();
+                at = (at + len).min(rows.len());
+                sm.ingest(&batch).unwrap();
+                let fresh = Rct::build(&sm.masks, &sm.measures, &vec![1.0; sm.len()]);
+                prop_assert_eq!(group_bits(&sm.rct), group_bits(&fresh));
+                if mine {
+                    sm.mine_more(&engine, 1).unwrap();
+                    let fresh = Rct::build(&sm.masks, &sm.measures, &vec![1.0; sm.len()]);
+                    prop_assert_eq!(group_bits(&sm.rct), group_bits(&fresh));
+                }
+            }
+        }
     }
 }

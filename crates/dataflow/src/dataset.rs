@@ -162,15 +162,6 @@ impl<T: Record> Dataset<T> {
         self.map_partitions(label, move |_, data| data.iter().map(&f).collect())
     }
 
-    /// Element-to-many transformation.
-    pub fn flat_map<U: Record, I, F>(&self, label: &str, f: F) -> Dataset<U>
-    where
-        I: IntoIterator<Item = U>,
-        F: Fn(&T) -> I + Send + Sync,
-    {
-        self.map_partitions(label, move |_, data| data.iter().flat_map(&f).collect())
-    }
-
     /// Partition-granular aggregation with a **deterministic,
     /// partition-ordered reduction**: `per_part` maps each whole partition
     /// to an accumulator (tasks run in parallel on the engine's thread
@@ -475,8 +466,10 @@ mod tests {
         let d = e.parallelize((0..100u32).collect(), 7);
         let out = d
             .map("x2", |&x| x * 2)
-            .flat_map("even-hundreds", |&x| (x % 10 == 0).then_some(x))
-            .flat_map("dup", |&x| vec![x, x])
+            .map_partitions("even-hundreds", |_, xs| {
+                xs.iter().copied().filter(|x| x % 10 == 0).collect()
+            })
+            .map_partitions("dup", |_, xs| xs.iter().flat_map(|&x| [x, x]).collect())
             .collect();
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&x| x % 10 == 0));
@@ -656,7 +649,9 @@ mod tests {
     fn stage_metrics_count_records() {
         let e = engine();
         let d = e.parallelize((0..50u32).collect(), 5);
-        let _ = d.flat_map("triple", |&x| [x, x, x]);
+        let _ = d.map_partitions("triple", |_, xs| {
+            xs.iter().flat_map(|&x| [x, x, x]).collect()
+        });
         let stage = e.metrics().stages().pop().unwrap();
         assert_eq!(stage.tasks.iter().map(|t| t.records_in).sum::<u64>(), 50);
         assert_eq!(stage.tasks.iter().map(|t| t.records_out).sum::<u64>(), 150);

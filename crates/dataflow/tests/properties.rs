@@ -61,7 +61,7 @@ proptest! {
         let ds = e.parallelize(data.clone(), partitions);
         let out = ds
             .map("m", |&x| x.wrapping_mul(3))
-            .flat_map("f", |&x| (x % 2 == 0).then_some(x))
+            .map_partitions("f", |_, xs| xs.iter().copied().filter(|x| x % 2 == 0).collect())
             .collect();
         let expect: Vec<u32> = data
             .iter()

@@ -874,17 +874,7 @@ impl SirumService {
     pub fn stream(&self, table: &str) -> Result<IngestHandle, SirumError> {
         let entry = self.entry(table)?;
         let d = entry.table.num_dims();
-        if d > sirum_core::lattice::MAX_EXPAND_BITS {
-            return Err(SirumError::invalid_config(
-                "table.dims",
-                format!(
-                    "{d} dimension attributes imply 2^{d} candidate rules per \
-                     tuple lattice, beyond the 2^{} expansion limit; project \
-                     the table first",
-                    sirum_core::lattice::MAX_EXPAND_BITS
-                ),
-            ));
-        }
+        sirum_core::lattice::check_expandable(d)?;
         let mut miner = StreamingMiner::new(d, StreamingConfig::default());
         miner.ingest_table(&entry.table)?;
         Ok(IngestHandle {
