@@ -10,7 +10,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![allow(clippy::must_use_candidate)]
 
 pub mod sarawagi;
 

@@ -728,7 +728,10 @@ impl Miner {
     ///
     /// A cancellation token stops the fit between two λ updates; the next
     /// boundary poll of the mining loop then ends the run.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the mining loop's own state, borrowed piecewise; a struct would exist for this one call"
+    )]
     fn run_scaling(
         &self,
         data: &mut MiningData,

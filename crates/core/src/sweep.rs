@@ -778,7 +778,10 @@ impl SlotIndex {
                 _ => b = (b + 1) & mask,
             }
         }
-        // lint:allow(SL001) — internal expansion-size invariant (slot ids are u32s), not user-reachable
+        #[expect(
+            clippy::expect_used,
+            reason = "internal expansion-size invariant (slot ids are u32s), not user-reachable"
+        )]
         let next = u32::try_from(keys.len() + 1).expect("under 2^32 candidates");
         keys.push(key);
         self.buckets[b] = next;

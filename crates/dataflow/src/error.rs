@@ -72,8 +72,9 @@ impl DataflowError {
 /// bridge backing the crate's infallible convenience constructors
 /// (e.g. [`crate::Engine::new`] for trusted, default configurations).
 #[track_caller]
+#[expect(clippy::panic, reason = "sole bridge for infallible wrappers")]
 pub(crate) fn fail(err: DataflowError) -> ! {
-    panic!("{err}") // lint:allow(SL001) — sole bridge for infallible wrappers
+    panic!("{err}")
 }
 
 #[cfg(test)]

@@ -454,7 +454,10 @@ impl BlockStore {
                 self.sample_locked(&mut inner);
             }
             if let Some(file) = block.file {
-                // lint:allow(SL008) — freeing a block must not fail; a stranded spill file is reclaimed by cleanup()
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "freeing a block must not fail; a stranded spill file is reclaimed by cleanup()"
+                )]
                 let _ = std::fs::remove_file(file);
             }
         }
@@ -500,7 +503,10 @@ impl BlockStore {
 
     /// Best-effort removal of all spill files.
     pub fn cleanup(&self) {
-        // lint:allow(SL008) — documented best-effort teardown; the spill dir lives under a temp root the OS reclaims
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "documented best-effort teardown; the spill dir lives under a temp root the OS reclaims"
+        )]
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
@@ -667,7 +673,7 @@ mod tests {
             })
         ));
         assert!(!s.is_poisoned(), "take_poison clears the pending error");
-        let _ = std::fs::remove_file(&blocker);
+        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![allow(clippy::must_use_candidate)]
 
 use std::io::Write;
 use std::path::PathBuf;

@@ -1,21 +1,15 @@
-//! SL001 positives. tests/fixtures.rs asserts the exact positions below.
+//! SL001 positives: bare asserts. tests/fixtures.rs asserts the exact
+//! positions below. `panic!`, `todo!`, `unimplemented!`, `.unwrap()` and
+//! `.expect(…)` are clippy's; sl001_ok.rs holds them.
 
-pub fn p1() {
-    panic!("line 4, col 5");
+pub fn p1(a: u32) {
+    assert!(a > 0); // line 6, col 5
 }
 
-pub fn p2(x: Option<u32>) -> u32 {
-    x.unwrap() // line 8, col 7
+pub fn p2(a: u32, b: u32) {
+    assert_eq!(a, b); // line 10, col 5
 }
 
-pub fn p3(x: Option<u32>) -> u32 {
-    x.expect("line 12, col 7")
-}
-
-pub fn p4(a: u32) {
-    assert!(a > 0); // line 16, col 5
-}
-
-pub fn p5() {
-    todo!() // line 20, col 5
+pub fn p3(a: u32, b: u32) {
+    assert_ne!(a, b); // line 14, col 5
 }

@@ -1,9 +1,10 @@
-//! SL001 negatives: everything here is legal in library code.
+//! SL001 negatives: everything here is legal in library code, as far as
+//! sirum-lint is concerned.
 
-/// Doc text may say panic!, unwrap(), expect(…) freely.
+/// Doc text may say assert!, panic!, unwrap(), expect(…) freely.
 pub fn near_misses(x: Option<u32>) -> Option<u32> {
     let s = "panic! unwrap() expect( assert!"; // strings are opaque
-    let r = r#"panic!("raw")"#; // raw strings too
+    let r = r#"assert!(false)"#; // raw strings too
     debug_assert!(!s.is_empty()); // internal invariant, out of scope
     let y = x.unwrap_or(0); // unwrap_or is not unwrap
     let z = x.unwrap_or_else(|| y); // nor is unwrap_or_else
@@ -13,21 +14,38 @@ pub fn near_misses(x: Option<u32>) -> Option<u32> {
     x.map(|v| v + z)
 }
 
-pub fn blessed(x: Option<u32>) -> u32 {
-    x.unwrap() // lint:allow(SL001) — fixture: reasoned same-line pragma
+/// clippy's `panic`, `todo`, `unimplemented`, `unwrap_used` and
+/// `expect_used` own these forms; SL001 stays silent, so the two tools
+/// never report one site.
+#[expect(clippy::panic, reason = "fixture: the attribute is not a call")]
+pub fn clippys(x: Option<u32>) -> u32 {
+    if x.is_none() {
+        panic!("clippy::panic");
+    }
+    if x == Some(1) {
+        todo!()
+    }
+    if x == Some(2) {
+        unimplemented!()
+    }
+    x.expect("clippy::expect_used") + x.unwrap()
 }
 
-pub fn blessed_above() {
+pub fn blessed(a: u32) {
+    assert!(a > 0); // lint:allow(SL001) — fixture: reasoned same-line pragma
+}
+
+pub fn blessed_above(a: u32, b: u32) {
     // lint:allow(SL001) — fixture: reasoned line-above pragma
-    panic!("suppressed by the pragma directly above");
+    assert_eq!(a, b);
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_unwrap() {
+    fn tests_may_assert() {
         let v: Option<u32> = Some(3);
         assert_eq!(v.unwrap(), 3);
-        v.expect("fine in tests");
+        assert!(v.is_some());
     }
 }

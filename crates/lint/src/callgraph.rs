@@ -2,10 +2,10 @@
 //! graph, and the lock-order graph SL006 walks for cycles.
 //!
 //! A [`FileSummary`] is the digest of one file — fn names, impl types,
-//! return shapes, call sites, lock acquisitions with held extents, and
-//! discard sites. It is everything the cross-file rules need, and
-//! nothing tied to live token indices, so the workspace phase owns its
-//! input outright once the per-file phase has dropped tokens and source.
+//! call sites and lock acquisitions with held extents. It is everything
+//! the cross-file rule needs, and nothing tied to live token indices, so
+//! the workspace phase owns its input outright once the per-file phase
+//! has dropped tokens and source.
 //!
 //! Resolution is name-based: a free call resolves when exactly one
 //! workspace fn bears the name; a method call when exactly one impl
@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::jsonio::{self, n, obj, s, Value};
 use crate::locks;
-use crate::resolve::{self, Discard, FileSymbols};
+use crate::resolve::FileSymbols;
 use crate::syntax::SourceFile;
 
 /// One lock acquisition inside a fn (summary form).
@@ -61,8 +61,6 @@ pub struct FnNode {
     pub impl_type: Option<String>,
     /// 1-based line of the fn name.
     pub line: u32,
-    /// Whether the return type mentions `Result`.
-    pub returns_result: bool,
     /// Whether the fn is test code.
     pub is_test: bool,
     /// Lock acquisitions, in token order.
@@ -81,8 +79,6 @@ pub struct FileSummary {
     pub rel_path: String,
     /// Every fn, in source order.
     pub fns: Vec<FnNode>,
-    /// Discard sites (SL008's raw material).
-    pub discards: Vec<Discard>,
 }
 
 impl FileSummary {
@@ -136,7 +132,6 @@ impl FileSummary {
                 name: f.name.clone(),
                 impl_type: f.impl_type.clone(),
                 line: f.line,
-                returns_result: f.returns_result,
                 is_test: f.is_test,
                 acquires,
                 calls,
@@ -146,7 +141,6 @@ impl FileSummary {
         FileSummary {
             rel_path: file.rel_path.clone(),
             fns,
-            discards: resolve::discards(file),
         }
     }
 }
@@ -259,8 +253,6 @@ const STD_METHOD_COLLISIONS: &[&str] = &[
 pub struct Workspace {
     /// Per-file summaries, in driver order (sorted by path).
     pub files: Vec<FileSummary>,
-    /// name → fns, all kinds (SL008's return-type oracle).
-    by_name: BTreeMap<String, Vec<FnId>>,
     /// name → method fns (those with an impl type).
     methods: BTreeMap<String, Vec<FnId>>,
     /// name → free fns.
@@ -276,7 +268,6 @@ impl Workspace {
     pub fn build(files: Vec<FileSummary>) -> Workspace {
         let mut ws = Workspace {
             files,
-            by_name: BTreeMap::new(),
             methods: BTreeMap::new(),
             free: BTreeMap::new(),
             typed: BTreeMap::new(),
@@ -285,7 +276,6 @@ impl Workspace {
         for (fi, file) in ws.files.iter().enumerate() {
             for (ni, f) in file.fns.iter().enumerate() {
                 let id = (fi, ni);
-                ws.by_name.entry(f.name.clone()).or_default().push(id);
                 if f.is_test {
                     // Test fns are not resolution targets: library code
                     // cannot call them, and their lock usage is scoped to
@@ -311,11 +301,6 @@ impl Workspace {
     /// The fn behind an id.
     pub fn fn_node(&self, id: FnId) -> &FnNode {
         &self.files[id.0].fns[id.1]
-    }
-
-    /// Every workspace fn with this name (including tests).
-    pub fn fns_named(&self, name: &str) -> &[FnId] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Resolve one call site to a unique workspace fn, or `None`.
@@ -557,7 +542,6 @@ impl Workspace {
                     ),
                     ("line", n(f.line)),
                     ("is_test", Value::Bool(f.is_test)),
-                    ("returns_result", Value::Bool(f.returns_result)),
                     (
                         "acquires",
                         Value::Arr(f.acquires.iter().map(|a| s(&a.lock)).collect()),
@@ -817,7 +801,10 @@ mod tests {
              impl C { fn helper(&self) { let g = self.deep.lock(); g.t(); } }\n\
              fn bottom() { c().helper(); }\n",
         )]);
-        let top = w.fns_named("top")[0];
+        let top = (
+            0,
+            w.files[0].fns.iter().position(|f| f.name == "top").unwrap(),
+        );
         let locks = w.locks_of(top);
         assert_eq!(locks.len(), 1, "{locks:?}");
         assert!(locks[0].ends_with("deep"));

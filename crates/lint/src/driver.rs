@@ -5,7 +5,7 @@
 //! SL004, SL007), producing a [`FileAnalysis`] — raw findings, pragmas,
 //! and the [`FileSummary`] digest the workspace layer needs. Phase 2 runs
 //! once: summaries → [`Workspace`] (call graph, lock propagation) →
-//! workspace rules (SL006, SL008). Suppression and pragma hygiene run
+//! workspace rules (SL006). Suppression and pragma hygiene run
 //! last, over the *combined* findings, so a pragma blessing a workspace
 //! finding is "used" and a pragma blessing nothing is stale.
 //!
@@ -458,8 +458,9 @@ fn hygiene(a: &FileAnalysis, out: &mut Vec<Finding>) {
                 line: p.line,
                 col: p.col,
                 message: format!(
-                    "pragma cites unknown rule code(s) {}; known codes are SL001..SL008",
-                    p.unknown_codes.join(", ")
+                    "pragma cites unknown rule code(s) {}; known codes are {}",
+                    p.unknown_codes.join(", "),
+                    rules::CODES.join(", ")
                 ),
             });
         }
@@ -486,14 +487,14 @@ mod tests {
 
     #[test]
     fn reasoned_pragma_suppresses_and_is_not_stale() {
-        let src = "fn f() { x.unwrap(); // lint:allow(SL001) — invariant: x set in new()\n}\n";
+        let src = "fn f() { assert!(x); // lint:allow(SL001) — invariant: x set in new()\n}\n";
         let r = check_one("crates/core/src/x.rs", src);
         assert!(r.is_clean(), "unexpected: {:?}", r.findings);
     }
 
     #[test]
     fn reasonless_pragma_suppresses_nothing_and_is_flagged() {
-        let src = "fn f() { x.unwrap(); // lint:allow(SL001)\n}\n";
+        let src = "fn f() { assert!(x); // lint:allow(SL001)\n}\n";
         let r = check_one("crates/core/src/x.rs", src);
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"SL001"));
@@ -510,6 +511,21 @@ mod tests {
     }
 
     #[test]
+    fn unknown_code_is_flagged_with_the_registered_codes() {
+        let src = "fn f() { y(); } // lint:allow(SL008) — retired rule\n";
+        let r = check_one("crates/core/src/x.rs", src);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "SL000");
+        assert!(
+            r.findings[0]
+                .message
+                .ends_with("known codes are SL001, SL002, SL003, SL004, SL006, SL007"),
+            "{}",
+            r.findings[0].message
+        );
+    }
+
+    #[test]
     fn legacy_marker_is_flagged() {
         let src = "fn f() { y(); } // lint:allow-panic — old form\n";
         let r = check_one("crates/core/src/x.rs", src);
@@ -520,14 +536,14 @@ mod tests {
 
     #[test]
     fn out_of_scope_paths_get_no_sl001() {
-        let src = "fn f() { x.unwrap(); panic!(\"harness\"); }\n";
+        let src = "fn f() { assert!(x); assert_eq!(a, b); }\n";
         let r = check_one("crates/figures/src/x.rs", src);
         assert!(r.findings.is_empty(), "findings: {:?}", r.findings);
     }
 
     #[test]
     fn report_json_has_findings_and_stats() {
-        let src = "fn f() { panic!(\"no\"); }\n";
+        let src = "fn f() { assert!(ok); }\n";
         let r = check_one("src/lib.rs", src);
         let json = r.to_json();
         assert!(json.contains("\"rule\":\"SL001\""));
@@ -537,23 +553,30 @@ mod tests {
 
     #[test]
     fn findings_sorted_by_position() {
-        let src = "fn f() { b.unwrap(); }\nfn g() { panic!(\"x\"); }\n";
+        let src = "fn f() { assert!(b); }\nfn g() { assert_eq!(x, 1); }\n";
         let r = check_one("src/lib.rs", src);
         assert_eq!(r.findings.len(), 2);
         assert!(r.findings[0].line < r.findings[1].line);
     }
 
+    /// An ABBA inversion: `fwd` holds `a` and takes `b`, `back` the reverse.
+    /// SL006 anchors the cycle at line 3, `fwd`'s outer acquisition.
+    const INVERSION: &str = "struct P { a: Mutex<u32>, b: Mutex<u32> }\nimpl P {\n\
+        fn fwd(&self) { let g = self.a.lock();{}\n let h = self.b.lock(); drop(h); drop(g); }\n\
+        fn back(&self) { let g = self.b.lock(); let h = self.a.lock(); drop(h); drop(g); }\n}\n";
+
     #[test]
     fn workspace_findings_flow_through_pragmas() {
-        // SL008 is a workspace rule; a reasoned pragma on the discard
-        // line must suppress it and count as used.
-        let src = "fn f() { let _ = h.join(); // lint:allow(SL008) — best-effort teardown\n}\n";
-        let r = check_one("crates/core/src/x.rs", src);
+        // SL006 is a workspace rule; a reasoned pragma on the anchor line
+        // must suppress it and count as used.
+        let blessed = INVERSION.replace("{}", " // lint:allow(SL006) — fixture: intended order");
+        let r = check_one("src/x.rs", &blessed);
         assert!(r.is_clean(), "unexpected: {:?}", r.findings);
-        let bare = "fn f() { let _ = h.join(); }\n";
-        let r = check_one("crates/core/src/x.rs", bare);
-        assert_eq!(r.findings.len(), 1);
-        assert_eq!(r.findings[0].rule, "SL008");
+        let bare = INVERSION.replace("{}", "");
+        let r = check_one("src/x.rs", &bare);
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].rule, "SL006");
+        assert_eq!(r.findings[0].line, 3);
     }
 
     #[test]
@@ -561,11 +584,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sirum-lint-tree-test-{}", std::process::id()));
         let src_dir = dir.join("src");
         fs::create_dir_all(&src_dir).expect("mkdir");
-        fs::write(
-            src_dir.join("lib.rs"),
-            "pub fn f() { x.unwrap(); }\npub fn g() { let _ = h.join(); }\n",
-        )
-        .expect("write");
+        let src = format!(
+            "pub fn f() {{ assert!(x); }}\n{}",
+            INVERSION.replace("{}", "")
+        );
+        fs::write(src_dir.join("lib.rs"), src).expect("write");
         let listing = |d: &Path| {
             let mut names: Vec<_> = fs::read_dir(d)
                 .expect("read_dir")
@@ -579,7 +602,7 @@ mod tests {
         let second = analyze_tree(&dir).expect("second run");
         assert_eq!(before, (listing(&dir), listing(&src_dir)));
         let rules: Vec<&str> = first.report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["SL001", "SL008"]);
+        assert_eq!(rules, vec!["SL001", "SL006"]);
         assert_eq!(first.report.findings, second.report.findings);
         fs::remove_dir_all(&dir).expect("cleanup");
     }

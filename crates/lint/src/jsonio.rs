@@ -6,7 +6,6 @@
 //! [`json_escape`].
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::diag::json_escape;
 
@@ -41,9 +40,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Value::Num(n) => out.push_str(&n.to_string()),
             Value::Str(s) => {
                 out.push('"');
                 out.push_str(&json_escape(s));

@@ -1,12 +1,14 @@
 //! sirum-lint: a hand-rolled, zero-dependency static-analysis pass that
-//! enforces the workspace's own invariants — panic-freedom in library
-//! code (SL001), cancellation polling in data-scale loops (SL002), no
-//! lock guard live across blocking calls (SL003), accept-loop purity
-//! (SL004), no lock-order inversion across the call graph (SL006), no
-//! nondeterministic hash-order leaking into output (SL007), and no
-//! silently discarded `Result` (SL008). No `unsafe` is rustc's job:
-//! every crate root under `src/` and `crates/*/src/` carries
-//! `#![forbid(unsafe_code)]`.
+//! enforces the workspace invariants the toolchain cannot — no bare
+//! `assert!` in library code (SL001), cancellation polling in data-scale
+//! loops (SL002), no lock guard live across blocking calls (SL003),
+//! accept-loop purity (SL004), no lock-order inversion across the call
+//! graph (SL006) and no nondeterministic hash-order leaking into output
+//! (SL007). The rest is the toolchain's: every crate root under `src/`
+//! and `crates/*/src/` carries `#![forbid(unsafe_code)]`, and the library
+//! roots turn on clippy's `panic`, `todo`, `unimplemented`, `unwrap_used`,
+//! `expect_used`, `let_underscore_must_use` and `unused_result_ok`, with
+//! every suppression a reasoned `#[expect]`.
 //! See DESIGN.md "Enforced invariants" for the rule-by-rule rationale.
 //!
 //! Pipeline: [`lexer`] (total, tiling Rust lexer) → [`syntax`]
@@ -21,6 +23,17 @@
 //! the graph artifacts and the pragma inventory.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod callgraph;
 pub mod diag;

@@ -1,14 +1,12 @@
 //! Symbol resolution: the per-file item table the semantic layer is built
 //! on. One pass over a [`SourceFile`] yields:
 //!
-//! * every `fn` with its enclosing `impl` type, return-type shape (does it
-//!   yield a `Result`?), test-ness, and the call sites in its body,
+//! * every `fn` with its enclosing `impl` type, test-ness, and the call
+//!   sites in its body,
 //! * `use … as …` aliases and local `type` aliases,
 //! * the set of *hash-typed names* (locals, fields, params whose type or
 //!   initializer names a `HashMap`/`HashSet`/`FxHashMap`/`FxHashSet`,
-//!   directly or through a local `type` alias) — SL007's seed set,
-//! * discard sites (`let _ = …;` and terminal `.ok();`) — SL008's seed
-//!   set, with the callee recorded for workspace-level return-type lookup.
+//!   directly or through a local `type` alias) — SL007's seed set.
 //!
 //! Everything here is name-based token analysis — no type inference. That
 //! is exact for this workspace's style (locks and hash containers live in
@@ -57,8 +55,6 @@ pub struct FnSym {
     pub fn_idx: usize,
     /// 1-based line of the name.
     pub line: u32,
-    /// Whether the declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Whether the fn sits inside a `#[cfg(test)]`/`#[test]` span.
     pub is_test: bool,
     /// Body span (significant-token indices), when present.
@@ -76,35 +72,6 @@ pub struct UseAlias {
     pub alias: String,
     /// The last path segment it renames.
     pub target: String,
-}
-
-/// What a discard site throws away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscardKind {
-    /// `let _ = expr;`
-    LetUnderscore,
-    /// A statement-terminal `.ok();`
-    OkDiscard,
-}
-
-/// One discarded value (`let _ = …;` / `….ok();`).
-#[derive(Debug, Clone)]
-pub struct Discard {
-    /// Shape of the discard.
-    pub kind: DiscardKind,
-    /// Last depth-0 callee in the discarded expression, if any.
-    pub callee: Option<String>,
-    /// The callee's path qualifier (for std-path exemptions).
-    pub qualifier: Option<String>,
-    /// True when the expression is a `write!`/`writeln!` fmt-to-buffer
-    /// macro or a `fmt::Write` call — infallible by construction here.
-    pub fmt_exempt: bool,
-    /// True inside test code.
-    pub is_test: bool,
-    /// 1-based position of the discard anchor.
-    pub line: u32,
-    /// 1-based byte column.
-    pub col: u32,
 }
 
 /// The per-file symbol table.
@@ -145,7 +112,6 @@ impl FileSymbols {
                 impl_type,
                 fn_idx,
                 line,
-                returns_result: returns_result(file, info.params.1, info.body),
                 is_test: file.in_test(offset),
                 body: info.body,
                 calls,
@@ -178,7 +144,6 @@ fn impl_spans(file: &SourceFile) -> Vec<(String, usize, usize)> {
         let mut j = i + 1;
         let mut angle = 0i32;
         let mut ty: Option<String> = None;
-        let mut after_for = false;
         let mut open = None;
         while j < file.sig.len() {
             let text = file.sig_text(j);
@@ -190,10 +155,7 @@ fn impl_spans(file: &SourceFile) -> Vec<(String, usize, usize)> {
                     break;
                 }
                 ";" if angle <= 0 => break,
-                "for" if angle <= 0 => {
-                    after_for = true;
-                    ty = None;
-                }
+                "for" if angle <= 0 => ty = None,
                 _ => {
                     if ty.is_none()
                         && angle <= 0
@@ -212,7 +174,6 @@ fn impl_spans(file: &SourceFile) -> Vec<(String, usize, usize)> {
                             k += 3;
                         }
                         ty = Some(file.sig_text(k).to_string());
-                        let _ = after_for;
                     }
                 }
             }
@@ -225,28 +186,6 @@ fn impl_spans(file: &SourceFile) -> Vec<(String, usize, usize)> {
         }
     }
     spans
-}
-
-/// Does the token stretch between the params' `)` and the body carry a
-/// `-> … Result … ` return type?
-fn returns_result(file: &SourceFile, params_close: usize, body: Option<(usize, usize)>) -> bool {
-    let end = body.map(|(open, _)| open).unwrap_or_else(|| {
-        let mut k = params_close + 1;
-        while k < file.sig.len() && file.sig_text(k) != ";" {
-            k += 1;
-        }
-        k
-    });
-    let mut saw_arrow = false;
-    for j in params_close + 1..end {
-        match file.sig_text(j) {
-            ">" if file.sig_text(j.wrapping_sub(1)) == "-" => saw_arrow = true,
-            "where" => break,
-            "Result" if saw_arrow => return true,
-            _ => {}
-        }
-    }
-    false
 }
 
 /// Call sites in `[start, end)`: `.name(…)` method calls and `name(…)` /
@@ -411,107 +350,6 @@ fn aliases(file: &SourceFile) -> Vec<UseAlias> {
     out
 }
 
-/// Extract every discard site in the file (SL008's raw material).
-pub fn discards(file: &SourceFile) -> Vec<Discard> {
-    let mut out = Vec::new();
-    for i in 0..file.sig.len() {
-        // `let _ = expr ;`
-        if file.sig_is_ident(i, "let") && file.sig_text(i + 1) == "_" && file.sig_text(i + 2) == "="
-        {
-            let offset = file.sig_offset(i);
-            let (line, col) = file.pos(offset);
-            let end = locks::forward_to(file, i + 2, ";");
-            let mut callee: Option<(String, Option<String>)> = None;
-            let mut fmt_exempt = false;
-            let mut depth = 0i32;
-            for j in i + 3..end {
-                match file.sig_text(j) {
-                    "(" | "[" | "{" => {
-                        depth += 1;
-                        continue;
-                    }
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        continue;
-                    }
-                    _ => {}
-                }
-                if depth != 0 {
-                    continue;
-                }
-                if matches!(file.sig_kind(j), Some(TokenKind::Ident)) {
-                    let name = file.sig_text(j);
-                    if file.sig_text(j + 1) == "!" {
-                        if name == "write" || name == "writeln" {
-                            fmt_exempt = true;
-                        }
-                    } else if file.sig_text(j + 1) == "(" && !CALL_KEYWORDS.contains(&name) {
-                        let mut qualifier = None;
-                        if j >= 3 && file.sig_text(j - 1) == ":" && file.sig_text(j - 2) == ":" {
-                            qualifier = Some(file.sig_text(j - 3).to_string());
-                        }
-                        // `std::fmt::Write::write_fmt` and friends write
-                        // into in-memory buffers; treat any `fmt`-path
-                        // call as the infallible formatting idiom.
-                        if path_mentions_fmt(file, j) {
-                            fmt_exempt = true;
-                        }
-                        callee = Some((name.to_string(), qualifier));
-                    }
-                }
-            }
-            let (callee, qualifier) = match callee {
-                Some((n, q)) => (Some(n), q),
-                None => (None, None),
-            };
-            out.push(Discard {
-                kind: DiscardKind::LetUnderscore,
-                callee,
-                qualifier,
-                fmt_exempt,
-                is_test: file.in_test(offset),
-                line,
-                col,
-            });
-        }
-        // Statement-terminal `.ok();`
-        if file.sig_is_ident(i, "ok")
-            && i > 0
-            && file.sig_text(i - 1) == "."
-            && file.sig_text(i + 1) == "("
-            && file.sig_text(i + 2) == ")"
-            && file.sig_text(i + 3) == ";"
-        {
-            let offset = file.sig_offset(i);
-            let (line, col) = file.pos(offset);
-            out.push(Discard {
-                kind: DiscardKind::OkDiscard,
-                callee: None,
-                qualifier: None,
-                fmt_exempt: false,
-                is_test: file.in_test(offset),
-                line,
-                col,
-            });
-        }
-    }
-    out
-}
-
-/// Does the `::`-path ending at the call name `j` mention `fmt` or
-/// `Write` (the `std::fmt::Write::write_fmt` idiom)?
-fn path_mentions_fmt(file: &SourceFile, j: usize) -> bool {
-    let mut k = j;
-    while k >= 3 && file.sig_text(k - 1) == ":" && file.sig_text(k - 2) == ":" {
-        k -= 3;
-        let seg = file.sig_text(k);
-        if seg == "fmt" || seg == "Write" {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,8 +369,6 @@ mod tests {
         assert_eq!(s.fns[0].impl_type.as_deref(), Some("Frame"));
         assert_eq!(s.fns[1].impl_type.as_deref(), Some("Wide"));
         assert_eq!(s.fns[2].impl_type, None);
-        assert!(!s.fns[0].returns_result);
-        assert!(s.fns[2].returns_result);
     }
 
     #[test]
@@ -583,22 +419,5 @@ mod tests {
         assert_eq!(s.aliases.len(), 1);
         assert_eq!(s.aliases[0].alias, "Alias");
         assert_eq!(s.aliases[0].target, "Thing");
-    }
-
-    #[test]
-    fn discards_classified() {
-        let f = SourceFile::parse(
-            "crates/core/src/x.rs",
-            "fn f() { let _ = handle.join(); let _ = quiet; let _ = write!(s, \"x\");\n\
-             let _ = std::fmt::Write::write_fmt(&mut o, args); r.ok(); }\n",
-        );
-        let d = discards(&f);
-        assert_eq!(d.len(), 5);
-        assert_eq!(d[0].callee.as_deref(), Some("join"));
-        assert!(!d[0].fmt_exempt);
-        assert_eq!(d[1].callee, None);
-        assert!(d[2].fmt_exempt);
-        assert!(d[3].fmt_exempt);
-        assert_eq!(d[4].kind, DiscardKind::OkDiscard);
     }
 }

@@ -3,7 +3,7 @@
 //! relative path, runs `check`, then applies pragma suppression.
 //!
 //! Adding a rule: create `rules/slNNN.rs` implementing [`Rule`], register
-//! it in [`all`] and [`known_rule`], add `fixtures/slNNN_{bad,ok}.rs` with
+//! it in [`all`] and [`CODES`], add `fixtures/slNNN_{bad,ok}.rs` with
 //! a case in `tests/fixtures.rs`, and document the invariant in DESIGN.md.
 
 use crate::callgraph::Workspace;
@@ -17,7 +17,6 @@ mod sl003;
 mod sl004;
 mod sl006;
 mod sl007;
-mod sl008;
 
 /// One per-file static-analysis rule.
 pub trait Rule {
@@ -55,20 +54,17 @@ pub fn all() -> Vec<Box<dyn Rule>> {
 
 /// Every registered workspace rule, in code order.
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(sl006::LockOrderInversion),
-        Box::new(sl008::SwallowedResult),
-    ]
+    vec![Box::new(sl006::LockOrderInversion)]
 }
+
+/// Every registered rule code, in code order.
+pub const CODES: &[&str] = &["SL001", "SL002", "SL003", "SL004", "SL006", "SL007"];
 
 /// Whether `code` names a registered rule (pragmas citing anything else
 /// are themselves diagnosed). `SL000` is the pragma-hygiene pseudo-rule —
 /// it cannot be suppressed, so it is not "known" for pragma purposes.
 pub fn known_rule(code: &str) -> bool {
-    matches!(
-        code,
-        "SL001" | "SL002" | "SL003" | "SL004" | "SL006" | "SL007" | "SL008"
-    )
+    CODES.contains(&code)
 }
 
 /// Library and facade paths whose non-test code must be panic-free

@@ -1,16 +1,15 @@
-//! SL001 — panic-freedom: no reachable panic machinery in non-test
-//! library and facade code. Supersedes `scripts/lint-panics.sh` with
-//! token-accurate detection: strings, comments and idents like
-//! `unwrap_or_else` can no longer false-positive, and code *after* a
-//! `#[cfg(test)]` item is no longer silently skipped the way the awk
-//! gate's scan-cutoff skipped it.
+//! SL001 — panic-freedom: no bare `assert!`/`assert_eq!`/`assert_ne!` in
+//! non-test library and facade code. Token-accurate: strings and
+//! comments cannot false-positive, and code *after* a `#[cfg(test)]` item
+//! is still scanned.
 //!
-//! Flagged forms: `panic!`, `todo!`, `unimplemented!`, `.unwrap()`,
-//! `.expect(…)`, and bare `assert!`/`assert_eq!`/`assert_ne!`.
-//! Deliberately out of scope, as before: `debug_assert*` and
-//! `unreachable!` — those document internal logic errors, not
-//! user-input-reachable failures, and converting them to `Result`s would
-//! only bury corruption.
+//! The rest of panic-freedom is clippy's, turned on in each crate root
+//! this rule covers: `panic`, `todo`, `unimplemented`, `unwrap_used` and
+//! `expect_used`, with `clippy.toml` exempting test code as this rule
+//! does. Clippy has no lint for a bare assert, so this rule keeps that
+//! arm. Deliberately out of scope: `debug_assert*` and `unreachable!` —
+//! those document internal logic errors, not user-input-reachable
+//! failures, and converting them to `Result`s would only bury corruption.
 
 use super::{finding_at, Rule};
 use crate::diag::Finding;
@@ -22,7 +21,6 @@ use crate::syntax::SourceFile;
 pub struct PanicFreedom;
 
 const ASSERTS: &[&str] = &["assert", "assert_eq", "assert_ne"];
-const PANICS: &[&str] = &["panic", "todo", "unimplemented"];
 
 impl Rule for PanicFreedom {
     fn code(&self) -> &'static str {
@@ -30,7 +28,7 @@ impl Rule for PanicFreedom {
     }
 
     fn describe(&self) -> &'static str {
-        "no panic!/todo!/unimplemented!/unwrap()/expect()/bare assert! in non-test library+facade code"
+        "no bare assert!/assert_eq!/assert_ne! in non-test library+facade code"
     }
 
     fn applies(&self, rel_path: &str) -> bool {
@@ -42,43 +40,11 @@ impl Rule for PanicFreedom {
             if file.sig_kind(i) != Some(TokenKind::Ident) {
                 continue;
             }
-            if file.in_test(file.sig_offset(i)) {
-                continue;
-            }
             let text = file.sig_text(i);
-            let next = file.sig_text(i + 1);
-            if PANICS.contains(&text) && next == "!" {
-                finding_at(
-                    file,
-                    i,
-                    self.code(),
-                    format!(
-                        "`{text}!` in library code; return a typed error \
-                         (TableError / DataflowError / SirumError) instead"
-                    ),
-                    out,
-                );
-            } else if text == "unwrap" && next == "(" && file.sig_text(i + 2) == ")" {
-                finding_at(
-                    file,
-                    i,
-                    self.code(),
-                    "`.unwrap()` in library code; propagate with `?` or map to a typed error"
-                        .to_string(),
-                    out,
-                );
-            } else if text == "expect" && next == "(" && file.sig_text(i.wrapping_sub(1)) != "[" {
-                // The `sig_text(i-1) != "["` guard spares the `#[expect(…)]`
-                // lint attribute.
-                finding_at(
-                    file,
-                    i,
-                    self.code(),
-                    "`.expect(…)` in library code; propagate with `?` or map to a typed error"
-                        .to_string(),
-                    out,
-                );
-            } else if ASSERTS.contains(&text) && next == "!" {
+            if ASSERTS.contains(&text)
+                && file.sig_text(i + 1) == "!"
+                && !file.in_test(file.sig_offset(i))
+            {
                 finding_at(
                     file,
                     i,

@@ -468,11 +468,14 @@ mod tests {
 
     #[test]
     fn pragma_without_reason_or_with_unknown_code_is_detected() {
-        let src = "// lint:allow(SL001)\n// lint:allow(SL999) — made up\n";
+        let src = "// lint:allow(SL001)\n// lint:allow(SL999) — made up\n\
+                   // lint:allow(SL008) — retired: clippy owns discards\n";
         let f = SourceFile::parse("x.rs", src);
         assert!(!f.pragmas[0].has_reason);
         assert!(f.pragmas[1].has_reason);
         assert_eq!(f.pragmas[1].unknown_codes, vec!["SL999"]);
+        assert!(f.pragmas[2].codes.is_empty());
+        assert_eq!(f.pragmas[2].unknown_codes, vec!["SL008"]);
     }
 
     #[test]

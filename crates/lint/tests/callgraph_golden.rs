@@ -33,14 +33,14 @@ fn frozen_mini_workspace_callgraph_is_stable() {
         "{\"line\":9,\"name\":\"drop\",\"resolved\":null},",
         "{\"line\":10,\"name\":\"Ok\",\"resolved\":null}],",
         "\"file\":\"src/a.rs\",\"impl_type\":\"Hub\",\"is_test\":false,\"line\":6,",
-        "\"may_acquire\":[\"`jobs` (src/a.rs)\"],\"name\":\"enqueue\",\"returns_result\":true},",
+        "\"may_acquire\":[\"`jobs` (src/a.rs)\"],\"name\":\"enqueue\"},",
         "{\"acquires\":[],\"calls\":[",
         "{\"line\":2,\"name\":\"record\",\"resolved\":\"src/b.rs::record\"}],",
         "\"file\":\"src/b.rs\",\"impl_type\":null,\"is_test\":false,\"line\":1,",
-        "\"may_acquire\":[],\"name\":\"audit\",\"returns_result\":false},",
+        "\"may_acquire\":[],\"name\":\"audit\"},",
         "{\"acquires\":[],\"calls\":[],",
         "\"file\":\"src/b.rs\",\"impl_type\":null,\"is_test\":false,\"line\":5,",
-        "\"may_acquire\":[],\"name\":\"record\",\"returns_result\":false}]}",
+        "\"may_acquire\":[],\"name\":\"record\"}]}",
     );
     assert_eq!(ws.callgraph_json(), expected);
 }

@@ -1,7 +1,8 @@
 //! Fixture-driven rule tests: each `fixtures/slNNN_bad.rs` must produce
 //! exactly the findings annotated in it (positions included), each
-//! `slNNN_ok.rs` must be clean, and the frozen corpus proves SL001 covers
-//! everything the retired awk gate (`scripts/lint-panics.sh`) caught.
+//! `slNNN_ok.rs` must be clean, and the frozen corpus proves SL001 still
+//! catches the bare asserts the retired awk gate (`scripts/lint-panics.sh`)
+//! caught, leaving its `panic!`/`.unwrap()`/`.expect(…)` hits to clippy.
 //! Finally, the analyzer runs over the real workspace tree — making the
 //! lint gate itself part of `cargo test`.
 
@@ -39,10 +40,10 @@ fn sl001_bad_exact_positions() {
     );
     assert_eq!(
         positions(&findings, "SL001"),
-        vec![(4, 5), (8, 7), (12, 7), (16, 5), (20, 5)],
+        vec![(6, 5), (10, 5), (14, 5)],
         "findings: {findings:#?}"
     );
-    assert_eq!(findings.len(), 5, "only SL001 expected: {findings:#?}");
+    assert_eq!(findings.len(), 3, "only SL001 expected: {findings:#?}");
 }
 
 #[test]
@@ -218,32 +219,9 @@ fn sl007_does_not_run_outside_deterministic_paths() {
 }
 
 #[test]
-fn sl008_bad_exact_positions() {
-    let findings = lint(
-        "crates/core/src/x.rs",
-        include_str!("../fixtures/sl008_bad.rs"),
-    );
-    assert_eq!(
-        positions(&findings, "SL008"),
-        vec![(9, 5), (10, 5), (11, 19)],
-        "findings: {findings:#?}"
-    );
-    assert_eq!(findings.len(), 3, "only SL008 expected: {findings:#?}");
-}
-
-#[test]
-fn sl008_ok_is_clean() {
-    let findings = lint(
-        "crates/core/src/x.rs",
-        include_str!("../fixtures/sl008_ok.rs"),
-    );
-    assert!(findings.is_empty(), "findings: {findings:#?}");
-}
-
-#[test]
 fn pragma_blesses_only_its_own_line() {
     // The pragma sits two lines above the offending call: no suppression.
-    let src = "fn f() {\n    // lint:allow(SL001) — cannot leak downward\n    let a = 1;\n    x.unwrap();\n}\n";
+    let src = "fn f() {\n    // lint:allow(SL001) — cannot leak downward\n    let a = 1;\n    assert!(a > 0);\n}\n";
     let findings = lint("crates/core/src/x.rs", src);
     assert_eq!(
         lines(&findings, "SL001"),
@@ -272,13 +250,17 @@ fn pragma_blesses_only_its_own_line() {
 /// ```
 ///
 /// Line 25 is a string literal — a regex false positive SL001 must not
-/// repeat. Lines 30 (legacy-marker-blessed assert) and 44 (code after the
-/// `#[cfg(test)]` scan cutoff) are awk blind spots SL001 must catch.
+/// repeat. Line 30 (legacy-marker-blessed assert) is an awk blind spot
+/// SL001 must catch. Lines 8, 10 and 11 (`panic!`, `.unwrap()`,
+/// `.expect(…)`) and 44 (an `.unwrap()` after the `#[cfg(test)]` scan
+/// cutoff) now belong to clippy (`panic`, `unwrap_used`, `expect_used`),
+/// so SL001 must stay silent there.
 #[test]
 fn sl001_parity_with_frozen_awk_corpus() {
-    const AWK_TRUE_POSITIVES: &[u32] = &[8, 10, 11, 12, 13, 14];
+    const AWK_TRUE_POSITIVES: &[u32] = &[12, 13, 14];
     const AWK_STRING_FALSE_POSITIVE: u32 = 25;
-    const AWK_BLIND_SPOTS: &[u32] = &[30, 44];
+    const AWK_BLIND_SPOTS: &[u32] = &[30];
+    const CLIPPY_SITES: &[u32] = &[8, 10, 11, 44];
 
     let findings = lint(
         "crates/core/src/frozen.rs",
@@ -299,6 +281,12 @@ fn sl001_parity_with_frozen_awk_corpus() {
         assert!(
             sl001.contains(&line),
             "SL001 missed awk blind spot line {line}: {sl001:?}"
+        );
+    }
+    for &line in CLIPPY_SITES {
+        assert!(
+            !sl001.contains(&line),
+            "SL001 reported clippy's site on line {line}: {sl001:?}"
         );
     }
     // The retired marker form itself is diagnosed.

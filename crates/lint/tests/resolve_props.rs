@@ -8,12 +8,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sirum_lint::callgraph::{FileSummary, Workspace};
 use sirum_lint::driver::check_sources;
-use sirum_lint::resolve::{self, FileSymbols};
+use sirum_lint::resolve::FileSymbols;
 use sirum_lint::syntax::SourceFile;
 
 /// Fragments biased toward what resolve/callgraph/locks actually read:
 /// fn items, impl blocks, use-aliases, lock acquisitions, method chains,
-/// discards, hash annotations — plus unterminated wreckage.
+/// hash annotations — plus unterminated wreckage.
 const FRAGMENTS: &[&str] = &[
     "fn f() -> Result<(), E> { g()?; Ok(()) }",
     "pub fn g(x: u32) -> u32 { x }",
@@ -48,16 +48,11 @@ fn rustish_source() -> impl Strategy<Value = String> {
 fn analyze_everything(rel_path: &str, src: &str) -> usize {
     let file = SourceFile::parse(rel_path, src);
     let sym = FileSymbols::analyze(&file);
-    let discards = resolve::discards(&file);
     let summary = FileSummary::build(&file, &sym);
     let ws = Workspace::build(vec![summary]);
     let graph = ws.lock_graph();
     let report = check_sources(&[(rel_path.to_string(), src.to_string())]);
-    sym.fns.len()
-        + discards.len()
-        + graph.cycles().len()
-        + ws.callgraph_json().len()
-        + report.findings.len()
+    sym.fns.len() + graph.cycles().len() + ws.callgraph_json().len() + report.findings.len()
 }
 
 proptest! {

@@ -131,8 +131,9 @@ impl From<std::io::Error> for TableError {
 /// convenience constructors (used by generators and tests on trusted input)
 /// available while every fallible path returns [`TableError`].
 #[track_caller]
+#[expect(clippy::panic, reason = "sole bridge for infallible wrappers")]
 pub(crate) fn fail(err: TableError) -> ! {
-    panic!("{err}") // lint:allow(SL001) — sole bridge for infallible wrappers
+    panic!("{err}")
 }
 
 #[cfg(test)]

@@ -420,11 +420,14 @@ impl Frame {
     ///
     /// # Panics
     /// Panics when column `j` is compressed.
+    #[expect(
+        clippy::panic,
+        reason = "misuse of the raw-only accessor is a logic error; scans use morsel_cols"
+    )]
     pub fn col(&self, j: usize) -> &[u32] {
         match &self.cols[j] {
             Column::Raw(a) => a,
             Column::Compressed(_) => {
-                // lint:allow(SL001) — misuse of the raw-only accessor is a logic error; scans use morsel_cols
                 panic!("dimension column {j} is compressed; decode via FrameView::morsel_cols")
             }
         }

@@ -19,6 +19,17 @@
 //! engine trouble), `2` usage error (unknown flags, unparsable values).
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use sirum::prelude::*;
 use std::fmt::Display;

@@ -13,7 +13,6 @@
 
 use sirum_core::{MiningResult, Rule, WILDCARD};
 use sirum_table::Table;
-use std::fmt::Write as _;
 
 /// Escape `s` as a JSON string literal (including the surrounding quotes).
 pub fn json_string(s: &str) -> String {
@@ -26,9 +25,7 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -86,64 +83,44 @@ fn rule_json(id: usize, rule: &Rule, avg: f64, count: u64, gain: f64, table: &Ta
 /// # Ok::<(), sirum::core::SirumError>(())
 /// ```
 pub fn mining_result_to_json(result: &MiningResult, table: &Table) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push('{');
     let dims: Vec<String> = table
         .schema()
         .dim_names()
         .iter()
         .map(|n| json_string(n))
         .collect();
-    let _ = write!(
-        out,
-        "\"schema\":{{\"dimensions\":[{}],\"measure\":{}}}",
+    let rules: Vec<String> = result
+        .rules
+        .iter()
+        .enumerate()
+        .map(|(i, r)| rule_json(i + 1, &r.rule, r.avg_measure, r.count, r.gain, table))
+        .collect();
+    let scaling_iterations: Vec<String> = result
+        .scaling_iterations
+        .iter()
+        .map(|n| n.to_string())
+        .collect();
+    let t = &result.timings;
+    format!(
+        concat!(
+            "{{\"schema\":{{\"dimensions\":[{}],\"measure\":{}}}",
+            ",\"rules\":[{}]",
+            ",\"kl_trace\":{},\"final_kl\":{},\"information_gain\":{}",
+            ",\"iterations\":{},\"ancestors_emitted\":{},\"scaling_iterations\":[{}]",
+            ",\"transform_shift\":{},\"cancelled\":{}",
+            ",\"timings\":{{\"candidate_pruning\":{},\"ancestor_generation\":{},\"gain_computation\":{},\"gain_sweep\":{},\"iterative_scaling\":{},\"rule_generation\":{},\"total\":{}}}}}",
+        ),
         dims.join(","),
         json_string(table.schema().measure_name()),
-    );
-    out.push_str(",\"rules\":[");
-    for (i, r) in result.rules.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&rule_json(
-            i + 1,
-            &r.rule,
-            r.avg_measure,
-            r.count,
-            r.gain,
-            table,
-        ));
-    }
-    out.push(']');
-    let _ = write!(
-        out,
-        ",\"kl_trace\":{},\"final_kl\":{},\"information_gain\":{}",
+        rules.join(","),
         json_f64_array(result.kl_trace.iter().copied()),
         json_number(result.final_kl()),
         json_number(result.information_gain()),
-    );
-    let _ = write!(
-        out,
-        ",\"iterations\":{},\"ancestors_emitted\":{},\"scaling_iterations\":[{}]",
         result.iterations,
         result.ancestors_emitted,
-        result
-            .scaling_iterations
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-    );
-    let _ = write!(
-        out,
-        ",\"transform_shift\":{},\"cancelled\":{}",
+        scaling_iterations.join(","),
         json_number(result.transform_shift),
         result.cancelled,
-    );
-    let t = &result.timings;
-    let _ = write!(
-        out,
-        ",\"timings\":{{\"candidate_pruning\":{},\"ancestor_generation\":{},\"gain_computation\":{},\"gain_sweep\":{},\"iterative_scaling\":{},\"rule_generation\":{},\"total\":{}}}",
         json_number(t.candidate_pruning),
         json_number(t.ancestor_generation),
         json_number(t.gain_computation),
@@ -151,9 +128,7 @@ pub fn mining_result_to_json(result: &MiningResult, table: &Table) -> String {
         json_number(t.iterative_scaling),
         json_number(t.rule_generation()),
         json_number(t.total),
-    );
-    out.push('}');
-    out
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -875,6 +850,43 @@ mod tests {
         // Re-encoding the parse tree and re-parsing reaches a fixpoint.
         assert_eq!(parse_json(&value.render()).unwrap(), value);
     }
+
+    /// FNV-1a of the encoder's bytes for two fixed mines, wall-clock
+    /// timings replaced by fixed values: any change to how the document is
+    /// built must leave every byte where it was.
+    #[test]
+    fn mining_result_json_is_pinned_byte_for_byte() {
+        let cases = [
+            (generators::flights(), 3, 14, 0x572d_ad18_c558_9d43_u64),
+            (
+                generators::income_like(2000, 7),
+                4,
+                32,
+                0x1ee1_4c79_f2af_7ca2,
+            ),
+        ];
+        for (table, k, sample_size, pinned) in cases {
+            let config = sirum_core::SirumConfig {
+                k,
+                strategy: sirum_core::CandidateStrategy::SampleLca { sample_size },
+                ..Default::default()
+            };
+            let mut result = sirum_core::Miner::new(sirum_dataflow::Engine::in_memory(), config)
+                .try_mine(&table)
+                .unwrap();
+            result.timings = sirum_core::PhaseTimings {
+                candidate_pruning: 0.125,
+                ancestor_generation: 1.5,
+                gain_computation: 0.1,
+                gain_sweep: 2.0,
+                iterative_scaling: 1e-3,
+                total: 3.75,
+            };
+            let mut h = sirum_table::fingerprint::Fnv64::new();
+            h.write_str(&mining_result_to_json(&result, &table));
+            assert_eq!(h.finish(), pinned, "{:#x}", h.finish());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -988,7 +1000,9 @@ mod proptests {
             // Fuzz-shaped: arbitrary byte soup, lossily decoded. The
             // parser must return Ok or a typed error, never panic.
             let text = String::from_utf8_lossy(&bytes);
-            let _ = parse_json(&text);
+            if let Err(e) = parse_json(&text) {
+                prop_assert!(e.offset <= text.len(), "offset {} past {}", e.offset, text.len());
+            }
         }
     }
 }

@@ -43,6 +43,17 @@
 //! system inventory.
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 pub mod json;

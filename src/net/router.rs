@@ -245,30 +245,23 @@ impl Router {
     }
 
     fn list_tables(&self) -> Response {
-        let mut out = String::from("{\"tables\":[");
-        for (i, name) in self.service.table_names().iter().enumerate() {
-            let (Ok(table), Ok(fingerprint)) = (
-                self.service.table(name),
-                self.service.table_fingerprint(name),
-            ) else {
-                continue; // unregistered between listing and lookup
-            };
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
+        let tables: Vec<String> = self
+            .service
+            .table_names()
+            .iter()
+            .filter_map(|name| {
+                // None when unregistered between listing and lookup.
+                let table = self.service.table(name).ok()?;
+                Some(format!(
                     "{{\"name\":{},\"rows\":{},\"dims\":{},\"fingerprint\":\"{:016x}\"}}",
                     json::json_string(name),
                     table.num_rows(),
                     table.num_dims(),
-                    fingerprint,
-                ),
-            );
-        }
-        out.push_str("]}");
-        Response::json(200, out)
+                    table.fingerprint(),
+                ))
+            })
+            .collect();
+        Response::json(200, format!("{{\"tables\":[{}]}}", tables.join(",")))
     }
 
     fn register_table(&self, name: &str, body: &[u8]) -> Response {
@@ -279,12 +272,8 @@ impl Router {
             Ok(csv) => csv,
             Err(_) => return Response::error(400, "CSV body must be UTF-8"),
         };
-        let registered = self
-            .service
-            .register_csv(name, csv.as_bytes())
-            .and_then(|table| Ok((table, self.service.table_fingerprint(name)?)));
-        match registered {
-            Ok((table, fingerprint)) => {
+        match self.service.register_csv(name, csv.as_bytes()) {
+            Ok(table) => {
                 // A replaced table takes its server-held ingest stream with
                 // it, as a deleted one does: the next POST /stream/{name}
                 // re-seeds from the new rows and dictionaries.
@@ -296,7 +285,7 @@ impl Router {
                         json::json_string(name),
                         table.num_rows(),
                         table.num_dims(),
-                        fingerprint,
+                        table.fingerprint(),
                     ),
                 )
             }
@@ -407,7 +396,7 @@ impl Router {
         if let Some(ms) = request.query_value("wait_ms") {
             match ms.parse::<u64>() {
                 Ok(ms) => {
-                    // lint:allow(SL008) — only the wait matters; job_response below re-reads the outcome non-consumingly
+                    // Only the wait matters; job_response below re-reads the outcome non-consumingly.
                     let _ = self.service.wait_job(id, Duration::from_millis(ms));
                 }
                 Err(_) => {
@@ -450,24 +439,16 @@ impl Router {
             JobState::Queued => out.push_str(",\"state\":\"queued\""),
             JobState::Consumed => out.push_str(",\"state\":\"consumed\""),
             JobState::Failed { reason } => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!(
-                        ",\"state\":\"failed\",\"reason\":{}",
-                        json::json_string(reason)
-                    ),
-                );
+                out.push_str(",\"state\":\"failed\",\"reason\":");
+                out.push_str(&json::json_string(reason));
             }
             JobState::Done {
                 from_cache,
                 cancelled,
             } => {
-                let _ = std::fmt::Write::write_fmt(
-                    &mut out,
-                    format_args!(
-                        ",\"state\":\"done\",\"from_cache\":{from_cache},\"cancelled\":{cancelled}"
-                    ),
-                );
+                out.push_str(&format!(
+                    ",\"state\":\"done\",\"from_cache\":{from_cache},\"cancelled\":{cancelled}"
+                ));
                 if let (Some(output), Ok(table)) = (output, self.service.table(&status.table)) {
                     out.push_str(",\"result\":");
                     out.push_str(&json::mining_result_to_json(&output.result, &table));

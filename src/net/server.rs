@@ -114,9 +114,15 @@ impl Server {
         // The accept thread is parked in `accept()`; a throwaway local
         // connection is the portable way to wake it so it can observe the
         // flag and exit.
-        // lint:allow(SL008) — wake-up probe; if connect fails the listener is already dead and accept() returns anyway
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "wake-up probe; if connect fails the listener is already dead and accept() returns anyway"
+        )]
         let _ = TcpStream::connect(self.local_addr);
-        // lint:allow(SL008) — Err means the accept thread panicked; drain still bounds the wait below and Drop must not propagate
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "Err means the accept thread panicked; drain still bounds the wait below and Drop must not propagate"
+        )]
         let _ = handle.join();
         let deadline = Instant::now() + self.drain_timeout;
         while self.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
@@ -214,7 +220,10 @@ fn send_response<W: Write>(
 /// accept loop behind a slow writer.
 fn reject_connection(mut stream: TcpStream, metrics: &crate::net::metrics::NetMetrics) {
     metrics.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    // lint:allow(SL008) — advisory socket tuning; a connection without the timeout still gets the 503
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "advisory socket tuning; a connection without the timeout still gets the 503"
+    )]
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let response =
         Response::error(503, "server is at its connection cap").with_header("retry-after", "1");
@@ -231,9 +240,15 @@ fn serve_connection(
     config: &ServerConfig,
 ) {
     let metrics = Arc::clone(router.metrics());
-    // lint:allow(SL008) — advisory socket tuning; reads still complete without the timeout, just unbounded
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "advisory socket tuning; reads still complete without the timeout, just unbounded"
+    )]
     let _ = stream.set_read_timeout(Some(config.read_timeout));
-    // lint:allow(SL008) — Nagle stays on if this fails; a latency tweak, not a correctness need
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "Nagle stays on if this fails; a latency tweak, not a correctness need"
+    )]
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -292,7 +307,10 @@ mod tests {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(request).expect("write");
         let mut out = String::new();
-        let _ = stream.read_to_string(&mut out);
+        if let Err(e) = stream.read_to_string(&mut out) {
+            // A reset after the reply still leaves the reply.
+            assert!(!out.is_empty(), "no reply before the read failed: {e}");
+        }
         out
     }
 
@@ -353,10 +371,13 @@ mod tests {
         // After shutdown the listener is gone: either the connect fails or
         // the wakeup-race connection is dropped without a response.
         if let Ok(mut stream) = TcpStream::connect(addr) {
-            let _ = stream.write_all(b"GET /health HTTP/1.1\r\n\r\n");
+            let written = stream.write_all(b"GET /health HTTP/1.1\r\n\r\n");
             let mut out = String::new();
-            let _ = stream.read_to_string(&mut out);
-            assert!(out.is_empty(), "drained server answered: {out}");
+            let read = stream.read_to_string(&mut out);
+            assert!(
+                out.is_empty(),
+                "drained server answered: {out} (write {written:?}, read {read:?})"
+            );
         }
     }
 }

@@ -54,7 +54,6 @@ use sirum_core::{
 use sirum_dataflow::{Engine, EngineConfig, EngineMode};
 use sirum_table::{generators, Table, TableError};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -181,7 +180,6 @@ struct RequestKey {
 /// pattern so `0.01` and any other value that *displays* the same but
 /// differs in bits cannot alias.
 fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> RequestKey {
-    let mut s = String::with_capacity(160);
     let strategy = match config.strategy {
         CandidateStrategy::SampleLca { sample_size } => format!("lca{sample_size}"),
         CandidateStrategy::FullCube => "cube".to_string(),
@@ -199,8 +197,7 @@ fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> Reques
             config.column_groups,
         )
     };
-    let _ = write!(
-        s,
+    let mut s = format!(
         "k{};{};eps{:x};it{};bj{bj};rct{};fp{fp};cg{cg};gs{};l{};tf{:x};mg{:x};reset{};tkl{};mr{};ts{};seed{}",
         config.k,
         strategy,
@@ -220,9 +217,10 @@ fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> Reques
         config.seed,
     );
     for rule in prior {
-        let _ = write!(s, ";p");
+        s.push_str(";p");
         for i in 0..rule.arity() {
-            let _ = write!(s, ",{}", rule.get(i));
+            s.push(',');
+            s.push_str(&rule.get(i).to_string());
         }
     }
     RequestKey {
@@ -383,7 +381,10 @@ impl Drop for WorkerPool {
         if let Some(state) = state {
             drop(state.sender); // disconnect; workers drain the queue and exit
             for handle in state.handles {
-                // lint:allow(SL008) — Err here means a worker panicked; its job already reported the failure and Drop must not propagate
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "Err here means a worker panicked; its job already reported the failure and Drop must not propagate"
+                )]
                 let _ = handle.join();
             }
         }
@@ -798,13 +799,6 @@ impl SirumService {
     /// the registered ones in the error.
     pub fn table(&self, name: &str) -> Result<Arc<Table>, SirumError> {
         self.entry(name).map(|e| e.table)
-    }
-
-    /// The content fingerprint computed when `name`'s table was built —
-    /// the cache key's table half, equal to [`MiningPlan::fingerprint`]. A
-    /// catalog lookup, not a pass over the table.
-    pub fn table_fingerprint(&self, name: &str) -> Result<u64, SirumError> {
-        self.entry(name).map(|e| e.table.fingerprint())
     }
 
     /// Names of all registered tables, in sorted order.
