@@ -11,9 +11,10 @@
 //!    carried over. This is the main reason the \[29\] baseline spends so
 //!    long in iterative scaling (Fig 5.15).
 
-use sirum_core::explore::{prior_rules_from_groupbys, ExploreResult};
-use sirum_core::miner::{CandidateStrategy, Miner, SirumConfig};
+use sirum_core::explore::{try_explore, ExploreResult};
+use sirum_core::miner::{CandidateStrategy, SirumConfig};
 use sirum_core::multirule::MultiRuleConfig;
+use sirum_core::SirumError;
 use sirum_dataflow::Engine;
 use sirum_table::Table;
 
@@ -40,8 +41,13 @@ impl Default for SarawagiConfig {
 
 /// Run the \[29\]-style exploration baseline: exhaustive candidates,
 /// single-stage ancestor generation, λ reset on every insertion, one rule
-/// per iteration.
-pub fn sarawagi_explore(engine: &Engine, table: &Table, cfg: &SarawagiConfig) -> ExploreResult {
+/// per iteration. This is [`try_explore`] under the baseline's config, so it
+/// sees the same prior knowledge.
+pub fn sarawagi_explore(
+    engine: &Engine,
+    table: &Table,
+    cfg: &SarawagiConfig,
+) -> Result<ExploreResult, SirumError> {
     let config = SirumConfig {
         k: cfg.k,
         strategy: CandidateStrategy::FullCube,
@@ -62,31 +68,25 @@ pub fn sarawagi_explore(engine: &Engine, table: &Table, cfg: &SarawagiConfig) ->
         packed_codes: true,
         seed: cfg.seed,
     };
-    let prior = prior_rules_from_groupbys(table, 2);
-    let miner = Miner::new(engine.clone(), config);
-    let result = miner
-        .try_mine_with_prior(table, &prior)
-        .expect("sarawagi baseline: valid config and non-empty table");
-    ExploreResult { result, prior }
+    try_explore(engine, table, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirum_core::explore::explore;
-    use sirum_core::SirumConfig;
+    use sirum_dataflow::EngineConfig;
     use sirum_table::generators;
 
     #[test]
     fn baseline_and_sirum_reach_comparable_quality() {
         let t = generators::gdelt_like(600, 5);
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let cfg = SarawagiConfig {
             k: 3,
             ..Default::default()
         };
-        let baseline = sarawagi_explore(&engine, &t, &cfg);
-        let sirum = explore(
+        let baseline = sarawagi_explore(&engine, &t, &cfg).unwrap();
+        let sirum = try_explore(
             &engine,
             &t,
             SirumConfig {
@@ -94,7 +94,8 @@ mod tests {
                 rct: true,
                 ..SirumConfig::default()
             },
-        );
+        )
+        .unwrap();
         // Same prior knowledge.
         assert_eq!(baseline.prior, sirum.prior);
         // Both refine the model; quality should be in the same ballpark
@@ -110,7 +111,7 @@ mod tests {
         // The λ-reset strategy re-derives all multipliers per insertion, so
         // its total scaling-iteration count must exceed carry-over's.
         let t = generators::income_like(800, 5);
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let baseline = sarawagi_explore(
             &engine,
             &t,
@@ -118,15 +119,17 @@ mod tests {
                 k: 4,
                 ..Default::default()
             },
-        );
-        let sirum = explore(
+        )
+        .unwrap();
+        let sirum = try_explore(
             &engine,
             &t,
             SirumConfig {
                 k: 4,
                 ..SirumConfig::default()
             },
-        );
+        )
+        .unwrap();
         let total = |r: &ExploreResult| -> usize { r.result.scaling_iterations.iter().sum() };
         assert!(
             total(&baseline) > total(&sirum),

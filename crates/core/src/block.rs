@@ -119,7 +119,7 @@ impl TupleBlock {
 
     /// Copy row `i`'s dimension codes into `buf` (cleared first) — the
     /// gather boundary for row-shaped probes (LCA computation, rule
-    /// hashing). Column scans should read [`FrameView::col`] directly.
+    /// hashing). Column scans should read [`FrameView::morsel_cols`].
     pub fn gather(&self, i: usize, buf: &mut Vec<u32>) {
         self.dims.gather_row(i, buf);
     }
@@ -140,9 +140,10 @@ impl Encode for TupleBlock {
         // so a spilled block stays compressed on disk.
         for j in 0..self.num_dims() {
             match self.dims.frame().column(j) {
-                sirum_table::Column::Raw(_) => {
+                sirum_table::Column::Raw(codes) => {
                     out.push(0);
-                    for &code in self.dims.col(j) {
+                    let start = self.dims.start();
+                    for &code in &codes[start..start + self.dims.len()] {
                         code.encode(out);
                     }
                 }
@@ -227,7 +228,8 @@ impl Encode for TupleBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirum_table::generators;
+    use sirum_table::{generators, Column};
+    use std::sync::Arc;
 
     fn block() -> TupleBlock {
         let t = generators::flights();
@@ -256,7 +258,12 @@ mod tests {
     fn state_rewrites_share_the_columns() {
         let b = block();
         let b2 = b.with_mhat(vec![2.0; 5]).with_mask(vec![1; 5]);
-        assert!(std::ptr::eq(b.dims().col(0), b2.dims().col(0)));
+        let (Column::Raw(a), Column::Raw(a2)) =
+            (b.dims().frame().column(0), b2.dims().frame().column(0))
+        else {
+            panic!("small blocks are raw");
+        };
+        assert!(Arc::ptr_eq(a, a2));
         assert!(std::ptr::eq(b.m(), b2.m()));
         assert_eq!(b2.mhat(), &[2.0; 5]);
         assert_eq!(b2.mask(), &[1; 5]);

@@ -320,6 +320,7 @@ mod tests {
     use super::*;
     use crate::lattice::ancestors as all_ancestors;
     use sirum_table::generators::flights;
+    use sirum_table::ColScratch;
 
     fn sample_rows(table: &Table, idx: &[usize]) -> Vec<Box<[u32]>> {
         idx.iter()
@@ -502,7 +503,8 @@ mod tests {
         let sample = sample_rows(&t, &[3, 8, 11, 3]);
         let index = SampleIndex::build(sample.clone(), 3);
         let frame = t.frame();
-        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
+        let (view, mut scratch) = (frame.view(), ColScratch::new());
+        let cols = view.morsel_cols(0, view.len(), &mut scratch);
         let mut masks = Vec::new();
         for (i, row) in t.rows().enumerate() {
             let got = index.match_masks_into_cols(&cols, i, &mut masks);

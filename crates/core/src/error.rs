@@ -142,16 +142,6 @@ impl SirumError {
     }
 }
 
-/// Abort with `err` rendered through its `Display` form — the single panic
-/// bridge behind the infallible wrappers over the `try_` entry points:
-/// [`crate::explore()`], [`crate::mine_on_sample()`],
-/// [`crate::evaluate_rules()`] and [`crate::transform::MeasureTransform::fit`].
-#[track_caller]
-#[expect(clippy::panic, reason = "sole bridge for infallible wrappers")]
-pub(crate) fn fail(err: SirumError) -> ! {
-    panic!("{err}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

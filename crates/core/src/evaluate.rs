@@ -29,22 +29,11 @@ pub struct RuleSetEvaluation {
 }
 
 /// Fit and score `rules` on `table`. The first rule must be all-wildcards
-/// (SIRUM's invariant, §2.2); at most [`MAX_RULES`] rules.
-///
-/// # Panics
-/// Panics on an invalid rule set or table; use [`try_evaluate_rules`] on
-/// untrusted input.
-pub fn evaluate_rules(table: &Table, rules: &[Rule], cfg: &ScalingConfig) -> RuleSetEvaluation {
-    match try_evaluate_rules(table, rules, cfg) {
-        Ok(eval) => eval,
-        Err(e) => crate::error::fail(e),
-    }
-}
-
-/// Fallible form of [`evaluate_rules`], naming the violated invariant.
-/// Validates the table and fits its measure transform on the way in;
-/// callers that already hold a [`PreparedTable`] (e.g. a service catalog
-/// entry) should use [`try_evaluate_rules_prepared`] and skip that work.
+/// (SIRUM's invariant, §2.2); at most [`MAX_RULES`] rules. Errors name the
+/// violated invariant. Validates the table and fits its measure transform
+/// on the way in; callers that already hold a [`PreparedTable`] (e.g. a
+/// service catalog entry) should use [`try_evaluate_rules_prepared`] and
+/// skip that work.
 pub fn try_evaluate_rules(
     table: &Table,
     rules: &[Rule],
@@ -158,7 +147,7 @@ mod tests {
     use super::*;
     use crate::miner::{Miner, SirumConfig};
     use crate::rule::WILDCARD;
-    use sirum_dataflow::Engine;
+    use sirum_dataflow::{Engine, EngineConfig};
     use sirum_table::fingerprint::Fnv64;
     use sirum_table::generators::{flights, gdelt_dirty, income_like, tlc_like};
 
@@ -166,7 +155,7 @@ mod tests {
     fn wildcard_only_has_zero_information_gain() {
         let t = flights();
         let rules = vec![Rule::all_wildcards(3)];
-        let eval = evaluate_rules(&t, &rules, &ScalingConfig::default());
+        let eval = try_evaluate_rules(&t, &rules, &ScalingConfig::default()).unwrap();
         assert!(eval.converged);
         assert!((eval.kl - eval.baseline_kl).abs() < 1e-9);
         assert!(eval.information_gain.abs() < 1e-9);
@@ -182,18 +171,20 @@ mod tests {
         // the qualitative claim (adding r2 reduces KL) holds either way.
         let t = flights();
         let r1 = Rule::all_wildcards(3);
-        let eval1 = evaluate_rules(&t, std::slice::from_ref(&r1), &ScalingConfig::default());
+        let eval1 =
+            try_evaluate_rules(&t, std::slice::from_ref(&r1), &ScalingConfig::default()).unwrap();
         assert!((eval1.kl - 0.146043).abs() < 1e-4, "kl1 = {}", eval1.kl);
         let london = t.dict(2).code("London").unwrap();
         let r2 = Rule::from_values(vec![WILDCARD, WILDCARD, london]);
-        let eval2 = evaluate_rules(
+        let eval2 = try_evaluate_rules(
             &t,
             &[r1, r2],
             &ScalingConfig {
                 epsilon: 1e-8,
                 max_iterations: 100_000,
             },
-        );
+        )
+        .unwrap();
         assert!((eval2.kl - 0.104610).abs() < 1e-4, "kl2 = {}", eval2.kl);
         assert!(eval2.kl < eval1.kl, "adding r2 must reduce KL");
         assert!(eval2.information_gain > eval1.information_gain);
@@ -211,9 +202,9 @@ mod tests {
             epsilon: 1e-8,
             max_iterations: 100_000,
         };
-        let e1 = evaluate_rules(&t, std::slice::from_ref(&r1), &cfg);
-        let e2 = evaluate_rules(&t, &[r1.clone(), r2.clone()], &cfg);
-        let e3 = evaluate_rules(&t, &[r1, r2, r3], &cfg);
+        let e1 = try_evaluate_rules(&t, std::slice::from_ref(&r1), &cfg).unwrap();
+        let e2 = try_evaluate_rules(&t, &[r1.clone(), r2.clone()], &cfg).unwrap();
+        let e3 = try_evaluate_rules(&t, &[r1, r2, r3], &cfg).unwrap();
         assert!(e2.kl <= e1.kl + 1e-9);
         assert!(e3.kl <= e2.kl + 1e-9);
     }
@@ -222,24 +213,29 @@ mod tests {
     fn binary_metric_reported_only_for_binary_measures() {
         let income = income_like(500, 3);
         let rules = vec![Rule::all_wildcards(income.num_dims())];
-        let eval = evaluate_rules(&income, &rules, &ScalingConfig::default());
+        let eval = try_evaluate_rules(&income, &rules, &ScalingConfig::default()).unwrap();
         assert!(eval.binary_kl.is_some());
         let numeric = flights();
-        let eval2 = evaluate_rules(
+        let eval2 = try_evaluate_rules(
             &numeric,
             &[Rule::all_wildcards(3)],
             &ScalingConfig::default(),
-        );
+        )
+        .unwrap();
         assert!(eval2.binary_kl.is_none());
     }
 
     #[test]
-    #[should_panic(expected = "first rule must be")]
     fn first_rule_must_be_all_wildcards() {
         let t = flights();
         let fri = t.dict(0).code("Fri").unwrap();
         let bad = Rule::from_values(vec![fri, WILDCARD, WILDCARD]);
-        let _ = evaluate_rules(&t, &[bad], &ScalingConfig::default());
+        let err = try_evaluate_rules(&t, &[bad], &ScalingConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, SirumError::InvalidConfig { field: "rules", reason }
+                if reason.contains("first rule must be")),
+            "{err}"
+        );
     }
 
     /// FNV-1a over a rule list and every field of its evaluation, float
@@ -287,7 +283,7 @@ mod tests {
                 k: 4,
                 ..SirumConfig::default()
             };
-            let mined = Miner::new(Engine::in_memory(), config)
+            let mined = Miner::new(Engine::try_new(EngineConfig::in_memory()).unwrap(), config)
                 .try_mine_prepared(&prepared, &[])
                 .unwrap();
             let rules: Vec<Rule> = mined.rules.into_iter().map(|m| m.rule).collect();

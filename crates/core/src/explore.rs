@@ -43,17 +43,6 @@ pub fn prior_rules_from_groupbys(table: &Table, num_groupbys: usize) -> Vec<Rule
 /// (no sample pruning), matching the original technique of Sarawagi \[29\];
 /// set `config.reset_lambdas_on_insert = true` to also reproduce that
 /// paper's from-scratch iterative scaling.
-///
-/// # Panics
-/// Panics on invalid input; use [`try_explore`] on untrusted data.
-pub fn explore(engine: &Engine, table: &Table, config: SirumConfig) -> ExploreResult {
-    match try_explore(engine, table, config) {
-        Ok(result) => result,
-        Err(e) => crate::error::fail(e),
-    }
-}
-
-/// Fallible form of [`explore`].
 pub fn try_explore(
     engine: &Engine,
     table: &Table,
@@ -69,6 +58,7 @@ pub fn try_explore(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sirum_dataflow::EngineConfig;
     use sirum_table::generators::flights;
 
     #[test]
@@ -99,12 +89,12 @@ mod tests {
     #[test]
     fn explore_recommends_new_rules() {
         let t = flights();
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let config = SirumConfig {
             k: 2,
             ..SirumConfig::default()
         };
-        let out = explore(&engine, &t, config);
+        let out = try_explore(&engine, &t, config).unwrap();
         // Seed = 1 (wildcards) + priors; then 2 recommendations.
         assert_eq!(out.result.rules.len(), 1 + out.prior.len() + 2);
         // Recommendations must not repeat the prior knowledge.

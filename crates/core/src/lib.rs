@@ -29,10 +29,10 @@
 //!
 //! ```
 //! use sirum_core::{Miner, SirumConfig, CandidateStrategy, SirumError};
-//! use sirum_dataflow::Engine;
+//! use sirum_dataflow::{Engine, EngineConfig};
 //! use sirum_table::generators;
 //!
-//! let engine = Engine::in_memory();
+//! let engine = Engine::try_new(EngineConfig::in_memory())?;
 //! let flights = generators::flights();
 //! let config = SirumConfig {
 //!     k: 3,
@@ -83,10 +83,8 @@ pub mod variants;
 pub use block::TupleBlock;
 pub use cancel::CancellationToken;
 pub use error::SirumError;
-pub use evaluate::{
-    evaluate_rules, try_evaluate_rules, try_evaluate_rules_prepared, RuleSetEvaluation,
-};
-pub use explore::{explore, try_explore, ExploreResult};
+pub use evaluate::{try_evaluate_rules, try_evaluate_rules_prepared, RuleSetEvaluation};
+pub use explore::{try_explore, ExploreResult};
 pub use miner::{
     CandidateStrategy, IterationDecision, IterationEvent, IterationObserver, MinedRule, Miner,
     MiningResult, PhaseTimings, SirumConfig,
@@ -94,7 +92,7 @@ pub use miner::{
 pub use multirule::MultiRuleConfig;
 pub use prepared::PreparedTable;
 pub use rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
-pub use sample_data::{mine_on_sample, try_mine_on_sample, SampleDataResult};
+pub use sample_data::{try_mine_on_sample, SampleDataResult};
 pub use scaling::ScalingConfig;
 pub use streaming::{StreamingConfig, StreamingMiner};
 pub use sweep::{sweep_gains, SweepOptions, SweepOutcome};

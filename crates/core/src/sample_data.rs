@@ -5,11 +5,10 @@
 
 use crate::error::SirumError;
 use crate::evaluate::{try_evaluate_rules, RuleSetEvaluation};
-use crate::miner::{Miner, MiningResult, SirumConfig};
+use crate::miner::{Miner, MiningResult};
 use crate::rule::Rule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sirum_dataflow::Engine;
 use sirum_table::Table;
 
 /// Outcome of a sampled mining run, scored against the *full* dataset.
@@ -27,9 +26,7 @@ pub struct SampleDataResult {
 
 /// Draw a Bernoulli row sample of `table` at `rate` (deterministic in
 /// `seed`) and return the sampled sub-table.
-pub fn sample_table(table: &Table, rate: f64, seed: u64) -> Table {
-    // lint:allow(SL001) — documented contract; try_mine_on_sample validates the rate with a typed error first
-    assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
+fn sample_table(table: &Table, rate: f64, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let indices: Vec<usize> = (0..table.num_rows())
         .filter(|_| rng.gen::<f64>() < rate)
@@ -37,36 +34,20 @@ pub fn sample_table(table: &Table, rate: f64, seed: u64) -> Table {
     table.select_rows(&indices)
 }
 
-/// Mine on a `rate` sample of `table`, then score the resulting rule set on
+/// Mine on a `rate` sample of `table` with `miner` (its engine, config,
+/// observer and cancellation token), then score the resulting rule set on
 /// the full table (the §5.7.3 protocol: execution time from the sampled
-/// run, information gain from the full data).
-///
-/// # Panics
-/// Panics on invalid input (e.g. a rate that produces an empty sample);
-/// use [`try_mine_on_sample`] on untrusted data.
-pub fn mine_on_sample(
-    engine: &Engine,
-    table: &Table,
-    rate: f64,
-    config: SirumConfig,
-) -> SampleDataResult {
-    match try_mine_on_sample(engine, table, rate, config) {
-        Ok(result) => result,
-        Err(e) => crate::error::fail(e),
-    }
-}
-
-/// Fallible form of [`mine_on_sample`].
+/// run, information gain from the full data). The sample is drawn with
+/// the config's seed.
 ///
 /// # Errors
 /// * [`SirumError::InvalidConfig`] — `rate` outside `[0, 1]`.
 /// * [`SirumError::EmptyDataset`] — the sample (or the table) has no rows.
 /// * Everything [`Miner::try_mine`] can return.
 pub fn try_mine_on_sample(
-    engine: &Engine,
+    miner: &Miner,
     table: &Table,
     rate: f64,
-    config: SirumConfig,
 ) -> Result<SampleDataResult, SirumError> {
     if !(0.0..=1.0).contains(&rate) {
         return Err(SirumError::invalid_config(
@@ -74,20 +55,17 @@ pub fn try_mine_on_sample(
             format!("sampling rate must be in [0, 1], got {rate}"),
         ));
     }
-    let seed = config.seed;
     let sampled = if rate >= 1.0 {
         table.clone()
     } else {
-        sample_table(table, rate, seed)
+        sample_table(table, rate, miner.config().seed)
     };
     if sampled.num_rows() == 0 {
         return Err(SirumError::EmptyDataset);
     }
-    let scaling = config.scaling;
-    let miner = Miner::new(engine.clone(), config);
     let result = miner.try_mine(&sampled)?;
     let rules: Vec<Rule> = result.rules.iter().map(|r| r.rule.clone()).collect();
-    let eval = try_evaluate_rules(table, &rules, &scaling)?;
+    let eval = try_evaluate_rules(table, &rules, &miner.config().scaling)?;
     Ok(SampleDataResult {
         rows_used: sampled.num_rows(),
         rate,
@@ -99,7 +77,8 @@ pub fn try_mine_on_sample(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::miner::CandidateStrategy;
+    use crate::miner::{CandidateStrategy, SirumConfig};
+    use sirum_dataflow::{Engine, EngineConfig};
     use sirum_table::generators::income_like;
 
     fn quick_config(k: usize) -> SirumConfig {
@@ -125,9 +104,10 @@ mod tests {
     #[test]
     fn sampled_mining_retains_most_information_gain() {
         let t = income_like(8_000, 11);
-        let engine = Engine::in_memory();
-        let full = mine_on_sample(&engine, &t, 1.0, quick_config(4));
-        let sampled = mine_on_sample(&engine, &t, 0.25, quick_config(4));
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
+        let full =
+            try_mine_on_sample(&Miner::new(engine.clone(), quick_config(4)), &t, 1.0).unwrap();
+        let sampled = try_mine_on_sample(&Miner::new(engine, quick_config(4)), &t, 0.25).unwrap();
         assert!(full.eval.information_gain > 0.0);
         assert!(sampled.rows_used < 3_000);
         // §5.7.3: the drop in information gain from sampling is small.
@@ -140,10 +120,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty dataset")]
-    fn zero_rate_panics() {
+    fn zero_rate_is_an_empty_dataset() {
         let t = income_like(100, 1);
-        let engine = Engine::in_memory();
-        let _ = mine_on_sample(&engine, &t, 0.0, quick_config(2));
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
+        let err = try_mine_on_sample(&Miner::new(engine, quick_config(2)), &t, 0.0).unwrap_err();
+        assert!(matches!(err, SirumError::EmptyDataset), "{err}");
     }
 }

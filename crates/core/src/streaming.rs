@@ -318,6 +318,7 @@ impl StreamingMiner {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sirum_dataflow::EngineConfig;
     use sirum_table::generators;
 
     fn tight() -> StreamingConfig {
@@ -346,7 +347,7 @@ mod tests {
         );
         miner.ingest_table(&t).unwrap();
         assert!(matches!(
-            miner.mine_more(&Engine::in_memory(), 1),
+            miner.mine_more(&Engine::try_new(EngineConfig::in_memory()).unwrap(), 1),
             Err(SirumError::InvalidConfig { field, .. }) if field == "strategy.sample_size"
         ));
         assert_eq!(miner.rules().len(), 1);
@@ -355,7 +356,7 @@ mod tests {
     #[test]
     fn mine_more_is_a_miner_run_with_the_model_as_priors() {
         let t = generators::income_like(3_000, 7);
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let cfg = tight();
         let miner = |k: usize| {
             Miner::new(
@@ -435,7 +436,7 @@ mod tests {
         let forward: Vec<(&[u32], f64)> = rows.iter().map(|(r, m)| (r.as_slice(), *m)).collect();
         let mut reversed = forward.clone();
         reversed.reverse();
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let mut a = StreamingMiner::new(3, tight());
         a.ingest(&forward).unwrap();
         a.mine_more(&engine, 2).unwrap();
@@ -454,7 +455,8 @@ mod tests {
         let t = generators::gdelt_like(800, 5);
         let mut sm = StreamingMiner::new(t.num_dims(), tight());
         sm.ingest_table(&t).unwrap();
-        sm.mine_more(&Engine::in_memory(), 2).unwrap();
+        sm.mine_more(&Engine::try_new(EngineConfig::in_memory()).unwrap(), 2)
+            .unwrap();
         // Direct KL from per-tuple estimates.
         let mhat: Vec<f64> = (0..t.num_rows()).map(|i| sm.estimate(i)).collect();
         let direct = crate::gain::kl_divergence(t.measures(), &mhat);
@@ -467,7 +469,9 @@ mod tests {
         let mut sm = StreamingMiner::new(t.num_dims(), tight());
         sm.ingest_table(&t).unwrap();
         let before = sm.kl();
-        let added = sm.mine_more(&Engine::in_memory(), 3).unwrap();
+        let added = sm
+            .mine_more(&Engine::try_new(EngineConfig::in_memory()).unwrap(), 3)
+            .unwrap();
         assert!(!added.is_empty());
         assert!(sm.kl() < before);
         for (_, gain) in &added {
@@ -484,7 +488,8 @@ mod tests {
         let row = |i: usize| (owned[i].as_slice(), t.measure(i));
         let rows: Vec<(&[u32], f64)> = (0..half).map(row).collect();
         sm.ingest(&rows).unwrap();
-        sm.mine_more(&Engine::in_memory(), 3).unwrap();
+        sm.mine_more(&Engine::try_new(EngineConfig::in_memory()).unwrap(), 3)
+            .unwrap();
         // Second half is statistically identical: the warm re-fit should
         // need very few λ updates.
         let rows2: Vec<(&[u32], f64)> = (half..t.num_rows()).map(row).collect();
@@ -513,7 +518,7 @@ mod tests {
     #[test]
     fn detects_concept_drift() {
         // First phase: uniform measure. Second phase: a planted pattern.
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let mut sm = StreamingMiner::new(2, tight());
         let phase1: Vec<(Vec<u32>, f64)> = (0..500u32).map(|i| (vec![i % 4, i % 3], 1.0)).collect();
         let rows1: Vec<(&[u32], f64)> = phase1.iter().map(|(r, m)| (r.as_slice(), *m)).collect();
@@ -572,7 +577,7 @@ mod tests {
         // one more batch: rules, λ and every estimate keep their bits;
         // `kl()` sums terms that mostly cancel, so a change to its
         // summation order may move it, within 1e-12 relative.
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let seed = generators::income_like(1_000, 2016);
         let more = generators::income_like(400, 7);
         let owned: Vec<Vec<u32>> = more.rows().collect();
@@ -646,7 +651,7 @@ mod tests {
             // mined rule: after every step the RCT the stream folded row by
             // row (and scaled in place) groups its history exactly as
             // `Rct::build` over the history does.
-            let engine = Engine::in_memory();
+            let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
             let d = rows[0].0.len();
             let mut sm = StreamingMiner::new(d, tight());
             let mut at = 0;

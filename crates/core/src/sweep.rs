@@ -1209,7 +1209,7 @@ mod tests {
     use crate::candidates::exhaustive_candidates;
     use sirum_dataflow::{Engine, EngineConfig};
     use sirum_table::generators::flights;
-    use sirum_table::{Frame, Table};
+    use sirum_table::{ColScratch, Frame, Table};
 
     /// `frame` as the miner distributes it: one seeded block (`m̂ = 1`)
     /// per partition.
@@ -1248,7 +1248,7 @@ mod tests {
     #[test]
     fn full_cube_sweep_matches_exhaustive_reference() {
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 4);
         for opts in all_variants(&t) {
             let out = sweep_gains(&data, 3, None, None, &opts);
@@ -1270,7 +1270,7 @@ mod tests {
     fn sample_sweep_recovers_exact_support_sums() {
         let t = flights();
         let index = sample_index(&t, &[3, 8, 0]);
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 3);
         for opts in all_variants(&t) {
             let out = sweep_gains(&data, 3, Some(&index), None, &opts);
@@ -1302,10 +1302,10 @@ mod tests {
         // The reference is a one-worker engine: it runs every task inline
         // on the calling thread, in partition order.
         let t = flights();
-        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
         let seq_data = blocks(&sequential, &t, 5);
         for workers in [2, 4] {
-            let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
             let data = blocks(&engine, &t, 5);
             for opts in all_variants(&t) {
                 let par = sweep_gains(&data, 3, None, None, &opts);
@@ -1320,7 +1320,7 @@ mod tests {
     #[test]
     fn every_key_representation_is_bit_identical() {
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 4);
         let index = sample_index(&t, &[3, 8]);
         for idx in [None, Some(&index)] {
@@ -1367,7 +1367,8 @@ mod tests {
         assert_eq!(slots, combine(Some(CombineStrategy::HashProbe)));
         // More (sample row, nonzero mask) table entries were touched than
         // there are distinct non-wild codes.
-        let cols: Vec<&[u32]> = (0..3).map(|j| frame.col(j)).collect();
+        let (view, mut scratch) = (frame.view(), ColScratch::new());
+        let cols = view.morsel_cols(0, view.len(), &mut scratch);
         let mut touched = std::collections::BTreeSet::new();
         let mut row_masks = Vec::new();
         for i in 0..t.num_rows() {
@@ -1384,7 +1385,7 @@ mod tests {
         let non_wild = slots.iter().filter(|e| e.0 != masks.all_wild()).count();
         assert!(touched.len() > non_wild, "{} vs {non_wild}", touched.len());
         // And the whole sweep agrees with the Rule-keyed one, partitioned.
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 3);
         let baseline = sweep_gains(&data, 3, Some(&index), None, &SweepOptions::rule_keyed());
         for opts in all_variants(&t) {
@@ -1471,13 +1472,13 @@ mod tests {
         let frame = Frame::from_columns_with_cards(cols, measures, vec![3, 2, 2]);
         let sample: Vec<Box<[u32]>> = [1usize, 9, 22]
             .iter()
-            .map(|&i| (0..3).map(|j| frame.col(j)[i]).collect())
+            .map(|&i| frame.view().gather_row_boxed(i))
             .collect();
         let index = SampleIndex::build(sample, 3);
         let chosen = |rows| CombineStrategy::for_partition(rows, 3, Some(index.len()));
         assert_eq!(chosen(8), CombineStrategy::SlotTable);
         assert_eq!(chosen(7), CombineStrategy::HashProbe);
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks_of(&engine, &frame, 3);
         let lens: Vec<usize> = (0..3).map(|p| data.part(p)[0].len()).collect();
         assert_eq!(lens, [8, 8, 7]);
@@ -1507,7 +1508,7 @@ mod tests {
         // No sample rows to address slots by: the forced strategy probes
         // instead of panicking, and the full-cube output is unchanged.
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 2);
         let forced = packed_opts(&t).with_combine(CombineStrategy::SlotTable);
         let hashed = packed_opts(&t).with_combine(CombineStrategy::HashProbe);
@@ -1524,7 +1525,7 @@ mod tests {
         let layout = RuleLayout::from_cardinalities(&[1 << 30, 1 << 30, 1 << 30]);
         assert_eq!(layout.packed_bits(), Some(128));
         let opts = SweepOptions::packed(layout);
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 4);
         let wide = sweep_gains(&data, 3, None, None, &opts);
         let narrow = sweep_gains(&data, 3, None, None, &SweepOptions::rule_keyed());
@@ -1551,7 +1552,7 @@ mod tests {
         assert_eq!(layout.packed_bits(), None);
         let opts = SweepOptions::packed(layout);
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 2);
         // 3-dim data under a 5-dim layout would be an arity error on the
         // packed path; the fallback dispatch never touches the layout.
@@ -1564,7 +1565,7 @@ mod tests {
     #[test]
     fn cancelled_token_stops_the_sweep_without_partial_candidates() {
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 2);
         for opts in all_variants(&t) {
             let token = CancellationToken::new();
@@ -1590,7 +1591,7 @@ mod tests {
             (0..n).map(|i| (i % 3) as u32).collect(),
         ];
         let frame = Frame::from_columns_with_cards(cols, vec![1.0; n], vec![7, 3]);
-        let engine = Engine::new(EngineConfig::single_thread());
+        let engine = Engine::try_new(EngineConfig::single_thread()).unwrap();
         let data = blocks_of(&engine, &frame, 1);
         let layout = RuleLayout::from_cardinalities(&[7, 3]);
         for opts in [
@@ -1655,16 +1656,16 @@ mod tests {
 
     #[test]
     fn the_transform_sums_exactly_the_frontier_entries_a_candidate_generalises() {
-        let engine = Engine::new(EngineConfig::single_thread());
+        let engine = Engine::try_new(EngineConfig::single_thread()).unwrap();
         let (frame, data) = duplicated_rows(&engine);
         let distinct_rows: std::collections::BTreeSet<Vec<u32>> = (0..60)
-            .map(|i| (0..4).map(|j| frame.col(j)[i]).collect())
+            .map(|i| frame.view().gather_row_boxed(i).into_vec())
             .collect();
         assert!(distinct_rows.len() < 60, "the table repeats rows");
         // Picks 7 and 31 twice each: duplicate sample rows share LCAs.
         let sample: Vec<Box<[u32]>> = [7usize, 31, 7, 44, 31]
             .iter()
-            .map(|&i| (0..4).map(|j| frame.col(j)[i]).collect())
+            .map(|&i| frame.view().gather_row_boxed(i))
             .collect();
         let index = SampleIndex::build(sample, 4);
         let layout = RuleLayout::from_cardinalities(&[2, 3, 2, 5]);
@@ -1749,7 +1750,7 @@ mod tests {
             (0..n).map(|i| (i % 5) as u32).collect(),
         ];
         let frame = Frame::from_columns_with_cards(cols, vec![1.0; n], vec![11, 13, 7, 5]);
-        let engine = Engine::new(EngineConfig::single_thread());
+        let engine = Engine::try_new(EngineConfig::single_thread()).unwrap();
         let data = blocks_of(&engine, &frame, 1);
         let opts = SweepOptions::packed(RuleLayout::from_cardinalities(&[11, 13, 7, 5]));
         let all = |sums: &[Agg]| (0..sums.len()).collect();
@@ -1817,7 +1818,7 @@ mod tests {
         let rows: [[u32; 3]; 5] = [[0, 0, 0], [0, 1, 1], [1, 1, 0], [2, 0, 1], [2, 1, 1]];
         // B's estimates: `EST` on all but the copies of row `odd`.
         const EST: f64 = 2.0;
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let table = |copies: [usize; 5], odd: Option<usize>| {
             let kinds: Vec<usize> = (0..5).flat_map(|r| vec![r; copies[r]]).collect();
             let cols = (0..3)
@@ -1898,7 +1899,7 @@ mod tests {
     #[test]
     fn stage_two_records_one_driver_side_stage_per_sweep() {
         let t = flights();
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 4);
         let index = sample_index(&t, &[3, 8, 0]);
         let opts = packed_opts(&t);

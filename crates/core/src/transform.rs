@@ -21,19 +21,9 @@ impl MeasureTransform {
     /// 2. If the shifted sum is zero (all-zero column), add `1/|D|` to every
     ///    value so the sum becomes 1.
     ///
-    /// # Panics
-    /// Panics on an empty or non-finite measure column; use
-    /// [`MeasureTransform::try_fit`] on untrusted data.
-    pub fn fit(measures: &[f64]) -> (MeasureTransform, Vec<f64>) {
-        match Self::try_fit(measures) {
-            Ok(fitted) => fitted,
-            Err(e) => crate::error::fail(e),
-        }
-    }
-
-    /// Fallible form of [`MeasureTransform::fit`]: rejects an empty column
-    /// ([`SirumError::EmptyDataset`]) and non-finite values
-    /// ([`SirumError::InvalidMeasure`], naming the offending row).
+    /// Rejects an empty column ([`SirumError::EmptyDataset`]) and
+    /// non-finite values ([`SirumError::InvalidMeasure`], naming the
+    /// offending row).
     pub fn try_fit(measures: &[f64]) -> Result<(MeasureTransform, Vec<f64>), SirumError> {
         if measures.is_empty() {
             return Err(SirumError::EmptyDataset);
@@ -76,7 +66,7 @@ mod tests {
 
     #[test]
     fn nonnegative_column_is_untouched() {
-        let (t, m) = MeasureTransform::fit(&[1.0, 0.0, 2.5]);
+        let (t, m) = MeasureTransform::try_fit(&[1.0, 0.0, 2.5]).unwrap();
         assert_eq!(t.shift(), 0.0);
         assert_eq!(m, vec![1.0, 0.0, 2.5]);
         assert_eq!(t.invert_avg(1.0), 1.0);
@@ -84,7 +74,7 @@ mod tests {
 
     #[test]
     fn negative_values_are_shifted() {
-        let (t, m) = MeasureTransform::fit(&[-2.0, 1.0, 3.0]);
+        let (t, m) = MeasureTransform::try_fit(&[-2.0, 1.0, 3.0]).unwrap();
         assert_eq!(t.shift(), 2.0);
         assert_eq!(m, vec![0.0, 3.0, 5.0]);
         assert!(m.iter().all(|&v| v >= 0.0));
@@ -94,7 +84,7 @@ mod tests {
 
     #[test]
     fn all_zero_column_gets_uniform_mass() {
-        let (t, m) = MeasureTransform::fit(&[0.0, 0.0, 0.0, 0.0]);
+        let (t, m) = MeasureTransform::try_fit(&[0.0, 0.0, 0.0, 0.0]).unwrap();
         assert_eq!(m, vec![0.25; 4]);
         assert!((m.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!((t.invert_avg(0.25) - 0.0).abs() < 1e-12);
@@ -104,7 +94,7 @@ mod tests {
     fn zero_sum_mixed_column() {
         // min = -1 → shift 1 → values [0, 2, 0, ... wait: [-1, 1] → [0, 2],
         // sum 2 ≠ 0, no extra shift.
-        let (t, m) = MeasureTransform::fit(&[-1.0, 1.0]);
+        let (t, m) = MeasureTransform::try_fit(&[-1.0, 1.0]).unwrap();
         assert_eq!(t.shift(), 1.0);
         assert_eq!(m, vec![0.0, 2.0]);
     }
@@ -112,15 +102,18 @@ mod tests {
     #[test]
     fn constant_negative_column() {
         // [-3,-3] → shift 3 → [0,0], sum 0 → add 1/2 each.
-        let (t, m) = MeasureTransform::fit(&[-3.0, -3.0]);
+        let (t, m) = MeasureTransform::try_fit(&[-3.0, -3.0]).unwrap();
         assert_eq!(m, vec![0.5, 0.5]);
         assert!((t.invert_avg(0.5) + 3.0).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "finite")]
     fn rejects_nan() {
-        let _ = MeasureTransform::fit(&[1.0, f64::NAN]);
+        let err = MeasureTransform::try_fit(&[1.0, f64::NAN]).unwrap_err();
+        assert!(
+            matches!(&err, SirumError::InvalidMeasure { reason } if reason.contains("not finite")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn engine(budget: Option<usize>, dir: &str) -> Engine {
         .with_workers(4)
         .with_spill_dir(std::env::temp_dir().join(format!("{dir}-{}", std::process::id())));
     config.memory_budget = budget;
-    Engine::new(config)
+    Engine::try_new(config).unwrap()
 }
 
 fn config() -> SirumConfig {

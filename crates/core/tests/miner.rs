@@ -11,7 +11,7 @@ use sirum_table::Table;
 use std::time::Duration;
 
 fn engine() -> Engine {
-    Engine::new(EngineConfig::in_memory().with_workers(2).with_partitions(4))
+    Engine::try_new(EngineConfig::in_memory().with_workers(2).with_partitions(4)).unwrap()
 }
 
 /// Exhaustive-candidate config: deterministic, sample = whole table.
@@ -210,14 +210,14 @@ fn wide_tables_are_rejected_with_a_typed_error_on_both_paths() {
     // either evaluation path. Both must refuse with InvalidConfig instead
     // of asserting mid-expansion (sweep) or grinding for hours (staged —
     // column grouping stages the emission but cannot shrink the lattice).
-    let mut b = Table::builder(sirum_table::Schema::new(
-        (0..30).map(|i| format!("c{i}")).collect::<Vec<_>>(),
-        "m",
-    ));
+    let mut b = Table::builder(
+        sirum_table::Schema::try_new((0..30).map(|i| format!("c{i}")).collect::<Vec<_>>(), "m")
+            .unwrap(),
+    );
     for i in 0..12 {
         let vals: Vec<String> = (0..30).map(|c| format!("v{}", (i * (c + 3)) % 3)).collect();
         let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
-        b.push_row(&refs, (i % 4) as f64);
+        b.try_push_row(&refs, (i % 4) as f64).unwrap();
     }
     let t = b.build();
     for gain_sweep in [true, false] {
@@ -294,15 +294,19 @@ fn engine_modes_agree_on_results() {
     let t = generators::income_like(800, 17);
     let cfg = || full_sample_config(3, 16);
     let in_mem = Miner::new(engine(), cfg()).try_mine(&t).unwrap();
-    let single = Miner::new(Engine::single_thread(), cfg())
-        .try_mine(&t)
-        .unwrap();
+    let single = Miner::new(
+        Engine::try_new(EngineConfig::single_thread()).unwrap(),
+        cfg(),
+    )
+    .try_mine(&t)
+    .unwrap();
     let disk = {
-        let e = Engine::new(
+        let e = Engine::try_new(
             EngineConfig::disk_mr()
                 .with_stage_startup(Duration::ZERO)
                 .with_partitions(4),
-        );
+        )
+        .unwrap();
         Miner::new(e, cfg()).try_mine(&t).unwrap()
     };
     let names =
@@ -486,11 +490,11 @@ fn sample_seed_changes_candidates_not_correctness() {
 fn wildcard_rule_alone_when_measure_uniform() {
     // A perfectly uniform measure leaves nothing to explain: after r1 the
     // estimates are exact and no candidate has positive gain.
-    let mut b = Table::builder(sirum_table::Schema::new(vec!["a", "b"], "m"));
+    let mut b = Table::builder(sirum_table::Schema::try_new(vec!["a", "b"], "m").unwrap());
     for i in 0..50 {
         let v0 = format!("x{}", i % 5);
         let v1 = format!("y{}", i % 3);
-        b.push_row(&[&v0, &v1], 7.0);
+        b.try_push_row(&[&v0, &v1], 7.0).unwrap();
     }
     let t = b.build();
     let result = Miner::new(engine(), full_sample_config(3, 10))
@@ -502,13 +506,13 @@ fn wildcard_rule_alone_when_measure_uniform() {
 
 #[test]
 fn negative_measures_are_handled_by_the_transform() {
-    let mut b = Table::builder(sirum_table::Schema::new(vec!["a", "b"], "m"));
+    let mut b = Table::builder(sirum_table::Schema::try_new(vec!["a", "b"], "m").unwrap());
     for i in 0..60 {
         let v0 = format!("x{}", i % 4);
         let v1 = format!("y{}", i % 5);
         // Negative measure with a planted x0 offset.
         let m = if i % 4 == 0 { 5.0 } else { -10.0 };
-        b.push_row(&[&v0, &v1], m);
+        b.try_push_row(&[&v0, &v1], m).unwrap();
     }
     let t = b.build();
     let result = Miner::new(engine(), full_sample_config(2, 12))
@@ -556,13 +560,14 @@ fn engine_modes_are_bit_identical_on_the_same_partitioning() {
         },
     ];
     let engines = [
-        Engine::new(EngineConfig::in_memory().with_workers(2).with_partitions(4)),
-        Engine::new(
+        Engine::try_new(EngineConfig::in_memory().with_workers(2).with_partitions(4)).unwrap(),
+        Engine::try_new(
             EngineConfig::disk_mr()
                 .with_partitions(4)
                 .with_stage_startup(Duration::ZERO),
-        ),
-        Engine::new(EngineConfig::single_thread().with_partitions(4)),
+        )
+        .unwrap(),
+        Engine::try_new(EngineConfig::single_thread().with_partitions(4)).unwrap(),
     ];
     for config in &configs {
         let runs: Vec<MiningResult> = engines
@@ -602,10 +607,10 @@ fn concurrent_staged_mines_on_one_engine_count_only_their_own_stages() {
             .with_stage_startup(Duration::ZERO),
     ];
     for engine in engines {
-        let lone = Miner::new(Engine::new(engine.clone()), config.clone())
+        let lone = Miner::new(Engine::try_new(engine.clone()).unwrap(), config.clone())
             .try_mine(&t)
             .unwrap();
-        let shared = Engine::new(engine);
+        let shared = Engine::try_new(engine).unwrap();
         let start = std::sync::Barrier::new(2);
         let results: Vec<MiningResult> = std::thread::scope(|s| {
             let mines: Vec<_> = (0..2)
@@ -660,11 +665,12 @@ fn staged_output_is_pinned_bit_for_bit() {
     // CHANGES.md.
     let t = generators::income_like(1_000, 2016);
     let engine = || {
-        Engine::new(
+        Engine::try_new(
             EngineConfig::in_memory()
                 .with_workers(2)
                 .with_partitions(16),
         )
+        .unwrap()
     };
     let full_cube = SirumConfig {
         k: 3,

@@ -37,14 +37,14 @@ fn small_table() -> impl Strategy<Value = Table> {
     (1usize..=MAX_D).prop_flat_map(|d| {
         prop::collection::vec((tuple(d), 0.0f64..10.0), 1..40).prop_map(move |rows| {
             let names: Vec<String> = (0..d).map(|i| format!("a{i}")).collect();
-            let mut b = Table::builder(Schema::new(names, "m"));
+            let mut b = Table::builder(Schema::try_new(names, "m").unwrap());
             for col in 0..d {
                 for v in 0..MAX_CARD {
-                    b.intern(col, &format!("v{v}"));
+                    b.try_intern(col, &format!("v{v}")).unwrap();
                 }
             }
             for (codes, m) in rows {
-                b.push_coded_row(&codes, m);
+                b.try_push_coded_row(&codes, m).unwrap();
             }
             b.build()
         })
@@ -268,17 +268,18 @@ fn staged_mining_on_u128_codes_matches_rule_keys() {
     // keys its records by u128 codes. Rows use low and high codes alike.
     let d = 5;
     let names: Vec<String> = (0..d).map(|j| format!("a{j}")).collect();
-    let mut b = Table::builder(Schema::new(names, "m"));
+    let mut b = Table::builder(Schema::try_new(names, "m").unwrap());
     for col in 0..d {
         for v in 0..5_000 {
-            b.intern(col, &format!("v{v}"));
+            b.try_intern(col, &format!("v{v}")).unwrap();
         }
     }
     for i in 0..120u32 {
         let codes: Vec<u32> = (0..d as u32)
             .map(|j| [0, 1, 2, 4_096, 4_999][((i * (j + 3) + i / 7) % 5) as usize])
             .collect();
-        b.push_coded_row(&codes, f64::from(i % 11) + 0.5);
+        b.try_push_coded_row(&codes, f64::from(i % 11) + 0.5)
+            .unwrap();
     }
     let table = b.build();
     let layout = RuleLayout::from_cardinalities(table.frame().cards());
@@ -295,7 +296,7 @@ fn staged_mining_on_u128_codes_matches_rule_keys() {
                     packed_codes,
                     ..staged_config(i, table.num_rows())
                 };
-                Miner::new(Engine::new(engine.clone()), config)
+                Miner::new(Engine::try_new(engine.clone()).unwrap(), config)
                     .try_mine(&table)
                     .unwrap()
             };
@@ -324,11 +325,11 @@ proptest! {
         // rules mined so far, same KL trace, same cancelled flag.
         let n = table.num_rows();
         let mine = |packed_codes: bool| {
-            let engine = Engine::new(
+            let engine = Engine::try_new(
                 EngineConfig::in_memory()
                     .with_workers(2)
                     .with_partitions(partitions),
-            );
+            ).unwrap();
             let config = SirumConfig {
                 k: 4,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
@@ -366,11 +367,11 @@ proptest! {
         let variant = Variant::ALL[variant_idx];
         let n = table.num_rows();
         let mine = |compression: Compression| {
-            let engine = Engine::new(
+            let engine = Engine::try_new(
                 EngineConfig::in_memory()
                     .with_workers(workers)
                     .with_partitions(partitions),
-            );
+            ).unwrap();
             let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
             assert_eq!(
                 prepared.frame().is_compressed(),
@@ -395,11 +396,11 @@ proptest! {
         // result on compressed and raw frames alike.
         let n = table.num_rows();
         let mine = |compression: Compression| {
-            let engine = Engine::new(
+            let engine = Engine::try_new(
                 EngineConfig::in_memory()
                     .with_workers(2)
                     .with_partitions(partitions),
-            );
+            ).unwrap();
             let config = SirumConfig {
                 k: 4,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
@@ -435,11 +436,11 @@ proptest! {
         // any partition count and any worker count.
         let n = table.num_rows();
         let mine = |packed_codes: bool| {
-            let engine = Engine::new(
+            let engine = Engine::try_new(
                 EngineConfig::in_memory()
                     .with_workers(workers)
                     .with_partitions(partitions),
-            );
+            ).unwrap();
             let config = SirumConfig {
                 k: 3,
                 strategy: CandidateStrategy::SampleLca { sample_size: n.min(5) },
@@ -469,7 +470,7 @@ proptest! {
             } else {
                 EngineConfig::in_memory()
             };
-            let engine = Engine::new(engine.with_workers(workers).with_partitions(partitions));
+            let engine = Engine::try_new(engine.with_workers(workers).with_partitions(partitions)).unwrap();
             let config = SirumConfig { packed_codes, ..config.clone() };
             Miner::new(engine, config).try_mine(&table).unwrap()
         };
@@ -562,9 +563,9 @@ proptest! {
             .map(|&i| table.row(i).to_vec().into_boxed_slice())
             .collect();
         let index = SampleIndex::build(sample, d);
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
         let data = sweep_blocks(&engine, &table, partitions);
-        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
         let seq_data = sweep_blocks(&sequential, &table, partitions);
         for idx in [Some(&index), None] {
             let mut baseline: Option<SweepBits> = None;
@@ -614,7 +615,7 @@ proptest! {
         let index = SampleIndex::build(sample, d);
         let compression = if compressed { Compression::Always } else { Compression::Never };
         let ordered = ordered_sweep_bits;
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
         let data = sweep_blocks_with(&engine, &table, partitions, compression);
         let mut baseline = None;
         for opts in sweep_variants(&table) {
@@ -630,7 +631,7 @@ proptest! {
         // task's boundary, then stage 2's, then once per window of links
         // the key-generic plan build and fold go through), so a
         // poll-budget token stops every variant at the same point.
-        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
         let seq_data = sweep_blocks_with(&sequential, &table, partitions, compression);
         for polls in 1..=(2 * partitions as u64 + 1) {
             let mut baseline = None;
@@ -677,8 +678,8 @@ proptest! {
         let index = SampleIndex::build(sample, d);
         let compression = if compressed { Compression::Always } else { Compression::Never };
         let other_mhat: fn(usize) -> f64 = |i| 0.25 + 1.5 * (i % 5) as f64;
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
-        let sequential = Engine::new(EngineConfig::in_memory().with_workers(1));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+        let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
         let blocks = |engine, mhat| sweep_blocks_mhat(engine, &table, partitions, compression, mhat);
         let (first, second) = (blocks(&engine, synthetic_mhat), blocks(&engine, other_mhat));
         let (seq_first, seq_second) =
@@ -781,7 +782,7 @@ proptest! {
         let mut datasets = Vec::new();
         for compression in [Compression::Never, Compression::Always] {
             for workers in [1, workers] {
-                let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+                let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
                 datasets.push((
                     sweep_blocks_with(&engine, &table, partitions, compression),
                     sweep_blocks_column(&engine, &table, partitions, compression, &mhat),
@@ -873,11 +874,11 @@ proptest! {
         // over the same partitioning.
         let n = table.num_rows();
         let mine = |workers: usize| {
-            let engine = Engine::new(
+            let engine = Engine::try_new(
                 EngineConfig::in_memory()
                     .with_workers(workers)
                     .with_partitions(partitions),
-            );
+            ).unwrap();
             let config = SirumConfig {
                 k: 3,
                 strategy: CandidateStrategy::SampleLca {
@@ -919,7 +920,7 @@ proptest! {
             .map(|&i| table.row(i).to_vec().into_boxed_slice())
             .collect();
         let index = SampleIndex::build(sample, d);
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = sweep_blocks(&engine, &table, 3);
         let exhaustive = exhaustive_candidates(&table, &mhat, None).expect("uncancelled");
         for opts in sweep_variants(&table) {
@@ -1099,7 +1100,7 @@ proptest! {
         // single-constant rules; both scalers must converge to the same
         // multipliers and estimates.
         let d = table.num_dims();
-        let (_tr, m_prime) = MeasureTransform::fit(table.measures());
+        let (_tr, m_prime) = MeasureTransform::try_fit(table.measures()).unwrap();
         let mut rules = vec![Rule::all_wildcards(d)];
         'outer: for col in 0..d {
             for code in 0..MAX_CARD {
@@ -1155,7 +1156,7 @@ proptest! {
     #[test]
     fn scaling_constraints_hold_at_convergence(table in small_table()) {
         let d = table.num_dims();
-        let (_tr, m_prime) = MeasureTransform::fit(table.measures());
+        let (_tr, m_prime) = MeasureTransform::try_fit(table.measures()).unwrap();
         let rules = vec![Rule::all_wildcards(d)];
         let m_sums = measure_sums(&table, &m_prime, &rules);
         let cfg = ScalingConfig { epsilon: 1e-9, max_iterations: 100_000 };
@@ -1174,7 +1175,7 @@ proptest! {
 
     #[test]
     fn measure_transform_is_sound(ms in prop::collection::vec(-100.0f64..100.0, 1..50)) {
-        let (tr, out) = MeasureTransform::fit(&ms);
+        let (tr, out) = MeasureTransform::try_fit(&ms).unwrap();
         prop_assert!(out.iter().all(|&v| v >= 0.0));
         prop_assert!(out.iter().sum::<f64>() != 0.0);
         // Averages invert exactly.
@@ -1229,7 +1230,7 @@ fn disk_engine(budget: Option<usize>, dir: &str) -> Engine {
             std::thread::current().id()
         )));
     config.memory_budget = budget;
-    Engine::new(config)
+    Engine::try_new(config).unwrap()
 }
 
 #[test]
@@ -1272,7 +1273,7 @@ fn budget_engine(budget: Option<usize>, partitions: usize, dir: &str) -> Engine 
         .with_workers(2)
         .with_spill_dir(std::env::temp_dir().join(format!("{dir}-{}", std::process::id())));
     config.memory_budget = budget;
-    Engine::new(config)
+    Engine::try_new(config).unwrap()
 }
 
 #[test]
@@ -1451,13 +1452,14 @@ fn spill_io_failure_under_pressure_is_a_typed_error() {
     // mining on partial data.
     let root = std::env::temp_dir().join(format!("sirum-evict-poison-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let engine = Engine::new(
+    let engine = Engine::try_new(
         EngineConfig::disk_mr()
             .with_stage_startup(std::time::Duration::ZERO)
             .with_partitions(4)
             .with_memory_budget(48 << 10)
             .with_spill_dir(root.clone()),
-    );
+    )
+    .unwrap();
     // Replace the per-store subdirectory with a plain file so every
     // subsequent spill write fails with a real I/O error.
     for entry in std::fs::read_dir(&root).unwrap() {

@@ -39,6 +39,17 @@ pub(crate) enum Part<T> {
     Stored(BlockId),
 }
 
+impl<T: Record> Part<T> {
+    /// Materialize this partition: an `Arc` bump when resident, a block-store
+    /// read (decoding, from disk if spilled) when stored.
+    fn load(&self, engine: &Engine) -> Arc<Vec<T>> {
+        match self {
+            Part::Mem(a) => Arc::clone(a),
+            Part::Stored(id) => engine.store().get::<T>(*id),
+        }
+    }
+}
+
 impl<T> Clone for Part<T> {
     fn clone(&self) -> Self {
         match self {
@@ -95,10 +106,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 impl<T: Record> Dataset<T> {
     /// Materialize partition `i` (decoding / reading from disk if stored).
     pub fn part(&self, i: usize) -> Arc<Vec<T>> {
-        match &self.parts[i] {
-            Part::Mem(a) => Arc::clone(a),
-            Part::Stored(id) => self.engine.store().get::<T>(*id),
-        }
+        self.parts[i].load(&self.engine)
     }
 
     /// Total number of records (materializes partitions; cheap for in-memory
@@ -140,10 +148,7 @@ impl<T: Record> Dataset<T> {
         let parts =
             self.engine
                 .run_stage(label, self.parts.clone(), (0, 0), |idx, part: Part<T>| {
-                    let data = match &part {
-                        Part::Mem(a) => Arc::clone(a),
-                        Part::Stored(id) => engine.store().get::<T>(*id),
-                    };
+                    let data = part.load(&engine);
                     let out = f(idx, &data);
                     TaskOutput {
                         records_in: data.len() as u64,
@@ -192,10 +197,7 @@ impl<T: Record> Dataset<T> {
         let accs =
             self.engine
                 .run_stage(label, self.parts.clone(), (0, 0), |idx, part: Part<T>| {
-                    let data = match &part {
-                        Part::Mem(a) => Arc::clone(a),
-                        Part::Stored(id) => engine.store().get::<T>(*id),
-                    };
+                    let data = part.load(&engine);
                     let acc = per_part(idx, &data);
                     TaskOutput {
                         records_in: data.len() as u64,
@@ -221,10 +223,7 @@ impl<T: Record> Dataset<T> {
         let parts =
             self.engine
                 .run_stage("cache", self.parts.clone(), (0, 0), |_, part: Part<T>| {
-                    let data = match &part {
-                        Part::Mem(a) => Arc::clone(a),
-                        Part::Stored(id) => engine.store().get::<T>(*id),
-                    };
+                    let data = part.load(&engine);
                     let n = data.len() as u64;
                     let owned = Arc::try_unwrap(data).unwrap_or_else(|a| a.as_ref().clone());
                     TaskOutput {
@@ -248,10 +247,7 @@ impl<T: Record> Dataset<T> {
             self.parts.clone(),
             (0, 0),
             |_, part: Part<T>| {
-                let data = match &part {
-                    Part::Mem(a) => Arc::clone(a),
-                    Part::Stored(id) => engine.store().get::<T>(*id),
-                };
+                let data = part.load(&engine);
                 let mut split: Vec<Vec<&T>> = (0..partitions).map(|_| Vec::new()).collect();
                 for (i, t) in data.iter().enumerate() {
                     split[i % partitions].push(t);
@@ -355,10 +351,7 @@ where
             self.parts.clone(),
             (0, 0),
             |_, part: Part<(K, V)>| {
-                let data = match &part {
-                    Part::Mem(a) => Arc::clone(a),
-                    Part::Stored(id) => engine.store().get::<(K, V)>(*id),
-                };
+                let data = part.load(&engine);
                 let mut combined: FxHashMap<K, V> = FxHashMap::default();
                 for (k, v) in data.iter() {
                     match combined.get_mut(k) {
@@ -457,7 +450,7 @@ mod tests {
     use crate::hash::fx_hash_one;
 
     fn engine() -> Engine {
-        Engine::new(EngineConfig::in_memory().with_workers(2))
+        Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap()
     }
 
     #[test]
@@ -480,7 +473,7 @@ mod tests {
         // The fold must visit partitions 0, 1, 2, … regardless of worker
         // count; tags record the order the combiner saw them in.
         for workers in [1, 2, 4] {
-            let e = Engine::new(EngineConfig::in_memory().with_workers(workers));
+            let e = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
             let d = e.parallelize((0..40u32).collect(), 5);
             let order = d.aggregate_partitions(
                 "order",
@@ -502,7 +495,7 @@ mod tests {
         // the same bits for 1 and many workers.
         let data: Vec<f64> = (0..1000).map(|i| 1.0 / (i as f64 + 0.37)).collect();
         let run = |workers: usize| -> u64 {
-            let e = Engine::new(EngineConfig::in_memory().with_workers(workers));
+            let e = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
             let d = e.parallelize(data.clone(), 7);
             d.aggregate_partitions(
                 "sum",
@@ -592,7 +585,9 @@ mod tests {
 
     #[test]
     fn disk_mr_mode_materializes_stages_on_disk() {
-        let e = Engine::new(EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO));
+        let e =
+            Engine::try_new(EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO))
+                .unwrap();
         let d = e.parallelize((0..100u32).collect(), 4);
         let out = d.map("inc", |&x| x + 1);
         assert!(e.metrics().counters().disk_writes >= 4);
@@ -613,16 +608,18 @@ mod tests {
             out
         };
         let mem = run(engine());
-        let disk = run(Engine::new(
+        let disk = run(Engine::try_new(
             EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO),
-        ));
+        )
+        .unwrap());
         assert_eq!(mem, disk);
     }
 
     #[test]
     fn single_thread_mode_gives_same_results() {
         let pairs: Vec<(u32, u64)> = (0..300).map(|i| (i % 11, 1u64)).collect();
-        let mut a = Engine::single_thread()
+        let mut a = Engine::try_new(EngineConfig::single_thread())
+            .unwrap()
             .parallelize(pairs.clone(), 6)
             .reduce_by_key("c", 2, fx_hash_one, |x, y| *x += y)
             .collect();
@@ -665,7 +662,7 @@ mod repartition_tests {
 
     #[test]
     fn repartition_preserves_multiset() {
-        let e = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let e = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let d = e.parallelize((0..100u32).collect(), 3);
         let r = d.repartition(7);
         assert_eq!(r.num_partitions(), 7);

@@ -36,20 +36,7 @@ pub struct TaskOutput<O> {
 }
 
 impl Engine {
-    /// Build an engine from a configuration.
-    ///
-    /// # Panics
-    /// Panics when the configuration is invalid or the spill directory
-    /// cannot be created; use [`Engine::try_new`] on untrusted
-    /// configurations to receive a [`DataflowError`] instead.
-    pub fn new(config: EngineConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(engine) => engine,
-            Err(e) => crate::error::fail(e),
-        }
-    }
-
-    /// Fallible form of [`Engine::new`]: validates the configuration
+    /// Build an engine from a configuration: validates it
     /// ([`DataflowError::InvalidConfig`]) and verifies the spill directory
     /// is usable ([`DataflowError::Spill`]) before any job runs.
     pub fn try_new(config: EngineConfig) -> Result<Self, DataflowError> {
@@ -107,21 +94,6 @@ impl Engine {
             None => Ok(()),
             Some(e) => Err(e),
         }
-    }
-
-    /// Spark-like engine with default configuration.
-    pub fn in_memory() -> Self {
-        Self::new(EngineConfig::in_memory())
-    }
-
-    /// Hive-like engine (disk-materialized stages).
-    pub fn disk_mr() -> Self {
-        Self::new(EngineConfig::disk_mr())
-    }
-
-    /// PostgreSQL-like engine (single worker).
-    pub fn single_thread() -> Self {
-        Self::new(EngineConfig::single_thread())
     }
 
     /// The engine's configuration.
@@ -304,7 +276,7 @@ mod tests {
 
     #[test]
     fn fork_isolates_stage_metrics_but_shares_the_store() {
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let ds = engine.parallelize((0..10u32).collect(), 2).cache();
         assert!(engine.metrics().stage_count() > 0);
         let fork = engine.fork();
@@ -321,7 +293,7 @@ mod tests {
 
     #[test]
     fn run_stage_preserves_order_and_records_metrics() {
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(4));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(4)).unwrap();
         let outs = engine.run_stage("square", (0..10u64).collect(), (0, 0), |_, x| TaskOutput {
             value: x * x,
             records_in: 1,
@@ -336,7 +308,7 @@ mod tests {
 
     #[test]
     fn single_thread_mode_runs_inline() {
-        let engine = Engine::single_thread();
+        let engine = Engine::try_new(EngineConfig::single_thread()).unwrap();
         let outs = engine.run_stage("id", vec![1, 2, 3], (0, 0), |_, x| TaskOutput {
             value: x,
             records_in: 1,
@@ -347,7 +319,7 @@ mod tests {
 
     #[test]
     fn broadcast_derefs_and_counts_bytes() {
-        let engine = Engine::new(EngineConfig::in_memory().with_workers(2));
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let b = engine.broadcast_sized(vec![1u32, 2, 3], 12);
         assert_eq!(b.len(), 3);
         assert_eq!(b.value()[0], 1);
@@ -356,7 +328,7 @@ mod tests {
 
     #[test]
     fn parallelize_splits_evenly() {
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let ds = engine.parallelize((0..10).collect::<Vec<i32>>(), 3);
         assert_eq!(ds.num_partitions(), 3);
         assert_eq!(ds.collect(), (0..10).collect::<Vec<i32>>());
@@ -364,7 +336,7 @@ mod tests {
 
     #[test]
     fn parallelize_handles_empty_input() {
-        let engine = Engine::in_memory();
+        let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
         let ds = engine.parallelize(Vec::<u32>::new(), 4);
         assert_eq!(ds.collect(), Vec::<u32>::new());
         assert_eq!(ds.len(), 0);

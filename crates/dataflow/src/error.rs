@@ -68,15 +68,6 @@ impl DataflowError {
     }
 }
 
-/// Abort with `err` rendered through its `Display` form — the single panic
-/// bridge backing the crate's infallible convenience constructors
-/// (e.g. [`crate::Engine::new`] for trusted, default configurations).
-#[track_caller]
-#[expect(clippy::panic, reason = "sole bridge for infallible wrappers")]
-pub(crate) fn fail(err: DataflowError) -> ! {
-    panic!("{err}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

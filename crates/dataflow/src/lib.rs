@@ -18,9 +18,9 @@
 //!
 //! ```
 //! use sirum_dataflow::hash::fx_hash_one;
-//! use sirum_dataflow::Engine;
+//! use sirum_dataflow::{DataflowError, Engine, EngineConfig};
 //!
-//! let engine = Engine::in_memory();
+//! let engine = Engine::try_new(EngineConfig::in_memory())?;
 //! let data = engine.parallelize((0..1000u32).collect(), 8);
 //! let pairs = data.map("key-by-mod", |&x| (x % 10, 1u64));
 //! let counts = pairs.reduce_by_key("count", 4, fx_hash_one, |a, b| *a += b);
@@ -28,6 +28,7 @@
 //! result.sort_unstable();
 //! assert_eq!(result.len(), 10);
 //! assert!(result.iter().all(|&(_, c)| c == 100));
+//! # Ok::<(), DataflowError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -8,11 +8,12 @@ use sirum_dataflow::{
 };
 
 fn engine(workers: usize, partitions: usize) -> Engine {
-    Engine::new(
+    Engine::try_new(
         EngineConfig::in_memory()
             .with_workers(workers)
             .with_partitions(partitions),
     )
+    .unwrap()
 }
 
 proptest! {
@@ -108,12 +109,12 @@ proptest! {
         data in prop::collection::vec(any::<u32>(), 1..200),
         budget in 64usize..4096,
     ) {
-        let e = Engine::new(
+        let e = Engine::try_new(
             EngineConfig::in_memory()
                 .with_workers(2)
                 .with_partitions(4)
                 .with_memory_budget(budget),
-        );
+        ).unwrap();
         let cached = e.parallelize(data.clone(), 4).cache();
         prop_assert_eq!(cached.collect(), data.clone());
         // Second read (possibly from spill) still matches.

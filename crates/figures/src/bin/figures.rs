@@ -11,9 +11,9 @@
 #![forbid(unsafe_code)]
 
 use sirum_figures::baselines::{sarawagi_explore, SarawagiConfig};
-use sirum_figures::core::explore::explore;
 use sirum_figures::core::{
-    mine_on_sample, CandidateStrategy, Miner, MiningResult, MultiRuleConfig, SirumConfig, Variant,
+    try_explore, try_mine_on_sample, CandidateStrategy, Miner, MiningResult, MultiRuleConfig,
+    SirumConfig, Variant,
 };
 use sirum_figures::dataflow::{Engine, EngineConfig};
 use sirum_figures::table::Table;
@@ -22,7 +22,11 @@ use sirum_figures::{secs, speedup, timed, workloads, FigureReport};
 const PARTITIONS: usize = 32;
 
 fn engine() -> Engine {
-    Engine::new(EngineConfig::in_memory().with_partitions(PARTITIONS))
+    engine_with(EngineConfig::in_memory().with_partitions(PARTITIONS))
+}
+
+fn engine_with(config: EngineConfig) -> Engine {
+    Engine::try_new(config).expect("engine")
 }
 
 fn run(table: &Table, config: SirumConfig) -> MiningResult {
@@ -46,7 +50,7 @@ const ONE_HOST: &str = "note: measured on one host; the paper's 2->16-executor \
 /// engine.
 fn median_wall(engine: EngineConfig, table: &Table, config: &SirumConfig) -> f64 {
     let mut walls: Vec<f64> = (0..RUNS)
-        .map(|_| timed(|| run_on(Engine::new(engine.clone()), table, config.clone())).1)
+        .map(|_| timed(|| run_on(engine_with(engine.clone()), table, config.clone())).1)
         .collect();
     walls.sort_by(f64::total_cmp);
     walls[RUNS / 2]
@@ -140,7 +144,7 @@ fn f4_3() {
     let bytes = t.data_bytes();
     // "5GB vs 3GB executors" scaled: generous (fits) vs starved (spills).
     for (label, budget) in [("fits", bytes * 4), ("starved", bytes / 2)] {
-        let e = Engine::new(
+        let e = engine_with(
             EngineConfig::in_memory()
                 .with_partitions(PARTITIONS)
                 .with_memory_budget(budget),
@@ -185,7 +189,7 @@ fn f4_4() {
     let t = workloads::tlc(80_000);
     let budget = t.data_bytes() / 2;
     for (label, rate) in [("full", 1.0), ("sample60%", 0.6), ("sample10%", 0.1)] {
-        let e = Engine::new(
+        let e = engine_with(
             EngineConfig::in_memory()
                 .with_partitions(PARTITIONS)
                 .with_memory_budget(budget),
@@ -195,7 +199,9 @@ fn f4_4() {
             strategy: CandidateStrategy::SampleLca { sample_size: 16 },
             ..SirumConfig::default()
         };
-        let (out, elapsed) = timed(|| mine_on_sample(&e, &t, rate, cfg));
+        let (out, elapsed) = timed(|| {
+            try_mine_on_sample(&Miner::new(e.clone(), cfg), &t, rate).expect("sampled mine")
+        });
         let c = e.metrics().counters();
         rep.row(vec![
             label.into(),
@@ -249,7 +255,7 @@ fn f5_2() {
     let spark_engine = engine();
     let (_, spark_s) = timed(|| run_on(spark_engine.clone(), &t, cfg()));
     let spark_stages = spark_engine.metrics().stage_count();
-    let hive_engine = Engine::new(EngineConfig::disk_mr().with_partitions(PARTITIONS));
+    let hive_engine = engine_with(EngineConfig::disk_mr().with_partitions(PARTITIONS));
     let (_, hive_s) = timed(|| run_on(hive_engine.clone(), &t, cfg()));
     let c = hive_engine.metrics().counters();
     rep.row(vec![
@@ -603,10 +609,11 @@ fn f5_15() {
                 ..Default::default()
             },
         )
+        .expect("baseline explore")
     });
     let e2 = engine();
     let (opt, _) = timed(|| {
-        explore(
+        try_explore(
             &e2,
             &t,
             SirumConfig {
@@ -617,10 +624,11 @@ fn f5_15() {
                 ..SirumConfig::default()
             },
         )
+        .expect("explore")
     });
     let e3 = engine();
     let (opt_star, _) = timed(|| {
-        explore(
+        try_explore(
             &e3,
             &t,
             SirumConfig {
@@ -633,6 +641,7 @@ fn f5_15() {
                 ..SirumConfig::default()
             },
         )
+        .expect("explore")
     });
     for (name, r) in [
         ("Baseline[29]", &sar.result),
@@ -719,7 +728,9 @@ fn f5_18() {
                 strategy: CandidateStrategy::SampleLca { sample_size: 16 },
                 ..SirumConfig::default()
             };
-            let (out, elapsed) = timed(|| mine_on_sample(&e, &t, rate, cfg));
+            let (out, elapsed) = timed(|| {
+                try_mine_on_sample(&Miner::new(e.clone(), cfg), &t, rate).expect("sampled mine")
+            });
             rep.row(vec![
                 name.into(),
                 format!("{:.1}", rate * 100.0),

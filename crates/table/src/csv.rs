@@ -277,10 +277,12 @@ mod tests {
 
     #[test]
     fn quoted_fields_with_commas_round_trip() {
-        let mut b = Table::builder(Schema::new(vec!["City, Country", "Kind"], "m"));
-        b.push_row(&["London, UK", "plain"], 1.0);
-        b.push_row(&["San Francisco, CA, USA", "with \"quotes\""], 2.5);
-        b.push_row(&["multi\nline", "trailing,comma,"], -3.0);
+        let mut b = Table::builder(Schema::try_new(vec!["City, Country", "Kind"], "m").unwrap());
+        b.try_push_row(&["London, UK", "plain"], 1.0).unwrap();
+        b.try_push_row(&["San Francisco, CA, USA", "with \"quotes\""], 2.5)
+            .unwrap();
+        b.try_push_row(&["multi\nline", "trailing,comma,"], -3.0)
+            .unwrap();
         let t = b.build();
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
@@ -307,9 +309,9 @@ mod tests {
     fn carriage_returns_in_quoted_fields_survive_exactly() {
         // A line-based reader would strip the \r of an embedded CRLF; the
         // raw-text record splitter must not.
-        let mut b = Table::builder(Schema::new(vec!["a"], "m"));
-        b.push_row(&["x\r\ny"], 1.0);
-        b.push_row(&["lone\rcr"], 2.0);
+        let mut b = Table::builder(Schema::try_new(vec!["a"], "m").unwrap());
+        b.try_push_row(&["x\r\ny"], 1.0).unwrap();
+        b.try_push_row(&["lone\rcr"], 2.0).unwrap();
         let t = b.build();
         let back = round_trip(&t);
         assert_eq!(back.decode(0, back.row(0)[0]), "x\r\ny");

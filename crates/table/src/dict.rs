@@ -19,22 +19,10 @@ impl Dictionary {
         Self::default()
     }
 
-    /// Return the code for `value`, inserting it if unseen.
-    ///
-    /// # Panics
-    /// Panics if the `u32` code space is exhausted (more than `u32::MAX − 1`
-    /// distinct values; `u32::MAX` is reserved for the wildcard). Use
-    /// [`Dictionary::try_intern`] to handle that case as a typed error.
-    pub fn intern(&mut self, value: &str) -> u32 {
-        match self.try_intern(value) {
-            Ok(code) => code,
-            Err(e) => crate::error::fail(e),
-        }
-    }
-
-    /// Fallible form of [`Dictionary::intern`]: returns
-    /// [`TableError::DictionaryOverflow`] instead of panicking when the
-    /// code space is exhausted.
+    /// Return the code for `value`, inserting it if unseen, or
+    /// [`TableError::DictionaryOverflow`] when the `u32` code space is
+    /// exhausted (more than `u32::MAX − 1` distinct values; `u32::MAX` is
+    /// reserved for the wildcard).
     pub fn try_intern(&mut self, value: &str) -> Result<u32, TableError> {
         if let Some(&code) = self.to_code.get(value) {
             return Ok(code);
@@ -94,9 +82,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut d = Dictionary::new();
-        let a = d.intern("SF");
-        let b = d.intern("London");
-        assert_eq!(d.intern("SF"), a);
+        let a = d.try_intern("SF").unwrap();
+        let b = d.try_intern("London").unwrap();
+        assert_eq!(d.try_intern("SF").unwrap(), a);
         assert_ne!(a, b);
         assert_eq!(d.cardinality(), 2);
     }
@@ -105,7 +93,7 @@ mod tests {
     fn codes_are_dense_and_reversible() {
         let mut d = Dictionary::new();
         for (i, v) in ["x", "y", "z"].iter().enumerate() {
-            assert_eq!(d.intern(v), i as u32);
+            assert_eq!(d.try_intern(v).unwrap(), i as u32);
         }
         assert_eq!(d.value(1), "y");
         assert_eq!(d.code("z"), Some(2));
@@ -135,8 +123,8 @@ mod tests {
     #[test]
     fn iter_in_code_order() {
         let mut d = Dictionary::new();
-        d.intern("b");
-        d.intern("a");
+        d.try_intern("b").unwrap();
+        d.try_intern("a").unwrap();
         let pairs: Vec<(u32, &str)> = d.iter().collect();
         assert_eq!(pairs, vec![(0, "b"), (1, "a")]);
     }

@@ -125,17 +125,6 @@ impl From<std::io::Error> for TableError {
     }
 }
 
-/// Abort with `err` rendered through its `Display` form.
-///
-/// This is the single panic bridge that keeps the crate's infallible
-/// convenience constructors (used by generators and tests on trusted input)
-/// available while every fallible path returns [`TableError`].
-#[track_caller]
-#[expect(clippy::panic, reason = "sole bridge for infallible wrappers")]
-pub(crate) fn fail(err: TableError) -> ! {
-    panic!("{err}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

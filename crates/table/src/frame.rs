@@ -413,26 +413,6 @@ impl Frame {
         self.cols.len()
     }
 
-    /// The full column of dimension attribute `j` as a contiguous slice.
-    /// Only raw columns have one; compressed-frame scans must go through
-    /// [`FrameView::morsel_cols`] (or [`Self::gather_row`] for point
-    /// probes).
-    ///
-    /// # Panics
-    /// Panics when column `j` is compressed.
-    #[expect(
-        clippy::panic,
-        reason = "misuse of the raw-only accessor is a logic error; scans use morsel_cols"
-    )]
-    pub fn col(&self, j: usize) -> &[u32] {
-        match &self.cols[j] {
-            Column::Raw(a) => a,
-            Column::Compressed(_) => {
-                panic!("dimension column {j} is compressed; decode via FrameView::morsel_cols")
-            }
-        }
-    }
-
     /// Column `j`'s physical representation.
     pub fn column(&self, j: usize) -> &Column {
         &self.cols[j]
@@ -645,15 +625,6 @@ impl FrameView {
         self.frame.num_dims()
     }
 
-    /// The in-range slice of dimension column `j` (raw columns only — see
-    /// [`Frame::col`]).
-    ///
-    /// # Panics
-    /// Panics when column `j` is compressed.
-    pub fn col(&self, j: usize) -> &[u32] {
-        &self.frame.col(j)[self.start..self.start + self.len]
-    }
-
     /// The scan chunks of this view as `(local_start, len)` ranges: one
     /// whole-view morsel for raw frames (scans degenerate to the direct
     /// column borrow), the intersection with the frame's segment
@@ -798,19 +769,27 @@ mod tests {
     use super::*;
     use crate::{generators, Schema, Table};
 
+    /// Column `j` of a raw frame as one slice.
+    fn raw_col(f: &Frame, j: usize) -> &[u32] {
+        match f.column(j) {
+            Column::Raw(a) => a,
+            Column::Compressed(_) => panic!("column {j} is compressed"),
+        }
+    }
+
     #[test]
     fn frame_transposes_the_table() {
         // The builder's rows come out as columns: row i's j-th code is
         // column j's i-th.
         let rows = [[0u32, 2, 1], [1, 0, 1], [2, 2, 0], [0, 1, 2]];
-        let mut b = Table::builder(Schema::new(vec!["a", "b", "c"], "m"));
+        let mut b = Table::builder(Schema::try_new(vec!["a", "b", "c"], "m").unwrap());
         for j in 0..3 {
             for v in ["x", "y", "z"] {
-                b.intern(j, v);
+                b.try_intern(j, v).unwrap();
             }
         }
         for (i, row) in rows.iter().enumerate() {
-            b.push_coded_row(row, i as f64);
+            b.try_push_coded_row(row, i as f64).unwrap();
         }
         let t = b.build();
         let f = t.frame();
@@ -823,7 +802,7 @@ mod tests {
             f.gather_row(i, &mut buf);
             assert_eq!(&buf, row);
             for (j, &v) in row.iter().enumerate() {
-                assert_eq!(f.col(j)[i], v);
+                assert_eq!(raw_col(f, j)[i], v);
             }
         }
     }
@@ -852,11 +831,15 @@ mod tests {
         let f = t.frame();
         let v = f.view().slice(3, 5);
         assert_eq!(v.len(), 5);
-        assert_eq!(v.col(0), &f.col(0)[3..8]);
+        let mut scratch = ColScratch::new();
+        assert_eq!(v.morsel_cols(0, 5, &mut scratch)[0], &raw_col(f, 0)[3..8]);
         assert_eq!(v.measures(), &t.measures()[3..8]);
         assert_eq!(&*v.gather_row_boxed(0), t.row(3).as_slice());
         let inner = v.slice(1, 2);
-        assert_eq!(inner.col(1), &f.col(1)[4..6]);
+        assert_eq!(
+            inner.morsel_cols(0, 2, &mut scratch)[1],
+            &raw_col(f, 1)[4..6]
+        );
     }
 
     #[test]
@@ -864,7 +847,7 @@ mod tests {
         let cols = vec![vec![1u32, 2, 3], vec![9, 9, 9]];
         let f = Frame::from_columns(cols.clone(), vec![0.5, 1.5, 2.5]);
         assert_eq!(f.num_dims(), 2);
-        assert_eq!(f.col(0), &cols[0][..]);
+        assert_eq!(raw_col(&f, 0), &cols[0][..]);
         assert_eq!(f.measures(), &[0.5, 1.5, 2.5]);
         // Content-addressed: same columns, same fingerprint; any change moves it.
         let same = Frame::from_columns(cols.clone(), vec![0.5, 1.5, 2.5]);
@@ -915,7 +898,9 @@ mod tests {
     /// tables span several segments), both encoded from the raw codes.
     fn both_frames(rows: usize) -> (Frame, Frame) {
         let raw = generators::income_like(rows, 7).frame().clone();
-        let cols = (0..raw.num_dims()).map(|j| raw.col(j).to_vec()).collect();
+        let cols = (0..raw.num_dims())
+            .map(|j| raw_col(&raw, j).to_vec())
+            .collect();
         let compressed = Frame::encode_in(
             cols,
             Arc::clone(&raw.measure),
@@ -942,7 +927,9 @@ mod tests {
         }
         // The lazy fingerprint covers decoded values, so a compressed frame
         // hashes identically to a raw frame assembled from the same columns.
-        let cols: Vec<Vec<u32>> = (0..raw.num_dims()).map(|j| raw.col(j).to_vec()).collect();
+        let cols: Vec<Vec<u32>> = (0..raw.num_dims())
+            .map(|j| raw_col(&raw, j).to_vec())
+            .collect();
         let lazy_raw =
             Frame::from_columns_with_cards(cols, raw.measures().to_vec(), raw.cards().to_vec());
         assert_eq!(comp.fingerprint(), lazy_raw.fingerprint());
@@ -975,7 +962,11 @@ mod tests {
                     expect += n;
                     let cols = cv.morsel_cols(s, n, &mut scratch);
                     for (j, col) in cols.iter().enumerate() {
-                        assert_eq!(*col, &rv.col(j)[s..s + n], "partition morsel col {j}");
+                        assert_eq!(
+                            *col,
+                            &raw_col(&raw, j)[rv.start() + s..][..n],
+                            "partition morsel col {j}"
+                        );
                     }
                 }
                 assert_eq!(expect, cv.len());
@@ -987,13 +978,12 @@ mod tests {
     fn indexed_morsel_cols_select_columns() {
         let (raw, comp) = both_frames(200);
         let view = comp.view().slice(33, 150);
-        let rview = raw.view().slice(33, 150);
         let mut scratch = ColScratch::new();
         for &(s, n) in &view.morsel_bounds() {
             let cols = view.morsel_cols_indexed(&[2, 0], s, n, &mut scratch);
             assert_eq!(cols.len(), 2);
-            assert_eq!(cols[0], &rview.col(2)[s..s + n]);
-            assert_eq!(cols[1], &rview.col(0)[s..s + n]);
+            assert_eq!(cols[0], &raw_col(&raw, 2)[33 + s..][..n]);
+            assert_eq!(cols[1], &raw_col(&raw, 0)[33 + s..][..n]);
         }
     }
 
@@ -1049,16 +1039,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "compressed")]
-    fn raw_col_accessor_rejects_compressed_columns() {
-        let (_, comp) = both_frames(100);
-        let _ = comp.col(0);
-    }
-
-    #[test]
     fn empty_builder_finishes_cleanly() {
-        let t =
-            Table::builder(Schema::new(vec!["a", "b", "c"], "m")).build_with(Compression::Always);
+        let t = Table::builder(Schema::try_new(vec!["a", "b", "c"], "m").unwrap())
+            .build_with(Compression::Always);
         let f = t.frame();
         assert!(f.is_compressed());
         assert_eq!(f.num_rows(), 0);

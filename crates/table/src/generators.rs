@@ -13,6 +13,7 @@
 //!
 //! All generators are deterministic in their seed.
 
+use crate::error::TableError;
 use crate::frame::Compression;
 use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
@@ -49,14 +50,33 @@ impl Zipf {
     }
 }
 
+/// Build a generated table under `compression`: the schema names `dims`
+/// and `measure`, and `fill` pushes the rows.
+#[expect(
+    clippy::expect_used,
+    reason = "generator schemas, domains and codes are literals no door can refuse"
+)]
+fn generate<S: Into<String>>(
+    dims: Vec<S>,
+    measure: &str,
+    compression: Compression,
+    fill: impl FnOnce(&mut TableBuilder) -> Result<(), TableError>,
+) -> Table {
+    let schema = Schema::try_new(dims, measure).expect("generator schema is well formed");
+    let mut b = Table::builder(schema);
+    fill(&mut b).expect("generator rows fit their schema and interned domains");
+    b.build_with(compression)
+}
+
 /// Pre-intern generic value names `"<col>:v<code>"` for every column so that
 /// generated codes are dense and stable.
-fn pre_intern(builder: &mut TableBuilder, cards: &[usize]) {
+fn pre_intern(builder: &mut TableBuilder, cards: &[usize]) -> Result<(), TableError> {
     for (col, &card) in cards.iter().enumerate() {
         for v in 0..card {
-            builder.intern(col, &format!("c{col}:v{v}"));
+            builder.try_intern(col, &format!("c{col}:v{v}"))?;
         }
     }
+    Ok(())
 }
 
 /// The exact 14-row flight-delay table of the thesis (Table 1.1).
@@ -65,8 +85,6 @@ fn pre_intern(builder: &mut TableBuilder, cards: &[usize]) {
 /// `(Fri,*,*)`, `(Sat,*,*)` — are reproduced in the quickstart example and
 /// asserted in the integration tests.
 pub fn flights() -> Table {
-    let schema = Schema::new(vec!["Day", "Origin", "Destination"], "Delay");
-    let mut b = Table::builder(schema);
     let rows: [(&str, &str, &str, f64); 14] = [
         ("Fri", "SF", "London", 20.0),
         ("Fri", "London", "LA", 16.0),
@@ -83,10 +101,13 @@ pub fn flights() -> Table {
         ("Mon", "Tokyo", "Beijing", 6.0),
         ("Mon", "Frankfurt", "Tokyo", 4.0),
     ];
-    for (day, origin, dest, delay) in rows {
-        b.push_row(&[day, origin, dest], delay);
-    }
-    b.build()
+    let dims = vec!["Day", "Origin", "Destination"];
+    generate(dims, "Delay", Compression::Auto, |b| {
+        for (day, origin, dest, delay) in rows {
+            b.try_push_row(&[day, origin, dest], delay)?;
+        }
+        Ok(())
+    })
 }
 
 /// Income-like dataset: census household demographics with a binary measure
@@ -105,34 +126,34 @@ pub fn income_like(n: usize, seed: u64) -> Table {
         "Region",
         "Children",
     ];
-    let schema = Schema::new(names, "IncomeOver100k");
-    let mut b = Table::builder(schema);
-    pre_intern(&mut b, &cards);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 0.8)).collect();
-    let mut codes = vec![0u32; cards.len()];
-    for _ in 0..n {
-        for (col, z) in zipfs.iter().enumerate() {
-            codes[col] = z.sample(&mut rng);
+    generate(names, "IncomeOver100k", Compression::Auto, |b| {
+        pre_intern(b, &cards)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 0.8)).collect();
+        let mut codes = vec![0u32; cards.len()];
+        for _ in 0..n {
+            for (col, z) in zipfs.iter().enumerate() {
+                codes[col] = z.sample(&mut rng);
+            }
+            // Planted signal: education and occupation dominate; age interacts.
+            let mut p: f64 = 0.06;
+            if codes[3] >= 5 {
+                p += 0.28; // advanced education
+            }
+            if codes[4] <= 1 {
+                p += 0.22; // top occupations
+            }
+            if codes[0] >= 4 && codes[0] <= 6 {
+                p += 0.08; // prime earning age
+            }
+            if codes[2] == 1 {
+                p += 0.05; // married
+            }
+            let m = f64::from(rng.gen::<f64>() < p.min(0.95));
+            b.try_push_coded_row(&codes, m)?;
         }
-        // Planted signal: education and occupation dominate; age interacts.
-        let mut p: f64 = 0.06;
-        if codes[3] >= 5 {
-            p += 0.28; // advanced education
-        }
-        if codes[4] <= 1 {
-            p += 0.22; // top occupations
-        }
-        if codes[0] >= 4 && codes[0] <= 6 {
-            p += 0.08; // prime earning age
-        }
-        if codes[2] == 1 {
-            p += 0.05; // married
-        }
-        let m = f64::from(rng.gen::<f64>() < p.min(0.95));
-        b.push_coded_row(&codes, m);
-    }
-    b.build()
+        Ok(())
+    })
 }
 
 /// GDELT-like dataset: global event records with a numeric measure (number
@@ -150,37 +171,37 @@ pub fn gdelt_like(n: usize, seed: u64) -> Table {
         "ActionGeoType",
         "Month",
     ];
-    let schema = Schema::new(names, "NumMentions");
-    let mut b = Table::builder(schema);
-    pre_intern(&mut b, &cards);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 1.1)).collect();
-    let mut codes = vec![0u32; cards.len()];
-    for _ in 0..n {
-        for (col, z) in zipfs.iter().enumerate() {
-            codes[col] = z.sample(&mut rng);
+    generate(names, "NumMentions", Compression::Auto, |b| {
+        pre_intern(b, &cards)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 1.1)).collect();
+        let mut codes = vec![0u32; cards.len()];
+        for _ in 0..n {
+            for (col, z) in zipfs.iter().enumerate() {
+                codes[col] = z.sample(&mut rng);
+            }
+            // Mentions follow a heavy tail; conflict events from big actors and
+            // root events get systematically more coverage.
+            let mut scale: f64 = 2.0;
+            if codes[4] == 3 {
+                scale *= 4.0; // material conflict
+            }
+            if codes[2] == 1 {
+                scale *= 2.0; // root event
+            }
+            if codes[0] == 0 {
+                scale *= 1.8; // dominant country
+            }
+            if codes[1] == 0 && codes[4] >= 2 {
+                scale *= 2.5; // media-reported conflict
+            }
+            // Pareto-ish tail: scale / U^0.5, capped.
+            let u: f64 = rng.gen::<f64>().max(1e-6);
+            let m = (scale / u.powf(0.35)).min(10_000.0).round();
+            b.try_push_coded_row(&codes, m)?;
         }
-        // Mentions follow a heavy tail; conflict events from big actors and
-        // root events get systematically more coverage.
-        let mut scale: f64 = 2.0;
-        if codes[4] == 3 {
-            scale *= 4.0; // material conflict
-        }
-        if codes[2] == 1 {
-            scale *= 2.0; // root event
-        }
-        if codes[0] == 0 {
-            scale *= 1.8; // dominant country
-        }
-        if codes[1] == 0 && codes[4] >= 2 {
-            scale *= 2.5; // media-reported conflict
-        }
-        // Pareto-ish tail: scale / U^0.5, capped.
-        let u: f64 = rng.gen::<f64>().max(1e-6);
-        let m = (scale / u.powf(0.35)).min(10_000.0).round();
-        b.push_coded_row(&codes, m);
-    }
-    b.build()
+        Ok(())
+    })
 }
 
 /// GDELT data-quality variant for the data-cleansing application (§1,
@@ -215,37 +236,37 @@ pub fn gdelt_dirty(n: usize, seed: u64) -> Table {
         "MaterialConflict",
     ];
     let geo = ["USCITY", "USSTATE", "WORLDCITY", "WORLDSTATE", "COUNTRY"];
-    let schema = Schema::new(names, "IsActor2TypeMissing");
-    let mut b = Table::builder(schema);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let z_country = Zipf::new(countries.len(), 1.2);
-    let z_actor = Zipf::new(actor_types.len(), 1.0);
-    let z_code = Zipf::new(base_codes.len(), 0.9);
-    let z_class = Zipf::new(classes.len(), 0.5);
-    let z_geo = Zipf::new(geo.len(), 1.0);
-    for _ in 0..n {
-        let country = countries[z_country.sample(&mut rng) as usize];
-        let actor = actor_types[z_actor.sample(&mut rng) as usize];
-        let is_root = root[usize::from(rng.gen::<f64>() < 0.4)];
-        let code = base_codes[z_code.sample(&mut rng) as usize];
-        let class = classes[z_class.sample(&mut rng) as usize];
-        let g1 = geo[z_geo.sample(&mut rng) as usize];
-        let g2 = geo[z_geo.sample(&mut rng) as usize];
-        let g3 = geo[z_geo.sample(&mut rng) as usize];
-        // Planted data-quality defect: media-reported US material-conflict
-        // events very often lack the second actor's type (cf. Table 1.5).
-        let mut p: f64 = 0.12;
-        if country == "US" && actor == "Media" && class == "MaterialConflict" {
-            p = 0.92;
-        } else if code == "173" {
-            p = 0.75;
-        } else if class == "MaterialConflict" {
-            p = 0.35;
+    generate(names, "IsActor2TypeMissing", Compression::Auto, |b| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let z_country = Zipf::new(countries.len(), 1.2);
+        let z_actor = Zipf::new(actor_types.len(), 1.0);
+        let z_code = Zipf::new(base_codes.len(), 0.9);
+        let z_class = Zipf::new(classes.len(), 0.5);
+        let z_geo = Zipf::new(geo.len(), 1.0);
+        for _ in 0..n {
+            let country = countries[z_country.sample(&mut rng) as usize];
+            let actor = actor_types[z_actor.sample(&mut rng) as usize];
+            let is_root = root[usize::from(rng.gen::<f64>() < 0.4)];
+            let code = base_codes[z_code.sample(&mut rng) as usize];
+            let class = classes[z_class.sample(&mut rng) as usize];
+            let g1 = geo[z_geo.sample(&mut rng) as usize];
+            let g2 = geo[z_geo.sample(&mut rng) as usize];
+            let g3 = geo[z_geo.sample(&mut rng) as usize];
+            // Planted data-quality defect: media-reported US material-conflict
+            // events very often lack the second actor's type (cf. Table 1.5).
+            let mut p: f64 = 0.12;
+            if country == "US" && actor == "Media" && class == "MaterialConflict" {
+                p = 0.92;
+            } else if code == "173" {
+                p = 0.75;
+            } else if class == "MaterialConflict" {
+                p = 0.35;
+            }
+            let m = f64::from(rng.gen::<f64>() < p);
+            b.try_push_row(&[country, actor, is_root, code, class, g1, g2, g3], m)?;
         }
-        let m = f64::from(rng.gen::<f64>() < p);
-        b.push_row(&[country, actor, is_root, code, class, g1, g2, g3], m);
-    }
-    b.build()
+        Ok(())
+    })
 }
 
 /// SUSY-like dataset: Monte-Carlo particle-collision features bucketed into
@@ -255,44 +276,44 @@ pub fn susy_like(n: usize, seed: u64) -> Table {
     const D: usize = 18;
     let cards = [3usize; D];
     let names: Vec<String> = (0..D).map(|i| format!("Feature{i:02}")).collect();
-    let schema = Schema::new(names, "IsSignal");
-    let mut b = Table::builder(schema);
-    pre_intern(&mut b, &cards);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut codes = [0u32; D];
-    for _ in 0..n {
-        // Latent class decides both the bucket biases and the label,
-        // mirroring how SUSY features separate signal from background.
-        let signal = rng.gen::<f64>() < 0.45;
-        for (col, c) in codes.iter_mut().enumerate() {
-            // The first few features are informative; the rest are noise.
-            let bias = if col < 6 {
-                if signal {
-                    0.55
+    generate(names, "IsSignal", Compression::Auto, |b| {
+        pre_intern(b, &cards)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut codes = [0u32; D];
+        for _ in 0..n {
+            // Latent class decides both the bucket biases and the label,
+            // mirroring how SUSY features separate signal from background.
+            let signal = rng.gen::<f64>() < 0.45;
+            for (col, c) in codes.iter_mut().enumerate() {
+                // The first few features are informative; the rest are noise.
+                let bias = if col < 6 {
+                    if signal {
+                        0.55
+                    } else {
+                        0.2
+                    }
                 } else {
-                    0.2
-                }
+                    1.0 / 3.0
+                };
+                let u: f64 = rng.gen();
+                *c = if u < bias {
+                    2
+                } else if u < bias + (1.0 - bias) / 2.0 {
+                    1
+                } else {
+                    0
+                };
+            }
+            // Label noise keeps the mining problem non-trivial.
+            let label = if rng.gen::<f64>() < 0.9 {
+                signal
             } else {
-                1.0 / 3.0
+                !signal
             };
-            let u: f64 = rng.gen();
-            *c = if u < bias {
-                2
-            } else if u < bias + (1.0 - bias) / 2.0 {
-                1
-            } else {
-                0
-            };
+            b.try_push_coded_row(&codes, f64::from(label))?;
         }
-        // Label noise keeps the mining problem non-trivial.
-        let label = if rng.gen::<f64>() < 0.9 {
-            signal
-        } else {
-            !signal
-        };
-        b.push_coded_row(&codes, f64::from(label));
-    }
-    b.build()
+        Ok(())
+    })
 }
 
 /// TLC-like dataset: NYC yellow-taxi trips with a numeric measure (total
@@ -317,30 +338,30 @@ pub fn tlc_like_with(n: usize, seed: u64, compression: Compression) -> Table {
         "RateCode",
         "Vendor",
     ];
-    let schema = Schema::new(names, "TotalPayment");
-    let mut b = Table::builder(schema);
-    pre_intern(&mut b, &cards);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 0.6)).collect();
-    let mut codes = vec![0u32; cards.len()];
-    for _ in 0..n {
-        for (col, z) in zipfs.iter().enumerate() {
-            codes[col] = z.sample(&mut rng);
+    generate(names, "TotalPayment", compression, |b| {
+        pre_intern(b, &cards)?;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let zipfs: Vec<Zipf> = cards.iter().map(|&c| Zipf::new(c, 0.6)).collect();
+        let mut codes = vec![0u32; cards.len()];
+        for _ in 0..n {
+            for (col, z) in zipfs.iter().enumerate() {
+                codes[col] = z.sample(&mut rng);
+            }
+            // Fares grow with implied trip distance (grid distance between
+            // pickup and dropoff buckets); airport rate codes pay a premium.
+            let dist = (f64::from(codes[3]) - f64::from(codes[5])).abs()
+                + (f64::from(codes[4]) - f64::from(codes[6])).abs();
+            let mut fare = 3.5 + 2.2 * dist + rng.gen::<f64>() * 4.0;
+            if codes[7] >= 3 {
+                fare += 35.0; // airport flat rates
+            }
+            if codes[2] == 1 {
+                fare *= 1.18; // card payments include tips
+            }
+            b.try_push_coded_row(&codes, (fare * 100.0).round() / 100.0)?;
         }
-        // Fares grow with implied trip distance (grid distance between
-        // pickup and dropoff buckets); airport rate codes pay a premium.
-        let dist = (f64::from(codes[3]) - f64::from(codes[5])).abs()
-            + (f64::from(codes[4]) - f64::from(codes[6])).abs();
-        let mut fare = 3.5 + 2.2 * dist + rng.gen::<f64>() * 4.0;
-        if codes[7] >= 3 {
-            fare += 35.0; // airport flat rates
-        }
-        if codes[2] == 1 {
-            fare *= 1.18; // card payments include tips
-        }
-        b.push_coded_row(&codes, (fare * 100.0).round() / 100.0);
-    }
-    b.build_with(compression)
+        Ok(())
+    })
 }
 
 #[cfg(test)]

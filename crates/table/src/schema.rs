@@ -11,21 +11,9 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Build a schema from dimension attribute names and a measure name.
-    ///
-    /// # Panics
-    /// Panics if `dims` is empty or contains duplicates. Use
-    /// [`Schema::try_new`] on untrusted input (e.g. CSV headers).
-    pub fn new<S: Into<String>>(dims: Vec<S>, measure: impl Into<String>) -> Self {
-        match Self::try_new(dims, measure) {
-            Ok(schema) => schema,
-            Err(e) => crate::error::fail(e),
-        }
-    }
-
-    /// Fallible form of [`Schema::new`]: rejects an empty dimension list
-    /// ([`TableError::NoDimensions`]) and duplicate attribute names
-    /// ([`TableError::DuplicateDimension`]).
+    /// Build a schema from dimension attribute names and a measure name,
+    /// rejecting an empty dimension list ([`TableError::NoDimensions`]) and
+    /// duplicate attribute names ([`TableError::DuplicateDimension`]).
     pub fn try_new<S: Into<String>>(
         dims: Vec<S>,
         measure: impl Into<String>,
@@ -78,14 +66,14 @@ mod tests {
 
     #[test]
     fn basic_accessors() {
-        let s = Schema::new(vec!["Day", "Origin", "Destination"], "Delay");
+        let s = Schema::try_new(vec!["Day", "Origin", "Destination"], "Delay").unwrap();
         assert_eq!(s.num_dims(), 3);
         assert_eq!(s.measure_name(), "Delay");
     }
 
     #[test]
     fn project_keeps_prefix() {
-        let s = Schema::new(vec!["a", "b", "c"], "m");
+        let s = Schema::try_new(vec!["a", "b", "c"], "m").unwrap();
         let p = s.project(2);
         assert_eq!(p.dim_names(), &["a".to_string(), "b".to_string()]);
         assert_eq!(p.measure_name(), "m");
@@ -105,14 +93,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate")]
     fn duplicate_names_rejected() {
-        let _ = Schema::new(vec!["a", "a"], "m");
+        let err = Schema::try_new(vec!["a", "a"], "m").unwrap_err();
+        assert!(
+            matches!(&err, TableError::DuplicateDimension { name } if name == "a"),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "at least one")]
     fn empty_dims_rejected() {
-        let _ = Schema::new(Vec::<String>::new(), "m");
+        let err = Schema::try_new(Vec::<String>::new(), "m").unwrap_err();
+        assert!(matches!(err, TableError::NoDimensions), "{err}");
     }
 }

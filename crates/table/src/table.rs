@@ -225,21 +225,9 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Append a row given as string values plus a measure.
-    ///
-    /// # Panics
-    /// Panics if `values.len()` does not match the schema (arity mismatch).
-    /// Use [`Self::try_push_row`] on untrusted input.
-    pub fn push_row(&mut self, values: &[&str], m: f64) -> &mut Self {
-        if let Err(e) = self.try_push_row(values, m) {
-            crate::error::fail(e);
-        }
-        self
-    }
-
-    /// Fallible form of [`Self::push_row`]: rejects arity mismatches and
-    /// dictionary overflow as typed errors. On error the builder is left
-    /// unchanged.
+    /// Append a row given as string values plus a measure, rejecting
+    /// arity mismatches and dictionary overflow as typed errors. On error
+    /// the builder is left unchanged.
     pub fn try_push_row(&mut self, values: &[&str], m: f64) -> Result<&mut Self, TableError> {
         if values.len() != self.schema.num_dims() {
             return Err(TableError::ArityMismatch {
@@ -262,21 +250,9 @@ impl TableBuilder {
         Ok(self)
     }
 
-    /// Append a row given directly as dictionary codes. Codes must already
-    /// be interned (e.g. via [`Self::intern`]).
-    ///
-    /// # Panics
-    /// Panics on arity mismatch or uninterned codes; use
-    /// [`Self::try_push_coded_row`] to handle those as typed errors.
-    pub fn push_coded_row(&mut self, codes: &[u32], m: f64) -> &mut Self {
-        if let Err(e) = self.try_push_coded_row(codes, m) {
-            crate::error::fail(e);
-        }
-        self
-    }
-
-    /// Fallible form of [`Self::push_coded_row`]. On error the builder is
-    /// left unchanged.
+    /// Append a row given directly as dictionary codes, rejecting arity
+    /// mismatches and codes never interned (e.g. via [`Self::try_intern`])
+    /// as typed errors. On error the builder is left unchanged.
     pub fn try_push_coded_row(&mut self, codes: &[u32], m: f64) -> Result<&mut Self, TableError> {
         if codes.len() != self.schema.num_dims() {
             return Err(TableError::ArityMismatch {
@@ -300,9 +276,11 @@ impl TableBuilder {
     }
 
     /// Intern a value in column `col` without adding a row (lets generators
-    /// pre-populate domains so codes are stable).
-    pub fn intern(&mut self, col: usize, value: &str) -> u32 {
-        self.dicts[col].intern(value)
+    /// pre-populate domains so codes are stable). Fails with
+    /// [`TableError::DictionaryOverflow`] when the column's code space is
+    /// exhausted.
+    pub fn try_intern(&mut self, col: usize, value: &str) -> Result<u32, TableError> {
+        self.dicts[col].try_intern(value)
     }
 
     /// Number of rows appended so far.
@@ -352,19 +330,20 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Column;
+    use crate::frame::{ColScratch, Column};
     use crate::generators;
     use std::sync::Arc;
 
     fn flight_schema() -> Schema {
-        Schema::new(vec!["Day", "Origin", "Destination"], "Delay")
+        Schema::try_new(vec!["Day", "Origin", "Destination"], "Delay").unwrap()
     }
 
     fn small_table() -> Table {
         let mut b = Table::builder(flight_schema());
-        b.push_row(&["Fri", "SF", "London"], 20.0);
-        b.push_row(&["Fri", "London", "LA"], 16.0);
-        b.push_row(&["Sun", "Tokyo", "Frankfurt"], 10.0);
+        b.try_push_row(&["Fri", "SF", "London"], 20.0).unwrap();
+        b.try_push_row(&["Fri", "London", "LA"], 16.0).unwrap();
+        b.try_push_row(&["Sun", "Tokyo", "Frankfurt"], 10.0)
+            .unwrap();
         b.build()
     }
 
@@ -425,26 +404,38 @@ mod tests {
     #[test]
     fn coded_rows_must_be_interned() {
         let mut b = Table::builder(flight_schema());
-        let day = b.intern(0, "Mon");
-        let org = b.intern(1, "SF");
-        let dst = b.intern(2, "Tokyo");
-        b.push_coded_row(&[day, org, dst], 5.0);
+        let day = b.try_intern(0, "Mon").unwrap();
+        let org = b.try_intern(1, "SF").unwrap();
+        let dst = b.try_intern(2, "Tokyo").unwrap();
+        b.try_push_coded_row(&[day, org, dst], 5.0).unwrap();
         let t = b.build();
         assert_eq!(t.decode(0, t.row(0)[0]), "Mon");
     }
 
     #[test]
-    #[should_panic(expected = "never interned")]
     fn uninterned_code_rejected() {
         let mut b = Table::builder(flight_schema());
-        b.push_coded_row(&[0, 0, 0], 1.0);
+        let err = b.try_push_coded_row(&[0, 0, 0], 1.0).unwrap_err();
+        assert!(
+            matches!(err, TableError::UninternedCode { column: 0, code: 0 }),
+            "{err}"
+        );
     }
 
     #[test]
-    #[should_panic(expected = "dimensions")]
     fn arity_checked() {
         let mut b = Table::builder(flight_schema());
-        b.push_row(&["Fri", "SF"], 1.0);
+        let err = b.try_push_row(&["Fri", "SF"], 1.0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                TableError::ArityMismatch {
+                    expected: 3,
+                    found: 2
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -458,10 +449,17 @@ mod tests {
         let d = a.select_rows(&[0, 1]);
         assert_ne!(a.fingerprint(), d.fingerprint());
         // A schema rename moves it even with identical data.
-        let mut builder = Table::builder(Schema::new(vec!["Day", "Origin", "Arrival"], "Delay"));
-        builder.push_row(&["Fri", "SF", "London"], 20.0);
-        builder.push_row(&["Fri", "London", "LA"], 16.0);
-        builder.push_row(&["Sun", "Tokyo", "Frankfurt"], 10.0);
+        let mut builder =
+            Table::builder(Schema::try_new(vec!["Day", "Origin", "Arrival"], "Delay").unwrap());
+        builder
+            .try_push_row(&["Fri", "SF", "London"], 20.0)
+            .unwrap();
+        builder
+            .try_push_row(&["Fri", "London", "LA"], 16.0)
+            .unwrap();
+        builder
+            .try_push_row(&["Sun", "Tokyo", "Frankfurt"], 10.0)
+            .unwrap();
         assert_ne!(a.fingerprint(), builder.build().fingerprint());
     }
 
@@ -492,7 +490,10 @@ mod tests {
         let raw = generators::income_like(200, 5);
         let f = raw.frame();
         assert!(!f.is_compressed());
-        let cols = (0..raw.num_dims()).map(|j| f.col(j).to_vec()).collect();
+        let mut scratch = ColScratch::new();
+        let view = f.view();
+        let cols = view.morsel_cols(0, view.len(), &mut scratch);
+        let cols = cols.into_iter().map(<[u32]>::to_vec).collect();
         let frame = Frame::encode_in(cols, f.measures().into(), f.cards().into(), true, 16);
         let compressed = Table::over(raw.schema.clone(), raw.dicts.clone(), frame);
         (raw, compressed)

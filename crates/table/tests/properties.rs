@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn dictionary_round_trips(values in prop::collection::vec(value(), 0..60)) {
         let mut dict = Dictionary::new();
-        let codes: Vec<u32> = values.iter().map(|v| dict.intern(v)).collect();
+        let codes: Vec<u32> = values.iter().map(|v| dict.try_intern(v).unwrap()).collect();
         // Every code decodes back to the value that produced it.
         for (v, &c) in values.iter().zip(&codes) {
             prop_assert_eq!(dict.value(c), *v);
@@ -80,7 +80,7 @@ proptest! {
         }
         // Re-interning changes nothing.
         for v in &values {
-            prop_assert_eq!(dict.intern(v), dict.code(v).unwrap());
+            prop_assert_eq!(dict.try_intern(v).unwrap(), dict.code(v).unwrap());
         }
     }
 
@@ -88,7 +88,7 @@ proptest! {
     fn dictionary_iter_matches_value(values in prop::collection::vec(value(), 0..40)) {
         let mut dict = Dictionary::new();
         for v in &values {
-            dict.intern(v);
+            dict.try_intern(v).unwrap();
         }
         let pairs: Vec<(u32, &str)> = dict.iter().collect();
         prop_assert_eq!(pairs.len(), dict.cardinality());
@@ -120,10 +120,10 @@ proptest! {
                 }
             })
             .collect();
-        let mut builder = Table::builder(Schema::new(names, "measure"));
+        let mut builder = Table::builder(Schema::try_new(names, "measure").unwrap());
         for (value_ids, m) in &rows {
             let values: Vec<&str> = value_ids.iter().map(|&i| VALUE_POOL[i]).collect();
-            builder.push_row(&values, *m);
+            builder.try_push_row(&values, *m).unwrap();
         }
         let table = builder.build();
 

@@ -681,6 +681,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sirum_dataflow::EngineConfig;
     use sirum_table::generators;
 
     #[test]
@@ -702,7 +703,7 @@ mod tests {
 
     #[test]
     fn mining_result_serializes_with_balanced_braces() {
-        let engine = sirum_dataflow::Engine::in_memory();
+        let engine = sirum_dataflow::Engine::try_new(EngineConfig::in_memory()).unwrap();
         let table = generators::flights();
         let config = sirum_core::SirumConfig {
             k: 2,
@@ -826,7 +827,7 @@ mod tests {
 
     #[test]
     fn parser_round_trips_the_mining_result_encoder() {
-        let engine = sirum_dataflow::Engine::in_memory();
+        let engine = sirum_dataflow::Engine::try_new(EngineConfig::in_memory()).unwrap();
         let table = generators::flights();
         let config = sirum_core::SirumConfig {
             k: 2,
@@ -871,9 +872,12 @@ mod tests {
                 strategy: sirum_core::CandidateStrategy::SampleLca { sample_size },
                 ..Default::default()
             };
-            let mut result = sirum_core::Miner::new(sirum_dataflow::Engine::in_memory(), config)
-                .try_mine(&table)
-                .unwrap();
+            let mut result = sirum_core::Miner::new(
+                sirum_dataflow::Engine::try_new(EngineConfig::in_memory()).unwrap(),
+                config,
+            )
+            .try_mine(&table)
+            .unwrap();
             result.timings = sirum_core::PhaseTimings {
                 candidate_pruning: 0.125,
                 ancestor_generation: 1.5,

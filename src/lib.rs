@@ -76,10 +76,10 @@ pub mod prelude {
         ServiceRequest, ServiceStats, SirumService,
     };
     pub use sirum_core::{
-        evaluate_rules, explore, mine_on_sample, try_evaluate_rules, try_explore,
-        try_mine_on_sample, CancellationToken, CandidateStrategy, IterationDecision,
-        IterationEvent, MinedRule, Miner, MiningResult, MultiRuleConfig, PreparedTable, Rule,
-        RuleSetEvaluation, ScalingConfig, SirumConfig, SirumError, Variant, WILDCARD,
+        try_evaluate_rules, try_explore, try_mine_on_sample, CancellationToken, CandidateStrategy,
+        IterationDecision, IterationEvent, MinedRule, Miner, MiningResult, MultiRuleConfig,
+        PreparedTable, Rule, RuleSetEvaluation, ScalingConfig, SirumConfig, SirumError, Variant,
+        WILDCARD,
     };
     pub use sirum_dataflow::{DataflowError, Engine, EngineConfig, EngineMode};
     pub use sirum_table::{generators, Schema, Table, TableError};

@@ -732,18 +732,6 @@ impl SirumService {
         name: impl Into<String>,
         table: Table,
     ) -> Result<Arc<Table>, SirumError> {
-        if table.num_rows() == 0 {
-            return Err(SirumError::EmptyDataset);
-        }
-        if let Some(i) = table.measures().iter().position(|m| !m.is_finite()) {
-            return Err(SirumError::InvalidMeasure {
-                reason: format!(
-                    "row {i}: value {} in measure column {:?} is not finite",
-                    table.measures()[i],
-                    table.schema().measure_name()
-                ),
-            });
-        }
         let table = Arc::new(table);
         let entry = CatalogEntry {
             prepared: Arc::new(PreparedTable::try_new(&table)?),
@@ -1252,10 +1240,7 @@ impl ServiceRequest<'_> {
         let (entry, config) = self.resolve()?;
         let key = self.cache_key(&entry, &config);
         let core = Arc::clone(&self.service.inner.core);
-        let token = CancellationToken::new();
-        if let Some(timeout) = self.deadline {
-            token.cancel_after(timeout);
-        }
+        let token = self.token();
         let shared = Arc::new(JobShared::new());
         let id = core.next_job_id.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(key) = &key {
@@ -1373,10 +1358,7 @@ impl ServiceRequest<'_> {
                 });
             }
         }
-        let token = CancellationToken::new();
-        if let Some(timeout) = self.deadline {
-            token.cancel_after(timeout);
-        }
+        let token = self.token();
         core.execute(
             &entry.prepared,
             config,
@@ -1390,10 +1372,22 @@ impl ServiceRequest<'_> {
     /// Like [`Self::run`], but mine on a Bernoulli row sample of the table
     /// at `rate` and score the mined rules against the *full* table
     /// (§4.5/§5.7.3). Never cached (the sample is drawn per call); the
-    /// progress observer is not invoked in this mode.
+    /// progress observer is not invoked in this mode; the deadline is.
     pub fn run_on_sample(self, rate: f64) -> Result<SampleDataResult, SirumError> {
         let (entry, config) = self.resolve()?;
-        try_mine_on_sample(&self.service.engine().fork(), &entry.table, rate, config)
+        let miner =
+            Miner::new(self.service.engine().fork(), config).with_cancellation(self.token());
+        try_mine_on_sample(&miner, &entry.table, rate)
+    }
+
+    /// A fresh cancellation token for one run, armed with the request's
+    /// deadline if it has one.
+    fn token(&self) -> CancellationToken {
+        let token = CancellationToken::new();
+        if let Some(timeout) = self.deadline {
+            token.cancel_after(timeout);
+        }
+        token
     }
 
     /// Return the planned execution — the normalized configuration and the
@@ -2437,11 +2431,11 @@ mod tests {
     /// the wildcard slot) = 140 bits: past u128, so rules key as `Rule`s.
     fn wide_layout_table() -> Table {
         let dims: Vec<String> = (0..20).map(|j| format!("a{j}")).collect();
-        let mut b = Table::builder(sirum_table::Schema::new(dims, "m"));
+        let mut b = Table::builder(sirum_table::Schema::try_new(dims, "m").unwrap());
         for i in 0..64 {
             let values: Vec<String> = (0..20).map(|j| format!("v{i}_{j}")).collect();
             let row: Vec<&str> = values.iter().map(String::as_str).collect();
-            b.push_row(&row, 1.0 + i as f64);
+            b.try_push_row(&row, 1.0 + i as f64).unwrap();
         }
         b.build()
     }
@@ -2535,14 +2529,14 @@ mod tests {
         // expansion assert on >24-dim tables where mine() already returned
         // a typed error.
         let service = SirumService::in_memory().unwrap();
-        let mut b = Table::builder(sirum_table::Schema::new(
-            (0..30).map(|i| format!("c{i}")).collect::<Vec<_>>(),
-            "m",
-        ));
+        let mut b = Table::builder(
+            sirum_table::Schema::try_new((0..30).map(|i| format!("c{i}")).collect::<Vec<_>>(), "m")
+                .unwrap(),
+        );
         for i in 0..3 {
             let vals: Vec<String> = (0..30).map(|c| format!("v{}", (i + c) % 2)).collect();
             let refs: Vec<&str> = vals.iter().map(String::as_str).collect();
-            b.push_row(&refs, 1.0);
+            b.try_push_row(&refs, 1.0).unwrap();
         }
         service.register("wide", b.build()).unwrap();
         assert!(matches!(
@@ -2681,18 +2675,29 @@ mod tests {
     #[test]
     fn zero_deadline_cancels_before_the_first_iteration() {
         let service = flights_service();
-        let out = service
-            .mine("flights")
-            .k(3)
-            .sample_size(14)
-            .deadline(Duration::ZERO)
-            .submit()
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(out.result.cancelled, "expired deadline → partial result");
-        assert_eq!(out.result.rules.len(), 1, "seed rule only");
-        assert_eq!(service.stats().jobs_cancelled, 1);
+        let expired = || {
+            service
+                .mine("flights")
+                .k(3)
+                .sample_size(14)
+                .deadline(Duration::ZERO)
+        };
+        let submitted = expired().submit().unwrap().wait().unwrap().result;
+        let ran = expired().run().unwrap().result;
+        let sampled = expired().run_on_sample(0.5).unwrap().result;
+        for (door, result) in [
+            ("submit", &*submitted),
+            ("run", &*ran),
+            ("run_on_sample", &sampled),
+        ] {
+            assert!(
+                result.cancelled,
+                "{door}: expired deadline → partial result"
+            );
+            assert_eq!(result.rules.len(), 1, "{door}: seed rule only");
+        }
+        // Sampled runs bypass the job accounting.
+        assert_eq!(service.stats().jobs_cancelled, 2);
         // A generous deadline does not perturb the run — and, crucially,
         // does not split the cache key: the identical request without a
         // deadline seeds the cache for the deadline-carrying one.

@@ -7,7 +7,7 @@
 use sirum::prelude::*;
 
 fn empty_table() -> Table {
-    Table::builder(Schema::new(vec!["a", "b"], "m")).build()
+    Table::builder(Schema::try_new(vec!["a", "b"], "m").unwrap()).build()
 }
 
 fn service_with_flights() -> SirumService {
@@ -29,7 +29,10 @@ fn registering_an_empty_table_is_rejected() {
 #[test]
 fn mining_an_empty_table_is_a_typed_error_not_a_panic() {
     // Direct core path: the old `assert!(n > 0, "empty dataset")`.
-    let miner = Miner::new(Engine::in_memory(), SirumConfig::default());
+    let miner = Miner::new(
+        Engine::try_new(EngineConfig::in_memory()).unwrap(),
+        SirumConfig::default(),
+    );
     let err = miner.try_mine(&empty_table()).unwrap_err();
     assert!(matches!(err, SirumError::EmptyDataset));
 }
@@ -193,9 +196,9 @@ fn config_validate_is_directly_callable() {
 
 #[test]
 fn non_finite_measures_are_rejected_at_registration() {
-    let mut table = Table::builder(Schema::new(vec!["a"], "m"));
-    table.push_row(&["x"], 1.0);
-    table.push_row(&["y"], f64::NAN);
+    let mut table = Table::builder(Schema::try_new(vec!["a"], "m").unwrap());
+    table.try_push_row(&["x"], 1.0).unwrap();
+    table.try_push_row(&["y"], f64::NAN).unwrap();
     let service = SirumService::in_memory().unwrap();
     let err = service.register("bad", table.build()).unwrap_err();
     match err {
@@ -350,7 +353,7 @@ fn direct_miner_facade_is_fallible_only() {
         strategy: CandidateStrategy::SampleLca { sample_size: 14 },
         ..SirumConfig::default()
     };
-    let result = Miner::new(Engine::in_memory(), config)
+    let result = Miner::new(Engine::try_new(EngineConfig::in_memory()).unwrap(), config)
         .try_mine(&flights)
         .unwrap();
     assert_eq!(result.rules.len(), 4);
@@ -361,7 +364,7 @@ fn direct_miner_facade_is_fallible_only() {
         ..SirumConfig::default()
     };
     assert!(matches!(
-        Miner::new(Engine::in_memory(), bad).try_mine(&flights),
+        Miner::new(Engine::try_new(EngineConfig::in_memory()).unwrap(), bad).try_mine(&flights),
         Err(SirumError::InvalidConfig { .. })
     ));
 }
@@ -379,7 +382,7 @@ fn service_request_matches_direct_miner_output() {
         strategy: CandidateStrategy::SampleLca { sample_size: 14 },
         ..SirumConfig::default()
     };
-    let direct = Miner::new(Engine::in_memory(), config)
+    let direct = Miner::new(Engine::try_new(EngineConfig::in_memory()).unwrap(), config)
         .try_mine(&flights)
         .unwrap();
 
@@ -436,9 +439,9 @@ fn double_consuming_a_job_handle_is_a_typed_service_error() {
 fn stream_rejects_negative_measure_tables_and_bad_batches() {
     let service = SirumService::in_memory().unwrap();
     // A table with a negative measure cannot seed a stream.
-    let mut builder = Table::builder(Schema::new(vec!["A"], "m"));
-    builder.push_row(&["x"], -1.0);
-    builder.push_row(&["y"], 2.0);
+    let mut builder = Table::builder(Schema::try_new(vec!["A"], "m").unwrap());
+    builder.try_push_row(&["x"], -1.0).unwrap();
+    builder.try_push_row(&["y"], 2.0).unwrap();
     service.register("neg", builder.build()).unwrap();
     assert!(matches!(
         service.stream("neg"),

@@ -89,14 +89,14 @@ struct Scored {
 impl SmallTable {
     fn to_table(&self) -> Table {
         let names: Vec<String> = (0..self.cards.len()).map(|j| format!("a{j}")).collect();
-        let mut builder = Table::builder(Schema::new(names, "m"));
+        let mut builder = Table::builder(Schema::try_new(names, "m").unwrap());
         for (j, &card) in self.cards.iter().enumerate() {
             for v in 0..card {
-                builder.intern(j, &format!("v{v}"));
+                builder.try_intern(j, &format!("v{v}")).unwrap();
             }
         }
         for (row, &m) in self.rows.iter().zip(&self.m) {
-            builder.push_coded_row(row, m);
+            builder.try_push_coded_row(row, m).unwrap();
         }
         builder.build()
     }
@@ -366,7 +366,8 @@ fn the_default_miner_picks_the_brute_force_rule_each_iteration() {
                 packed_codes,
                 ..SirumConfig::default()
             };
-            let engine = Engine::new(EngineConfig::in_memory().with_partitions(partitions));
+            let engine =
+                Engine::try_new(EngineConfig::in_memory().with_partitions(partitions)).unwrap();
             let prepared = PreparedTable::try_new(&oracle.small.to_table()).unwrap();
             oracle.check(Miner::new(engine, config), &prepared, &case, &mut tally);
         }
@@ -400,7 +401,8 @@ fn across_frames_and_workers(name: &str, config: impl Fn(usize, usize) -> SirumC
             let prepared = PreparedTable::try_new_with(&built, compression).unwrap();
             for workers in [1, 2] {
                 let case = format!("{name}, seed {seed}, {compression:?}, {workers} worker(s)");
-                let engine = Engine::new(EngineConfig::in_memory().with_workers(workers));
+                let engine =
+                    Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
                 let config = SirumConfig {
                     scaling: tight(),
                     ..config(k, rows)

@@ -3,14 +3,13 @@
 //! choices are checked against an independent brute force in
 //! `tests/brute_force_oracle.rs`.
 
-use sirum::core::evaluate_rules;
 use sirum::prelude::*;
 
 #[test]
 fn flight_walkthrough_matches_the_thesis() {
     // Tables 1.1/1.2 end to end via the facade crate.
     let flights = generators::flights();
-    let engine = Engine::in_memory();
+    let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
     let config = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::SampleLca { sample_size: 14 },
@@ -40,7 +39,7 @@ fn flight_walkthrough_matches_the_thesis() {
 fn mined_rules_evaluate_consistently_offline() {
     // The KL the miner reports must agree with the offline evaluator.
     let table = generators::income_like(2_000, 77);
-    let engine = Engine::in_memory();
+    let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
     let config = SirumConfig {
         k: 4,
         strategy: CandidateStrategy::SampleLca { sample_size: 32 },
@@ -52,14 +51,15 @@ fn mined_rules_evaluate_consistently_offline() {
     };
     let result = Miner::new(engine, config).try_mine(&table).unwrap();
     let rules: Vec<Rule> = result.rules.iter().map(|r| r.rule.clone()).collect();
-    let eval = evaluate_rules(
+    let eval = try_evaluate_rules(
         &table,
         &rules,
         &ScalingConfig {
             epsilon: 1e-6,
             max_iterations: 100_000,
         },
-    );
+    )
+    .unwrap();
     assert!(
         (eval.kl - result.final_kl()).abs() < 1e-3,
         "offline {} vs miner {}",
@@ -82,7 +82,7 @@ fn csv_round_trip_preserves_mining_results() {
             strategy: CandidateStrategy::SampleLca { sample_size: 16 },
             ..SirumConfig::default()
         };
-        Miner::new(Engine::in_memory(), config)
+        Miner::new(Engine::try_new(EngineConfig::in_memory()).unwrap(), config)
             .try_mine(t)
             .unwrap()
             .rules
@@ -96,7 +96,7 @@ fn csv_round_trip_preserves_mining_results() {
 #[test]
 fn sweep_records_fewer_stages_and_shuffles_than_the_staged_pipeline() {
     let table = generators::income_like(4_000, 21);
-    let engine = Engine::new(EngineConfig::in_memory().with_partitions(32));
+    let engine = Engine::try_new(EngineConfig::in_memory().with_partitions(32)).unwrap();
     let config = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::SampleLca { sample_size: 32 },
@@ -106,7 +106,7 @@ fn sweep_records_fewer_stages_and_shuffles_than_the_staged_pipeline() {
     let _ = Miner::new(engine.clone(), config).try_mine(&table).unwrap();
     let stages = engine.metrics().stages();
     assert!(stages.len() > 10, "a staged mine spans many stages");
-    let sweep_engine = Engine::new(EngineConfig::in_memory().with_partitions(32));
+    let sweep_engine = Engine::try_new(EngineConfig::in_memory().with_partitions(32)).unwrap();
     let sweep_config = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::SampleLca { sample_size: 32 },
