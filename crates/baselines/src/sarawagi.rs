@@ -12,8 +12,7 @@
 //!    long in iterative scaling (Fig 5.15).
 
 use sirum_core::explore::{try_explore, ExploreResult};
-use sirum_core::miner::{CandidateStrategy, SirumConfig};
-use sirum_core::multirule::MultiRuleConfig;
+use sirum_core::miner::{CandidateStrategy, Evaluation, SirumConfig, StagedPipeline};
 use sirum_core::SirumError;
 use sirum_dataflow::Engine;
 use sirum_table::Table;
@@ -52,19 +51,19 @@ pub fn sarawagi_explore(
         k: cfg.k,
         strategy: CandidateStrategy::FullCube,
         scaling: cfg.scaling,
-        broadcast_join: true,
         rct: false,
-        fast_pruning: false,
-        column_groups: 1,
-        multirule: MultiRuleConfig::default(),
+        // Comparator fidelity: keep the staged pipeline this baseline's
+        // timings were modeled on, not the fused sweep.
+        evaluation: Evaluation::Staged(StagedPipeline {
+            broadcast_join: true,
+            fast_pruning: false,
+            column_groups: 1,
+        }),
+        rules_per_iter: 1,
         reset_lambdas_on_insert: true,
         target_kl: None,
         max_rules: None,
         two_sided_gain: false,
-        // Comparator fidelity: keep the staged pipeline this baseline's
-        // timings were modeled on, not the fused sweep.
-        gain_sweep: false,
-        // No effect with the sweep off, but keep the default for parity.
         packed_codes: true,
         seed: cfg.seed,
     };

@@ -14,6 +14,7 @@
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
+use crate::miner::StagedPipeline;
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, rule_bits, Rct, RctGroup};
 use crate::rule::{Rule, RuleKey};
@@ -318,20 +319,20 @@ impl MiningData {
 
     /// The staged candidate-pruning join: emit one `(key, aggregate)` pair
     /// per (sample tuple, data tuple) LCA — or per tuple under full-cube —
-    /// and reduce by key, routed by [`RuleKey::route`]. With
-    /// `broadcast_join` off (Naive SIRUM) the data is re-shuffled first, as
-    /// row records — exactly what a real shuffle serializes.
+    /// and reduce by key, routed by [`RuleKey::route`]. With the
+    /// pipeline's `broadcast_join` off (Naive SIRUM) the data is
+    /// re-shuffled first, as row records — exactly what a real shuffle
+    /// serializes.
     pub(crate) fn lca_candidates<K: RuleKey>(
         &self,
         cx: &K::Codec,
         partitions: usize,
         index: Option<&SampleIndex>,
-        broadcast_join: bool,
-        fast_pruning: bool,
+        pipeline: &StagedPipeline,
     ) -> Dataset<(K, Agg)> {
         let data = &self.0;
-        let emit = LcaEmit::new(index, fast_pruning);
-        let pairs = if broadcast_join {
+        let emit = LcaEmit::new(index, pipeline.fast_pruning);
+        let pairs = if pipeline.broadcast_join {
             data.map_partitions(emit.label(), move |_, blocks| {
                 let n: usize = blocks.iter().map(TupleBlock::len).sum();
                 let mut out = Vec::with_capacity(n * emit.per_row());

@@ -86,10 +86,9 @@ pub use error::SirumError;
 pub use evaluate::{try_evaluate_rules, try_evaluate_rules_prepared, RuleSetEvaluation};
 pub use explore::{try_explore, ExploreResult};
 pub use miner::{
-    CandidateStrategy, IterationDecision, IterationEvent, IterationObserver, MinedRule, Miner,
-    MiningResult, PhaseTimings, SirumConfig,
+    CandidateStrategy, Evaluation, IterationDecision, IterationEvent, IterationObserver, MinedRule,
+    Miner, MiningResult, PhaseTimings, SirumConfig, StagedPipeline,
 };
-pub use multirule::MultiRuleConfig;
 pub use prepared::PreparedTable;
 pub use rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
 pub use sample_data::{try_mine_on_sample, SampleDataResult};

@@ -8,7 +8,7 @@ use crate::data::MiningData;
 use crate::error::SirumError;
 use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
 use crate::lattice::{check_expandable, column_groups};
-use crate::multirule::{select_rules, top_by_gain, MultiRuleConfig, ScoredCandidate};
+use crate::multirule::{rank_limit, select_rules, top_by_gain, ScoredCandidate};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, MAX_RULES};
 use crate::rule::{Rule, RuleKey, RuleLayout};
@@ -44,6 +44,38 @@ pub enum CandidateStrategy {
     FullCube,
 }
 
+/// How each iteration's candidate frontier is scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Evaluation {
+    /// The fused, partition-parallel gain sweep ([`crate::sweep`]): one
+    /// scan over the partitioned data folds every tuple into
+    /// per-partition `(Σm, Σm̂)` accumulators for all live candidates at
+    /// once, merged with a deterministic partition-ordered reduction (the
+    /// default). With [`SirumConfig::rct`], the scans after a mine's first
+    /// fold only the tuples whose estimate differs from the RCT's largest
+    /// group's and count the rest ([`SweepState::set_shared_estimate`]).
+    Sweep,
+    /// The staged pipeline that emulates the paper's per-platform jobs
+    /// (LCA emit → shuffle → per-column-group ancestor stages → shuffle →
+    /// adjust + gain). The Table 4.2 [`crate::Variant`]s other than
+    /// Optimized run it, so their relative timings keep modeling the
+    /// thesis experiments.
+    Staged(StagedPipeline),
+}
+
+/// The knobs only the staged pipeline reads ([`Evaluation::Staged`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StagedPipeline {
+    /// Use broadcast (map-side) joins for `s ⋈ D` (§3.2). When false the
+    /// data set is re-shuffled before the join, as Naive SIRUM does.
+    pub broadcast_join: bool,
+    /// Use the inverted sample index for LCA computation (§4.2).
+    pub fast_pruning: bool,
+    /// Number of column groups for multi-stage ancestor generation (§4.3);
+    /// 1 = single-stage (emit all ancestors at once).
+    pub column_groups: usize,
+}
+
 /// Full configuration of a SIRUM run (one row of Table 4.2 plus the
 /// evaluation knobs).
 #[derive(Debug, Clone)]
@@ -54,18 +86,14 @@ pub struct SirumConfig {
     pub strategy: CandidateStrategy,
     /// Iterative-scaling tolerance and iteration cap.
     pub scaling: ScalingConfig,
-    /// Use broadcast (map-side) joins for `s ⋈ D` (§3.2). When false the
-    /// data set is re-shuffled before the join, as Naive SIRUM does.
-    pub broadcast_join: bool,
     /// Use the Rule Coverage Table for iterative scaling (§4.1).
     pub rct: bool,
-    /// Use the inverted sample index for LCA computation (§4.2).
-    pub fast_pruning: bool,
-    /// Number of column groups for multi-stage ancestor generation (§4.3);
-    /// 1 = single-stage (emit all ancestors at once).
-    pub column_groups: usize,
-    /// Multi-rule insertion policy (§4.4).
-    pub multirule: MultiRuleConfig,
+    /// How candidates are scored: the fused sweep, or the staged pipeline
+    /// with the knobs only it reads.
+    pub evaluation: Evaluation,
+    /// Mutually disjoint rules inserted per iteration (`l` of §4.4; the
+    /// paper tests 2 and 3 and recommends 2).
+    pub rules_per_iter: usize,
     /// Reset all multipliers to 1 whenever rules are inserted, re-deriving
     /// the model from scratch — the strategy of Sarawagi \[29\] (§5.6.2).
     pub reset_lambdas_on_insert: bool,
@@ -80,23 +108,6 @@ pub struct SirumConfig {
     /// unusually low-measure subsets. The paper's selection loop uses the
     /// one-sided Eq 2.2 gain (the default, `false`).
     pub two_sided_gain: bool,
-    /// Evaluate each iteration's candidate frontier with the fused,
-    /// partition-parallel gain sweep ([`crate::sweep`]): one scan over the
-    /// partitioned data folds every tuple into per-partition
-    /// `(Σm, Σm̂)` accumulators for all live candidates at once, merged
-    /// with a deterministic partition-ordered reduction (default `true`).
-    /// With [`Self::rct`], the scans after a mine's first fold only the
-    /// tuples whose estimate differs from the RCT's largest group's and
-    /// count the rest ([`SweepState::set_shared_estimate`]).
-    ///
-    /// When `false`, candidates are scored by the staged pipeline
-    /// that emulates the paper's per-platform jobs (LCA emit → shuffle →
-    /// per-column-group ancestor stages → shuffle → adjust + gain); the
-    /// Table 4.2 [`crate::Variant`]s use that path so their relative
-    /// timings keep modeling the thesis experiments. The sweep fuses those
-    /// stages, so [`Self::broadcast_join`], [`Self::fast_pruning`] and
-    /// [`Self::column_groups`] have no effect while it is active.
-    pub gain_sweep: bool,
     /// Intern rules as dense packed integer codes during candidate
     /// evaluation (default `true`): each dimension gets a bit-field sized
     /// by its dictionary cardinality ([`crate::rule::RuleLayout`]), so the
@@ -115,23 +126,20 @@ pub struct SirumConfig {
 }
 
 impl Default for SirumConfig {
-    /// Optimized SIRUM defaults (all Chapter-4 optimizations on, one rule
+    /// Optimized SIRUM defaults (the fused sweep with the RCT, one rule
     /// per iteration).
     fn default() -> Self {
         SirumConfig {
             k: 10,
             strategy: CandidateStrategy::SampleLca { sample_size: 64 },
             scaling: ScalingConfig::default(),
-            broadcast_join: true,
             rct: true,
-            fast_pruning: true,
-            column_groups: 2,
-            multirule: MultiRuleConfig::default(),
+            evaluation: Evaluation::Sweep,
+            rules_per_iter: 1,
             reset_lambdas_on_insert: false,
             target_kl: None,
             max_rules: None,
             two_sided_gain: false,
-            gain_sweep: true,
             packed_codes: true,
             seed: 42,
         }
@@ -139,8 +147,8 @@ impl Default for SirumConfig {
 }
 
 impl SirumConfig {
-    /// Validate every strategy/variant/column-group/multirule invariant,
-    /// naming the offending field. [`Miner::try_mine`] calls this before
+    /// Validate every strategy, evaluation and scaling invariant, naming
+    /// the offending field. [`Miner::try_mine`] calls this before
     /// touching the data, so invalid combinations fail at request time
     /// rather than as mid-mine assertions.
     pub fn validate(&self) -> Result<(), SirumError> {
@@ -150,32 +158,17 @@ impl SirumConfig {
                 "must be ≥ 1 (an empty sample prunes every candidate)",
             ));
         }
-        if self.column_groups == 0 {
+        if let Evaluation::Staged(StagedPipeline {
+            column_groups: 0, ..
+        }) = self.evaluation
+        {
             return Err(SirumError::invalid_config(
                 "column_groups",
                 "must be ≥ 1 (1 = single-stage ancestor generation)",
             ));
         }
-        if self.multirule.rules_per_iter == 0 {
-            return Err(SirumError::invalid_config(
-                "multirule.rules_per_iter",
-                "must be ≥ 1",
-            ));
-        }
-        if !(self.multirule.top_fraction > 0.0 && self.multirule.top_fraction <= 1.0) {
-            return Err(SirumError::invalid_config(
-                "multirule.top_fraction",
-                format!("must be in (0, 1], got {}", self.multirule.top_fraction),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.multirule.min_gain_fraction) {
-            return Err(SirumError::invalid_config(
-                "multirule.min_gain_fraction",
-                format!(
-                    "must be in [0, 1], got {}",
-                    self.multirule.min_gain_fraction
-                ),
-            ));
+        if self.rules_per_iter == 0 {
+            return Err(SirumError::invalid_config("rules_per_iter", "must be ≥ 1"));
         }
         if !(self.scaling.epsilon > 0.0 && self.scaling.epsilon.is_finite()) {
             return Err(SirumError::invalid_config(
@@ -603,37 +596,28 @@ impl Miner {
                 None => cfg.k - mined_so_far,
                 Some(_) => cfg.mined_cap() - mined_so_far,
             };
-            let (mut candidates, candidate_total, sweep_cancelled) = if cfg.gain_sweep {
-                self.sweep_candidates(
-                    &data,
-                    &rules,
-                    &mut sweep,
-                    &mut timings,
-                    &mut ancestors_emitted,
-                )
-            } else {
-                self.staged_candidates(
+            let mut frontier = match &cfg.evaluation {
+                Evaluation::Sweep => self.sweep_candidates(&data, &rules, &mut sweep, &mut timings),
+                Evaluation::Staged(pipeline) => self.staged_candidates(
+                    pipeline,
                     layout.as_ref(),
                     &data,
                     index.as_deref(),
                     &rules,
                     &mut timings,
-                    &mut ancestors_emitted,
-                )
+                ),
             };
-            if sweep_cancelled {
+            ancestors_emitted += frontier.emitted;
+            if frontier.cancelled {
                 // The cancellation token flipped mid-sweep (polled at
                 // partition boundaries): abandon the iteration without
                 // selecting from partial aggregates.
                 cancelled = true;
                 break;
             }
-            let select_cfg = MultiRuleConfig {
-                rules_per_iter: cfg.multirule.rules_per_iter.min(remaining).max(1),
-                ..cfg.multirule
-            };
+            let l = cfg.rules_per_iter.min(remaining).max(1);
             let t_sel = Instant::now();
-            let picked = select_rules(&mut candidates, &select_cfg, candidate_total as usize);
+            let picked = select_rules(&mut frontier.scored, l, frontier.total as usize);
             timings.gain_computation += t_sel.elapsed().as_secs_f64();
             if picked.is_empty() {
                 break; // estimates already explain D: no positive-gain rule
@@ -794,19 +778,13 @@ impl Miner {
     /// Candidate generation for one iteration on the default path: one
     /// fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
     /// which only the candidates selection can reach become rules.
-    ///
-    /// Returns the scored candidates, the true candidate count (for the
-    /// multi-rule rank limit) and whether a cancellation token stopped the
-    /// pass mid-sweep.
     fn sweep_candidates(
         &self,
         data: &MiningData,
         rules: &[Rule],
         sweep: &mut SweepState<'_>,
         timings: &mut PhaseTimings,
-        ancestors_emitted: &mut u64,
-    ) -> (Vec<ScoredCandidate>, u64, bool) {
-        let cfg = &self.config;
+    ) -> Frontier {
         let gain_fn = self.gain_fn();
         let t0 = Instant::now();
         // Same driver-memory guard as the staged path's per-partition
@@ -815,16 +793,15 @@ impl Miner {
         // rank ascending) order becomes rules. Existing rules drop out
         // after ranking, so rank that many more.
         let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
-        let reach = |distinct: usize| keep.min(cfg.multirule.rank_limit(distinct));
+        let reach = |distinct: usize| keep.min(rank_limit(distinct));
         let out = data.sweep(sweep, self.cancellation.as_ref(), |sums| {
             let gain = |(rank, &(sum_m, sum_mhat, _))| (gain_fn(sum_m, sum_mhat), rank);
             let scored = sums.iter().enumerate().map(gain).collect();
             let top = top_by_gain(scored, reach(sums.len()) + rules.len());
             top.into_iter().map(|(_, rank)| rank).collect()
         });
-        *ancestors_emitted += out.pairs_emitted;
         let existing: HashSet<&Rule> = rules.iter().collect();
-        let result: Vec<ScoredCandidate> = out
+        let scored: Vec<ScoredCandidate> = out
             .candidates
             .into_iter()
             .filter(|(rule, _, _, _)| !existing.contains(rule))
@@ -837,42 +814,36 @@ impl Miner {
             })
             .collect();
         timings.gain_sweep += t0.elapsed().as_secs_f64();
-        (result, out.distinct_candidates, out.cancelled)
+        Frontier {
+            scored,
+            total: out.distinct_candidates,
+            emitted: out.pairs_emitted,
+            cancelled: out.cancelled,
+        }
     }
 
-    /// Candidate generation for one iteration with [`SirumConfig::gain_sweep`]
-    /// off: the staged pipeline ([`Self::staged`]) on records keyed as the
-    /// sweep keys its accumulators — packed codes of the width `layout`
-    /// fits ([`RuleLayout::packed_bits`]), or `Rule`s. Returns what
-    /// [`Self::sweep_candidates`] does; the staged pipeline is never
-    /// cancelled mid-pass.
+    /// Candidate generation for one iteration under
+    /// [`Evaluation::Staged`]: the staged pipeline ([`Self::staged`]) on
+    /// records keyed as the sweep keys its accumulators — packed codes of
+    /// the width `layout` fits ([`RuleLayout::packed_bits`]), or `Rule`s.
+    /// The staged pipeline is never cancelled mid-pass.
     fn staged_candidates(
         &self,
+        pipeline: &StagedPipeline,
         layout: Option<&RuleLayout>,
         data: &MiningData,
         index: Option<&SampleIndex>,
         rules: &[Rule],
         timings: &mut PhaseTimings,
-        ancestors_emitted: &mut u64,
-    ) -> (Vec<ScoredCandidate>, u64, bool) {
+    ) -> Frontier {
         match (layout, layout.and_then(RuleLayout::packed_bits)) {
-            (Some(layout), Some(64)) => self.staged::<u64>(
-                &layout.masks(),
-                data,
-                index,
-                rules,
-                timings,
-                ancestors_emitted,
-            ),
-            (Some(layout), Some(_)) => self.staged::<u128>(
-                &layout.masks(),
-                data,
-                index,
-                rules,
-                timings,
-                ancestors_emitted,
-            ),
-            _ => self.staged::<Rule>(&(), data, index, rules, timings, ancestors_emitted),
+            (Some(layout), Some(64)) => {
+                self.staged::<u64>(pipeline, &layout.masks(), data, index, rules, timings)
+            }
+            (Some(layout), Some(_)) => {
+                self.staged::<u128>(pipeline, &layout.masks(), data, index, rules, timings)
+            }
+            _ => self.staged::<Rule>(pipeline, &(), data, index, rules, timings),
         }
     }
 
@@ -883,21 +854,19 @@ impl Miner {
     /// those become [`Rule`]s.
     fn staged<K: RuleKey>(
         &self,
+        pipeline: &StagedPipeline,
         cx: &K::Codec,
         data: &MiningData,
         index: Option<&SampleIndex>,
         rules: &[Rule],
         timings: &mut PhaseTimings,
-        ancestors_emitted: &mut u64,
-    ) -> (Vec<ScoredCandidate>, u64, bool) {
-        let cfg = &self.config;
+    ) -> Frontier {
         let gain_fn = self.gain_fn();
         let partitions = self.engine.config().partitions;
 
         // ---- Candidate pruning: LCA(s, D) (§3.1.1 / §4.2) ----------------
         let t0 = Instant::now();
-        let mut cand: Dataset<(K, Agg)> =
-            data.lca_candidates(cx, partitions, index, cfg.broadcast_join, cfg.fast_pruning);
+        let mut cand: Dataset<(K, Agg)> = data.lca_candidates(cx, partitions, index, pipeline);
         timings.candidate_pruning += t0.elapsed().as_secs_f64();
 
         // ---- Ancestor generation (§3.1.1 single-stage / §4.3 grouped) ----
@@ -906,7 +875,7 @@ impl Miner {
         // would land there too.
         let t1 = Instant::now();
         let emitted = AtomicU64::new(0);
-        let groups = column_groups(rules[0].arity(), cfg.column_groups.max(1), cfg.seed);
+        let groups = column_groups(rules[0].arity(), pipeline.column_groups, self.config.seed);
         for (gi, group) in groups.iter().enumerate() {
             let label = format!("ancestors-g{gi}");
             let expanded = cand.map_partitions(&label, |_, items: &[(K, Agg)]| {
@@ -926,7 +895,6 @@ impl Miner {
             cand.free();
             cand = reduced;
         }
-        *ancestors_emitted += emitted.into_inner();
         timings.ancestor_generation += t1.elapsed().as_secs_f64();
 
         // ---- Sample adjustment + gain computation (§3.1.1, Eq 2.2) -------
@@ -958,7 +926,7 @@ impl Miner {
         scored_ds.free();
         cand.free();
         let existing: HashSet<&Rule> = rules.iter().collect();
-        let result: Vec<ScoredCandidate> = scored
+        let scored: Vec<ScoredCandidate> = scored
             .into_iter()
             .filter(|(rule, _, _, _)| !existing.contains(rule))
             .map(|(rule, gain, sum_m, count)| ScoredCandidate {
@@ -969,7 +937,12 @@ impl Miner {
             })
             .collect();
         timings.gain_computation += t2.elapsed().as_secs_f64();
-        (result, candidate_total.into_inner(), false)
+        Frontier {
+            scored,
+            total: candidate_total.into_inner(),
+            emitted: emitted.into_inner(),
+            cancelled: false,
+        }
     }
 
     /// The candidate score: Eq 2.2's gain, or its two-sided form.
@@ -980,6 +953,18 @@ impl Miner {
             rule_gain
         }
     }
+}
+
+/// One iteration's scored candidate frontier, from either evaluation path.
+struct Frontier {
+    /// The scored candidates not already in the model.
+    scored: Vec<ScoredCandidate>,
+    /// The true candidate count: the multi-rule rank-limit denominator.
+    total: u64,
+    /// Candidate pairs the ancestor generation emitted (Fig 5.8).
+    emitted: u64,
+    /// Whether a cancellation token stopped the pass mid-sweep.
+    cancelled: bool,
 }
 
 /// The mining dataset as Algorithm 1's backend: coverage is read from the

@@ -4,52 +4,22 @@
 
 use crate::rule::Rule;
 
-/// Selection policy for one mining iteration.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiRuleConfig {
-    /// Rules inserted per iteration (`l`; the paper tests 2 and 3 and
-    /// recommends 2).
-    pub rules_per_iter: usize,
-    /// Additional rules must rank within this fraction of the candidate
-    /// list (paper: top 1%).
-    pub top_fraction: f64,
-    /// Additional rules must have at least this fraction of the top rule's
-    /// gain (the paper suggests "say, at least half").
-    pub min_gain_fraction: f64,
-}
+/// §4.4's rank limit: a rule beyond the best must rank within this
+/// fraction of the candidate list (the paper's top 1%).
+const TOP_FRACTION: f64 = 0.01;
 
-impl Default for MultiRuleConfig {
-    fn default() -> Self {
-        MultiRuleConfig {
-            rules_per_iter: 1,
-            top_fraction: 0.01,
-            min_gain_fraction: 0.0,
-        }
-    }
-}
-
-impl MultiRuleConfig {
-    /// The paper's `l`-rule setting with its top-1% constraint.
-    pub fn l_rules(l: usize) -> Self {
-        MultiRuleConfig {
-            rules_per_iter: l.max(1),
-            ..Default::default()
-        }
-    }
-
-    /// How many of `total` gain-ranked candidates [`select_rules`] may
-    /// read: the top [`Self::top_fraction`], and at least the best one.
-    pub fn rank_limit(&self, total: usize) -> usize {
-        ((total as f64 * self.top_fraction).ceil() as usize).max(1)
-    }
+/// How many of `total` gain-ranked candidates [`select_rules`] may read:
+/// the top 1% (§4.4), and at least the best one.
+pub(crate) fn rank_limit(total: usize) -> usize {
+    ((total as f64 * TOP_FRACTION).ceil() as usize).max(1)
 }
 
 /// The first `reach` of `scored` — `(gain, canonical rank)` per candidate
 /// — under gain descending (`total_cmp`), rank ascending: the prefix
 /// [`select_rules`]' stable sort makes of the canonically ordered list,
-/// without sorting all of it. Selection never reads past
-/// [`MultiRuleConfig::rank_limit`], so selecting from this prefix equals
-/// selecting from the whole list whenever `reach` covers that limit.
+/// without sorting all of it. Selection never reads past the top-1% rank
+/// limit, so selecting from this prefix equals selecting from the whole
+/// list whenever `reach` covers that limit.
 pub fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usize)> {
     let best_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
     if reach < scored.len() {
@@ -75,9 +45,8 @@ pub struct ScoredCandidate {
 
 /// Pick the most informative rule plus up to `l−1` further rules that are
 /// (a) mutually disjoint from every already-picked rule — so their
-/// constraints cannot invalidate each other's gains (§4.4), (b) within the
-/// top `top_fraction` of candidates by gain rank, and (c) at least
-/// `min_gain_fraction` of the best gain.
+/// constraints cannot invalidate each other's gains (§4.4), and (b) within
+/// the top 1% of candidates by gain rank.
 ///
 /// `candidates` is sorted (descending by gain) in place; it may be a
 /// pre-truncated prefix of a larger candidate list, in which case
@@ -86,7 +55,7 @@ pub struct ScoredCandidate {
 /// candidates in selection order; empty if no candidate has positive gain.
 pub fn select_rules(
     candidates: &mut [ScoredCandidate],
-    cfg: &MultiRuleConfig,
+    l: usize,
     total_candidates: usize,
 ) -> Vec<ScoredCandidate> {
     candidates.sort_by(|a, b| b.gain.total_cmp(&a.gain));
@@ -97,16 +66,15 @@ pub fn select_rules(
         return Vec::new();
     }
     let mut picked: Vec<ScoredCandidate> = vec![top.clone()];
-    if cfg.rules_per_iter <= 1 {
+    if l <= 1 {
         return picked;
     }
-    let rank_limit = cfg.rank_limit(total_candidates.max(candidates.len()));
-    let gain_floor = top.gain * cfg.min_gain_fraction;
-    for cand in candidates.iter().take(rank_limit).skip(1) {
-        if picked.len() >= cfg.rules_per_iter {
+    let limit = rank_limit(total_candidates.max(candidates.len()));
+    for cand in candidates.iter().take(limit).skip(1) {
+        if picked.len() >= l {
             break;
         }
-        if cand.gain <= 0.0 || cand.gain < gain_floor {
+        if cand.gain <= 0.0 {
             break; // sorted order: nothing further qualifies
         }
         if picked.iter().all(|p| p.rule.is_disjoint(&cand.rule)) {
@@ -143,13 +111,8 @@ mod tests {
             cand(&[1, 0, -1], 9.0),   // (Fri, SF, *) — overlaps
             cand(&[-1, 2, -1], 8.0),  // (*, London, *) — disjoint
         ];
-        let cfg = MultiRuleConfig {
-            rules_per_iter: 2,
-            top_fraction: 1.0,
-            min_gain_fraction: 0.0,
-        };
-        let n = cands.len();
-        let picked = select_rules(&mut cands, &cfg, n);
+        // The top three of 300 candidates: all within the top 1%.
+        let picked = select_rules(&mut cands, 2, 300);
         assert_eq!(picked.len(), 2);
         assert_eq!(picked[0].rule, cand(&[-1, 0, -1], 0.0).rule);
         assert_eq!(picked[1].rule, cand(&[-1, 2, -1], 0.0).rule);
@@ -159,7 +122,7 @@ mod tests {
     fn single_rule_mode_ignores_constraints() {
         let mut cands = vec![cand(&[0, -1], 5.0), cand(&[1, -1], 4.0)];
         let n = cands.len();
-        let picked = select_rules(&mut cands, &MultiRuleConfig::default(), n);
+        let picked = select_rules(&mut cands, 1, n);
         assert_eq!(picked.len(), 1);
         assert_eq!(picked[0].gain, 5.0);
     }
@@ -168,9 +131,9 @@ mod tests {
     fn no_positive_gain_means_no_selection() {
         let mut cands = vec![cand(&[0, -1], 0.0), cand(&[1, -1], -2.0)];
         let n = cands.len();
-        assert!(select_rules(&mut cands, &MultiRuleConfig::l_rules(2), n).is_empty());
+        assert!(select_rules(&mut cands, 2, n).is_empty());
         let mut empty: Vec<ScoredCandidate> = Vec::new();
-        assert!(select_rules(&mut empty, &MultiRuleConfig::l_rules(2), 0).is_empty());
+        assert!(select_rules(&mut empty, 2, 0).is_empty());
     }
 
     #[test]
@@ -180,31 +143,12 @@ mod tests {
             .map(|i| cand(&[i as i64, -1], 200.0 - i as f64))
             .collect();
         // Rank 0 and 1 overlap each other? They differ in attr 0 → disjoint.
-        let cfg = MultiRuleConfig {
-            rules_per_iter: 3,
-            top_fraction: 0.01,
-            min_gain_fraction: 0.0,
-        };
+        assert_eq!(TOP_FRACTION, 0.01);
+        assert_eq!(rank_limit(200), 2);
         let n = cands.len();
-        let picked = select_rules(&mut cands, &cfg, n);
+        let picked = select_rules(&mut cands, 3, n);
         // ceil(200·0.01)=2 eligible ranks → at most 2 rules selected.
         assert_eq!(picked.len(), 2);
-    }
-
-    #[test]
-    fn min_gain_fraction_filters_weak_rules() {
-        let mut cands = vec![
-            cand(&[0, -1], 10.0),
-            cand(&[1, -1], 3.0), // disjoint but below half the top gain
-        ];
-        let cfg = MultiRuleConfig {
-            rules_per_iter: 2,
-            top_fraction: 1.0,
-            min_gain_fraction: 0.5,
-        };
-        let n = cands.len();
-        let picked = select_rules(&mut cands, &cfg, n);
-        assert_eq!(picked.len(), 1);
     }
 
     #[test]
@@ -215,13 +159,8 @@ mod tests {
             cand(&[1, -1, -1], 8.0), // disjoint from #1, overlaps #2? no clash → overlaps
             cand(&[2, 1, -1], 7.0),  // disjoint from #1 (attr0) — and #2? attr1 0 vs 1 → disjoint
         ];
-        let cfg = MultiRuleConfig {
-            rules_per_iter: 3,
-            top_fraction: 1.0,
-            min_gain_fraction: 0.0,
-        };
-        let n = cands.len();
-        let picked = select_rules(&mut cands, &cfg, n);
+        // The top four of 400 candidates: all within the top 1%.
+        let picked = select_rules(&mut cands, 3, 400);
         // #2 overlaps the top rule (no conflicting constants), so selection
         // is {#1, #3, #4}? #3 vs #4: attr0 1 vs 2 → disjoint. So 3 rules.
         assert_eq!(picked.len(), 3);
@@ -234,44 +173,35 @@ mod tests {
 
     #[test]
     fn selecting_from_the_top_prefix_equals_selecting_from_the_whole_list() {
-        // 240 candidates in canonical order over two attributes, gains
+        // 24 000 candidates in canonical order over two attributes, gains
         // drawn from three values only — ties everywhere, which only rank
         // order may break. Each `a` opens with `(a, *)`, which overlaps the
-        // `(a, b)`s after it, so multi-rule selection has to skip.
-        let all: Vec<ScoredCandidate> = (0..240u32)
+        // `(a, b)`s after it, so multi-rule selection has to skip. The top
+        // 1% the rank limit admits is 240 of them.
+        let all: Vec<ScoredCandidate> = (0..24_000u32)
             .map(|i| {
                 let (a, b) = (i64::from(i / 15), i64::from(i % 15));
                 let vals = [a, if b == 0 { -1 } else { b }];
                 cand(&vals, [3.0, 1.0, 2.0][(i * 7 % 3) as usize])
             })
             .collect();
-        for rules_per_iter in [1, 2, 3] {
-            for top_fraction in [0.01, 0.5, 1.0] {
-                let cfg = MultiRuleConfig {
-                    rules_per_iter,
-                    top_fraction,
-                    min_gain_fraction: 0.0,
-                };
-                let whole = select_rules(&mut all.clone(), &cfg, all.len());
-                let scored = all.iter().enumerate().map(|(rank, c)| (c.gain, rank));
-                let reach = cfg.rank_limit(all.len());
-                let mut prefix: Vec<ScoredCandidate> = top_by_gain(scored.collect(), reach)
-                    .into_iter()
-                    .map(|(_, rank)| all[rank].clone())
-                    .collect();
-                assert_eq!(prefix.len(), reach);
-                let picked = select_rules(&mut prefix, &cfg, all.len());
-                let rules = |c: &[ScoredCandidate]| -> Vec<Rule> {
-                    c.iter().map(|c| c.rule.clone()).collect()
-                };
-                assert_eq!(rules(&picked), rules(&whole), "{cfg:?}");
-                if top_fraction == 1.0 {
-                    // All asked for, and not simply the first ones: the
-                    // second-ranked `(0, 3)` overlaps the top `(0, *)`.
-                    assert_eq!(picked.len(), rules_per_iter, "{cfg:?}");
-                    assert!(picked.iter().all(|p| p.rule != all[3].rule));
-                }
-            }
+        for l in [1, 2, 3] {
+            let whole = select_rules(&mut all.clone(), l, all.len());
+            let scored = all.iter().enumerate().map(|(rank, c)| (c.gain, rank));
+            let reach = rank_limit(all.len());
+            let mut prefix: Vec<ScoredCandidate> = top_by_gain(scored.collect(), reach)
+                .into_iter()
+                .map(|(_, rank)| all[rank].clone())
+                .collect();
+            assert_eq!(prefix.len(), reach);
+            let picked = select_rules(&mut prefix, l, all.len());
+            let rules =
+                |c: &[ScoredCandidate]| -> Vec<Rule> { c.iter().map(|c| c.rule.clone()).collect() };
+            assert_eq!(rules(&picked), rules(&whole), "l = {l}");
+            // All asked for, and not simply the first ones: the
+            // second-ranked `(0, 3)` overlaps the top `(0, *)`.
+            assert_eq!(picked.len(), l);
+            assert!(picked.iter().all(|p| p.rule != all[3].rule));
         }
         // The prefix is the stable sort's, tie for tie.
         let mut sorted = all.clone();

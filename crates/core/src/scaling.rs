@@ -93,8 +93,11 @@ pub fn iterative_scaling<B: ScalingBackend>(
             };
         }
         iterations += 1;
+        // A rule whose support has zero true mass (`m_sums[next] == 0`)
+        // scales its estimates to exactly 0, the limit `relative_diff`'s
+        // zero-target fallback measures.
         let factor = m_sums[next] / mhat_sums[next];
-        debug_assert!(factor.is_finite() && factor > 0.0, "factor {factor}");
+        debug_assert!(factor.is_finite() && factor >= 0.0, "factor {factor}");
         lambdas[next] *= factor;
         backend.scale(next, factor);
     }

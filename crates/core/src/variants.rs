@@ -2,8 +2,7 @@
 //! Chapter-4 optimization over the baseline (plus Naive and Optimized).
 
 use crate::error::SirumError;
-use crate::miner::{CandidateStrategy, SirumConfig};
-use crate::multirule::MultiRuleConfig;
+use crate::miner::{CandidateStrategy, Evaluation, SirumConfig, StagedPipeline};
 use std::fmt;
 use std::str::FromStr;
 
@@ -75,42 +74,45 @@ impl Variant {
         // pipelines, so the fused gain sweep (an extension, not a paper
         // variant) is off for all of them except Optimized, which collects
         // every optimization this reproduction has.
+        let baseline = StagedPipeline {
+            broadcast_join: true,
+            fast_pruning: false,
+            column_groups: 1,
+        };
         let base = SirumConfig {
             k,
             strategy: CandidateStrategy::SampleLca { sample_size },
-            broadcast_join: true,
             rct: false,
-            fast_pruning: false,
-            column_groups: 1,
-            multirule: MultiRuleConfig::default(),
-            gain_sweep: false,
+            evaluation: Evaluation::Staged(baseline),
             ..SirumConfig::default()
         };
+        let staged = |pipeline| SirumConfig {
+            evaluation: Evaluation::Staged(pipeline),
+            ..base.clone()
+        };
         match self {
-            Variant::Naive => SirumConfig {
+            Variant::Naive => staged(StagedPipeline {
                 broadcast_join: false,
-                ..base
-            },
+                ..baseline
+            }),
             Variant::Baseline => base,
             Variant::Rct => SirumConfig { rct: true, ..base },
-            Variant::FastPruning => SirumConfig {
+            Variant::FastPruning => staged(StagedPipeline {
                 fast_pruning: true,
-                ..base
-            },
-            Variant::FastAncestor => SirumConfig {
+                ..baseline
+            }),
+            Variant::FastAncestor => staged(StagedPipeline {
                 column_groups: 2,
-                ..base
-            },
+                ..baseline
+            }),
             Variant::MultiRule => SirumConfig {
-                multirule: MultiRuleConfig::l_rules(2),
+                rules_per_iter: 2,
                 ..base
             },
             Variant::Optimized => SirumConfig {
                 rct: true,
-                fast_pruning: true,
-                column_groups: 2,
-                multirule: MultiRuleConfig::l_rules(2),
-                gain_sweep: true,
+                evaluation: Evaluation::Sweep,
+                rules_per_iter: 2,
                 ..base
             },
         }
@@ -165,35 +167,44 @@ mod tests {
         ));
     }
 
+    /// The staged arm of a variant's configuration.
+    fn pipeline(v: Variant) -> StagedPipeline {
+        match v.config(5, 16).evaluation {
+            Evaluation::Staged(pipeline) => pipeline,
+            Evaluation::Sweep => panic!("{v} runs the sweep"),
+        }
+    }
+
     #[test]
     fn baseline_has_only_broadcast_join() {
         let c = Variant::Baseline.config(10, 64);
-        assert!(c.broadcast_join);
+        let p = pipeline(Variant::Baseline);
+        assert!(p.broadcast_join);
         assert!(!c.rct);
-        assert!(!c.fast_pruning);
-        assert_eq!(c.column_groups, 1);
-        assert_eq!(c.multirule.rules_per_iter, 1);
+        assert!(!p.fast_pruning);
+        assert_eq!(p.column_groups, 1);
+        assert_eq!(c.rules_per_iter, 1);
     }
 
     #[test]
     fn naive_disables_broadcast() {
-        assert!(!Variant::Naive.config(10, 64).broadcast_join);
+        assert!(!pipeline(Variant::Naive).broadcast_join);
     }
 
     #[test]
     fn each_single_optimization_variant_toggles_one_knob() {
         assert!(Variant::Rct.config(5, 16).rct);
-        assert!(Variant::FastPruning.config(5, 16).fast_pruning);
-        assert_eq!(Variant::FastAncestor.config(5, 16).column_groups, 2);
-        assert_eq!(Variant::MultiRule.config(5, 16).multirule.rules_per_iter, 2);
+        assert!(pipeline(Variant::FastPruning).fast_pruning);
+        assert_eq!(pipeline(Variant::FastAncestor).column_groups, 2);
+        assert_eq!(Variant::MultiRule.config(5, 16).rules_per_iter, 2);
     }
 
     #[test]
     fn optimized_enables_everything() {
         let c = Variant::Optimized.config(20, 128);
-        assert!(c.broadcast_join && c.rct && c.fast_pruning);
-        assert_eq!(c.column_groups, 2);
-        assert_eq!(c.multirule.rules_per_iter, 2);
+        assert!(c.rct);
+        assert_eq!(c.evaluation, Evaluation::Sweep);
+        assert_eq!(c.rules_per_iter, 2);
         assert_eq!(c.k, 20);
         assert_eq!(
             c.strategy,

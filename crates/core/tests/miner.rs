@@ -3,7 +3,8 @@
 //! three engine modes.
 
 use sirum_core::{
-    CandidateStrategy, Miner, MiningResult, MultiRuleConfig, Rule, SirumConfig, Variant, WILDCARD,
+    CandidateStrategy, Evaluation, Miner, MiningResult, Rule, SirumConfig, StagedPipeline, Variant,
+    WILDCARD,
 };
 use sirum_dataflow::{Engine, EngineConfig};
 use sirum_table::generators;
@@ -21,6 +22,16 @@ fn full_sample_config(k: usize, n: usize) -> SirumConfig {
         strategy: CandidateStrategy::SampleLca { sample_size: n },
         ..SirumConfig::default()
     }
+}
+
+/// The staged pipeline with broadcast joins, fast pruning and
+/// `column_groups` ancestor stages.
+fn staged(column_groups: usize) -> Evaluation {
+    Evaluation::Staged(StagedPipeline {
+        broadcast_join: true,
+        fast_pruning: true,
+        column_groups,
+    })
 }
 
 fn rule_names(result: &MiningResult, table: &Table) -> Vec<String> {
@@ -172,8 +183,7 @@ fn gain_sweep_selects_the_same_rules_as_the_staged_pipeline() {
         let staged = Miner::new(
             engine(),
             SirumConfig {
-                gain_sweep: false,
-                column_groups: 1,
+                evaluation: staged(1),
                 ..full_sample_config(4, sample)
             },
         )
@@ -220,18 +230,18 @@ fn wide_tables_are_rejected_with_a_typed_error_on_both_paths() {
         b.try_push_row(&refs, (i % 4) as f64).unwrap();
     }
     let t = b.build();
-    for gain_sweep in [true, false] {
+    for evaluation in [Evaluation::Sweep, staged(2)] {
         let result = Miner::new(
             engine(),
             SirumConfig {
-                gain_sweep,
+                evaluation,
                 ..full_sample_config(1, 3)
             },
         )
         .try_mine(&t);
         assert!(
             matches!(result, Err(sirum_core::SirumError::InvalidConfig { .. })),
-            "30-dim table must be rejected (gain_sweep = {gain_sweep}): {result:?}"
+            "30-dim table must be rejected ({evaluation:?}): {result:?}"
         );
     }
 }
@@ -348,7 +358,7 @@ fn target_kl_keeps_mining_until_reached() {
     let cfg = SirumConfig {
         target_kl: Some(target),
         max_rules: Some(12),
-        multirule: MultiRuleConfig::l_rules(2),
+        rules_per_iter: 2,
         ..full_sample_config(2, 32)
     };
     let starred = Miner::new(engine(), cfg).try_mine(&t).unwrap();
@@ -377,7 +387,7 @@ fn timings_are_populated() {
     assert!(tm.rule_generation() + tm.iterative_scaling <= tm.total * 1.01);
     // Legacy staged path: the three classic phase timings.
     let cfg = SirumConfig {
-        gain_sweep: false,
+        evaluation: staged(2),
         ..full_sample_config(2, 8)
     };
     let result = Miner::new(engine(), cfg).try_mine(&t).unwrap();
@@ -555,7 +565,7 @@ fn engine_modes_are_bit_identical_on_the_same_partitioning() {
         SirumConfig {
             k: 2,
             strategy: CandidateStrategy::FullCube,
-            gain_sweep: false,
+            evaluation: staged(2),
             ..SirumConfig::default()
         },
     ];
@@ -675,7 +685,7 @@ fn staged_output_is_pinned_bit_for_bit() {
     let full_cube = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::FullCube,
-        gain_sweep: false,
+        evaluation: staged(2),
         ..SirumConfig::default()
     };
     let cases = [

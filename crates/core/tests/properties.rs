@@ -8,7 +8,9 @@ use sirum_core::candidates::{
 };
 use sirum_core::gain::kl_divergence;
 use sirum_core::lattice::{ancestors, ancestors_restricted, column_groups};
-use sirum_core::miner::{CandidateStrategy, IterationDecision, Miner, SirumConfig};
+use sirum_core::miner::{
+    CandidateStrategy, Evaluation, IterationDecision, Miner, SirumConfig, StagedPipeline,
+};
 use sirum_core::rct::{mhat_for_mask, Rct};
 use sirum_core::rule::{Rule, RuleLayout, WILDCARD};
 use sirum_core::scaling::{iterative_scaling, relative_diff, ScalingBackend, ScalingConfig};
@@ -255,7 +257,11 @@ fn staged_config(i: usize, n: usize) -> SirumConfig {
         None => SirumConfig {
             k: 3,
             strategy: CandidateStrategy::FullCube,
-            gain_sweep: false,
+            evaluation: Evaluation::Staged(StagedPipeline {
+                broadcast_join: true,
+                fast_pruning: true,
+                column_groups: 2,
+            }),
             ..SirumConfig::default()
         },
     }

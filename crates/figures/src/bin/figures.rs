@@ -12,8 +12,7 @@
 
 use sirum_figures::baselines::{sarawagi_explore, SarawagiConfig};
 use sirum_figures::core::{
-    try_explore, try_mine_on_sample, CandidateStrategy, Miner, MiningResult, MultiRuleConfig,
-    SirumConfig, Variant,
+    try_explore, try_mine_on_sample, CandidateStrategy, Miner, MiningResult, SirumConfig, Variant,
 };
 use sirum_figures::dataflow::{Engine, EngineConfig};
 use sirum_figures::table::Table;
@@ -438,7 +437,7 @@ fn f5_9() {
             ]);
             for l in [2usize, 3] {
                 let cfg = SirumConfig {
-                    multirule: MultiRuleConfig::l_rules(l),
+                    rules_per_iter: l,
                     ..Variant::Baseline.config(k, s)
                 };
                 let r = run(&t, cfg);
@@ -452,7 +451,7 @@ fn f5_9() {
                 ]);
                 // The `*` variant mines until it matches Baseline's KL.
                 let cfg_star = SirumConfig {
-                    multirule: MultiRuleConfig::l_rules(l),
+                    rules_per_iter: l,
                     target_kl: Some(target),
                     max_rules: Some((2 * k).min(60)),
                     ..Variant::Baseline.config(k, s)
@@ -619,8 +618,7 @@ fn f5_15() {
             SirumConfig {
                 k: 5,
                 rct: true,
-                column_groups: 2,
-                multirule: MultiRuleConfig::l_rules(2),
+                rules_per_iter: 2,
                 ..SirumConfig::default()
             },
         )
@@ -634,8 +632,7 @@ fn f5_15() {
             SirumConfig {
                 k: 5,
                 rct: true,
-                column_groups: 2,
-                multirule: MultiRuleConfig::l_rules(2),
+                rules_per_iter: 2,
                 target_kl: Some(sar.result.final_kl()),
                 max_rules: Some(15),
                 ..SirumConfig::default()

@@ -5,8 +5,8 @@
 //! prints them as a table (or JSON).
 //!
 //! ```sh
-//! sirum data.csv --k 10 --sample 64 --variant optimized
-//! sirum data.csv --k 5 --engine single-thread --two-rules
+//! sirum data.csv --k 10 --sample-size 64 --variant optimized
+//! sirum data.csv --k 5 --engine single-thread --rules-per-iter 2
 //! sirum --demo flights --k 3              # built-in demo datasets
 //! sirum --demo tlc --target-kl 0.05 --progress
 //! sirum --demo income --repeat 8 --jobs 4 # exercise the worker pool + cache
@@ -57,16 +57,12 @@ impl FromStr for OutputFormat {
 struct Args {
     input: Option<String>,
     demo: Option<String>,
-    k: usize,
-    sample: usize,
-    variant: Option<Variant>,
     engine: EngineMode,
-    rules_per_iter: usize,
-    epsilon: f64,
-    seed: u64,
     partitions: usize,
-    target_kl: Option<f64>,
-    two_sided: bool,
+    /// Mining-field flags in order: `(--flag, value text)`.
+    fields: Vec<(String, String)>,
+    /// `--seed`, which seeds the demo generator as well as the request.
+    seed: u64,
     progress: bool,
     jobs: usize,
     repeat: usize,
@@ -84,19 +80,26 @@ USAGE:
 The CSV's last column must be numeric (the measure); all other columns are
 treated as categorical dimension attributes. The first line is the header.
 
-OPTIONS:
+MINING FIELDS (the fields POST /mine and GET /explain take; each value is
+read as a GET /explain query value is, booleans as true|false):
   --k <N>            rules to mine beyond (*, …, *)      [default: 10]
-  --sample <N>       candidate-pruning sample size |s|   [default: 64]
+  --sample-size <N>  candidate-pruning sample size |s|   [default: 64]
   --variant <V>      naive|baseline|rct|fast-pruning|fast-ancestor|
-                     multi-rule|optimized; without it, the request
-                     POST /mine makes when it names no variant (the
-                     fused gain sweep, one rule per iteration)
-  --engine <E>       in-memory|disk-mr|single-thread     [default: in-memory]
-  --two-rules        insert 2 disjoint rules per iteration (on any variant)
-  --two-sided        also surface unusually LOW-measure regions
-  --target-kl <F>    keep mining until KL reaches this target
+                     multi-rule|optimized; without it, the fused gain
+                     sweep with one rule per iteration
+  --full-cube <B>    every supported rule is a candidate
+  --two-sided <B>    also surface unusually LOW-measure regions
   --epsilon <F>      iterative-scaling tolerance         [default: 0.01]
-  --seed <N>         sampling seed                       [default: 42]
+  --max-scaling-iterations <N>  λ-update cap per scaling run
+  --seed <N>         sampling seed, and the demo data's  [default: 42]
+  --rules-per-iter <N>  disjoint rules inserted per iteration
+  --target-kl <F>    keep mining until KL reaches this target
+  --max-rules <N>    cap on mined rules under --target-kl
+  --column-groups <N>   ancestor stages of a staged variant
+  --prior <JSON>     prior rules, e.g. [[0,null,null]]
+
+OPTIONS:
+  --engine <E>       in-memory|disk-mr|single-thread     [default: in-memory]
   --partitions <N>   dataset partitions                  [default: 16]
   --jobs <N>         worker-pool size for --repeat       [default: 2]
   --repeat <N>       submit the request N times through the service's
@@ -150,16 +153,10 @@ fn parse_args() -> Args {
     let mut args = Args {
         input: None,
         demo: None,
-        k: 10,
-        sample: 64,
-        variant: None,
         engine: EngineMode::InMemory,
-        rules_per_iter: 1,
-        epsilon: 0.01,
-        seed: 42,
         partitions: 16,
-        target_kl: None,
-        two_sided: false,
+        fields: Vec::new(),
+        seed: 42,
         progress: false,
         jobs: 2,
         repeat: 1,
@@ -180,19 +177,9 @@ fn parse_args() -> Args {
                 exit(0);
             }
             "--demo" => args.demo = Some(value("--demo")),
-            "--k" => args.k = parse_value("--k", &value("--k")),
-            "--sample" => args.sample = parse_value("--sample", &value("--sample")),
-            "--variant" => args.variant = Some(parse_value("--variant", &value("--variant"))),
             "--engine" => args.engine = parse_value("--engine", &value("--engine")),
-            "--two-rules" => args.rules_per_iter = 2,
-            "--two-sided" => args.two_sided = true,
             "--progress" => args.progress = true,
             "--explain" => args.explain = true,
-            "--target-kl" => {
-                args.target_kl = Some(parse_value("--target-kl", &value("--target-kl")));
-            }
-            "--epsilon" => args.epsilon = parse_value("--epsilon", &value("--epsilon")),
-            "--seed" => args.seed = parse_value("--seed", &value("--seed")),
             "--partitions" => {
                 args.partitions = parse_value("--partitions", &value("--partitions"));
             }
@@ -201,6 +188,13 @@ fn parse_args() -> Args {
             "--format" => args.format = parse_value("--format", &value("--format")),
             other if !other.starts_with('-') && args.input.is_none() => {
                 args.input = Some(other.to_string());
+            }
+            other if other.starts_with("--") => {
+                let text = value(other);
+                if other == "--seed" {
+                    args.seed = parse_value(other, &text);
+                }
+                args.fields.push((other.to_string(), text));
             }
             other => usage_error(format!("unexpected argument {other:?}")),
         }
@@ -220,40 +214,40 @@ fn parse_args() -> Args {
     args
 }
 
-/// Register the requested dataset in the service and return its name.
-fn load_table(service: &SirumService, args: &Args) -> Result<String, SirumError> {
-    if let Some(demo) = &args.demo {
-        service.register_demo_with(demo, None, args.seed)?;
-        return Ok(demo.clone());
+/// The name the mined table registers under: the demo's, or the CSV path.
+fn table_name(args: &Args) -> &str {
+    match (&args.demo, &args.input) {
+        (Some(demo), _) => demo,
+        (None, Some(path)) => path,
+        (None, None) => {
+            eprint!("{USAGE}");
+            exit(2);
+        }
     }
-    let Some(path) = &args.input else {
-        eprint!("{USAGE}");
-        exit(2);
-    };
-    let file = std::fs::File::open(path).map_err(|e| SirumError::Table(TableError::Io(e)))?;
-    service.register_csv(path.clone(), std::io::BufReader::new(file))?;
-    Ok(path.clone())
 }
 
-/// Build the request described by the CLI flags.
-fn build_request<'s>(service: &'s SirumService, name: &str, args: &Args) -> ServiceRequest<'s> {
-    let mut request = service
-        .mine(name)
-        .k(args.k)
-        .sample_size(args.sample)
-        .epsilon(args.epsilon)
-        .seed(args.seed);
-    if let Some(variant) = args.variant {
-        request = request.variant(variant);
+/// Register the requested dataset in the service under `name`.
+fn load_table(service: &SirumService, name: &str, args: &Args) -> Result<(), SirumError> {
+    if args.demo.is_some() {
+        service.register_demo_with(name, None, args.seed)?;
+        return Ok(());
     }
-    if args.rules_per_iter > 1 {
-        request = request.rules_per_iter(args.rules_per_iter);
-    }
-    if args.two_sided {
-        request = request.two_sided();
-    }
-    if let Some(target) = args.target_kl {
-        request = request.target_kl(target);
+    let file = std::fs::File::open(name).map_err(|e| SirumError::Table(TableError::Io(e)))?;
+    service.register_csv(name, std::io::BufReader::new(file))?;
+    Ok(())
+}
+
+/// The request the mining-field flags describe, each set through the
+/// service's one field table; a flag it does not take is a usage error.
+fn request<'s>(service: &'s SirumService, name: &str, args: &Args) -> ServiceRequest<'s> {
+    let mut request = service.mine(name);
+    for (flag, text) in &args.fields {
+        let field = flag.trim_start_matches('-').replace('-', "_");
+        request = match request.set_text(&field, text) {
+            Ok(request) => request,
+            Err(FieldError::Unknown) => usage_error(format!("unexpected argument {flag:?}")),
+            Err(FieldError::Invalid(why)) => usage_error(format!("{flag} {text:?}: {why}")),
+        };
     }
     request
 }
@@ -420,8 +414,11 @@ fn run(args: &Args) -> Result<(), SirumError> {
         .partitions(args.partitions)
         .pool_workers(args.jobs)
         .build()?;
-    let name = load_table(&service, args)?;
-    let table = service.table(&name)?;
+    let name = table_name(args);
+    // Flag mistakes are usage errors, reported before any data loads.
+    let first = request(&service, name, args);
+    load_table(&service, name, args)?;
+    let table = service.table(name)?;
     eprintln!(
         "{} rows × {} dimensions ({}), measure = {}",
         table.num_rows(),
@@ -431,8 +428,7 @@ fn run(args: &Args) -> Result<(), SirumError> {
     );
 
     if args.explain {
-        let plan = build_request(&service, &name, args).explain()?;
-        println!("{plan}");
+        println!("{}", first.explain()?);
         return Ok(());
     }
 
@@ -440,9 +436,10 @@ fn run(args: &Args) -> Result<(), SirumError> {
         // Exercise the concurrent path: submit N identical jobs to the
         // pool; the first execution populates the result cache and the
         // rest are served from it.
-        let handles: Vec<JobHandle> = (0..args.repeat)
-            .map(|_| build_request(&service, &name, args).submit())
-            .collect::<Result<_, _>>()?;
+        let mut handles = vec![first.submit()?];
+        for _ in 1..args.repeat {
+            handles.push(request(&service, name, args).submit()?);
+        }
         let mut outputs = Vec::with_capacity(handles.len());
         for handle in handles {
             outputs.push(handle.wait()?);
@@ -462,7 +459,7 @@ fn run(args: &Args) -> Result<(), SirumError> {
         };
         output
     } else {
-        let mut request = build_request(&service, &name, args);
+        let mut request = first;
         if args.progress {
             request = request.on_iteration(|event| {
                 eprintln!(

@@ -7,8 +7,8 @@
 //! via Rust's shortest-round-trip `Display` (non-finite values become
 //! `null`), and one composer for [`MiningResult`]. The parser
 //! ([`parse_json`]) is a recursive-descent reader into [`JsonValue`] with
-//! typed positional errors ([`JsonError`]) and hard depth/size limits
-//! ([`JsonLimits`]) so hostile wire input cannot blow the stack or the
+//! typed positional errors ([`JsonError`]) and hard depth (64) and size
+//! (16 MiB) limits so hostile wire input cannot blow the stack or the
 //! heap.
 
 use sirum_core::{MiningResult, Rule, WILDCARD};
@@ -282,9 +282,9 @@ pub enum JsonErrorKind {
     UnexpectedByte(u8),
     /// Bytes remain after the top-level value.
     TrailingData,
-    /// Nesting exceeded [`JsonLimits::max_depth`].
+    /// Nesting exceeded the 64-level limit.
     TooDeep(usize),
-    /// The document exceeded [`JsonLimits::max_bytes`].
+    /// The document exceeded the 16 MiB limit.
     TooLarge(usize),
     /// A malformed number literal (leading zeros, bare `-`, `1.`, …).
     InvalidNumber,
@@ -335,44 +335,27 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Hard limits the parser enforces against hostile input.
-#[derive(Debug, Clone, Copy)]
-pub struct JsonLimits {
-    /// Maximum container nesting (arrays + objects). The parser is
-    /// recursive, so this bounds stack use.
-    pub max_depth: usize,
-    /// Maximum input size in bytes.
-    pub max_bytes: usize,
-}
+/// Maximum container nesting (arrays + objects) [`parse_json`] accepts.
+/// The parser is recursive, so this bounds stack use.
+const MAX_DEPTH: usize = 64;
 
-impl Default for JsonLimits {
-    fn default() -> Self {
-        JsonLimits {
-            max_depth: 64,
-            max_bytes: 16 << 20,
-        }
-    }
-}
+/// Maximum input size in bytes [`parse_json`] accepts: 16 MiB, the
+/// request-body cap of the wire front end too.
+const MAX_BYTES: usize = 16 << 20;
 
-/// Parse one complete JSON document with [`JsonLimits::default`].
+/// Parse one complete JSON document of at most 16 MiB and 64 levels of
+/// nesting. Trailing whitespace is allowed; any
+/// other trailing bytes are [`JsonErrorKind::TrailingData`].
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonError> {
-    parse_json_with(input, JsonLimits::default())
-}
-
-/// Parse one complete JSON document under explicit [`JsonLimits`].
-/// Trailing whitespace is allowed; any other trailing bytes are
-/// [`JsonErrorKind::TrailingData`].
-pub fn parse_json_with(input: &str, limits: JsonLimits) -> Result<JsonValue, JsonError> {
-    if input.len() > limits.max_bytes {
+    if input.len() > MAX_BYTES {
         return Err(JsonError {
-            offset: limits.max_bytes,
-            kind: JsonErrorKind::TooLarge(limits.max_bytes),
+            offset: MAX_BYTES,
+            kind: JsonErrorKind::TooLarge(MAX_BYTES),
         });
     }
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
-        limits,
     };
     parser.skip_ws();
     let value = parser.value(0)?;
@@ -386,7 +369,6 @@ pub fn parse_json_with(input: &str, limits: JsonLimits) -> Result<JsonValue, Jso
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    limits: JsonLimits,
 }
 
 impl Parser<'_> {
@@ -443,8 +425,8 @@ impl Parser<'_> {
     }
 
     fn enter(&self, depth: usize) -> Result<usize, JsonError> {
-        if depth + 1 > self.limits.max_depth {
-            Err(self.err(JsonErrorKind::TooDeep(self.limits.max_depth)))
+        if depth + 1 > MAX_DEPTH {
+            Err(self.err(JsonErrorKind::TooDeep(MAX_DEPTH)))
         } else {
             Ok(depth + 1)
         }
@@ -811,17 +793,13 @@ mod tests {
             parse_json(&deep_bad).unwrap_err().kind,
             JsonErrorKind::TooDeep(64)
         );
-        let limits = JsonLimits {
-            max_depth: 2,
-            max_bytes: 8,
-        };
+        // A string filling the cap parses; one byte more does not.
+        let at_cap = format!("\"{}\"", "x".repeat(MAX_BYTES - 2));
+        assert!(parse_json(&at_cap).is_ok());
+        let over = format!("{at_cap} ");
         assert_eq!(
-            parse_json_with("[[[1]]]", limits).unwrap_err().kind,
-            JsonErrorKind::TooDeep(2)
-        );
-        assert_eq!(
-            parse_json_with("[1,2,3,4,5]", limits).unwrap_err().kind,
-            JsonErrorKind::TooLarge(8)
+            parse_json(&over).unwrap_err().kind,
+            JsonErrorKind::TooLarge(MAX_BYTES)
         );
     }
 

@@ -72,14 +72,14 @@ pub mod prelude {
     pub use crate::net::router::{Router, RouterConfig};
     pub use crate::net::server::{Server, ServerConfig};
     pub use crate::service::{
-        IngestHandle, JobHandle, JobOutput, JobState, JobStatus, MiningPlan, ServiceBuilder,
-        ServiceRequest, ServiceStats, SirumService,
+        FieldError, IngestHandle, JobHandle, JobOutput, JobState, JobStatus, MiningPlan,
+        ServiceBuilder, ServiceRequest, ServiceStats, SirumService,
     };
     pub use sirum_core::{
         try_evaluate_rules, try_explore, try_mine_on_sample, CancellationToken, CandidateStrategy,
-        IterationDecision, IterationEvent, MinedRule, Miner, MiningResult, MultiRuleConfig,
-        PreparedTable, Rule, RuleSetEvaluation, ScalingConfig, SirumConfig, SirumError, Variant,
-        WILDCARD,
+        Evaluation, IterationDecision, IterationEvent, MinedRule, Miner, MiningResult,
+        PreparedTable, Rule, RuleSetEvaluation, ScalingConfig, SirumConfig, SirumError,
+        StagedPipeline, Variant, WILDCARD,
     };
     pub use sirum_dataflow::{DataflowError, Engine, EngineConfig, EngineMode};
     pub use sirum_table::{generators, Schema, Table, TableError};

@@ -2,12 +2,12 @@
 //! [`SirumService`] API. Pure request→response logic — no sockets — so the
 //! whole routing layer is unit-testable without a listener.
 
-use crate::json::{self, parse_json_with, JsonLimits, JsonValue};
+use crate::json::{self, parse_json, JsonValue};
 use crate::net::http::{Request, Response};
 use crate::net::metrics::{Endpoint, NetMetrics};
-use crate::service::{IngestHandle, JobOutput, JobState, JobStatus, ServiceRequest, SirumService};
+use crate::service::{FieldError, IngestHandle, JobOutput, JobState, JobStatus, SirumService};
 use parking_lot::Mutex;
-use sirum_core::{Rule, SirumError, Variant, WILDCARD};
+use sirum_core::{Evaluation, SirumError};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -20,15 +20,12 @@ pub struct RouterConfig {
     /// `202 Accepted` with a job id (overridable per request via
     /// `wait_ms`). Default 15 s.
     pub default_wait: Duration,
-    /// JSON parser limits applied to request bodies.
-    pub json_limits: JsonLimits,
 }
 
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             default_wait: Duration::from_secs(15),
-            json_limits: JsonLimits::default(),
         }
     }
 }
@@ -70,99 +67,9 @@ fn service_error(e: &SirumError) -> Response {
     }
 }
 
-// -- request fields ----------------------------------------------------------
-
 /// The message of a field whose value has the wrong JSON shape.
 fn wrong_shape(key: &str, shape: &str) -> String {
     format!("field {key:?} must be {shape}")
-}
-
-/// Why a wire field was not applied to a request.
-enum FieldError {
-    /// No mining knob bears the name: a typo worth a `422` instead of a
-    /// silently ignored knob.
-    Unknown,
-    /// A knob whose value cannot be used; the message says why.
-    Invalid(String),
-}
-
-/// Apply one mining knob, by wire name, to a request. The one list of
-/// knobs on the wire: `POST /mine` feeds it body members, `GET /explain`
-/// query pairs, so the two accept the same fields.
-fn apply_field<'s>(
-    req: ServiceRequest<'s>,
-    key: &str,
-    value: &JsonValue,
-) -> Result<ServiceRequest<'s>, FieldError> {
-    let invalid = |shape: &str| FieldError::Invalid(wrong_shape(key, shape));
-    let whole = "a nonnegative integer";
-    let count = || value.as_usize().ok_or_else(|| invalid(whole));
-    let integer = || value.as_u64().ok_or_else(|| invalid(whole));
-    let number = || value.as_f64().ok_or_else(|| invalid("a number"));
-    let flag = || value.as_bool().ok_or_else(|| invalid("a boolean"));
-    Ok(match key {
-        "k" => req.k(count()?),
-        "sample_size" => req.sample_size(count()?),
-        "variant" => {
-            let name = value.as_str().ok_or_else(|| invalid("a string"))?;
-            let variant = name
-                .parse::<Variant>()
-                .map_err(|e| FieldError::Invalid(format!("invalid variant: {e}")))?;
-            req.variant(variant)
-        }
-        // One-way switches: `false` asks for the default `req` already has.
-        "full_cube" | "two_sided" if !flag()? => req,
-        "full_cube" => req.full_cube(),
-        "two_sided" => req.two_sided(),
-        "epsilon" => req.epsilon(number()?),
-        "max_scaling_iterations" => req.max_scaling_iterations(count()?),
-        "seed" => req.seed(integer()?),
-        "rules_per_iter" => req.rules_per_iter(count()?),
-        "target_kl" => req.target_kl(number()?),
-        "max_rules" => req.max_rules(count()?),
-        "column_groups" => req.column_groups(count()?),
-        "prior" => req.prior(parse_prior(value).map_err(FieldError::Invalid)?),
-        _ => return Err(FieldError::Unknown),
-    })
-}
-
-/// Parse `"prior": [[1, null, 3], …]` into rules (`null` = wildcard).
-fn parse_prior(value: &JsonValue) -> Result<Vec<Rule>, String> {
-    let rows = value
-        .as_array()
-        .ok_or("field \"prior\" must be an array of rules")?;
-    let mut rules = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .ok_or("each prior rule must be an array of values/nulls")?;
-        let mut values = Vec::with_capacity(cells.len());
-        for cell in cells {
-            if cell.is_null() {
-                values.push(WILDCARD);
-            } else {
-                let code = cell
-                    .as_u64()
-                    .filter(|c| *c < u64::from(u32::MAX))
-                    .ok_or("prior rule values must be null or dictionary codes")?;
-                values.push(code as u32);
-            }
-        }
-        rules.push(Rule::from_values(values));
-    }
-    Ok(rules)
-}
-
-/// Query text as the JSON value a `/mine` body would carry for the same
-/// field: a number in Rust's grammar (`007`, `.5`), else JSON where it
-/// parses (booleans, a `prior` array), else the bare word as a string.
-fn query_json(text: &str, limits: JsonLimits) -> JsonValue {
-    match text.parse::<f64>() {
-        Ok(n) => JsonValue::Number(n),
-        Err(_) => {
-            parse_json_with(text, limits).unwrap_or_else(|_| JsonValue::String(text.to_string()))
-        }
-    }
 }
 
 impl Router {
@@ -308,7 +215,7 @@ impl Router {
             Ok(s) if !s.trim().is_empty() => s,
             _ => return Err(Response::error(400, "POST /mine needs a JSON body")),
         };
-        let parsed = parse_json_with(body, self.config.json_limits)
+        let parsed = parse_json(body)
             .map_err(|e| Response::error(400, &format!("invalid JSON body: {e}")))?;
         let entries = parsed
             .entries()
@@ -339,7 +246,7 @@ impl Router {
                     wait = millis(key, value)?;
                     req
                 }
-                _ => apply_field(req, key, value).map_err(|e| match e {
+                _ => req.set(key, value).map_err(|e| match e {
                     FieldError::Unknown => Response::error(422, &format!("unknown field {key:?}")),
                     FieldError::Invalid(message) => Response::error(422, &message),
                 })?,
@@ -481,8 +388,7 @@ impl Router {
             if key == "table" {
                 continue;
             }
-            let value = query_json(text, self.config.json_limits);
-            req = apply_field(req, key, &value).map_err(|e| {
+            req = req.set_text(key, text).map_err(|e| {
                 let message = match e {
                     FieldError::Unknown => format!("unknown query parameter {key:?}"),
                     FieldError::Invalid(_) => format!("query parameter {key}={text:?} is invalid"),
@@ -505,7 +411,7 @@ impl Router {
                 plan.rows,
                 plan.dims,
                 plan.k,
-                plan.gain_sweep,
+                plan.evaluation == Evaluation::Sweep,
                 packed_bits,
                 plan.estimated_iterations,
                 plan.estimated_lca_pairs,
@@ -518,7 +424,7 @@ impl Router {
     fn stream(&self, table: &str, body: &[u8]) -> Response {
         let parsed = match std::str::from_utf8(body)
             .map_err(|_| ())
-            .and_then(|s| parse_json_with(s, self.config.json_limits).map_err(|_| ()))
+            .and_then(|s| parse_json(s).map_err(|_| ()))
         {
             Ok(v) => v,
             Err(()) => return Response::error(400, "POST /stream needs a JSON body"),
@@ -1061,8 +967,12 @@ mod tests {
             json::json_string(&plan.to_string()),
         );
         assert_eq!(String::from_utf8_lossy(&resp.body), expected);
-        let (_, resp) = r.handle(&request("GET", "/explain?table=flights&k=zap", b""));
-        assert_eq!(resp.status, 422);
+        // A query number is finite, as a JSON one is.
+        for query in ["k=zap", "epsilon=nan", "epsilon=1e400"] {
+            let target = format!("/explain?table=flights&{query}");
+            let (_, resp) = r.handle(&request("GET", &target, b""));
+            assert_eq!(resp.status, 422, "{target}");
+        }
         for param in ["warp", "columnar", "packed", "gain_sweep"] {
             let target = format!("/explain?table=flights&{param}=false");
             let (_, resp) = r.handle(&request("GET", &target, b""));

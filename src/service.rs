@@ -39,7 +39,7 @@
 //! the intended usage. See `DESIGN.md` ("Concurrent service layer") for the
 //! ownership diagram.
 
-use crate::json;
+use crate::json::{self, parse_json, JsonValue};
 use crate::net::metrics::{Histogram, LatencySummary};
 use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
@@ -47,9 +47,9 @@ use sirum_core::miner::IterationObserver;
 use sirum_core::sweep::CombineStrategy;
 use sirum_core::{
     try_evaluate_rules_prepared, try_mine_on_sample, CancellationToken, CandidateStrategy,
-    IterationDecision, IterationEvent, Miner, MiningResult, MultiRuleConfig, PreparedTable, Rule,
+    Evaluation, IterationDecision, IterationEvent, Miner, MiningResult, PreparedTable, Rule,
     RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
-    StreamingConfig, StreamingMiner, Variant,
+    StreamingConfig, StreamingMiner, Variant, WILDCARD,
 };
 use sirum_dataflow::{Engine, EngineConfig, EngineMode};
 use sirum_table::{generators, Table, TableError};
@@ -132,13 +132,14 @@ impl RequestSpec {
             config.seed = seed;
         }
         if let Some(l) = self.rules_per_iter {
-            config.multirule = MultiRuleConfig {
-                rules_per_iter: l,
-                ..config.multirule
-            };
+            config.rules_per_iter = l;
         }
-        if let Some(groups) = self.column_groups {
-            config.column_groups = groups;
+        // Only the staged pipeline reads column groups; `resolve` still
+        // checks the value a sweep request carries.
+        if let (Some(groups), Evaluation::Staged(pipeline)) =
+            (self.column_groups, &mut config.evaluation)
+        {
+            pipeline.column_groups = groups;
         }
         config.two_sided_gain |= self.two_sided;
         config.target_kl = self.target_kl.or(config.target_kl);
@@ -184,30 +185,15 @@ fn request_key(fingerprint: u64, config: &SirumConfig, prior: &[Rule]) -> Reques
         CandidateStrategy::SampleLca { sample_size } => format!("lca{sample_size}"),
         CandidateStrategy::FullCube => "cube".to_string(),
     };
-    // broadcast_join / fast_pruning / column_groups only steer the staged
-    // pipeline; under the fused sweep they have no effect on the
-    // result (see `SirumConfig::gain_sweep`), so they normalize to fixed
-    // sentinels — requests differing only in inert knobs share one entry.
-    let (bj, fp, cg) = if config.gain_sweep {
-        (1, 1, 0)
-    } else {
-        (
-            u8::from(config.broadcast_join),
-            u8::from(config.fast_pruning),
-            config.column_groups,
-        )
-    };
     let mut s = format!(
-        "k{};{};eps{:x};it{};bj{bj};rct{};fp{fp};cg{cg};gs{};l{};tf{:x};mg{:x};reset{};tkl{};mr{};ts{};seed{}",
+        "k{};{};eps{:x};it{};rct{};{:?};l{};reset{};tkl{};mr{};ts{};seed{}",
         config.k,
         strategy,
         config.scaling.epsilon.to_bits(),
         config.scaling.max_iterations,
         u8::from(config.rct),
-        u8::from(config.gain_sweep),
-        config.multirule.rules_per_iter,
-        config.multirule.top_fraction.to_bits(),
-        config.multirule.min_gain_fraction.to_bits(),
+        config.evaluation,
+        config.rules_per_iter,
         u8::from(config.reset_lambdas_on_insert),
         config
             .target_kl
@@ -1047,6 +1033,43 @@ pub enum JobState {
 // Requests and job handles
 // ---------------------------------------------------------------------------
 
+/// Why [`ServiceRequest::set`] did not apply a field.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldError {
+    /// No mining knob bears the name: a typo worth an error instead of a
+    /// silently ignored knob.
+    Unknown,
+    /// A knob whose value cannot be used; the message says why.
+    Invalid(String),
+}
+
+/// Parse `"prior": [[1, null, 3], …]` into rules (`null` = wildcard).
+fn parse_prior(value: &JsonValue) -> Result<Vec<Rule>, String> {
+    let rows = value
+        .as_array()
+        .ok_or("field \"prior\" must be an array of rules")?;
+    let mut rules = Vec::with_capacity(rows.len());
+    for row in rows {
+        let cells = row
+            .as_array()
+            .ok_or("each prior rule must be an array of values/nulls")?;
+        let mut values = Vec::with_capacity(cells.len());
+        for cell in cells {
+            if cell.is_null() {
+                values.push(WILDCARD);
+            } else {
+                let code = cell
+                    .as_u64()
+                    .filter(|c| *c < u64::from(u32::MAX))
+                    .ok_or("prior rule values must be null or dictionary codes")?;
+                values.push(code as u32);
+            }
+        }
+        rules.push(Rule::from_values(values));
+    }
+    Ok(rules)
+}
+
 /// A fluent, validated mining request against a [`SirumService`]. Build
 /// with [`SirumService::mine`], tweak, then [`Self::submit`] it to the
 /// worker pool, [`Self::run`] it synchronously, or [`Self::explain`] it.
@@ -1134,7 +1157,8 @@ impl ServiceRequest<'_> {
         self
     }
 
-    /// Column groups for multi-stage ancestor generation (§4.3).
+    /// Column groups for multi-stage ancestor generation (§4.3). Only a
+    /// staged variant reads them; a sweep request still rejects `0`.
     pub fn column_groups(mut self, groups: usize) -> Self {
         self.spec.column_groups = Some(groups);
         self
@@ -1145,6 +1169,63 @@ impl ServiceRequest<'_> {
     pub fn prior(mut self, rules: Vec<Rule>) -> Self {
         self.spec.prior = rules;
         self
+    }
+
+    /// Apply one mining knob by its field name. This is the one table of
+    /// knobs: `POST /mine` feeds it body members, `GET /explain` query
+    /// pairs and the `sirum` CLI its flags, so all three accept the same
+    /// fields.
+    ///
+    /// # Errors
+    /// [`FieldError::Unknown`] when no knob bears `name`,
+    /// [`FieldError::Invalid`] when `value` has the wrong shape. Values of
+    /// the right shape are checked later, with the whole configuration.
+    pub fn set(self, name: &str, value: &JsonValue) -> Result<Self, FieldError> {
+        let invalid = |shape: &str| FieldError::Invalid(format!("field {name:?} must be {shape}"));
+        let whole = "a nonnegative integer";
+        let count = || value.as_usize().ok_or_else(|| invalid(whole));
+        let integer = || value.as_u64().ok_or_else(|| invalid(whole));
+        let number = || value.as_f64().ok_or_else(|| invalid("a number"));
+        let flag = || value.as_bool().ok_or_else(|| invalid("a boolean"));
+        Ok(match name {
+            "k" => self.k(count()?),
+            "sample_size" => self.sample_size(count()?),
+            "variant" => {
+                let text = value.as_str().ok_or_else(|| invalid("a string"))?;
+                let variant = text
+                    .parse::<Variant>()
+                    .map_err(|e| FieldError::Invalid(format!("invalid variant: {e}")))?;
+                self.variant(variant)
+            }
+            // One-way switches: `false` asks for the default `self` already has.
+            "full_cube" | "two_sided" if !flag()? => self,
+            "full_cube" => self.full_cube(),
+            "two_sided" => self.two_sided(),
+            "epsilon" => self.epsilon(number()?),
+            "max_scaling_iterations" => self.max_scaling_iterations(count()?),
+            "seed" => self.seed(integer()?),
+            "rules_per_iter" => self.rules_per_iter(count()?),
+            "target_kl" => self.target_kl(number()?),
+            "max_rules" => self.max_rules(count()?),
+            "column_groups" => self.column_groups(count()?),
+            "prior" => self.prior(parse_prior(value).map_err(FieldError::Invalid)?),
+            _ => return Err(FieldError::Unknown),
+        })
+    }
+
+    /// [`Self::set`] from text, as a query string or a command-line flag
+    /// carries a value: a finite number in Rust's grammar (`007`, `.5`),
+    /// else JSON where it parses (booleans, a `prior` array), else the
+    /// bare word as a string. So `nan`, `inf` and `1e400` are no numbers.
+    ///
+    /// # Errors
+    /// As [`Self::set`].
+    pub fn set_text(self, name: &str, text: &str) -> Result<Self, FieldError> {
+        let value = match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => JsonValue::Number(n),
+            _ => parse_json(text).unwrap_or_else(|_| JsonValue::String(text.to_string())),
+        };
+        self.set(name, &value)
     }
 
     /// Observe progress: `observer` runs after every mining
@@ -1167,6 +1248,14 @@ impl ServiceRequest<'_> {
         let entry = self.service.entry(&self.spec.table)?;
         let config = self.spec.build_config(entry.table.num_rows());
         config.validate()?;
+        // A sweep reads no column groups, yet the field takes only the
+        // values a staged run could.
+        if self.spec.column_groups == Some(0) {
+            return Err(SirumError::invalid_config(
+                "column_groups",
+                "must be ≥ 1 (1 = single-stage ancestor generation)",
+            ));
+        }
         Ok((entry, config))
     }
 
@@ -1658,8 +1747,6 @@ pub struct MiningPlan {
     pub variant: Option<Variant>,
     /// Rules to mine beyond the wildcard rule.
     pub k: usize,
-    /// Column groups for staged ancestor generation.
-    pub column_groups: usize,
     /// Rules inserted per iteration.
     pub rules_per_iter: usize,
     /// Whether the RCT scaling path is active.
@@ -1667,8 +1754,8 @@ pub struct MiningPlan {
     /// Whether candidate evaluation runs as the fused partition-parallel
     /// gain sweep (no shuffles; one full scan, then — with [`Self::rct`] —
     /// only the rows off the largest RCT group each iteration) or as the
-    /// staged pipeline the Table 4.2 variants run.
-    pub gain_sweep: bool,
+    /// staged pipeline the Table 4.2 variants run, with its knobs.
+    pub evaluation: Evaluation,
     /// Whether the registered table's dimension columns are stored
     /// compressed (bit-packed/RLE segments, scanned morsel-by-morsel) —
     /// the [`sirum_table::Compression`] policy's decision at registration.
@@ -1721,7 +1808,7 @@ impl MiningPlan {
             CandidateStrategy::FullCube => None,
         };
         let lca_pairs = entry.table.num_rows() as u64 * sample_rows.unwrap_or(1) as u64;
-        let iterations = config.k.div_ceil(config.multirule.rules_per_iter.max(1));
+        let iterations = config.k.div_ceil(config.rules_per_iter.max(1));
         let partitions = engine_config.partitions.max(1);
 
         // The miner's own decisions: the packed-code width falls out of
@@ -1731,7 +1818,8 @@ impl MiningPlan {
             .packed_codes
             .then(|| RuleLayout::from_cardinalities(frame.cards()))
             .and_then(|layout| layout.packed_bits());
-        let combine = packed_bits.filter(|_| config.gain_sweep).map(|_| {
+        let sweep = config.evaluation == Evaluation::Sweep;
+        let combine = packed_bits.filter(|_| sweep).map(|_| {
             CombineStrategy::for_partition(
                 entry.table.num_rows().div_ceil(partitions),
                 entry.table.num_dims(),
@@ -1748,10 +1836,9 @@ impl MiningPlan {
             strategy: config.strategy,
             variant,
             k: config.k,
-            column_groups: config.column_groups,
-            rules_per_iter: config.multirule.rules_per_iter,
+            rules_per_iter: config.rules_per_iter,
             rct: config.rct,
-            gain_sweep: config.gain_sweep,
+            evaluation: config.evaluation,
             compressed: frame.is_compressed(),
             column_formats: frame
                 .column_formats()
@@ -1780,11 +1867,14 @@ impl std::fmt::Display for MiningPlan {
             }
             CandidateStrategy::FullCube => "full cube enumeration".to_string(),
         };
+        let groups = match self.evaluation {
+            Evaluation::Staged(pipeline) => format!(", {} column group(s)", pipeline.column_groups),
+            Evaluation::Sweep => String::new(),
+        };
         writeln!(
             f,
-            "  strategy: {strategy}; k = {}, {} column group(s), {} rule(s)/iteration, scaling via {}",
+            "  strategy: {strategy}; k = {}{groups}, {} rule(s)/iteration, scaling via {}",
             self.k,
-            self.column_groups,
             self.rules_per_iter,
             if self.rct { "RCT" } else { "Algorithm 1" },
         )?;
@@ -1793,15 +1883,17 @@ impl std::fmt::Display for MiningPlan {
             "  candidate evaluation: {}",
             // The RCT is what tells the sweep which estimate most rows
             // share; Algorithm 1 scaling leaves every sweep a full scan.
-            match (self.gain_sweep, self.rct) {
-                (true, true) => {
+            match (self.evaluation, self.rct) {
+                (Evaluation::Sweep, true) => {
                     "fused partition-parallel gain sweep (one full scan, then the rows \
                      off the largest RCT group, per iteration; no shuffles)"
                 }
-                (true, false) => {
+                (Evaluation::Sweep, false) => {
                     "fused partition-parallel gain sweep (one scan/iteration, no shuffles)"
                 }
-                (false, _) => "staged pipeline (LCA join → ancestor stages → adjust + gain)",
+                (Evaluation::Staged(_), _) => {
+                    "staged pipeline (LCA join → ancestor stages → adjust + gain)"
+                }
             },
         )?;
         writeln!(
@@ -1810,17 +1902,21 @@ impl std::fmt::Display for MiningPlan {
             if self.compressed { "compressed" } else { "raw" },
             self.column_formats.join(", "),
         )?;
-        match (self.gain_sweep, self.packed_bits, self.combine) {
-            (true, Some(bits), Some(combine)) => writeln!(
+        match (self.evaluation, self.packed_bits, self.combine) {
+            (Evaluation::Sweep, Some(bits), Some(combine)) => writeln!(
                 f,
                 "  sweep accumulators: packed u{bits} rule codes, {combine} combine"
             )?,
-            (true, ..) => writeln!(
+            (Evaluation::Sweep, ..) => writeln!(
                 f,
                 "  sweep accumulators: Rule-keyed maps (layout > 128 bits)"
             )?,
-            (false, Some(bits), _) => writeln!(f, "  staged records: packed u{bits} rule codes")?,
-            (false, None, _) => writeln!(f, "  staged records: Rule records (layout > 128 bits)")?,
+            (Evaluation::Staged(_), Some(bits), _) => {
+                writeln!(f, "  staged records: packed u{bits} rule codes")?
+            }
+            (Evaluation::Staged(_), None, _) => {
+                writeln!(f, "  staged records: Rule records (layout > 128 bits)")?
+            }
         }
         write!(
             f,
@@ -1990,7 +2086,8 @@ mod tests {
         let request = service.mine("flights").k(3).sample_size(14);
         let config = request.spec.build_config(14);
         assert_eq!(config.k, 3);
-        assert!(config.rct && config.fast_pruning);
+        assert!(config.rct);
+        assert_eq!(config.evaluation, Evaluation::Sweep);
         assert_eq!(
             config.strategy,
             CandidateStrategy::SampleLca { sample_size: 14 }
@@ -2453,7 +2550,8 @@ mod tests {
             .variant(Variant::Baseline)
             .explain()
             .unwrap();
-        assert_eq!((packed.gain_sweep, packed.packed_bits), (false, Some(64)));
+        assert!(matches!(packed.evaluation, Evaluation::Staged(_)));
+        assert_eq!(packed.packed_bits, Some(64));
         let text = packed.to_string();
         assert!(
             text.contains("staged records: packed u64 rule codes"),
@@ -2483,7 +2581,7 @@ mod tests {
         let service = SirumService::in_memory().unwrap();
         service.register("wide", wide_layout_table()).unwrap();
         let plan = service.mine("wide").k(2).explain().unwrap();
-        assert!(plan.gain_sweep);
+        assert_eq!(plan.evaluation, Evaluation::Sweep);
         assert_eq!(plan.packed_bits, None);
         assert_eq!(plan.combine, None);
         let text = plan.to_string();

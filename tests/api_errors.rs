@@ -89,7 +89,7 @@ fn invalid_multirule_scaling_and_target_fields_are_named() {
     };
     assert_eq!(
         field(service.mine("flights").rules_per_iter(0).run()),
-        "multirule.rules_per_iter"
+        "rules_per_iter"
     );
     assert_eq!(
         field(service.mine("flights").epsilon(0.0).run()),
@@ -185,7 +185,11 @@ fn unknown_variant_spelling_is_invalid_config() {
 #[test]
 fn config_validate_is_directly_callable() {
     let config = SirumConfig {
-        column_groups: 0,
+        evaluation: Evaluation::Staged(StagedPipeline {
+            broadcast_join: true,
+            fast_pruning: true,
+            column_groups: 0,
+        }),
         ..SirumConfig::default()
     };
     assert!(config.validate().is_err());
@@ -207,6 +211,47 @@ fn non_finite_measures_are_rejected_at_registration() {
         }
         other => panic!("expected InvalidMeasure, got {other}"),
     }
+}
+
+// ---- Rules whose support has zero true mass ------------------------------
+
+/// Six rows whose `x` rows carry the minimum measure, so `m′ = 0` on
+/// exactly the support of `(x, *)` — whose dictionary code is 0.
+fn service_with_zero_mass_rows() -> (SirumService, Rule) {
+    let csv = "a,b,m\nx,p,0\nx,q,0\ny,p,3\ny,q,5\nz,p,2\nz,q,4\n";
+    let service = SirumService::in_memory().unwrap();
+    service.register_csv("zero", csv.as_bytes()).unwrap();
+    (service, Rule::from_values(vec![0, WILDCARD]))
+}
+
+#[test]
+fn a_prior_with_zero_true_mass_fits_its_rows_to_zero() {
+    let (service, x) = service_with_zero_mass_rows();
+    let out = service
+        .mine("zero")
+        .k(1)
+        .prior(vec![x.clone()])
+        .run()
+        .unwrap();
+    let prior = &out.result.rules[1];
+    assert_eq!((&prior.rule, prior.avg_measure, prior.count), (&x, 0.0, 2));
+    let kl = &out.result.kl_trace;
+    assert!(kl.iter().all(|v| v.is_finite()), "{kl:?}");
+    assert!(kl.windows(2).all(|w| w[1] <= w[0]), "{kl:?}");
+}
+
+#[test]
+fn evaluating_a_rule_with_zero_true_mass_is_finite() {
+    let (service, x) = service_with_zero_mass_rows();
+    let wildcard = Rule::all_wildcards(2);
+    let eval = service
+        .evaluate("zero", &[wildcard, x], &ScalingConfig::default())
+        .unwrap();
+    assert!(
+        eval.kl.is_finite() && eval.kl <= eval.baseline_kl,
+        "{eval:?}"
+    );
+    assert!(eval.converged, "{eval:?}");
 }
 
 // ---- SirumError::UnknownTable --------------------------------------------

@@ -303,7 +303,7 @@ impl Oracle {
             let at = format!("{case}, iteration {}", iteration + 1);
             assert_eq!(n, self.cube.len() as u64, "{at}: N");
             let mined = &result.rules[start..end];
-            let l = config.multirule.rules_per_iter.min(self.k + 1 - start);
+            let l = config.rules_per_iter.min(self.k + 1 - start);
             // Conditioned on the miner's own prefix, so an iteration
             // skipped for a tie does not derail the ones after it.
             let ranked = self
@@ -423,7 +423,7 @@ fn every_table_4_2_variant_picks_the_brute_force_rules() {
     for variant in Variant::ALL {
         let tally = across_frames_and_workers(variant.name(), |k, s| variant.config(k, s));
         // Four mines per table (two frames × two worker counts).
-        let (iterations, pairs) = match variant.config(1, 1).multirule.rules_per_iter {
+        let (iterations, pairs) = match variant.config(1, 1).rules_per_iter {
             1 => (4 * SINGLE_RULE_ITERATIONS, 0),
             // Two rules per iteration: seed 13's fifth iteration is a
             // near-tie, and the wide table inserts two pairs in four

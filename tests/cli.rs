@@ -1,10 +1,12 @@
-//! The `sirum` binary end to end: its flags ask for the same request the
-//! service API (and so `POST /mine`) makes for the same fields, and its
-//! exit codes follow the documented contract.
+//! The `sirum` binary end to end: its flags are the fields `POST /mine`
+//! and `GET /explain` take, asking for the same request, and its exit
+//! codes follow the documented contract.
 
 use sirum::json::{mining_result_to_json, parse_json, JsonValue};
+use sirum::net::http::Request;
 use sirum::prelude::*;
 use std::process::{Command, Output};
+use std::sync::Arc;
 
 fn sirum(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sirum"))
@@ -29,7 +31,14 @@ fn cli_result(args: &[&str]) -> JsonValue {
 #[test]
 fn cli_mines_the_request_the_service_mines_for_the_same_fields() {
     let args = [
-        "--demo", "income", "--k", "4", "--sample", "16", "--format", "json",
+        "--demo",
+        "income",
+        "--k",
+        "4",
+        "--sample-size",
+        "16",
+        "--format",
+        "json",
     ];
     let cli = cli_result(&args);
 
@@ -40,7 +49,7 @@ fn cli_mines_the_request_the_service_mines_for_the_same_fields() {
     assert_eq!(mined(&cli), mined(&api));
 
     // Two rules an iteration reach the same k in fewer iterations.
-    let two = cli_result(&[&args[..], &["--two-rules"]].concat());
+    let two = cli_result(&[&args[..], &["--rules-per-iter", "2"]].concat());
     let iterations = |r: &JsonValue| r.get("iterations").and_then(JsonValue::as_u64);
     assert!(
         iterations(&two) < iterations(&cli),
@@ -58,6 +67,78 @@ fn cli_explains_and_rejects_unknown_flags() {
     assert!(plan.contains("plan: table \"flights\""), "{plan}");
     assert!(plan.contains("candidate evaluation"), "{plan}");
 
-    let out = sirum(&["--demo", "flights", "--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    // Each usage error names the flag at fault.
+    for (args, named) in [
+        (&["--no-such-flag"][..], "--no-such-flag"),
+        (&["--no-such-flag", "1"], "--no-such-flag"),
+        (&["--sample", "16"], "--sample"),
+        (&["--epsilon", "nan"], "--epsilon"),
+        (&["--two-sided", "yes"], "--two-sided"),
+    ] {
+        let out = sirum(&[&["--demo", "flights"][..], args].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+/// What `GET /explain` renders for `query`, on a service set up as the
+/// CLI sets up its own: 16 partitions, the flights demo drawn with `seed`.
+fn explain_over_the_wire(query: &str, seed: u64) -> String {
+    let service = SirumService::builder().partitions(16).build().unwrap();
+    service.register_demo_with("flights", None, seed).unwrap();
+    let router = Router::new(
+        service,
+        Arc::new(NetMetrics::new()),
+        RouterConfig::default(),
+    );
+    let (key, value) = query.split_once('=').unwrap();
+    let request = Request {
+        method: "GET".into(),
+        path: "/explain".into(),
+        query: vec![
+            ("table".into(), "flights".into()),
+            (key.into(), value.into()),
+        ],
+        headers: Vec::new(),
+        body: Vec::new(),
+        keep_alive: false,
+    };
+    let (_, response) = router.handle(&request);
+    assert_eq!(response.status, 200, "{query}: {response:?}");
+    let body = parse_json(&String::from_utf8_lossy(&response.body)).unwrap();
+    body.get("rendered")
+        .and_then(JsonValue::as_str)
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn every_wire_field_is_a_flag_that_plans_what_explain_plans() {
+    for (field, value) in [
+        ("k", "2"),
+        ("sample_size", "14"),
+        ("variant", "rct"),
+        ("full_cube", "true"),
+        ("two_sided", "true"),
+        ("epsilon", "0.001"),
+        ("max_scaling_iterations", "5"),
+        ("seed", "7"),
+        ("rules_per_iter", "2"),
+        ("target_kl", "0.5"),
+        ("max_rules", "4"),
+        ("column_groups", "2"),
+        ("prior", "[[0,null,null]]"),
+    ] {
+        let flag = format!("--{}", field.replace('_', "-"));
+        let out = sirum(&["--demo", "flights", "--explain", &flag, value]);
+        assert!(out.status.success(), "{flag} {value}: {out:?}");
+        // `--seed` draws the demo data too.
+        let seed = if field == "seed" { 7 } else { 42 };
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout).trim_end(),
+            explain_over_the_wire(&format!("{field}={value}"), seed),
+            "{flag} {value}"
+        );
+    }
 }

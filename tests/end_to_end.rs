@@ -100,7 +100,11 @@ fn sweep_records_fewer_stages_and_shuffles_than_the_staged_pipeline() {
     let config = SirumConfig {
         k: 3,
         strategy: CandidateStrategy::SampleLca { sample_size: 32 },
-        gain_sweep: false,
+        evaluation: Evaluation::Staged(StagedPipeline {
+            broadcast_join: true,
+            fast_pruning: true,
+            column_groups: 2,
+        }),
         ..SirumConfig::default()
     };
     let _ = Miner::new(engine.clone(), config).try_mine(&table).unwrap();
