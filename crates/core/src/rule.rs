@@ -517,7 +517,11 @@ pub(crate) trait RuleKey: Record + Eq + Hash + Ord {
     /// The constant positions with their codes, as [`Rule::constants`].
     fn constants<'a>(&'a self, cx: &'a Self::Codec) -> impl Iterator<Item = (usize, u32)> + 'a;
 
-    /// The shuffle route: [`fx_hash_one`] of the equivalent [`Rule`].
+    /// The shuffle route: [`fx_hash_one`] of the equivalent [`Rule`]. That
+    /// is the un-rotated Fx state, not the rotated
+    /// [`std::hash::Hasher::finish`] maps bucket by: a route picks the
+    /// reducer, and so which candidates survive there. A code computes it
+    /// from its fields, without building the `Rule`.
     fn route(&self, cx: &Self::Codec) -> u64;
 
     /// The key as a [`Rule`].
@@ -626,14 +630,45 @@ impl<C: PackedCode> RuleKey for C {
         (0..masks.num_dims()).filter_map(|j| Some((j, masks.constant(*self, j)?)))
     }
 
-    /// The `Rule`'s values spelled into a stack buffer and hashed as the
-    /// slice the `Rule` hashes as, with no allocation.
+    /// The `Rule`'s hash, fed straight from the code's fields: no values
+    /// are spelled out and nothing is allocated.
+    #[inline]
     fn route(&self, masks: &PackedMasks<C>) -> u64 {
-        fx_hash_one(&spell(*self, masks, &mut [WILDCARD; 128]))
+        fx_hash_one(&Spelled { code: *self, masks })
     }
 
     fn into_rule(self, masks: &PackedMasks<C>) -> Rule {
         Rule::from_values(spell(self, masks, &mut [WILDCARD; 128]).to_vec())
+    }
+}
+
+/// A code read as the value slice of its [`Rule`], for hashing only.
+struct Spelled<'a, C> {
+    code: C,
+    masks: &'a PackedMasks<C>,
+}
+
+impl<C: PackedCode> Hash for Spelled<'_, C> {
+    /// What `Hash for [u32]` feeds [`sirum_dataflow::hash::FxHasher`] for
+    /// the `Rule`'s values: the length, then the values' bytes, which the
+    /// hasher takes eight at a time (two values, the first in the low
+    /// half) and then a four-byte tail when the length is odd.
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let d = self.masks.num_dims();
+        let value = |j| {
+            let v = self.masks.constant(self.code, j).unwrap_or(WILDCARD);
+            // The hasher reads the slice's native-order bytes as
+            // little-endian words.
+            v.to_le()
+        };
+        state.write_usize(d);
+        for j in (0..d - d % 2).step_by(2) {
+            state.write_u64(u64::from(value(j)) | u64::from(value(j + 1)) << 32);
+        }
+        if d % 2 == 1 {
+            state.write_u32(value(d - 1));
+        }
     }
 }
 
@@ -877,6 +912,7 @@ mod tests {
                     index.match_count(&rule)
                 );
                 for group in [vec![0, 2], vec![1], (0..d).collect()] {
+                    let group: Vec<usize> = group.into_iter().filter(|&j| j < d).collect();
                     let (mut wider, mut parents) = (Vec::new(), Vec::new());
                     code.expand_into(&masks, &group, &mut wider);
                     rule.expand_into(&(), &group, &mut parents);
@@ -909,6 +945,94 @@ mod tests {
         let layout = RuleLayout::from_cardinalities(&[9; 3]);
         assert_eq!(layout.packed_bits(), Some(64));
         indexed_codes_agree_with_rules::<u64>(&layout, &narrow);
+
+        // One dimension, and an even four, in both widths. Each sample
+        // holds two rows that differ everywhere, so the all-wild code is
+        // among the keys whose routes are checked.
+        let boxed =
+            |rows: &[&[u32]]| -> Vec<Box<[u32]>> { rows.iter().map(|&r| r.into()).collect() };
+        let one = boxed(&[&[0], &[4], &[4], &[2]]);
+        let layout = RuleLayout::from_cardinalities(&[5]);
+        indexed_codes_agree_with_rules::<u64>(&layout, &one);
+        indexed_codes_agree_with_rules::<u128>(&layout, &one);
+        let four = boxed(&[
+            &[0, 5, 1 << 29, 2],
+            &[0, 5, 7, 2],
+            &[(1 << 30) - 1, 4, 7, 1],
+            &[3, (1 << 30) - 2, 1 << 28, 0],
+        ]);
+        let wide = RuleLayout::from_cardinalities(&[1 << 30; 4]);
+        assert_eq!(wide.packed_bits(), Some(128));
+        indexed_codes_agree_with_rules::<u128>(&wide, &four);
+        let narrow: Vec<Box<[u32]>> = (four.iter())
+            .map(|row| row.iter().map(|&v| v % 9).collect())
+            .collect();
+        let layout = RuleLayout::from_cardinalities(&[9; 4]);
+        assert_eq!(layout.packed_bits(), Some(64));
+        indexed_codes_agree_with_rules::<u64>(&layout, &narrow);
+    }
+
+    #[test]
+    fn routes_are_pinned() {
+        // Values taken before map hashing rotated `finish`: a route picks
+        // a key's reducer, and so which candidates survive there.
+        let (rule, pinned) = (r(&[5, -1, 299, 1]), 0xb35f_0b24_0a98_1326);
+        assert_eq!(fx_hash_one(&rule), pinned);
+        let layout = RuleLayout::from_cardinalities(&[6, 3, 300, 2]);
+        let code: u64 = layout.pack(rule.values());
+        assert_eq!(code.route(&layout.masks()), pinned);
+        let code: u128 = layout.pack(rule.values());
+        assert_eq!(code.route(&layout.masks()), pinned);
+        let (rule, pinned) = (r(&[-1, 2, -1]), 0xf7a1_4fbb_5225_9e4b);
+        assert_eq!(fx_hash_one(&rule), pinned);
+        let layout = RuleLayout::from_cardinalities(&[6, 3, 300]);
+        let code: u64 = layout.pack(rule.values());
+        assert_eq!(code.route(&layout.masks()), pinned);
+    }
+
+    #[test]
+    fn map_buckets_spread_packed_codes() {
+        // `income_like`'s codes with the first four dimensions free and the
+        // other five wild, the shape of an ancestor aggregation's keys:
+        // they agree in every low bit. A map buckets by the low bits of
+        // `finish`; bucket them as a 4096-bucket table does.
+        use sirum_dataflow::hash::FxHasher;
+        use std::hash::Hasher;
+        fn fullest_bucket<C: PackedCode>(layout: &RuleLayout, rules: &[Rule]) -> usize {
+            let mut buckets = vec![0usize; 1 << 12];
+            for rule in rules {
+                let mut h = FxHasher::default();
+                layout.pack::<C>(rule.values()).hash(&mut h);
+                buckets[(h.finish() & 0xfff) as usize] += 1;
+            }
+            buckets.into_iter().max().unwrap_or(0)
+        }
+        let t = sirum_table::generators::income_like(16, 2016);
+        let cards: Vec<u32> = t.cardinalities().iter().map(|&c| c as u32).collect();
+        let layout = RuleLayout::from_cardinalities(&cards);
+        let mut rules = vec![Rule::all_wildcards(cards.len())];
+        for (j, &c) in cards.iter().enumerate().take(4) {
+            let wider: Vec<Rule> = (rules.iter())
+                .flat_map(|rule| {
+                    (0..c).map(move |v| {
+                        let mut values = rule.values().to_vec();
+                        values[j] = v;
+                        Rule::from_values(values)
+                    })
+                })
+                .collect();
+            rules.extend(wider);
+        }
+        assert_eq!(rules.len(), 10 * 3 * 6 * 8);
+        let fullest = (
+            fullest_bucket::<u64>(&layout, &rules),
+            fullest_bucket::<u128>(&layout, &rules),
+        );
+        assert!(
+            fullest.0 <= 8 && fullest.1 <= 8,
+            "fullest buckets {fullest:?} of {}",
+            rules.len()
+        );
     }
 
     /// The [`RuleKey`] laws on codes of width `C` against their `Rule`s:
@@ -976,6 +1100,9 @@ mod tests {
                     (tuple, Rule::from_values(values))
                 })
                 .collect();
+            // And the all-wild rule, whose code is every field's mask.
+            let mut pairs = pairs;
+            pairs.push((pairs[0].0.clone(), Rule::all_wildcards(cards.len())));
             let groups = crate::lattice::column_groups(cards.len(), g, seed);
             match layout.packed_bits() {
                 Some(64) => {

@@ -19,10 +19,15 @@
 # on standard error, the directions off BENCHMARK.json. Seeds start at 2017:
 # 2016 is the seed of the golden digests, the one every change is written
 # against.
+#
+# Both sides inherit the environment. A `peak_rss_mb` move can be split into
+# live heap and glibc's per-thread arenas keeping freed memory by running
+# the same pairs again under `MALLOC_ARENA_MAX=1 scripts/bench-pairs.sh …`:
+# one arena for all threads, so what still differs is not arena retention.
 set -eu
 
 if [ $# -lt 2 ]; then
-    sed -n '2,21p' "$0" >&2
+    sed -n '2,26p' "$0" >&2
     exit 2
 fi
 cd "$(dirname "$0")/.."
