@@ -32,7 +32,11 @@
 //!    fixed, only `m̂` moves — so a [`SweepState`]'s first sweep builds it
 //!    and later ones fold only the new `Σm̂` column through it, after
 //!    checking that the frontier's keys and per-key pair counts are still
-//!    the plan's.
+//!    the plan's. The build folds `Σm`, the pair counts and each
+//!    candidate's sample multiplicity `c` (§3.1.1) along the links in one
+//!    pass: a sample row's own tuple is the LCA it forms with itself, a
+//!    frontier key, so one 1 per sample row at its slot folds up to the
+//!    number of sample rows every candidate covers.
 //!
 //! ## Counting the rows that share an estimate
 //!
@@ -78,20 +82,23 @@
 //! [`SampleIndex::match_masks_into_cols`] gives, per sample row `s_j`, the
 //! mask of dimensions the tuple matches, and `lca(s_j, t)` is `s_j`'s
 //! values on the set bits. The driver owns the morsel loop, the
-//! cancellation ticks, the shared-estimate test above and the all-wild
-//! LCA (`mask == 0`), which it adds in a register. Every other pair goes
-//! to a *sink* that turns `(j, mask)` — or, under the full cube, the tuple
-//! itself — into an accumulator:
+//! cancellation ticks and the shared-estimate test above, and hands each
+//! row's masks to a *sink* that turns every `(j, mask)` — or, under the
+//! full cube, the tuple itself — into an accumulator:
 //!
 //! - **slot table** — `slot_of[(j << d) | mask]` names the accumulator.
-//!   Only a `(j, mask)`'s first touch reads `s_j`, builds the packed code
-//!   and finds-or-creates the code's slot, so sample rows that agree on
-//!   the mask's dimensions share one. A hit touches nothing but `slot_of`
-//!   and its slot;
+//!   The all-wild LCA (`mask == 0`) is an ordinary slot, named by every
+//!   `(j, 0)` entry from the start. Otherwise only a `(j, mask)`'s first
+//!   touch reads `s_j`, builds the packed code and finds-or-creates the
+//!   code's slot, so sample rows that agree on the mask's dimensions share
+//!   one. A hit touches nothing but `slot_of` and its slot, and takes no
+//!   branch on the mask;
 //! - **hash-probe** — the packed code is built from the mask's set bits
-//!   (or the whole tuple) and probed-or-inserted into a hash map;
+//!   (or the whole tuple) and probed-or-inserted into a hash map; the
+//!   all-wild LCA, which touches no other key, is added in a register;
 //! - **`Rule` keys** — the LCA is spelled into a `d`-wide buffer and
-//!   probed by slice: the only path for layouts over 128 bits.
+//!   probed by slice, the all-wild LCA in a register: the only path for
+//!   layouts over 128 bits.
 //!
 //! Packed codes ([`crate::rule::RuleLayout`]) give each dimension a
 //! bit-field sized by its dictionary cardinality, the all-ones value being
@@ -139,13 +146,15 @@
 //! Cancellation is polled at every combine partition's boundary, where
 //! stage 2 starts, and every [`CANCEL_POLL_ROWS`] **work units** inside
 //! both — one pair (or, under the full cube or passed over, one row) in a
-//! combine task,
-//! one link recorded or folded (or one candidate's multiplicity counted)
-//! in stage 2 — so the latency to observe a cancellation is bounded even
-//! across stretches that emit nothing. A cancelled sweep returns an empty
-//! candidate list with [`SweepOutcome::cancelled`] set (a plan caught
-//! mid-build is not kept), and the miner abandons the iteration without
-//! selecting from partial sums.
+//! combine task, which adds up a row's pairs and polls once per row when
+//! they cross a boundary; one sample row looked up or one link recorded or
+//! folded in stage 2 (and one candidate's multiplicity counted, for a
+//! sample the data does not hold) — so the latency to observe a
+//! cancellation is bounded even across stretches that emit nothing. A
+//! cancelled sweep returns an empty candidate list with
+//! [`SweepOutcome::cancelled`] set (a plan caught mid-build is not kept),
+//! and the miner abandons the iteration without selecting from partial
+//! sums.
 
 use crate::block::TupleBlock;
 use crate::cancel::CancellationToken;
@@ -157,10 +166,11 @@ use sirum_dataflow::{Dataset, StageRecord, TaskRecord};
 use std::time::Instant;
 
 /// How many units of work — pairs (or rows, under the full cube or passed
-/// over) in a combine task, links recorded or folded in stage 2 — pass
-/// between cancellation polls (in addition to the poll at every stage and
-/// partition boundary). Counting work rather than new candidates bounds the
-/// poll latency even through long stretches that find none.
+/// over) in a combine task, sample rows looked up and links recorded or
+/// folded in stage 2 — pass between cancellation polls (in addition to the
+/// poll at every stage and partition boundary). Counting work rather than
+/// new candidates bounds the poll latency even through long stretches that
+/// find none.
 pub const CANCEL_POLL_ROWS: usize = 4096;
 
 /// How a packed sweep partition folds its `(sample tuple, data tuple)` LCA
@@ -326,12 +336,13 @@ impl<K: Eq + std::hash::Hash> PartitionSweep<K> {
         }
     }
 
-    /// Count one unit of work and poll the cancellation token on the
-    /// budget boundary. Returns `true` when the task should abandon.
+    /// Count `units` of work and poll the cancellation token when they
+    /// cross a budget boundary. Returns `true` when the task should abandon.
     #[inline]
-    fn tick(&mut self, cancel: Option<&CancellationToken>) -> bool {
-        self.work += 1;
-        if self.work.is_multiple_of(CANCEL_POLL_ROWS as u64) && is_cancelled(cancel) {
+    fn tick(&mut self, units: usize, cancel: Option<&CancellationToken>) -> bool {
+        let before = self.work / CANCEL_POLL_ROWS as u64;
+        self.work += units as u64;
+        if self.work / CANCEL_POLL_ROWS as u64 != before && is_cancelled(cancel) {
             self.cancelled = true;
             return true;
         }
@@ -363,39 +374,36 @@ fn fold_into<K: Eq + std::hash::Hash>(map: &mut FxHashMap<K, Agg>, key: K, agg: 
 // ---------------------------------------------------------------------------
 
 /// Where [`combine`] folds the LCAs it meets: one accumulator per distinct
-/// LCA, keyed by `Key`. The scan hands over each `(sample row j, match
-/// mask)` pair with a non-zero mask — the LCA is sample row `j`'s values on
-/// the set bits, wildcards elsewhere — or, under the full cube, the tuple
-/// itself. The all-wild LCA (`mask == 0`) is the driver's and never
-/// reaches a sink.
+/// LCA, keyed by `Key`. The scan hands over one row's match masks — mask
+/// `j` names `lca(s_j, t)`, sample row `j`'s values on the set bits and
+/// wildcards elsewhere, the all-wild LCA where it is 0 — or, under the full
+/// cube, the tuple itself.
 trait Sink {
     type Key: Eq + std::hash::Hash;
 
-    /// Fold `agg` into `lca(s_j, t)`, named by its non-zero `mask`.
-    fn pair(&mut self, j: usize, mask: u32, agg: Agg);
+    /// Fold `agg` into `lca(s_j, t)` for every sample row `j`, in sample
+    /// order, each named by `masks[j]`.
+    fn pairs(&mut self, masks: &[u32], agg: Agg);
 
     /// Fold `agg` into the tuple at `li` of `cols` (the full cube).
     fn row(&mut self, cols: &[&[u32]], li: usize, agg: Agg);
 
-    /// The key of the all-wildcards rule `(*, …, *)`.
-    fn all_wild(&self) -> Self::Key;
-
-    /// Every accumulator, by key.
+    /// Every accumulator that met a pair, by key.
     fn into_map(self) -> FxHashMap<Self::Key, Agg>;
 }
 
 /// Stage 1, one partition: the **single pass over the partitioned data**,
 /// a pure function of the partition's rows. Every `(sample tuple, data
 /// tuple)` pair — or, without an index, every tuple — reaches `sink` in
-/// emission order: row-major, then sample order. One work unit is ticked
-/// per pair before its fold, or per row under the full cube or for a row
-/// passed over.
+/// emission order: row-major, then sample order. A row's pairs are ticked
+/// as one work unit each before the row is folded, and the token is polled
+/// when they cross a [`CANCEL_POLL_ROWS`] boundary; under the full cube, or
+/// for a row passed over, the row is the unit.
 ///
-/// The one per-row probe is [`SampleIndex::match_masks_into_cols`]. A pair
-/// with no shared constants (`mask == 0`) yields the all-wild LCA, usually
-/// the most frequent by far; it touches no other key, so a register adds
-/// its contributions in the order a map entry would see them and no sink
-/// is asked.
+/// The one per-row probe is [`SampleIndex::match_masks_into_cols`], whose
+/// masks go to the sink whole: a pair with no shared constants (`mask ==
+/// 0`) yields the all-wild LCA, usually the most frequent by far, and the
+/// sink folds it like any other.
 fn combine<S: Sink>(
     blocks: &[TupleBlock],
     args: CombineArgs<'_>,
@@ -412,7 +420,6 @@ fn combine<S: Sink>(
         acc.cancelled = true;
         return acc;
     }
-    let mut wild: Agg = (0.0, 0.0, 0);
     let mut pair_masks: Vec<u32> = Vec::new();
     let mut dim_scratch = sirum_table::ColScratch::new();
     for block in blocks {
@@ -430,19 +437,13 @@ fn combine<S: Sink>(
                 match index {
                     Some(idx) if !passed_over => {
                         let row_masks = idx.match_masks_into_cols(&cols, li, &mut pair_masks);
-                        for (j, &mask) in row_masks.iter().enumerate() {
-                            if acc.tick(cancel) {
-                                return acc;
-                            }
-                            if mask == 0 {
-                                merge_agg(&mut wild, agg);
-                            } else {
-                                sink.pair(j, mask, agg);
-                            }
+                        if acc.tick(row_masks.len(), cancel) {
+                            return acc;
                         }
+                        sink.pairs(row_masks, agg);
                     }
                     _ => {
-                        if acc.tick(cancel) {
+                        if acc.tick(1, cancel) {
                             return acc;
                         }
                         if !passed_over {
@@ -453,13 +454,24 @@ fn combine<S: Sink>(
             }
         }
     }
-    let all_wild = sink.all_wild();
     acc.map = sink.into_map();
-    // No sink ever holds the all-wild key, so this insert never collides.
-    if wild.2 > 0 {
-        acc.map.insert(all_wild, wild);
-    }
     acc
+}
+
+/// `map` with the all-wild LCA's register, when any pair reached it. The
+/// sinks that name an LCA by its key add `mask == 0` pairs in a register
+/// from `(0.0, 0.0, 0)`: such a pair touches no other key, so that is the
+/// float sequence a map entry would see, without a probe. The all-wild key
+/// only ever comes in here, so the insert never collides.
+fn with_all_wild<K: Eq + std::hash::Hash>(
+    mut map: FxHashMap<K, Agg>,
+    all_wild: K,
+    register: Agg,
+) -> FxHashMap<K, Agg> {
+    if register.2 > 0 {
+        map.insert(all_wild, register);
+    }
+    map
 }
 
 /// The packed LCA of `sample` with a tuple that matches it on `mask`'s
@@ -480,6 +492,9 @@ fn lca_code<C: PackedCode>(masks: &PackedMasks<C>, sample: &[u32], mask: u32) ->
 /// `slots[slot_of[(j << d) | mask]]` — one `u32` load and three adds, no
 /// code built and nothing hashed.
 ///
+/// The all-wild LCA is an ordinary slot: every `(j, 0)` entry names slot
+/// 0, which starts at `(0.0, 0.0, 0)` — the float sequence of the other
+/// sinks' register — so a hit takes no branch on the mask. The rest of
 /// `slot_of` is filled lazily. Only the **first** touch of a `(j, mask)`
 /// reads sample row `j`, builds the packed code and finds-or-creates the
 /// code's slot through `slot_by_code`, so two sample rows that agree on the
@@ -498,15 +513,34 @@ struct SlotSink<'a, C> {
     slot_by_code: FxHashMap<C, u32>,
 }
 
+impl<'a, C: PackedCode> SlotSink<'a, C> {
+    fn new(masks: &'a PackedMasks<C>, sample: &'a [Box<[u32]>], d: usize) -> Self {
+        let mut slot_of = vec![0; sample.len() << d];
+        for wild in slot_of.iter_mut().step_by(1 << d) {
+            *wild = 1;
+        }
+        SlotSink {
+            masks,
+            sample,
+            d,
+            slot_of,
+            slots: vec![(masks.all_wild(), (0.0, 0.0, 0))],
+            slot_by_code: FxHashMap::default(),
+        }
+    }
+}
+
 impl<C: PackedCode> Sink for SlotSink<'_, C> {
     type Key = C;
 
     #[inline]
-    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
-        let at = (j << self.d) | mask as usize;
-        match self.slot_of[at] {
-            0 => self.first_touch(at, j, mask, agg),
-            slot => merge_agg(&mut self.slots[slot as usize - 1].1, agg),
+    fn pairs(&mut self, masks: &[u32], agg: Agg) {
+        for (j, &mask) in masks.iter().enumerate() {
+            let at = (j << self.d) | mask as usize;
+            match self.slot_of[at] {
+                0 => self.first_touch(at, j, mask, agg),
+                slot => merge_agg(&mut self.slots[slot as usize - 1].1, agg),
+            }
         }
     }
 
@@ -514,15 +548,11 @@ impl<C: PackedCode> Sink for SlotSink<'_, C> {
         unreachable!("CombineStrategy::for_partition names no slot table without a sample index")
     }
 
-    fn all_wild(&self) -> C {
-        self.masks.all_wild()
-    }
-
     fn into_map(self) -> FxHashMap<C, Agg> {
-        // One slot per distinct code, so nothing collides; room for the
-        // all-wild entry the driver adds.
-        let mut map = FxHashMap::with_capacity_and_hasher(self.slots.len() + 1, Default::default());
-        map.extend(self.slots);
+        // One slot per distinct code, so nothing collides. Every slot but
+        // the all-wild one was made by a pair; that one may have met none.
+        let mut map = FxHashMap::with_capacity_and_hasher(self.slots.len(), Default::default());
+        map.extend(self.slots.into_iter().filter(|(_, agg)| agg.2 > 0));
         map
     }
 }
@@ -550,15 +580,22 @@ struct ProbeSink<'a, C> {
     masks: &'a PackedMasks<C>,
     sample: &'a [Box<[u32]>],
     map: FxHashMap<C, Agg>,
+    wild: Agg,
 }
 
 impl<C: PackedCode> Sink for ProbeSink<'_, C> {
     type Key = C;
 
     #[inline]
-    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
-        let code = lca_code(self.masks, &self.sample[j], mask);
-        fold_into(&mut self.map, code, agg);
+    fn pairs(&mut self, masks: &[u32], agg: Agg) {
+        for (j, &mask) in masks.iter().enumerate() {
+            if mask == 0 {
+                merge_agg(&mut self.wild, agg);
+            } else {
+                let code = lca_code(self.masks, &self.sample[j], mask);
+                fold_into(&mut self.map, code, agg);
+            }
+        }
     }
 
     #[inline]
@@ -569,12 +606,8 @@ impl<C: PackedCode> Sink for ProbeSink<'_, C> {
         fold_into(&mut self.map, code, agg);
     }
 
-    fn all_wild(&self) -> C {
-        self.masks.all_wild()
-    }
-
     fn into_map(self) -> FxHashMap<C, Agg> {
-        self.map
+        with_all_wild(self.map, self.masks.all_wild(), self.wild)
     }
 }
 
@@ -586,6 +619,7 @@ struct RuleSink<'a> {
     sample: &'a [Box<[u32]>],
     key: Vec<u32>,
     map: FxHashMap<Rule, Agg>,
+    wild: Agg,
 }
 
 impl RuleSink<'_> {
@@ -604,16 +638,21 @@ impl Sink for RuleSink<'_> {
     type Key = Rule;
 
     #[inline]
-    fn pair(&mut self, j: usize, mask: u32, agg: Agg) {
-        let sample = &self.sample[j];
-        for (col, k) in self.key.iter_mut().enumerate() {
-            *k = if mask >> col & 1 == 1 {
-                sample[col]
-            } else {
-                WILDCARD
-            };
+    fn pairs(&mut self, masks: &[u32], agg: Agg) {
+        for (sample, &mask) in self.sample.iter().zip(masks) {
+            if mask == 0 {
+                merge_agg(&mut self.wild, agg);
+                continue;
+            }
+            for (col, k) in self.key.iter_mut().enumerate() {
+                *k = if mask >> col & 1 == 1 {
+                    sample[col]
+                } else {
+                    WILDCARD
+                };
+            }
+            self.fold(agg);
         }
-        self.fold(agg);
     }
 
     #[inline]
@@ -624,12 +663,8 @@ impl Sink for RuleSink<'_> {
         self.fold(agg);
     }
 
-    fn all_wild(&self) -> Rule {
-        Rule::all_wildcards(self.key.len())
-    }
-
     fn into_map(self) -> FxHashMap<Rule, Agg> {
-        self.map
+        with_all_wild(self.map, Rule::all_wildcards(self.key.len()), self.wild)
     }
 }
 
@@ -666,22 +701,13 @@ impl<C: PackedCode> SweepKey for C {
         };
         let sample: &[Box<[u32]>] = args.index.map_or(&[], SampleIndex::rows);
         match strategy {
-            CombineStrategy::SlotTable => {
-                let sink = SlotSink {
-                    masks,
-                    sample,
-                    d,
-                    slot_of: vec![0; sample.len() << d],
-                    slots: Vec::new(),
-                    slot_by_code: FxHashMap::default(),
-                };
-                combine(blocks, args, sink)
-            }
+            CombineStrategy::SlotTable => combine(blocks, args, SlotSink::new(masks, sample, d)),
             CombineStrategy::HashProbe => {
                 let sink = ProbeSink {
                     masks,
                     sample,
                     map: FxHashMap::default(),
+                    wild: (0.0, 0.0, 0),
                 };
                 combine(blocks, args, sink)
             }
@@ -695,6 +721,7 @@ impl SweepKey for Rule {
             sample: args.index.map_or(&[], SampleIndex::rows),
             key: vec![WILDCARD; args.d],
             map: FxHashMap::default(),
+            wild: (0.0, 0.0, 0),
         };
         combine(blocks, args, sink)
     }
@@ -765,19 +792,30 @@ impl SlotIndex {
         (fx_hash_one(key) >> self.shift) as usize
     }
 
-    /// The slot of `key` in `keys`, pushing it as a new last slot when it
-    /// has none. Every key of `keys` must have come in through this call.
+    /// `Ok(the slot of key in keys)`, or `Err(the empty bucket it would
+    /// take)`. Every key of `keys` must have come in through
+    /// [`Self::get_or_push`].
     #[inline]
-    fn get_or_push<K: Eq + std::hash::Hash>(&mut self, keys: &mut Vec<K>, key: K) -> u32 {
+    fn find<K: Eq + std::hash::Hash>(&self, keys: &[K], key: &K) -> Result<u32, usize> {
         let mask = self.buckets.len() - 1;
-        let mut b = self.home(&key);
+        let mut b = self.home(key);
         loop {
             match self.buckets[b] {
-                0 => break,
-                s if keys[s as usize - 1] == key => return s - 1,
+                0 => return Err(b),
+                s if keys[s as usize - 1] == *key => return Ok(s - 1),
                 _ => b = (b + 1) & mask,
             }
         }
+    }
+
+    /// The slot of `key` in `keys`, pushing it as a new last slot when it
+    /// has none.
+    #[inline]
+    fn get_or_push<K: Eq + std::hash::Hash>(&mut self, keys: &mut Vec<K>, key: K) -> u32 {
+        let b = match self.find(keys, &key) {
+            Ok(slot) => return slot,
+            Err(b) => b,
+        };
         #[expect(
             clippy::expect_used,
             reason = "internal expansion-size invariant (slot ids are u32s), not user-reachable"
@@ -830,8 +868,13 @@ struct ExpandPlan<K> {
     /// index) already divided out: exact `Σm` and `|support|`.
     sum_m: Vec<f64>,
     count: Vec<u64>,
-    /// Per slot: `c`, the divisor each sweep's `Σm̂` still needs.
-    mult: Vec<f64>,
+    /// Per slot: `c`, the divisor each sweep's `Σm̂` still needs (1
+    /// without an index). The build folds it along the links with `Σm`
+    /// and the pair counts: a sample row's own tuple — the LCA it forms
+    /// with itself — is a frontier key whenever the row is one of the
+    /// data's, and a candidate covers exactly the sample rows whose tuples
+    /// it generalises.
+    mult: Vec<u32>,
     pairs_emitted: u64,
 }
 
@@ -853,6 +896,21 @@ impl<K: RuleKey> ExpandPlan<K> {
         let mut slot_of = SlotIndex::with_capacity(frontier.len() * 4);
         for (key, _) in frontier {
             slot_of.get_or_push(&mut keys, key.clone());
+        }
+        // Per frontier slot, the sample rows whose own tuple it is. A row
+        // whose tuple is not a frontier key is not one of the scanned
+        // rows (the miner never draws such a sample; a `sweep_gains`
+        // caller may).
+        let mut mult = vec![0u32; keys.len()];
+        let mut outside = false;
+        for row in cx.index.map_or(&[][..], SampleIndex::rows) {
+            if clock.tick() {
+                return None;
+            }
+            match slot_of.find(&keys, &K::lca(codec, row, row)) {
+                Ok(slot) => mult[slot as usize] += 1,
+                Err(_) => outside = true,
+            }
         }
         let mut links = Vec::new();
         for j in 0..cx.d {
@@ -879,21 +937,31 @@ impl<K: RuleKey> ExpandPlan<K> {
             frontier.iter().map(|(_, agg)| (agg.0, agg.2)).unzip();
         sum_m.resize(keys.len(), 0.0);
         count.resize(keys.len(), 0);
+        mult.resize(keys.len(), 0);
         fold_links(&links, clock, |a, t| {
             sum_m[t] += sum_m[a];
             count[t] += count[a];
+            mult[t] += mult[a];
         })?;
-        let mut mult = vec![1.0; keys.len()];
-        if let Some(idx) = cx.index {
-            for (slot, key) in keys.iter().enumerate() {
-                if clock.tick() {
-                    return None;
+        match cx.index {
+            None => mult.fill(1),
+            Some(idx) => {
+                if outside {
+                    // The fold missed a sample row: ask the index per slot.
+                    for (c, key) in mult.iter_mut().zip(&keys) {
+                        if clock.tick() {
+                            return None;
+                        }
+                        *c = idx.multiplicity(key.constants(codec)) as u32;
+                    }
                 }
-                let c = idx.multiplicity(key.constants(codec));
-                debug_assert_eq!(count[slot] % c, 0, "pair multiplicity must be uniform");
-                mult[slot] = c as f64;
-                sum_m[slot] /= c as f64;
-                count[slot] /= c;
+                for (slot, key) in keys.iter().enumerate() {
+                    let c = u64::from(mult[slot]);
+                    debug_assert_eq!(c, idx.multiplicity(key.constants(codec)), "{slot}");
+                    debug_assert_eq!(count[slot] % c, 0, "pair multiplicity must be uniform");
+                    sum_m[slot] /= c as f64;
+                    count[slot] /= c;
+                }
             }
         }
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
@@ -1058,7 +1126,13 @@ fn run_sweep<K: SweepKey>(
     };
     let slots = plan.order.iter().map(|&slot| slot as usize);
     let sums: Vec<Agg> = slots
-        .map(|s| (plan.sum_m[s], sum_mhat[s] / plan.mult[s], plan.count[s]))
+        .map(|s| {
+            (
+                plan.sum_m[s],
+                sum_mhat[s] / f64::from(plan.mult[s]),
+                plan.count[s],
+            )
+        })
         .collect();
     let candidates = pick(&sums).into_iter().map(|rank| {
         let (sum_m, sum_mhat, count) = sums[rank];
@@ -1912,9 +1986,9 @@ mod tests {
         let (combine, expand) = ("gain-sweep-combine", "gain-sweep-expand");
         assert_eq!(labels, [combine, expand, combine, expand]);
         // One task each: work units in, candidates out. The first sweep
-        // records every link, folds Σm and the pair counts along them in
-        // one pass, counts each candidate's multiplicity and folds Σm̂; the
-        // second only folds Σm̂.
+        // looks up each of the 3 sample rows' own tuples, records every
+        // link, folds Σm, the pair counts and the sample multiplicities
+        // along them in one pass and folds Σm̂; the second only folds Σm̂.
         let (built, reused) = (&stages[1].tasks, &stages[3].tasks);
         assert_eq!((built.len(), reused.len()), (1, 1));
         assert_eq!(
@@ -1923,6 +1997,211 @@ mod tests {
         );
         let links = reused[0].records_in;
         assert!(links > 0 && links <= 3 * distinct);
-        assert_eq!(built[0].records_in, 3 * links + distinct);
+        assert_eq!(built[0].records_in, 3 + 3 * links);
+    }
+
+    #[test]
+    fn the_all_wild_slot_is_folded_only_when_a_pair_reaches_it() {
+        // The slot table folds `mask == 0` into a pre-set slot that starts
+        // at zero; the probing sinks into a register. (a) A constant column
+        // puts every pair on that dimension, so no pair has mask 0 and the
+        // slot stays empty; (b) rows that rarely agree with the sample put
+        // most pairs there. Forced slot table ≡ forced hash-probe, frontier
+        // and sweep alike, and an empty all-wild slot is not an entry.
+        let n = 64;
+        let constant = vec![
+            vec![0; n],
+            (0..n).map(|i| (i % 3) as u32).collect(),
+            (0..n).map(|i| (i % 5) as u32).collect(),
+        ];
+        let scattered = vec![
+            (0..n).map(|i| (i % 17) as u32).collect(),
+            (0..n).map(|i| (i % 13) as u32).collect(),
+            (0..n).map(|i| (i % 11) as u32).collect(),
+        ];
+        for (cols, cards, wild_pairs) in [
+            (constant, vec![1, 3, 5], false),
+            (scattered, vec![17, 13, 11], true),
+        ] {
+            let measures = (0..n).map(|i| 0.25 + (i % 6) as f64).collect();
+            let frame = Frame::from_columns_with_cards(cols, measures, cards.clone());
+            let sample = [2usize, 9, 40, 9]
+                .iter()
+                .map(|&i| frame.view().gather_row_boxed(i))
+                .collect();
+            let index = SampleIndex::build(sample, 3);
+            let layout = RuleLayout::from_cardinalities(&cards);
+            let masks = layout.masks::<u64>();
+            let block = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), 1);
+            let frontier = |strategy| {
+                let args = CombineArgs {
+                    index: Some(&index),
+                    force: Some(strategy),
+                    ..CombineArgs::default()
+                };
+                let map = u64::combine(&block, &masks, args).map;
+                (map.get(&masks.all_wild()).copied(), sorted_entries(map))
+            };
+            let (wild, slots) = frontier(CombineStrategy::SlotTable);
+            let (probed_wild, probed) = frontier(CombineStrategy::HashProbe);
+            let agg_bits = |e: &[(u64, Agg)]| {
+                e.iter()
+                    .map(|&(code, (m, mh, c))| (code, m.to_bits(), mh.to_bits(), c))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(agg_bits(&slots), agg_bits(&probed));
+            assert_eq!(wild.is_some(), wild_pairs, "{cards:?}");
+            assert_eq!(probed_wild.is_some(), wild_pairs);
+            if let Some((_, _, pairs)) = wild {
+                assert!(pairs > n as u64 * 2, "the all-wild LCA dominates: {pairs}");
+            }
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
+            let data = blocks_of(&engine, &frame, 2);
+            let packed = SweepOptions::packed(layout);
+            let sweep = |opts: &SweepOptions| bits(sweep_gains(&data, 3, Some(&index), None, opts));
+            let table = sweep(&packed.clone().with_combine(CombineStrategy::SlotTable));
+            assert_eq!(
+                table,
+                sweep(&packed.with_combine(CombineStrategy::HashProbe))
+            );
+            assert_eq!(table, sweep(&SweepOptions::rule_keyed()));
+        }
+    }
+
+    /// Whether every slot of `plan` divides by the multiplicity the sample
+    /// index counts for its key.
+    fn folded_multiplicities_hold<K: RuleKey>(
+        plan: Option<&ExpandPlan<K>>,
+        codec: &K::Codec,
+        index: &SampleIndex,
+    ) -> bool {
+        plan.is_some_and(|plan| {
+            (plan.keys.iter().zip(&plan.mult))
+                .all(|(key, &c)| u64::from(c) == index.multiplicity(key.constants(codec)))
+        })
+    }
+
+    #[test]
+    fn a_sample_row_outside_the_data_still_divides_exactly() {
+        // Row 0 with row 7's origin is no row of the flights table, so its
+        // own tuple is no frontier key and the fold cannot count it: the
+        // sweep must still divide every candidate by the sample rows it
+        // covers — the staged reference's pair-level sums through
+        // `adjust_for_sample`, and the exact support sums.
+        let t = flights();
+        let outside: Box<[u32]> = {
+            let mut row = t.row(0).to_vec();
+            row[1] = t.row(7)[1];
+            assert!(t.rows().all(|r| *r != row[..]), "{row:?} is a row");
+            row.into()
+        };
+        let mut sample: Vec<Box<[u32]>> = [3usize, 8, 3]
+            .iter()
+            .map(|&i| t.row(i).to_vec().into_boxed_slice())
+            .collect();
+        sample.push(outside);
+        let index = SampleIndex::build(sample, 3);
+        let mut pair_level: FxHashMap<Rule, Agg> = FxHashMap::default();
+        for (i, row) in t.rows().enumerate() {
+            for s in index.rows() {
+                for anc in crate::lattice::ancestors(&Rule::lca(s, &row)) {
+                    merge_agg(pair_level.entry(anc).or_default(), (t.measure(i), 1.0, 1));
+                }
+            }
+        }
+        let mut staged = crate::candidates::adjust_for_sample(pair_level, &index);
+        staged.sort_by(|a, b| a.0.cmp(&b.0));
+        let exhaustive = exhaustive_candidates(&t, &[1.0; 14], None).expect("uncancelled");
+        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
+        let data = blocks(&engine, &t, 3);
+        for opts in all_variants(&t) {
+            let out = sweep_gains(&data, 3, Some(&index), None, &opts);
+            assert_eq!(out.candidates.len(), staged.len());
+            for (got, want) in out.candidates.iter().zip(&staged) {
+                assert_eq!((&got.0, got.3), (&want.0, want.3));
+                assert!((got.1 - want.1).abs() < 1e-9, "{:?}", got.0);
+                assert!((got.2 - want.2).abs() < 1e-9, "{:?}", got.0);
+                let (em, emh, ec) = exhaustive[&got.0];
+                assert!((got.1 - em).abs() < 1e-9 && (got.2 - emh).abs() < 1e-9);
+                assert_eq!(got.3, ec, "{:?}", got.0);
+            }
+        }
+        let opts = packed_opts(&t);
+        let mut state = SweepState::new(3, Some(&index), &opts);
+        state.sweep(&data, None, |_| Vec::new());
+        let masks = opts.layout.as_ref().expect("packed").masks::<u64>();
+        assert!(folded_multiplicities_hold(
+            state.plan64.as_ref(),
+            &masks,
+            &index
+        ));
+    }
+
+    mod multiplicity {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn folded_multiplicity_matches_the_sample_index(
+                (rows, picks, outside, partitions, workers) in (1usize..=5).prop_flat_map(|d| (
+                    prop::collection::vec(
+                        (prop::collection::vec(0u32..3, d), 0.0f64..10.0),
+                        1..40,
+                    ),
+                    prop::collection::vec(0usize..40, 1..7),
+                    prop::collection::vec(prop::collection::vec(0u32..3, d), 0..2),
+                    1usize..5,
+                    1usize..=2,
+                ))
+            ) {
+                // Every slot's `c`, folded along the links from the sample
+                // rows' own tuples, is the index's count of the sample rows
+                // the slot's key covers — for u64, u128 and `Rule` keys,
+                // with duplicate sample rows, and with sample tuples the
+                // data may lack (the per-slot count then stands in).
+                let d = rows[0].0.len();
+                let cols = (0..d).map(|j| rows.iter().map(|r| r.0[j]).collect()).collect();
+                let measures = rows.iter().map(|r| r.1).collect();
+                let frame = Frame::from_columns_with_cards(cols, measures, vec![3; d]);
+                let mut sample: Vec<Box<[u32]>> = (picks.iter())
+                    .map(|&i| rows[i % rows.len()].0.clone().into())
+                    .collect();
+                sample.extend(outside.into_iter().map(Vec::into_boxed_slice));
+                let index = SampleIndex::build(sample, d);
+                let engine =
+                    Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+                let data = blocks_of(&engine, &frame, partitions);
+                let narrow = RuleLayout::from_cardinalities(&vec![3; d]);
+                let wide = RuleLayout::from_cardinalities(&vec![1 << 30; d]);
+                let all = |sums: &[Agg]| (0..sums.len()).collect();
+                let rule_keyed = SweepOptions::rule_keyed();
+                let reference = bits(sweep_gains(&data, d, Some(&index), None, &rule_keyed));
+                for opts in [
+                    SweepOptions::rule_keyed(),
+                    SweepOptions::packed(narrow.clone()),
+                    SweepOptions::packed(wide.clone()),
+                ] {
+                    let mut state = SweepState::new(d, Some(&index), &opts);
+                    prop_assert_eq!(&bits(state.sweep(&data, None, all)), &reference);
+                    let held = match opts.layout.as_ref().and_then(RuleLayout::packed_bits) {
+                        Some(64) => folded_multiplicities_hold(
+                            state.plan64.as_ref(),
+                            &opts.layout.as_ref().expect("packed").masks::<u64>(),
+                            &index,
+                        ),
+                        Some(_) => folded_multiplicities_hold(
+                            state.plan128.as_ref(),
+                            &opts.layout.as_ref().expect("packed").masks::<u128>(),
+                            &index,
+                        ),
+                        None => folded_multiplicities_hold(state.plan_rule.as_ref(), &(), &index),
+                    };
+                    prop_assert!(held, "{:?}", opts);
+                }
+            }
+        }
     }
 }

@@ -36,9 +36,22 @@ fn run_on(e: Engine, table: &Table, config: SirumConfig) -> MiningResult {
     Miner::new(e, config).try_mine(table).expect("mine")
 }
 
-/// Runs behind each wall the measured-scaling figures (5.1, 5.16, 5.17)
-/// report: the median of this many mines.
+/// Runs behind each time the measured figures (5.1, 5.6, 5.11, 5.16,
+/// 5.17) report: the median of this many mines.
 const RUNS: usize = 3;
+
+/// The median of `times`, which it sorts.
+fn median(times: &mut [f64]) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// `min-max` of `times` — how far one cell's runs spread — in seconds.
+fn spread(times: &[f64]) -> String {
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    format!("{}-{}", secs(min), secs(max))
+}
 
 /// Printed under Figs 5.1, 5.16 and 5.17, which the thesis measured on a
 /// cluster of 24-core nodes.
@@ -51,8 +64,7 @@ fn median_wall(engine: EngineConfig, table: &Table, config: &SirumConfig) -> f64
     let mut walls: Vec<f64> = (0..RUNS)
         .map(|_| timed(|| run_on(engine_with(engine.clone()), table, config.clone())).1)
         .collect();
-    walls.sort_by(f64::total_cmp);
-    walls[RUNS / 2]
+    median(&mut walls)
 }
 
 /// Worker counts the scaling figures sweep: 1 up to the host's cores.
@@ -355,24 +367,36 @@ fn f5_5() {
 }
 
 /// Fig 5.6: rule-generation time, Baseline vs FastAncestor, vs |s| (SUSY,
-/// k = 20).
+/// k = 20): per cell the median of [`RUNS`] mines, the two variants taking
+/// turns inside each repeat, and the runs' min-max.
 fn f5_6() {
     let mut rep = FigureReport::new(
         "f5_6_fast_ancestor",
-        &["|s|", "baseline_s", "fastancestor_s", "speedup"],
+        &[
+            "|s|",
+            "baseline_s",
+            "baseline_min-max_s",
+            "fastancestor_s",
+            "fastancestor_min-max_s",
+            "speedup",
+        ],
     );
     let t = workloads::susy();
     for s in [8usize, 16, 32] {
-        let base = run(&t, Variant::Baseline.config(5, s));
-        let fast = run(&t, Variant::FastAncestor.config(5, s));
+        let (mut base, mut fast) = (Vec::new(), Vec::new());
+        for _ in 0..RUNS {
+            let rule_gen = |v: Variant| run(&t, v.config(5, s)).timings.rule_generation();
+            base.push(rule_gen(Variant::Baseline));
+            fast.push(rule_gen(Variant::FastAncestor));
+        }
+        let (base_s, fast_s) = (median(&mut base), median(&mut fast));
         rep.row(vec![
             s.to_string(),
-            secs(base.timings.rule_generation()),
-            secs(fast.timings.rule_generation()),
-            speedup(
-                base.timings.rule_generation(),
-                fast.timings.rule_generation(),
-            ),
+            secs(base_s),
+            spread(&base),
+            secs(fast_s),
+            spread(&fast),
+            speedup(base_s, fast_s),
         ]);
     }
     rep.finish();
@@ -472,36 +496,51 @@ fn f5_9() {
 }
 
 /// Fig 5.11: Naive vs Baseline vs Optimized (and Optimized*) on growing
-/// TLC samples (k = 20, |s| = 64).
+/// TLC samples (k = 20, |s| = 64): per cell the median of [`RUNS`] mines,
+/// the four variants taking turns inside each repeat, and the runs'
+/// min-max.
 fn f5_11() {
     let mut rep = FigureReport::new(
         "f5_11_tlc_variants",
-        &["rows", "variant", "total_s", "rules", "final_kl"],
+        &[
+            "rows",
+            "variant",
+            "total_s",
+            "min-max_s",
+            "rules",
+            "final_kl",
+        ],
     );
+    let variants = ["Naive", "Baseline", "Optimized", "Optimized*"];
     for rows in [10_000usize, 30_000, 60_000] {
         let t = workloads::tlc(rows);
-        let base = run(&t, Variant::Baseline.config(10, 64));
-        let target = base.final_kl();
-        let naive = run(&t, Variant::Naive.config(10, 64));
-        let optimized = run(&t, Variant::Optimized.config(10, 64));
-        let opt_star = run(
-            &t,
-            SirumConfig {
-                target_kl: Some(target),
-                max_rules: Some(20),
-                ..Variant::Optimized.config(10, 64)
-            },
-        );
-        for (name, r) in [
-            ("Naive", &naive),
-            ("Baseline", &base),
-            ("Optimized", &optimized),
-            ("Optimized*", &opt_star),
-        ] {
+        let mut totals: [Vec<f64>; 4] = Default::default();
+        // Every repeat mines the same rules; the last one's are printed.
+        let mut mined = Vec::new();
+        for _ in 0..RUNS {
+            let base = run(&t, Variant::Baseline.config(10, 64));
+            let target = base.final_kl();
+            let naive = run(&t, Variant::Naive.config(10, 64));
+            let optimized = run(&t, Variant::Optimized.config(10, 64));
+            let opt_star = run(
+                &t,
+                SirumConfig {
+                    target_kl: Some(target),
+                    max_rules: Some(20),
+                    ..Variant::Optimized.config(10, 64)
+                },
+            );
+            mined = vec![naive, base, optimized, opt_star];
+            for (times, r) in totals.iter_mut().zip(&mined) {
+                times.push(r.timings.total);
+            }
+        }
+        for ((name, times), r) in variants.iter().zip(&mut totals).zip(&mined) {
             rep.row(vec![
                 rows.to_string(),
-                name.into(),
-                secs(r.timings.total),
+                (*name).into(),
+                secs(median(times)),
+                spread(times),
                 (r.rules.len() - 1).to_string(),
                 format!("{:.5}", r.final_kl()),
             ]);
