@@ -9,7 +9,6 @@ use sirum_core::{
 use sirum_dataflow::{Engine, EngineConfig};
 use sirum_table::generators;
 use sirum_table::Table;
-use std::time::Duration;
 
 fn engine() -> Engine {
     Engine::try_new(EngineConfig::in_memory().with_workers(2).with_partitions(4)).unwrap()
@@ -311,12 +310,7 @@ fn engine_modes_agree_on_results() {
     .try_mine(&t)
     .unwrap();
     let disk = {
-        let e = Engine::try_new(
-            EngineConfig::disk_mr()
-                .with_stage_startup(Duration::ZERO)
-                .with_partitions(4),
-        )
-        .unwrap();
+        let e = Engine::try_new(EngineConfig::disk_mr().with_partitions(4)).unwrap();
         Miner::new(e, cfg()).try_mine(&t).unwrap()
     };
     let names =
@@ -571,12 +565,7 @@ fn engine_modes_are_bit_identical_on_the_same_partitioning() {
     ];
     let engines = [
         Engine::try_new(EngineConfig::in_memory().with_workers(2).with_partitions(4)).unwrap(),
-        Engine::try_new(
-            EngineConfig::disk_mr()
-                .with_partitions(4)
-                .with_stage_startup(Duration::ZERO),
-        )
-        .unwrap(),
+        Engine::try_new(EngineConfig::disk_mr().with_partitions(4)).unwrap(),
         Engine::try_new(EngineConfig::single_thread().with_partitions(4)).unwrap(),
     ];
     for config in &configs {
@@ -612,9 +601,7 @@ fn concurrent_staged_mines_on_one_engine_count_only_their_own_stages() {
     let config = Variant::MultiRule.config(4, 16);
     let engines = [
         EngineConfig::in_memory().with_workers(2).with_partitions(8),
-        EngineConfig::disk_mr()
-            .with_partitions(8)
-            .with_stage_startup(Duration::ZERO),
+        EngineConfig::disk_mr().with_partitions(8),
     ];
     for engine in engines {
         let lone = Miner::new(Engine::try_new(engine.clone()).unwrap(), config.clone())

@@ -293,9 +293,7 @@ fn staged_mining_on_u128_codes_matches_rule_keys() {
     for i in 0..STAGED_CONFIGS {
         for engine in [
             EngineConfig::in_memory().with_workers(2).with_partitions(3),
-            EngineConfig::disk_mr()
-                .with_stage_startup(std::time::Duration::ZERO)
-                .with_partitions(2),
+            EngineConfig::disk_mr().with_partitions(2),
         ] {
             let mine = |packed_codes: bool| {
                 let config = SirumConfig {
@@ -472,7 +470,7 @@ proptest! {
         let config = staged_config(config_idx, table.num_rows());
         let mine = |packed_codes: bool| {
             let engine = if disk_mr {
-                EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO)
+                EngineConfig::disk_mr()
             } else {
                 EngineConfig::in_memory()
             };
@@ -1227,7 +1225,6 @@ proptest! {
 /// the frames they scan — never in float accumulation order.
 fn disk_engine(budget: Option<usize>, dir: &str) -> Engine {
     let mut config = EngineConfig::disk_mr()
-        .with_stage_startup(std::time::Duration::ZERO)
         .with_partitions(4)
         .with_workers(2)
         .with_spill_dir(std::env::temp_dir().join(format!(
@@ -1460,7 +1457,6 @@ fn spill_io_failure_under_pressure_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(&root);
     let engine = Engine::try_new(
         EngineConfig::disk_mr()
-            .with_stage_startup(std::time::Duration::ZERO)
             .with_partitions(4)
             .with_memory_budget(48 << 10)
             .with_spill_dir(root.clone()),

@@ -4,7 +4,6 @@ use crate::error::DataflowError;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Duration;
 
 /// Which of the paper's three data processing platforms the engine emulates
 /// (§2.6 / §5.2 of the thesis).
@@ -13,9 +12,10 @@ pub enum EngineMode {
     /// Spark-like: partitions processed in parallel, intermediate results kept
     /// in memory (subject to the block-store budget).
     InMemory,
-    /// Hive-on-MapReduce-like: every stage writes its output partitions to
-    /// disk and reads them back, and each stage pays a job-startup latency.
-    /// This reproduces the disk/startup bottleneck Figure 5.2 measures.
+    /// Hive-on-MapReduce-like: every stage output partition and every
+    /// shuffle bucket is serialized, written to disk and read back. This is
+    /// the disk-materialization bottleneck Figure 5.2 measures; job startup
+    /// is not emulated.
     DiskMr,
     /// PostgreSQL-like: a single worker executes every task sequentially
     /// (PostgreSQL 9.4 had no intra-query parallelism, §2.6.1). Data stays
@@ -79,10 +79,6 @@ pub struct EngineConfig {
     /// charged its overlapping segments whole. Nothing else a mine
     /// allocates is charged.
     pub memory_budget: Option<usize>,
-    /// Latency charged (slept) at the start of every stage. Zero for Spark
-    /// mode; tens of milliseconds for Hive mode to emulate MapReduce job
-    /// startup and cleanup, which §5.2 identifies as a Hive bottleneck.
-    pub stage_startup: Duration,
     /// Directory for spill files and DiskMr intermediate results.
     pub spill_dir: PathBuf,
 }
@@ -95,16 +91,14 @@ impl EngineConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             partitions: 16,
             memory_budget: None,
-            stage_startup: Duration::ZERO,
             spill_dir: std::env::temp_dir().join("sirum-dataflow"),
         }
     }
 
-    /// Hive-like: disk-materialized stages with job-startup latency.
+    /// Hive-like: disk-materialized stage outputs and shuffle buckets.
     pub fn disk_mr() -> Self {
         EngineConfig {
             mode: EngineMode::DiskMr,
-            stage_startup: Duration::from_millis(25),
             ..Self::in_memory()
         }
     }
@@ -133,12 +127,6 @@ impl EngineConfig {
     /// Builder-style override of the cache memory budget.
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
-        self
-    }
-
-    /// Builder-style override of the per-stage startup latency.
-    pub fn with_stage_startup(mut self, latency: Duration) -> Self {
-        self.stage_startup = latency;
         self
     }
 
@@ -238,12 +226,6 @@ mod tests {
                 .effective_workers(),
             1
         );
-    }
-
-    #[test]
-    fn disk_mr_has_startup_latency() {
-        assert!(EngineConfig::disk_mr().stage_startup > Duration::ZERO);
-        assert_eq!(EngineConfig::in_memory().stage_startup, Duration::ZERO);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! coarse-grained transformations (map / filter / reduce-by-key / sample /
 //! cache), executed by the [`Engine`].
 
-use crate::encode::{decode_records, encode_records, Encode};
+use crate::encode::{decode_records, Encode};
 use crate::engine::{Engine, TaskOutput};
 use crate::hash::FxHashMap;
 use crate::memory::BlockId;
@@ -47,6 +47,21 @@ impl<T: Record> Part<T> {
             Part::Mem(a) => Arc::clone(a),
             Part::Stored(id) => engine.store().get::<T>(*id),
         }
+    }
+
+    /// Consume this partition for its records: a resident one moves them
+    /// out (cloning only while another handle shares them), a stored one
+    /// is read back and its block freed.
+    fn take(self, engine: &Engine) -> Vec<T> {
+        let data = match self {
+            Part::Mem(a) => a,
+            Part::Stored(id) => {
+                let data = engine.store().get::<T>(id);
+                engine.store().free(id);
+                data
+            }
+        };
+        Arc::try_unwrap(data).unwrap_or_else(|a| a.as_ref().clone())
     }
 }
 
@@ -129,8 +144,9 @@ impl<T: Record> Dataset<T> {
         out
     }
 
-    /// Wrap freshly produced partition contents according to the engine mode
-    /// (in-memory for Spark-like modes, disk-materialized for `DiskMr`).
+    /// Place a freshly produced stage output partition or shuffle bucket
+    /// according to the engine mode: in memory for the Spark-like modes,
+    /// written to disk for `DiskMr`. The one place the mode is read.
     fn finish_part<U: Record>(engine: &Engine, out: Vec<U>) -> Part<U> {
         use crate::config::EngineMode;
         match engine.mode() {
@@ -321,12 +337,11 @@ where
     /// another representation must land where their twins do), and
     /// `merge` folds a new value into an existing one for the same key.
     ///
-    /// In `DiskMr` mode every map-side bucket is serialized and round-trips
-    /// through disk, as MapReduce map outputs do. The in-memory modes move
-    /// the combined records directly (Spark-with-broadcast keeps shuffles
-    /// narrow; charging a full serialize/deserialize per in-process record
-    /// would only rescale every variant equally) while still recording the
-    /// shuffled record and estimated byte volume.
+    /// Each map task places one bucket per reducer as it places any stage
+    /// output: in memory, or on disk in `DiskMr` mode, as MapReduce map
+    /// outputs are. Each reduce task takes its buckets, freeing the stored
+    /// ones once read. The shuffled record count is exact and the byte
+    /// volume an estimate from each bucket's first record, in every mode.
     pub fn reduce_by_key<R, F>(
         &self,
         label: &str,
@@ -341,12 +356,11 @@ where
         let partitions = partitions.max(1);
         let engine = self.engine.clone();
         let (route, merge) = (&route, &merge);
-        let disk_mr = matches!(engine.mode(), crate::config::EngineMode::DiskMr);
 
         // Map side: combine within each partition, then split by key hash
         // into one bucket per reducer.
         let map_label = format!("{label}.combine");
-        let buckets: Vec<Vec<Vec<(K, V)>>> = self.engine.run_stage(
+        let buckets = self.engine.run_stage(
             &map_label,
             self.parts.clone(),
             (0, 0),
@@ -372,37 +386,32 @@ where
                     let p = (route(&k) % partitions as u64) as usize;
                     split[p].push((k, v));
                 }
+                let bytes: u64 = split
+                    .iter()
+                    .filter_map(|bucket| {
+                        let (k, v) = bucket.first()?;
+                        Some((k.size_estimate() + v.size_estimate()) as u64 * bucket.len() as u64)
+                    })
+                    .sum();
+                let placed: Vec<_> = split
+                    .into_iter()
+                    .map(|bucket| Self::finish_part(&engine, bucket))
+                    .collect();
                 TaskOutput {
                     records_in: data.len() as u64,
                     records_out,
-                    value: split,
+                    value: ((records_out, bytes), placed),
                 }
             },
         );
 
-        // Shuffle accounting: every combined record crosses the wire once;
-        // bytes are estimated from a sampled record size.
-        let mut shuffled_records = 0u64;
-        let mut shuffled_bytes = 0u64;
-        let mut reducer_inputs: Vec<Vec<Vec<(K, V)>>> =
+        // Every combined record crosses the shuffle once.
+        let mut shuffle = (0u64, 0u64);
+        let mut reducer_inputs: Vec<Vec<Part<(K, V)>>> =
             (0..partitions).map(|_| Vec::new()).collect();
-        for task_buckets in buckets {
+        for ((records, bytes), task_buckets) in buckets {
+            shuffle = (shuffle.0 + records, shuffle.1 + bytes);
             for (j, bucket) in task_buckets.into_iter().enumerate() {
-                shuffled_records += bucket.len() as u64;
-                if let Some((k, v)) = bucket.first() {
-                    shuffled_bytes +=
-                        (k.size_estimate() + v.size_estimate()) as u64 * bucket.len() as u64;
-                }
-                let bucket = if disk_mr {
-                    // Real serialization + disk round trip per map output.
-                    let encoded = encode_records(&bucket);
-                    let id = engine.store().put_disk(&encoded);
-                    let data = engine.store().get::<u8>(id);
-                    engine.store().free(id);
-                    decode_records::<(K, V)>(&data)
-                } else {
-                    bucket
-                };
                 reducer_inputs[j].push(bucket);
             }
         }
@@ -412,12 +421,12 @@ where
         let parts = self.engine.run_stage(
             &reduce_label,
             reducer_inputs,
-            (shuffled_records, shuffled_bytes),
-            |_, incoming: Vec<Vec<(K, V)>>| {
+            shuffle,
+            |_, incoming: Vec<Part<(K, V)>>| {
                 let mut merged: FxHashMap<K, V> = FxHashMap::default();
                 let mut records_in = 0u64;
                 for bucket in incoming {
-                    for (k, v) in bucket {
+                    for (k, v) in bucket.take(&engine) {
                         records_in += 1;
                         match merged.get_mut(&k) {
                             Some(acc) => merge(acc, v),
@@ -585,9 +594,7 @@ mod tests {
 
     #[test]
     fn disk_mr_mode_materializes_stages_on_disk() {
-        let e =
-            Engine::try_new(EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO))
-                .unwrap();
+        let e = Engine::try_new(EngineConfig::disk_mr()).unwrap();
         let d = e.parallelize((0..100u32).collect(), 4);
         let out = d.map("inc", |&x| x + 1);
         assert!(e.metrics().counters().disk_writes >= 4);
@@ -599,20 +606,32 @@ mod tests {
     #[test]
     fn disk_mr_reduce_matches_in_memory() {
         let pairs: Vec<(u32, u64)> = (0..200).map(|i| (i % 7, u64::from(i))).collect();
-        let run = |e: Engine| {
-            let mut out = e
-                .parallelize(pairs.clone(), 5)
+        let reduce = |e: &Engine| {
+            e.parallelize(pairs.clone(), 5)
                 .reduce_by_key("sum", 3, fx_hash_one, |a, b| *a += b)
-                .collect();
-            out.sort_unstable();
-            out
         };
-        let mem = run(engine());
-        let disk = run(Engine::try_new(
-            EngineConfig::disk_mr().with_stage_startup(std::time::Duration::ZERO),
-        )
-        .unwrap());
+        let mut mem = reduce(&engine()).collect();
+        mem.sort_unstable();
+
+        let dir = std::env::temp_dir().join(format!("sirum-disk-shuffle-{}", std::process::id()));
+        let e = Engine::try_new(EngineConfig::disk_mr().with_spill_dir(dir.clone())).unwrap();
+        let reduced = reduce(&e);
+        // One file per (map task, reducer) bucket, plus one per output
+        // partition.
+        assert_eq!(e.metrics().counters().disk_writes, 5 * 3 + 3);
+        let mut disk = reduced.collect();
+        reduced.free();
+        disk.sort_unstable();
         assert_eq!(mem, disk);
+        // Every bucket was freed once read, and the output once collected.
+        assert_eq!(e.store().resident_bytes(), 0);
+        // The store writes into its own subdirectory of the spill dir.
+        let files: usize = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|store| std::fs::read_dir(store.unwrap().path()).unwrap().count())
+            .sum();
+        assert_eq!(files, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

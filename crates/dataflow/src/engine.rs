@@ -161,10 +161,6 @@ impl Engine {
         O: Send,
         F: Fn(usize, I) -> TaskOutput<O> + Send + Sync,
     {
-        let startup = self.inner.config.stage_startup;
-        if !startup.is_zero() {
-            std::thread::sleep(startup);
-        }
         let workers = self
             .inner
             .config

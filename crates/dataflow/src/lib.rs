@@ -7,8 +7,8 @@
 //!   map-side-combine shuffles, broadcast variables, budgeted block cache
 //!   with LRU spill.
 //! * **Hive on MapReduce** ([`EngineMode::DiskMr`]): identical operators, but
-//!   every stage's output (and every shuffle) round-trips through disk and
-//!   each stage pays a job-startup latency.
+//!   every stage's output partitions and every shuffle bucket round-trip
+//!   through disk. Job startup is not emulated.
 //! * **PostgreSQL** ([`EngineMode::SingleThread`]): one worker, no
 //!   intra-query parallelism.
 //!

@@ -325,7 +325,8 @@ impl BlockStore {
     }
 
     /// Insert a partition directly on disk without occupying memory
-    /// (used by the Hive-like `DiskMr` mode for stage outputs).
+    /// (used by the Hive-like `DiskMr` mode for stage outputs and shuffle
+    /// buckets).
     ///
     /// When the disk write fails the store is poisoned and the partition
     /// falls back to memory so no data is lost before the driver notices.

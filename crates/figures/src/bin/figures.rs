@@ -36,8 +36,8 @@ fn run_on(e: Engine, table: &Table, config: SirumConfig) -> MiningResult {
     Miner::new(e, config).try_mine(table).expect("mine")
 }
 
-/// Runs behind each time the measured figures (5.1, 5.6, 5.11, 5.16,
-/// 5.17) report: the median of this many mines.
+/// Runs behind each time the measured figures (5.1, 5.2, 5.5, 5.6, 5.11,
+/// 5.16, 5.17) report: the median of this many mines.
 const RUNS: usize = 3;
 
 /// The median of `times`, which it sorts.
@@ -61,10 +61,26 @@ const ONE_HOST: &str = "note: measured on one host; the paper's 2->16-executor \
 /// Median wall seconds of [`RUNS`] mines of `table`, each on a fresh
 /// engine.
 fn median_wall(engine: EngineConfig, table: &Table, config: &SirumConfig) -> f64 {
-    let mut walls: Vec<f64> = (0..RUNS)
-        .map(|_| timed(|| run_on(engine_with(engine.clone()), table, config.clone())).1)
-        .collect();
+    let [[mut walls]] =
+        turns(|_| [timed(|| run_on(engine_with(engine.clone()), table, config.clone())).1]);
     median(&mut walls)
+}
+
+/// [`RUNS`] repeats of `N` mines taking turns (`mine(i)` for each `i` in
+/// order inside every repeat), each mine measuring `M` values: per mine and
+/// per value, the repeats' measurements.
+fn turns<const N: usize, const M: usize>(
+    mut mine: impl FnMut(usize) -> [f64; M],
+) -> [[Vec<f64>; M]; N] {
+    let mut out: [[Vec<f64>; M]; N] = std::array::from_fn(|_| std::array::from_fn(|_| Vec::new()));
+    for _ in 0..RUNS {
+        for (i, values) in out.iter_mut().enumerate() {
+            for (times, x) in values.iter_mut().zip(mine(i)) {
+                times.push(x);
+            }
+        }
+    }
+    out
 }
 
 /// Worker counts the scaling figures sweep: 1 up to the host's cores.
@@ -249,41 +265,51 @@ fn f5_1() {
     println!("{ONE_HOST}");
 }
 
-/// Fig 5.2: Baseline SIRUM on Spark vs Hive (disk-materialized MapReduce).
+/// Printed under Fig 5.2: what Hive mode measures.
+const HIVE_MODE: &str = "note: Hive mode is a serialized disk round trip of every stage \
+     output and shuffle bucket; MapReduce job startup is not emulated (DESIGN.md, \
+     \"Laptop-scale dataset substitutions\")";
+
+/// Fig 5.2: Baseline SIRUM on Spark vs Hive (disk-materialized MapReduce):
+/// per platform the median of [`RUNS`] mines, the two taking turns inside
+/// each repeat, and the runs' min-max.
 fn f5_2() {
     let mut rep = FigureReport::new(
         "f5_2_spark_vs_hive",
         &[
             "platform",
             "measured_s",
+            "min-max_s",
             "stages",
             "disk_write_mb",
             "slowdown",
         ],
     );
     let t = workloads::tlc(30_000);
-    let cfg = || Variant::Baseline.config(10, 16);
-    let spark_engine = engine();
-    let (_, spark_s) = timed(|| run_on(spark_engine.clone(), &t, cfg()));
-    let spark_stages = spark_engine.metrics().stage_count();
-    let hive_engine = engine_with(EngineConfig::disk_mr().with_partitions(PARTITIONS));
-    let (_, hive_s) = timed(|| run_on(hive_engine.clone(), &t, cfg()));
-    let c = hive_engine.metrics().counters();
-    rep.row(vec![
-        "Spark".into(),
-        secs(spark_s),
-        spark_stages.to_string(),
-        "0.0".into(),
-        "1.0x".into(),
-    ]);
-    rep.row(vec![
-        "Hive".into(),
-        secs(hive_s),
-        hive_engine.metrics().stage_count().to_string(),
-        format!("{:.1}", c.disk_bytes_written as f64 / (1024.0 * 1024.0)),
-        speedup(hive_s, spark_s),
-    ]);
+    let platforms = [EngineConfig::in_memory(), EngineConfig::disk_mr()];
+    // Wall seconds, stages and MB written; the last two are the same in
+    // every repeat.
+    let [mut spark, hive] = turns(|i| {
+        let e = engine_with(platforms[i].clone().with_partitions(PARTITIONS));
+        let wall = timed(|| run_on(e.clone(), &t, Variant::Baseline.config(10, 16))).1;
+        let written = e.metrics().counters().disk_bytes_written as f64;
+        let stages = e.metrics().stage_count() as f64;
+        [wall, stages, written / (1024.0 * 1024.0)]
+    });
+    let spark_s = median(&mut spark[0]);
+    for (name, [mut times, mut stages, mut mb]) in [("Spark", spark), ("Hive", hive)] {
+        let wall = median(&mut times);
+        rep.row(vec![
+            name.into(),
+            secs(wall),
+            spread(&times),
+            median(&mut stages).to_string(),
+            format!("{:.1}", median(&mut mb)),
+            speedup(wall, spark_s),
+        ]);
+    }
     rep.finish();
+    println!("{HIVE_MODE}");
 }
 
 /// Figs 5.3/5.4: iterative-scaling time, Baseline vs RCT, vs k.
@@ -315,16 +341,20 @@ fn f5_3() {
 }
 
 /// Fig 5.5: rule-generation time, Baseline vs FastPruning, vs |s| (GDELT,
-/// k = 20), with each variant's candidate pruning split into its two
-/// stages: the LCA emit (`lca-naive` / `lca-fast`, where the index acts)
-/// and the `lca-agg` shuffle, as task-busy seconds summed over partitions.
+/// k = 5): per cell the median of [`RUNS`] mines, the two variants taking
+/// turns inside each repeat, and the runs' min-max. Each variant's candidate
+/// pruning is split into its two stages: the LCA emit (`lca-naive` /
+/// `lca-fast`, where the index acts) and the `lca-agg` shuffle, as the
+/// median over the same runs of task-busy seconds summed over partitions.
 fn f5_5() {
     let mut rep = FigureReport::new(
         "f5_5_fast_pruning",
         &[
             "|s|",
             "baseline_s",
+            "baseline_min-max_s",
             "fastpruning_s",
+            "fastpruning_min-max_s",
             "speedup",
             "baseline_emit_busy_s",
             "baseline_agg_busy_s",
@@ -343,24 +373,27 @@ fn f5_5() {
         let emit = busy(&|l| l == "lca-naive" || l == "lca-fast");
         (emit, busy(&|l| l.starts_with("lca-agg")))
     };
+    let variants = [Variant::Baseline, Variant::FastPruning];
     for s in [64usize, 128, 256] {
-        let (base_engine, fast_engine) = (engine(), engine());
-        let base = run_on(base_engine.clone(), &t, Variant::Baseline.config(5, s));
-        let fast = run_on(fast_engine.clone(), &t, Variant::FastPruning.config(5, s));
-        let (base_emit, base_agg) = split(&base_engine);
-        let (fast_emit, fast_agg) = split(&fast_engine);
+        // Per variant: rule-generation, emit and agg seconds.
+        let [mut base, mut fast] = turns(|i| {
+            let e = engine();
+            let result = run_on(e.clone(), &t, variants[i].config(5, s));
+            let (emit, agg) = split(&e);
+            [result.timings.rule_generation(), emit, agg]
+        });
+        let (base_s, fast_s) = (median(&mut base[0]), median(&mut fast[0]));
         rep.row(vec![
             s.to_string(),
-            secs(base.timings.rule_generation()),
-            secs(fast.timings.rule_generation()),
-            speedup(
-                base.timings.rule_generation(),
-                fast.timings.rule_generation(),
-            ),
-            secs(base_emit),
-            secs(base_agg),
-            secs(fast_emit),
-            secs(fast_agg),
+            secs(base_s),
+            spread(&base[0]),
+            secs(fast_s),
+            spread(&fast[0]),
+            speedup(base_s, fast_s),
+            secs(median(&mut base[1])),
+            secs(median(&mut base[2])),
+            secs(median(&mut fast[1])),
+            secs(median(&mut fast[2])),
         ]);
     }
     rep.finish();
@@ -382,13 +415,10 @@ fn f5_6() {
         ],
     );
     let t = workloads::susy();
+    let variants = [Variant::Baseline, Variant::FastAncestor];
     for s in [8usize, 16, 32] {
-        let (mut base, mut fast) = (Vec::new(), Vec::new());
-        for _ in 0..RUNS {
-            let rule_gen = |v: Variant| run(&t, v.config(5, s)).timings.rule_generation();
-            base.push(rule_gen(Variant::Baseline));
-            fast.push(rule_gen(Variant::FastAncestor));
-        }
+        let [[mut base], [mut fast]] =
+            turns(|i| [run(&t, variants[i].config(5, s)).timings.rule_generation()]);
         let (base_s, fast_s) = (median(&mut base), median(&mut fast));
         rep.row(vec![
             s.to_string(),

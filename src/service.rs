@@ -592,19 +592,12 @@ impl ServiceBuilder {
         self
     }
 
-    /// Select the platform-emulation mode. Only the mode-dependent knobs
-    /// change (`mode` itself and the stage-startup latency); every other
+    /// Select the platform-emulation mode. Only `mode` changes; every other
     /// setting — `workers`, `partitions`, a full [`Self::engine_config`] —
     /// is preserved, so setter order does not matter. `SingleThread`'s
     /// one-worker constraint is applied by the engine at execution time.
     pub fn mode(mut self, mode: EngineMode) -> Self {
-        let base = match mode {
-            EngineMode::InMemory => EngineConfig::in_memory(),
-            EngineMode::DiskMr => EngineConfig::disk_mr(),
-            EngineMode::SingleThread => EngineConfig::single_thread(),
-        };
-        self.config.mode = base.mode;
-        self.config.stage_startup = base.stage_startup;
+        self.config.mode = mode;
         self
     }
 
@@ -2126,8 +2119,7 @@ mod tests {
         assert_eq!(config.mode, EngineMode::DiskMr);
         assert_eq!(config.workers, 3);
         assert_eq!(config.partitions, 7);
-        assert!(config.stage_startup > Duration::ZERO);
-        // Switching back clears the mode-dependent latency only.
+        // Switching back changes the mode only.
         let service = SirumService::builder()
             .workers(3)
             .mode(EngineMode::DiskMr)
@@ -2136,7 +2128,6 @@ mod tests {
             .unwrap();
         let config = service.engine().config();
         assert_eq!(config.mode, EngineMode::InMemory);
-        assert_eq!(config.stage_startup, Duration::ZERO);
         assert_eq!(config.workers, 3);
     }
 

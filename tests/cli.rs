@@ -59,6 +59,27 @@ fn cli_mines_the_request_the_service_mines_for_the_same_fields() {
     );
 }
 
+/// `--engine` reaches `ServiceBuilder::mode`: the staged Baseline mines
+/// the same rules on every platform emulation.
+#[test]
+fn every_engine_mode_mines_what_the_in_memory_engine_mines() {
+    let args = [
+        "--demo",
+        "flights",
+        "--k",
+        "2",
+        "--variant",
+        "baseline",
+        "--format",
+        "json",
+    ];
+    let with_engine = |engine: &str| cli_result(&[&args[..], &["--engine", engine]].concat());
+    let in_memory = mined(&with_engine("in-memory"));
+    for engine in ["disk-mr", "single-thread"] {
+        assert_eq!(mined(&with_engine(engine)), in_memory, "--engine {engine}");
+    }
+}
+
 #[test]
 fn cli_explains_and_rejects_unknown_flags() {
     let out = sirum(&["--demo", "flights", "--explain"]);
