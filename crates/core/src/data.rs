@@ -141,33 +141,6 @@ impl MiningData {
         )
     }
 
-    /// One KL evaluation pass: `(Σ m·ln(m/m̂), Σ m, Σ m̂)`.
-    pub(crate) fn kl_parts(&self) -> (f64, f64, f64) {
-        self.0.aggregate_partitions(
-            "kl",
-            || (0.0f64, 0.0f64, 0.0f64),
-            |_, blocks| {
-                let mut acc = (0.0f64, 0.0f64, 0.0f64);
-                for block in blocks {
-                    let (m, mh) = (block.m(), block.mhat());
-                    for i in 0..block.len() {
-                        if m[i] > 0.0 {
-                            acc.0 += m[i] * (m[i] / mh[i]).ln();
-                        }
-                        acc.1 += m[i];
-                        acc.2 += mh[i];
-                    }
-                }
-                acc
-            },
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-                a.2 += b.2;
-            },
-        )
-    }
-
     /// Reset every estimate to 1 (Sarawagi's from-scratch re-derivation).
     pub(crate) fn reset_mhat(&self) -> MiningData {
         MiningData(self.0.map("reset-mhat", |block| {
@@ -191,7 +164,8 @@ impl MiningData {
 
     /// Group tuples by bit array into the RCT: each partition folds its
     /// rows in ascending order, and the partitions merge in partition
-    /// order.
+    /// order. Algorithm 3 fits the model on it; after Algorithm 1 it only
+    /// scores the fit (`Rct::kl`).
     pub(crate) fn build_rct(&self) -> Rct {
         self.0.aggregate_partitions(
             "build-rct",

@@ -38,9 +38,13 @@ pub fn rule_gain_two_sided(sum_m: f64, sum_mhat: f64) -> f64 {
 /// (normalized) estimated distribution: `Σ p log(p/q)` with
 /// `p = m/Σm`, `q = mhat/Σmhat`. Tuples with `m = 0` contribute zero.
 ///
+/// The per-row definition. The crate scores its fitted models from their
+/// Rule Coverage Table instead, one `ln` per group (see [`crate::rct`]);
+/// tests hold that to this function.
+///
 /// Total over all float *values*, with saturating semantics at the edges
-/// (these are reachable from user data — e.g. an all-zero measure column —
-/// through [`crate::evaluate`]):
+/// (the group form saturates the same way; a zero-mass rule or an
+/// all-zero measure column reaches them from user data):
 ///
 /// * `Σm ≤ 0` — the true distribution has no mass, so there is nothing to
 ///   diverge from: returns `0.0`;
@@ -92,20 +96,23 @@ pub fn kl_from_parts(s1: f64, sum_m: f64, sum_mhat: f64) -> f64 {
 /// estimated success probability `mhat` (clamped to `(ε, 1-ε)`), and sums
 /// the per-tuple Bernoulli divergences.
 pub fn binary_kl(m: &[f64], mhat: &[f64]) -> f64 {
-    const EPS: f64 = 1e-9;
     // lint:allow(SL001) — parallel-array contract; a length mismatch is a caller logic error, not user data
     assert_eq!(m.len(), mhat.len());
-    let mut total = 0.0;
-    for (&mi, &qi) in m.iter().zip(mhat) {
-        debug_assert!(mi == 0.0 || mi == 1.0, "binary measure expected");
-        let q = qi.clamp(EPS, 1.0 - EPS);
-        total += if mi >= 0.5 {
-            (1.0 / q).ln()
-        } else {
-            (1.0 / (1.0 - q)).ln()
-        };
+    let rows = m.iter().zip(mhat);
+    rows.fold(0.0, |acc, (&mi, &qi)| acc + bernoulli_kl(mi, qi))
+}
+
+/// One tuple's term of [`binary_kl`], for callers that derive `mhat` per
+/// row instead of holding a column of it.
+pub(crate) fn bernoulli_kl(m: f64, mhat: f64) -> f64 {
+    const EPS: f64 = 1e-9;
+    debug_assert!(m == 0.0 || m == 1.0, "binary measure expected");
+    let q = mhat.clamp(EPS, 1.0 - EPS);
+    if m >= 0.5 {
+        (1.0 / q).ln()
+    } else {
+        (1.0 / (1.0 - q)).ln()
     }
-    total
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@ use crate::cancel::CancellationToken;
 use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, MAX_SAMPLE};
 use crate::data::MiningData;
 use crate::error::SirumError;
-use crate::gain::{kl_from_parts, rule_gain, rule_gain_two_sided};
+use crate::gain::{rule_gain, rule_gain_two_sided};
 use crate::lattice::{check_expandable, column_groups};
 use crate::multirule::{rank_limit, select_rules, top_by_gain, ScoredCandidate};
 use crate::prepared::PreparedTable;
-use crate::rct::{mhat_for_mask, MAX_RULES};
+use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::{Rule, RuleKey, RuleLayout};
 use crate::scaling::{iterative_scaling, ScalingBackend, ScalingConfig};
 use crate::sweep::{SweepOptions, SweepState};
@@ -534,7 +534,7 @@ impl Miner {
         // Fit the seed model.
         let new_range = 0..rules.len();
         // The first sweep scans every row, whatever the seed fit shares.
-        self.run_scaling(
+        let (fit, _) = self.run_scaling(
             &mut data,
             &rules,
             &m_sums,
@@ -543,7 +543,7 @@ impl Miner {
             &mut timings,
             &mut scaling_iterations,
         );
-        let mut kl_trace = vec![self.compute_kl(&data)];
+        let mut kl_trace = vec![fit.kl(&lambdas, prepared.m_ln_m())];
         if let Err(e) = self.engine.health() {
             data.free();
             return Err(e.into());
@@ -635,7 +635,7 @@ impl Miner {
                     gain: c.gain,
                 });
             }
-            let shared = self.run_scaling(
+            let (fit, shared) = self.run_scaling(
                 &mut data,
                 &rules,
                 &m_sums,
@@ -645,7 +645,7 @@ impl Miner {
                 &mut scaling_iterations,
             );
             sweep.set_shared_estimate(shared);
-            kl_trace.push(self.compute_kl(&data));
+            kl_trace.push(fit.kl(&lambdas, prepared.m_ln_m()));
             iterations += 1;
             if let Err(e) = self.engine.health() {
                 data.free();
@@ -697,17 +697,12 @@ impl Miner {
         data.cache(self.engine.mode());
     }
 
-    /// One KL evaluation pass (Eq in §2.3, assembled from aggregates).
-    fn compute_kl(&self, data: &MiningData) -> f64 {
-        let (s1, sum_m, sum_mhat) = data.kl_parts();
-        kl_from_parts(s1, sum_m, sum_mhat)
-    }
-
     /// Run iterative scaling after appending rules `new` to the model,
-    /// leaving updated estimates and bit arrays in `data`. Returns, on the
-    /// RCT path, the estimate most tuples now carry: that of the RCT's
-    /// largest group (first by mask among equals), as [`mhat_for_mask`]
-    /// wrote it, for the next sweeps to count instead of scan
+    /// leaving updated estimates and bit arrays in `data`. Returns the RCT
+    /// of the fitted model, which scores it (`Rct::kl`), and, on the RCT
+    /// path, the estimate most tuples now carry: that of the RCT's largest
+    /// group (first by mask among equals), as [`mhat_for_mask`] wrote it,
+    /// for the next sweeps to count instead of scan
     /// ([`SweepState::set_shared_estimate`]).
     ///
     /// A cancellation token stops the fit between two λ updates; the next
@@ -725,7 +720,7 @@ impl Miner {
         new: std::ops::Range<usize>,
         timings: &mut PhaseTimings,
         scaling_iterations: &mut Vec<usize>,
-    ) -> Option<f64> {
+    ) -> (Rct, Option<f64>) {
         let start = Instant::now();
         let cfg = &self.config;
         let cancel = self.cancellation.as_ref();
@@ -748,7 +743,7 @@ impl Miner {
         let updated = data.update_ba(new_rules);
         self.cache_swap(data, updated);
 
-        let (outcome, shared) = if cfg.rct {
+        let (outcome, fitted) = if cfg.rct {
             // Pass 2: group by BA to build the RCT (small, driver-resident).
             let mut rct = data.build_rct();
 
@@ -758,10 +753,7 @@ impl Miner {
             // Pass 3: write the converged estimates back to D.
             let written = data.write_mhat(lambdas.to_vec());
             self.cache_swap(data, written);
-            // `max_by_key` keeps the last of equal maxima: walk the
-            // mask-sorted groups backwards for the first.
-            let largest = rct.groups().iter().rev().max_by_key(|g| g.count);
-            (outcome, largest.map(|g| mhat_for_mask(g.mask, lambdas)))
+            (outcome, Some(rct))
         } else {
             // Algorithm 1 against the distributed dataset: every λ update
             // pays one sums pass and one update pass over D.
@@ -772,7 +764,16 @@ impl Miner {
         scaling_iterations.push(outcome.iterations);
 
         timings.iterative_scaling += start.elapsed().as_secs_f64();
-        shared
+        // Algorithm 1 keeps no RCT: group the fitted rows once, outside the
+        // timed fit, only to score the model.
+        let Some(rct) = fitted else {
+            return (data.build_rct(), None);
+        };
+        // `max_by_key` keeps the last of equal maxima: walk the mask-sorted
+        // groups backwards for the first.
+        let largest = rct.groups().iter().rev().max_by_key(|g| g.count);
+        let shared = largest.map(|g| mhat_for_mask(g.mask, lambdas));
+        (rct, shared)
     }
 
     /// Candidate generation for one iteration on the default path: one

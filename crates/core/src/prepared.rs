@@ -29,6 +29,8 @@ use std::sync::Arc;
 pub struct PreparedTable {
     frame: Frame,
     m_prime: Arc<[f64]>,
+    /// `Σ_{m′>0} m′·ln m′` in row order: the data's half of every KL.
+    m_ln_m: f64,
     transform: MeasureTransform,
 }
 
@@ -63,9 +65,12 @@ impl PreparedTable {
     /// Same as [`Self::try_new`].
     pub fn from_frame(frame: Frame) -> Result<Self, SirumError> {
         let (transform, m_prime) = MeasureTransform::try_fit(frame.measures())?;
+        let positive = m_prime.iter().filter(|&&m| m > 0.0);
+        let m_ln_m = positive.fold(0.0, |acc, &m| acc + m * m.ln());
         Ok(PreparedTable {
             frame,
             m_prime: Arc::from(m_prime),
+            m_ln_m,
             transform,
         })
     }
@@ -95,6 +100,12 @@ impl PreparedTable {
     /// for building partition-aligned column windows.
     pub fn m_prime_slice(&self) -> ColSlice<f64> {
         ColSlice::full(Arc::clone(&self.m_prime))
+    }
+
+    /// `Σ_{m′>0} m′·ln m′` over the rows, in row order: with a fitted
+    /// model's RCT, its KL divergence (`crate::rct::Rct::kl`).
+    pub(crate) fn m_ln_m(&self) -> f64 {
+        self.m_ln_m
     }
 
     /// The fitted measure transform (shift applied to produce `m′`).

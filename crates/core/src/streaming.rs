@@ -3,9 +3,10 @@
 //!
 //! The maintainer keeps the dataset in compact columnar form together with
 //! per-tuple rule-coverage bit arrays, and holds the Rule Coverage Table
-//! itself plus one scalar, `Σ m·ln m` over the history, which with the
-//! RCT's `Σm` per group makes the exact KL computable from the groups
-//! alone. Ingesting a batch:
+//! itself plus one scalar, `Σ m·ln m` over the history, kept up to date
+//! row by row. With it the RCT scores the model the way it scores every
+//! fitted model in the crate (see [`crate::rct`]): one `ln` per group, no
+//! pass over the history. Ingesting a batch:
 //!
 //! 1. computes the new tuples' bit arrays against the current rules and
 //!    folds each row straight into its RCT group (no rescan of old data),
@@ -21,7 +22,6 @@
 //! from the history, then the usual warm refit.
 
 use crate::error::SirumError;
-use crate::gain::kl_from_parts;
 use crate::miner::{CandidateStrategy, Miner, SirumConfig};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, Rct, RctGroup};
@@ -228,20 +228,7 @@ impl StreamingMiner {
     /// Exact KL divergence of the current model, computed purely from the
     /// RCT and `Σ m·ln m` (tuples in one group share an estimate).
     pub fn kl(&self) -> f64 {
-        let mut s1 = self.m_ln_m;
-        let mut sum_m = 0.0;
-        let mut sum_mhat = 0.0;
-        for g in self.rct.groups() {
-            let q = mhat_for_mask(g.mask, &self.lambdas);
-            debug_assert!(q > 0.0);
-            s1 -= g.sum_m * q.ln();
-            sum_m += g.sum_m;
-            sum_mhat += g.sum_mhat;
-        }
-        if sum_m <= 0.0 {
-            return 0.0;
-        }
-        kl_from_parts(s1, sum_m, sum_mhat)
+        self.rct.kl(&self.lambdas, self.m_ln_m)
     }
 
     /// Per-tuple estimate of historical row `i`.

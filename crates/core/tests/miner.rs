@@ -362,6 +362,24 @@ fn target_kl_keeps_mining_until_reached() {
         starred.final_kl()
     );
     assert!(starred.rules.len() > 3, "needs more than k=2 rules");
+
+    // A target at, just above or just below a KL the reference reached
+    // stops the mine at the first rule whose KL is within it.
+    let trace = &reference.kl_trace;
+    for &kl in &trace[1..] {
+        for target in [kl.next_down(), kl, kl.next_up()] {
+            let cfg = SirumConfig {
+                target_kl: Some(target),
+                max_rules: Some(trace.len() - 1),
+                ..full_sample_config(1, 32)
+            };
+            let r = Miner::new(engine(), cfg).try_mine(&t).unwrap();
+            let reached = trace[1..].iter().position(|&x| x <= target);
+            let mined = reached.map_or(trace.len() - 1, |i| i + 1);
+            assert_eq!(r.rules.len(), 1 + mined, "target {target:e}");
+            assert_eq!(r.kl_trace[..], trace[..=mined], "target {target:e}");
+        }
+    }
 }
 
 #[test]
@@ -676,29 +694,29 @@ fn staged_output_is_pinned_bit_for_bit() {
         ..SirumConfig::default()
     };
     let cases = [
-        ("Naive", Variant::Naive.config(4, 16), 0xfa67_64f9_e4b6_91ea),
+        ("Naive", Variant::Naive.config(4, 16), 0x282e_6ea8_b5b9_e1e4),
         (
             "Baseline",
             Variant::Baseline.config(4, 16),
-            0x4fd6_7287_fcab_348d,
+            0x2a92_6c64_6ce3_9f03,
         ),
-        ("RCT", Variant::Rct.config(4, 16), 0xfa22_79f1_d39a_9b73),
+        ("RCT", Variant::Rct.config(4, 16), 0xb77e_b55e_f73d_50b6),
         (
             "FastPruning",
             Variant::FastPruning.config(4, 16),
-            0x4fd6_7287_fcab_348d,
+            0x2a92_6c64_6ce3_9f03,
         ),
         (
             "FastAncestor",
             Variant::FastAncestor.config(4, 16),
-            0xe154_7b53_1387_fdfb,
+            0x011d_18ae_d65b_b0f9,
         ),
         (
             "MultiRule",
             Variant::MultiRule.config(4, 16),
-            0x635c_b44d_080d_2bd9,
+            0xb2a9_bd45_1d8a_4445,
         ),
-        ("FullCube", full_cube, 0x9f70_6642_14de_0c0f),
+        ("FullCube", full_cube, 0x3764_882d_6a9f_6e3b),
     ];
     for (name, config, pinned) in cases {
         let r = Miner::new(engine(), config).try_mine(&t).unwrap();

@@ -146,11 +146,13 @@ impl<T: Record> Dataset<T> {
 
     /// Place a freshly produced stage output partition or shuffle bucket
     /// according to the engine mode: in memory for the Spark-like modes,
-    /// written to disk for `DiskMr`. The one place the mode is read.
+    /// written to disk for `DiskMr`. The one place the mode is read. An
+    /// empty part holds nothing to write, so it stays in memory in every
+    /// mode: a map task whose keys miss a reducer writes no bucket for it.
     fn finish_part<U: Record>(engine: &Engine, out: Vec<U>) -> Part<U> {
         use crate::config::EngineMode;
         match engine.mode() {
-            EngineMode::DiskMr => Part::Stored(engine.store().put_disk(&out)),
+            EngineMode::DiskMr if !out.is_empty() => Part::Stored(engine.store().put_disk(&out)),
             _ => Part::Mem(Arc::new(out)),
         }
     }
@@ -605,33 +607,43 @@ mod tests {
 
     #[test]
     fn disk_mr_reduce_matches_in_memory() {
-        let pairs: Vec<(u32, u64)> = (0..200).map(|i| (i % 7, u64::from(i))).collect();
-        let reduce = |e: &Engine| {
-            e.parallelize(pairs.clone(), 5)
-                .reduce_by_key("sum", 3, fx_hash_one, |a, b| *a += b)
-        };
-        let mut mem = reduce(&engine()).collect();
-        mem.sort_unstable();
+        // 7 and 2 keys over 3 reducers: with 2 keys, at least one reducer
+        // gets no record from any map task.
+        for keys in [7u32, 2] {
+            let pairs: Vec<(u32, u64)> = (0..200).map(|i| (i % keys, u64::from(i))).collect();
+            let reduce = |e: &Engine| {
+                e.parallelize(pairs.clone(), 5)
+                    .reduce_by_key("sum", 3, fx_hash_one, |a, b| *a += b)
+            };
+            let mut mem = reduce(&engine()).collect();
+            mem.sort_unstable();
 
-        let dir = std::env::temp_dir().join(format!("sirum-disk-shuffle-{}", std::process::id()));
-        let e = Engine::try_new(EngineConfig::disk_mr().with_spill_dir(dir.clone())).unwrap();
-        let reduced = reduce(&e);
-        // One file per (map task, reducer) bucket, plus one per output
-        // partition.
-        assert_eq!(e.metrics().counters().disk_writes, 5 * 3 + 3);
-        let mut disk = reduced.collect();
-        reduced.free();
-        disk.sort_unstable();
-        assert_eq!(mem, disk);
-        // Every bucket was freed once read, and the output once collected.
-        assert_eq!(e.store().resident_bytes(), 0);
-        // The store writes into its own subdirectory of the spill dir.
-        let files: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|store| std::fs::read_dir(store.unwrap().path()).unwrap().count())
-            .sum();
-        assert_eq!(files, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
+            let dir = std::env::temp_dir()
+                .join(format!("sirum-disk-shuffle-{}-{keys}", std::process::id()));
+            let e = Engine::try_new(EngineConfig::disk_mr().with_spill_dir(dir.clone())).unwrap();
+            let reduced = reduce(&e);
+            // Each of the 5 map tasks sees every key, so it writes one file
+            // per reducer some key routes to, and each such reducer writes
+            // one output partition; empty buckets and partitions write
+            // nothing.
+            let reducers: std::collections::HashSet<u64> =
+                (0..keys).map(|k| fx_hash_one(&k) % 3).collect();
+            let filled = reducers.len() as u64;
+            assert_eq!(e.metrics().counters().disk_writes, 5 * filled + filled);
+            let mut disk = reduced.collect();
+            reduced.free();
+            disk.sort_unstable();
+            assert_eq!(mem, disk);
+            // Every bucket was freed once read, and the output once collected.
+            assert_eq!(e.store().resident_bytes(), 0);
+            // The store writes into its own subdirectory of the spill dir.
+            let files: usize = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|store| std::fs::read_dir(store.unwrap().path()).unwrap().count())
+                .sum();
+            assert_eq!(files, 0);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

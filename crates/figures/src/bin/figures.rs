@@ -89,7 +89,7 @@ fn host_cores() -> usize {
 }
 
 /// Fig 3.1: Baseline SIRUM runtimes, rule generation vs iterative scaling,
-/// per dataset (k = 10, |s| = 64).
+/// per dataset (k = 5; |s| = 64, 16 on SUSY).
 fn f3_1() {
     let mut rep = FigureReport::new(
         "f3_1_baseline_runtimes",
@@ -114,7 +114,8 @@ fn f3_1() {
 }
 
 /// Fig 3.2: rule-generation runtime by step as dimensions grow
-/// (k = 10, |s| = 64; SUSY projected onto 10/14/18 dims).
+/// (k = 5; |s| = 64 on Income and GDELT, 16 on SUSY projected onto
+/// 10/14/18 dims).
 fn f3_2() {
     let mut rep = FigureReport::new(
         "f3_2_rulegen_steps",
@@ -281,29 +282,32 @@ fn f5_2() {
             "measured_s",
             "min-max_s",
             "stages",
+            "disk_writes",
             "disk_write_mb",
             "slowdown",
         ],
     );
     let t = workloads::tlc(30_000);
     let platforms = [EngineConfig::in_memory(), EngineConfig::disk_mr()];
-    // Wall seconds, stages and MB written; the last two are the same in
-    // every repeat.
+    // Wall seconds, stages, files and MB written; the last three are the
+    // same in every repeat.
     let [mut spark, hive] = turns(|i| {
         let e = engine_with(platforms[i].clone().with_partitions(PARTITIONS));
         let wall = timed(|| run_on(e.clone(), &t, Variant::Baseline.config(10, 16))).1;
-        let written = e.metrics().counters().disk_bytes_written as f64;
+        let counters = e.metrics().counters();
         let stages = e.metrics().stage_count() as f64;
-        [wall, stages, written / (1024.0 * 1024.0)]
+        let mb = counters.disk_bytes_written as f64 / (1024.0 * 1024.0);
+        [wall, stages, counters.disk_writes as f64, mb]
     });
     let spark_s = median(&mut spark[0]);
-    for (name, [mut times, mut stages, mut mb]) in [("Spark", spark), ("Hive", hive)] {
+    for (name, [mut times, mut stages, mut writes, mut mb]) in [("Spark", spark), ("Hive", hive)] {
         let wall = median(&mut times);
         rep.row(vec![
             name.into(),
             secs(wall),
             spread(&times),
             median(&mut stages).to_string(),
+            median(&mut writes).to_string(),
             format!("{:.1}", median(&mut mb)),
             speedup(wall, spark_s),
         ]);
@@ -400,7 +404,7 @@ fn f5_5() {
 }
 
 /// Fig 5.6: rule-generation time, Baseline vs FastAncestor, vs |s| (SUSY,
-/// k = 20): per cell the median of [`RUNS`] mines, the two variants taking
+/// k = 5, |s| = 8/16/32): per cell the median of [`RUNS`] mines, the two variants taking
 /// turns inside each repeat, and the runs' min-max.
 fn f5_6() {
     let mut rep = FigureReport::new(
@@ -433,7 +437,7 @@ fn f5_6() {
 }
 
 /// Figs 5.7/5.8: rule-generation time and #ancestors emitted vs number of
-/// dimensions (SUSY projections, k = 10, |s| = 64).
+/// dimensions (SUSY projected onto 10–18 dims, k = 5, |s| = 16).
 fn f5_7() {
     let mut rep = FigureReport::new(
         "f5_7_f5_8_dims",
@@ -525,8 +529,9 @@ fn f5_9() {
     rep.finish();
 }
 
-/// Fig 5.11: Naive vs Baseline vs Optimized (and Optimized*) on growing
-/// TLC samples (k = 20, |s| = 64): per cell the median of [`RUNS`] mines,
+/// Fig 5.11: Naive vs Baseline vs Optimized on growing TLC samples (k = 10,
+/// |s| = 64), and Optimized*, which mines until it reaches Baseline's final
+/// KL, at most 20 rules: per cell the median of [`RUNS`] mines,
 /// the four variants taking turns inside each repeat, and the runs'
 /// min-max.
 fn f5_11() {

@@ -836,12 +836,12 @@ mod tests {
     #[test]
     fn mining_result_json_is_pinned_byte_for_byte() {
         let cases = [
-            (generators::flights(), 3, 14, 0x572d_ad18_c558_9d43_u64),
+            (generators::flights(), 3, 14, 0x94b1_fa96_d432_9730_u64),
             (
                 generators::income_like(2000, 7),
                 4,
                 32,
-                0x1ee1_4c79_f2af_7ca2,
+                0xc328_5150_774a_5d77,
             ),
         ];
         for (table, k, sample_size, pinned) in cases {

@@ -226,18 +226,21 @@ fn service_with_zero_mass_rows() -> (SirumService, Rule) {
 
 #[test]
 fn a_prior_with_zero_true_mass_fits_its_rows_to_zero() {
-    let (service, x) = service_with_zero_mass_rows();
-    let out = service
-        .mine("zero")
-        .k(1)
-        .prior(vec![x.clone()])
-        .run()
-        .unwrap();
-    let prior = &out.result.rules[1];
-    assert_eq!((&prior.rule, prior.avg_measure, prior.count), (&x, 0.0, 2));
-    let kl = &out.result.kl_trace;
-    assert!(kl.iter().all(|v| v.is_finite()), "{kl:?}");
-    assert!(kl.windows(2).all(|w| w[1] <= w[0]), "{kl:?}");
+    // Both scaling paths: the default fits on the RCT, Baseline runs
+    // Algorithm 1 over the rows (`rct: false`).
+    for variant in [None, Some(Variant::Baseline)] {
+        let (service, x) = service_with_zero_mass_rows();
+        let mut request = service.mine("zero").k(1).prior(vec![x.clone()]);
+        if let Some(v) = variant {
+            request = request.variant(v);
+        }
+        let out = request.run().unwrap();
+        let prior = &out.result.rules[1];
+        assert_eq!((&prior.rule, prior.avg_measure, prior.count), (&x, 0.0, 2));
+        let kl = &out.result.kl_trace;
+        assert!(kl.iter().all(|v| v.is_finite()), "{variant:?}: {kl:?}");
+        assert!(kl.windows(2).all(|w| w[1] <= w[0]), "{variant:?}: {kl:?}");
+    }
 }
 
 #[test]
