@@ -9,11 +9,13 @@
 //! allocates two fresh arrays per *partition*, never anything per *row*.
 //!
 //! Blocks implement [`Encode`], so partitions spill/round-trip through the
-//! block store (DiskMr stage materialization, memory-pressure eviction); a
-//! decoded block owns fresh columns with identical values.
+//! block store (DiskMr stage materialization, memory-pressure eviction):
+//! each dimension column spills as the segments its range overlaps, in
+//! their own formats, and a decoded block owns fresh columns with
+//! identical values and segment formats.
 
 use sirum_dataflow::Encode;
-use sirum_table::{ColSlice, Frame, FrameView};
+use sirum_table::{ColSlice, CompressedCol, Frame, FrameView, Segment};
 use std::sync::Arc;
 
 /// One columnar partition of the mining dataset: shared dimension columns
@@ -135,27 +137,12 @@ impl Encode for TupleBlock {
         for &card in self.dims.cards() {
             card.encode(out);
         }
-        // Raw columns spill their codes verbatim; compressed columns spill
-        // their overlapping segments as stored (boundary segments clipped),
-        // so a spilled block stays compressed on disk.
+        // Each column spills its overlapping segments as stored (boundary
+        // segments clipped), so a spilled block keeps its formats on disk.
         for j in 0..self.num_dims() {
-            match self.dims.frame().column(j) {
-                sirum_table::Column::Raw(codes) => {
-                    out.push(0);
-                    let start = self.dims.start();
-                    for &code in &codes[start..start + self.dims.len()] {
-                        code.encode(out);
-                    }
-                }
-                sirum_table::Column::Compressed(c) => {
-                    out.push(1);
-                    let segments = c.slice_segments(self.dims.start(), self.dims.len());
-                    (segments.len() as u64).encode(out);
-                    for seg in &segments {
-                        sirum_dataflow::encode_segment(seg, out);
-                    }
-                }
-            }
+            let col = self.dims.frame().column(j);
+            col.slice_segments(self.dims.start(), self.dims.len())
+                .encode(out);
         }
         for &v in self.m.iter() {
             v.encode(out);
@@ -172,38 +159,16 @@ impl Encode for TupleBlock {
         let d = u64::decode(buf) as usize;
         let n = u64::decode(buf) as usize;
         let cards: Vec<u32> = (0..d).map(|_| u32::decode(buf)).collect();
-        let mut raw_cols: Vec<Vec<u32>> = Vec::new();
-        let mut compressed_cols: Vec<sirum_table::CompressedCol> = Vec::new();
-        for _ in 0..d {
-            let tag = buf[0];
-            *buf = &buf[1..];
-            if tag == 0 {
-                raw_cols.push((0..n).map(|_| u32::decode(buf)).collect());
-            } else {
-                let segs = u64::decode(buf) as usize;
-                compressed_cols.push(sirum_table::CompressedCol::from_segments(
-                    (0..segs)
-                        .map(|_| sirum_dataflow::decode_segment(buf))
-                        .collect(),
-                ));
-            }
-        }
+        let cols: Vec<CompressedCol> = (0..d)
+            .map(|_| CompressedCol::from_segments(Vec::<Segment>::decode(buf)))
+            .collect();
         let m: Vec<f64> = (0..n).map(|_| f64::decode(buf)).collect();
         let mhat: Vec<f64> = (0..n).map(|_| f64::decode(buf)).collect();
         let mask: Vec<u64> = (0..n).map(|_| u64::decode(buf)).collect();
         // The decoded frame's measure column is m′ (the raw measures never
         // cross a spill boundary — mining reads only m′); the block's `m`
         // window shares that Arc rather than copying the column again.
-        let frame = if raw_cols.is_empty() && !compressed_cols.is_empty() {
-            Frame::from_compressed_columns_with_cards(compressed_cols, m, cards)
-        } else {
-            // lint:allow(SL001) — framing invariant of this process's own encoder
-            assert!(
-                compressed_cols.is_empty(),
-                "mixed raw/compressed columns in encoded block"
-            );
-            Frame::from_columns_with_cards(raw_cols, m, cards)
-        };
+        let frame = Frame::from_compressed_columns_with_cards(cols, m, cards);
         let m = frame.measure_slice();
         TupleBlock {
             dims: frame.view(),
@@ -214,8 +179,9 @@ impl Encode for TupleBlock {
     }
 
     fn size_estimate(&self) -> usize {
-        // Compressed dimension columns charge their encoded payload bytes —
-        // the block store's budget sees (and rewards) the compression.
+        // Dimension columns charge 4 B per row of a Raw segment and the
+        // payload of every Packed/RLE segment the range overlaps — the
+        // block store's budget sees (and rewards) the compression.
         16 + self.num_dims() * 4
             + self
                 .dims
@@ -228,8 +194,7 @@ impl Encode for TupleBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirum_table::{generators, Column};
-    use std::sync::Arc;
+    use sirum_table::{generators, ColumnFormat, Compression};
 
     fn block() -> TupleBlock {
         let t = generators::flights();
@@ -258,12 +223,10 @@ mod tests {
     fn state_rewrites_share_the_columns() {
         let b = block();
         let b2 = b.with_mhat(vec![2.0; 5]).with_mask(vec![1; 5]);
-        let (Column::Raw(a), Column::Raw(a2)) =
-            (b.dims().frame().column(0), b2.dims().frame().column(0))
-        else {
-            panic!("small blocks are raw");
-        };
-        assert!(Arc::ptr_eq(a, a2));
+        assert!(std::ptr::eq(
+            b.dims().frame().column(0).segments(),
+            b2.dims().frame().column(0).segments()
+        ));
         assert!(std::ptr::eq(b.m(), b2.m()));
         assert_eq!(b2.mhat(), &[2.0; 5]);
         assert_eq!(b2.mask(), &[1; 5]);
@@ -274,9 +237,10 @@ mod tests {
         let b = block().with_mhat(vec![0.5, 1.5, 2.5, 3.5, 4.5]);
         let mut buf = Vec::new();
         b.encode(&mut buf);
-        // The estimate tracks the encoded footprint to within the per-column
-        // format tag bytes.
-        assert_eq!(buf.len(), b.size_estimate() + b.num_dims());
+        // The estimate tracks the encoded footprint to within the framing of
+        // each column's one Raw segment: a segment count, a format tag and a
+        // length.
+        assert_eq!(buf.len(), b.size_estimate() + (8 + 1 + 8) * b.num_dims());
         let mut slice = buf.as_slice();
         let back = TupleBlock::decode(&mut slice);
         assert!(slice.is_empty());
@@ -297,7 +261,6 @@ mod tests {
 
     #[test]
     fn compressed_blocks_spill_compressed_and_round_trip() {
-        use sirum_table::Compression;
         let t = generators::income_like(700, 5);
         let raw = t.frame().clone();
         let comp = raw.with_compression(Compression::Always);
@@ -325,5 +288,35 @@ mod tests {
         assert_eq!(back.mhat(), b.mhat());
         assert_eq!(back.mask(), b.mask());
         assert_eq!(back.dims().cards(), b.dims().cards());
+    }
+
+    #[test]
+    fn raw_blocks_clip_their_segments_and_reload_raw() {
+        let t = generators::income_like(700, 5);
+        let raw = t.frame().with_compression(Compression::Never);
+        let m: ColSlice<f64> = t.measures().to_vec().into();
+        // A partition that cuts the frame's one Raw segment at both ends.
+        let b = TupleBlock::seed(raw.view().slice(123, 457), m.slice(123, 457));
+        assert_eq!(raw.column(0).segments().len(), 1);
+        let mut buf = Vec::new();
+        b.encode(&mut buf);
+        let mut slice = buf.as_slice();
+        let back = TupleBlock::decode(&mut slice);
+        assert!(slice.is_empty());
+        let frame = back.dims().frame();
+        assert!(frame
+            .column_formats()
+            .iter()
+            .all(|f| *f == ColumnFormat::Raw));
+        for j in 0..frame.num_dims() {
+            assert!(matches!(frame.column(j).segments(), [Segment::Raw(v)] if v.len() == 457));
+        }
+        assert_eq!(back.size_estimate(), b.size_estimate());
+        let (mut a, mut c) = (Vec::new(), Vec::new());
+        for i in 0..b.len() {
+            b.gather(i, &mut a);
+            back.gather(i, &mut c);
+            assert_eq!(a, c, "row {i}");
+        }
     }
 }

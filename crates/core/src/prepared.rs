@@ -36,8 +36,8 @@ pub struct PreparedTable {
 
 impl PreparedTable {
     /// Validate `table` for repeated mining and fit its measure transform.
-    /// The frame is the table's own (its column buffers are shared): raw
-    /// for small tables, compressed for tables large enough that
+    /// The frame is the table's own (its column buffers are shared): Raw
+    /// segments for small tables, encoded ones for tables large enough that
     /// [`Compression::Auto`] compressed them at build.
     ///
     /// # Errors
@@ -48,8 +48,8 @@ impl PreparedTable {
     }
 
     /// [`Self::try_new`] under an explicit columnar [`Compression`] policy
-    /// (benches and bit-identity tests force `Always`/`Never`): re-encodes
-    /// the columns only when the table is not already in that layout.
+    /// (benches and bit-identity tests force `Always`/`Never`): stores
+    /// again only the segments not already in that form.
     ///
     /// # Errors
     /// Same as [`Self::try_new`].
@@ -117,8 +117,7 @@ impl PreparedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sirum_table::{generators, Column};
-    use std::sync::Arc;
+    use sirum_table::generators;
 
     #[test]
     fn preparation_matches_table_contents() {
@@ -140,10 +139,10 @@ mod tests {
         let t = generators::flights();
         let p = PreparedTable::try_new(&t).unwrap();
         let q = p.clone();
-        let (Column::Raw(a), Column::Raw(b)) = (p.frame().column(0), q.frame().column(0)) else {
-            panic!("small tables are raw");
-        };
-        assert!(Arc::ptr_eq(a, b));
+        for j in 0..p.num_dims() {
+            let (a, b) = (p.frame().column(j), q.frame().column(j));
+            assert!(std::ptr::eq(a.segments(), b.segments()));
+        }
         assert!(std::ptr::eq(p.m_prime(), q.m_prime()));
     }
 

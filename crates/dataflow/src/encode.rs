@@ -7,6 +7,8 @@
 //! length-prefixed for variable-size types, and deliberately simple — it only
 //! needs to round-trip inside one process/machine.
 
+use sirum_table::Segment;
+
 /// A value that can be written to and read back from a byte buffer.
 ///
 /// Implementations must guarantee `decode(encode(x)) == x` and must consume
@@ -202,68 +204,49 @@ impl Encode for String {
     }
 }
 
-/// Write one compressed segment: a format tag then its payload.
-pub fn encode_segment(seg: &sirum_table::Segment, out: &mut Vec<u8>) {
-    match seg {
-        sirum_table::Segment::Raw(values) => {
-            out.push(0);
-            (values.len() as u64).encode(out);
-            for &v in values.iter() {
-                v.encode(out);
+/// A column segment: a format tag then its payload (an RLE segment's run
+/// ends follow its values, which carry the run count).
+impl Encode for Segment {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Segment::Raw(values) => {
+                out.push(0);
+                values.encode(out);
             }
-        }
-        sirum_table::Segment::Packed { bits, len, words } => {
-            out.push(1);
-            bits.encode(out);
-            len.encode(out);
-            (words.len() as u64).encode(out);
-            for &w in words.iter() {
-                w.encode(out);
+            Segment::Packed { bits, len, words } => {
+                out.push(1);
+                bits.encode(out);
+                len.encode(out);
+                words.encode(out);
             }
-        }
-        sirum_table::Segment::Rle { values, ends } => {
-            out.push(2);
-            (values.len() as u64).encode(out);
-            for &v in values.iter() {
-                v.encode(out);
-            }
-            for &e in ends.iter() {
-                e.encode(out);
+            Segment::Rle { values, ends } => {
+                out.push(2);
+                values.encode(out);
+                for &e in ends.iter() {
+                    e.encode(out);
+                }
             }
         }
     }
-}
 
-/// Read back one segment written by [`encode_segment`].
-///
-/// # Panics
-/// Panics on an unknown format tag (on-disk corruption).
-pub fn decode_segment(buf: &mut &[u8]) -> sirum_table::Segment {
-    match take(buf, 1)[0] {
-        0 => {
-            let n = u64::decode(buf) as usize;
-            sirum_table::Segment::Raw((0..n).map(|_| u32::decode(buf)).collect())
-        }
-        1 => {
-            let bits = u32::decode(buf);
-            let len = u32::decode(buf);
-            let n = u64::decode(buf) as usize;
-            sirum_table::Segment::Packed {
-                bits,
-                len,
-                words: (0..n).map(|_| u64::decode(buf)).collect(),
+    fn decode(buf: &mut &[u8]) -> Self {
+        match take(buf, 1)[0] {
+            0 => Segment::Raw(Box::decode(buf)),
+            1 => {
+                let bits = u32::decode(buf);
+                let len = u32::decode(buf);
+                let words = Box::decode(buf);
+                Segment::Packed { bits, len, words }
             }
-        }
-        2 => {
-            let runs = u64::decode(buf) as usize;
-            sirum_table::Segment::Rle {
-                values: (0..runs).map(|_| u32::decode(buf)).collect(),
-                ends: (0..runs).map(|_| u32::decode(buf)).collect(),
+            2 => {
+                let values = Box::<[u32]>::decode(buf);
+                let ends = values.iter().map(|_| u32::decode(buf)).collect();
+                Segment::Rle { values, ends }
             }
+            // Spill buffers are written by this same process; an unknown tag
+            // is on-disk corruption and must fail loudly.
+            tag => unreachable!("corrupted segment tag {tag} in encoded buffer"),
         }
-        // Spill buffers are written by this same process; an unknown tag is
-        // on-disk corruption and must fail loudly.
-        tag => unreachable!("corrupted segment tag {tag} in encoded buffer"),
     }
 }
 

@@ -56,7 +56,7 @@ mod metrics;
 
 pub use config::{EngineConfig, EngineMode};
 pub use dataset::{sample_row_indices, Dataset, Record};
-pub use encode::{decode_records, decode_segment, encode_records, encode_segment, Encode};
+pub use encode::{decode_records, encode_records, Encode};
 pub use engine::{Broadcast, Engine, TaskOutput};
 pub use error::DataflowError;
 pub use memory::{BlockId, BlockStore, MemSample, MemoryStats};

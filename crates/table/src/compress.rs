@@ -1,12 +1,11 @@
-//! Compressed columnar segments: the encoded form of a dimension column.
+//! Columnar segments: the one storage layout of a dimension column.
 //!
 //! The paper's scaling axis runs to 160M-row TLC samples; holding every
 //! dimension as a raw `u32` column costs `4·n·d` bytes — 72 MB for the
 //! 9-dimension 2M-row sample, 5.8 GB at 160M — when the dictionary
 //! cardinalities need only a handful of bits per code. A [`CompressedCol`]
-//! stores a column as a sequence of fixed-row-count **segments** (one per
-//! build morsel), each independently encoded in whichever of three formats
-//! a simple size heuristic finds smallest:
+//! stores a column as a sequence of [`MORSEL_ROWS`]-row **segments**, each
+//! in one of three formats:
 //!
 //! * **Packed** — codes bit-packed into `u64` words at
 //!   `ceil(log2(max_code + 1))` bits each (values may straddle word
@@ -14,29 +13,30 @@
 //! * **RLE** — `(value, run)` runs for skewed or sorted segments where a
 //!   few values dominate long stretches; stored with prefix-summed run
 //!   ends so random access is a binary search, not a walk.
-//! * **Raw** — the `u32` values verbatim; the fallback that guarantees
-//!   compression is never worse than the uncompressed column (modulo
-//!   per-segment bookkeeping).
+//! * **Raw** — the `u32` values verbatim: every segment of a frame built
+//!   under [`crate::Compression::Never`], and [`Segment::encode`]'s
+//!   fallback when nothing is smaller.
 //!
-//! Segments decode independently: scans decode one segment at a time into
-//! a reusable scratch buffer (the morsel-driven pattern — see
-//! [`crate::frame::FrameView::morsel_bounds`]), spill paths serialize
-//! segments without re-encoding, and point probes ([`CompressedCol::value_at`])
-//! decode a single value in O(1) for packed segments and O(log runs) for
-//! RLE ones.
+//! Every frame column is a `CompressedCol`; "uncompressed" is a segment
+//! format, not a second column type. Scans borrow a morsel lying inside a
+//! Raw segment and decode any other ([`crate::frame::FrameView::morsel_cols`]),
+//! spills serialize segments without re-encoding, and point probes
+//! ([`CompressedCol::value_at`]) decode one value.
 
-/// Rows per morsel: the segment granularity of compressed columns, and so
-/// the decode unit of morsel-driven scans. At 64Ki rows one morsel of a
+/// Rows per morsel: the segment granularity of every column, and so the
+/// decode unit of morsel-driven scans. At 64Ki rows one morsel of a
 /// 9-dimension table decodes into ~2.3 MB of scratch — small enough to
 /// stay cache-adjacent, large enough that per-segment overhead (offsets,
 /// format tags) is noise.
 pub const MORSEL_ROWS: usize = 65_536;
 
-/// One encoded run of a column: `MORSEL_ROWS` values (the last segment of
-/// a column may be shorter) in whichever format the size heuristic chose.
+/// One stored run of a column: `MORSEL_ROWS` values (the last segment of a
+/// column may be shorter) verbatim or in whichever format the size
+/// heuristic chose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Segment {
-    /// Verbatim `u32` codes (4 bytes/value) — the incompressible fallback.
+    /// Verbatim `u32` codes (4 bytes/value): the layout of uncompressed
+    /// frames and the encoder's incompressible fallback. Scans borrow it.
     Raw(Box<[u32]>),
     /// Codes bit-packed little-endian into `u64` words, `bits` bits each;
     /// a value may straddle two words.
@@ -66,19 +66,6 @@ fn bits_for(max: u32) -> u32 {
     (32 - max.leading_zeros()).max(1)
 }
 
-/// Count the runs of `values` in one pass.
-fn count_runs(values: &[u32]) -> usize {
-    let mut runs = 0usize;
-    let mut prev = None;
-    for &v in values {
-        if prev != Some(v) {
-            runs += 1;
-            prev = Some(v);
-        }
-    }
-    runs
-}
-
 impl Segment {
     /// Encode `values` in the smallest of the three formats. The
     /// comparison is on exact payload bytes (`4·len` raw,
@@ -86,32 +73,20 @@ impl Segment {
     /// cheaper-to-decode format (raw over packed, packed over RLE).
     pub fn encode(values: &[u32]) -> Segment {
         let len = values.len();
-        if len == 0 {
-            return Segment::Raw(Box::from([]));
-        }
         let max = values.iter().copied().max().unwrap_or(0);
         let bits = bits_for(max);
         let raw_bytes = 4 * len;
         let packed_bytes = 8 * (len * bits as usize).div_ceil(64);
-        let runs = count_runs(values);
+        let runs = values.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(len > 0);
         let rle_bytes = 8 * runs;
         if rle_bytes < packed_bytes.min(raw_bytes) {
-            let mut vals = Vec::with_capacity(runs);
-            let mut ends = Vec::with_capacity(runs);
-            for (i, &v) in values.iter().enumerate() {
-                if vals.last() == Some(&v) {
-                    continue;
-                }
-                if i > 0 {
-                    ends.push(i as u32);
-                }
-                vals.push(v);
-            }
-            ends.push(len as u32);
-            Segment::Rle {
-                values: vals.into_boxed_slice(),
-                ends: ends.into_boxed_slice(),
-            }
+            let breaks = values.windows(2).enumerate().filter(|(_, w)| w[0] != w[1]);
+            let ends: Box<[u32]> = breaks
+                .map(|(i, _)| i as u32 + 1)
+                .chain([len as u32])
+                .collect();
+            let values = ends.iter().map(|&e| values[e as usize - 1]).collect();
+            Segment::Rle { values, ends }
         } else if packed_bytes < raw_bytes {
             let mut words = vec![0u64; (len * bits as usize).div_ceil(64)];
             for (i, &v) in values.iter().enumerate() {
@@ -230,11 +205,10 @@ fn mask(bits: u32) -> u64 {
     }
 }
 
-/// A dimension column stored as a sequence of independently encoded
-/// [`Segment`]s with prefix-summed row offsets. All columns of one frame
-/// share the same segmentation (they are flushed together, morsel by
-/// morsel), which is what lets scans decode a whole morsel of every
-/// column at once.
+/// A dimension column: a sequence of independently stored [`Segment`]s
+/// with prefix-summed row offsets. All columns of one frame share the same
+/// segmentation (they are cut together, morsel by morsel), which is what
+/// lets scans take a whole morsel of every column at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedCol {
     segments: Box<[Segment]>,
@@ -292,18 +266,35 @@ impl CompressedCol {
         self.segments.iter().map(Segment::encoded_bytes).sum()
     }
 
-    /// Encoded payload bytes of the segments overlapping rows
-    /// `[start, start + n)` — the budget charge of a range view over this
-    /// column (whole overlapping segments; boundary segments are not
-    /// pro-rated because a spilled range carries them re-encoded whole).
-    pub fn range_encoded_bytes(&self, start: usize, n: usize) -> usize {
+    /// Each segment overlapping rows `[start, start + n)`, with the
+    /// overlap `lo..hi` in the segment's own rows.
+    fn overlapping(
+        &self,
+        start: usize,
+        n: usize,
+    ) -> impl Iterator<Item = (&Segment, usize, usize)> {
         let stop = start + n;
+        let bounds = self.offsets.windows(2);
         self.segments
             .iter()
-            .zip(self.offsets.windows(2))
-            .filter(|(_, w)| w[1] > start && w[0] < stop)
-            .map(|(seg, _)| seg.encoded_bytes())
-            .sum()
+            .zip(bounds)
+            .filter_map(move |(seg, w)| {
+                let (lo, hi) = (start.max(w[0]), stop.min(w[1]));
+                (lo < hi).then(|| (seg, lo - w[0], hi - w[0]))
+            })
+    }
+
+    /// The budget charge of a range view over rows `[start, start + n)` of
+    /// this column: 4 bytes per in-range row of a Raw segment, the whole
+    /// payload of every overlapping Packed or RLE segment. The charge
+    /// bounds a spill of the range from above: [`Self::slice_segments`]
+    /// writes only the in-range rows of a boundary segment.
+    pub fn range_encoded_bytes(&self, start: usize, n: usize) -> usize {
+        let charge = |(seg, lo, hi): (&Segment, usize, usize)| match seg {
+            Segment::Raw(_) => 4 * (hi - lo),
+            _ => seg.encoded_bytes(),
+        };
+        self.overlapping(start, n).map(charge).sum()
     }
 
     /// The value at row `i`.
@@ -315,6 +306,16 @@ impl CompressedCol {
         self.segments[k].value_at(i - self.offsets[k])
     }
 
+    /// Rows `[start, start + n)` borrowed in place, when they lie inside
+    /// one Raw segment; `None` when they must be decoded.
+    pub(crate) fn raw_window(&self, start: usize, n: usize) -> Option<&[u32]> {
+        let mut parts = self.overlapping(start, n);
+        match (parts.next()?, parts.next()) {
+            ((Segment::Raw(v), lo, hi), None) if hi - lo == n => Some(&v[lo..hi]),
+            _ => None,
+        }
+    }
+
     /// Append rows `[start, start + n)` to `out`, decoding one segment at
     /// a time.
     ///
@@ -323,49 +324,31 @@ impl CompressedCol {
     pub fn decode_range_into(&self, start: usize, n: usize, out: &mut Vec<u32>) {
         // lint:allow(SL001) — same range contract as `[u32]` slicing
         assert!(start + n <= self.len(), "column range out of bounds");
-        if n == 0 {
-            return;
-        }
-        let mut k = self.offsets.partition_point(|&o| o <= start) - 1;
-        let mut row = start;
-        let stop = start + n;
-        while row < stop {
-            let seg_start = self.offsets[k];
-            let local = row - seg_start;
-            let take = (self.offsets[k + 1] - row).min(stop - row);
-            self.segments[k].decode_range_into(local, take, out);
-            row += take;
-            k += 1;
+        for (seg, lo, hi) in self.overlapping(start, n) {
+            seg.decode_range_into(lo, hi - lo, out);
         }
     }
 
     /// Re-segment rows `[start, start + n)` as a standalone segment list:
-    /// interior segments are carried whole, boundary segments are decoded
-    /// and re-encoded over just the in-range rows. This is how a range
-    /// view (one partition of a frame) spills compressed without dragging
-    /// out-of-range rows along.
+    /// interior segments are carried whole, a boundary Raw segment is
+    /// clipped to its in-range rows and stays Raw, any other boundary
+    /// segment is re-encoded over just its in-range rows. This is how a
+    /// range view (one partition of a frame) spills in its own formats
+    /// without dragging out-of-range rows along.
     pub fn slice_segments(&self, start: usize, n: usize) -> Vec<Segment> {
         // lint:allow(SL001) — same range contract as `[u32]` slicing
         assert!(start + n <= self.len(), "column range out of bounds");
-        let stop = start + n;
-        let mut out = Vec::new();
         let mut scratch = Vec::new();
-        for (seg, w) in self.segments.iter().zip(self.offsets.windows(2)) {
-            let (seg_start, seg_stop) = (w[0], w[1]);
-            if seg_stop <= start || seg_start >= stop || seg_start == seg_stop {
-                continue;
-            }
-            if start <= seg_start && seg_stop <= stop {
-                out.push(seg.clone());
-            } else {
-                let lo = start.max(seg_start) - seg_start;
-                let hi = stop.min(seg_stop) - seg_start;
+        let clip = |(seg, lo, hi): (&Segment, usize, usize)| match seg {
+            _ if hi - lo == seg.len() => seg.clone(),
+            Segment::Raw(v) => Segment::Raw(v[lo..hi].into()),
+            _ => {
                 scratch.clear();
                 seg.decode_range_into(lo, hi - lo, &mut scratch);
-                out.push(Segment::encode(&scratch));
+                Segment::encode(&scratch)
             }
-        }
-        out
+        };
+        self.overlapping(start, n).map(clip).collect()
     }
 
     /// Per-format segment counts `(raw, packed, rle)` and the maximum
@@ -494,6 +477,10 @@ mod tests {
         // Aligned slices carry every segment verbatim.
         let aligned = col.slice_segments(100, 300);
         assert_eq!(aligned.as_slice(), &col.segments()[1..4]);
+        // A boundary Raw segment is clipped, not re-encoded: it stays Raw.
+        let raw = CompressedCol::from_segments(vec![Segment::Raw(values.clone().into())]);
+        let clipped = raw.slice_segments(150, 600);
+        assert_eq!(clipped, vec![Segment::Raw(values[150..750].into())]);
     }
 
     #[test]
@@ -504,6 +491,10 @@ mod tests {
         assert_eq!(col.range_encoded_bytes(0, 400), col.encoded_bytes());
         assert_eq!(col.range_encoded_bytes(50, 100), 2 * per_seg);
         assert_eq!(col.range_encoded_bytes(100, 100), per_seg);
+        // Raw segments charge 4 B per in-range row, not their whole payload.
+        let raw = CompressedCol::from_segments(vec![Segment::Raw(values.into())]);
+        assert_eq!(raw.range_encoded_bytes(50, 100), 400);
+        assert_eq!(raw.range_encoded_bytes(0, 400), raw.encoded_bytes());
     }
 
     #[test]

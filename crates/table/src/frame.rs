@@ -2,7 +2,7 @@
 //! data, and the representation the whole stack scans.
 //!
 //! A [`crate::Table`] stores its rows here and nowhere else, in
-//! struct-of-arrays form — one `u32` column per dimension attribute plus
+//! struct-of-arrays form — one code column per dimension attribute plus
 //! the `f64` measure column, each behind an `Arc` — so that
 //!
 //! * every scan walks contiguous, type-homogeneous memory,
@@ -11,22 +11,22 @@
 //! * the catalog's table, its mining preparation and every concurrent job
 //!   mining it share one set of buffers.
 //!
-//! A dimension column comes in two physical representations behind the
-//! same view API: **raw** (one contiguous `Arc<[u32]>`, the layout small
-//! tables keep) or **compressed** (a [`CompressedCol`] sequence of
-//! bit-packed/RLE/raw [`crate::compress::Segment`]s, chosen per segment by
-//! a size heuristic — see [`crate::compress`]). Which one a table gets is
-//! decided here, once, when it is built ([`Compression`]). Compressed
-//! frames are scanned **morsel-driven**: [`FrameView::morsel_bounds`]
-//! yields segment-aligned row ranges and [`FrameView::morsel_cols`] decodes
-//! one morsel of every column into a reusable [`ColScratch`], so a scan
-//! over a raw frame is a single-range column borrow (zero overhead) while a
-//! compressed frame is decoded 64Ki rows at a time.
+//! Every dimension column has one layout: a [`CompressedCol`], a run of
+//! [`MORSEL_ROWS`]-row [`Segment`]s cut at the same rows in every column.
+//! [`Compression`] decides one thing, once, when a table is built: whether
+//! each segment goes through [`Segment::encode`] (bit-packed, RLE, or Raw
+//! when nothing is smaller — see [`crate::compress`]) or is stored Raw.
+//! Frames are scanned **morsel-driven**: [`FrameView::morsel_bounds`]
+//! yields segment-aligned row ranges and [`FrameView::morsel_cols`] borrows
+//! a morsel lying inside a Raw segment in place (zero copies) and decodes
+//! any other morsel into a reusable [`ColScratch`]. A table of at most
+//! [`MORSEL_ROWS`] rows is one segment per column, so a view over an
+//! uncompressed small table scans as one borrowed morsel.
 //!
 //! A table's frame carries the table's content fingerprint so downstream
 //! caches stay content-addressed without re-hashing.
 
-use crate::compress::{CompressedCol, MORSEL_ROWS};
+use crate::compress::{CompressedCol, Segment, MORSEL_ROWS};
 use crate::fingerprint::Fnv64;
 use std::sync::{Arc, OnceLock};
 
@@ -93,60 +93,35 @@ impl<T> From<Vec<T>> for ColSlice<T> {
     }
 }
 
-/// One dimension column's physical representation.
-#[derive(Debug, Clone)]
-pub enum Column {
-    /// One contiguous shared buffer — the layout of small frames, directly
-    /// borrowable as `&[u32]`.
-    Raw(Arc<[u32]>),
-    /// Encoded segments — decoded morsel-by-morsel into scratch buffers.
-    Compressed(Arc<CompressedCol>),
-}
-
-impl Column {
-    /// Store `codes` raw, or as `morsel_rows`-row segments.
-    fn encode(codes: Vec<u32>, compress: bool, morsel_rows: usize) -> Column {
-        if compress {
-            Column::Compressed(Arc::new(CompressedCol::from_values(&codes, morsel_rows)))
-        } else {
-            Column::Raw(Arc::from(codes))
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Column::Raw(a) => a.len(),
-            Column::Compressed(c) => c.len(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn value_at(&self, i: usize) -> u32 {
-        match self {
-            Column::Raw(a) => a[i],
-            Column::Compressed(c) => c.value_at(i),
-        }
+/// Store `codes` as one segment: verbatim, or through [`Segment::encode`].
+fn store(codes: &[u32], encode: bool) -> Segment {
+    if encode {
+        Segment::encode(codes)
+    } else {
+        Segment::Raw(codes.into())
     }
 }
 
-/// Whether a frame stores its dimension columns compressed.
+/// Whether a frame's segments go through [`Segment::encode`] or are
+/// stored Raw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// The size rule: compress when the raw dimension columns (`4·n·d`
+    /// The size rule: encode when the raw dimension columns (`4·n·d`
     /// bytes) reach [`COMPRESS_MIN_BYTES`] — small interactive tables keep
-    /// the zero-decode raw layout, multi-million-row tables compress.
+    /// zero-decode Raw segments, multi-million-row tables compress.
     /// [`crate::TableBuilder::build`] applies it; a frame that already
     /// exists keeps its layout ([`Frame::with_compression`]).
     #[default]
     Auto,
-    /// Always compress (tests and memory-budget runs).
+    /// Always encode (tests and memory-budget runs); a segment the
+    /// encoder cannot shrink is still stored Raw.
     Always,
-    /// Never compress (the raw reference representation).
+    /// Never encode: every segment Raw (the reference representation).
     Never,
 }
 
 impl Compression {
-    /// Whether `rows × dims` codes are stored compressed under this policy.
+    /// Whether `rows × dims` codes are encoded under this policy.
     fn compresses(self, rows: usize, dims: usize) -> bool {
         match self {
             Compression::Never => false,
@@ -164,9 +139,9 @@ pub const COMPRESS_MIN_BYTES: usize = 8 << 20;
 /// Per-column format summary (what `explain()` reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnFormat {
-    /// One contiguous raw `u32` buffer.
+    /// Every segment stored Raw.
     Raw,
-    /// Segment-compressed column.
+    /// At least one segment bit-packed or run-length encoded.
     Compressed {
         /// Segments stored verbatim (incompressible).
         raw_segments: usize,
@@ -196,8 +171,6 @@ impl std::fmt::Display for ColumnFormat {
                     write!(f, "packed{max_bits}")
                 } else if rle_segments > 0 && packed_segments == 0 && raw_segments == 0 {
                     write!(f, "rle")
-                } else if raw_segments > 0 && packed_segments == 0 && rle_segments == 0 {
-                    write!(f, "raw-seg")
                 } else if packed_segments > 0 {
                     write!(f, "mixed(packed{max_bits}:{packed_segments},rle:{rle_segments},raw:{raw_segments})")
                 } else {
@@ -212,20 +185,20 @@ impl std::fmt::Display for ColumnFormat {
 /// measure column, all `Arc`-shared. Built once per table (by
 /// [`crate::TableBuilder::build`]) and scanned by every request.
 ///
-/// Cloning a `Frame` bumps `d + 1` `Arc`s; no data moves.
+/// Cloning a `Frame` bumps its `Arc`s; no data moves.
 #[derive(Debug, Clone)]
 pub struct Frame {
-    cols: Arc<[Column]>,
+    cols: Arc<[Arc<CompressedCol>]>,
     measure: Arc<[f64]>,
     rows: usize,
     /// Per-dimension dictionary cardinalities `|dom(Aⱼ)|` — the bit-width
     /// metadata packed rule codes are derived from. A table's frame takes
     /// them from its dictionaries; spill round-trips carry them through
-    /// [`Frame::from_columns_with_cards`] so a decoded block reproduces the
-    /// exact packed layout of the frame it was encoded from.
+    /// [`Frame::from_compressed_columns_with_cards`] so a decoded block
+    /// reproduces the exact packed layout of the frame it was encoded from.
     cards: Arc<[u32]>,
     /// Content fingerprint: a table's frame is stamped with the table's at
-    /// build; frames assembled from raw columns compute it lazily (first
+    /// build; frames assembled from columns compute it lazily (first
     /// [`Self::fingerprint`] call), so the spill-decode path never pays a
     /// hash pass nobody reads.
     fingerprint: OnceLock<u64>,
@@ -236,7 +209,7 @@ impl Frame {
     ///
     /// # Panics
     /// Panics on ragged columns or a cardinality count mismatch.
-    fn assemble(cols: Vec<Column>, measure: Arc<[f64]>, cards: Arc<[u32]>) -> Frame {
+    fn assemble(cols: Vec<Arc<CompressedCol>>, measure: Arc<[f64]>, cards: Arc<[u32]>) -> Frame {
         let rows = measure.len();
         // lint:allow(SL001) — constructor contract; ragged columns are a logic error
         assert!(
@@ -258,9 +231,9 @@ impl Frame {
     }
 
     /// Store code columns under `compression` — the one place a table's
-    /// layout is decided. Compressed columns are cut into [`MORSEL_ROWS`]-row
-    /// segments at the same rows, the shared segmentation morsel-driven
-    /// scans rely on.
+    /// segment formats are decided. Every column is cut into
+    /// [`MORSEL_ROWS`]-row segments at the same rows, the shared
+    /// segmentation morsel-driven scans rely on.
     pub(crate) fn encode(
         cols: Vec<Vec<u32>>,
         measure: Vec<f64>,
@@ -271,7 +244,7 @@ impl Frame {
         Frame::encode_in(cols, measure.into(), cards.into(), compress, MORSEL_ROWS)
     }
 
-    /// [`Self::encode`] with the layout and segment size given explicitly
+    /// [`Self::encode`] with the policy and segment size given explicitly
     /// (tests use small morsels to exercise multi-segment frames cheaply).
     pub(crate) fn encode_in(
         cols: Vec<Vec<u32>>,
@@ -281,8 +254,12 @@ impl Frame {
         morsel_rows: usize,
     ) -> Frame {
         let cols = cols
-            .into_iter()
-            .map(|codes| Column::encode(codes, compress, morsel_rows))
+            .iter()
+            .map(|codes| {
+                let segments = codes.chunks(morsel_rows.max(1));
+                let segments = segments.map(|c| store(c, compress)).collect();
+                Arc::new(CompressedCol::from_segments(segments))
+            })
             .collect();
         Frame::assemble(cols, measure, cards)
     }
@@ -307,52 +284,43 @@ impl Frame {
     }
 
     /// This frame's content under `compression`. [`Compression::Auto`]
-    /// keeps the layout the frame was built with, and a frame already in
-    /// the asked-for layout is returned as is (`Arc` bumps); otherwise the
-    /// dimension columns are re-encoded. The measure column is shared and
+    /// keeps the segments the frame was built with; otherwise each segment
+    /// not yet in the asked-for form (Raw under `Never`, not Raw under
+    /// `Always`) is decoded and stored again, and a column with no such
+    /// segment is shared (an `Arc` bump). The measure column is shared and
     /// the fingerprint carried over either way.
     pub fn with_compression(&self, compression: Compression) -> Frame {
-        let compress = match compression {
+        let encode = match compression {
             Compression::Auto => return self.clone(),
             Compression::Always => true,
             Compression::Never => false,
         };
-        if self
-            .cols
-            .iter()
-            .all(|c| matches!(c, Column::Compressed(_)) == compress)
-        {
-            return self.clone();
-        }
-        let cols = self.cols.iter().map(|c| self.decode_col(c)).collect();
-        let frame = Frame::encode_in(
-            cols,
-            Arc::clone(&self.measure),
-            Arc::clone(&self.cards),
-            compress,
-            MORSEL_ROWS,
-        );
+        let settled = |seg: &Segment| matches!(seg, Segment::Raw(_)) != encode;
+        let mut codes = Vec::new();
+        let cols = self.cols.iter().map(|col| {
+            if col.segments().iter().all(settled) {
+                return Arc::clone(col);
+            }
+            let segments = col.segments().iter().map(|seg| {
+                codes.clear();
+                seg.decode_range_into(0, seg.len(), &mut codes);
+                store(&codes, encode)
+            });
+            Arc::new(CompressedCol::from_segments(segments.collect()))
+        });
         Frame {
             fingerprint: self.fingerprint.clone(),
-            ..frame
+            ..Frame::assemble(
+                cols.collect(),
+                Arc::clone(&self.measure),
+                Arc::clone(&self.cards),
+            )
         }
     }
 
-    /// All of `col`'s codes as one owned vector.
-    fn decode_col(&self, col: &Column) -> Vec<u32> {
-        match col {
-            Column::Raw(a) => a.to_vec(),
-            Column::Compressed(c) => {
-                let mut codes = Vec::with_capacity(self.rows);
-                c.decode_range_into(0, self.rows, &mut codes);
-                codes
-            }
-        }
-    }
-
-    /// Assemble a frame from raw columns (the spill-decode path). Every
+    /// Assemble a frame from code columns, every segment Raw. Every
     /// dimension column must have one entry per measure value. The
-    /// fingerprint — computed only if someone asks for it — covers the raw
+    /// fingerprint — computed only if someone asks for it — covers the
     /// codes and measure bits: it identifies the *data*, not any schema or
     /// dictionary.
     ///
@@ -371,9 +339,8 @@ impl Frame {
     }
 
     /// [`Frame::from_columns`], but with explicit per-dimension
-    /// cardinalities — the spill-decode path uses this to reproduce the
-    /// packed-code layout of the frame the block was encoded from, which can
-    /// be wider than the codes a single partition happens to contain.
+    /// cardinalities, which can be wider than the codes the columns happen
+    /// to contain.
     ///
     /// # Panics
     /// Panics on ragged columns or a cardinality count mismatch.
@@ -385,9 +352,10 @@ impl Frame {
         Frame::encode_in(cols, measure.into(), cards.into(), false, MORSEL_ROWS)
     }
 
-    /// Assemble a frame from already-encoded compressed columns (the
-    /// compressed spill-decode path — segments round-trip without being
-    /// re-encoded).
+    /// Assemble a frame from stored segment columns (the spill-decode
+    /// path — segments round-trip in their own formats, and the explicit
+    /// cardinalities reproduce the packed-code layout of the frame the
+    /// block was encoded from).
     ///
     /// # Panics
     /// Panics on ragged columns or a cardinality count mismatch.
@@ -396,10 +364,7 @@ impl Frame {
         measure: Vec<f64>,
         cards: Vec<u32>,
     ) -> Frame {
-        let cols = cols
-            .into_iter()
-            .map(|c| Column::Compressed(Arc::new(c)))
-            .collect();
+        let cols = cols.into_iter().map(Arc::new).collect();
         Frame::assemble(cols, measure.into(), cards.into())
     }
 
@@ -413,64 +378,50 @@ impl Frame {
         self.cols.len()
     }
 
-    /// Column `j`'s physical representation.
-    pub fn column(&self, j: usize) -> &Column {
+    /// Column `j`'s segments.
+    pub fn column(&self, j: usize) -> &CompressedCol {
         &self.cols[j]
     }
 
-    /// True when any dimension column is stored compressed.
+    /// True when any segment of any dimension column is bit-packed or
+    /// run-length encoded.
     pub fn is_compressed(&self) -> bool {
-        self.cols.iter().any(|c| matches!(c, Column::Compressed(_)))
+        self.column_formats()
+            .iter()
+            .any(|f| *f != ColumnFormat::Raw)
     }
 
     /// Per-column format summaries (what `explain()` reports).
     pub fn column_formats(&self) -> Vec<ColumnFormat> {
         self.cols
             .iter()
-            .map(|c| match c {
-                Column::Raw(_) => ColumnFormat::Raw,
-                Column::Compressed(c) => {
-                    let (raw, packed, rle, max_bits) = c.format_counts();
-                    ColumnFormat::Compressed {
-                        raw_segments: raw,
-                        packed_segments: packed,
-                        rle_segments: rle,
-                        max_bits,
-                        bytes: c.encoded_bytes(),
-                    }
-                }
+            .map(|c| match c.format_counts() {
+                (_, 0, 0, _) => ColumnFormat::Raw,
+                (raw, packed, rle, max_bits) => ColumnFormat::Compressed {
+                    raw_segments: raw,
+                    packed_segments: packed,
+                    rle_segments: rle,
+                    max_bits,
+                    bytes: c.encoded_bytes(),
+                },
             })
             .collect()
     }
 
     /// In-memory bytes of the dimension columns for rows
-    /// `[start, start + n)`: `4·n` per raw column, encoded payload bytes of
-    /// the overlapping segments per compressed column. This is what spill
-    /// budget accounting charges for a range view.
+    /// `[start, start + n)`, per column [`CompressedCol::range_encoded_bytes`]
+    /// (`4·n` for an all-Raw column). This is what spill budget accounting
+    /// charges for a range view.
     pub fn dim_bytes_in_range(&self, start: usize, n: usize) -> usize {
         self.cols
             .iter()
-            .map(|c| match c {
-                Column::Raw(_) => 4 * n,
-                Column::Compressed(c) => c.range_encoded_bytes(start, n),
-            })
+            .map(|c| c.range_encoded_bytes(start, n))
             .sum()
     }
 
     /// In-memory bytes of all dimension columns.
     pub fn dim_bytes(&self) -> usize {
         self.dim_bytes_in_range(0, self.rows)
-    }
-
-    /// Shared morsel boundaries of the frame's columns: segment start
-    /// offsets when compressed (all columns are flushed together, so they
-    /// segment identically), `None` for raw frames (one whole-frame
-    /// morsel).
-    fn segment_offsets(&self) -> Option<&[usize]> {
-        self.cols.iter().find_map(|c| match c {
-            Column::Compressed(c) => Some(c.offsets()),
-            Column::Raw(_) => None,
-        })
     }
 
     /// The full measure column.
@@ -491,8 +442,8 @@ impl Frame {
 
     /// Content fingerprint: the table's, for a table's frame, or computed
     /// on first call (and cached) for column-assembled frames. Covers the
-    /// decoded codes, so raw and compressed frames over the same data
-    /// fingerprint identically.
+    /// decoded codes, so frames over the same data fingerprint identically
+    /// whatever their segment formats.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut h = Fnv64::new();
@@ -507,20 +458,13 @@ impl Frame {
     }
 
     /// Fold every dimension code into `h`, column by column: the same
-    /// stream whether a column is stored raw or compressed.
+    /// stream whatever the segment formats.
     pub(crate) fn hash_codes(&self, h: &mut Fnv64) {
         let mut buf = Vec::new();
-        for col in self.cols.iter() {
-            match col {
-                Column::Raw(a) => hash_column(h, a),
-                Column::Compressed(c) => {
-                    for seg in c.segments() {
-                        buf.clear();
-                        seg.decode_range_into(0, seg.len(), &mut buf);
-                        hash_column(h, &buf);
-                    }
-                }
-            }
+        for seg in self.cols.iter().flat_map(|c| c.segments()) {
+            buf.clear();
+            seg.decode_range_into(0, seg.len(), &mut buf);
+            hash_column(h, &buf);
         }
     }
 
@@ -560,7 +504,7 @@ impl Frame {
     /// Copy row `i`'s dimension codes into `buf` (cleared first). The
     /// gather boundary: row-shaped probes (LCA computation, rule hashing)
     /// read from here; everything else scans the columns directly.
-    /// Compressed columns decode the single value in place (O(1) for
+    /// Each column decodes the single value in place (O(1) for Raw and
     /// packed segments).
     pub fn gather_row(&self, i: usize, buf: &mut Vec<u32>) {
         buf.clear();
@@ -576,7 +520,7 @@ pub(crate) fn hash_column(h: &mut Fnv64, codes: &[u32]) {
 }
 
 /// Reusable per-column decode buffers for morsel-driven scans: one scratch
-/// holds one morsel of every compressed column, reused across morsels and
+/// holds one decoded morsel of every column, reused across morsels and
 /// blocks so the steady-state scan allocates nothing.
 #[derive(Debug, Default)]
 pub struct ColScratch {
@@ -625,37 +569,34 @@ impl FrameView {
         self.frame.num_dims()
     }
 
-    /// The scan chunks of this view as `(local_start, len)` ranges: one
-    /// whole-view morsel for raw frames (scans degenerate to the direct
-    /// column borrow), the intersection with the frame's segment
-    /// boundaries for compressed frames (each morsel decodes without
-    /// crossing a segment). Empty views yield no morsels. Iterating
-    /// morsels in order visits exactly the view's rows in ascending order
-    /// — the fold order every scan preserves.
+    /// The scan chunks of this view as `(local_start, len)` ranges: the
+    /// intersection with the frame's segment boundaries, so each morsel
+    /// lies inside one segment of every column (a view of a table of at
+    /// most [`MORSEL_ROWS`] rows is one morsel). Empty views yield no
+    /// morsels. Iterating morsels in order visits exactly the view's rows
+    /// in ascending order — the fold order every scan preserves.
     pub fn morsel_bounds(&self) -> Vec<(usize, usize)> {
         if self.len == 0 {
             return Vec::new();
         }
-        match self.frame.segment_offsets() {
-            None => vec![(0, self.len)],
-            Some(offsets) => {
-                let (s, e) = (self.start, self.start + self.len);
-                let mut out = Vec::new();
-                for w in offsets.windows(2) {
-                    let (a, b) = (w[0].max(s), w[1].min(e));
-                    if a < b {
-                        out.push((a - s, b - a));
-                    }
-                }
-                out
+        let Some(col) = self.frame.cols.first() else {
+            return vec![(0, self.len)];
+        };
+        let (s, e) = (self.start, self.start + self.len);
+        let mut out = Vec::new();
+        for w in col.offsets().windows(2) {
+            let (a, b) = (w[0].max(s), w[1].min(e));
+            if a < b {
+                out.push((a - s, b - a));
             }
         }
+        out
     }
 
-    /// Borrow every dimension column for the morsel
-    /// `[local_start, local_start + n)`: raw columns as direct sub-slices
-    /// of the shared buffers (zero copies), compressed columns decoded
-    /// into `scratch`. Row `i` of the returned slices is view-local row
+    /// Every dimension column for the morsel
+    /// `[local_start, local_start + n)`: borrowed in place where the morsel
+    /// lies inside a Raw segment (zero copies), decoded into `scratch`
+    /// otherwise. Row `i` of the returned slices is view-local row
     /// `local_start + i`.
     ///
     /// # Panics
@@ -666,27 +607,7 @@ impl FrameView {
         n: usize,
         scratch: &'a mut ColScratch,
     ) -> Vec<&'a [u32]> {
-        // lint:allow(SL001) — documented range contract, mirrors `[T]` slicing
-        assert!(local_start + n <= self.len, "morsel range out of bounds");
-        let d = self.num_dims();
-        let global = self.start + local_start;
-        if scratch.bufs.len() < d {
-            scratch.bufs.resize_with(d, Vec::new);
-        }
-        for (j, col) in self.frame.cols.iter().enumerate() {
-            if let Column::Compressed(c) = col {
-                let buf = &mut scratch.bufs[j];
-                buf.clear();
-                c.decode_range_into(global, n, buf);
-            }
-        }
-        let scratch = &*scratch;
-        (0..d)
-            .map(|j| match &self.frame.cols[j] {
-                Column::Raw(a) => &a[global..global + n],
-                Column::Compressed(_) => scratch.bufs[j].as_slice(),
-            })
-            .collect()
+        self.morsel_cols_of(0..self.num_dims(), local_start, n, scratch)
     }
 
     /// [`Self::morsel_cols`] for a subset of columns (scans that touch
@@ -702,25 +623,39 @@ impl FrameView {
         n: usize,
         scratch: &'a mut ColScratch,
     ) -> Vec<&'a [u32]> {
+        self.morsel_cols_of(idxs.iter().copied(), local_start, n, scratch)
+    }
+
+    /// The one body of [`Self::morsel_cols`] and
+    /// [`Self::morsel_cols_indexed`]: slice `k` is column `idxs[k]`,
+    /// decoded (if it must be) into scratch buffer `k`.
+    fn morsel_cols_of<'a>(
+        &'a self,
+        idxs: impl Iterator<Item = usize> + Clone,
+        local_start: usize,
+        n: usize,
+        scratch: &'a mut ColScratch,
+    ) -> Vec<&'a [u32]> {
         // lint:allow(SL001) — documented range contract, mirrors `[T]` slicing
         assert!(local_start + n <= self.len, "morsel range out of bounds");
         let global = self.start + local_start;
-        if scratch.bufs.len() < idxs.len() {
-            scratch.bufs.resize_with(idxs.len(), Vec::new);
-        }
-        for (k, &j) in idxs.iter().enumerate() {
-            if let Column::Compressed(c) = &self.frame.cols[j] {
+        let cols = &self.frame.cols;
+        for (k, j) in idxs.clone().enumerate() {
+            if cols[j].raw_window(global, n).is_none() {
+                if scratch.bufs.len() <= k {
+                    scratch.bufs.resize_with(k + 1, Vec::new);
+                }
                 let buf = &mut scratch.bufs[k];
                 buf.clear();
-                c.decode_range_into(global, n, buf);
+                cols[j].decode_range_into(global, n, buf);
             }
         }
         let scratch = &*scratch;
-        idxs.iter()
-            .enumerate()
-            .map(|(k, &j)| match &self.frame.cols[j] {
-                Column::Raw(a) => &a[global..global + n],
-                Column::Compressed(_) => scratch.bufs[k].as_slice(),
+        idxs.enumerate()
+            .map(|(k, j)| {
+                cols[j]
+                    .raw_window(global, n)
+                    .unwrap_or_else(|| scratch.bufs[k].as_slice())
             })
             .collect()
     }
@@ -769,12 +704,17 @@ mod tests {
     use super::*;
     use crate::{generators, Schema, Table};
 
-    /// Column `j` of a raw frame as one slice.
+    /// Column `j` of a one-segment Raw frame as one slice.
     fn raw_col(f: &Frame, j: usize) -> &[u32] {
-        match f.column(j) {
-            Column::Raw(a) => a,
-            Column::Compressed(_) => panic!("column {j} is compressed"),
+        match f.column(j).segments() {
+            [Segment::Raw(a)] => a,
+            other => panic!("column {j} is not one Raw segment: {other:?}"),
         }
+    }
+
+    /// Whether two frames' columns `j` are one stored column.
+    fn same_storage(a: &Frame, b: &Frame) -> bool {
+        (0..a.num_dims()).all(|j| std::ptr::eq(a.column(j).segments(), b.column(j).segments()))
     }
 
     #[test]
@@ -997,12 +937,13 @@ mod tests {
         let always = auto.with_compression(Compression::Always);
         assert!(!never.is_compressed());
         assert!(always.is_compressed());
-        // A layout the frame already has is shared, not re-encoded.
-        assert!(Arc::ptr_eq(&never.cols, &auto.cols));
-        assert!(Arc::ptr_eq(
-            &always.with_compression(Compression::Auto).cols,
-            &always.cols
+        // Segments already in the asked-for form are shared, not re-encoded.
+        assert!(same_storage(&never, auto));
+        assert!(same_storage(
+            &always.with_compression(Compression::Auto),
+            &always
         ));
+        assert!(!same_storage(&always, auto));
         let back = always.with_compression(Compression::Never);
         assert!(!back.is_compressed());
         for f in [&never, &always, &back] {
@@ -1043,7 +984,9 @@ mod tests {
         let t = Table::builder(Schema::try_new(vec!["a", "b", "c"], "m").unwrap())
             .build_with(Compression::Always);
         let f = t.frame();
-        assert!(f.is_compressed());
+        // No rows, no segments: nothing is encoded, so nothing reads as compressed.
+        assert!((0..3).all(|j| f.column(j).segments().is_empty()));
+        assert!(!f.is_compressed());
         assert_eq!(f.num_rows(), 0);
         assert_eq!(f.num_dims(), 3);
         assert_eq!(f.cards(), &[0, 0, 0]);

@@ -42,7 +42,7 @@ pub use compress::{CompressedCol, Segment, MORSEL_ROWS};
 pub use dict::Dictionary;
 pub use error::TableError;
 pub use frame::{
-    ColScratch, ColSlice, Column, ColumnFormat, Compression, Frame, FrameView, COMPRESS_MIN_BYTES,
+    ColScratch, ColSlice, ColumnFormat, Compression, Frame, FrameView, COMPRESS_MIN_BYTES,
 };
 pub use schema::Schema;
 pub use table::{Table, TableBuilder};

@@ -330,9 +330,9 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{ColScratch, Column};
+    use crate::compress::CompressedCol;
+    use crate::frame::ColScratch;
     use crate::generators;
-    use std::sync::Arc;
 
     fn flight_schema() -> Schema {
         Schema::try_new(vec!["Day", "Origin", "Destination"], "Delay").unwrap()
@@ -499,12 +499,8 @@ mod tests {
         (raw, compressed)
     }
 
-    fn same_buffer(a: &Column, b: &Column) -> bool {
-        match (a, b) {
-            (Column::Raw(a), Column::Raw(b)) => Arc::ptr_eq(a, b),
-            (Column::Compressed(a), Column::Compressed(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
+    fn same_buffer(a: &CompressedCol, b: &CompressedCol) -> bool {
+        std::ptr::eq(a.segments(), b.segments())
     }
 
     #[test]

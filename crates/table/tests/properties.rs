@@ -1,9 +1,13 @@
 //! Property-based tests for the table substrate: dictionary encode/decode
-//! round-trips and CSV write→read identity.
+//! round-trips, CSV write→read identity, and one column layout under both
+//! compression policies.
 
 use proptest::prelude::*;
 use sirum_table::csv::{read_csv, write_csv};
-use sirum_table::{Dictionary, Schema, Table};
+use sirum_table::fingerprint::Fnv64;
+use sirum_table::{
+    ColScratch, ColumnFormat, CompressedCol, Compression, Dictionary, Frame, Schema, Segment, Table,
+};
 
 /// A pool of categorical values of mixed scripts and lengths, including
 /// the empty string and every shape RFC-4180 quoting must escort through
@@ -214,5 +218,121 @@ proptest! {
     ) {
         let bytes: Vec<u8> = picks.iter().flat_map(|&i| CSV_FRAGMENTS[i].iter().copied()).collect();
         read_csv_is_total(&bytes, capacity);
+    }
+}
+
+/// Code columns of mixed shapes, `d` columns of `n` rows each: low
+/// cardinality (bit-packs), long runs (RLE) and full-width codes (nothing
+/// is smaller than Raw), so an encoded frame mixes all three formats.
+fn code_columns() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    (1usize..5, 0usize..300).prop_flat_map(|(d, n)| {
+        let col = (0u32..3, 1u32..9, prop::collection::vec(any::<u32>(), n));
+        prop::collection::vec(col, d).prop_map(|cols| {
+            cols.into_iter()
+                .map(|(shape, k, raw)| {
+                    let code = |(i, v): (usize, &u32)| match shape {
+                        0 => v % k,
+                        1 => i as u32 / (7 * k),
+                        _ => *v,
+                    };
+                    raw.iter().enumerate().map(code).collect()
+                })
+                .collect()
+        })
+    })
+}
+
+/// The fingerprint stream over `cols` and `measure`, folded by hand: the
+/// dimension count, the row count, every code column by column, then the
+/// measure bits.
+fn folded_fingerprint(cols: &[Vec<u32>], measure: &[f64]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u64(cols.len() as u64);
+    h.write_u64(measure.len() as u64);
+    for &code in cols.iter().flatten() {
+        h.write_u32(code);
+    }
+    for &m in measure {
+        h.write_f64(m);
+    }
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A frame has one column layout, segments, whichever policy stored
+    /// them. Cut every `morsel` rows, the `Always` frame (every segment
+    /// through the encoder) and the `Never` frame (every segment Raw) hold
+    /// the same codes: equal fingerprints (the code stream `hash_codes`
+    /// folds), equal rows, equal morsels over any view. The `Never` frame
+    /// is all Raw, its morsels borrow the segments in place, and it
+    /// charges 4 B per row and column for any range.
+    #[test]
+    fn one_layout_under_both_policies(
+        cols in code_columns(),
+        morsel in 1usize..40,
+        cut in (0usize..1000, 0usize..1000),
+    ) {
+        let (d, n) = (cols.len(), cols[0].len());
+        let measure: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 3.0).collect();
+        let cards = vec![u32::MAX; d];
+        let encoded = cols.iter().map(|c| CompressedCol::from_values(c, morsel)).collect();
+        let always = Frame::from_compressed_columns_with_cards(encoded, measure.clone(), cards);
+        let never = always.with_compression(Compression::Never);
+        let again = never.with_compression(Compression::Always);
+        for j in 0..d {
+            prop_assert_eq!(again.column(j), always.column(j));
+            prop_assert_eq!(never.column(j).offsets(), always.column(j).offsets());
+        }
+        prop_assert!(!never.is_compressed());
+        prop_assert!(never.column_formats().iter().all(|f| *f == ColumnFormat::Raw));
+        let fingerprint = folded_fingerprint(&cols, &measure);
+        prop_assert_eq!(always.fingerprint(), fingerprint);
+        prop_assert_eq!(never.fingerprint(), fingerprint);
+
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            always.gather_row(i, &mut a);
+            never.gather_row(i, &mut b);
+            let row: Vec<u32> = cols.iter().map(|c| c[i]).collect();
+            prop_assert_eq!(&a, &row);
+            prop_assert_eq!(&b, &row);
+        }
+
+        let start = cut.0 * n / 1000;
+        let len = cut.1 * (n - start) / 1000;
+        prop_assert_eq!(never.dim_bytes_in_range(start, len), 4 * len * d);
+        let reversed: Vec<usize> = (0..d).rev().collect();
+        let mut scratch = ColScratch::new();
+        for (frame, raw) in [(&always, false), (&never, true)] {
+            let view = frame.view().slice(start, len);
+            let mut next = 0;
+            for (s, m) in view.morsel_bounds() {
+                prop_assert_eq!(s, next);
+                next += m;
+                let at = start + s;
+                for (j, got) in view.morsel_cols(s, m, &mut scratch).into_iter().enumerate() {
+                    prop_assert_eq!(got, &cols[j][at..at + m]);
+                    if raw {
+                        let col = never.column(j);
+                        let k = col.offsets().partition_point(|&o| o <= at) - 1;
+                        let in_place = matches!(&col.segments()[k],
+                            Segment::Raw(seg) if seg.as_ptr_range().contains(&got.as_ptr()));
+                        prop_assert!(in_place, "morsel at row {} of column {} was copied", at, j);
+                    }
+                }
+                let picked = view.morsel_cols_indexed(&reversed, s, m, &mut scratch);
+                for (got, &j) in picked.into_iter().zip(&reversed) {
+                    prop_assert_eq!(got, &cols[j][at..at + m]);
+                }
+            }
+            prop_assert_eq!(next, len);
+            // A range that crosses segments decodes whole.
+            let whole = view.morsel_cols(0, len, &mut scratch);
+            for (j, got) in whole.into_iter().enumerate() {
+                prop_assert_eq!(got, &cols[j][start..start + len]);
+            }
+        }
     }
 }
