@@ -276,7 +276,7 @@ mod tests {
                 income_like(2_000, 2016),
                 0x540a_6462_a08b_0d76,
             ),
-            ("tlc_like", tlc_like(2_000, 2016), 0x6ed0_309a_9875_3318),
+            ("tlc_like", tlc_like(2_000, 2016), 0xc88a_6e4f_9e28_a262),
             (
                 "gdelt_dirty",
                 gdelt_dirty(2_000, 2016),

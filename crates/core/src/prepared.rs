@@ -29,7 +29,7 @@ use std::sync::Arc;
 pub struct PreparedTable {
     frame: Frame,
     m_prime: Arc<[f64]>,
-    /// `Σ_{m′>0} m′·ln m′` in row order: the data's half of every KL.
+    /// `Σ_{m′>0} m′·ln m′`, compensated: the data's half of every KL.
     m_ln_m: f64,
     transform: MeasureTransform,
 }
@@ -66,7 +66,7 @@ impl PreparedTable {
     pub fn from_frame(frame: Frame) -> Result<Self, SirumError> {
         let (transform, m_prime) = MeasureTransform::try_fit(frame.measures())?;
         let positive = m_prime.iter().filter(|&&m| m > 0.0);
-        let m_ln_m = positive.fold(0.0, |acc, &m| acc + m * m.ln());
+        let m_ln_m = neumaier_sum(positive.map(|&m| m * m.ln()));
         Ok(PreparedTable {
             frame,
             m_prime: Arc::from(m_prime),
@@ -102,8 +102,9 @@ impl PreparedTable {
         ColSlice::full(Arc::clone(&self.m_prime))
     }
 
-    /// `Σ_{m′>0} m′·ln m′` over the rows, in row order: with a fitted
-    /// model's RCT, its KL divergence (`crate::rct::Rct::kl`).
+    /// `Σ_{m′>0} m′·ln m′` over the rows, Neumaier-compensated so its
+    /// error does not grow with `n`: with a fitted model's RCT, its KL
+    /// divergence (`crate::rct::Rct::kl`).
     pub(crate) fn m_ln_m(&self) -> f64 {
         self.m_ln_m
     }
@@ -112,6 +113,23 @@ impl PreparedTable {
     pub fn transform(&self) -> MeasureTransform {
         self.transform
     }
+}
+
+/// `Σ xs` with Neumaier's compensation: the low-order bits each addition
+/// drops are summed apart and added back once, so the error stays within a
+/// few ulps of the result however many terms there are.
+fn neumaier_sum(xs: impl Iterator<Item = f64>) -> f64 {
+    let (mut sum, mut lost) = (0.0f64, 0.0f64);
+    for x in xs {
+        let t = sum + x;
+        lost += if sum.abs() >= x.abs() {
+            (sum - t) + x
+        } else {
+            (x - t) + sum
+        };
+        sum = t;
+    }
+    sum + lost
 }
 
 #[cfg(test)]
@@ -144,6 +162,17 @@ mod tests {
             assert!(std::ptr::eq(a.segments(), b.segments()));
         }
         assert!(std::ptr::eq(p.m_prime(), q.m_prime()));
+    }
+
+    #[test]
+    fn compensated_sum_keeps_what_a_plain_sum_drops() {
+        // 1 + 1e-16 rounds back to 1 in plain summation; compensated, the
+        // small terms survive. Cancellation is exact.
+        let terms = [1.0, 1e-16, 1e-16, 1e-16, 1e-16];
+        assert_eq!(terms.iter().sum::<f64>(), 1.0);
+        assert_eq!(neumaier_sum(terms.into_iter()), 1.0 + 4e-16);
+        assert_eq!(neumaier_sum([1e100, 1.0, -1e100].into_iter()), 1.0);
+        assert_eq!(neumaier_sum(std::iter::empty()), 0.0);
     }
 
     #[test]
