@@ -16,7 +16,7 @@ use crate::cancel::CancellationToken;
 use crate::candidates::{merge_agg, Agg, SampleIndex};
 use crate::miner::StagedPipeline;
 use crate::prepared::PreparedTable;
-use crate::rct::{mhat_for_mask, rule_bits, Rct, RctGroup};
+use crate::rct::{mhat_for_mask, rule_bits, Rct};
 use crate::rule::{Rule, RuleKey};
 use crate::sweep::{SweepOutcome, SweepState};
 use sirum_dataflow::{Dataset, Engine, EngineMode};
@@ -79,6 +79,34 @@ fn add_assign(a: &mut [f64], b: Vec<f64>) {
     }
 }
 
+/// What [`MiningData::update_ba`] learns on its way through `D`: the RCT
+/// over the updated bit arrays and the current estimates, and each new
+/// rule's `Σ m′` and support count, in the order the rules were given.
+pub(crate) struct Coverage {
+    pub(crate) rct: Rct,
+    pub(crate) sums: Vec<f64>,
+    pub(crate) counts: Vec<u64>,
+}
+
+impl Coverage {
+    fn new(rules: usize) -> Coverage {
+        Coverage {
+            rct: Rct::default(),
+            sums: vec![0.0; rules],
+            counts: vec![0; rules],
+        }
+    }
+
+    /// Fold the next partition's coverage in.
+    fn merge(&mut self, next: Coverage) {
+        self.rct.add(next.rct.groups().iter().copied());
+        add_assign(&mut self.sums, next.sums);
+        for (a, b) in self.counts.iter_mut().zip(next.counts) {
+            *a += b;
+        }
+    }
+}
+
 impl MiningData {
     /// Distribute `D` from its preparation: one block per partition over
     /// the shared frame columns (zero copies), using the engine's default
@@ -110,37 +138,6 @@ impl MiningData {
         self.0.free();
     }
 
-    /// `Σ_{t⊨r} m′` and support counts for a rule list, one pass over `D`:
-    /// each rule's sum accumulates over rows in ascending row order per
-    /// partition, merged in partition order.
-    pub(crate) fn rule_sums(&self, rules: &[Rule]) -> (Vec<f64>, Vec<u64>) {
-        self.0.aggregate_partitions(
-            "rule-m-sums",
-            || (vec![0.0f64; rules.len()], vec![0u64; rules.len()]),
-            |_, blocks| {
-                let mut sums = vec![0.0f64; rules.len()];
-                let mut counts = vec![0u64; rules.len()];
-                let mut scratch = ColScratch::new();
-                for block in blocks {
-                    let m = block.m();
-                    for (j, rule) in rules.iter().enumerate() {
-                        for_rule_rows(rule, block.dims(), &mut scratch, |i| {
-                            sums[j] += m[i];
-                            counts[j] += 1;
-                        });
-                    }
-                }
-                (sums, counts)
-            },
-            |(s1, c1), (s2, c2)| {
-                add_assign(s1, s2);
-                for (a, b) in c1.iter_mut().zip(c2) {
-                    *a += b;
-                }
-            },
-        )
-    }
-
     /// Reset every estimate to 1 (Sarawagi's from-scratch re-derivation).
     pub(crate) fn reset_mhat(&self) -> MiningData {
         MiningData(self.0.map("reset-mhat", |block| {
@@ -148,41 +145,37 @@ impl MiningData {
         }))
     }
 
-    /// Set bit `i` of every covered tuple's bit array, for each newly
-    /// added `(i, rule)`.
-    pub(crate) fn update_ba(&self, new_rules: Vec<(usize, Rule)>) -> MiningData {
-        MiningData(self.0.map("update-ba", move |block| {
-            let mut mask = block.mask().to_vec();
-            let mut scratch = ColScratch::new();
-            for (i, rule) in &new_rules {
-                let bit = 1u64 << i;
-                for_rule_rows(rule, block.dims(), &mut scratch, |r| mask[r] |= bit);
-            }
-            block.with_mask(mask)
-        }))
-    }
-
-    /// Group tuples by bit array into the RCT: each partition folds its
-    /// rows in ascending order, and the partitions merge in partition
-    /// order. Algorithm 3 fits the model on it; after Algorithm 1 it only
-    /// scores the fit (`Rct::kl`).
-    pub(crate) fn build_rct(&self) -> Rct {
-        self.0.aggregate_partitions(
-            "build-rct",
-            Rct::default,
+    /// The one pass that first meets a rule set (Algorithm 3, lines 5-6):
+    /// set bit `i` of each covered tuple's bit array for every new `(i,
+    /// rule)`, summing the rule's `m′` and support on the way, then fold
+    /// every row into its partition's RCT. No other pass groups or sums
+    /// the rows.
+    pub(crate) fn update_ba(&self, new_rules: Vec<(usize, Rule)>) -> (MiningData, Coverage) {
+        let n = new_rules.len();
+        let (data, cover) = self.0.map_partitions_fold(
+            "update-ba",
+            || Coverage::new(n),
             |_, blocks| {
-                Rct::from_partials(blocks.iter().flat_map(|block| {
-                    let rows = block.mask().iter().zip(block.m()).zip(block.mhat());
-                    rows.map(|((&mask, &m), &mhat)| RctGroup {
-                        mask,
-                        count: 1,
-                        sum_m: m,
-                        sum_mhat: mhat,
-                    })
-                }))
+                let mut cover = Coverage::new(n);
+                let mut scratch = ColScratch::new();
+                let out = blocks.iter().map(|block| {
+                    let (m, mut mask) = (block.m(), block.mask().to_vec());
+                    for (j, (i, rule)) in new_rules.iter().enumerate() {
+                        let bit = 1u64 << i;
+                        for_rule_rows(rule, block.dims(), &mut scratch, |r| {
+                            mask[r] |= bit;
+                            cover.sums[j] += m[r];
+                            cover.counts[j] += 1;
+                        });
+                    }
+                    cover.rct.add_rows(&mask, m, block.mhat());
+                    block.with_mask(mask)
+                });
+                (out.collect(), cover)
             },
-            |a, b| a.add(b.groups().iter().copied()),
-        )
+            Coverage::merge,
+        );
+        (MiningData(data), cover)
     }
 
     /// Write converged estimates back: `m̂ = ∏_{i ∈ BA} λᵢ`.
@@ -390,6 +383,136 @@ impl LcaEmit<'_> {
                 }
             }
             LcaEmit::Tuple => out.push((K::lca(cx, dims, dims), agg)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rule::WILDCARD;
+    use proptest::prelude::*;
+    use sirum_dataflow::EngineConfig;
+    use sirum_table::{Compression, Frame};
+
+    /// A random table (codes in `0..3`, measures often exactly 0) as rows,
+    /// and a random rule list over it, all-wildcards first.
+    fn table_and_rules() -> impl Strategy<Value = (Vec<Vec<u32>>, Vec<f64>, Vec<Rule>)> {
+        (1usize..=3).prop_flat_map(|d| {
+            let value = prop_oneof![Just(WILDCARD), 0u32..3];
+            let row = (
+                prop::collection::vec(0u32..3, d),
+                prop_oneof![Just(0.0), 0.0f64..10.0],
+            );
+            (
+                prop::collection::vec(row, 1..200),
+                prop::collection::vec(prop::collection::vec(value, d), 0..8),
+            )
+                .prop_map(move |(rows, extra)| {
+                    let (codes, m): (Vec<Vec<u32>>, Vec<f64>) = rows.into_iter().unzip();
+                    let mut rules = vec![Rule::all_wildcards(d)];
+                    rules.extend(extra.into_iter().map(Rule::from_values));
+                    (codes, m, rules)
+                })
+        })
+    }
+
+    /// The updated columns of `data`, in global row order: masks, `m′`, `m̂`.
+    fn columns(data: &MiningData) -> (Vec<u64>, Vec<f64>, Vec<f64>) {
+        let blocks = data.0.collect();
+        let masks = blocks.iter().flat_map(|b| b.mask().to_vec()).collect();
+        let m = blocks.iter().flat_map(|b| b.m().to_vec()).collect();
+        let mhat = blocks.iter().flat_map(|b| b.mhat().to_vec()).collect();
+        (masks, m, mhat)
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs())
+    }
+
+    /// `cover` against references over the columns it left: the RCT
+    /// against `Rct::build`, each rule's sum and support against a per-row
+    /// scan of `codes`, each row's mask against the rules it matches.
+    fn check(
+        cover: &Coverage,
+        (masks, m, mhat): &(Vec<u64>, Vec<f64>, Vec<f64>),
+        codes: &[Vec<u32>],
+        rules: &[Rule],
+        new: std::ops::Range<usize>,
+    ) {
+        for (row, &mask) in codes.iter().zip(masks) {
+            let hits = rules[..new.end].iter().enumerate();
+            let want = hits.fold(0, |acc, (i, r)| acc | u64::from(r.matches(row)) << i);
+            prop_assert_eq!(mask, want);
+        }
+        let reference = Rct::build(masks, m, mhat);
+        prop_assert_eq!(cover.rct.len(), reference.len());
+        for (g, r) in cover.rct.groups().iter().zip(reference.groups()) {
+            prop_assert_eq!((g.mask, g.count), (r.mask, r.count));
+            prop_assert!(close(g.sum_m, r.sum_m) && close(g.sum_mhat, r.sum_mhat));
+        }
+        for (j, rule) in rules[new].iter().enumerate() {
+            let rows = codes.iter().zip(m).filter(|(row, _)| rule.matches(row));
+            let (sum, count) = rows.fold((0.0, 0), |(s, c), (_, &mi)| (s + mi, c + 1));
+            prop_assert_eq!(cover.counts[j], count);
+            prop_assert!(close(cover.sums[j], sum), "{} vs {sum}", cover.sums[j]);
+        }
+    }
+
+    /// Every float a coverage carries, as bits.
+    fn bits(cover: &Coverage) -> Vec<u64> {
+        let groups = cover.rct.groups().iter();
+        let group_bits =
+            groups.flat_map(|g| [g.mask, g.count, g.sum_m.to_bits(), g.sum_mhat.to_bits()]);
+        let sums = cover.sums.iter().map(|s| s.to_bits());
+        group_bits
+            .chain(sums)
+            .chain(cover.counts.iter().copied())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn coverage_pass_matches_a_reference(
+            (codes, m, rules) in table_and_rules(),
+            split in 1usize..8,
+            parts in 1usize..=8,
+            lambdas in prop::collection::vec(0.25f64..4.0, 8),
+        ) {
+            // Two passes: the first rules over fresh estimates, the rest
+            // over the estimates a fit of the first wrote.
+            let split = split.min(rules.len());
+            let d = codes[0].len();
+            let cols: Vec<Vec<u32>> = (0..d).map(|j| codes.iter().map(|r| r[j]).collect()).collect();
+            let indexed = |range: std::ops::Range<usize>| -> Vec<(usize, Rule)> {
+                range.map(|i| (i, rules[i].clone())).collect()
+            };
+            let mut seen: Option<Vec<u64>> = None;
+            for compression in [Compression::Never, Compression::Always] {
+                let frame = Frame::from_columns(cols.clone(), m.clone()).with_compression(compression);
+                for config in [EngineConfig::in_memory(), EngineConfig::disk_mr()] {
+                    for workers in [1, 2] {
+                        let engine = Engine::try_new(config.clone().with_workers(workers)).unwrap();
+                        let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), parts);
+                        let data = MiningData(Dataset::from_partitioned(&engine, blocks));
+                        let (first, c1) = data.update_ba(indexed(0..split));
+                        check(&c1, &columns(&first), &codes, &rules, 0..split);
+                        let fitted = first.write_mhat(lambdas.clone());
+                        first.free();
+                        let (last, c2) = fitted.update_ba(indexed(split..rules.len()));
+                        fitted.free();
+                        check(&c2, &columns(&last), &codes, &rules, split..rules.len());
+                        last.free();
+                        let run: Vec<u64> = bits(&c1).into_iter().chain(bits(&c2)).collect();
+                        match &seen {
+                            Some(first_run) => prop_assert_eq!(first_run, &run),
+                            None => seen = Some(run),
+                        }
+                    }
+                }
+            }
         }
     }
 }

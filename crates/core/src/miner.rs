@@ -276,7 +276,7 @@ pub struct PhaseTimings {
     /// ancestor generation, aggregate computation and gain scoring in one
     /// pass; zero on the staged path.
     pub gain_sweep: f64,
-    /// Iterative scaling (including BA/RCT maintenance and write-out).
+    /// Iterative scaling, including the `update-ba` pass (bits and RCT) and write-out.
     pub iterative_scaling: f64,
     /// Whole run.
     pub total: f64,
@@ -519,7 +519,18 @@ impl Miner {
         rules.push(Rule::all_wildcards(d));
         rules.extend(prior.iter().cloned());
         let mut lambdas = vec![1.0f64; rules.len()];
-        let (mut m_sums, counts) = data.rule_sums(&rules);
+        let mut m_sums = Vec::with_capacity(rule_budget);
+        // Fit the seed model. The first sweep scans every row, whatever the
+        // seed fit shares.
+        let (fit, _, counts) = self.run_scaling(
+            &mut data,
+            &rules,
+            &mut m_sums,
+            &mut lambdas,
+            0..rules.len(),
+            &mut timings,
+            &mut scaling_iterations,
+        );
         let mut mined: Vec<MinedRule> = rules
             .iter()
             .zip(m_sums.iter().zip(&counts))
@@ -530,19 +541,6 @@ impl Miner {
                 gain: 0.0,
             })
             .collect();
-
-        // Fit the seed model.
-        let new_range = 0..rules.len();
-        // The first sweep scans every row, whatever the seed fit shares.
-        let (fit, _) = self.run_scaling(
-            &mut data,
-            &rules,
-            &m_sums,
-            &mut lambdas,
-            new_range,
-            &mut timings,
-            &mut scaling_iterations,
-        );
         let mut kl_trace = vec![fit.kl(&lambdas, prepared.m_ln_m())];
         if let Err(e) = self.engine.health() {
             data.free();
@@ -635,10 +633,10 @@ impl Miner {
                     gain: c.gain,
                 });
             }
-            let (fit, shared) = self.run_scaling(
+            let (fit, shared, counts) = self.run_scaling(
                 &mut data,
                 &rules,
-                &m_sums,
+                &mut m_sums,
                 &mut lambdas,
                 first_new..rules.len(),
                 &mut timings,
@@ -651,6 +649,7 @@ impl Miner {
                 data.free();
                 return Err(e.into());
             }
+            debug_assert!(picked.iter().map(|c| c.count).eq(counts.iter().copied()));
             if let Some(observer) = &self.observer {
                 let event = IterationEvent {
                     iteration: iterations,
@@ -688,7 +687,7 @@ impl Miner {
     /// time: caching first would make the budget evict blocks of the old
     /// generation, already read and about to be freed, to disk. It is safe
     /// only because every producer of `new` — `update_ba`, `write_mhat`,
-    /// `scale_mhat` and `reset_mhat` — is an eager `map`: by the time it
+    /// `scale_mhat` and `reset_mhat` — is an eager map: by the time it
     /// returns, every partition of `new` is built (in memory, or
     /// `put_disk`'d under DiskMr) and nothing reads the old generation
     /// again. A lazy producer would have to cache before this free.
@@ -698,12 +697,13 @@ impl Miner {
     }
 
     /// Run iterative scaling after appending rules `new` to the model,
-    /// leaving updated estimates and bit arrays in `data`. Returns the RCT
-    /// of the fitted model, which scores it (`Rct::kl`), and, on the RCT
-    /// path, the estimate most tuples now carry: that of the RCT's largest
-    /// group (first by mask among equals), as [`mhat_for_mask`] wrote it,
-    /// for the next sweeps to count instead of scan
-    /// ([`SweepState::set_shared_estimate`]).
+    /// leaving updated estimates and bit arrays in `data`. The `update-ba`
+    /// pass appends the targets `m_sums` lacks (the seed's; a mined rule
+    /// brings its sweep's `Σm′`) and groups the RCT, which tracks the fit
+    /// and scores it (`Rct::kl`). Returns that RCT, the new rules' supports
+    /// and, on the RCT path, the estimate of the RCT's largest group (first
+    /// by mask among equals), as [`mhat_for_mask`] wrote it, for the next
+    /// sweeps to count instead of scan ([`SweepState::set_shared_estimate`]).
     ///
     /// A cancellation token stops the fit between two λ updates; the next
     /// boundary poll of the mining loop then ends the run.
@@ -715,12 +715,12 @@ impl Miner {
         &self,
         data: &mut MiningData,
         rules: &[Rule],
-        m_sums: &[f64],
+        m_sums: &mut Vec<f64>,
         lambdas: &mut [f64],
         new: std::ops::Range<usize>,
         timings: &mut PhaseTimings,
         scaling_iterations: &mut Vec<usize>,
-    ) -> (Rct, Option<f64>) {
+    ) -> (Rct, Option<f64>, Vec<u64>) {
         let start = Instant::now();
         let cfg = &self.config;
         let cancel = self.cancellation.as_ref();
@@ -733,47 +733,45 @@ impl Miner {
         }
 
         // Pass 1 (both scaling paths): update bit arrays for the newly
-        // added rules. The RCT groups by them; Algorithm 1 reads them as
-        // precomputed rule coverage — `scaling_sums` walks each row's set
-        // bits and `scale_mhat` tests one bit instead of re-matching rules
-        // against dimension codes on every pass. The rule budget is
+        // added rules and group the rows by them. Algorithm 1 reads them
+        // as precomputed rule coverage — `scaling_sums` walks each row's
+        // set bits and `scale_mhat` tests one bit instead of re-matching
+        // rules against dimension codes on every pass. The rule budget is
         // capped at the bit-array width for every run (see
         // `try_mine_prepared`), so indices always fit the mask word.
         let new_rules: Vec<(usize, Rule)> = new.clone().map(|i| (i, rules[i].clone())).collect();
-        let updated = data.update_ba(new_rules);
+        let (updated, mut cover) = data.update_ba(new_rules);
         self.cache_swap(data, updated);
+        m_sums.extend_from_slice(&cover.sums[m_sums.len() - new.start..]);
 
-        let (outcome, fitted) = if cfg.rct {
-            // Pass 2: group by BA to build the RCT (small, driver-resident).
-            let mut rct = data.build_rct();
+        let outcome = if cfg.rct {
+            // Scaling runs entirely on the RCT (small, driver-resident).
+            let outcome = iterative_scaling(&mut cover.rct, m_sums, lambdas, &cfg.scaling, cancel);
 
-            // Scaling runs entirely on the RCT.
-            let outcome = iterative_scaling(&mut rct, m_sums, lambdas, &cfg.scaling, cancel);
-
-            // Pass 3: write the converged estimates back to D.
+            // Pass 2: write the converged estimates back to D.
             let written = data.write_mhat(lambdas.to_vec());
             self.cache_swap(data, written);
-            (outcome, Some(rct))
+            outcome
         } else {
             // Algorithm 1 against the distributed dataset: every λ update
             // pays one sums pass and one update pass over D.
-            let mut backend = DataScaling { miner: self, data };
-            let outcome = iterative_scaling(&mut backend, m_sums, lambdas, &cfg.scaling, cancel);
-            (outcome, None)
+            let mut backend = DataScaling {
+                miner: self,
+                data,
+                rct: &mut cover.rct,
+            };
+            iterative_scaling(&mut backend, m_sums, lambdas, &cfg.scaling, cancel)
         };
         scaling_iterations.push(outcome.iterations);
-
         timings.iterative_scaling += start.elapsed().as_secs_f64();
-        // Algorithm 1 keeps no RCT: group the fitted rows once, outside the
-        // timed fit, only to score the model.
-        let Some(rct) = fitted else {
-            return (data.build_rct(), None);
-        };
+
         // `max_by_key` keeps the last of equal maxima: walk the mask-sorted
-        // groups backwards for the first.
-        let largest = rct.groups().iter().rev().max_by_key(|g| g.count);
-        let shared = largest.map(|g| mhat_for_mask(g.mask, lambdas));
-        (rct, shared)
+        // groups backwards for the first. Naive sweeps stay full scans.
+        let largest = cover.rct.groups().iter().rev().max_by_key(|g| g.count);
+        let shared = largest
+            .filter(|_| cfg.rct)
+            .map(|g| mhat_for_mask(g.mask, lambdas));
+        (cover.rct, shared, cover.counts)
     }
 
     /// Candidate generation for one iteration on the default path: one
@@ -969,10 +967,12 @@ struct Frontier {
 }
 
 /// The mining dataset as Algorithm 1's backend: coverage is read from the
-/// tuples' bit arrays, and every λ update writes a new generation of `D`.
+/// tuples' bit arrays, and every λ update writes a new generation of `D`
+/// and scales the RCT's groups alike, so the RCT scores the fit.
 struct DataScaling<'a> {
     miner: &'a Miner,
     data: &'a mut MiningData,
+    rct: &'a mut Rct,
 }
 
 impl ScalingBackend for DataScaling<'_> {
@@ -983,5 +983,6 @@ impl ScalingBackend for DataScaling<'_> {
     fn scale(&mut self, i: usize, factor: f64) {
         let scaled = self.data.scale_mhat(i, factor);
         self.miner.cache_swap(self.data, scaled);
+        self.rct.scale(i, factor);
     }
 }

@@ -6,20 +6,21 @@
 //! yields a tiny table (the RCT). [`Rct`] is a [`ScalingBackend`], so
 //! Algorithm 3 is [`crate::scaling::iterative_scaling`] run over the
 //! groups instead of `D`. Per mining iteration the miner's scaling step
-//! passes over `D` three times — `update-ba` sets the new rules' bits,
-//! `build-rct` groups the rows by bit array, `write-mhat` writes the
+//! passes over `D` twice — `update-ba` sets the new rules' bits and folds
+//! each row into the RCT in the same pass, `write-mhat` writes the
 //! converged estimates back.
 //!
 //! The groups also score the model: tuples of one group share the
 //! estimate `q = ∏ λ`, so KL divergence (§2.3) needs one `ln` per group
 //! and the data's `Σ m·ln m`, which does not change as rules are added.
 //! `Rct::kl` is the one KL of a fitted model — the miner's (Algorithm
-//! 1's naive path groups its rows in `build-rct` just to be scored), the
-//! streaming maintainer's and [`crate::evaluate`]'s all go through it.
+//! 1's naive path scales the RCT's groups alongside `D`, so the RCT
+//! tracks its fit), the streaming maintainer's and [`crate::evaluate`]'s
+//! all go through it.
 //!
 //! Every RCT is filled through one fold, `Rct::add`: rows (groups of one)
 //! and partial groups alike, in arrival order, located through a
-//! `mask → position` hash index. The miner's per-partition build, the
+//! `mask → position` hash index. The miner's `update-ba` pass, the
 //! offline [`crate::evaluate`] fit and the streaming maintainer all use it.
 //!
 //! Bit arrays are `u64` masks; the paper caps `|R|` at 50 rules
@@ -65,12 +66,9 @@ impl Rct {
         assert_eq!(masks.len(), m.len());
         // lint:allow(SL001) — driver-built parallel arrays
         assert_eq!(masks.len(), mhat.len());
-        Rct::from_partials((0..masks.len()).map(|i| RctGroup {
-            mask: masks[i],
-            count: 1,
-            sum_m: m[i],
-            sum_mhat: mhat[i],
-        }))
+        let mut rct = Rct::default();
+        rct.add_rows(masks, m, mhat);
+        rct
     }
 
     /// Assemble from pre-aggregated groups (the distributed build path:
@@ -107,6 +105,18 @@ impl Rct {
                 self.index.insert(g.mask, at);
             }
         }
+    }
+
+    /// Fold rows given as parallel columns of masks, transformed measures
+    /// and current estimates, in row order (see [`Self::add`]).
+    pub(crate) fn add_rows(&mut self, masks: &[u64], m: &[f64], mhat: &[f64]) {
+        let rows = masks.iter().zip(m).zip(mhat);
+        self.add(rows.map(|((&mask, &sum_m), &sum_mhat)| RctGroup {
+            mask,
+            count: 1,
+            sum_m,
+            sum_mhat,
+        }));
     }
 
     /// The groups, sorted by mask.

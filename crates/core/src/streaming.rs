@@ -18,8 +18,8 @@
 //! Mining is the [`Miner`]'s job. When the model drifts (KL grows),
 //! [`StreamingMiner::mine_more`] runs the batch miner over the accumulated
 //! history with the model's rules as prior knowledge (§5.6.2) and adopts
-//! each rule it returns: one coverage scan for the new bit, an RCT rebuilt
-//! from the history, then the usual warm refit.
+//! each rule it returns: one scan of the history sets the new bit and
+//! folds each row into a fresh RCT, then the usual warm refit.
 
 use crate::error::SirumError;
 use crate::miner::{CandidateStrategy, Miner, SirumConfig};
@@ -277,8 +277,8 @@ impl StreamingMiner {
     }
 
     /// Append a rule to the model: update every historical tuple's bit
-    /// array and sum the rule's `Σm` (one scan — unavoidable, the rule is
-    /// new), rebuild the RCT from the history, and re-fit with warm
+    /// array, sum the rule's `Σm` and fold the row into a fresh RCT (one
+    /// scan — unavoidable, the rule is new), then re-fit with warm
     /// multipliers.
     fn add_rule(&mut self, rule: Rule) {
         let bit = 1u64 << self.rules.len();
@@ -287,16 +287,15 @@ impl StreamingMiner {
         self.rules.push(rule);
         self.lambdas.push(1.0);
         let mut sum_m = 0.0;
+        self.rct = Rct::default();
         for (i, &m) in self.measures.iter().enumerate() {
             if consts.iter().all(|&(j, v)| self.cols[j][i] == v) {
                 self.masks[i] |= bit;
                 sum_m += m;
             }
+            self.rct.add([self.group_of_one(self.masks[i], m)]);
         }
         self.m_sums.push(sum_m);
-        self.rct = Rct::from_partials(
-            (self.masks.iter().zip(&self.measures)).map(|(&mask, &m)| self.group_of_one(mask, m)),
-        );
         self.refit();
     }
 }

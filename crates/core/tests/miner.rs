@@ -694,27 +694,27 @@ fn staged_output_is_pinned_bit_for_bit() {
         ..SirumConfig::default()
     };
     let cases = [
-        ("Naive", Variant::Naive.config(4, 16), 0x282e_6ea8_b5b9_e1e4),
+        ("Naive", Variant::Naive.config(4, 16), 0xbf9f_b42a_f8a4_46a7),
         (
             "Baseline",
             Variant::Baseline.config(4, 16),
-            0x2a92_6c64_6ce3_9f03,
+            0x830c_fdd8_2119_6050,
         ),
         ("RCT", Variant::Rct.config(4, 16), 0xb77e_b55e_f73d_50b6),
         (
             "FastPruning",
             Variant::FastPruning.config(4, 16),
-            0x2a92_6c64_6ce3_9f03,
+            0x830c_fdd8_2119_6050,
         ),
         (
             "FastAncestor",
             Variant::FastAncestor.config(4, 16),
-            0x011d_18ae_d65b_b0f9,
+            0xe05b_a0e7_b478_8c1a,
         ),
         (
             "MultiRule",
             Variant::MultiRule.config(4, 16),
-            0xb2a9_bd45_1d8a_4445,
+            0xe8f9_1983_acb3_5aff,
         ),
         ("FullCube", full_cube, 0x3764_882d_6a9f_6e3b),
     ];
@@ -726,5 +726,45 @@ fn staged_output_is_pinned_bit_for_bit() {
             "{name}: {:#018x}",
             staged_fingerprint(&r)
         );
+    }
+}
+
+#[test]
+fn a_fit_meets_d_once_to_set_bits_and_group_rows() {
+    // §4.1 groups the tuples by the bit arrays it has just set, so on the
+    // RCT path a fit passes over D twice — `update-ba` and `write-mhat` —
+    // however many λ updates it makes. Algorithm 1 pays one `scale-mhat`
+    // per λ update and one `scaling-sums` per update plus the convergence
+    // check that ends each fit. Nothing groups or sums the rows apart.
+    let t = generators::income_like(1_000, 2016);
+    let count = |e: &Engine, label: &str| {
+        let stages = e.metrics().stages();
+        stages.iter().filter(|s| s.label == label).count()
+    };
+    let rct = engine();
+    let r = Miner::new(rct.clone(), Variant::Rct.config(4, 16))
+        .try_mine(&t)
+        .unwrap();
+    let fits = r.iterations + 1;
+    assert_eq!(r.scaling_iterations.len(), fits);
+    assert!(r.scaling_iterations.iter().sum::<usize>() > fits);
+    assert_eq!(count(&rct, "update-ba"), fits);
+    assert_eq!(count(&rct, "write-mhat"), fits);
+    assert_eq!(count(&rct, "scaling-sums") + count(&rct, "scale-mhat"), 0);
+
+    let naive = engine();
+    let b = Miner::new(naive.clone(), Variant::Baseline.config(4, 16))
+        .try_mine(&t)
+        .unwrap();
+    let updates: usize = b.scaling_iterations.iter().sum();
+    assert_eq!(count(&naive, "update-ba"), b.scaling_iterations.len());
+    assert_eq!(count(&naive, "scale-mhat"), updates);
+    assert_eq!(
+        count(&naive, "scaling-sums"),
+        updates + b.scaling_iterations.len()
+    );
+    assert_eq!(count(&naive, "write-mhat"), 0);
+    for e in [&rct, &naive] {
+        assert_eq!(count(e, "build-rct") + count(e, "rule-m-sums"), 0);
     }
 }

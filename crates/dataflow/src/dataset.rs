@@ -162,19 +162,43 @@ impl<T: Record> Dataset<T> {
     where
         F: Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     {
+        self.map_partitions_fold(label, || (), |i, d| (f(i, d), ()), |_, ()| ())
+            .0
+    }
+
+    /// One narrow stage whose tasks also return a side value: `f` maps a
+    /// partition to its output and an accumulator, and `comb` folds the
+    /// accumulators strictly in partition order on the driver (`init` only
+    /// when there are none). Eager, like every map: each output partition
+    /// is placed, in memory or on disk, by the time it returns.
+    pub fn map_partitions_fold<U: Record, A: Send>(
+        &self,
+        label: &str,
+        init: impl FnOnce() -> A,
+        f: impl Fn(usize, &[T]) -> (Vec<U>, A) + Send + Sync,
+        comb: impl Fn(&mut A, A),
+    ) -> (Dataset<U>, A) {
         let engine = self.engine.clone();
-        let parts =
+        let outs =
             self.engine
                 .run_stage(label, self.parts.clone(), (0, 0), |idx, part: Part<T>| {
                     let data = part.load(&engine);
-                    let out = f(idx, &data);
+                    let (out, acc) = f(idx, &data);
                     TaskOutput {
                         records_in: data.len() as u64,
                         records_out: out.len() as u64,
-                        value: Self::finish_part(&engine, out),
+                        value: (Self::finish_part(&engine, out), acc),
                     }
                 });
-        Dataset::from_parts(self.engine.clone(), parts)
+        // `run_stage` returns outputs in partition order, whichever worker
+        // ran which task, so folding them front to back is deterministic.
+        let (parts, accs): (Vec<_>, Vec<_>) = outs.into_iter().unzip();
+        let folded = accs.into_iter().reduce(|mut total, acc| {
+            comb(&mut total, acc);
+            total
+        });
+        let data = Dataset::from_parts(self.engine.clone(), parts);
+        (data, folded.unwrap_or_else(init))
     }
 
     /// Element-wise transformation.
@@ -197,7 +221,7 @@ impl<T: Record> Dataset<T> {
     /// accumulator per partition. Because the fold order is the partition
     /// order — never the task *completion* order — the result is
     /// bit-identical for any worker count, including non-associative float
-    /// accumulation.
+    /// accumulation: [`Self::map_partitions_fold`] with no output records.
     pub fn aggregate_partitions<A, FI, FP, FC>(
         &self,
         label: &str,
@@ -211,27 +235,8 @@ impl<T: Record> Dataset<T> {
         FP: Fn(usize, &[T]) -> A + Send + Sync,
         FC: Fn(&mut A, A),
     {
-        let engine = self.engine.clone();
-        let accs =
-            self.engine
-                .run_stage(label, self.parts.clone(), (0, 0), |idx, part: Part<T>| {
-                    let data = part.load(&engine);
-                    let acc = per_part(idx, &data);
-                    TaskOutput {
-                        records_in: data.len() as u64,
-                        records_out: 1,
-                        value: acc,
-                    }
-                });
-        // run_stage returns outputs in partition order regardless of which
-        // worker ran which task; folding that Vec front-to-back is the
-        // deterministic reduction.
-        let mut iter = accs.into_iter();
-        let mut total = iter.next().unwrap_or_else(&init);
-        for acc in iter {
-            comb(&mut total, acc);
-        }
-        total
+        let per_part = |idx, data: &[T]| (Vec::<()>::new(), per_part(idx, data));
+        self.map_partitions_fold(label, init, per_part, comb).1
     }
 
     /// Persist every partition in the block store (subject to the memory
@@ -519,6 +524,75 @@ mod tests {
         let seq = run(1);
         assert_eq!(run(2), seq);
         assert_eq!(run(4), seq);
+    }
+
+    #[test]
+    fn map_partitions_fold_folds_side_values_in_partition_order() {
+        for workers in [1, 4] {
+            let e = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+            let d = e.parallelize((0..40u32).collect(), 5);
+            let (out, order) = d.map_partitions_fold(
+                "tagged",
+                Vec::new,
+                |idx, data: &[u32]| {
+                    (
+                        data.iter().map(|x| x + 1).collect(),
+                        vec![(idx, data.len())],
+                    )
+                },
+                |a, b| a.extend(b),
+            );
+            assert_eq!(out.collect(), (1..=40).collect::<Vec<u32>>());
+            assert_eq!(
+                order,
+                vec![(0, 8), (1, 8), (2, 8), (3, 8), (4, 8)],
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn disk_mr_map_partitions_fold_writes_as_map_partitions_does() {
+        // Two of the four partitions map to nothing, which stays in memory.
+        let keep_odd = |idx: usize, xs: &[u32]| {
+            if idx % 2 == 1 {
+                xs.to_vec()
+            } else {
+                Vec::new()
+            }
+        };
+        let run = |fold: bool| {
+            let e = Engine::try_new(EngineConfig::disk_mr()).unwrap();
+            let d = e.parallelize((0..100u32).collect(), 4);
+            let out = if fold {
+                let (out, n) = d.map_partitions_fold(
+                    "odd",
+                    || 0,
+                    |idx, xs| (keep_odd(idx, xs), 1),
+                    |a, b| *a += b,
+                );
+                assert_eq!(n, 4);
+                out
+            } else {
+                d.map_partitions("odd", keep_odd)
+            };
+            let written = e.metrics().counters();
+            let stored = out.parts.iter().map(|p| matches!(p, Part::Stored(_)));
+            let stored: Vec<bool> = stored.collect();
+            let records = out.collect();
+            out.free();
+            assert_eq!(e.store().resident_bytes(), 0);
+            (
+                written.disk_writes,
+                written.disk_bytes_written,
+                stored,
+                records,
+            )
+        };
+        let folded = run(true);
+        assert_eq!(folded.0, 2);
+        assert_eq!(folded.2, [false, true, false, true]);
+        assert_eq!(folded, run(false));
     }
 
     #[test]
