@@ -2,23 +2,23 @@
 //! reference), sample-based candidate pruning via LCAs (§3.1.1), and the
 //! inverted-index fast pruning of §4.2.
 //!
-//! [`SampleIndex`] answers "what are the `|s|` LCAs of this tuple" two
-//! ways, one per pipeline. The staged pipeline's probe writes the LCAs
-//! out with one posting-list lookup per attribute, in whichever rule key
-//! its records carry (`RuleKey`) — a packed code or a `Rule`, each
-//! starting all-wild and taking one constant per hit
-//! (`SampleIndex::lca_keys_into`). The sweep's one probe,
-//! [`SampleIndex::match_masks_into_cols`], stops a step earlier: it
-//! reports only *which* dimensions of each sample row the tuple matches, a
-//! `d`-bit mask per sample row computed by a branch-free compare against
-//! the transposed sample. That mask already names the LCA (the constants
-//! are the sample row's own values on the set bits), so every sweep sink
-//! keys its accumulator from `(sample row, mask)` — the slot table without
-//! building or hashing a code per pair.
+//! [`SampleIndex`] answers "what are the `|s|` LCAs of this tuple" with one
+//! probe per pipeline. The staged pipeline's probe,
+//! `SampleIndex::lca_keys_into`, writes the LCAs out with one posting
+//! lookup per attribute, in whichever rule key its records carry
+//! (`RuleKey`) — a packed code or a `Rule`, each starting all-wild and
+//! taking one constant per sample row the posting bitset names. The
+//! sweep's probe, [`SampleIndex::match_masks_into_cols`], stops a step
+//! earlier: it reports only *which* dimensions of each sample row the
+//! tuple matches, a `d`-bit mask per sample row computed by a branch-free
+//! compare against the transposed sample. That mask already names the LCA
+//! (the constants are the sample row's own values on the set bits), so
+//! every sweep sink keys its accumulator from `(sample row, mask)` — the
+//! slot table without building or hashing a code per pair.
 
 use crate::cancel::CancellationToken;
 use crate::lattice::ancestors;
-use crate::rule::{Rule, RuleKey, WILDCARD};
+use crate::rule::{Rule, RuleKey};
 use crate::sweep::CANCEL_POLL_ROWS;
 use sirum_dataflow::hash::FxHashMap;
 use sirum_table::Table;
@@ -80,10 +80,10 @@ pub struct SampleIndex {
     /// The sample transposed, `sample_cols[col · |s| + j] = rows[j][col]`:
     /// one contiguous `|s|`-wide run per dimension for the match-mask probe.
     sample_cols: Vec<u32>,
-    cols: Vec<FxHashMap<u32, Vec<u32>>>,
-    /// Posting lists as bitsets over sample rows (`MASK_WORDS × 64` rows
-    /// max), for O(#constants) match counting.
-    mask_cols: Vec<FxHashMap<u32, SampleMask>>,
+    /// Posting lists as bitsets over sample rows: bit `j` of
+    /// `postings[col][v]` is set iff sample row `j` carries `v` on
+    /// dimension `col`.
+    postings: Vec<FxHashMap<u32, SampleMask>>,
     full_mask: SampleMask,
     d: usize,
 }
@@ -120,9 +120,7 @@ impl SampleIndex {
     pub fn build(rows: Vec<Box<[u32]>>, d: usize) -> SampleIndex {
         // lint:allow(SL001) — unreachable via Miner, streams included (typed InvalidConfig on oversized effective samples)
         assert!(rows.len() <= MAX_SAMPLE, "sample too large for the index");
-        let mut cols: Vec<FxHashMap<u32, Vec<u32>>> =
-            (0..d).map(|_| FxHashMap::default()).collect();
-        let mut mask_cols: Vec<FxHashMap<u32, SampleMask>> =
+        let mut postings: Vec<FxHashMap<u32, SampleMask>> =
             (0..d).map(|_| FxHashMap::default()).collect();
         let mut full_mask = [0u64; 4];
         let mut sample_cols = vec![0u32; rows.len() * d];
@@ -133,15 +131,13 @@ impl SampleIndex {
             mask_set(&mut full_mask, i);
             for (col, &v) in row.iter().enumerate() {
                 sample_cols[col * rows.len() + i] = v;
-                cols[col].entry(v).or_default().push(i as u32);
-                mask_set(mask_cols[col].entry(v).or_insert([0u64; 4]), i);
+                mask_set(postings[col].entry(v).or_insert([0u64; 4]), i);
             }
         }
         SampleIndex {
             rows,
             sample_cols,
-            cols,
-            mask_cols,
+            postings,
             full_mask,
             d,
         }
@@ -162,38 +158,11 @@ impl SampleIndex {
         &self.rows
     }
 
-    /// Approximate serialized size (for broadcast accounting).
-    pub fn bytes_hint(&self) -> u64 {
-        (self.rows.len() * self.d * 8) as u64
-    }
-
-    /// Compute the `|s|` LCAs of `tuple` with one index probe per attribute:
-    /// initialize every LCA to all-wildcards, then overwrite position `col`
-    /// with the constant for exactly the sample rows whose value matches
-    /// (§4.2's optimization — fewer than `d` comparisons per LCA when
-    /// values usually differ).
-    ///
-    /// `scratch` is reused across calls to avoid reallocation; it is resized
-    /// to `|s|` rows of `d` values. Returns the scratch buffer content as
-    /// `&[u32]` chunks of length `d`, one per sample row (in sample order).
-    pub fn lcas_into<'a>(&self, tuple: &[u32], scratch: &'a mut Vec<u32>) -> &'a [u32] {
-        debug_assert_eq!(tuple.len(), self.d);
-        scratch.clear();
-        scratch.resize(self.rows.len() * self.d, WILDCARD);
-        for (col, &v) in tuple.iter().enumerate() {
-            if let Some(hits) = self.cols[col].get(&v) {
-                for &row in hits {
-                    scratch[row as usize * self.d + col] = v;
-                }
-            }
-        }
-        scratch
-    }
-
-    /// [`Self::lcas_into`] in any [`RuleKey`]: append `(lca(s_j, tuple),
-    /// agg)` for every sample row `s_j`, in sample order. Every LCA starts
-    /// all-wild in `out`, and each posting-list hit sets its constant in
-    /// place.
+    /// Append `(lca(s_j, tuple), agg)` for every sample row `s_j`, in
+    /// sample order, in any [`RuleKey`], with one index probe per attribute
+    /// (§4.2's optimization — no `d`-wide compare per sample row): every
+    /// LCA starts all-wild in `out`, and each sample row the posting bitset
+    /// of `(col, tuple[col])` names takes that constant in place.
     pub(crate) fn lca_keys_into<K: RuleKey>(
         &self,
         cx: &K::Codec,
@@ -201,13 +170,20 @@ impl SampleIndex {
         agg: Agg,
         out: &mut Vec<(K, Agg)>,
     ) {
+        debug_assert_eq!(tuple.len(), self.d);
         let base = out.len();
         out.resize(base + self.rows.len(), (K::all_wild(cx, self.d), agg));
         let lcas = &mut out[base..];
         for (col, &v) in tuple.iter().enumerate() {
-            if let Some(hits) = self.cols[col].get(&v) {
-                for &row in hits {
-                    lcas[row as usize].0.set_constant(cx, col, v);
+            let Some(hits) = self.postings[col].get(&v) else {
+                continue;
+            };
+            for (w, &word) in hits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let row = w * 64 + bits.trailing_zeros() as usize;
+                    lcas[row].0.set_constant(cx, col, v);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -217,7 +193,7 @@ impl SampleIndex {
     /// straight out of columnar storage (`cols[col][row]`): bit `col` of
     /// entry `j` is set iff sample row `j` carries the tuple's value on
     /// dimension `col`. `lca(s_j, t)` is then `s_j` restricted to the set
-    /// bits (wildcards elsewhere) — the LCA [`Self::lcas_into`] writes out,
+    /// bits (wildcards elsewhere) — the LCA `lca_keys_into` writes out,
     /// named without being written.
     ///
     /// Each dimension is one `|s|`-wide compare against a contiguous run
@@ -252,36 +228,21 @@ impl SampleIndex {
         masks
     }
 
-    /// Number of sample tuples matching `rule` (the aggregate-adjustment
-    /// divisor of §3.1.1).
-    pub fn match_count(&self, rule: &Rule) -> u64 {
-        self.count_matching(rule.constants())
-    }
-
-    /// Number of sample tuples carrying every `(dimension, code)` of
-    /// `constants`: an intersection of the per-constant posting bitsets —
-    /// O(#constants) instead of a scan of the sample.
-    fn count_matching(&self, constants: impl IntoIterator<Item = (usize, u32)>) -> u64 {
-        let mut mask = self.full_mask;
-        for (col, v) in constants {
-            match self.mask_cols[col].get(&v) {
-                Some(bits) => mask_and(&mut mask, bits),
-                None => return 0,
-            }
-        }
-        mask_count(&mask)
-    }
-
     /// The sample multiplicity a *candidate*'s pair-level aggregates are
     /// divided by (§3.1.1): the number of sample tuples carrying every
-    /// `(dimension, code)` of its [`Rule::constants`], as
-    /// [`Self::match_count`] counts them.
+    /// `(dimension, code)` of its [`Rule::constants`] — an intersection of
+    /// the per-constant posting bitsets, O(#constants) instead of a scan of
+    /// the sample.
     ///
     /// # Panics
     /// Panics if the candidate matches no sample tuple — impossible for
     /// rules generated from LCAs (every ancestor of `lca(s, t)` covers `s`).
     pub fn multiplicity(&self, constants: impl IntoIterator<Item = (usize, u32)>) -> u64 {
-        let c = self.count_matching(constants);
+        let mut mask = self.full_mask;
+        for (col, v) in constants {
+            mask_and(&mut mask, self.postings[col].get(&v).unwrap_or(&[0; 4]));
+        }
+        let c = mask_count(&mask);
         // lint:allow(SL001) — documented invariant: every ancestor of lca(s, t) covers s
         assert!(c > 0, "a candidate matches no sample tuple");
         c
@@ -319,6 +280,8 @@ pub fn adjust_for_sample<I: IntoIterator<Item = (Rule, Agg)>>(
 mod tests {
     use super::*;
     use crate::lattice::ancestors as all_ancestors;
+    use crate::rule::{RuleLayout, WILDCARD};
+    use proptest::prelude::*;
     use sirum_table::generators::flights;
     use sirum_table::ColScratch;
 
@@ -485,14 +448,11 @@ mod tests {
         let t = flights();
         let sample = sample_rows(&t, &[3, 8, 11]);
         let index = SampleIndex::build(sample.clone(), 3);
-        let mut scratch = Vec::new();
         for row in t.rows() {
-            let fast = index.lcas_into(&row, &mut scratch).to_vec();
-            for (j, s) in sample.iter().enumerate() {
-                let naive = Rule::lca(s, &row);
-                let via_index = &fast[j * 3..(j + 1) * 3];
-                assert_eq!(naive.values(), via_index);
-            }
+            let mut fast: Vec<(Rule, Agg)> = Vec::new();
+            index.lca_keys_into(&(), &row, (1.0, 1.0, 1), &mut fast);
+            let naive: Vec<Rule> = sample.iter().map(|s| Rule::lca(s, &row)).collect();
+            assert_eq!(fast.into_iter().map(|(r, _)| r).collect::<Vec<_>>(), naive);
         }
     }
 
@@ -531,10 +491,10 @@ mod tests {
         let t = flights();
         let sample = sample_rows(&t, &[0, 1, 2, 3]);
         let index = SampleIndex::build(sample, 3);
-        assert_eq!(index.match_count(&Rule::all_wildcards(3)), 4);
+        assert_eq!(index.multiplicity(Rule::all_wildcards(3).constants()), 4);
         let fri = t.dict(0).code("Fri").unwrap();
         let rule = Rule::from_values(vec![fri, WILDCARD, WILDCARD]);
-        assert_eq!(index.match_count(&rule), 2); // t1, t2 are Friday flights
+        assert_eq!(index.multiplicity(rule.constants()), 2); // t1, t2 are Friday flights
     }
 
     #[test]
@@ -550,5 +510,48 @@ mod tests {
             (1.0, 1.0, 1),
         );
         let _ = adjust_for_sample(cands, &index);
+    }
+
+    /// The LCAs `lca_keys_into` appends for `tuple` in key form `K`, read
+    /// back as `Rule`s, each checked to carry the aggregate it was given.
+    fn probe<K: RuleKey>(index: &SampleIndex, cx: &K::Codec, tuple: &[u32]) -> Vec<Rule> {
+        let agg = (1.5, 2.5, 3);
+        let mut out: Vec<(K, Agg)> = Vec::new();
+        index.lca_keys_into(cx, tuple, agg, &mut out);
+        let rules = out.into_iter().map(|(key, a)| {
+            assert_eq!(a, agg);
+            key.into_rule(cx)
+        });
+        rules.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lca_keys_into_matches_rule_lca(
+            (rows, picks, card) in (1usize..=5, 1u32..=6)
+                .prop_flat_map(|(d, card)| {
+                    (prop::collection::vec(prop::collection::vec(0..card, d), 1..40), Just(card))
+                })
+                .prop_flat_map(|(rows, card)| {
+                    let n = rows.len();
+                    (Just(rows), prop::collection::vec(0..n, 1..=MAX_SAMPLE), Just(card))
+                })
+        ) {
+            // Samples up to MAX_SAMPLE rows span every posting-bitset word;
+            // every row of the table is probed, not only the sample's.
+            let d = rows[0].len();
+            let sample: Vec<Box<[u32]>> = picks.iter().map(|&i| rows[i].as_slice().into()).collect();
+            let index = SampleIndex::build(sample.clone(), d);
+            let layout = RuleLayout::from_cardinalities(&vec![card; d]);
+            let (narrow, wide) = (layout.masks::<u64>(), layout.masks::<u128>());
+            for row in &rows {
+                let naive: Vec<Rule> = sample.iter().map(|s| Rule::lca(s, row)).collect();
+                prop_assert_eq!(&probe::<Rule>(&index, &(), row), &naive);
+                prop_assert_eq!(&probe::<u64>(&index, &narrow, row), &naive);
+                prop_assert_eq!(&probe::<u128>(&index, &wide, row), &naive);
+            }
+        }
     }
 }

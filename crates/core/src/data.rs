@@ -19,7 +19,7 @@ use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, rule_bits, Rct};
 use crate::rule::{Rule, RuleKey};
 use crate::sweep::{SweepOutcome, SweepState};
-use sirum_dataflow::{Dataset, Engine, EngineMode};
+use sirum_dataflow::{Dataset, Engine};
 use sirum_table::{ColScratch, FrameView};
 
 /// The distributed dataset a mining run scans.
@@ -125,12 +125,9 @@ impl MiningData {
         self.0.num_partitions()
     }
 
-    /// Persist in the block store (except in DiskMr mode, whose stage
-    /// outputs are already disk-materialized).
-    pub(crate) fn cache(&mut self, mode: EngineMode) {
-        if mode != EngineMode::DiskMr {
-            self.0 = self.0.cache();
-        }
+    /// Persist in the block store (see [`Dataset::cache`]).
+    pub(crate) fn cache(&mut self) {
+        self.0 = self.0.cache();
     }
 
     /// Release any block-store blocks.
@@ -235,42 +232,6 @@ impl MiningData {
                 .collect();
             block.with_mhat(mhat)
         }))
-    }
-
-    /// Draw exactly `min(n, rows)` dimension-code rows uniformly without
-    /// replacement, deterministically from `seed` — the candidate-pruning
-    /// sample: the global row indices of
-    /// [`sirum_dataflow::sample_row_indices`], gathered from the columns.
-    pub(crate) fn sample_dims(&self, n: usize, seed: u64) -> Vec<Box<[u32]>> {
-        let data = &self.0;
-        let parts = data.num_partitions();
-        let lens: Vec<usize> = (0..parts)
-            .map(|i| data.part(i).iter().map(TupleBlock::len).sum())
-            .collect();
-        let total: usize = lens.iter().sum();
-        let chosen = sirum_dataflow::sample_row_indices(total, n, seed);
-        let mut out = Vec::with_capacity(chosen.len());
-        let mut offset = 0usize;
-        let mut cursor = 0usize;
-        for (i, &len) in lens.iter().enumerate() {
-            if cursor >= chosen.len() {
-                break;
-            }
-            let part = data.part(i);
-            while cursor < chosen.len() && chosen[cursor] < offset + len {
-                let mut local = chosen[cursor] - offset;
-                for block in part.iter() {
-                    if local < block.len() {
-                        out.push(block.dims().gather_row_boxed(local));
-                        break;
-                    }
-                    local -= block.len();
-                }
-                cursor += 1;
-            }
-            offset += len;
-        }
-        out
     }
 
     /// One fused gain sweep over this dataset through the mine's

@@ -512,7 +512,7 @@ impl Miner {
         // Distribute D — one columnar block per partition over the
         // prepared table's shared columns — and cache it.
         let mut data = MiningData::seed(&self.engine, prepared);
-        data.cache(self.engine.mode());
+        data.cache();
 
         // Seed rule set: all-wildcards first (required by §2.2), then priors.
         let mut rules: Vec<Rule> = Vec::with_capacity(rule_budget);
@@ -547,21 +547,23 @@ impl Miner {
             return Err(e.into());
         }
 
-        // Draw the candidate-pruning sample once (§3.1.1) and build its
-        // inverted index (§4.2); the index is also what adjusts aggregates.
+        // Draw the candidate-pruning sample once (§3.1.1), from the
+        // prepared frame `D` was seeded from, and build its inverted index
+        // (§4.2); every task borrows it, and it is also what adjusts
+        // aggregates.
         let index = match cfg.strategy {
             CandidateStrategy::SampleLca { sample_size } => {
-                let rows: Vec<Box<[u32]>> = data.sample_dims(sample_size, cfg.seed);
-                let idx = SampleIndex::build(rows, d);
-                let hint = idx.bytes_hint();
-                Some(self.engine.broadcast_sized(idx, hint))
+                let view = prepared.frame().view();
+                let picks = sirum_dataflow::sample_row_indices(view.len(), sample_size, cfg.seed);
+                let rows = picks.into_iter().map(|i| view.gather_row_boxed(i));
+                Some(SampleIndex::build(rows.collect(), d))
             }
             CandidateStrategy::FullCube => None,
         };
 
         // The sweep's per-mine state: the first iteration builds what
         // stage 2 reuses in the rest. Dropped on return, never cached.
-        let mut sweep = SweepState::new(d, index.as_deref(), &sweep_opts);
+        let mut sweep = SweepState::new(d, index.as_ref(), &sweep_opts);
 
         // Greedy loop (Algorithm 2).
         let mut iterations = 0usize;
@@ -600,7 +602,7 @@ impl Miner {
                     pipeline,
                     layout.as_ref(),
                     &data,
-                    index.as_deref(),
+                    index.as_ref(),
                     &rules,
                     &mut timings,
                 ),
@@ -680,7 +682,7 @@ impl Miner {
     }
 
     /// Free the generation in `data` that `new` replaces, then cache `new`
-    /// in its place (except in DiskMr mode, whose stage outputs are already
+    /// in its place (a no-op under DiskMr, whose stage outputs are already
     /// disk-materialized).
     ///
     /// Freeing first is what keeps one generation in the block store at a
@@ -693,7 +695,7 @@ impl Miner {
     /// again. A lazy producer would have to cache before this free.
     fn cache_swap(&self, data: &mut MiningData, new: MiningData) {
         std::mem::replace(data, new).free();
-        data.cache(self.engine.mode());
+        data.cache();
     }
 
     /// Run iterative scaling after appending rules `new` to the model,

@@ -115,21 +115,39 @@ impl PreparedTable {
     }
 }
 
-/// `Σ xs` with Neumaier's compensation: the low-order bits each addition
-/// drops are summed apart and added back once, so the error stays within a
-/// few ulps of the result however many terms there are.
-fn neumaier_sum(xs: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut lost) = (0.0f64, 0.0f64);
-    for x in xs {
-        let t = sum + x;
-        lost += if sum.abs() >= x.abs() {
-            (sum - t) + x
+/// A running `Σ` with Neumaier's compensation: the low-order bits each
+/// addition drops are summed apart and added back once, so the error stays
+/// within a few ulps of the result however many terms there are. Terms
+/// arrive one at a time, so a stream keeps one open across batches.
+#[derive(Default)]
+pub(crate) struct CompensatedSum {
+    sum: f64,
+    lost: f64,
+}
+
+impl CompensatedSum {
+    /// Add one term.
+    pub(crate) fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        self.lost += if self.sum.abs() >= x.abs() {
+            (self.sum - t) + x
         } else {
-            (x - t) + sum
+            (x - t) + self.sum
         };
-        sum = t;
+        self.sum = t;
     }
-    sum + lost
+
+    /// The sum of every term added so far.
+    pub(crate) fn value(&self) -> f64 {
+        self.sum + self.lost
+    }
+}
+
+/// `Σ xs` through one [`CompensatedSum`].
+fn neumaier_sum(xs: impl Iterator<Item = f64>) -> f64 {
+    let mut acc = CompensatedSum::default();
+    xs.for_each(|x| acc.add(x));
+    acc.value()
 }
 
 #[cfg(test)]

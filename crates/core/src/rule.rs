@@ -909,7 +909,7 @@ mod tests {
                 assert!(code.constants(&masks).eq(rule.constants()));
                 assert_eq!(
                     index.multiplicity(code.constants(&masks)),
-                    index.match_count(&rule)
+                    index.multiplicity(rule.constants())
                 );
                 for group in [vec![0, 2], vec![1], (0..d).collect()] {
                     let group: Vec<usize> = group.into_iter().filter(|&j| j < d).collect();

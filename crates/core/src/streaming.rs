@@ -4,7 +4,7 @@
 //! The maintainer keeps the dataset in compact columnar form together with
 //! per-tuple rule-coverage bit arrays, and holds the Rule Coverage Table
 //! itself plus one scalar, `Σ m·ln m` over the history, kept up to date
-//! row by row. With it the RCT scores the model the way it scores every
+//! row by row and compensated as the batch miner's. With it the RCT scores the model the way it scores every
 //! fitted model in the crate (see [`crate::rct`]): one `ln` per group, no
 //! pass over the history. Ingesting a batch:
 //!
@@ -23,7 +23,7 @@
 
 use crate::error::SirumError;
 use crate::miner::{CandidateStrategy, Miner, SirumConfig};
-use crate::prepared::PreparedTable;
+use crate::prepared::{CompensatedSum, PreparedTable};
 use crate::rct::{mhat_for_mask, Rct, RctGroup};
 use crate::rule::Rule;
 use crate::scaling::{iterative_scaling, ScalingConfig, ScalingOutcome};
@@ -71,8 +71,9 @@ pub struct StreamingMiner {
     masks: Vec<u64>,
     /// The RCT over the history, scaled in place by every refit.
     rct: Rct,
-    /// `Σ m·ln m` over the history (rows with `m > 0`).
-    m_ln_m: f64,
+    /// `Σ m·ln m` over the history (rows with `m > 0`), compensated as
+    /// [`PreparedTable`] sums it.
+    m_ln_m: CompensatedSum,
 }
 
 impl StreamingMiner {
@@ -89,7 +90,7 @@ impl StreamingMiner {
             measures: Vec::new(),
             masks: Vec::new(),
             rct: Rct::default(),
-            m_ln_m: 0.0,
+            m_ln_m: CompensatedSum::default(),
         }
     }
 
@@ -185,7 +186,7 @@ impl StreamingMiner {
         }
         self.rct.add([self.group_of_one(mask, m)]);
         if m > 0.0 {
-            self.m_ln_m += m * m.ln();
+            self.m_ln_m.add(m * m.ln());
         }
         for (col, &v) in self.cols.iter_mut().zip(row) {
             col.push(v);
@@ -228,7 +229,7 @@ impl StreamingMiner {
     /// Exact KL divergence of the current model, computed purely from the
     /// RCT and `Σ m·ln m` (tuples in one group share an estimate).
     pub fn kl(&self) -> f64 {
-        self.rct.kl(&self.lambdas, self.m_ln_m)
+        self.rct.kl(&self.lambdas, self.m_ln_m.value())
     }
 
     /// Per-tuple estimate of historical row `i`.
@@ -636,7 +637,8 @@ mod tests {
             // Random batch splits, each batch optionally followed by one
             // mined rule: after every step the RCT the stream folded row by
             // row (and scaled in place) groups its history exactly as
-            // `Rct::build` over the history does.
+            // `Rct::build` over the history does, and its `Σ m·ln m` equals
+            // a fresh preparation's.
             let engine = Engine::try_new(EngineConfig::in_memory()).unwrap();
             let d = rows[0].0.len();
             let mut sm = StreamingMiner::new(d, tight());
@@ -649,6 +651,13 @@ mod tests {
                 sm.ingest(&batch).unwrap();
                 let fresh = Rct::build(&sm.masks, &sm.measures, &vec![1.0; sm.len()]);
                 prop_assert_eq!(group_bits(&sm.rct), group_bits(&fresh));
+                // The data's half of the KL, summed row by row across
+                // batches, keeps the bits of the batch miner's sum.
+                if sm.m_sums[0] > 0.0 {
+                    let history = Frame::from_columns(sm.cols.clone(), sm.measures.clone());
+                    let batch_sum = PreparedTable::from_frame(history).unwrap().m_ln_m();
+                    prop_assert_eq!(sm.m_ln_m.value().to_bits(), batch_sum.to_bits());
+                }
                 if mine {
                     sm.mine_more(&engine, 1).unwrap();
                     let fresh = Rct::build(&sm.masks, &sm.measures, &vec![1.0; sm.len()]);

@@ -768,3 +768,32 @@ fn a_fit_meets_d_once_to_set_bits_and_group_rows() {
         assert_eq!(count(e, "build-rct") + count(e, "rule-m-sums"), 0);
     }
 }
+
+#[test]
+fn a_mine_reads_d_only_in_its_stages() {
+    // On the RCT path a k = 0 mine under DiskMr runs one fit: `update-ba`
+    // reads the seeded partitions from memory and writes P files, and
+    // `write-mhat` reads those P files and writes P more. The sample is
+    // drawn from the prepared frame, so nothing else reads D from disk.
+    let t = generators::income_like(2_000, 2016);
+    let p = 4u64;
+    let io = |config: SirumConfig| {
+        let engine = Engine::try_new(EngineConfig::disk_mr().with_partitions(p as usize)).unwrap();
+        let r = Miner::new(engine.clone(), config).try_mine(&t).unwrap();
+        let io = engine.metrics().counters();
+        (r.iterations as u64 + 1, io.disk_reads, io.disk_writes)
+    };
+    assert_eq!(io(Variant::Rct.config(0, 16)), (1, p, 2 * p));
+    // With k = 3 each of the four fits writes 2P files, and every
+    // generation but the last is read from disk once: `write-mhat`'s by
+    // the next sweep alone, since the block store keeps what it reads and
+    // the next `update-ba` finds it resident.
+    let sweep = SirumConfig {
+        k: 3,
+        strategy: CandidateStrategy::SampleLca { sample_size: 16 },
+        ..SirumConfig::default()
+    };
+    let (fits, reads, writes) = io(sweep);
+    assert_eq!((fits, writes), (4, 8 * p));
+    assert_eq!(reads, writes - p);
+}

@@ -1090,29 +1090,6 @@ proptest! {
     }
 
     #[test]
-    fn fast_index_lcas_equal_naive_lcas(
-        (table, picks) in small_table().prop_flat_map(|t| {
-            let n = t.num_rows();
-            (Just(t), prop::collection::vec(0..n, 1..6))
-        })
-    ) {
-        let d = table.num_dims();
-        let sample: Vec<Box<[u32]>> = picks
-            .iter()
-            .map(|&i| table.row(i).to_vec().into_boxed_slice())
-            .collect();
-        let index = SampleIndex::build(sample.clone(), d);
-        let mut scratch = Vec::new();
-        for row in table.rows() {
-            let fast = index.lcas_into(&row, &mut scratch);
-            for (j, srow) in sample.iter().enumerate() {
-                let naive = Rule::lca(srow, &row);
-                prop_assert_eq!(naive.values(), &fast[j * d..(j + 1) * d]);
-            }
-        }
-    }
-
-    #[test]
     fn rct_and_naive_scaling_agree(table in small_table()) {
         // Build a model from the all-wildcards rule plus up to 3 supported
         // single-constant rules; both scalers must converge to the same

@@ -2,6 +2,7 @@
 //! coarse-grained transformations (map / filter / reduce-by-key / sample /
 //! cache), executed by the [`Engine`].
 
+use crate::config::EngineMode;
 use crate::encode::{decode_records, Encode};
 use crate::engine::{Engine, TaskOutput};
 use crate::hash::FxHashMap;
@@ -17,9 +18,9 @@ impl<T: Encode + Clone + Send + Sync + 'static> Record for T {}
 /// The sample-selection protocol: the sorted global row indices of a
 /// uniform without-replacement draw of `min(n, total)` rows, deterministic
 /// in `seed` (all rows when `n >= total`). Rows are numbered across
-/// partitions in order, so a dataset of any record granularity (the
-/// miner's one columnar block per partition) maps the indices to the same
-/// rows.
+/// partitions in order, so the indices name the same rows in a dataset of
+/// any partitioning and in the table it was split from (the miner gathers
+/// its sample from the latter).
 pub fn sample_row_indices(total: usize, n: usize, seed: u64) -> Vec<usize> {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -146,11 +147,11 @@ impl<T: Record> Dataset<T> {
 
     /// Place a freshly produced stage output partition or shuffle bucket
     /// according to the engine mode: in memory for the Spark-like modes,
-    /// written to disk for `DiskMr`. The one place the mode is read. An
-    /// empty part holds nothing to write, so it stays in memory in every
-    /// mode: a map task whose keys miss a reducer writes no bucket for it.
+    /// written to disk for `DiskMr`. With [`Self::cache`], the one place
+    /// the mode is read. An empty part holds nothing to write, so it stays
+    /// in memory in every mode: a map task whose keys miss a reducer writes
+    /// no bucket for it.
     fn finish_part<U: Record>(engine: &Engine, out: Vec<U>) -> Part<U> {
-        use crate::config::EngineMode;
         match engine.mode() {
             EngineMode::DiskMr if !out.is_empty() => Part::Stored(engine.store().put_disk(&out)),
             _ => Part::Mem(Arc::new(out)),
@@ -241,7 +242,12 @@ impl<T: Record> Dataset<T> {
 
     /// Persist every partition in the block store (subject to the memory
     /// budget; over-budget blocks spill to disk, as in Spark's `cache()`).
+    /// Under `DiskMr` every stage output is already on disk, so this runs
+    /// no stage and returns the same partitions (free only one of the two).
     pub fn cache(&self) -> Dataset<T> {
+        if self.engine.mode() == EngineMode::DiskMr {
+            return self.clone();
+        }
         let engine = self.engine.clone();
         let parts =
             self.engine
@@ -677,6 +683,15 @@ mod tests {
         let before_reads = e.metrics().counters().disk_reads;
         assert_eq!(out.collect(), (1..=100).collect::<Vec<u32>>());
         assert!(e.metrics().counters().disk_reads > before_reads);
+        // The outputs are on disk already: caching adds no stage, no write
+        // and no resident byte.
+        let (stages, counters) = (e.metrics().stage_count(), e.metrics().counters());
+        let resident = e.store().resident_bytes();
+        let cached = out.cache();
+        assert_eq!(e.metrics().stage_count(), stages);
+        assert_eq!(e.metrics().counters().disk_writes, counters.disk_writes);
+        assert_eq!(e.store().resident_bytes(), resident);
+        assert_eq!(cached.collect(), (1..=100).collect::<Vec<u32>>());
     }
 
     #[test]

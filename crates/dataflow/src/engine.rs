@@ -1,5 +1,5 @@
 //! The execution engine: a thread pool running per-partition tasks with
-//! metrics collection, plus broadcast variables.
+//! metrics collection.
 
 use crate::config::{EngineConfig, EngineMode};
 use crate::dataset::{Dataset, Part};
@@ -7,7 +7,6 @@ use crate::error::DataflowError;
 use crate::memory::BlockStore;
 use crate::metrics::{MetricsRegistry, StageRecord, TaskRecord};
 use parking_lot::Mutex;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,18 +133,6 @@ impl Engine {
         Dataset::from_parts(self.clone(), parts)
     }
 
-    /// Replicate a value to every worker (map-side / broadcast join input).
-    /// The reported broadcast volume is `bytes_hint × workers`, mirroring the
-    /// cost of shipping the variable to each executor.
-    pub fn broadcast_sized<T>(&self, value: T, bytes_hint: u64) -> Broadcast<T> {
-        self.inner
-            .metrics
-            .add_broadcast(bytes_hint * self.inner.config.effective_workers() as u64);
-        Broadcast {
-            value: Arc::new(value),
-        }
-    }
-
     /// Execute one stage: apply `f` to every input in parallel, recording a
     /// [`StageRecord`]. `shuffle` carries (records, bytes) that crossed a
     /// shuffle boundary into this stage, for metric purposes.
@@ -232,33 +219,6 @@ impl Engine {
     }
 }
 
-/// A read-only variable replicated to all workers (Spark broadcast variable).
-pub struct Broadcast<T> {
-    value: Arc<T>,
-}
-
-impl<T> Broadcast<T> {
-    /// Borrow the broadcast value.
-    pub fn value(&self) -> &T {
-        &self.value
-    }
-}
-
-impl<T> Clone for Broadcast<T> {
-    fn clone(&self) -> Self {
-        Broadcast {
-            value: Arc::clone(&self.value),
-        }
-    }
-}
-
-impl<T> Deref for Broadcast<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.value
-    }
-}
-
 // The service layer shares one engine across threads; keep that a compile-
 // time guarantee rather than an accident of field types.
 const _: fn() = || {
@@ -311,15 +271,6 @@ mod tests {
             records_out: 1,
         });
         assert_eq!(outs, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn broadcast_derefs_and_counts_bytes() {
-        let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
-        let b = engine.broadcast_sized(vec![1u32, 2, 3], 12);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.value()[0], 1);
-        assert!(engine.metrics().counters().broadcast_bytes > 0);
     }
 
     #[test]

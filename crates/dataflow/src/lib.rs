@@ -4,8 +4,7 @@
 //! SIRUM reproduction. It stands in for the platforms the thesis evaluates:
 //!
 //! * **Spark** ([`EngineMode::InMemory`]): parallel tasks over partitions,
-//!   map-side-combine shuffles, broadcast variables, budgeted block cache
-//!   with LRU spill.
+//!   map-side-combine shuffles, budgeted block cache with LRU spill.
 //! * **Hive on MapReduce** ([`EngineMode::DiskMr`]): identical operators, but
 //!   every stage's output partitions and every shuffle bucket round-trip
 //!   through disk. Job startup is not emulated.
@@ -57,7 +56,7 @@ mod metrics;
 pub use config::{EngineConfig, EngineMode};
 pub use dataset::{sample_row_indices, Dataset, Record};
 pub use encode::{decode_records, encode_records, Encode};
-pub use engine::{Broadcast, Engine, TaskOutput};
+pub use engine::{Engine, TaskOutput};
 pub use error::DataflowError;
 pub use memory::{BlockId, BlockStore, MemSample, MemoryStats};
 pub use metrics::{CounterSnapshot, MetricsRegistry, StageRecord, TaskRecord};

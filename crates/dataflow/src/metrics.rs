@@ -45,7 +45,6 @@ struct Counters {
     disk_bytes_read: AtomicU64,
     disk_writes: AtomicU64,
     disk_reads: AtomicU64,
-    broadcast_bytes: AtomicU64,
 }
 
 /// Snapshot of the global counters.
@@ -59,8 +58,6 @@ pub struct CounterSnapshot {
     pub disk_writes: u64,
     /// Number of file reads.
     pub disk_reads: u64,
-    /// Bytes replicated to workers via broadcast variables.
-    pub broadcast_bytes: u64,
 }
 
 /// Thread-safe registry collecting stage records and I/O counters for one
@@ -108,13 +105,6 @@ impl MetricsRegistry {
         self.counters.disk_reads.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `bytes` bytes of broadcast replication.
-    pub fn add_broadcast(&self, bytes: u64) {
-        self.counters
-            .broadcast_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of the I/O counters.
     pub fn counters(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -122,7 +112,6 @@ impl MetricsRegistry {
             disk_bytes_read: self.counters.disk_bytes_read.load(Ordering::Relaxed),
             disk_writes: self.counters.disk_writes.load(Ordering::Relaxed),
             disk_reads: self.counters.disk_reads.load(Ordering::Relaxed),
-            broadcast_bytes: self.counters.broadcast_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -165,13 +154,11 @@ mod tests {
         m.add_disk_write(100);
         m.add_disk_write(50);
         m.add_disk_read(30);
-        m.add_broadcast(8);
         let c = m.counters();
         assert_eq!(c.disk_bytes_written, 150);
         assert_eq!(c.disk_writes, 2);
         assert_eq!(c.disk_bytes_read, 30);
         assert_eq!(c.disk_reads, 1);
-        assert_eq!(c.broadcast_bytes, 8);
     }
 
     #[test]
