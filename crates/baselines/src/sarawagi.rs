@@ -11,9 +11,10 @@
 //!    carried over. This is the main reason the \[29\] baseline spends so
 //!    long in iterative scaling (Fig 5.15).
 
-use sirum_core::explore::{try_explore, ExploreResult};
-use sirum_core::miner::{CandidateStrategy, Evaluation, SirumConfig, StagedPipeline};
-use sirum_core::SirumError;
+use sirum_core::{
+    try_explore, CandidateStrategy, Evaluation, ExploreResult, SirumConfig, SirumError,
+    StagedPipeline,
+};
 use sirum_dataflow::Engine;
 use sirum_table::Table;
 

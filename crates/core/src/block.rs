@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// (a [`FrameView`] range), the shared `m′` window, and this partition's
 /// estimate / bit-array state. Cloning bumps `Arc`s; no row data moves.
 #[derive(Debug, Clone)]
-pub struct TupleBlock {
+pub(crate) struct TupleBlock {
     dims: FrameView,
     m: ColSlice<f64>,
     mhat: Arc<[f64]>,
@@ -34,7 +34,7 @@ impl TupleBlock {
     ///
     /// # Panics
     /// Panics if the measure window is not row-aligned with the view.
-    pub fn seed(dims: FrameView, m: ColSlice<f64>) -> TupleBlock {
+    pub(crate) fn seed(dims: FrameView, m: ColSlice<f64>) -> TupleBlock {
         // lint:allow(SL001) — constructor contract: both windows come from the same partitioning
         assert_eq!(dims.len(), m.len(), "m′ window must align with the view");
         let n = dims.len();
@@ -50,7 +50,11 @@ impl TupleBlock {
     /// [`Frame::partition_views`] ranges, each with the matching window of
     /// the row-aligned `m′` column. Zero copies; this is the dataset the
     /// miner distributes.
-    pub fn seed_partitions(frame: &Frame, m: &ColSlice<f64>, partitions: usize) -> Vec<TupleBlock> {
+    pub(crate) fn seed_partitions(
+        frame: &Frame,
+        m: &ColSlice<f64>,
+        partitions: usize,
+    ) -> Vec<TupleBlock> {
         frame
             .partition_views(partitions)
             .into_iter()
@@ -63,7 +67,7 @@ impl TupleBlock {
 
     /// The same rows with replaced estimates (dims, `m′` and bit arrays
     /// shared).
-    pub fn with_mhat(&self, mhat: Vec<f64>) -> TupleBlock {
+    pub(crate) fn with_mhat(&self, mhat: Vec<f64>) -> TupleBlock {
         debug_assert_eq!(mhat.len(), self.len());
         TupleBlock {
             dims: self.dims.clone(),
@@ -85,45 +89,33 @@ impl TupleBlock {
     }
 
     /// Number of rows in this partition.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dims.len()
     }
 
-    /// True when the partition holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.dims.is_empty()
-    }
-
     /// Number of dimension attributes.
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.dims.num_dims()
     }
 
     /// The dimension-column view.
-    pub fn dims(&self) -> &FrameView {
+    pub(crate) fn dims(&self) -> &FrameView {
         &self.dims
     }
 
     /// This partition's window of the transformed measure column `m′`.
-    pub fn m(&self) -> &[f64] {
+    pub(crate) fn m(&self) -> &[f64] {
         &self.m
     }
 
     /// Current per-row estimates `m̂`.
-    pub fn mhat(&self) -> &[f64] {
+    pub(crate) fn mhat(&self) -> &[f64] {
         &self.mhat
     }
 
     /// Current per-row rule-coverage bit arrays.
-    pub fn mask(&self) -> &[u64] {
+    pub(crate) fn mask(&self) -> &[u64] {
         &self.mask
-    }
-
-    /// Copy row `i`'s dimension codes into `buf` (cleared first) — the
-    /// gather boundary for row-shaped probes (LCA computation, rule
-    /// hashing). Column scans should read [`FrameView::morsel_cols`].
-    pub fn gather(&self, i: usize, buf: &mut Vec<u32>) {
-        self.dims.gather_row(i, buf);
     }
 }
 
@@ -213,7 +205,7 @@ mod tests {
         let t = generators::flights();
         let mut buf = Vec::new();
         for i in 0..b.len() {
-            b.gather(i, &mut buf);
+            b.dims().gather_row(i, &mut buf);
             assert_eq!(buf.as_slice(), t.row(5 + i));
             assert_eq!(b.m()[i], t.measure(5 + i));
         }
@@ -247,8 +239,8 @@ mod tests {
         assert_eq!(back.len(), b.len());
         let (mut a, mut c) = (Vec::new(), Vec::new());
         for i in 0..b.len() {
-            b.gather(i, &mut a);
-            back.gather(i, &mut c);
+            b.dims().gather_row(i, &mut a);
+            back.dims().gather_row(i, &mut c);
             assert_eq!(a, c);
         }
         assert_eq!(back.m(), b.m());
@@ -280,8 +272,8 @@ mod tests {
         assert_eq!(back.len(), 457);
         let (mut a, mut c) = (Vec::new(), Vec::new());
         for i in 0..b.len() {
-            b.gather(i, &mut a);
-            back.gather(i, &mut c);
+            b.dims().gather_row(i, &mut a);
+            back.dims().gather_row(i, &mut c);
             assert_eq!(a, c, "row {i}");
         }
         assert_eq!(back.m(), b.m());
@@ -314,8 +306,8 @@ mod tests {
         assert_eq!(back.size_estimate(), b.size_estimate());
         let (mut a, mut c) = (Vec::new(), Vec::new());
         for i in 0..b.len() {
-            b.gather(i, &mut a);
-            back.gather(i, &mut c);
+            b.dims().gather_row(i, &mut a);
+            back.dims().gather_row(i, &mut c);
             assert_eq!(a, c, "row {i}");
         }
     }

@@ -105,23 +105,6 @@ impl CancellationToken {
         self.inner.deadline_nanos.fetch_min(nanos, Ordering::AcqRel);
     }
 
-    /// Time left until an armed [`Self::cancel_after`] deadline, `None`
-    /// when no deadline is armed. A token past its deadline reports
-    /// `Some(Duration::ZERO)`.
-    pub fn remaining(&self) -> Option<Duration> {
-        let deadline = self.inner.deadline_nanos.load(Ordering::Acquire);
-        if deadline == DEADLINE_DISABLED {
-            return None;
-        }
-        let elapsed = self
-            .inner
-            .epoch
-            .elapsed()
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
-        Some(Duration::from_nanos(deadline.saturating_sub(elapsed)))
-    }
-
     /// True once any clone has called [`Self::cancel`] (or an armed poll
     /// budget has run out).
     pub fn is_cancelled(&self) -> bool {
@@ -142,6 +125,26 @@ impl CancellationToken {
             return true;
         }
         false
+    }
+}
+
+#[cfg(test)]
+impl CancellationToken {
+    /// Time left until an armed [`Self::cancel_after`] deadline, `None`
+    /// when no deadline is armed. A token past its deadline reports
+    /// `Some(Duration::ZERO)`.
+    pub(crate) fn remaining(&self) -> Option<Duration> {
+        let deadline = self.inner.deadline_nanos.load(Ordering::Acquire);
+        if deadline == DEADLINE_DISABLED {
+            return None;
+        }
+        let elapsed = self
+            .inner
+            .epoch
+            .elapsed()
+            .as_nanos()
+            .min(u128::from(u64::MAX)) as u64;
+        Some(Duration::from_nanos(deadline.saturating_sub(elapsed)))
     }
 }
 

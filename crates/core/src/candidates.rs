@@ -16,66 +16,26 @@
 //! every sweep sink keys its accumulator from `(sample row, mask)` — the
 //! slot table without building or hashing a code per pair.
 
-use crate::cancel::CancellationToken;
-use crate::lattice::ancestors;
-use crate::rule::{Rule, RuleKey};
-use crate::sweep::CANCEL_POLL_ROWS;
+use crate::rule::RuleKey;
 use sirum_dataflow::hash::FxHashMap;
-use sirum_table::Table;
 
 /// Aggregates carried per candidate rule through the data-cube pipeline:
 /// `(Σ t[m], Σ t[mhat], contributing pair count)`.
-pub type Agg = (f64, f64, u64);
+pub(crate) type Agg = (f64, f64, u64);
 
 /// Merge two aggregates (the shuffle combiner).
 #[inline]
-pub fn merge_agg(a: &mut Agg, b: Agg) {
+pub(crate) fn merge_agg(a: &mut Agg, b: Agg) {
     a.0 += b.0;
     a.1 += b.1;
     a.2 += b.2;
-}
-
-/// Exhaustive candidate aggregation: every tuple contributes `(m, mhat, 1)`
-/// to all `2^d` elements of its cube lattice. This enumerates exactly the
-/// rules with non-empty support — rules with empty support have zero gain
-/// (Eq 2.2) and can never be selected, so this is equivalent to exhaustive
-/// candidate exploration for selection purposes.
-///
-/// It is the ground truth against which sample-based pruning and the
-/// sweep are tested. It is not the miner's `FullCube` path: the miner
-/// runs that strategy through the sweep's full-cube sink, or through the
-/// staged pipeline's tuple-rule stage.
-///
-/// Polls `cancel` every [`CANCEL_POLL_ROWS`] rows and returns `None` when
-/// it fires — the scan is `O(2^d · n)` and must not pin a worker past its
-/// job's cancellation.
-pub fn exhaustive_candidates(
-    table: &Table,
-    mhat: &[f64],
-    cancel: Option<&CancellationToken>,
-) -> Option<FxHashMap<Rule, Agg>> {
-    // lint:allow(SL001) — reference helper; callers build the parallel mhat column themselves
-    assert_eq!(mhat.len(), table.num_rows());
-    let mut out: FxHashMap<Rule, Agg> = FxHashMap::default();
-    for (i, row) in table.rows().enumerate() {
-        if i.is_multiple_of(CANCEL_POLL_ROWS) && cancel.is_some_and(CancellationToken::is_cancelled)
-        {
-            return None;
-        }
-        let base = Rule::from_tuple(&row);
-        for anc in ancestors(&base) {
-            let agg = out.entry(anc).or_insert((0.0, 0.0, 0));
-            merge_agg(agg, (table.measure(i), mhat[i], 1));
-        }
-    }
-    Some(out)
 }
 
 /// Inverted index over the sample `s` (§4.2): for each dimension attribute,
 /// a map from value code to the sample rows carrying it. Lets a mapper
 /// compute all `|s|` LCAs of a tuple with index lookups instead of
 /// attribute-by-attribute comparison.
-pub struct SampleIndex {
+pub(crate) struct SampleIndex {
     rows: Vec<Box<[u32]>>,
     /// The sample transposed, `sample_cols[col · |s| + j] = rows[j][col]`:
     /// one contiguous `|s|`-wide run per dimension for the match-mask probe.
@@ -93,7 +53,7 @@ pub struct SampleIndex {
 type SampleMask = [u64; 4];
 
 /// Maximum sample size the index supports.
-pub const MAX_SAMPLE: usize = 256;
+pub(crate) const MAX_SAMPLE: usize = 256;
 
 #[inline]
 fn mask_set(mask: &mut SampleMask, i: usize) {
@@ -117,7 +77,7 @@ impl SampleIndex {
     ///
     /// # Panics
     /// Panics if the sample exceeds [`MAX_SAMPLE`] rows.
-    pub fn build(rows: Vec<Box<[u32]>>, d: usize) -> SampleIndex {
+    pub(crate) fn build(rows: Vec<Box<[u32]>>, d: usize) -> SampleIndex {
         // lint:allow(SL001) — unreachable via Miner, streams included (typed InvalidConfig on oversized effective samples)
         assert!(rows.len() <= MAX_SAMPLE, "sample too large for the index");
         let mut postings: Vec<FxHashMap<u32, SampleMask>> =
@@ -144,17 +104,12 @@ impl SampleIndex {
     }
 
     /// Sample size `|s|`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// True if the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// The sample rows.
-    pub fn rows(&self) -> &[Box<[u32]>] {
+    pub(crate) fn rows(&self) -> &[Box<[u32]>] {
         &self.rows
     }
 
@@ -202,7 +157,7 @@ impl SampleIndex {
     /// report in, so callers must not rely on this probe beyond 32
     /// dimensions (a sweep refuses more than
     /// [`crate::lattice::MAX_EXPAND_BITS`] = 24).
-    pub fn match_masks_into_cols<'a>(
+    pub(crate) fn match_masks_into_cols<'a>(
         &self,
         cols: &[&[u32]],
         row: usize,
@@ -237,7 +192,7 @@ impl SampleIndex {
     /// # Panics
     /// Panics if the candidate matches no sample tuple — impossible for
     /// rules generated from LCAs (every ancestor of `lca(s, t)` covers `s`).
-    pub fn multiplicity(&self, constants: impl IntoIterator<Item = (usize, u32)>) -> u64 {
+    pub(crate) fn multiplicity(&self, constants: impl IntoIterator<Item = (usize, u32)>) -> u64 {
         let mut mask = self.full_mask;
         for (col, v) in constants {
             mask_and(&mut mask, self.postings[col].get(&v).unwrap_or(&[0; 4]));
@@ -257,6 +212,46 @@ pub(crate) fn adjust((sum_m, sum_mhat, pairs): Agg, c: u64) -> Agg {
     (sum_m / c as f64, sum_mhat / c as f64, pairs / c)
 }
 
+/// Exhaustive candidate aggregation: every tuple contributes `(m, mhat, 1)`
+/// to all `2^d` elements of its cube lattice. This enumerates exactly the
+/// rules with non-empty support — rules with empty support have zero gain
+/// (Eq 2.2) and can never be selected, so this is equivalent to exhaustive
+/// candidate exploration for selection purposes.
+///
+/// It is the ground truth against which sample-based pruning and the
+/// sweep are tested. It is not the miner's `FullCube` path: the miner
+/// runs that strategy through the sweep's full-cube sink, or through the
+/// staged pipeline's tuple-rule stage.
+///
+/// Polls `cancel` every [`CANCEL_POLL_ROWS`] rows and returns `None` when
+/// it fires — the scan is `O(2^d · n)` and must not pin a worker past its
+/// job's cancellation.
+#[cfg(test)]
+pub(crate) fn exhaustive_candidates(
+    table: &sirum_table::Table,
+    mhat: &[f64],
+    cancel: Option<&crate::CancellationToken>,
+) -> Option<FxHashMap<crate::Rule, Agg>> {
+    use crate::lattice::ancestors;
+    use crate::rule::Rule;
+    use crate::sweep::CANCEL_POLL_ROWS;
+    use crate::CancellationToken;
+    assert_eq!(mhat.len(), table.num_rows());
+    let mut out: FxHashMap<Rule, Agg> = FxHashMap::default();
+    for (i, row) in table.rows().enumerate() {
+        if i.is_multiple_of(CANCEL_POLL_ROWS) && cancel.is_some_and(CancellationToken::is_cancelled)
+        {
+            return None;
+        }
+        let base = Rule::from_tuple(&row);
+        for anc in ancestors(&base) {
+            let agg = out.entry(anc).or_insert((0.0, 0.0, 0));
+            merge_agg(agg, (table.measure(i), mhat[i], 1));
+        }
+    }
+    Some(out)
+}
+
 /// Adjust candidate aggregates for sample multiplicity (§3.1.1): divide
 /// every aggregate by the candidate's [`SampleIndex::multiplicity`].
 /// Returns candidates with exact `(Σ m, Σ mhat, |S_D(r)|)` over their true
@@ -264,10 +259,11 @@ pub(crate) fn adjust((sum_m, sum_mhat, pairs): Agg, c: u64) -> Agg {
 ///
 /// # Panics
 /// Panics if a candidate matches no sample tuple.
-pub fn adjust_for_sample<I: IntoIterator<Item = (Rule, Agg)>>(
+#[cfg(test)]
+pub(crate) fn adjust_for_sample<I: IntoIterator<Item = (crate::Rule, Agg)>>(
     candidates: I,
     index: &SampleIndex,
-) -> Vec<(Rule, f64, f64, u64)> {
+) -> Vec<(crate::Rule, f64, f64, u64)> {
     let mut out = Vec::new();
     for (rule, agg) in candidates {
         let (sum_m, sum_mhat, count) = adjust(agg, index.multiplicity(rule.constants()));
@@ -279,11 +275,17 @@ pub fn adjust_for_sample<I: IntoIterator<Item = (Rule, Agg)>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::ancestors;
     use crate::lattice::ancestors as all_ancestors;
+    use crate::rule::Rule;
     use crate::rule::{RuleLayout, WILDCARD};
+    use crate::sweep::CANCEL_POLL_ROWS;
+    use crate::testkit::{small_table, synthetic_mhat};
+    use crate::CancellationToken;
     use proptest::prelude::*;
     use sirum_table::generators::flights;
     use sirum_table::ColScratch;
+    use sirum_table::Table;
 
     fn sample_rows(table: &Table, idx: &[usize]) -> Vec<Box<[u32]>> {
         idx.iter()
@@ -551,6 +553,83 @@ mod tests {
                 prop_assert_eq!(&probe::<Rule>(&index, &(), row), &naive);
                 prop_assert_eq!(&probe::<u64>(&index, &narrow, row), &naive);
                 prop_assert_eq!(&probe::<u128>(&index, &wide, row), &naive);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sample_pruned_aggregates_are_exact(
+            (table, picks) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (Just(t), prop::collection::vec(0..n, 1..6))
+            })
+        ) {
+            // §3.1.1 multiplicity adjustment: candidate aggregates after
+            // division by the sample match count equal exact support sums.
+            let d = table.num_dims();
+            let mhat: Vec<f64> = (0..table.num_rows()).map(synthetic_mhat).collect();
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample.clone(), d);
+            // LCA(s, D) with pair-level aggregates, then every ancestor.
+            let mut lcas: FxHashMap<Rule, Agg> = FxHashMap::default();
+            for (i, row) in table.rows().enumerate() {
+                for s in &sample {
+                    let agg = lcas.entry(Rule::lca(s, &row)).or_insert((0.0, 0.0, 0));
+                    merge_agg(agg, (table.measure(i), mhat[i], 1));
+                }
+            }
+            let mut cands: FxHashMap<Rule, Agg> = FxHashMap::default();
+            for (rule, agg) in &lcas {
+                for anc in ancestors(rule) {
+                    merge_agg(cands.entry(anc).or_insert((0.0, 0.0, 0)), *agg);
+                }
+            }
+            let adjusted = adjust_for_sample(cands, &index);
+            let exhaustive =
+                exhaustive_candidates(&table.with_measure(table.measures().to_vec()), &mhat, None)
+                    .expect("uncancelled");
+            for (rule, sum_m, sum_mhat, count) in adjusted {
+                let (em, emh, ec) = exhaustive[&rule];
+                prop_assert!((sum_m - em).abs() < 1e-6, "{:?}: {} vs {}", rule, sum_m, em);
+                prop_assert!((sum_mhat - emh).abs() < 1e-6);
+                prop_assert_eq!(count, ec);
+            }
+        }
+
+        #[test]
+        fn exhaustive_aggregates_cover_all_mass(table in small_table()) {
+            // Each tuple contributes to exactly C(d, l) lattice elements with l
+            // constants, so the level-l sum of the exhaustive aggregation must
+            // equal C(d, l) × (total mass).
+            let n = table.num_rows();
+            let mhat = vec![1.0; n];
+            let cands = exhaustive_candidates(&table, &mhat, None).expect("uncancelled");
+            let total: f64 = table.measures().iter().sum();
+            let d = table.num_dims();
+            let binom = |n: usize, k: usize| -> f64 {
+                let mut v = 1.0;
+                for i in 0..k {
+                    v = v * (n - i) as f64 / (i + 1) as f64;
+                }
+                v
+            };
+            for level in 0..=d {
+                let level_sum: f64 = cands
+                    .iter()
+                    .filter(|(r, _)| r.num_constants() == level)
+                    .map(|(_, (sm, _, _))| *sm)
+                    .sum();
+                let expect = binom(d, level) * total;
+                prop_assert!(
+                    (level_sum - expect).abs() < 1e-6 * (1.0 + expect.abs()),
+                    "level {}: {} vs {}", level, level_sum, expect
+                );
             }
         }
     }

@@ -407,7 +407,7 @@ mod tests {
             prop_assert_eq!(mask, want);
         }
         let reference = Rct::build(masks, m, mhat);
-        prop_assert_eq!(cover.rct.len(), reference.len());
+        prop_assert_eq!(cover.rct.groups().len(), reference.groups().len());
         for (g, r) in cover.rct.groups().iter().zip(reference.groups()) {
             prop_assert_eq!((g.mask, g.count), (r.mask, r.count));
             prop_assert!(close(g.sum_m, r.sum_m) && close(g.sum_mhat, r.sum_mhat));

@@ -29,7 +29,7 @@ pub struct RuleSetEvaluation {
 }
 
 /// Fit and score `rules` on `table`. The first rule must be all-wildcards
-/// (SIRUM's invariant, §2.2); at most [`MAX_RULES`] rules. Errors name the
+/// (SIRUM's invariant, §2.2); at most 64 rules. Errors name the
 /// violated invariant. Validates the table and fits its measure transform
 /// on the way in; callers that already hold a [`PreparedTable`] (e.g. a
 /// service catalog entry) should use [`try_evaluate_rules_prepared`] and

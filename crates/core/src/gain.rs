@@ -8,7 +8,7 @@
 /// rules already in `R` get (numerically) zero gain because their sums are
 /// constrained equal. Empty or zero-mass supports score zero.
 #[inline]
-pub fn rule_gain(sum_m: f64, sum_mhat: f64) -> f64 {
+pub(crate) fn rule_gain(sum_m: f64, sum_mhat: f64) -> f64 {
     if sum_m <= 0.0 || sum_mhat <= 0.0 {
         return 0.0;
     }
@@ -27,11 +27,38 @@ pub fn rule_gain(sum_m: f64, sum_mhat: f64) -> f64 {
 /// score exactly `0.0`, never a sign-flipped or absolute variant of some
 /// other formula. Otherwise the score is `|Eq 2.2|`.
 #[inline]
-pub fn rule_gain_two_sided(sum_m: f64, sum_mhat: f64) -> f64 {
+pub(crate) fn rule_gain_two_sided(sum_m: f64, sum_mhat: f64) -> f64 {
     if sum_m <= 0.0 || sum_mhat <= 0.0 {
         return 0.0;
     }
     (sum_m * (sum_m / sum_mhat).ln()).abs()
+}
+
+/// Assemble KL divergence from one-pass aggregates:
+/// `s1 = Σ_{m>0} m·ln(m/mhat)`, `sum_m = Σ m`, `sum_mhat = Σ mhat`.
+///
+/// Derivation: with `p = m/M`, `q = mhat/Q`,
+/// `Σ p·ln(p/q) = s1/M + ln(Q/M)`.
+#[inline]
+pub(crate) fn kl_from_parts(s1: f64, sum_m: f64, sum_mhat: f64) -> f64 {
+    let kl = s1 / sum_m + (sum_mhat / sum_m).ln();
+    // Numerical noise can push a converged KL slightly negative.
+    kl.max(0.0)
+}
+
+/// One tuple's term of the binary-measure KL divergence in the style of El
+/// Gebaly et al. \[16\] (§2.4, §5.6.1): the tuple's measure is a Bernoulli
+/// outcome with estimated success probability `mhat` (clamped to
+/// `(ε, 1-ε)`); a rule set's divergence sums the terms over the tuples.
+pub(crate) fn bernoulli_kl(m: f64, mhat: f64) -> f64 {
+    const EPS: f64 = 1e-9;
+    debug_assert!(m == 0.0 || m == 1.0, "binary measure expected");
+    let q = mhat.clamp(EPS, 1.0 - EPS);
+    if m >= 0.5 {
+        (1.0 / q).ln()
+    } else {
+        (1.0 / (1.0 - q)).ln()
+    }
 }
 
 /// KL divergence between the (normalized) true measure distribution and the
@@ -56,8 +83,8 @@ pub fn rule_gain_two_sided(sum_m: f64, sum_mhat: f64) -> f64 {
 /// Panics when the slices differ in length: every caller builds `mhat` as
 /// a parallel array over the same tuples as `m`, so a mismatch is driver
 /// corruption that must fail loudly, not score quietly.
-pub fn kl_divergence(m: &[f64], mhat: &[f64]) -> f64 {
-    // lint:allow(SL001) — parallel-array contract; a length mismatch is a caller logic error, not user data
+#[cfg(test)]
+pub(crate) fn kl_divergence(m: &[f64], mhat: &[f64]) -> f64 {
     assert_eq!(m.len(), mhat.len());
     let sum_m: f64 = m.iter().sum();
     let sum_mhat: f64 = mhat.iter().sum();
@@ -77,42 +104,6 @@ pub fn kl_divergence(m: &[f64], mhat: &[f64]) -> f64 {
         }
     }
     kl_from_parts(s1, sum_m, sum_mhat)
-}
-
-/// Assemble KL divergence from one-pass aggregates:
-/// `s1 = Σ_{m>0} m·ln(m/mhat)`, `sum_m = Σ m`, `sum_mhat = Σ mhat`.
-///
-/// Derivation: with `p = m/M`, `q = mhat/Q`,
-/// `Σ p·ln(p/q) = s1/M + ln(Q/M)`.
-#[inline]
-pub fn kl_from_parts(s1: f64, sum_m: f64, sum_mhat: f64) -> f64 {
-    let kl = s1 / sum_m + (sum_mhat / sum_m).ln();
-    // Numerical noise can push a converged KL slightly negative.
-    kl.max(0.0)
-}
-
-/// Binary-measure KL divergence in the style of El Gebaly et al. \[16\]
-/// (§2.4, §5.6.1): treats each tuple's measure as a Bernoulli outcome with
-/// estimated success probability `mhat` (clamped to `(ε, 1-ε)`), and sums
-/// the per-tuple Bernoulli divergences.
-pub fn binary_kl(m: &[f64], mhat: &[f64]) -> f64 {
-    // lint:allow(SL001) — parallel-array contract; a length mismatch is a caller logic error, not user data
-    assert_eq!(m.len(), mhat.len());
-    let rows = m.iter().zip(mhat);
-    rows.fold(0.0, |acc, (&mi, &qi)| acc + bernoulli_kl(mi, qi))
-}
-
-/// One tuple's term of [`binary_kl`], for callers that derive `mhat` per
-/// row instead of holding a column of it.
-pub(crate) fn bernoulli_kl(m: f64, mhat: f64) -> f64 {
-    const EPS: f64 = 1e-9;
-    debug_assert!(m == 0.0 || m == 1.0, "binary measure expected");
-    let q = mhat.clamp(EPS, 1.0 - EPS);
-    if m >= 0.5 {
-        (1.0 / q).ln()
-    } else {
-        (1.0 / (1.0 - q)).ln()
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +200,15 @@ mod tests {
         // Only the second tuple carries p-mass; p=(0,1), q=(5/6,1/6).
         let expected = (1.0f64 / (1.0 / 6.0)).ln();
         assert!((kl_divergence(&m, &q) - expected).abs() < 1e-12);
+    }
+
+    /// The binary-measure divergence of a whole column, one
+    /// [`bernoulli_kl`] term per tuple.
+    fn binary_kl(m: &[f64], mhat: &[f64]) -> f64 {
+        m.iter()
+            .zip(mhat)
+            .map(|(&mi, &qi)| bernoulli_kl(mi, qi))
+            .sum()
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! stage to wildcarding positions from one attribute group only.
 
 use crate::error::SirumError;
-use crate::rule::{Rule, RuleKey};
 
 /// Maximum number of constants we are willing to expand in one call
 /// (2^24 ≈ 16M ancestors). Exceeding this is a configuration error —
 /// sample-based pruning keeps real workloads far below it.
-pub const MAX_EXPAND_BITS: usize = 24;
+pub(crate) const MAX_EXPAND_BITS: usize = 24;
 
 /// Refuse a table of `d` dimension attributes whose tuple lattice exceeds
-/// [`MAX_EXPAND_BITS`]: mining it would materialize `2^d` candidate rules
+/// 2^24 rules: mining it would materialize `2^d` candidate rules
 /// per LCA. The miner and the service's `stream()` both refuse through it.
 ///
 /// # Errors
@@ -34,29 +33,10 @@ pub fn check_expandable(d: usize) -> Result<(), SirumError> {
     Ok(())
 }
 
-/// All `2^w` ancestors of `rule` (including `rule` itself), in subset order.
-pub fn ancestors(rule: &Rule) -> Vec<Rule> {
-    ancestors_restricted(rule, &rule.constant_positions())
-}
-
-/// Ancestors obtained by wildcarding subsets of `positions` only (including
-/// the empty subset, i.e. `rule` itself). `positions` must name non-wildcard
-/// positions of `rule`; wildcard positions are skipped harmlessly.
-pub fn ancestors_restricted(rule: &Rule, positions: &[usize]) -> Vec<Rule> {
-    let mut out = Vec::new();
-    rule.expand_into(&(), positions, &mut out);
-    out
-}
-
-/// Number of ancestors [`ancestors`] would produce, without producing them.
-pub fn ancestor_count(rule: &Rule) -> u64 {
-    1u64 << rule.num_constants().min(63)
-}
-
 /// Partition the `d` dimension indices into `g` groups for the multi-stage
 /// ancestor pipeline (§4.3). The paper partitions randomly; we rotate
 /// deterministically from `seed` so experiments are reproducible.
-pub fn column_groups(d: usize, g: usize, seed: u64) -> Vec<Vec<usize>> {
+pub(crate) fn column_groups(d: usize, g: usize, seed: u64) -> Vec<Vec<usize>> {
     let g = g.clamp(1, d);
     let mut order: Vec<usize> = (0..d).collect();
     // Deterministic Fisher-Yates driven by a simple LCG on the seed.
@@ -76,10 +56,35 @@ pub fn column_groups(d: usize, g: usize, seed: u64) -> Vec<Vec<usize>> {
     groups
 }
 
+/// All `2^w` ancestors of `rule` (including `rule` itself), in subset order.
+#[cfg(test)]
+pub(crate) fn ancestors(rule: &crate::Rule) -> Vec<crate::Rule> {
+    ancestors_restricted(rule, &rule.constant_positions())
+}
+
+/// Ancestors obtained by wildcarding subsets of `positions` only (including
+/// the empty subset, i.e. `rule` itself). `positions` must name non-wildcard
+/// positions of `rule`; wildcard positions are skipped harmlessly.
+#[cfg(test)]
+pub(crate) fn ancestors_restricted(rule: &crate::Rule, positions: &[usize]) -> Vec<crate::Rule> {
+    use crate::rule::RuleKey;
+    let mut out = Vec::new();
+    rule.expand_into(&(), positions, &mut out);
+    out
+}
+
+/// Number of ancestors [`ancestors`] would produce, without producing them.
+#[cfg(test)]
+pub(crate) fn ancestor_count(rule: &crate::Rule) -> u64 {
+    1u64 << rule.num_constants().min(63)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rule::WILDCARD;
+    use crate::rule::{Rule, WILDCARD};
+    use crate::testkit::{rule, tuple, MAX_CARD, MAX_D};
+    use proptest::prelude::*;
 
     fn r(vals: &[i64]) -> Rule {
         Rule::from_values(
@@ -203,5 +208,71 @@ mod tests {
     fn oversized_expansion_panics() {
         let base = Rule::from_values((0..30).collect());
         let _ = ancestors(&base);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn ancestor_count_is_two_to_the_constants(r in (1usize..=MAX_D).prop_flat_map(rule)) {
+            let anc = ancestors(&r);
+            prop_assert_eq!(anc.len(), 1usize << r.num_constants());
+            // All distinct, all ancestors, and the rule itself is included.
+            let mut seen = std::collections::HashSet::new();
+            for a in &anc {
+                prop_assert!(a.is_ancestor_of(&r));
+                prop_assert!(seen.insert(a.clone()));
+            }
+            prop_assert!(anc.contains(&r));
+            prop_assert!(anc.contains(&Rule::all_wildcards(r.arity())));
+        }
+
+        #[test]
+        fn ancestors_are_exactly_the_matching_rules(t in (1usize..=3usize).prop_flat_map(tuple)) {
+            // For a full tuple, its lattice = every rule that matches it.
+            let base = Rule::from_tuple(&t);
+            let anc: std::collections::HashSet<Rule> = ancestors(&base).into_iter().collect();
+            // Enumerate all rules over the tuple's arity and cross-check.
+            let d = t.len();
+            let mut all = vec![Vec::<u32>::new()];
+            for _ in 0..d {
+                let mut next = Vec::new();
+                for prefix in &all {
+                    for v in (0..MAX_CARD).chain([WILDCARD]) {
+                        let mut p = prefix.clone();
+                        p.push(v);
+                        next.push(p);
+                    }
+                }
+                all = next;
+            }
+            for vals in all {
+                let r = Rule::from_values(vals);
+                prop_assert_eq!(r.matches(&t), anc.contains(&r), "{:?}", r);
+            }
+        }
+
+        #[test]
+        fn staged_generation_equals_single_stage(
+            (r, g, seed) in (1usize..=MAX_D).prop_flat_map(|d| (rule(d), 1usize..=d, any::<u64>()))
+        ) {
+            // Appendix A: column-grouped expansion yields the same set, with
+            // each ancestor produced exactly once.
+            let d = r.arity();
+            let groups = column_groups(d, g, seed);
+            let mut staged = vec![r.clone()];
+            for group in &groups {
+                let mut next = Vec::new();
+                for rule in &staged {
+                    next.extend(ancestors_restricted(rule, group));
+                }
+                staged = next;
+            }
+            let mut full = ancestors(&r);
+            prop_assert_eq!(staged.len(), full.len(), "uniqueness (Appendix A)");
+            staged.sort_by(|a, b| a.values().cmp(b.values()));
+            full.sort_by(|a, b| a.values().cmp(b.values()));
+            prop_assert_eq!(staged, full);
+        }
     }
 }

@@ -7,20 +7,23 @@
 //! that provide the most information about the measure's distribution under
 //! a maximum-entropy model scored by KL divergence.
 //!
-//! The crate implements the full pipeline on the [`sirum_dataflow`] engine:
+//! The crate implements the full pipeline on the [`sirum_dataflow`] engine
+//! behind one entry point, [`Miner`], configured by [`SirumConfig`]:
 //!
-//! * rule / cube-lattice algebra ([`rule`], [`lattice`]),
-//! * maximum-entropy estimation via iterative scaling ([`scaling`]) and its
-//!   Rule-Coverage-Table acceleration ([`rct`], §4.1),
-//! * information gain and KL scoring ([`gain`]),
+//! * rules over the cube lattice ([`Rule`], with [`WILDCARD`] positions),
+//! * maximum-entropy estimation by iterative scaling over the Rule
+//!   Coverage Table (§4.1; [`ScalingConfig`]),
+//! * information gain (Eq 2.2) and KL scoring of every iteration
+//!   ([`MiningResult::kl_trace`]),
 //! * sample-based candidate pruning with an inverted-index fast path
-//!   ([`candidates`], §3.1.1/§4.2),
-//! * multi-stage ancestor generation (§4.3) and multi-rule insertion
-//!   ([`multirule`], §4.4),
-//! * the mining driver and the Table 4.2 variants ([`miner`], [`variants`]),
-//! * data-cube exploration ([`explore`](mod@explore)) and
-//!   SIRUM-on-sample-data ([`sample_data`]), and offline rule-set
-//!   evaluation ([`evaluate`]).
+//!   (§3.1.1/§4.2; [`CandidateStrategy`]),
+//! * the fused gain sweep or the staged shuffle pipeline with multi-stage
+//!   ancestor generation (§4.3; [`Evaluation`], [`StagedPipeline`]) and
+//!   multi-rule insertion (§4.4; [`SirumConfig::rules_per_iter`]),
+//! * the Table 4.2 variants ([`Variant`]), data-cube exploration
+//!   ([`try_explore`]), SIRUM on sample data ([`try_mine_on_sample`]),
+//!   incremental mining ([`StreamingMiner`]) and offline rule-set
+//!   evaluation ([`try_evaluate_rules`]).
 //!
 //! ## Quickstart
 //!
@@ -57,42 +60,45 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod block;
-pub mod cancel;
-pub mod candidates;
+mod block;
+mod cancel;
+mod candidates;
 mod data;
-pub mod error;
-pub mod evaluate;
-pub mod explore;
-pub mod gain;
-pub mod lattice;
-pub mod miner;
-pub mod multirule;
-pub mod prepared;
-pub mod rct;
-pub mod rule;
-pub mod sample_data;
-pub mod scaling;
-pub mod streaming;
-pub mod sweep;
-pub mod transform;
-pub mod variants;
+mod error;
+mod evaluate;
+mod explore;
+mod gain;
+mod lattice;
+mod miner;
+mod multirule;
+mod prepared;
+mod rct;
+mod rule;
+mod sample_data;
+mod scaling;
+mod streaming;
+mod sweep;
+mod transform;
+mod variants;
 
-pub use block::TupleBlock;
 pub use cancel::CancellationToken;
 pub use error::SirumError;
 pub use evaluate::{try_evaluate_rules, try_evaluate_rules_prepared, RuleSetEvaluation};
-pub use explore::{try_explore, ExploreResult};
+pub use explore::{prior_rules_from_groupbys, try_explore, ExploreResult};
+pub use lattice::check_expandable;
 pub use miner::{
     CandidateStrategy, Evaluation, IterationDecision, IterationEvent, IterationObserver, MinedRule,
     Miner, MiningResult, PhaseTimings, SirumConfig, StagedPipeline,
 };
 pub use prepared::PreparedTable;
-pub use rule::{PackedCode, PackedMasks, Rule, RuleLayout, WILDCARD};
+pub use rule::{Rule, RuleLayout, WILDCARD};
 pub use sample_data::{try_mine_on_sample, SampleDataResult};
-pub use scaling::ScalingConfig;
+pub use scaling::{ScalingConfig, ScalingOutcome};
 pub use streaming::{StreamingConfig, StreamingMiner};
-pub use sweep::{sweep_gains, SweepOptions, SweepOutcome};
+pub use sweep::CombineStrategy;
 pub use variants::Variant;
+
+#[cfg(test)]
+mod testkit;

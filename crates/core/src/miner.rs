@@ -47,13 +47,12 @@ pub enum CandidateStrategy {
 /// How each iteration's candidate frontier is scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Evaluation {
-    /// The fused, partition-parallel gain sweep ([`crate::sweep`]): one
-    /// scan over the partitioned data folds every tuple into
-    /// per-partition `(Σm, Σm̂)` accumulators for all live candidates at
-    /// once, merged with a deterministic partition-ordered reduction (the
-    /// default). With [`SirumConfig::rct`], the scans after a mine's first
+    /// The fused, partition-parallel gain sweep: one scan over the
+    /// partitioned data folds every tuple into per-partition `(Σm, Σm̂)`
+    /// accumulators for all live candidates at once, merged with a
+    /// deterministic partition-ordered reduction (the default). With [`SirumConfig::rct`], the scans after a mine's first
     /// fold only the tuples whose estimate differs from the RCT's largest
-    /// group's and count the rest ([`SweepState::set_shared_estimate`]).
+    /// group's and count the rest.
     Sweep,
     /// The staged pipeline that emulates the paper's per-platform jobs
     /// (LCA emit → shuffle → per-column-group ancestor stages → shuffle →
@@ -102,11 +101,11 @@ pub struct SirumConfig {
     pub target_kl: Option<f64>,
     /// Hard cap on mined rules when `target_kl` is set (default `4·k`).
     pub max_rules: Option<usize>,
-    /// Score candidates with the symmetrized two-sided gain
-    /// ([`rule_gain_two_sided`]), which also rewards *over*estimated
-    /// regions — useful for data-cleansing style queries hunting for
-    /// unusually low-measure subsets. The paper's selection loop uses the
-    /// one-sided Eq 2.2 gain (the default, `false`).
+    /// Score candidates with the symmetrized two-sided gain `|Eq 2.2|`,
+    /// which also rewards *over*estimated regions — useful for
+    /// data-cleansing style queries hunting for unusually low-measure
+    /// subsets. The paper's selection loop uses the one-sided Eq 2.2 gain
+    /// (the default, `false`).
     pub two_sided_gain: bool,
     /// Intern rules as dense packed integer codes during candidate
     /// evaluation (default `true`): each dimension gets a bit-field sized
@@ -272,9 +271,9 @@ pub struct PhaseTimings {
     /// Gain computation, sample adjustment and selection (selection only
     /// when the fused gain sweep is active).
     pub gain_computation: f64,
-    /// The fused gain sweep ([`crate::sweep`]), which performs pruning,
-    /// ancestor generation, aggregate computation and gain scoring in one
-    /// pass; zero on the staged path.
+    /// The fused gain sweep, which performs pruning, ancestor generation,
+    /// aggregate computation and gain scoring in one pass; zero on the
+    /// staged path.
     pub gain_sweep: f64,
     /// Iterative scaling, including the `update-ba` pass (bits and RCT) and write-out.
     pub iterative_scaling: f64,
@@ -304,7 +303,7 @@ pub struct MiningResult {
     /// Total candidate-rule key-value pairs emitted by ancestor-generation
     /// mappers (the quantity of Fig 5.8) — under the fused sweep, what
     /// single-stage generation *would* emit: `Σ 2^w` over each sweep's
-    /// distinct LCAs ([`crate::sweep::SweepOutcome::pairs_emitted`]).
+    /// distinct LCAs.
     pub ancestors_emitted: u64,
     /// Number of rule-generation iterations executed.
     pub iterations: usize,
@@ -610,8 +609,14 @@ impl Miner {
             ancestors_emitted += frontier.emitted;
             if frontier.cancelled {
                 // The cancellation token flipped mid-sweep (polled at
-                // partition boundaries): abandon the iteration without
-                // selecting from partial aggregates.
+                // partition boundaries), or a failed spill read left a
+                // partition empty and the sweep built no plan: abandon the
+                // iteration without selecting from partial aggregates, and
+                // end with the store's error if it holds one.
+                if let Err(e) = self.engine.health() {
+                    data.free();
+                    return Err(e.into());
+                }
                 cancelled = true;
                 break;
             }
@@ -986,5 +991,191 @@ impl ScalingBackend for DataScaling<'_> {
         let scaled = self.data.scale_mhat(i, factor);
         self.miner.cache_swap(self.data, scaled);
         self.rct.scale(i, factor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::block::TupleBlock;
+    use crate::variants::Variant;
+    use proptest::prelude::*;
+    use sirum_dataflow::{Encode, EngineConfig};
+    use sirum_table::Compression;
+
+    /// Everything a mining run produces that must match bit for bit between
+    /// two schedules or encodings of the same request: the selected rule
+    /// sequence with selection-time gains/averages/counts, the KL trace, the
+    /// λ-update counts, the emitted-pair accounting, the iteration count and
+    /// the cancellation flag. (Wall-clock timings are excluded by
+    /// construction.)
+    type ResultBits = (
+        Vec<(Vec<u32>, u64, u64, u64)>,
+        Vec<u64>,
+        Vec<usize>,
+        u64,
+        usize,
+        bool,
+    );
+
+    fn result_bits(r: &MiningResult) -> ResultBits {
+        // Independent of any second run: adding a rule to the max-entropy
+        // model can only lower the divergence, so every mined trace must be
+        // non-increasing (up to the scaling tolerance's float noise).
+        for w in r.kl_trace.windows(2) {
+            assert!(
+                w[1] <= w[0] + 1e-9 * w[0].abs().max(1.0),
+                "KL rose from {} to {} in {:?}",
+                w[0],
+                w[1],
+                r.kl_trace
+            );
+        }
+        (
+            r.rules
+                .iter()
+                .map(|m| {
+                    (
+                        m.rule.values().to_vec(),
+                        m.gain.to_bits(),
+                        m.avg_measure.to_bits(),
+                        m.count,
+                    )
+                })
+                .collect(),
+            r.kl_trace.iter().map(|k| k.to_bits()).collect(),
+            r.scaling_iterations.clone(),
+            r.ancestors_emitted,
+            r.iterations,
+            r.cancelled,
+        )
+    }
+
+    /// An in-memory engine with a fixed partition/worker shape under `budget`,
+    /// spilling below a directory of its own named `dir`.
+    fn budget_engine(budget: Option<usize>, partitions: usize, dir: &str) -> Engine {
+        let mut config = EngineConfig::in_memory()
+            .with_partitions(partitions)
+            .with_workers(2)
+            .with_spill_dir(std::env::temp_dir().join(format!("{dir}-{}", std::process::id())));
+        config.memory_budget = budget;
+        Engine::try_new(config).unwrap()
+    }
+
+    #[test]
+    fn a_budget_that_holds_one_generation_spills_nothing() {
+        // A scaling rewrite frees the generation it replaces before it caches
+        // the new one, so the block store holds one generation at a time and
+        // a budget of 1.5 generations never evicts. Both rewrite paths: the
+        // RCT's `update_ba` + `write_mhat` swaps (Optimized) and Algorithm 1's
+        // `scale_mhat` swap per λ update (Baseline), on raw and compressed
+        // frames — a compressed block is charged its overlapping segments.
+        const PARTITIONS: usize = 4;
+        let table = sirum_table::generators::income_like(1_500, 29);
+        for compression in [Compression::Never, Compression::Always] {
+            let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
+            let generation: usize = TupleBlock::seed_partitions(
+                prepared.frame(),
+                &prepared.m_prime_slice(),
+                PARTITIONS,
+            )
+            .iter()
+            .map(Encode::size_estimate)
+            .sum();
+            let budget = generation * 3 / 2;
+            for variant in [Variant::Optimized, Variant::Baseline] {
+                let mine = |budget: Option<usize>, dir: &str| {
+                    let miner = Miner::new(
+                        budget_engine(budget, PARTITIONS, dir),
+                        variant.config(3, 16),
+                    );
+                    let result = miner.try_mine_prepared(&prepared, &[]).unwrap();
+                    (result, miner)
+                };
+                let (reference, _) = mine(None, "sirum-one-gen-ref");
+                let (budgeted, miner) = mine(Some(budget), "sirum-one-gen");
+                let case = format!("{variant:?} {compression:?}");
+                assert!(
+                    reference.scaling_iterations.iter().sum::<usize>() > 0,
+                    "{case}"
+                );
+                assert_eq!(result_bits(&reference), result_bits(&budgeted), "{case}");
+                let store = miner.engine().store();
+                let stats = store.memory_stats();
+                assert_eq!(stats.evictions, 0, "{case}: {stats:?} under {budget} B");
+                assert_eq!(stats.spilled_bytes, 0, "{case}: {stats:?} under {budget} B");
+                let peak = store.trace().iter().map(|s| s.resident_bytes).max();
+                assert!(
+                    peak.is_some_and(|p| p <= budget),
+                    "{case}: peak {peak:?} over {budget} B"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn a_randomly_corrupted_spill_file_fails_typed_or_changes_nothing(
+            (rows, seed, compressed) in (800usize..2_000, any::<u64>(), any::<bool>()),
+            (eighths, iteration) in (1usize..4, 1usize..4),
+            (which, how, offset) in (any::<u64>(), 0u8..3, any::<u64>()),
+            noise in prop::collection::vec(any::<u8>(), 1..16),
+        ) {
+            // A random table mined under a budget of 1/8 to 3/8 of one
+            // generation, so most blocks live on disk. After a random
+            // iteration one random spill file gets one random corruption: a
+            // byte flipped, the file cut short, or bytes appended. The mine
+            // must end with a dataflow error, or — where the damaged bytes are
+            // never read, or are read and still verify — with the unbudgeted
+            // result; never with a panic or another rule set.
+            const PARTITIONS: usize = 4;
+            let table = sirum_table::generators::income_like(rows, seed);
+            let compression = if compressed { Compression::Always } else { Compression::Never };
+            let prepared = PreparedTable::try_new_with(&table, compression).unwrap();
+            let generation: usize =
+                TupleBlock::seed_partitions(prepared.frame(), &prepared.m_prime_slice(), PARTITIONS)
+                    .iter()
+                    .map(Encode::size_estimate)
+                    .sum();
+            let config = || SirumConfig {
+                k: 3,
+                strategy: CandidateStrategy::SampleLca { sample_size: 16 },
+                ..SirumConfig::default()
+            };
+            let reference = Miner::new(budget_engine(None, PARTITIONS, "sirum-random-spill-ref"), config())
+                .try_mine_prepared(&prepared, &[])
+                .unwrap();
+            let engine = budget_engine(Some(generation * eighths / 8), PARTITIONS, "sirum-random-spill");
+            let root = engine.config().spill_dir.clone();
+            let miner = Miner::new(engine, config()).with_observer(move |event| {
+                if event.iteration == iteration {
+                    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&root)
+                        .unwrap()
+                        .flat_map(|store| std::fs::read_dir(store.unwrap().path()).unwrap())
+                        .map(|file| file.unwrap().path())
+                        .collect();
+                    files.sort();
+                    assert!(!files.is_empty(), "nothing spilled under the budget");
+                    let path = &files[(which % files.len() as u64) as usize];
+                    let mut bytes = std::fs::read(path).unwrap();
+                    let at = (offset % bytes.len().max(1) as u64) as usize;
+                    match how {
+                        0 if !bytes.is_empty() => bytes[at] ^= noise[0] | 1,
+                        1 => bytes.truncate(at),
+                        _ => bytes.extend_from_slice(&noise),
+                    }
+                    std::fs::write(path, bytes).unwrap();
+                }
+                IterationDecision::Continue
+            });
+            let result = miner.try_mine_prepared(&prepared, &[]);
+            match result {
+                Err(SirumError::Dataflow(_)) => {}
+                Ok(budgeted) => prop_assert_eq!(result_bits(&budgeted), result_bits(&reference)),
+                Err(other) => panic!("expected a dataflow error, got {other:?}"),
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ pub(crate) fn rank_limit(total: usize) -> usize {
 /// without sorting all of it. Selection never reads past the top-1% rank
 /// limit, so selecting from this prefix equals selecting from the whole
 /// list whenever `reach` covers that limit.
-pub fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usize)> {
+pub(crate) fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usize)> {
     let best_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
     if reach < scored.len() {
         scored.select_nth_unstable_by(reach, best_first);
@@ -32,15 +32,15 @@ pub fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usi
 
 /// A scored candidate as produced by the gain stage.
 #[derive(Debug, Clone)]
-pub struct ScoredCandidate {
+pub(crate) struct ScoredCandidate {
     /// The candidate rule.
-    pub rule: Rule,
+    pub(crate) rule: Rule,
     /// Information gain (Eq 2.2) under the current estimates.
-    pub gain: f64,
+    pub(crate) gain: f64,
     /// Exact `Σ_{t⊨r} t[m]` over the rule's support set (transformed).
-    pub sum_m: f64,
+    pub(crate) sum_m: f64,
     /// Exact support size `|S_D(r)|`.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 /// Pick the most informative rule plus up to `l−1` further rules that are
@@ -53,7 +53,7 @@ pub struct ScoredCandidate {
 /// `total_candidates` carries the true list size for the rank limit
 /// (pass `candidates.len()` when the list is complete). Returns the chosen
 /// candidates in selection order; empty if no candidate has positive gain.
-pub fn select_rules(
+pub(crate) fn select_rules(
     candidates: &mut [ScoredCandidate],
     l: usize,
     total_candidates: usize,

@@ -18,8 +18,8 @@ use sirum_table::{ColSlice, Compression, Frame, Table};
 use std::sync::Arc;
 
 /// A table validated and encoded for mining: the columnar dimension
-/// [`Frame`] plus the transformed measure column `m′` and its
-/// [`MeasureTransform`].
+/// [`Frame`] plus the transformed measure column `m′` and the shift that
+/// produced it.
 ///
 /// Construction checks everything [`crate::Miner`] needs from the data —
 /// non-emptiness and finite measures — so a `PreparedTable` can be mined
@@ -63,7 +63,7 @@ impl PreparedTable {
     ///
     /// # Errors
     /// Same as [`Self::try_new`].
-    pub fn from_frame(frame: Frame) -> Result<Self, SirumError> {
+    pub(crate) fn from_frame(frame: Frame) -> Result<Self, SirumError> {
         let (transform, m_prime) = MeasureTransform::try_fit(frame.measures())?;
         let positive = m_prime.iter().filter(|&&m| m > 0.0);
         let m_ln_m = neumaier_sum(positive.map(|&m| m * m.ln()));
@@ -76,12 +76,12 @@ impl PreparedTable {
     }
 
     /// Number of rows `n`.
-    pub fn num_rows(&self) -> usize {
+    pub(crate) fn num_rows(&self) -> usize {
         self.frame.num_rows()
     }
 
     /// Number of dimension attributes `d`.
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.frame.num_dims()
     }
 
@@ -92,13 +92,13 @@ impl PreparedTable {
     }
 
     /// The transformed measure column `m′` (row-aligned with the frame).
-    pub fn m_prime(&self) -> &[f64] {
+    pub(crate) fn m_prime(&self) -> &[f64] {
         &self.m_prime
     }
 
     /// The transformed measure column as a shared slice (an `Arc` bump),
     /// for building partition-aligned column windows.
-    pub fn m_prime_slice(&self) -> ColSlice<f64> {
+    pub(crate) fn m_prime_slice(&self) -> ColSlice<f64> {
         ColSlice::full(Arc::clone(&self.m_prime))
     }
 
@@ -110,7 +110,7 @@ impl PreparedTable {
     }
 
     /// The fitted measure transform (shift applied to produce `m′`).
-    pub fn transform(&self) -> MeasureTransform {
+    pub(crate) fn transform(&self) -> MeasureTransform {
         self.transform
     }
 }
@@ -165,7 +165,7 @@ mod tests {
         for i in 0..t.num_rows() {
             p.frame().gather_row(i, &mut buf);
             assert_eq!(buf, t.row(i));
-            assert_eq!(p.m_prime()[i], p.transform().apply(t.measure(i)));
+            assert_eq!(p.m_prime()[i], t.measure(i) + p.transform().shift());
         }
         assert_eq!(p.frame().fingerprint(), t.fingerprint());
     }

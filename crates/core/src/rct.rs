@@ -32,26 +32,26 @@ use crate::scaling::ScalingBackend;
 use sirum_dataflow::hash::FxHashMap;
 
 /// Maximum number of rules a `u64` bit array can track.
-pub const MAX_RULES: usize = 64;
+pub(crate) const MAX_RULES: usize = 64;
 
 /// One row of the Rule Coverage Table: the set of tuples sharing bit array
 /// `mask` (cf. Table 4.1).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RctGroup {
+pub(crate) struct RctGroup {
     /// Shared bit array: bit `i` set ⇔ the tuples match rule `rᵢ`.
-    pub mask: u64,
+    pub(crate) mask: u64,
     /// `COUNT(*)` of the group.
-    pub count: u64,
+    pub(crate) count: u64,
     /// `SUM(t[m])` over the group (transformed measure).
-    pub sum_m: f64,
+    pub(crate) sum_m: f64,
     /// `SUM(t[mhat])` over the group — updated in place during scaling.
-    pub sum_mhat: f64,
+    pub(crate) sum_mhat: f64,
 }
 
 /// The Rule Coverage Table: pairwise-disjoint tuple groups keyed by bit
 /// array (Fig 4.1), small enough to replicate to every worker.
 #[derive(Debug, Clone, Default)]
-pub struct Rct {
+pub(crate) struct Rct {
     /// Sorted by mask.
     groups: Vec<RctGroup>,
     /// `mask → position in groups`: one hash probe per folded row.
@@ -61,7 +61,7 @@ pub struct Rct {
 impl Rct {
     /// Group tuples by bit array (line 6 of Algorithm 3), given parallel
     /// columns of masks, transformed measures and current estimates.
-    pub fn build(masks: &[u64], m: &[f64], mhat: &[f64]) -> Rct {
+    pub(crate) fn build(masks: &[u64], m: &[f64], mhat: &[f64]) -> Rct {
         // lint:allow(SL001) — driver-built parallel arrays
         assert_eq!(masks.len(), m.len());
         // lint:allow(SL001) — driver-built parallel arrays
@@ -73,7 +73,7 @@ impl Rct {
 
     /// Assemble from pre-aggregated groups (the distributed build path:
     /// each partition aggregates locally, then partial groups are merged).
-    pub fn from_partials<I: IntoIterator<Item = RctGroup>>(partials: I) -> Rct {
+    pub(crate) fn from_partials<I: IntoIterator<Item = RctGroup>>(partials: I) -> Rct {
         let mut rct = Rct::default();
         rct.add(partials);
         rct
@@ -120,19 +120,8 @@ impl Rct {
     }
 
     /// The groups, sorted by mask.
-    pub fn groups(&self) -> &[RctGroup] {
+    pub(crate) fn groups(&self) -> &[RctGroup] {
         &self.groups
-    }
-
-    /// Number of groups (rows of the RCT) — bounded by `min(n, 2^|R|)` and
-    /// in practice tiny (§4.1 space analysis).
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True if the RCT has no groups.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 
     /// KL divergence (§2.3) of the model `λ` fitted over these groups,
@@ -208,7 +197,7 @@ pub(crate) fn rule_bits(num_rules: usize) -> u64 {
 /// Per-tuple estimate implied by a bit array: `∏_{i ∈ mask} λᵢ` (the
 /// write-out step, lines 23-25 of Algorithm 3).
 #[inline]
-pub fn mhat_for_mask(mask: u64, lambdas: &[f64]) -> f64 {
+pub(crate) fn mhat_for_mask(mask: u64, lambdas: &[f64]) -> f64 {
     let mut product = 1.0;
     let mut bits = mask;
     while bits != 0 {
@@ -269,7 +258,7 @@ mod tests {
                 .collect()
         };
         let rct = Rct::build(&masks, t.measures(), &mhat2);
-        assert_eq!(rct.len(), 4);
+        assert_eq!(rct.groups().len(), 4);
         let get = |mask: u64| rct.groups().iter().find(|g| g.mask == mask).unwrap();
         let g1 = get(0b001); // paper's BA 1000
         assert_eq!(g1.count, 9);
@@ -298,7 +287,7 @@ mod tests {
         // Masks are distinct (disjoint groups, Fig 4.1).
         let mut masks: Vec<u64> = rct.groups().iter().map(|g| g.mask).collect();
         masks.dedup();
-        assert_eq!(masks.len(), rct.len());
+        assert_eq!(masks.len(), rct.groups().len());
     }
 
     #[test]
@@ -375,7 +364,7 @@ mod tests {
             sum_mhat: 5.0,
         };
         let rct = Rct::from_partials([a, b, c]);
-        assert_eq!(rct.len(), 2);
+        assert_eq!(rct.groups().len(), 2);
         let merged = rct.groups().iter().find(|g| g.mask == 0b01).unwrap();
         assert_eq!(merged.count, 3);
         assert!((merged.sum_m - 4.0).abs() < 1e-12);
@@ -518,7 +507,7 @@ mod tests {
         // 14 tuples, 3 rules → at most 2^3 = 8 groups; actually 4.
         let (t, _rules, masks) = flight_masks();
         let rct = Rct::build(&masks, t.measures(), &[1.0; 14]);
-        assert!(rct.len() <= 8);
-        assert!(rct.len() < t.num_rows());
+        assert!(rct.groups().len() <= 8);
+        assert!(rct.groups().len() < t.num_rows());
     }
 }

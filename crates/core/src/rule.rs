@@ -45,7 +45,7 @@ impl Rule {
 
     /// Treat a tuple's dimension codes as the (bottom-of-lattice) rule that
     /// matches exactly that value combination.
-    pub fn from_tuple(tuple: &[u32]) -> Rule {
+    pub(crate) fn from_tuple(tuple: &[u32]) -> Rule {
         Rule {
             values: tuple.to_vec().into_boxed_slice(),
         }
@@ -71,23 +71,11 @@ impl Rule {
         self.values[i] == WILDCARD
     }
 
-    /// Number of non-wildcard positions (the rule's depth in the lattice).
-    pub fn num_constants(&self) -> usize {
-        self.values.iter().filter(|&&v| v != WILDCARD).count()
-    }
-
-    /// Indices of the non-wildcard positions.
-    pub fn constant_positions(&self) -> Vec<usize> {
-        (0..self.values.len())
-            .filter(|&i| self.values[i] != WILDCARD)
-            .collect()
-    }
-
     /// The rule's constant positions with their codes, `(dimension, code)`
     /// — the only columns a columnar scan needs to touch. Every columnar
     /// match site (miner data path, evaluator, streaming history) resolves
     /// its column storage from this one iterator.
-    pub fn constants(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+    pub(crate) fn constants(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
         self.values
             .iter()
             .enumerate()
@@ -106,33 +94,9 @@ impl Rule {
             .all(|(&r, &t)| r == WILDCARD || r == t)
     }
 
-    /// Least common ancestor of two tuples (§2.1): keep positions where they
-    /// agree, wildcard the rest.
-    pub fn lca(a: &[u32], b: &[u32]) -> Rule {
-        debug_assert_eq!(a.len(), b.len());
-        Rule {
-            values: a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| if x == y { x } else { WILDCARD })
-                .collect(),
-        }
-    }
-
-    /// `self` is an ancestor of `other` (generalization order, §2.5): every
-    /// position is either a wildcard or equal to `other`'s. Every rule is its
-    /// own ancestor.
-    pub fn is_ancestor_of(&self, other: &Rule) -> bool {
-        debug_assert_eq!(self.arity(), other.arity());
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .all(|(&a, &b)| a == WILDCARD || a == b)
-    }
-
     /// Rules are disjoint iff some attribute has two different constants
     /// (§2.1). Disjoint rules have provably disjoint support sets.
-    pub fn is_disjoint(&self, other: &Rule) -> bool {
+    pub(crate) fn is_disjoint(&self, other: &Rule) -> bool {
         debug_assert_eq!(self.arity(), other.arity());
         self.values
             .iter()
@@ -141,7 +105,7 @@ impl Rule {
     }
 
     /// Replace position `i` with a wildcard, producing a parent rule.
-    pub fn generalize(&self, i: usize) -> Rule {
+    pub(crate) fn generalize(&self, i: usize) -> Rule {
         let mut values = self.values.to_vec();
         values[i] = WILDCARD;
         Rule {
@@ -219,7 +183,7 @@ impl Encode for Rule {
 /// The arithmetic surface is the minimal shift/mask set [`RuleLayout`]
 /// packs and unpacks with, kept as named methods so the trait stays
 /// object-simple and every call site inlines to single instructions.
-pub trait PackedCode:
+pub(crate) trait PackedCode:
     Copy + Eq + Ord + std::hash::Hash + std::fmt::Debug + Encode + Send + Sync + 'static
 {
     /// Width of the code type in bits.
@@ -238,8 +202,6 @@ pub trait PackedCode:
     fn bitor(self, rhs: Self) -> Self;
     /// Bitwise and.
     fn bitand(self, rhs: Self) -> Self;
-    /// Bitwise xor.
-    fn bitxor(self, rhs: Self) -> Self;
     /// Bitwise complement.
     fn not(self) -> Self;
 }
@@ -272,10 +234,6 @@ macro_rules! impl_packed_code {
             #[inline]
             fn bitand(self, rhs: Self) -> Self {
                 self & rhs
-            }
-            #[inline]
-            fn bitxor(self, rhs: Self) -> Self {
-                self ^ rhs
             }
             #[inline]
             fn not(self) -> Self {
@@ -339,23 +297,8 @@ impl RuleLayout {
         }
     }
 
-    /// Number of dimension attributes.
-    pub fn num_dims(&self) -> usize {
-        self.widths.len()
-    }
-
-    /// Bits needed to pack one whole rule.
-    pub fn total_bits(&self) -> u32 {
-        self.total_bits
-    }
-
-    /// Bit-width of dimension `j`'s field.
-    pub fn width(&self, j: usize) -> u32 {
-        self.widths[j]
-    }
-
     /// Whether the layout fits in code type `C`.
-    pub fn fits<C: PackedCode>(&self) -> bool {
+    pub(crate) fn fits<C: PackedCode>(&self) -> bool {
         self.total_bits <= C::BITS
     }
 
@@ -373,49 +316,8 @@ impl RuleLayout {
         }
     }
 
-    /// Pack a rule's value slice (codes and [`WILDCARD`]s) into one code.
-    ///
-    /// Callers must have checked [`RuleLayout::fits`]; packing into a
-    /// too-narrow type would silently drop high fields, so this is guarded
-    /// in debug builds.
-    #[inline]
-    pub fn pack<C: PackedCode>(&self, values: &[u32]) -> C {
-        debug_assert_eq!(values.len(), self.widths.len());
-        debug_assert!(self.fits::<C>());
-        let mut code = C::ZERO;
-        for (j, &v) in values.iter().enumerate() {
-            let w = self.widths[j];
-            let field = if v == WILDCARD {
-                field_mask::<C>(w)
-            } else {
-                debug_assert!(w == 32 || u64::from(v) < (1u64 << w));
-                C::from_u32(v)
-            };
-            code = code.shl(w).bitor(field);
-        }
-        code
-    }
-
-    /// Decode a packed code back into a [`Rule`] (all-ones fields become
-    /// wildcards). Inverse of [`RuleLayout::pack`].
-    pub fn unpack<C: PackedCode>(&self, code: C) -> Rule {
-        let values: Vec<u32> = (0..self.widths.len())
-            .map(|j| {
-                let w = self.widths[j];
-                let mask = field_mask::<C>(w);
-                let field = code.shr(self.shifts[j]).bitand(mask);
-                if field == mask {
-                    WILDCARD
-                } else {
-                    field.low_u32()
-                }
-            })
-            .collect();
-        Rule::from_values(values)
-    }
-
     /// Precompute the in-position field masks for hot-path code surgery.
-    pub fn masks<C: PackedCode>(&self) -> PackedMasks<C> {
+    pub(crate) fn masks<C: PackedCode>(&self) -> PackedMasks<C> {
         debug_assert!(self.fits::<C>());
         let wild: Box<[C]> = (0..self.widths.len())
             .map(|j| field_mask::<C>(self.widths[j]).shl(self.shifts[j]))
@@ -433,7 +335,7 @@ impl RuleLayout {
 /// sweep's inner loops need to build LCA codes and widen dimensions without
 /// re-deriving shifts.
 #[derive(Debug, Clone)]
-pub struct PackedMasks<C> {
+pub(crate) struct PackedMasks<C> {
     /// `wild[j]`: dimension `j`'s all-ones (wildcard) field, in position.
     wild: Box<[C]>,
     shifts: Box<[u32]>,
@@ -442,47 +344,41 @@ pub struct PackedMasks<C> {
 
 impl<C: PackedCode> PackedMasks<C> {
     /// Number of dimension attributes.
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.wild.len()
     }
 
     /// The all-wildcards rule `(*, …, *)` as a code.
     #[inline]
-    pub fn all_wild(&self) -> C {
+    pub(crate) fn all_wild(&self) -> C {
         self.all_wild
-    }
-
-    /// Dimension `j`'s wildcard field mask, in position.
-    #[inline]
-    pub fn wild(&self, j: usize) -> C {
-        self.wild[j]
     }
 
     /// Whether dimension `j` of `code` is the wildcard (real codes never
     /// fill their field with ones — the layout reserves that slot).
     #[inline]
-    pub fn is_wild(&self, code: C, j: usize) -> bool {
+    pub(crate) fn is_wild(&self, code: C, j: usize) -> bool {
         code.bitand(self.wild[j]) == self.wild[j]
     }
 
     /// Dimension `j`'s constant in `code`, or `None` where it is the
     /// wildcard.
     #[inline]
-    pub fn constant(&self, code: C, j: usize) -> Option<u32> {
+    pub(crate) fn constant(&self, code: C, j: usize) -> Option<u32> {
         let field = code.bitand(self.wild[j]);
         (field != self.wild[j]).then(|| field.shr(self.shifts[j]).low_u32())
     }
 
     /// `code` with dimension `j` set to the constant `v`.
     #[inline]
-    pub fn with_constant(&self, code: C, j: usize, v: u32) -> C {
+    pub(crate) fn with_constant(&self, code: C, j: usize, v: u32) -> C {
         code.bitand(self.wild[j].not())
             .bitor(C::from_u32(v).shl(self.shifts[j]))
     }
 
     /// `code` with dimension `j` generalized to the wildcard.
     #[inline]
-    pub fn widen(&self, code: C, j: usize) -> C {
+    pub(crate) fn widen(&self, code: C, j: usize) -> C {
         code.bitor(self.wild[j])
     }
 }
@@ -682,9 +578,108 @@ fn spell<'a, C: PackedCode>(code: C, masks: &PackedMasks<C>, buf: &'a mut [u32; 
 }
 
 #[cfg(test)]
+impl Rule {
+    /// Number of non-wildcard positions (the rule's depth in the lattice).
+    pub(crate) fn num_constants(&self) -> usize {
+        self.values.iter().filter(|&&v| v != WILDCARD).count()
+    }
+
+    /// Indices of the non-wildcard positions.
+    pub(crate) fn constant_positions(&self) -> Vec<usize> {
+        (0..self.values.len())
+            .filter(|&i| self.values[i] != WILDCARD)
+            .collect()
+    }
+
+    /// Least common ancestor of two tuples (§2.1): keep positions where they
+    /// agree, wildcard the rest.
+    pub(crate) fn lca(a: &[u32], b: &[u32]) -> Rule {
+        debug_assert_eq!(a.len(), b.len());
+        Rule {
+            values: a
+                .iter()
+                .zip(b)
+                .map(|(&x, &y)| if x == y { x } else { WILDCARD })
+                .collect(),
+        }
+    }
+
+    /// `self` is an ancestor of `other` (generalization order, §2.5): every
+    /// position is either a wildcard or equal to `other`'s. Every rule is its
+    /// own ancestor.
+    pub(crate) fn is_ancestor_of(&self, other: &Rule) -> bool {
+        debug_assert_eq!(self.arity(), other.arity());
+        self.values
+            .iter()
+            .zip(other.values.iter())
+            .all(|(&a, &b)| a == WILDCARD || a == b)
+    }
+}
+
+#[cfg(test)]
+impl RuleLayout {
+    /// Number of dimension attributes.
+    pub(crate) fn num_dims(&self) -> usize {
+        self.widths.len()
+    }
+
+    /// Bits needed to pack one whole rule.
+    pub(crate) fn total_bits(&self) -> u32 {
+        self.total_bits
+    }
+
+    /// Bit-width of dimension `j`'s field.
+    pub(crate) fn width(&self, j: usize) -> u32 {
+        self.widths[j]
+    }
+
+    /// Pack a rule's value slice (codes and [`WILDCARD`]s) into one code.
+    ///
+    /// Callers must have checked [`RuleLayout::fits`]; packing into a
+    /// too-narrow type would silently drop high fields, so this is guarded
+    /// in debug builds.
+    #[inline]
+    pub(crate) fn pack<C: PackedCode>(&self, values: &[u32]) -> C {
+        debug_assert_eq!(values.len(), self.widths.len());
+        debug_assert!(self.fits::<C>());
+        let mut code = C::ZERO;
+        for (j, &v) in values.iter().enumerate() {
+            let w = self.widths[j];
+            let field = if v == WILDCARD {
+                field_mask::<C>(w)
+            } else {
+                debug_assert!(w == 32 || u64::from(v) < (1u64 << w));
+                C::from_u32(v)
+            };
+            code = code.shl(w).bitor(field);
+        }
+        code
+    }
+
+    /// Decode a packed code back into a [`Rule`] (all-ones fields become
+    /// wildcards). Inverse of [`RuleLayout::pack`].
+    pub(crate) fn unpack<C: PackedCode>(&self, code: C) -> Rule {
+        let values: Vec<u32> = (0..self.widths.len())
+            .map(|j| {
+                let w = self.widths[j];
+                let mask = field_mask::<C>(w);
+                let field = code.shr(self.shifts[j]).bitand(mask);
+                if field == mask {
+                    WILDCARD
+                } else {
+                    field.low_u32()
+                }
+            })
+            .collect();
+        Rule::from_values(values)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::{any, Strategy};
+    use crate::testkit::{rule, tuple, MAX_D};
+    use proptest::prelude::*;
     use proptest::prop::collection::vec;
 
     fn r(vals: &[i64]) -> Rule {
@@ -1124,5 +1119,103 @@ mod tests {
         let london = t.dict(2).code("London").unwrap();
         let rule = Rule::from_values(vec![WILDCARD, WILDCARD, london]);
         assert_eq!(rule.display(&t), "(*, *, London)");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packed_layout_round_trips_and_preserves_rule_order(
+            (cards, seeds) in prop::collection::vec(1u32..(1u32 << 28), 1..10)
+                .prop_flat_map(|cards| {
+                    let d = cards.len();
+                    let rules = prop::collection::vec(
+                        prop::collection::vec(any::<u64>(), d),
+                        2..16,
+                    );
+                    (Just(cards), rules)
+                })
+        ) {
+            // Random dictionaries: widths span the u64 / u128 / fallback
+            // regimes (up to 9 dims × ≤28 bits). Wherever the layout fits,
+            // pack → unpack is the identity and packed integer order is
+            // exactly lexicographic rule-value order (WILDCARD last), which is
+            // what lets the sweep sort codes instead of rules.
+            let layout = RuleLayout::from_cardinalities(&cards);
+            let total: u32 = cards.iter().map(|&c| (32 - c.leading_zeros()).max(1)).sum();
+            prop_assert_eq!(layout.total_bits(), total);
+            prop_assert_eq!(layout.fits::<u64>(), total <= 64);
+            prop_assert_eq!(layout.fits::<u128>(), total <= 128);
+            if layout.fits::<u128>() {
+                // Each dim's value drawn from {0..card-1} ∪ {WILDCARD}.
+                let rules_vals: Vec<Vec<u32>> = seeds
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .zip(&cards)
+                            .map(|(&s, &c)| {
+                                let v = (s % (u64::from(c) + 1)) as u32;
+                                if v == c { WILDCARD } else { v }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut coded: Vec<(u128, Vec<u32>)> = rules_vals
+                    .iter()
+                    .map(|v| (layout.pack::<u128>(v), v.clone()))
+                    .collect();
+                for (code, vals) in &coded {
+                    prop_assert_eq!(layout.unpack(*code).values(), &vals[..]);
+                }
+                if layout.fits::<u64>() {
+                    for (code, vals) in &coded {
+                        let narrow: u64 = layout.pack(vals);
+                        prop_assert_eq!(u128::from(narrow), *code);
+                        prop_assert_eq!(layout.unpack(narrow).values(), &vals[..]);
+                    }
+                }
+                let by_values = {
+                    let mut v = coded.clone();
+                    v.sort_by(|a, b| a.1.cmp(&b.1));
+                    v.into_iter().map(|(_, vals)| vals).collect::<Vec<_>>()
+                };
+                coded.sort_by_key(|(code, _)| *code);
+                let by_code: Vec<Vec<u32>> = coded.into_iter().map(|(_, vals)| vals).collect();
+                prop_assert_eq!(by_code, by_values);
+            }
+        }
+
+        #[test]
+        fn lca_is_a_common_ancestor((a, b) in (1usize..=MAX_D).prop_flat_map(|d| (tuple(d), tuple(d)))) {
+            let lca = Rule::lca(&a, &b);
+            prop_assert!(lca.matches(&a));
+            prop_assert!(lca.matches(&b));
+        }
+
+        #[test]
+        fn lca_is_least((a, b, r) in (1usize..=MAX_D).prop_flat_map(|d| (tuple(d), tuple(d), rule(d)))) {
+            // Any rule covering both tuples is an ancestor of their LCA.
+            let lca = Rule::lca(&a, &b);
+            if r.matches(&a) && r.matches(&b) {
+                prop_assert!(r.is_ancestor_of(&lca), "{r:?} not ancestor of {lca:?}");
+            }
+        }
+
+        #[test]
+        fn disjoint_rules_never_share_tuples(
+            (a, b, t) in (1usize..=MAX_D).prop_flat_map(|d| (rule(d), rule(d), tuple(d)))
+        ) {
+            if a.is_disjoint(&b) {
+                prop_assert!(!(a.matches(&t) && b.matches(&t)));
+            }
+        }
+
+        #[test]
+        fn disjointness_is_symmetric_and_irreflexive(
+            (a, b) in (1usize..=MAX_D).prop_flat_map(|d| (rule(d), rule(d)))
+        ) {
+            prop_assert_eq!(a.is_disjoint(&b), b.is_disjoint(&a));
+            prop_assert!(!a.is_disjoint(&a));
+        }
     }
 }

@@ -18,8 +18,6 @@ pub struct SampleDataResult {
     pub result: MiningResult,
     /// Number of rows actually sampled.
     pub rows_used: usize,
-    /// Sampling rate requested.
-    pub rate: f64,
     /// Quality of the mined rule set evaluated on the full dataset.
     pub eval: RuleSetEvaluation,
 }
@@ -68,7 +66,6 @@ pub fn try_mine_on_sample(
     let eval = try_evaluate_rules(table, &rules, &miner.config().scaling)?;
     Ok(SampleDataResult {
         rows_used: sampled.num_rows(),
-        rate,
         result,
         eval,
     })

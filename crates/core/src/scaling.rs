@@ -40,7 +40,7 @@ pub struct ScalingOutcome {
 
 /// The tuples and their current estimates, with rule coverage addressed
 /// by rule index (bit `i` of a tuple's bit array).
-pub trait ScalingBackend {
+pub(crate) trait ScalingBackend {
     /// Write the current `Σ_{t⊨rᵢ} t[mhat]` into `out[i]` for every rule
     /// `i < out.len()`.
     fn mhat_sums(&self, out: &mut [f64]);
@@ -59,7 +59,7 @@ pub trait ScalingBackend {
 /// Note the convergence test on averages `|m(r)−mhat(r)|/|m(r)|` equals the
 /// same ratio on sums (the support counts cancel), so backends only report
 /// sums.
-pub fn iterative_scaling<B: ScalingBackend>(
+pub(crate) fn iterative_scaling<B: ScalingBackend>(
     backend: &mut B,
     m_sums: &[f64],
     lambdas: &mut [f64],
@@ -106,7 +106,7 @@ pub fn iterative_scaling<B: ScalingBackend>(
 /// `|m − mhat| / |m|`, with a zero-target falling back to the absolute error
 /// (a rule whose support has zero true mass forces its estimates toward 0).
 #[inline]
-pub fn relative_diff(m_sum: f64, mhat_sum: f64) -> f64 {
+pub(crate) fn relative_diff(m_sum: f64, mhat_sum: f64) -> f64 {
     if m_sum == 0.0 {
         mhat_sum.abs()
     } else {
@@ -117,7 +117,12 @@ pub fn relative_diff(m_sum: f64, mhat_sum: f64) -> f64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::gain::kl_divergence;
+    use crate::rct::{mhat_for_mask, Rct};
     use crate::rule::{Rule, WILDCARD};
+    use crate::testkit::{small_table, MAX_CARD};
+    use crate::transform::MeasureTransform;
+    use proptest::prelude::*;
     use sirum_table::generators::flights;
     use sirum_table::Table;
 
@@ -364,5 +369,88 @@ pub(crate) mod tests {
     fn relative_diff_handles_zero_target() {
         assert_eq!(relative_diff(0.0, 0.5), 0.5);
         assert_eq!(relative_diff(10.0, 9.0), 0.1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rct_and_naive_scaling_agree(table in small_table()) {
+            // Build a model from the all-wildcards rule plus up to 3 supported
+            // single-constant rules; both scalers must converge to the same
+            // multipliers and estimates.
+            let d = table.num_dims();
+            let (_tr, m_prime) = MeasureTransform::try_fit(table.measures()).unwrap();
+            let mut rules = vec![Rule::all_wildcards(d)];
+            'outer: for col in 0..d {
+                for code in 0..MAX_CARD {
+                    if rules.len() >= 4 {
+                        break 'outer;
+                    }
+                    let mut vals = vec![WILDCARD; d];
+                    vals[col] = code;
+                    let r = Rule::from_values(vals);
+                    // Only rules with positive measure mass are constrainable.
+                    let mass: f64 = table
+                        .rows()
+                        .enumerate()
+                        .filter(|(_, row)| r.matches(row))
+                        .map(|(i, _)| m_prime[i])
+                        .sum();
+                    if mass > 0.0 {
+                        rules.push(r);
+                    }
+                }
+            }
+            let m_sums = targets(&table.with_measure(m_prime.clone()), &rules);
+            let cfg = ScalingConfig { epsilon: 1e-9, max_iterations: 200_000 };
+
+            let mut naive_lambdas = vec![1.0; rules.len()];
+            let mut backend = RowBackend::new(&table, &rules);
+            let naive_out = iterative_scaling(&mut backend, &m_sums, &mut naive_lambdas, &cfg, None);
+
+            let masks: Vec<u64> = table
+                .rows()
+                .map(|row| {
+                    rules.iter().enumerate().fold(0u64, |mask, (i, r)| {
+                        if r.matches(&row) { mask | (1 << i) } else { mask }
+                    })
+                })
+                .collect();
+            let mut rct = Rct::build(&masks, &m_prime, &vec![1.0; table.num_rows()]);
+            let mut rct_lambdas = vec![1.0; rules.len()];
+            let rct_out = iterative_scaling(&mut rct, &m_sums, &mut rct_lambdas, &cfg, None);
+
+            prop_assert_eq!(naive_out.converged, rct_out.converged);
+            if naive_out.converged {
+                for (i, &mask) in masks.iter().enumerate() {
+                    let via_rct = mhat_for_mask(mask, &rct_lambdas);
+                    prop_assert!(
+                        (via_rct - backend.mhat[i]).abs() < 1e-5,
+                        "tuple {}: {} vs {}", i, via_rct, backend.mhat[i]
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn scaling_constraints_hold_at_convergence(table in small_table()) {
+            let d = table.num_dims();
+            let (_tr, m_prime) = MeasureTransform::try_fit(table.measures()).unwrap();
+            let rules = vec![Rule::all_wildcards(d)];
+            let m_sums = targets(&table.with_measure(m_prime.clone()), &rules);
+            let cfg = ScalingConfig { epsilon: 1e-9, max_iterations: 100_000 };
+            let mut lambdas = vec![1.0];
+            let mut backend = RowBackend::new(&table, &rules);
+            let out = iterative_scaling(&mut backend, &m_sums, &mut lambdas, &cfg, None);
+            prop_assert!(out.converged);
+            let mhat_sums: f64 = backend.mhat.iter().sum();
+            prop_assert!(relative_diff(m_sums[0], mhat_sums) <= 1e-9);
+            // KL of the fitted model never exceeds KL of the uniform model.
+            let uniform = vec![1.0; table.num_rows()];
+            let kl_fit = kl_divergence(&m_prime, &backend.mhat);
+            let kl_uniform = kl_divergence(&m_prime, &uniform);
+            prop_assert!(kl_fit <= kl_uniform + 1e-9);
+        }
     }
 }

@@ -35,11 +35,11 @@ use sirum_table::{Frame, Table};
 pub struct StreamingConfig {
     /// Size `|s|` of the candidate-pruning sample [`StreamingMiner::mine_more`]
     /// hands the [`Miner`] (§3.1.1).
-    pub sample_size: usize,
+    pub(crate) sample_size: usize,
     /// Iterative-scaling parameters.
-    pub scaling: ScalingConfig,
+    pub(crate) scaling: ScalingConfig,
     /// Sampling seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for StreamingConfig {
@@ -55,8 +55,7 @@ impl Default for StreamingConfig {
 /// Incremental informative-rule maintainer.
 ///
 /// Measures must be nonnegative (the streaming setting cannot retroactively
-/// re-shift history; apply a [`crate::transform::MeasureTransform`] upstream
-/// if your measure can go negative).
+/// re-shift history; shift the measure upstream if it can go negative).
 pub struct StreamingMiner {
     d: usize,
     cfg: StreamingConfig,
@@ -97,11 +96,6 @@ impl StreamingMiner {
     /// Current rule list (all-wildcards first).
     pub fn rules(&self) -> &[Rule] {
         &self.rules
-    }
-
-    /// Current multipliers (aligned with [`Self::rules`]).
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambdas
     }
 
     /// Rows ingested so far.
@@ -232,11 +226,6 @@ impl StreamingMiner {
         self.rct.kl(&self.lambdas, self.m_ln_m.value())
     }
 
-    /// Per-tuple estimate of historical row `i`.
-    pub fn estimate(&self, i: usize) -> f64 {
-        mhat_for_mask(self.masks[i], &self.lambdas)
-    }
-
     /// Mine up to `k` additional rules over the accumulated history: one
     /// [`Miner`] run on a fork of `engine` with the model's rules as prior
     /// knowledge, exactly [`Miner::try_mine_with_prior`] on the same rows.
@@ -298,6 +287,19 @@ impl StreamingMiner {
         }
         self.m_sums.push(sum_m);
         self.refit();
+    }
+}
+
+#[cfg(test)]
+impl StreamingMiner {
+    /// Current multipliers (aligned with [`Self::rules`]).
+    pub(crate) fn lambdas(&self) -> &[f64] {
+        &self.lambdas
+    }
+
+    /// Per-tuple estimate of historical row `i`.
+    pub(crate) fn estimate(&self, i: usize) -> f64 {
+        mhat_for_mask(self.masks[i], &self.lambdas)
     }
 }
 

@@ -11,10 +11,9 @@
 //! at once — the group-by-style aggregation El Gebaly et al.'s explanation
 //! tables use to stay competitive.
 //!
-//! [`sweep_gains`] is the one-shot entry point and [`SweepState`] the
-//! per-mine form the miner sweeps once per greedy iteration. A sweep is
-//! two shuffle-free stages over the columnar dataset (one [`TupleBlock`]
-//! per partition):
+//! [`SweepState`] is the per-mine state the miner sweeps once per greedy
+//! iteration. A sweep is two shuffle-free stages over the columnar dataset
+//! (one [`TupleBlock`] per partition):
 //!
 //! 1. **Combine** — partition-parallel on the [`sirum_dataflow::Engine`]
 //!    thread pool ([`Dataset::aggregate_partitions`]): each data partition
@@ -171,7 +170,7 @@ use std::time::Instant;
 /// poll at every stage and partition boundary). Counting work rather than
 /// new candidates bounds the poll latency even through long stretches that
 /// find none.
-pub const CANCEL_POLL_ROWS: usize = 4096;
+pub(crate) const CANCEL_POLL_ROWS: usize = 4096;
 
 /// How a packed sweep partition folds its `(sample tuple, data tuple)` LCA
 /// emissions into one `(Σm, Σm̂, pairs)` entry per distinct rule code. The
@@ -230,7 +229,7 @@ impl std::fmt::Display for CombineStrategy {
 /// How the sweep keys its hot-path accumulators, chosen once per sweep
 /// from the table's dictionary cardinalities (see the module docs).
 #[derive(Debug, Clone, Default)]
-pub struct SweepOptions {
+pub(crate) struct SweepOptions {
     layout: Option<RuleLayout>,
     combine: Option<CombineStrategy>,
 }
@@ -238,52 +237,41 @@ pub struct SweepOptions {
 impl SweepOptions {
     /// `Rule`-keyed accumulators (what a packed layout over 128 bits runs
     /// on; tests ask for them directly to cover that path on small tables).
-    pub fn rule_keyed() -> SweepOptions {
+    pub(crate) fn rule_keyed() -> SweepOptions {
         SweepOptions::default()
     }
 
     /// Packed integer codes laid out by `layout`; `Rule`-keyed maps when
     /// the layout does not fit 128 bits.
-    pub fn packed(layout: RuleLayout) -> SweepOptions {
+    pub(crate) fn packed(layout: RuleLayout) -> SweepOptions {
         SweepOptions {
             layout: Some(layout),
             combine: None,
         }
     }
-
-    /// Force every combine partition onto one [`CombineStrategy`] instead
-    /// of the per-partition choice (the reference switch of the
-    /// bit-identity tests; the mining output is identical either way).
-    /// Forcing [`CombineStrategy::SlotTable`] waives only the rule's
-    /// `2^d ≤ rows` clause: where no table can exist — no sample index, or
-    /// one no mask or `u32` slot id can address — the partition probes.
-    pub fn with_combine(mut self, strategy: CombineStrategy) -> SweepOptions {
-        self.combine = Some(strategy);
-        self
-    }
 }
 
 /// What one full sweep over the data produces.
 #[derive(Debug, Clone)]
-pub struct SweepOutcome {
+pub(crate) struct SweepOutcome {
     /// Exact per-candidate aggregates over their true support sets:
     /// `(rule, Σm, Σm̂, |support|)`, already adjusted for sample
     /// multiplicity when an index was supplied. Sorted in canonical rule
     /// order (lexicographic on values, wildcards last), which is identical
     /// across every sweep variant — or, from [`SweepState::sweep`], as its
     /// caller picked them. Empty when [`Self::cancelled`].
-    pub candidates: Vec<(Rule, f64, f64, u64)>,
+    pub(crate) candidates: Vec<(Rule, f64, f64, u64)>,
     /// Distinct candidate rules seen by the sweep (the rank-limit
     /// denominator of multi-rule selection).
-    pub distinct_candidates: u64,
+    pub(crate) distinct_candidates: u64,
     /// The (candidate, LCA-contribution) pairs single-stage ancestor
     /// generation *would* emit (Fig 5.8): `Σ 2^w` over the distinct LCAs,
     /// `w` an LCA's constant count. Computed arithmetically — stage 2
     /// folds far fewer links — and 0 when [`Self::cancelled`].
-    pub pairs_emitted: u64,
+    pub(crate) pairs_emitted: u64,
     /// True when a cancellation token stopped the sweep at a stage or
     /// partition boundary (or an in-stage poll); `candidates` is empty.
-    pub cancelled: bool,
+    pub(crate) cancelled: bool,
 }
 
 fn cancelled_outcome() -> SweepOutcome {
@@ -879,7 +867,8 @@ struct ExpandPlan<K> {
 }
 
 impl<K: RuleKey> ExpandPlan<K> {
-    /// `None` when `clock`'s token fires part-way.
+    /// `None` when `clock`'s token fires part-way, or when a sample row's
+    /// own tuple is no frontier key.
     fn build(
         frontier: &[(K, Agg)],
         cx: SweepCx<'_>,
@@ -897,20 +886,18 @@ impl<K: RuleKey> ExpandPlan<K> {
         for (key, _) in frontier {
             slot_of.get_or_push(&mut keys, key.clone());
         }
-        // Per frontier slot, the sample rows whose own tuple it is. A row
-        // whose tuple is not a frontier key is not one of the scanned
-        // rows (the miner never draws such a sample; a `sweep_gains`
-        // caller may).
+        // Per frontier slot, the sample rows whose own tuple it is. The
+        // miner draws the sample from the rows it scans, so each row's
+        // tuple is a frontier key unless a failed spill read left a
+        // partition empty: then no plan is built, and the miner reports
+        // the store's error.
         let mut mult = vec![0u32; keys.len()];
-        let mut outside = false;
         for row in cx.index.map_or(&[][..], SampleIndex::rows) {
             if clock.tick() {
                 return None;
             }
-            match slot_of.find(&keys, &K::lca(codec, row, row)) {
-                Ok(slot) => mult[slot as usize] += 1,
-                Err(_) => outside = true,
-            }
+            let slot = slot_of.find(&keys, &K::lca(codec, row, row)).ok()?;
+            mult[slot as usize] += 1;
         }
         let mut links = Vec::new();
         for j in 0..cx.d {
@@ -946,15 +933,6 @@ impl<K: RuleKey> ExpandPlan<K> {
         match cx.index {
             None => mult.fill(1),
             Some(idx) => {
-                if outside {
-                    // The fold missed a sample row: ask the index per slot.
-                    for (c, key) in mult.iter_mut().zip(&keys) {
-                        if clock.tick() {
-                            return None;
-                        }
-                        *c = idx.multiplicity(key.constants(codec)) as u32;
-                    }
-                }
                 for (slot, key) in keys.iter().enumerate() {
                     let c = u64::from(mult[slot]);
                     debug_assert_eq!(c, idx.multiplicity(key.constants(codec)), "{slot}");
@@ -1160,7 +1138,7 @@ fn run_sweep<K: SweepKey>(
 /// unless the caller has named the estimate most rows carry
 /// ([`Self::set_shared_estimate`]): then it folds only the rows whose `m̂`
 /// differs and counts the rest.
-pub struct SweepState<'a> {
+pub(crate) struct SweepState<'a> {
     d: usize,
     index: Option<&'a SampleIndex>,
     opts: &'a SweepOptions,
@@ -1178,7 +1156,7 @@ impl<'a> SweepState<'a> {
     /// # Panics
     /// Panics if `d > MAX_EXPAND_BITS`: a match mask holds one bit per
     /// dimension, and an LCA with `w` constants has `2^w` ancestors.
-    pub fn new(d: usize, index: Option<&'a SampleIndex>, opts: &'a SweepOptions) -> Self {
+    pub(crate) fn new(d: usize, index: Option<&'a SampleIndex>, opts: &'a SweepOptions) -> Self {
         // Unreachable through the miner, which rejects tables with more
         // than MAX_EXPAND_BITS dimensions up front (typed InvalidConfig).
         // lint:allow(SL001) — internal expansion-size invariant, not user-reachable
@@ -1214,7 +1192,7 @@ impl<'a> SweepState<'a> {
     /// `est · n + Σ` for `Σ_t m̂(t)` — hence in the last ulp (the product is
     /// the better-rounded of the two); candidates, their order, `Σm` and
     /// counts are the plan's and do not move.
-    pub fn set_shared_estimate(&mut self, estimate: Option<f64>) {
+    pub(crate) fn set_shared_estimate(&mut self, estimate: Option<f64>) {
         self.shared = estimate;
     }
 
@@ -1231,7 +1209,7 @@ impl<'a> SweepState<'a> {
     /// every [`SweepOptions`] choice and frame encoding, and between a
     /// reused state and a fresh one; [`Self::set_shared_estimate`] says
     /// what an estimate moves.
-    pub fn sweep(
+    pub(crate) fn sweep(
         &mut self,
         data: &Dataset<TupleBlock>,
         cancel: Option<&CancellationToken>,
@@ -1265,25 +1243,43 @@ impl<'a> SweepState<'a> {
     }
 }
 
-/// One sweep on a fresh [`SweepState`], every candidate materialised in
-/// canonical order — the one-shot form.
-pub fn sweep_gains(
-    data: &Dataset<TupleBlock>,
-    d: usize,
-    index: Option<&SampleIndex>,
-    cancel: Option<&CancellationToken>,
-    opts: &SweepOptions,
-) -> SweepOutcome {
-    SweepState::new(d, index, opts).sweep(data, cancel, |sums| (0..sums.len()).collect())
+#[cfg(test)]
+impl SweepOptions {
+    /// Force every combine partition onto one [`CombineStrategy`] instead
+    /// of the per-partition choice (the reference switch of the
+    /// bit-identity tests; the mining output is identical either way).
+    /// Forcing [`CombineStrategy::SlotTable`] waives only the rule's
+    /// `2^d ≤ rows` clause: where no table can exist — no sample index, or
+    /// one no mask or `u32` slot id can address — the partition probes.
+    pub(crate) fn with_combine(mut self, strategy: CombineStrategy) -> SweepOptions {
+        self.combine = Some(strategy);
+        self
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::exhaustive_candidates;
+    use crate::rct::mhat_for_mask;
+    use crate::testkit::{small_table, synthetic_mhat};
+    use proptest::prelude::*;
     use sirum_dataflow::{Engine, EngineConfig};
     use sirum_table::generators::flights;
+    use sirum_table::Compression;
     use sirum_table::{ColScratch, Frame, Table};
+
+    /// One sweep on a fresh [`SweepState`], every candidate materialised in
+    /// canonical order.
+    fn sweep_gains(
+        data: &Dataset<TupleBlock>,
+        d: usize,
+        index: Option<&SampleIndex>,
+        cancel: Option<&CancellationToken>,
+        opts: &SweepOptions,
+    ) -> SweepOutcome {
+        SweepState::new(d, index, opts).sweep(data, cancel, |sums| (0..sums.len()).collect())
+    }
 
     /// `frame` as the miner distributes it: one seeded block (`m̂ = 1`)
     /// per partition.
@@ -2082,12 +2078,11 @@ mod tests {
     }
 
     #[test]
-    fn a_sample_row_outside_the_data_still_divides_exactly() {
+    fn a_sample_row_the_scan_never_meets_builds_no_plan() {
         // Row 0 with row 7's origin is no row of the flights table, so its
-        // own tuple is no frontier key and the fold cannot count it: the
-        // sweep must still divide every candidate by the sample rows it
-        // covers — the staged reference's pair-level sums through
-        // `adjust_for_sample`, and the exact support sums.
+        // own tuple is no frontier key, as when a failed spill read has
+        // left a partition empty: every key type returns no plan and no
+        // candidates, without tripping the multiplicity checks.
         let t = flights();
         let outside: Box<[u32]> = {
             let mut row = t.row(0).to_vec();
@@ -2101,58 +2096,36 @@ mod tests {
             .collect();
         sample.push(outside);
         let index = SampleIndex::build(sample, 3);
-        let mut pair_level: FxHashMap<Rule, Agg> = FxHashMap::default();
-        for (i, row) in t.rows().enumerate() {
-            for s in index.rows() {
-                for anc in crate::lattice::ancestors(&Rule::lca(s, &row)) {
-                    merge_agg(pair_level.entry(anc).or_default(), (t.measure(i), 1.0, 1));
-                }
-            }
-        }
-        let mut staged = crate::candidates::adjust_for_sample(pair_level, &index);
-        staged.sort_by(|a, b| a.0.cmp(&b.0));
-        let exhaustive = exhaustive_candidates(&t, &[1.0; 14], None).expect("uncancelled");
         let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
         let data = blocks(&engine, &t, 3);
         for opts in all_variants(&t) {
-            let out = sweep_gains(&data, 3, Some(&index), None, &opts);
-            assert_eq!(out.candidates.len(), staged.len());
-            for (got, want) in out.candidates.iter().zip(&staged) {
-                assert_eq!((&got.0, got.3), (&want.0, want.3));
-                assert!((got.1 - want.1).abs() < 1e-9, "{:?}", got.0);
-                assert!((got.2 - want.2).abs() < 1e-9, "{:?}", got.0);
-                let (em, emh, ec) = exhaustive[&got.0];
-                assert!((got.1 - em).abs() < 1e-9 && (got.2 - emh).abs() < 1e-9);
-                assert_eq!(got.3, ec, "{:?}", got.0);
-            }
+            let mut state = SweepState::new(3, Some(&index), &opts);
+            let out = state.sweep(&data, None, |sums| (0..sums.len()).collect());
+            assert!(out.cancelled, "{opts:?}");
+            assert_eq!((out.candidates.len(), out.distinct_candidates), (0, 0));
+            let planned = [
+                state.plan64.is_some(),
+                state.plan128.is_some(),
+                state.plan_rule.is_some(),
+            ];
+            assert_eq!(planned, [false; 3], "{opts:?}");
         }
-        let opts = packed_opts(&t);
-        let mut state = SweepState::new(3, Some(&index), &opts);
-        state.sweep(&data, None, |_| Vec::new());
-        let masks = opts.layout.as_ref().expect("packed").masks::<u64>();
-        assert!(folded_multiplicities_hold(
-            state.plan64.as_ref(),
-            &masks,
-            &index
-        ));
     }
 
     mod multiplicity {
         use super::*;
-        use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             #[test]
             fn folded_multiplicity_matches_the_sample_index(
-                (rows, picks, outside, partitions, workers) in (1usize..=5).prop_flat_map(|d| (
+                (rows, picks, partitions, workers) in (1usize..=5).prop_flat_map(|d| (
                     prop::collection::vec(
                         (prop::collection::vec(0u32..3, d), 0.0f64..10.0),
                         1..40,
                     ),
                     prop::collection::vec(0usize..40, 1..7),
-                    prop::collection::vec(prop::collection::vec(0u32..3, d), 0..2),
                     1usize..5,
                     1usize..=2,
                 ))
@@ -2160,16 +2133,14 @@ mod tests {
                 // Every slot's `c`, folded along the links from the sample
                 // rows' own tuples, is the index's count of the sample rows
                 // the slot's key covers — for u64, u128 and `Rule` keys,
-                // with duplicate sample rows, and with sample tuples the
-                // data may lack (the per-slot count then stands in).
+                // with duplicate sample rows.
                 let d = rows[0].0.len();
                 let cols = (0..d).map(|j| rows.iter().map(|r| r.0[j]).collect()).collect();
                 let measures = rows.iter().map(|r| r.1).collect();
                 let frame = Frame::from_columns_with_cards(cols, measures, vec![3; d]);
-                let mut sample: Vec<Box<[u32]>> = (picks.iter())
+                let sample: Vec<Box<[u32]>> = (picks.iter())
                     .map(|&i| rows[i % rows.len()].0.clone().into())
                     .collect();
-                sample.extend(outside.into_iter().map(Vec::into_boxed_slice));
                 let index = SampleIndex::build(sample, d);
                 let engine =
                     Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
@@ -2200,6 +2171,413 @@ mod tests {
                         None => folded_multiplicities_hold(state.plan_rule.as_ref(), &(), &index),
                     };
                     prop_assert!(held, "{:?}", opts);
+                }
+            }
+        }
+    }
+
+    /// `table` as the miner distributes it — one columnar block per partition
+    /// — with the [`synthetic_mhat`] estimate column.
+    fn sweep_blocks(engine: &Engine, table: &Table, partitions: usize) -> Dataset<TupleBlock> {
+        sweep_blocks_with(engine, table, partitions, Compression::Never)
+    }
+
+    /// [`sweep_blocks`] over a frame stored under `compression`.
+    fn sweep_blocks_with(
+        engine: &Engine,
+        table: &Table,
+        partitions: usize,
+        compression: Compression,
+    ) -> Dataset<TupleBlock> {
+        sweep_blocks_mhat(engine, table, partitions, compression, synthetic_mhat)
+    }
+
+    /// [`sweep_blocks_with`] under the estimate column `mhat(global row)`.
+    fn sweep_blocks_mhat(
+        engine: &Engine,
+        table: &Table,
+        partitions: usize,
+        compression: Compression,
+        mhat: fn(usize) -> f64,
+    ) -> Dataset<TupleBlock> {
+        let column: Vec<f64> = (0..table.num_rows()).map(mhat).collect();
+        sweep_blocks_column(engine, table, partitions, compression, &column)
+    }
+
+    /// [`sweep_blocks_with`] under the estimate column `mhat`, one per row.
+    fn sweep_blocks_column(
+        engine: &Engine,
+        table: &Table,
+        partitions: usize,
+        compression: Compression,
+        mhat: &[f64],
+    ) -> Dataset<TupleBlock> {
+        let frame = table.frame().with_compression(compression);
+        let blocks = TupleBlock::seed_partitions(&frame, &frame.measure_slice(), partitions)
+            .into_iter()
+            .map(|block| {
+                let start = block.dims().start();
+                block.with_mhat(mhat[start..start + block.len()].to_vec())
+            })
+            .collect();
+        Dataset::from_partitioned(engine, blocks)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parallel_sweep_is_bit_identical_to_the_sequential_reference(
+            (table, picks, partitions, workers) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (
+                    Just(t),
+                    prop::collection::vec(0..n, 1..6),
+                    1usize..7,
+                    1usize..5,
+                )
+            })
+        ) {
+            // The determinism claim: per-candidate (Σm, Σm̂) from the
+            // engine-parallel sweep equal the sequential reference — the same
+            // sweep on a one-worker engine, which runs every task inline on
+            // the calling thread in partition order — BIT FOR BIT for any
+            // table, partition count and worker count, and across every
+            // accumulator-key representation (Rule-keyed, packed u64
+            // slot-table, packed hash-probe).
+            let d = table.num_dims();
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample, d);
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+            let data = sweep_blocks(&engine, &table, partitions);
+            let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
+            let seq_data = sweep_blocks(&sequential, &table, partitions);
+            for idx in [Some(&index), None] {
+                let mut baseline = None;
+                for opts in all_variants(&table) {
+                    let par = sweep_gains(&data, d, idx, None, &opts);
+                    let seq = sweep_gains(&seq_data, d, idx, None, &opts);
+                    prop_assert_eq!(par.pairs_emitted, seq.pairs_emitted);
+                    prop_assert_eq!(par.distinct_candidates, seq.distinct_candidates);
+                    let par_bits = bits(par);
+                    prop_assert_eq!(&par_bits, &bits(seq));
+                    match &baseline {
+                        None => baseline = Some(par_bits),
+                        Some(b) => prop_assert_eq!(b, &par_bits),
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn combine_strategies_agree_across_frames_and_under_cancellation(
+            (table, picks, partitions, workers, compressed) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (
+                    Just(t),
+                    prop::collection::vec(0..n, 1..6),
+                    1usize..7,
+                    1usize..5,
+                    any::<bool>(),
+                )
+            })
+        ) {
+            // Addressing stage-1 accumulators by (sample row, match mask)
+            // instead of hashing a code per pair changes NOTHING. Forced slot-table ≡ forced hash-probe ≡ the
+            // per-partition choice (which mixes slot-table and hashed
+            // partitions on these sizes) ≡ Rule-keyed: candidates
+            // bit for bit AND in the same order, the same pair accounting —
+            // on raw and compressed frames, for any partitioning and worker
+            // count — and the same outcome when a token fires at any poll.
+            let d = table.num_dims();
+            // Duplicate picks stay in: they are the "two sample rows, one
+            // slot" case.
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample, d);
+            let compression = if compressed { Compression::Always } else { Compression::Never };
+            let ordered = |out: &SweepOutcome| bits(out.clone());
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+            let data = sweep_blocks_with(&engine, &table, partitions, compression);
+            let mut baseline = None;
+            for opts in all_variants(&table) {
+                let out = sweep_gains(&data, d, Some(&index), None, &opts);
+                prop_assert!(!out.cancelled);
+                let got = (ordered(&out), out.pairs_emitted, out.distinct_candidates);
+                match &baseline {
+                    None => baseline = Some(got),
+                    Some(b) => prop_assert_eq!(b, &got, "{:?}", opts),
+                }
+            }
+            // A one-worker engine polls in a fixed sequence (each combine
+            // task's boundary, then stage 2's, then once per window of links
+            // the key-generic plan build and fold go through), so a
+            // poll-budget token stops every variant at the same point.
+            let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
+            let seq_data = sweep_blocks_with(&sequential, &table, partitions, compression);
+            for polls in 1..=(2 * partitions as u64 + 1) {
+                let mut baseline = None;
+                for opts in all_variants(&table) {
+                    let token = CancellationToken::new();
+                    token.cancel_after_polls(polls);
+                    let out = sweep_gains(&seq_data, d, Some(&index), Some(&token), &opts);
+                    let got = (out.cancelled, out.pairs_emitted, ordered(&out));
+                    match &baseline {
+                        None => baseline = Some(got),
+                        Some(b) => prop_assert_eq!(b, &got, "{:?} after {} polls", opts, polls),
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn a_reused_sweep_plan_is_a_fresh_sweep(
+            (table, picks, partitions, workers, compressed) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (
+                    Just(t),
+                    prop::collection::vec(0..n, 1..6),
+                    1usize..7,
+                    1usize..5,
+                    any::<bool>(),
+                )
+            })
+        ) {
+            // What stage 2 keeps between the iterations of a mine — links,
+            // canonical order, multiplicities, Σm, support counts — changes
+            // NOTHING. One state swept at m̂₁ and
+            // then at m̂₂ equals a one-shot sweep at m̂₂: candidates bit for bit
+            // AND in order, pair accounting, candidate count — for every key
+            // type and combine strategy, with and without a sample (duplicate
+            // picks kept), on raw and compressed frames, for any partitioning
+            // and worker count — and whenever a token stops the reused sweep
+            // it stops a fresh one with the same outcome.
+            let d = table.num_dims();
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample, d);
+            let compression = if compressed { Compression::Always } else { Compression::Never };
+            let other_mhat: fn(usize) -> f64 = |i| 0.25 + 1.5 * (i % 5) as f64;
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+            let sequential = Engine::try_new(EngineConfig::in_memory().with_workers(1)).unwrap();
+            let blocks = |engine, mhat| sweep_blocks_mhat(engine, &table, partitions, compression, mhat);
+            let (first, second) = (blocks(&engine, synthetic_mhat), blocks(&engine, other_mhat));
+            let (seq_first, seq_second) =
+                (blocks(&sequential, synthetic_mhat), blocks(&sequential, other_mhat));
+            let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
+            let whole = |out: &SweepOutcome| {
+                (out.cancelled, out.pairs_emitted, out.distinct_candidates, bits(out.clone()))
+            };
+            let armed = |polls: u64| {
+                let token = CancellationToken::new();
+                token.cancel_after_polls(polls);
+                token
+            };
+            // More polls than any sweep of these tables makes.
+            let poll_budgets = 1..=(partitions as u64 + 32);
+            for idx in [Some(&index), None] {
+                for opts in all_variants(&table) {
+                    let fresh = whole(&sweep_gains(&second, d, idx, None, &opts));
+                    let mut state = SweepState::new(d, idx, &opts);
+                    let built = state.sweep(&first, None, all);
+                    prop_assert_eq!(whole(&built), whole(&sweep_gains(&first, d, idx, None, &opts)));
+                    prop_assert_ne!(&whole(&built), &fresh);
+                    prop_assert_eq!(&whole(&state.sweep(&second, None, all)), &fresh, "{:?}", opts);
+
+                    // A token firing at each poll of the reused sweep in turn
+                    // (fixed sequence on one worker; a cancelled fold leaves
+                    // the plan in place for the next budget).
+                    let mut state = SweepState::new(d, idx, &opts);
+                    state.sweep(&seq_first, None, all);
+                    let mut completed = false;
+                    for polls in poll_budgets.clone() {
+                        let reused = state.sweep(&seq_second, Some(&armed(polls)), all);
+                        if !reused.cancelled {
+                            prop_assert_eq!(&whole(&reused), &fresh, "{:?}", opts);
+                            completed = true;
+                            break;
+                        }
+                        let one_shot = sweep_gains(&seq_second, d, idx, Some(&armed(polls)), &opts);
+                        prop_assert_eq!(whole(&reused), whole(&one_shot), "{:?} after {} polls", opts, polls);
+                    }
+                    prop_assert!(completed);
+
+                    // A state cancelled before it has a plan — in combine, at
+                    // stage 2's boundary or part-way through the build — holds
+                    // no half-built one: its next sweep matches a fresh one.
+                    completed = false;
+                    for polls in poll_budgets.clone() {
+                        let mut state = SweepState::new(d, idx, &opts);
+                        completed = !state.sweep(&seq_second, Some(&armed(polls)), all).cancelled;
+                        prop_assert_eq!(&whole(&state.sweep(&seq_second, None, all)), &fresh, "{:?}", opts);
+                        if completed {
+                            break;
+                        }
+                    }
+                    prop_assert!(completed);
+                }
+            }
+        }
+
+        #[test]
+        fn rows_sharing_an_estimate_are_counted_not_scanned(
+            (table, picks, masks, lambdas, partitions, workers) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (
+                    Just(t),
+                    prop::collection::vec(0..n, 1..6),
+                    prop::collection::vec(0u64..8, n),
+                    prop::collection::vec(0.25f64..4.0, 3),
+                    1usize..7,
+                    1usize..5,
+                )
+            })
+        ) {
+            // A sweep told the estimate most rows carry passes over those
+            // rows and accounts for them as `est · pairs`, and that changes
+            // nothing but Σm̂'s rounding. Rows
+            // get random rule-coverage bit arrays and the estimate the RCT
+            // write-out gives them, m̂ = ∏ λᵢ over the set bits; the state is
+            // built at another m̂ and then told the largest group's estimate.
+            let d = table.num_dims();
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample, d);
+            let mhat: Vec<f64> = masks.iter().map(|&mask| mhat_for_mask(mask, &lambdas)).collect();
+            let mut group_sizes = [0usize; 8];
+            masks.iter().for_each(|&mask| group_sizes[mask as usize] += 1);
+            let largest = (0..8).rev().max_by_key(|&mask| group_sizes[mask]).unwrap();
+            let shared = mhat_for_mask(largest as u64, &lambdas);
+            let carried = mhat.iter().filter(|mh| mh.to_bits() == shared.to_bits()).count();
+            prop_assert!(carried >= group_sizes[largest] && carried > 0);
+
+            let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
+            let whole = |out: &SweepOutcome| {
+                (out.cancelled, out.pairs_emitted, out.distinct_candidates, bits(out.clone()))
+            };
+            // Every frame encoding and worker count, as (blocks at the synthetic
+            // m̂, blocks at `mhat`); the first pair is raw on one worker.
+            let mut datasets = Vec::new();
+            for compression in [Compression::Never, Compression::Always] {
+                for workers in [1, workers] {
+                    let engine = Engine::try_new(EngineConfig::in_memory().with_workers(workers)).unwrap();
+                    datasets.push((
+                        sweep_blocks_with(&engine, &table, partitions, compression),
+                        sweep_blocks_column(&engine, &table, partitions, compression, &mhat),
+                    ));
+                }
+            }
+            for idx in [Some(&index), None] {
+                // Under the same estimate every key type, combine strategy,
+                // frame encoding and worker count gives the same bits.
+                let mut counted: Option<SweepOutcome> = None;
+                for opts in all_variants(&table) {
+                    for (first, second) in &datasets {
+                        // One state per sweep: built at the synthetic m̂, told
+                        // `estimate`, swept at `mhat`.
+                        let told = |estimate| {
+                            let mut state = SweepState::new(d, idx, &opts);
+                            state.sweep(first, None, all);
+                            state.set_shared_estimate(Some(estimate));
+                            state.sweep(second, None, all)
+                        };
+                        let fresh = sweep_gains(second, d, idx, None, &opts);
+                        // An estimate no row carries — whatever it is —
+                        // skips nothing: the full scan's bits.
+                        for nobodys in [f64::NAN, -1.0, f64::INFINITY] {
+                            let out = told(nobodys);
+                            prop_assert_eq!(whole(&out), whole(&fresh), "{:?} {}", opts, nobodys);
+                        }
+                        // The largest group's: exact in everything but Σm̂,
+                        // which moves in its last places only.
+                        let out = told(shared);
+                        prop_assert_eq!(
+                            (out.cancelled, out.pairs_emitted, out.distinct_candidates),
+                            (false, fresh.pairs_emitted, fresh.distinct_candidates)
+                        );
+                        prop_assert_eq!(out.candidates.len(), fresh.candidates.len());
+                        for (c, f) in out.candidates.iter().zip(&fresh.candidates) {
+                            prop_assert_eq!((&c.0, c.1.to_bits(), c.3), (&f.0, f.1.to_bits(), f.3));
+                            prop_assert!(
+                                (c.2 - f.2).abs() <= 1e-12 * f.2.abs(),
+                                "{:?}: {} vs {} ({:?})", c.0, c.2, f.2, opts
+                            );
+                        }
+                        match &counted {
+                            None => counted = Some(out),
+                            Some(b) => prop_assert_eq!(whole(b), whole(&out), "{:?}", opts),
+                        }
+                    }
+                }
+                let counted = whole(&counted.expect("at least one variant"));
+
+                // A token firing at each poll of the skipping sweep in turn
+                // (fixed sequence on one worker): cancelled and empty, or the
+                // un-cancelled outcome — and the plan still serves the next.
+                let (first, second) = &datasets[0];
+                for opts in all_variants(&table) {
+                    let mut state = SweepState::new(d, idx, &opts);
+                    state.sweep(first, None, all);
+                    state.set_shared_estimate(Some(shared));
+                    let mut completed = false;
+                    for polls in 1..=(partitions as u64 + 32) {
+                        let token = CancellationToken::new();
+                        token.cancel_after_polls(polls);
+                        let out = state.sweep(second, Some(&token), all);
+                        if !out.cancelled {
+                            prop_assert_eq!(&whole(&out), &counted, "{:?}", opts);
+                            completed = true;
+                            break;
+                        }
+                        prop_assert_eq!(
+                            (out.candidates.len(), out.pairs_emitted, out.distinct_candidates),
+                            (0, 0, 0)
+                        );
+                        prop_assert_eq!(
+                            &whole(&state.sweep(second, None, all)), &counted,
+                            "{:?} after {} polls", opts, polls
+                        );
+                    }
+                    prop_assert!(completed);
+                }
+            }
+        }
+
+        #[test]
+        fn sweep_aggregates_equal_the_exhaustive_reference(
+            (table, picks) in small_table().prop_flat_map(|t| {
+                let n = t.num_rows();
+                (Just(t), prop::collection::vec(0..n, 1..6))
+            })
+        ) {
+            // Semantic exactness: the sweep's adjusted sums equal the exact
+            // support-set sums of the exhaustive reference aggregation.
+            let d = table.num_dims();
+            let mhat: Vec<f64> = (0..table.num_rows()).map(synthetic_mhat).collect();
+            let sample: Vec<Box<[u32]>> = picks
+                .iter()
+                .map(|&i| table.row(i).to_vec().into_boxed_slice())
+                .collect();
+            let index = SampleIndex::build(sample, d);
+            let engine = Engine::try_new(EngineConfig::in_memory().with_workers(2)).unwrap();
+            let data = sweep_blocks(&engine, &table, 3);
+            let exhaustive = exhaustive_candidates(&table, &mhat, None).expect("uncancelled");
+            for opts in all_variants(&table) {
+                let out = sweep_gains(&data, d, Some(&index), None, &opts);
+                for (rule, sum_m, sum_mhat, count) in &out.candidates {
+                    let (em, emh, ec) = exhaustive[rule];
+                    prop_assert!((sum_m - em).abs() < 1e-6, "{:?}: {} vs {}", rule, sum_m, em);
+                    prop_assert!((sum_mhat - emh).abs() < 1e-6, "{:?}", rule);
+                    prop_assert_eq!(*count, ec, "{:?}", rule);
                 }
             }
         }

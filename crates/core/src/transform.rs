@@ -9,7 +9,7 @@ use crate::error::SirumError;
 /// is well-posed. Since SIRUM always selects the all-wildcards rule first,
 /// `Σ t[m'] = C ≠ 0` suffices — no normalization to 1 is needed (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasureTransform {
+pub(crate) struct MeasureTransform {
     shift: f64,
 }
 
@@ -24,7 +24,7 @@ impl MeasureTransform {
     /// Rejects an empty column ([`SirumError::EmptyDataset`]) and
     /// non-finite values ([`SirumError::InvalidMeasure`], naming the
     /// offending row).
-    pub fn try_fit(measures: &[f64]) -> Result<(MeasureTransform, Vec<f64>), SirumError> {
+    pub(crate) fn try_fit(measures: &[f64]) -> Result<(MeasureTransform, Vec<f64>), SirumError> {
         if measures.is_empty() {
             return Err(SirumError::EmptyDataset);
         }
@@ -44,18 +44,13 @@ impl MeasureTransform {
     }
 
     /// The additive shift this transform applies.
-    pub fn shift(&self) -> f64 {
+    pub(crate) fn shift(&self) -> f64 {
         self.shift
-    }
-
-    /// Transform one original value.
-    pub fn apply(&self, m: f64) -> f64 {
-        m + self.shift
     }
 
     /// Map an average of transformed values back to the original scale
     /// (averages commute with the shift).
-    pub fn invert_avg(&self, avg_transformed: f64) -> f64 {
+    pub(crate) fn invert_avg(&self, avg_transformed: f64) -> f64 {
         avg_transformed - self.shift
     }
 }
@@ -63,6 +58,7 @@ impl MeasureTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn nonnegative_column_is_untouched() {
@@ -126,5 +122,20 @@ mod tests {
             MeasureTransform::try_fit(&[1.0, f64::INFINITY]),
             Err(SirumError::InvalidMeasure { reason }) if reason.contains("row 1")
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn measure_transform_is_sound(ms in prop::collection::vec(-100.0f64..100.0, 1..50)) {
+            let (tr, out) = MeasureTransform::try_fit(&ms).unwrap();
+            prop_assert!(out.iter().all(|&v| v >= 0.0));
+            prop_assert!(out.iter().sum::<f64>() != 0.0);
+            // Averages invert exactly.
+            let avg_orig: f64 = ms.iter().sum::<f64>() / ms.len() as f64;
+            let avg_new: f64 = out.iter().sum::<f64>() / out.len() as f64;
+            prop_assert!((tr.invert_avg(avg_new) - avg_orig).abs() < 1e-9);
+        }
     }
 }

@@ -55,7 +55,7 @@ impl Variant {
     /// Canonical CLI spelling (`naive`, `baseline`, `rct`, `fast-pruning`,
     /// `fast-ancestor`, `multi-rule`, `optimized`); round-trips through
     /// [`Variant::from_str`].
-    pub fn cli_name(&self) -> &'static str {
+    pub(crate) fn cli_name(&self) -> &'static str {
         match self {
             Variant::Naive => "naive",
             Variant::Baseline => "baseline",

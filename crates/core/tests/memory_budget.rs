@@ -12,8 +12,7 @@
 //! it release-mode (`cargo test --release -p sirum_core --test
 //! memory_budget -- --ignored`), and so should you.
 
-use sirum_core::miner::{CandidateStrategy, Miner, SirumConfig};
-use sirum_core::PreparedTable;
+use sirum_core::{CandidateStrategy, Miner, PreparedTable, SirumConfig};
 use sirum_dataflow::{Engine, EngineConfig};
 use sirum_table::{generators, Compression};
 

@@ -26,7 +26,7 @@ pub enum EngineMode {
 impl EngineMode {
     /// Canonical CLI spelling of the mode (`in-memory`, `disk-mr`,
     /// `single-thread`); round-trips through [`EngineMode::from_str`].
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             EngineMode::InMemory => "in-memory",
             EngineMode::DiskMr => "disk-mr",
@@ -157,7 +157,7 @@ impl EngineConfig {
     /// Validate the configuration, naming the offending field. Called by
     /// [`crate::Engine::try_new`] so invalid combinations are rejected at
     /// construction time rather than mid-job.
-    pub fn validate(&self) -> Result<(), DataflowError> {
+    pub(crate) fn validate(&self) -> Result<(), DataflowError> {
         let invalid = |field: &'static str, reason: String| {
             Err(DataflowError::InvalidConfig { field, reason })
         };

@@ -125,17 +125,6 @@ impl<T: Record> Dataset<T> {
         self.parts[i].load(&self.engine)
     }
 
-    /// Total number of records (materializes partitions; cheap for in-memory
-    /// parts, a disk read for spilled ones).
-    pub fn len(&self) -> usize {
-        (0..self.parts.len()).map(|i| self.part(i).len()).sum()
-    }
-
-    /// True if the dataset holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Gather all records on the driver, in partition order.
     pub fn collect(&self) -> Vec<T> {
         let mut out = Vec::new();
@@ -466,6 +455,15 @@ where
 }
 
 #[cfg(test)]
+impl<T: Record> Dataset<T> {
+    /// Total number of records (materializes partitions; cheap for in-memory
+    /// parts, a disk read for spilled ones).
+    pub(crate) fn len(&self) -> usize {
+        (0..self.parts.len()).map(|i| self.part(i).len()).sum()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
@@ -587,7 +585,7 @@ mod tests {
             let stored: Vec<bool> = stored.collect();
             let records = out.collect();
             out.free();
-            assert_eq!(e.store().resident_bytes(), 0);
+            assert_eq!(e.store().memory_stats().resident_bytes, 0);
             (
                 written.disk_writes,
                 written.disk_bytes_written,
@@ -669,9 +667,9 @@ mod tests {
         let e = engine();
         let d = e.parallelize((0..500u32).collect(), 4).cache();
         assert_eq!(d.collect(), (0..500).collect::<Vec<u32>>());
-        assert!(e.store().resident_bytes() > 0);
+        assert!(e.store().memory_stats().resident_bytes > 0);
         d.free();
-        assert_eq!(e.store().resident_bytes(), 0);
+        assert_eq!(e.store().memory_stats().resident_bytes, 0);
     }
 
     #[test]
@@ -686,11 +684,11 @@ mod tests {
         // The outputs are on disk already: caching adds no stage, no write
         // and no resident byte.
         let (stages, counters) = (e.metrics().stage_count(), e.metrics().counters());
-        let resident = e.store().resident_bytes();
+        let resident = e.store().memory_stats().resident_bytes;
         let cached = out.cache();
         assert_eq!(e.metrics().stage_count(), stages);
         assert_eq!(e.metrics().counters().disk_writes, counters.disk_writes);
-        assert_eq!(e.store().resident_bytes(), resident);
+        assert_eq!(e.store().memory_stats().resident_bytes, resident);
         assert_eq!(cached.collect(), (1..=100).collect::<Vec<u32>>());
     }
 
@@ -724,7 +722,7 @@ mod tests {
             disk.sort_unstable();
             assert_eq!(mem, disk);
             // Every bucket was freed once read, and the output once collected.
-            assert_eq!(e.store().resident_bytes(), 0);
+            assert_eq!(e.store().memory_stats().resident_bytes, 0);
             // The store writes into its own subdirectory of the spill dir.
             let files: usize = std::fs::read_dir(&dir)
                 .unwrap()

@@ -25,13 +25,13 @@ pub(crate) struct EngineInner {
 }
 
 /// Result of one task: the produced value plus record accounting.
-pub struct TaskOutput<O> {
+pub(crate) struct TaskOutput<O> {
     /// Value produced by the task (e.g. an output partition).
-    pub value: O,
+    pub(crate) value: O,
     /// Records the task consumed.
-    pub records_in: u64,
+    pub(crate) records_in: u64,
     /// Records the task produced.
-    pub records_out: u64,
+    pub(crate) records_out: u64,
 }
 
 impl Engine {
@@ -242,9 +242,9 @@ mod tests {
         // The parent's registry did not see the fork's stage.
         assert!(engine.metrics().stages().iter().all(|s| s.label != "id"));
         // One shared store: the fork sees the parent's cached bytes.
-        assert!(fork.store().resident_bytes() > 0);
+        assert!(fork.store().memory_stats().resident_bytes > 0);
         ds.free();
-        assert_eq!(fork.store().resident_bytes(), 0);
+        assert_eq!(fork.store().memory_stats().resident_bytes, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! One state, two readings of it:
 //!
-//! * [`Hasher::finish`] — what [`FxHashMap`]/[`FxHashSet`] see — returns the
+//! * [`Hasher::finish`] — what [`FxHashMap`] sees — returns the
 //!   state rotated so its high bits land low. A multiply only carries
 //!   entropy upward: the product's low bits depend only on the key's low
 //!   bits, and `std`'s map picks a key's home bucket from those low bits. A
@@ -21,7 +21,7 @@
 //!   and stay fixed. The sweep's slot table, which buckets by them, takes
 //!   their top bits.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -99,8 +99,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// Hash a single value with [`FxHasher`]; used for shuffle partitioning.
 ///

@@ -42,7 +42,7 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod config;
 mod dataset;
@@ -56,7 +56,7 @@ mod metrics;
 pub use config::{EngineConfig, EngineMode};
 pub use dataset::{sample_row_indices, Dataset, Record};
 pub use encode::{decode_records, encode_records, Encode};
-pub use engine::{Engine, TaskOutput};
+pub use engine::Engine;
 pub use error::DataflowError;
-pub use memory::{BlockId, BlockStore, MemSample, MemoryStats};
+pub use memory::{BlockStore, MemSample, MemoryStats};
 pub use metrics::{CounterSnapshot, MetricsRegistry, StageRecord, TaskRecord};

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 /// Identifier of a cached partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockId(u64);
+pub(crate) struct BlockId(u64);
 
 type AnyArc = Arc<dyn Any + Send + Sync>;
 type EncodeFn = fn(&AnyArc) -> Vec<u8>;
@@ -135,14 +135,36 @@ struct StoreInner {
 }
 
 /// Thread-safe budgeted block store. Cheap to clone (shared interior).
+/// Its spill directory lives as long as the last clone.
 #[derive(Clone)]
 pub struct BlockStore {
     inner: Arc<Mutex<StoreInner>>,
     budget: Option<usize>,
-    dir: PathBuf,
+    dir: Arc<SpillDir>,
     metrics: MetricsRegistry,
     epoch: Instant,
     next_id: Arc<AtomicU64>,
+}
+
+/// A store's own spill directory, removed with every file in it when the
+/// last handle to the store drops.
+struct SpillDir(PathBuf);
+
+impl SpillDir {
+    /// Best-effort removal of the directory and its files.
+    fn remove(&self) {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "documented best-effort teardown; the spill dir lives under a temp root the OS reclaims"
+        )]
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        self.remove();
+    }
 }
 
 fn encode_any<T: Encode + Send + Sync + 'static>(any: &AnyArc) -> Vec<u8> {
@@ -202,7 +224,7 @@ fn unframe(bytes: &[u8]) -> Result<&[u8], String> {
 impl BlockStore {
     /// Create a store with the given budget (`None` = unbounded) spilling
     /// into a unique subdirectory of `dir`.
-    pub fn new(budget: Option<usize>, dir: PathBuf, metrics: MetricsRegistry) -> Self {
+    pub(crate) fn new(budget: Option<usize>, dir: PathBuf, metrics: MetricsRegistry) -> Self {
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
         let unique = format!(
             "store-{}-{}",
@@ -224,7 +246,7 @@ impl BlockStore {
                 poison,
             })),
             budget,
-            dir,
+            dir: Arc::new(SpillDir(dir)),
             metrics,
             epoch: Instant::now(),
             next_id: Arc::new(AtomicU64::new(0)),
@@ -236,7 +258,7 @@ impl BlockStore {
     }
 
     fn file_for(&self, id: BlockId) -> PathBuf {
-        self.dir.join(format!("block-{}.bin", id.0))
+        self.dir.0.join(format!("block-{}.bin", id.0))
     }
 
     fn sample_locked(&self, inner: &mut StoreInner) {
@@ -298,7 +320,7 @@ impl BlockStore {
     }
 
     /// Insert a partition, keeping it resident (subject to the budget).
-    pub fn put<T: Encode + Send + Sync + 'static>(&self, data: Vec<T>) -> BlockId {
+    pub(crate) fn put<T: Encode + Send + Sync + 'static>(&self, data: Vec<T>) -> BlockId {
         let size = partition_size(&data);
         let id = self.alloc_id();
         let mut inner = self.inner.lock();
@@ -330,7 +352,10 @@ impl BlockStore {
     ///
     /// When the disk write fails the store is poisoned and the partition
     /// falls back to memory so no data is lost before the driver notices.
-    pub fn put_disk<T: Encode + Send + Sync + Clone + 'static>(&self, data: &[T]) -> BlockId {
+    pub(crate) fn put_disk<T: Encode + Send + Sync + Clone + 'static>(
+        &self,
+        data: &[T],
+    ) -> BlockId {
         let id = self.alloc_id();
         let file = self.file_for(id);
         let size = partition_size(data);
@@ -380,7 +405,7 @@ impl BlockStore {
     /// Figure 4.3 shows for undersized budgets. A file that cannot be read
     /// or fails verification poisons the store and yields an empty
     /// partition; the driver's next health check turns that into an error.
-    pub fn get<T: Encode + Send + Sync + 'static>(&self, id: BlockId) -> Arc<Vec<T>> {
+    pub(crate) fn get<T: Encode + Send + Sync + 'static>(&self, id: BlockId) -> Arc<Vec<T>> {
         let file = {
             let mut inner = self.inner.lock();
             inner.clock += 1;
@@ -447,7 +472,7 @@ impl BlockStore {
     }
 
     /// Drop a block and its spill file.
-    pub fn free(&self, id: BlockId) {
+    pub(crate) fn free(&self, id: BlockId) {
         let mut inner = self.inner.lock();
         if let Some(block) = inner.blocks.remove(&id) {
             if block.data.is_some() {
@@ -457,16 +482,11 @@ impl BlockStore {
             if let Some(file) = block.file {
                 #[expect(
                     clippy::let_underscore_must_use,
-                    reason = "freeing a block must not fail; a stranded spill file is reclaimed by cleanup()"
+                    reason = "freeing a block must not fail; a stranded spill file goes with the spill directory"
                 )]
                 let _ = std::fs::remove_file(file);
             }
         }
-    }
-
-    /// Bytes of block data currently resident in memory.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().resident_bytes
     }
 
     /// Memory-pressure counters: the resident set plus cumulative spill
@@ -493,22 +513,14 @@ impl BlockStore {
     /// [`crate::Engine`]) to turn deferred I/O failures into typed errors.
     ///
     /// [`health`]: crate::Engine::health
-    pub fn take_poison(&self) -> Option<DataflowError> {
+    pub(crate) fn take_poison(&self) -> Option<DataflowError> {
         self.inner.lock().poison.take()
     }
 
-    /// True if a spill-I/O failure is pending.
-    pub fn is_poisoned(&self) -> bool {
-        self.inner.lock().poison.is_some()
-    }
-
-    /// Best-effort removal of all spill files.
+    /// Best-effort removal of all spill files now, before the last handle
+    /// drops.
     pub fn cleanup(&self) {
-        #[expect(
-            clippy::let_underscore_must_use,
-            reason = "documented best-effort teardown; the spill dir lives under a temp root the OS reclaims"
-        )]
-        let _ = std::fs::remove_dir_all(&self.dir);
+        self.dir.remove();
     }
 }
 
@@ -531,6 +543,14 @@ fn partition_size<T: Encode>(data: &[T]) -> usize {
 }
 
 #[cfg(test)]
+impl BlockStore {
+    /// True if a spill-I/O failure is pending.
+    pub(crate) fn is_poisoned(&self) -> bool {
+        self.inner.lock().poison.is_some()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -547,7 +567,6 @@ mod tests {
         let s = store(None);
         let id = s.put(vec![1u32, 2, 3]);
         assert_eq!(*s.get::<u32>(id), vec![1, 2, 3]);
-        s.cleanup();
     }
 
     #[test]
@@ -558,7 +577,6 @@ mod tests {
             let _ = s.get::<u64>(id);
         }
         assert_eq!(s.metrics.counters().disk_writes, 0);
-        s.cleanup();
     }
 
     #[test]
@@ -566,34 +584,34 @@ mod tests {
         let s = store(Some(10_000));
         let ids: Vec<BlockId> = (0..8).map(|i| s.put(vec![i as u64; 1000])).collect();
         // 8 blocks × ~8KB each with a 10KB budget: most must have spilled.
-        assert!(s.resident_bytes() <= 10_000 + 9000);
+        assert!(s.memory_stats().resident_bytes <= 10_000 + 9000);
         assert!(s.metrics.counters().disk_writes > 0);
         // Every block still yields the right contents.
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(*s.get::<u64>(*id), vec![i as u64; 1000]);
         }
         assert!(s.metrics.counters().disk_reads > 0);
-        s.cleanup();
     }
 
     #[test]
     fn disk_only_blocks_occupy_no_memory_until_read() {
         let s = store(None);
         let id = s.put_disk(&vec![7u32; 100]);
-        assert_eq!(s.resident_bytes(), 0);
+        assert_eq!(s.memory_stats().resident_bytes, 0);
         assert_eq!(*s.get::<u32>(id), vec![7u32; 100]);
-        assert!(s.resident_bytes() > 0, "read re-admits to memory");
-        s.cleanup();
+        assert!(
+            s.memory_stats().resident_bytes > 0,
+            "read re-admits to memory"
+        );
     }
 
     #[test]
     fn free_releases_memory() {
         let s = store(None);
         let id = s.put(vec![1u64; 100]);
-        assert!(s.resident_bytes() > 0);
+        assert!(s.memory_stats().resident_bytes > 0);
         s.free(id);
-        assert_eq!(s.resident_bytes(), 0);
-        s.cleanup();
+        assert_eq!(s.memory_stats().resident_bytes, 0);
     }
 
     #[test]
@@ -604,7 +622,6 @@ mod tests {
         let trace = s.trace();
         assert_eq!(trace.len(), 2);
         assert!(trace[1].resident_bytes > trace[0].resident_bytes);
-        s.cleanup();
     }
 
     #[test]
@@ -617,7 +634,7 @@ mod tests {
         for round in 0..50 * TRACE_CAP {
             let id = if round == TRACE_CAP {
                 let id = s.put(vec![0u64; 1 << 16]);
-                peak = s.resident_bytes();
+                peak = s.memory_stats().resident_bytes;
                 id
             } else {
                 s.put(vec![0u64; 1 + round % 7])
@@ -629,7 +646,6 @@ mod tests {
         assert!(trace.len() >= TRACE_CAP / 2, "halved, never cleared");
         assert!(trace.windows(2).all(|w| w[0].secs <= w[1].secs));
         assert_eq!(trace.iter().map(|s| s.resident_bytes).max(), Some(peak));
-        s.cleanup();
     }
 
     #[test]
@@ -645,7 +661,6 @@ mod tests {
         assert_eq!(s.metrics.counters().disk_reads, before);
         let _ = s.get::<u64>(b);
         assert_eq!(s.metrics.counters().disk_reads, before + 1);
-        s.cleanup();
     }
 
     #[test]
@@ -687,7 +702,6 @@ mod tests {
         let stats = s.memory_stats();
         assert!(stats.evictions >= 3, "budget pressure evicts");
         assert!(stats.spilled_bytes >= 3 * 8000);
-        assert_eq!(stats.resident_bytes, s.resident_bytes());
         // Re-evicting an already-spilled block counts the eviction but
         // writes no new bytes.
         let disk_only = s.memory_stats();
@@ -695,7 +709,6 @@ mod tests {
         assert!(s.memory_stats().spilled_bytes > disk_only.spilled_bytes);
         assert_eq!(s.memory_stats().evictions, disk_only.evictions);
         let _ = s.get::<u64>(id);
-        s.cleanup();
     }
 
     /// A named way to damage the bytes of a file.
@@ -732,7 +745,6 @@ mod tests {
                 ),
                 "{what}"
             );
-            s.cleanup();
         }
     }
 
@@ -750,15 +762,17 @@ mod tests {
         std::fs::write(&file, &bytes).unwrap();
         assert!(s.get::<u32>(id).is_empty());
         assert!(s.is_poisoned());
-        s.cleanup();
     }
 
     #[test]
     fn oversized_single_block_is_spilled() {
         let s = store(Some(100));
         let id = s.put(vec![1u64; 1000]);
-        assert_eq!(s.resident_bytes(), 0, "block larger than budget spills");
+        assert_eq!(
+            s.memory_stats().resident_bytes,
+            0,
+            "block larger than budget spills"
+        );
         assert_eq!(*s.get::<u64>(id), vec![1u64; 1000]);
-        s.cleanup();
     }
 }

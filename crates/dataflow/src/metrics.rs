@@ -70,7 +70,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Create an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -90,7 +90,7 @@ impl MetricsRegistry {
     }
 
     /// Record one file write of `bytes` bytes.
-    pub fn add_disk_write(&self, bytes: u64) {
+    pub(crate) fn add_disk_write(&self, bytes: u64) {
         self.counters
             .disk_bytes_written
             .fetch_add(bytes, Ordering::Relaxed);
@@ -98,7 +98,7 @@ impl MetricsRegistry {
     }
 
     /// Record one file read of `bytes` bytes.
-    pub fn add_disk_read(&self, bytes: u64) {
+    pub(crate) fn add_disk_read(&self, bytes: u64) {
         self.counters
             .disk_bytes_read
             .fetch_add(bytes, Ordering::Relaxed);

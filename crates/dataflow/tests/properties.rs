@@ -119,7 +119,6 @@ proptest! {
         prop_assert_eq!(cached.collect(), data.clone());
         // Second read (possibly from spill) still matches.
         prop_assert_eq!(cached.collect(), data);
-        e.store().cleanup();
     }
 
     #[test]

@@ -28,7 +28,7 @@
 /// 9-dimension table decodes into ~2.3 MB of scratch — small enough to
 /// stay cache-adjacent, large enough that per-segment overhead (offsets,
 /// format tags) is noise.
-pub const MORSEL_ROWS: usize = 65_536;
+pub(crate) const MORSEL_ROWS: usize = 65_536;
 
 /// One stored run of a column: `MORSEL_ROWS` values (the last segment of a
 /// column may be shorter) verbatim or in whichever format the size
@@ -123,7 +123,7 @@ impl Segment {
 
     /// Payload bytes of the encoded form (what the size heuristic and the
     /// block store's budget accounting charge).
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         match self {
             Segment::Raw(v) => 4 * v.len(),
             Segment::Packed { words, .. } => 8 * words.len(),
@@ -136,7 +136,7 @@ impl Segment {
     ///
     /// # Panics
     /// Panics when `i` is out of range.
-    pub fn value_at(&self, i: usize) -> u32 {
+    pub(crate) fn value_at(&self, i: usize) -> u32 {
         match self {
             Segment::Raw(v) => v[i],
             Segment::Packed { bits, len, words } => {
@@ -240,13 +240,8 @@ impl CompressedCol {
     }
 
     /// Number of rows in the column.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         *self.offsets.last().unwrap_or(&0)
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The encoded segments.
@@ -262,7 +257,7 @@ impl CompressedCol {
     }
 
     /// Total encoded payload bytes.
-    pub fn encoded_bytes(&self) -> usize {
+    pub(crate) fn encoded_bytes(&self) -> usize {
         self.segments.iter().map(Segment::encoded_bytes).sum()
     }
 
@@ -289,7 +284,7 @@ impl CompressedCol {
     /// payload of every overlapping Packed or RLE segment. The charge
     /// bounds a spill of the range from above: [`Self::slice_segments`]
     /// writes only the in-range rows of a boundary segment.
-    pub fn range_encoded_bytes(&self, start: usize, n: usize) -> usize {
+    pub(crate) fn range_encoded_bytes(&self, start: usize, n: usize) -> usize {
         let charge = |(seg, lo, hi): (&Segment, usize, usize)| match seg {
             Segment::Raw(_) => 4 * (hi - lo),
             _ => seg.encoded_bytes(),
@@ -301,7 +296,7 @@ impl CompressedCol {
     ///
     /// # Panics
     /// Panics when `i` is out of range.
-    pub fn value_at(&self, i: usize) -> u32 {
+    pub(crate) fn value_at(&self, i: usize) -> u32 {
         let k = self.offsets.partition_point(|&o| o <= i) - 1;
         self.segments[k].value_at(i - self.offsets[k])
     }
@@ -321,7 +316,7 @@ impl CompressedCol {
     ///
     /// # Panics
     /// Panics when the range exceeds the column.
-    pub fn decode_range_into(&self, start: usize, n: usize, out: &mut Vec<u32>) {
+    pub(crate) fn decode_range_into(&self, start: usize, n: usize, out: &mut Vec<u32>) {
         // lint:allow(SL001) — same range contract as `[u32]` slicing
         assert!(start + n <= self.len(), "column range out of bounds");
         for (seg, lo, hi) in self.overlapping(start, n) {
@@ -354,7 +349,7 @@ impl CompressedCol {
     /// Per-format segment counts `(raw, packed, rle)` and the maximum
     /// packed bit width — the summary [`crate::frame::ColumnFormat`] and
     /// `explain()` report.
-    pub fn format_counts(&self) -> (usize, usize, usize, u32) {
+    pub(crate) fn format_counts(&self) -> (usize, usize, usize, u32) {
         let (mut raw, mut packed, mut rle, mut max_bits) = (0usize, 0usize, 0usize, 0u32);
         for seg in self.segments.iter() {
             match seg {
@@ -458,7 +453,7 @@ mod tests {
         check_round_trip(&[], 16);
         check_round_trip(&[42], 16);
         let col = CompressedCol::from_values(&[], 16);
-        assert!(col.is_empty());
+        assert_eq!(col.len(), 0);
         assert_eq!(col.range_encoded_bytes(0, 0), 0);
     }
 

@@ -64,18 +64,8 @@ impl<T> ColSlice<T> {
         }
     }
 
-    /// Number of elements in range.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The in-range elements.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.data[self.start..self.start + self.len]
     }
 }
@@ -107,7 +97,7 @@ fn store(codes: &[u32], encode: bool) -> Segment {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
     /// The size rule: encode when the raw dimension columns (`4·n·d`
-    /// bytes) reach [`COMPRESS_MIN_BYTES`] — small interactive tables keep
+    /// bytes) reach 8 MiB — small interactive tables keep
     /// zero-decode Raw segments, multi-million-row tables compress.
     /// [`crate::TableBuilder::build`] applies it; a frame that already
     /// exists keeps its layout ([`Frame::with_compression`]).
@@ -134,7 +124,7 @@ impl Compression {
 /// The [`Compression::Auto`] threshold on raw dimension-column bytes
 /// (`4·n·d`): below this the whole frame fits comfortably in cache-adjacent
 /// memory and decode work would buy nothing.
-pub const COMPRESS_MIN_BYTES: usize = 8 << 20;
+pub(crate) const COMPRESS_MIN_BYTES: usize = 8 << 20;
 
 /// Per-column format summary (what `explain()` reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,8 +399,8 @@ impl Frame {
     }
 
     /// In-memory bytes of the dimension columns for rows
-    /// `[start, start + n)`, per column [`CompressedCol::range_encoded_bytes`]
-    /// (`4·n` for an all-Raw column). This is what spill budget accounting
+    /// `[start, start + n)`, per column the encoded bytes of the segments
+    /// the range overlaps (`4·n` for an all-Raw column). This is what spill budget accounting
     /// charges for a range view.
     pub fn dim_bytes_in_range(&self, start: usize, n: usize) -> usize {
         self.cols
@@ -572,7 +562,7 @@ impl FrameView {
     /// The scan chunks of this view as `(local_start, len)` ranges: the
     /// intersection with the frame's segment boundaries, so each morsel
     /// lies inside one segment of every column (a view of a table of at
-    /// most [`MORSEL_ROWS`] rows is one morsel). Empty views yield no
+    /// most 65 536 rows is one morsel). Empty views yield no
     /// morsels. Iterating morsels in order visits exactly the view's rows
     /// in ascending order — the fold order every scan preserves.
     pub fn morsel_bounds(&self) -> Vec<(usize, usize)> {
@@ -658,11 +648,6 @@ impl FrameView {
                     .unwrap_or_else(|| scratch.bufs[k].as_slice())
             })
             .collect()
-    }
-
-    /// The in-range slice of the measure column.
-    pub fn measures(&self) -> &[f64] {
-        &self.frame.measure[self.start..self.start + self.len]
     }
 
     /// Per-dimension dictionary cardinalities of the underlying frame.
@@ -773,7 +758,6 @@ mod tests {
         assert_eq!(v.len(), 5);
         let mut scratch = ColScratch::new();
         assert_eq!(v.morsel_cols(0, 5, &mut scratch)[0], &raw_col(f, 0)[3..8]);
-        assert_eq!(v.measures(), &t.measures()[3..8]);
         assert_eq!(&*v.gather_row_boxed(0), t.row(3).as_slice());
         let inner = v.slice(1, 2);
         assert_eq!(

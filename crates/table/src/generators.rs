@@ -22,13 +22,13 @@ use rand::{Rng, SeedableRng};
 
 /// Zipf sampler over `0..cardinality` with exponent `s` (1.0 ≈ natural
 /// categorical skew; 0.0 = uniform). Precomputes the CDF once.
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Build a sampler for `cardinality` values with exponent `s`.
-    pub fn new(cardinality: usize, s: f64) -> Self {
+    pub(crate) fn new(cardinality: usize, s: f64) -> Self {
         // lint:allow(SL001) — generator-internal contract; all call sites pass literal cardinalities
         assert!(cardinality > 0);
         let mut cdf = Vec::with_capacity(cardinality);
@@ -44,7 +44,7 @@ impl Zipf {
     }
 
     /// Draw one value in `0..cardinality`.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u) as u32
     }

@@ -26,23 +26,21 @@
     clippy::allow_attributes,
     clippy::allow_attributes_without_reason
 )]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
-pub mod compress;
+mod compress;
 pub mod csv;
 mod dict;
 mod error;
 pub mod fingerprint;
-pub mod frame;
+mod frame;
 pub mod generators;
 mod schema;
 mod table;
 
-pub use compress::{CompressedCol, Segment, MORSEL_ROWS};
+pub use compress::{CompressedCol, Segment};
 pub use dict::Dictionary;
 pub use error::TableError;
-pub use frame::{
-    ColScratch, ColSlice, ColumnFormat, Compression, Frame, FrameView, COMPRESS_MIN_BYTES,
-};
+pub use frame::{ColScratch, ColSlice, ColumnFormat, Compression, Frame, FrameView};
 pub use schema::Schema;
 pub use table::{Table, TableBuilder};

@@ -34,7 +34,7 @@ impl Schema {
     }
 
     /// Number of dimension attributes (the paper's `d`).
-    pub fn num_dims(&self) -> usize {
+    pub(crate) fn num_dims(&self) -> usize {
         self.dims.len()
     }
 
@@ -50,7 +50,7 @@ impl Schema {
 
     /// Schema restricted to the first `d` dimension attributes (used for the
     /// paper's SUSY projections over 10..18 dims).
-    pub fn project(&self, d: usize) -> Schema {
+    pub(crate) fn project(&self, d: usize) -> Schema {
         // lint:allow(SL001) — documented projection contract; miner validates dimension counts first
         assert!(d >= 1 && d <= self.dims.len());
         Schema {

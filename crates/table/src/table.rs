@@ -283,16 +283,6 @@ impl TableBuilder {
         self.dicts[col].try_intern(value)
     }
 
-    /// Number of rows appended so far.
-    pub fn len(&self) -> usize {
-        self.measure.len()
-    }
-
-    /// True if no rows were appended yet.
-    pub fn is_empty(&self) -> bool {
-        self.measure.is_empty()
-    }
-
     /// Finish and return the table, its columns stored under the
     /// [`Compression::Auto`] size rule.
     pub fn build(self) -> Table {
@@ -474,14 +464,18 @@ mod tests {
                 found: 2
             }
         ));
-        assert!(b.is_empty(), "failed push must not leave partial state");
         let err = b.try_push_coded_row(&[0, 0, 0], 1.0).unwrap_err();
         assert!(matches!(
             err,
             TableError::UninternedCode { column: 0, code: 0 }
         ));
         b.try_push_row(&["Fri", "SF", "London"], 2.0).unwrap();
-        assert_eq!(b.len(), 1);
+        let t = b.build();
+        assert_eq!(
+            t.num_rows(),
+            1,
+            "failed pushes must not leave partial state"
+        );
     }
 
     /// The same rows as a raw table and as a compressed one cut into

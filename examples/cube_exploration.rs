@@ -10,7 +10,7 @@
 //! `SIRUM_EXAMPLE_ROWS` overrides the dataset size (the smoke-test harness
 //! in `tests/examples.rs` sets it low so debug builds finish quickly).
 
-use sirum::core::explore::prior_rules_from_groupbys;
+use sirum::core::prior_rules_from_groupbys;
 use sirum::prelude::*;
 
 fn main() -> Result<(), SirumError> {

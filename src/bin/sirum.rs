@@ -238,18 +238,22 @@ fn load_table(service: &SirumService, name: &str, args: &Args) -> Result<(), Sir
 }
 
 /// The request the mining-field flags describe, each set through the
-/// service's one field table; a flag it does not take is a usage error.
-fn request<'s>(service: &'s SirumService, name: &str, args: &Args) -> ServiceRequest<'s> {
+/// service's one field table; a flag it does not take is a usage error,
+/// returned as its message.
+fn request<'s>(
+    service: &'s SirumService,
+    name: &str,
+    args: &Args,
+) -> Result<ServiceRequest<'s>, String> {
     let mut request = service.mine(name);
     for (flag, text) in &args.fields {
         let field = flag.trim_start_matches('-').replace('-', "_");
-        request = match request.set_text(&field, text) {
-            Ok(request) => request,
-            Err(FieldError::Unknown) => usage_error(format!("unexpected argument {flag:?}")),
-            Err(FieldError::Invalid(why)) => usage_error(format!("{flag} {text:?}: {why}")),
-        };
+        request = request.set_text(&field, text).map_err(|e| match e {
+            FieldError::Unknown => format!("unexpected argument {flag:?}"),
+            FieldError::Invalid(why) => format!("{flag} {text:?}: {why}"),
+        })?;
     }
-    request
+    Ok(request)
 }
 
 fn print_text(result: &MiningResult, table: &Table) {
@@ -415,8 +419,15 @@ fn run(args: &Args) -> Result<(), SirumError> {
         .pool_workers(args.jobs)
         .build()?;
     let name = table_name(args);
-    // Flag mistakes are usage errors, reported before any data loads.
-    let first = request(&service, name, args);
+    // Flag mistakes are usage errors, reported before any data loads and
+    // after the service drops, so its spill directory goes with it.
+    let first = match request(&service, name, args) {
+        Ok(first) => first,
+        Err(msg) => {
+            drop(service);
+            usage_error(msg)
+        }
+    };
     load_table(&service, name, args)?;
     let table = service.table(name)?;
     eprintln!(
@@ -438,7 +449,8 @@ fn run(args: &Args) -> Result<(), SirumError> {
         // rest are served from it.
         let mut handles = vec![first.submit()?];
         for _ in 1..args.repeat {
-            handles.push(request(&service, name, args).submit()?);
+            let again = request(&service, name, args).map_err(SirumError::service)?;
+            handles.push(again.submit()?);
         }
         let mut outputs = Vec::with_capacity(handles.len());
         for handle in handles {

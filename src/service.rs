@@ -43,13 +43,11 @@ use crate::json::{self, parse_json, JsonValue};
 use crate::net::metrics::{Histogram, LatencySummary};
 use crossbeam::channel;
 use parking_lot::{Mutex, RwLock};
-use sirum_core::miner::IterationObserver;
-use sirum_core::sweep::CombineStrategy;
 use sirum_core::{
     try_evaluate_rules_prepared, try_mine_on_sample, CancellationToken, CandidateStrategy,
-    Evaluation, IterationDecision, IterationEvent, Miner, MiningResult, PreparedTable, Rule,
-    RuleLayout, RuleSetEvaluation, SampleDataResult, ScalingConfig, SirumConfig, SirumError,
-    StreamingConfig, StreamingMiner, Variant, WILDCARD,
+    CombineStrategy, Evaluation, IterationDecision, IterationEvent, IterationObserver, Miner,
+    MiningResult, PreparedTable, Rule, RuleLayout, RuleSetEvaluation, SampleDataResult,
+    ScalingConfig, SirumConfig, SirumError, StreamingConfig, StreamingMiner, Variant, WILDCARD,
 };
 use sirum_dataflow::{Engine, EngineConfig, EngineMode};
 use sirum_table::{generators, Table, TableError};
@@ -835,7 +833,7 @@ impl SirumService {
     pub fn stream(&self, table: &str) -> Result<IngestHandle, SirumError> {
         let entry = self.entry(table)?;
         let d = entry.table.num_dims();
-        sirum_core::lattice::check_expandable(d)?;
+        sirum_core::check_expandable(d)?;
         let mut miner = StreamingMiner::new(d, StreamingConfig::default());
         miner.ingest_table(&entry.table)?;
         Ok(IngestHandle {

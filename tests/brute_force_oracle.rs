@@ -14,7 +14,7 @@
 //! `CombineStrategy::for_partition` which sink a configuration's
 //! partitions take.
 
-use sirum::core::sweep::CombineStrategy;
+use sirum::core::CombineStrategy;
 use sirum::prelude::*;
 use sirum::table::Compression;
 use std::collections::HashMap;

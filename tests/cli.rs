@@ -163,3 +163,40 @@ fn every_wire_field_is_a_flag_that_plans_what_explain_plans() {
         );
     }
 }
+
+#[test]
+fn mines_leave_nothing_in_the_spill_root() {
+    // Every block store spills into its own directory under
+    // `$TMPDIR/sirum-dataflow` and removes it when its last handle drops:
+    // a DiskMr run of the binary, where every stage output goes through
+    // disk, and a mine under a memory budget far below its working set.
+    let tmp = std::env::temp_dir().join(format!("sirum-spill-root-{}", std::process::id()));
+    let root = tmp.join("sirum-dataflow");
+    let _ = std::fs::remove_dir_all(&tmp);
+    std::fs::create_dir_all(&tmp).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_sirum"))
+        .args(["--demo", "income", "--k", "3", "--engine", "disk-mr"])
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("run the sirum binary");
+    assert!(out.status.success(), "{out:?}");
+    assert!(root.is_dir(), "the DiskMr run spilled outside {root:?}");
+    {
+        let config = EngineConfig::in_memory()
+            .with_memory_budget(48 << 10)
+            .with_spill_dir(root.clone());
+        let service = SirumService::builder()
+            .engine_config(config)
+            .build()
+            .unwrap();
+        service.register_demo("income").unwrap();
+        service.mine("income").k(3).sample_size(16).run().unwrap();
+        assert!(service.stats().memory.spilled_bytes > 0, "nothing spilled");
+    }
+    let left: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
