@@ -18,7 +18,7 @@ use crate::miner::StagedPipeline;
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, rule_bits, Rct};
 use crate::rule::{Rule, RuleKey};
-use crate::sweep::{SweepOutcome, SweepState};
+use crate::sweep::{SlotSums, SweepOutcome, SweepState};
 use sirum_dataflow::{Dataset, Engine};
 use sirum_table::{ColScratch, FrameView};
 
@@ -240,7 +240,7 @@ impl MiningData {
         &self,
         state: &mut SweepState<'_>,
         cancel: Option<&CancellationToken>,
-        pick: impl FnOnce(&[Agg]) -> Vec<usize>,
+        pick: impl FnOnce(SlotSums<'_>) -> Vec<(f64, usize)>,
     ) -> SweepOutcome {
         state.sweep(&self.0, cancel, pick)
     }

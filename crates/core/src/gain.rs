@@ -1,6 +1,13 @@
 //! Information gain (Eq 2.2) and Kullback–Leibler divergence (§2.3):
 //! the scoring functions of informative rule mining.
 
+/// A candidate score: `(Σm, Σm̂) → gain`.
+pub(crate) type GainFn = fn(f64, f64) -> f64;
+
+/// A score's logarithm-free test, `(Σm, Σm̂, t) →` whether the score is
+/// certainly below `t > 0`.
+pub(crate) type BelowFn = fn(f64, f64, f64) -> bool;
+
 /// Information gain of a candidate rule (Eq 2.2):
 /// `gain(r) = Σ_{t⊨r} t[m] · log(Σ_{t⊨r} t[m] / Σ_{t⊨r} t[mhat])`.
 ///
@@ -32,6 +39,58 @@ pub(crate) fn rule_gain_two_sided(sum_m: f64, sum_mhat: f64) -> f64 {
         return 0.0;
     }
     (sum_m * (sum_m / sum_mhat).ln()).abs()
+}
+
+/// The rounding slack of the `…_below` tests: relative on the bound, and
+/// absolute in units of `Σm`, where the computed gain's error lives when
+/// `Σm/Σm̂` is near 1 (a rounded quotient moves `ln` by up to one ulp of 1).
+/// A few hundred ulps would do; this leaves room for any `ln` within
+/// thousands of ulps.
+const BOUND_SLACK: f64 = 1e-12;
+
+/// Whether [`rule_gain`]`(sum_m, sum_mhat)`, as computed, is below `t > 0`,
+/// decided without a logarithm. A sum `≤ 0` scores 0. Otherwise
+/// `ln x ≤ x − 1` bounds the gain by `Σm·(Σm − Σm̂)/Σm̂`, tested
+/// division-free with slack: `Σm·(Σm−Σm̂)·(1+ε) + ε·Σm·Σm̂ < t·Σm̂`, and
+/// `false` — score it — when a product is non-finite or subnormal.
+/// `Σm < Σm̂` gives a negative bound, and the computed gain is then `≤ 0`
+/// too, since the rounded quotient stays `≤ 1`.
+#[inline]
+pub(crate) fn rule_gain_below(sum_m: f64, sum_mhat: f64, t: f64) -> bool {
+    if sum_m <= 0.0 || sum_mhat <= 0.0 {
+        return true;
+    }
+    let excess = sum_m * (sum_m - sum_mhat);
+    let slack = BOUND_SLACK * (sum_m * sum_mhat);
+    let cut = t * sum_mhat;
+    excess.is_finite()
+        && !excess.is_subnormal()
+        && slack.is_normal()
+        && cut.is_normal()
+        && excess * (1.0 + BOUND_SLACK) + slack < cut
+}
+
+/// Whether [`rule_gain_two_sided`]`(sum_m, sum_mhat)`, as computed, is
+/// below `t > 0`, decided without a logarithm. For `Σm ≥ Σm̂` the gain is
+/// Eq 2.2's, and so is the test ([`rule_gain_below`]). Below, `|ln x| ≤
+/// 1/x − 1` for `x < 1` bounds it by `Σm̂ − Σm` where `Σm > 0` (a sum
+/// `≤ 0` scores 0), tested with slack as `(Σm̂−Σm)·(1+ε) + ε·Σm < t`, and
+/// `false` — score it — when a product is not normal or `Σm < ε·Σm̂`: so
+/// small a quotient may round to 0, and `ln 0` scores `+∞`.
+#[inline]
+pub(crate) fn rule_gain_two_sided_below(sum_m: f64, sum_mhat: f64, t: f64) -> bool {
+    if sum_m >= sum_mhat {
+        return rule_gain_below(sum_m, sum_mhat, t);
+    }
+    if sum_m <= 0.0 {
+        return true;
+    }
+    let slack = BOUND_SLACK * sum_m;
+    let floor = BOUND_SLACK * sum_mhat;
+    slack.is_normal()
+        && floor.is_normal()
+        && floor <= sum_m
+        && (sum_mhat - sum_m) * (1.0 + BOUND_SLACK) + slack < t
 }
 
 /// Assemble KL divergence from one-pass aggregates:
@@ -150,6 +209,26 @@ mod tests {
             assert_eq!(rule_gain_two_sided(sm, smh), 0.0, "({sm}, {smh})");
             assert_eq!(rule_gain(sm, smh), 0.0, "({sm}, {smh})");
         }
+    }
+
+    #[test]
+    fn below_tests_rule_out_only_gains_below_t() {
+        // Well below `t`: ruled out without an `ln`.
+        assert!(rule_gain(10.0, 9.0) < 5.0 && rule_gain_below(10.0, 9.0, 5.0));
+        assert!(rule_gain_two_sided(9.0, 10.0) < 5.0 && rule_gain_two_sided_below(9.0, 10.0, 5.0));
+        // Within the bound's slack of `t`: scored.
+        assert!(rule_gain(10.0, 5.0) < 7.0 && !rule_gain_below(10.0, 5.0, 7.0));
+        // A quotient that rounds to 0 scores +∞ two-sided: never ruled out.
+        assert_eq!(rule_gain_two_sided(1e-290, 1e50), f64::INFINITY);
+        assert!(!rule_gain_two_sided_below(1e-290, 1e50, 1e200));
+        // Subnormal or non-finite products and NaN sums: scored.
+        assert_eq!(rule_gain(1.0, 1e-310), f64::INFINITY);
+        assert!(!rule_gain_below(1.0, 1e-310, 1.0));
+        assert!(!rule_gain_below(f64::INFINITY, 1.0, 1.0));
+        assert!(!rule_gain_below(f64::NAN, 1.0, 1.0));
+        assert!(!rule_gain_two_sided_below(1.0, f64::NAN, 1.0));
+        // A sum `≤ 0` scores 0, below any `t > 0`.
+        assert!(rule_gain_below(0.0, 1.0, 1e-300) && rule_gain_two_sided_below(1.0, -2.0, 1e-300));
     }
 
     #[test]

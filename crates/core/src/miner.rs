@@ -6,9 +6,11 @@ use crate::cancel::CancellationToken;
 use crate::candidates::{adjust, merge_agg, Agg, SampleIndex, MAX_SAMPLE};
 use crate::data::MiningData;
 use crate::error::SirumError;
-use crate::gain::{rule_gain, rule_gain_two_sided};
+use crate::gain::{
+    rule_gain, rule_gain_below, rule_gain_two_sided, rule_gain_two_sided_below, BelowFn, GainFn,
+};
 use crate::lattice::{check_expandable, column_groups};
-use crate::multirule::{rank_limit, select_rules, top_by_gain, ScoredCandidate};
+use crate::multirule::{rank_limit, select_rules, top_k_by_gain, ScoredCandidate};
 use crate::prepared::PreparedTable;
 use crate::rct::{mhat_for_mask, Rct, MAX_RULES};
 use crate::rule::{Rule, RuleKey, RuleLayout};
@@ -782,8 +784,9 @@ impl Miner {
     }
 
     /// Candidate generation for one iteration on the default path: one
-    /// fused gain sweep ([`crate::sweep`]) scored by canonical rank, of
-    /// which only the candidates selection can reach become rules.
+    /// fused gain sweep ([`crate::sweep`]) whose slots are read once for
+    /// the best candidates by gain ([`top_k_by_gain`]), of which only those
+    /// selection can reach become rules.
     fn sweep_candidates(
         &self,
         data: &MiningData,
@@ -791,7 +794,7 @@ impl Miner {
         sweep: &mut SweepState<'_>,
         timings: &mut PhaseTimings,
     ) -> Frontier {
-        let gain_fn = self.gain_fn();
+        let (gain, below) = self.gain_fn();
         let t0 = Instant::now();
         // Same driver-memory guard as the staged path's per-partition
         // truncation, and selection only ever reads the top rank-limit
@@ -801,20 +804,17 @@ impl Miner {
         let keep = TOP_PER_PARTITION * data.num_partitions().max(1);
         let reach = |distinct: usize| keep.min(rank_limit(distinct));
         let out = data.sweep(sweep, self.cancellation.as_ref(), |sums| {
-            let gain = |(rank, &(sum_m, sum_mhat, _))| (gain_fn(sum_m, sum_mhat), rank);
-            let scored = sums.iter().enumerate().map(gain).collect();
-            let top = top_by_gain(scored, reach(sums.len()) + rules.len());
-            top.into_iter().map(|(_, rank)| rank).collect()
+            top_k_by_gain(sums.iter(), reach(sums.len()) + rules.len(), gain, below)
         });
         let existing: HashSet<&Rule> = rules.iter().collect();
         let scored: Vec<ScoredCandidate> = out
             .candidates
             .into_iter()
-            .filter(|(rule, _, _, _)| !existing.contains(rule))
+            .filter(|(rule, ..)| !existing.contains(rule))
             .take(reach(out.distinct_candidates as usize))
-            .map(|(rule, sum_m, sum_mhat, count)| ScoredCandidate {
-                gain: gain_fn(sum_m, sum_mhat),
+            .map(|(rule, sum_m, _, count, gain)| ScoredCandidate {
                 rule,
+                gain,
                 sum_m,
                 count,
             })
@@ -867,7 +867,7 @@ impl Miner {
         rules: &[Rule],
         timings: &mut PhaseTimings,
     ) -> Frontier {
-        let gain_fn = self.gain_fn();
+        let (gain_fn, _) = self.gain_fn();
         let partitions = self.engine.config().partitions;
 
         // ---- Candidate pruning: LCA(s, D) (§3.1.1 / §4.2) ----------------
@@ -951,12 +951,14 @@ impl Miner {
         }
     }
 
-    /// The candidate score: Eq 2.2's gain, or its two-sided form.
-    fn gain_fn(&self) -> fn(f64, f64) -> f64 {
+    /// The candidate score — Eq 2.2's gain, or its two-sided form — and
+    /// its logarithm-free test for a score certainly below a positive
+    /// threshold.
+    fn gain_fn(&self) -> (GainFn, BelowFn) {
         if self.config.two_sided_gain {
-            rule_gain_two_sided
+            (rule_gain_two_sided, rule_gain_two_sided_below)
         } else {
-            rule_gain
+            (rule_gain, rule_gain_below)
         }
     }
 }

@@ -2,7 +2,9 @@
 //! iteration from the top of the gain-sorted candidate list, halving (or
 //! better) the number of rule-generation/iterative-scaling rounds.
 
+use crate::gain::{BelowFn, GainFn};
 use crate::rule::Rule;
+use std::cmp::Ordering;
 
 /// §4.4's rank limit: a rule beyond the best must rank within this
 /// fraction of the candidate list (the paper's top 1%).
@@ -14,20 +16,55 @@ pub(crate) fn rank_limit(total: usize) -> usize {
     ((total as f64 * TOP_FRACTION).ceil() as usize).max(1)
 }
 
-/// The first `reach` of `scored` — `(gain, canonical rank)` per candidate
-/// — under gain descending (`total_cmp`), rank ascending: the prefix
-/// [`select_rules`]' stable sort makes of the canonically ordered list,
-/// without sorting all of it. Selection never reads past the top-1% rank
-/// limit, so selecting from this prefix equals selecting from the whole
-/// list whenever `reach` covers that limit.
-pub(crate) fn top_by_gain(mut scored: Vec<(f64, usize)>, reach: usize) -> Vec<(f64, usize)> {
-    let best_first = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
-    if reach < scored.len() {
-        scored.select_nth_unstable_by(reach, best_first);
-        scored.truncate(reach);
+/// The order selection reads candidates in: gain descending
+/// (`total_cmp`), canonical rank ascending — the order [`select_rules`]'
+/// stable sort makes of the canonically ordered list.
+fn best_first(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
+/// The first `k` candidates under [`best_first`], in that order, from one
+/// pass over `slots` — each candidate's `(Σm, Σm̂, canonical rank)`, in any
+/// order — scored by `gain`: what scoring every candidate and sorting would
+/// give, gain bit for gain bit and rank for rank. Selection never reads
+/// past the top-1% rank limit, so selecting from this prefix equals
+/// selecting from the whole list whenever `k` covers that limit.
+///
+/// At most `2k` `(gain, rank)` pairs are held; when they fill, they are cut
+/// to their best `k`, and the `k`-th gain among them becomes the threshold
+/// `t` (none until the first cut). A later candidate is kept only when its
+/// gain is `≥ t` under `total_cmp`, so a tie at `t` still goes by rank.
+/// Once `t > 0`, `below(Σm, Σm̂, t)` — a logarithm-free test that is true
+/// only where the computed gain is below `t` — passes over a candidate
+/// without scoring it. Every kept gain comes from `gain` on the
+/// candidate's own sums, so the output does not depend on the test.
+pub(crate) fn top_k_by_gain(
+    slots: impl Iterator<Item = (f64, f64, usize)>,
+    k: usize,
+    gain: GainFn,
+    below: BelowFn,
+) -> Vec<(f64, usize)> {
+    let full = 2 * k;
+    let mut kept: Vec<(f64, usize)> = Vec::with_capacity(full.min(slots.size_hint().0));
+    let mut t: Option<f64> = None;
+    for (sum_m, sum_mhat, rank) in slots {
+        if t.is_some_and(|t| t > 0.0 && below(sum_m, sum_mhat, t)) {
+            continue;
+        }
+        let g = gain(sum_m, sum_mhat);
+        if t.is_some_and(|t| g.total_cmp(&t).is_lt()) {
+            continue;
+        }
+        kept.push((g, rank));
+        if kept.len() == full {
+            kept.select_nth_unstable_by(k - 1, best_first);
+            kept.truncate(k);
+            t = Some(kept[k - 1].0);
+        }
     }
-    scored.sort_unstable_by(best_first);
-    scored
+    kept.sort_unstable_by(best_first);
+    kept.truncate(k);
+    kept
 }
 
 /// A scored candidate as produced by the gain stage.
@@ -87,7 +124,9 @@ pub(crate) fn select_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gain::{rule_gain, rule_gain_below, rule_gain_two_sided, rule_gain_two_sided_below};
     use crate::rule::WILDCARD;
+    use proptest::prelude::*;
 
     fn cand(vals: &[i64], gain: f64) -> ScoredCandidate {
         ScoredCandidate {
@@ -171,6 +210,13 @@ mod tests {
         }
     }
 
+    /// [`top_k_by_gain`] over `all` in canonical order, each scored by the
+    /// gain it carries.
+    fn by_given_gain(all: &[ScoredCandidate], k: usize) -> Vec<(f64, usize)> {
+        let slots = all.iter().enumerate().map(|(rank, c)| (c.gain, 0.0, rank));
+        top_k_by_gain(slots, k, |gain, _| gain, |_, _, _| false)
+    }
+
     #[test]
     fn selecting_from_the_top_prefix_equals_selecting_from_the_whole_list() {
         // 24 000 candidates in canonical order over two attributes, gains
@@ -187,9 +233,8 @@ mod tests {
             .collect();
         for l in [1, 2, 3] {
             let whole = select_rules(&mut all.clone(), l, all.len());
-            let scored = all.iter().enumerate().map(|(rank, c)| (c.gain, rank));
             let reach = rank_limit(all.len());
-            let mut prefix: Vec<ScoredCandidate> = top_by_gain(scored.collect(), reach)
+            let mut prefix: Vec<ScoredCandidate> = by_given_gain(&all, reach)
                 .into_iter()
                 .map(|(_, rank)| all[rank].clone())
                 .collect();
@@ -206,9 +251,97 @@ mod tests {
         // The prefix is the stable sort's, tie for tie.
         let mut sorted = all.clone();
         sorted.sort_by(|a, b| b.gain.total_cmp(&a.gain));
-        let top = top_by_gain(all.iter().map(|c| c.gain).zip(0..).collect(), 100);
+        let top = by_given_gain(&all, 100);
         for ((_, rank), want) in top.iter().zip(&sorted) {
             assert_eq!(all[*rank].rule, want.rule);
+        }
+    }
+
+    /// A positive sum of any magnitude from 1e-300 to 1e301.
+    fn magnitude() -> impl Strategy<Value = f64> {
+        (-300i32..=300, 1.0f64..10.0).prop_map(|(e, m)| m * 10f64.powi(e))
+    }
+
+    /// A sum the selector's logarithm-free tests must not be fooled by:
+    /// zero and negative, subnormal, ordinary, 1e±300 magnitudes, and now
+    /// and then not a number at all.
+    fn adversarial_sum() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            prop_oneof![Just(f64::INFINITY), Just(f64::NAN), Just(-f64::NAN)],
+            -1e3f64..0.0,
+            1e-3f64..1e3,
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            magnitude(),
+        ]
+    }
+
+    /// `(Σm, Σm̂)`: `Σm` equal to `Σm̂`, a few ulps from it — where the
+    /// rounded quotient moves `ln` past `x − 1` — or drawn on its own.
+    fn adversarial_pair(near: impl Strategy<Value = f64>) -> impl Strategy<Value = (f64, f64)> {
+        (near, 0u8..4, -3i64..=3, adversarial_sum()).prop_map(|(sum_mhat, how, ulps, other)| {
+            let sum_m = match how {
+                0 => sum_mhat,
+                1 | 2 if sum_mhat > 0.0 => {
+                    f64::from_bits((sum_mhat.to_bits() as i64 + ulps).max(0) as u64)
+                }
+                _ => other,
+            };
+            (sum_m, sum_mhat)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The streaming selector against scoring every candidate and
+        /// sorting (gain descending, rank ascending), gain bit for gain bit
+        /// and rank for rank: duplicated sums tie exactly, at the threshold
+        /// too, with ranks on both sides of it in a shuffled slot order;
+        /// `k` runs from 1 past the candidate count; both gain forms. A
+        /// third of the lists keep every `Σm̂` in one binade, so the
+        /// threshold falls among the near-equal sums whose gains the bounds
+        /// must not cut, and a third draw both sums 1e±300 apart, where
+        /// quotients overflow and underflow.
+        #[test]
+        fn streaming_top_k_matches_full_scoring(
+            (pairs, shuffle) in prop_oneof![
+                prop::collection::vec(adversarial_pair(adversarial_sum()), 1..160),
+                prop::collection::vec(adversarial_pair(1.0f64..2.0), 1..160),
+                prop::collection::vec((magnitude(), magnitude()), 1..160),
+            ]
+            .prop_flat_map(|pairs| {
+                let n = pairs.len();
+                (Just(pairs), prop::collection::vec(any::<u64>(), n))
+            }),
+            copies in prop::collection::vec((any::<usize>(), any::<usize>()), 0..80),
+            k in any::<usize>(),
+            two_sided in any::<bool>(),
+        ) {
+            let mut pairs = pairs;
+            let n = pairs.len();
+            for (from, to) in copies {
+                pairs[to % n] = pairs[from % n];
+            }
+            // Slot `i` holds rank `ranks[i]`: a random permutation.
+            let mut ranks = vec![0; n];
+            let mut slots: Vec<usize> = (0..n).collect();
+            slots.sort_by_key(|&i| shuffle[i]);
+            for (rank, slot) in slots.into_iter().enumerate() {
+                ranks[slot] = rank;
+            }
+            let k = 1 + k % (n + 2);
+            let (gain, below): (GainFn, BelowFn) = if two_sided {
+                (rule_gain_two_sided, rule_gain_two_sided_below)
+            } else {
+                (rule_gain, rule_gain_below)
+            };
+            let slots = pairs.iter().zip(&ranks).map(|(&(sum_m, sum_mhat), &rank)| (sum_m, sum_mhat, rank));
+            let mut full: Vec<(f64, usize)> = slots.clone().map(|(sm, smh, rank)| (gain(sm, smh), rank)).collect();
+            full.sort_by(best_first);
+            full.truncate(k);
+            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> { v.iter().map(|&(g, r)| (g.to_bits(), r)).collect() };
+            prop_assert_eq!(bits(&top_k_by_gain(slots, k, gain, below)), bits(&full));
         }
     }
 }

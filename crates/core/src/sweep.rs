@@ -37,6 +37,15 @@
 //!    frontier key, so one 1 per sample row at its slot folds up to the
 //!    number of sample rows every candidate covers.
 //!
+//! The caller's `pick` then reads every candidate where the plan's slots
+//! hold it ([`SlotSums`]): `Σm`, the folded `Σm̂` and the canonical rank
+//! (from the slot → rank inverse the plan stores once per mine), with
+//! nothing gathered into rank order. The miner keeps the best by gain in
+//! one pass over the slots, against the `k`-th gain kept so far as a
+//! threshold, and takes an `ln` only where a logarithm-free bound leaves a
+//! slot a chance to place ([`crate::multirule::top_k_by_gain`]); only the
+//! candidates it keeps become [`Rule`]s.
+//!
 //! ## Counting the rows that share an estimate
 //!
 //! Tuples with the same rule-coverage bit array share one estimate
@@ -255,12 +264,11 @@ impl SweepOptions {
 #[derive(Debug, Clone)]
 pub(crate) struct SweepOutcome {
     /// Exact per-candidate aggregates over their true support sets:
-    /// `(rule, Σm, Σm̂, |support|)`, already adjusted for sample
-    /// multiplicity when an index was supplied. Sorted in canonical rule
-    /// order (lexicographic on values, wildcards last), which is identical
-    /// across every sweep variant — or, from [`SweepState::sweep`], as its
-    /// caller picked them. Empty when [`Self::cancelled`].
-    pub(crate) candidates: Vec<(Rule, f64, f64, u64)>,
+    /// `(rule, Σm, Σm̂, |support|, score)`, already adjusted for sample
+    /// multiplicity when an index was supplied, in the order and with the
+    /// score [`SweepState::sweep`]'s `pick` gave them. Empty when
+    /// [`Self::cancelled`].
+    pub(crate) candidates: Vec<(Rule, f64, f64, u64, f64)>,
     /// Distinct candidate rules seen by the sweep (the rank-limit
     /// denominator of multi-rule selection).
     pub(crate) distinct_candidates: u64,
@@ -852,6 +860,8 @@ struct ExpandPlan<K> {
     links: Vec<(u32, u32)>,
     /// Slots in canonical rule order.
     order: Vec<u32>,
+    /// Per slot, its canonical rank: the inverse of `order`.
+    rank: Vec<u32>,
     /// Per slot, with the sample multiplicity `c` (§3.1.1; 1 without an
     /// index) already divided out: exact `Σm` and `|support|`.
     sum_m: Vec<f64>,
@@ -944,11 +954,16 @@ impl<K: RuleKey> ExpandPlan<K> {
         }
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]));
+        let mut rank = vec![0u32; keys.len()];
+        for (r, &slot) in order.iter().enumerate() {
+            rank[slot as usize] = r as u32;
+        }
         Some(ExpandPlan {
             keys,
             pairs: frontier.iter().map(|(_, agg)| agg.2).collect(),
             links,
             order,
+            rank,
             sum_m,
             count,
             mult,
@@ -1023,12 +1038,45 @@ struct SweepCx<'a> {
     shared: Option<f64>,
 }
 
+/// One sweep's candidates by plan slot, as [`SweepState::sweep`] shows them
+/// to its `pick`: the plan's `Σm` and multiplicity columns, the sweep's
+/// folded `Σm̂` column and each slot's canonical rank, read in place —
+/// nothing is gathered into rank order.
+pub(crate) struct SlotSums<'a> {
+    sum_m: &'a [f64],
+    /// Folded, with the sample multiplicity `c` not yet divided out.
+    sum_mhat: &'a [f64],
+    mult: &'a [u32],
+    rank: &'a [u32],
+}
+
+impl SlotSums<'_> {
+    /// The candidate count: one per slot.
+    pub(crate) fn len(&self) -> usize {
+        self.rank.len()
+    }
+
+    /// Per slot, in slot order: `(Σm, Σm̂, canonical rank)`, with `c`
+    /// divided out of `Σm̂`.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, f64, usize)> + '_ {
+        let slots = self
+            .sum_m
+            .iter()
+            .zip(self.sum_mhat)
+            .zip(self.mult)
+            .zip(self.rank);
+        slots.map(|(((&sum_m, &sum_mhat), &c), &rank)| {
+            (sum_m, sum_mhat / f64::from(c), rank as usize)
+        })
+    }
+}
+
 /// Both stages for one key type `K`: combine each data partition into the
 /// canonically ordered frontier, make sure `plan` is this frontier's
 /// (building it when it is missing or, which one mine cannot cause, the
 /// frontier's keys or pair counts moved), fold the frontier's `Σm̂` column
-/// through it, show `pick` every candidate's sums by canonical rank and
-/// turn the ranks it returns into rules.
+/// through it, show `pick` every candidate's sums by slot and turn the
+/// `(score, canonical rank)` pairs it returns into rules.
 ///
 /// With a plan in hand and a `shared` estimate, the combine passes over
 /// the rows carrying it and the column comes from
@@ -1042,7 +1090,7 @@ fn run_sweep<K: SweepKey>(
     codec: &K::Codec,
     args: CombineArgs<'_>,
     plan: &mut Option<ExpandPlan<K>>,
-    pick: impl FnOnce(&[Agg]) -> Vec<usize>,
+    pick: impl FnOnce(SlotSums<'_>) -> Vec<(f64, usize)>,
 ) -> SweepOutcome {
     let mut skip = cx.shared.filter(|_| plan.is_some());
     let (frontier, counted) = loop {
@@ -1102,20 +1150,17 @@ fn run_sweep<K: SweepKey>(
     let (Some(sum_mhat), Some(plan)) = (sum_mhat, plan.as_ref()) else {
         return cancelled_outcome();
     };
-    let slots = plan.order.iter().map(|&slot| slot as usize);
-    let sums: Vec<Agg> = slots
-        .map(|s| {
-            (
-                plan.sum_m[s],
-                sum_mhat[s] / f64::from(plan.mult[s]),
-                plan.count[s],
-            )
-        })
-        .collect();
-    let candidates = pick(&sums).into_iter().map(|rank| {
-        let (sum_m, sum_mhat, count) = sums[rank];
-        let key = plan.keys[plan.order[rank] as usize].clone();
-        (key.into_rule(codec), sum_m, sum_mhat, count)
+    let sums = SlotSums {
+        sum_m: &plan.sum_m,
+        sum_mhat: &sum_mhat,
+        mult: &plan.mult,
+        rank: &plan.rank,
+    };
+    let candidates = pick(sums).into_iter().map(|(score, rank)| {
+        let slot = plan.order[rank] as usize;
+        let rule = plan.keys[slot].clone().into_rule(codec);
+        let sum_mhat = sum_mhat[slot] / f64::from(plan.mult[slot]);
+        (rule, plan.sum_m[slot], sum_mhat, plan.count[slot], score)
     });
     SweepOutcome {
         candidates: candidates.collect(),
@@ -1198,11 +1243,15 @@ impl<'a> SweepState<'a> {
 
     /// Run one sweep over the columnar dataset: combine as per-partition
     /// tasks on its engine's thread pool, then one fold of the frontier
-    /// through the expand plan on the calling thread. `pick` sees every
-    /// candidate's exact `(Σm, Σm̂, |support|)` by **canonical rank**
-    /// (lexicographic rule order, wildcards last) and returns the ranks to
-    /// turn into [`SweepOutcome::candidates`]: a caller scores all and
-    /// pays for a [`Rule`] only where it wants one.
+    /// through the expand plan on the calling thread. `pick` reads every
+    /// candidate's exact `(Σm, Σm̂)` and **canonical rank** (lexicographic
+    /// rule order, wildcards last) where the plan's slots hold them
+    /// ([`SlotSums`]), and returns the `(score, rank)` pairs to turn into
+    /// [`SweepOutcome::candidates`], in its order: the miner keeps the
+    /// best by gain in one pass over the slots, scoring a slot only where
+    /// a logarithm-free bound leaves it a chance against the `k`-th gain
+    /// kept so far ([`crate::multirule::top_k_by_gain`]), and pays for a
+    /// [`Rule`] only where it keeps one.
     ///
     /// Under one shared estimate (or none) and one partitioning,
     /// bit-identical for every worker count (see the module docs), across
@@ -1213,7 +1262,7 @@ impl<'a> SweepState<'a> {
         &mut self,
         data: &Dataset<TupleBlock>,
         cancel: Option<&CancellationToken>,
-        pick: impl FnOnce(&[Agg]) -> Vec<usize>,
+        pick: impl FnOnce(SlotSums<'_>) -> Vec<(f64, usize)>,
     ) -> SweepOutcome {
         let (d, index) = (self.d, self.index);
         let cx = SweepCx {
@@ -1269,6 +1318,11 @@ mod tests {
     use sirum_table::Compression;
     use sirum_table::{ColScratch, Frame, Table};
 
+    /// The `pick` that keeps every candidate, in canonical order, unscored.
+    fn all(sums: SlotSums<'_>) -> Vec<(f64, usize)> {
+        (0..sums.len()).map(|rank| (0.0, rank)).collect()
+    }
+
     /// One sweep on a fresh [`SweepState`], every candidate materialised in
     /// canonical order.
     fn sweep_gains(
@@ -1278,7 +1332,7 @@ mod tests {
         cancel: Option<&CancellationToken>,
         opts: &SweepOptions,
     ) -> SweepOutcome {
-        SweepState::new(d, index, opts).sweep(data, cancel, |sums| (0..sums.len()).collect())
+        SweepState::new(d, index, opts).sweep(data, cancel, all)
     }
 
     /// `frame` as the miner distributes it: one seeded block (`m̂ = 1`)
@@ -1325,7 +1379,7 @@ mod tests {
             let exhaustive = exhaustive_candidates(&t, &[1.0; 14], None).expect("uncancelled");
             assert_eq!(out.candidates.len(), exhaustive.len());
             assert_eq!(out.distinct_candidates, exhaustive.len() as u64);
-            for (rule, sm, smh, cnt) in &out.candidates {
+            for (rule, sm, smh, cnt, _) in &out.candidates {
                 let (em, emh, ec) = exhaustive[rule];
                 assert!((sm - em).abs() < 1e-9, "{rule:?}");
                 assert!((smh - emh).abs() < 1e-9, "{rule:?}");
@@ -1344,7 +1398,7 @@ mod tests {
         let data = blocks(&engine, &t, 3);
         for opts in all_variants(&t) {
             let out = sweep_gains(&data, 3, Some(&index), None, &opts);
-            for (rule, sm, smh, cnt) in &out.candidates {
+            for (rule, sm, smh, cnt, _) in &out.candidates {
                 let mut exp = (0.0, 0.0, 0u64);
                 for (i, row) in t.rows().enumerate() {
                     if rule.matches(&row) {
@@ -1363,7 +1417,7 @@ mod tests {
     fn bits(out: SweepOutcome) -> Vec<(Rule, u64, u64, u64)> {
         out.candidates
             .into_iter()
-            .map(|(r, a, b, c)| (r, a.to_bits(), b.to_bits(), c))
+            .map(|(r, a, b, c, _)| (r, a.to_bits(), b.to_bits(), c))
             .collect()
     }
 
@@ -1823,7 +1877,6 @@ mod tests {
         let engine = Engine::try_new(EngineConfig::single_thread()).unwrap();
         let data = blocks_of(&engine, &frame, 1);
         let opts = SweepOptions::packed(RuleLayout::from_cardinalities(&[11, 13, 7, 5]));
-        let all = |sums: &[Agg]| (0..sums.len()).collect();
         let fresh = sweep_gains(&data, 4, None, None, &opts);
         assert!(fresh.distinct_candidates as usize > CANCEL_POLL_ROWS);
         // Polls: the combine task's boundary and its 3 in-scan windows,
@@ -1918,7 +1971,6 @@ mod tests {
             packed.clone().with_combine(CombineStrategy::HashProbe),
             packed.with_combine(CombineStrategy::SlotTable),
         ];
-        let all = |sums: &[Agg]| (0..sums.len()).collect();
         let combines_run = || {
             let stages = engine.metrics().stages();
             let combine = |s: &&StageRecord| s.label == "gain-sweep-combine";
@@ -1974,7 +2026,6 @@ mod tests {
         let index = sample_index(&t, &[3, 8, 0]);
         let opts = packed_opts(&t);
         let mut state = SweepState::new(3, Some(&index), &opts);
-        let all = |sums: &[Agg]| (0..sums.len()).collect();
         let distinct = state.sweep(&data, None, all).distinct_candidates;
         state.sweep(&data, None, all);
         let stages = engine.metrics().stages();
@@ -2100,7 +2151,7 @@ mod tests {
         let data = blocks(&engine, &t, 3);
         for opts in all_variants(&t) {
             let mut state = SweepState::new(3, Some(&index), &opts);
-            let out = state.sweep(&data, None, |sums| (0..sums.len()).collect());
+            let out = state.sweep(&data, None, all);
             assert!(out.cancelled, "{opts:?}");
             assert_eq!((out.candidates.len(), out.distinct_candidates), (0, 0));
             let planned = [
@@ -2147,7 +2198,6 @@ mod tests {
                 let data = blocks_of(&engine, &frame, partitions);
                 let narrow = RuleLayout::from_cardinalities(&vec![3; d]);
                 let wide = RuleLayout::from_cardinalities(&vec![1 << 30; d]);
-                let all = |sums: &[Agg]| (0..sums.len()).collect();
                 let rule_keyed = SweepOptions::rule_keyed();
                 let reference = bits(sweep_gains(&data, d, Some(&index), None, &rule_keyed));
                 for opts in [
@@ -2371,7 +2421,6 @@ mod tests {
             let (first, second) = (blocks(&engine, synthetic_mhat), blocks(&engine, other_mhat));
             let (seq_first, seq_second) =
                 (blocks(&sequential, synthetic_mhat), blocks(&sequential, other_mhat));
-            let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
             let whole = |out: &SweepOutcome| {
                 (out.cancelled, out.pairs_emitted, out.distinct_candidates, bits(out.clone()))
             };
@@ -2459,8 +2508,6 @@ mod tests {
             let shared = mhat_for_mask(largest as u64, &lambdas);
             let carried = mhat.iter().filter(|mh| mh.to_bits() == shared.to_bits()).count();
             prop_assert!(carried >= group_sizes[largest] && carried > 0);
-
-            let all = |sums: &[Agg]| (0..sums.len()).collect::<Vec<usize>>();
             let whole = |out: &SweepOutcome| {
                 (out.cancelled, out.pairs_emitted, out.distinct_candidates, bits(out.clone()))
             };
@@ -2573,7 +2620,7 @@ mod tests {
             let exhaustive = exhaustive_candidates(&table, &mhat, None).expect("uncancelled");
             for opts in all_variants(&table) {
                 let out = sweep_gains(&data, d, Some(&index), None, &opts);
-                for (rule, sum_m, sum_mhat, count) in &out.candidates {
+                for (rule, sum_m, sum_mhat, count, _) in &out.candidates {
                     let (em, emh, ec) = exhaustive[rule];
                     prop_assert!((sum_m - em).abs() < 1e-6, "{:?}: {} vs {}", rule, sum_m, em);
                     prop_assert!((sum_mhat - emh).abs() < 1e-6, "{:?}", rule);

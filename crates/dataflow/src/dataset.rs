@@ -108,8 +108,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Build a dataset with **one record per partition** — the columnar
     /// construction, where each record is itself a whole partition's worth
     /// of rows (a [`sirum_table::FrameView`] range or a column block) and
-    /// placing it is an `Arc` bump, not a copy. Contrast
-    /// [`Engine::parallelize`], which chunks a flat record list.
+    /// placing it is an `Arc` bump, not a copy.
     pub fn from_partitioned(engine: &Engine, items: Vec<T>) -> Dataset<T> {
         let parts = items
             .into_iter()

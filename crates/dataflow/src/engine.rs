@@ -2,6 +2,7 @@
 //! metrics collection.
 
 use crate::config::{EngineConfig, EngineMode};
+#[cfg(test)]
 use crate::dataset::{Dataset, Part};
 use crate::error::DataflowError;
 use crate::memory::BlockStore;
@@ -115,8 +116,10 @@ impl Engine {
         &self.inner.store
     }
 
-    /// Distribute `data` over `partitions` in-memory partitions.
-    pub fn parallelize<T: Send + Sync + 'static>(
+    /// Distribute `data` over `partitions` in-memory partitions of
+    /// `⌈n / partitions⌉` records each, trailing ones possibly empty.
+    #[cfg(test)]
+    pub(crate) fn parallelize<T: Send + Sync + 'static>(
         &self,
         data: Vec<T>,
         partitions: usize,

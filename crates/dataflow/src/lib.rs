@@ -17,11 +17,15 @@
 //!
 //! ```
 //! use sirum_dataflow::hash::fx_hash_one;
-//! use sirum_dataflow::{DataflowError, Engine, EngineConfig};
+//! use sirum_dataflow::{DataflowError, Dataset, Engine, EngineConfig};
 //!
 //! let engine = Engine::try_new(EngineConfig::in_memory())?;
-//! let data = engine.parallelize((0..1000u32).collect(), 8);
-//! let pairs = data.map("key-by-mod", |&x| (x % 10, 1u64));
+//! // Eight partitions, each one record: a block of 125 numbers.
+//! let blocks: Vec<Vec<u32>> = (0..8).map(|p| (p * 125..(p + 1) * 125).collect()).collect();
+//! let data = Dataset::from_partitioned(&engine, blocks);
+//! let pairs = data.map_partitions("key-by-mod", |_, blocks: &[Vec<u32>]| {
+//!     blocks.iter().flatten().map(|&x| (x % 10, 1u64)).collect()
+//! });
 //! let counts = pairs.reduce_by_key("count", 4, fx_hash_one, |a, b| *a += b);
 //! let mut result = counts.collect();
 //! result.sort_unstable();

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use sirum_dataflow::hash::{fx_hash_one, FxHashMap};
 use sirum_dataflow::{
-    decode_records, encode_records, sample_row_indices, Encode, Engine, EngineConfig,
+    decode_records, encode_records, sample_row_indices, Dataset, Encode, Engine, EngineConfig,
+    Record,
 };
 
 fn engine(workers: usize, partitions: usize) -> Engine {
@@ -14,6 +15,17 @@ fn engine(workers: usize, partitions: usize) -> Engine {
             .with_partitions(partitions),
     )
     .unwrap()
+}
+
+/// `data` in order over `partitions` contiguous partitions of
+/// `⌈n / partitions⌉` records (trailing ones possibly empty), placed as
+/// one chunk per partition and flattened by one stage.
+fn distribute<T: Record>(e: &Engine, data: &[T], partitions: usize) -> Dataset<T> {
+    let chunk = data.len().div_ceil(partitions).max(1);
+    let chunks: Vec<Vec<T>> = (0..partitions)
+        .map(|p| data.iter().skip(p * chunk).take(chunk).cloned().collect())
+        .collect();
+    Dataset::from_partitioned(e, chunks).map_partitions("flatten", |_, chunks| chunks.concat())
 }
 
 proptest! {
@@ -59,7 +71,7 @@ proptest! {
         workers in 1usize..4,
     ) {
         let e = engine(workers, partitions);
-        let ds = e.parallelize(data.clone(), partitions);
+        let ds = distribute(&e, &data, partitions);
         let out = ds
             .map("m", |&x| x.wrapping_mul(3))
             .map_partitions("f", |_, xs| xs.iter().copied().filter(|x| x % 2 == 0).collect())
@@ -78,7 +90,7 @@ proptest! {
         partitions in 1usize..6,
     ) {
         let e = engine(2, partitions);
-        let ds = e.parallelize(pairs.clone(), partitions);
+        let ds = distribute(&e, &pairs, partitions);
         let mut out = ds.reduce_by_key("sum", partitions, fx_hash_one, |a, b| *a += b).collect();
         out.sort_unstable();
         let mut expect_map: FxHashMap<u32, u64> = FxHashMap::default();
@@ -97,7 +109,7 @@ proptest! {
         to in 1usize..6,
     ) {
         let e = engine(2, from);
-        let mut out = e.parallelize(data.clone(), from).repartition(to).collect();
+        let mut out = distribute(&e, &data, from).repartition(to).collect();
         let mut expect = data;
         out.sort_unstable();
         expect.sort_unstable();
@@ -115,7 +127,7 @@ proptest! {
                 .with_partitions(4)
                 .with_memory_budget(budget),
         ).unwrap();
-        let cached = e.parallelize(data.clone(), 4).cache();
+        let cached = distribute(&e, &data, 4).cache();
         prop_assert_eq!(cached.collect(), data.clone());
         // Second read (possibly from spill) still matches.
         prop_assert_eq!(cached.collect(), data);

@@ -467,12 +467,8 @@ impl Frame {
         }
     }
 
-    /// Split the frame into exactly `partitions` contiguous range views
-    /// using the same chunking as the dataflow engine's `parallelize`
-    /// (`⌈n / partitions⌉` rows per chunk, trailing views possibly empty) —
-    /// so a columnar dataset built from these views places every row in the
-    /// same partition, at the same offset, as a record-per-row dataset
-    /// over the same rows would.
+    /// Split the frame into exactly `partitions` contiguous range views of
+    /// `⌈n / partitions⌉` rows each, trailing views possibly empty.
     pub fn partition_views(&self, partitions: usize) -> Vec<FrameView> {
         let partitions = partitions.max(1);
         let n = self.rows;
