@@ -18,21 +18,23 @@ pub(crate) fn rank_limit(total: usize) -> usize {
 
 /// The order selection reads candidates in: gain descending
 /// (`total_cmp`), canonical rank ascending — the order [`select_rules`]'
-/// stable sort makes of the canonically ordered list.
-fn best_first(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+/// stable sort makes of the canonically ordered list. Each entry is
+/// `(gain, rank, slot)`; ranks are distinct, so the slot never decides.
+fn best_first(a: &(f64, usize, usize), b: &(f64, usize, usize)) -> Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
-/// The first `k` candidates under [`best_first`], in that order, from one
-/// pass over `slots` — each candidate's `(Σm, Σm̂, canonical rank)`, in any
+/// The first `k` candidates under [`best_first`], in that order, as
+/// `(gain, slot)` pairs, from one pass over `slots` — per slot, in slot
+/// order, the candidate's `(Σm, Σm̂, canonical rank)`, the ranks in any
 /// order — scored by `gain`: what scoring every candidate and sorting would
 /// give, gain bit for gain bit and rank for rank. Selection never reads
 /// past the top-1% rank limit, so selecting from this prefix equals
 /// selecting from the whole list whenever `k` covers that limit.
 ///
-/// At most `2k` `(gain, rank)` pairs are held; when they fill, they are cut
-/// to their best `k`, and the `k`-th gain among them becomes the threshold
-/// `t` (none until the first cut). A later candidate is kept only when its
+/// At most `2k` `(gain, rank, slot)` entries are held; when they fill,
+/// they are cut to their best `k`, and the `k`-th gain among them becomes
+/// the threshold `t` (none until the first cut). A later candidate is kept only when its
 /// gain is `≥ t` under `total_cmp`, so a tie at `t` still goes by rank.
 /// Once `t > 0`, `below(Σm, Σm̂, t)` — a logarithm-free test that is true
 /// only where the computed gain is below `t` — passes over a candidate
@@ -45,9 +47,9 @@ pub(crate) fn top_k_by_gain(
     below: BelowFn,
 ) -> Vec<(f64, usize)> {
     let full = 2 * k;
-    let mut kept: Vec<(f64, usize)> = Vec::with_capacity(full.min(slots.size_hint().0));
+    let mut kept: Vec<(f64, usize, usize)> = Vec::with_capacity(full.min(slots.size_hint().0));
     let mut t: Option<f64> = None;
-    for (sum_m, sum_mhat, rank) in slots {
+    for (slot, (sum_m, sum_mhat, rank)) in slots.enumerate() {
         if t.is_some_and(|t| t > 0.0 && below(sum_m, sum_mhat, t)) {
             continue;
         }
@@ -55,7 +57,7 @@ pub(crate) fn top_k_by_gain(
         if t.is_some_and(|t| g.total_cmp(&t).is_lt()) {
             continue;
         }
-        kept.push((g, rank));
+        kept.push((g, rank, slot));
         if kept.len() == full {
             kept.select_nth_unstable_by(k - 1, best_first);
             kept.truncate(k);
@@ -64,7 +66,7 @@ pub(crate) fn top_k_by_gain(
     }
     kept.sort_unstable_by(best_first);
     kept.truncate(k);
-    kept
+    kept.into_iter().map(|(g, _, slot)| (g, slot)).collect()
 }
 
 /// A scored candidate as produced by the gain stage.
@@ -210,8 +212,8 @@ mod tests {
         }
     }
 
-    /// [`top_k_by_gain`] over `all` in canonical order, each scored by the
-    /// gain it carries.
+    /// [`top_k_by_gain`] over `all` in canonical order (each slot holds its
+    /// own rank), each scored by the gain it carries.
     fn by_given_gain(all: &[ScoredCandidate], k: usize) -> Vec<(f64, usize)> {
         let slots = all.iter().enumerate().map(|(rank, c)| (c.gain, 0.0, rank));
         top_k_by_gain(slots, k, |gain, _| gain, |_, _, _| false)
@@ -337,11 +339,12 @@ mod tests {
                 (rule_gain, rule_gain_below)
             };
             let slots = pairs.iter().zip(&ranks).map(|(&(sum_m, sum_mhat), &rank)| (sum_m, sum_mhat, rank));
-            let mut full: Vec<(f64, usize)> = slots.clone().map(|(sm, smh, rank)| (gain(sm, smh), rank)).collect();
+            let mut full: Vec<(f64, usize, usize)> = slots.clone().enumerate().map(|(slot, (sm, smh, rank))| (gain(sm, smh), rank, slot)).collect();
             full.sort_by(best_first);
             full.truncate(k);
-            let bits = |v: &[(f64, usize)]| -> Vec<(u64, usize)> { v.iter().map(|&(g, r)| (g.to_bits(), r)).collect() };
-            prop_assert_eq!(bits(&top_k_by_gain(slots, k, gain, below)), bits(&full));
+            let full: Vec<(u64, usize)> = full.iter().map(|&(g, _, slot)| (g.to_bits(), slot)).collect();
+            let picked: Vec<(u64, usize)> = top_k_by_gain(slots, k, gain, below).iter().map(|&(g, slot)| (g.to_bits(), slot)).collect();
+            prop_assert_eq!(picked, full);
         }
     }
 }

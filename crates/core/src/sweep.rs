@@ -39,12 +39,12 @@
 //!
 //! The caller's `pick` then reads every candidate where the plan's slots
 //! hold it ([`SlotSums`]): `Σm`, the folded `Σm̂` and the canonical rank
-//! (from the slot → rank inverse the plan stores once per mine), with
-//! nothing gathered into rank order. The miner keeps the best by gain in
-//! one pass over the slots, against the `k`-th gain kept so far as a
-//! threshold, and takes an `ln` only where a logarithm-free bound leaves a
-//! slot a chance to place ([`crate::multirule::top_k_by_gain`]); only the
-//! candidates it keeps become [`Rule`]s.
+//! (the plan stores each slot's rank once per mine), with nothing gathered
+//! into rank order. The miner keeps the best by gain in one pass over the
+//! slots, against the `k`-th gain kept so far as a threshold, and takes an
+//! `ln` only where a logarithm-free bound leaves a slot a chance to place
+//! ([`crate::multirule::top_k_by_gain`]); it names the candidates it keeps
+//! by slot, and only those become [`Rule`]s.
 //!
 //! ## Counting the rows that share an estimate
 //!
@@ -858,9 +858,7 @@ struct ExpandPlan<K> {
     /// skipping one counts its passed-over rows from.
     pairs: Vec<u64>,
     links: Vec<(u32, u32)>,
-    /// Slots in canonical rule order.
-    order: Vec<u32>,
-    /// Per slot, its canonical rank: the inverse of `order`.
+    /// Per slot, its canonical rank: its key's place in sorted key order.
     rank: Vec<u32>,
     /// Per slot, with the sample multiplicity `c` (§3.1.1; 1 without an
     /// index) already divided out: exact `Σm` and `|support|`.
@@ -962,7 +960,6 @@ impl<K: RuleKey> ExpandPlan<K> {
             keys,
             pairs: frontier.iter().map(|(_, agg)| agg.2).collect(),
             links,
-            order,
             rank,
             sum_m,
             count,
@@ -1076,7 +1073,7 @@ impl SlotSums<'_> {
 /// (building it when it is missing or, which one mine cannot cause, the
 /// frontier's keys or pair counts moved), fold the frontier's `Σm̂` column
 /// through it, show `pick` every candidate's sums by slot and turn the
-/// `(score, canonical rank)` pairs it returns into rules.
+/// `(score, slot)` pairs it returns into rules.
 ///
 /// With a plan in hand and a `shared` estimate, the combine passes over
 /// the rows carrying it and the column comes from
@@ -1156,8 +1153,7 @@ fn run_sweep<K: SweepKey>(
         mult: &plan.mult,
         rank: &plan.rank,
     };
-    let candidates = pick(sums).into_iter().map(|(score, rank)| {
-        let slot = plan.order[rank] as usize;
+    let candidates = pick(sums).into_iter().map(|(score, slot)| {
         let rule = plan.keys[slot].clone().into_rule(codec);
         let sum_mhat = sum_mhat[slot] / f64::from(plan.mult[slot]);
         (rule, plan.sum_m[slot], sum_mhat, plan.count[slot], score)
@@ -1246,7 +1242,7 @@ impl<'a> SweepState<'a> {
     /// through the expand plan on the calling thread. `pick` reads every
     /// candidate's exact `(Σm, Σm̂)` and **canonical rank** (lexicographic
     /// rule order, wildcards last) where the plan's slots hold them
-    /// ([`SlotSums`]), and returns the `(score, rank)` pairs to turn into
+    /// ([`SlotSums`]), and returns the `(score, slot)` pairs to turn into
     /// [`SweepOutcome::candidates`], in its order: the miner keeps the
     /// best by gain in one pass over the slots, scoring a slot only where
     /// a logarithm-free bound leaves it a chance against the `k`-th gain
@@ -1320,7 +1316,11 @@ mod tests {
 
     /// The `pick` that keeps every candidate, in canonical order, unscored.
     fn all(sums: SlotSums<'_>) -> Vec<(f64, usize)> {
-        (0..sums.len()).map(|rank| (0.0, rank)).collect()
+        let mut slots: Vec<(f64, usize)> = vec![(0.0, 0); sums.len()];
+        for (slot, (_, _, rank)) in sums.iter().enumerate() {
+            slots[rank].1 = slot;
+        }
+        slots
     }
 
     /// One sweep on a fresh [`SweepState`], every candidate materialised in
@@ -1851,12 +1851,14 @@ mod tests {
         assert_eq!(plan.pairs_emitted, pairs_by_definition);
         ancestors.sort();
         ancestors.dedup();
-        let in_order: Vec<Rule> = plan
-            .order
-            .iter()
-            .map(|&slot| layout.unpack(plan.keys[slot as usize]))
-            .collect();
-        assert_eq!(in_order, ancestors);
+        let mut in_order: Vec<Option<Rule>> = vec![None; plan.keys.len()];
+        for (&key, &rank) in plan.keys.iter().zip(&plan.rank) {
+            in_order[rank as usize] = Some(layout.unpack(key));
+        }
+        assert_eq!(
+            in_order,
+            ancestors.into_iter().map(Some).collect::<Vec<_>>()
+        );
         // …and the transform, not a lattice walk, fills them.
         assert!(plan.links.len() <= 4 * plan.keys.len());
         assert!((plan.links.len() as u64) < plan.pairs_emitted);

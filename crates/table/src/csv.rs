@@ -7,11 +7,21 @@
 //! returns or newlines are written inside double quotes with embedded
 //! quotes doubled (`"` → `""`), so every categorical value round-trips —
 //! the reader accepts quoted fields back, including multi-line ones.
+//!
+//! Both directions run at scan speed on plain data. The reader splits a
+//! **plain record** — one whose `\n` lies in the reader's current buffer
+//! with no `"` or `\r` before it — in place, into fields borrowed from the
+//! buffer; every other record (quoted, CR-terminated, crossing a buffer
+//! refill, or last without a `\n`) goes through one byte-wise state
+//! machine, the single general grammar, and the fast path resumes after
+//! it. The two agree on every input, errors included. The writer escapes
+//! each dictionary value once and hands the output to its sink one morsel
+//! of rows at a time.
 
 use crate::error::TableError;
 use crate::frame::ColScratch;
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::table::{Table, TableBuilder};
 use std::io::{BufRead, Write};
 
 /// True when `field` must be quoted under RFC 4180.
@@ -21,48 +31,73 @@ fn needs_quoting(field: &str) -> bool {
         .any(|c| c == ',' || c == '"' || c == '\n' || c == '\r')
 }
 
-/// Write one field, quoting and escaping it if the dialect requires.
-fn write_field<W: Write>(out: &mut W, field: &str) -> Result<(), TableError> {
+/// Append one field to `out`, quoting and escaping it if the dialect
+/// requires.
+fn push_field(out: &mut Vec<u8>, field: &str) {
     if needs_quoting(field) {
-        out.write_all(b"\"")?;
-        out.write_all(field.replace('"', "\"\"").as_bytes())?;
-        out.write_all(b"\"")?;
+        out.push(b'"');
+        out.extend_from_slice(field.replace('"', "\"\"").as_bytes());
+        out.push(b'"');
     } else {
-        out.write_all(field.as_bytes())?;
+        out.extend_from_slice(field.as_bytes());
     }
-    Ok(())
 }
 
 /// Serialize a table as CSV (header + one line per row). Values with
 /// commas, quotes or line breaks are quoted per RFC 4180 and round-trip
 /// through [`read_csv`]. Returns [`TableError::Io`] on a write failure.
+///
+/// Each column's dictionary values are escaped once, up front; a morsel's
+/// rows are assembled in one reused buffer and written with one
+/// `write_all`, so an unbuffered `out` takes one write for the header and
+/// one per morsel.
 pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<(), TableError> {
     let schema = table.schema();
-    for (i, name) in schema.dim_names().iter().enumerate() {
+    let mut buf = Vec::new();
+    let names = (schema.dim_names().iter().map(String::as_str)).chain([schema.measure_name()]);
+    for (i, name) in names.enumerate() {
         if i > 0 {
-            out.write_all(b",")?;
+            buf.push(b',');
         }
-        write_field(out, name)?;
+        push_field(&mut buf, name);
     }
-    out.write_all(b",")?;
-    write_field(out, schema.measure_name())?;
-    out.write_all(b"\n")?;
+    buf.push(b'\n');
+    out.write_all(&buf)?;
+    // Per column, per code: the value's field, after its comma separator
+    // past the first column.
+    let fields: Vec<Vec<Vec<u8>>> = (0..schema.num_dims())
+        .map(|col| {
+            let field = |(_, value)| {
+                let mut field = if col > 0 { vec![b','] } else { Vec::new() };
+                push_field(&mut field, value);
+                field
+            };
+            table.dict(col).iter().map(field).collect()
+        })
+        .collect();
     // One morsel of every column decoded at a time (borrowed when raw).
     let view = table.frame().view();
     let mut scratch = ColScratch::new();
     for (start, len) in view.morsel_bounds() {
         let cols = view.morsel_cols(start, len, &mut scratch);
+        buf.clear();
         for (r, m) in table.measures()[start..start + len].iter().enumerate() {
-            for (col, codes) in cols.iter().enumerate() {
-                if col > 0 {
-                    out.write_all(b",")?;
-                }
-                write_field(out, table.decode(col, codes[r]))?;
+            for (field, codes) in fields.iter().zip(&cols) {
+                buf.extend_from_slice(&field[codes[r] as usize]);
             }
-            writeln!(out, ",{m}")?;
+            writeln!(buf, ",{m}")?;
         }
+        out.write_all(&buf)?;
     }
     Ok(())
+}
+
+/// The error a field or record that is not UTF-8 reads as.
+fn invalid_utf8() -> TableError {
+    TableError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
 }
 
 /// A streaming record splitter over a buffered reader, honoring RFC-4180
@@ -76,10 +111,12 @@ pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<(), TableError>
 ///
 /// Records are pulled chunk-by-chunk from the reader as they are consumed,
 /// so parsing holds one in-progress record — never the whole input.
-/// Scanning is byte-wise: every delimiter is ASCII and UTF-8 guarantees
-/// ASCII bytes cannot occur inside a multi-byte sequence, so a chunk
-/// boundary may split a multi-byte character without confusing the state
-/// machine; fields are validated as UTF-8 only once complete.
+/// [`Self::next_record`] scans byte-wise: every delimiter is ASCII and
+/// UTF-8 guarantees ASCII bytes cannot occur inside a multi-byte sequence,
+/// so a chunk boundary may split a multi-byte character without confusing
+/// the state machine; fields are validated as UTF-8 only once complete.
+/// [`Self::take_plain`] hands over the records that need none of this
+/// straight out of the reader's buffer.
 struct Records<R: BufRead> {
     input: R,
     /// One byte of lookahead (for CRLF pairs and doubled quotes) that has
@@ -87,6 +124,9 @@ struct Records<R: BufRead> {
     peeked: Option<u8>,
     /// 1-based physical line number of the *next* byte.
     line: usize,
+    /// The byte offsets of the commas in the record [`Self::take_plain`]
+    /// last looked at, kept to reuse its allocation.
+    commas: Vec<usize>,
 }
 
 impl<R: BufRead> Records<R> {
@@ -95,6 +135,7 @@ impl<R: BufRead> Records<R> {
             input,
             peeked: None,
             line: 1,
+            commas: Vec::new(),
         }
     }
 
@@ -117,6 +158,46 @@ impl<R: BufRead> Records<R> {
         Ok(self.peeked)
     }
 
+    /// Hand `take` the next record — as text borrowed from the reader's
+    /// buffer, the byte offsets of its commas and its physical line — when
+    /// the record is plain: its `\n` lies in the buffer and no `"` or `\r`
+    /// comes before it, so splitting the text at its commas is exactly
+    /// what [`Self::next_record`] would do. One pass over the bytes finds
+    /// the end and the commas. The record is consumed once `take` returns
+    /// `Ok`. `Ok(false)`, with
+    /// nothing consumed, when the record is not plain, the input is at its
+    /// end, or a byte is peeked.
+    fn take_plain(
+        &mut self,
+        take: impl FnOnce(&str, &[usize], usize) -> Result<(), TableError>,
+    ) -> Result<bool, TableError> {
+        if self.peeked.is_some() {
+            return Ok(false);
+        }
+        let buf = self.input.fill_buf()?;
+        self.commas.clear();
+        let mut end = None;
+        for (i, &b) in buf.iter().enumerate() {
+            match b {
+                b',' => self.commas.push(i),
+                b'\n' => {
+                    end = Some(i);
+                    break;
+                }
+                b'\r' | b'"' => return Ok(false),
+                _ => {}
+            }
+        }
+        let Some(len) = end else {
+            return Ok(false);
+        };
+        let text = std::str::from_utf8(&buf[..len]).map_err(|_| invalid_utf8())?;
+        take(text, &self.commas, self.line)?;
+        self.input.consume(len + 1);
+        self.line += 1;
+        Ok(true)
+    }
+
     /// Pull the next logical record as `(fields, first physical line)`,
     /// `None` at end of input.
     fn next_record(&mut self) -> Result<Option<(Vec<String>, usize)>, TableError> {
@@ -127,12 +208,7 @@ impl<R: BufRead> Records<R> {
         let mut fields = Vec::new();
         let mut cur = Vec::new();
         let take_field = |cur: &mut Vec<u8>| -> Result<String, TableError> {
-            String::from_utf8(std::mem::take(cur)).map_err(|_| {
-                TableError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                ))
-            })
+            String::from_utf8(std::mem::take(cur)).map_err(|_| invalid_utf8())
         };
         let mut in_quotes = false;
         let mut at_field_start = true;
@@ -186,6 +262,35 @@ impl<R: BufRead> Records<R> {
     }
 }
 
+/// Add one record to `builder`: `found` fields starting on physical
+/// `line`, `dims` the first `d` of them and `last` the last. A blank
+/// record (one empty field) is skipped; any other must hold one field per
+/// dimension plus a numeric measure.
+fn push_record<'f>(
+    builder: &mut TableBuilder,
+    d: usize,
+    line: usize,
+    found: usize,
+    dims: impl Iterator<Item = &'f str>,
+    last: &str,
+) -> Result<(), TableError> {
+    if found != d + 1 {
+        if found == 1 && last.is_empty() {
+            return Ok(()); // blank line
+        }
+        return Err(TableError::RaggedLine {
+            line,
+            expected: d + 1,
+            found,
+        });
+    }
+    let m: f64 = last.parse().map_err(|_| TableError::BadMeasure {
+        line,
+        value: last.to_string(),
+    })?;
+    builder.push_values(dims.take(d), m)
+}
+
 /// Parse a CSV produced by [`write_csv`] (or any RFC-4180 file whose last
 /// column is numeric) back into a [`Table`]. Quoted fields — including
 /// values with embedded commas, doubled quotes and line breaks — are
@@ -196,8 +301,20 @@ impl<R: BufRead> Records<R> {
 /// ([`TableError::NoDimensions`]), repeated column names
 /// ([`TableError::DuplicateDimension`]), a wrong field count
 /// ([`TableError::RaggedLine`]), a non-numeric measure
-/// ([`TableError::BadMeasure`]) or a quote left open at end of input
-/// ([`TableError::UnclosedQuote`]).
+/// ([`TableError::BadMeasure`]), a quote left open at end of input
+/// ([`TableError::UnclosedQuote`]) or bytes that are not UTF-8
+/// ([`TableError::Io`] of kind `InvalidData`); the first in record order
+/// is reported.
+///
+/// A plain record — its `\n` inside the reader's current buffer, no `"`
+/// or `\r` before it — is validated as UTF-8 once, split on `,` into
+/// fields borrowed from the buffer and interned without a per-field or
+/// per-record allocation. The header and every other record (quoted,
+/// CR-terminated, crossing a buffer refill, or last without a `\n`) take
+/// the byte-wise state machine, and the next record tries the fast path
+/// again. Through an 8 KiB `BufReader` about 1 record in 130 of a
+/// typical table crosses a refill; a whole-slice input never does. Either
+/// way the same table or the same error comes out.
 pub fn read_csv<R: BufRead>(input: R) -> Result<Table, TableError> {
     // Records are parsed straight out of the reader's buffer and
     // dictionary-encoded into the builder one at a time, so the input text
@@ -216,23 +333,25 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Table, TableError> {
     let schema = Schema::try_new(cols.iter().map(String::as_str).collect(), &measure)?;
     let d = schema.num_dims();
     let mut builder = Table::builder(schema);
-    while let Some((fields, line)) = records.next_record()? {
-        if fields.len() == 1 && fields[0].is_empty() {
-            continue; // blank line
-        }
-        if fields.len() != d + 1 {
-            return Err(TableError::RaggedLine {
-                line,
-                expected: d + 1,
-                found: fields.len(),
+    loop {
+        let plain = records.take_plain(|text, commas, line| {
+            let last = &text[commas.last().map_or(0, |&c| c + 1)..];
+            let dims = commas.iter().scan(0, |start, &c| {
+                let field = &text[*start..c];
+                *start = c + 1;
+                Some(field)
             });
-        }
-        let m: f64 = fields[d].parse().map_err(|_| TableError::BadMeasure {
-            line,
-            value: fields[d].clone(),
+            push_record(&mut builder, d, line, commas.len() + 1, dims, last)
         })?;
-        let dims: Vec<&str> = fields[..d].iter().map(String::as_str).collect();
-        builder.try_push_row(&dims, m)?;
+        if plain {
+            continue;
+        }
+        let Some((fields, line)) = records.next_record()? else {
+            break;
+        };
+        let last = fields.last().map_or("", String::as_str);
+        let dims = fields.iter().map(String::as_str);
+        push_record(&mut builder, d, line, fields.len(), dims, last)?;
     }
     Ok(builder.build())
 }
@@ -275,15 +394,21 @@ mod tests {
         assert_tables_equal(&t, &round_trip(&t));
     }
 
-    #[test]
-    fn quoted_fields_with_commas_round_trip() {
+    /// Values and a header name that need quoting: commas, quotes, a
+    /// line break.
+    fn quoting_table() -> Table {
         let mut b = Table::builder(Schema::try_new(vec!["City, Country", "Kind"], "m").unwrap());
         b.try_push_row(&["London, UK", "plain"], 1.0).unwrap();
         b.try_push_row(&["San Francisco, CA, USA", "with \"quotes\""], 2.5)
             .unwrap();
         b.try_push_row(&["multi\nline", "trailing,comma,"], -3.0)
             .unwrap();
-        let t = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn quoted_fields_with_commas_round_trip() {
+        let t = quoting_table();
         let mut buf = Vec::new();
         write_csv(&t, &mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
@@ -416,6 +541,97 @@ mod tests {
     fn invalid_utf8_is_an_io_error_not_a_panic() {
         let csv = b"a,m\nx\xff\xfe,1\n";
         assert!(matches!(read_csv(&csv[..]), Err(TableError::Io(_))));
+    }
+
+    /// A `Write` that counts its `write` calls.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn fnv(bytes: &[u8]) -> u64 {
+        let mut h = crate::fingerprint::Fnv64::new();
+        h.write_bytes(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned_and_written_once_per_morsel() {
+        // The hashes of the bytes the field-at-a-time writer produced: one
+        // rendering per dictionary value must not move a byte.
+        for (table, pinned) in [
+            (generators::tlc_like(20_000, 42), 0xe7d4_b75d_ccaa_4cb0),
+            (quoting_table(), 0x93ac_1bd2_d122_d39e),
+        ] {
+            let mut out = CountingSink {
+                bytes: Vec::new(),
+                calls: 0,
+            };
+            write_csv(&table, &mut out).unwrap();
+            assert_eq!(fnv(&out.bytes), pinned);
+            assert_eq!(out.calls, 1 + table.frame().view().morsel_bounds().len());
+        }
+        // Past one morsel, one write per morsel still.
+        let table = generators::tlc_like(70_000, 7);
+        let morsels = table.frame().view().morsel_bounds().len();
+        assert!(morsels > 1);
+        let mut out = CountingSink {
+            bytes: Vec::new(),
+            calls: 0,
+        };
+        write_csv(&table, &mut out).unwrap();
+        assert_eq!(out.calls, 1 + morsels);
+        assert_tables_equal(&table, &read_csv(out.bytes.as_slice()).unwrap());
+    }
+
+    /// Schema, fingerprint, every dictionary in code order and the measure
+    /// bits of two reads agree.
+    fn assert_same_read(a: &Table, b: &Table) {
+        assert_eq!(a.schema(), b.schema());
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        for col in 0..a.num_dims() {
+            assert!(a.dict(col).iter().eq(b.dict(col).iter()), "column {col}");
+        }
+        let bits = |t: &Table| t.measures().iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
+    }
+
+    #[test]
+    fn an_8k_buffer_reads_what_the_whole_slice_reads() {
+        // Through the CLI's 8 KiB buffer, records cross refills and fall
+        // back to the state machine mid-stream; the whole slice takes the
+        // fast path for every plain record.
+        let mut tlc = Vec::new();
+        write_csv(&generators::tlc_like(50_000, 3), &mut tlc).unwrap();
+        // Plain, quoted, CRLF- and CR-terminated and blank records mixed.
+        let mut mixed = String::from("\"City, Country\",Kind,m\r\n");
+        for i in 0..2_000 {
+            mixed.push_str(&match i % 5 {
+                0 => format!("c{},plain,{i}\n", i % 7),
+                1 => format!("\"q,{}\",\"he said \"\"hi\"\"\",{i}.5\r\n", i % 3),
+                2 => format!("\"multi\nline\",k{},-{i}\n", i % 4),
+                3 => format!("lone,cr,{i}\r"),
+                _ => format!("\nc{},\"x\r\ny\",{i}e-3\n", i % 5),
+            });
+        }
+        for bytes in [&tlc[..], mixed.as_bytes()] {
+            let whole = read_csv(bytes).unwrap();
+            let buffered = read_csv(std::io::BufReader::with_capacity(8192, bytes)).unwrap();
+            assert_same_read(&whole, &buffered);
+        }
+        assert_eq!(read_csv(mixed.as_bytes()).unwrap().num_rows(), 2_000);
     }
 
     #[test]

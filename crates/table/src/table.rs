@@ -235,7 +235,20 @@ impl TableBuilder {
                 found: values.len(),
             });
         }
-        for (col, v) in values.iter().enumerate() {
+        self.push_values(values.iter().copied(), m)?;
+        Ok(self)
+    }
+
+    /// [`Self::try_push_row`] over values the caller has already counted
+    /// to one per dimension, borrowed from wherever they lie (the CSV
+    /// reader splits them out of its input buffer). On error the builder's
+    /// rows are left unchanged.
+    pub(crate) fn push_values<'v>(
+        &mut self,
+        values: impl Iterator<Item = &'v str>,
+        m: f64,
+    ) -> Result<(), TableError> {
+        for (col, v) in values.enumerate() {
             match self.dicts[col].try_intern(v) {
                 Ok(code) => self.cols[col].push(code),
                 Err(e) => {
@@ -247,7 +260,7 @@ impl TableBuilder {
             }
         }
         self.measure.push(m);
-        Ok(self)
+        Ok(())
     }
 
     /// Append a row given directly as dictionary codes, rejecting arity

@@ -1,12 +1,14 @@
 //! Property-based tests for the table substrate: dictionary encode/decode
-//! round-trips, CSV write→read identity, and one column layout under both
+//! round-trips, CSV write→read identity, the CSV reader's totality and its
+//! fast path against its byte-wise one, and one column layout under both
 //! compression policies.
 
 use proptest::prelude::*;
 use sirum_table::csv::{read_csv, write_csv};
 use sirum_table::fingerprint::Fnv64;
 use sirum_table::{
-    ColScratch, ColumnFormat, CompressedCol, Compression, Dictionary, Frame, Schema, Segment, Table,
+    ColScratch, ColumnFormat, CompressedCol, Compression, Dictionary, Frame, Schema, Segment,
+    Table, TableError,
 };
 
 /// A pool of categorical values of mixed scripts and lengths, including
@@ -218,6 +220,60 @@ proptest! {
     ) {
         let bytes: Vec<u8> = picks.iter().flat_map(|&i| CSV_FRAGMENTS[i].iter().copied()).collect();
         read_csv_is_total(&bytes, capacity);
+    }
+}
+
+/// What a read yields, in a form two reads can be compared by: a table's
+/// schema, fingerprint, dictionaries in code order and measure bits, or
+/// the error with its every field.
+fn read_outcome(read: Result<Table, TableError>) -> String {
+    match read {
+        Ok(table) => {
+            let dicts: Vec<Vec<&str>> = (0..table.num_dims())
+                .map(|col| table.dict(col).iter().map(|(_, v)| v).collect())
+                .collect();
+            let bits: Vec<u64> = table.measures().iter().map(|m| m.to_bits()).collect();
+            format!(
+                "{:?} {:016x} {dicts:?} {bits:?}",
+                table.schema(),
+                table.fingerprint()
+            )
+        }
+        Err(TableError::Io(e)) => format!("Io({:?})", e.kind()),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// Read `bytes` whole, through a 1-byte buffer — which never holds a
+/// whole non-blank record, so every such record takes the byte-wise state
+/// machine — and through a `capacity`-byte one, where the fast path and
+/// the state machine take turns: the three reads agree.
+fn fast_and_bytewise_reads_agree(bytes: &[u8], capacity: usize) {
+    let whole = read_outcome(read_csv(bytes));
+    let bytewise = read_outcome(read_csv(std::io::BufReader::with_capacity(1, bytes)));
+    let mixed = read_outcome(read_csv(std::io::BufReader::with_capacity(capacity, bytes)));
+    assert_eq!(whole, bytewise, "{bytes:?}");
+    assert_eq!(whole, mixed, "{bytes:?} through {capacity} B");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The reader's in-place path for plain records against its byte-wise
+    /// state machine, on arbitrary bytes and on spliced CSV fragments
+    /// (half of them after a valid header, so that records past it reach
+    /// the fast path): equal tables, or equal errors at the same line.
+    #[test]
+    fn fast_csv_path_matches_bytewise_path(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        header in any::<bool>(),
+        picks in prop::collection::vec(0..CSV_FRAGMENTS.len(), 0..48),
+        capacity in 2usize..64,
+    ) {
+        fast_and_bytewise_reads_agree(&bytes, capacity);
+        let mut spliced = if header { b"a,m\n".to_vec() } else { Vec::new() };
+        spliced.extend(picks.iter().flat_map(|&i| CSV_FRAGMENTS[i].iter().copied()));
+        fast_and_bytewise_reads_agree(&spliced, capacity);
     }
 }
 
